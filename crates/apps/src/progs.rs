@@ -1321,23 +1321,6 @@ mod tests {
     }
 
     #[test]
-    fn prefork_server_is_cow_invariant() {
-        // The scenario must behave identically on the deep-copy baseline
-        // (the CI WALI_NO_COW gate runs the suite that way).
-        for cow in [true, false] {
-            let app = prefork_server_sim(2, 2);
-            let bytes = wasm::encode::encode(&app.module);
-            let module = wasm::decode::decode(&bytes).expect("round trip");
-            let mut runner = WaliRunner::new_default();
-            runner.set_cow(cow);
-            runner.register_program("/usr/bin/app", &module).unwrap();
-            runner.spawn("/usr/bin/app", &[], &[]).unwrap();
-            let out = runner.run().expect("run");
-            assert_eq!(out.exit_code(), Some(0), "cow={cow}: {:?}", out.main_exit);
-        }
-    }
-
-    #[test]
     fn paho_sim_round_trips_publishes() {
         let out = run(paho_mqtt_sim(4));
         assert_eq!(out.exit_code(), Some(0));

@@ -29,8 +29,8 @@
 //! until their parent delivers a fatal `SIGTERM`; they pin
 //! signal-driven teardown (exit 143) without racing console output
 //! against delivery. **Vfork-exec** children only `execve` a tiny leaf
-//! program, pinning the vfork/exec path with identical observables
-//! whether or not copy-on-write memory is enabled.
+//! program, pinning the vfork/exec path (the child borrows the parent's
+//! pages until it execs).
 
 use wali::testkit::{emit_sleep, spawn_thread, sys};
 use wasm::build::{FuncBuilder, FuncId, ModuleBuilder};

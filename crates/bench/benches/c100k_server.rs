@@ -6,10 +6,10 @@
 //!
 //! 1. **Wakeup flatness** (`c100k_wakeup`): one epoll instance with `N`
 //!    registered socketpair connections; each iteration makes ~64 of
-//!    them ready and drains the batch through `epoll_wait`. With the
-//!    ready ring (`ring` rows) the per-wakeup cost must stay flat as
-//!    `N` grows 1k → 100k; the `scan` rows re-run the identical batch
-//!    on the `WALI_NO_READY` fallback, whose cost is linear in `N`.
+//!    them ready and drains the batch through `epoll_wait`. The ready
+//!    ring's per-wakeup cost must stay flat as `N` grows 1k → 100k
+//!    (asserted ≤ 2× on the full rows; the retired interest-list scan
+//!    was linear in `N` — DESIGN.md "Retired baselines").
 //!
 //! 2. **Framed protocols** (`c100k_server`): memcached-shaped
 //!    (length-prefixed get/set) and MQTT-shaped (CONNECT / PUBLISH /
@@ -76,9 +76,8 @@ struct Server {
 }
 
 impl Server {
-    fn new(n: usize, ring: bool) -> Server {
+    fn new(n: usize) -> Server {
         let mut k = Kernel::new();
-        k.set_ready(ring);
         let tid = k.spawn_process();
         k.task(tid).unwrap().fdtable.lock_ok().limit = FD_BASE + 2 * n + 64;
         let ep = k.sys_epoll_create1(tid, 0).unwrap();
@@ -157,15 +156,12 @@ fn wakeup_batch(s: &mut Server) -> usize {
 
 fn bench_wakeup(g: &mut harness::Group, sizes: &[usize]) -> Vec<(String, f64)> {
     let mut medians = Vec::new();
-    for &ring in &[true, false] {
-        let mode = if ring { "ring" } else { "scan" };
-        for &n in sizes {
-            let mut s = Server::new(n, ring);
-            let name = format!("{mode}/registered={n}");
-            g.bench_function(&name, |b| b.iter(|| wakeup_batch(&mut s)));
-            let (_, stats) = g.results().last().unwrap();
-            medians.push((name, stats.median_ns));
-        }
+    for &n in sizes {
+        let mut s = Server::new(n);
+        let name = format!("ring/registered={n}");
+        g.bench_function(&name, |b| b.iter(|| wakeup_batch(&mut s)));
+        let (_, stats) = g.results().last().unwrap();
+        medians.push((name, stats.median_ns));
     }
     medians
 }
@@ -268,8 +264,8 @@ struct WorkloadStats {
 }
 
 /// Runs the churny request/reply workload against a fresh server.
-fn run_protocol(proto: Proto, n: usize, ring: bool) -> WorkloadStats {
-    let mut s = Server::new(n, ring);
+fn run_protocol(proto: Proto, n: usize) -> WorkloadStats {
+    let mut s = Server::new(n);
     let mut seq = 0u64;
     let mut frame = Vec::new();
     let mut reply = Vec::new();
@@ -378,7 +374,7 @@ fn percentile(sorted: &[u64], p: f64) -> f64 {
 }
 
 fn report_protocol(proto: Proto, n: usize) {
-    let mut st = run_protocol(proto, n, true);
+    let mut st = run_protocol(proto, n);
     st.latencies_ns.sort_unstable();
     let group = "c100k_server";
     let base = format!("{}/conns={n}", proto.name());
@@ -410,7 +406,7 @@ fn report_protocol(proto: Proto, n: usize) {
 }
 
 fn main() {
-    // Wakeup flatness: ring must stay flat 1k → 100k, scan grows ~N.
+    // Wakeup flatness: the ring must stay flat 1k → 100k.
     let wakeup_sizes: &[usize] = if full_rows() {
         &[1_000, 10_000, 100_000]
     } else {
@@ -428,15 +424,15 @@ fn main() {
     };
     if full_rows() {
         let (r1, r100) = (med("ring/registered=1000"), med("ring/registered=100000"));
-        let (s1, s100) = (med("scan/registered=1000"), med("scan/registered=100000"));
-        println!(
-            "\nflatness 1k → 100k: ring {:.2}x, scan {:.2}x",
-            r100 / r1.max(1.0),
-            s100 / s1.max(1.0)
+        let growth = r100 / r1.max(1.0);
+        println!("\nflatness 1k → 100k: ring {growth:.2}x");
+        assert!(
+            growth <= 2.0,
+            "ring wakeup cost grew {growth:.2}x 1k → 100k"
         );
     }
 
-    // Framed protocols with churn, ring mode (the shipped path).
+    // Framed protocols with churn.
     let proto_sizes: &[usize] = if full_rows() {
         &[10_000, 50_000, 100_000]
     } else {

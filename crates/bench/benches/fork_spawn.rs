@@ -1,17 +1,12 @@
 //! Fork/spawn bench: process-spawn cost vs. reservation and touched
-//! memory, COW vs. deep copy.
+//! memory on the paged copy-on-write backing.
 //!
 //! A process declares a linear-memory reservation of `resv` pages,
 //! dirties `touched` of them, then forks `FORKS` children that exit
-//! immediately while the parent reaps each one. The `cow` rows run the
-//! paged copy-on-write backing (the default): fork shares `Arc`'d pages,
-//! so its cost tracks `touched`, not `resv`. The `nocow` rows run the
-//! `WALI_NO_COW=1` flat baseline whose every spawn allocates + zeroes the
-//! full reservation and whose every fork deep-copies it — the
-//! O(reservation) behaviour this PR removes.
-//!
-//! The A/B medians and the resident-page accounting are recorded in
-//! `DESIGN.md`'s memory-subsystem section.
+//! immediately while the parent reaps each one. Fork shares `Arc`'d
+//! pages, so its cost tracks `touched`, not `resv` (the retired flat
+//! deep-copy backing was O(reservation) — DESIGN.md "Retired
+//! baselines"; resident-page accounting is in its memory section).
 
 use apps::progs::sys;
 use bench::harness;
@@ -76,9 +71,8 @@ fn fork_program(resv: u32, touched: u32) -> Module {
     mb.build()
 }
 
-fn run_forks(module: &Module, cow: bool) -> wali::RunOutcome {
+fn run_forks(module: &Module) -> wali::RunOutcome {
     let mut runner = WaliRunner::new_default();
-    runner.set_cow(cow);
     runner
         .register_program("/usr/bin/forker", module)
         .expect("register");
@@ -90,23 +84,19 @@ fn run_forks(module: &Module, cow: bool) -> wali::RunOutcome {
 
 fn main() {
     // Axis 1: reservation size at fixed dirty set (8 pages = 512 KiB).
-    // COW fork latency must stay ~flat while the deep-copy baseline
-    // scales with the reservation.
+    // COW fork latency must stay ~flat.
     let mut g = harness::group("fork_spawn");
     for &resv in &[64u32, 256, 1024] {
         let module = bench::reload(&fork_program(resv, 8));
         g.bench_function(&format!("cow/resv={resv}"), |b| {
-            b.iter(|| run_forks(&module, true))
-        });
-        g.bench_function(&format!("nocow/resv={resv}"), |b| {
-            b.iter(|| run_forks(&module, false))
+            b.iter(|| run_forks(&module))
         });
     }
     // Axis 2: dirty-set size at fixed reservation — COW cost tracks this.
     for &touched in &[8u32, 64, 256] {
         let module = bench::reload(&fork_program(256, touched));
         g.bench_function(&format!("cow/touched={touched}"), |b| {
-            b.iter(|| run_forks(&module, true))
+            b.iter(|| run_forks(&module))
         });
     }
     g.finish();
@@ -115,15 +105,10 @@ fn main() {
     println!("\nresident vs. reserved (8 of `resv` pages touched, {FORKS} forks):");
     for &resv in &[64u32, 256, 1024] {
         let module = bench::reload(&fork_program(resv, 8));
-        let cow = run_forks(&module, true);
-        let nocow = run_forks(&module, false);
+        let resident = run_forks(&module).peak_resident_pages;
         println!(
-            "  resv={resv:>4} pages: cow resident {:>4} pages ({} KiB), \
-             nocow resident {:>4} pages ({} KiB)",
-            cow.peak_resident_pages,
-            cow.peak_resident_pages as u64 * 64,
-            nocow.peak_resident_pages,
-            nocow.peak_resident_pages as u64 * 64,
+            "  resv={resv:>4} pages: resident {resident:>4} pages ({} KiB)",
+            resident as u64 * 64,
         );
     }
 }

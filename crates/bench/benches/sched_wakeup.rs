@@ -2,19 +2,11 @@
 //!
 //! A ping-pong pair of threads bounces one byte through two pipes for a
 //! fixed number of rounds while `P` extra threads sit parked on a futex
-//! word for the whole run. Event-driven scheduling (the default) should
-//! make the per-round cost independent of `P`: a pipe write wakes exactly
-//! the subscribed reader. The `poll` rows run the same program on the
-//! `WALI_NO_WAITQ` baseline, whose every scheduling pass retries all `P`
-//! parked futexes — the O(blocked × passes) behaviour this PR removes.
-//!
-//! The `noshard` rows run the same event-driven program with the
-//! sharded syscall fast path disabled (`WALI_NO_SHARD` / `set_shard`):
-//! every ping-pong byte then crosses the big kernel lock, which is the
-//! thread-safety toll the sharding PR wins back at `WALI_WORKERS=1`.
-//!
-//! The A/B medians are recorded in `DESIGN.md`'s waitqueue and
-//! concurrency sections.
+//! word for the whole run. Event-driven scheduling makes the per-round
+//! cost independent of `P`: a pipe write wakes exactly the subscribed
+//! reader, so blocked-syscall retries stay O(tasks) (asserted below; the
+//! retired poll-every-blocked-task loop retried all `P` parked futexes on
+//! every pass — DESIGN.md "Retired baselines").
 
 use apps::progs::sys;
 use bench::harness;
@@ -149,10 +141,8 @@ fn pingpong_program(parked: u32) -> Module {
     mb.build()
 }
 
-fn run_pingpong(module: &Module, event_driven: bool, shard: bool) -> wali::runner::SchedStats {
+fn run_pingpong(module: &Module) -> wali::runner::SchedStats {
     let mut runner = WaliRunner::new_default();
-    runner.set_event_driven(event_driven);
-    runner.set_shard(shard);
     runner
         .register_program("/usr/bin/pingpong", module)
         .expect("register");
@@ -167,26 +157,15 @@ fn main() {
     for &parked in &[0u32, 64, 256] {
         let module = bench::reload(&pingpong_program(parked));
         g.bench_function(&format!("pingpong/evt/parked={parked}"), |b| {
-            b.iter(|| run_pingpong(&module, true, true))
-        });
-        g.bench_function(&format!("pingpong/evt/noshard/parked={parked}"), |b| {
-            b.iter(|| run_pingpong(&module, true, false))
-        });
-        g.bench_function(&format!("pingpong/poll/parked={parked}"), |b| {
-            b.iter(|| run_pingpong(&module, false, true))
+            b.iter(|| run_pingpong(&module))
         });
     }
     g.finish();
 
-    // One explanatory line: the retry-storm counterfactual.
-    let module = bench::reload(&pingpong_program(256));
-    let evt = run_pingpong(&module, true, true);
-    let poll = run_pingpong(&module, false, true);
-    println!(
-        "\nblocked retries over {ROUNDS} rounds with 256 parked tasks: \
-         event-driven={} polling={} ({}x)",
-        evt.blocked_retries,
-        poll.blocked_retries,
-        poll.blocked_retries / evt.blocked_retries.max(1)
-    );
+    // No retry storm: parked tasks cost nothing per round.
+    let parked = 256;
+    let tasks = parked as u64 + 2;
+    let retries = run_pingpong(&bench::reload(&pingpong_program(parked))).blocked_retries;
+    println!("\nblocked retries over {ROUNDS} rounds with {parked} parked tasks: {retries}");
+    assert!(retries <= 6 * tasks, "retry storm: {retries} > 6 x {tasks}");
 }

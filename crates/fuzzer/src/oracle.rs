@@ -1,7 +1,8 @@
 //! The three oracles: bit-determinism, toggle equivalence, liveness.
 //!
-//! Each scenario is executed several times under different
-//! scheduler/backing configurations and every run is judged three ways:
+//! Each scenario is executed six times — two `WALI_WORKERS=1` runs,
+//! no-fuse, no-regir, no-ring and `WALI_WORKERS=4` — and every run is
+//! judged three ways:
 //!
 //! 1. **Bit-determinism** — two `WALI_WORKERS=1` runs must agree on the
 //!    exact console bytes, per-task ending order (tids included),
@@ -9,12 +10,11 @@
 //!    promises bit-for-bit replay; any divergence is a hidden source of
 //!    nondeterminism (wall clock, hash order, …).
 //! 2. **Toggle equivalence** — `WALI_NO_FUSE`, `WALI_NO_REGIR`,
-//!    `WALI_NO_WAITQ`, `WALI_NO_COW`, `WALI_NO_SHARD`,
-//!    `WALI_NO_READY`, `WALI_NO_RING` and
-//!    `WALI_WORKERS=4` must leave the *observable* outcome unchanged. Single-worker toggles are compared on the
-//!    order-insensitive [`wali::Observables`] too (their schedule legitimately
-//!    shifts when blocking behavior changes); the model oracle below
-//!    pins the exact content.
+//!    `WALI_NO_RING` and `WALI_WORKERS=4` must leave the *observable*
+//!    outcome unchanged. Single-worker toggles are compared on the
+//!    order-insensitive [`wali::Observables`] too (their schedule
+//!    legitimately shifts when blocking behavior changes); the model
+//!    oracle below pins the exact content.
 //! 3. **Liveness / leaks** — every run must terminate (the runners
 //!    detect true deadlock on a quiesced virtual clock), match the
 //!    scenario's own predicted console multiset and exit code, and
@@ -36,8 +36,7 @@ pub struct OracleConfig {
     pub smp_workers: usize,
     /// Run the SMP equivalence leg at all.
     pub check_smp: bool,
-    /// Run the single-worker toggle legs (fuse / regir / waitq / cow /
-    /// shard / ready / ring).
+    /// Run the single-worker toggle legs (fuse / regir / ring).
     pub check_toggles: bool,
     /// Compare process-global resident pages before/after. Only valid
     /// when nothing else in the process touches guest memory
@@ -197,7 +196,7 @@ pub fn check(scn: &Scenario, cfg: &OracleConfig) -> Result<(), Failure> {
 
     // Oracle 2: single-worker toggles.
     if cfg.check_toggles {
-        let toggles: [(&str, RunnerOpts); 7] = [
+        let toggles: [(&str, RunnerOpts); 3] = [
             (
                 "workers=1 no-fuse",
                 RunnerOpts {
@@ -209,34 +208,6 @@ pub fn check(scn: &Scenario, cfg: &OracleConfig) -> Result<(), Failure> {
                 "workers=1 no-regir",
                 RunnerOpts {
                     regir: Some(false),
-                    ..RunnerOpts::single()
-                },
-            ),
-            (
-                "workers=1 no-waitq",
-                RunnerOpts {
-                    event_driven: Some(false),
-                    ..RunnerOpts::single()
-                },
-            ),
-            (
-                "workers=1 no-cow",
-                RunnerOpts {
-                    cow: Some(false),
-                    ..RunnerOpts::single()
-                },
-            ),
-            (
-                "workers=1 no-shard",
-                RunnerOpts {
-                    shard: Some(false),
-                    ..RunnerOpts::single()
-                },
-            ),
-            (
-                "workers=1 no-ready",
-                RunnerOpts {
-                    ready: Some(false),
                     ..RunnerOpts::single()
                 },
             ),

@@ -3,9 +3,8 @@
 //! Each corpus file under `corpus/` pins a bug this repository fixed
 //! (or a scenario shape that once exposed one); every entry must replay
 //! green through the *full* oracle battery — two bit-deterministic
-//! `WALI_WORKERS=1` runs, the `WALI_NO_FUSE`/`WALI_NO_WAITQ`/
-//! `WALI_NO_COW`/`WALI_NO_SHARD` toggles, and the `WALI_WORKERS=4` SMP
-//! equivalence leg
+//! `WALI_WORKERS=1` runs, the `WALI_NO_FUSE`/`WALI_NO_REGIR`/
+//! `WALI_NO_RING` toggles, and the `WALI_WORKERS=4` SMP equivalence leg
 //! — exactly as `wazi replay <file>` would run it. The process-global
 //! page-balance check stays off here (tests share the process); the
 //! per-kernel leak audit still runs on every leg.
@@ -44,9 +43,9 @@ fn corpus_epoll_edge_oneshot_replays_green() {
     replay_corpus("epoll-edge-oneshot.txt");
 }
 
-/// Victims, handled-signal kills and futex set/wait: the PR-3
-/// woken_retry false deadlock and the mid-slice-death wait-subscription
-/// leak.
+/// Victims, handled-signal kills and futex set/wait: the PR-3 false
+/// deadlock (a woken retry declared idle before its attempt) and the
+/// mid-slice-death wait-subscription leak.
 #[test]
 fn corpus_signal_victim_futex_replays_green() {
     replay_corpus("signal-victim-futex.txt");

@@ -10,46 +10,44 @@ use apps::scenario::{Mechanism, Op, Scenario};
 use fuzzer::oracle::{self, FailureKind, OracleConfig};
 
 /// A scenario tuned to the re-opened window: four single-token pipes,
-/// each consumed via level-triggered `epoll_wait` by its own thread
-/// while four producer threads in a sibling process race the writes.
-/// Any lost wakeup parks a consumer forever and the SMP run reports a
-/// deadlock. (Under one worker the split halves cannot interleave, so
-/// the cooperative legs stay green — the determinism oracle is not the
-/// one that fires.)
+/// each consumed via level-triggered `epoll_wait` by its own
+/// single-threaded process while four producer threads in the root race
+/// the writes. Any lost wakeup parks a consumer forever, the root parks
+/// in `wait4` behind it, and the SMP run reports a deadlock. (Every
+/// consumer is its process's main thread on purpose: a stuck *sibling*
+/// thread would leave its main thread sleep-polling the join flags
+/// forever — virtual time keeps advancing, so that is a hang, not a
+/// detectable deadlock. Under one worker the split halves cannot
+/// interleave, so the cooperative legs stay green — the determinism
+/// oracle is not the one that fires.)
 fn race_bait() -> Scenario {
     use apps::scenario::{ChanKind, Proc, ProcKind, ThreadPlan};
-    let threads = |n: usize, phases: usize| {
-        vec![
+    let proc_with = |children: Vec<usize>, threads: usize| Proc {
+        kind: ProcKind::Normal,
+        children,
+        handles: Vec::new(),
+        threads: vec![
             ThreadPlan {
-                phases: vec![Vec::new(); phases]
+                phases: vec![Vec::new(); 2]
             };
-            n
-        ]
+            threads
+        ],
     };
-    let mut root = Proc {
-        kind: ProcKind::Normal,
-        children: vec![1],
-        handles: Vec::new(),
-        threads: threads(4, 2),
-    };
-    let mut consumer = Proc {
-        kind: ProcKind::Normal,
-        children: Vec::new(),
-        handles: Vec::new(),
-        threads: threads(4, 2),
-    };
+    let mut procs = vec![proc_with((1..=4).collect(), 4)];
     for c in 0..4 {
-        root.threads[c].phases[0].push(Op::Produce { chan: c, tokens: 1 });
-        consumer.threads[c].phases[1].push(Op::Consume {
+        procs[0].threads[c].phases[0].push(Op::Produce { chan: c, tokens: 1 });
+        let mut consumer = proc_with(Vec::new(), 1);
+        consumer.threads[0].phases[1].push(Op::Consume {
             chan: c,
             tokens: 1,
             via: Mechanism::EpollLt,
         });
+        procs.push(consumer);
     }
     let scn = Scenario {
         chans: vec![ChanKind::Pipe; 4],
         futex_words: 0,
-        procs: vec![root, consumer],
+        procs,
     };
     scn.validate().expect("race bait is structurally valid");
     scn
@@ -57,15 +55,13 @@ fn race_bait() -> Scenario {
 
 #[test]
 fn scan_split_fault_is_caught_and_shrunk() {
-    // The planted race lives in the big-lock epoll scan; route the
-    // racing pipe writes through that same path (not the sharded fast
-    // path, which changes the window's timing and the shrunk repro
-    // odds). Likewise pin the stack interpreter tier: the register
-    // tier's faster dispatch narrows the scan window the planted race
-    // needs, and this test is about the catch-and-shrink machinery,
-    // not the interp tier. Own-process binary, so the env vars are
-    // safe to set.
-    std::env::set_var("WALI_NO_SHARD", "1");
+    // The planted race: a producer's fast-path pipe write pushes the
+    // ring entry and posts `EpollReady` between the consumer's split
+    // pop and subscribe — to no subscriber. Pin the stack interpreter
+    // tier: the register tier's faster dispatch narrows the window the
+    // planted race needs, and this test is about the catch-and-shrink
+    // machinery, not the interp tier. Own-process binary, so the env
+    // var is safe to set.
     std::env::set_var("WALI_NO_REGIR", "1");
     wali::fault::set_scan_split(true);
     let cfg = OracleConfig {

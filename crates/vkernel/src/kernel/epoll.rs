@@ -9,23 +9,20 @@
 //!   (`EpollReg::file`) — a closed fd whose slot number is reused by a
 //!   new file does not inherit the old registration, a registration
 //!   stays reportable while any `dup`/fork duplicate keeps its
-//!   description open, and fully-closed registrations are swept on the
-//!   next scan (Linux's description-keyed semantics, man epoll Q6);
+//!   description open, and fully-closed registrations are swept when a
+//!   pop finds them (Linux's description-keyed semantics, man epoll Q6);
 //! * delivery is level-triggered by default; `EPOLLET` reports on a
 //!   not-ready→ready edge or when a new transition (waitqueue post)
 //!   arrived since the last report — Linux's re-arm-on-new-event
 //!   semantics, tracked through per-channel event generations — and
 //!   `EPOLLONESHOT` disarms a registration after one report until
-//!   `EPOLL_CTL_MOD` re-arms it;
-//! * a blocked `epoll_wait` parks on the union of the interest list's wait
-//!   channels (see [`Kernel::wait_on_fds`]) and is woken by the first
-//!   transition on any of them.
+//!   `EPOLL_CTL_MOD` re-arms it.
 //!
-//! # The ready ring (`WALI_NO_READY` toggles it off)
+//! # The ready ring
 //!
-//! The scan path above is O(interest) per wakeup: a 100k-registration
-//! server pays for every idle connection on every event. In ready-ring
-//! mode (the default), readiness flows the other way, like Linux:
+//! Scanning the interest list would be O(interest) per wakeup: a
+//! 100k-registration server would pay for every idle connection on every
+//! event. Readiness flows the other way, like Linux:
 //!
 //! * `epoll_ctl` registers each interest entry's wait channels in the
 //!   waitqueue's [`crate::wait::ReadyHub`];
@@ -36,12 +33,10 @@
 //! * `epoll_wait` drains the ring and re-verifies only the popped
 //!   entries — O(ready), not O(interest) — re-queuing still-ready
 //!   level-triggered entries; a parked waiter subscribes the single
-//!   `EpollReady` channel instead of the whole interest union.
-//!
-//! ET edge memory, ONESHOT disarm and the description-keyed sweep use
-//! the same state and formulas on both paths, so the two modes stay
-//! observably identical (pinned by the adversarial tests below, the
-//! `WALI_NO_READY=1` CI gate and a fuzzer oracle leg).
+//!   `EpollReady` channel, whatever the interest-list size;
+//! * `poll`/`ppoll` on an epoll fd runs the same pop as a pure peek: it
+//!   verifies, consumes no ET edge or ONESHOT arm, and re-queues
+//!   everything it popped.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, Weak};
@@ -70,14 +65,14 @@ pub(crate) struct EpollReg {
     pub(crate) events: u32,
     pub(crate) data: u64,
     pub(crate) file: Weak<Mutex<OpenFile>>,
-    /// `EPOLLET` state: the readiness mask the previous scan observed.
+    /// `EPOLLET` state: the readiness mask the previous pop observed.
     /// A bit reports when it rises, or when the registration's event
     /// generation moved (a new transition arrived — Linux re-notifies
     /// ET on new data even while the level stays high). Level-triggered
     /// registrations ignore this field.
     pub(crate) prev_ready: u32,
     /// `EPOLLET` state: sum of the wait-channel event generations at
-    /// the previous scan.
+    /// the previous pop.
     pub(crate) prev_gen: u64,
     /// `EPOLLONESHOT` state: cleared after one report; `EPOLL_CTL_MOD`
     /// re-arms. Disarmed registrations neither report nor contribute
@@ -87,9 +82,9 @@ pub(crate) struct EpollReg {
     /// [`Epoll::ready`] (keeps it on the ring at most once).
     pub(crate) queued: bool,
     /// The wait channels this registration is registered for in the
-    /// [`crate::wait::ReadyHub`] (ring mode only; empty on the scan
-    /// path). Kept exact so `EPOLL_CTL_DEL`/`MOD`, the dead-description
-    /// sweep and instance release can unregister precisely.
+    /// [`crate::wait::ReadyHub`]. Kept exact so `EPOLL_CTL_DEL`/`MOD`,
+    /// the dead-description sweep and instance release can unregister
+    /// precisely.
     pub(crate) hub_chans: Vec<Channel>,
 }
 
@@ -97,9 +92,9 @@ pub(crate) struct EpollReg {
 #[derive(Clone, Debug, Default)]
 pub struct Epoll {
     /// Registrations keyed by a monotone insertion key (key order ==
-    /// registration order, so scans and ring pops report
-    /// deterministically); entries whose description is fully closed are
-    /// swept on the next scan/pop. Several entries may share an fd
+    /// registration order, so ring pops report deterministically);
+    /// entries whose description is fully closed are swept by the pop
+    /// that finds them. Several entries may share an fd
     /// number when a slot was reused while a dup keeps the old
     /// description alive — exactly Linux's (fd, file) pair keying.
     pub(crate) interest: BTreeMap<u64, EpollReg>,
@@ -113,10 +108,6 @@ pub struct Epoll {
     /// number maps to several keys when a reused slot coexists with a
     /// dup-kept registration).
     pub(crate) by_fd: HashMap<i32, Vec<u64>>,
-    /// Recycled buffer for the fallback path's interest snapshot
-    /// ([`Kernel::epoll_interest_descs`]): kills the per-scan `Vec`
-    /// allocation.
-    pub(crate) scratch: Vec<(FileRef, i16)>,
 }
 
 impl Epoll {
@@ -172,20 +163,6 @@ impl Epoll {
             })
         })
     }
-
-    /// Removes every registration whose description is fully closed,
-    /// returning them so the caller can unregister their hub channels.
-    fn sweep_dead(&mut self) -> Vec<(u64, EpollReg)> {
-        let dead: Vec<u64> = self
-            .interest
-            .iter()
-            .filter(|(_, r)| r.file.strong_count() == 0)
-            .map(|(k, _)| *k)
-            .collect();
-        dead.into_iter()
-            .filter_map(|k| self.remove_reg(k).map(|r| (k, r)))
-            .collect()
-    }
 }
 
 /// Converts an epoll interest mask to the `poll` events to probe.
@@ -226,9 +203,9 @@ impl Kernel {
 
     /// Runs `f` under epoll instance `id`'s own lock (rank
     /// [`LockClass::Epoll`](crate::lockorder::LockClass), below the
-    /// pipe/socket object rank so a scan may look at objects while the
-    /// interest list is held — though the scan paths below deliberately
-    /// snapshot first and never do).
+    /// pipe/socket object rank so a pop may look at objects while the
+    /// interest list is held — though the pop below deliberately
+    /// snapshots first and never does).
     pub(crate) fn with_epoll<R>(
         &self,
         id: usize,
@@ -247,38 +224,6 @@ impl Kernel {
             FileKind::Epoll(id) => Ok(id),
             _ => Err(Errno::Einval),
         }
-    }
-
-    /// The live interest list of epoll instance `id` as `(description,
-    /// poll-events)` pairs (readiness + waitqueue subscription helper).
-    /// Registrations whose description has been fully closed are skipped.
-    ///
-    /// The returned buffer is the instance's recycled scratch — return
-    /// it via [`Kernel::epoll_descs_recycle`] when done so repeated
-    /// fallback scans allocate nothing.
-    pub(crate) fn epoll_interest_descs(&self, id: usize) -> Vec<(FileRef, i16)> {
-        self.with_epoll(id, |e| {
-            let mut buf = std::mem::take(&mut e.scratch);
-            buf.clear();
-            for reg in e.interest.values().filter(|r| r.armed) {
-                if let Some(f) = reg.file.upgrade() {
-                    buf.push((f, epoll_to_poll(reg.events)));
-                }
-            }
-            buf
-        })
-        .unwrap_or_default()
-    }
-
-    /// Hands an [`Kernel::epoll_interest_descs`] buffer back to the
-    /// instance for reuse (drops the description refs it held).
-    pub(crate) fn epoll_descs_recycle(&self, id: usize, mut buf: Vec<(FileRef, i16)>) {
-        buf.clear();
-        let _ = self.with_epoll(id, |e| {
-            if e.scratch.capacity() < buf.capacity() {
-                e.scratch = std::mem::take(&mut buf);
-            }
-        });
     }
 
     /// Frees an epoll instance when its last descriptor closes,
@@ -388,14 +333,6 @@ impl Kernel {
                 _ => Err(Errno::Einval),
             }
         })??;
-        if !self.ready {
-            // Scan mode: a parked epoll_wait waiter holds a snapshot of
-            // the old interest list; wake it to re-scan (the added or
-            // changed fd may already be ready), like Linux's
-            // interest-change wakeups.
-            self.wait_post(Channel::EpollCtl(id));
-            return Ok(0);
-        }
         match edit {
             Edit::Added(key) => {
                 if let Some(f) = target {
@@ -419,11 +356,10 @@ impl Kernel {
         Ok(0)
     }
 
-    /// Ring mode: (re)wires registration `key`'s hub channels and, when
-    /// the description is report-worthy right now, queues it and posts
-    /// the wakeup. Registration happens *before* the readiness probe so
-    /// a transition landing after the probe is guaranteed to route —
-    /// and, unlike the scan path's unconditional `EpollCtl` post, a
+    /// (Re)wires registration `key`'s hub channels and, when the
+    /// description is report-worthy right now, queues it and posts the
+    /// wakeup. Registration happens *before* the readiness probe so a
+    /// transition landing after the probe is guaranteed to route; a
     /// not-ready `EPOLL_CTL_ADD` wakes nobody.
     fn ring_arm(
         &mut self,
@@ -459,109 +395,34 @@ impl Kernel {
         Ok(0)
     }
 
-    /// Level-triggered readiness scan for `epoll_wait`: up to `max` ready
-    /// `(events, data)` reports, in registration order. A registration stays live
-    /// as long as *any* duplicate of its open file description exists
-    /// (`dup`/fork copies keep it reportable even after the registering
-    /// fd number is closed — Linux's description-keyed semantics); it is
-    /// swept once the description is fully closed. Never blocks — the
-    /// embedder handles timeout and parking, exactly as for `poll`.
-    pub fn sys_epoll_ready(
+    /// The ready-ring pop: up to `max` ready `(events, data)` reports, in
+    /// registration order. Drains the ring, re-verifies only the popped
+    /// entries — O(ready) — and re-queues still-ready level-triggered
+    /// entries plus anything past the caller's budget. A registration
+    /// stays live as long as *any* duplicate of its open file description
+    /// exists (`dup`/fork copies keep it reportable even after the
+    /// registering fd number is closed — Linux's description-keyed
+    /// semantics); it is swept once the description is fully closed.
+    /// Never blocks — the embedder handles timeout and parking, exactly
+    /// as for `poll`.
+    ///
+    /// `peek` is `poll` on the epoll fd itself: the same verification,
+    /// but no ET edge memory or ONESHOT disarm is recorded and every
+    /// popped entry goes back on the ring, so the following `epoll_wait`
+    /// still reports it.
+    pub(crate) fn epoll_ready(
         &mut self,
         tid: Tid,
         id: usize,
         max: usize,
+        peek: bool,
     ) -> SysResult<Vec<(u32, u64)>> {
-        if self.ready {
-            self.epoll_ready_ring(tid, id, max)
-        } else {
-            self.epoll_ready_scan(tid, id, max)
-        }
-    }
-
-    /// The fallback full scan (`WALI_NO_READY=1`): walks the whole
-    /// interest list, O(interest) per call.
-    fn epoll_ready_scan(&mut self, tid: Tid, id: usize, max: usize) -> SysResult<Vec<(u32, u64)>> {
-        // Snapshot the interest list so no epoll guard is held across the
-        // `poll_desc` scans below (which take pipe/socket object locks).
-        let interest: Vec<(u64, EpollReg)> = self.with_epoll(id, |e| {
-            e.interest.iter().map(|(k, r)| (*k, r.clone())).collect()
-        })?;
-        let mut out = Vec::new();
-        let mut swept = false;
-        // Deferred per-registration state updates (ET edge/generation
-        // memory, ONESHOT disarm), applied after the scan: `poll_desc`
-        // needs `&mut self`, so the loop runs over a snapshot.
-        let mut updates: Vec<(u64, u32, u64, bool)> = Vec::new();
-        for (key, reg) in interest {
-            if out.len() >= max.max(1) {
-                break;
-            }
-            let Some(file) = reg.file.upgrade() else {
-                swept = true;
-                continue;
-            };
-            if !reg.armed {
-                // ONESHOT fired and not yet re-armed by EPOLL_CTL_MOD.
-                continue;
-            }
-            let revents = self.poll_desc(tid, &file, epoll_to_poll(reg.events))?;
-            let ready = poll_to_epoll(revents, reg.events);
-            let et = reg.events & EPOLLET != 0;
-            let gen = if et {
-                self.desc_event_gen(&file, epoll_to_poll(reg.events))
-            } else {
-                0
-            };
-            let report = if et {
-                // Edge-triggered: report bits that rose since the
-                // previous scan, or everything ready when a new
-                // transition arrived in between (generation moved) —
-                // data written between a drain and this scan must
-                // re-notify, like Linux ET re-arming on new events.
-                (ready & !reg.prev_ready) | if gen != reg.prev_gen { ready } else { 0 }
-            } else {
-                ready
-            };
-            let disarm = reg.events & EPOLLONESHOT != 0 && report != 0;
-            if reg.prev_ready != ready || reg.prev_gen != gen || disarm {
-                updates.push((key, ready, gen, disarm));
-            }
-            if report != 0 {
-                out.push((report, reg.data));
-            }
-        }
-        let removed = self.with_epoll(id, |ep| {
-            for (key, prev_ready, prev_gen, disarm) in &updates {
-                if let Some(reg) = ep.interest.get_mut(key) {
-                    reg.prev_ready = *prev_ready;
-                    reg.prev_gen = *prev_gen;
-                    if *disarm {
-                        reg.armed = false;
-                    }
-                }
-            }
-            if swept {
-                ep.sweep_dead()
-            } else {
-                Vec::new()
-            }
-        })?;
-        self.hub_unregister_regs(id, removed);
-        Ok(out)
-    }
-
-    /// The ready-ring pop (`epoll_wait`'s default path): drains the
-    /// ring, re-verifies only the popped entries — O(ready) — and
-    /// re-queues still-ready level-triggered entries plus anything past
-    /// the caller's budget.
-    fn epoll_ready_ring(&mut self, tid: Tid, id: usize, max: usize) -> SysResult<Vec<(u32, u64)>> {
         let max = max.max(1);
         // Phase 1: drain the whole ring under the epoll lock. Keys are
-        // sorted so reports come out in registration order, exactly like
-        // the scan path (single-worker runs stay bit-deterministic).
-        // `queued` clears now: a transition racing the verification
-        // below re-pushes and is seen by the next pop.
+        // sorted so reports come out in registration order (single-worker
+        // runs stay bit-deterministic). `queued` clears now: a transition
+        // racing the verification below re-pushes and is seen by the
+        // next pop.
         let candidates: Vec<(u64, EpollReg)> = self.with_epoll(id, |ep| {
             let mut keys: Vec<u64> = ep.ready.drain(..).collect();
             keys.sort_unstable();
@@ -624,8 +485,12 @@ impl Kernel {
             } else {
                 0
             };
-            // Same report formula as the scan path, verbatim.
             let report = if et {
+                // Edge-triggered: report bits that rose since the
+                // previous pop, or everything ready when a new
+                // transition arrived in between (generation moved) —
+                // data written between a drain and this pop must
+                // re-notify, like Linux ET re-arming on new events.
                 (ready & !reg.prev_ready) | if gen != reg.prev_gen { ready } else { 0 }
             } else {
                 ready
@@ -642,6 +507,10 @@ impl Kernel {
                     requeue.push(*key);
                 }
             }
+        }
+        if peek {
+            updates.clear();
+            requeue = candidates.iter().map(|(k, _)| *k).collect();
         }
         // Phase 3: apply under the epoll lock (ring_push is idempotent
         // against pushes that raced the verification).
@@ -667,7 +536,12 @@ impl Kernel {
                 ep.ring_push(*key);
             }
         })?;
-        self.hub_unregister_regs(id, swept);
+        // Hub bookkeeping runs with no epoll lock held.
+        for (key, reg) in swept {
+            for ch in reg.hub_chans {
+                self.waits.hub_unregister(ch, id, key);
+            }
+        }
         for (key, _, removed) in rewire {
             for ch in removed {
                 self.waits.hub_unregister(ch, id, key);
@@ -676,17 +550,7 @@ impl Kernel {
         Ok(out)
     }
 
-    /// Unregisters the hub channels of removed registrations (called
-    /// with no epoll lock held).
-    fn hub_unregister_regs(&mut self, id: usize, removed: Vec<(u64, EpollReg)>) {
-        for (key, reg) in removed {
-            for ch in reg.hub_chans {
-                self.waits.hub_unregister(ch, id, key);
-            }
-        }
-    }
-
-    /// Readiness scan addressed by epoll fd (the `epoll_wait` entry).
+    /// The ready-ring pop addressed by epoll fd (the `epoll_wait` entry).
     pub fn sys_epoll_wait_ready(
         &mut self,
         tid: Tid,
@@ -694,34 +558,16 @@ impl Kernel {
         max: usize,
     ) -> SysResult<Vec<(u32, u64)>> {
         let id = self.epoll_of_fd(tid, epfd)?;
-        self.sys_epoll_ready(tid, id, max)
+        self.epoll_ready(tid, id, max, false)
     }
 
-    /// Parks `tid` for the blocking half of `epoll_wait`.
-    ///
-    /// Ring mode subscribes exactly two channels — the instance's ready
-    /// ring and the task's signal channel — regardless of interest-list
-    /// size; the hub routes every relevant readiness transition to
-    /// [`Channel::EpollReady`]. The fallback scan subscribes the union
-    /// of every registration's wait channels, as before.
+    /// Parks `tid` for the blocking half of `epoll_wait`: exactly two
+    /// channels — the instance's ready ring and the task's signal
+    /// channel — regardless of interest-list size; the hub routes every
+    /// relevant readiness transition to [`Channel::EpollReady`].
     pub fn epoll_subscribe(&mut self, tid: Tid, epfd: i32) -> SysResult {
         let id = self.epoll_of_fd(tid, epfd)?;
-        if self.ready {
-            self.wait_subscribe(tid, Channel::EpollReady(id));
-            self.wait_subscribe(tid, Channel::Signal(tid));
-            return Ok(0);
-        }
-        let mut chans = Vec::new();
-        let descs = self.epoll_interest_descs(id);
-        for (file, events) in &descs {
-            self.desc_wait_channels(file, *events, &mut chans);
-        }
-        self.epoll_descs_recycle(id, descs);
-        for ch in chans {
-            self.wait_subscribe(tid, ch);
-        }
-        // Interest-list edits and signals end the wait too.
-        self.wait_subscribe(tid, Channel::EpollCtl(id));
+        self.wait_subscribe(tid, Channel::EpollReady(id));
         self.wait_subscribe(tid, Channel::Signal(tid));
         Ok(0)
     }
@@ -1046,7 +892,7 @@ mod tests {
         assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
         // Disarmed registrations contribute no wait channels either.
         k.epoll_subscribe(tid, ep).unwrap();
-        assert!(k.task_waits(tid), "still parked on ctl/signal channels");
+        assert!(k.task_waits(tid), "still parked on ready/signal channels");
         k.wait_cancel(tid);
         // MOD re-arms; the pending level is reported again.
         k.sys_epoll_ctl(tid, ep, EPOLL_CTL_MOD, r, EPOLLIN | EPOLLONESHOT, 4)
@@ -1099,194 +945,201 @@ mod tests {
         assert_eq!(k.poll_check(tid, &[(ep, POLLIN)]).unwrap(), vec![POLLIN]);
     }
 
-    // --- Adversarial ready-ring cases, run both toggle ways ------------
-
-    /// Runs `body` twice: once with the ready ring on, once on the
-    /// fallback scan — the two paths must agree on everything the body
-    /// asserts. The mode is set before the body runs (registrations wire
-    /// the hub at ctl time, so flipping mid-instance is not supported).
-    fn both_modes(body: impl Fn(&mut Kernel, Tid)) {
-        for ring in [true, false] {
-            let (mut k, tid) = kp();
-            k.set_ready(ring);
-            body(&mut k, tid);
-        }
+    /// `poll` on an epoll fd is a pure peek (Linux): it must not eat the
+    /// event the following `epoll_wait` is owed.
+    fn poll_on_epfd_leaves_the_event(extra: u32) {
+        use wali_abi::flags::POLLIN;
+        let (mut k, tid) = kp();
+        let (r, w) = k.sys_pipe2(tid, 0).unwrap();
+        let ep = k.sys_epoll_create1(tid, 0).unwrap();
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN | extra, 0x5EE)
+            .unwrap();
+        k.sys_write(tid, w, b"x").unwrap();
+        assert_eq!(k.poll_check(tid, &[(ep, POLLIN)]).unwrap(), vec![POLLIN]);
+        assert_eq!(
+            k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
+            vec![(EPOLLIN, 0x5EE)]
+        );
     }
 
     #[test]
+    fn poll_on_epfd_does_not_consume_an_et_edge() {
+        poll_on_epfd_leaves_the_event(EPOLLET);
+    }
+
+    #[test]
+    fn poll_on_epfd_does_not_disarm_a_oneshot() {
+        poll_on_epfd_leaves_the_event(EPOLLONESHOT);
+    }
+
+    // --- Adversarial ready-ring cases -----------------------------------
+
+    #[test]
     fn ctl_del_with_a_queued_ready_entry_drops_it() {
-        both_modes(|k, tid| {
-            let (r, w) = k.sys_pipe2(tid, 0).unwrap();
-            let ep = k.sys_epoll_create1(tid, 0).unwrap();
-            k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN, 0xD)
-                .unwrap();
-            // The write queues a ring entry (ring mode) — then the
-            // registration is deleted before anyone pops it.
-            k.sys_write(tid, w, b"x").unwrap();
-            k.sys_epoll_ctl(tid, ep, EPOLL_CTL_DEL, r, 0, 0).unwrap();
-            assert!(
-                k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty(),
-                "stale queued entry for a deleted registration must not report"
-            );
-            // The hub wiring went with the registration.
-            assert_eq!(k.leak_audit().hub_watchers, 0);
-        });
+        let (mut k, tid) = kp();
+        let (r, w) = k.sys_pipe2(tid, 0).unwrap();
+        let ep = k.sys_epoll_create1(tid, 0).unwrap();
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN, 0xD)
+            .unwrap();
+        // The write queues a ring entry — then the registration is
+        // deleted before anyone pops it.
+        k.sys_write(tid, w, b"x").unwrap();
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_DEL, r, 0, 0).unwrap();
+        assert!(
+            k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty(),
+            "stale queued entry for a deleted registration must not report"
+        );
+        // The hub wiring went with the registration.
+        assert_eq!(k.leak_audit().hub_watchers, 0);
     }
 
     #[test]
     fn ctl_mod_racing_a_pending_push_reports_the_new_mask() {
-        both_modes(|k, tid| {
-            let (r, w) = k.sys_pipe2(tid, 0).unwrap();
-            let ep = k.sys_epoll_create1(tid, 0).unwrap();
-            k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN, 1)
-                .unwrap();
-            // Queue a push for EPOLLIN, then narrow the mask to
-            // hangup-only before the pop: the queued entry re-verifies
-            // against the *current* mask and reports nothing.
-            k.sys_write(tid, w, b"x").unwrap();
-            k.sys_epoll_ctl(tid, ep, EPOLL_CTL_MOD, r, 0, 2).unwrap();
-            assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
-            // Widen it back: the still-buffered byte reports under the
-            // new cookie.
-            k.sys_epoll_ctl(tid, ep, EPOLL_CTL_MOD, r, EPOLLIN, 3)
-                .unwrap();
-            assert_eq!(
-                k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
-                vec![(EPOLLIN, 3)]
-            );
-        });
+        let (mut k, tid) = kp();
+        let (r, w) = k.sys_pipe2(tid, 0).unwrap();
+        let ep = k.sys_epoll_create1(tid, 0).unwrap();
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN, 1)
+            .unwrap();
+        // Queue a push for EPOLLIN, then narrow the mask to
+        // hangup-only before the pop: the queued entry re-verifies
+        // against the *current* mask and reports nothing.
+        k.sys_write(tid, w, b"x").unwrap();
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_MOD, r, 0, 2).unwrap();
+        assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
+        // Widen it back: the still-buffered byte reports under the
+        // new cookie.
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_MOD, r, EPOLLIN, 3)
+            .unwrap();
+        assert_eq!(
+            k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
+            vec![(EPOLLIN, 3)]
+        );
     }
 
     #[test]
     fn et_rearm_is_observed_through_ring_pops_alone() {
-        both_modes(|k, tid| {
-            let (r, w) = k.sys_pipe2(tid, 0).unwrap();
-            let ep = k.sys_epoll_create1(tid, 0).unwrap();
-            k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN | EPOLLET, 7)
-                .unwrap();
-            k.sys_write(tid, w, b"a").unwrap();
-            assert_eq!(
-                k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
-                vec![(EPOLLIN, 7)]
-            );
-            assert!(
-                k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty(),
-                "edge consumed; no level re-report"
-            );
-            // New data without draining: a fresh edge must re-arm purely
-            // via the transition push — no interest scan runs in ring
-            // mode to notice it as a side effect.
-            k.sys_write(tid, w, b"b").unwrap();
-            assert_eq!(
-                k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
-                vec![(EPOLLIN, 7)]
-            );
-            assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
-        });
+        let (mut k, tid) = kp();
+        let (r, w) = k.sys_pipe2(tid, 0).unwrap();
+        let ep = k.sys_epoll_create1(tid, 0).unwrap();
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN | EPOLLET, 7)
+            .unwrap();
+        k.sys_write(tid, w, b"a").unwrap();
+        assert_eq!(
+            k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
+            vec![(EPOLLIN, 7)]
+        );
+        assert!(
+            k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty(),
+            "edge consumed; no level re-report"
+        );
+        // New data without draining: a fresh edge must re-arm purely
+        // via the transition push — no interest scan runs to notice it
+        // as a side effect.
+        k.sys_write(tid, w, b"b").unwrap();
+        assert_eq!(
+            k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
+            vec![(EPOLLIN, 7)]
+        );
+        assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
     }
 
     #[test]
     fn oneshot_rearm_after_a_stale_ring_entry() {
-        both_modes(|k, tid| {
-            let (r, w) = k.sys_pipe2(tid, 0).unwrap();
-            let ep = k.sys_epoll_create1(tid, 0).unwrap();
-            k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN | EPOLLONESHOT, 11)
-                .unwrap();
-            k.sys_write(tid, w, b"a").unwrap();
-            assert_eq!(
-                k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
-                vec![(EPOLLIN, 11)]
-            );
-            // Disarmed: further transitions must neither report nor
-            // resurrect the registration via a stale queued entry.
-            k.sys_write(tid, w, b"b").unwrap();
-            assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
-            // MOD re-arms while data is still buffered: exactly one
-            // report, then disarmed again.
-            k.sys_epoll_ctl(tid, ep, EPOLL_CTL_MOD, r, EPOLLIN | EPOLLONESHOT, 12)
-                .unwrap();
-            assert_eq!(
-                k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
-                vec![(EPOLLIN, 12)]
-            );
-            assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
-        });
+        let (mut k, tid) = kp();
+        let (r, w) = k.sys_pipe2(tid, 0).unwrap();
+        let ep = k.sys_epoll_create1(tid, 0).unwrap();
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN | EPOLLONESHOT, 11)
+            .unwrap();
+        k.sys_write(tid, w, b"a").unwrap();
+        assert_eq!(
+            k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
+            vec![(EPOLLIN, 11)]
+        );
+        // Disarmed: further transitions must neither report nor
+        // resurrect the registration via a stale queued entry.
+        k.sys_write(tid, w, b"b").unwrap();
+        assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
+        // MOD re-arms while data is still buffered: exactly one
+        // report, then disarmed again.
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_MOD, r, EPOLLIN | EPOLLONESHOT, 12)
+            .unwrap();
+        assert_eq!(
+            k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
+            vec![(EPOLLIN, 12)]
+        );
+        assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
     }
 
     #[test]
     fn oneshot_rearm_with_an_undrained_queued_entry_reports_once() {
-        both_modes(|k, tid| {
-            let (r, w) = k.sys_pipe2(tid, 0).unwrap();
-            let ep = k.sys_epoll_create1(tid, 0).unwrap();
-            k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN | EPOLLONESHOT, 21)
-                .unwrap();
-            // Push queued but never popped; MOD re-arms on top of it
-            // (the re-arm probe pushes again — the queued flag must
-            // dedupe, not double-report).
-            k.sys_write(tid, w, b"a").unwrap();
-            k.sys_epoll_ctl(tid, ep, EPOLL_CTL_MOD, r, EPOLLIN | EPOLLONESHOT, 22)
-                .unwrap();
-            assert_eq!(
-                k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
-                vec![(EPOLLIN, 22)]
-            );
-            assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
-        });
+        let (mut k, tid) = kp();
+        let (r, w) = k.sys_pipe2(tid, 0).unwrap();
+        let ep = k.sys_epoll_create1(tid, 0).unwrap();
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN | EPOLLONESHOT, 21)
+            .unwrap();
+        // Push queued but never popped; MOD re-arms on top of it
+        // (the re-arm probe pushes again — the queued flag must
+        // dedupe, not double-report).
+        k.sys_write(tid, w, b"a").unwrap();
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_MOD, r, EPOLLIN | EPOLLONESHOT, 22)
+            .unwrap();
+        assert_eq!(
+            k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
+            vec![(EPOLLIN, 22)]
+        );
+        assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
     }
 
     #[test]
     fn dup_kept_description_keeps_its_ring_wiring() {
         // man epoll Q6 through the ring: the registration (and its hub
         // wiring) follows the description, not the fd number.
-        both_modes(|k, tid| {
-            let (r, w) = k.sys_pipe2(tid, 0).unwrap();
-            let ep = k.sys_epoll_create1(tid, 0).unwrap();
-            k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN, 0x96u64)
-                .unwrap();
-            let dup = k.sys_dup(tid, r).unwrap() as i32;
-            k.sys_close(tid, r).unwrap();
-            // The transition arrives *after* the registered fd closed:
-            // the push must still route via the dup-kept description.
-            k.sys_write(tid, w, b"x").unwrap();
-            assert_eq!(
-                k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
-                vec![(EPOLLIN, 0x96u64)]
-            );
-            // Last holder closes: the sweep unhooks the hub wiring.
-            k.sys_close(tid, dup).unwrap();
-            assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
-            assert_eq!(k.leak_audit().hub_watchers, 0);
-        });
+        let (mut k, tid) = kp();
+        let (r, w) = k.sys_pipe2(tid, 0).unwrap();
+        let ep = k.sys_epoll_create1(tid, 0).unwrap();
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN, 0x96u64)
+            .unwrap();
+        let dup = k.sys_dup(tid, r).unwrap() as i32;
+        k.sys_close(tid, r).unwrap();
+        // The transition arrives *after* the registered fd closed:
+        // the push must still route via the dup-kept description.
+        k.sys_write(tid, w, b"x").unwrap();
+        assert_eq!(
+            k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
+            vec![(EPOLLIN, 0x96u64)]
+        );
+        // Last holder closes: the sweep unhooks the hub wiring.
+        k.sys_close(tid, dup).unwrap();
+        assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
+        assert_eq!(k.leak_audit().hub_watchers, 0);
     }
 
     #[test]
     fn closing_the_epoll_fd_unhooks_all_hub_wiring() {
-        both_modes(|k, tid| {
-            let mut pipes = Vec::new();
-            let ep = k.sys_epoll_create1(tid, 0).unwrap();
-            for i in 0..8 {
-                let (r, w) = k.sys_pipe2(tid, 0).unwrap();
-                k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN, i)
-                    .unwrap();
-                pipes.push((r, w));
-            }
-            k.sys_close(tid, ep).unwrap();
-            assert_eq!(
-                k.leak_audit().hub_watchers,
-                0,
-                "release_epoll must unregister every channel route"
-            );
-            // Transitions after release must not touch the freed slot.
-            for &(_, w) in &pipes {
-                k.sys_write(tid, w, b"x").unwrap();
-            }
-        });
+        let (mut k, tid) = kp();
+        let mut pipes = Vec::new();
+        let ep = k.sys_epoll_create1(tid, 0).unwrap();
+        for i in 0..8 {
+            let (r, w) = k.sys_pipe2(tid, 0).unwrap();
+            k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN, i)
+                .unwrap();
+            pipes.push((r, w));
+        }
+        k.sys_close(tid, ep).unwrap();
+        assert_eq!(
+            k.leak_audit().hub_watchers,
+            0,
+            "release_epoll must unregister every channel route"
+        );
+        // Transitions after release must not touch the freed slot.
+        for &(_, w) in &pipes {
+            k.sys_write(tid, w, b"x").unwrap();
+        }
     }
 
     #[test]
     fn ring_park_subscribes_only_the_ready_channel() {
         let (mut k, tid) = kp();
-        k.set_ready(true);
         let ep = k.sys_epoll_create1(tid, 0).unwrap();
         let mut writers = Vec::new();
         for i in 0..32 {

@@ -78,11 +78,6 @@ pub struct Kernel {
     /// the per-syscall tick ([`Kernel::syscall_meter`]) never takes the
     /// kernel lock.
     pub syscalls: Arc<std::sync::atomic::AtomicU64>,
-    /// Epoll ready-ring mode: readiness transitions are routed to
-    /// per-instance ready rings and `epoll_wait` pops O(ready) entries.
-    /// Off (`WALI_NO_READY=1` / [`Kernel::set_ready`]) falls back to
-    /// the full interest-list scan.
-    pub(crate) ready: bool,
 }
 
 /// Cloneable handles onto the kernel's shards: everything the
@@ -131,25 +126,12 @@ impl Kernel {
             rng_state: 0x9e37_79b9_7f4a_7c15,
             console: Vec::new(),
             syscalls: Arc::new(std::sync::atomic::AtomicU64::new(0)),
-            ready: std::env::var_os("WALI_NO_READY").is_none(),
         };
         // The waitqueue's readiness router resolves epoll ids against
         // the slab directly (hub → ring push without the kernel lock).
         k.waits.set_epolls(k.epolls.clone());
         k.register_hot(1);
         k
-    }
-
-    /// Toggles the epoll ready-ring (`true` = ring, `false` = the
-    /// fallback full scan). Flip only while no `epoll_wait` is parked:
-    /// the two modes subscribe different wakeup channels.
-    pub fn set_ready(&mut self, on: bool) {
-        self.ready = on;
-    }
-
-    /// Whether the epoll ready-ring path is on.
-    pub fn ready_on(&self) -> bool {
-        self.ready
     }
 
     /// Cloneable handles onto the kernel's shards (for the embedder's
@@ -331,21 +313,10 @@ impl Kernel {
                 out.push(Channel::EventFd(file_key));
             }
             FileKind::Epoll(id) => {
-                if self.ready {
-                    // Ring mode: every readiness transition of the
-                    // interest set is routed to the instance's ready
-                    // channel by the hub — one channel, any size.
-                    out.push(Channel::EpollReady(id));
-                } else {
-                    // Polling an epoll fd: ready when its interest set
-                    // is; interest-list edits change that too.
-                    let descs = self.epoll_interest_descs(id);
-                    for (ifile, ievents) in &descs {
-                        self.desc_wait_channels(ifile, *ievents, out);
-                    }
-                    self.epoll_descs_recycle(id, descs);
-                    out.push(Channel::EpollCtl(id));
-                }
+                // Every readiness transition of the interest set is
+                // routed to the instance's ready channel by the hub —
+                // one channel, any size.
+                out.push(Channel::EpollReady(id));
             }
             _ => {}
         }
@@ -1098,9 +1069,9 @@ impl Kernel {
 
     // --- Futex -------------------------------------------------------------
 
-    /// `futex(FUTEX_WAIT)`: the embedder has already compared the word
-    /// (cooperative scheduling makes the check race-free) and passes
-    /// whether it matched.
+    /// `futex(FUTEX_WAIT)`: the embedder compares the word (the kernel
+    /// cannot see Wasm memory) while holding the kernel lock for this
+    /// call and passes whether it matched.
     pub fn sys_futex_wait(
         &mut self,
         tid: Tid,

@@ -719,7 +719,9 @@ impl Kernel {
             FileKind::Epoll(id) => {
                 // An epoll fd is readable when its interest set has at
                 // least one ready entry (epoll-inside-poll composition).
-                if !self.sys_epoll_ready(tid, id, 1)?.is_empty() {
+                // A pure peek, like Linux: the event stays for the
+                // following `epoll_wait`.
+                if !self.epoll_ready(tid, id, 1, true)?.is_empty() {
                     revents |= POLLIN & events;
                 }
             }

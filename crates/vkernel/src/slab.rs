@@ -12,7 +12,7 @@
 //! read side and never contend with each other; only allocation and
 //! teardown take the write side. Slot ids are reused exactly like the
 //! old `Vec<Option<T>>` (first free slot), which keeps single-worker
-//! runs bit-deterministic across the shard/no-shard toggle.
+//! runs bit-deterministic.
 
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 

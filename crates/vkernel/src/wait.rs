@@ -54,13 +54,8 @@ pub enum Channel {
     Child(Pid),
     /// A signal was generated for task `tid` (EINTR / `pause` wake-up).
     Signal(Tid),
-    /// The interest list of epoll instance `id` changed (`epoll_ctl`
-    /// while another task is parked in `epoll_wait`): the waiter must
-    /// re-scan and re-subscribe against the new list, since an added fd
-    /// may already be level-triggered ready.
-    EpollCtl(usize),
     /// Epoll instance `id`'s ready ring received at least one entry: a
-    /// parked `epoll_wait` waiter can pop instead of re-scanning. Posted
+    /// parked `epoll_wait` waiter can pop it. Posted
     /// by the [`ReadyHub`] router whenever a readiness transition pushes
     /// a registration onto the ring (and by `epoll_ctl` when a freshly
     /// added fd is already ready).
@@ -325,8 +320,8 @@ pub struct WaitShard {
     /// Ready-ring routing table (see [`ReadyHub`]).
     hub: Arc<Tracked<ReadyHub>>,
     /// Total watcher entries in the hub: the post fast path skips the
-    /// hub lock entirely while this is zero (scan mode, or no epoll
-    /// registrations anywhere).
+    /// hub lock entirely while this is zero (no epoll registrations
+    /// anywhere).
     hub_count: Arc<AtomicUsize>,
     /// The kernel's epoll slab, wired once at kernel construction so
     /// the router can push onto ready rings. Posts that race the wiring

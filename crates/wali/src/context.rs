@@ -69,9 +69,6 @@ pub struct WaliContext {
     /// sharded syscall fast path goes through these without ever
     /// touching the kernel lock.
     pub(crate) handles: KernelHandles,
-    /// Whether the sharded fast path is enabled for this task
-    /// (`WALI_NO_SHARD=1` routes everything through the kernel lock).
-    pub(crate) shard: bool,
     /// Lazily cached fast-path handles (fd table + signal hint) for
     /// this task; filled on the first sharded syscall, reset whenever a
     /// fresh context is built (spawn, fork, thread, exec).
@@ -134,7 +131,6 @@ impl WaliContext {
             policy: None,
             retry_deadline: None,
             handles,
-            shard: crate::runner::shard_default(),
             hot_cache: None,
             ring: crate::runner::ring_default(),
             ring_pending: Vec::new(),
@@ -169,7 +165,6 @@ impl WaliContext {
             policy: self.policy.clone(),
             retry_deadline: None,
             handles: self.handles.clone(),
-            shard: self.shard,
             hot_cache: None,
             ring: self.ring,
             ring_pending: Vec::new(),
@@ -204,7 +199,6 @@ impl WaliContext {
             policy: self.policy.clone(),
             retry_deadline: None,
             handles: self.handles.clone(),
-            shard: self.shard,
             hot_cache: None,
             ring: self.ring,
             ring_pending: Vec::new(),

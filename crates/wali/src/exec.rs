@@ -21,8 +21,9 @@
 //!
 //! # Blocking, wakeups and races
 //!
-//! Blocked tasks park exactly as in the single-threaded scheduler, but
-//! two races exist that the cooperative loop never sees:
+//! Blocked tasks park exactly as in the single-threaded scheduler
+//! ([`park_deadline`] is the one rule for where), but races exist that
+//! the cooperative loop never sees:
 //!
 //! * **wakeup-before-park** — a sibling posts the wakeup after the task
 //!   subscribed (inside its syscall, under the kernel lock) but before
@@ -39,6 +40,11 @@
 //!   the quiescence test honors it. (Found by the scenario fuzzer: a
 //!   `wait4` parent's wakeup was in a sibling worker's hands when a
 //!   third worker declared a false deadlock.)
+//! * **deadlock-vs-pop** — a tid popped from a run queue is in no queue
+//!   and not yet `in_flight` until [`take_slot`] claims its slot; the
+//!   `queued` set still holds it for that window, so quiescence is
+//!   "`queued` empty", not "queues empty". (Found by the fault demo once
+//!   it ran on the fast path: a disarmed run reported a `limbo` task.)
 //!
 //! # Lock ordering
 //!
@@ -69,8 +75,8 @@ use wasm::Trap;
 use crate::context::WaliContext;
 use crate::registry::WaliSuspend;
 use crate::runner::{
-    AtomicSched, Pending, RunOutcome, RunnerError, Slot, TaskEnd, WaliRunner, FUEL_SLICE,
-    SLICE_QUANTUM_NS,
+    park_deadline, AtomicSched, Pending, RunOutcome, RunnerError, Slot, TaskEnd, WaliRunner,
+    FUEL_SLICE, SLICE_QUANTUM_NS,
 };
 use wasm::host::{HostFn, Linker};
 use wasm::prep::Program;
@@ -84,8 +90,6 @@ struct RunnerView<'a> {
     handlers: &'a [Option<HostFn<WaliContext>>],
     programs: &'a std::collections::HashMap<String, Arc<Program<WaliContext>>>,
     stats: &'a AtomicSched,
-    cow_on: bool,
-    shard_on: bool,
 }
 
 /// Mutable scheduler state shared by the worker pool (one lock).
@@ -93,8 +97,10 @@ struct SmpSched {
     /// Slots of every live task not currently executing: queued, parked,
     /// or vfork-suspended. A running task's slot is owned by its worker.
     slots: HashMap<Tid, Slot>,
-    /// Tids present in some queue (global or any local) — the dedup
-    /// guard: a tid is enqueued at most once.
+    /// Tids present in some queue (global or any local), or popped from
+    /// one and not yet claimed by [`take_slot`] — the dedup guard (a tid
+    /// is enqueued at most once) and the quiescence test's "runnable
+    /// work exists" (see deadlock-vs-pop in the module docs).
     queued: HashSet<Tid>,
     /// The global injector queue (admissions, lapsed deadlines).
     global: VecDeque<Tid>,
@@ -213,8 +219,6 @@ impl WaliRunner {
                 handlers: &self.handlers,
                 programs: &self.programs,
                 stats: &self.stats,
-                cow_on: self.cow_on(),
-                shard_on: self.shard_on(),
             };
             let view = &view;
             let pool = &pool;
@@ -327,9 +331,6 @@ fn drain_wakeups(runner: &RunnerView<'_>, pool: &SmpPool, widx: usize) {
                 sched.deadlines.cancel(d, tid);
             }
             runner.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-            if let Some(slot) = sched.slots.get_mut(&tid) {
-                slot.woken_retry = true;
-            }
             pool.enqueue(&mut sched, Some(widx), tid);
         } else if sched.queued.contains(&tid) {
             // Already runnable: it will observe the new state itself.
@@ -376,9 +377,7 @@ fn idle(runner: &RunnerView<'_>, pool: &SmpPool, widx: usize) -> bool {
         if sched.done {
             return true;
         }
-        let any_queued =
-            !sched.global.is_empty() || pool.locals.iter().any(|q| !q.lock_ok().is_empty());
-        if any_queued {
+        if !sched.queued.is_empty() {
             return false;
         }
         if pool.woken_hint.load(Ordering::Acquire) {
@@ -414,8 +413,7 @@ fn idle(runner: &RunnerView<'_>, pool: &SmpPool, widx: usize) -> bool {
         return true;
     }
     let still_quiescent = sched.in_flight == 0
-        && sched.global.is_empty()
-        && pool.locals.iter().all(|q| q.lock_ok().is_empty())
+        && sched.queued.is_empty()
         && !pool.woken_hint.load(Ordering::Acquire)
         && pool.draining.load(Ordering::SeqCst) == 0;
     if !still_quiescent {
@@ -510,7 +508,6 @@ fn give_back_runnable(pool: &SmpPool, widx: usize, slot: Slot) {
 /// step; divergences are commented.
 fn run_slice(runner: &RunnerView<'_>, pool: &SmpPool, widx: usize, mut slot: Slot) {
     let tid = slot.tid;
-    slot.woken_retry = false;
     let Some(pending) = slot.pending.take() else {
         finish_task(pool, slot, None);
         return;
@@ -642,22 +639,12 @@ fn handle_suspend(
                 }
                 k.task_waits(tid)
             };
-            // Divergence from the single loop: a blocked call outside the
-            // kernel's waitqueue protocol (no channel, no deadline) parks
-            // on a short backoff deadline instead of busy-polling the
-            // queue — SMP queues hold only runnable work, which is what
-            // makes the quiescence test in `idle` exact.
-            let deadline = match deadline {
-                Some(d) => Some(d),
-                None if waits => None,
-                None => Some(pool.clock.monotonic_ns() + SLICE_QUANTUM_NS),
-            };
+            let deadline = park_deadline(deadline, waits, pool.clock.monotonic_ns());
             runner.stats.parks.fetch_add(1, Ordering::Relaxed);
             let mut sched = pool.sched.lock_ok();
             sched.in_flight -= 1;
             if sched.pending_wakes.remove(&tid) {
                 // The wakeup raced our park: requeue instead.
-                slot.woken_retry = true;
                 sched.slots.insert(tid, slot);
                 pool.enqueue(&mut sched, Some(widx), tid);
             } else {
@@ -669,10 +656,9 @@ fn handle_suspend(
             }
         }
         WaliSuspend::Fork { child_tid, vfork } => {
-            let share = vfork && runner.cow_on;
             let child = Slot {
                 tid: child_tid,
-                instance: if share {
+                instance: if vfork {
                     slot.instance.thread_clone()
                 } else {
                     slot.instance.fork_clone()
@@ -680,7 +666,6 @@ fn handle_suspend(
                 thread: slot.thread.clone(),
                 ctx: slot.ctx.fork_child(child_tid),
                 pending: Some(Pending::Resume(vec![Value::I64(0)])),
-                woken_retry: false,
             };
             slot.pending = Some(Pending::Resume(vec![Value::I64(child_tid as i64)]));
             let mut sched = pool.sched.lock_ok();
@@ -688,7 +673,7 @@ fn handle_suspend(
             sched.live += 1;
             sched.slots.insert(child_tid, child);
             pool.enqueue(&mut sched, Some(widx), child_tid);
-            if share {
+            if vfork {
                 // vfork parent: suspended off every queue until the child
                 // execs or exits.
                 sched.vfork_waiters.insert(child_tid, tid);
@@ -719,7 +704,6 @@ fn handle_suspend(
                 thread: slot.thread.clone(),
                 ctx,
                 pending: Some(Pending::Resume(vec![Value::I64(0)])),
-                woken_retry: false,
             };
             slot.pending = Some(Pending::Resume(vec![Value::I64(child_tid as i64)]));
             let mut sched = pool.sched.lock_ok();
@@ -740,7 +724,7 @@ fn handle_suspend(
                 let mut k = pool.kernel.lock_ok();
                 let _ = k.sys_execve(tid);
             }
-            let instance = match Instance::new_with_cow(program.clone(), runner.cow_on) {
+            let instance = match Instance::new(program.clone()) {
                 Ok(i) => i,
                 Err(t) => {
                     pool.fail(RunnerError::Instantiate(t));
@@ -756,7 +740,6 @@ fn handle_suspend(
             };
             let old_trace = slot.ctx.trace.clone();
             let mut ctx = WaliContext::new(pool.kernel.clone(), tid, program.data_end());
-            ctx.shard = runner.shard_on;
             ctx.args = if argv.is_empty() { vec![path] } else { argv };
             ctx.env = envp;
             ctx.trace = old_trace;

@@ -23,9 +23,9 @@
 //!
 //! # Equivalence and the signal hint
 //!
-//! The fast path must block and wake exactly like the slow path or the
-//! `WALI_NO_SHARD=1` A/B oracle would diverge. Two protocols make it
-//! so:
+//! The fast path must block and wake exactly like the slow path: every
+//! miss falls through to it mid-conversation, and fast- and slow-path
+//! callers share the same objects. Two protocols make it so:
 //!
 //! * **Never-missed wakeups.** Consumers inspect object state *and*
 //!   subscribe to the wait channels under the object's lock; producers
@@ -87,12 +87,9 @@ fn sig_raised(ctx: &WaliContext) -> bool {
 }
 
 /// Resolves the open file behind `fd` through the cached hot state,
-/// bailing to the slow path on any miss (shard toggle off, unregistered
-/// task, raised signal hint, bad fd).
+/// bailing to the slow path on any miss (unregistered task, raised
+/// signal hint, bad fd).
 fn resolve(ctx: &mut WaliContext, fd: i32) -> Option<(FileKind, i32)> {
-    if !ctx.shard {
-        return None;
-    }
     if ctx.hot_cache.is_none() {
         let hot = ctx.handles.procs.get(ctx.tid)?;
         ctx.hot_cache = Some(HotCache {

@@ -150,15 +150,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         let base_op = op & !FUTEX_PRIVATE_FLAG;
         match base_op {
             FUTEX_WAIT => {
-                // The engine reads the futex word (the kernel cannot see
-                // Wasm memory) — cooperative scheduling makes this
-                // race-free.
-                let cur = c
-                    .instance
-                    .memory
-                    .atomic_load32(uaddr as u64)
-                    .map_err(|_| SysError::Err(Errno::Efault))?;
-                let matches = cur == val;
+                let mem = c.instance.memory.clone();
                 let retry = c.data.retry_deadline.take();
                 let mm = c.data.mm;
                 let deadline = match retry {
@@ -172,8 +164,17 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
                     }
                     None => None,
                 };
+                // The engine reads the futex word (the kernel cannot see
+                // Wasm memory) inside the same kernel critical section
+                // that queues the waiter: a waker stores, then takes the
+                // kernel lock to wake, so it either finds this waiter
+                // queued or this load sees its store — a compare outside
+                // the lock loses the wakeup under SMP.
                 k(c, |kk, tid| {
-                    kk.sys_futex_wait(tid, mm, uaddr, matches, deadline)
+                    let cur = mem
+                        .atomic_load32(uaddr as u64)
+                        .map_err(|_| SysError::Err(Errno::Efault))?;
+                    kk.sys_futex_wait(tid, mm, uaddr, cur == val, deadline)
                 })
             }
             FUTEX_WAKE => {

@@ -358,18 +358,16 @@ fn do_epoll_wait(c: C, a: &[Value]) -> R {
             }
         }
         kk.epoll_subscribe(tid, epfd)?;
-        if kk.ready_on() {
-            // The lock-free syscall fast path posts without the kernel
-            // lock, so a readiness transition can land between the pop
-            // above and the subscribe. Producers push-then-post; this
-            // consumer subscribes-then-rechecks — one of the two sides
-            // always sees the other. The recheck is an O(ready) ring
-            // pop, cheap enough to run on every park.
-            let late = kk.sys_epoll_wait_ready(tid, epfd, maxevents as usize)?;
-            if !late.is_empty() {
-                kk.wait_cancel(tid);
-                return Ok(late);
-            }
+        // The lock-free syscall fast path posts without the kernel lock,
+        // so a readiness transition can land between the pop above and
+        // the subscribe. Producers push-then-post; this consumer
+        // subscribes-then-rechecks — one of the two sides always sees
+        // the other. The recheck is an O(ready) ring pop, cheap enough
+        // to run on every park.
+        let late = kk.sys_epoll_wait_ready(tid, epfd, maxevents as usize)?;
+        if !late.is_empty() {
+            kk.wait_cancel(tid);
+            return Ok(late);
         }
         Err(match deadline {
             Some(d) => vkernel::block_until(d),

@@ -6,8 +6,10 @@
 //! one host thread (the N-to-1 "lightweight process" execution), and the
 //! control-transferring syscalls are realized with engine primitives:
 //!
-//! * `fork` — snapshot the suspended [`wasm::Thread`], deep-copy linear
-//!   memory, resume the parent with the child pid and the child with 0;
+//! * `fork` — snapshot the suspended [`wasm::Thread`], share linear
+//!   memory copy-on-write, resume the parent with the child pid and the
+//!   child with 0 (`vfork` shares the pages outright and suspends the
+//!   parent until the child execs or exits);
 //! * `clone(CLONE_VM)` — same snapshot but *sharing* linear memory, the
 //!   instance-per-thread model (fresh globals/table per instance);
 //! * `execve` — swap in a program registered under the target path;
@@ -15,11 +17,8 @@
 //!   ([`vkernel::wait`]) and re-enters the run queue only when its wait
 //!   channel fires or its deadline lapses; the scheduler advances the
 //!   virtual clock straight to the earliest deadline when every task is
-//!   parked.
-//!
-//! Set `WALI_NO_WAITQ=1` (or [`WaliRunner::set_event_driven`]`(false)`)
-//! to fall back to the original poll-everything loop — kept as the A/B
-//! baseline for the scheduler benchmarks.
+//!   parked. The run queue holds only runnable work, so "idle" means
+//!   "queue empty" — the same rule the SMP executor uses.
 //!
 //! Set `WALI_WORKERS=N` (or [`WaliRunner::set_workers`]) to interpret
 //! runnable tasks on `N` host worker threads (`0`/`auto` selects
@@ -62,9 +61,8 @@ pub struct SchedStats {
     pub wakeups: u64,
     /// Idle steps: the clock jumped to the earliest deadline.
     pub idle_advances: u64,
-    /// Blocked-syscall retry attempts that blocked again (busy-poll work;
-    /// stays O(wakeups) in event-driven mode, O(blocked × passes) in the
-    /// `WALI_NO_WAITQ` baseline).
+    /// Blocked-syscall retry attempts that blocked again without running
+    /// any wasm (spurious wakeups; stays O(wakeups)).
     pub blocked_retries: u64,
 }
 
@@ -106,9 +104,8 @@ pub struct RunOutcome {
     /// address-space footprint).
     pub peak_memory_pages: u32,
     /// Peak *resident* (host-allocated) pages over all instances. With the
-    /// paged backing this counts touched pages only; the flat baseline
-    /// materializes its whole reservation, so the two differ exactly by
-    /// the lazy-allocation win.
+    /// paged backing this counts touched pages only; the flat backing
+    /// of a shared memory materializes its whole reservation.
     pub peak_resident_pages: u32,
     /// Scheduler accounting.
     pub sched: SchedStats,
@@ -154,7 +151,7 @@ impl RunOutcome {
 /// count or toggle settings: the main task's ending, the *multiset* of
 /// console lines, and the *multiset* of task endings. Interleaving-
 /// dependent data (completion order, sched counters, syscall totals —
-/// polling retries re-invoke handlers) is deliberately excluded; the
+/// blocked retries re-invoke handlers) is deliberately excluded; the
 /// bit-determinism oracle compares those separately on `WALI_WORKERS=1`
 /// pairs, where they must match exactly.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -218,11 +215,22 @@ pub(crate) const FUEL_SLICE: u64 = 1 << 20;
 
 /// Virtual nanoseconds one exhausted fuel slice accounts for (a ~1 GIPS
 /// virtual CPU: 2^20 ops ≈ 1 ms). Without this, a pure-compute spin loop
-/// would stall virtual time — the old polling loop advanced the clock as
-/// a side effect of its blocked-syscall retries, the event-driven
-/// scheduler advances it here and at idle steps instead, so parked
-/// deadlines lapse while a spinner runs.
+/// would stall virtual time; the scheduler advances the clock here and at
+/// idle steps, so parked deadlines lapse while a spinner runs.
 pub(crate) const SLICE_QUANTUM_NS: u64 = 1_000_000;
+
+/// Where a blocked call parks — the one rule both schedulers apply. A
+/// call that subscribed a wait channel (`waits`) or carries a deadline
+/// parks on exactly that. A call outside the waitqueue protocol (a
+/// layered host function with neither) parks on a one-quantum backoff
+/// deadline instead of staying queued: run queues hold only runnable
+/// work, which is what makes "queue empty" an exact idle test.
+pub(crate) fn park_deadline(deadline: Option<u64>, waits: bool, now: u64) -> Option<u64> {
+    match deadline {
+        None if !waits => Some(now + SLICE_QUANTUM_NS),
+        d => d,
+    }
+}
 
 pub(crate) struct Slot {
     pub(crate) tid: Tid,
@@ -230,27 +238,6 @@ pub(crate) struct Slot {
     pub(crate) thread: Thread,
     pub(crate) ctx: WaliContext,
     pub(crate) pending: Option<Pending>,
-    /// A kernel wakeup re-queued this task's blocked retry and it has not
-    /// been attempted since. The idle detector must treat such a retry as
-    /// runnable: the wakeup is fresh evidence its syscall can complete,
-    /// and `since_progress` may otherwise reach the queue length without
-    /// the task ever getting its attempt (tasks parking mid-pass shrink
-    /// the queue under the counter).
-    pub(crate) woken_retry: bool,
-}
-
-/// Whether the event-driven scheduler is on by default (the
-/// `WALI_NO_WAITQ` escape hatch selects the polling baseline).
-pub fn event_driven_default() -> bool {
-    std::env::var_os("WALI_NO_WAITQ").is_none()
-}
-
-/// Whether the sharded syscall fast path is on by default (the
-/// `WALI_NO_SHARD` escape hatch routes every syscall through the big
-/// kernel lock — the A/B baseline the equivalence oracle compares
-/// against).
-pub fn shard_default() -> bool {
-    std::env::var_os("WALI_NO_SHARD").is_none()
 }
 
 /// Whether batched syscall rings are on by default (the `WALI_NO_RING`
@@ -299,15 +286,6 @@ pub struct WaliRunner {
     /// [`wasm::regir::regir_default`] (`WALI_NO_REGIR=1` selects the
     /// fused stack tier).
     regir: Option<bool>,
-    /// Waitqueue scheduling override; `None` follows
-    /// [`event_driven_default`].
-    event_driven: Option<bool>,
-    /// Paged copy-on-write memory override; `None` follows
-    /// [`wasm::mem::cow_default`] (`WALI_NO_COW=1` selects the flat
-    /// eager-zero / deep-copy-fork baseline).
-    cow: Option<bool>,
-    /// Sharded-fast-path override; `None` follows [`shard_default`].
-    shard: Option<bool>,
     /// Batched-syscall-ring override; `None` follows [`ring_default`].
     ring: Option<bool>,
     /// Worker-pool width override; `None` follows [`workers_default`].
@@ -317,7 +295,7 @@ pub struct WaliRunner {
     handlers_dirty: bool,
     /// Every live task, keyed by kernel tid (deterministic order).
     pub(crate) tasks: BTreeMap<Tid, Slot>,
-    /// Runnable tasks, round-robin FIFO.
+    /// Runnable tasks, round-robin FIFO. Blocked tasks are never here.
     pub(crate) run_queue: VecDeque<Tid>,
     /// Blocked tasks parked off the run queue, with their optional wake
     /// deadline (virtual mono ns). Invariant: every live task is either
@@ -335,9 +313,6 @@ pub struct WaliRunner {
     /// by child tid. These tasks sit on neither the run queue nor the
     /// parked map; the child's exec/exit requeues them.
     pub(crate) vfork_waiters: HashMap<Tid, Tid>,
-    /// Consecutive run-queue attempts without wasm progress (the polling
-    /// baseline's full-pass detector).
-    since_progress: usize,
     spawned_any: bool,
     pub(crate) main_tid: Option<Tid>,
     pub(crate) outcome: RunOutcome,
@@ -363,9 +338,6 @@ impl WaliRunner {
             scheme,
             fuse: None,
             regir: None,
-            event_driven: None,
-            cow: None,
-            shard: None,
             ring: None,
             workers: None,
             handlers_dirty: true,
@@ -374,7 +346,6 @@ impl WaliRunner {
             parked: BTreeMap::new(),
             deadlines: crate::timer::TimerWheel::default(),
             vfork_waiters: HashMap::new(),
-            since_progress: 0,
             spawned_any: false,
             main_tid: None,
             outcome: RunOutcome::default(),
@@ -417,39 +388,6 @@ impl WaliRunner {
         self.regir = Some(on);
     }
 
-    /// Overrides waitqueue scheduling (A/B measurement; default follows
-    /// [`event_driven_default`]). `false` selects the original
-    /// poll-every-blocked-task loop.
-    pub fn set_event_driven(&mut self, on: bool) {
-        self.event_driven = Some(on);
-    }
-
-    pub(crate) fn event_driven_on(&self) -> bool {
-        self.event_driven.unwrap_or_else(event_driven_default)
-    }
-
-    /// Overrides the paged copy-on-write memory backing (A/B measurement;
-    /// default follows [`wasm::mem::cow_default`]). `false` selects the
-    /// flat eager-zero backing whose `fork` deep-copies the memory.
-    pub fn set_cow(&mut self, on: bool) {
-        self.cow = Some(on);
-    }
-
-    pub(crate) fn cow_on(&self) -> bool {
-        self.cow.unwrap_or_else(wasm::mem::cow_default)
-    }
-
-    /// Overrides the sharded syscall fast path (A/B measurement; default
-    /// follows [`shard_default`]). `false` routes pipe/socket I/O through
-    /// the big kernel lock like the pre-shard runtime.
-    pub fn set_shard(&mut self, on: bool) {
-        self.shard = Some(on);
-    }
-
-    pub(crate) fn shard_on(&self) -> bool {
-        self.shard.unwrap_or_else(shard_default)
-    }
-
     /// Overrides batched syscall rings (A/B measurement; default follows
     /// [`ring_default`]). `false` makes `wali_ring_enter` return
     /// `-ENOSYS` so guests take their synchronous per-op fallback.
@@ -459,20 +397,6 @@ impl WaliRunner {
 
     pub(crate) fn ring_on(&self) -> bool {
         self.ring.unwrap_or_else(ring_default)
-    }
-
-    /// Overrides the epoll ready-ring (A/B measurement; default follows
-    /// the kernel's `WALI_NO_READY` environment check). `false` falls
-    /// back to the full interest-list scan per `epoll_wait`. Takes
-    /// effect immediately — kernel state, not a registration-time flag —
-    /// so set it before spawning.
-    pub fn set_ready(&mut self, on: bool) {
-        self.kernel.lock_ok().set_ready(on);
-    }
-
-    /// Whether the epoll ready-ring path is on.
-    pub fn ready_on(&self) -> bool {
-        self.kernel.lock_ok().ready_on()
     }
 
     /// Overrides the worker-pool width (A/B measurement; default follows
@@ -544,14 +468,12 @@ impl WaliRunner {
             .cloned()
             .ok_or(RunnerError::NoEntry("program not registered"))?;
         let tid = self.kernel.lock_ok().spawn_process();
-        let instance = Instance::new_with_cow(program.clone(), self.cow_on())
-            .map_err(RunnerError::Instantiate)?;
+        let instance = Instance::new(program.clone()).map_err(RunnerError::Instantiate)?;
         let entry = instance
             .export_func("_start")
             .or_else(|| instance.export_func("main"))
             .ok_or(RunnerError::NoEntry("_start"))?;
         let mut ctx = WaliContext::new(self.kernel.clone(), tid, program.data_end());
-        ctx.shard = self.shard_on();
         ctx.ring = self.ring_on();
         ctx.args = std::iter::once(path.to_string())
             .chain(args.iter().map(|s| s.to_string()))
@@ -570,7 +492,6 @@ impl WaliRunner {
                 func: entry,
                 args: Vec::new(),
             }),
-            woken_retry: false,
         });
         Ok(tid)
     }
@@ -600,12 +521,11 @@ impl WaliRunner {
     /// Runs until every task finishes.
     ///
     /// The scheduler loop: drain kernel wakeups into the run queue, run
-    /// the queue round-robin, and when nothing is runnable (or, in the
-    /// polling baseline, a full pass made no progress) take an idle step —
-    /// jump the virtual clock to the earliest deadline, fire timers, and
-    /// unpark whatever that woke. Wakeup cost is independent of the number
-    /// of parked tasks: a transition posts to exactly the tasks subscribed
-    /// to its channel.
+    /// the queue round-robin, and when nothing is runnable take an idle
+    /// step — jump the virtual clock to the earliest deadline, fire
+    /// timers, and unpark whatever that woke. Wakeup cost is independent
+    /// of the number of parked tasks: a transition posts to exactly the
+    /// tasks subscribed to its channel.
     pub fn run(&mut self) -> Result<RunOutcome, RunnerError> {
         let workers = self.workers();
         if workers > 1 {
@@ -629,33 +549,12 @@ impl WaliRunner {
                     self.wake_lapsed(now);
                 }
             }
-            let idle = match self.run_queue.front() {
-                None => true,
-                // Polling baseline: every queued task attempted once since
-                // the last progress → the old "nothing progressed" pass.
-                // Never idle while a deterministically-runnable task
-                // (Start/Resume pending — it will execute wasm) is queued:
-                // `since_progress` over-counts when attempted tasks park
-                // and shrink the queue under it.
-                Some(_) => {
-                    self.since_progress > 0
-                        && self.since_progress >= self.run_queue.len()
-                        && !self.queue_has_runnable()
-                }
-            };
-            if idle {
+            let Some(tid) = self.run_queue.pop_front() else {
                 self.idle_advance()?;
-                self.since_progress = 0;
                 continue;
-            }
-            let tid = self.run_queue.pop_front().expect("checked non-empty");
-            if !self.tasks.contains_key(&tid) {
-                continue;
-            }
-            if self.attempt(tid)? {
-                self.since_progress = 0;
-            } else {
-                self.since_progress += 1;
+            };
+            if self.tasks.contains_key(&tid) {
+                self.attempt(tid)?;
             }
         }
         self.finish_outcome()
@@ -704,52 +603,21 @@ impl WaliRunner {
         for tid in woken {
             if self.unpark(tid) {
                 self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-                if let Some(slot) = self.tasks.get_mut(&tid) {
-                    slot.woken_retry = true;
-                }
                 self.run_queue.push_back(tid);
-                // A wakeup is fresh evidence of possible progress: the
-                // idle detector must give the woken task its attempt
-                // before declaring the queue stuck.
-                self.since_progress = 0;
             }
             // Wakeups for queued/running tasks are redundant: they will
             // observe the new state on their own next attempt.
         }
     }
 
-    /// True when any queued task is deterministically runnable (its next
-    /// step executes wasm rather than retrying a blocked syscall).
-    fn queue_has_runnable(&self) -> bool {
-        self.run_queue.iter().any(|tid| {
-            self.tasks
-                .get(tid)
-                .map(|s| s.woken_retry || !matches!(s.pending, Some(Pending::Retry { .. })))
-                .unwrap_or(false)
-        })
-    }
-
     /// Nothing is runnable: advance the virtual clock to the earliest
-    /// wake-up source (parked deadlines, queued retry deadlines, kernel
-    /// timers), fire timers, and unpark deadline-lapsed tasks; error out
-    /// when no wake-up source exists.
+    /// wake-up source (parked deadlines, kernel timers), fire timers, and
+    /// unpark deadline-lapsed tasks; error out when no wake-up source
+    /// exists.
     fn idle_advance(&mut self) -> Result<(), RunnerError> {
         let parked_min = self.deadlines.next_deadline();
-        let queued_min = self
-            .run_queue
-            .iter()
-            .filter_map(|tid| self.tasks.get(tid))
-            .filter_map(|s| match &s.pending {
-                Some(Pending::Retry { deadline, .. }) => *deadline,
-                _ => None,
-            })
-            .min();
         let timer_min = self.kernel.lock_ok().next_timer_deadline();
-        let Some(deadline) = [parked_min, queued_min, timer_min]
-            .into_iter()
-            .flatten()
-            .min()
-        else {
+        let Some(deadline) = [parked_min, timer_min].into_iter().flatten().min() else {
             return Err(RunnerError::Deadlock(self.blocked_report()));
         };
         let now = {
@@ -765,14 +633,8 @@ impl WaliRunner {
     }
 
     /// Accounts one exhausted fuel slice of virtual CPU time and fires
-    /// whatever that made due (timers, parked deadlines). Event-driven
-    /// mode only: the `WALI_NO_WAITQ` baseline must reproduce the old
-    /// loop exactly, which never advanced the clock on preemption (its
-    /// blocked-retry syscall ticks covered that).
+    /// whatever that made due (timers, parked deadlines).
     fn tick_slice(&mut self) {
-        if !self.event_driven_on() {
-            return;
-        }
         let now = {
             let mut k = self.kernel.lock_ok();
             k.clock.advance(SLICE_QUANTUM_NS);
@@ -791,7 +653,6 @@ impl WaliRunner {
             self.parked.remove(&tid);
             self.kernel.lock_ok().wait_cancel(tid);
             self.run_queue.push_back(tid);
-            self.since_progress = 0;
         }
     }
 
@@ -830,15 +691,10 @@ impl WaliRunner {
         runner.run()
     }
 
-    /// Runs one scheduling slice of `tid`. Returns whether the attempt
-    /// made progress (ran wasm, completed, or changed task structure) —
-    /// an immediately re-blocked retry did not.
-    fn attempt(&mut self, tid: Tid) -> Result<bool, RunnerError> {
-        let Some(pending) = self.tasks.get_mut(&tid).and_then(|s| {
-            s.woken_retry = false;
-            s.pending.take()
-        }) else {
-            return Ok(false);
+    /// Runs one scheduling slice of `tid`.
+    fn attempt(&mut self, tid: Tid) -> Result<(), RunnerError> {
+        let Some(pending) = self.tasks.get_mut(&tid).and_then(|s| s.pending.take()) else {
+            return Ok(());
         };
 
         // A task whose kernel identity died (killed by a sibling) is
@@ -852,7 +708,7 @@ impl WaliRunner {
             .unwrap_or(true);
         if hinted && self.task_killed(tid) {
             self.finish_task(tid, None);
-            return Ok(true);
+            return Ok(());
         }
         let result = {
             let slot = self.tasks.get_mut(&tid).expect("live task");
@@ -921,32 +777,26 @@ impl WaliRunner {
                     let _ = self.kernel.lock_ok().sys_exit_group(tid, code);
                 }
                 self.finish_task(tid, Some(TaskEnd::Exited(already.unwrap_or(code))));
-                Ok(true)
             }
-            RunResult::Trapped(Trap::Aborted) => {
-                self.finish_task(tid, None);
-                Ok(true)
-            }
+            RunResult::Trapped(Trap::Aborted) => self.finish_task(tid, None),
             RunResult::Trapped(t) => {
                 let _ = self.kernel.lock_ok().sys_exit_group(tid, 128);
                 self.finish_task(tid, Some(TaskEnd::Trapped(t)));
-                Ok(true)
             }
             RunResult::Suspended(s) => match s.downcast::<WaliSuspend>() {
-                Ok(payload) => self.handle_suspend(tid, *payload, ran_wasm),
+                Ok(payload) => return self.handle_suspend(tid, *payload, ran_wasm),
                 Err(s) => {
-                    if s.downcast::<wasm::interp::Preempted>().is_ok() {
-                        // Fuel slice expired: reschedule fairly and account
-                        // the slice's virtual CPU time.
-                        self.requeue(tid, Pending::Resume(Vec::new()));
-                        self.tick_slice();
-                        Ok(true)
-                    } else {
-                        Err(RunnerError::NoEntry("unknown suspension payload"))
+                    if s.downcast::<wasm::interp::Preempted>().is_err() {
+                        return Err(RunnerError::NoEntry("unknown suspension payload"));
                     }
+                    // Fuel slice expired: reschedule fairly and account
+                    // the slice's virtual CPU time.
+                    self.requeue(tid, Pending::Resume(Vec::new()));
+                    self.tick_slice();
                 }
             },
         }
+        Ok(())
     }
 
     /// Puts a live task back on the run queue with its next pending step.
@@ -962,11 +812,10 @@ impl WaliRunner {
         tid: Tid,
         payload: WaliSuspend,
         ran_wasm: bool,
-    ) -> Result<bool, RunnerError> {
+    ) -> Result<(), RunnerError> {
         match payload {
             WaliSuspend::Exit { code } => {
                 self.finish_task(tid, Some(TaskEnd::Exited(code)));
-                Ok(true)
             }
             WaliSuspend::Blocked {
                 module,
@@ -975,53 +824,35 @@ impl WaliRunner {
                 args,
                 deadline,
             } => {
-                // Re-blocking counts as progress only if the task actually
-                // executed wasm since its last block (a completed retry
-                // that blocked again made real progress; an immediately
-                // re-blocked retry did not — the idle path advances the
-                // clock in that case).
                 if !ran_wasm {
                     self.stats.blocked_retries.fetch_add(1, Ordering::Relaxed);
                 }
-                if let Some(slot) = self.tasks.get_mut(&tid) {
-                    slot.pending = Some(Pending::Retry {
-                        module,
-                        import,
-                        sysno,
-                        args,
-                        deadline,
-                    });
-                    slot.ctx.with_kernel(|k| {
-                        if let Ok(t) = k.task_mut(tid) {
-                            t.rusage.nvcsw += 1;
-                        }
-                    });
-                }
-                // Event-driven: park on the kernel waitqueues / deadline.
-                // A blocked call that neither subscribed a channel nor set
-                // a deadline (a layered API outside the kernel protocol)
-                // stays on the run queue and is busy-polled like before.
-                let parkable = self.event_driven_on()
-                    && (deadline.is_some() || self.kernel.lock_ok().task_waits(tid));
-                if parkable {
-                    self.park(tid, deadline);
-                } else {
-                    self.run_queue.push_back(tid);
-                }
-                Ok(ran_wasm)
+                let slot = self.tasks.get_mut(&tid).expect("live task");
+                slot.pending = Some(Pending::Retry {
+                    module,
+                    import,
+                    sysno,
+                    args,
+                    deadline,
+                });
+                let waits = slot.ctx.with_kernel(|k| {
+                    if let Ok(t) = k.task_mut(tid) {
+                        t.rusage.nvcsw += 1;
+                    }
+                    k.task_waits(tid)
+                });
+                let now = self.clock.monotonic_ns();
+                self.park(tid, park_deadline(deadline, waits, now));
             }
             WaliSuspend::Fork { child_tid, vfork } => {
-                // `vfork` on the COW backing shares the parent's pages
-                // outright (no snapshot); the parent is suspended until
-                // the child execs or exits — the Linux contract. On the
-                // `WALI_NO_COW` baseline vfork degrades to fork, exactly
-                // the old behavior.
-                let share = vfork && self.cow_on();
+                // `vfork` shares the parent's pages outright (no
+                // snapshot); the parent is suspended until the child
+                // execs or exits — the Linux contract.
                 let child = {
                     let slot = self.tasks.get(&tid).expect("live task");
                     Slot {
                         tid: child_tid,
-                        instance: if share {
+                        instance: if vfork {
                             slot.instance.thread_clone()
                         } else {
                             slot.instance.fork_clone()
@@ -1029,11 +860,10 @@ impl WaliRunner {
                         thread: slot.thread.clone(),
                         ctx: slot.ctx.fork_child(child_tid),
                         pending: Some(Pending::Resume(vec![Value::I64(0)])),
-                        woken_retry: false,
                     }
                 };
                 self.admit(child);
-                if share {
+                if vfork {
                     // Park the parent off every queue; the child's
                     // exec/exit requeues it with the child pid.
                     self.vfork_waiters.insert(child_tid, tid);
@@ -1043,7 +873,6 @@ impl WaliRunner {
                 } else {
                     self.requeue(tid, Pending::Resume(vec![Value::I64(child_tid as i64)]));
                 }
-                Ok(true)
             }
             WaliSuspend::Clone {
                 child_tid,
@@ -1068,12 +897,10 @@ impl WaliRunner {
                         thread: slot.thread.clone(),
                         ctx,
                         pending: Some(Pending::Resume(vec![Value::I64(0)])),
-                        woken_retry: false,
                     }
                 };
                 self.admit(child);
                 self.requeue(tid, Pending::Resume(vec![Value::I64(child_tid as i64)]));
-                Ok(true)
             }
             WaliSuspend::Exec { path, argv, envp } => {
                 let Some(program) = self.programs.get(&path).cloned() else {
@@ -1081,7 +908,7 @@ impl WaliRunner {
                         tid,
                         Pending::Resume(vec![Value::I64(Errno::Enoent.as_ret())]),
                     );
-                    return Ok(true);
+                    return Ok(());
                 };
                 {
                     let mut k = self.kernel.lock_ok();
@@ -1090,8 +917,7 @@ impl WaliRunner {
                 // A fresh private memory: replacing the old instance below
                 // drops its page references eagerly, so a vfork/COW parent
                 // regains exclusive ownership of the shared pages.
-                let instance = Instance::new_with_cow(program.clone(), self.cow_on())
-                    .map_err(RunnerError::Instantiate)?;
+                let instance = Instance::new(program.clone()).map_err(RunnerError::Instantiate)?;
                 let entry = instance
                     .export_func("_start")
                     .or_else(|| instance.export_func("main"))
@@ -1102,7 +928,6 @@ impl WaliRunner {
                     .map(|s| s.ctx.trace.clone())
                     .unwrap_or_default();
                 let mut ctx = WaliContext::new(self.kernel.clone(), tid, program.data_end());
-                ctx.shard = self.shard_on();
                 ctx.ring = self.ring_on();
                 ctx.args = if argv.is_empty() {
                     vec![path.clone()]
@@ -1122,9 +947,9 @@ impl WaliRunner {
                 self.run_queue.push_back(tid);
                 // execve releases a vfork parent waiting on this child.
                 self.release_vfork_parent(tid);
-                Ok(true)
             }
         }
+        Ok(())
     }
 
     fn task_killed(&self, tid: Tid) -> bool {
@@ -1138,7 +963,6 @@ impl WaliRunner {
         if let Some(parent) = self.vfork_waiters.remove(&child) {
             if self.tasks.contains_key(&parent) {
                 self.run_queue.push_back(parent);
-                self.since_progress = 0;
             }
         }
     }

@@ -31,7 +31,7 @@ pub fn roundtrip(module: &Module) -> Module {
     wasm::decode::decode(&bytes).expect("encode/decode round trip")
 }
 
-/// Scheduler/backing configuration for one run. `None` fields follow
+/// Scheduler/engine configuration for one run. `None` fields follow
 /// the process defaults (environment toggles); `Some` overrides them —
 /// which is how the fuzzer drives the toggle matrix without mutating
 /// the environment of its own process.
@@ -43,14 +43,6 @@ pub struct RunnerOpts {
     pub fuse: Option<bool>,
     /// Tier-2 register IR (`WALI_NO_REGIR` off-switch).
     pub regir: Option<bool>,
-    /// Event-driven waitqueue scheduling (`WALI_NO_WAITQ` off-switch).
-    pub event_driven: Option<bool>,
-    /// Paged copy-on-write memory (`WALI_NO_COW` off-switch).
-    pub cow: Option<bool>,
-    /// Sharded syscall fast path (`WALI_NO_SHARD` off-switch).
-    pub shard: Option<bool>,
-    /// Epoll ready-ring event path (`WALI_NO_READY` off-switch).
-    pub ready: Option<bool>,
     /// Batched syscall rings (`WALI_NO_RING` off-switch): off makes
     /// `wali_ring_enter` return `-ENOSYS` so guests take their
     /// synchronous per-op fallback.
@@ -76,18 +68,6 @@ impl RunnerOpts {
         }
         if let Some(on) = self.regir {
             runner.set_regir(on);
-        }
-        if let Some(on) = self.event_driven {
-            runner.set_event_driven(on);
-        }
-        if let Some(on) = self.cow {
-            runner.set_cow(on);
-        }
-        if let Some(on) = self.shard {
-            runner.set_shard(on);
-        }
-        if let Some(on) = self.ready {
-            runner.set_ready(on);
         }
         if let Some(on) = self.ring {
             runner.set_ring(on);

@@ -9,8 +9,7 @@
 //! * **no busy-retry storms** — a blocked task is retried only when its
 //!   channel fires or its deadline lapses, so the number of
 //!   retried-and-reblocked attempts stays bounded by the task count
-//!   instead of growing with scheduler passes (the polling baseline is
-//!   measured for contrast);
+//!   instead of growing with scheduler passes;
 //!
 //! and runs the same program under both superinstruction-fusion settings.
 
@@ -180,9 +179,7 @@ fn stress_program() -> Module {
             .call(futex)
             .drop_();
         // Wait for all wake-ups to be observed (sleep-poll rather than a
-        // wasm spin: a spin would advance virtual time only ~3 µs per
-        // scheduler pass in the polling baseline and make the A/B run
-        // crawl), then report.
+        // wasm spin), then report.
         b.loop_(BlockType::Empty, |b| {
             b.i32(counter).load32(0).i32(TASKS as i32).lt_s32();
             b.if_(BlockType::Empty, |b| {
@@ -196,20 +193,14 @@ fn stress_program() -> Module {
     mb.build()
 }
 
-fn run_stress(fuse: bool, event_driven: bool) -> wali::RunOutcome {
+fn run_stress(fuse: bool) -> wali::RunOutcome {
     // This suite pins the *deterministic scheduler's* counter contract
-    // (parks/wakeups/retries of the cooperative loop, and the polling
-    // baseline A/B); the SMP executor has its own contract, covered by
-    // tests/smp_stress.rs at WALI_WORKERS=4.
+    // (parks/wakeups/retries of the cooperative loop); the SMP executor
+    // has its own contract, covered by tests/smp_stress.rs at
+    // WALI_WORKERS=4.
     let opts = RunnerOpts {
-        workers: Some(1),
         fuse: Some(fuse),
-        event_driven: Some(event_driven),
-        cow: None,
-        shard: None,
-        regir: None,
-        ready: None,
-        ring: None,
+        ..RunnerOpts::single()
     };
     run_module(&stress_program(), &[], &[], opts)
         .expect("run")
@@ -217,7 +208,7 @@ fn run_stress(fuse: bool, event_driven: bool) -> wali::RunOutcome {
 }
 
 fn assert_event_driven_contract(fuse: bool) {
-    let out = run_stress(fuse, true);
+    let out = run_stress(fuse);
     // Every task was woken by its event: the counter reached TASKS.
     assert_eq!(
         out.exit_code(),
@@ -257,23 +248,6 @@ fn stress_wakes_every_task_fused() {
 #[test]
 fn stress_wakes_every_task_unfused() {
     assert_event_driven_contract(false);
-}
-
-#[test]
-fn polling_baseline_confirms_the_storm() {
-    // Same program on the WALI_NO_WAITQ-style baseline: identical result,
-    // but the blocked-retry count explodes — the O(blocked × passes)
-    // behaviour the waitqueues remove. This is the A/B the benches measure.
-    let event = run_stress(true, true);
-    let poll = run_stress(true, false);
-    assert_eq!(poll.exit_code(), Some(0));
-    assert_eq!(event.exit_code(), Some(0));
-    assert!(
-        poll.sched.blocked_retries > 10 * event.sched.blocked_retries.max(1),
-        "expected a polling retry storm: poll={:?} event={:?}",
-        poll.sched,
-        event.sched
-    );
 }
 
 #[test]
@@ -367,12 +341,7 @@ fn deadline_wakes_promptly_while_queue_stays_busy() {
     // round-robin schedule; under SMP the ping-pong races ahead of the
     // sleeper's requeue in wall-clock time and the round count is
     // meaningless. Deterministic scheduler only.
-    let opts = RunnerOpts {
-        workers: Some(1),
-        event_driven: Some(true),
-        ..Default::default()
-    };
-    let out = run_module(&mb.build(), &[], &[], opts)
+    let out = run_module(&mb.build(), &[], &[], RunnerOpts::single())
         .expect("run")
         .outcome;
     assert_eq!(
@@ -386,6 +355,6 @@ fn deadline_wakes_promptly_while_queue_stays_busy() {
 #[test]
 fn sched_stats_expose_idle_clock_steps() {
     // The timer sleepers force at least one earliest-deadline clock jump.
-    let out = run_stress(true, true);
+    let out = run_stress(true);
     assert!(out.sched.idle_advances >= 1, "{:?}", out.sched);
 }

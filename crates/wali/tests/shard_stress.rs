@@ -199,10 +199,7 @@ fn disjoint_objects_do_not_contend() {
         &[],
         RunnerOpts {
             workers: Some(4),
-            // Pinned on: this test *is about* the sharded fast path, so
-            // it must not inherit a `WALI_NO_SHARD=1` gate environment.
-            shard: Some(true),
-            ..RunnerOpts::default()
+            ..RunnerOpts::single()
         },
     )
     .expect("run");

@@ -235,19 +235,10 @@ fn smp_mix_program() -> Module {
 }
 
 fn run_mix(workers: usize, fuse: bool) -> wali::RunOutcome {
-    run_mix_with(workers, fuse, None)
-}
-
-fn run_mix_with(workers: usize, fuse: bool, event_driven: Option<bool>) -> wali::RunOutcome {
     let opts = RunnerOpts {
         workers: Some(workers),
         fuse: Some(fuse),
-        event_driven,
-        cow: None,
-        shard: None,
-        regir: None,
-        ready: None,
-        ring: None,
+        ..RunnerOpts::single()
     };
     run_module(&smp_mix_program(), &[], &[], opts)
         .expect("run")
@@ -317,11 +308,8 @@ fn single_worker_runs_are_bit_identical() {
 fn single_worker_counters_match_deterministic_scheduler() {
     // Spot-pin the deterministic schedule: with one worker the whole
     // mix parks each blocked task at least once and wakes exactly the
-    // parked set (no spurious SMP requeues exist in this mode). The
-    // park/wakeup counters are an event-driven contract, so that mode
-    // is pinned explicitly (the WALI_NO_WAITQ CI gate runs this suite
-    // with the polling baseline as the ambient default).
-    let out = run_mix_with(1, true, Some(true));
+    // parked set (no spurious SMP requeues exist in this mode).
+    let out = run_mix(1, true);
     assert_mix_contract(&out);
     assert!(
         out.sched.parks >= THREADS as u64,
@@ -333,4 +321,60 @@ fn single_worker_counters_match_deterministic_scheduler() {
         "pipe and futex wakes delivered through the waitqueues: {:?}",
         out.sched
     );
+}
+
+#[test]
+fn blocked_call_outside_the_waitqueue_protocol_completes() {
+    // A layered host function registered through `linker_mut` may block
+    // without subscribing a wait channel or setting a deadline. Both
+    // schedulers park it on a one-quantum backoff deadline and retry; no
+    // in-tree blocker takes this path, so this is its only coverage.
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
+    use wali::registry::WaliSuspend;
+    use wasm::host::{HostOutcome, Suspension};
+    use wasm::interp::Value;
+
+    let mut mb = ModuleBuilder::new();
+    let gate_sig = mb.sig([], [I64]);
+    let gate = mb.import_func("layer", "gate", gate_sig);
+    mb.memory(1, Some(1));
+    let main_sig = mb.sig([], [I32]);
+    let main = mb.func(main_sig, |b| {
+        b.call(gate).wrap();
+    });
+    mb.export("_start", main);
+    let module = wali::testkit::roundtrip(&mb.build());
+
+    let run = |workers: usize| {
+        let calls = Arc::new(AtomicU32::new(0));
+        let seen = calls.clone();
+        let mut runner = wali::WaliRunner::new_default();
+        runner.set_workers(workers);
+        runner.linker_mut().func("layer", "gate", move |_, args| {
+            if seen.fetch_add(1, Ordering::Relaxed) < 3 {
+                return Err(HostOutcome::Suspend(Suspension::new(
+                    WaliSuspend::Blocked {
+                        module: "layer",
+                        import: "gate",
+                        sysno: None,
+                        args: args.to_vec(),
+                        deadline: None,
+                    },
+                )));
+            }
+            Ok(vec![Value::I64(7)])
+        });
+        runner.register_program("/usr/bin/app", &module).unwrap();
+        runner.spawn("/usr/bin/app", &[], &[]).unwrap();
+        let out = runner.run().expect("run");
+        assert_eq!(calls.load(Ordering::Relaxed), 4, "workers={workers}");
+        out
+    };
+    let (one, four) = (run(1), run(4));
+    assert_eq!(one.exit_code(), Some(7), "{:?}", one.main_exit);
+    assert_eq!(one.observables(), four.observables());
+    // Parked, not busy-polled: each block is one park and one idle
+    // clock step to its backoff deadline.
+    assert_eq!((one.sched.parks, one.sched.idle_advances), (3, 3));
 }

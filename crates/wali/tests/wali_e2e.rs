@@ -146,34 +146,15 @@ fn vfork_probe() -> (Module, u32) {
     (mb.build(), flag)
 }
 
-fn run_with_cow(module: &Module, cow: bool) -> wali::RunOutcome {
-    let opts = wali::testkit::RunnerOpts {
-        cow: Some(cow),
-        ..Default::default()
-    };
-    wali::testkit::run_module(module, &[], &[], opts)
-        .expect("run")
-        .outcome
-}
-
 #[test]
 fn vfork_shares_pages_and_suspends_parent_until_exit() {
     let (module, _) = vfork_probe();
-    let out = run_with_cow(&module, true);
+    let out = run(&module, &[]);
     // The child borrowed the parent's pages: its write is visible, and
     // seeing it proves the parent stayed suspended until the child exited.
     assert_eq!(out.exit_code(), Some(42), "{:?}", out.ends);
     let exits: Vec<&TaskEnd> = out.ends.iter().map(|(_, e)| e).collect();
     assert!(exits.contains(&&TaskEnd::Exited(5)));
-}
-
-#[test]
-fn vfork_on_the_no_cow_baseline_degrades_to_fork() {
-    let (module, _) = vfork_probe();
-    let out = run_with_cow(&module, false);
-    // Deep-copy semantics: the child wrote its own copy; the parent's
-    // word is untouched.
-    assert_eq!(out.exit_code(), Some(0), "{:?}", out.ends);
 }
 
 #[test]
@@ -202,7 +183,7 @@ fn cow_fork_isolates_parent_and_child_writes() {
         b.i32(word as i32).load32(0).i32(7).ne32();
     });
     mb.export("_start", main);
-    let out = run_with_cow(&mb.build(), true);
+    let out = run(&mb.build(), &[]);
     assert_eq!(out.exit_code(), Some(0), "{:?}", out.ends);
     let exits: Vec<&TaskEnd> = out.ends.iter().map(|(_, e)| e).collect();
     assert!(

@@ -98,20 +98,14 @@ pub struct Instance<T> {
 
 impl<T> Instance<T> {
     /// Instantiates with a fresh memory, applying data and element
-    /// segments. The memory backing follows [`crate::mem::cow_default`];
-    /// memories declared `shared` always get the flat backing (they may be
-    /// accessed from several host threads).
+    /// segments. Memories declared `shared` get the flat backing (they may
+    /// be accessed from several host threads); private ones the paged
+    /// copy-on-write backing.
     pub fn new(program: Arc<Program<T>>) -> Result<Instance<T>, Trap> {
-        Self::new_with_cow(program, crate::mem::cow_default())
-    }
-
-    /// Instantiates with explicit control over the private-memory backing:
-    /// `cow = true` selects the paged copy-on-write store, `false` the
-    /// flat deep-copy baseline. Shared memories are flat either way.
-    pub fn new_with_cow(program: Arc<Program<T>>, cow: bool) -> Result<Instance<T>, Trap> {
         let memory = Arc::new(match &program.memory {
-            Some(m) => Memory::with_backing(m.limits.min, m.limits.max, cow && !m.shared),
-            None => Memory::with_backing(0, Some(0), cow),
+            Some(m) if m.shared => Memory::new_flat(m.limits.min, m.limits.max),
+            Some(m) => Memory::new(m.limits.min, m.limits.max),
+            None => Memory::new(0, Some(0)),
         });
         Self::with_memory(program, memory)
     }

@@ -24,10 +24,10 @@
 //! as the flat backing plus one indexed pointer load and one null compare.
 //! Everything else (first touch, COW, release) is the locked slow path.
 //!
-//! Backing selection: shared (threaded) memories always use the flat
-//! backing; private memories follow [`cow_default`] — paged unless
-//! `WALI_NO_COW=1` selects the flat deep-copy baseline (A/B measurement,
-//! like `WALI_NO_FUSE` / `WALI_NO_WAITQ`).
+//! Backing selection follows the one thing the engine can observe: a
+//! memory declared `shared` (threaded) gets the flat backing
+//! ([`Memory::new_flat`]), a private one the paged backing
+//! ([`Memory::new`]).
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicI64, AtomicPtr, AtomicU32, AtomicU64, Ordering};
@@ -44,13 +44,6 @@ pub const DEFAULT_MAX_PAGES: u32 = 1024;
 const PAGE_SHIFT: usize = 16;
 /// In-page offset mask.
 const PAGE_MASK: usize = PAGE_SIZE - 1;
-
-/// The process-wide default for the paged copy-on-write backing: on,
-/// unless the `WALI_NO_COW` environment variable selects the flat
-/// eager-zero / deep-copy-fork baseline.
-pub fn cow_default() -> bool {
-    std::env::var_os("WALI_NO_COW").is_none()
-}
 
 /// The shared all-zero page every untouched page reads from. Never
 /// written: the write path goes through `write_ptrs`, which never points
@@ -111,7 +104,7 @@ impl Page {
     }
 }
 
-/// The flat max-reserved backing (shared memories, `WALI_NO_COW`).
+/// The flat max-reserved backing (shared memories).
 struct FlatStore {
     /// Backing buffer, sized to `max_pages` once and never reallocated.
     buf: UnsafeCell<Box<[u8]>>,
@@ -255,11 +248,11 @@ unsafe impl Sync for Memory {}
 unsafe impl Send for Memory {}
 
 impl Memory {
-    /// Creates a memory with `min` pages, reserving `max` (or
-    /// [`DEFAULT_MAX_PAGES`]) up front. The backing follows
-    /// [`cow_default`]: paged unless `WALI_NO_COW` selects flat.
+    /// Creates a private memory with `min` pages and room for `max` (or
+    /// [`DEFAULT_MAX_PAGES`]): the paged backing — lazy, copy-on-write
+    /// forkable.
     pub fn new(min: u32, max: Option<u32>) -> Memory {
-        Self::with_backing(min, max, cow_default())
+        Self::with_backing(min, max, true)
     }
 
     /// Creates a flat (eagerly reserved) memory — required for memories
@@ -268,13 +261,7 @@ impl Memory {
         Self::with_backing(min, max, false)
     }
 
-    /// Creates a paged (lazy, copy-on-write-forkable) memory.
-    pub fn new_paged(min: u32, max: Option<u32>) -> Memory {
-        Self::with_backing(min, max, true)
-    }
-
-    /// Creates a memory with an explicit backing choice.
-    pub fn with_backing(min: u32, max: Option<u32>, paged: bool) -> Memory {
+    fn with_backing(min: u32, max: Option<u32>, paged: bool) -> Memory {
         let max_pages = max.unwrap_or(DEFAULT_MAX_PAGES).max(min);
         let backing = if paged {
             Backing::Paged(PageStore::new(max_pages))
@@ -373,8 +360,8 @@ impl Memory {
     }
 
     /// Deep-copies the memory (same limits, same bytes, independent
-    /// backing). Kept for the `WALI_NO_COW` baseline and for tests;
-    /// process forks should use [`Memory::fork_clone`].
+    /// backing): the fork of a flat memory. Process forks should use
+    /// [`Memory::fork_clone`].
     pub fn deep_clone(&self) -> Memory {
         let new = Memory::with_backing(self.pages(), Some(self.max_pages), self.is_paged());
         match (&self.backing, &new.backing) {
@@ -412,11 +399,11 @@ impl Memory {
         new
     }
 
-    /// Fork-style duplicate. Flat backing: a deep copy (the `WALI_NO_COW`
-    /// baseline). Paged backing: an O(allocated pages) copy-on-write
-    /// snapshot — parent and child share every materialized page through
-    /// its `Arc` and both lose in-place write permission; whoever writes a
-    /// shared page first copies it.
+    /// Fork-style duplicate. Flat backing: a deep copy (a threaded
+    /// process that forks). Paged backing: an O(allocated pages)
+    /// copy-on-write snapshot — parent and child share every materialized
+    /// page through its `Arc` and both lose in-place write permission;
+    /// whoever writes a shared page first copies it.
     pub fn fork_clone(&self) -> Memory {
         let Backing::Paged(parent) = &self.backing else {
             return self.deep_clone();
@@ -900,7 +887,7 @@ mod tests {
     /// Every behavioral test runs against both backings.
     fn both(f: impl Fn(fn(u32, Option<u32>) -> Memory)) {
         f(Memory::new_flat);
-        f(Memory::new_paged);
+        f(Memory::new);
     }
 
     #[test]
@@ -942,7 +929,7 @@ mod tests {
         // our pages are alive the counter sits at least `touched` above
         // the low-water mark we observe after dropping them.
         let before = global_resident_pages();
-        let m = Memory::new_paged(4, Some(4));
+        let m = Memory::new(4, Some(4));
         for i in 0..4u64 {
             m.store::<4>(i * PAGE_SIZE as u64, [1; 4]).unwrap();
         }
@@ -959,7 +946,7 @@ mod tests {
 
     #[test]
     fn unaligned_access_across_a_page_boundary() {
-        let m = Memory::new_paged(2, Some(2));
+        let m = Memory::new(2, Some(2));
         let at = PAGE_SIZE as u64 - 3;
         m.store::<8>(at, 0x0123_4567_89ab_cdefu64.to_le_bytes())
             .unwrap();
@@ -1029,7 +1016,7 @@ mod tests {
 
     #[test]
     fn paged_creation_and_grow_allocate_nothing() {
-        let m = Memory::new_paged(16, Some(1024));
+        let m = Memory::new(16, Some(1024));
         assert_eq!(m.resident_pages(), 0);
         assert_eq!(m.grow(512), 16);
         assert_eq!(m.resident_pages(), 0, "grow moves the watermark only");
@@ -1042,7 +1029,7 @@ mod tests {
 
     #[test]
     fn fork_clone_is_cow() {
-        let parent = Memory::new_paged(8, Some(8));
+        let parent = Memory::new(8, Some(8));
         parent.write(0, b"parent page 0").unwrap();
         parent
             .write(3 * PAGE_SIZE as u64, b"parent page 3")
@@ -1073,7 +1060,7 @@ mod tests {
 
     #[test]
     fn release_returns_pages_and_zeroes_edges() {
-        let m = Memory::new_paged(4, Some(4));
+        let m = Memory::new(4, Some(4));
         m.fill(0, 0xaa, 4 * PAGE_SIZE as u64).unwrap();
         assert_eq!(m.resident_pages(), 4);
         // Release page 1 fully plus the first half of page 2.
@@ -1105,15 +1092,15 @@ mod tests {
     }
 
     #[test]
-    fn backing_default_follows_cow_default() {
-        let m = Memory::new(1, Some(1));
-        assert_eq!(m.is_paged(), cow_default());
+    fn new_is_paged_and_new_flat_is_flat() {
+        assert!(Memory::new(1, Some(1)).is_paged());
+        assert!(!Memory::new_flat(1, Some(1)).is_paged());
     }
 
     #[test]
     fn atomic_loads_never_materialize_or_copy() {
         // Pure read of an untouched page: no allocation.
-        let m = Memory::new_paged(2, Some(2));
+        let m = Memory::new(2, Some(2));
         assert_eq!(m.atomic_load32(64).unwrap(), 0);
         assert_eq!(m.atomic_load64(128).unwrap(), 0);
         assert_eq!(m.resident_pages(), 0, "atomic loads are reads");
@@ -1131,7 +1118,7 @@ mod tests {
 
     #[test]
     fn writing_zeros_to_untouched_pages_stays_lazy() {
-        let m = Memory::new_paged(4, Some(4));
+        let m = Memory::new(4, Some(4));
         // Bulk zero write and zero memory.copy over untouched space.
         m.write(100, &[0u8; 4096]).unwrap();
         m.copy_within(2 * PAGE_SIZE as u64, 0, PAGE_SIZE as u64)

@@ -1,8 +1,9 @@
 //! Backing equivalence: the paged copy-on-write store must be
 //! unobservable relative to the flat reservation.
 //!
-//! Every program in the corpus is instantiated twice — flat backing and
-//! paged backing — and executed with the same inputs under both fusion
+//! Every program in the corpus is instantiated twice — over the flat
+//! backing shared memories get and the paged backing private ones get —
+//! and executed with the same inputs under both fusion
 //! settings; results, traps, globals and the full final memory image must
 //! match exactly. A second family of tests drives the `Memory` API
 //! directly through fork/write interleavings, checking the COW snapshot
@@ -138,9 +139,17 @@ fn corpus() -> Vec<(&'static str, wasm::Module, Vec<Value>)> {
     out
 }
 
+fn new_memory(min: u32, max: Option<u32>, paged: bool) -> Memory {
+    if paged {
+        Memory::new(min, max)
+    } else {
+        Memory::new_flat(min, max)
+    }
+}
+
 fn run(
     module: &wasm::Module,
-    cow: bool,
+    paged: bool,
     fuse: bool,
     args: &[Value],
 ) -> (RunResult, Vec<u64>, Vec<u8>) {
@@ -148,8 +157,12 @@ fn run(
     let program = Arc::new(
         Program::link_with(module, &linker, SafepointScheme::LoopHeaders, fuse).expect("link"),
     );
-    let mut inst = Instance::new_with_cow(program, cow).expect("instantiate");
-    assert_eq!(inst.memory.is_paged(), cow);
+    let limits = program
+        .memory
+        .expect("corpus modules declare a memory")
+        .limits;
+    let memory = Arc::new(new_memory(limits.min, limits.max, paged));
+    let mut inst = Instance::with_memory(program, memory).expect("instantiate");
     let main = inst.export_func("main").expect("main export");
     let mut t = Thread::new();
     let r = t.call(&mut inst, &mut (), main, args);
@@ -184,7 +197,8 @@ fn paged_run_stays_lazy() {
     let linker: Linker<()> = Linker::new();
     let program =
         Arc::new(Program::link_with(&module, &linker, SafepointScheme::LoopHeaders, true).unwrap());
-    let mut inst = Instance::new_with_cow(program, true).unwrap();
+    let mut inst = Instance::new(program).unwrap();
+    assert!(inst.memory.is_paged(), "private memories are paged");
     let main = inst.export_func("main").unwrap();
     let mut t = Thread::new();
     let r = t.call(&mut inst, &mut (), main, &args);
@@ -254,7 +268,7 @@ fn fork_write_interleavings_match_deep_copy() {
     ];
     for (si, script) in scripts.iter().enumerate() {
         let run_pair = |paged: bool| -> (Vec<u8>, Vec<u8>) {
-            let parent = Memory::with_backing(4, Some(4), paged);
+            let parent = new_memory(4, Some(4), paged);
             // Pre-fork state: two dirty pages, one straddling write.
             parent.write(50, b"pre-fork parent state").unwrap();
             parent
@@ -278,7 +292,7 @@ fn fork_write_interleavings_match_deep_copy() {
 
 #[test]
 fn cow_fork_shares_until_first_write() {
-    let parent = Memory::new_paged(16, Some(16));
+    let parent = Memory::new(16, Some(16));
     for p in 0..8u64 {
         parent
             .store::<8>(p * PAGE_SIZE as u64, [p as u8; 8])
