@@ -8,8 +8,7 @@ use bench::harness;
 use vkernel::MutexExt;
 use wali::registry::build_linker;
 use wali::WaliContext;
-use wasm::host::Caller;
-use wasm::interp::{Instance, Value};
+use wasm::interp::Instance;
 use wasm::prep::Program;
 use wasm::SafepointScheme;
 
@@ -36,16 +35,7 @@ fn main() {
         .unwrap();
 
     let call = |ctx: &mut WaliContext, name: &str, args: &[i64]| {
-        let f = linker
-            .resolve("wali", &format!("SYS_{name}"))
-            .unwrap()
-            .clone();
-        let vals: Vec<Value> = args.iter().map(|v| Value::I64(*v)).collect();
-        let mut caller = Caller {
-            instance: &instance,
-            data: ctx,
-        };
-        let _ = f(&mut caller, &vals);
+        bench::call_sys(&linker, ctx, &instance, name, args);
     };
     call(&mut ctx, "open", &[buf, 0o102, 0o644]);
     let fd = 3i64;

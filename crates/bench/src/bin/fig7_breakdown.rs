@@ -1,4 +1,10 @@
 //! Fig. 7: runtime breakdown of WALI across the system stack.
+//!
+//! The split is recorded only because this binary asks for it
+//! (`set_layer_timing`): the four clock reads it costs per syscall land
+//! in the kernel and wali slices, so those two are upper bounds — the
+//! Table 2 differentials (`wali_bench --trace 1`, `wali.sys.*_ns`) price
+//! a crossing without that overhead.
 
 use wasm::SafepointScheme;
 
@@ -11,7 +17,9 @@ fn main() {
     println!("{}", "-".repeat(72));
     for app in apps::suite() {
         let name = app.name;
-        let (out, _) = bench::run_on_wali(&app, SafepointScheme::LoopHeaders);
+        let (out, _) = bench::run_on_wali_with(&app, SafepointScheme::LoopHeaders, |runner| {
+            runner.set_layer_timing(true)
+        });
         let (wasm_f, kernel_f, wali_f) = out.trace.breakdown();
         let cells = format!(
             "[{}{}{}]",

@@ -12,7 +12,7 @@ use vkernel::MutexExt;
 use wali::registry::build_linker;
 use wali::WaliContext;
 use wasm::host::Caller;
-use wasm::interp::{Instance, Value};
+use wasm::interp::Instance;
 use wasm::prep::Program;
 use wasm::SafepointScheme;
 
@@ -52,7 +52,7 @@ fn main() {
     let module = mb.build();
 
     let mut linker = build_linker();
-    linker.func("bench", "noop", |_c, _a| Ok(vec![Value::I64(0)]));
+    linker.func_raw("bench", "noop", |_c, _a| Ok(0));
     let program =
         std::sync::Arc::new(Program::link(&module, &linker, SafepointScheme::None).unwrap());
     let instance = Instance::new(program).unwrap();
@@ -61,26 +61,7 @@ fn main() {
     let mut ctx = WaliContext::new(kernel, tid, 8192);
 
     // Open a working fd and a socket for the networked calls.
-    let call = |linker: &wasm::host::Linker<WaliContext>,
-                ctx: &mut WaliContext,
-                instance: &Instance<WaliContext>,
-                name: &str,
-                args: &[i64]|
-     -> i64 {
-        let f = linker
-            .resolve("wali", &format!("SYS_{name}"))
-            .unwrap()
-            .clone();
-        let vals: Vec<Value> = args.iter().map(|v| Value::I64(*v)).collect();
-        let mut caller = Caller {
-            instance,
-            data: ctx,
-        };
-        match f(&mut caller, &vals) {
-            Ok(v) => v.first().and_then(Value::as_i64).unwrap_or(0),
-            Err(_) => -1,
-        }
-    };
+    let call = bench::call_sys;
 
     instance
         .memory
@@ -138,6 +119,7 @@ fn main() {
         let mut caller = Caller {
             instance: &instance,
             data: &mut ctx,
+            sig: None,
         };
         let _ = noop(&mut caller, &[]);
     }

@@ -33,9 +33,20 @@ pub fn reload(module: &Module) -> Module {
 /// Runs an app on WALI with the given safepoint scheme, returning the
 /// outcome and total wall time (startup + execution).
 pub fn run_on_wali(app: &App, scheme: SafepointScheme) -> (RunOutcome, Duration) {
+    run_on_wali_with(app, scheme, |_| {})
+}
+
+/// [`run_on_wali`] with the runner adjusted by `configure` before the
+/// program is registered (Fig. 7 switches layer timing on here).
+pub fn run_on_wali_with(
+    app: &App,
+    scheme: SafepointScheme,
+    configure: impl FnOnce(&mut WaliRunner),
+) -> (RunOutcome, Duration) {
     let module = reload(&app.module);
     let t0 = Instant::now();
     let mut runner = WaliRunner::new(scheme);
+    configure(&mut runner);
     seed_files(&runner);
     runner
         .register_program("/usr/bin/app", &module)
@@ -50,6 +61,33 @@ pub fn run_on_wali(app: &App, scheme: SafepointScheme) -> (RunOutcome, Duration)
         out.main_exit
     );
     (out, wall)
+}
+
+/// Invokes `wali.SYS_<name>` directly on its resolved handle — the
+/// registry wrapper plus the kernel model, no interpreter — with `args`
+/// laid out as the raw slots the interpreter would lend it. Returns the
+/// syscall's return value, or -1 when it did not return (blocked,
+/// suspended or trapped).
+pub fn call_sys(
+    linker: &wasm::host::Linker<wali::WaliContext>,
+    ctx: &mut wali::WaliContext,
+    instance: &wasm::Instance<wali::WaliContext>,
+    name: &str,
+    args: &[i64],
+) -> i64 {
+    let f = linker
+        .resolve(wali::WALI_MODULE, &format!("SYS_{name}"))
+        .expect("in the WALI registry");
+    let mut slots = [0u64; 6];
+    for (slot, v) in slots.iter_mut().zip(args) {
+        *slot = *v as u64;
+    }
+    let mut caller = wasm::host::Caller {
+        instance,
+        data: ctx,
+        sig: None,
+    };
+    f(&mut caller, &slots[..args.len()]).map_or(-1, |ret| ret as i64)
 }
 
 /// Seeds workload input files (the lua "script").

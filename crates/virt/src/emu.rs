@@ -21,7 +21,7 @@ use wali::context::WaliContext;
 use wali::registry::{build_linker, WaliSuspend};
 use wasm::host::{Caller, HostOutcome};
 use wasm::instr::{BinOp, CvtOp, Instr, LoadKind, RelOp, StoreKind, UnOp};
-use wasm::interp::{Instance, Value};
+use wasm::interp::Instance;
 use wasm::module::FuncBody;
 use wasm::prep::{FuncDef, Program};
 use wasm::{Module, SafepointScheme};
@@ -148,25 +148,18 @@ impl<'a> Emu<'a> {
             unreachable!("checked by caller");
         };
         let f = f.clone();
-        let ty = self.program.types[*ty as usize].clone();
-        let n = ty.params.len();
-        let base = self.stack.len() - n;
-        let args: Vec<Value> = ty
-            .params
-            .iter()
-            .enumerate()
-            .map(|(i, t)| Value::from_raw(*t, self.stack[base + i]))
-            .collect();
-        self.stack.truncate(base);
+        let sig = &self.program.types[*ty as usize];
+        let args = self.stack.split_off(self.stack.len() - sig.params.len());
         loop {
             let mut caller = Caller {
                 instance: self.instance,
                 data: self.ctx,
+                sig: Some(sig),
             };
             match f(&mut caller, &args) {
-                Ok(values) => {
-                    for v in values {
-                        self.stack.push(v.raw());
+                Ok(ret) => {
+                    if !sig.results.is_empty() {
+                        self.stack.push(ret);
                     }
                     return Ok(Flow::Normal);
                 }

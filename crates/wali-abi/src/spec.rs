@@ -270,13 +270,12 @@ pub const SUPPORT_METHODS: &[&str] = &[
 ];
 
 /// Number of entries in [`SPEC`]; the size of dense per-syscall tables
-/// (handler tables, trace counters) indexed by [`sysno`].
+/// (trace counters) indexed by [`sysno`].
 pub const SPEC_LEN: usize = SPEC.len();
 
 /// Resolves a syscall name to its dense index into [`SPEC`].
 ///
-/// The index is the key of the pre-resolved handler table and the dense
-/// trace counters: stable for a build, contiguous, and cheap to look up
+/// The index is the key of the dense trace counters: stable for a build, contiguous, and cheap to look up
 /// (one hash over an interned map, done once at registration time — the
 /// per-call paths only ever index with the result).
 pub fn sysno(name: &str) -> Option<u16> {

@@ -7,7 +7,6 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use vkernel::kernel::{KernelHandles, SignalDelivery};
 use vkernel::{shared, HintFlag, Kernel, LockClass, MmId, MutexExt, Shared, Tid, Tracked};
@@ -161,7 +160,7 @@ impl WaliContext {
             brk_start: self.brk_start,
             args: self.args.clone(),
             env: self.env.clone(),
-            trace: Trace::default(),
+            trace: self.trace.child(),
             policy: self.policy.clone(),
             retry_deadline: None,
             handles: self.handles.clone(),
@@ -195,7 +194,7 @@ impl WaliContext {
             brk_start: self.brk_start,
             args: self.args.clone(),
             env: self.env.clone(),
-            trace: Trace::default(),
+            trace: self.trace.child(),
             policy: self.policy.clone(),
             retry_deadline: None,
             handles: self.handles.clone(),
@@ -210,12 +209,14 @@ impl WaliContext {
         }
     }
 
-    /// Runs `f` against the kernel, attributing the elapsed time to the
-    /// kernel layer (Fig. 7 accounting).
+    /// Runs `f` against the kernel; a run that records layer timing
+    /// attributes the elapsed time to the kernel layer (Fig. 7).
     pub fn with_kernel<R>(&mut self, f: impl FnOnce(&mut Kernel) -> R) -> R {
-        let t0 = Instant::now();
+        let t0 = self.trace.clock();
         let r = f(&mut self.kernel.lock_ok());
-        self.trace.kernel_time += t0.elapsed();
+        if let Some(t0) = t0 {
+            self.trace.kernel_time += t0.elapsed();
+        }
         r
     }
 

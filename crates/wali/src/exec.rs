@@ -64,11 +64,10 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use vkernel::{Clock, MutexExt, TaskState, Tid};
 use wali_abi::Errno;
-use wasm::host::{Caller, HostOutcome};
 use wasm::interp::{Instance, RunResult, Thread, Value};
 use wasm::Trap;
 
@@ -78,7 +77,6 @@ use crate::runner::{
     park_deadline, AtomicSched, Pending, RunOutcome, RunnerError, Slot, TaskEnd, WaliRunner,
     FUEL_SLICE, SLICE_QUANTUM_NS,
 };
-use wasm::host::{HostFn, Linker};
 use wasm::prep::Program;
 
 /// The read-only slice of the runner every worker shares. (`&WaliRunner`
@@ -86,8 +84,6 @@ use wasm::prep::Program;
 /// extension state, which workers never touch concurrently — ownership
 /// of a slot is the execution token.)
 struct RunnerView<'a> {
-    linker: &'a Linker<WaliContext>,
-    handlers: &'a [Option<HostFn<WaliContext>>],
     programs: &'a std::collections::HashMap<String, Arc<Program<WaliContext>>>,
     stats: &'a AtomicSched,
 }
@@ -215,8 +211,6 @@ impl WaliRunner {
         };
         {
             let view = RunnerView {
-                linker: &self.linker,
-                handlers: &self.handlers,
                 programs: &self.programs,
                 stats: &self.stats,
             };
@@ -522,7 +516,7 @@ fn run_slice(runner: &RunnerView<'_>, pool: &SmpPool, widx: usize, mut slot: Slo
         finish_task(pool, slot, None);
         return;
     }
-    let t0 = Instant::now();
+    let t0 = slot.ctx.trace.clock();
     let steps0 = slot.thread.steps;
     let reg0 = slot.thread.reg_steps;
     slot.thread.refuel(Some(FUEL_SLICE));
@@ -534,40 +528,14 @@ fn run_slice(runner: &RunnerView<'_>, pool: &SmpPool, widx: usize, mut slot: Slo
         Pending::Resume(values) => slot
             .thread
             .resume(&mut slot.instance, &mut slot.ctx, &values),
-        Pending::Retry {
-            module,
-            import,
-            sysno,
-            args,
-            deadline,
-        } => {
+        Pending::Retry { args, deadline, .. } => {
             slot.ctx.retry_deadline = deadline;
-            let f = match sysno.filter(|_| module == crate::WALI_MODULE) {
-                Some(no) => runner
-                    .handlers
-                    .get(no as usize)
-                    .and_then(|h| h.clone())
-                    .expect("retry of a registered syscall"),
-                None => runner
-                    .linker
-                    .resolve(module, import)
-                    .expect("retry of a registered function")
-                    .clone(),
-            };
-            let mut caller = Caller {
-                instance: &slot.instance,
-                data: &mut slot.ctx,
-            };
-            match f(&mut caller, &args) {
-                Ok(values) => slot
-                    .thread
-                    .resume(&mut slot.instance, &mut slot.ctx, &values),
-                Err(HostOutcome::Trap(t)) => RunResult::Trapped(t),
-                Err(HostOutcome::Suspend(s)) => RunResult::Suspended(s),
-            }
+            slot.thread.retry(&mut slot.instance, &mut slot.ctx, &args)
         }
     };
-    slot.ctx.trace.total_time += t0.elapsed();
+    if let Some(t0) = t0 {
+        slot.ctx.trace.total_time += t0.elapsed();
+    }
     slot.ctx.trace.wasm_steps += slot.thread.steps - steps0;
     slot.ctx.trace.reg_steps += slot.thread.reg_steps - reg0;
     let ran_wasm = slot.thread.steps != steps0;
@@ -615,19 +583,16 @@ fn handle_suspend(
             finish_task(pool, slot, Some(TaskEnd::Exited(code)));
         }
         WaliSuspend::Blocked {
-            module,
             import,
-            sysno,
             args,
             deadline,
+            ..
         } => {
             if !ran_wasm {
                 runner.stats.blocked_retries.fetch_add(1, Ordering::Relaxed);
             }
             slot.pending = Some(Pending::Retry {
-                module,
                 import,
-                sysno,
                 args,
                 deadline,
             });

@@ -39,7 +39,6 @@
 //!   signal raced in, it unsubscribes and bails so the slow path can
 //!   observe the pending signal under the kernel lock.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
 use vkernel::fd::{FdTable, FileKind};
@@ -51,18 +50,11 @@ use wali_abi::Errno;
 
 use crate::context::WaliContext;
 
-/// Number of syscalls completed on the fast path (process-wide).
-static FASTPATH_HITS: AtomicU64 = AtomicU64::new(0);
-
-/// Total syscalls completed on the sharded fast path since process
-/// start (diagnostics; the contention stress test asserts it moves).
-pub fn fastpath_hits() -> u64 {
-    FASTPATH_HITS.load(Ordering::Relaxed)
-}
-
+/// A completion on the fast path, counted in the task's own trace
+/// (`Trace::fastpath_hits`; the contention stress test asserts it moves).
 #[inline]
-fn hit<T>(r: T) -> Option<T> {
-    FASTPATH_HITS.fetch_add(1, Ordering::Relaxed);
+fn hit<T>(ctx: &mut WaliContext, r: T) -> Option<T> {
+    ctx.trace.fastpath_hits += 1;
     Some(r)
 }
 
@@ -143,10 +135,10 @@ pub(crate) fn try_read(
                     // Space opened up: wake blocked writers (post after
                     // dropping the pipe lock).
                     waits.post(Channel::PipeWritable(id));
-                    hit(Ok(n as i64))
+                    hit(ctx, Ok(n as i64))
                 }
-                PipeIo::Eof => hit(Ok(0)),
-                PipeIo::WouldBlock if nonblock => hit(Err(Errno::Eagain.into())),
+                PipeIo::Eof => hit(ctx, Ok(0)),
+                PipeIo::WouldBlock if nonblock => hit(ctx, Err(Errno::Eagain.into())),
                 PipeIo::WouldBlock => {
                     if sig_raised(ctx) {
                         // A kill raced in between the entry check and
@@ -158,7 +150,7 @@ pub(crate) fn try_read(
                         ctx.handles.waits.unsubscribe(ctx.tid);
                         return None;
                     }
-                    hit(Err(block()))
+                    hit(ctx, Err(block()))
                 }
                 PipeIo::Broken => unreachable!("read never reports Broken"),
             }
@@ -194,18 +186,18 @@ pub(crate) fn try_write(
                 PipeIo::Xfer(n) => {
                     // Data arrived: wake blocked readers and pollers.
                     waits.post(Channel::PipeReadable(id));
-                    hit(Ok(n as i64))
+                    hit(ctx, Ok(n as i64))
                 }
                 // Raising SIGPIPE needs the kernel lock; the redo is
                 // idempotent (no pipe state was changed).
                 PipeIo::Broken => None,
-                PipeIo::WouldBlock if nonblock => hit(Err(Errno::Eagain.into())),
+                PipeIo::WouldBlock if nonblock => hit(ctx, Err(Errno::Eagain.into())),
                 PipeIo::WouldBlock => {
                     if sig_raised(ctx) {
                         ctx.handles.waits.unsubscribe(ctx.tid);
                         return None;
                     }
-                    hit(Err(block()))
+                    hit(ctx, Err(block()))
                 }
                 PipeIo::Eof => unreachable!("write never reports Eof"),
             }
@@ -218,7 +210,11 @@ pub(crate) fn try_write(
 /// Stream-socket receive: handles only the drain-available-bytes shape
 /// (what the IPC ping-pong loops hit); EOF, blocking and datagrams fall
 /// through.
-fn try_sock_recv(ctx: &WaliContext, id: usize, out: &mut [u8]) -> Option<Result<i64, SysError>> {
+fn try_sock_recv(
+    ctx: &mut WaliContext,
+    id: usize,
+    out: &mut [u8],
+) -> Option<Result<i64, SysError>> {
     let sock = ctx.handles.socks.get(id)?;
     let n = {
         let mut s = sock.lock_ok();
@@ -234,13 +230,13 @@ fn try_sock_recv(ctx: &WaliContext, id: usize, out: &mut [u8]) -> Option<Result<
     // Space opened in our receive buffer: wake the peer's blocked
     // senders and POLLOUT pollers (post after dropping the lock).
     ctx.handles.waits.post(Channel::SockSpace(id));
-    hit(Ok(n as i64))
+    hit(ctx, Ok(n as i64))
 }
 
 /// Stream-socket send: handles only the copy-into-peer-space shape;
 /// full buffers, closed peers (SIGPIPE needs the kernel lock) and
 /// datagrams fall through.
-fn try_sock_send(ctx: &WaliContext, id: usize, data: &[u8]) -> Option<Result<i64, SysError>> {
+fn try_sock_send(ctx: &mut WaliContext, id: usize, data: &[u8]) -> Option<Result<i64, SysError>> {
     let peer = {
         let s = ctx.handles.socks.get(id)?;
         let g = s.lock_ok();
@@ -273,5 +269,5 @@ fn try_sock_send(ctx: &WaliContext, id: usize, data: &[u8]) -> Option<Result<i64
     // Data arrived at the peer: wake its readers and pollers (post
     // after dropping the peer's lock).
     ctx.handles.waits.post(Channel::SockReadable(peer));
-    hit(Ok(n as i64))
+    hit(ctx, Ok(n as i64))
 }

@@ -45,7 +45,6 @@ pub mod timer;
 pub mod trace;
 
 pub use context::{new_kernel_ref, WaliContext};
-pub use fastpath::fastpath_hits;
 pub use registry::build_linker;
 pub use runner::{Observables, RunOutcome, WaliRunner};
 pub use trace::Trace;

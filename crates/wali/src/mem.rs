@@ -8,25 +8,24 @@
 //! `EFAULT`, matching what the kernel reports for bad user pointers.
 
 use wali_abi::Errno;
-use wasm::interp::Value;
 use wasm::mem::Memory;
 
-/// Extracts argument `i` as an i64 (WALI syscall imports are all-i64).
-pub fn arg(args: &[Value], i: usize) -> i64 {
-    match args.get(i) {
-        Some(Value::I64(v)) => *v,
-        Some(Value::I32(v)) => *v as i64,
-        _ => 0,
-    }
+/// Extracts argument slot `i` as an i64 (WALI syscall imports are
+/// all-i64; a slot the caller did not pass reads 0).
+#[inline]
+pub fn arg(args: &[u64], i: usize) -> i64 {
+    args.get(i).copied().unwrap_or(0) as i64
 }
 
-/// Extracts argument `i` as a wasm32 pointer.
-pub fn arg_ptr(args: &[Value], i: usize) -> u32 {
+/// Extracts argument slot `i` as a wasm32 pointer.
+#[inline]
+pub fn arg_ptr(args: &[u64], i: usize) -> u32 {
     arg(args, i) as u32
 }
 
-/// Extracts argument `i` as an i32.
-pub fn arg_i32(args: &[Value], i: usize) -> i32 {
+/// Extracts argument slot `i` as an i32.
+#[inline]
+pub fn arg_i32(args: &[u64], i: usize) -> i32 {
     arg(args, i) as i32
 }
 
@@ -200,7 +199,7 @@ mod tests {
 
     #[test]
     fn value_arg_extraction() {
-        let args = [Value::I64(-5), Value::I64(0xffff_ffff)];
+        let args = [-5i64 as u64, 0xffff_ffff];
         assert_eq!(arg(&args, 0), -5);
         assert_eq!(arg_i32(&args, 0), -5);
         assert_eq!(arg_ptr(&args, 1), 0xffff_ffff);

@@ -2,10 +2,13 @@
 //!
 //! `build_linker` materializes the WALI specification: one host function
 //! per syscall, registered as `wali.SYS_<name>` with an all-i64 signature
-//! (§3.5 name binding). The wrapper generated around every call is the
-//! mechanical part of the recipe (§5): count the call, apply the policy
-//! layer, tick the kernel clock, time the layers, and map the kernel
-//! result onto the raw Linux return convention (negative errno).
+//! (§3.5 name binding). The wrapper around every call ([`wrapped`]) is
+//! the mechanical part of the recipe (§5): count the call, apply the
+//! policy layer, tick the kernel clock, time the layers when the run
+//! records them, and map the kernel result onto the raw Linux return
+//! convention (negative errno). Handlers use the engine's raw-slot
+//! convention ([`wasm::host::HostFn`]): a non-blocking crossing reads
+//! its arguments off the guest's operand stack and allocates nothing.
 
 use vkernel::{Block, SysError};
 use wali_abi::Errno;
@@ -32,17 +35,20 @@ pub enum WaliSuspend {
         /// Exit code.
         code: i32,
     },
-    /// A blocking call: retry `(module, import)` with `args` once woken.
+    /// A blocking call: once woken, the runner re-enters the import the
+    /// guest is suspended in ([`wasm::interp::Thread::retry`]) with
+    /// `args`. `module`, `import` and `sysno` describe the call that
+    /// blocked (diagnostics); a layer over WALI re-keys them, and `args`,
+    /// to its own function when a syscall it made blocks.
     Blocked {
         /// Import module namespace (`"wali"` for syscalls).
         module: &'static str,
         /// Full import name (`"SYS_read"`, or a layered API function).
         import: &'static str,
         /// Dense spec index of the syscall, when the blocked call is a
-        /// WALI syscall: lets the runner retry through the pre-resolved
-        /// handler table instead of a by-name registry lookup.
+        /// WALI syscall.
         sysno: Option<u16>,
-        /// Original raw arguments.
+        /// Original arguments (only their raw bits matter).
         args: Vec<Value>,
         /// Optional wake deadline (virtual mono ns).
         deadline: Option<u64>,
@@ -76,49 +82,84 @@ pub enum WaliSuspend {
     },
 }
 
+/// The suspension a blocking call parks on. The raw slots are saved as
+/// i64 values — the retry puts their bits back on the operand stack, so
+/// a slot's true type is immaterial.
+pub fn blocked(
+    module: &'static str,
+    import: &'static str,
+    sysno: Option<u16>,
+    args: &[u64],
+    deadline: Option<u64>,
+) -> HostOutcome {
+    HostOutcome::Suspend(Suspension::new(WaliSuspend::Blocked {
+        module,
+        import,
+        sysno,
+        args: args.iter().map(|&raw| Value::I64(raw as i64)).collect(),
+        deadline,
+    }))
+}
+
 /// Maps a kernel result onto the syscall return convention, or suspends.
 pub fn finish(
     import: &'static str,
     sysno: Option<u16>,
-    args: &[Value],
+    args: &[u64],
     r: Result<i64, SysError>,
-) -> Result<Vec<Value>, HostOutcome> {
+) -> Result<u64, HostOutcome> {
     match r {
-        Ok(v) => Ok(vec![Value::I64(v)]),
-        Err(SysError::Err(e)) => Ok(vec![Value::I64(e.as_ret())]),
-        Err(SysError::Block(Block { deadline })) => Err(HostOutcome::Suspend(Suspension::new(
-            WaliSuspend::Blocked {
-                module: crate::WALI_MODULE,
-                import,
-                sysno,
-                args: args.to_vec(),
-                deadline,
-            },
-        ))),
+        Ok(v) => Ok(v as u64),
+        Err(SysError::Err(e)) => Ok(e.as_ret() as u64),
+        Err(SysError::Block(Block { deadline })) => {
+            Err(blocked(crate::WALI_MODULE, import, sysno, args, deadline))
+        }
     }
 }
 
-/// Common wrapper body shared by `sys!` registrations. `sysno` is the
-/// pre-resolved dense spec index (resolved once at registration, so the
-/// per-call path is an array increment, not a name lookup).
-pub fn enter(
+/// The wrapper around every syscall handler — implemented, control
+/// transferring or ENOSYS stub alike: [`enter`], then `body` unless the
+/// policy layer answered in its place. Host time is clocked only in a
+/// run that records layer timing.
+#[inline]
+pub fn wrapped(
     caller: &mut Caller<'_, WaliContext>,
     name: &'static str,
     sysno: Option<u16>,
-) -> Result<(), Result<Vec<Value>, HostOutcome>> {
-    caller.data.trace.count_dispatch(sysno, name);
-    if let Some(policy) = &mut caller.data.policy {
+    body: impl FnOnce(&mut Caller<'_, WaliContext>) -> Result<u64, HostOutcome>,
+) -> Result<u64, HostOutcome> {
+    let t0 = caller.data.trace.clock();
+    let r = match enter(caller.data, name, sysno) {
+        Ok(()) => body(caller),
+        Err(denied) => denied,
+    };
+    if let Some(t0) = t0 {
+        caller.data.trace.host_time += t0.elapsed();
+    }
+    r
+}
+
+/// Syscall entry, shared by every wrapper instance: count the call,
+/// consult the policy layer, tick the virtual clock. `sysno` is the
+/// dense spec index resolved once at registration, so counting is an
+/// array increment, not a name lookup. `Err` is the policy's answer to a
+/// denied call.
+fn enter(
+    ctx: &mut WaliContext,
+    name: &'static str,
+    sysno: Option<u16>,
+) -> Result<(), Result<u64, HostOutcome>> {
+    ctx.trace.count_dispatch(sysno, name);
+    if let Some(policy) = &mut ctx.policy {
         match policy.check(name) {
             Verdict::Allow => {}
-            Verdict::Deny(DenyAction::Errno(e)) => {
-                return Err(Ok(vec![Value::I64(e.as_ret())]));
-            }
+            Verdict::Deny(DenyAction::Errno(e)) => return Err(Ok(e.as_ret() as u64)),
             Verdict::Deny(DenyAction::Kill) => {
-                return Err(Err(HostOutcome::Trap(Trap::Forbidden(name))));
+                return Err(Err(HostOutcome::Trap(Trap::Forbidden(name))))
             }
         }
     }
-    caller.data.tick_syscall();
+    ctx.tick_syscall();
     Ok(())
 }
 
@@ -127,20 +168,16 @@ macro_rules! sys {
     ($l:expr, $name:literal, $f:expr) => {{
         let name: &'static str = $name;
         let sysno = wali_abi::spec::sysno(name);
-        $l.func(
+        $l.func_raw(
             crate::WALI_MODULE,
             concat!("SYS_", $name),
             move |caller: &mut wasm::host::Caller<'_, crate::context::WaliContext>,
-                  args: &[wasm::interp::Value]| {
-                let t0 = std::time::Instant::now();
-                if let Err(early) = crate::registry::enter(caller, name, sysno) {
-                    caller.data.trace.host_time += t0.elapsed();
-                    return early;
-                }
-                #[allow(clippy::redundant_closure_call)]
-                let r = ($f)(caller, args);
-                caller.data.trace.host_time += t0.elapsed();
-                crate::registry::finish(concat!("SYS_", $name), sysno, args, r)
+                  args: &[u64]| {
+                crate::registry::wrapped(caller, name, sysno, |caller| {
+                    #[allow(clippy::redundant_closure_call)]
+                    let r = ($f)(caller, args);
+                    crate::registry::finish(concat!("SYS_", $name), sysno, args, r)
+                })
             },
         );
     }};
@@ -152,20 +189,13 @@ macro_rules! sysx {
     ($l:expr, $name:literal, $f:expr) => {{
         let name: &'static str = $name;
         let sysno = wali_abi::spec::sysno(name);
-        $l.func(
+        $l.func_raw(
             crate::WALI_MODULE,
             concat!("SYS_", $name),
             move |caller: &mut wasm::host::Caller<'_, crate::context::WaliContext>,
-                  args: &[wasm::interp::Value]| {
-                let t0 = std::time::Instant::now();
-                if let Err(early) = crate::registry::enter(caller, name, sysno) {
-                    caller.data.trace.host_time += t0.elapsed();
-                    return early;
-                }
+                  args: &[u64]| {
                 #[allow(clippy::redundant_closure_call)]
-                let r = ($f)(caller, args);
-                caller.data.trace.host_time += t0.elapsed();
-                r
+                crate::registry::wrapped(caller, name, sysno, |caller| ($f)(caller, args))
             },
         );
     }};
@@ -191,13 +221,14 @@ pub(crate) fn flat<T>(r: Result<Result<T, SysError>, Errno>) -> Result<T, SysErr
 }
 
 /// A syscall in the spec with no faithful implementation on this platform:
-/// name-bound and present, but traps when invoked (§3.5 "allowing the
-/// latter to trap if it cannot faithfully attempt the execution").
+/// name-bound and present, but answers `-ENOSYS` when invoked (§3.5
+/// "allowing the latter to trap if it cannot faithfully attempt the
+/// execution") — through the same wrapper as every other syscall, so the
+/// policy layer sees it too.
 pub(crate) fn register_nosys(l: &mut Linker<WaliContext>, name: &'static str) {
     let sysno = wali_abi::spec::sysno(name);
-    l.func(WALI_MODULE, &format!("SYS_{name}"), move |caller, _args| {
-        caller.data.trace.count_dispatch(sysno, name);
-        Ok(vec![Value::I64(Errno::Enosys.as_ret())])
+    l.func_raw(WALI_MODULE, &format!("SYS_{name}"), move |caller, _args| {
+        wrapped(caller, name, sysno, |_| Ok(Errno::Enosys.as_ret() as u64))
     });
 }
 
@@ -246,6 +277,51 @@ mod tests {
                 "missing support method {m}"
             );
         }
+    }
+
+    /// An ENOSYS stub is a syscall like any other to the policy layer:
+    /// denied calls trap or fail with the policy's errno and are logged;
+    /// allowed ones tick the virtual clock and answer `-ENOSYS`.
+    #[test]
+    fn nosys_stubs_go_through_the_policy_layer() {
+        use crate::policy::Policy;
+
+        let mut l = Linker::new();
+        register_nosys(&mut l, "sync");
+        let stub = l.resolve(WALI_MODULE, "SYS_sync").unwrap().clone();
+
+        let mut mb = wasm::build::ModuleBuilder::new();
+        mb.memory(1, Some(1));
+        let program =
+            wasm::Program::link(&mb.build(), &l, wasm::SafepointScheme::None).expect("link");
+        let instance = wasm::Instance::new(std::sync::Arc::new(program)).expect("instantiate");
+        let kernel = crate::new_kernel_ref(vkernel::Kernel::new());
+        let tid = kernel.lock_ok().spawn_process();
+        let mut ctx = WaliContext::new(kernel.clone(), tid, 4096);
+        let call = |ctx: &mut WaliContext| {
+            let mut caller = Caller {
+                instance: &instance,
+                data: ctx,
+                sig: None,
+            };
+            stub(&mut caller, &[])
+        };
+        let entered = || kernel.lock_ok().syscall_count();
+
+        ctx.policy = Some(Policy::allow_list(["read"], DenyAction::Kill));
+        assert!(matches!(
+            call(&mut ctx),
+            Err(HostOutcome::Trap(Trap::Forbidden("sync")))
+        ));
+        ctx.policy = Some(Policy::deny_list(["sync"], DenyAction::Errno(Errno::Eperm)));
+        assert_eq!(call(&mut ctx).ok(), Some(Errno::Eperm.as_ret() as u64));
+        assert_eq!(ctx.policy.as_ref().unwrap().denied_log, vec!["sync"]);
+        assert_eq!(entered(), 0, "denied calls never enter the kernel");
+
+        ctx.policy = None;
+        assert_eq!(call(&mut ctx).ok(), Some(Errno::Enosys.as_ret() as u64));
+        assert_eq!(entered(), 1, "an allowed stub ticks like any syscall");
+        assert_eq!(ctx.trace.counts.of("sync"), 3, "every attempt is counted");
     }
 
     #[test]

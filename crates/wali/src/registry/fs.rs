@@ -6,7 +6,6 @@ use wali_abi::flags::{AT_FDCWD, AT_REMOVEDIR, AT_SYMLINK_NOFOLLOW, O_RDWR};
 use wali_abi::layout::{WaliIovec, WaliStat, WaliTimespec};
 use wali_abi::Errno;
 use wasm::host::{Caller, Linker};
-use wasm::interp::Value;
 
 use crate::context::WaliContext;
 use crate::mem::{
@@ -41,7 +40,7 @@ fn stat_out(c: C, ptr: u32, st: WaliStat) -> R {
 }
 
 pub(crate) fn register(l: &mut Linker<WaliContext>) {
-    sys!(l, "read", |c: C, a: &[Value]| -> R {
+    sys!(l, "read", |c: C, a: &[u64]| -> R {
         let (fd, ptr, len) = (arg_i32(a, 0), arg_ptr(a, 1), arg(a, 2) as usize);
         let mem = c.instance.memory.clone();
         flat(with_slice_mut(&mem, ptr, len, |buf| {
@@ -54,7 +53,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         }))
     });
 
-    sys!(l, "write", |c: C, a: &[Value]| -> R {
+    sys!(l, "write", |c: C, a: &[u64]| -> R {
         let (fd, ptr, len) = (arg_i32(a, 0), arg_ptr(a, 1), arg(a, 2) as usize);
         let mem = c.instance.memory.clone();
         flat(with_slice(&mem, ptr, len, |buf| {
@@ -66,7 +65,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         }))
     });
 
-    sys!(l, "pread64", |c: C, a: &[Value]| -> R {
+    sys!(l, "pread64", |c: C, a: &[u64]| -> R {
         let (fd, ptr, len, off) = (
             arg_i32(a, 0),
             arg_ptr(a, 1),
@@ -79,7 +78,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         }))
     });
 
-    sys!(l, "pwrite64", |c: C, a: &[Value]| -> R {
+    sys!(l, "pwrite64", |c: C, a: &[u64]| -> R {
         let (fd, ptr, len, off) = (
             arg_i32(a, 0),
             arg_ptr(a, 1),
@@ -96,47 +95,47 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     // bytes, native ones 16 (§3.2 "Layout Conversion"). The positional
     // variants route through `sys_pread`/`sys_pwrite`, leaving the file
     // cursor unmoved like Linux.
-    sys!(l, "readv", |c: C, a: &[Value]| -> R {
+    sys!(l, "readv", |c: C, a: &[u64]| -> R {
         do_iov(c, a, false, false)
     });
-    sys!(l, "writev", |c: C, a: &[Value]| -> R {
+    sys!(l, "writev", |c: C, a: &[u64]| -> R {
         do_iov(c, a, true, false)
     });
-    sys!(l, "preadv", |c: C, a: &[Value]| -> R {
+    sys!(l, "preadv", |c: C, a: &[u64]| -> R {
         do_iov(c, a, false, true)
     });
-    sys!(l, "pwritev", |c: C, a: &[Value]| -> R {
+    sys!(l, "pwritev", |c: C, a: &[u64]| -> R {
         do_iov(c, a, true, true)
     });
 
-    sys!(l, "open", |c: C, a: &[Value]| -> R {
+    sys!(l, "open", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         do_openat(c, AT_FDCWD, &path, arg_i32(a, 1), arg(a, 2) as u32)
     });
 
-    sys!(l, "openat", |c: C, a: &[Value]| -> R {
+    sys!(l, "openat", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         do_openat(c, arg_i32(a, 0), &path, arg_i32(a, 2), arg(a, 3) as u32)
     });
 
-    sys!(l, "close", |c: C, a: &[Value]| -> R {
+    sys!(l, "close", |c: C, a: &[u64]| -> R {
         let fd = arg_i32(a, 0);
         k(c, |kk, tid| kk.sys_close(tid, fd))
     });
 
-    sys!(l, "lseek", |c: C, a: &[Value]| -> R {
+    sys!(l, "lseek", |c: C, a: &[u64]| -> R {
         let (fd, off, whence) = (arg_i32(a, 0), arg(a, 1), arg_i32(a, 2));
         k(c, |kk, tid| kk.sys_lseek(tid, fd, off, whence))
     });
 
-    sys!(l, "dup", |c: C, a: &[Value]| -> R {
+    sys!(l, "dup", |c: C, a: &[u64]| -> R {
         let fd = arg_i32(a, 0);
         k(c, |kk, tid| kk.sys_dup(tid, fd))
     });
 
-    sys!(l, "dup2", |c: C, a: &[Value]| -> R {
+    sys!(l, "dup2", |c: C, a: &[u64]| -> R {
         let (old, new) = (arg_i32(a, 0), arg_i32(a, 1));
         if old == new {
             // dup2 is a no-op on equal fds (dup3 errors instead).
@@ -149,24 +148,24 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         k(c, |kk, tid| kk.sys_dup3(tid, old, new, 0))
     });
 
-    sys!(l, "dup3", |c: C, a: &[Value]| -> R {
+    sys!(l, "dup3", |c: C, a: &[u64]| -> R {
         let (old, new, flags) = (arg_i32(a, 0), arg_i32(a, 1), arg_i32(a, 2));
         k(c, |kk, tid| kk.sys_dup3(tid, old, new, flags))
     });
 
-    sys!(l, "pipe", |c: C, a: &[Value]| -> R {
+    sys!(l, "pipe", |c: C, a: &[u64]| -> R {
         do_pipe(c, arg_ptr(a, 0), 0)
     });
-    sys!(l, "pipe2", |c: C, a: &[Value]| -> R {
+    sys!(l, "pipe2", |c: C, a: &[u64]| -> R {
         do_pipe(c, arg_ptr(a, 0), arg_i32(a, 1))
     });
 
-    sys!(l, "fcntl", |c: C, a: &[Value]| -> R {
+    sys!(l, "fcntl", |c: C, a: &[u64]| -> R {
         let (fd, cmd, argv) = (arg_i32(a, 0), arg_i32(a, 1), arg_i32(a, 2));
         k(c, |kk, tid| kk.sys_fcntl(tid, fd, cmd, argv))
     });
 
-    sys!(l, "ioctl", |c: C, a: &[Value]| -> R {
+    sys!(l, "ioctl", |c: C, a: &[u64]| -> R {
         let (fd, op, argp) = (arg_i32(a, 0), arg(a, 1) as u64, arg_ptr(a, 2));
         let mem = c.instance.memory.clone();
         let out = k(c, |kk, tid| kk.sys_ioctl(tid, fd, op))?;
@@ -187,35 +186,35 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         }
     });
 
-    sys!(l, "flock", |c: C, a: &[Value]| -> R {
+    sys!(l, "flock", |c: C, a: &[u64]| -> R {
         // Single-kernel model: advisory locks always succeed.
         let fd = arg_i32(a, 0);
         k(c, |kk, tid| kk.sys_fsync(tid, fd))
     });
 
-    sys!(l, "fsync", |c: C, a: &[Value]| -> R {
+    sys!(l, "fsync", |c: C, a: &[u64]| -> R {
         let fd = arg_i32(a, 0);
         k(c, |kk, tid| kk.sys_fsync(tid, fd))
     });
-    sys!(l, "fdatasync", |c: C, a: &[Value]| -> R {
+    sys!(l, "fdatasync", |c: C, a: &[u64]| -> R {
         let fd = arg_i32(a, 0);
         k(c, |kk, tid| kk.sys_fsync(tid, fd))
     });
-    sys!(l, "sync", |_c: C, _a: &[Value]| -> R { Ok(0) });
+    sys!(l, "sync", |_c: C, _a: &[u64]| -> R { Ok(0) });
 
-    sys!(l, "truncate", |c: C, a: &[Value]| -> R {
+    sys!(l, "truncate", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let len = arg(a, 1) as u64;
         k(c, |kk, tid| kk.sys_truncate(tid, &path, len))
     });
 
-    sys!(l, "ftruncate", |c: C, a: &[Value]| -> R {
+    sys!(l, "ftruncate", |c: C, a: &[u64]| -> R {
         let (fd, len) = (arg_i32(a, 0), arg(a, 1) as u64);
         k(c, |kk, tid| kk.sys_ftruncate(tid, fd, len))
     });
 
-    sys!(l, "fallocate", |c: C, a: &[Value]| -> R {
+    sys!(l, "fallocate", |c: C, a: &[u64]| -> R {
         let (fd, off, len) = (arg_i32(a, 0), arg(a, 2) as u64, arg(a, 3) as u64);
         k(c, |kk, tid| {
             let st = kk.sys_fstat(tid, fd)?;
@@ -227,14 +226,14 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         })
     });
 
-    sys!(l, "stat", |c: C, a: &[Value]| -> R {
+    sys!(l, "stat", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let st = k(c, |kk, tid| kk.sys_fstatat(tid, AT_FDCWD, &path, 0))?;
         stat_out(c, arg_ptr(a, 1), st)
     });
 
-    sys!(l, "lstat", |c: C, a: &[Value]| -> R {
+    sys!(l, "lstat", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let st = k(c, |kk, tid| {
@@ -243,13 +242,13 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         stat_out(c, arg_ptr(a, 1), st)
     });
 
-    sys!(l, "fstat", |c: C, a: &[Value]| -> R {
+    sys!(l, "fstat", |c: C, a: &[u64]| -> R {
         let fd = arg_i32(a, 0);
         let st = k(c, |kk, tid| kk.sys_fstat(tid, fd))?;
         stat_out(c, arg_ptr(a, 1), st)
     });
 
-    sys!(l, "newfstatat", |c: C, a: &[Value]| -> R {
+    sys!(l, "newfstatat", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         let (dirfd, flags) = (arg_i32(a, 0), arg_i32(a, 3));
@@ -262,7 +261,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         stat_out(c, arg_ptr(a, 2), st)
     });
 
-    sys!(l, "getdents64", |c: C, a: &[Value]| -> R {
+    sys!(l, "getdents64", |c: C, a: &[u64]| -> R {
         let (fd, dirp, count) = (arg_i32(a, 0), arg_ptr(a, 1), arg(a, 2) as usize);
         let mem = c.instance.memory.clone();
         let entries = k(c, |kk, tid| kk.sys_getdents(tid, fd, count))?;
@@ -278,7 +277,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(used as i64)
     });
 
-    sys!(l, "getcwd", |c: C, a: &[Value]| -> R {
+    sys!(l, "getcwd", |c: C, a: &[u64]| -> R {
         let (buf, size) = (arg_ptr(a, 0), arg(a, 1) as usize);
         let mem = c.instance.memory.clone();
         let cwd = k(c, |kk, tid| kk.sys_getcwd(tid))?;
@@ -290,32 +289,32 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(cwd.len() as i64 + 1)
     });
 
-    sys!(l, "chdir", |c: C, a: &[Value]| -> R {
+    sys!(l, "chdir", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         k(c, |kk, tid| kk.sys_chdir(tid, &path))
     });
 
-    sys!(l, "fchdir", |c: C, a: &[Value]| -> R {
+    sys!(l, "fchdir", |c: C, a: &[u64]| -> R {
         let fd = arg_i32(a, 0);
         k(c, |kk, tid| kk.sys_fchdir(tid, fd))
     });
 
-    sys!(l, "mkdir", |c: C, a: &[Value]| -> R {
+    sys!(l, "mkdir", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let mode = arg(a, 1) as u32;
         k(c, |kk, tid| kk.sys_mkdirat(tid, AT_FDCWD, &path, mode))
     });
 
-    sys!(l, "mkdirat", |c: C, a: &[Value]| -> R {
+    sys!(l, "mkdirat", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         let (dirfd, mode) = (arg_i32(a, 0), arg(a, 2) as u32);
         k(c, |kk, tid| kk.sys_mkdirat(tid, dirfd, &path, mode))
     });
 
-    sys!(l, "rmdir", |c: C, a: &[Value]| -> R {
+    sys!(l, "rmdir", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         k(c, |kk, tid| {
@@ -323,20 +322,20 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         })
     });
 
-    sys!(l, "unlink", |c: C, a: &[Value]| -> R {
+    sys!(l, "unlink", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         k(c, |kk, tid| kk.sys_unlinkat(tid, AT_FDCWD, &path, 0))
     });
 
-    sys!(l, "unlinkat", |c: C, a: &[Value]| -> R {
+    sys!(l, "unlinkat", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         let (dirfd, flags) = (arg_i32(a, 0), arg_i32(a, 2));
         k(c, |kk, tid| kk.sys_unlinkat(tid, dirfd, &path, flags))
     });
 
-    sys!(l, "rename", |c: C, a: &[Value]| -> R {
+    sys!(l, "rename", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let old = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let new = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
@@ -345,7 +344,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         })
     });
 
-    sys!(l, "renameat", |c: C, a: &[Value]| -> R {
+    sys!(l, "renameat", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let old = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         let new = read_cstr(&mem, arg_ptr(a, 3)).map_err(SysError::Err)?;
@@ -353,7 +352,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         k(c, |kk, tid| kk.sys_renameat(tid, ofd, &old, nfd, &new))
     });
 
-    sys!(l, "renameat2", |c: C, a: &[Value]| -> R {
+    sys!(l, "renameat2", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let old = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         let new = read_cstr(&mem, arg_ptr(a, 3)).map_err(SysError::Err)?;
@@ -361,7 +360,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         k(c, |kk, tid| kk.sys_renameat(tid, ofd, &old, nfd, &new))
     });
 
-    sys!(l, "link", |c: C, a: &[Value]| -> R {
+    sys!(l, "link", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let old = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let new = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
@@ -370,7 +369,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         })
     });
 
-    sys!(l, "linkat", |c: C, a: &[Value]| -> R {
+    sys!(l, "linkat", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let old = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         let new = read_cstr(&mem, arg_ptr(a, 3)).map_err(SysError::Err)?;
@@ -378,14 +377,14 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         k(c, |kk, tid| kk.sys_linkat(tid, ofd, &old, nfd, &new))
     });
 
-    sys!(l, "symlink", |c: C, a: &[Value]| -> R {
+    sys!(l, "symlink", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let target = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         k(c, |kk, tid| kk.sys_symlinkat(tid, &target, AT_FDCWD, &path))
     });
 
-    sys!(l, "symlinkat", |c: C, a: &[Value]| -> R {
+    sys!(l, "symlinkat", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let target = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let path = read_cstr(&mem, arg_ptr(a, 2)).map_err(SysError::Err)?;
@@ -393,7 +392,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         k(c, |kk, tid| kk.sys_symlinkat(tid, &target, dirfd, &path))
     });
 
-    sys!(l, "readlink", |c: C, a: &[Value]| -> R {
+    sys!(l, "readlink", |c: C, a: &[u64]| -> R {
         do_readlink(
             c,
             AT_FDCWD,
@@ -403,7 +402,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         )
     });
 
-    sys!(l, "readlinkat", |c: C, a: &[Value]| -> R {
+    sys!(l, "readlinkat", |c: C, a: &[u64]| -> R {
         do_readlink(
             c,
             arg_i32(a, 0),
@@ -413,47 +412,47 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         )
     });
 
-    sys!(l, "access", |c: C, a: &[Value]| -> R {
+    sys!(l, "access", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let mode = arg_i32(a, 1);
         k(c, |kk, tid| kk.sys_faccessat(tid, AT_FDCWD, &path, mode))
     });
 
-    sys!(l, "faccessat", |c: C, a: &[Value]| -> R {
+    sys!(l, "faccessat", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         let (dirfd, mode) = (arg_i32(a, 0), arg_i32(a, 2));
         k(c, |kk, tid| kk.sys_faccessat(tid, dirfd, &path, mode))
     });
 
-    sys!(l, "faccessat2", |c: C, a: &[Value]| -> R {
+    sys!(l, "faccessat2", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         let (dirfd, mode) = (arg_i32(a, 0), arg_i32(a, 2));
         k(c, |kk, tid| kk.sys_faccessat(tid, dirfd, &path, mode))
     });
 
-    sys!(l, "chmod", |c: C, a: &[Value]| -> R {
+    sys!(l, "chmod", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let mode = arg(a, 1) as u32;
         k(c, |kk, tid| kk.sys_fchmodat(tid, AT_FDCWD, &path, mode))
     });
 
-    sys!(l, "fchmod", |c: C, a: &[Value]| -> R {
+    sys!(l, "fchmod", |c: C, a: &[u64]| -> R {
         let (fd, mode) = (arg_i32(a, 0), arg(a, 1) as u32);
         k(c, |kk, tid| kk.sys_fchmod(tid, fd, mode))
     });
 
-    sys!(l, "fchmodat", |c: C, a: &[Value]| -> R {
+    sys!(l, "fchmodat", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         let (dirfd, mode) = (arg_i32(a, 0), arg(a, 2) as u32);
         k(c, |kk, tid| kk.sys_fchmodat(tid, dirfd, &path, mode))
     });
 
-    sys!(l, "chown", |c: C, a: &[Value]| -> R {
+    sys!(l, "chown", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let (uid, gid) = (arg(a, 1) as u32, arg(a, 2) as u32);
@@ -462,13 +461,13 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         })
     });
 
-    sys!(l, "fchown", |_c: C, a: &[Value]| -> R {
+    sys!(l, "fchown", |_c: C, a: &[u64]| -> R {
         // fd-relative chown: resolve through fstat then ignore (ids only).
         let _fd = arg_i32(a, 0);
         Ok(0)
     });
 
-    sys!(l, "fchownat", |c: C, a: &[Value]| -> R {
+    sys!(l, "fchownat", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         let (dirfd, uid, gid, flags) = (
@@ -482,12 +481,12 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         })
     });
 
-    sys!(l, "umask", |c: C, a: &[Value]| -> R {
+    sys!(l, "umask", |c: C, a: &[u64]| -> R {
         let mask = arg(a, 0) as u32;
         k(c, |kk, tid| kk.sys_umask(tid, mask))
     });
 
-    sys!(l, "mknod", |c: C, a: &[Value]| -> R {
+    sys!(l, "mknod", |c: C, a: &[u64]| -> R {
         // Userspace mknod: regular files only (devices are privileged).
         let mem = c.instance.memory.clone();
         let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
@@ -504,7 +503,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         })
     });
 
-    sys!(l, "utimensat", |c: C, a: &[Value]| -> R {
+    sys!(l, "utimensat", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let path_ptr = arg_ptr(a, 1);
         if path_ptr != 0 {
@@ -521,18 +520,18 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(0)
     });
 
-    sys!(l, "statfs", |c: C, a: &[Value]| -> R {
+    sys!(l, "statfs", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let _path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         write_statfs(&mem, arg_ptr(a, 1))
     });
 
-    sys!(l, "fstatfs", |c: C, a: &[Value]| -> R {
+    sys!(l, "fstatfs", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         write_statfs(&mem, arg_ptr(a, 1))
     });
 
-    sys!(l, "sendfile", |c: C, a: &[Value]| -> R {
+    sys!(l, "sendfile", |c: C, a: &[u64]| -> R {
         let (out_fd, in_fd, count) = (arg_i32(a, 0), arg_i32(a, 1), arg(a, 3) as usize);
         k(c, |kk, tid| {
             let mut moved = 0usize;
@@ -553,7 +552,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         })
     });
 
-    sys!(l, "copy_file_range", |c: C, a: &[Value]| -> R {
+    sys!(l, "copy_file_range", |c: C, a: &[u64]| -> R {
         let (in_fd, out_fd, count) = (arg_i32(a, 0), arg_i32(a, 2), arg(a, 4) as usize);
         k(c, |kk, tid| {
             let mut moved = 0usize;
@@ -571,12 +570,12 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         })
     });
 
-    sys!(l, "eventfd2", |c: C, a: &[Value]| -> R {
+    sys!(l, "eventfd2", |c: C, a: &[u64]| -> R {
         let (initval, flags) = (arg(a, 0) as u32, arg_i32(a, 1));
         k(c, |kk, tid| kk.sys_eventfd2(tid, initval, flags))
     });
 
-    sys!(l, "statx", |_c: C, _a: &[Value]| -> R {
+    sys!(l, "statx", |_c: C, _a: &[u64]| -> R {
         // Modern stat variant: libcs fall back to newfstatat on ENOSYS.
         Err(Errno::Enosys.into())
     });
@@ -599,7 +598,7 @@ fn do_readlink(c: C, dirfd: i32, path_ptr: u32, buf: u32, size: usize) -> R {
     Ok(n as i64)
 }
 
-fn do_iov(c: C, a: &[Value], write: bool, positional: bool) -> R {
+fn do_iov(c: C, a: &[u64], write: bool, positional: bool) -> R {
     let (fd, iov_ptr, iovcnt) = (arg_i32(a, 0), arg_ptr(a, 1), arg(a, 2) as usize);
     let offset = if positional {
         Some(arg(a, 3) as u64)

@@ -5,7 +5,6 @@ use wali_abi::flags::{FUTEX_PRIVATE_FLAG, FUTEX_WAIT, FUTEX_WAKE};
 use wali_abi::layout::{WaliSysinfo, WaliTimespec, WaliTimeval, WaliUtsname};
 use wali_abi::Errno;
 use wasm::host::{Caller, Linker};
-use wasm::interp::Value;
 
 use crate::context::WaliContext;
 use crate::mem::{arg, arg_i32, arg_ptr, read_bytes, write_bytes};
@@ -26,14 +25,14 @@ fn write_timespec(c: &Caller<'_, WaliContext>, ptr: u32, ts: WaliTimespec) -> Re
 }
 
 pub(crate) fn register(l: &mut Linker<WaliContext>) {
-    sys!(l, "clock_gettime", |c: C, a: &[Value]| -> R {
+    sys!(l, "clock_gettime", |c: C, a: &[u64]| -> R {
         let (clock_id, ts_ptr) = (arg_i32(a, 0), arg_ptr(a, 1));
         let ns = k(c, |kk, _| kk.sys_clock_gettime(clock_id))?;
         write_timespec(c, ts_ptr, WaliTimespec::from_nanos(ns)).map_err(SysError::Err)?;
         Ok(0)
     });
 
-    sys!(l, "clock_getres", |c: C, a: &[Value]| -> R {
+    sys!(l, "clock_getres", |c: C, a: &[u64]| -> R {
         let ts_ptr = arg_ptr(a, 1);
         if ts_ptr != 0 {
             write_timespec(c, ts_ptr, WaliTimespec { sec: 0, nsec: 1 }).map_err(SysError::Err)?;
@@ -41,7 +40,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(0)
     });
 
-    sys!(l, "gettimeofday", |c: C, a: &[Value]| -> R {
+    sys!(l, "gettimeofday", |c: C, a: &[u64]| -> R {
         let tv_ptr = arg_ptr(a, 0);
         let ns = k(c, |kk, _| {
             kk.sys_clock_gettime(wali_abi::flags::CLOCK_REALTIME)
@@ -58,11 +57,11 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(0)
     });
 
-    sys!(l, "settimeofday", |_c: C, _a: &[Value]| -> R {
+    sys!(l, "settimeofday", |_c: C, _a: &[u64]| -> R {
         Err(Errno::Eperm.into())
     });
 
-    sys!(l, "nanosleep", |c: C, a: &[Value]| -> R {
+    sys!(l, "nanosleep", |c: C, a: &[u64]| -> R {
         let req_ptr = arg_ptr(a, 0);
         let retry = c.data.retry_deadline.take();
         match retry {
@@ -75,7 +74,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         }
     });
 
-    sys!(l, "clock_nanosleep", |c: C, a: &[Value]| -> R {
+    sys!(l, "clock_nanosleep", |c: C, a: &[u64]| -> R {
         let req_ptr = arg_ptr(a, 2);
         let retry = c.data.retry_deadline.take();
         match retry {
@@ -88,14 +87,14 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         }
     });
 
-    sys!(l, "getitimer", |c: C, a: &[Value]| -> R {
+    sys!(l, "getitimer", |c: C, a: &[u64]| -> R {
         let ptr = arg_ptr(a, 1);
         // it_interval + it_value, both zero unless an alarm is pending.
         write_bytes(&c.instance.memory, ptr, &[0u8; 32]).map_err(SysError::Err)?;
         Ok(0)
     });
 
-    sys!(l, "setitimer", |c: C, a: &[Value]| -> R {
+    sys!(l, "setitimer", |c: C, a: &[u64]| -> R {
         // ITIMER_REAL mapped onto alarm(2) granularity.
         let (which, new_ptr) = (arg_i32(a, 0), arg_ptr(a, 1));
         if which != 0 {
@@ -109,7 +108,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(0)
     });
 
-    sys!(l, "uname", |c: C, a: &[Value]| -> R {
+    sys!(l, "uname", |c: C, a: &[u64]| -> R {
         let ptr = arg_ptr(a, 0);
         let info: WaliUtsname = k(c, |kk, _| Ok::<_, SysError>(kk.sys_uname()))?;
         let mut buf = [0u8; WaliUtsname::SIZE];
@@ -118,7 +117,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(0)
     });
 
-    sys!(l, "sysinfo", |c: C, a: &[Value]| -> R {
+    sys!(l, "sysinfo", |c: C, a: &[u64]| -> R {
         let ptr = arg_ptr(a, 0);
         let uptime = k(c, |kk, _| Ok::<_, SysError>(kk.clock.monotonic_ns()))? / 1_000_000_000;
         let info = WaliSysinfo {
@@ -134,7 +133,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(0)
     });
 
-    sys!(l, "getrandom", |c: C, a: &[Value]| -> R {
+    sys!(l, "getrandom", |c: C, a: &[u64]| -> R {
         let (ptr, len) = (arg_ptr(a, 0), arg(a, 1) as usize);
         let mem = c.instance.memory.clone();
         flat(
@@ -144,7 +143,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     });
 
     // futex(uaddr, op, val, timeout, uaddr2, val3).
-    sys!(l, "futex", |c: C, a: &[Value]| -> R {
+    sys!(l, "futex", |c: C, a: &[u64]| -> R {
         let (uaddr, op, val) = (arg_ptr(a, 0), arg_i32(a, 1), arg(a, 2) as u32);
         let timeout_ptr = arg_ptr(a, 3);
         let base_op = op & !FUTEX_PRIVATE_FLAG;
@@ -185,7 +184,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         }
     });
 
-    sys!(l, "getcpu", |c: C, a: &[Value]| -> R {
+    sys!(l, "getcpu", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         for i in 0..2 {
             let p = arg_ptr(a, i);
@@ -196,5 +195,5 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(0)
     });
 
-    sys!(l, "syslog", |_c: C, _a: &[Value]| -> R { Ok(0) });
+    sys!(l, "syslog", |_c: C, _a: &[u64]| -> R { Ok(0) });
 }

@@ -5,7 +5,6 @@ use vkernel::SysError;
 use wali_abi::flags::{MADV_DONTNEED, MAP_ANONYMOUS};
 use wali_abi::Errno;
 use wasm::host::{Caller, Linker};
-use wasm::interp::Value;
 use wasm::PAGE_SIZE;
 
 use vkernel::MutexExt;
@@ -83,7 +82,7 @@ fn writeback_shared(c: C, region: &Region) -> Result<(), SysError> {
 }
 
 pub(crate) fn register(l: &mut Linker<WaliContext>) {
-    sys!(l, "mmap", |c: C, a: &[Value]| -> R {
+    sys!(l, "mmap", |c: C, a: &[u64]| -> R {
         let (_addr_hint, len, prot, flags, fd, off) = (
             arg_ptr(a, 0),
             arg(a, 1) as u32,
@@ -116,7 +115,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(region.addr as i64)
     });
 
-    sys!(l, "munmap", |c: C, a: &[Value]| -> R {
+    sys!(l, "munmap", |c: C, a: &[u64]| -> R {
         let (addr, len) = (arg_ptr(a, 0), arg(a, 1) as u32);
         let removed = {
             let mut pool = c.data.mmap.lock_ok();
@@ -134,7 +133,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(0)
     });
 
-    sys!(l, "mremap", |c: C, a: &[Value]| -> R {
+    sys!(l, "mremap", |c: C, a: &[u64]| -> R {
         let (old_addr, old_len, new_len, flags) = (
             arg_ptr(a, 0),
             arg(a, 1) as u32,
@@ -176,7 +175,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(new.addr as i64)
     });
 
-    sys!(l, "mprotect", |c: C, a: &[Value]| -> R {
+    sys!(l, "mprotect", |c: C, a: &[u64]| -> R {
         let (addr, len, prot) = (arg_ptr(a, 0), arg(a, 1) as u32, arg_i32(a, 2));
         let mut pool = c.data.mmap.lock_ok();
         match pool.protect(addr, len, prot) {
@@ -188,7 +187,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         }
     });
 
-    sys!(l, "brk", |c: C, a: &[Value]| -> R {
+    sys!(l, "brk", |c: C, a: &[u64]| -> R {
         let want = arg_ptr(a, 0);
         let cur = c.data.brk.load(std::sync::atomic::Ordering::Relaxed);
         if want == 0 {
@@ -206,7 +205,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(want as i64)
     });
 
-    sys!(l, "madvise", |c: C, a: &[Value]| -> R {
+    sys!(l, "madvise", |c: C, a: &[u64]| -> R {
         let (addr, len, advice) = (arg_ptr(a, 0), arg(a, 1) as u64, arg_i32(a, 2));
         if advice == MADV_DONTNEED {
             // Fully covered store pages are returned to the store; the
@@ -216,7 +215,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(0)
     });
 
-    sys!(l, "msync", |c: C, a: &[Value]| -> R {
+    sys!(l, "msync", |c: C, a: &[u64]| -> R {
         let (addr, _len) = (arg_ptr(a, 0), arg(a, 1) as u32);
         let region = c.data.mmap.lock_ok().region_at(addr).cloned();
         match region {
@@ -228,11 +227,11 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         }
     });
 
-    sys!(l, "mlock", |_c: C, _a: &[Value]| -> R { Ok(0) });
-    sys!(l, "munlock", |_c: C, _a: &[Value]| -> R { Ok(0) });
-    sys!(l, "membarrier", |_c: C, _a: &[Value]| -> R { Ok(0) });
+    sys!(l, "mlock", |_c: C, _a: &[u64]| -> R { Ok(0) });
+    sys!(l, "munlock", |_c: C, _a: &[u64]| -> R { Ok(0) });
+    sys!(l, "membarrier", |_c: C, _a: &[u64]| -> R { Ok(0) });
 
-    sys!(l, "mincore", |c: C, a: &[Value]| -> R {
+    sys!(l, "mincore", |c: C, a: &[u64]| -> R {
         let (addr, len, vec) = (arg_ptr(a, 0), arg(a, 1) as usize, arg_ptr(a, 2));
         // Linux contract: addr must be page-aligned and the range mapped.
         if addr % 4096 != 0 {

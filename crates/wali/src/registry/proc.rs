@@ -8,7 +8,6 @@ use wali_abi::flags::{
 use wali_abi::layout::{WaliRlimit, WaliRusage, WaliTimeval};
 use wali_abi::Errno;
 use wasm::host::{Caller, HostOutcome, Linker, Suspension};
-use wasm::interp::Value;
 
 use crate::context::WaliContext;
 use crate::mem::{arg, arg_i32, arg_ptr, read_cstr, read_str_array, write_bytes, write_u32};
@@ -17,65 +16,65 @@ use vkernel::MutexExt;
 
 type C<'a, 'b> = &'a mut Caller<'b, WaliContext>;
 type R = Result<i64, SysError>;
-type X = Result<Vec<Value>, HostOutcome>;
+type X = Result<u64, HostOutcome>;
 
 fn suspend(s: WaliSuspend) -> X {
     Err(HostOutcome::Suspend(Suspension::new(s)))
 }
 
 fn errno_out(e: Errno) -> X {
-    Ok(vec![Value::I64(e.as_ret())])
+    Ok(e.as_ret() as u64)
 }
 
 pub(crate) fn register(l: &mut Linker<WaliContext>) {
-    sys!(l, "getpid", |c: C, _a: &[Value]| -> R {
+    sys!(l, "getpid", |c: C, _a: &[u64]| -> R {
         k(c, |kk, tid| kk.sys_getpid(tid))
     });
-    sys!(l, "getppid", |c: C, _a: &[Value]| -> R {
+    sys!(l, "getppid", |c: C, _a: &[u64]| -> R {
         k(c, |kk, tid| kk.sys_getppid(tid))
     });
-    sys!(l, "gettid", |c: C, _a: &[Value]| -> R {
+    sys!(l, "gettid", |c: C, _a: &[u64]| -> R {
         k(c, |kk, tid| kk.sys_gettid(tid))
     });
 
-    sys!(l, "getpgid", |c: C, a: &[Value]| -> R {
+    sys!(l, "getpgid", |c: C, a: &[u64]| -> R {
         let pid = arg_i32(a, 0);
         k(c, |kk, tid| kk.sys_getpgid(tid, pid))
     });
-    sys!(l, "setpgid", |c: C, a: &[Value]| -> R {
+    sys!(l, "setpgid", |c: C, a: &[u64]| -> R {
         let (pid, pgid) = (arg_i32(a, 0), arg_i32(a, 1));
         k(c, |kk, tid| kk.sys_setpgid(tid, pid, pgid))
     });
-    sys!(l, "getpgrp", |c: C, _a: &[Value]| -> R {
+    sys!(l, "getpgrp", |c: C, _a: &[u64]| -> R {
         k(c, |kk, tid| kk.sys_getpgid(tid, 0))
     });
-    sys!(l, "setsid", |c: C, _a: &[Value]| -> R {
+    sys!(l, "setsid", |c: C, _a: &[u64]| -> R {
         k(c, |kk, tid| kk.sys_setsid(tid))
     });
-    sys!(l, "getsid", |c: C, a: &[Value]| -> R {
+    sys!(l, "getsid", |c: C, a: &[u64]| -> R {
         let pid = arg_i32(a, 0);
         k(c, |kk, tid| kk.sys_getsid(tid, pid))
     });
 
-    sys!(l, "kill", |c: C, a: &[Value]| -> R {
+    sys!(l, "kill", |c: C, a: &[u64]| -> R {
         let (pid, sig) = (arg_i32(a, 0), arg_i32(a, 1));
         k(c, |kk, tid| kk.sys_kill(tid, pid, sig))
     });
-    sys!(l, "tkill", |c: C, a: &[Value]| -> R {
+    sys!(l, "tkill", |c: C, a: &[u64]| -> R {
         let (t, sig) = (arg_i32(a, 0), arg_i32(a, 1));
         k(c, |kk, tid| {
             let tgid = kk.task(t)?.tgid;
             kk.sys_tgkill(tid, tgid, t, sig)
         })
     });
-    sys!(l, "tgkill", |c: C, a: &[Value]| -> R {
+    sys!(l, "tgkill", |c: C, a: &[u64]| -> R {
         let (tgid, t, sig) = (arg_i32(a, 0), arg_i32(a, 1), arg_i32(a, 2));
         k(c, |kk, tid| kk.sys_tgkill(tid, tgid, t, sig))
     });
 
-    sys!(l, "sched_yield", |_c: C, _a: &[Value]| -> R { Ok(0) });
+    sys!(l, "sched_yield", |_c: C, _a: &[u64]| -> R { Ok(0) });
 
-    sys!(l, "sched_getaffinity", |c: C, a: &[Value]| -> R {
+    sys!(l, "sched_getaffinity", |c: C, a: &[u64]| -> R {
         let (size, mask_ptr) = (arg(a, 1) as usize, arg_ptr(a, 2));
         if size < 8 {
             return Err(Errno::Einval.into());
@@ -84,18 +83,18 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         write_bytes(&c.instance.memory, mask_ptr, &1u64.to_le_bytes()).map_err(SysError::Err)?;
         Ok(8)
     });
-    sys!(l, "sched_setaffinity", |_c: C, _a: &[Value]| -> R { Ok(0) });
+    sys!(l, "sched_setaffinity", |_c: C, _a: &[u64]| -> R { Ok(0) });
 
-    sys!(l, "getpriority", |_c: C, _a: &[Value]| -> R { Ok(20) });
-    sys!(l, "setpriority", |_c: C, _a: &[Value]| -> R { Ok(0) });
+    sys!(l, "getpriority", |_c: C, _a: &[u64]| -> R { Ok(20) });
+    sys!(l, "setpriority", |_c: C, _a: &[u64]| -> R { Ok(0) });
 
-    sys!(l, "getrlimit", |c: C, a: &[Value]| -> R {
+    sys!(l, "getrlimit", |c: C, a: &[u64]| -> R {
         do_getrlimit(c, arg_i32(a, 0), arg_ptr(a, 1))
     });
-    sys!(l, "setrlimit", |c: C, a: &[Value]| -> R {
+    sys!(l, "setrlimit", |c: C, a: &[u64]| -> R {
         do_setrlimit(c, arg_i32(a, 0), arg_ptr(a, 1))
     });
-    sys!(l, "prlimit64", |c: C, a: &[Value]| -> R {
+    sys!(l, "prlimit64", |c: C, a: &[u64]| -> R {
         let (pid, res, new_ptr, old_ptr) =
             (arg_i32(a, 0), arg_i32(a, 1), arg_ptr(a, 2), arg_ptr(a, 3));
         if pid != 0 {
@@ -110,7 +109,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(0)
     });
 
-    sys!(l, "getrusage", |c: C, a: &[Value]| -> R {
+    sys!(l, "getrusage", |c: C, a: &[u64]| -> R {
         let usage_ptr = arg_ptr(a, 1);
         let mem = c.instance.memory.clone();
         let ru = k(c, |kk, tid| Ok::<_, SysError>(kk.rusage_of(tid)))?;
@@ -133,7 +132,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(0)
     });
 
-    sys!(l, "times", |c: C, a: &[Value]| -> R {
+    sys!(l, "times", |c: C, a: &[u64]| -> R {
         let buf_ptr = arg_ptr(a, 0);
         let mem = c.instance.memory.clone();
         let (ru, now) = k(c, |kk, tid| {
@@ -148,36 +147,36 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(tick(now) as i64)
     });
 
-    sys!(l, "set_tid_address", |c: C, a: &[Value]| -> R {
+    sys!(l, "set_tid_address", |c: C, a: &[u64]| -> R {
         let addr = arg_ptr(a, 0);
         k(c, |kk, tid| kk.sys_set_tid_address(tid, addr))
     });
 
-    sys!(l, "prctl", |_c: C, _a: &[Value]| -> R { Ok(0) });
-    sys!(l, "personality", |_c: C, _a: &[Value]| -> R { Ok(0) });
+    sys!(l, "prctl", |_c: C, _a: &[u64]| -> R { Ok(0) });
+    sys!(l, "personality", |_c: C, _a: &[u64]| -> R { Ok(0) });
 
     // Identity.
-    sys!(l, "getuid", |c: C, _a: &[Value]| -> R {
+    sys!(l, "getuid", |c: C, _a: &[u64]| -> R {
         k(c, |kk, tid| {
             Ok(kk.task(tid).map_err(SysError::Err)?.uid as i64)
         })
     });
-    sys!(l, "geteuid", |c: C, _a: &[Value]| -> R {
+    sys!(l, "geteuid", |c: C, _a: &[u64]| -> R {
         k(c, |kk, tid| {
             Ok(kk.task(tid).map_err(SysError::Err)?.euid as i64)
         })
     });
-    sys!(l, "getgid", |c: C, _a: &[Value]| -> R {
+    sys!(l, "getgid", |c: C, _a: &[u64]| -> R {
         k(c, |kk, tid| {
             Ok(kk.task(tid).map_err(SysError::Err)?.gid as i64)
         })
     });
-    sys!(l, "getegid", |c: C, _a: &[Value]| -> R {
+    sys!(l, "getegid", |c: C, _a: &[u64]| -> R {
         k(c, |kk, tid| {
             Ok(kk.task(tid).map_err(SysError::Err)?.egid as i64)
         })
     });
-    sys!(l, "setuid", |c: C, a: &[Value]| -> R {
+    sys!(l, "setuid", |c: C, a: &[u64]| -> R {
         let uid = arg(a, 0) as u32;
         k(c, |kk, tid| {
             let t = kk.task_mut(tid).map_err(SysError::Err)?;
@@ -186,7 +185,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
             Ok(0)
         })
     });
-    sys!(l, "setgid", |c: C, a: &[Value]| -> R {
+    sys!(l, "setgid", |c: C, a: &[u64]| -> R {
         let gid = arg(a, 0) as u32;
         k(c, |kk, tid| {
             let t = kk.task_mut(tid).map_err(SysError::Err)?;
@@ -195,7 +194,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
             Ok(0)
         })
     });
-    sys!(l, "setreuid", |c: C, a: &[Value]| -> R {
+    sys!(l, "setreuid", |c: C, a: &[u64]| -> R {
         let (r, e) = (arg(a, 0) as u32, arg(a, 1) as u32);
         k(c, |kk, tid| {
             let t = kk.task_mut(tid).map_err(SysError::Err)?;
@@ -208,7 +207,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
             Ok(0)
         })
     });
-    sys!(l, "setregid", |c: C, a: &[Value]| -> R {
+    sys!(l, "setregid", |c: C, a: &[u64]| -> R {
         let (r, e) = (arg(a, 0) as u32, arg(a, 1) as u32);
         k(c, |kk, tid| {
             let t = kk.task_mut(tid).map_err(SysError::Err)?;
@@ -221,7 +220,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
             Ok(0)
         })
     });
-    sys!(l, "setresuid", |c: C, a: &[Value]| -> R {
+    sys!(l, "setresuid", |c: C, a: &[u64]| -> R {
         let (r, e) = (arg(a, 0) as u32, arg(a, 1) as u32);
         k(c, |kk, tid| {
             let t = kk.task_mut(tid).map_err(SysError::Err)?;
@@ -234,7 +233,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
             Ok(0)
         })
     });
-    sys!(l, "setresgid", |c: C, a: &[Value]| -> R {
+    sys!(l, "setresgid", |c: C, a: &[u64]| -> R {
         let (r, e) = (arg(a, 0) as u32, arg(a, 1) as u32);
         k(c, |kk, tid| {
             let t = kk.task_mut(tid).map_err(SysError::Err)?;
@@ -247,7 +246,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
             Ok(0)
         })
     });
-    sys!(l, "getresuid", |c: C, a: &[Value]| -> R {
+    sys!(l, "getresuid", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let (uid, euid) = k(c, |kk, tid| {
             let t = kk.task(tid).map_err(SysError::Err)?;
@@ -261,7 +260,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         }
         Ok(0)
     });
-    sys!(l, "getresgid", |c: C, a: &[Value]| -> R {
+    sys!(l, "getresgid", |c: C, a: &[u64]| -> R {
         let mem = c.instance.memory.clone();
         let (gid, egid) = k(c, |kk, tid| {
             let t = kk.task(tid).map_err(SysError::Err)?;
@@ -275,13 +274,13 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         }
         Ok(0)
     });
-    sys!(l, "getgroups", |_c: C, _a: &[Value]| -> R { Ok(0) });
-    sys!(l, "setgroups", |_c: C, _a: &[Value]| -> R { Ok(0) });
-    sys!(l, "setfsuid", |_c: C, _a: &[Value]| -> R { Ok(0) });
-    sys!(l, "setfsgid", |_c: C, _a: &[Value]| -> R { Ok(0) });
+    sys!(l, "getgroups", |_c: C, _a: &[u64]| -> R { Ok(0) });
+    sys!(l, "setgroups", |_c: C, _a: &[u64]| -> R { Ok(0) });
+    sys!(l, "setfsuid", |_c: C, _a: &[u64]| -> R { Ok(0) });
+    sys!(l, "setfsgid", |_c: C, _a: &[u64]| -> R { Ok(0) });
 
     // wait4(pid, wstatus, options, rusage).
-    sys!(l, "wait4", |c: C, a: &[Value]| -> R {
+    sys!(l, "wait4", |c: C, a: &[u64]| -> R {
         let (pid, status_ptr, options) = (arg_i32(a, 0), arg_ptr(a, 1), arg_i32(a, 2));
         let mem = c.instance.memory.clone();
         let (child, status) = k(c, |kk, tid| kk.sys_wait4(tid, pid, options))?;
@@ -291,7 +290,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(child as i64)
     });
 
-    sys!(l, "waitid", |c: C, a: &[Value]| -> R {
+    sys!(l, "waitid", |c: C, a: &[u64]| -> R {
         // Mapped onto wait4 semantics (P_ALL/P_PID only).
         let (idtype, id, options) = (arg_i32(a, 0), arg_i32(a, 1), arg_i32(a, 3));
         let pid = match idtype {
@@ -305,21 +304,21 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
 
     // --- Control-transferring calls (sysx) --------------------------------
 
-    sysx!(l, "exit_group", |c: C, a: &[Value]| -> X {
+    sysx!(l, "exit_group", |c: C, a: &[u64]| -> X {
         let code = arg_i32(a, 0);
         let _ = k(c, |kk, tid| kk.sys_exit_group(tid, code));
         c.data.exited = Some(code);
         suspend(WaliSuspend::Exit { code })
     });
 
-    sysx!(l, "exit", |c: C, a: &[Value]| -> X {
+    sysx!(l, "exit", |c: C, a: &[u64]| -> X {
         let code = arg_i32(a, 0);
         let _ = k(c, |kk, tid| kk.sys_exit_thread(tid, code));
         c.data.exited = Some(code);
         suspend(WaliSuspend::Exit { code })
     });
 
-    sysx!(l, "fork", |c: C, _a: &[Value]| -> X {
+    sysx!(l, "fork", |c: C, _a: &[u64]| -> X {
         match k(c, |kk, tid| kk.sys_fork(tid)) {
             Ok(child) => suspend(WaliSuspend::Fork {
                 child_tid: child as i32,
@@ -330,7 +329,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         }
     });
 
-    sysx!(l, "vfork", |c: C, _a: &[Value]| -> X {
+    sysx!(l, "vfork", |c: C, _a: &[u64]| -> X {
         match k(c, |kk, tid| kk.sys_fork(tid)) {
             Ok(child) => suspend(WaliSuspend::Fork {
                 child_tid: child as i32,
@@ -342,7 +341,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     });
 
     // clone(flags, stack, parent_tid, child_tid, tls).
-    sysx!(l, "clone", |c: C, a: &[Value]| -> X {
+    sysx!(l, "clone", |c: C, a: &[u64]| -> X {
         let flags = arg(a, 0) as u64;
         let (ptid, ctid) = (arg_ptr(a, 2), arg_ptr(a, 3));
         let child = match k(c, |kk, tid| kk.sys_clone(tid, flags)) {
@@ -368,7 +367,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     });
 
     // execve(path, argv, envp).
-    sysx!(l, "execve", |c: C, a: &[Value]| -> X {
+    sysx!(l, "execve", |c: C, a: &[u64]| -> X {
         let mem = c.instance.memory.clone();
         let path = match read_cstr(&mem, arg_ptr(a, 0)) {
             Ok(p) => p,

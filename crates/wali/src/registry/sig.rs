@@ -6,7 +6,6 @@ use wali_abi::signals::{SigSet, SIG_DFL, SIG_IGN, SIG_SETMASK};
 use wali_abi::Errno;
 use wasm::error::Trap;
 use wasm::host::{Caller, HostOutcome, Linker};
-use wasm::interp::Value;
 use wasm::prep::FuncDef;
 use wasm::types::{FuncType, ValType};
 
@@ -18,7 +17,7 @@ use vkernel::MutexExt;
 
 type C<'a, 'b> = &'a mut Caller<'b, WaliContext>;
 type R = Result<i64, SysError>;
-type X = Result<Vec<Value>, HostOutcome>;
+type X = Result<u64, HostOutcome>;
 
 /// Dereferences a Wasm table index into a function index, checking the
 /// handler signature is `(i32) -> ()` (§3.3 stage 1: "the Wasm function
@@ -50,7 +49,7 @@ fn deref_handler(c: C, table_index: u32) -> Result<u32, Errno> {
 
 pub(crate) fn register(l: &mut Linker<WaliContext>) {
     // rt_sigaction(signo, act, oldact, sigsetsize).
-    sys!(l, "rt_sigaction", |c: C, a: &[Value]| -> R {
+    sys!(l, "rt_sigaction", |c: C, a: &[u64]| -> R {
         let (signo, act_ptr, old_ptr) = (arg_i32(a, 0), arg_ptr(a, 1), arg_ptr(a, 2));
         let mem = c.instance.memory.clone();
 
@@ -87,7 +86,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     // rt_sigprocmask(how, set, oldset, sigsetsize). The paper inserts an
     // extra safepoint right after the native call; here the engine polls
     // at every host-call return, which subsumes it.
-    sys!(l, "rt_sigprocmask", |c: C, a: &[Value]| -> R {
+    sys!(l, "rt_sigprocmask", |c: C, a: &[u64]| -> R {
         let (how, set_ptr, old_ptr) = (arg_i32(a, 0), arg_ptr(a, 1), arg_ptr(a, 2));
         let mem = c.instance.memory.clone();
         let set = if set_ptr != 0 {
@@ -102,7 +101,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(0)
     });
 
-    sys!(l, "rt_sigpending", |c: C, a: &[Value]| -> R {
+    sys!(l, "rt_sigpending", |c: C, a: &[u64]| -> R {
         let set_ptr = arg_ptr(a, 0);
         let mem = c.instance.memory.clone();
         let pending = k(c, |kk, tid| kk.sys_rt_sigpending(tid))?;
@@ -111,7 +110,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     });
 
     // rt_sigsuspend(mask): atomically swap the mask and wait for a signal.
-    sys!(l, "rt_sigsuspend", |c: C, a: &[Value]| -> R {
+    sys!(l, "rt_sigsuspend", |c: C, a: &[u64]| -> R {
         let mask_ptr = arg_ptr(a, 0);
         let mem = c.instance.memory.clone();
         let mask = SigSet(read_u64(&mem, mask_ptr).map_err(SysError::Err)?);
@@ -131,7 +130,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     });
 
     // rt_sigtimedwait(set, info, timeout, sigsetsize).
-    sys!(l, "rt_sigtimedwait", |c: C, a: &[Value]| -> R {
+    sys!(l, "rt_sigtimedwait", |c: C, a: &[u64]| -> R {
         let set_ptr = arg_ptr(a, 0);
         let timeout_ptr = arg_ptr(a, 2);
         let mem = c.instance.memory.clone();
@@ -177,29 +176,29 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         })
     });
 
-    sys!(l, "rt_sigqueueinfo", |c: C, a: &[Value]| -> R {
+    sys!(l, "rt_sigqueueinfo", |c: C, a: &[u64]| -> R {
         let (pid, sig) = (arg_i32(a, 0), arg_i32(a, 1));
         k(c, |kk, tid| kk.sys_kill(tid, pid, sig))
     });
 
-    sys!(l, "sigaltstack", |_c: C, _a: &[Value]| -> R {
+    sys!(l, "sigaltstack", |_c: C, _a: &[u64]| -> R {
         // Handlers run on the engine's virtualized stack; the alternate
         // stack is accepted and unused.
         Ok(0)
     });
 
-    sys!(l, "pause", |c: C, _a: &[Value]| -> R {
+    sys!(l, "pause", |c: C, _a: &[u64]| -> R {
         k(c, |kk, tid| kk.sys_pause(tid))
     });
 
-    sys!(l, "alarm", |c: C, a: &[Value]| -> R {
+    sys!(l, "alarm", |c: C, a: &[u64]| -> R {
         let secs = arg(a, 0) as u32;
         k(c, |kk, tid| kk.sys_alarm(tid, secs))
     });
 
     // The classic sigreturn gadget is not invocable from WALI modules
     // (§3.6 pitfall 4): handler completion is engine-managed.
-    sysx!(l, "rt_sigreturn", |_c: C, _a: &[Value]| -> X {
+    sysx!(l, "rt_sigreturn", |_c: C, _a: &[u64]| -> X {
         Err(HostOutcome::Trap(Trap::Forbidden("rt_sigreturn")))
     });
 }

@@ -5,7 +5,6 @@ use wali_abi::layout::{WaliEpollEvent, WaliPollFd, WaliSockaddr, WaliTimespec};
 use wali_abi::signals::SigSet;
 use wali_abi::Errno;
 use wasm::host::{Caller, Linker};
-use wasm::interp::Value;
 
 use crate::context::WaliContext;
 use crate::mem::{
@@ -51,12 +50,12 @@ fn write_sockaddr(
 }
 
 pub(crate) fn register(l: &mut Linker<WaliContext>) {
-    sys!(l, "socket", |c: C, a: &[Value]| -> R {
+    sys!(l, "socket", |c: C, a: &[u64]| -> R {
         let (domain, ty, proto) = (arg_i32(a, 0), arg_i32(a, 1), arg_i32(a, 2));
         k(c, |kk, tid| kk.sys_socket(tid, domain, ty, proto)).map(|fd| fd as i64)
     });
 
-    sys!(l, "socketpair", |c: C, a: &[Value]| -> R {
+    sys!(l, "socketpair", |c: C, a: &[u64]| -> R {
         let (domain, ty, fds_ptr) = (arg_i32(a, 0), arg_i32(a, 1), arg_ptr(a, 3));
         let mem = c.instance.memory.clone();
         let (fa, fb) = k(c, |kk, tid| kk.sys_socketpair(tid, domain, ty))?;
@@ -65,37 +64,37 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(0)
     });
 
-    sys!(l, "bind", |c: C, a: &[Value]| -> R {
+    sys!(l, "bind", |c: C, a: &[u64]| -> R {
         let (fd, ptr, len) = (arg_i32(a, 0), arg_ptr(a, 1), arg(a, 2) as usize);
         let addr = read_sockaddr(c, ptr, len).map_err(SysError::Err)?;
         k(c, |kk, tid| kk.sys_bind(tid, fd, addr))
     });
 
-    sys!(l, "listen", |c: C, a: &[Value]| -> R {
+    sys!(l, "listen", |c: C, a: &[u64]| -> R {
         let (fd, backlog) = (arg_i32(a, 0), arg_i32(a, 1));
         k(c, |kk, tid| kk.sys_listen(tid, fd, backlog))
     });
 
-    sys!(l, "connect", |c: C, a: &[Value]| -> R {
+    sys!(l, "connect", |c: C, a: &[u64]| -> R {
         let (fd, ptr, len) = (arg_i32(a, 0), arg_ptr(a, 1), arg(a, 2) as usize);
         let addr = read_sockaddr(c, ptr, len).map_err(SysError::Err)?;
         k(c, |kk, tid| kk.sys_connect(tid, fd, addr))
     });
 
-    sys!(l, "accept", |c: C, a: &[Value]| -> R { do_accept(c, a, 0) });
-    sys!(l, "accept4", |c: C, a: &[Value]| -> R {
+    sys!(l, "accept", |c: C, a: &[u64]| -> R { do_accept(c, a, 0) });
+    sys!(l, "accept4", |c: C, a: &[u64]| -> R {
         let flags = arg_i32(a, 3);
         do_accept(c, a, flags)
     });
 
-    sys!(l, "getsockname", |c: C, a: &[Value]| -> R {
+    sys!(l, "getsockname", |c: C, a: &[u64]| -> R {
         let (fd, ptr, len_ptr) = (arg_i32(a, 0), arg_ptr(a, 1), arg_ptr(a, 2));
         let addr = k(c, |kk, tid| kk.sys_getsockname(tid, fd))?;
         write_sockaddr(c, &addr, ptr, len_ptr).map_err(SysError::Err)?;
         Ok(0)
     });
 
-    sys!(l, "getpeername", |c: C, a: &[Value]| -> R {
+    sys!(l, "getpeername", |c: C, a: &[u64]| -> R {
         let (fd, ptr, len_ptr) = (arg_i32(a, 0), arg_ptr(a, 1), arg_ptr(a, 2));
         let addr = k(c, |kk, tid| kk.sys_getpeername(tid, fd))?;
         write_sockaddr(c, &addr, ptr, len_ptr).map_err(SysError::Err)?;
@@ -103,7 +102,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     });
 
     // sendto(fd, buf, len, flags, dest, destlen).
-    sys!(l, "sendto", |c: C, a: &[Value]| -> R {
+    sys!(l, "sendto", |c: C, a: &[u64]| -> R {
         let (fd, ptr, len, flags, dest_ptr, dest_len) = (
             arg_i32(a, 0),
             arg_ptr(a, 1),
@@ -127,7 +126,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     });
 
     // recvfrom(fd, buf, len, flags, src, srclen).
-    sys!(l, "recvfrom", |c: C, a: &[Value]| -> R {
+    sys!(l, "recvfrom", |c: C, a: &[u64]| -> R {
         let (fd, ptr, len, flags, src_ptr, srclen_ptr) = (
             arg_i32(a, 0),
             arg_ptr(a, 1),
@@ -147,21 +146,17 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     });
 
     // sendmsg/recvmsg: parse the wasm32 msghdr (name/namelen, iov/iovlen).
-    sys!(l, "sendmsg", |c: C, a: &[Value]| -> R {
-        do_msg(c, a, true)
-    });
-    sys!(l, "recvmsg", |c: C, a: &[Value]| -> R {
-        do_msg(c, a, false)
-    });
+    sys!(l, "sendmsg", |c: C, a: &[u64]| -> R { do_msg(c, a, true) });
+    sys!(l, "recvmsg", |c: C, a: &[u64]| -> R { do_msg(c, a, false) });
 
-    sys!(l, "setsockopt", |c: C, a: &[Value]| -> R {
+    sys!(l, "setsockopt", |c: C, a: &[u64]| -> R {
         let (fd, level, name, val_ptr) =
             (arg_i32(a, 0), arg_i32(a, 1), arg_i32(a, 2), arg_ptr(a, 3));
         let value = read_u32(&c.instance.memory, val_ptr).map_err(SysError::Err)? as i32;
         k(c, |kk, tid| kk.sys_setsockopt(tid, fd, level, name, value))
     });
 
-    sys!(l, "getsockopt", |c: C, a: &[Value]| -> R {
+    sys!(l, "getsockopt", |c: C, a: &[u64]| -> R {
         let (fd, level, name, val_ptr, len_ptr) = (
             arg_i32(a, 0),
             arg_i32(a, 1),
@@ -178,13 +173,13 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(0)
     });
 
-    sys!(l, "shutdown", |c: C, a: &[Value]| -> R {
+    sys!(l, "shutdown", |c: C, a: &[u64]| -> R {
         let (fd, how) = (arg_i32(a, 0), arg_i32(a, 1));
         k(c, |kk, tid| kk.sys_shutdown(tid, fd, how))
     });
 
     // poll(fds, nfds, timeout_ms).
-    sys!(l, "poll", |c: C, a: &[Value]| -> R {
+    sys!(l, "poll", |c: C, a: &[u64]| -> R {
         let timeout_ms = arg(a, 2);
         do_poll(c, arg_ptr(a, 0), arg(a, 1) as usize, timeout_ms)
     });
@@ -194,7 +189,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     // re-park) and restored when the call returns — a signal that
     // arrived masked during the wait is delivered exactly once, at the
     // safepoint straight after the syscall.
-    sys!(l, "ppoll", |c: C, a: &[Value]| -> R {
+    sys!(l, "ppoll", |c: C, a: &[u64]| -> R {
         let ts_ptr = arg_ptr(a, 2);
         let timeout_ms = if ts_ptr == 0 {
             -1
@@ -211,23 +206,23 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
 
     // select(nfds, readfds, writefds, exceptfds, timeval) over fd_set
     // bitmaps, lowered onto the same readiness check.
-    sys!(l, "select", |c: C, a: &[Value]| -> R {
+    sys!(l, "select", |c: C, a: &[u64]| -> R {
         do_select(c, a, false)
     });
-    sys!(l, "pselect6", |c: C, a: &[Value]| -> R {
+    sys!(l, "pselect6", |c: C, a: &[u64]| -> R {
         do_select(c, a, true)
     });
 
     // The epoll family, backed by the kernel's waitqueues: a blocked
     // `epoll_wait` parks on its interest list's wait channels and is
     // woken by the first readiness transition on any of them.
-    sys!(l, "epoll_create1", |c: C, a: &[Value]| -> R {
+    sys!(l, "epoll_create1", |c: C, a: &[u64]| -> R {
         let flags = arg_i32(a, 0);
         k(c, |kk, tid| kk.sys_epoll_create1(tid, flags)).map(|fd| fd as i64)
     });
 
     // epoll_ctl(epfd, op, fd, event).
-    sys!(l, "epoll_ctl", |c: C, a: &[Value]| -> R {
+    sys!(l, "epoll_ctl", |c: C, a: &[u64]| -> R {
         let (epfd, op, fd, ev_ptr) = (arg_i32(a, 0), arg_i32(a, 1), arg_i32(a, 2), arg_ptr(a, 3));
         let (events, data) = if ev_ptr != 0 {
             let raw = read_bytes(&c.instance.memory, ev_ptr, WaliEpollEvent::SIZE)
@@ -246,10 +241,10 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     // epoll_wait(epfd, events, maxevents, timeout_ms) — epoll_pwait adds
     // a sigmask argument honored like ppoll's: swapped in atomically with
     // the block, restored on return.
-    sys!(l, "epoll_wait", |c: C, a: &[Value]| -> R {
+    sys!(l, "epoll_wait", |c: C, a: &[u64]| -> R {
         do_epoll_wait(c, a)
     });
-    sys!(l, "epoll_pwait", |c: C, a: &[Value]| -> R {
+    sys!(l, "epoll_pwait", |c: C, a: &[u64]| -> R {
         swap_wait_mask(c, arg_ptr(a, 4))?;
         let r = do_epoll_wait(c, a);
         restore_wait_mask(c, r)
@@ -299,7 +294,7 @@ fn wait_deadline(
     }
 }
 
-fn do_epoll_wait(c: C, a: &[Value]) -> R {
+fn do_epoll_wait(c: C, a: &[u64]) -> R {
     let (epfd, ev_ptr, maxevents) = (arg_i32(a, 0), arg_ptr(a, 1), arg_i32(a, 2));
     let timeout_ms = arg(a, 3);
     if maxevents <= 0 {
@@ -394,7 +389,7 @@ fn write_epoll_events(mem: &wasm::mem::Memory, ev_ptr: u32, ready: &[(u32, u64)]
     Ok(ready.len() as i64)
 }
 
-fn do_accept(c: C, a: &[Value], flags: i32) -> R {
+fn do_accept(c: C, a: &[u64], flags: i32) -> R {
     let (fd, addr_ptr, len_ptr) = (arg_i32(a, 0), arg_ptr(a, 1), arg_ptr(a, 2));
     let conn = k(c, |kk, tid| kk.sys_accept(tid, fd, flags))?;
     if addr_ptr != 0 {
@@ -405,7 +400,7 @@ fn do_accept(c: C, a: &[Value], flags: i32) -> R {
     Ok(conn as i64)
 }
 
-fn do_msg(c: C, a: &[Value], send: bool) -> R {
+fn do_msg(c: C, a: &[u64], send: bool) -> R {
     let (fd, msg_ptr, flags) = (arg_i32(a, 0), arg_ptr(a, 1), arg_i32(a, 2));
     msg_rw(c, fd, msg_ptr, flags, send)
 }
@@ -502,7 +497,7 @@ fn do_poll(c: C, fds_ptr: u32, nfds: usize, timeout_ms: i64) -> R {
     Ok(ready as i64)
 }
 
-fn do_select(c: C, a: &[Value], is_pselect: bool) -> R {
+fn do_select(c: C, a: &[u64], is_pselect: bool) -> R {
     let nfds = arg_i32(a, 0).clamp(0, 1024) as usize;
     let (rptr, wptr) = (arg_ptr(a, 1), arg_ptr(a, 2));
     let tptr = arg_ptr(a, 4);

@@ -36,7 +36,6 @@ use vkernel::{Block, Channel, MutexExt, SysError};
 use wali_abi::ring::{op, WaliCqe, WaliRingHdr, WaliSqe};
 use wali_abi::Errno;
 use wasm::host::{Caller, Linker};
-use wasm::interp::Value;
 
 use crate::context::WaliContext;
 use crate::mem::{arg, arg_ptr, read_bytes, with_slice, with_slice_mut, write_bytes, write_u32};
@@ -49,7 +48,7 @@ type R = Result<i64, SysError>;
 /// specification table — an extension import, name-bound like the
 /// support methods (retries resolve it by name, not by spec index).
 pub(crate) fn register(l: &mut Linker<WaliContext>) {
-    sys!(l, "wali_ring_enter", |c: C, a: &[Value]| -> R {
+    sys!(l, "wali_ring_enter", |c: C, a: &[u64]| -> R {
         ring_enter(c, a)
     });
 }
@@ -140,7 +139,7 @@ fn attempt(c: C, sqe: &WaliSqe) -> R {
 /// fewer than `min_complete` completions are available and operations
 /// remain in flight. Returns `-ENOSYS` when rings are toggled off
 /// (`WALI_NO_RING=1`), directing guests to the synchronous per-op ABI.
-fn ring_enter(c: C, a: &[Value]) -> R {
+fn ring_enter(c: C, a: &[u64]) -> R {
     if !c.data.ring {
         return Err(Errno::Enosys.into());
     }

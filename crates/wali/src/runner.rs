@@ -30,11 +30,10 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use vkernel::{Kernel, TaskState, Tid};
 use wali_abi::Errno;
-use wasm::host::{Caller, HostFn, HostOutcome, Linker};
+use wasm::host::Linker;
 use wasm::interp::{Instance, RunResult, Thread, Value};
 use wasm::prep::Program;
 use wasm::{Module, SafepointScheme, Trap};
@@ -201,10 +200,11 @@ pub(crate) enum Pending {
         args: Vec<Value>,
     },
     Resume(Vec<Value>),
+    /// Re-enter the import the thread is suspended in.
     Retry {
-        module: &'static str,
+        /// Name of the blocked call (deadlock reports).
         import: &'static str,
-        sysno: Option<u16>,
+        /// Its arguments.
         args: Vec<Value>,
         deadline: Option<u64>,
     },
@@ -273,10 +273,6 @@ pub struct WaliRunner {
     /// The kernel all tasks share.
     pub kernel: KernelRef,
     pub(crate) linker: Linker<WaliContext>,
-    /// Dense syscall handler table indexed by `wali_abi::spec::sysno`,
-    /// pre-resolved from the linker at [`WaliRunner::register_program`]
-    /// time so blocked-syscall retries skip the by-name registry lookup.
-    pub(crate) handlers: Vec<Option<HostFn<WaliContext>>>,
     pub(crate) programs: HashMap<String, Arc<Program<WaliContext>>>,
     pub(crate) scheme: SafepointScheme,
     /// Superinstruction fusion override; `None` follows
@@ -290,9 +286,8 @@ pub struct WaliRunner {
     ring: Option<bool>,
     /// Worker-pool width override; `None` follows [`workers_default`].
     workers: Option<usize>,
-    /// Set when `linker_mut` may have changed registrations since the
-    /// handler table was built.
-    handlers_dirty: bool,
+    /// Whether spawned tasks record the Fig. 7 layer timings.
+    layer_timing: bool,
     /// Every live task, keyed by kernel tid (deterministic order).
     pub(crate) tasks: BTreeMap<Tid, Slot>,
     /// Runnable tasks, round-robin FIFO. Blocked tasks are never here.
@@ -333,14 +328,13 @@ impl WaliRunner {
         WaliRunner {
             kernel: crate::context::new_kernel_ref(kernel),
             linker: build_linker(),
-            handlers: Vec::new(),
             programs: HashMap::new(),
             scheme,
             fuse: None,
             regir: None,
             ring: None,
             workers: None,
-            handlers_dirty: true,
+            layer_timing: false,
             tasks: BTreeMap::new(),
             run_queue: VecDeque::new(),
             parked: BTreeMap::new(),
@@ -369,7 +363,6 @@ impl WaliRunner {
     /// layer) can register additional host modules **before** programs are
     /// registered.
     pub fn linker_mut(&mut self) -> &mut Linker<WaliContext> {
-        self.handlers_dirty = true;
         &mut self.linker
     }
 
@@ -411,6 +404,16 @@ impl WaliRunner {
         self.workers.unwrap_or_else(workers_default)
     }
 
+    /// Makes subsequently spawned tasks (and everything they fork) record
+    /// the Fig. 7 layer split — `host_time`, `kernel_time` and
+    /// `total_time` of [`RunOutcome::trace`]. Off by default: the split
+    /// costs four clock reads per syscall, more than a thin crossing
+    /// itself, so only the runs that read it pay for it. Nothing else
+    /// about a run changes.
+    pub fn set_layer_timing(&mut self, on: bool) {
+        self.layer_timing = on;
+    }
+
     /// Audits kernel state for leaked resources — call after [`run`]
     /// returns. Clean means every fd-backed resource slot was released
     /// and no task or wait subscription was stranded; see
@@ -444,19 +447,6 @@ impl WaliRunner {
             .vfs
             .write_file(path, b"\0asm\x01\0\0\0");
         self.programs.insert(path.to_string(), Arc::new(program));
-        // (Re)build the dense handler table, but only when the linker
-        // could have changed since the last build.
-        if self.handlers_dirty {
-            self.handlers = wali_abi::spec::SPEC
-                .iter()
-                .map(|s| {
-                    self.linker
-                        .resolve(crate::WALI_MODULE, &s.import_name())
-                        .cloned()
-                })
-                .collect();
-            self.handlers_dirty = false;
-        }
         Ok(())
     }
 
@@ -475,6 +465,7 @@ impl WaliRunner {
             .ok_or(RunnerError::NoEntry("_start"))?;
         let mut ctx = WaliContext::new(self.kernel.clone(), tid, program.data_end());
         ctx.ring = self.ring_on();
+        ctx.trace.timing = self.layer_timing;
         ctx.args = std::iter::once(path.to_string())
             .chain(args.iter().map(|s| s.to_string()))
             .collect();
@@ -712,7 +703,7 @@ impl WaliRunner {
         }
         let result = {
             let slot = self.tasks.get_mut(&tid).expect("live task");
-            let t0 = Instant::now();
+            let t0 = slot.ctx.trace.clock();
             let steps0 = slot.thread.steps;
             let reg0 = slot.thread.reg_steps;
             slot.thread.refuel(Some(FUEL_SLICE));
@@ -725,44 +716,14 @@ impl WaliRunner {
                     slot.thread
                         .resume(&mut slot.instance, &mut slot.ctx, &values)
                 }
-                Pending::Retry {
-                    module,
-                    import,
-                    sysno,
-                    args,
-                    deadline,
-                } => {
+                Pending::Retry { args, deadline, .. } => {
                     slot.ctx.retry_deadline = deadline;
-                    // Fast path: WALI syscalls retry through the dense
-                    // pre-resolved handler table; other modules (layered
-                    // APIs) fall back to the by-name registry.
-                    let f = match sysno.filter(|_| module == crate::WALI_MODULE) {
-                        Some(no) => self
-                            .handlers
-                            .get(no as usize)
-                            .and_then(|h| h.clone())
-                            .expect("retry of a registered syscall"),
-                        None => self
-                            .linker
-                            .resolve(module, import)
-                            .expect("retry of a registered function")
-                            .clone(),
-                    };
-                    let mut caller = Caller {
-                        instance: &slot.instance,
-                        data: &mut slot.ctx,
-                    };
-                    match f(&mut caller, &args) {
-                        Ok(values) => {
-                            slot.thread
-                                .resume(&mut slot.instance, &mut slot.ctx, &values)
-                        }
-                        Err(HostOutcome::Trap(t)) => RunResult::Trapped(t),
-                        Err(HostOutcome::Suspend(s)) => RunResult::Suspended(s),
-                    }
+                    slot.thread.retry(&mut slot.instance, &mut slot.ctx, &args)
                 }
             };
-            slot.ctx.trace.total_time += t0.elapsed();
+            if let Some(t0) = t0 {
+                slot.ctx.trace.total_time += t0.elapsed();
+            }
             slot.ctx.trace.wasm_steps += slot.thread.steps - steps0;
             slot.ctx.trace.reg_steps += slot.thread.reg_steps - reg0;
             (r, slot.thread.steps != steps0)
@@ -818,20 +779,17 @@ impl WaliRunner {
                 self.finish_task(tid, Some(TaskEnd::Exited(code)));
             }
             WaliSuspend::Blocked {
-                module,
                 import,
-                sysno,
                 args,
                 deadline,
+                ..
             } => {
                 if !ran_wasm {
                     self.stats.blocked_retries.fetch_add(1, Ordering::Relaxed);
                 }
                 let slot = self.tasks.get_mut(&tid).expect("live task");
                 slot.pending = Some(Pending::Retry {
-                    module,
                     import,
-                    sysno,
                     args,
                     deadline,
                 });

@@ -6,6 +6,12 @@
 //! WALI time is the remaining host-call time, exactly mirroring how the
 //! paper splits the stack.
 //!
+//! Counts are always on. The Fig. 7 timings are recorded only when a run
+//! asks for them ([`Trace::timing`], set through
+//! `WaliRunner::set_layer_timing`): splitting one crossing takes four
+//! clock reads, which cost more than the crossing itself and land in the
+//! very slices being measured.
+//!
 //! Counting is on every syscall's hot path, so [`SysCounts`] stores spec
 //! syscalls in a dense array indexed by [`wali_abi::spec::sysno`] — one
 //! add per call — and falls back to a name-keyed map only for non-spec
@@ -14,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use vkernel::MutexExt;
 use wali_abi::spec::{self, SPEC_LEN};
@@ -185,12 +191,18 @@ impl std::fmt::Debug for SysCounts {
 pub struct Trace {
     /// Number of invocations per syscall name.
     pub counts: SysCounts,
+    /// Whether this run records the three layer timings below; they stay
+    /// zero otherwise.
+    pub timing: bool,
     /// Wall time spent inside host (WALI + kernel) calls.
     pub host_time: Duration,
     /// Wall time spent inside the kernel model.
     pub kernel_time: Duration,
     /// Total wall time of the task (set by the runner).
     pub total_time: Duration,
+    /// Syscalls completed on the sharded fast path: pipe and stream
+    /// socket I/O that never took the kernel lock.
+    pub fastpath_hits: u64,
     /// Executed Wasm ops (engine step counter snapshot).
     pub wasm_steps: u64,
     /// Of `wasm_steps`, ops dispatched by the tier-2 register loop
@@ -199,6 +211,22 @@ pub struct Trace {
 }
 
 impl Trace {
+    /// A fresh trace for a task forked or cloned off this one: same
+    /// recording settings, nothing recorded.
+    pub fn child(&self) -> Trace {
+        Trace {
+            timing: self.timing,
+            ..Trace::default()
+        }
+    }
+
+    /// Start of a timed layer section: the clock, if this run records
+    /// layer timing.
+    #[inline]
+    pub fn clock(&self) -> Option<Instant> {
+        self.timing.then(Instant::now)
+    }
+
     /// Records one invocation of `name`.
     #[inline]
     pub fn count(&mut self, name: &'static str) {
@@ -272,9 +300,11 @@ impl Trace {
         for (name, n) in other.counts.named.lock_ok().iter() {
             self.counts.add(name, *n);
         }
+        self.timing |= other.timing;
         self.host_time += other.host_time;
         self.kernel_time += other.kernel_time;
         self.total_time += other.total_time;
+        self.fastpath_hits += other.fastpath_hits;
         self.wasm_steps += other.wasm_steps;
         self.reg_steps += other.reg_steps;
     }

@@ -6,8 +6,8 @@
 //! kernel sharded into per-object locks, none of that I/O shares a
 //! lock: the lock-order tracker's contention counter for the
 //! [`vkernel::LockClass::Object`] class must not move at all, and the
-//! syscalls must actually travel the sharded fast path (the
-//! [`wali::fastpath_hits`] counter must rise).
+//! syscalls must actually travel the sharded fast path (the run's own
+//! `trace.fastpath_hits` must account for them).
 //!
 //! This file stays a single `#[test]` in its own integration-test
 //! binary: the contention counters are process-global, so any parallel
@@ -191,7 +191,6 @@ fn disjoint_hammer_program() -> Module {
 fn disjoint_objects_do_not_contend() {
     let module = disjoint_hammer_program();
     let obj_before = vkernel::contention(vkernel::LockClass::Object);
-    let hits_before = wali::fastpath_hits();
 
     let report = run_module(
         &module,
@@ -221,7 +220,7 @@ fn disjoint_objects_do_not_contend() {
     // And the hot loops must actually have run shard-side: each child
     // pushes 2 * ROUNDS pipe + 2 * ROUNDS socket transfers through the
     // fast path (minus at most a handful of blocked-retry bails).
-    let hits = wali::fastpath_hits() - hits_before;
+    let hits = report.outcome.trace.fastpath_hits;
     assert!(
         hits >= (CHILDREN * ROUNDS * 2) as u64,
         "fast path took only {hits} syscalls"

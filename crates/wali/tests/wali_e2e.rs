@@ -639,14 +639,32 @@ fn policy_denies_sockets() {
     assert_eq!(out.exit_code(), Some(1), "EPERM (1) from the policy layer");
 }
 
+/// The Fig. 7 time breakdown is populated when a run asks for it, and
+/// only then — and asking changes nothing else about the run.
 #[test]
 fn time_breakdown_is_populated() {
+    use wali::testkit::{emit_sleep, fork_reap_loop};
+
+    // The parent parks in a nanosleep, forks and reaps three children
+    // that write a line each, then writes 200 bytes of its own.
     let mut mb = ModuleBuilder::new();
     let write = sys(&mut mb, "write", 3);
+    let fork = sys(&mut mb, "fork", 0);
+    let wait4 = sys(&mut mb, "wait4", 4);
+    let exit = sys(&mut mb, "exit_group", 1);
+    let nanosleep = sys(&mut mb, "nanosleep", 2);
     mb.memory(2, Some(16));
+    let ts = mb.reserve(16);
     let msg = mb.c_str("x");
+    let line = mb.c_str("child\n");
+    let status = mb.reserve(8);
     let main_sig = mb.sig([], [I32]);
     let main = mb.func(main_sig, |b| {
+        emit_sleep(b, nanosleep, ts, 0, 5_000_000);
+        fork_reap_loop(b, fork, wait4, status, 3, |b, _| {
+            b.i64(1).i64(line as i64).i64(6).call(write).drop_();
+            b.i64(0).call(exit).drop_();
+        });
         let i = b.local(I32);
         b.loop_(BlockType::Empty, |b| {
             b.i64(1).i64(msg as i64).i64(1).call(write).drop_();
@@ -661,11 +679,44 @@ fn time_breakdown_is_populated() {
         b.i32(0);
     });
     mb.export("_start", main);
-    let out = run(&mb.build(), &[]);
-    assert_eq!(out.exit_code(), Some(0));
-    assert_eq!(out.trace.counts.of("write"), 200);
-    assert!(out.trace.total_time.as_nanos() > 0);
-    assert!(out.trace.host_time <= out.trace.total_time);
-    assert!(out.trace.kernel_time <= out.trace.host_time);
-    assert!(out.trace.wasm_steps > 1000);
+    let module = roundtrip(&mb.build());
+    let run = |timing: bool| {
+        let mut runner = WaliRunner::new_default();
+        runner.set_workers(1);
+        runner.set_layer_timing(timing);
+        runner.register_program("/usr/bin/app", &module).unwrap();
+        runner.spawn("/usr/bin/app", &[], &[]).unwrap();
+        runner.run().expect("run")
+    };
+    let (off, on) = (run(false), run(true));
+
+    // Recording off: no clock is read, the three durations stay zero.
+    let zero = std::time::Duration::ZERO;
+    assert!(!off.trace.timing);
+    assert_eq!(
+        (
+            off.trace.total_time,
+            off.trace.host_time,
+            off.trace.kernel_time
+        ),
+        (zero, zero, zero)
+    );
+
+    // Recording on: the Fig. 7 split, forked children included.
+    assert!(on.trace.timing);
+    assert!(on.trace.kernel_time > zero);
+    assert!(on.trace.kernel_time <= on.trace.host_time);
+    assert!(on.trace.host_time <= on.trace.total_time);
+
+    // Everything else is the same run.
+    assert_eq!(off.exit_code(), Some(0));
+    assert_eq!(off.trace.counts.of("write"), 203);
+    assert_eq!((off.sched.parks, off.sched.idle_advances), (1, 1));
+    assert!(off.trace.wasm_steps > 1000);
+    assert_eq!(off.main_exit, on.main_exit);
+    assert_eq!(off.ends, on.ends);
+    assert_eq!(off.console, on.console);
+    assert_eq!(off.sched, on.sched);
+    assert_eq!(off.trace.counts, on.trace.counts);
+    assert_eq!(off.trace.wasm_steps, on.trace.wasm_steps);
 }

@@ -4,13 +4,13 @@ use std::any::Any;
 use std::sync::Arc;
 
 use wali::context::WaliContext;
-use wali::registry::WaliSuspend;
+use wali::mem::{arg as a64, arg_i32 as a32};
+use wali::registry::{blocked, WaliSuspend};
 use wali_abi::flags::{
     AT_FDCWD, O_APPEND, O_CREAT, O_DIRECTORY, O_EXCL, O_NONBLOCK, O_RDONLY, O_RDWR, O_TRUNC,
     SEEK_CUR, SEEK_END, SEEK_SET, S_IFDIR, S_IFMT, S_IFREG,
 };
-use wasm::host::{Caller, HostOutcome, Linker, Suspension};
-use wasm::interp::Value;
+use wasm::host::{Caller, HostFn, HostOutcome, Linker, Suspension};
 
 use crate::errno::{self, BADF, INVAL, NOTCAPABLE, SUCCESS};
 
@@ -115,66 +115,91 @@ fn state_mut(ctx: &mut WaliContext) -> Option<&mut WasiState> {
 }
 
 type C<'a, 'b> = &'a mut Caller<'b, WaliContext>;
-type X = Result<Vec<Value>, HostOutcome>;
+/// A WASI function's outcome in the raw-slot convention: the i32 errno.
+type X = Result<u64, HostOutcome>;
 
 fn ok() -> X {
-    Ok(vec![Value::I32(SUCCESS)])
+    fail(SUCCESS)
 }
 
 fn fail(code: i32) -> X {
-    Ok(vec![Value::I32(code)])
+    Ok(code as u32 as u64)
 }
 
 fn fail_x(code: i32) -> X {
     fail(code)
 }
 
-fn a32(args: &[Value], i: usize) -> i32 {
-    match args.get(i) {
-        Some(Value::I32(v)) => *v,
-        Some(Value::I64(v)) => *v as i32,
-        _ => 0,
-    }
+/// Declares [`Wali`]: the handles of the WALI syscalls this layer lowers
+/// onto, resolved once when [`add_wasi_layer`] runs so a nested call is
+/// one indirect call on raw slots — no name formatting, registry lookup
+/// or argument list per call.
+macro_rules! wali_handles {
+    ($($name:ident),* $(,)?) => {
+        struct Wali {
+            $($name: HostFn<WaliContext>,)*
+        }
+
+        impl Wali {
+            fn resolve(linker: &Linker<WaliContext>) -> Wali {
+                Wali {
+                    $($name: linker
+                        .resolve(wali::WALI_MODULE, concat!("SYS_", stringify!($name)))
+                        .unwrap_or_else(|| {
+                            panic!("WALI registry is complete: {}", stringify!($name))
+                        })
+                        .clone(),)*
+                }
+            }
+        }
+    };
 }
 
-fn a64(args: &[Value], i: usize) -> i64 {
-    match args.get(i) {
-        Some(Value::I64(v)) => *v,
-        Some(Value::I32(v)) => *v as i64,
-        _ => 0,
-    }
-}
+wali_handles!(
+    clock_gettime,
+    close,
+    exit_group,
+    fdatasync,
+    fstat,
+    fsync,
+    getdents64,
+    getrandom,
+    lseek,
+    mkdirat,
+    nanosleep,
+    newfstatat,
+    openat,
+    readlinkat,
+    readv,
+    renameat,
+    sched_yield,
+    unlinkat,
+    writev,
+);
 
 /// Invokes a WALI syscall from inside a WASI function (the layering).
 ///
 /// Blocking propagates as a suspension re-keyed to the *WASI* function so
-/// the runner retries this layer, not the raw syscall.
+/// the runner retries this layer with this layer's arguments, not the
+/// raw syscall's.
 fn wali_call(
-    base: &Linker<WaliContext>,
+    f: &HostFn<WaliContext>,
     c: C,
-    name: &str,
-    args: &[i64],
+    args: &[u64],
     wasi_import: &'static str,
-    wasi_args: &[Value],
+    wasi_args: &[u64],
 ) -> Result<i64, X> {
-    let f = base
-        .resolve(wali::WALI_MODULE, &format!("SYS_{name}"))
-        .unwrap_or_else(|| panic!("WALI registry is complete: {name}"))
-        .clone();
-    let vals: Vec<Value> = args.iter().map(|v| Value::I64(*v)).collect();
-    match f(c, &vals) {
-        Ok(values) => Ok(values.first().and_then(Value::as_i64).unwrap_or(0)),
+    match f(c, args) {
+        Ok(ret) => Ok(ret as i64),
         Err(HostOutcome::Trap(t)) => Err(Err(HostOutcome::Trap(t))),
         Err(HostOutcome::Suspend(s)) => match s.downcast::<WaliSuspend>() {
             Ok(payload) => match *payload {
-                WaliSuspend::Blocked { deadline, .. } => Err(Err(HostOutcome::Suspend(
-                    Suspension::new(WaliSuspend::Blocked {
-                        module: WASI_MODULE,
-                        import: wasi_import,
-                        sysno: None,
-                        args: wasi_args.to_vec(),
-                        deadline,
-                    }),
+                WaliSuspend::Blocked { deadline, .. } => Err(Err(blocked(
+                    WASI_MODULE,
+                    wasi_import,
+                    None,
+                    wasi_args,
+                    deadline,
                 ))),
                 other => Err(Err(HostOutcome::Suspend(Suspension::new(other)))),
             },
@@ -252,22 +277,22 @@ fn stage_path(c: C, path: &str) -> Result<u32, X> {
 /// Registers the complete WASI preview1 surface over the WALI functions in
 /// `linker` (which must already contain them).
 pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
-    // Snapshot of the WALI surface this layer is allowed to use.
-    let base = Arc::new(linker.clone());
+    // The WALI surface this layer is allowed to use.
+    let base = Arc::new(Wali::resolve(linker));
 
     macro_rules! wasi {
         ($name:literal, $f:expr) => {{
             let base = Arc::clone(&base);
-            linker.func(WASI_MODULE, $name, move |c: C<'_, '_>, args: &[Value]| {
+            linker.func_raw(WASI_MODULE, $name, move |c: C<'_, '_>, args: &[u64]| {
                 #[allow(clippy::redundant_closure_call)]
                 ($f)(&base, c, args)
             });
         }};
     }
 
-    type B = Arc<Linker<WaliContext>>;
+    type B = Wali;
 
-    wasi!("args_sizes_get", |_b: &B, c: C, args: &[Value]| -> X {
+    wasi!("args_sizes_get", |_b: &B, c: C, args: &[u64]| -> X {
         let mem = wmem(c);
         let argc = c.data.args.len() as u32;
         let bytes: u32 = c.data.args.iter().map(|a| a.len() as u32 + 1).sum();
@@ -276,7 +301,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         ok()
     });
 
-    wasi!("args_get", |_b: &B, c: C, args: &[Value]| -> X {
+    wasi!("args_get", |_b: &B, c: C, args: &[u64]| -> X {
         let mem = wmem(c);
         let mut argv = a32(args, 0) as u32;
         let mut buf = a32(args, 1) as u32;
@@ -291,7 +316,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         ok()
     });
 
-    wasi!("environ_sizes_get", |_b: &B, c: C, args: &[Value]| -> X {
+    wasi!("environ_sizes_get", |_b: &B, c: C, args: &[u64]| -> X {
         let mem = wmem(c);
         let n = c.data.env.len() as u32;
         let bytes: u32 = c.data.env.iter().map(|a| a.len() as u32 + 1).sum();
@@ -300,7 +325,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         ok()
     });
 
-    wasi!("environ_get", |_b: &B, c: C, args: &[Value]| -> X {
+    wasi!("environ_get", |_b: &B, c: C, args: &[u64]| -> X {
         let mem = wmem(c);
         let mut envp = a32(args, 0) as u32;
         let mut buf = a32(args, 1) as u32;
@@ -315,15 +340,14 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         ok()
     });
 
-    wasi!("clock_time_get", |b: &B, c: C, args: &[Value]| -> X {
+    wasi!("clock_time_get", |b: &B, c: C, args: &[u64]| -> X {
         let clock = a32(args, 0);
         let out = a32(args, 2) as u32;
         let ts = STRUCT_SCRATCH;
         match wali_call(
-            b,
+            &b.clock_gettime,
             c,
-            "clock_gettime",
-            &[clock as i64, ts as i64],
+            &[clock as u64, ts as u64],
             "clock_time_get",
             args,
         ) {
@@ -341,18 +365,18 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         }
     });
 
-    wasi!("clock_res_get", |_b: &B, c: C, args: &[Value]| -> X {
+    wasi!("clock_res_get", |_b: &B, c: C, args: &[u64]| -> X {
         let mem = wmem(c);
         let _ = mem.store::<8>(a32(args, 1) as u32 as u64, 1u64.to_le_bytes());
         ok()
     });
 
-    wasi!("fd_close", |b: &B, c: C, args: &[Value]| -> X {
+    wasi!("fd_close", |b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
         if let Some(s) = state_mut(c.data) {
             s.revoke(fd);
         }
-        match wali_call(b, c, "close", &[fd as i64], "fd_close", args) {
+        match wali_call(&b.close, c, &[fd as u64], "fd_close", args) {
             Ok(ret) => match check(ret) {
                 Ok(_) => ok(),
                 Err(e) => e,
@@ -361,7 +385,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         }
     });
 
-    wasi!("fd_read", |b: &B, c: C, args: &[Value]| -> X {
+    wasi!("fd_read", |b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
         if state_mut(c.data)
             .map(|s| s.rights_of(fd) & RIGHT_FD_READ == 0)
@@ -372,7 +396,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         do_rw(b, c, args, false, "fd_read")
     });
 
-    wasi!("fd_write", |b: &B, c: C, args: &[Value]| -> X {
+    wasi!("fd_write", |b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
         if state_mut(c.data)
             .map(|s| s.rights_of(fd) & RIGHT_FD_WRITE == 0)
@@ -383,7 +407,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         do_rw(b, c, args, true, "fd_write")
     });
 
-    wasi!("fd_seek", |b: &B, c: C, args: &[Value]| -> X {
+    wasi!("fd_seek", |b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
         let offset = a64(args, 1);
         let whence = match a32(args, 2) {
@@ -393,10 +417,9 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
             _ => return fail(INVAL),
         };
         match wali_call(
-            b,
+            &b.lseek,
             c,
-            "lseek",
-            &[fd as i64, offset, whence as i64],
+            &[fd as u64, offset as u64, whence as u64],
             "fd_seek",
             args,
         ) {
@@ -412,13 +435,12 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         }
     });
 
-    wasi!("fd_tell", |b: &B, c: C, args: &[Value]| -> X {
+    wasi!("fd_tell", |b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
         match wali_call(
-            b,
+            &b.lseek,
             c,
-            "lseek",
-            &[fd as i64, 0, SEEK_CUR as i64],
+            &[fd as u64, 0, SEEK_CUR as u64],
             "fd_tell",
             args,
         ) {
@@ -434,18 +456,11 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         }
     });
 
-    wasi!("fd_fdstat_get", |b: &B, c: C, args: &[Value]| -> X {
+    wasi!("fd_fdstat_get", |b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
         let out = a32(args, 1) as u32;
         let st = STRUCT_SCRATCH;
-        match wali_call(
-            b,
-            c,
-            "fstat",
-            &[fd as i64, st as i64],
-            "fd_fdstat_get",
-            args,
-        ) {
+        match wali_call(&b.fstat, c, &[fd as u64, st as u64], "fd_fdstat_get", args) {
             Ok(ret) => {
                 if let Err(e) = check(ret) {
                     return e;
@@ -470,15 +485,14 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         }
     });
 
-    wasi!("fd_filestat_get", |b: &B, c: C, args: &[Value]| -> X {
+    wasi!("fd_filestat_get", |b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
         let out = a32(args, 1) as u32;
         let st = STRUCT_SCRATCH;
         match wali_call(
-            b,
+            &b.fstat,
             c,
-            "fstat",
-            &[fd as i64, st as i64],
+            &[fd as u64, st as u64],
             "fd_filestat_get",
             args,
         ) {
@@ -493,7 +507,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         }
     });
 
-    wasi!("fd_prestat_get", |_b: &B, c: C, args: &[Value]| -> X {
+    wasi!("fd_prestat_get", |_b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
         let out = a32(args, 1) as u32;
         let Some(state) = state_mut(c.data) else {
@@ -509,7 +523,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         ok()
     });
 
-    wasi!("fd_prestat_dir_name", |_b: &B, c: C, args: &[Value]| -> X {
+    wasi!("fd_prestat_dir_name", |_b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
         let (ptr, len) = (a32(args, 1) as u32, a32(args, 2) as u32);
         let Some(state) = state_mut(c.data) else {
@@ -527,7 +541,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         ok()
     });
 
-    wasi!("fd_readdir", |b: &B, c: C, args: &[Value]| -> X {
+    wasi!("fd_readdir", |b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
         if state_mut(c.data)
             .map(|s| s.rights_of(fd) & RIGHT_FD_READDIR == 0)
@@ -538,10 +552,9 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         let (buf, buf_len) = (a32(args, 1) as u32, a32(args, 2) as u32);
         let tmp = STRUCT_SCRATCH;
         match wali_call(
-            b,
+            &b.getdents64,
             c,
-            "getdents64",
-            &[fd as i64, tmp as i64, 240],
+            &[fd as u64, tmp as u64, 240],
             "fd_readdir",
             args,
         ) {
@@ -584,28 +597,27 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         }
     });
 
-    wasi!("fd_sync", |b: &B, c: C, args: &[Value]| -> X {
+    wasi!("fd_sync", |b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
-        match wali_call(b, c, "fsync", &[fd as i64], "fd_sync", args) {
+        match wali_call(&b.fsync, c, &[fd as u64], "fd_sync", args) {
             Ok(_) => ok(),
             Err(x) => x,
         }
     });
 
-    wasi!("fd_datasync", |b: &B, c: C, args: &[Value]| -> X {
+    wasi!("fd_datasync", |b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
-        match wali_call(b, c, "fdatasync", &[fd as i64], "fd_datasync", args) {
+        match wali_call(&b.fdatasync, c, &[fd as u64], "fd_datasync", args) {
             Ok(_) => ok(),
             Err(x) => x,
         }
     });
 
-    wasi!("fd_fdstat_set_flags", |_b: &B,
-                                  _c: C,
-                                  _args: &[Value]|
-     -> X { ok() });
+    wasi!("fd_fdstat_set_flags", |_b: &B, _c: C, _args: &[u64]| -> X {
+        ok()
+    });
 
-    wasi!("path_open", |b: &B, c: C, args: &[Value]| -> X {
+    wasi!("path_open", |b: &B, c: C, args: &[u64]| -> X {
         let dirfd = a32(args, 0);
         let (ptr, len) = (a32(args, 2) as u32, a32(args, 3) as u32);
         let oflags = a32(args, 4);
@@ -650,10 +662,9 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
             Err(x) => return x,
         };
         match wali_call(
-            b,
+            &b.openat,
             c,
-            "openat",
-            &[AT_FDCWD as i64, staged as i64, flags as i64, 0o644],
+            &[AT_FDCWD as u64, staged as u64, flags as u64, 0o644],
             "path_open",
             args,
         ) {
@@ -672,7 +683,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         }
     });
 
-    wasi!("path_filestat_get", |b: &B, c: C, args: &[Value]| -> X {
+    wasi!("path_filestat_get", |b: &B, c: C, args: &[u64]| -> X {
         let dirfd = a32(args, 0);
         let (ptr, len) = (a32(args, 2) as u32, a32(args, 3) as u32);
         let out = a32(args, 4) as u32;
@@ -686,10 +697,9 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         };
         let st = STRUCT_SCRATCH;
         match wali_call(
-            b,
+            &b.newfstatat,
             c,
-            "newfstatat",
-            &[AT_FDCWD as i64, staged as i64, st as i64, 0],
+            &[AT_FDCWD as u64, staged as u64, st as u64, 0],
             "path_filestat_get",
             args,
         ) {
@@ -704,29 +714,23 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         }
     });
 
-    wasi!("path_create_directory", |b: &B,
-                                    c: C,
-                                    args: &[Value]|
-     -> X {
-        path_simple(b, c, args, "mkdirat", &[0o755])
+    wasi!("path_create_directory", |b: &B, c: C, args: &[u64]| -> X {
+        path_simple(c, args, &b.mkdirat, "path_create_directory", 0o755)
     });
-    wasi!("path_remove_directory", |b: &B,
-                                    c: C,
-                                    args: &[Value]|
-     -> X {
+    wasi!("path_remove_directory", |b: &B, c: C, args: &[u64]| -> X {
         path_simple(
-            b,
             c,
             args,
-            "unlinkat",
-            &[wali_abi::flags::AT_REMOVEDIR as i64],
+            &b.unlinkat,
+            "path_remove_directory",
+            wali_abi::flags::AT_REMOVEDIR as u64,
         )
     });
-    wasi!("path_unlink_file", |b: &B, c: C, args: &[Value]| -> X {
-        path_simple(b, c, args, "unlinkat", &[0])
+    wasi!("path_unlink_file", |b: &B, c: C, args: &[u64]| -> X {
+        path_simple(c, args, &b.unlinkat, "path_unlink_file", 0)
     });
 
-    wasi!("path_rename", |b: &B, c: C, args: &[Value]| -> X {
+    wasi!("path_rename", |b: &B, c: C, args: &[u64]| -> X {
         let (old, _) = match resolve_path(c, a32(args, 0), a32(args, 1) as u32, a32(args, 2) as u32)
         {
             Ok(p) => p,
@@ -747,10 +751,9 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         bytes.push(0);
         let _ = mem.write(p2 as u64, &bytes);
         match wali_call(
-            b,
+            &b.renameat,
             c,
-            "renameat",
-            &[AT_FDCWD as i64, p1 as i64, AT_FDCWD as i64, p2 as i64],
+            &[AT_FDCWD as u64, p1 as u64, AT_FDCWD as u64, p2 as u64],
             "path_rename",
             args,
         ) {
@@ -762,7 +765,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         }
     });
 
-    wasi!("path_readlink", |b: &B, c: C, args: &[Value]| -> X {
+    wasi!("path_readlink", |b: &B, c: C, args: &[u64]| -> X {
         let (path, _) =
             match resolve_path(c, a32(args, 0), a32(args, 1) as u32, a32(args, 2) as u32) {
                 Ok(p) => p,
@@ -772,12 +775,11 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
             Ok(p) => p,
             Err(x) => return x,
         };
-        let (buf, len) = (a32(args, 3) as i64, a32(args, 4) as i64);
+        let (buf, len) = (a32(args, 3) as u64, a32(args, 4) as u64);
         match wali_call(
-            b,
+            &b.readlinkat,
             c,
-            "readlinkat",
-            &[AT_FDCWD as i64, staged as i64, buf, len],
+            &[AT_FDCWD as u64, staged as u64, buf, len],
             "path_readlink",
             args,
         ) {
@@ -793,17 +795,17 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         }
     });
 
-    wasi!("proc_exit", |b: &B, c: C, args: &[Value]| -> X {
+    wasi!("proc_exit", |b: &B, c: C, args: &[u64]| -> X {
         let code = a32(args, 0);
-        match wali_call(b, c, "exit_group", &[code as i64], "proc_exit", args) {
+        match wali_call(&b.exit_group, c, &[code as u64], "proc_exit", args) {
             Ok(_) => ok(),
             Err(x) => x,
         }
     });
 
-    wasi!("random_get", |b: &B, c: C, args: &[Value]| -> X {
-        let (buf, len) = (a32(args, 0) as i64, a32(args, 1) as i64);
-        match wali_call(b, c, "getrandom", &[buf, len, 0], "random_get", args) {
+    wasi!("random_get", |b: &B, c: C, args: &[u64]| -> X {
+        let (buf, len) = (a32(args, 0) as u64, a32(args, 1) as u64);
+        match wali_call(&b.getrandom, c, &[buf, len, 0], "random_get", args) {
             Ok(ret) => match check(ret) {
                 Ok(_) => ok(),
                 Err(e) => e,
@@ -812,8 +814,8 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         }
     });
 
-    wasi!("sched_yield", |b: &B, c: C, args: &[Value]| -> X {
-        match wali_call(b, c, "sched_yield", &[], "sched_yield", args) {
+    wasi!("sched_yield", |b: &B, c: C, args: &[u64]| -> X {
+        match wali_call(&b.sched_yield, c, &[], "sched_yield", args) {
             Ok(_) => ok(),
             Err(x) => x,
         }
@@ -821,7 +823,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
 
     // poll_oneoff: clock subscriptions sleep via SYS_nanosleep; fd
     // subscriptions report ready immediately.
-    wasi!("poll_oneoff", |b: &B, c: C, args: &[Value]| -> X {
+    wasi!("poll_oneoff", |b: &B, c: C, args: &[u64]| -> X {
         let (subs, events, n) = (
             a32(args, 0) as u32,
             a32(args, 1) as u32,
@@ -837,7 +839,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
             let ts = STRUCT_SCRATCH;
             let _ = mem.store::<8>(ts as u64, (timeout / 1_000_000_000).to_le_bytes());
             let _ = mem.store::<8>(ts as u64 + 8, (timeout % 1_000_000_000).to_le_bytes());
-            if let Err(x) = wali_call(b, c, "nanosleep", &[ts as i64, 0], "poll_oneoff", args) {
+            if let Err(x) = wali_call(&b.nanosleep, c, &[ts as u64, 0], "poll_oneoff", args) {
                 return x;
             }
         }
@@ -851,23 +853,17 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
     });
 }
 
-fn do_rw(
-    base: &Arc<Linker<WaliContext>>,
-    c: C,
-    args: &[Value],
-    write: bool,
-    import: &'static str,
-) -> X {
+fn do_rw(base: &Wali, c: C, args: &[u64], write: bool, import: &'static str) -> X {
     let fd = a32(args, 0);
     let (iovs, iovcnt, nout) = (
-        a32(args, 1) as i64,
-        a32(args, 2) as i64,
+        a32(args, 1) as u64,
+        a32(args, 2) as u64,
         a32(args, 3) as u32,
     );
     // WASI ciovec has the same wasm32 layout as the WALI iovec, so
     // readv/writev pass through directly — layering at its thinnest.
-    let name = if write { "writev" } else { "readv" };
-    match wali_call(base, c, name, &[fd as i64, iovs, iovcnt], import, args) {
+    let f = if write { &base.writev } else { &base.readv };
+    match wali_call(f, c, &[fd as u64, iovs, iovcnt], import, args) {
         Ok(ret) => match check(ret) {
             Ok(n) => {
                 let mem = wmem(c);
@@ -881,11 +877,11 @@ fn do_rw(
 }
 
 fn path_simple(
-    base: &Arc<Linker<WaliContext>>,
     c: C,
-    args: &[Value],
-    syscall: &'static str,
-    extra: &[i64],
+    args: &[u64],
+    syscall: &HostFn<WaliContext>,
+    import: &'static str,
+    extra: u64,
 ) -> X {
     let (path, rights) =
         match resolve_path(c, a32(args, 0), a32(args, 1) as u32, a32(args, 2) as u32) {
@@ -899,9 +895,8 @@ fn path_simple(
         Ok(p) => p,
         Err(x) => return x,
     };
-    let mut call_args = vec![AT_FDCWD as i64, staged as i64];
-    call_args.extend_from_slice(extra);
-    match wali_call(base, c, syscall, &call_args, "path_simple", args) {
+    let call_args = [AT_FDCWD as u64, staged as u64, extra];
+    match wali_call(syscall, c, &call_args, import, args) {
         Ok(ret) => match check(ret) {
             Ok(_) => ok(),
             Err(e) => e,

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use crate::error::Trap;
 use crate::interp::{Instance, Value};
+use crate::types::FuncType;
 
 /// Why a host function did not return values.
 pub enum HostOutcome {
@@ -52,6 +53,12 @@ pub struct Caller<'a, T> {
     pub instance: &'a Instance<T>,
     /// Embedder context.
     pub data: &'a mut T,
+    /// Signature of the import being called, when the call comes from a
+    /// linked module: raw slots carry no types, so the typed
+    /// [`Linker::func`] adapter reads them here. `None` when a resolved
+    /// handle is invoked directly (benchmarks, one layer calling down
+    /// into another).
+    pub sig: Option<&'a FuncType>,
 }
 
 impl<'a, T> Caller<'a, T> {
@@ -61,9 +68,13 @@ impl<'a, T> Caller<'a, T> {
     }
 }
 
-/// Signature of a host function.
+/// A host function in the raw-slot convention: the arguments are the
+/// caller's operand-stack slots, borrowed in place (the low 32 bits of
+/// an `i32`/`f32` slot hold the value, as [`Value::raw`] lays them out),
+/// and the result is one slot — ignored when the import's signature has
+/// no result. A crossing allocates nothing and knows no types.
 pub type HostFn<T> =
-    Arc<dyn Fn(&mut Caller<'_, T>, &[Value]) -> Result<Vec<Value>, HostOutcome> + Send + Sync>;
+    Arc<dyn Fn(&mut Caller<'_, T>, &[u64]) -> Result<u64, HostOutcome> + Send + Sync>;
 
 /// A pending re-entrant call requested at a safepoint (signal delivery).
 #[derive(Clone, Debug, PartialEq)]
@@ -99,9 +110,8 @@ impl HostCtx for () {}
 
 /// Registry of host functions keyed by `(module, name)`.
 ///
-/// Stored as a two-level map so [`Linker::resolve`] is allocation-free:
-/// the blocked-syscall retry path resolves on every scheduling round, so
-/// a per-resolve `String` pair would be a hot-path cost.
+/// Stored as a two-level map so [`Linker::resolve`] is allocation-free
+/// (linking resolves every import of every program registered).
 pub struct Linker<T> {
     funcs: HashMap<String, HashMap<String, HostFn<T>>>,
 }
@@ -128,7 +138,26 @@ impl<T> Linker<T> {
         Self::default()
     }
 
-    /// Registers a host function under `(module, name)`.
+    /// Registers a raw-slot host function under `(module, name)`.
+    pub fn func_raw(
+        &mut self,
+        module: &str,
+        name: &str,
+        f: impl Fn(&mut Caller<'_, T>, &[u64]) -> Result<u64, HostOutcome> + Send + Sync + 'static,
+    ) -> &mut Self {
+        self.funcs
+            .entry(module.to_string())
+            .or_default()
+            .insert(name.to_string(), Arc::new(f));
+        self
+    }
+
+    /// Registers a typed host function under `(module, name)`: a thin
+    /// adapter over [`Linker::func_raw`] that types the slots by the
+    /// import's signature ([`Caller::sig`]) on the way in and flattens
+    /// the (at most one) result on the way out. It allocates per call,
+    /// and only works as an import — a handle invoked without a
+    /// signature traps.
     pub fn func(
         &mut self,
         module: &str,
@@ -138,11 +167,24 @@ impl<T> Linker<T> {
             + Sync
             + 'static,
     ) -> &mut Self {
-        self.funcs
-            .entry(module.to_string())
-            .or_default()
-            .insert(name.to_string(), Arc::new(f));
-        self
+        self.func_raw(module, name, move |caller, slots| {
+            let Some(sig) = caller.sig else {
+                return Err(
+                    Trap::Host("typed host function called without a signature".into()).into(),
+                );
+            };
+            let args: Vec<Value> = sig
+                .params
+                .iter()
+                .zip(slots)
+                .map(|(ty, raw)| Value::from_raw(*ty, *raw))
+                .collect();
+            let values = f(caller, &args)?;
+            if values.len() != sig.results.len() {
+                return Err(Trap::Host("host result arity".into()).into());
+            }
+            Ok(values.first().map_or(0, Value::raw))
+        })
     }
 
     /// Looks up a registered function (no allocation).
@@ -176,9 +218,11 @@ mod tests {
     fn linker_registers_and_resolves() {
         let mut l: Linker<()> = Linker::new();
         l.func("wali", "SYS_getpid", |_, _| Ok(vec![Value::I64(42)]));
+        l.func_raw("wali", "SYS_gettid", |_, _| Ok(43));
         assert!(l.resolve("wali", "SYS_getpid").is_some());
+        assert!(l.resolve("wali", "SYS_gettid").is_some());
         assert!(l.resolve("wali", "SYS_nope").is_none());
-        assert_eq!(l.len(), 1);
+        assert_eq!(l.len(), 2);
     }
 
     #[test]

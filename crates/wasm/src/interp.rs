@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use crate::error::Trap;
-use crate::host::{Caller, HostCtx, HostOutcome, Suspension};
+use crate::host::{Caller, HostCtx, HostOutcome, PendingCall, Suspension};
 use crate::instr::{BinOp, CvtOp, LoadKind, RelOp, StoreKind, UnOp};
 use crate::mem::Memory;
 use crate::module::{ConstExpr, ExportDesc};
@@ -267,6 +267,16 @@ struct Frame {
 /// busy-spinning tasks (e.g. a thread polling shared memory).
 pub struct Preempted;
 
+/// What a suspended thread is waiting on.
+#[derive(Clone, Copy)]
+struct PendingHost {
+    /// The import whose call suspended ([`Thread::retry`] re-enters
+    /// it); `None` for a fuel preemption.
+    func: Option<u32>,
+    /// Result slots the matching `resume` must supply.
+    nresults: usize,
+}
+
 /// Resumable execution state for one Wasm computation.
 ///
 /// Cloning a [`Thread`] (together with its instance state) yields a
@@ -275,8 +285,9 @@ pub struct Preempted;
 pub struct Thread {
     stack: Vec<u64>,
     frames: Vec<Frame>,
-    /// Set between a `Suspend` host outcome and the matching `resume`.
-    pending_results: Option<Vec<ValType>>,
+    /// Set between a `Suspend` host outcome and the matching `resume`
+    /// or `retry`.
+    pending: Option<PendingHost>,
     /// Remaining ops before a preemption yield (None = unbounded).
     fuel: Option<u64>,
     /// Executed op count (deterministic work metric).
@@ -294,7 +305,7 @@ impl Thread {
 
     /// True if the thread is mid-suspension and expects `resume`.
     pub fn is_suspended(&self) -> bool {
-        self.pending_results.is_some()
+        self.pending.is_some()
     }
 
     /// Sets the preemption fuel: the thread yields [`Preempted`] after
@@ -317,41 +328,21 @@ impl Thread {
         func: u32,
         args: &[Value],
     ) -> RunResult {
-        let ty = match inst.func_type(func) {
-            Some(t) => t.clone(),
-            None => return RunResult::Trapped(Trap::Host(format!("no function {func}"))),
+        let Some(nparams) = inst.func_type(func).map(|t| t.params.len()) else {
+            return RunResult::Trapped(Trap::Host(format!("no function {func}")));
         };
-        if ty.params.len() != args.len() {
+        if nparams != args.len() {
             return RunResult::Trapped(Trap::Host(format!(
-                "arity mismatch calling {func}: expected {}, got {}",
-                ty.params.len(),
+                "arity mismatch calling {func}: expected {nparams}, got {}",
                 args.len()
             )));
         }
-        for a in args {
-            self.stack.push(a.raw());
-        }
+        let base = self.stack.len();
+        self.stack.extend(args.iter().map(Value::raw));
         let program = inst.program.clone();
         match &program.funcs[func as usize] {
-            FuncDef::Host { f, .. } => {
-                // Direct host entry (no wasm frame).
-                for _ in 0..args.len() {
-                    self.stack.pop();
-                }
-                let f = f.clone();
-                let mut caller = Caller {
-                    instance: inst,
-                    data: ctx,
-                };
-                match f(&mut caller, args) {
-                    Ok(values) => RunResult::Done(values),
-                    Err(HostOutcome::Trap(t)) => RunResult::Trapped(t),
-                    Err(HostOutcome::Suspend(s)) => {
-                        self.pending_results = Some(ty.results.clone());
-                        RunResult::Suspended(s)
-                    }
-                }
-            }
+            // Direct host entry (no wasm frame).
+            FuncDef::Host { .. } => self.enter_host(inst, ctx, func, base),
             FuncDef::Local(code) => {
                 if let Err(t) = self.push_frame(func, code, true, false) {
                     return RunResult::Trapped(t);
@@ -361,6 +352,143 @@ impl Thread {
         }
     }
 
+    /// Re-enters the import this thread is suspended in with `args` — a
+    /// blocked call's retry — and, once it returns, continues exactly as
+    /// [`Thread::resume`] would with its result. Only the raw bits of
+    /// `args` matter: they go back onto the operand stack the call
+    /// borrows them from. A call that suspends again leaves the thread
+    /// waiting on the same import.
+    pub fn retry<T: HostCtx>(
+        &mut self,
+        inst: &mut Instance<T>,
+        ctx: &mut T,
+        args: &[Value],
+    ) -> RunResult {
+        let Some(func) = self.pending.take().and_then(|p| p.func) else {
+            return RunResult::Trapped(Trap::Host("retry without a suspended host call".into()));
+        };
+        if inst.func_type(func).map(|t| t.params.len()) != Some(args.len()) {
+            return RunResult::Trapped(Trap::Host("retry arity mismatch".into()));
+        }
+        let base = self.stack.len();
+        self.stack.extend(args.iter().map(Value::raw));
+        self.enter_host(inst, ctx, func, base)
+    }
+
+    /// Calls import `func` on the arguments sitting at `base..` and
+    /// carries on: into the interrupted frame when there is one, to
+    /// `Done` on a direct host entry.
+    fn enter_host<T: HostCtx>(
+        &mut self,
+        inst: &mut Instance<T>,
+        ctx: &mut T,
+        func: u32,
+        base: usize,
+    ) -> RunResult {
+        match self.call_host(inst, ctx, func, self.stack.len()) {
+            Ok(()) if self.frames.is_empty() => {
+                RunResult::Done(self.take_results(inst, func, base))
+            }
+            Ok(()) => self.run(inst, ctx),
+            Err(HostOutcome::Trap(t)) => {
+                self.frames.clear();
+                self.stack.clear();
+                RunResult::Trapped(t)
+            }
+            Err(HostOutcome::Suspend(s)) => RunResult::Suspended(s),
+        }
+    }
+
+    /// The guest→host crossing — the only place one is made: both
+    /// dispatch tiers, direct entry, retries and signal delivery to an
+    /// import all come through here. The arguments are the slots below
+    /// `top`, lent to the host function in place; afterwards the stack
+    /// is cut at the argument base and holds the result, if the
+    /// signature has one. A suspension is recorded so that `resume` or
+    /// `retry` can pick the call up again.
+    ///
+    /// Out of line on purpose: the dispatch loops are monomorphised
+    /// into the embedder's crate, and keeping this body out of them
+    /// keeps their layout independent of it.
+    #[inline(never)]
+    fn call_host<T>(
+        &mut self,
+        inst: &Instance<T>,
+        ctx: &mut T,
+        func: u32,
+        top: usize,
+    ) -> Result<(), HostOutcome> {
+        let program = &*inst.program;
+        let Some(FuncDef::Host { f, ty, .. }) = program.funcs.get(func as usize) else {
+            return Err(Trap::Host(format!("no host function {func}")).into());
+        };
+        let sig = &program.types[*ty as usize];
+        let argbase = top - sig.params.len();
+        let mut caller = Caller {
+            instance: inst,
+            data: ctx,
+            sig: Some(sig),
+        };
+        let r = f(&mut caller, &self.stack[argbase..top]);
+        self.stack.truncate(argbase);
+        match r {
+            Ok(v) => {
+                // `Program::link` admits imports of at most one result.
+                if !sig.results.is_empty() {
+                    self.stack.push(v);
+                }
+                Ok(())
+            }
+            Err(HostOutcome::Suspend(s)) => {
+                self.pending = Some(PendingHost {
+                    func: Some(func),
+                    nresults: sig.results.len(),
+                });
+                Err(HostOutcome::Suspend(s))
+            }
+            Err(trap) => Err(trap),
+        }
+    }
+
+    /// Delivers a signal to a handler that is an import (a guest may put
+    /// one in its table): arguments above the live frame, result
+    /// discarded.
+    fn signal_host<T>(
+        &mut self,
+        inst: &Instance<T>,
+        ctx: &mut T,
+        call: &PendingCall,
+    ) -> Result<(), Trap> {
+        if inst.func_type(call.func).map(|t| t.params.len()) != Some(call.args.len()) {
+            return Err(Trap::Host("bad signal handler arity".into()));
+        }
+        let top = self.stack.len();
+        self.stack.extend(call.args.iter().map(Value::raw));
+        let r = self.call_host(inst, ctx, call.func, self.stack.len());
+        self.stack.truncate(top);
+        match r {
+            Ok(()) => Ok(()),
+            Err(HostOutcome::Trap(t)) => Err(t),
+            Err(HostOutcome::Suspend(_)) => {
+                self.pending = None;
+                Err(Trap::Host("suspend in signal handler".into()))
+            }
+        }
+    }
+
+    /// Pops the results of `func` — the slots from `base` up — as typed
+    /// values.
+    fn take_results<T>(&mut self, inst: &Instance<T>, func: u32, base: usize) -> Vec<Value> {
+        let tys = &inst.func_type(func).expect("function exists").results;
+        let out = tys
+            .iter()
+            .zip(&self.stack[base..])
+            .map(|(ty, raw)| Value::from_raw(*ty, *raw))
+            .collect();
+        self.stack.truncate(base);
+        out
+    }
+
     /// Resumes after a suspension, providing the host call's results.
     pub fn resume<T: HostCtx>(
         &mut self,
@@ -368,20 +496,17 @@ impl Thread {
         ctx: &mut T,
         results: &[Value],
     ) -> RunResult {
-        let expected = match self.pending_results.take() {
-            Some(e) => e,
-            None => return RunResult::Trapped(Trap::Host("resume without suspension".into())),
+        let Some(pending) = self.pending.take() else {
+            return RunResult::Trapped(Trap::Host("resume without suspension".into()));
         };
-        if expected.len() != results.len() {
+        if pending.nresults != results.len() {
             return RunResult::Trapped(Trap::Host("resume arity mismatch".into()));
         }
         if self.frames.is_empty() {
             // The suspension happened in a direct host entry.
             return RunResult::Done(results.to_vec());
         }
-        for r in results {
-            self.stack.push(r.raw());
-        }
+        self.stack.extend(results.iter().map(Value::raw));
         self.run(inst, ctx)
     }
 
@@ -452,10 +577,11 @@ impl Thread {
             }};
         }
 
-        // Signal delivery at syscall exit: after a host call returns, check
-        // for aborts and deliver any pending handler re-entrantly (Linux
-        // delivers signals on the return path of syscalls).
-        macro_rules! post_host_poll {
+        // The safepoint poll (paper §3.3): check for aborts and deliver
+        // any pending handler re-entrantly. Runs at `Safepoint` ops and
+        // after every host call returns (Linux delivers signals on the
+        // return path of syscalls).
+        macro_rules! poll_signals {
             () => {{
                 if let Some(t) = ctx.check_abort() {
                     trap!(t);
@@ -464,16 +590,41 @@ impl Thread {
                     match program.funcs.get(call.func as usize) {
                         Some(FuncDef::Local(code)) => {
                             let code = code.clone();
-                            for a in &call.args {
-                                self.stack.push(a.raw());
-                            }
+                            self.stack.extend(call.args.iter().map(Value::raw));
                             if let Err(t) = self.push_frame(call.func, &code, false, true) {
                                 trap!(t);
                             }
                             cur = code;
                         }
-                        _ => trap!(Trap::Host("bad signal handler index".into())),
+                        Some(FuncDef::Host { .. }) => {
+                            if let Err(t) = self.signal_host(inst, ctx, &call) {
+                                trap!(t);
+                            }
+                        }
+                        None => trap!(Trap::Host("bad signal handler index".into())),
                     }
+                }
+            }};
+        }
+
+        // Transfers control to function `f`: a local callee becomes the
+        // current frame, an import crosses to the host.
+        macro_rules! enter {
+            ($f:expr) => {{
+                let f = $f;
+                match &program.funcs[f as usize] {
+                    FuncDef::Local(code) => {
+                        let code = code.clone();
+                        if let Err(t) = self.push_frame(f, &code, false, false) {
+                            trap!(t);
+                        }
+                        cur = code;
+                    }
+                    FuncDef::Host { .. } => match self.call_host(inst, ctx, f, self.stack.len()) {
+                        Ok(()) => poll_signals!(),
+                        Err(HostOutcome::Trap(t)) => trap!(t),
+                        Err(HostOutcome::Suspend(s)) => return RunResult::Suspended(s),
+                    },
                 }
             }};
         }
@@ -482,7 +633,10 @@ impl Thread {
             if let Some(fuel) = &mut self.fuel {
                 if *fuel == 0 {
                     // Yield at an op boundary; resume(&[]) continues here.
-                    self.pending_results = Some(Vec::new());
+                    self.pending = Some(PendingHost {
+                        func: None,
+                        nresults: 0,
+                    });
                     return RunResult::Suspended(Suspension::new(Preempted));
                 }
                 *fuel -= 1;
@@ -498,41 +652,7 @@ impl Thread {
 
             match op {
                 Op::Unreachable => trap!(Trap::Unreachable),
-                Op::Safepoint => {
-                    if let Some(t) = ctx.check_abort() {
-                        trap!(t);
-                    }
-                    if let Some(call) = ctx.poll_signal() {
-                        let func = call.func;
-                        match program.funcs.get(func as usize) {
-                            Some(FuncDef::Local(code)) => {
-                                let code = code.clone();
-                                for a in &call.args {
-                                    self.stack.push(a.raw());
-                                }
-                                if let Err(t) = self.push_frame(func, &code, false, true) {
-                                    trap!(t);
-                                }
-                                cur = code;
-                            }
-                            Some(FuncDef::Host { f, .. }) => {
-                                let f = f.clone();
-                                let mut caller = Caller {
-                                    instance: inst,
-                                    data: ctx,
-                                };
-                                match f(&mut caller, &call.args) {
-                                    Ok(_) => {}
-                                    Err(HostOutcome::Trap(t)) => trap!(t),
-                                    Err(HostOutcome::Suspend(_)) => {
-                                        trap!(Trap::Host("suspend in signal handler".into()))
-                                    }
-                                }
-                            }
-                            None => trap!(Trap::Host("bad signal handler index".into())),
-                        }
-                    }
-                }
+                Op::Safepoint => poll_signals!(),
                 Op::Br(d) => {
                     let d = *d;
                     self.do_branch(&d);
@@ -567,17 +687,7 @@ impl Thread {
                     self.stack.copy_within(from.., frame.base);
                     self.stack.truncate(frame.base + results);
                     if frame.barrier {
-                        let func_ty = inst
-                            .func_type(frame.func)
-                            .expect("function exists")
-                            .results
-                            .clone();
-                        let mut out = Vec::with_capacity(results);
-                        for (i, ty) in func_ty.iter().enumerate() {
-                            out.push(Value::from_raw(*ty, self.stack[frame.base + i]));
-                        }
-                        self.stack.truncate(frame.base);
-                        return RunResult::Done(out);
+                        return RunResult::Done(self.take_results(inst, frame.func, frame.base));
                     }
                     let parent = self.frames.last().expect("parent frame");
                     cur = match &program.funcs[parent.func as usize] {
@@ -585,49 +695,7 @@ impl Thread {
                         FuncDef::Host { .. } => unreachable!(),
                     };
                 }
-                Op::Call(f) => {
-                    let f = *f;
-                    match &program.funcs[f as usize] {
-                        FuncDef::Local(code) => {
-                            let code = code.clone();
-                            if let Err(t) = self.push_frame(f, &code, false, false) {
-                                trap!(t);
-                            }
-                            cur = code;
-                        }
-                        FuncDef::Host { f: hf, ty, .. } => {
-                            let hf = hf.clone();
-                            let ty = program.types[*ty as usize].clone();
-                            let n = ty.params.len();
-                            let argbase = self.stack.len() - n;
-                            let mut args = Vec::with_capacity(n);
-                            for (i, t) in ty.params.iter().enumerate() {
-                                args.push(Value::from_raw(*t, self.stack[argbase + i]));
-                            }
-                            self.stack.truncate(argbase);
-                            let mut caller = Caller {
-                                instance: inst,
-                                data: ctx,
-                            };
-                            match hf(&mut caller, &args) {
-                                Ok(values) => {
-                                    if values.len() != ty.results.len() {
-                                        trap!(Trap::Host("host result arity".into()));
-                                    }
-                                    for v in values {
-                                        self.stack.push(v.raw());
-                                    }
-                                    post_host_poll!();
-                                }
-                                Err(HostOutcome::Trap(t)) => trap!(t),
-                                Err(HostOutcome::Suspend(s)) => {
-                                    self.pending_results = Some(ty.results.clone());
-                                    return RunResult::Suspended(s);
-                                }
-                            }
-                        }
-                    }
-                }
+                Op::Call(f) => enter!(*f),
                 Op::CallIndirect(expect_ty) => {
                     let expect_ty = *expect_ty;
                     let idx = self.pop() as u32 as usize;
@@ -643,43 +711,7 @@ impl Thread {
                     if program.types[actual as usize] != program.types[expect_ty as usize] {
                         trap!(Trap::IndirectCallTypeMismatch);
                     }
-                    match &program.funcs[f as usize] {
-                        FuncDef::Local(code) => {
-                            let code = code.clone();
-                            if let Err(t) = self.push_frame(f, &code, false, false) {
-                                trap!(t);
-                            }
-                            cur = code;
-                        }
-                        FuncDef::Host { f: hf, ty, .. } => {
-                            let hf = hf.clone();
-                            let ty = program.types[*ty as usize].clone();
-                            let n = ty.params.len();
-                            let argbase = self.stack.len() - n;
-                            let mut args = Vec::with_capacity(n);
-                            for (i, t) in ty.params.iter().enumerate() {
-                                args.push(Value::from_raw(*t, self.stack[argbase + i]));
-                            }
-                            self.stack.truncate(argbase);
-                            let mut caller = Caller {
-                                instance: inst,
-                                data: ctx,
-                            };
-                            match hf(&mut caller, &args) {
-                                Ok(values) => {
-                                    for v in values {
-                                        self.stack.push(v.raw());
-                                    }
-                                    post_host_poll!();
-                                }
-                                Err(HostOutcome::Trap(t)) => trap!(t),
-                                Err(HostOutcome::Suspend(s)) => {
-                                    self.pending_results = Some(ty.results.clone());
-                                    return RunResult::Suspended(s);
-                                }
-                            }
-                        }
-                    }
+                    enter!(f);
                 }
                 Op::Drop => {
                     self.pop();
@@ -994,9 +1026,9 @@ impl Thread {
             // pool indices are within `consts` (its `validated` pass), and
             // the frame invariant keeps `stack.len() >= base + nregs`
             // while this frame is on top (entry resize, `push_frame`,
-            // `post_host_poll!` and the `Return` resize all re-establish
-            // it). The unchecked accesses therefore stay in bounds; they
-            // are the hottest loads/stores in the interpreter.
+            // `enter!` after a host call and the `Return` resize all
+            // re-establish it). The unchecked accesses therefore stay in
+            // bounds; they are the hottest loads/stores in the interpreter.
 
             // Register read.
             macro_rules! reg {
@@ -1037,9 +1069,11 @@ impl Thread {
 
             // The safepoint poll (paper §3.3). Registers already sit
             // canonically in the frame — a handler frame stacks directly
-            // on top, no spill needed. Shared by the `Safepoint` op and
-            // poll-carrying branches (the back-edge fold); in both cases
-            // `pc` is already the handler's resume point.
+            // on top, no spill needed. Shared by the `Safepoint` op,
+            // poll-carrying branches (the back-edge fold) and the return
+            // path of host calls (Linux delivers signals at syscall
+            // exit); in every case `pc` is already the handler's resume
+            // point.
             macro_rules! poll_signals {
                 () => {{
                     if let Some(t) = ctx.check_abort() {
@@ -1047,32 +1081,20 @@ impl Thread {
                     }
                     if let Some(call) = ctx.poll_signal() {
                         let func = call.func;
+                        sync_pc!();
                         match program.funcs.get(func as usize) {
                             Some(FuncDef::Local(code)) => {
                                 let code = code.clone();
-                                sync_pc!();
-                                for a in &call.args {
-                                    self.stack.push(a.raw());
-                                }
+                                self.stack.extend(call.args.iter().map(Value::raw));
                                 if let Err(t) = self.push_frame(func, &code, false, true) {
                                     trap!(t);
                                 }
                                 cur = code;
                                 continue 'frame;
                             }
-                            Some(FuncDef::Host { f, .. }) => {
-                                let f = f.clone();
-                                sync_pc!();
-                                let mut caller = Caller {
-                                    instance: inst,
-                                    data: ctx,
-                                };
-                                match f(&mut caller, &call.args) {
-                                    Ok(_) => {}
-                                    Err(HostOutcome::Trap(t)) => trap!(t),
-                                    Err(HostOutcome::Suspend(_)) => {
-                                        trap!(Trap::Host("suspend in signal handler".into()))
-                                    }
+                            Some(FuncDef::Host { .. }) => {
+                                if let Err(t) = self.signal_host(inst, ctx, &call) {
+                                    trap!(t);
                                 }
                             }
                             None => trap!(Trap::Host("bad signal handler index".into())),
@@ -1100,30 +1122,39 @@ impl Thread {
                 }};
             }
 
-            // Signal delivery at syscall exit (see `run_stack`): the stack
-            // is restored to the full register frame before a handler frame
-            // is stacked on top of it.
-            macro_rules! post_host_poll {
-                () => {{
-                    if let Some(t) = ctx.check_abort() {
-                        trap!(t);
-                    }
-                    self.stack.resize(base + nregs, 0);
-                    if let Some(call) = ctx.poll_signal() {
-                        match program.funcs.get(call.func as usize) {
-                            Some(FuncDef::Local(code)) => {
-                                let code = code.clone();
-                                for a in &call.args {
-                                    self.stack.push(a.raw());
-                                }
-                                if let Err(t) = self.push_frame(call.func, &code, false, true) {
-                                    trap!(t);
-                                }
-                                cur = code;
-                                continue 'frame;
+            // Transfers control to function `f`, whose arguments are the
+            // canonical registers below `top`: a local callee's frame
+            // starts on them, an import borrows them across the host
+            // boundary. `pc` is written back first — the calling frame
+            // resumes after the op, and `fork` clones the thread
+            // mid-call. After a host call the stack is restored to the
+            // full register frame before the syscall-exit poll can stack
+            // a handler frame on it.
+            macro_rules! enter {
+                ($f:expr, $top:expr) => {{
+                    let (f, top) = ($f, base + $top as usize);
+                    sync_pc!();
+                    match &program.funcs[f as usize] {
+                        FuncDef::Local(code) => {
+                            let code = code.clone();
+                            self.stack.truncate(top);
+                            if let Err(t) = self.push_frame(f, &code, false, false) {
+                                trap!(t);
                             }
-                            _ => trap!(Trap::Host("bad signal handler index".into())),
+                            cur = code;
+                            continue 'frame;
                         }
+                        FuncDef::Host { .. } => match self.call_host(inst, ctx, f, top) {
+                            Ok(()) => {
+                                self.stack.resize(base + nregs, 0);
+                                poll_signals!();
+                            }
+                            Err(HostOutcome::Trap(t)) => trap!(t),
+                            Err(HostOutcome::Suspend(s)) => {
+                                flush!();
+                                return RunResult::Suspended(s);
+                            }
+                        },
                     }
                 }};
             }
@@ -1134,7 +1165,10 @@ impl Thread {
                         // Yield at an op boundary; resume(&[]) continues here.
                         sync_pc!();
                         flush!();
-                        self.pending_results = Some(Vec::new());
+                        self.pending = Some(PendingHost {
+                            func: None,
+                            nresults: 0,
+                        });
                         return RunResult::Suspended(Suspension::new(Preempted));
                     }
                     *f -= 1;
@@ -1196,18 +1230,10 @@ impl Thread {
                         self.stack.copy_within(from..from + n, frame.base);
                         self.stack.truncate(frame.base + n);
                         if frame.barrier {
-                            let func_ty = inst
-                                .func_type(frame.func)
-                                .expect("function exists")
-                                .results
-                                .clone();
-                            let mut out = Vec::with_capacity(n);
-                            for (i, ty) in func_ty.iter().enumerate() {
-                                out.push(Value::from_raw(*ty, self.stack[frame.base + i]));
-                            }
-                            self.stack.truncate(frame.base);
                             flush!();
-                            return RunResult::Done(out);
+                            return RunResult::Done(
+                                self.take_results(inst, frame.func, frame.base),
+                            );
                         }
                         let parent = self.frames.last().expect("parent frame");
                         let pbase = parent.base;
@@ -1222,64 +1248,14 @@ impl Thread {
                         self.stack.resize(pbase + pnregs, 0);
                         continue 'frame;
                     }
-                    ROp::Call { func, top, nargs } => {
-                        let f = *func;
-                        let (top, nargs) = (*top as usize, *nargs as usize);
-                        match &program.funcs[f as usize] {
-                            FuncDef::Local(code) => {
-                                let code = code.clone();
-                                sync_pc!();
-                                // The arguments are the top `nargs` canonical
-                                // registers; the callee frame starts on them.
-                                self.stack.truncate(base + top);
-                                if let Err(t) = self.push_frame(f, &code, false, false) {
-                                    trap!(t);
-                                }
-                                cur = code;
-                                continue 'frame;
-                            }
-                            FuncDef::Host { f: hf, ty, .. } => {
-                                let hf = hf.clone();
-                                let ty = program.types[*ty as usize].clone();
-                                sync_pc!();
-                                let argbase = base + top - nargs;
-                                let mut args = Vec::with_capacity(nargs);
-                                for (i, t) in ty.params.iter().enumerate() {
-                                    args.push(Value::from_raw(*t, self.stack[argbase + i]));
-                                }
-                                self.stack.truncate(argbase);
-                                let mut caller = Caller {
-                                    instance: inst,
-                                    data: ctx,
-                                };
-                                match hf(&mut caller, &args) {
-                                    Ok(values) => {
-                                        if values.len() != ty.results.len() {
-                                            trap!(Trap::Host("host result arity".into()));
-                                        }
-                                        for v in values {
-                                            self.stack.push(v.raw());
-                                        }
-                                        post_host_poll!();
-                                    }
-                                    Err(HostOutcome::Trap(t)) => trap!(t),
-                                    Err(HostOutcome::Suspend(s)) => {
-                                        flush!();
-                                        self.pending_results = Some(ty.results.clone());
-                                        return RunResult::Suspended(s);
-                                    }
-                                }
-                            }
-                        }
-                    }
+                    ROp::Call { func, top, .. } => enter!(*func, *top),
                     ROp::CallIndirect {
                         ty: expect_ty,
                         idx,
                         top,
-                        nargs,
+                        ..
                     } => {
                         let expect_ty = *expect_ty;
-                        let (top, nargs) = (*top as usize, *nargs as usize);
                         let i = src!(*idx, base) as u32 as usize;
                         let entry = match inst.table.get(i) {
                             Some(e) => *e,
@@ -1293,50 +1269,7 @@ impl Thread {
                         if program.types[actual as usize] != program.types[expect_ty as usize] {
                             trap!(Trap::IndirectCallTypeMismatch);
                         }
-                        match &program.funcs[f as usize] {
-                            FuncDef::Local(code) => {
-                                let code = code.clone();
-                                sync_pc!();
-                                self.stack.truncate(base + top);
-                                if let Err(t) = self.push_frame(f, &code, false, false) {
-                                    trap!(t);
-                                }
-                                cur = code;
-                                continue 'frame;
-                            }
-                            FuncDef::Host { f: hf, ty, .. } => {
-                                let hf = hf.clone();
-                                let ty = program.types[*ty as usize].clone();
-                                sync_pc!();
-                                let argbase = base + top - nargs;
-                                let mut args = Vec::with_capacity(nargs);
-                                for (i, t) in ty.params.iter().enumerate() {
-                                    args.push(Value::from_raw(*t, self.stack[argbase + i]));
-                                }
-                                self.stack.truncate(argbase);
-                                let mut caller = Caller {
-                                    instance: inst,
-                                    data: ctx,
-                                };
-                                match hf(&mut caller, &args) {
-                                    Ok(values) => {
-                                        if values.len() != ty.results.len() {
-                                            trap!(Trap::Host("host result arity".into()));
-                                        }
-                                        for v in values {
-                                            self.stack.push(v.raw());
-                                        }
-                                        post_host_poll!();
-                                    }
-                                    Err(HostOutcome::Trap(t)) => trap!(t),
-                                    Err(HostOutcome::Suspend(s)) => {
-                                        flush!();
-                                        self.pending_results = Some(ty.results.clone());
-                                        return RunResult::Suspended(s);
-                                    }
-                                }
-                            }
-                        }
+                        enter!(f, *top);
                     }
                     ROp::Select { dst, cond, a, b } => {
                         let c = src!(*cond, base) as u32;

@@ -139,7 +139,8 @@ pub enum LinkError {
     Validate(ValidateError),
     /// An imported function had no host registration.
     MissingImport(String, String),
-    /// Non-function imports are not supported.
+    /// Non-function imports, and function imports of more than one
+    /// result, are not supported.
     UnsupportedImport(String, String),
 }
 
@@ -245,6 +246,13 @@ impl<T> Program<T> {
         for imp in &module.imports {
             match &imp.desc {
                 ImportDesc::Func(ty) => {
+                    // A host function returns one raw slot.
+                    if module.types[*ty as usize].results.len() > 1 {
+                        return Err(LinkError::UnsupportedImport(
+                            imp.module.clone(),
+                            imp.name.clone(),
+                        ));
+                    }
                     let f = linker
                         .resolve(&imp.module, &imp.name)
                         .ok_or_else(|| {
