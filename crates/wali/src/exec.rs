@@ -586,7 +586,6 @@ fn handle_suspend(
             import,
             args,
             deadline,
-            ..
         } => {
             if !ran_wasm {
                 runner.stats.blocked_retries.fetch_add(1, Ordering::Relaxed);

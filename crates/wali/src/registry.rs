@@ -37,17 +37,12 @@ pub enum WaliSuspend {
     },
     /// A blocking call: once woken, the runner re-enters the import the
     /// guest is suspended in ([`wasm::interp::Thread::retry`]) with
-    /// `args`. `module`, `import` and `sysno` describe the call that
-    /// blocked (diagnostics); a layer over WALI re-keys them, and `args`,
-    /// to its own function when a syscall it made blocks.
+    /// `args`. `import` names the call that blocked (diagnostics); a
+    /// layer over WALI re-keys it, and `args`, to its own function when a
+    /// syscall it made blocks.
     Blocked {
-        /// Import module namespace (`"wali"` for syscalls).
-        module: &'static str,
         /// Full import name (`"SYS_read"`, or a layered API function).
         import: &'static str,
-        /// Dense spec index of the syscall, when the blocked call is a
-        /// WALI syscall.
-        sysno: Option<u16>,
         /// Original arguments (only their raw bits matter).
         args: Vec<Value>,
         /// Optional wake deadline (virtual mono ns).
@@ -85,17 +80,9 @@ pub enum WaliSuspend {
 /// The suspension a blocking call parks on. The raw slots are saved as
 /// i64 values — the retry puts their bits back on the operand stack, so
 /// a slot's true type is immaterial.
-pub fn blocked(
-    module: &'static str,
-    import: &'static str,
-    sysno: Option<u16>,
-    args: &[u64],
-    deadline: Option<u64>,
-) -> HostOutcome {
+pub fn blocked(import: &'static str, args: &[u64], deadline: Option<u64>) -> HostOutcome {
     HostOutcome::Suspend(Suspension::new(WaliSuspend::Blocked {
-        module,
         import,
-        sysno,
         args: args.iter().map(|&raw| Value::I64(raw as i64)).collect(),
         deadline,
     }))
@@ -104,21 +91,18 @@ pub fn blocked(
 /// Maps a kernel result onto the syscall return convention, or suspends.
 pub fn finish(
     import: &'static str,
-    sysno: Option<u16>,
     args: &[u64],
     r: Result<i64, SysError>,
 ) -> Result<u64, HostOutcome> {
     match r {
         Ok(v) => Ok(v as u64),
         Err(SysError::Err(e)) => Ok(e.as_ret() as u64),
-        Err(SysError::Block(Block { deadline })) => {
-            Err(blocked(crate::WALI_MODULE, import, sysno, args, deadline))
-        }
+        Err(SysError::Block(Block { deadline })) => Err(blocked(import, args, deadline)),
     }
 }
 
 /// The wrapper around every syscall handler — implemented, control
-/// transferring or ENOSYS stub alike: [`enter`], then `body` unless the
+/// transferring or ENOSYS stub alike: `enter`, then `body` unless the
 /// policy layer answered in its place. Host time is clocked only in a
 /// run that records layer timing.
 #[inline]
@@ -163,20 +147,34 @@ fn enter(
     Ok(())
 }
 
+/// Compile-time proof that a handler captures nothing. The import table
+/// is built once per process and shared by every runner
+/// ([`build_linker`]), so a handler holding state would leak it from one
+/// run into another; everything a run mutates belongs in [`WaliContext`].
+pub(crate) fn stateless<F>(f: F) -> F {
+    const {
+        assert!(
+            std::mem::size_of::<F>() == 0,
+            "syscall handlers capture nothing"
+        )
+    };
+    f
+}
+
 /// Registers a syscall whose implementation returns `Result<i64, SysError>`.
 macro_rules! sys {
     ($l:expr, $name:literal, $f:expr) => {{
         let name: &'static str = $name;
         let sysno = wali_abi::spec::sysno(name);
+        let f = crate::registry::stateless($f);
         $l.func_raw(
             crate::WALI_MODULE,
             concat!("SYS_", $name),
             move |caller: &mut wasm::host::Caller<'_, crate::context::WaliContext>,
                   args: &[u64]| {
                 crate::registry::wrapped(caller, name, sysno, |caller| {
-                    #[allow(clippy::redundant_closure_call)]
-                    let r = ($f)(caller, args);
-                    crate::registry::finish(concat!("SYS_", $name), sysno, args, r)
+                    let r = f(caller, args);
+                    crate::registry::finish(concat!("SYS_", $name), args, r)
                 })
             },
         );
@@ -189,13 +187,13 @@ macro_rules! sysx {
     ($l:expr, $name:literal, $f:expr) => {{
         let name: &'static str = $name;
         let sysno = wali_abi::spec::sysno(name);
+        let f = crate::registry::stateless($f);
         $l.func_raw(
             crate::WALI_MODULE,
             concat!("SYS_", $name),
             move |caller: &mut wasm::host::Caller<'_, crate::context::WaliContext>,
                   args: &[u64]| {
-                #[allow(clippy::redundant_closure_call)]
-                crate::registry::wrapped(caller, name, sysno, |caller| ($f)(caller, args))
+                crate::registry::wrapped(caller, name, sysno, |caller| f(caller, args))
             },
         );
     }};
@@ -232,8 +230,20 @@ pub(crate) fn register_nosys(l: &mut Linker<WaliContext>, name: &'static str) {
     });
 }
 
-/// Builds the complete WALI linker.
+/// The complete WALI linker: a clone of one table built on first use.
+///
+/// The table is immutable shared data, not shared state — every
+/// registered closure captures only its name and dense spec index, and
+/// everything a run mutates lives in its [`WaliContext`]. A clone costs
+/// one reference count per import module ([`Linker`] copies a module's
+/// table on write), so what a runner adds through
+/// [`crate::WaliRunner::linker_mut`] stays private to that runner.
 pub fn build_linker() -> Linker<WaliContext> {
+    static TABLE: std::sync::OnceLock<Linker<WaliContext>> = std::sync::OnceLock::new();
+    TABLE.get_or_init(build_table).clone()
+}
+
+fn build_table() -> Linker<WaliContext> {
     let mut l = Linker::new();
     fs::register(&mut l);
     mm::register(&mut l);
@@ -248,9 +258,8 @@ pub fn build_linker() -> Linker<WaliContext> {
 
     // Every remaining spec entry is exposed as a name-bound ENOSYS stub so
     // modules link against the full specification surface.
-    let have: std::collections::BTreeSet<String> = l.names().map(|(_, n)| n.to_string()).collect();
     for spec in wali_abi::spec::SPEC {
-        if !have.contains(&spec.import_name()) {
+        if l.resolve(WALI_MODULE, &spec.import_name()).is_none() {
             register_nosys(&mut l, spec.name);
         }
     }

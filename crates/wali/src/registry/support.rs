@@ -6,19 +6,31 @@
 //! entry with `copy_argv`, so any parsing overflow stays inside the
 //! sandbox. `proc_exit` is the libc-level exit hook.
 
-use wasm::host::{HostOutcome, Linker, Suspension};
+use wasm::host::{Caller, HostOutcome, Linker, Suspension};
 use wasm::interp::Value;
 
 use crate::context::WaliContext;
-use crate::registry::WaliSuspend;
+use crate::registry::{stateless, WaliSuspend};
 use crate::WALI_MODULE;
 
+/// Registers one support method (typed convention; none is hot).
+fn method(
+    l: &mut Linker<WaliContext>,
+    name: &str,
+    f: impl Fn(&mut Caller<'_, WaliContext>, &[Value]) -> Result<Vec<Value>, HostOutcome>
+        + Send
+        + Sync
+        + 'static,
+) {
+    l.func(WALI_MODULE, name, stateless(f));
+}
+
 pub(crate) fn register(l: &mut Linker<WaliContext>) {
-    l.func(WALI_MODULE, "get_argc", |caller, _args| {
+    method(l, "get_argc", |caller, _args| {
         Ok(vec![Value::I32(caller.data.args.len() as i32)])
     });
 
-    l.func(WALI_MODULE, "get_argv_len", |caller, args| {
+    method(l, "get_argv_len", |caller, args| {
         let i = args.first().and_then(Value::as_i32).unwrap_or(-1);
         let len = caller
             .data
@@ -29,7 +41,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(vec![Value::I32(len)])
     });
 
-    l.func(WALI_MODULE, "copy_argv", |caller, args| {
+    method(l, "copy_argv", |caller, args| {
         let buf = args.first().and_then(Value::as_i32).unwrap_or(0) as u32;
         let i = args.get(1).and_then(Value::as_i32).unwrap_or(-1);
         let Some(s) = caller.data.args.get(i as usize).cloned() else {
@@ -43,11 +55,11 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         }
     });
 
-    l.func(WALI_MODULE, "get_envc", |caller, _args| {
+    method(l, "get_envc", |caller, _args| {
         Ok(vec![Value::I32(caller.data.env.len() as i32)])
     });
 
-    l.func(WALI_MODULE, "get_env_len", |caller, args| {
+    method(l, "get_env_len", |caller, args| {
         let i = args.first().and_then(Value::as_i32).unwrap_or(-1);
         let len = caller
             .data
@@ -58,7 +70,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         Ok(vec![Value::I32(len)])
     });
 
-    l.func(WALI_MODULE, "copy_env", |caller, args| {
+    method(l, "copy_env", |caller, args| {
         let buf = args.first().and_then(Value::as_i32).unwrap_or(0) as u32;
         let i = args.get(1).and_then(Value::as_i32).unwrap_or(-1);
         let Some(s) = caller.data.env.get(i as usize).cloned() else {
@@ -72,7 +84,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         }
     });
 
-    l.func(WALI_MODULE, "proc_exit", |caller, args| {
+    method(l, "proc_exit", |caller, args| {
         let code = args.first().and_then(Value::as_i32).unwrap_or(0);
         let tid = caller.data.tid;
         let _ = caller.data.kernel.lock_ok().sys_exit_group(tid, code);

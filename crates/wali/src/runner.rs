@@ -175,6 +175,9 @@ pub enum RunnerError {
     Instantiate(Trap),
     /// The entry export is missing.
     NoEntry(&'static str),
+    /// The program's stub file could not be created in the guest's
+    /// filesystem (e.g. a path component is a regular file).
+    Vfs(Errno),
     /// All live tasks are blocked with no wake-up source. Each entry
     /// describes one stuck task: pending work, scheduler position,
     /// kernel state.
@@ -187,6 +190,7 @@ impl std::fmt::Display for RunnerError {
             RunnerError::Link(e) => write!(f, "link error: {e}"),
             RunnerError::Instantiate(t) => write!(f, "instantiation failed: {t}"),
             RunnerError::NoEntry(n) => write!(f, "module exports no `{n}`"),
+            RunnerError::Vfs(e) => write!(f, "cannot create the program file: {e:?}"),
             RunnerError::Deadlock(tasks) => write!(f, "deadlock: {tasks:?}"),
         }
     }
@@ -441,12 +445,22 @@ impl WaliRunner {
         let regir = self.regir.unwrap_or_else(wasm::regir::regir_default);
         let program = Program::link_tiered(module, &self.linker, self.scheme, fuse, regir)
             .map_err(RunnerError::Link)?;
-        let _ = self
-            .kernel
-            .lock_ok()
-            .vfs
-            .write_file(path, b"\0asm\x01\0\0\0");
+        self.write_stub(path).map_err(RunnerError::Vfs)?;
         self.programs.insert(path.to_string(), Arc::new(program));
+        Ok(())
+    }
+
+    /// Gives a registered program a file the guest can `stat`, `access`
+    /// and `execve`: an executable stub at `path`, with any missing parent
+    /// directory created (the standard layout has `/usr/bin` but no `/bin`).
+    fn write_stub(&self, path: &str) -> Result<(), Errno> {
+        let kernel = self.kernel.lock_ok();
+        let mut vfs = kernel.vfs.write();
+        if let Some((dir, _)) = path.rsplit_once('/') {
+            vfs.mkdir_p(dir)?;
+        }
+        let id = vfs.write_file(path, b"\0asm\x01\0\0\0")?;
+        vfs.get_mut(id)?.perm = 0o755;
         Ok(())
     }
 
@@ -782,7 +796,6 @@ impl WaliRunner {
                 import,
                 args,
                 deadline,
-                ..
             } => {
                 if !ran_wasm {
                     self.stats.blocked_retries.fetch_add(1, Ordering::Relaxed);

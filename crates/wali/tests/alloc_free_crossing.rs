@@ -5,6 +5,10 @@
 //! allocator watches `run()`: the count may depend on start-up and
 //! teardown, but not on `n` — on either dispatch tier.
 //!
+//! The same allocator bounds start-up: once the process-wide import table
+//! exists, building and dropping a runner costs the kernel model it owns,
+//! not the specification.
+//!
 //! The counter is per thread (a `cargo test` sibling allocating on its
 //! own thread must not be charged to this one) and the runs pin one
 //! worker, so the whole run happens on the counting thread.
@@ -142,4 +146,16 @@ fn allocations_do_not_grow_with_the_number_of_crossings() {
             many as i64 - few as i64
         );
     }
+}
+
+#[test]
+fn a_second_runner_does_not_rebuild_the_import_table() {
+    // Whichever runner comes first in this process builds the table.
+    drop(WaliRunner::new_default());
+    let before = ALLOCS.with(Cell::get);
+    drop(WaliRunner::new_default());
+    let allocs = ALLOCS.with(Cell::get) - before;
+    // `Kernel::new` (standard VFS layout, fd and task tables) is ~95 of
+    // these; one registration per spec entry would be > 1 000.
+    assert!(allocs < 150, "a fresh runner made {allocs} allocations");
 }

@@ -355,9 +355,7 @@ fn blocked_call_outside_the_waitqueue_protocol_completes() {
             if seen.fetch_add(1, Ordering::Relaxed) < 3 {
                 return Err(HostOutcome::Suspend(Suspension::new(
                     WaliSuspend::Blocked {
-                        module: "layer",
                         import: "gate",
-                        sysno: None,
                         args: args.to_vec(),
                         deadline: None,
                     },

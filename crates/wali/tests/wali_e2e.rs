@@ -496,6 +496,118 @@ fn execve_replaces_program() {
     assert_eq!(out.stdout(), "A before exec\nB ran\n");
 }
 
+/// A program registered outside the standard layout's directories is a
+/// real file to the guest: `faccessat` finds what `execve` will run.
+#[test]
+fn registered_program_is_a_file_wherever_it_is_registered() {
+    // The shell: exits 5.
+    let mut sh = ModuleBuilder::new();
+    sh.memory(1, Some(1));
+    let sh_sig = sh.sig([], [I32]);
+    let sh_main = sh.func(sh_sig, |b| {
+        b.i32(5);
+    });
+    sh.export("_start", sh_main);
+    let sh = sh.build();
+
+    // The caller: `faccessat(AT_FDCWD, "/bin/sh", X_OK)`, and only when
+    // that succeeds, `execve` it. Any other exit code is 90 + the errno.
+    let mut a = ModuleBuilder::new();
+    let faccessat = sys(&mut a, "faccessat", 4);
+    let execve = sys(&mut a, "execve", 3);
+    a.memory(2, Some(16));
+    let path = a.c_str("/bin/sh");
+    let a_sig = a.sig([], [I32]);
+    let a_main = a.func(a_sig, |b| {
+        let r = b.local(I64);
+        b.i64(-100)
+            .i64(path as i64)
+            .i64(1)
+            .i64(0)
+            .call(faccessat)
+            .local_set(r);
+        b.local_get(r).i64(0).eq64();
+        b.if_(BlockType::Empty, |b| {
+            b.i64(path as i64).i64(0).i64(0).call(execve).drop_();
+        });
+        b.i32(90).local_get(r).wrap().sub32();
+    });
+    a.export("_start", a_main);
+
+    let mut runner = WaliRunner::new_default();
+    runner.register_program("/usr/bin/a", &a.build()).unwrap();
+    runner.register_program("/bin/sh", &sh).unwrap();
+    runner.register_program("tools/sh", &sh).unwrap();
+    {
+        let kernel = runner.kernel.lock_ok();
+        let vfs = kernel.vfs.read();
+        for stub in ["/bin/sh", "/tools/sh", "/usr/bin/a"] {
+            let id = vfs.resolve(vfs.root, stub, true).unwrap().inode.unwrap();
+            assert_eq!(vfs.get(id).unwrap().mode() & 0o7777, 0o755, "{stub}");
+        }
+    }
+    // A stub that cannot be created is an error, not a silent no-op.
+    let err = runner.register_program("/etc/passwd/sh", &sh);
+    assert!(
+        matches!(
+            err,
+            Err(wali::runner::RunnerError::Vfs(wali_abi::Errno::Enotdir))
+        ),
+        "{:?}",
+        err.err()
+    );
+
+    runner.spawn("/usr/bin/a", &[], &[]).unwrap();
+    let out = runner.run().unwrap();
+    assert_eq!(out.exit_code(), Some(5));
+    assert_eq!(out.trace.counts.of("faccessat"), 1);
+    assert_eq!(out.trace.counts.of("execve"), 1);
+}
+
+/// The specification table is built once per process and shared, yet a
+/// registration made through one runner's `linker_mut` is that runner's
+/// alone: runners built before and after it still run the real `getpid`.
+#[test]
+fn a_runner_linker_override_is_invisible_to_other_runners() {
+    use std::sync::Arc;
+
+    let mut mb = ModuleBuilder::new();
+    let getpid = sys(&mut mb, "getpid", 0);
+    mb.memory(1, Some(1));
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        b.call(getpid).wrap();
+    });
+    mb.export("_start", main);
+    let module = roundtrip(&mb.build());
+    let run = |mut runner: WaliRunner| {
+        runner.register_program("/usr/bin/app", &module).unwrap();
+        let pid = runner.spawn("/usr/bin/app", &[], &[]).unwrap();
+        (runner.run().unwrap().exit_code(), pid)
+    };
+
+    let before = WaliRunner::new_default();
+    let mut a = WaliRunner::new_default();
+    a.linker_mut()
+        .func_raw(wali::WALI_MODULE, "SYS_getpid", |_, _| Ok(77));
+    let after = WaliRunner::new_default();
+
+    let handle = |l: &wasm::host::Linker<wali::WaliContext>| {
+        l.resolve(wali::WALI_MODULE, "SYS_getpid").unwrap().clone()
+    };
+    let (one, two) = (wali::build_linker(), wali::build_linker());
+    assert!(Arc::ptr_eq(&handle(&one), &handle(&two)));
+    assert!(!Arc::ptr_eq(&handle(&one), &handle(a.linker_mut())));
+    assert_eq!(one.len(), a.linker_mut().len());
+
+    assert_eq!(run(a).0, Some(77));
+    for runner in [before, after] {
+        let (code, pid) = run(runner);
+        assert_eq!(code, Some(pid));
+        assert_ne!(code, Some(77));
+    }
+}
+
 #[test]
 fn argv_support_methods() {
     let mut mb = ModuleBuilder::new();

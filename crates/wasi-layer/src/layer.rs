@@ -194,13 +194,9 @@ fn wali_call(
         Err(HostOutcome::Trap(t)) => Err(Err(HostOutcome::Trap(t))),
         Err(HostOutcome::Suspend(s)) => match s.downcast::<WaliSuspend>() {
             Ok(payload) => match *payload {
-                WaliSuspend::Blocked { deadline, .. } => Err(Err(blocked(
-                    WASI_MODULE,
-                    wasi_import,
-                    None,
-                    wasi_args,
-                    deadline,
-                ))),
+                WaliSuspend::Blocked { deadline, .. } => {
+                    Err(Err(blocked(wasi_import, wasi_args, deadline)))
+                }
                 other => Err(Err(HostOutcome::Suspend(Suspension::new(other)))),
             },
             Err(s) => Err(Err(HostOutcome::Suspend(s))),

@@ -111,9 +111,14 @@ impl HostCtx for () {}
 /// Registry of host functions keyed by `(module, name)`.
 ///
 /// Stored as a two-level map so [`Linker::resolve`] is allocation-free
-/// (linking resolves every import of every program registered).
+/// (linking resolves every import of every program registered). Each
+/// import module's table sits behind an `Arc` and is copied on write:
+/// cloning a linker costs one reference count per module, and a
+/// registration made through one clone is never visible to another —
+/// which is what lets an embedder build its specification table once per
+/// process and hand every runtime a clone of it.
 pub struct Linker<T> {
-    funcs: HashMap<String, HashMap<String, HostFn<T>>>,
+    funcs: HashMap<String, Arc<HashMap<String, HostFn<T>>>>,
 }
 
 impl<T> Default for Linker<T> {
@@ -145,10 +150,8 @@ impl<T> Linker<T> {
         name: &str,
         f: impl Fn(&mut Caller<'_, T>, &[u64]) -> Result<u64, HostOutcome> + Send + Sync + 'static,
     ) -> &mut Self {
-        self.funcs
-            .entry(module.to_string())
-            .or_default()
-            .insert(name.to_string(), Arc::new(f));
+        let table = self.funcs.entry(module.to_string()).or_default();
+        Arc::make_mut(table).insert(name.to_string(), Arc::new(f));
         self
     }
 
@@ -223,6 +226,29 @@ mod tests {
         assert!(l.resolve("wali", "SYS_gettid").is_some());
         assert!(l.resolve("wali", "SYS_nope").is_none());
         assert_eq!(l.len(), 2);
+    }
+
+    #[test]
+    fn registering_into_a_clone_copies_only_the_touched_module() {
+        let mut base: Linker<()> = Linker::new();
+        base.func_raw("wali", "SYS_getpid", |_, _| Ok(1));
+        base.func_raw("wasi", "fd_write", |_, _| Ok(2));
+
+        let mut copy = base.clone();
+        assert!(Arc::ptr_eq(&base.funcs["wali"], &copy.funcs["wali"]));
+        copy.func_raw("wali", "SYS_getpid", |_, _| Ok(3));
+        copy.func_raw("layer", "gate", |_, _| Ok(4));
+
+        assert!(!Arc::ptr_eq(&base.funcs["wali"], &copy.funcs["wali"]));
+        assert!(Arc::ptr_eq(&base.funcs["wasi"], &copy.funcs["wasi"]));
+        assert!(base.resolve("layer", "gate").is_none());
+        assert_eq!((base.len(), copy.len()), (2, 3));
+        // The override is the clone's alone; the untouched entry is the
+        // same closure in both.
+        let getpid = |l: &Linker<()>| l.resolve("wali", "SYS_getpid").unwrap().clone();
+        assert!(!Arc::ptr_eq(&getpid(&base), &getpid(&copy)));
+        let fd_write = |l: &Linker<()>| l.resolve("wasi", "fd_write").unwrap().clone();
+        assert!(Arc::ptr_eq(&fd_write(&base), &fd_write(&copy)));
     }
 
     #[test]

@@ -109,10 +109,6 @@ pub struct PreparedFunc {
 pub enum FuncDef<T> {
     /// Imported host function.
     Host {
-        /// Import module name.
-        module: String,
-        /// Import field name.
-        name: String,
         /// Type index.
         ty: u32,
         /// Resolved implementation.
@@ -259,12 +255,7 @@ impl<T> Program<T> {
                             LinkError::MissingImport(imp.module.clone(), imp.name.clone())
                         })?
                         .clone();
-                    funcs.push(FuncDef::Host {
-                        module: imp.module.clone(),
-                        name: imp.name.clone(),
-                        ty: *ty,
-                        f,
-                    });
+                    funcs.push(FuncDef::Host { ty: *ty, f });
                 }
                 _ => {
                     return Err(LinkError::UnsupportedImport(

@@ -153,9 +153,16 @@ fn dispatch(c: C, name: &str, a: &[Value]) -> i64 {
     }
 }
 
-/// Builds the WAZI linker **mechanically from the encoding table** — the
-/// §5 auto-generation step.
+/// The WAZI linker, built **mechanically from the encoding table** (the
+/// §5 auto-generation step) on first use; every call hands out a clone
+/// of that one table. The closures capture only the call's name — the
+/// board state lives in [`WaziCtx`] — so the table is shared safely.
 pub fn build_wazi_linker() -> Linker<WaziCtx> {
+    static TABLE: std::sync::OnceLock<Linker<WaziCtx>> = std::sync::OnceLock::new();
+    TABLE.get_or_init(build_table).clone()
+}
+
+fn build_table() -> Linker<WaziCtx> {
     let mut l = Linker::new();
     for (name, _args) in ZEPHYR_SYSCALLS {
         let name: &'static str = name;
