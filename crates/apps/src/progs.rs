@@ -1266,8 +1266,9 @@ mod tests {
 
     #[test]
     fn epoll_server_sim_is_fusion_invariant() {
-        // The server scenario must behave identically with fusion off
-        // (the CI dispatch-equivalence gate runs this file that way).
+        // The small server scenario the CI reference-tier gate
+        // (`WALI_NO_REGIR=1`) re-runs on the plain stack loop; the name
+        // predates the two-tier engine.
         let out = run(epoll_server_sim(2, 2));
         assert_eq!(out.exit_code(), Some(0));
     }

@@ -1,7 +1,4 @@
 //! Bench for Fig. 8: one workload across execution tiers.
-//!
-//! Set `WALI_NO_FUSE=1` to run the WALI tier with superinstruction fusion
-//! disabled (before/after comparison for the fused-dispatch fast path).
 
 use bench::harness;
 use virt::{Container, EmuRunner, Image};

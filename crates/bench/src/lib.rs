@@ -143,44 +143,4 @@ mod tests {
         assert!(out.trace.total_syscalls() > 0);
         assert!(wall.as_nanos() > 0);
     }
-
-    #[test]
-    fn fusion_reduces_dispatches_without_changing_behavior() {
-        let app = apps::lua_sim(3);
-        let module = reload(&app.module);
-        let run = |fuse: bool| {
-            let mut runner = WaliRunner::new(SafepointScheme::LoopHeaders);
-            runner.set_fuse(fuse);
-            // Compare the stack tiers: under the register IR, fused and
-            // unfused inputs lower to the same three-address code, so the
-            // dispatch gap this test pins would vanish.
-            runner.set_regir(false);
-            seed_files(&runner);
-            runner
-                .register_program("/usr/bin/app", &module)
-                .expect("register");
-            runner.spawn("/usr/bin/app", &[], &[]).expect("spawn");
-            runner.run().expect("run")
-        };
-        let fused = run(true);
-        let unfused = run(false);
-        assert_eq!(fused.exit_code(), unfused.exit_code());
-        assert_eq!(fused.stdout(), unfused.stdout());
-        assert_eq!(
-            fused.trace.counts, unfused.trace.counts,
-            "syscall mix must not change"
-        );
-        assert!(
-            fused.trace.wasm_steps < unfused.trace.wasm_steps,
-            "fusion should collapse dispatches: {} vs {}",
-            fused.trace.wasm_steps,
-            unfused.trace.wasm_steps
-        );
-        println!(
-            "dispatches: fused={} unfused={} ({:.1}% fewer)",
-            fused.trace.wasm_steps,
-            unfused.trace.wasm_steps,
-            100.0 * (1.0 - fused.trace.wasm_steps as f64 / unfused.trace.wasm_steps as f64)
-        );
-    }
 }

@@ -1,17 +1,17 @@
 //! The three oracles: bit-determinism, toggle equivalence, liveness.
 //!
-//! Each scenario is executed six times — two `WALI_WORKERS=1` runs,
-//! no-fuse, no-regir, no-ring and `WALI_WORKERS=4` — and every run is
-//! judged three ways:
+//! Each scenario is executed five times — two `WALI_WORKERS=1` runs,
+//! no-regir, no-ring and `WALI_WORKERS=4` — and every run is judged
+//! three ways:
 //!
 //! 1. **Bit-determinism** — two `WALI_WORKERS=1` runs must agree on the
 //!    exact console bytes, per-task ending order (tids included),
 //!    scheduler counters and syscall totals. The cooperative scheduler
 //!    promises bit-for-bit replay; any divergence is a hidden source of
 //!    nondeterminism (wall clock, hash order, …).
-//! 2. **Toggle equivalence** — `WALI_NO_FUSE`, `WALI_NO_REGIR`,
-//!    `WALI_NO_RING` and `WALI_WORKERS=4` must leave the *observable*
-//!    outcome unchanged. Single-worker toggles are compared on the
+//! 2. **Toggle equivalence** — `WALI_NO_REGIR` (the reference stack
+//!    loop), `WALI_NO_RING` and `WALI_WORKERS=4` must leave the
+//!    *observable* outcome unchanged. Single-worker toggles are compared on the
 //!    order-insensitive [`wali::Observables`] too (their schedule
 //!    legitimately shifts when blocking behavior changes); the model
 //!    oracle below pins the exact content.
@@ -36,7 +36,7 @@ pub struct OracleConfig {
     pub smp_workers: usize,
     /// Run the SMP equivalence leg at all.
     pub check_smp: bool,
-    /// Run the single-worker toggle legs (fuse / regir / ring).
+    /// Run the single-worker toggle legs (regir / ring).
     pub check_toggles: bool,
     /// Compare process-global resident pages before/after. Only valid
     /// when nothing else in the process touches guest memory
@@ -196,14 +196,7 @@ pub fn check(scn: &Scenario, cfg: &OracleConfig) -> Result<(), Failure> {
 
     // Oracle 2: single-worker toggles.
     if cfg.check_toggles {
-        let toggles: [(&str, RunnerOpts); 3] = [
-            (
-                "workers=1 no-fuse",
-                RunnerOpts {
-                    fuse: Some(false),
-                    ..RunnerOpts::single()
-                },
-            ),
+        let toggles: [(&str, RunnerOpts); 2] = [
             (
                 "workers=1 no-regir",
                 RunnerOpts {

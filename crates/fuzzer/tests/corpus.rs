@@ -3,11 +3,11 @@
 //! Each corpus file under `corpus/` pins a bug this repository fixed
 //! (or a scenario shape that once exposed one); every entry must replay
 //! green through the *full* oracle battery — two bit-deterministic
-//! `WALI_WORKERS=1` runs, the `WALI_NO_FUSE`/`WALI_NO_REGIR`/
-//! `WALI_NO_RING` toggles, and the `WALI_WORKERS=4` SMP equivalence leg
-//! — exactly as `wazi replay <file>` would run it. The process-global
-//! page-balance check stays off here (tests share the process); the
-//! per-kernel leak audit still runs on every leg.
+//! `WALI_WORKERS=1` runs, the `WALI_NO_REGIR`/`WALI_NO_RING` toggles,
+//! and the `WALI_WORKERS=4` SMP equivalence leg — exactly as `wazi
+//! replay <file>` would run it. The process-global page-balance check
+//! stays off here (tests share the process); the per-kernel leak audit
+//! still runs on every leg.
 
 use fuzzer::artifact::Artifact;
 use fuzzer::oracle::OracleConfig;

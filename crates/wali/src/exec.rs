@@ -86,6 +86,8 @@ use wasm::prep::Program;
 struct RunnerView<'a> {
     programs: &'a std::collections::HashMap<String, Arc<Program<WaliContext>>>,
     stats: &'a AtomicSched,
+    /// [`WaliRunner::ring_on`], for the context `execve` builds.
+    ring: bool,
 }
 
 /// Mutable scheduler state shared by the worker pool (one lock).
@@ -213,6 +215,7 @@ impl WaliRunner {
             let view = RunnerView {
                 programs: &self.programs,
                 stats: &self.stats,
+                ring: self.ring_on(),
             };
             let view = &view;
             let pool = &pool;
@@ -704,6 +707,7 @@ fn handle_suspend(
             };
             let old_trace = slot.ctx.trace.clone();
             let mut ctx = WaliContext::new(pool.kernel.clone(), tid, program.data_end());
+            ctx.ring = runner.ring;
             ctx.args = if argv.is_empty() { vec![path] } else { argv };
             ctx.env = envp;
             ctx.trace = old_trace;

@@ -125,7 +125,7 @@ impl RunOutcome {
     }
 
     /// Per-tier dispatch counts `(stack, regir)`: ops executed by the
-    /// fused stack loop vs. the tier-2 register loop ([`wasm::regir`]).
+    /// stack loop vs. the tier-2 register loop ([`wasm::regir`]).
     pub fn dispatches(&self) -> (u64, u64) {
         let reg = self.trace.reg_steps;
         (self.trace.wasm_steps.saturating_sub(reg), reg)
@@ -279,12 +279,9 @@ pub struct WaliRunner {
     pub(crate) linker: Linker<WaliContext>,
     pub(crate) programs: HashMap<String, Arc<Program<WaliContext>>>,
     pub(crate) scheme: SafepointScheme,
-    /// Superinstruction fusion override; `None` follows
-    /// [`wasm::prep::fuse_default`].
-    fuse: Option<bool>,
     /// Tier-2 register-IR override; `None` follows
     /// [`wasm::regir::regir_default`] (`WALI_NO_REGIR=1` selects the
-    /// fused stack tier).
+    /// reference stack tier).
     regir: Option<bool>,
     /// Batched-syscall-ring override; `None` follows [`ring_default`].
     ring: Option<bool>,
@@ -334,7 +331,6 @@ impl WaliRunner {
             linker: build_linker(),
             programs: HashMap::new(),
             scheme,
-            fuse: None,
             regir: None,
             ring: None,
             workers: None,
@@ -370,16 +366,9 @@ impl WaliRunner {
         &mut self.linker
     }
 
-    /// Overrides superinstruction fusion for subsequently registered
-    /// programs (A/B measurement; default follows
-    /// [`wasm::prep::fuse_default`]).
-    pub fn set_fuse(&mut self, fuse: bool) {
-        self.fuse = Some(fuse);
-    }
-
     /// Overrides the tier-2 register IR for subsequently registered
     /// programs (A/B measurement; default follows
-    /// [`wasm::regir::regir_default`]). `false` falls back to the fused
+    /// [`wasm::regir::regir_default`]). `false` selects the reference
     /// stack tier.
     pub fn set_regir(&mut self, on: bool) {
         self.regir = Some(on);
@@ -441,9 +430,8 @@ impl WaliRunner {
     /// (`execve` target). Also materializes a stub file in the VFS so
     /// `access`/`stat` on the path behave.
     pub fn register_program(&mut self, path: &str, module: &Module) -> Result<(), RunnerError> {
-        let fuse = self.fuse.unwrap_or_else(wasm::prep::fuse_default);
         let regir = self.regir.unwrap_or_else(wasm::regir::regir_default);
-        let program = Program::link_tiered(module, &self.linker, self.scheme, fuse, regir)
+        let program = Program::link_tiered(module, &self.linker, self.scheme, regir)
             .map_err(RunnerError::Link)?;
         self.write_stub(path).map_err(RunnerError::Vfs)?;
         self.programs.insert(path.to_string(), Arc::new(program));
@@ -471,12 +459,14 @@ impl WaliRunner {
             .get(path)
             .cloned()
             .ok_or(RunnerError::NoEntry("program not registered"))?;
-        let tid = self.kernel.lock_ok().spawn_process();
         let instance = Instance::new(program.clone()).map_err(RunnerError::Instantiate)?;
         let entry = instance
             .export_func("_start")
             .or_else(|| instance.export_func("main"))
             .ok_or(RunnerError::NoEntry("_start"))?;
+        // The kernel process comes last: an error above must not leave a
+        // `Running` task that no slot owns.
+        let tid = self.kernel.lock_ok().spawn_process();
         let mut ctx = WaliContext::new(self.kernel.clone(), tid, program.data_end());
         ctx.ring = self.ring_on();
         ctx.trace.timing = self.layer_timing;

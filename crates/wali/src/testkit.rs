@@ -39,8 +39,6 @@ pub fn roundtrip(module: &Module) -> Module {
 pub struct RunnerOpts {
     /// Worker-pool width (`WALI_WORKERS`).
     pub workers: Option<usize>,
-    /// Superinstruction fusion (`WALI_NO_FUSE` off-switch).
-    pub fuse: Option<bool>,
     /// Tier-2 register IR (`WALI_NO_REGIR` off-switch).
     pub regir: Option<bool>,
     /// Batched syscall rings (`WALI_NO_RING` off-switch): off makes
@@ -62,9 +60,6 @@ impl RunnerOpts {
     pub fn apply(self, runner: &mut WaliRunner) {
         if let Some(n) = self.workers {
             runner.set_workers(n);
-        }
-        if let Some(on) = self.fuse {
-            runner.set_fuse(on);
         }
         if let Some(on) = self.regir {
             runner.set_regir(on);

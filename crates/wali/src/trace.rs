@@ -206,7 +206,7 @@ pub struct Trace {
     /// Executed Wasm ops (engine step counter snapshot).
     pub wasm_steps: u64,
     /// Of `wasm_steps`, ops dispatched by the tier-2 register loop
-    /// (`wasm_steps - reg_steps` ran on the fused stack tier).
+    /// (`wasm_steps - reg_steps` ran on the stack tier).
     pub reg_steps: u64,
 }
 

@@ -6,7 +6,7 @@ use wasm::build::{FuncBuilder, ModuleBuilder};
 use wasm::instr::BlockType;
 use wasm::types::ValType::{I32, I64};
 
-use wali::testkit::{run_module, sys, RunnerOpts};
+use wali::testkit::{run_module, run_modules, sys, RunnerOpts};
 use wali_abi::ring::op;
 
 /// Deterministic scheduler with the ring pinned on, so these tests
@@ -211,8 +211,9 @@ fn ring_timeout_completes_with_etime() {
     assert_eq!(report.outcome.exit_code(), Some(0));
 }
 
-#[test]
-fn ring_disabled_returns_enosys() {
+/// A guest that exits 0 iff `wali_ring_enter` answers `-ENOSYS` and
+/// consumes nothing (`sq_head` still 0) — the sync-fallback signal.
+fn enosys_probe() -> wasm::Module {
     let mut mb = ModuleBuilder::new();
     let ring_enter = sys(&mut mb, "wali_ring_enter", 4);
     mb.memory(2, Some(16));
@@ -223,7 +224,6 @@ fn ring_disabled_returns_enosys() {
         store_sqe(b, ring, 0, op::NOP, 0, 0, 0, 0, 1);
         b.i64(ring as i64).i64(1).i64(1).i64(0).call(ring_enter);
         b.i64(-38).eq64();
-        // And nothing was consumed: sq_head still 0.
         b.i32(ring as i32).load32(8).i32(0).eq32();
         b.and32();
         b.if_else(
@@ -237,15 +237,51 @@ fn ring_disabled_returns_enosys() {
         );
     });
     mb.export("_start", main);
-    let report = run_module(
-        &mb.build(),
-        &[],
-        &[],
-        RunnerOpts {
-            ring: Some(false),
-            ..RunnerOpts::single()
-        },
-    )
-    .expect("run");
+    mb.build()
+}
+
+fn ring_off(workers: usize) -> RunnerOpts {
+    RunnerOpts {
+        workers: Some(workers),
+        ring: Some(false),
+        ..RunnerOpts::default()
+    }
+}
+
+#[test]
+fn ring_disabled_returns_enosys() {
+    let report = run_module(&enosys_probe(), &[], &[], ring_off(1)).expect("run");
     assert_eq!(report.outcome.exit_code(), Some(0));
+}
+
+/// `set_ring(false)` is the runner's setting, not the first program's:
+/// the context `execve` builds must carry it on both schedulers.
+#[test]
+fn ring_override_survives_execve() {
+    let mut mb = ModuleBuilder::new();
+    let execve = sys(&mut mb, "execve", 3);
+    mb.memory(2, Some(16));
+    let path = mb.c_str("/usr/bin/probe");
+    let main_sig = mb.sig([], [I32]);
+    let main = mb.func(main_sig, |b| {
+        b.i64(path as i64).i64(0).i64(0).call(execve).drop_();
+        b.i32(99); // unreachable on success
+    });
+    mb.export("_start", main);
+    let (execer, probe) = (mb.build(), enosys_probe());
+    for workers in [1, 4] {
+        let report = run_modules(
+            &[("/usr/bin/app", &execer), ("/usr/bin/probe", &probe)],
+            "/usr/bin/app",
+            &[],
+            &[],
+            ring_off(workers),
+        )
+        .expect("run");
+        assert_eq!(
+            report.outcome.exit_code(),
+            Some(0),
+            "workers={workers}: the exec'd program must see -ENOSYS"
+        );
+    }
 }

@@ -9,9 +9,7 @@
 //! * **no busy-retry storms** — a blocked task is retried only when its
 //!   channel fires or its deadline lapses, so the number of
 //!   retried-and-reblocked attempts stays bounded by the task count
-//!   instead of growing with scheduler passes;
-//!
-//! and runs the same program under both superinstruction-fusion settings.
+//!   instead of growing with scheduler passes.
 
 use wasm::build::ModuleBuilder;
 use wasm::instr::BlockType;
@@ -193,27 +191,24 @@ fn stress_program() -> Module {
     mb.build()
 }
 
-fn run_stress(fuse: bool) -> wali::RunOutcome {
+fn run_stress() -> wali::RunOutcome {
     // This suite pins the *deterministic scheduler's* counter contract
     // (parks/wakeups/retries of the cooperative loop); the SMP executor
     // has its own contract, covered by tests/smp_stress.rs at
     // WALI_WORKERS=4.
-    let opts = RunnerOpts {
-        fuse: Some(fuse),
-        ..RunnerOpts::single()
-    };
-    run_module(&stress_program(), &[], &[], opts)
+    run_module(&stress_program(), &[], &[], RunnerOpts::single())
         .expect("run")
         .outcome
 }
 
-fn assert_event_driven_contract(fuse: bool) {
-    let out = run_stress(fuse);
+#[test]
+fn stress_wakes_every_task() {
+    let out = run_stress();
     // Every task was woken by its event: the counter reached TASKS.
     assert_eq!(
         out.exit_code(),
         Some(0),
-        "no starvation (fuse={fuse}): {:?}",
+        "no starvation: {:?}",
         out.main_exit
     );
     // Wakeup work is bounded by the task count, not by scheduler passes:
@@ -223,7 +218,7 @@ fn assert_event_driven_contract(fuse: bool) {
     let budget = 6 * TASKS as u64;
     assert!(
         out.sched.blocked_retries <= budget,
-        "busy-retry storm (fuse={fuse}): {} retries for {} tasks (sched={:?})",
+        "busy-retry storm: {} retries for {} tasks (sched={:?})",
         out.sched.blocked_retries,
         TASKS,
         out.sched
@@ -238,16 +233,6 @@ fn assert_event_driven_contract(fuse: bool) {
         "{:?}",
         out.sched
     );
-}
-
-#[test]
-fn stress_wakes_every_task_fused() {
-    assert_event_driven_contract(true);
-}
-
-#[test]
-fn stress_wakes_every_task_unfused() {
-    assert_event_driven_contract(false);
 }
 
 #[test]
@@ -355,6 +340,6 @@ fn deadline_wakes_promptly_while_queue_stays_busy() {
 #[test]
 fn sched_stats_expose_idle_clock_steps() {
     // The timer sleepers force at least one earliest-deadline clock jump.
-    let out = run_stress(true);
+    let out = run_stress();
     assert!(out.sched.idle_advances >= 1, "{:?}", out.sched);
 }

@@ -234,10 +234,9 @@ fn smp_mix_program() -> Module {
     mb.build()
 }
 
-fn run_mix(workers: usize, fuse: bool) -> wali::RunOutcome {
+fn run_mix(workers: usize) -> wali::RunOutcome {
     let opts = RunnerOpts {
         workers: Some(workers),
-        fuse: Some(fuse),
         ..RunnerOpts::single()
     };
     run_module(&smp_mix_program(), &[], &[], opts)
@@ -265,13 +264,8 @@ fn assert_mix_contract(out: &wali::RunOutcome) {
 }
 
 #[test]
-fn cross_worker_mix_fused() {
-    assert_mix_contract(&run_mix(4, true));
-}
-
-#[test]
-fn cross_worker_mix_unfused() {
-    assert_mix_contract(&run_mix(4, false));
+fn cross_worker_mix() {
+    assert_mix_contract(&run_mix(4));
 }
 
 #[test]
@@ -279,7 +273,7 @@ fn cross_worker_mix_survives_repetition() {
     // The lost-wakeup and park-vs-wake races are probabilistic; a few
     // back-to-back runs catch regressions far more often than one.
     for _ in 0..5 {
-        assert_mix_contract(&run_mix(4, true));
+        assert_mix_contract(&run_mix(4));
     }
 }
 
@@ -291,8 +285,8 @@ fn single_worker_runs_are_bit_identical() {
     // counters and syscall totals. (This is the determinism baseline the
     // refactor promises to preserve; the SMP schedule makes no such
     // claim.)
-    let a = run_mix(1, true);
-    let b = run_mix(1, true);
+    let a = run_mix(1);
+    let b = run_mix(1);
     assert_eq!(a.console, b.console, "console bit-identical");
     assert_eq!(a.ends, b.ends, "completion order identical");
     assert_eq!(a.sched, b.sched, "scheduler counters identical");
@@ -309,7 +303,7 @@ fn single_worker_counters_match_deterministic_scheduler() {
     // Spot-pin the deterministic schedule: with one worker the whole
     // mix parks each blocked task at least once and wakes exactly the
     // parked set (no spurious SMP requeues exist in this mode).
-    let out = run_mix(1, true);
+    let out = run_mix(1);
     assert_mix_contract(&out);
     assert!(
         out.sched.parks >= THREADS as u64,

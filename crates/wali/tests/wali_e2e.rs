@@ -496,6 +496,45 @@ fn execve_replaces_program() {
     assert_eq!(out.stdout(), "A before exec\nB ran\n");
 }
 
+/// A `spawn` that fails after the program lookup (here: no `_start` or
+/// `main` export) must not leave a kernel process behind, and the runner
+/// stays usable.
+#[test]
+fn failed_spawn_leaves_no_kernel_task() {
+    let mut bad = ModuleBuilder::new();
+    let sig = bad.sig([], [I32]);
+    let f = bad.func(sig, |b| {
+        b.i32(0);
+    });
+    bad.export("not_an_entry", f);
+
+    let mut good = ModuleBuilder::new();
+    let sig = good.sig([], [I32]);
+    let main = good.func(sig, |b| {
+        b.i32(7);
+    });
+    good.export("_start", main);
+
+    let mut runner = WaliRunner::new_default();
+    runner
+        .register_program("/usr/bin/bad", &bad.build())
+        .unwrap();
+    runner
+        .register_program("/usr/bin/good", &good.build())
+        .unwrap();
+    assert!(matches!(
+        runner.spawn("/usr/bin/bad", &[], &[]),
+        Err(wali::runner::RunnerError::NoEntry(_))
+    ));
+    let leaks = runner.leak_audit();
+    assert!(leaks.is_clean(), "{}", leaks.describe());
+    runner.spawn("/usr/bin/good", &[], &[]).unwrap();
+    let out = runner.run().unwrap();
+    assert_eq!(out.exit_code(), Some(7));
+    assert_eq!(out.ends.len(), 1, "{:?}", out.ends);
+    assert!(runner.leak_audit().is_clean());
+}
+
 /// A program registered outside the standard layout's directories is a
 /// real file to the guest: `faccessat` finds what `execve` will run.
 #[test]

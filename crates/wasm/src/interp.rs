@@ -549,7 +549,7 @@ impl Thread {
     }
 
     /// The interpreter dispatcher: the register tier when the program was
-    /// lowered ([`crate::regir`]), the fused stack tier otherwise. A
+    /// lowered ([`crate::regir`]), the reference stack loop otherwise. A
     /// program never mixes tiers within one call stack, so one check per
     /// activation suffices.
     fn run<T: HostCtx>(&mut self, inst: &mut Instance<T>, ctx: &mut T) -> RunResult {
@@ -560,7 +560,10 @@ impl Thread {
         }
     }
 
-    /// The stack-tier interpreter loop.
+    /// The stack-tier interpreter loop: one dispatch per Wasm instruction
+    /// over an explicit operand stack. No workload runs it by default
+    /// (`WALI_NO_REGIR` selects it); it is the reference semantics the
+    /// register tier is tested against.
     fn run_stack<T: HostCtx>(&mut self, inst: &mut Instance<T>, ctx: &mut T) -> RunResult {
         let program = inst.program.clone();
         let mut cur: Arc<PreparedFunc> =
@@ -874,60 +877,6 @@ impl Thread {
                         Ok(old) => self.stack.push(old as u64),
                         Err(t) => trap!(t),
                     }
-                }
-
-                // Fused superinstructions: one dispatch for the dominant
-                // pairs/triples, semantically identical to the unfused
-                // sequences above.
-                Op::LocalLocalBin(a, b, op) => {
-                    let frame = self.frames.last().expect("frame");
-                    let va = self.stack[frame.base + *a as usize];
-                    let vb = self.stack[frame.base + *b as usize];
-                    match eval_bin(*op, va, vb) {
-                        Ok(v) => self.stack.push(v),
-                        Err(t) => trap!(t),
-                    }
-                }
-                Op::LocalConstBin(a, k, op) => {
-                    let frame = self.frames.last().expect("frame");
-                    let va = self.stack[frame.base + *a as usize];
-                    match eval_bin(*op, va, *k) {
-                        Ok(v) => self.stack.push(v),
-                        Err(t) => trap!(t),
-                    }
-                }
-                Op::ConstBin(k, op) => {
-                    let a = self.pop();
-                    match eval_bin(*op, a, *k) {
-                        Ok(v) => self.stack.push(v),
-                        Err(t) => trap!(t),
-                    }
-                }
-                Op::RelBrIf(rel, d) => {
-                    let d = *d;
-                    let b = self.pop();
-                    let a = self.pop();
-                    if eval_rel(*rel, a, b) != 0 {
-                        self.do_branch(&d);
-                    }
-                }
-                Op::RelBrIfZero(rel, d) => {
-                    let d = *d;
-                    let b = self.pop();
-                    let a = self.pop();
-                    if eval_rel(*rel, a, b) == 0 {
-                        self.do_branch(&d);
-                    }
-                }
-                Op::LocalLoad(i, kind, offset) => {
-                    let frame = self.frames.last().expect("frame");
-                    let base = self.stack[frame.base + *i as usize];
-                    let addr = base as u32 as u64 + offset;
-                    let v = match load(&inst.memory, *kind, addr) {
-                        Ok(v) => v,
-                        Err(t) => trap!(t),
-                    };
-                    self.stack.push(v);
                 }
             }
         }

@@ -1,10 +1,12 @@
 //! Preparation ("compilation"): validated structured code → flat op arrays
 //! with resolved branch targets, plus safepoint insertion.
 //!
-//! This is the engine's execution tier. Branches are pre-resolved to
-//! `(pc, stack-fixup)` pairs so the interpreter never scans for block
-//! boundaries; the naive QEMU-analogue tier in `wali-virt` deliberately
-//! skips this step.
+//! One [`Op`] per Wasm instruction, in program order: this flat program is
+//! what the reference stack loop executes and what [`crate::regir`] lowers
+//! to the register tier (all superinstruction selection lives there).
+//! Branches are pre-resolved to `(pc, stack-fixup)` pairs so the
+//! interpreter never scans for block boundaries; the naive QEMU-analogue
+//! tier in `wali-virt` deliberately skips this step.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -68,22 +70,6 @@ pub enum Op {
     AtomicStore(crate::instr::AtomicWidth, u64),
     AtomicRmw(crate::instr::RmwOp, u64),
     AtomicCmpxchg(u64),
-
-    // Fused superinstructions. Emitted by the preparation peephole for the
-    // dominant dispatch pairs; never required for correctness (disabling
-    // fusion yields the unfused forms above with identical semantics).
-    /// `local.get a; local.get b; <binop>`.
-    LocalLocalBin(u32, u32, crate::instr::BinOp),
-    /// `local.get a; const k; <binop>`.
-    LocalConstBin(u32, u64, crate::instr::BinOp),
-    /// `const k; <binop>` (stack top is the left operand).
-    ConstBin(u64, crate::instr::BinOp),
-    /// `<relop>; br_if`.
-    RelBrIf(crate::instr::RelOp, BrDest),
-    /// `<relop>; br_if_zero` (the lowered `if` condition).
-    RelBrIfZero(crate::instr::RelOp, BrDest),
-    /// `local.get i; <load>`.
-    LocalLoad(u32, crate::instr::LoadKind, u64),
 }
 
 /// A prepared function body.
@@ -180,60 +166,31 @@ pub struct Program<T> {
     pub start: Option<u32>,
     /// Safepoint scheme the code was prepared with.
     pub scheme: SafepointScheme,
-    /// Whether superinstruction fusion was applied.
-    pub fused: bool,
     /// Whether the tier-2 register IR is in effect (requested *and*
     /// every local function lowered successfully).
     pub regir: bool,
 }
 
-/// The process-wide default for superinstruction fusion: on, unless the
-/// `WALI_NO_FUSE` environment variable is set (A/B measurement escape
-/// hatch used by the benches).
-pub fn fuse_default() -> bool {
-    std::env::var_os("WALI_NO_FUSE").is_none()
-}
-
 impl<T> Program<T> {
-    /// Validates, prepares and links `module` against `linker`, using the
-    /// [`fuse_default`] fusion and [`crate::regir::regir_default`]
-    /// register-tier settings.
+    /// Validates, prepares and links `module` against `linker`, on the
+    /// tier [`crate::regir::regir_default`] selects.
     pub fn link(
         module: &Module,
         linker: &Linker<T>,
         scheme: SafepointScheme,
     ) -> Result<Program<T>, LinkError> {
-        Self::link_tiered(
-            module,
-            linker,
-            scheme,
-            fuse_default(),
-            crate::regir::regir_default(),
-        )
+        Self::link_tiered(module, linker, scheme, crate::regir::regir_default())
     }
 
-    /// Validates, prepares and links with explicit control over
-    /// superinstruction fusion (`fuse = false` emits only unfused ops);
-    /// the register tier follows [`crate::regir::regir_default`].
-    pub fn link_with(
-        module: &Module,
-        linker: &Linker<T>,
-        scheme: SafepointScheme,
-        fuse: bool,
-    ) -> Result<Program<T>, LinkError> {
-        Self::link_tiered(module, linker, scheme, fuse, crate::regir::regir_default())
-    }
-
-    /// Validates, prepares and links with explicit control over both
-    /// execution tiers: superinstruction fusion and the tier-2 register
-    /// IR. When `regir` is requested, every local function is lowered;
-    /// if any bails, the whole program stays on the stack tier
-    /// (`self.regir` records the effective state).
+    /// Validates, prepares and links with explicit control over the
+    /// execution tier. When `regir` is requested, every local function
+    /// is lowered to the register IR; if any bails, the whole program
+    /// stays on the stack tier (`self.regir` records the effective
+    /// state).
     pub fn link_tiered(
         module: &Module,
         linker: &Linker<T>,
         scheme: SafepointScheme,
-        fuse: bool,
         regir: bool,
     ) -> Result<Program<T>, LinkError> {
         crate::validate::validate(module)?;
@@ -273,7 +230,7 @@ impl<T> Program<T> {
             .map(|(i, body)| {
                 let ty_idx = module.funcs[i];
                 let ty = &module.types[ty_idx as usize];
-                prepare_func(module, ty_idx, ty, body, scheme, fuse)
+                prepare_func(module, ty_idx, ty, body, scheme)
             })
             .collect();
 
@@ -331,7 +288,6 @@ impl<T> Program<T> {
                 .collect(),
             start: module.start,
             scheme,
-            fused: fuse,
             regir: regir_on,
         })
     }
@@ -428,18 +384,11 @@ fn prepare_func(
     ty: &FuncType,
     body: &FuncBody,
     scheme: SafepointScheme,
-    fuse: bool,
 ) -> PreparedFunc {
     let mut ops: Vec<Op> = Vec::with_capacity(body.instrs.len() + 8);
     let mut ctrls: Vec<CtrlEntry> = Vec::new();
     // Absolute operand-stack height (above locals); `None` in dead code.
     let mut height: Option<u32> = Some(0);
-    // Fusion fence: ops below this index are (or may become) branch
-    // targets or carry registered patch refs, so a superinstruction may
-    // consume trailing ops only from this index on. A fused op that
-    // *starts* at a branch-target index is fine — the jump lands on the
-    // whole superinstruction, which performs the same work.
-    let mut barrier: usize = 0;
 
     let every = scheme == SafepointScheme::EveryInstruction;
     if scheme == SafepointScheme::FunctionEntry {
@@ -497,7 +446,6 @@ fn prepare_func(
                 let (p, r) = block_sig(module, bt);
                 let entry = h!().saturating_sub(p as u32);
                 let header = ops.len() as u32;
-                barrier = barrier.max(header as usize);
                 if scheme == SafepointScheme::LoopHeaders || every {
                     ops.push(Op::Safepoint);
                 }
@@ -521,16 +469,8 @@ fn prepare_func(
                     drop_to: entry,
                     keep: p,
                 };
-                if fuse && ops.len() > barrier && matches!(ops.last(), Some(Op::Rel(_))) {
-                    let Some(Op::Rel(rel)) = ops.pop() else {
-                        unreachable!()
-                    };
-                    ops.push(Op::RelBrIfZero(rel, dest));
-                } else {
-                    ops.push(Op::BrIfZero(dest));
-                }
+                ops.push(Op::BrIfZero(dest));
                 let patch_pos = ops.len() - 1;
-                barrier = ops.len();
                 ctrls.push(CtrlEntry {
                     height: entry,
                     arity: r,
@@ -570,7 +510,6 @@ fn prepare_func(
                         );
                     }
                 }
-                barrier = ops.len();
                 height = Some(top.height + top.start_arity as u32);
             }
             Instr::End => {
@@ -602,7 +541,6 @@ fn prepare_func(
                         }
                     }
                 }
-                barrier = ops.len();
                 height = Some(top.end_height);
                 if ctrls.is_empty() {
                     // Implicit function end: emit the return below.
@@ -624,22 +562,12 @@ fn prepare_func(
             Instr::Br(depth) => {
                 let dest = br_dest(&mut ctrls, *depth, ops.len(), Slot::Single);
                 ops.push(Op::Br(dest));
-                barrier = ops.len();
                 height = None;
             }
             Instr::BrIf(depth) => {
                 height = height.map(|h| h.saturating_sub(1));
-                if fuse && ops.len() > barrier && matches!(ops.last(), Some(Op::Rel(_))) {
-                    let Some(Op::Rel(rel)) = ops.pop() else {
-                        unreachable!()
-                    };
-                    let dest = br_dest(&mut ctrls, *depth, ops.len(), Slot::Single);
-                    ops.push(Op::RelBrIf(rel, dest));
-                } else {
-                    let dest = br_dest(&mut ctrls, *depth, ops.len(), Slot::Single);
-                    ops.push(Op::BrIf(dest));
-                }
-                barrier = ops.len();
+                let dest = br_dest(&mut ctrls, *depth, ops.len(), Slot::Single);
+                ops.push(Op::BrIf(dest));
             }
             Instr::BrTable(targets, default) => {
                 let pos = ops.len();
@@ -652,7 +580,6 @@ fn prepare_func(
                     .collect();
                 let def = br_dest(&mut ctrls, *default, pos, Slot::TableDefault);
                 ops[pos] = Op::BrTable(dests.into_boxed_slice(), def);
-                barrier = ops.len();
                 height = None;
             }
             Instr::Return => {
@@ -697,16 +624,7 @@ fn prepare_func(
                 height = height.map(|h| h.saturating_sub(1));
                 ops.push(Op::GlobalSet(*i));
             }
-            Instr::Load(k, a) => {
-                if fuse && ops.len() > barrier && matches!(ops.last(), Some(Op::LocalGet(_))) {
-                    let Some(Op::LocalGet(i)) = ops.pop() else {
-                        unreachable!()
-                    };
-                    ops.push(Op::LocalLoad(i, *k, a.offset as u64));
-                } else {
-                    ops.push(Op::Load(*k, a.offset as u64));
-                }
-            }
+            Instr::Load(k, a) => ops.push(Op::Load(*k, a.offset as u64)),
             Instr::Store(k, a) => {
                 height = height.map(|h| h.saturating_sub(2));
                 ops.push(Op::Store(*k, a.offset as u64));
@@ -743,31 +661,7 @@ fn prepare_func(
             Instr::Un(op) => ops.push(Op::Un(*op)),
             Instr::Bin(op) => {
                 height = height.map(|h| h.saturating_sub(1));
-                if !fuse {
-                    ops.push(Op::Bin(*op));
-                } else if ops.len() >= barrier + 2
-                    && matches!(
-                        &ops[ops.len() - 2..],
-                        [Op::LocalGet(_), Op::LocalGet(_)] | [Op::LocalGet(_), Op::Const(_)]
-                    )
-                {
-                    let second = ops.pop().expect("matched");
-                    let Some(Op::LocalGet(a)) = ops.pop() else {
-                        unreachable!()
-                    };
-                    match second {
-                        Op::LocalGet(b) => ops.push(Op::LocalLocalBin(a, b, *op)),
-                        Op::Const(k) => ops.push(Op::LocalConstBin(a, k, *op)),
-                        _ => unreachable!(),
-                    }
-                } else if ops.len() > barrier && matches!(ops.last(), Some(Op::Const(_))) {
-                    let Some(Op::Const(k)) = ops.pop() else {
-                        unreachable!()
-                    };
-                    ops.push(Op::ConstBin(k, *op));
-                } else {
-                    ops.push(Op::Bin(*op));
-                }
+                ops.push(Op::Bin(*op));
             }
             Instr::Rel(op) => {
                 height = height.map(|h| h.saturating_sub(1));
@@ -850,9 +744,7 @@ fn patch(ops: &mut [Op], at: PatchRef, target: u32) {
     let dest = match (&mut ops[at.op], at.slot) {
         (Op::Br(d), Slot::Single)
         | (Op::BrIf(d), Slot::Single)
-        | (Op::BrIfZero(d), Slot::Single)
-        | (Op::RelBrIf(_, d), Slot::Single)
-        | (Op::RelBrIfZero(_, d), Slot::Single) => d,
+        | (Op::BrIfZero(d), Slot::Single) => d,
         (Op::BrTable(dests, _), Slot::Table(i)) => &mut dests[i],
         (Op::BrTable(_, def), Slot::TableDefault) => def,
         (other, slot) => panic!("patching op {other:?} with slot {slot:?}"),
@@ -894,7 +786,6 @@ mod tests {
             &module.types[0],
             &module.code[0],
             SafepointScheme::LoopHeaders,
-            true,
         )
     }
 
@@ -993,7 +884,6 @@ mod tests {
             &module.types[0],
             &module.code[0],
             SafepointScheme::EveryInstruction,
-            true,
         );
         let polls = p.ops.iter().filter(|o| matches!(o, Op::Safepoint)).count();
         assert_eq!(polls, 3);
@@ -1020,7 +910,6 @@ mod tests {
             &module.types[0],
             &module.code[0],
             SafepointScheme::FunctionEntry,
-            true,
         );
         assert_eq!(p.ops[0], Op::Safepoint);
         let polls = p.ops.iter().filter(|o| matches!(o, Op::Safepoint)).count();

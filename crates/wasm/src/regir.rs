@@ -3,7 +3,10 @@
 //! [`lower`] abstract-interprets a [`PreparedFunc`]'s operand stack at
 //! prepare time and emits three-address superinstructions
 //! (`r3 = add r1, r2`, `br_if_lt r1, #c, L`) that [`crate::interp`]
-//! executes with no value-stack traffic on straight-line code.
+//! executes with no value-stack traffic on straight-line code. Its input
+//! is the plain one-op-per-instruction program of [`crate::prep`]; every
+//! superinstruction the engine has is chosen here (lazy operands, the
+//! store-redirect and compare-branch rewrites, and the `peephole` pass).
 //!
 //! # Register frame layout
 //!
@@ -44,19 +47,18 @@
 //! Fallthrough paths flush lazy entries with `Mov`s *before* the label's
 //! pc; taken branches flush what the target reads and carry a statically
 //! resolved copy `(src, dst, keep)` in [`RBr`] (a no-op when
-//! `src == dst`). This is the register-IR image of `prep.rs`'s fusion
-//! barrier: no lazy state flows across a label, mirroring how no
-//! superinstruction may absorb ops across one. The same barrier index
-//! blocks the store-redirect and compare-branch peepholes from rewriting
-//! ops emitted before a label.
+//! `src == dst`). No lazy state flows across a label, and the same
+//! barrier index blocks the store-redirect and compare-branch peepholes
+//! from rewriting ops emitted before one: a jump must land on code that
+//! does exactly what the instructions after the label do.
 //!
 //! # Bail-out
 //!
 //! `lower` returns `None` when a function cannot be lowered (register
 //! index beyond `u16`, inconsistent label heights — both defensive; they
 //! do not occur for validated modules). The caller then runs the whole
-//! program on the fused stack tier: mixing tiers inside one call stack
-//! is never attempted.
+//! program on the stack tier: mixing tiers inside one call stack is
+//! never attempted.
 
 use std::collections::HashMap;
 
@@ -352,8 +354,8 @@ impl RegFunc {
 }
 
 /// The process-wide default for the register tier: on, unless the
-/// `WALI_NO_REGIR` environment variable is set (A/B measurement escape
-/// hatch mirroring `WALI_NO_FUSE`).
+/// `WALI_NO_REGIR` environment variable is set (selects the reference
+/// stack loop, which the tier gates and the fuzzer compare against).
 pub fn regir_default() -> bool {
     std::env::var_os("WALI_NO_REGIR").is_none()
 }
@@ -586,11 +588,7 @@ fn collect_labels(ops: &[Op]) -> Option<HashMap<u32, (u32, u16)>> {
     };
     for op in ops {
         let ok = match op {
-            Op::Br(d)
-            | Op::BrIf(d)
-            | Op::BrIfZero(d)
-            | Op::RelBrIf(_, d)
-            | Op::RelBrIfZero(_, d) => add(d),
+            Op::Br(d) | Op::BrIf(d) | Op::BrIfZero(d) => add(d),
             Op::BrTable(dests, def) => dests.iter().all(&mut add) && add(def),
             _ => true,
         };
@@ -1043,21 +1041,6 @@ fn lower_op(lw: &mut Lowerer, op: &Op, sigs: &[(u16, u16)], types: &[FuncType]) 
                 });
             }
         }
-        Op::RelBrIf(rel, d) | Op::RelBrIfZero(rel, d) => {
-            let if_true = matches!(op, Op::RelBrIf(..));
-            let b = lw.pop()?;
-            let a = lw.pop()?;
-            let h = lw.stack.len();
-            let dest = lw.branch_to(d, h)?;
-            let (a, b) = (lw.rsrc(a)?, lw.rsrc(b)?);
-            lw.out.push(ROp::RelBr {
-                op: *rel,
-                a,
-                b,
-                if_true,
-                dest,
-            });
-        }
         Op::BrTable(dests, def) => {
             let idx = lw.pop()?;
             let h = lw.stack.len();
@@ -1155,19 +1138,6 @@ fn lower_op(lw: &mut Lowerer, op: &Op, sigs: &[(u16, u16)], types: &[FuncType]) 
             });
             lw.push(Abs::Reg(dst));
         }
-        Op::LocalLoad(i, kind, offset) => {
-            if *i >= lw.nlocals {
-                return None;
-            }
-            let dst = lw.dst_here()?;
-            lw.out.push(ROp::Load {
-                dst,
-                kind: *kind,
-                addr: RSrc::Reg(*i as u16),
-                offset: u32::try_from(*offset).ok()?,
-            });
-            lw.push(Abs::Reg(dst));
-        }
         Op::Store(kind, offset) => {
             let v = lw.pop()?;
             let addr = lw.pop()?;
@@ -1222,23 +1192,18 @@ fn lower_op(lw: &mut Lowerer, op: &Op, sigs: &[(u16, u16)], types: &[FuncType]) 
         Op::Bin(op) => {
             let b = lw.pop()?;
             let a = lw.pop()?;
-            emit_bin(lw, *op, a, b)?;
-        }
-        Op::ConstBin(k, op) => {
-            let a = lw.pop()?;
-            emit_bin(lw, *op, a, Abs::Imm(*k))?;
-        }
-        Op::LocalLocalBin(a, b, op) => {
-            if *a >= lw.nlocals || *b >= lw.nlocals {
-                return None;
+            if let (Abs::Imm(x), Abs::Imm(y)) = (a, b) {
+                if let Ok(v) = eval_bin(*op, x, y) {
+                    lw.push(Abs::Imm(v));
+                    return Some(true);
+                }
+                // Trapping constants (e.g. div by zero): emit the op so
+                // the trap fires at the original program point.
             }
-            emit_bin(lw, *op, Abs::Reg(*a as u16), Abs::Reg(*b as u16))?;
-        }
-        Op::LocalConstBin(a, k, op) => {
-            if *a >= lw.nlocals {
-                return None;
-            }
-            emit_bin(lw, *op, Abs::Reg(*a as u16), Abs::Imm(*k))?;
+            let dst = lw.dst_here()?;
+            let (a, b) = (lw.rsrc(a)?, lw.rsrc(b)?);
+            lw.out.push(ROp::Bin { dst, op: *op, a, b });
+            lw.push(Abs::Reg(dst));
         }
         Op::Rel(op) => {
             let b = lw.pop()?;
@@ -1376,23 +1341,6 @@ fn emit_call(
     Some(())
 }
 
-/// Emits a three-address binary op, folding constant operands.
-fn emit_bin(lw: &mut Lowerer, op: BinOp, a: Abs, b: Abs) -> Option<()> {
-    if let (Abs::Imm(x), Abs::Imm(y)) = (a, b) {
-        if let Ok(v) = eval_bin(op, x, y) {
-            lw.push(Abs::Imm(v));
-            return Some(());
-        }
-        // Trapping constants (e.g. div by zero): emit the op so the
-        // trap fires at the original program point.
-    }
-    let dst = lw.dst_here()?;
-    let (a, b) = (lw.rsrc(a)?, lw.rsrc(b)?);
-    lw.out.push(ROp::Bin { dst, op, a, b });
-    lw.push(Abs::Reg(dst));
-    Some(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1411,16 +1359,22 @@ mod tests {
 
     #[test]
     fn fused_add_collapses_to_one_bin() {
-        // (param i32 i32) (result i32): local.get 0; local.get 1; add —
-        // in its fused input form.
+        // (param i32 i32) (result i32): local.get 0; local.get 1; add.
         let f = pf(
             2,
             0,
             1,
-            vec![Op::LocalLocalBin(0, 1, BinOp::I32Add), Op::Return],
+            vec![
+                Op::LocalGet(0),
+                Op::LocalGet(1),
+                Op::Bin(BinOp::I32Add),
+                Op::Return,
+            ],
         );
         let r = lower(&f, &[], &[]).expect("lowers");
-        assert_eq!(r.nregs, 3);
+        // Two locals + the operand stack's peak of two: the lazy
+        // `local.get`s emit nothing but still own their canonical slots.
+        assert_eq!(r.nregs, 4);
         assert_eq!(
             &*r.ops,
             &[
@@ -1487,32 +1441,26 @@ mod tests {
 
     #[test]
     fn counter_loop_needs_no_movs() {
-        // Fused-form body of `loop { l0 += 1; if l0 < 10 continue }`:
-        //   0: Safepoint (loop header, back-edge target)
-        //   1: LocalConstBin(0, 1, add)
-        //   2: LocalSet(0)
-        //   3: LocalGet(0)
-        //   4: Const(10)
-        //   5: RelBrIf(lt_u, -> 0)
-        //   6: Return
+        // Body of `loop { l0 += 1; if l0 < 10 continue }` as `prep` emits
+        // it (index 0 is the loop header, the back-edge target).
         let f = pf(
             1,
             0,
             0,
             vec![
                 Op::Safepoint,
-                Op::LocalConstBin(0, 1, BinOp::I32Add),
+                Op::LocalGet(0),
+                Op::Const(1),
+                Op::Bin(BinOp::I32Add),
                 Op::LocalSet(0),
                 Op::LocalGet(0),
                 Op::Const(10),
-                Op::RelBrIf(
-                    crate::instr::RelOp::I32LtU,
-                    BrDest {
-                        target: 0,
-                        drop_to: 0,
-                        keep: 0,
-                    },
-                ),
+                Op::Rel(crate::instr::RelOp::I32LtU),
+                Op::BrIf(BrDest {
+                    target: 0,
+                    drop_to: 0,
+                    keep: 0,
+                }),
                 Op::Return,
             ],
         );

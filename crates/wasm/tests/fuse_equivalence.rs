@@ -1,15 +1,17 @@
-//! Tier equivalence: neither superinstruction fusion nor the tier-2
-//! register IR may be observable.
+//! Tier equivalence: the tier-2 register IR may not be observable.
 //!
-//! Every program in the corpus is prepared on all three execution tiers
-//! — unfused stack, fused stack, register IR — and executed with the
-//! same inputs; results, traps, final memory and globals must match
-//! exactly. The corpus leans on the fused patterns (`local.get
-//! local.get binop`, `const binop`, compare+`br_if`, `local.get` +
-//! load) and on stack shapes that stress the register lowering: deep
-//! operand stacks, `br_table` back edges into loop headers, multi-value
-//! blocks, branch targets landing on fused heads, and lazy values
-//! parked below a branch boundary.
+//! Every program in the corpus is prepared on both execution tiers — the
+//! reference stack loop and the register IR — and executed with the same
+//! inputs; results, traps, final memory and globals must match exactly.
+//! The corpus leans on the patterns the register lowering collapses into
+//! one dispatch (`local.get local.get binop`, `const binop`,
+//! compare+`br_if`, `local.get` + load) and on stack shapes that stress
+//! it: deep operand stacks, `br_table` back edges into loop headers,
+//! multi-value blocks, branch targets landing between the ops of such a
+//! pattern, and lazy values parked below a branch boundary.
+//!
+//! (The file name dates from when a third, fused stack tier was compared
+//! here too; it is kept so the test ids stay stable.)
 
 use std::sync::Arc;
 
@@ -17,7 +19,7 @@ use wasm::build::ModuleBuilder;
 use wasm::host::Linker;
 use wasm::instr::{BinOp, BlockType, Instr, LoadKind, MemArg, RelOp, StoreKind};
 use wasm::interp::{Instance, RunResult, Thread, Value};
-use wasm::prep::{Op, Program};
+use wasm::prep::Program;
 use wasm::safepoint::SafepointScheme;
 use wasm::types::ValType;
 
@@ -71,7 +73,8 @@ fn corpus() -> Vec<(&'static str, wasm::Module, Vec<Value>)> {
             .i32(3)
             .emit(Instr::Bin(BinOp::I32Mul))
             .emit(Instr::Store(StoreKind::I32, MemArg::offset(0)))
-            // return mem[64] + n  (local.get + i32.load fuses)
+            // return mem[64] + n  (the load reads its address straight
+            // from the local's register)
             .local_get(0)
             .emit(Instr::Load(LoadKind::I32, MemArg::offset(64)))
             .local_get(0)
@@ -80,72 +83,52 @@ fn corpus() -> Vec<(&'static str, wasm::Module, Vec<Value>)> {
     mb.export("main", f);
     out.push(("load_store", mb.build(), vec![Value::I32(0)]));
 
-    // if/else with a fused compare condition (Rel + BrIfZero).
-    let mut mb = ModuleBuilder::new();
-    let sig = mb.sig([ValType::I32, ValType::I32], [ValType::I32]);
-    let f = mb.func(sig, |b| {
-        b.local_get(0)
-            .local_get(1)
-            .emit(Instr::Rel(RelOp::I32LtS))
-            .emit(Instr::If(BlockType::Value(ValType::I32)))
-            .i32(-1)
-            .emit(Instr::Else)
-            .local_get(0)
-            .local_get(1)
-            .emit(Instr::Bin(BinOp::I32Sub))
-            .emit(Instr::End);
-    });
-    mb.export("main", f);
-    out.push((
-        "if_else_cmp",
-        mb.build(),
-        vec![Value::I32(9), Value::I32(4)],
-    ));
-    let mut mb = ModuleBuilder::new();
-    let sig = mb.sig([ValType::I32, ValType::I32], [ValType::I32]);
-    let f = mb.func(sig, |b| {
-        b.local_get(0)
-            .local_get(1)
-            .emit(Instr::Rel(RelOp::I32LtS))
-            .emit(Instr::If(BlockType::Value(ValType::I32)))
-            .i32(-1)
-            .emit(Instr::Else)
-            .local_get(0)
-            .local_get(1)
-            .emit(Instr::Bin(BinOp::I32Sub))
-            .emit(Instr::End);
-    });
-    mb.export("main", f);
-    out.push((
-        "if_else_cmp_taken",
-        mb.build(),
-        vec![Value::I32(2), Value::I32(4)],
-    ));
+    // if/else on a compare (Rel + BrIfZero: one compare-and-branch in
+    // the register IR), both arms.
+    for (name, x) in [("if_else_cmp", 9), ("if_else_cmp_taken", 2)] {
+        let mut mb2 = ModuleBuilder::new();
+        let sig = mb2.sig([ValType::I32, ValType::I32], [ValType::I32]);
+        let f2 = mb2.func(sig, |b| {
+            b.local_get(0)
+                .local_get(1)
+                .emit(Instr::Rel(RelOp::I32LtS))
+                .emit(Instr::If(BlockType::Value(ValType::I32)))
+                .i32(-1)
+                .emit(Instr::Else)
+                .local_get(0)
+                .local_get(1)
+                .emit(Instr::Bin(BinOp::I32Sub))
+                .emit(Instr::End);
+        });
+        mb2.export("main", f2);
+        out.push((name, mb2.build(), vec![Value::I32(x), Value::I32(4)]));
+    }
 
-    // Forward branch landing exactly *on* a fusible pair: the block end
-    // coincides with the const, so a fused const+binop starting at the
-    // target is legal (the jump executes the whole superinstruction) —
-    // both the taken and fall-through paths must agree.
-    let mut mb = ModuleBuilder::new();
-    let sig = mb.sig([ValType::I32], [ValType::I32]);
-    let f = mb.func(sig, |b| {
-        b.local(ValType::I32);
-        b.local_get(0)
-            .local_set(1)
-            .local_get(1) // value flowing out of the block
-            .emit(Instr::Block(BlockType::Empty))
-            .local_get(0)
-            .emit(Instr::BrIf(0)) // jumps to End: next op executes
-            .emit(Instr::End)
-            // target lands here: const+binop where the const predates the
-            // barrier in the unfused stream
-            .i32(7)
-            .emit(Instr::Bin(BinOp::I32Add));
-    });
-    mb.export("main", f);
-    out.push(("branch_into_pair", mb.build(), vec![Value::I32(5)]));
+    // Forward branch landing exactly *on* a `const; binop` pair whose
+    // left operand was pushed (lazily, in the register IR) before the
+    // block: the taken and the fall-through path must both compute n+7.
+    for (name, v) in [("branch_into_pair", 5), ("branch_into_pair_fall", 0)] {
+        let mut mb2 = ModuleBuilder::new();
+        let sig = mb2.sig([ValType::I32], [ValType::I32]);
+        let f2 = mb2.func(sig, |b| {
+            b.local(ValType::I32);
+            b.local_get(0)
+                .local_set(1)
+                .local_get(1) // value flowing out of the block
+                .emit(Instr::Block(BlockType::Empty))
+                .local_get(0)
+                .emit(Instr::BrIf(0)) // jumps to End: next op executes
+                .emit(Instr::End)
+                // target lands here
+                .i32(7)
+                .emit(Instr::Bin(BinOp::I32Add));
+        });
+        mb2.export("main", f2);
+        out.push((name, mb2.build(), vec![Value::I32(v)]));
+    }
 
-    // Trap parity: division by zero behind a fused const divisor.
+    // Trap parity: division by zero by a constant divisor (must not be
+    // folded away at lowering time).
     let mut mb = ModuleBuilder::new();
     let sig = mb.sig([ValType::I32], [ValType::I32]);
     let f = mb.func(sig, |b| {
@@ -154,7 +137,7 @@ fn corpus() -> Vec<(&'static str, wasm::Module, Vec<Value>)> {
     mb.export("main", f);
     out.push(("div_by_zero_const", mb.build(), vec![Value::I32(10)]));
 
-    // Trap parity: OOB via the fused local.get+load.
+    // Trap parity: OOB via local.get+load.
     let mut mb = ModuleBuilder::new();
     mb.memory(1, Some(1));
     let sig = mb.sig([ValType::I32], [ValType::I32]);
@@ -165,10 +148,11 @@ fn corpus() -> Vec<(&'static str, wasm::Module, Vec<Value>)> {
     mb.export("main", f);
     out.push(("oob_local_load", mb.build(), vec![Value::I32(70000)]));
 
-    // Loop header landing *between* fusible ops: the address is pushed
-    // before the loop and the load is the loop's first op, so the
-    // back-edge targets the load. Fusing local.get+load here would make
-    // iterations 2+ skip the load; the fusion barrier must prevent it.
+    // Loop header landing *between* `local.get` and its load: the address
+    // is pushed before the loop and the load is the loop's first op, so
+    // the back edge targets the load. The load must read the loop
+    // parameter's canonical register on every iteration, not the local
+    // it was first pushed from.
     let mut mb = ModuleBuilder::new();
     mb.memory(1, Some(1));
     let loop_sig;
@@ -311,7 +295,7 @@ fn corpus() -> Vec<(&'static str, wasm::Module, Vec<Value>)> {
     mb.export("main", f);
     out.push(("call_chain", mb.build(), vec![Value::I32(10)]));
 
-    // br_table with fused arithmetic in the arms.
+    // br_table with `local.get; const; binop` arithmetic in the arms.
     for (name, v) in [
         ("br_table_0", 0),
         ("br_table_1", 1),
@@ -347,60 +331,24 @@ fn corpus() -> Vec<(&'static str, wasm::Module, Vec<Value>)> {
     out
 }
 
-/// The three execution tiers, in ascending order of preparation.
-const TIERS: [(&str, bool, bool); 3] = [
-    ("unfused", false, false),
-    ("fused", true, false),
-    ("regir", true, true),
-];
-
+/// Runs `module` on the stack loop (`regir = false`) or the register tier.
 fn run(
     module: &wasm::Module,
-    (tier, fuse, regir): (&str, bool, bool),
+    regir: bool,
     args: &[Value],
     scheme: SafepointScheme,
-) -> (RunResult, Vec<u64>) {
+) -> (RunResult, Vec<u64>, Vec<u8>) {
     let linker: Linker<()> = Linker::new();
-    let program =
-        Arc::new(Program::link_tiered(module, &linker, scheme, fuse, regir).expect("link"));
-    assert_eq!(program.fused, fuse);
+    let program = Arc::new(Program::link_tiered(module, &linker, scheme, regir).expect("link"));
     // Requesting the register tier must actually produce it — a silent
     // bail-out to the stack tier would hollow this suite out.
-    assert_eq!(program.regir, regir, "{tier}: lowering must fire");
+    assert_eq!(program.regir, regir, "lowering must fire");
     let mut inst = Instance::new(program).expect("instantiate");
     let main = inst.export_func("main").expect("main export");
     let mut t = Thread::new();
     let r = t.call(&mut inst, &mut (), main, args);
-    (r, inst.globals.clone())
-}
-
-fn fused_op_count(module: &wasm::Module, fuse: bool) -> usize {
-    let linker: Linker<()> = Linker::new();
-    let program =
-        Arc::new(Program::link_with(module, &linker, SafepointScheme::LoopHeaders, fuse).unwrap());
-    program
-        .funcs
-        .iter()
-        .filter_map(|f| match f {
-            wasm::prep::FuncDef::Local(p) => Some(
-                p.ops
-                    .iter()
-                    .filter(|o| {
-                        matches!(
-                            o,
-                            Op::LocalLocalBin(..)
-                                | Op::LocalConstBin(..)
-                                | Op::ConstBin(..)
-                                | Op::RelBrIf(..)
-                                | Op::RelBrIfZero(..)
-                                | Op::LocalLoad(..)
-                        )
-                    })
-                    .count(),
-            ),
-            _ => None,
-        })
-        .sum()
+    let image = inst.memory.read(0, inst.memory.size()).expect("image");
+    (r, inst.globals.clone(), image)
 }
 
 #[test]
@@ -411,93 +359,21 @@ fn tiers_are_observationally_equivalent() {
         SafepointScheme::EveryInstruction,
     ] {
         for (name, module, args) in corpus() {
-            let (baseline, g0) = run(&module, TIERS[0], &args, scheme);
-            for tier in &TIERS[1..] {
-                let (r, g) = run(&module, *tier, &args, scheme);
-                match (&baseline, &r) {
-                    (RunResult::Done(a), RunResult::Done(b)) => {
-                        assert_eq!(a, b, "{name} ({scheme:?}, {}): results diverge", tier.0)
-                    }
-                    (RunResult::Trapped(a), RunResult::Trapped(b)) => {
-                        assert_eq!(a, b, "{name} ({scheme:?}, {}): traps diverge", tier.0)
-                    }
-                    other => panic!(
-                        "{name} ({scheme:?}, {}): outcome shape diverges: {other:?}",
-                        tier.0
-                    ),
+            let (stack, g0, m0) = run(&module, false, &args, scheme);
+            let (regir, g, m) = run(&module, true, &args, scheme);
+            match (&stack, &regir) {
+                (RunResult::Done(a), RunResult::Done(b)) => {
+                    assert_eq!(a, b, "{name} ({scheme:?}): results diverge")
                 }
-                assert_eq!(g0, g, "{name} ({scheme:?}, {}): globals diverge", tier.0);
+                (RunResult::Trapped(a), RunResult::Trapped(b)) => {
+                    assert_eq!(a, b, "{name} ({scheme:?}): traps diverge")
+                }
+                other => panic!("{name} ({scheme:?}): outcome shape diverges: {other:?}"),
             }
+            assert_eq!(g0, g, "{name} ({scheme:?}): globals diverge");
+            assert_eq!(m0, m, "{name} ({scheme:?}): final memory diverges");
         }
     }
-}
-
-#[test]
-fn fusion_actually_fires_on_the_corpus() {
-    let mut total_fused = 0;
-    for (name, module, _) in corpus() {
-        let n = fused_op_count(&module, true);
-        assert_eq!(
-            fused_op_count(&module, false),
-            0,
-            "{name}: unfused link emits fused ops"
-        );
-        total_fused += n;
-    }
-    assert!(
-        total_fused >= 10,
-        "corpus should exercise fusion, got {total_fused} fused ops"
-    );
-}
-
-#[test]
-fn barrier_blocks_fusion_across_branch_targets() {
-    // A branch target on a fused pair's *start* is fine: in
-    // `branch_into_pair` both paths (taken / fall-through) land on the
-    // const+add superinstruction and must produce n+7.
-    let (_, module, _) = corpus()
-        .into_iter()
-        .find(|(n, _, _)| *n == "branch_into_pair")
-        .unwrap();
-    for arg in [0, 5] {
-        for tier in TIERS {
-            let (r, _) = run(
-                &module,
-                tier,
-                &[Value::I32(arg)],
-                SafepointScheme::LoopHeaders,
-            );
-            match r {
-                RunResult::Done(v) => assert_eq!(v, vec![Value::I32(arg + 7)], "{}", tier.0),
-                other => panic!("{}: {other:?}", tier.0),
-            }
-        }
-    }
-
-    // A branch target *between* the ops of a would-be pair must block
-    // fusion: in `loop_header_load` (scheme None, so no safepoint pads
-    // the header) the back edge lands on the load whose address operand
-    // was pushed before the loop — the load must stay unfused.
-    let (_, module, _) = corpus()
-        .into_iter()
-        .find(|(n, _, _)| *n == "loop_header_load")
-        .unwrap();
-    let linker: Linker<()> = Linker::new();
-    let program =
-        Arc::new(Program::link_with(&module, &linker, SafepointScheme::None, true).unwrap());
-    let has_plain_load = program.funcs.iter().any(|f| match f {
-        wasm::prep::FuncDef::Local(p) => p.ops.iter().any(|o| matches!(o, Op::Load(..))),
-        _ => false,
-    });
-    let has_fused_load = program.funcs.iter().any(|f| match f {
-        wasm::prep::FuncDef::Local(p) => p.ops.iter().any(|o| matches!(o, Op::LocalLoad(..))),
-        _ => false,
-    });
-    assert!(
-        has_plain_load,
-        "the loop-header load must not fuse across the back edge"
-    );
-    assert!(!has_fused_load);
 }
 
 #[test]
@@ -506,11 +382,10 @@ fn register_tier_collapses_dispatches() {
         .into_iter()
         .find(|(n, _, _)| *n == "loop_arith")
         .unwrap();
-    let steps = |(_, fuse, regir): (&str, bool, bool)| {
+    let steps = |regir: bool| {
         let linker: Linker<()> = Linker::new();
         let program = Arc::new(
-            Program::link_tiered(&module, &linker, SafepointScheme::LoopHeaders, fuse, regir)
-                .unwrap(),
+            Program::link_tiered(&module, &linker, SafepointScheme::LoopHeaders, regir).unwrap(),
         );
         let mut inst = Instance::new(program).expect("instantiate");
         let main = inst.export_func("main").unwrap();
@@ -521,10 +396,10 @@ fn register_tier_collapses_dispatches() {
         }
         (t.steps, t.reg_steps)
     };
-    let (fused, fused_reg) = steps(TIERS[1]);
-    let (regir, regir_reg) = steps(TIERS[2]);
+    let (stack, stack_reg) = steps(false);
+    let (regir, regir_reg) = steps(true);
     assert_eq!(
-        fused_reg, 0,
+        stack_reg, 0,
         "stack tier must not count register dispatches"
     );
     assert_eq!(
@@ -532,7 +407,7 @@ fn register_tier_collapses_dispatches() {
         "register tier runs entirely in the register loop"
     );
     assert!(
-        regir < fused,
-        "register IR should collapse dispatches: {regir} vs {fused}"
+        regir < stack,
+        "register IR should collapse dispatches: {regir} vs {stack}"
     );
 }

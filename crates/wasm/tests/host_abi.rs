@@ -16,8 +16,8 @@ use wasm::Trap;
 fn instantiate(module: &wasm::Module, linker: &Linker<()>, regir: bool) -> Instance<()> {
     let bytes = wasm::encode::encode(module);
     let module = wasm::decode::decode(&bytes).expect("round trip");
-    let program = Program::link_tiered(&module, linker, SafepointScheme::LoopHeaders, true, regir)
-        .expect("link");
+    let program =
+        Program::link_tiered(&module, linker, SafepointScheme::LoopHeaders, regir).expect("link");
     Instance::new(Arc::new(program)).expect("instantiate")
 }
 

@@ -3,9 +3,8 @@
 //!
 //! Every program in the corpus is instantiated twice — over the flat
 //! backing shared memories get and the paged backing private ones get —
-//! and executed with the same inputs under both fusion
-//! settings; results, traps, globals and the full final memory image must
-//! match exactly. A second family of tests drives the `Memory` API
+//! and executed with the same inputs; results, traps, globals and the
+//! full final memory image must match exactly. A second family of tests drives the `Memory` API
 //! directly through fork/write interleavings, checking the COW snapshot
 //! against the deep-copy reference.
 
@@ -147,16 +146,10 @@ fn new_memory(min: u32, max: Option<u32>, paged: bool) -> Memory {
     }
 }
 
-fn run(
-    module: &wasm::Module,
-    paged: bool,
-    fuse: bool,
-    args: &[Value],
-) -> (RunResult, Vec<u64>, Vec<u8>) {
+fn run(module: &wasm::Module, paged: bool, args: &[Value]) -> (RunResult, Vec<u64>, Vec<u8>) {
     let linker: Linker<()> = Linker::new();
-    let program = Arc::new(
-        Program::link_with(module, &linker, SafepointScheme::LoopHeaders, fuse).expect("link"),
-    );
+    let program =
+        Arc::new(Program::link(module, &linker, SafepointScheme::LoopHeaders).expect("link"));
     let limits = program
         .memory
         .expect("corpus modules declare a memory")
@@ -172,22 +165,20 @@ fn run(
 
 #[test]
 fn backings_are_observationally_equivalent() {
-    for fuse in [true, false] {
-        for (name, module, args) in corpus() {
-            let (flat, gf, mf) = run(&module, false, fuse, &args);
-            let (paged, gp, mp) = run(&module, true, fuse, &args);
-            match (&flat, &paged) {
-                (RunResult::Done(a), RunResult::Done(b)) => {
-                    assert_eq!(a, b, "{name} (fuse={fuse}): results diverge")
-                }
-                (RunResult::Trapped(a), RunResult::Trapped(b)) => {
-                    assert_eq!(a, b, "{name} (fuse={fuse}): traps diverge")
-                }
-                other => panic!("{name} (fuse={fuse}): outcome shape diverges: {other:?}"),
+    for (name, module, args) in corpus() {
+        let (flat, gf, mf) = run(&module, false, &args);
+        let (paged, gp, mp) = run(&module, true, &args);
+        match (&flat, &paged) {
+            (RunResult::Done(a), RunResult::Done(b)) => {
+                assert_eq!(a, b, "{name}: results diverge")
             }
-            assert_eq!(gf, gp, "{name} (fuse={fuse}): globals diverge");
-            assert_eq!(mf, mp, "{name} (fuse={fuse}): final memory diverges");
+            (RunResult::Trapped(a), RunResult::Trapped(b)) => {
+                assert_eq!(a, b, "{name}: traps diverge")
+            }
+            other => panic!("{name}: outcome shape diverges: {other:?}"),
         }
+        assert_eq!(gf, gp, "{name}: globals diverge");
+        assert_eq!(mf, mp, "{name}: final memory diverges");
     }
 }
 
@@ -195,8 +186,7 @@ fn backings_are_observationally_equivalent() {
 fn paged_run_stays_lazy() {
     let (_, module, args) = corpus().remove(1); // grow_fill_copy
     let linker: Linker<()> = Linker::new();
-    let program =
-        Arc::new(Program::link_with(&module, &linker, SafepointScheme::LoopHeaders, true).unwrap());
+    let program = Arc::new(Program::link(&module, &linker, SafepointScheme::LoopHeaders).unwrap());
     let mut inst = Instance::new(program).unwrap();
     assert!(inst.memory.is_paged(), "private memories are paged");
     let main = inst.export_func("main").unwrap();
