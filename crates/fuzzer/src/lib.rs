@@ -7,11 +7,13 @@
 //! [`shrink::shrink`] cuts the scenario down while the failure still
 //! reproduces and the result is written as a replayable
 //! [`artifact::Artifact`]. The `wazi` binary (`wazi fuzz`,
-//! `wazi replay`, `wazi gen`) fronts the same entry points; the
-//! regression corpus under `corpus/` replays through them as named
-//! tier-1 tests.
+//! `wazi replay`, `wazi gen`, `wazi fingerprint`) fronts the same entry
+//! points; the regression corpus under `corpus/` replays through them
+//! as named tier-1 tests. [`fingerprint`] dumps what the determinism
+//! oracle compares, for diffing across commits.
 
 pub mod artifact;
+pub mod fingerprint;
 pub mod gen;
 pub mod oracle;
 pub mod rng;

@@ -6,6 +6,7 @@
 //!             [--out DIR]
 //! wazi replay <artifact.txt> [--fault scan-split] [--smp-workers W]
 //! wazi gen    --seed S
+//! wazi fingerprint [--seeds N] [--seed S]
 //! ```
 //!
 //! `fuzz` walks seeds from `--seed` (or `WALI_FUZZ_SEED`, default 1),
@@ -14,10 +15,15 @@
 //! `fuzz-artifacts/`) as `seed-<S>.txt`, exit code 1. A clean sweep
 //! exits 0. `replay` re-runs a written artifact (exit 0 iff green) and
 //! `gen` prints a seed's scenario in artifact form — the way corpus
-//! entries are authored. `--fault scan-split` arms the fault-injection
-//! gate (see `wali::fault`) so CI can prove the net catches a
-//! re-introduced race. The process-global resident-page balance check
-//! is always on here: the CLI owns the whole process.
+//! entries are authored. `fingerprint` prints the `WALI_WORKERS=1`
+//! replay fingerprint of every seed and of the app suite under the
+//! default, `WALI_NO_REGIR` and `WALI_NO_RING` configurations, then one
+//! checksum per configuration (see `fuzzer::fingerprint`) — diff two
+//! commits' dumps to prove a change kept the schedule. `--fault
+//! scan-split` arms the fault-injection gate (see `wali::fault`) so CI
+//! can prove the net catches a re-introduced race. The process-global
+//! resident-page balance check is always on here: the CLI owns the
+//! whole process.
 
 use fuzzer::artifact::Artifact;
 use fuzzer::oracle::OracleConfig;
@@ -27,7 +33,8 @@ fn usage() -> ! {
         "usage: wazi fuzz [--seeds N] [--seed S] [--smp-workers W] [--no-smp] \
          [--no-toggles] [--fault scan-split] [--retries K] [--out DIR]\n\
          \x20      wazi replay <artifact.txt> [--fault scan-split] [--smp-workers W]\n\
-         \x20      wazi gen --seed S"
+         \x20      wazi gen --seed S\n\
+         \x20      wazi fingerprint [--seeds N] [--seed S]"
     );
     std::process::exit(2)
 }
@@ -180,6 +187,11 @@ fn cmd_gen(a: &Args) -> i32 {
     0
 }
 
+fn cmd_fingerprint(a: &Args) -> i32 {
+    print!("{}", fuzzer::fingerprint::dump(a.seed, a.seeds));
+    0
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else { usage() };
@@ -188,6 +200,7 @@ fn main() {
         "fuzz" => cmd_fuzz(&a),
         "replay" => cmd_replay(&a),
         "gen" => cmd_gen(&a),
+        "fingerprint" => cmd_fingerprint(&a),
         _ => usage(),
     };
     std::process::exit(code)

@@ -6,7 +6,8 @@
 //!
 //! 1. **Bit-determinism** — two `WALI_WORKERS=1` runs must agree on the
 //!    exact console bytes, per-task ending order (tids included),
-//!    scheduler counters and syscall totals. The cooperative scheduler
+//!    scheduler counters, per-syscall counts and executed ops
+//!    ([`fingerprint`]). The cooperative scheduler
 //!    promises bit-for-bit replay; any divergence is a hidden source of
 //!    nondeterminism (wall clock, hash order, …).
 //! 2. **Toggle equivalence** — `WALI_NO_REGIR` (the reference stack
@@ -162,15 +163,19 @@ fn checked_run(
 }
 
 /// The exact replay fingerprint of a single-worker run: everything two
-/// `WALI_WORKERS=1` runs must agree on bit-for-bit.
-fn fingerprint(report: &RunReport) -> String {
-    let o = &report.outcome;
+/// `WALI_WORKERS=1` runs must agree on bit-for-bit — console bytes, end
+/// order, scheduler counters, per-syscall counts, executed ops per tier
+/// and page peaks. `wazi fingerprint` prints the same string, so a PR
+/// proves "same schedule" by diffing two dumps.
+pub fn fingerprint(o: &wali::RunOutcome) -> String {
     format!(
-        "console={:?} ends={:?} sched={:?} syscalls={} peak_pages={} peak_resident={}",
+        "console={:?} ends={:?} sched={:?} syscalls={:?} wasm_steps={} reg_steps={} peak_pages={} peak_resident={}",
         String::from_utf8_lossy(&o.console),
         o.ends,
         o.sched,
-        o.trace.total_syscalls(),
+        o.trace.counts.to_map(),
+        o.trace.wasm_steps,
+        o.trace.reg_steps,
         o.peak_memory_pages,
         o.peak_resident_pages,
     )
@@ -184,7 +189,7 @@ pub fn check(scn: &Scenario, cfg: &OracleConfig) -> Result<(), Failure> {
     // Oracle 1+3: deterministic baseline, twice.
     let base = checked_run(scn, &modules, RunnerOpts::single(), "workers=1")?;
     let again = checked_run(scn, &modules, RunnerOpts::single(), "workers=1 (replay)")?;
-    let (fp_a, fp_b) = (fingerprint(&base), fingerprint(&again));
+    let (fp_a, fp_b) = (fingerprint(&base.outcome), fingerprint(&again.outcome));
     if fp_a != fp_b {
         return Err(fail(
             FailureKind::Determinism,

@@ -164,21 +164,21 @@ impl<'a> Emu<'a> {
                     return Ok(Flow::Normal);
                 }
                 Err(HostOutcome::Trap(t)) => return Err(format!("trap: {t}")),
+                Err(HostOutcome::Block(blocked)) => {
+                    // Single-task guest: advance virtual time and retry
+                    // the call.
+                    let mut k = self.ctx.kernel.lock_ok();
+                    match blocked.deadline {
+                        Some(d) => k.clock.advance_to(d),
+                        None => k.clock.advance(1_000_000),
+                    }
+                    k.fire_timers();
+                    drop(k);
+                    self.ctx.retry_deadline = blocked.deadline;
+                }
                 Err(HostOutcome::Suspend(s)) => match s.downcast::<WaliSuspend>() {
                     Ok(p) => match *p {
                         WaliSuspend::Exit { code } => return Ok(Flow::Exit(code)),
-                        WaliSuspend::Blocked { deadline, .. } => {
-                            // Single-task guest: advance virtual time and
-                            // retry the call.
-                            let mut k = self.ctx.kernel.lock_ok();
-                            match deadline {
-                                Some(d) => k.clock.advance_to(d),
-                                None => k.clock.advance(1_000_000),
-                            }
-                            k.fire_timers();
-                            drop(k);
-                            self.ctx.retry_deadline = deadline;
-                        }
                         _ => return Err("multi-process guest not emulatable".into()),
                     },
                     Err(_) => return Err("unknown suspension".into()),

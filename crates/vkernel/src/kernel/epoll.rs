@@ -25,7 +25,7 @@
 //! event. Readiness flows the other way, like Linux:
 //!
 //! * `epoll_ctl` registers each interest entry's wait channels in the
-//!   waitqueue's [`crate::wait::ReadyHub`];
+//!   waitqueue's ready hub ([`crate::wait::WaitShard::hub_register`]);
 //! * every waitqueue post routes through the hub, pushing the watching
 //!   registrations onto their instance's `Epoll::ready` ring (the
 //!   `queued` flag keeps an entry on the ring at most once) and posting
@@ -33,12 +33,16 @@
 //! * `epoll_wait` drains the ring and re-verifies only the popped
 //!   entries — O(ready), not O(interest) — re-queuing still-ready
 //!   level-triggered entries; a parked waiter subscribes the single
-//!   `EpollReady` channel, whatever the interest-list size;
+//!   `EpollReady` channel, whatever the interest-list size. The pop
+//!   works in the kernel's retained candidate list and resolves the
+//!   epoll fd once per call, so a woken waiter that finds the ring
+//!   empty (seven of the eight workers a prefork herd wakes per
+//!   connection) allocates nothing and takes one lock;
 //! * `poll`/`ppoll` on an epoll fd runs the same pop as a pure peek: it
 //!   verifies, consumes no ET edge or ONESHOT arm, and re-queues
 //!   everything it popped.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, Weak};
 
 use wali_abi::flags::{
@@ -48,11 +52,11 @@ use wali_abi::flags::{
 use wali_abi::Errno;
 
 use crate::fd::{FileKind, FileRef, OpenFile};
-use crate::sync::MutexExt;
+use crate::sync::{FastMap, MutexExt};
 use crate::wait::Channel;
 use crate::{SysResult, Tid};
 
-use super::Kernel;
+use super::{ChanSet, Kernel};
 
 /// One interest-list registration. Like Linux, the registration key is
 /// the `(fd number, open file description)` *pair*: the `file` identity
@@ -82,10 +86,29 @@ pub(crate) struct EpollReg {
     /// [`Epoll::ready`] (keeps it on the ring at most once).
     pub(crate) queued: bool,
     /// The wait channels this registration is registered for in the
-    /// [`crate::wait::ReadyHub`]. Kept exact so `EPOLL_CTL_DEL`/`MOD`,
-    /// the dead-description sweep and instance release can unregister
+    /// ready hub. Kept exact so `EPOLL_CTL_DEL`/`MOD`, the
+    /// dead-description sweep and instance release can unregister
     /// precisely.
-    pub(crate) hub_chans: Vec<Channel>,
+    pub(crate) hub_chans: ChanSet,
+}
+
+/// One drained ring entry on its way through a pop: the registration as
+/// the drain saw it, then what verifying it decided — applied to the
+/// interest list in one pass at the end.
+#[derive(Clone, Debug)]
+pub(crate) struct Candidate {
+    key: u64,
+    reg: EpollReg,
+    /// The description is fully closed: remove the registration.
+    swept: bool,
+    /// New `(prev_ready, prev_gen)` edge memory, and whether ONESHOT
+    /// fired.
+    update: Option<(u32, u64, bool)>,
+    /// The description's wait channels changed: the new hub wiring.
+    rewire: Option<ChanSet>,
+    /// Goes back on the ring (still-ready level-triggered, past the
+    /// caller's budget, or a peek).
+    requeue: bool,
 }
 
 /// One epoll instance: the interest list and its ready ring.
@@ -107,7 +130,7 @@ pub struct Epoll {
     /// fd number → registration keys (the `epoll_ctl` lookup index; a
     /// number maps to several keys when a reused slot coexists with a
     /// dup-kept registration).
-    pub(crate) by_fd: HashMap<i32, Vec<u64>>,
+    pub(crate) by_fd: FastMap<i32, Vec<u64>>,
 }
 
 impl Epoll {
@@ -216,11 +239,14 @@ impl Kernel {
         Ok(f(&mut g))
     }
 
-    fn epoll_of_fd(&self, tid: Tid, epfd: i32) -> Result<usize, Errno> {
+    /// The epoll instance behind `epfd` — resolved once per
+    /// `epoll_wait`, then [`Kernel::epoll_pop`] and
+    /// [`Kernel::epoll_park`] go by id.
+    pub fn epoll_id(&self, tid: Tid, epfd: i32) -> Result<usize, Errno> {
         let task = self.task(tid)?;
         let table = task.fdtable.lock_ok();
-        let kind = table.get(epfd)?.file.lock_ok().kind.clone();
-        match kind {
+        let file = table.get(epfd)?.file.lock_ok();
+        match file.kind {
             FileKind::Epoll(id) => Ok(id),
             _ => Err(Errno::Einval),
         }
@@ -236,12 +262,13 @@ impl Kernel {
             let g = ep.lock_ok();
             g.interest
                 .iter()
-                .flat_map(|(k, r)| r.hub_chans.iter().map(move |c| (*c, *k)))
+                .flat_map(|(k, r)| r.hub_chans.iter().map(move |c| (c, *k)))
                 .collect()
         };
         for (ch, key) in chans {
             self.waits.hub_unregister(ch, id, key);
         }
+        self.waits.lock().release(Channel::EpollReady(id));
     }
 
     /// `epoll_create1(flags)`: allocates an instance and its fd.
@@ -269,7 +296,7 @@ impl Kernel {
         events: u32,
         data: u64,
     ) -> SysResult {
-        let id = self.epoll_of_fd(tid, epfd)?;
+        let id = self.epoll_id(tid, epfd)?;
         // The target must be an open descriptor of the caller.
         let (kind, file) = {
             let task = self.task(tid)?;
@@ -292,8 +319,8 @@ impl Kernel {
         // below/above the epoll class).
         enum Edit {
             Added(u64),
-            Modified(u64, Vec<Channel>),
-            Deleted(Vec<Channel>, u64),
+            Modified(u64, ChanSet),
+            Deleted(ChanSet, u64),
         }
         let edit = self.with_epoll(id, |ep| {
             // The registration key is the (fd, description) pair: a stale
@@ -311,7 +338,7 @@ impl Kernel {
                     prev_gen: 0,
                     armed: true,
                     queued: false,
-                    hub_chans: Vec::new(),
+                    hub_chans: ChanSet::default(),
                 }))),
                 // MOD re-arms a ONESHOT-disarmed registration and resets
                 // the edge-trigger state (Linux re-arms on modify).
@@ -336,7 +363,7 @@ impl Kernel {
         match edit {
             Edit::Added(key) => {
                 if let Some(f) = target {
-                    self.ring_arm(tid, id, key, &f, events, Vec::new())?;
+                    self.ring_arm(tid, id, key, &f, events, ChanSet::default())?;
                 }
             }
             Edit::Modified(key, old_chans) => {
@@ -348,7 +375,7 @@ impl Kernel {
                 // No wakeup: a waiter that no longer matches this entry
                 // simply never sees it (a stale ring key is skipped at
                 // the next pop).
-                for ch in chans {
+                for ch in chans.iter() {
                     self.waits.hub_unregister(ch, id, key);
                 }
             }
@@ -368,17 +395,14 @@ impl Kernel {
         key: u64,
         file: &FileRef,
         events: u32,
-        old_chans: Vec<Channel>,
+        old_chans: ChanSet,
     ) -> SysResult {
-        let mut chans = Vec::new();
-        self.desc_wait_channels(file, epoll_to_poll(events), &mut chans);
-        for &ch in &chans {
+        let chans = self.desc_wait_channels(file, epoll_to_poll(events));
+        for ch in chans.iter() {
             self.waits.hub_register(ch, id, key);
         }
-        for ch in old_chans {
-            if !chans.contains(&ch) {
-                self.waits.hub_unregister(ch, id, key);
-            }
+        for ch in old_chans.iter().filter(|ch| !chans.contains(*ch)) {
+            self.waits.hub_unregister(ch, id, key);
         }
         self.with_epoll(id, |ep| {
             if let Some(reg) = ep.interest.get_mut(&key) {
@@ -395,16 +419,17 @@ impl Kernel {
         Ok(0)
     }
 
-    /// The ready-ring pop: up to `max` ready `(events, data)` reports, in
-    /// registration order. Drains the ring, re-verifies only the popped
-    /// entries — O(ready) — and re-queues still-ready level-triggered
-    /// entries plus anything past the caller's budget. A registration
-    /// stays live as long as *any* duplicate of its open file description
-    /// exists (`dup`/fork copies keep it reportable even after the
-    /// registering fd number is closed — Linux's description-keyed
-    /// semantics); it is swept once the description is fully closed.
-    /// Never blocks — the embedder handles timeout and parking, exactly
-    /// as for `poll`.
+    /// The ready-ring pop: appends up to `max` ready `(events, data)`
+    /// reports to `out`, in registration order. Drains the ring,
+    /// re-verifies only the popped entries — O(ready) — and re-queues
+    /// still-ready level-triggered entries plus anything past the
+    /// caller's budget. A registration stays live as long as *any*
+    /// duplicate of its open file description exists (`dup`/fork copies
+    /// keep it reportable even after the registering fd number is closed
+    /// — Linux's description-keyed semantics); it is swept once the
+    /// description is fully closed. Never blocks — the embedder handles
+    /// timeout and parking, exactly as for `poll`. Allocates nothing
+    /// beyond what `out` needs to grow.
     ///
     /// `peek` is `poll` on the epoll fd itself: the same verification,
     /// but no ET edge memory or ONESHOT disarm is recorded and every
@@ -416,72 +441,80 @@ impl Kernel {
         id: usize,
         max: usize,
         peek: bool,
-    ) -> SysResult<Vec<(u32, u64)>> {
-        let max = max.max(1);
-        // Phase 1: drain the whole ring under the epoll lock. Keys are
-        // sorted so reports come out in registration order (single-worker
-        // runs stay bit-deterministic). `queued` clears now: a transition
-        // racing the verification below re-pushes and is seen by the
-        // next pop.
-        let candidates: Vec<(u64, EpollReg)> = self.with_epoll(id, |ep| {
-            let mut keys: Vec<u64> = ep.ready.drain(..).collect();
-            keys.sort_unstable();
-            keys.dedup();
-            let mut cands = Vec::new();
-            for k in keys {
-                if let Some(reg) = ep.interest.get_mut(&k) {
-                    reg.queued = false;
-                    if reg.armed {
-                        cands.push((k, reg.clone()));
-                    }
-                }
+        out: &mut Vec<(u32, u64)>,
+    ) -> SysResult<()> {
+        let budget = out.len() + max.max(1);
+        let ep = self.epolls.get(id).ok_or(Errno::Ebadf)?;
+        // Phase 1: drain the whole ring under the epoll lock, snapshotting
+        // the armed registrations into the kernel's candidate list. Keys
+        // are sorted so reports come out in registration order
+        // (single-worker runs stay bit-deterministic). `queued` clears
+        // now: a transition racing the verification below re-pushes and
+        // is seen by the next pop.
+        let mut cands = std::mem::take(&mut self.epoll_scratch);
+        {
+            let mut g = ep.lock_ok();
+            let Epoll {
+                ready, interest, ..
+            } = &mut *g;
+            ready.make_contiguous().sort_unstable();
+            let mut last = None;
+            for key in ready.drain(..).filter(|k| last.replace(*k) != Some(*k)) {
                 // Unknown key: deleted after it was queued — dropped.
+                let Some(reg) = interest.get_mut(&key) else {
+                    continue;
+                };
+                reg.queued = false;
+                if reg.armed {
+                    cands.push(Candidate {
+                        key,
+                        reg: reg.clone(),
+                        swept: false,
+                        update: None,
+                        rewire: None,
+                        requeue: false,
+                    });
+                }
             }
-            cands
-        })?;
+        }
+        if cands.is_empty() {
+            self.epoll_scratch = cands;
+            return Ok(());
+        }
         // Phase 2: verify with no epoll lock held (readiness probes and
         // channel walks take slab/object locks).
-        let mut out = Vec::new();
-        let mut updates: Vec<(u64, u32, u64, bool)> = Vec::new();
-        let mut requeue: Vec<u64> = Vec::new();
-        let mut rewire: Vec<(u64, Vec<Channel>, Vec<Channel>)> = Vec::new();
-        let mut swept: Vec<(u64, EpollReg)> = Vec::new();
-        for (i, (key, reg)) in candidates.iter().enumerate() {
-            if out.len() >= max {
+        for c in &mut cands {
+            if out.len() >= budget {
                 // Past the caller's budget: re-queue unverified, their
                 // transitions are still unconsumed.
-                requeue.extend(candidates[i..].iter().map(|(k, _)| *k));
-                break;
+                c.requeue = true;
+                continue;
             }
+            let reg = &c.reg;
             let Some(file) = reg.file.upgrade() else {
-                swept.push((*key, reg.clone()));
+                c.swept = true;
                 continue;
             };
             // Refresh the hub wiring first: a description's readiness
             // channels can change (a socket that connected gained its
             // peer's space channel), and registering *before* the probe
             // closes the missed-transition window.
-            let mut chans = Vec::new();
-            self.desc_wait_channels(&file, epoll_to_poll(reg.events), &mut chans);
+            let chans = self.desc_wait_channels(&file, epoll_to_poll(reg.events));
             if chans != reg.hub_chans {
-                for &ch in &chans {
-                    if !reg.hub_chans.contains(&ch) {
-                        self.waits.hub_register(ch, id, *key);
-                    }
+                for ch in chans.iter().filter(|ch| !reg.hub_chans.contains(*ch)) {
+                    self.waits.hub_register(ch, id, c.key);
                 }
-                let removed: Vec<Channel> = reg
-                    .hub_chans
-                    .iter()
-                    .copied()
-                    .filter(|c| !chans.contains(c))
-                    .collect();
-                rewire.push((*key, chans, removed));
+                c.rewire = Some(chans);
             }
             let revents = self.poll_desc(tid, &file, epoll_to_poll(reg.events))?;
             let ready = poll_to_epoll(revents, reg.events);
             let et = reg.events & EPOLLET != 0;
+            // The sum of the channels' event generations moves whenever
+            // a new transition (post) happened on any of them: the ET
+            // re-arm signal.
             let gen = if et {
-                self.desc_event_gen(&file, epoll_to_poll(reg.events))
+                let waits = self.waits.lock();
+                chans.iter().map(|ch| waits.generation(ch)).sum()
             } else {
                 0
             };
@@ -497,78 +530,92 @@ impl Kernel {
             };
             let disarm = reg.events & EPOLLONESHOT != 0 && report != 0;
             if reg.prev_ready != ready || reg.prev_gen != gen || disarm {
-                updates.push((*key, ready, gen, disarm));
+                c.update = Some((ready, gen, disarm));
             }
             if report != 0 {
                 out.push((report, reg.data));
-                if !et && !disarm {
-                    // Level-triggered readiness persists until drained:
-                    // re-queue so the next pop re-verifies it.
-                    requeue.push(*key);
-                }
+                // Level-triggered readiness persists until drained:
+                // re-queue so the next pop re-verifies it.
+                c.requeue = !et && !disarm;
             }
-        }
-        if peek {
-            updates.clear();
-            requeue = candidates.iter().map(|(k, _)| *k).collect();
         }
         // Phase 3: apply under the epoll lock (ring_push is idempotent
         // against pushes that raced the verification).
-        self.with_epoll(id, |ep| {
-            for (key, prev_ready, prev_gen, disarm) in &updates {
-                if let Some(reg) = ep.interest.get_mut(key) {
-                    reg.prev_ready = *prev_ready;
-                    reg.prev_gen = *prev_gen;
-                    if *disarm {
-                        reg.armed = false;
+        {
+            let mut g = ep.lock_ok();
+            for c in &cands {
+                if c.swept {
+                    g.remove_reg(c.key);
+                    continue;
+                }
+                if let Some(reg) = g.interest.get_mut(&c.key) {
+                    if let (Some((ready, gen, disarm)), false) = (c.update, peek) {
+                        reg.prev_ready = ready;
+                        reg.prev_gen = gen;
+                        reg.armed &= !disarm;
+                    }
+                    if let Some(chans) = c.rewire {
+                        reg.hub_chans = chans;
                     }
                 }
-            }
-            for (key, chans, _) in &rewire {
-                if let Some(reg) = ep.interest.get_mut(key) {
-                    reg.hub_chans = chans.clone();
+                if c.requeue || peek {
+                    g.ring_push(c.key);
                 }
             }
-            for (key, _) in &swept {
-                ep.remove_reg(*key);
-            }
-            for key in &requeue {
-                ep.ring_push(*key);
-            }
-        })?;
+        }
         // Hub bookkeeping runs with no epoll lock held.
-        for (key, reg) in swept {
-            for ch in reg.hub_chans {
-                self.waits.hub_unregister(ch, id, key);
+        for c in &cands {
+            let keep = match c.rewire {
+                _ if c.swept => ChanSet::default(),
+                Some(chans) => chans,
+                None => continue,
+            };
+            for ch in c.reg.hub_chans.iter().filter(|ch| !keep.contains(*ch)) {
+                self.waits.hub_unregister(ch, id, c.key);
             }
         }
-        for (key, _, removed) in rewire {
-            for ch in removed {
-                self.waits.hub_unregister(ch, id, key);
-            }
-        }
-        Ok(out)
+        cands.clear();
+        self.epoll_scratch = cands;
+        Ok(())
     }
 
-    /// The ready-ring pop addressed by epoll fd (the `epoll_wait` entry).
+    /// The ready-ring pop for `epoll_wait`, by instance id: appends up to
+    /// `max` ready `(events, data)` reports to `out`.
+    pub fn epoll_pop(
+        &mut self,
+        tid: Tid,
+        id: usize,
+        max: usize,
+        out: &mut Vec<(u32, u64)>,
+    ) -> SysResult<()> {
+        self.epoll_ready(tid, id, max, false, out)
+    }
+
+    /// The ready-ring pop addressed by epoll fd.
     pub fn sys_epoll_wait_ready(
         &mut self,
         tid: Tid,
         epfd: i32,
         max: usize,
     ) -> SysResult<Vec<(u32, u64)>> {
-        let id = self.epoll_of_fd(tid, epfd)?;
-        self.epoll_ready(tid, id, max, false)
+        let id = self.epoll_id(tid, epfd)?;
+        let mut out = Vec::new();
+        self.epoll_pop(tid, id, max, &mut out)?;
+        Ok(out)
     }
 
     /// Parks `tid` for the blocking half of `epoll_wait`: exactly two
     /// channels — the instance's ready ring and the task's signal
     /// channel — regardless of interest-list size; the hub routes every
     /// relevant readiness transition to [`Channel::EpollReady`].
+    pub fn epoll_park(&mut self, tid: Tid, id: usize) {
+        self.waits.park_on(tid, Channel::EpollReady(id));
+    }
+
+    /// [`Kernel::epoll_park`] addressed by epoll fd.
     pub fn epoll_subscribe(&mut self, tid: Tid, epfd: i32) -> SysResult {
-        let id = self.epoll_of_fd(tid, epfd)?;
-        self.wait_subscribe(tid, Channel::EpollReady(id));
-        self.wait_subscribe(tid, Channel::Signal(tid));
+        let id = self.epoll_id(tid, epfd)?;
+        self.epoll_park(tid, id);
         Ok(0)
     }
 }
@@ -857,6 +904,65 @@ mod tests {
         );
         // No new transition: stays quiet.
         assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
+    }
+
+    #[test]
+    fn edge_triggered_is_unaffected_by_a_recycled_slab_id() {
+        // Generations die with their object. A pipe that reuses the slab
+        // id of a heavily posted, closed pipe starts from generation
+        // zero, and an ET registration on it behaves like any fresh one:
+        // it neither inherits an edge nor loses one.
+        let (mut k, tid) = kp();
+        let ep = k.sys_epoll_create1(tid, 0).unwrap();
+        let (r, w) = k.sys_pipe2(tid, 0).unwrap();
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN | EPOLLET, 1)
+            .unwrap();
+        for _ in 0..5 {
+            k.sys_write(tid, w, b"x").unwrap();
+            assert_eq!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().len(), 1);
+        }
+        let id = match k
+            .task(tid)
+            .unwrap()
+            .fdtable
+            .lock_ok()
+            .get(r)
+            .unwrap()
+            .file
+            .lock_ok()
+            .kind
+        {
+            FileKind::PipeRead(id) => id,
+            ref other => panic!("{other:?}"),
+        };
+        assert!(k.waits.lock().generation(Channel::PipeReadable(id)) >= 5);
+        k.sys_close(tid, r).unwrap();
+        k.sys_close(tid, w).unwrap();
+        assert_eq!(k.waits.lock().generation(Channel::PipeReadable(id)), 0);
+        assert_eq!(k.waits.lock().generation(Channel::PipeWritable(id)), 0);
+        assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
+
+        let (r2, w2) = k.sys_pipe2(tid, 0).unwrap();
+        assert_eq!((r2, w2), (r, w), "same fds, same slab slot");
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r2, EPOLLIN | EPOLLET, 2)
+            .unwrap();
+        assert!(
+            k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty(),
+            "no edge inherited from the previous owner"
+        );
+        k.sys_write(tid, w2, b"a").unwrap();
+        assert_eq!(
+            k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
+            vec![(EPOLLIN, 2)]
+        );
+        assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
+        // New data while still ready re-arms, exactly as on a first-use id.
+        k.sys_write(tid, w2, b"b").unwrap();
+        assert_eq!(
+            k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
+            vec![(EPOLLIN, 2)]
+        );
+        assert_eq!(k.leak_audit().wait_heads, 0);
     }
 
     #[test]

@@ -172,8 +172,7 @@ impl Kernel {
                         // writer filling the buffer after this point posts
                         // only after dropping the lock, so the wakeup
                         // cannot be missed.
-                        self.waits.subscribe(tid, Channel::PipeReadable(id));
-                        self.waits.subscribe(tid, Channel::Signal(tid));
+                        self.waits.park_on(tid, Channel::PipeReadable(id));
                     }
                     r
                 })?;
@@ -219,8 +218,7 @@ impl Kernel {
                     }
                     drop(f);
                     self.waits
-                        .subscribe(tid, Channel::EventFd(Arc::as_ptr(&file) as usize));
-                    self.waits.subscribe(tid, Channel::Signal(tid));
+                        .park_on(tid, Channel::EventFd(Arc::as_ptr(&file) as usize));
                     return Err(block());
                 }
                 if out.len() < 8 {
@@ -258,8 +256,7 @@ impl Kernel {
                     let r = p.write(data);
                     if matches!(r, PipeIo::WouldBlock) && !nonblock && !has_sig {
                         // Subscribe under the pipe lock (see sys_read).
-                        self.waits.subscribe(tid, Channel::PipeWritable(id));
-                        self.waits.subscribe(tid, Channel::Signal(tid));
+                        self.waits.park_on(tid, Channel::PipeWritable(id));
                     }
                     r
                 })?;
@@ -413,42 +410,58 @@ impl Kernel {
         if Arc::strong_count(&entry.file) != 1 {
             return;
         }
-        let kind = entry.file.lock_ok().kind.clone();
-        match kind {
-            FileKind::PipeRead(id) => {
+        // Only the referent's id is needed: copy it out rather than
+        // cloning the kind under the description lock.
+        enum Gone {
+            PipeEnd { id: usize, read: bool },
+            Socket(usize),
+            Epoll(usize),
+            EventFd,
+            Other,
+        }
+        let gone = match entry.file.lock_ok().kind {
+            FileKind::PipeRead(id) => Gone::PipeEnd { id, read: true },
+            FileKind::PipeWrite(id) => Gone::PipeEnd { id, read: false },
+            FileKind::Socket(id) => Gone::Socket(id),
+            FileKind::Epoll(id) => Gone::Epoll(id),
+            FileKind::EventFd => Gone::EventFd,
+            _ => Gone::Other,
+        };
+        match gone {
+            Gone::PipeEnd { id, read } => {
                 // Decrement under the pipe lock, but free the slab slot
                 // only after the guard drops: Slab ranks below Object in
                 // the lock-ordering DAG.
                 let dead = self
                     .with_pipe(id, |p| {
-                        p.readers = p.readers.saturating_sub(1);
+                        let end = if read { &mut p.readers } else { &mut p.writers };
+                        *end = end.saturating_sub(1);
                         p.readers == 0 && p.writers == 0
                     })
                     .unwrap_or(false);
                 if dead {
                     self.pipes.free(id);
                 }
-                // Blocked writers must observe EPIPE; pollers the hangup.
-                self.waits.post(Channel::PipeWritable(id));
-                self.waits.post(Channel::PipeReadable(id));
-            }
-            FileKind::PipeWrite(id) => {
-                let dead = self
-                    .with_pipe(id, |p| {
-                        p.writers = p.writers.saturating_sub(1);
-                        p.readers == 0 && p.writers == 0
-                    })
-                    .unwrap_or(false);
+                // Blocked writers must observe EPIPE, blocked readers
+                // EOF, pollers the hangup: the other end's channel first.
+                let (r, w) = (Channel::PipeReadable(id), Channel::PipeWritable(id));
+                let (first, second) = if read { (w, r) } else { (r, w) };
+                self.waits.post(first);
+                self.waits.post(second);
                 if dead {
-                    self.pipes.free(id);
+                    // Last post done: the heads die with the pipe.
+                    let mut waits = self.waits.lock();
+                    waits.release(r);
+                    waits.release(w);
                 }
-                // Blocked readers must observe EOF; pollers the hangup.
-                self.waits.post(Channel::PipeReadable(id));
-                self.waits.post(Channel::PipeWritable(id));
             }
-            FileKind::Socket(id) => self.release_socket(id),
-            FileKind::Epoll(id) => self.release_epoll(id),
-            _ => {}
+            Gone::Socket(id) => self.release_socket(id),
+            Gone::Epoll(id) => self.release_epoll(id),
+            Gone::EventFd => {
+                let key = Arc::as_ptr(&entry.file) as usize;
+                self.waits.lock().release(Channel::EventFd(key));
+            }
+            Gone::Other => {}
         }
     }
 

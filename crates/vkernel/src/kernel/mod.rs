@@ -6,7 +6,7 @@ pub mod epoll;
 pub mod fs;
 pub mod sock;
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use wali_abi::flags::{
@@ -23,8 +23,8 @@ use crate::pipe::Pipe;
 use crate::proc::{ProcIndex, TaskHot};
 use crate::signal::{disposition, Disposition, PendingSet, SigHandlers};
 use crate::slab::ObjSlab;
-use crate::socket::Socket;
-use crate::sync::{shared, HintFlag, MutexExt};
+use crate::socket::{AddrKey, Socket};
+use crate::sync::{shared, FastMap, HintFlag, MutexExt};
 use crate::task::{FsInfo, Pid, Rusage, Task, TaskState, Tid};
 use crate::vfs::{Vfs, VfsShard};
 use crate::wait::{Channel, WaitShard, WaitStats};
@@ -51,6 +51,29 @@ pub enum SignalDelivery {
     },
 }
 
+/// The wait channels behind one open file description, held inline:
+/// there are at most three (a connected socket polled for output — its
+/// own two and its peer's space), so the readiness walks `poll` and
+/// every `epoll_wait` candidate make allocate nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct ChanSet([Option<Channel>; 3]);
+
+impl ChanSet {
+    fn push(&mut self, ch: Channel) {
+        let free = self.0.iter_mut().find(|slot| slot.is_none());
+        *free.expect("a description has at most three wait channels") = Some(ch);
+    }
+
+    /// The channels, in the order they were found.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Channel> + '_ {
+        self.0.iter().flatten().copied()
+    }
+
+    pub(crate) fn contains(&self, ch: Channel) -> bool {
+        self.iter().any(|c| c == ch)
+    }
+}
+
 /// The deterministic Linux model.
 pub struct Kernel {
     /// The filesystem, behind its reader/writer shard.
@@ -63,8 +86,11 @@ pub struct Kernel {
     pub(crate) pipes: ObjSlab<Pipe>,
     pub(crate) sockets: ObjSlab<Socket>,
     pub(crate) epolls: ObjSlab<epoll::Epoll>,
-    pub(crate) addr_registry: HashMap<String, usize>,
-    futexes: HashMap<(MmId, u32), VecDeque<Tid>>,
+    pub(crate) addr_registry: FastMap<AddrKey, usize>,
+    futexes: FastMap<(MmId, u32), VecDeque<Tid>>,
+    /// `epoll_wait`'s candidate list, kept for its capacity: a pop that
+    /// reports nothing allocates nothing (see [`epoll`]).
+    pub(crate) epoll_scratch: Vec<epoll::Candidate>,
     /// Waitqueues: blocked tasks parked on wait channels, behind their
     /// own shard lock (innermost in the ordering DAG).
     pub(crate) waits: WaitShard,
@@ -119,8 +145,9 @@ impl Kernel {
             pipes: ObjSlab::new(LockClass::Object),
             sockets: ObjSlab::new(LockClass::Object),
             epolls: ObjSlab::new(LockClass::Epoll),
-            addr_registry: HashMap::new(),
-            futexes: HashMap::new(),
+            addr_registry: FastMap::default(),
+            futexes: FastMap::default(),
+            epoll_scratch: Vec::new(),
             waits: WaitShard::new(),
             procs: ProcIndex::new(),
             rng_state: 0x9e37_79b9_7f4a_7c15,
@@ -186,7 +213,7 @@ impl Kernel {
     /// Subscribes `tid` to a wait channel (embedder-visible for layered
     /// APIs that block on kernel state, e.g. `poll`/`epoll_wait`).
     pub fn wait_subscribe(&mut self, tid: Tid, ch: Channel) {
-        self.waits.subscribe(tid, ch);
+        self.waits.lock().subscribe(tid, ch);
     }
 
     /// Posts a wakeup on a channel (mostly internal; public so layered
@@ -195,9 +222,18 @@ impl Kernel {
         self.waits.post(ch)
     }
 
-    /// Drains the tasks woken since the last drain, in wake order.
+    /// Drains the tasks woken since the last drain, in wake order, onto
+    /// the end of `out` — the scheduler's own buffer, so a drain
+    /// allocates nothing once both lists have grown to the batch size.
+    pub fn drain_woken(&mut self, out: &mut Vec<Tid>) {
+        self.waits.lock().drain_woken(out);
+    }
+
+    /// [`Kernel::drain_woken`] into a fresh list.
     pub fn take_woken(&mut self) -> Vec<Tid> {
-        self.waits.take_woken()
+        let mut out = Vec::new();
+        self.drain_woken(&mut out);
+        out
     }
 
     /// Drains the channels whose posts woke `tid` since its last drain
@@ -206,7 +242,7 @@ impl Kernel {
     /// operations whose wakeup actually arrived first, so ring CQE
     /// order follows the wakeup path rather than submission order.
     pub fn take_fired(&mut self, tid: Tid) -> Vec<Channel> {
-        self.waits.take_fired(tid)
+        self.waits.lock().take_fired(tid)
     }
 
     /// Arms fired-channel recording for `tid` until its next
@@ -214,75 +250,80 @@ impl Kernel {
     /// fired-log bookkeeping, so `wali_ring_enter` calls this each time
     /// it parks and everyone else's wakes stay record-free.
     pub fn track_fired(&mut self, tid: Tid) {
-        self.waits.track_fired(tid);
+        self.waits.lock().track_fired(tid);
     }
 
     /// Drops every wait subscription of `tid` without waking it. The
     /// embedder calls this when it re-queues a task for a reason the
     /// kernel cannot see (deadline lapse), so no stale channel entry can
-    /// fire a spurious wakeup into a later, unrelated park.
+    /// fire a spurious wakeup into a later, unrelated park — and when it
+    /// finalizes a task, which may by then have been reaped by its
+    /// parent on another worker: whatever wait state the task re-grew
+    /// after the reap goes here.
     pub fn wait_cancel(&mut self, tid: Tid) {
-        self.waits.unsubscribe(tid);
+        let mut waits = self.waits.lock();
+        match self.tasks.contains_key(&tid) {
+            true => waits.unsubscribe(tid),
+            false => waits.release_task(tid),
+        }
     }
 
     /// True when `tid` parked on at least one wait channel.
     pub fn task_waits(&self, tid: Tid) -> bool {
-        self.waits.is_subscribed(tid)
+        self.waits.lock().is_subscribed(tid)
     }
 
     /// True when a posted wakeup is waiting to be drained.
     pub fn has_woken(&self) -> bool {
-        self.waits.has_woken()
+        self.waits.lock().has_woken()
     }
 
     /// Waitqueue counters (benchmarks and tests).
     pub fn wait_stats(&self) -> WaitStats {
-        self.waits.stats()
+        self.waits.lock().stats
     }
 
     /// Lock-free handle onto the waitqueue's woken hint: SMP workers
     /// poll it between slices without taking the kernel lock and drain
     /// [`Kernel::take_woken`] (under the lock) only when it reads true.
     pub fn woken_hint(&self) -> std::sync::Arc<std::sync::atomic::AtomicBool> {
-        self.waits.woken_hint()
+        self.waits.lock().woken_hint()
     }
 
     /// Subscribes `tid` to the readiness channels of each `(fd, events)`
-    /// pair — the blocking half of `poll`/`select`/`epoll_wait`. Unknown
-    /// or always-ready fd kinds contribute no channel (the caller's
+    /// pair — the blocking half of `poll`/`select`. Unknown or
+    /// always-ready fd kinds contribute no channel (the caller's
     /// readiness scan already returned their state). A signal wakes the
     /// poller too, like the EINTR path on Linux.
     pub fn wait_on_fds(&mut self, tid: Tid, fds: &[(i32, i16)]) {
-        let mut chans: Vec<Channel> = Vec::new();
         for &(fd, events) in fds {
-            self.fd_wait_channels(tid, fd, events, &mut chans);
+            // The walk takes slab and object locks: finish it before
+            // the (innermost) waitqueue lock.
+            let chans = self.fd_wait_channels(tid, fd, events);
+            let mut waits = self.waits.lock();
+            chans.iter().for_each(|ch| waits.subscribe(tid, ch));
         }
-        for ch in chans {
-            self.waits.subscribe(tid, ch);
-        }
-        self.waits.subscribe(tid, Channel::Signal(tid));
+        self.waits.lock().subscribe(tid, Channel::Signal(tid));
     }
 
-    /// Collects the wait channels that can change fd readiness for the
-    /// given `poll`-style event mask. Always-ready kinds (regular files,
+    /// The wait channels that can change fd readiness for the given
+    /// `poll`-style event mask. Always-ready kinds (regular files,
     /// directories) contribute nothing.
-    pub(crate) fn fd_wait_channels(&self, tid: Tid, fd: i32, events: i16, out: &mut Vec<Channel>) {
-        let Ok(task) = self.task(tid) else { return };
-        let file = {
+    pub(crate) fn fd_wait_channels(&self, tid: Tid, fd: i32, events: i16) -> ChanSet {
+        let file = self.task(tid).ok().and_then(|task| {
             let table = task.fdtable.lock_ok();
-            let Ok(entry) = table.get(fd) else { return };
-            entry.file.clone()
-        };
-        self.desc_wait_channels(&file, events, out);
+            table.get(fd).ok().map(|entry| entry.file.clone())
+        });
+        file.map_or_else(ChanSet::default, |f| self.desc_wait_channels(&f, events))
     }
 
     /// Same, addressed by open file description (the epoll interest list
     /// is description-keyed, so its channel walk must not depend on fd
     /// numbers still being open).
-    pub(crate) fn desc_wait_channels(&self, file: &FileRef, events: i16, out: &mut Vec<Channel>) {
+    pub(crate) fn desc_wait_channels(&self, file: &FileRef, events: i16) -> ChanSet {
         use wali_abi::flags::{POLLIN, POLLOUT};
+        let mut out = ChanSet::default();
         let kind = file.lock_ok().kind.clone();
-        let file_key = Arc::as_ptr(file) as usize;
         match kind {
             // POLLHUP/POLLERR are reported regardless of the requested
             // events (a zero mask is the classic watch-for-hangup idiom),
@@ -290,12 +331,8 @@ impl Kernel {
             // so pipe/socket pollers subscribe unconditionally. A data
             // wakeup the poller did not ask for is merely spurious: the
             // retry re-scans readiness and re-parks.
-            FileKind::PipeRead(id) => {
-                out.push(Channel::PipeReadable(id));
-            }
-            FileKind::PipeWrite(id) => {
-                out.push(Channel::PipeWritable(id));
-            }
+            FileKind::PipeRead(id) => out.push(Channel::PipeReadable(id)),
+            FileKind::PipeWrite(id) => out.push(Channel::PipeWritable(id)),
             FileKind::Socket(id) => {
                 out.push(Channel::SockReadable(id));
                 out.push(Channel::SockSpace(id));
@@ -310,26 +347,15 @@ impl Kernel {
                 }
             }
             FileKind::EventFd if events & POLLIN != 0 => {
-                out.push(Channel::EventFd(file_key));
+                out.push(Channel::EventFd(Arc::as_ptr(file) as usize));
             }
-            FileKind::Epoll(id) => {
-                // Every readiness transition of the interest set is
-                // routed to the instance's ready channel by the hub —
-                // one channel, any size.
-                out.push(Channel::EpollReady(id));
-            }
+            // Every readiness transition of the interest set is routed
+            // to the instance's ready channel by the hub — one channel,
+            // any size.
+            FileKind::Epoll(id) => out.push(Channel::EpollReady(id)),
             _ => {}
         }
-    }
-
-    /// Sum of the event generations of the wait channels behind a
-    /// description for the given poll-events — moves whenever a new
-    /// transition (post) happened on any of them. Edge-triggered epoll
-    /// uses it as its re-arm signal.
-    pub(crate) fn desc_event_gen(&self, file: &FileRef, events: i16) -> u64 {
-        let mut chans: Vec<Channel> = Vec::new();
-        self.desc_wait_channels(file, events, &mut chans);
-        chans.into_iter().map(|ch| self.waits.generation(ch)).sum()
+        out
     }
 
     /// Closes a dying task's descriptors eagerly (Linux closes fds at
@@ -574,7 +600,7 @@ impl Kernel {
             // Drop the thread's fd-table reference (shared tables survive
             // until the last thread exits) and its wait subscriptions.
             self.release_task_files(tid);
-            self.waits.unsubscribe(tid);
+            self.waits.lock().unsubscribe(tid);
         }
         Ok(0)
     }
@@ -623,7 +649,7 @@ impl Kernel {
             self.release_task_files(*t);
         }
         for t in &tids {
-            self.waits.wake(*t);
+            self.waits.lock().wake(*t);
         }
         self.waits.post(Channel::Child(ppid));
         let _ = self.send_signal_to_process(ppid, Signal::Sigchld.number());
@@ -662,6 +688,8 @@ impl Kernel {
                 for d in dead {
                     self.tasks.remove(&d);
                     self.procs.remove(d);
+                    // Its wait record and Signal/Child heads die with it.
+                    self.waits.lock().release_task(d);
                 }
                 self.task_mut(tid)?.children.retain(|x| x != c);
                 return Ok((*c, status));
@@ -671,8 +699,7 @@ impl Kernel {
             return Ok((0, 0));
         }
         // Park until a child changes state or a signal arrives.
-        self.waits.subscribe(tid, Channel::Child(me));
-        self.waits.subscribe(tid, Channel::Signal(tid));
+        self.waits.park_on(tid, Channel::Child(me));
         Err(block())
     }
 
@@ -1020,7 +1047,7 @@ impl Kernel {
         if self.has_pending_signal(tid) {
             return Err(Errno::Eintr.into());
         }
-        self.waits.subscribe(tid, Channel::Signal(tid));
+        self.waits.lock().subscribe(tid, Channel::Signal(tid));
         Err(block())
     }
 
@@ -1103,11 +1130,10 @@ impl Kernel {
         if !q.contains(&tid) {
             q.push_back(tid);
         }
-        self.waits.subscribe(tid, Channel::Futex(mm, addr));
         // Parity with every other blocking site: signal generation
         // re-queues the waiter (its retry re-parks if the word is still
         // unchanged, but killed/terminated tasks get finalized promptly).
-        self.waits.subscribe(tid, Channel::Signal(tid));
+        self.waits.park_on(tid, Channel::Futex(mm, addr));
         Err(match deadline {
             Some(d) => block_until(d),
             None => block(),
@@ -1135,7 +1161,7 @@ impl Kernel {
             }
         }
         for t in wake_tids {
-            self.waits.wake(t);
+            self.waits.lock().wake(t);
         }
         woken
     }
@@ -1163,7 +1189,7 @@ impl Kernel {
         let deadline = self.clock.monotonic_ns() + duration_ns;
         // The deadline is the primary wake-up; a signal ends the sleep
         // early (EINTR on the retry).
-        self.waits.subscribe(tid, Channel::Signal(tid));
+        self.waits.lock().subscribe(tid, Channel::Signal(tid));
         Err(block_until(deadline))
     }
 
@@ -1175,7 +1201,7 @@ impl Kernel {
         if self.has_pending_signal(tid) {
             return Err(Errno::Eintr.into());
         }
-        self.waits.subscribe(tid, Channel::Signal(tid));
+        self.waits.lock().subscribe(tid, Channel::Signal(tid));
         Err(block_until(deadline))
     }
 
@@ -1301,17 +1327,58 @@ impl Kernel {
                     .unwrap_or(false)
             })
             .count();
+        let (records, heads, undrained_wakeups) = {
+            let waits = self.waits.lock();
+            (waits.records(), waits.heads(), waits.has_woken())
+        };
         LeakReport {
             live_tasks,
             zombie_tasks,
             open_pipes: self.pipes.live(),
             open_sockets: self.sockets.live(),
             open_epolls: self.epolls.live(),
-            wait_subscriptions: self.waits.subscribed_count(),
-            undrained_wakeups: self.waits.has_woken(),
+            wait_subscriptions: records.iter().filter(|(_, subs)| *subs != 0).count(),
+            undrained_wakeups,
             futex_waiters,
             hub_watchers: self.waits.hub_entries(),
+            wait_heads: self.ownerless_wait_state(&records, &heads),
         }
+    }
+
+    /// Counts wait records and wait heads whose owner is gone: a record
+    /// or `Signal`/`Child` head of a tid no longer in the task table, a
+    /// head still holding waiters for a freed pipe/socket/epoll slot, an
+    /// eventfd head no open description matches. (A bare generation on a
+    /// freed slot is not counted: a lock-free fast-path post may land
+    /// just after the free, the table is bounded by the slab's peak, and
+    /// the slot's next owner releases it.) Futex heads have no owner;
+    /// they exist while someone waits, which `wait_subscriptions` covers.
+    fn ownerless_wait_state(&self, records: &[(Tid, usize)], heads: &[(Channel, usize)]) -> usize {
+        // An eventfd head is keyed by its description's address.
+        let description_open = |key: usize| {
+            let holds = |t: &Task| {
+                let table = t.fdtable.lock_ok();
+                let found = table
+                    .iter()
+                    .any(|(_, e)| Arc::as_ptr(&e.file) as usize == key);
+                found
+            };
+            self.tasks.values().any(holds)
+        };
+        let stray_head = |&(ch, waiters): &(Channel, usize)| match ch {
+            Channel::Signal(t) | Channel::Child(t) => !self.tasks.contains_key(&t),
+            Channel::PipeReadable(id) | Channel::PipeWritable(id) => {
+                waiters != 0 && self.pipes.get(id).is_none()
+            }
+            Channel::SockReadable(id) | Channel::SockSpace(id) => {
+                waiters != 0 && self.sockets.get(id).is_none()
+            }
+            Channel::EpollReady(id) => waiters != 0 && self.epolls.get(id).is_none(),
+            Channel::EventFd(key) => !description_open(key),
+            Channel::Futex(..) => false,
+        };
+        let stray_records = records.iter().filter(|(t, _)| !self.tasks.contains_key(t));
+        stray_records.count() + heads.iter().filter(|h| stray_head(h)).count()
     }
 }
 
@@ -1341,6 +1408,11 @@ pub struct LeakReport {
     /// registration removes its channel wiring at CTL_DEL/close/sweep;
     /// residue means a ring push could target a freed instance).
     pub hub_watchers: usize,
+    /// Wait heads and per-task wait records that outlived their owner
+    /// (a reaped task, a freed pipe/socket/epoll slot, a closed eventfd):
+    /// waitqueue state must die with its object, or a fork-per-request
+    /// guest grows the kernel without bound.
+    pub wait_heads: usize,
 }
 
 impl LeakReport {
@@ -1356,6 +1428,7 @@ impl LeakReport {
             && self.wait_subscriptions == 0
             && self.futex_waiters == 0
             && self.hub_watchers == 0
+            && self.wait_heads == 0
     }
 
     /// Human-readable one-line summary of what leaked (empty if clean).
@@ -1381,6 +1454,9 @@ impl LeakReport {
         }
         if self.hub_watchers != 0 {
             parts.push(format!("{} ready-hub watcher(s)", self.hub_watchers));
+        }
+        if self.wait_heads != 0 {
+            parts.push(format!("{} ownerless wait head(s)", self.wait_heads));
         }
         parts.join(", ")
     }
@@ -1422,6 +1498,49 @@ mod tests {
         assert!(k.task(child).is_err());
         // Second wait: no children left.
         assert_eq!(k.sys_wait4(tid, -1, 0), Err(SysError::Err(Errno::Echild)));
+    }
+
+    /// The fork-per-request shape (`bash_sim`, `prefork_server_sim`): the
+    /// waitqueue must hold state for live tasks and objects only. The old
+    /// table kept a generation for every `Signal`/`Child` channel ever
+    /// posted, invisibly to the audit.
+    #[test]
+    fn ten_thousand_fork_exit_cycles_leave_no_wait_state() {
+        let (mut k, tid) = kernel_with_proc();
+        for i in 0..10_000 {
+            let child = k.sys_fork(tid).unwrap() as Tid;
+            let (r, w) = k.sys_pipe2(child, 0).unwrap();
+            // The parent parks in wait4, the child in a pipe read; the
+            // child's exit posts both tasks' Signal and Child channels.
+            assert!(matches!(
+                k.sys_wait4(tid, child, 0),
+                Err(SysError::Block(_))
+            ));
+            let mut buf = [0u8; 1];
+            assert!(matches!(
+                k.sys_read(child, r, &mut buf),
+                Err(SysError::Block(_))
+            ));
+            k.sys_write(child, w, b"x").unwrap();
+            k.sys_exit_group(child, i & 0x7f).unwrap();
+            assert_eq!(k.sys_wait4(tid, child, 0).unwrap().0, child);
+            k.take_woken();
+            k.wait_cancel(child); // the embedder's finish, after the reap
+        }
+        let audit = k.leak_audit();
+        assert_eq!(audit.wait_heads, 0, "{}", audit.describe());
+        assert_eq!(audit.wait_subscriptions, 0);
+        // Only the survivors hold state: the parent's record and the
+        // Signal/Child heads of the parent and of init (SIGCHLD posts).
+        let records = k.waits.lock().records();
+        let heads = k.waits.lock().heads();
+        assert_eq!(records.len(), 1, "{records:?}");
+        assert!(heads.len() <= 4, "{heads:?}");
+        // And a stray record is seen: state for a tid that never existed.
+        k.wait_subscribe(9_999_999, Channel::Signal(9_999_999));
+        let audit = k.leak_audit();
+        assert_eq!(audit.wait_heads, 2, "the record and its Signal head");
+        assert!(!audit.is_clean() && audit.describe().contains("ownerless wait head"));
     }
 
     #[test]

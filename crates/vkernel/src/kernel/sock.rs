@@ -39,8 +39,8 @@ impl Kernel {
     fn sock_of_fd(&self, tid: Tid, fd: i32) -> Result<usize, Errno> {
         let task = self.task(tid)?;
         let table = task.fdtable.lock_ok();
-        let kind = table.get(fd)?.file.lock_ok().kind.clone();
-        match kind {
+        let file = table.get(fd)?.file.lock_ok();
+        match file.kind {
             FileKind::Socket(id) => Ok(id),
             _ => Err(Errno::Enotsock),
         }
@@ -198,8 +198,7 @@ impl Kernel {
                 if c.is_none() && !nonblock && !has_sig {
                     // Subscribe under the listener's lock: a connect
                     // landing after this posts only after releasing it.
-                    self.waits.subscribe(tid, Channel::SockReadable(id));
-                    self.waits.subscribe(tid, Channel::Signal(tid));
+                    self.waits.park_on(tid, Channel::SockReadable(id));
                 }
                 Ok(c)
             }
@@ -221,14 +220,18 @@ impl Kernel {
         data: &[u8],
         msg_flags: i32,
     ) -> SysResult<usize> {
-        let (ty, state, shut_wr, sock_nonblock) =
-            self.with_sock(id, |s| (s.ty, s.state.clone(), s.shut_wr, s.nonblock))?;
+        // The peer id is copied out by reference: a listener's state
+        // owns its whole pending queue.
+        let (ty, peer, closed, shut_wr, sock_nonblock) = self.with_sock(id, |s| {
+            let closed = matches!(s.state, SockState::Closed);
+            (s.ty, s.peer(), closed, s.shut_wr, s.nonblock)
+        })?;
         let nonblock = msg_flags & MSG_DONTWAIT != 0 || sock_nonblock;
         if shut_wr {
             return self.epipe(tid);
         }
-        match (ty, state) {
-            (SOCK_STREAM, SockState::Connected { peer }) => {
+        match (ty, peer) {
+            (SOCK_STREAM, Some(peer)) => {
                 // One acquisition of the peer's lock covers the state
                 // check, the copy into its receive buffer and — when the
                 // buffer is full — the wakeup subscription (a reader that
@@ -247,8 +250,7 @@ impl Kernel {
                         if space == 0 {
                             if !nonblock {
                                 // Park until the peer drains its buffer.
-                                self.waits.subscribe(tid, Channel::SockSpace(peer));
-                                self.waits.subscribe(tid, Channel::Signal(tid));
+                                self.waits.park_on(tid, Channel::SockSpace(peer));
                             }
                             return Step::Full;
                         }
@@ -269,8 +271,8 @@ impl Kernel {
                     Step::Full => Err(block()),
                 }
             }
-            (SOCK_STREAM, SockState::Closed) => self.epipe(tid),
-            (SOCK_STREAM, _) => Err(Errno::Enotconn.into()),
+            (SOCK_STREAM, None) if closed => self.epipe(tid),
+            (SOCK_STREAM, None) => Err(Errno::Enotconn.into()),
             (SOCK_DGRAM, _) => {
                 let dest = self
                     .with_sock(id, |s| s.remote.clone())?
@@ -341,8 +343,7 @@ impl Kernel {
         out: &mut [u8],
         msg_flags: i32,
     ) -> SysResult<usize> {
-        let (ty, state, sock_nonblock) =
-            self.with_sock(id, |s| (s.ty, s.state.clone(), s.nonblock))?;
+        let (ty, peer, sock_nonblock) = self.with_sock(id, |s| (s.ty, s.peer(), s.nonblock))?;
         let nonblock = msg_flags & MSG_DONTWAIT != 0 || sock_nonblock;
         let peek = msg_flags & MSG_PEEK != 0;
         // Outcome of the single pass under our own socket lock; wakeup
@@ -362,13 +363,9 @@ impl Kernel {
                 // (the two per-socket locks must never nest). Any data the
                 // peer pushes concurrently is observed by the drain below
                 // or by the post it issues after unlocking.
-                let peer_live = match state {
-                    SockState::Connected { peer } => matches!(
-                        self.with_sock(peer, |p| p.state.clone()),
-                        Ok(SockState::Connected { .. })
-                    ),
-                    _ => false,
-                };
+                let peer_live = peer.is_some_and(|peer| {
+                    matches!(self.with_sock(peer, |p| p.peer().is_some()), Ok(true))
+                });
                 let step = self.with_sock(id, |s| {
                     if !s.recv.is_empty() {
                         let n = out.len().min(s.recv.len());
@@ -401,8 +398,7 @@ impl Kernel {
                     }
                     // Subscribe under our lock: a sender filling the
                     // buffer after this posts only after unlocking.
-                    self.waits.subscribe(tid, Channel::SockReadable(id));
-                    self.waits.subscribe(tid, Channel::Signal(tid));
+                    self.waits.park_on(tid, Channel::SockReadable(id));
                     Step::Park
                 })?;
                 match step {
@@ -436,8 +432,7 @@ impl Kernel {
                         None if s.shut_rd => Step::Eof,
                         None if nonblock => Step::Again,
                         None => {
-                            self.waits.subscribe(tid, Channel::SockReadable(id));
-                            self.waits.subscribe(tid, Channel::Signal(tid));
+                            self.waits.park_on(tid, Channel::SockReadable(id));
                             Step::Park
                         }
                     }
@@ -474,8 +469,7 @@ impl Kernel {
                 }
                 None => {
                     if !nonblock {
-                        self.waits.subscribe(tid, Channel::SockReadable(id));
-                        self.waits.subscribe(tid, Channel::Signal(tid));
+                        self.waits.park_on(tid, Channel::SockReadable(id));
                     }
                     None
                 }
@@ -515,10 +509,7 @@ impl Kernel {
     /// Posts every channel a hangup on socket `id` can unblock: its own
     /// readers/senders and, when connected, the peer's.
     fn post_socket_hangup(&mut self, id: usize) {
-        let peer = match self.with_sock(id, |s| s.state.clone()) {
-            Ok(SockState::Connected { peer }) => Some(peer),
-            _ => None,
-        };
+        let peer = self.with_sock(id, |s| s.peer()).ok().flatten();
         self.waits.post(Channel::SockReadable(id));
         self.waits.post(Channel::SockSpace(id));
         if let Some(p) = peer {
@@ -586,10 +577,7 @@ impl Kernel {
                 self.addr_registry.remove(&key);
             }
         }
-        let peer = match self.with_sock(id, |s| s.state.clone()) {
-            Ok(SockState::Connected { peer }) => Some(peer),
-            _ => None,
-        };
+        let peer = self.with_sock(id, |s| s.peer()).ok().flatten();
         if let Some(p) = peer {
             let _ = self.with_sock(p, |ps| ps.state = SockState::Closed);
         }
@@ -609,6 +597,9 @@ impl Kernel {
             let _ = self.with_sock(o, |os| os.state = SockState::Closed);
         }
         self.sockets.free(id);
+        let mut waits = self.waits.lock();
+        waits.release(Channel::SockReadable(id));
+        waits.release(Channel::SockSpace(id));
     }
 
     // --- poll ---------------------------------------------------------------
@@ -671,12 +662,14 @@ impl Kernel {
                 }
             }
             FileKind::Socket(id) => {
-                let (readable, state) = self.with_sock(id, |s| (s.readable(), s.state.clone()))?;
+                let (readable, peer, closed) = self.with_sock(id, |s| {
+                    (s.readable(), s.peer(), matches!(s.state, SockState::Closed))
+                })?;
                 if readable {
                     revents |= POLLIN & events;
                 }
-                match state {
-                    SockState::Connected { peer } => {
+                match peer {
+                    Some(peer) => {
                         // Peer looked at with its own (sequential) lock.
                         let peer_view = self
                             .with_sock(peer, |p| {
@@ -695,8 +688,8 @@ impl Kernel {
                             _ => revents |= POLLIN & events | POLLHUP,
                         }
                     }
-                    SockState::Closed => revents |= POLLHUP,
-                    _ => {}
+                    None if closed => revents |= POLLHUP,
+                    None => {}
                 }
             }
             FileKind::CharDev(inode) => {
@@ -721,7 +714,9 @@ impl Kernel {
                 // least one ready entry (epoll-inside-poll composition).
                 // A pure peek, like Linux: the event stays for the
                 // following `epoll_wait`.
-                if !self.epoll_ready(tid, id, 1, true)?.is_empty() {
+                let mut peeked = Vec::new();
+                self.epoll_ready(tid, id, 1, true, &mut peeked)?;
+                if !peeked.is_empty() {
                     revents |= POLLIN & events;
                 }
             }

@@ -49,7 +49,7 @@ pub use kernel::{Kernel, KernelHandles, LeakReport};
 pub use lockorder::{contention, LockClass, OrderToken, Tracked};
 pub use proc::{ProcIndex, TaskHot};
 pub use slab::ObjSlab;
-pub use sync::{shared, HintFlag, MutexExt, Shared};
+pub use sync::{shared, FastMap, FastSet, HintFlag, MutexExt, Shared};
 pub use task::{Pid, Task, TaskState, Tid};
 pub use wait::{Channel, WaitSet, WaitShard, WaitStats};
 

@@ -1,4 +1,5 @@
-//! Id-keyed slabs of independently lockable kernel objects.
+//! Id-keyed slabs of independently lockable kernel objects, and the
+//! `Paged` side table for state indexed by the same kind of id.
 //!
 //! Pipes, sockets and epoll instances used to live in `Vec<Option<T>>`
 //! fields of the kernel, reachable only under the big kernel lock. An
@@ -120,6 +121,71 @@ impl<T> ObjSlab<T> {
     }
 }
 
+/// Entries per [`Paged`] page.
+const PAGE: usize = 32;
+
+#[derive(Debug, Default)]
+pub(crate) struct Page<T> {
+    live: usize,
+    slots: [Option<T>; PAGE],
+}
+
+/// A table indexed by ids that are dense but never retire on their own
+/// (slab slots recycle, tids only grow): pages of [`PAGE`] entries, a
+/// page freed with its last entry.
+#[derive(Debug, Default)]
+pub(crate) struct Paged<T> {
+    pub(crate) pages: Vec<Option<Box<Page<T>>>>,
+}
+
+impl<T: Default> Paged<T> {
+    pub(crate) fn get(&self, id: usize) -> Option<&T> {
+        self.pages.get(id / PAGE)?.as_ref()?.slots[id % PAGE].as_ref()
+    }
+
+    pub(crate) fn get_mut(&mut self, id: usize) -> Option<&mut T> {
+        self.pages.get_mut(id / PAGE)?.as_mut()?.slots[id % PAGE].as_mut()
+    }
+
+    /// The entry of `id`, made if absent.
+    pub(crate) fn slot(&mut self, id: usize) -> &mut T {
+        if id / PAGE >= self.pages.len() {
+            self.pages.resize_with(id / PAGE + 1, || None);
+        }
+        let page: &mut Page<T> = self.pages[id / PAGE].get_or_insert_with(Box::default);
+        let slot = &mut page.slots[id % PAGE];
+        if slot.is_none() {
+            page.live += 1;
+        }
+        slot.get_or_insert_with(T::default)
+    }
+
+    /// Drops the entry of `id`, and its page with the last one.
+    pub(crate) fn free(&mut self, id: usize) {
+        let Some(Some(page)) = self.pages.get_mut(id / PAGE) else {
+            return;
+        };
+        if page.slots[id % PAGE].take().is_some() {
+            page.live -= 1;
+            if page.live == 0 {
+                self.pages[id / PAGE] = None;
+                while let Some(None) = self.pages.last() {
+                    self.pages.pop();
+                }
+            }
+        }
+    }
+
+    /// The entries present, by ascending id.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
+        let pages = self.pages.iter().enumerate();
+        pages.flat_map(|(p, page)| {
+            let slots = page.iter().flat_map(|page| page.slots.iter().enumerate());
+            slots.filter_map(move |(i, s)| Some((p * PAGE + i, s.as_ref()?)))
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,6 +200,27 @@ mod tests {
         assert_eq!(slab.insert(13), 1, "first free slot wins");
         assert_eq!(slab.live(), 3);
         assert_eq!(slab.live_ids(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn paged_entries_come_and_go_with_their_pages() {
+        let mut t: Paged<Vec<u8>> = Paged::default();
+        assert!(t.get(70).is_none());
+        t.slot(70).push(7);
+        t.slot(3).push(3);
+        t.slot(70).push(8);
+        assert_eq!(t.get(70), Some(&vec![7, 8]));
+        assert!(t.get(71).is_none() && t.get_mut(5000).is_none());
+        assert_eq!(t.iter().map(|(id, _)| id).collect::<Vec<_>>(), [3, 70]);
+        assert_eq!(t.pages.iter().flatten().count(), 2, "pages 0 and 2 only");
+        // Freeing the last entry of the last page shrinks the table;
+        // freeing what is not there is a no-op.
+        t.free(70);
+        t.free(70);
+        t.free(9999);
+        assert_eq!(t.pages.len(), 1);
+        t.free(3);
+        assert!(t.pages.is_empty());
     }
 
     #[test]

@@ -82,6 +82,14 @@ impl Socket {
         }
     }
 
+    /// The connected peer's socket id, if any.
+    pub fn peer(&self) -> Option<usize> {
+        match self.state {
+            SockState::Connected { peer } => Some(peer),
+            _ => None,
+        }
+    }
+
     /// Space left in the receive buffer.
     pub fn recv_space(&self) -> usize {
         SOCK_BUF_SIZE - self.recv.len()
@@ -119,16 +127,21 @@ impl Socket {
     }
 }
 
-/// Normalizes an address into a registry key.
-pub fn addr_key(addr: &WaliSockaddr) -> String {
+/// A bound address as the registry keys it.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub enum AddrKey {
+    /// IPv4 address and port.
+    Inet([u8; 4], u16),
+    /// `AF_UNIX` path.
+    Unix(String),
+}
+
+/// Normalizes an address into a registry key (no formatting: every
+/// `connect`, `bind` and `sendto` looks one up).
+pub fn addr_key(addr: &WaliSockaddr) -> AddrKey {
     match addr {
-        WaliSockaddr::Inet { addr, port } => {
-            format!(
-                "inet:{}.{}.{}.{}:{}",
-                addr[0], addr[1], addr[2], addr[3], port
-            )
-        }
-        WaliSockaddr::Unix { path } => format!("unix:{path}"),
+        WaliSockaddr::Inet { addr, port } => AddrKey::Inet(*addr, *port),
+        WaliSockaddr::Unix { path } => AddrKey::Unix(path.clone()),
     }
 }
 
@@ -165,10 +178,11 @@ mod tests {
             addr: [127, 0, 0, 1],
             port: 80,
         };
-        assert_eq!(addr_key(&a), "inet:127.0.0.1:80");
+        assert_eq!(addr_key(&a), AddrKey::Inet([127, 0, 0, 1], 80));
         let u = WaliSockaddr::Unix {
             path: "/tmp/s".into(),
         };
-        assert_eq!(addr_key(&u), "unix:/tmp/s");
+        assert_eq!(addr_key(&u), AddrKey::Unix("/tmp/s".into()));
+        assert_ne!(addr_key(&a), addr_key(&u));
     }
 }

@@ -16,6 +16,8 @@
 //! across a kernel call. The virtual clock is lock-free (atomics) and
 //! may be read or ticked from any level.
 
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -41,6 +43,37 @@ impl<T> MutexExt<T> for Mutex<T> {
         self.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }
+
+/// Multiply-rotate hasher for the kernel's own small keys (tids, fd
+/// numbers, futex words, eventfd identities, socket addresses). The
+/// event path probes such maps several times per wakeup, where SipHash
+/// was a seventh of `prefork_serve`'s profile; none of these maps is
+/// keyed by bytes a guest can choose freely enough to engineer
+/// collisions worth defending against, and — unlike the randomly seeded
+/// default — iteration order is the same in every process.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FastHasher(u64);
+
+impl Hasher for FastHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
+                .wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` hashed by [`FastHasher`].
+pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+
+/// A `HashSet` hashed by [`FastHasher`].
+pub type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
 
 /// A shared boolean hint flag (the per-task signal fast path).
 ///
@@ -84,6 +117,25 @@ mod tests {
         assert!(b.get());
         b.set(false);
         assert!(!a.get());
+    }
+
+    #[test]
+    fn fast_map_behaves_like_a_map_over_clustered_keys() {
+        // Slab ids and tids are small and dense; the low bits hashbrown
+        // indexes by must still spread.
+        let mut m: FastMap<(u64, u32), usize> = FastMap::default();
+        for i in 0..10_000usize {
+            m.insert((7, i as u32 * 4), i);
+        }
+        assert_eq!(m.len(), 10_000);
+        assert!((0..10_000usize).all(|i| m.get(&(7, i as u32 * 4)) == Some(&i)));
+        let h = |k: u64| {
+            let mut s = FastHasher::default();
+            s.write(&k.to_le_bytes());
+            s.finish()
+        };
+        let low7: FastSet<u64> = (0..128).map(|k| h(k) & 127).collect();
+        assert!(low7.len() > 64, "low bits spread: {}", low7.len());
     }
 
     #[test]

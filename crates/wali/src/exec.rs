@@ -22,8 +22,8 @@
 //! # Blocking, wakeups and races
 //!
 //! Blocked tasks park exactly as in the single-threaded scheduler
-//! ([`park_deadline`] is the one rule for where), but races exist that
-//! the cooperative loop never sees:
+//! ([`park_blocked`] is the one implementation of both), but races
+//! exist that the cooperative loop never sees:
 //!
 //! * **wakeup-before-park** — a sibling posts the wakeup after the task
 //!   subscribed (inside its syscall, under the kernel lock) but before
@@ -61,12 +61,12 @@
 //! but not bit-deterministic: console interleaving and counter values
 //! depend on physical timing.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use vkernel::{Clock, MutexExt, TaskState, Tid};
+use vkernel::{Clock, FastMap, FastSet, MutexExt, TaskState, Tid};
 use wali_abi::Errno;
 use wasm::interp::{Instance, RunResult, Thread, Value};
 use wasm::Trap;
@@ -74,7 +74,7 @@ use wasm::Trap;
 use crate::context::WaliContext;
 use crate::registry::WaliSuspend;
 use crate::runner::{
-    park_deadline, AtomicSched, Pending, RunOutcome, RunnerError, Slot, TaskEnd, WaliRunner,
+    park_blocked, AtomicSched, Pending, RunOutcome, RunnerError, Slot, TaskEnd, WaliRunner,
     FUEL_SLICE, SLICE_QUANTUM_NS,
 };
 use wasm::prep::Program;
@@ -92,25 +92,24 @@ struct RunnerView<'a> {
 
 /// Mutable scheduler state shared by the worker pool (one lock).
 struct SmpSched {
-    /// Slots of every live task not currently executing: queued, parked,
-    /// or vfork-suspended. A running task's slot is owned by its worker.
-    slots: HashMap<Tid, Slot>,
+    /// Slots of every live task not currently executing: queued, parked
+    /// ([`Slot::park`]), or vfork-suspended. A running task's slot is
+    /// owned by its worker.
+    slots: FastMap<Tid, Slot>,
     /// Tids present in some queue (global or any local), or popped from
     /// one and not yet claimed by [`take_slot`] — the dedup guard (a tid
     /// is enqueued at most once) and the quiescence test's "runnable
     /// work exists" (see deadlock-vs-pop in the module docs).
-    queued: HashSet<Tid>,
+    queued: FastSet<Tid>,
     /// The global injector queue (admissions, lapsed deadlines).
     global: VecDeque<Tid>,
-    /// Parked tasks and their optional wake deadline.
-    parked: BTreeMap<Tid, Option<u64>>,
     /// Index of parked deadlines (O(1) arm/disarm timer wheel).
     deadlines: crate::timer::TimerWheel,
     /// vfork child → suspended parent.
-    vfork_waiters: HashMap<Tid, Tid>,
+    vfork_waiters: FastMap<Tid, Tid>,
     /// Wakeups that arrived for tasks currently running on a worker: the
     /// park that follows consumes them and requeues instead.
-    pending_wakes: HashSet<Tid>,
+    pending_wakes: FastSet<Tid>,
     /// Slots currently owned by workers.
     in_flight: usize,
     /// Live (unfinished) tasks.
@@ -172,10 +171,9 @@ impl SmpPool {
 impl WaliRunner {
     /// Runs every task to completion on `nworkers` host workers.
     pub(crate) fn run_smp(&mut self, nworkers: usize) -> Result<RunOutcome, RunnerError> {
-        let slots: HashMap<Tid, Slot> = std::mem::take(&mut self.tasks).into_iter().collect();
+        let slots: FastMap<Tid, Slot> = std::mem::take(&mut self.tasks).into_iter().collect();
         let live = slots.len();
         let run_queue = std::mem::take(&mut self.run_queue);
-        let parked = std::mem::take(&mut self.parked);
         let deadlines = std::mem::take(&mut self.deadlines);
         let vfork_waiters = std::mem::take(&mut self.vfork_waiters);
         let (woken_hint, clock) = {
@@ -184,12 +182,11 @@ impl WaliRunner {
         };
         let mut sched = SmpSched {
             slots,
-            queued: HashSet::new(),
+            queued: FastSet::default(),
             global: VecDeque::new(),
-            parked,
             deadlines,
             vfork_waiters,
-            pending_wakes: HashSet::new(),
+            pending_wakes: FastSet::default(),
             in_flight: 0,
             live,
             done: live == 0,
@@ -323,20 +320,21 @@ fn drain_wakeups(runner: &RunnerView<'_>, pool: &SmpPool, widx: usize) {
     };
     let mut sched = pool.sched.lock_ok();
     for tid in woken {
-        if let Some(deadline) = sched.parked.remove(&tid) {
-            if let Some(d) = deadline {
-                sched.deadlines.cancel(d, tid);
+        match sched.slots.get_mut(&tid).map(|slot| slot.park.take()) {
+            Some(Some(deadline)) => {
+                if let Some(d) = deadline {
+                    sched.deadlines.cancel(d, tid);
+                }
+                runner.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+                pool.enqueue(&mut sched, Some(widx), tid);
             }
-            runner.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-            pool.enqueue(&mut sched, Some(widx), tid);
-        } else if sched.queued.contains(&tid) {
-            // Already runnable: it will observe the new state itself.
-        } else if !sched.slots.contains_key(&tid) {
+            // Already runnable (it will observe the new state itself),
+            // or vfork-suspended (its child's exec/exit requeues it).
+            Some(None) => {}
             // Running on a worker right now: remember the wakeup so the
             // park racing with it requeues instead of sleeping forever.
-            sched.pending_wakes.insert(tid);
+            None => drop(sched.pending_wakes.insert(tid)),
         }
-        // Else: vfork-suspended — its child's exec/exit requeues it.
     }
     drop(sched);
     pool.draining.fetch_sub(1, Ordering::SeqCst);
@@ -358,7 +356,9 @@ fn wake_lapsed(pool: &SmpPool) {
     let mut k = pool.kernel.lock_ok();
     let mut sched = pool.sched.lock_ok();
     for (_, tid) in sched.deadlines.advance_to(now) {
-        sched.parked.remove(&tid);
+        if let Some(slot) = sched.slots.get_mut(&tid) {
+            slot.park = None;
+        }
         k.wait_cancel(tid);
         pool.enqueue(&mut sched, None, tid);
     }
@@ -433,12 +433,12 @@ fn idle(runner: &RunnerView<'_>, pool: &SmpPool, widx: usize) -> bool {
             .values()
             .map(|s| {
                 let pend = match &s.pending {
-                    Some(Pending::Retry { import, .. }) => format!("retry {import}"),
+                    Some(Pending::Retry(b)) => format!("retry {}", b.import),
                     Some(Pending::Start { .. }) => "start".to_string(),
                     Some(Pending::Resume(_)) => "resume".to_string(),
                     None => "no pending".to_string(),
                 };
-                let place = if sched.parked.contains_key(&s.tid) {
+                let place = if s.park.is_some() {
                     "parked"
                 } else if sched.vfork_waiters.values().any(|&p| p == s.tid) {
                     "vfork-suspended"
@@ -531,9 +531,9 @@ fn run_slice(runner: &RunnerView<'_>, pool: &SmpPool, widx: usize, mut slot: Slo
         Pending::Resume(values) => slot
             .thread
             .resume(&mut slot.instance, &mut slot.ctx, &values),
-        Pending::Retry { args, deadline, .. } => {
-            slot.ctx.retry_deadline = deadline;
-            slot.thread.retry(&mut slot.instance, &mut slot.ctx, &args)
+        Pending::Retry(blocked) => {
+            slot.ctx.retry_deadline = blocked.deadline;
+            slot.thread.retry(&mut slot.instance, &mut slot.ctx)
         }
     };
     if let Some(t0) = t0 {
@@ -557,8 +557,25 @@ fn run_slice(runner: &RunnerView<'_>, pool: &SmpPool, widx: usize, mut slot: Slo
             let _ = pool.kernel.lock_ok().sys_exit_group(tid, 128);
             finish_task(pool, slot, Some(TaskEnd::Trapped(t)));
         }
+        RunResult::Blocked(blocked) => {
+            // Kernel-side reads before the pool lock (lock order).
+            let deadline = park_blocked(&mut slot, runner.stats, &pool.clock, blocked, ran_wasm);
+            let mut sched = pool.sched.lock_ok();
+            sched.in_flight -= 1;
+            if sched.pending_wakes.remove(&tid) {
+                // The wakeup raced our park: requeue instead.
+                slot.park = None;
+                sched.slots.insert(tid, slot);
+                pool.enqueue(&mut sched, Some(widx), tid);
+            } else {
+                if let Some(d) = deadline {
+                    sched.deadlines.insert(d, tid);
+                }
+                sched.slots.insert(tid, slot);
+            }
+        }
         RunResult::Suspended(s) => match s.downcast::<WaliSuspend>() {
-            Ok(payload) => handle_suspend(runner, pool, widx, slot, *payload, ran_wasm),
+            Ok(payload) => handle_suspend(runner, pool, widx, slot, *payload),
             Err(s) => {
                 if s.downcast::<wasm::interp::Preempted>().is_ok() {
                     slot.pending = Some(Pending::Resume(Vec::new()));
@@ -578,62 +595,21 @@ fn handle_suspend(
     widx: usize,
     mut slot: Slot,
     payload: WaliSuspend,
-    ran_wasm: bool,
 ) {
     let tid = slot.tid;
     match payload {
         WaliSuspend::Exit { code } => {
             finish_task(pool, slot, Some(TaskEnd::Exited(code)));
         }
-        WaliSuspend::Blocked {
-            import,
-            args,
-            deadline,
-        } => {
-            if !ran_wasm {
-                runner.stats.blocked_retries.fetch_add(1, Ordering::Relaxed);
-            }
-            slot.pending = Some(Pending::Retry {
-                import,
-                args,
-                deadline,
-            });
-            // Kernel-side reads before the pool lock (lock order).
-            let waits = {
-                let mut k = pool.kernel.lock_ok();
-                if let Ok(t) = k.task_mut(tid) {
-                    t.rusage.nvcsw += 1;
-                }
-                k.task_waits(tid)
-            };
-            let deadline = park_deadline(deadline, waits, pool.clock.monotonic_ns());
-            runner.stats.parks.fetch_add(1, Ordering::Relaxed);
-            let mut sched = pool.sched.lock_ok();
-            sched.in_flight -= 1;
-            if sched.pending_wakes.remove(&tid) {
-                // The wakeup raced our park: requeue instead.
-                sched.slots.insert(tid, slot);
-                pool.enqueue(&mut sched, Some(widx), tid);
-            } else {
-                if let Some(d) = deadline {
-                    sched.deadlines.insert(d, tid);
-                }
-                sched.parked.insert(tid, deadline);
-                sched.slots.insert(tid, slot);
-            }
-        }
         WaliSuspend::Fork { child_tid, vfork } => {
-            let child = Slot {
-                tid: child_tid,
-                instance: if vfork {
-                    slot.instance.thread_clone()
-                } else {
-                    slot.instance.fork_clone()
-                },
-                thread: slot.thread.clone(),
-                ctx: slot.ctx.fork_child(child_tid),
-                pending: Some(Pending::Resume(vec![Value::I64(0)])),
+            let instance = if vfork {
+                slot.instance.thread_clone()
+            } else {
+                slot.instance.fork_clone()
             };
+            let ctx = slot.ctx.fork_child(child_tid);
+            let resume = Pending::Resume(vec![Value::I64(0)]);
+            let child = Slot::new(child_tid, instance, slot.thread.clone(), ctx, resume);
             slot.pending = Some(Pending::Resume(vec![Value::I64(child_tid as i64)]));
             let mut sched = pool.sched.lock_ok();
             sched.in_flight -= 1;
@@ -665,13 +641,8 @@ fn handle_suspend(
             } else {
                 slot.ctx.fork_child(child_tid)
             };
-            let child = Slot {
-                tid: child_tid,
-                instance,
-                thread: slot.thread.clone(),
-                ctx,
-                pending: Some(Pending::Resume(vec![Value::I64(0)])),
-            };
+            let resume = Pending::Resume(vec![Value::I64(0)]);
+            let child = Slot::new(child_tid, instance, slot.thread.clone(), ctx, resume);
             slot.pending = Some(Pending::Resume(vec![Value::I64(child_tid as i64)]));
             let mut sched = pool.sched.lock_ok();
             sched.in_flight -= 1;
@@ -760,9 +731,6 @@ fn finish_task(pool: &SmpPool, slot: Slot, end: Option<TaskEnd>) {
     let mut sched = pool.sched.lock_ok();
     sched.in_flight -= 1;
     sched.live -= 1;
-    if let Some(Some(d)) = sched.parked.remove(&tid) {
-        sched.deadlines.cancel(d, tid);
-    }
     sched.pending_wakes.remove(&tid);
     release_vfork_parent(pool, &mut sched, tid);
     sched.outcome.peak_memory_pages = sched

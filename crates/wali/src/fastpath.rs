@@ -125,8 +125,7 @@ pub(crate) fn try_read(
                     // writer filling the buffer after this point posts
                     // only after dropping the lock (kernel and fast
                     // path alike), so the wakeup cannot be missed.
-                    waits.subscribe(ctx.tid, Channel::PipeReadable(id));
-                    waits.subscribe(ctx.tid, Channel::Signal(ctx.tid));
+                    waits.park_on(ctx.tid, Channel::PipeReadable(id));
                 }
                 r
             };
@@ -147,7 +146,7 @@ pub(crate) fn try_read(
                         // here is enough: drop the subscription and
                         // redo on the slow path, which sees the
                         // pending signal and returns EINTR.
-                        ctx.handles.waits.unsubscribe(ctx.tid);
+                        ctx.handles.waits.lock().unsubscribe(ctx.tid);
                         return None;
                     }
                     hit(ctx, Err(block()))
@@ -177,8 +176,7 @@ pub(crate) fn try_write(
                 let r = p.write(data);
                 if matches!(r, PipeIo::WouldBlock) && !nonblock {
                     // Subscribe under the pipe lock (see try_read).
-                    waits.subscribe(ctx.tid, Channel::PipeWritable(id));
-                    waits.subscribe(ctx.tid, Channel::Signal(ctx.tid));
+                    waits.park_on(ctx.tid, Channel::PipeWritable(id));
                 }
                 r
             };
@@ -194,7 +192,7 @@ pub(crate) fn try_write(
                 PipeIo::WouldBlock if nonblock => hit(ctx, Err(Errno::Eagain.into())),
                 PipeIo::WouldBlock => {
                     if sig_raised(ctx) {
-                        ctx.handles.waits.unsubscribe(ctx.tid);
+                        ctx.handles.waits.lock().unsubscribe(ctx.tid);
                         return None;
                     }
                     hit(ctx, Err(block()))

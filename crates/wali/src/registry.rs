@@ -7,14 +7,15 @@
 //! policy layer, tick the kernel clock, time the layers when the run
 //! records them, and map the kernel result onto the raw Linux return
 //! convention (negative errno). Handlers use the engine's raw-slot
-//! convention ([`wasm::host::HostFn`]): a non-blocking crossing reads
-//! its arguments off the guest's operand stack and allocates nothing.
+//! convention ([`wasm::host::HostFn`]): a crossing reads its arguments
+//! off the guest's operand stack and allocates nothing — and one that
+//! blocks leaves them there for its retry
+//! ([`wasm::host::HostOutcome::Block`]).
 
 use vkernel::{Block, SysError};
 use wali_abi::Errno;
 use wasm::error::Trap;
-use wasm::host::{Caller, HostOutcome, Linker, Suspension};
-use wasm::interp::Value;
+use wasm::host::{Blocked, Caller, HostOutcome, Linker};
 
 use crate::context::WaliContext;
 use crate::policy::{DenyAction, Verdict};
@@ -34,19 +35,6 @@ pub enum WaliSuspend {
     Exit {
         /// Exit code.
         code: i32,
-    },
-    /// A blocking call: once woken, the runner re-enters the import the
-    /// guest is suspended in ([`wasm::interp::Thread::retry`]) with
-    /// `args`. `import` names the call that blocked (diagnostics); a
-    /// layer over WALI re-keys it, and `args`, to its own function when a
-    /// syscall it made blocks.
-    Blocked {
-        /// Full import name (`"SYS_read"`, or a layered API function).
-        import: &'static str,
-        /// Original arguments (only their raw bits matter).
-        args: Vec<Value>,
-        /// Optional wake deadline (virtual mono ns).
-        deadline: Option<u64>,
     },
     /// `fork`/`vfork`: clone thread + memory; child resumes with 0.
     Fork {
@@ -77,27 +65,22 @@ pub enum WaliSuspend {
     },
 }
 
-/// The suspension a blocking call parks on. The raw slots are saved as
-/// i64 values — the retry puts their bits back on the operand stack, so
-/// a slot's true type is immaterial.
-pub fn blocked(import: &'static str, args: &[u64], deadline: Option<u64>) -> HostOutcome {
-    HostOutcome::Suspend(Suspension::new(WaliSuspend::Blocked {
-        import,
-        args: args.iter().map(|&raw| Value::I64(raw as i64)).collect(),
-        deadline,
-    }))
+/// What a blocking call answers: once woken (or at `deadline`, virtual
+/// mono ns), the runner re-enters the import the guest called
+/// ([`wasm::interp::Thread::retry`]) on the arguments still sitting on
+/// its operand stack. `import` names the call for diagnostics; a layer
+/// over WALI names its own function when a syscall it made blocks,
+/// since that function is what gets re-entered.
+pub fn blocked(import: &'static str, deadline: Option<u64>) -> HostOutcome {
+    HostOutcome::Block(Blocked { import, deadline })
 }
 
-/// Maps a kernel result onto the syscall return convention, or suspends.
-pub fn finish(
-    import: &'static str,
-    args: &[u64],
-    r: Result<i64, SysError>,
-) -> Result<u64, HostOutcome> {
+/// Maps a kernel result onto the syscall return convention, or blocks.
+pub fn finish(import: &'static str, r: Result<i64, SysError>) -> Result<u64, HostOutcome> {
     match r {
         Ok(v) => Ok(v as u64),
         Err(SysError::Err(e)) => Ok(e.as_ret() as u64),
-        Err(SysError::Block(Block { deadline })) => Err(blocked(import, args, deadline)),
+        Err(SysError::Block(Block { deadline })) => Err(blocked(import, deadline)),
     }
 }
 
@@ -174,7 +157,7 @@ macro_rules! sys {
                   args: &[u64]| {
                 crate::registry::wrapped(caller, name, sysno, |caller| {
                     let r = f(caller, args);
-                    crate::registry::finish(concat!("SYS_", $name), args, r)
+                    crate::registry::finish(concat!("SYS_", $name), r)
                 })
             },
         );

@@ -340,8 +340,13 @@ fn do_epoll_wait(c: C, a: &[u64]) -> R {
         // Deadline lapsed without events.
         return Ok(0);
     }
+    // One fd lookup per call; a pop that finds nothing allocates nothing,
+    // so a spuriously woken waiter (all but one of a prefork herd) costs
+    // two ring peeks and a re-park.
     let ready = k(c, |kk, tid| {
-        let ready = kk.sys_epoll_wait_ready(tid, epfd, maxevents as usize)?;
+        let id = kk.epoll_id(tid, epfd)?;
+        let mut ready = Vec::new();
+        kk.epoll_pop(tid, id, maxevents as usize, &mut ready)?;
         if !ready.is_empty() || timeout_ms == 0 {
             return Ok(ready);
         }
@@ -349,20 +354,20 @@ fn do_epoll_wait(c: C, a: &[u64]) -> R {
         if let Some(d) = deadline {
             if kk.clock.monotonic_ns() >= d {
                 // Timed out: report no events.
-                return Ok(Vec::new());
+                return Ok(ready);
             }
         }
-        kk.epoll_subscribe(tid, epfd)?;
+        kk.epoll_park(tid, id);
         // The lock-free syscall fast path posts without the kernel lock,
         // so a readiness transition can land between the pop above and
         // the subscribe. Producers push-then-post; this consumer
         // subscribes-then-rechecks — one of the two sides always sees
         // the other. The recheck is an O(ready) ring pop, cheap enough
         // to run on every park.
-        let late = kk.sys_epoll_wait_ready(tid, epfd, maxevents as usize)?;
-        if !late.is_empty() {
+        kk.epoll_pop(tid, id, maxevents as usize, &mut ready)?;
+        if !ready.is_empty() {
             kk.wait_cancel(tid);
-            return Ok(late);
+            return Ok(ready);
         }
         Err(match deadline {
             Some(d) => vkernel::block_until(d),

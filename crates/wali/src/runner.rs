@@ -31,9 +31,9 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use vkernel::{Kernel, TaskState, Tid};
+use vkernel::{FastMap, Kernel, TaskState, Tid};
 use wali_abi::Errno;
-use wasm::host::Linker;
+use wasm::host::{Blocked, Linker};
 use wasm::interp::{Instance, RunResult, Thread, Value};
 use wasm::prep::Program;
 use wasm::{Module, SafepointScheme, Trap};
@@ -204,14 +204,9 @@ pub(crate) enum Pending {
         args: Vec<Value>,
     },
     Resume(Vec<Value>),
-    /// Re-enter the import the thread is suspended in.
-    Retry {
-        /// Name of the blocked call (deadlock reports).
-        import: &'static str,
-        /// Its arguments.
-        args: Vec<Value>,
-        deadline: Option<u64>,
-    },
+    /// Re-enter the import the thread is blocked in (its arguments never
+    /// left the thread's operand stack).
+    Retry(Blocked),
 }
 
 /// Ops per scheduling slice before a busy task is preempted.
@@ -242,6 +237,59 @@ pub(crate) struct Slot {
     pub(crate) thread: Thread,
     pub(crate) ctx: WaliContext,
     pub(crate) pending: Option<Pending>,
+    /// `Some(deadline)` while the task is parked off the run queues,
+    /// with its optional wake deadline (virtual mono ns) — which is then
+    /// also armed in the scheduler's timer wheel. Invariant: a live task
+    /// is queued, running, vfork-suspended or parked, never two of them.
+    pub(crate) park: Option<Option<u64>>,
+}
+
+impl Slot {
+    /// A runnable slot (not parked).
+    pub(crate) fn new(
+        tid: Tid,
+        instance: Instance<WaliContext>,
+        thread: Thread,
+        ctx: WaliContext,
+        pending: Pending,
+    ) -> Slot {
+        Slot {
+            tid,
+            instance,
+            thread,
+            ctx,
+            pending: Some(pending),
+            park: None,
+        }
+    }
+}
+
+/// What both schedulers do with a call that blocked: count it, leave the
+/// retry pending in the slot, charge the context switch, and mark the
+/// slot parked where [`park_deadline`] says. The caller arms the
+/// returned deadline in its timer wheel.
+pub(crate) fn park_blocked(
+    slot: &mut Slot,
+    stats: &AtomicSched,
+    clock: &vkernel::Clock,
+    blocked: Blocked,
+    ran_wasm: bool,
+) -> Option<u64> {
+    if !ran_wasm {
+        stats.blocked_retries.fetch_add(1, Ordering::Relaxed);
+    }
+    stats.parks.fetch_add(1, Ordering::Relaxed);
+    slot.pending = Some(Pending::Retry(blocked));
+    let tid = slot.tid;
+    let waits = slot.ctx.with_kernel(|k| {
+        if let Ok(t) = k.task_mut(tid) {
+            t.rusage.nvcsw += 1;
+        }
+        k.task_waits(tid)
+    });
+    let deadline = park_deadline(blocked.deadline, waits, clock.monotonic_ns());
+    slot.park = Some(deadline);
+    deadline
 }
 
 /// Whether batched syscall rings are on by default (the `WALI_NO_RING`
@@ -291,24 +339,21 @@ pub struct WaliRunner {
     layer_timing: bool,
     /// Every live task, keyed by kernel tid (deterministic order).
     pub(crate) tasks: BTreeMap<Tid, Slot>,
-    /// Runnable tasks, round-robin FIFO. Blocked tasks are never here.
+    /// Runnable tasks, round-robin FIFO. Blocked tasks are never here:
+    /// they are parked ([`Slot::park`]).
     pub(crate) run_queue: VecDeque<Tid>,
-    /// Blocked tasks parked off the run queue, with their optional wake
-    /// deadline (virtual mono ns). Invariant: every live task is either
-    /// queued or parked, never both.
-    pub(crate) parked: BTreeMap<Tid, Option<u64>>,
     /// Index of parked deadlines: the scheduler compares its minimum
     /// against the clock every round, so deadline-parked tasks wake on
     /// time even while other tasks keep the run queue busy (syscall
     /// ticks advance the virtual clock too, not just idle steps). Kept
-    /// in lock-step with `parked`. A hierarchical timer wheel
+    /// in lock-step with the slots' `park`. A hierarchical timer wheel
     /// ([`crate::timer::TimerWheel`]): O(1) arm/disarm per park/unpark,
     /// exact minimum for the idle clock jump.
     pub(crate) deadlines: crate::timer::TimerWheel,
     /// `vfork` parents suspended until their child execs or exits, keyed
-    /// by child tid. These tasks sit on neither the run queue nor the
-    /// parked map; the child's exec/exit requeues them.
-    pub(crate) vfork_waiters: HashMap<Tid, Tid>,
+    /// by child tid. These tasks are neither queued nor parked; the
+    /// child's exec/exit requeues them.
+    pub(crate) vfork_waiters: FastMap<Tid, Tid>,
     spawned_any: bool,
     pub(crate) main_tid: Option<Tid>,
     pub(crate) outcome: RunOutcome,
@@ -318,6 +363,8 @@ pub struct WaliRunner {
     clock: vkernel::Clock,
     /// Lock-free mirror of "the kernel has undrained wakeups".
     woken_hint: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    /// The batch of woken tids being drained (kept for its capacity).
+    woken: Vec<Tid>,
 }
 
 impl WaliRunner {
@@ -337,15 +384,15 @@ impl WaliRunner {
             layer_timing: false,
             tasks: BTreeMap::new(),
             run_queue: VecDeque::new(),
-            parked: BTreeMap::new(),
             deadlines: crate::timer::TimerWheel::default(),
-            vfork_waiters: HashMap::new(),
+            vfork_waiters: FastMap::default(),
             spawned_any: false,
             main_tid: None,
             outcome: RunOutcome::default(),
             stats: AtomicSched::default(),
             clock,
             woken_hint,
+            woken: Vec::new(),
         }
     }
 
@@ -478,16 +525,11 @@ impl WaliRunner {
             self.main_tid = Some(tid);
             self.spawned_any = true;
         }
-        self.admit(Slot {
-            tid,
-            instance,
-            thread: Thread::new(),
-            ctx,
-            pending: Some(Pending::Start {
-                func: entry,
-                args: Vec::new(),
-            }),
-        });
+        let start = Pending::Start {
+            func: entry,
+            args: Vec::new(),
+        };
+        self.admit(Slot::new(tid, instance, Thread::new(), ctx, start));
         Ok(tid)
     }
 
@@ -564,38 +606,28 @@ impl WaliRunner {
         Ok(outcome)
     }
 
-    /// Parks a blocked task off the run queue.
-    fn park(&mut self, tid: Tid, deadline: Option<u64>) {
-        self.stats.parks.fetch_add(1, Ordering::Relaxed);
-        if let Some(d) = deadline {
-            self.deadlines.insert(d, tid);
-        }
-        self.parked.insert(tid, deadline);
-    }
-
-    /// Removes a task from the parked set (and the deadline index);
-    /// returns whether it was parked.
+    /// Un-parks a task (disarming its deadline); returns whether it was
+    /// parked.
     fn unpark(&mut self, tid: Tid) -> bool {
-        match self.parked.remove(&tid) {
-            Some(deadline) => {
-                if let Some(d) = deadline {
-                    self.deadlines.cancel(d, tid);
-                }
-                true
-            }
-            None => false,
+        let Some(deadline) = self.tasks.get_mut(&tid).and_then(|s| s.park.take()) else {
+            return false;
+        };
+        if let Some(d) = deadline {
+            self.deadlines.cancel(d, tid);
         }
+        true
     }
 
-    /// Moves kernel-woken tasks from the parked set to the run queue.
+    /// Moves kernel-woken parked tasks to the run queue.
     fn drain_wakeups(&mut self) {
         // Lock-free gate: the hint mirrors `has_woken`, so the kernel
         // lock is taken only when there is something to drain.
         if !self.woken_hint.load(Ordering::Acquire) {
             return;
         }
-        let woken = self.kernel.lock_ok().take_woken();
-        for tid in woken {
+        let mut woken = std::mem::take(&mut self.woken);
+        self.kernel.lock_ok().drain_woken(&mut woken);
+        for tid in woken.drain(..) {
             if self.unpark(tid) {
                 self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
                 self.run_queue.push_back(tid);
@@ -603,6 +635,7 @@ impl WaliRunner {
             // Wakeups for queued/running tasks are redundant: they will
             // observe the new state on their own next attempt.
         }
+        self.woken = woken;
     }
 
     /// Nothing is runnable: advance the virtual clock to the earliest
@@ -644,9 +677,16 @@ impl WaliRunner {
     /// leaving them would let a later post spuriously wake the task out
     /// of an unrelated park.
     fn wake_lapsed(&mut self, now: u64) {
-        for (_, tid) in self.deadlines.advance_to(now) {
-            self.parked.remove(&tid);
-            self.kernel.lock_ok().wait_cancel(tid);
+        let lapsed = self.deadlines.advance_to(now);
+        if lapsed.is_empty() {
+            return;
+        }
+        let mut k = self.kernel.lock_ok();
+        for (_, tid) in lapsed {
+            if let Some(slot) = self.tasks.get_mut(&tid) {
+                slot.park = None;
+            }
+            k.wait_cancel(tid);
             self.run_queue.push_back(tid);
         }
     }
@@ -654,13 +694,14 @@ impl WaliRunner {
     /// The blocked-task table for the deadlock report.
     fn blocked_report(&self) -> Vec<(Tid, String)> {
         let name_of = |s: &Slot| match &s.pending {
-            Some(Pending::Retry { import, .. }) => format!("retry {import}"),
+            Some(Pending::Retry(b)) => format!("retry {}", b.import),
             Some(Pending::Start { .. }) => "start".into(),
             Some(Pending::Resume(_)) => "resume".into(),
             None => "no pending".into(),
         };
-        self.parked
-            .keys()
+        let parked = self.tasks.values().filter(|s| s.park.is_some());
+        parked
+            .map(|s| &s.tid)
             .chain(self.run_queue.iter())
             .filter_map(|tid| self.tasks.get(tid).map(|s| (*tid, name_of(s))))
             // vfork parents sit in neither collection; a stuck child must
@@ -720,9 +761,9 @@ impl WaliRunner {
                     slot.thread
                         .resume(&mut slot.instance, &mut slot.ctx, &values)
                 }
-                Pending::Retry { args, deadline, .. } => {
-                    slot.ctx.retry_deadline = deadline;
-                    slot.thread.retry(&mut slot.instance, &mut slot.ctx, &args)
+                Pending::Retry(blocked) => {
+                    slot.ctx.retry_deadline = blocked.deadline;
+                    slot.thread.retry(&mut slot.instance, &mut slot.ctx)
                 }
             };
             if let Some(t0) = t0 {
@@ -748,8 +789,15 @@ impl WaliRunner {
                 let _ = self.kernel.lock_ok().sys_exit_group(tid, 128);
                 self.finish_task(tid, Some(TaskEnd::Trapped(t)));
             }
+            RunResult::Blocked(blocked) => {
+                let slot = self.tasks.get_mut(&tid).expect("live task");
+                let d = park_blocked(slot, &self.stats, &self.clock, blocked, ran_wasm);
+                if let Some(d) = d {
+                    self.deadlines.insert(d, tid);
+                }
+            }
             RunResult::Suspended(s) => match s.downcast::<WaliSuspend>() {
-                Ok(payload) => return self.handle_suspend(tid, *payload, ran_wasm),
+                Ok(payload) => return self.handle_suspend(tid, *payload),
                 Err(s) => {
                     if s.downcast::<wasm::interp::Preempted>().is_err() {
                         return Err(RunnerError::NoEntry("unknown suspension payload"));
@@ -772,38 +820,10 @@ impl WaliRunner {
         }
     }
 
-    fn handle_suspend(
-        &mut self,
-        tid: Tid,
-        payload: WaliSuspend,
-        ran_wasm: bool,
-    ) -> Result<(), RunnerError> {
+    fn handle_suspend(&mut self, tid: Tid, payload: WaliSuspend) -> Result<(), RunnerError> {
         match payload {
             WaliSuspend::Exit { code } => {
                 self.finish_task(tid, Some(TaskEnd::Exited(code)));
-            }
-            WaliSuspend::Blocked {
-                import,
-                args,
-                deadline,
-            } => {
-                if !ran_wasm {
-                    self.stats.blocked_retries.fetch_add(1, Ordering::Relaxed);
-                }
-                let slot = self.tasks.get_mut(&tid).expect("live task");
-                slot.pending = Some(Pending::Retry {
-                    import,
-                    args,
-                    deadline,
-                });
-                let waits = slot.ctx.with_kernel(|k| {
-                    if let Ok(t) = k.task_mut(tid) {
-                        t.rusage.nvcsw += 1;
-                    }
-                    k.task_waits(tid)
-                });
-                let now = self.clock.monotonic_ns();
-                self.park(tid, park_deadline(deadline, waits, now));
             }
             WaliSuspend::Fork { child_tid, vfork } => {
                 // `vfork` shares the parent's pages outright (no
@@ -811,17 +831,14 @@ impl WaliRunner {
                 // execs or exits — the Linux contract.
                 let child = {
                     let slot = self.tasks.get(&tid).expect("live task");
-                    Slot {
-                        tid: child_tid,
-                        instance: if vfork {
-                            slot.instance.thread_clone()
-                        } else {
-                            slot.instance.fork_clone()
-                        },
-                        thread: slot.thread.clone(),
-                        ctx: slot.ctx.fork_child(child_tid),
-                        pending: Some(Pending::Resume(vec![Value::I64(0)])),
-                    }
+                    let instance = if vfork {
+                        slot.instance.thread_clone()
+                    } else {
+                        slot.instance.fork_clone()
+                    };
+                    let ctx = slot.ctx.fork_child(child_tid);
+                    let resume = Pending::Resume(vec![Value::I64(0)]);
+                    Slot::new(child_tid, instance, slot.thread.clone(), ctx, resume)
                 };
                 self.admit(child);
                 if vfork {
@@ -852,13 +869,8 @@ impl WaliRunner {
                     } else {
                         slot.ctx.fork_child(child_tid)
                     };
-                    Slot {
-                        tid: child_tid,
-                        instance,
-                        thread: slot.thread.clone(),
-                        ctx,
-                        pending: Some(Pending::Resume(vec![Value::I64(0)])),
-                    }
+                    let resume = Pending::Resume(vec![Value::I64(0)]);
+                    Slot::new(child_tid, instance, slot.thread.clone(), ctx, resume)
                 };
                 self.admit(child);
                 self.requeue(tid, Pending::Resume(vec![Value::I64(child_tid as i64)]));
@@ -932,7 +944,9 @@ impl WaliRunner {
         let Some(slot) = self.tasks.remove(&tid) else {
             return;
         };
-        self.unpark(tid);
+        if let Some(Some(d)) = slot.park {
+            self.deadlines.cancel(d, tid);
+        }
         self.release_vfork_parent(tid);
         // A task killed mid-slice may have re-blocked (and re-subscribed)
         // between the fatal signal and the runner noticing the death:

@@ -325,8 +325,7 @@ fn blocked_call_outside_the_waitqueue_protocol_completes() {
     // in-tree blocker takes this path, so this is its only coverage.
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
-    use wali::registry::WaliSuspend;
-    use wasm::host::{HostOutcome, Suspension};
+    use wasm::host::{Blocked, HostOutcome};
     use wasm::interp::Value;
 
     let mut mb = ModuleBuilder::new();
@@ -345,15 +344,12 @@ fn blocked_call_outside_the_waitqueue_protocol_completes() {
         let seen = calls.clone();
         let mut runner = wali::WaliRunner::new_default();
         runner.set_workers(workers);
-        runner.linker_mut().func("layer", "gate", move |_, args| {
+        runner.linker_mut().func("layer", "gate", move |_, _| {
             if seen.fetch_add(1, Ordering::Relaxed) < 3 {
-                return Err(HostOutcome::Suspend(Suspension::new(
-                    WaliSuspend::Blocked {
-                        import: "gate",
-                        args: args.to_vec(),
-                        deadline: None,
-                    },
-                )));
+                return Err(HostOutcome::Block(Blocked {
+                    import: "gate",
+                    deadline: None,
+                }));
             }
             Ok(vec![Value::I64(7)])
         });

@@ -5,12 +5,12 @@ use std::sync::Arc;
 
 use wali::context::WaliContext;
 use wali::mem::{arg as a64, arg_i32 as a32};
-use wali::registry::{blocked, WaliSuspend};
+use wali::registry::blocked;
 use wali_abi::flags::{
     AT_FDCWD, O_APPEND, O_CREAT, O_DIRECTORY, O_EXCL, O_NONBLOCK, O_RDONLY, O_RDWR, O_TRUNC,
     SEEK_CUR, SEEK_END, SEEK_SET, S_IFDIR, S_IFMT, S_IFREG,
 };
-use wasm::host::{Caller, HostFn, HostOutcome, Linker, Suspension};
+use wasm::host::{Caller, HostFn, HostOutcome, Linker};
 
 use crate::errno::{self, BADF, INVAL, NOTCAPABLE, SUCCESS};
 
@@ -179,28 +179,19 @@ wali_handles!(
 
 /// Invokes a WALI syscall from inside a WASI function (the layering).
 ///
-/// Blocking propagates as a suspension re-keyed to the *WASI* function so
-/// the runner retries this layer with this layer's arguments, not the
-/// raw syscall's.
+/// Blocking propagates under the *WASI* function's name: that is the
+/// import the guest is parked in, so the runner's retry re-enters this
+/// layer on this layer's arguments, not the raw syscall's.
 fn wali_call(
     f: &HostFn<WaliContext>,
     c: C,
     args: &[u64],
     wasi_import: &'static str,
-    wasi_args: &[u64],
 ) -> Result<i64, X> {
     match f(c, args) {
         Ok(ret) => Ok(ret as i64),
-        Err(HostOutcome::Trap(t)) => Err(Err(HostOutcome::Trap(t))),
-        Err(HostOutcome::Suspend(s)) => match s.downcast::<WaliSuspend>() {
-            Ok(payload) => match *payload {
-                WaliSuspend::Blocked { deadline, .. } => {
-                    Err(Err(blocked(wasi_import, wasi_args, deadline)))
-                }
-                other => Err(Err(HostOutcome::Suspend(Suspension::new(other)))),
-            },
-            Err(s) => Err(Err(HostOutcome::Suspend(s))),
-        },
+        Err(HostOutcome::Block(b)) => Err(Err(blocked(wasi_import, b.deadline))),
+        Err(other) => Err(Err(other)),
     }
 }
 
@@ -345,7 +336,6 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
             c,
             &[clock as u64, ts as u64],
             "clock_time_get",
-            args,
         ) {
             Ok(ret) => {
                 if let Err(e) = check(ret) {
@@ -372,7 +362,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         if let Some(s) = state_mut(c.data) {
             s.revoke(fd);
         }
-        match wali_call(&b.close, c, &[fd as u64], "fd_close", args) {
+        match wali_call(&b.close, c, &[fd as u64], "fd_close") {
             Ok(ret) => match check(ret) {
                 Ok(_) => ok(),
                 Err(e) => e,
@@ -417,7 +407,6 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
             c,
             &[fd as u64, offset as u64, whence as u64],
             "fd_seek",
-            args,
         ) {
             Ok(ret) => match check(ret) {
                 Ok(pos) => {
@@ -433,13 +422,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
 
     wasi!("fd_tell", |b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
-        match wali_call(
-            &b.lseek,
-            c,
-            &[fd as u64, 0, SEEK_CUR as u64],
-            "fd_tell",
-            args,
-        ) {
+        match wali_call(&b.lseek, c, &[fd as u64, 0, SEEK_CUR as u64], "fd_tell") {
             Ok(ret) => match check(ret) {
                 Ok(pos) => {
                     let mem = wmem(c);
@@ -456,7 +439,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         let fd = a32(args, 0);
         let out = a32(args, 1) as u32;
         let st = STRUCT_SCRATCH;
-        match wali_call(&b.fstat, c, &[fd as u64, st as u64], "fd_fdstat_get", args) {
+        match wali_call(&b.fstat, c, &[fd as u64, st as u64], "fd_fdstat_get") {
             Ok(ret) => {
                 if let Err(e) = check(ret) {
                     return e;
@@ -485,13 +468,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         let fd = a32(args, 0);
         let out = a32(args, 1) as u32;
         let st = STRUCT_SCRATCH;
-        match wali_call(
-            &b.fstat,
-            c,
-            &[fd as u64, st as u64],
-            "fd_filestat_get",
-            args,
-        ) {
+        match wali_call(&b.fstat, c, &[fd as u64, st as u64], "fd_filestat_get") {
             Ok(ret) => {
                 if let Err(e) = check(ret) {
                     return e;
@@ -552,7 +529,6 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
             c,
             &[fd as u64, tmp as u64, 240],
             "fd_readdir",
-            args,
         ) {
             Ok(ret) => {
                 let n = match check(ret) {
@@ -595,7 +571,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
 
     wasi!("fd_sync", |b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
-        match wali_call(&b.fsync, c, &[fd as u64], "fd_sync", args) {
+        match wali_call(&b.fsync, c, &[fd as u64], "fd_sync") {
             Ok(_) => ok(),
             Err(x) => x,
         }
@@ -603,7 +579,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
 
     wasi!("fd_datasync", |b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
-        match wali_call(&b.fdatasync, c, &[fd as u64], "fd_datasync", args) {
+        match wali_call(&b.fdatasync, c, &[fd as u64], "fd_datasync") {
             Ok(_) => ok(),
             Err(x) => x,
         }
@@ -662,7 +638,6 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
             c,
             &[AT_FDCWD as u64, staged as u64, flags as u64, 0o644],
             "path_open",
-            args,
         ) {
             Ok(ret) => match check(ret) {
                 Ok(fd) => {
@@ -697,7 +672,6 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
             c,
             &[AT_FDCWD as u64, staged as u64, st as u64, 0],
             "path_filestat_get",
-            args,
         ) {
             Ok(ret) => {
                 if let Err(e) = check(ret) {
@@ -751,7 +725,6 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
             c,
             &[AT_FDCWD as u64, p1 as u64, AT_FDCWD as u64, p2 as u64],
             "path_rename",
-            args,
         ) {
             Ok(ret) => match check(ret) {
                 Ok(_) => ok(),
@@ -777,7 +750,6 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
             c,
             &[AT_FDCWD as u64, staged as u64, buf, len],
             "path_readlink",
-            args,
         ) {
             Ok(ret) => match check(ret) {
                 Ok(n) => {
@@ -793,7 +765,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
 
     wasi!("proc_exit", |b: &B, c: C, args: &[u64]| -> X {
         let code = a32(args, 0);
-        match wali_call(&b.exit_group, c, &[code as u64], "proc_exit", args) {
+        match wali_call(&b.exit_group, c, &[code as u64], "proc_exit") {
             Ok(_) => ok(),
             Err(x) => x,
         }
@@ -801,7 +773,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
 
     wasi!("random_get", |b: &B, c: C, args: &[u64]| -> X {
         let (buf, len) = (a32(args, 0) as u64, a32(args, 1) as u64);
-        match wali_call(&b.getrandom, c, &[buf, len, 0], "random_get", args) {
+        match wali_call(&b.getrandom, c, &[buf, len, 0], "random_get") {
             Ok(ret) => match check(ret) {
                 Ok(_) => ok(),
                 Err(e) => e,
@@ -810,8 +782,8 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         }
     });
 
-    wasi!("sched_yield", |b: &B, c: C, args: &[u64]| -> X {
-        match wali_call(&b.sched_yield, c, &[], "sched_yield", args) {
+    wasi!("sched_yield", |b: &B, c: C, _args: &[u64]| -> X {
+        match wali_call(&b.sched_yield, c, &[], "sched_yield") {
             Ok(_) => ok(),
             Err(x) => x,
         }
@@ -835,7 +807,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
             let ts = STRUCT_SCRATCH;
             let _ = mem.store::<8>(ts as u64, (timeout / 1_000_000_000).to_le_bytes());
             let _ = mem.store::<8>(ts as u64 + 8, (timeout % 1_000_000_000).to_le_bytes());
-            if let Err(x) = wali_call(&b.nanosleep, c, &[ts as u64, 0], "poll_oneoff", args) {
+            if let Err(x) = wali_call(&b.nanosleep, c, &[ts as u64, 0], "poll_oneoff") {
                 return x;
             }
         }
@@ -859,7 +831,7 @@ fn do_rw(base: &Wali, c: C, args: &[u64], write: bool, import: &'static str) -> 
     // WASI ciovec has the same wasm32 layout as the WALI iovec, so
     // readv/writev pass through directly — layering at its thinnest.
     let f = if write { &base.writev } else { &base.readv };
-    match wali_call(f, c, &[fd as u64, iovs, iovcnt], import, args) {
+    match wali_call(f, c, &[fd as u64, iovs, iovcnt], import) {
         Ok(ret) => match check(ret) {
             Ok(n) => {
                 let mem = wmem(c);
@@ -892,7 +864,7 @@ fn path_simple(
         Err(x) => return x,
     };
     let call_args = [AT_FDCWD as u64, staged as u64, extra];
-    match wali_call(syscall, c, &call_args, import, args) {
+    match wali_call(syscall, c, &call_args, import) {
         Ok(ret) => match check(ret) {
             Ok(_) => ok(),
             Err(e) => e,

@@ -24,6 +24,22 @@ pub enum HostOutcome {
     /// and resume both sides), `execve` (replace the program), thread
     /// `clone` (spawn an instance-per-thread sibling) and `exit`.
     Suspend(Suspension),
+    /// The call cannot complete yet. The thread parks as it stands — the
+    /// argument slots stay on its operand stack — and
+    /// [`crate::interp::Thread::retry`] re-enters the same import on
+    /// them once the embedder has a reason to: blocking moves no data
+    /// and allocates nothing.
+    Block(Blocked),
+}
+
+/// What a blocked host call tells the embedder's scheduler.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Blocked {
+    /// Name of the call that blocked (diagnostics).
+    pub import: &'static str,
+    /// When to retry even if nothing else happens, on the embedder's
+    /// clock.
+    pub deadline: Option<u64>,
 }
 
 impl From<Trap> for HostOutcome {

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use crate::error::Trap;
-use crate::host::{Caller, HostCtx, HostOutcome, PendingCall, Suspension};
+use crate::host::{Blocked, Caller, HostCtx, HostOutcome, PendingCall, Suspension};
 use crate::instr::{BinOp, CvtOp, LoadKind, RelOp, StoreKind, UnOp};
 use crate::mem::Memory;
 use crate::module::{ConstExpr, ExportDesc};
@@ -230,6 +230,21 @@ pub enum RunResult {
     Trapped(Trap),
     /// A host function suspended; call [`Thread::resume`] to continue.
     Suspended(Suspension),
+    /// A host function blocked; call [`Thread::retry`] to re-enter it.
+    Blocked(Blocked),
+}
+
+impl RunResult {
+    /// How a run ends when a host call did not return a value. Out of
+    /// line: the dispatch loops only pass the outcome through.
+    #[cold]
+    fn parked(outcome: HostOutcome) -> RunResult {
+        match outcome {
+            HostOutcome::Trap(t) => RunResult::Trapped(t),
+            HostOutcome::Suspend(s) => RunResult::Suspended(s),
+            HostOutcome::Block(b) => RunResult::Blocked(b),
+        }
+    }
 }
 
 impl std::fmt::Debug for RunResult {
@@ -238,6 +253,7 @@ impl std::fmt::Debug for RunResult {
             RunResult::Done(v) => write!(f, "Done({v:?})"),
             RunResult::Trapped(t) => write!(f, "Trapped({t:?})"),
             RunResult::Suspended(_) => write!(f, "Suspended(..)"),
+            RunResult::Blocked(b) => write!(f, "{b:?}"),
         }
     }
 }
@@ -275,6 +291,10 @@ struct PendingHost {
     func: Option<u32>,
     /// Result slots the matching `resume` must supply.
     nresults: usize,
+    /// Argument slots a blocked call left on top of the stack for its
+    /// `retry`; `None` when the call cannot be retried (it suspended,
+    /// and its arguments are gone).
+    kept: Option<usize>,
 }
 
 /// Resumable execution state for one Wasm computation.
@@ -352,26 +372,20 @@ impl Thread {
         }
     }
 
-    /// Re-enters the import this thread is suspended in with `args` — a
-    /// blocked call's retry — and, once it returns, continues exactly as
-    /// [`Thread::resume`] would with its result. Only the raw bits of
-    /// `args` matter: they go back onto the operand stack the call
-    /// borrows them from. A call that suspends again leaves the thread
-    /// waiting on the same import.
-    pub fn retry<T: HostCtx>(
-        &mut self,
-        inst: &mut Instance<T>,
-        ctx: &mut T,
-        args: &[Value],
-    ) -> RunResult {
-        let Some(func) = self.pending.take().and_then(|p| p.func) else {
-            return RunResult::Trapped(Trap::Host("retry without a suspended host call".into()));
+    /// Re-enters the import this thread is blocked in, on the argument
+    /// slots it left on the operand stack, and, once the call returns,
+    /// continues exactly as [`Thread::resume`] would with its result. A
+    /// call that blocks again leaves the thread as it was.
+    pub fn retry<T: HostCtx>(&mut self, inst: &mut Instance<T>, ctx: &mut T) -> RunResult {
+        let Some(PendingHost {
+            func: Some(func),
+            kept: Some(kept),
+            ..
+        }) = self.pending.take()
+        else {
+            return RunResult::Trapped(Trap::Host("retry without a blocked host call".into()));
         };
-        if inst.func_type(func).map(|t| t.params.len()) != Some(args.len()) {
-            return RunResult::Trapped(Trap::Host("retry arity mismatch".into()));
-        }
-        let base = self.stack.len();
-        self.stack.extend(args.iter().map(Value::raw));
+        let base = self.stack.len() - kept;
         self.enter_host(inst, ctx, func, base)
     }
 
@@ -395,7 +409,7 @@ impl Thread {
                 self.stack.clear();
                 RunResult::Trapped(t)
             }
-            Err(HostOutcome::Suspend(s)) => RunResult::Suspended(s),
+            Err(parked) => RunResult::parked(parked),
         }
     }
 
@@ -404,8 +418,9 @@ impl Thread {
     /// import all come through here. The arguments are the slots below
     /// `top`, lent to the host function in place; afterwards the stack
     /// is cut at the argument base and holds the result, if the
-    /// signature has one. A suspension is recorded so that `resume` or
-    /// `retry` can pick the call up again.
+    /// signature has one. A suspension is recorded so that `resume` can
+    /// pick the call up again; a blocked call keeps its arguments on top
+    /// of the stack, where `retry` lends them out again.
     ///
     /// Out of line on purpose: the dispatch loops are monomorphised
     /// into the embedder's crate, and keeping this body out of them
@@ -430,7 +445,13 @@ impl Thread {
             sig: Some(sig),
         };
         let r = f(&mut caller, &self.stack[argbase..top]);
-        self.stack.truncate(argbase);
+        // A blocked call keeps its arguments; every other outcome cuts
+        // the stack at their base.
+        let kept = match &r {
+            Err(HostOutcome::Block(_)) => top - argbase,
+            _ => 0,
+        };
+        self.stack.truncate(argbase + kept);
         match r {
             Ok(v) => {
                 // `Program::link` admits imports of at most one result.
@@ -439,14 +460,15 @@ impl Thread {
                 }
                 Ok(())
             }
-            Err(HostOutcome::Suspend(s)) => {
+            Err(HostOutcome::Trap(t)) => Err(HostOutcome::Trap(t)),
+            Err(parked) => {
                 self.pending = Some(PendingHost {
                     func: Some(func),
                     nresults: sig.results.len(),
+                    kept: matches!(parked, HostOutcome::Block(_)).then_some(kept),
                 });
-                Err(HostOutcome::Suspend(s))
+                Err(parked)
             }
-            Err(trap) => Err(trap),
         }
     }
 
@@ -469,7 +491,7 @@ impl Thread {
         match r {
             Ok(()) => Ok(()),
             Err(HostOutcome::Trap(t)) => Err(t),
-            Err(HostOutcome::Suspend(_)) => {
+            Err(HostOutcome::Suspend(_) | HostOutcome::Block(_)) => {
                 self.pending = None;
                 Err(Trap::Host("suspend in signal handler".into()))
             }
@@ -502,6 +524,9 @@ impl Thread {
         if pending.nresults != results.len() {
             return RunResult::Trapped(Trap::Host("resume arity mismatch".into()));
         }
+        // Answering a blocked call in its place consumes its arguments.
+        self.stack
+            .truncate(self.stack.len() - pending.kept.unwrap_or(0));
         if self.frames.is_empty() {
             // The suspension happened in a direct host entry.
             return RunResult::Done(results.to_vec());
@@ -626,7 +651,7 @@ impl Thread {
                     FuncDef::Host { .. } => match self.call_host(inst, ctx, f, self.stack.len()) {
                         Ok(()) => poll_signals!(),
                         Err(HostOutcome::Trap(t)) => trap!(t),
-                        Err(HostOutcome::Suspend(s)) => return RunResult::Suspended(s),
+                        Err(parked) => return RunResult::parked(parked),
                     },
                 }
             }};
@@ -639,6 +664,7 @@ impl Thread {
                     self.pending = Some(PendingHost {
                         func: None,
                         nresults: 0,
+                        kept: None,
                     });
                     return RunResult::Suspended(Suspension::new(Preempted));
                 }
@@ -1099,9 +1125,9 @@ impl Thread {
                                 poll_signals!();
                             }
                             Err(HostOutcome::Trap(t)) => trap!(t),
-                            Err(HostOutcome::Suspend(s)) => {
+                            Err(parked) => {
                                 flush!();
-                                return RunResult::Suspended(s);
+                                return RunResult::parked(parked);
                             }
                         },
                     }
@@ -1117,6 +1143,7 @@ impl Thread {
                         self.pending = Some(PendingHost {
                             func: None,
                             nresults: 0,
+                            kept: None,
                         });
                         return RunResult::Suspended(Suspension::new(Preempted));
                     }

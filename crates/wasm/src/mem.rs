@@ -29,7 +29,7 @@
 //! ([`Memory::new_flat`]), a private one the paged backing
 //! ([`Memory::new`]).
 
-use std::cell::UnsafeCell;
+use std::cell::{RefCell, UnsafeCell};
 use std::sync::atomic::{AtomicI64, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -82,18 +82,71 @@ unsafe impl Send for Page {}
 // SAFETY: See `Send`.
 unsafe impl Sync for Page {}
 
+thread_local! {
+    /// Buffers of the pages this thread dropped, kept for its next
+    /// [`Page::zeroed`] instead of going back to the allocator. A runner
+    /// that starts, touches a page or two and exits would otherwise free
+    /// 64 KiB blocks at the top of the heap and ask for them again a few
+    /// microseconds later; glibc answers a top chunk above 128 KiB by
+    /// shrinking the heap and the next start by growing it, and how many
+    /// page faults a start then costs (none to three, ~2.5 µs each)
+    /// depends on what else happens to sit near the top — start-up time
+    /// wandered with the embedder's own allocations. Recycling costs the
+    /// 64 KiB clear `calloc` performs on reused memory anyway.
+    static PAGE_POOL: RefCell<Vec<Box<[u8]>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Most buffers a thread's [`PAGE_POOL`] holds (256 KiB): a process and
+/// its forked child in flight; beyond that a dropped page is freed.
+const POOL_PAGES: usize = 4;
+
 impl Drop for Page {
     fn drop(&mut self) {
         GLOBAL_RESIDENT.fetch_sub(1, Ordering::Relaxed);
+        let buf = std::mem::take(self.0.get_mut());
+        // A page dropped while the thread's locals are being torn down
+        // is simply freed.
+        let _ = PAGE_POOL.try_with(|pool| {
+            let mut pool = pool.borrow_mut();
+            if pool.len() < POOL_PAGES {
+                pool.push(buf);
+            }
+        });
     }
 }
 
 impl Page {
-    fn zeroed() -> Arc<Page> {
+    /// A page of this thread's pool, or of the allocator: all zero if
+    /// `clear`, otherwise with whatever its last owner left in it.
+    fn fresh(clear: bool) -> Arc<Page> {
         GLOBAL_RESIDENT.fetch_add(1, Ordering::Relaxed);
-        Arc::new(Page(UnsafeCell::new(
-            vec![0u8; PAGE_SIZE].into_boxed_slice(),
-        )))
+        let pooled = PAGE_POOL.try_with(|pool| pool.borrow_mut().pop());
+        let buf = match pooled.ok().flatten() {
+            Some(mut buf) => {
+                if clear {
+                    buf.fill(0);
+                }
+                buf
+            }
+            None => vec![0u8; PAGE_SIZE].into_boxed_slice(),
+        };
+        Arc::new(Page(UnsafeCell::new(buf)))
+    }
+
+    fn zeroed() -> Arc<Page> {
+        Page::fresh(true)
+    }
+
+    /// A private copy of `src` (the COW and deep-clone paths).
+    fn copy_of(src: &Page) -> Arc<Page> {
+        let page = Page::fresh(false);
+        // SAFETY: Both allocations are PAGE_SIZE and distinct; the
+        // source is frozen while shared (no store writes a shared page)
+        // and the whole destination is overwritten.
+        unsafe {
+            std::ptr::copy_nonoverlapping(src.data(), page.data(), PAGE_SIZE);
+        }
+        page
     }
 
     #[inline]
@@ -162,12 +215,7 @@ impl PageStore {
             Some(page) if Arc::strong_count(page) == 1 => page.data(),
             Some(page) => {
                 // COW: the page is shared with a forked sibling; copy it.
-                let fresh = Page::zeroed();
-                // SAFETY: Both allocations are PAGE_SIZE; the shared
-                // source is frozen (no store writes a shared page).
-                unsafe {
-                    std::ptr::copy_nonoverlapping(page.data(), fresh.data(), PAGE_SIZE);
-                }
+                let fresh = Page::copy_of(page);
                 let ptr = fresh.data();
                 *slot = Some(fresh);
                 ptr
@@ -379,11 +427,7 @@ impl Memory {
                 let mut resident = 0;
                 for (i, slot) in src.iter().enumerate() {
                     if let Some(page) = slot {
-                        let fresh = Page::zeroed();
-                        // SAFETY: Both allocations are PAGE_SIZE.
-                        unsafe {
-                            std::ptr::copy_nonoverlapping(page.data(), fresh.data(), PAGE_SIZE);
-                        }
+                        let fresh = Page::copy_of(page);
                         b.read_ptrs[i].store(fresh.data(), Ordering::Release);
                         b.write_ptrs[i].store(fresh.data(), Ordering::Release);
                         dst[i] = Some(fresh);
@@ -1025,6 +1069,39 @@ mod tests {
         m.store::<1>(40 * PAGE_SIZE as u64, [7]).unwrap();
         assert_eq!(m.resident_pages(), 1);
         assert_eq!(m.peak_resident_pages(), 1);
+    }
+
+    #[test]
+    fn a_recycled_page_reads_zero() {
+        // Every page here is dirtied in full before it is dropped, and
+        // the later rounds get their buffers from the pool.
+        for round in 0..2 * POOL_PAGES as u8 {
+            let m = Memory::new(2, Some(2));
+            m.write(7, &[round + 1]).unwrap();
+            let mut expect = vec![0; PAGE_SIZE];
+            expect[7] = round + 1;
+            assert_eq!(m.read(0, PAGE_SIZE).unwrap(), expect);
+            m.write(0, &vec![0xaa; PAGE_SIZE]).unwrap();
+            // The child's copy of page 0 and its first touch of page 1.
+            let child = m.fork_clone();
+            child.write(PAGE_SIZE as u64 - 1, &[0xff, 0xff]).unwrap();
+            let head = child.read(0, PAGE_SIZE - 1).unwrap();
+            assert_eq!(head, vec![0xaa; PAGE_SIZE - 1]);
+            let tail = child.read(PAGE_SIZE as u64 + 1, PAGE_SIZE - 1).unwrap();
+            assert_eq!(tail, vec![0; PAGE_SIZE - 1]);
+            child
+                .write(PAGE_SIZE as u64, &vec![0xbb; PAGE_SIZE])
+                .unwrap();
+        }
+        // More pages dropped than the pool holds: the rest are freed.
+        let many: Vec<Memory> = (0..POOL_PAGES + 2).map(|_| Memory::new(1, None)).collect();
+        many.iter().for_each(|m| m.write(0, &[1]).unwrap());
+        drop(many);
+        PAGE_POOL.with(|pool| {
+            let pool = pool.borrow();
+            assert_eq!(pool.len(), POOL_PAGES, "full, and no fuller");
+            assert!(pool.iter().all(|buf| buf.len() == PAGE_SIZE));
+        });
     }
 
     #[test]

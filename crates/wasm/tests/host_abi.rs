@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use wasm::build::ModuleBuilder;
-use wasm::host::{Caller, HostOutcome, Linker, Suspension};
+use wasm::host::{Blocked, Caller, HostOutcome, Linker};
 use wasm::interp::{Instance, RunResult, Thread, Value};
 use wasm::prep::{LinkError, Program};
 use wasm::safepoint::SafepointScheme;
@@ -20,10 +20,6 @@ fn instantiate(module: &wasm::Module, linker: &Linker<()>, regir: bool) -> Insta
         Program::link_tiered(&module, linker, SafepointScheme::LoopHeaders, regir).expect("link");
     Instance::new(Arc::new(program)).expect("instantiate")
 }
-
-/// Payload of the test's blocking import: the arguments it was called
-/// with, as a blocked syscall would save them.
-struct Blocked(Vec<Value>);
 
 /// `main() = scale(7, 1.5) + 0.25` where `scale(n: i32, x: f64) -> f64`
 /// is a typed host closure that blocks on its first call.
@@ -48,9 +44,10 @@ fn typed_closure_with_mixed_params_round_trips_through_a_blocking_retry() {
         linker.func("env", "scale", move |_, args| {
             assert_eq!(args, [Value::I32(7), Value::F64(1.5)]);
             if seen.fetch_add(1, Ordering::Relaxed) == 0 {
-                return Err(HostOutcome::Suspend(Suspension::new(Blocked(
-                    args.to_vec(),
-                ))));
+                return Err(HostOutcome::Block(Blocked {
+                    import: "scale",
+                    deadline: Some(9),
+                }));
             }
             let (Value::I32(n), Value::F64(x)) = (args[0], args[1]) else {
                 unreachable!("asserted above");
@@ -61,22 +58,23 @@ fn typed_closure_with_mixed_params_round_trips_through_a_blocking_retry() {
         let mut inst = instantiate(&module, &linker, regir);
         let main = inst.export_func("main").unwrap();
         let mut thread = Thread::new();
-        let saved = match thread.call(&mut inst, &mut (), main, &[]) {
-            RunResult::Suspended(s) => s.downcast::<Blocked>().ok().expect("payload").0,
+        match thread.call(&mut inst, &mut (), main, &[]) {
+            RunResult::Blocked(b) => assert_eq!((b.import, b.deadline), ("scale", Some(9))),
             other => panic!("regir={regir}: {other:?}"),
-        };
+        }
         assert!(thread.is_suspended());
 
-        // The embedder retries with the saved arguments; they cross as raw
-        // slots and the adapter types them again from the import signature.
-        match thread.retry(&mut inst, &mut (), &saved) {
+        // The embedder retries; the arguments never left the operand
+        // stack, and the adapter types them again from the import
+        // signature.
+        match thread.retry(&mut inst, &mut ()) {
             RunResult::Done(v) => assert_eq!(v, vec![Value::F64(10.75)], "regir={regir}"),
             other => panic!("regir={regir}: {other:?}"),
         }
         assert_eq!(calls.load(Ordering::Relaxed), 2);
         assert!(!thread.is_suspended());
         assert!(matches!(
-            thread.retry(&mut inst, &mut (), &saved),
+            thread.retry(&mut inst, &mut ()),
             RunResult::Trapped(Trap::Host(_))
         ));
     }
