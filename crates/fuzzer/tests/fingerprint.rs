@@ -24,3 +24,29 @@ fn dump_repeats_exactly_and_separates_the_tiers() {
         "{stack}"
     );
 }
+
+/// The `WALI_WORKERS=1` schedule, pinned: 48 seeds plus the app suite
+/// under the three configurations must checksum to the checked-in lines.
+/// A PR that claims "same schedule" leaves the golden files alone; one
+/// that moves the schedule shows it in its diff.
+#[test]
+fn schedule_matches_the_checked_in_checksums() {
+    let dump = fuzzer::fingerprint::dump(1, 48);
+    let sums: Vec<&str> = dump
+        .lines()
+        .filter(|l| l.starts_with("checksum["))
+        .collect();
+    let golden: Vec<&str> = include_str!("../corpus/fingerprint.golden")
+        .lines()
+        .collect();
+    assert_eq!(
+        sums, golden,
+        "the WALI_WORKERS=1 schedule moved. If that is the point of the change, regenerate \
+         both golden files and show them in the diff:\n  \
+         cargo run --release -p fuzzer -- fingerprint --seeds 48 --seed 1 | grep '^checksum' \
+         > crates/fuzzer/corpus/fingerprint.golden\n  \
+         cargo run --release -p fuzzer -- fingerprint --seeds 360 --seed 1 | grep '^checksum' \
+         > crates/fuzzer/corpus/fingerprint-360.golden\n\
+         (diff the full dumps of the two commits to find the seed that moved)"
+    );
+}

@@ -834,7 +834,9 @@ mod tests {
         k.epoll_subscribe(tid, ep).unwrap();
         assert!(k.task_waits(tid));
         k.sys_write(tid, w, b"wake").unwrap();
-        assert_eq!(k.take_woken(), vec![tid]);
+        let mut woken = Vec::new();
+        k.drain_woken(&mut woken);
+        assert_eq!(woken, vec![tid]);
         assert!(!k.task_waits(tid), "wake clears all subscriptions");
         // Channel bookkeeping: nothing dangling.
         let _ = Channel::PipeReadable(0);
@@ -1263,6 +1265,8 @@ mod tests {
         );
         // And the two channels suffice: any member's transition wakes.
         k.sys_write(tid, writers[17], b"x").unwrap();
-        assert_eq!(k.take_woken(), vec![tid]);
+        let mut woken = Vec::new();
+        k.drain_woken(&mut woken);
+        assert_eq!(woken, vec![tid]);
     }
 }

@@ -229,13 +229,6 @@ impl Kernel {
         self.waits.lock().drain_woken(out);
     }
 
-    /// [`Kernel::drain_woken`] into a fresh list.
-    pub fn take_woken(&mut self) -> Vec<Tid> {
-        let mut out = Vec::new();
-        self.drain_woken(&mut out);
-        out
-    }
-
     /// Drains the channels whose posts woke `tid` since its last drain
     /// (empty for direct wakes — callers treat that as "re-check
     /// everything"). Batched-syscall retries use this to complete the
@@ -273,19 +266,14 @@ impl Kernel {
         self.waits.lock().is_subscribed(tid)
     }
 
-    /// True when a posted wakeup is waiting to be drained.
-    pub fn has_woken(&self) -> bool {
-        self.waits.lock().has_woken()
-    }
-
     /// Waitqueue counters (benchmarks and tests).
     pub fn wait_stats(&self) -> WaitStats {
         self.waits.lock().stats
     }
 
-    /// Lock-free handle onto the waitqueue's woken hint: SMP workers
-    /// poll it between slices without taking the kernel lock and drain
-    /// [`Kernel::take_woken`] (under the lock) only when it reads true.
+    /// Lock-free handle onto the waitqueue's woken hint: the schedulers
+    /// poll it between slices without taking the kernel lock and call
+    /// [`Kernel::drain_woken`] (under the lock) only when it reads true.
     pub fn woken_hint(&self) -> std::sync::Arc<std::sync::atomic::AtomicBool> {
         self.waits.lock().woken_hint()
     }
@@ -1524,7 +1512,7 @@ mod tests {
             k.sys_write(child, w, b"x").unwrap();
             k.sys_exit_group(child, i & 0x7f).unwrap();
             assert_eq!(k.sys_wait4(tid, child, 0).unwrap().0, child);
-            k.take_woken();
+            k.drain_woken(&mut Vec::new());
             k.wait_cancel(child); // the embedder's finish, after the reap
         }
         let audit = k.leak_audit();

@@ -4,6 +4,23 @@
 //! 1-to-1 model). It owns the engine-side state the paper enumerates as
 //! WALI's bookkeeping: the virtual sigtable, the mmap pool base, the `brk`
 //! watermark, argv/env, the trace, and the seccomp-like policy layer.
+//!
+//! # What a process-model transition inherits
+//!
+//! The four transitions of §3.1 each derive their context here, so the
+//! rule is written once:
+//!
+//! | state | `fork`/`vfork` ([`fork_child`]) | `clone` thread ([`thread_sibling`]) | `execve` ([`exec_image`]) |
+//! |---|---|---|---|
+//! | policy (+ its denial log), ring switch, layer-timing flag | inherited | inherited | inherited |
+//! | trace counters | fresh (merged at exit) | fresh (merged at exit) | kept — same task |
+//! | sigtable, mmap pool, `brk` | private copy | shared | fresh, above the new image's data |
+//! | argv / env | copied | copied | the call's |
+//! | handler masks, in-flight ring SQEs, `ext`, hot cache, retry deadline | fresh | fresh | fresh |
+//!
+//! [`fork_child`]: WaliContext::fork_child
+//! [`thread_sibling`]: WaliContext::thread_sibling
+//! [`exec_image`]: WaliContext::exec_image
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,6 +50,14 @@ pub type KernelRef = Arc<Tracked<Kernel>>;
 /// handle every context and worker clones.
 pub fn new_kernel_ref(kernel: Kernel) -> KernelRef {
     Arc::new(Tracked::new(LockClass::Kernel, kernel))
+}
+
+/// Where a program image's heap goes: `(brk_start, pool_base)` — the
+/// `brk` heap starts at the first 16-byte boundary past the static data
+/// and the mmap pool 1 MiB (the brk headroom) above it.
+fn heap_layout(heap_base: u32) -> (u32, u32) {
+    let brk_start = (heap_base + 15) & !15;
+    (brk_start, brk_start + (1 << 20))
 }
 
 /// The embedder context threaded through every WALI host call.
@@ -101,8 +126,7 @@ impl WaliContext {
     /// Creates the context for an existing kernel task.
     ///
     /// `heap_base` is the first address past the module's static data; the
-    /// `brk` heap starts there and the mmap pool above it (1 MiB of brk
-    /// headroom).
+    /// `brk` heap starts there and the mmap pool above it.
     pub fn new(kernel: KernelRef, tid: Tid, heap_base: u32) -> WaliContext {
         let (mm, sig_hint, meter, handles) = {
             let k = kernel.lock_ok();
@@ -114,8 +138,7 @@ impl WaliContext {
                 k.handles(),
             )
         };
-        let brk_start = (heap_base + 15) & !15;
-        let pool_base = brk_start + (1 << 20);
+        let (brk_start, pool_base) = heap_layout(heap_base);
         WaliContext {
             kernel,
             tid,
@@ -142,21 +165,41 @@ impl WaliContext {
     }
 
     /// Derives a sibling context for a `CLONE_THREAD` child: shares the
-    /// sigtable, mmap pool and brk (one address space), fresh trace.
+    /// sigtable, mmap pool and brk (one address space).
     pub fn thread_sibling(&self, tid: Tid) -> WaliContext {
+        self.child(tid, true)
+    }
+
+    /// Derives a child context for `fork`: private copies of the sigtable,
+    /// pool and brk (fresh address space with identical content).
+    pub fn fork_child(&self, tid: Tid) -> WaliContext {
+        self.child(tid, false)
+    }
+
+    /// What every new task takes from the one that created it (see the
+    /// module docs); only the address-space state depends on the kind.
+    fn child(&self, tid: Tid, same_address_space: bool) -> WaliContext {
+        let (sigtable, mmap, brk) = if same_address_space {
+            (self.sigtable.clone(), self.mmap.clone(), self.brk.clone())
+        } else {
+            (
+                shared(self.sigtable.lock_ok().clone()),
+                shared(self.mmap.lock_ok().clone()),
+                Arc::new(AtomicU32::new(self.brk.load(Ordering::Relaxed))),
+            )
+        };
         let (mm, sig_hint) = {
             let k = self.kernel.lock_ok();
             let task = k.task(tid).expect("task exists");
             (task.mm, task.sig_hint.clone())
         };
-        let meter = self.meter.clone();
         WaliContext {
             kernel: self.kernel.clone(),
             tid,
             mm,
-            sigtable: self.sigtable.clone(),
-            mmap: self.mmap.clone(),
-            brk: self.brk.clone(),
+            sigtable,
+            mmap,
+            brk,
             brk_start: self.brk_start,
             args: self.args.clone(),
             env: self.env.clone(),
@@ -168,45 +211,37 @@ impl WaliContext {
             ring: self.ring,
             ring_pending: Vec::new(),
             sig_hint,
-            meter,
+            meter: self.meter.clone(),
             handler_masks: Vec::new(),
             exited: None,
             ext: None,
         }
     }
 
-    /// Derives a child context for `fork`: private copies of the sigtable,
-    /// pool and brk (fresh address space with identical content).
-    pub fn fork_child(&self, tid: Tid) -> WaliContext {
-        let (mm, sig_hint) = {
-            let k = self.kernel.lock_ok();
-            let task = k.task(tid).expect("task exists");
-            (task.mm, task.sig_hint.clone())
-        };
-        let meter = self.meter.clone();
-        WaliContext {
-            kernel: self.kernel.clone(),
-            tid,
-            mm,
-            sigtable: shared(self.sigtable.lock_ok().clone()),
-            mmap: shared(self.mmap.lock_ok().clone()),
-            brk: Arc::new(AtomicU32::new(self.brk.load(Ordering::Relaxed))),
-            brk_start: self.brk_start,
-            args: self.args.clone(),
-            env: self.env.clone(),
-            trace: self.trace.child(),
-            policy: self.policy.clone(),
-            retry_deadline: None,
-            handles: self.handles.clone(),
-            hot_cache: None,
-            ring: self.ring,
-            ring_pending: Vec::new(),
-            sig_hint,
-            meter,
-            handler_masks: Vec::new(),
-            exited: None,
-            ext: None,
-        }
+    /// Turns this context into the one `execve` leaves behind: the same
+    /// task (kernel identity, signal hint, trace, policy, ring switch)
+    /// in a fresh program image — new sigtable, mmap pool and brk laid
+    /// out above `heap_base`, the new argv/env, and none of the old
+    /// image's in-flight state.
+    pub fn exec_image(
+        &mut self,
+        heap_base: u32,
+        path: String,
+        argv: Vec<String>,
+        envp: Vec<String>,
+    ) {
+        let (brk_start, pool_base) = heap_layout(heap_base);
+        self.sigtable = shared(SigTable::new());
+        self.mmap = shared(MmapPool::new(pool_base));
+        self.brk = Arc::new(AtomicU32::new(brk_start));
+        self.brk_start = brk_start;
+        self.args = if argv.is_empty() { vec![path] } else { argv };
+        self.env = envp;
+        self.retry_deadline = None;
+        self.hot_cache = None;
+        self.ring_pending.clear();
+        self.handler_masks.clear();
+        self.ext = None;
     }
 
     /// Runs `f` against the kernel; a run that records layer timing
@@ -392,6 +427,32 @@ mod tests {
             "brk not shared across fork"
         );
         assert_ne!(c.mm, child.mm);
+    }
+
+    #[test]
+    fn exec_image_keeps_the_task_and_resets_the_image() {
+        use crate::policy::{DenyAction, Policy, Verdict};
+        let mut c = ctx();
+        let mut policy = Policy::deny_list(["socket"], DenyAction::Kill);
+        assert_ne!(policy.check("socket"), Verdict::Allow);
+        c.policy = Some(policy);
+        c.ring = false;
+        c.trace.timing = true;
+        c.trace.wasm_steps = 7;
+        c.brk.store(1 << 16, Ordering::Relaxed);
+        c.ext = Some(Box::new(1u8));
+        c.exec_image(8000, "/bin/b".into(), Vec::new(), vec!["K=V".into()]);
+        // Inherited: what the runner was told about this task.
+        let policy = c.policy.as_ref().expect("the policy survives");
+        assert_eq!(policy.denied_log, ["socket"]);
+        assert!(!c.ring && c.trace.timing);
+        assert_eq!(c.trace.wasm_steps, 7, "same task, same trace");
+        // Fresh: everything that described the old image.
+        assert_eq!((c.brk.load(Ordering::Relaxed), c.brk_start), (8000, 8000));
+        assert!(c.mmap.lock_ok().base() >= 8000 + (1 << 20));
+        assert_eq!(c.args, ["/bin/b"]);
+        assert_eq!(c.env, ["K=V"]);
+        assert!(c.ext.is_none());
     }
 
     #[test]

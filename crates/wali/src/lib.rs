@@ -19,7 +19,9 @@
 //! * [`runner`] — the process runtime: the 1-to-1 instance-per-thread
 //!   model with `fork` (thread snapshot + memory clone), `execve`
 //!   (program swap) and pthread-style `clone` (shared memory sibling),
-//!   scheduled cooperatively over the deterministic kernel (§3.1).
+//!   scheduled cooperatively over the deterministic kernel (§3.1). The
+//!   transitions are one scheduling step (the private `task` module)
+//!   that this loop and the SMP worker pool (`exec`) both run.
 //! * [`policy`] — seccomp-like dynamic syscall policies layered *above*
 //!   the interface rather than inside the engine TCB (§3.6).
 //! * [`trace`] — syscall profiles (Fig. 2) and the wasm/kernel/wali time
@@ -40,6 +42,7 @@ pub mod registry;
 pub(crate) mod ring;
 pub mod runner;
 pub mod sigtable;
+pub(crate) mod task;
 pub mod testkit;
 pub mod timer;
 pub mod trace;

@@ -1,45 +1,44 @@
 //! The WALI process runtime.
 //!
-//! Implements the paper's process-model spectrum (§3.1, Fig. 4) on top of
-//! the deterministic kernel: every Wasm instance is one kernel task
-//! (1-to-1 identity), multiple tasks are multiplexed cooperatively onto
-//! one host thread (the N-to-1 "lightweight process" execution), and the
-//! control-transferring syscalls are realized with engine primitives:
+//! Every Wasm instance is one kernel task (the paper's 1-to-1 identity,
+//! §3.1). What a task does with one scheduling slice — the process-model
+//! transitions (`fork`, `vfork`, `clone`, `execve`, exit) and parking on
+//! a blocked syscall included — is decided in `crates/wali/src/task.rs`
+//! and is the same under every scheduler. This module is the runner's
+//! public face (programs, spawning, the [`RunOutcome`]) and the first of
+//! the two *pop policies*: the deterministic cooperative loop that
+//! multiplexes every task onto one host thread (the N-to-1 "lightweight
+//! process" execution). It keeps one FIFO of runnable tids and one timer
+//! wheel of parked deadlines; a blocked task sits on the kernel waitqueues
+//! ([`vkernel::wait`]) and re-enters the FIFO only when its wait channel
+//! fires or its deadline lapses, and the virtual clock jumps straight to
+//! the earliest deadline when nothing is runnable. The FIFO holds only
+//! runnable work, so "idle" means "queue empty" — the same rule the SMP
+//! executor uses.
 //!
-//! * `fork` — snapshot the suspended [`wasm::Thread`], share linear
-//!   memory copy-on-write, resume the parent with the child pid and the
-//!   child with 0 (`vfork` shares the pages outright and suspends the
-//!   parent until the child execs or exits);
-//! * `clone(CLONE_VM)` — same snapshot but *sharing* linear memory, the
-//!   instance-per-thread model (fresh globals/table per instance);
-//! * `execve` — swap in a program registered under the target path;
-//! * blocking syscalls — the task parks on the kernel waitqueues
-//!   ([`vkernel::wait`]) and re-enters the run queue only when its wait
-//!   channel fires or its deadline lapses; the scheduler advances the
-//!   virtual clock straight to the earliest deadline when every task is
-//!   parked. The run queue holds only runnable work, so "idle" means
-//!   "queue empty" — the same rule the SMP executor uses.
-//!
-//! Set `WALI_WORKERS=N` (or [`WaliRunner::set_workers`]) to interpret
-//! runnable tasks on `N` host worker threads (`0`/`auto` selects
-//! `min(cores, 8)`). The default, `1`, keeps the deterministic
-//! single-threaded schedule every test and benchmark in the repository
-//! is pinned to; `N > 1` trades that determinism for true parallelism —
-//! see `crates/wali/src/exec.rs` and DESIGN.md "Concurrency".
+//! Set `WALI_WORKERS=N` (or [`WaliRunner::set_workers`]) for the second
+//! policy: `N` host worker threads with work-stealing queues
+//! (`0`/`auto` selects `min(cores, 8)`). The default, `1`, keeps the
+//! deterministic schedule every test and benchmark in the repository is
+//! pinned to; `N > 1` trades that determinism for true parallelism — see
+//! `crates/wali/src/exec.rs` and DESIGN.md "Scheduler".
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use vkernel::{FastMap, Kernel, TaskState, Tid};
+use vkernel::{FastMap, Kernel, Tid};
 use wali_abi::Errno;
-use wasm::host::{Blocked, Linker};
-use wasm::interp::{Instance, RunResult, Thread, Value};
+use wasm::host::Linker;
+use wasm::interp::Thread;
 use wasm::prep::Program;
 use wasm::{Module, SafepointScheme, Trap};
 
 use crate::context::{KernelRef, WaliContext};
-use crate::registry::{build_linker, WaliSuspend};
+use crate::registry::build_linker;
+use crate::task::{
+    load, retire, run_slice, stuck_report, After, Pending, SliceEnv, Slot, SLICE_QUANTUM_NS,
+};
 use crate::trace::Trace;
 
 /// How a task ended.
@@ -198,100 +197,6 @@ impl std::fmt::Display for RunnerError {
 
 impl std::error::Error for RunnerError {}
 
-pub(crate) enum Pending {
-    Start {
-        func: u32,
-        args: Vec<Value>,
-    },
-    Resume(Vec<Value>),
-    /// Re-enter the import the thread is blocked in (its arguments never
-    /// left the thread's operand stack).
-    Retry(Blocked),
-}
-
-/// Ops per scheduling slice before a busy task is preempted.
-pub(crate) const FUEL_SLICE: u64 = 1 << 20;
-
-/// Virtual nanoseconds one exhausted fuel slice accounts for (a ~1 GIPS
-/// virtual CPU: 2^20 ops ≈ 1 ms). Without this, a pure-compute spin loop
-/// would stall virtual time; the scheduler advances the clock here and at
-/// idle steps, so parked deadlines lapse while a spinner runs.
-pub(crate) const SLICE_QUANTUM_NS: u64 = 1_000_000;
-
-/// Where a blocked call parks — the one rule both schedulers apply. A
-/// call that subscribed a wait channel (`waits`) or carries a deadline
-/// parks on exactly that. A call outside the waitqueue protocol (a
-/// layered host function with neither) parks on a one-quantum backoff
-/// deadline instead of staying queued: run queues hold only runnable
-/// work, which is what makes "queue empty" an exact idle test.
-pub(crate) fn park_deadline(deadline: Option<u64>, waits: bool, now: u64) -> Option<u64> {
-    match deadline {
-        None if !waits => Some(now + SLICE_QUANTUM_NS),
-        d => d,
-    }
-}
-
-pub(crate) struct Slot {
-    pub(crate) tid: Tid,
-    pub(crate) instance: Instance<WaliContext>,
-    pub(crate) thread: Thread,
-    pub(crate) ctx: WaliContext,
-    pub(crate) pending: Option<Pending>,
-    /// `Some(deadline)` while the task is parked off the run queues,
-    /// with its optional wake deadline (virtual mono ns) — which is then
-    /// also armed in the scheduler's timer wheel. Invariant: a live task
-    /// is queued, running, vfork-suspended or parked, never two of them.
-    pub(crate) park: Option<Option<u64>>,
-}
-
-impl Slot {
-    /// A runnable slot (not parked).
-    pub(crate) fn new(
-        tid: Tid,
-        instance: Instance<WaliContext>,
-        thread: Thread,
-        ctx: WaliContext,
-        pending: Pending,
-    ) -> Slot {
-        Slot {
-            tid,
-            instance,
-            thread,
-            ctx,
-            pending: Some(pending),
-            park: None,
-        }
-    }
-}
-
-/// What both schedulers do with a call that blocked: count it, leave the
-/// retry pending in the slot, charge the context switch, and mark the
-/// slot parked where [`park_deadline`] says. The caller arms the
-/// returned deadline in its timer wheel.
-pub(crate) fn park_blocked(
-    slot: &mut Slot,
-    stats: &AtomicSched,
-    clock: &vkernel::Clock,
-    blocked: Blocked,
-    ran_wasm: bool,
-) -> Option<u64> {
-    if !ran_wasm {
-        stats.blocked_retries.fetch_add(1, Ordering::Relaxed);
-    }
-    stats.parks.fetch_add(1, Ordering::Relaxed);
-    slot.pending = Some(Pending::Retry(blocked));
-    let tid = slot.tid;
-    let waits = slot.ctx.with_kernel(|k| {
-        if let Ok(t) = k.task_mut(tid) {
-            t.rusage.nvcsw += 1;
-        }
-        k.task_waits(tid)
-    });
-    let deadline = park_deadline(blocked.deadline, waits, clock.monotonic_ns());
-    slot.park = Some(deadline);
-    deadline
-}
-
 /// Whether batched syscall rings are on by default (the `WALI_NO_RING`
 /// escape hatch makes `wali_ring_enter` return `-ENOSYS`, so guests
 /// fall back to the synchronous per-op ABI — the A/B baseline the
@@ -354,15 +259,14 @@ pub struct WaliRunner {
     /// by child tid. These tasks are neither queued nor parked; the
     /// child's exec/exit requeues them.
     pub(crate) vfork_waiters: FastMap<Tid, Tid>,
-    spawned_any: bool,
     pub(crate) main_tid: Option<Tid>,
     pub(crate) outcome: RunOutcome,
     /// Concurrent scheduler counters (folded into `outcome.sched`).
     pub(crate) stats: AtomicSched,
     /// Lock-free virtual-clock handle (shares the kernel's counter).
-    clock: vkernel::Clock,
+    pub(crate) clock: vkernel::Clock,
     /// Lock-free mirror of "the kernel has undrained wakeups".
-    woken_hint: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    pub(crate) woken_hint: Arc<std::sync::atomic::AtomicBool>,
     /// The batch of woken tids being drained (kept for its capacity).
     woken: Vec<Tid>,
 }
@@ -386,7 +290,6 @@ impl WaliRunner {
             run_queue: VecDeque::new(),
             deadlines: crate::timer::TimerWheel::default(),
             vfork_waiters: FastMap::default(),
-            spawned_any: false,
             main_tid: None,
             outcome: RunOutcome::default(),
             stats: AtomicSched::default(),
@@ -428,7 +331,7 @@ impl WaliRunner {
         self.ring = Some(on);
     }
 
-    pub(crate) fn ring_on(&self) -> bool {
+    fn ring_on(&self) -> bool {
         self.ring.unwrap_or_else(ring_default)
     }
 
@@ -506,11 +409,7 @@ impl WaliRunner {
             .get(path)
             .cloned()
             .ok_or(RunnerError::NoEntry("program not registered"))?;
-        let instance = Instance::new(program.clone()).map_err(RunnerError::Instantiate)?;
-        let entry = instance
-            .export_func("_start")
-            .or_else(|| instance.export_func("main"))
-            .ok_or(RunnerError::NoEntry("_start"))?;
+        let (instance, entry) = load(&program)?;
         // The kernel process comes last: an error above must not leave a
         // `Running` task that no slot owns.
         let tid = self.kernel.lock_ok().spawn_process();
@@ -521,15 +420,15 @@ impl WaliRunner {
             .chain(args.iter().map(|s| s.to_string()))
             .collect();
         ctx.env = env.iter().map(|s| s.to_string()).collect();
-        if !self.spawned_any {
-            self.main_tid = Some(tid);
-            self.spawned_any = true;
-        }
-        let start = Pending::Start {
-            func: entry,
-            args: Vec::new(),
-        };
-        self.admit(Slot::new(tid, instance, Thread::new(), ctx, start));
+        self.main_tid.get_or_insert(tid);
+        self.admit(Slot {
+            tid,
+            instance,
+            thread: Thread::new(),
+            ctx,
+            pending: Some(Pending::Start(entry)),
+            park: None,
+        });
         Ok(tid)
     }
 
@@ -542,9 +441,7 @@ impl WaliRunner {
         policy: crate::policy::Policy,
     ) -> Result<Tid, RunnerError> {
         let tid = self.spawn(path, args, env)?;
-        if let Some(slot) = self.tasks.get_mut(&tid) {
-            slot.ctx.policy = Some(policy);
-        }
+        self.configure_ctx(tid, |ctx| ctx.policy = Some(policy));
         Ok(tid)
     }
 
@@ -555,43 +452,42 @@ impl WaliRunner {
         self.run_queue.push_back(tid);
     }
 
-    /// Runs until every task finishes.
-    ///
-    /// The scheduler loop: drain kernel wakeups into the run queue, run
-    /// the queue round-robin, and when nothing is runnable take an idle
-    /// step — jump the virtual clock to the earliest deadline, fire
-    /// timers, and unpark whatever that woke. Wakeup cost is independent
-    /// of the number of parked tasks: a transition posts to exactly the
-    /// tasks subscribed to its channel.
+    /// Runs until every task finishes — on the SMP executor when more
+    /// than one worker is configured, otherwise on the deterministic loop
+    /// below: drain kernel wakeups into the run queue, run the queue
+    /// round-robin, and when nothing is runnable take an idle step — jump
+    /// the virtual clock to the earliest deadline, fire timers, and unpark
+    /// whatever that woke. Wakeup cost is independent of the number of
+    /// parked tasks: a transition posts to exactly the tasks subscribed
+    /// to its channel.
     pub fn run(&mut self) -> Result<RunOutcome, RunnerError> {
         let workers = self.workers();
         if workers > 1 {
             return self.run_smp(workers);
         }
-        self.run_single()
-    }
-
-    /// The deterministic single-threaded scheduler (`WALI_WORKERS=1`):
-    /// byte-for-byte the pre-SMP behaviour, kept as the baseline every
-    /// test and benchmark can pin.
-    fn run_single(&mut self) -> Result<RunOutcome, RunnerError> {
         while !self.tasks.is_empty() {
             self.drain_wakeups();
             // Syscall ticks advance the clock while the queue stays busy;
             // wake parked deadlines the moment they lapse, not only at
             // idle steps.
-            if let Some(d) = self.deadlines.next_deadline() {
-                let now = self.clock.monotonic_ns();
-                if now >= d {
-                    self.wake_lapsed(now);
-                }
+            let next = self.deadlines.next_deadline();
+            if next.is_some_and(|d| d <= self.clock.monotonic_ns()) {
+                self.wake_lapsed();
             }
             let Some(tid) = self.run_queue.pop_front() else {
                 self.idle_advance()?;
                 continue;
             };
-            if self.tasks.contains_key(&tid) {
-                self.attempt(tid)?;
+            let env = SliceEnv {
+                programs: &self.programs,
+                stats: &self.stats,
+                clock: &self.clock,
+            };
+            // In place: a slot is 728 bytes, and moving it out of the map
+            // and back per slice costs more than the slice's bookkeeping.
+            if let Some(slot) = self.tasks.get_mut(&tid) {
+                let after = run_slice(slot, &env);
+                self.apply(tid, after)?;
             }
         }
         self.finish_outcome()
@@ -606,36 +502,26 @@ impl WaliRunner {
         Ok(outcome)
     }
 
-    /// Un-parks a task (disarming its deadline); returns whether it was
-    /// parked.
-    fn unpark(&mut self, tid: Tid) -> bool {
-        let Some(deadline) = self.tasks.get_mut(&tid).and_then(|s| s.park.take()) else {
-            return false;
-        };
-        if let Some(d) = deadline {
-            self.deadlines.cancel(d, tid);
-        }
-        true
-    }
-
     /// Moves kernel-woken parked tasks to the run queue.
     fn drain_wakeups(&mut self) {
-        // Lock-free gate: the hint mirrors `has_woken`, so the kernel
-        // lock is taken only when there is something to drain.
+        // Lock-free gate: the hint mirrors the kernel's woken list, so the
+        // kernel lock is taken only when there is something to drain.
         if !self.woken_hint.load(Ordering::Acquire) {
             return;
         }
-        let mut woken = std::mem::take(&mut self.woken);
-        self.kernel.lock_ok().drain_woken(&mut woken);
-        for tid in woken.drain(..) {
-            if self.unpark(tid) {
-                self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-                self.run_queue.push_back(tid);
-            }
+        self.kernel.lock_ok().drain_woken(&mut self.woken);
+        for tid in self.woken.drain(..) {
             // Wakeups for queued/running tasks are redundant: they will
             // observe the new state on their own next attempt.
+            let Some(deadline) = self.tasks.get_mut(&tid).and_then(|s| s.park.take()) else {
+                continue;
+            };
+            if let Some(d) = deadline {
+                self.deadlines.cancel(d, tid);
+            }
+            self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+            self.run_queue.push_back(tid);
         }
-        self.woken = woken;
     }
 
     /// Nothing is runnable: advance the virtual clock to the earliest
@@ -643,19 +529,17 @@ impl WaliRunner {
     /// unpark deadline-lapsed tasks; error out when no wake-up source
     /// exists.
     fn idle_advance(&mut self) -> Result<(), RunnerError> {
-        let parked_min = self.deadlines.next_deadline();
-        let timer_min = self.kernel.lock_ok().next_timer_deadline();
-        let Some(deadline) = [parked_min, timer_min].into_iter().flatten().min() else {
-            return Err(RunnerError::Deadlock(self.blocked_report()));
+        let mut k = self.kernel.lock_ok();
+        let wake_sources = [self.deadlines.next_deadline(), k.next_timer_deadline()];
+        let Some(deadline) = wake_sources.into_iter().flatten().min() else {
+            let report = stuck_report(self.tasks.values(), &self.vfork_waiters, &k);
+            return Err(RunnerError::Deadlock(report));
         };
-        let now = {
-            let mut k = self.kernel.lock_ok();
-            k.clock.advance_to(deadline);
-            k.fire_timers();
-            k.clock.monotonic_ns()
-        };
+        k.clock.advance_to(deadline);
+        k.fire_timers();
+        drop(k);
         self.stats.idle_advances.fetch_add(1, Ordering::Relaxed);
-        self.wake_lapsed(now);
+        self.wake_lapsed();
         self.drain_wakeups();
         Ok(())
     }
@@ -663,21 +547,19 @@ impl WaliRunner {
     /// Accounts one exhausted fuel slice of virtual CPU time and fires
     /// whatever that made due (timers, parked deadlines).
     fn tick_slice(&mut self) {
-        let now = {
-            let mut k = self.kernel.lock_ok();
-            k.clock.advance(SLICE_QUANTUM_NS);
-            k.fire_timers();
-            k.clock.monotonic_ns()
-        };
-        self.wake_lapsed(now);
+        let mut k = self.kernel.lock_ok();
+        k.clock.advance(SLICE_QUANTUM_NS);
+        k.fire_timers();
+        drop(k);
+        self.wake_lapsed();
     }
 
     /// Re-queues parked tasks whose deadline has lapsed. The kernel-side
     /// subscriptions are cancelled: this wake bypasses the waitqueue, so
     /// leaving them would let a later post spuriously wake the task out
     /// of an unrelated park.
-    fn wake_lapsed(&mut self, now: u64) {
-        let lapsed = self.deadlines.advance_to(now);
+    fn wake_lapsed(&mut self) {
+        let lapsed = self.deadlines.advance_to(self.clock.monotonic_ns());
         if lapsed.is_empty() {
             return;
         }
@@ -689,30 +571,6 @@ impl WaliRunner {
             k.wait_cancel(tid);
             self.run_queue.push_back(tid);
         }
-    }
-
-    /// The blocked-task table for the deadlock report.
-    fn blocked_report(&self) -> Vec<(Tid, String)> {
-        let name_of = |s: &Slot| match &s.pending {
-            Some(Pending::Retry(b)) => format!("retry {}", b.import),
-            Some(Pending::Start { .. }) => "start".into(),
-            Some(Pending::Resume(_)) => "resume".into(),
-            None => "no pending".into(),
-        };
-        let parked = self.tasks.values().filter(|s| s.park.is_some());
-        parked
-            .map(|s| &s.tid)
-            .chain(self.run_queue.iter())
-            .filter_map(|tid| self.tasks.get(tid).map(|s| (*tid, name_of(s))))
-            // vfork parents sit in neither collection; a stuck child must
-            // not hide its suspended parent from the diagnostic.
-            .chain(
-                self.vfork_waiters
-                    .values()
-                    .filter(|p| self.tasks.contains_key(p))
-                    .map(|p| (*p, "vfork (waiting on child)".into())),
-            )
-            .collect()
     }
 
     /// Runs a single registered program to completion (convenience).
@@ -727,207 +585,43 @@ impl WaliRunner {
         runner.run()
     }
 
-    /// Runs one scheduling slice of `tid`.
-    fn attempt(&mut self, tid: Tid) -> Result<(), RunnerError> {
-        let Some(pending) = self.tasks.get_mut(&tid).and_then(|s| s.pending.take()) else {
-            return Ok(());
-        };
-
-        // A task whose kernel identity died (killed by a sibling) is
-        // finalized without running. Gated on the task's signal hint:
-        // every external termination path raises it, so the common case
-        // skips the kernel lock entirely.
-        let hinted = self
-            .tasks
-            .get(&tid)
-            .map(|s| s.ctx.hint_raised())
-            .unwrap_or(true);
-        if hinted && self.task_killed(tid) {
-            self.finish_task(tid, None);
-            return Ok(());
-        }
-        let result = {
-            let slot = self.tasks.get_mut(&tid).expect("live task");
-            let t0 = slot.ctx.trace.clock();
-            let steps0 = slot.thread.steps;
-            let reg0 = slot.thread.reg_steps;
-            slot.thread.refuel(Some(FUEL_SLICE));
-            let r = match pending {
-                Pending::Start { func, args } => {
-                    slot.thread
-                        .call(&mut slot.instance, &mut slot.ctx, func, &args)
-                }
-                Pending::Resume(values) => {
-                    slot.thread
-                        .resume(&mut slot.instance, &mut slot.ctx, &values)
-                }
-                Pending::Retry(blocked) => {
-                    slot.ctx.retry_deadline = blocked.deadline;
-                    slot.thread.retry(&mut slot.instance, &mut slot.ctx)
-                }
-            };
-            if let Some(t0) = t0 {
-                slot.ctx.trace.total_time += t0.elapsed();
+    /// Applies the decision of `tid`'s slice to the FIFO and the wheel.
+    fn apply(&mut self, tid: Tid, after: After) -> Result<(), RunnerError> {
+        match after {
+            After::Finished(end) => {
+                let slot = self.tasks.remove(&tid).expect("the slot that just ran");
+                self.release_vfork_parent(tid);
+                retire(slot, end, self.main_tid, &mut self.outcome);
             }
-            slot.ctx.trace.wasm_steps += slot.thread.steps - steps0;
-            slot.ctx.trace.reg_steps += slot.thread.reg_steps - reg0;
-            (r, slot.thread.steps != steps0)
-        };
-        let (result, ran_wasm) = result;
-
-        match result {
-            RunResult::Done(values) => {
-                let code = values.first().and_then(Value::as_i32).unwrap_or(0);
-                let already = self.tasks.get(&tid).and_then(|s| s.ctx.exited);
-                if already.is_none() {
-                    let _ = self.kernel.lock_ok().sys_exit_group(tid, code);
-                }
-                self.finish_task(tid, Some(TaskEnd::Exited(already.unwrap_or(code))));
-            }
-            RunResult::Trapped(Trap::Aborted) => self.finish_task(tid, None),
-            RunResult::Trapped(t) => {
-                let _ = self.kernel.lock_ok().sys_exit_group(tid, 128);
-                self.finish_task(tid, Some(TaskEnd::Trapped(t)));
-            }
-            RunResult::Blocked(blocked) => {
-                let slot = self.tasks.get_mut(&tid).expect("live task");
-                let d = park_blocked(slot, &self.stats, &self.clock, blocked, ran_wasm);
-                if let Some(d) = d {
+            After::Parked(deadline) => {
+                if let Some(d) = deadline {
                     self.deadlines.insert(d, tid);
                 }
             }
-            RunResult::Suspended(s) => match s.downcast::<WaliSuspend>() {
-                Ok(payload) => return self.handle_suspend(tid, *payload),
-                Err(s) => {
-                    if s.downcast::<wasm::interp::Preempted>().is_err() {
-                        return Err(RunnerError::NoEntry("unknown suspension payload"));
-                    }
-                    // Fuel slice expired: reschedule fairly and account
-                    // the slice's virtual CPU time.
-                    self.requeue(tid, Pending::Resume(Vec::new()));
-                    self.tick_slice();
-                }
-            },
-        }
-        Ok(())
-    }
-
-    /// Puts a live task back on the run queue with its next pending step.
-    fn requeue(&mut self, tid: Tid, pending: Pending) {
-        if let Some(slot) = self.tasks.get_mut(&tid) {
-            slot.pending = Some(pending);
-            self.run_queue.push_back(tid);
-        }
-    }
-
-    fn handle_suspend(&mut self, tid: Tid, payload: WaliSuspend) -> Result<(), RunnerError> {
-        match payload {
-            WaliSuspend::Exit { code } => {
-                self.finish_task(tid, Some(TaskEnd::Exited(code)));
-            }
-            WaliSuspend::Fork { child_tid, vfork } => {
-                // `vfork` shares the parent's pages outright (no
-                // snapshot); the parent is suspended until the child
-                // execs or exits — the Linux contract.
-                let child = {
-                    let slot = self.tasks.get(&tid).expect("live task");
-                    let instance = if vfork {
-                        slot.instance.thread_clone()
-                    } else {
-                        slot.instance.fork_clone()
-                    };
-                    let ctx = slot.ctx.fork_child(child_tid);
-                    let resume = Pending::Resume(vec![Value::I64(0)]);
-                    Slot::new(child_tid, instance, slot.thread.clone(), ctx, resume)
-                };
-                self.admit(child);
-                if vfork {
-                    // Park the parent off every queue; the child's
-                    // exec/exit requeues it with the child pid.
-                    self.vfork_waiters.insert(child_tid, tid);
-                    if let Some(slot) = self.tasks.get_mut(&tid) {
-                        slot.pending = Some(Pending::Resume(vec![Value::I64(child_tid as i64)]));
-                    }
-                } else {
-                    self.requeue(tid, Pending::Resume(vec![Value::I64(child_tid as i64)]));
-                }
-            }
-            WaliSuspend::Clone {
-                child_tid,
-                share_vm,
-                thread,
-            } => {
-                let child = {
-                    let slot = self.tasks.get(&tid).expect("live task");
-                    let instance = if share_vm {
-                        slot.instance.thread_clone()
-                    } else {
-                        slot.instance.fork_clone()
-                    };
-                    let ctx = if thread {
-                        slot.ctx.thread_sibling(child_tid)
-                    } else {
-                        slot.ctx.fork_child(child_tid)
-                    };
-                    let resume = Pending::Resume(vec![Value::I64(0)]);
-                    Slot::new(child_tid, instance, slot.thread.clone(), ctx, resume)
-                };
-                self.admit(child);
-                self.requeue(tid, Pending::Resume(vec![Value::I64(child_tid as i64)]));
-            }
-            WaliSuspend::Exec { path, argv, envp } => {
-                let Some(program) = self.programs.get(&path).cloned() else {
-                    self.requeue(
-                        tid,
-                        Pending::Resume(vec![Value::I64(Errno::Enoent.as_ret())]),
-                    );
-                    return Ok(());
-                };
-                {
-                    let mut k = self.kernel.lock_ok();
-                    let _ = k.sys_execve(tid);
-                }
-                // A fresh private memory: replacing the old instance below
-                // drops its page references eagerly, so a vfork/COW parent
-                // regains exclusive ownership of the shared pages.
-                let instance = Instance::new(program.clone()).map_err(RunnerError::Instantiate)?;
-                let entry = instance
-                    .export_func("_start")
-                    .or_else(|| instance.export_func("main"))
-                    .ok_or(RunnerError::NoEntry("_start"))?;
-                let old_trace = self
-                    .tasks
-                    .get(&tid)
-                    .map(|s| s.ctx.trace.clone())
-                    .unwrap_or_default();
-                let mut ctx = WaliContext::new(self.kernel.clone(), tid, program.data_end());
-                ctx.ring = self.ring_on();
-                ctx.args = if argv.is_empty() {
-                    vec![path.clone()]
-                } else {
-                    argv
-                };
-                ctx.env = envp;
-                ctx.trace = old_trace;
-                let slot = self.tasks.get_mut(&tid).expect("live task");
-                slot.instance = instance;
-                slot.thread = Thread::new();
-                slot.ctx = ctx;
-                slot.pending = Some(Pending::Start {
-                    func: entry,
-                    args: Vec::new(),
-                });
+            After::Runnable => self.run_queue.push_back(tid),
+            After::Preempted => {
                 self.run_queue.push_back(tid);
-                // execve releases a vfork parent waiting on this child.
+                self.tick_slice();
+            }
+            After::Spawned {
+                child,
+                suspend_parent,
+            } => {
+                if suspend_parent {
+                    self.vfork_waiters.insert(child.tid, tid);
+                }
+                self.admit(*child);
+                if !suspend_parent {
+                    self.run_queue.push_back(tid);
+                }
+            }
+            After::Execed => {
+                self.run_queue.push_back(tid);
                 self.release_vfork_parent(tid);
             }
+            After::Fatal(err) => return Err(err),
         }
         Ok(())
-    }
-
-    fn task_killed(&self, tid: Tid) -> bool {
-        let k = self.kernel.lock_ok();
-        k.task(tid).map(|t| t.exited()).unwrap_or(true)
     }
 
     /// Requeues the vfork parent suspended on `child`, if any (called at
@@ -938,48 +632,5 @@ impl WaliRunner {
                 self.run_queue.push_back(parent);
             }
         }
-    }
-
-    fn finish_task(&mut self, tid: Tid, end: Option<TaskEnd>) {
-        let Some(slot) = self.tasks.remove(&tid) else {
-            return;
-        };
-        if let Some(Some(d)) = slot.park {
-            self.deadlines.cancel(d, tid);
-        }
-        self.release_vfork_parent(tid);
-        // A task killed mid-slice may have re-blocked (and re-subscribed)
-        // between the fatal signal and the runner noticing the death:
-        // EINTR resumes its wasm, which can reach the next blocking
-        // syscall before any safepoint unwinds it. Finalization is the
-        // task's last word, so its wait subscriptions go with it.
-        self.kernel.lock_ok().wait_cancel(tid);
-        let end = end.unwrap_or_else(|| {
-            // Pull the status from the kernel (killed by signal or exited
-            // by a sibling thread).
-            let k = self.kernel.lock_ok();
-            match k.task(slot.tid).map(|t| t.state.clone()) {
-                Ok(TaskState::Zombie(status)) if wali_abi::flags::wifsignaled(status) => {
-                    TaskEnd::Exited(128 + wali_abi::flags::wtermsig(status))
-                }
-                Ok(TaskState::Zombie(status)) => {
-                    TaskEnd::Exited(wali_abi::flags::wexitstatus(status))
-                }
-                _ => TaskEnd::Exited(slot.ctx.exited.unwrap_or(0)),
-            }
-        });
-        self.outcome.peak_memory_pages = self
-            .outcome
-            .peak_memory_pages
-            .max(slot.instance.memory.peak_pages());
-        self.outcome.peak_resident_pages = self
-            .outcome
-            .peak_resident_pages
-            .max(slot.instance.memory.peak_resident_pages());
-        self.outcome.trace.merge(&slot.ctx.trace);
-        if Some(slot.tid) == self.main_tid {
-            self.outcome.main_exit = Some(end.clone());
-        }
-        self.outcome.ends.push((slot.tid, end));
     }
 }

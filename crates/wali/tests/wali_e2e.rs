@@ -871,3 +871,196 @@ fn time_breakdown_is_populated() {
     assert_eq!(off.trace.counts, on.trace.counts);
     assert_eq!(off.trace.wasm_steps, on.trace.wasm_steps);
 }
+
+/// A module whose only function, exported as `export`, returns `code`.
+fn returns(code: i32, export: &str, tweak: impl FnOnce(&mut ModuleBuilder)) -> Module {
+    let mut mb = ModuleBuilder::new();
+    mb.memory(1, Some(1));
+    tweak(&mut mb);
+    let sig = mb.sig([], [I32]);
+    let f = mb.func(sig, |b| {
+        b.i32(code);
+    });
+    mb.export(export, f);
+    mb.build()
+}
+
+/// What the runner was told — the §3.6 policy, `set_ring(false)`,
+/// `set_layer_timing(true)` — holds for the program a task execs, on
+/// both schedulers: the exec image is derived from the old context.
+#[test]
+fn policy_ring_and_timing_survive_execve() {
+    use wali::policy::{DenyAction, Policy};
+    use wali_abi::Errno;
+
+    // A makes no kernel call of its own: it only execs B.
+    let mut a = ModuleBuilder::new();
+    let execve = sys(&mut a, "execve", 3);
+    a.memory(1, Some(2));
+    let path = a.c_str("/usr/bin/b");
+    let sig = a.sig([], [I32]);
+    let main_a = a.func(sig, |b| {
+        b.i64(path as i64).i64(0).i64(0).call(execve).drop_();
+        b.i32(99);
+    });
+    a.export("_start", main_a);
+
+    // B exits 3 - (socket() == -EPERM) - 2 * (wali_ring_enter() == -ENOSYS).
+    let mut bm = ModuleBuilder::new();
+    let socket = sys(&mut bm, "socket", 3);
+    let ring_enter = sys(&mut bm, "wali_ring_enter", 4);
+    let write = sys(&mut bm, "write", 3);
+    bm.memory(1, Some(2));
+    let msg = bm.c_str("B\n");
+    let sig = bm.sig([], [I32]);
+    let main_b = bm.func(sig, |b| {
+        b.i64(1).i64(msg as i64).i64(2).call(write).drop_();
+        b.i32(3);
+        b.i64(2).i64(1).i64(0).call(socket);
+        b.i64(Errno::Eperm.as_ret()).eq64().sub32();
+        b.i64(0).i64(0).i64(0).i64(0).call(ring_enter);
+        b.i64(Errno::Enosys.as_ret()).eq64().i32(2).mul32().sub32();
+    });
+    bm.export("_start", main_b);
+    let (a, bm) = (roundtrip(&a.build()), roundtrip(&bm.build()));
+
+    for workers in [1, 4] {
+        let mut runner = WaliRunner::new_default();
+        runner.set_workers(workers);
+        runner.set_ring(false);
+        runner.set_layer_timing(true);
+        runner.register_program("/usr/bin/a", &a).unwrap();
+        runner.register_program("/usr/bin/b", &bm).unwrap();
+        let deny = Policy::deny_list(["socket"], DenyAction::Errno(Errno::Eperm));
+        runner
+            .spawn_with_policy("/usr/bin/a", &[], &[], deny)
+            .unwrap();
+        let out = runner.run().unwrap();
+        assert_eq!(out.stdout(), "B\n", "workers {workers}");
+        assert_eq!(
+            out.exit_code(),
+            Some(0),
+            "workers {workers}: 1 = B's socket() got past the policy, 2 = its ring was on"
+        );
+        // Only B entered the kernel.
+        assert!(out.trace.timing, "workers {workers}");
+        assert!(
+            out.trace.kernel_time > std::time::Duration::ZERO,
+            "workers {workers}"
+        );
+    }
+}
+
+/// An `execve` target that is registered but cannot start — no entry
+/// export, or a data segment that does not fit its memory — is the
+/// caller's `-ENOEXEC`, found before the point of no return: the caller
+/// keeps its close-on-exec fds, and the run and its other tasks go on.
+#[test]
+fn a_bad_execve_target_is_enoexec_for_the_caller_only() {
+    use wali_abi::flags::O_CLOEXEC;
+    use wali_abi::Errno;
+
+    // Exits 3 - (execve(target) == -ENOEXEC) - 2 * (write(cloexec_fd) == 1).
+    let prober = |target: &str| {
+        let mut mb = ModuleBuilder::new();
+        let open = sys(&mut mb, "open", 3);
+        let execve = sys(&mut mb, "execve", 3);
+        let write = sys(&mut mb, "write", 3);
+        mb.memory(1, Some(2));
+        let file = mb.c_str("/tmp/keep");
+        let path = mb.c_str(target);
+        let sig = mb.sig([], [I32]);
+        let main = mb.func(sig, |b| {
+            let fd = b.local(I64);
+            b.i64(file as i64)
+                .i64((0o102 | O_CLOEXEC) as i64)
+                .i64(0o644)
+                .call(open)
+                .local_set(fd);
+            b.i32(3);
+            b.i64(path as i64).i64(0).i64(0).call(execve);
+            b.i64(Errno::Enoexec.as_ret()).eq64().sub32();
+            b.local_get(fd).i64(file as i64).i64(1).call(write);
+            b.i64(1).eq64().i32(2).mul32().sub32();
+        });
+        mb.export("_start", main);
+        roundtrip(&mb.build())
+    };
+    let no_entry = returns(0, "not_an_entry", |_| {});
+    let oob = returns(0, "_start", |mb| mb.data_at(70_000, b"x"));
+    let third = returns(7, "_start", |_| {});
+
+    for workers in [1, 4] {
+        let mut runner = WaliRunner::new_default();
+        runner.set_workers(workers);
+        for (path, module) in [
+            ("/usr/bin/probe-noentry", &prober("/usr/bin/noentry")),
+            ("/usr/bin/probe-oob", &prober("/usr/bin/oob")),
+            ("/usr/bin/noentry", &no_entry),
+            ("/usr/bin/oob", &oob),
+            ("/usr/bin/third", &third),
+        ] {
+            runner.register_program(path, module).unwrap();
+        }
+        for path in [
+            "/usr/bin/probe-noentry",
+            "/usr/bin/probe-oob",
+            "/usr/bin/third",
+        ] {
+            runner.spawn(path, &[], &[]).unwrap();
+        }
+        let out = runner
+            .run()
+            .unwrap_or_else(|e| panic!("workers {workers}: {e}"));
+        let mut ends: Vec<&TaskEnd> = out.ends.iter().map(|(_, e)| e).collect();
+        ends.sort_by_key(|e| format!("{e:?}"));
+        assert_eq!(
+            ends,
+            [
+                &TaskEnd::Exited(0),
+                &TaskEnd::Exited(0),
+                &TaskEnd::Exited(7)
+            ],
+            "workers {workers}: 1 = not ENOEXEC, 2 = the close-on-exec fd was swept"
+        );
+        let leaks = runner.leak_audit();
+        assert!(leaks.is_clean(), "workers {workers}: {}", leaks.describe());
+    }
+}
+
+/// One deadlock report for both schedulers: a lone `read` on an empty
+/// pipe whose write end stays open has no wake-up source, and the entry
+/// says what the task was doing, where the scheduler held it and what
+/// the kernel thought of it.
+#[test]
+fn deadlock_report_names_the_call_the_place_and_the_kernel_state() {
+    let mut mb = ModuleBuilder::new();
+    let pipe2 = sys(&mut mb, "pipe2", 2);
+    let read = sys(&mut mb, "read", 3);
+    mb.memory(1, Some(2));
+    let fds = mb.reserve(8);
+    let buf = mb.reserve(8);
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        b.i64(fds as i64).i64(0).call(pipe2).drop_();
+        b.i32(fds as i32).load32(0).extend_u();
+        b.i64(buf as i64).i64(1).call(read).wrap();
+    });
+    mb.export("_start", main);
+    let module = roundtrip(&mb.build());
+
+    for workers in [1, 4] {
+        let mut runner = WaliRunner::new_default();
+        runner.set_workers(workers);
+        runner.register_program("/usr/bin/app", &module).unwrap();
+        let tid = runner.spawn("/usr/bin/app", &[], &[]).unwrap();
+        let Err(wali::runner::RunnerError::Deadlock(stuck)) = runner.run() else {
+            panic!("workers {workers}: expected a deadlock")
+        };
+        assert_eq!(
+            stuck,
+            [(tid, "retry SYS_read; parked; kernel Running".to_string())],
+            "workers {workers}"
+        );
+    }
+}
