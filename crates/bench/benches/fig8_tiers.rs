@@ -13,6 +13,11 @@ fn main() {
             apps::native::lua_native(&mut k, tid, 5);
         })
     });
+    // This row links inside the timed closure (ROADMAP 6b), and since the
+    // prepared-module table every iteration after the first finds its
+    // module already prepared: the row dropped with PR 19 for that reason,
+    // not because anything it runs got faster. `startup/*/first_seen`
+    // (`benches/startup.rs`) are the cold numbers.
     g.bench_function("wali", |b| {
         b.iter(|| {
             let app = apps::lua_sim(5);

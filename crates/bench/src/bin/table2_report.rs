@@ -58,7 +58,7 @@ fn main() {
     let instance = Instance::new(program).unwrap();
     let kernel = wali::new_kernel_ref(vkernel::Kernel::new());
     let tid = kernel.lock_ok().spawn_process();
-    let mut ctx = WaliContext::new(kernel, tid, 8192);
+    let mut ctx = WaliContext::new(kernel, tid, 8192, wali::runner::ring_default());
 
     // Open a working fd and a socket for the networked calls.
     let call = bench::call_sys;

@@ -77,7 +77,12 @@ impl EmuRunner {
     pub fn run(&mut self, args: &[&str]) -> Result<EmuOutcome, String> {
         let tid = self.kernel.lock_ok().spawn_process();
         let mut instance = Instance::new(self.program.clone()).map_err(|t| t.to_string())?;
-        let mut ctx = WaliContext::new(self.kernel.clone(), tid, self.program.data_end());
+        let mut ctx = WaliContext::new(
+            self.kernel.clone(),
+            tid,
+            self.program.data_end(),
+            wali::runner::ring_default(),
+        );
         ctx.args = args.iter().map(|s| s.to_string()).collect();
         let entry = instance
             .export_func("_start")

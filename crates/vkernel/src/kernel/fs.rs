@@ -1030,6 +1030,47 @@ mod tests {
     }
 
     #[test]
+    fn a_write_in_one_kernel_is_invisible_in_the_next() {
+        // What a kernel sees of the paths the test changes.
+        fn view(k: &mut Kernel, tid: Tid) -> (Vec<u8>, Vec<u8>, u32, bool, usize) {
+            let mode =
+                |k: &mut Kernel, path| k.sys_fstatat(tid, AT_FDCWD, path, 0).map(|st| st.st_mode);
+            (
+                k.vfs.read_file("/etc/passwd").unwrap(),
+                k.vfs.read_file("/etc/hostname").unwrap(),
+                mode(k, "/dev/null").unwrap(),
+                mode(k, "/tmp/x").is_ok(),
+                k.vfs.inode_count(),
+            )
+        }
+        let (mut before, tid_before) = kp();
+        let pristine = view(&mut before, tid_before);
+
+        let (mut k, tid) = kp();
+        let fd = k
+            .sys_openat(tid, AT_FDCWD, "/etc/passwd", O_APPEND | O_WRONLY, 0)
+            .unwrap();
+        k.sys_write(tid, fd, b"mallory:x:0:0::/:/bin/sh\n").unwrap();
+        k.sys_mkdirat(tid, AT_FDCWD, "/tmp/x", 0o755).unwrap();
+        k.sys_unlinkat(tid, AT_FDCWD, "/etc/hostname", 0).unwrap();
+        k.sys_fchmodat(tid, AT_FDCWD, "/dev/null", 0o600).unwrap();
+        assert!(k
+            .vfs
+            .read_file("/etc/passwd")
+            .unwrap()
+            .ends_with(b"/bin/sh\n"));
+        assert!(k.vfs.read_file("/etc/hostname").is_err());
+
+        // A kernel built before and one built after both see the
+        // standard layout.
+        assert_eq!(view(&mut before, tid_before), pristine);
+        let (mut after, tid_after) = kp();
+        assert_eq!(view(&mut after, tid_after), pristine);
+        let (_, _, null_mode, has_tmp_x, inodes) = pristine;
+        assert_eq!((null_mode & 0o777, has_tmp_x, inodes), (0o666, false, 22));
+    }
+
+    #[test]
     fn o_excl_and_o_trunc() {
         let (mut k, tid) = kp();
         let fd = k

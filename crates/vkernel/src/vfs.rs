@@ -2,7 +2,7 @@
 //! and the `/proc` entries WALI's security model interposes on.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use wali_abi::flags::{S_IFCHR, S_IFDIR, S_IFLNK, S_IFMT, S_IFREG};
 use wali_abi::Errno;
@@ -49,7 +49,7 @@ pub enum InodeKind {
 }
 
 /// An inode.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Inode {
     /// Stable inode number (for `stat`).
     pub ino: u64,
@@ -120,10 +120,12 @@ pub struct Resolved {
     pub inode: Option<InodeId>,
 }
 
-/// The filesystem.
+/// The filesystem. Inodes are shared between clones and copied on
+/// write ([`Vfs::get_mut`]), so a clone costs one reference count per
+/// inode and a filesystem only ever owns the inodes it changed.
 #[derive(Clone, Debug)]
 pub struct Vfs {
-    inodes: Vec<Option<Inode>>,
+    inodes: Vec<Option<Arc<Inode>>>,
     /// Root directory inode.
     pub root: InodeId,
     next_ino: u64,
@@ -150,8 +152,14 @@ impl Vfs {
 
     /// Creates a filesystem with the standard layout: `/tmp`, `/home`,
     /// `/etc/passwd`, `/dev/{null,zero,urandom,tty}` and the `/proc`
-    /// entries the WALI security model cares about.
+    /// entries the WALI security model cares about. The layout is built
+    /// once per process; every call clones that template.
     pub fn with_std_layout() -> Vfs {
+        static TEMPLATE: OnceLock<Vfs> = OnceLock::new();
+        TEMPLATE.get_or_init(Vfs::build_std_layout).clone()
+    }
+
+    fn build_std_layout() -> Vfs {
         let mut vfs = Vfs::new();
         for dir in [
             "/tmp",
@@ -208,7 +216,7 @@ impl Vfs {
             mtime: now,
             ctime: now,
         };
-        self.inodes.push(Some(node));
+        self.inodes.push(Some(Arc::new(node)));
         self.inodes.len() - 1
     }
 
@@ -216,15 +224,17 @@ impl Vfs {
     pub fn get(&self, id: InodeId) -> Result<&Inode, Errno> {
         self.inodes
             .get(id)
-            .and_then(|i| i.as_ref())
+            .and_then(|i| i.as_deref())
             .ok_or(Errno::Enoent)
     }
 
-    /// Fetches an inode mutably.
+    /// Fetches an inode mutably — the one place a shared inode becomes
+    /// this filesystem's own copy.
     pub fn get_mut(&mut self, id: InodeId) -> Result<&mut Inode, Errno> {
         self.inodes
             .get_mut(id)
             .and_then(|i| i.as_mut())
+            .map(Arc::make_mut)
             .ok_or(Errno::Enoent)
     }
 
@@ -642,6 +652,32 @@ mod tests {
             let r = vfs.resolve(vfs.root, p, true).unwrap();
             assert!(r.inode.is_some(), "{p} missing");
         }
+    }
+
+    #[test]
+    fn a_template_clone_equals_a_from_scratch_build() {
+        let (cloned, built) = (Vfs::with_std_layout(), Vfs::build_std_layout());
+        // Inode for inode: numbers, kinds, permissions, link counts, times.
+        assert_eq!(cloned.inodes, built.inodes);
+        assert_eq!(cloned.inode_count(), 22);
+        assert_eq!((cloned.root, cloned.next_ino), (built.root, built.next_ino));
+    }
+
+    #[test]
+    fn a_clone_owns_only_the_inodes_it_changed() {
+        let pristine = Vfs::with_std_layout();
+        let mut vfs = Vfs::with_std_layout();
+        vfs.write_file("/tmp/f", b"x").unwrap();
+        let shared = vfs
+            .inodes
+            .iter()
+            .zip(&pristine.inodes)
+            .filter(|pair| matches!(pair, (Some(a), Some(b)) if Arc::ptr_eq(a, b)))
+            .count();
+        // Only `/tmp` was copied; the new file is this filesystem's own.
+        assert_eq!(shared, 21);
+        assert_eq!(vfs.inode_count(), 23);
+        assert_eq!(pristine.inode_count(), 22);
     }
 
     #[test]

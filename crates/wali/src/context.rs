@@ -126,8 +126,10 @@ impl WaliContext {
     /// Creates the context for an existing kernel task.
     ///
     /// `heap_base` is the first address past the module's static data; the
-    /// `brk` heap starts there and the mmap pool above it.
-    pub fn new(kernel: KernelRef, tid: Tid, heap_base: u32) -> WaliContext {
+    /// `brk` heap starts there and the mmap pool above it. `ring` says
+    /// whether `wali_ring_enter` is served (a runner passes its own
+    /// setting, anyone else [`crate::runner::ring_default`]).
+    pub fn new(kernel: KernelRef, tid: Tid, heap_base: u32, ring: bool) -> WaliContext {
         let (mm, sig_hint, meter, handles) = {
             let k = kernel.lock_ok();
             let task = k.task(tid).expect("task exists");
@@ -154,7 +156,7 @@ impl WaliContext {
             retry_deadline: None,
             handles,
             hot_cache: None,
-            ring: crate::runner::ring_default(),
+            ring,
             ring_pending: Vec::new(),
             sig_hint,
             meter,
@@ -343,7 +345,7 @@ mod tests {
     fn ctx() -> WaliContext {
         let kernel = new_kernel_ref(Kernel::new());
         let tid = kernel.lock_ok().spawn_process();
-        WaliContext::new(kernel, tid, 4096)
+        WaliContext::new(kernel, tid, 4096, true)
     }
 
     #[test]

@@ -289,7 +289,7 @@ mod tests {
         let instance = wasm::Instance::new(std::sync::Arc::new(program)).expect("instantiate");
         let kernel = crate::new_kernel_ref(vkernel::Kernel::new());
         let tid = kernel.lock_ok().spawn_process();
-        let mut ctx = WaliContext::new(kernel.clone(), tid, 4096);
+        let mut ctx = WaliContext::new(kernel.clone(), tid, 4096, true);
         let call = |ctx: &mut WaliContext| {
             let mut caller = Caller {
                 instance: &instance,

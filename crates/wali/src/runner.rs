@@ -388,6 +388,11 @@ impl WaliRunner {
         Ok(())
     }
 
+    /// The program registered at `path`.
+    pub fn program(&self, path: &str) -> Option<&Arc<Program<WaliContext>>> {
+        self.programs.get(path)
+    }
+
     /// Gives a registered program a file the guest can `stat`, `access`
     /// and `execve`: an executable stub at `path`, with any missing parent
     /// directory created (the standard layout has `/usr/bin` but no `/bin`).
@@ -413,8 +418,8 @@ impl WaliRunner {
         // The kernel process comes last: an error above must not leave a
         // `Running` task that no slot owns.
         let tid = self.kernel.lock_ok().spawn_process();
-        let mut ctx = WaliContext::new(self.kernel.clone(), tid, program.data_end());
-        ctx.ring = self.ring_on();
+        let mut ctx =
+            WaliContext::new(self.kernel.clone(), tid, program.data_end(), self.ring_on());
         ctx.trace.timing = self.layer_timing;
         ctx.args = std::iter::once(path.to_string())
             .chain(args.iter().map(|s| s.to_string()))

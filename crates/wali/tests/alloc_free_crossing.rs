@@ -18,6 +18,7 @@ use std::cell::Cell;
 
 use wasm::build::ModuleBuilder;
 use wasm::instr::BlockType;
+use wasm::prep::FuncDef;
 use wasm::types::ValType::{I32, I64};
 use wasm::Module;
 
@@ -153,12 +154,42 @@ fn allocations_do_not_grow_with_the_number_of_crossings() {
 
 #[test]
 fn a_second_runner_does_not_rebuild_the_import_table() {
-    // Whichever runner comes first in this process builds the table.
+    // Whichever runner comes first in this process builds the table and
+    // the standard VFS layout.
     drop(WaliRunner::new_default());
     let before = ALLOCS.with(Cell::get);
     drop(WaliRunner::new_default());
     let allocs = ALLOCS.with(Cell::get) - before;
-    // `Kernel::new` (standard VFS layout, fd and task tables) is ~95 of
-    // these; one registration per spec entry would be > 1 000.
-    assert!(allocs < 150, "a fresh runner made {allocs} allocations");
+    // 29: the kernel's own tables plus one clone of the inode table.
+    // Replaying the layout per runner made it 103; one registration per
+    // spec entry would be > 1 000.
+    assert!(allocs < 40, "a fresh runner made {allocs} allocations");
+}
+
+#[test]
+fn a_second_start_of_a_seen_module_prepares_nothing() {
+    let guest = dense_guest(3);
+    let link = |module: &Module| {
+        let mut runner = WaliRunner::new_default();
+        let before = ALLOCS.with(Cell::get);
+        runner.register_program("/usr/bin/app", module).unwrap();
+        let allocs = ALLOCS.with(Cell::get) - before;
+        (runner, allocs)
+    };
+    let (first, _) = link(&roundtrip(&guest));
+    // An equal module, decoded again from the same bytes, on a fresh
+    // runner: the image is found, only the imports are bound.
+    let (second, allocs) = link(&roundtrip(&guest));
+    assert!(allocs <= 20, "the second link made {allocs} allocations");
+    let a = first.program("/usr/bin/app").expect("registered");
+    let b = second.program("/usr/bin/app").expect("registered");
+    assert!(std::sync::Arc::ptr_eq(&a.image, &b.image));
+    let mut locals = 0;
+    for (fa, fb) in a.funcs.iter().zip(&b.funcs) {
+        if let (FuncDef::Local(fa), FuncDef::Local(fb)) = (fa, fb) {
+            assert!(std::sync::Arc::ptr_eq(fa, fb));
+            locals += 1;
+        }
+    }
+    assert_eq!(locals, 1);
 }

@@ -59,6 +59,15 @@ pub fn decode(bytes: &[u8]) -> Result<Module, DecodeError> {
     Ok(m)
 }
 
+/// Reads an element count and reserves room for that many elements in
+/// `v` — clamped to the bytes left, as every element costs at least one.
+/// The count is guest input: on its own it must not size an allocation.
+fn count<T>(r: &mut Reader, v: &mut Vec<T>) -> Result<usize, DecodeError> {
+    let n = r.u32()? as usize;
+    v.reserve_exact(n.min(r.remaining()));
+    Ok(n)
+}
+
 fn valtype(r: &mut Reader) -> Result<ValType, DecodeError> {
     let b = r.byte()?;
     ValType::from_byte(b).ok_or(DecodeError::Malformed("value type"))
@@ -78,19 +87,16 @@ fn limits(r: &mut Reader) -> Result<(Limits, bool), DecodeError> {
 }
 
 fn decode_types(r: &mut Reader, m: &mut Module) -> Result<(), DecodeError> {
-    let count = r.u32()?;
-    for _ in 0..count {
+    for _ in 0..count(r, &mut m.types)? {
         if r.byte()? != 0x60 {
             return Err(DecodeError::Malformed("functype tag"));
         }
-        let np = r.u32()? as usize;
-        let mut params = Vec::with_capacity(np);
-        for _ in 0..np {
+        let mut params = Vec::new();
+        for _ in 0..count(r, &mut params)? {
             params.push(valtype(r)?);
         }
-        let nr = r.u32()? as usize;
-        let mut results = Vec::with_capacity(nr);
-        for _ in 0..nr {
+        let mut results = Vec::new();
+        for _ in 0..count(r, &mut results)? {
             results.push(valtype(r)?);
         }
         m.types.push(FuncType { params, results });
@@ -99,8 +105,7 @@ fn decode_types(r: &mut Reader, m: &mut Module) -> Result<(), DecodeError> {
 }
 
 fn decode_imports(r: &mut Reader, m: &mut Module) -> Result<(), DecodeError> {
-    let count = r.u32()?;
-    for _ in 0..count {
+    for _ in 0..count(r, &mut m.imports)? {
         let module = r.name()?;
         let name = r.name()?;
         let desc = match r.byte()? {
@@ -133,16 +138,14 @@ fn decode_imports(r: &mut Reader, m: &mut Module) -> Result<(), DecodeError> {
 }
 
 fn decode_funcs(r: &mut Reader, m: &mut Module) -> Result<(), DecodeError> {
-    let count = r.u32()?;
-    for _ in 0..count {
+    for _ in 0..count(r, &mut m.funcs)? {
         m.funcs.push(r.u32()?);
     }
     Ok(())
 }
 
 fn decode_tables(r: &mut Reader, m: &mut Module) -> Result<(), DecodeError> {
-    let count = r.u32()?;
-    for _ in 0..count {
+    for _ in 0..count(r, &mut m.tables)? {
         if r.byte()? != 0x70 {
             return Err(DecodeError::Malformed("table elem type"));
         }
@@ -153,8 +156,7 @@ fn decode_tables(r: &mut Reader, m: &mut Module) -> Result<(), DecodeError> {
 }
 
 fn decode_memories(r: &mut Reader, m: &mut Module) -> Result<(), DecodeError> {
-    let count = r.u32()?;
-    for _ in 0..count {
+    for _ in 0..count(r, &mut m.memories)? {
         let (l, shared) = limits(r)?;
         m.memories.push(MemoryType { limits: l, shared });
     }
@@ -183,8 +185,7 @@ fn const_expr(r: &mut Reader) -> Result<ConstExpr, DecodeError> {
 }
 
 fn decode_globals(r: &mut Reader, m: &mut Module) -> Result<(), DecodeError> {
-    let count = r.u32()?;
-    for _ in 0..count {
+    for _ in 0..count(r, &mut m.globals)? {
         let ty = valtype(r)?;
         let mutable = match r.byte()? {
             0 => false,
@@ -201,8 +202,7 @@ fn decode_globals(r: &mut Reader, m: &mut Module) -> Result<(), DecodeError> {
 }
 
 fn decode_exports(r: &mut Reader, m: &mut Module) -> Result<(), DecodeError> {
-    let count = r.u32()?;
-    for _ in 0..count {
+    for _ in 0..count(r, &mut m.exports)? {
         let name = r.name()?;
         let kind = r.byte()?;
         let idx = r.u32()?;
@@ -219,15 +219,13 @@ fn decode_exports(r: &mut Reader, m: &mut Module) -> Result<(), DecodeError> {
 }
 
 fn decode_elems(r: &mut Reader, m: &mut Module) -> Result<(), DecodeError> {
-    let count = r.u32()?;
-    for _ in 0..count {
+    for _ in 0..count(r, &mut m.elems)? {
         if r.u32()? != 0 {
             return Err(DecodeError::Malformed("element segment kind"));
         }
         let offset = const_expr(r)?;
-        let n = r.u32()? as usize;
-        let mut funcs = Vec::with_capacity(n);
-        for _ in 0..n {
+        let mut funcs = Vec::new();
+        for _ in 0..count(r, &mut funcs)? {
             funcs.push(r.u32()?);
         }
         m.elems.push(ElemSegment { offset, funcs });
@@ -236,8 +234,7 @@ fn decode_elems(r: &mut Reader, m: &mut Module) -> Result<(), DecodeError> {
 }
 
 fn decode_datas(r: &mut Reader, m: &mut Module) -> Result<(), DecodeError> {
-    let count = r.u32()?;
-    for _ in 0..count {
+    for _ in 0..count(r, &mut m.datas)? {
         if r.u32()? != 0 {
             return Err(DecodeError::Malformed("data segment kind"));
         }
@@ -250,15 +247,13 @@ fn decode_datas(r: &mut Reader, m: &mut Module) -> Result<(), DecodeError> {
 }
 
 fn decode_code(r: &mut Reader, m: &mut Module) -> Result<(), DecodeError> {
-    let count = r.u32()?;
-    for _ in 0..count {
+    for _ in 0..count(r, &mut m.code)? {
         let size = r.u32()? as usize;
         let body = r.bytes(size)?;
         let mut br = Reader::new(body);
-        let nlocals = br.u32()? as usize;
-        let mut locals = Vec::with_capacity(nlocals);
+        let mut locals = Vec::new();
         let mut total: u64 = 0;
-        for _ in 0..nlocals {
+        for _ in 0..count(&mut br, &mut locals)? {
             let n = br.u32()?;
             let t = valtype(&mut br)?;
             total += n as u64;
@@ -299,7 +294,8 @@ fn block_type(r: &mut Reader) -> Result<BlockType, DecodeError> {
 /// Decodes an instruction sequence terminated by a balanced final `End`
 /// (the terminator itself is consumed but not included).
 pub fn decode_expr(r: &mut Reader) -> Result<Vec<Instr>, DecodeError> {
-    let mut out = Vec::new();
+    // An instruction is at least one byte.
+    let mut out = Vec::with_capacity(r.remaining());
     let mut depth = 0usize;
     loop {
         let op = r.byte()?;
@@ -329,9 +325,8 @@ pub fn decode_expr(r: &mut Reader) -> Result<Vec<Instr>, DecodeError> {
             0x0c => Instr::Br(r.u32()?),
             0x0d => Instr::BrIf(r.u32()?),
             0x0e => {
-                let n = r.u32()? as usize;
-                let mut targets = Vec::with_capacity(n);
-                for _ in 0..n {
+                let mut targets = Vec::new();
+                for _ in 0..count(r, &mut targets)? {
                     targets.push(r.u32()?);
                 }
                 let default = r.u32()?;
@@ -613,6 +608,20 @@ mod tests {
             1, 1, 0, // type section, empty
         ];
         assert_eq!(decode(&bytes), Err(DecodeError::SectionOrder(1)));
+    }
+
+    #[test]
+    fn a_count_beyond_the_input_is_eof_not_an_allocation() {
+        // One function whose body claims 0xFFFF_FFFF local runs: sizing
+        // the vector from that count asked the allocator for 32 GiB and
+        // aborted the host.
+        let bytes = [
+            0x00, 0x61, 0x73, 0x6d, 0x01, 0x00, 0x00, 0x00, //
+            0x01, 0x04, 0x01, 0x60, 0x00, 0x00, // type: () -> ()
+            0x03, 0x02, 0x01, 0x00, // one function of type 0
+            0x0a, 0x08, 0x01, 0x06, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x0b,
+        ];
+        assert_eq!(decode(&bytes), Err(DecodeError::UnexpectedEof));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::error::Trap;
 use crate::host::{Blocked, Caller, HostCtx, HostOutcome, PendingCall, Suspension};
 use crate::instr::{BinOp, CvtOp, LoadKind, RelOp, StoreKind, UnOp};
 use crate::mem::Memory;
-use crate::module::{ConstExpr, ExportDesc};
+use crate::module::{ConstExpr, ElemSegment, ExportDesc, Global};
 use crate::prep::{BrDest, FuncDef, Op, PreparedFunc, Program};
 use crate::regir::{ROp, RSrc};
 use crate::types::{FuncType, ValType};
@@ -125,17 +125,16 @@ impl<T> Instance<T> {
     pub fn with_memory(program: Arc<Program<T>>, memory: Arc<Memory>) -> Result<Instance<T>, Trap> {
         let mut inst = Self::bare(program, memory)?;
         inst.apply_elems()?;
-        let datas = inst.program.datas.clone();
-        for (offset, bytes) in &datas {
-            let at = inst.eval_const(offset)? as u32 as u64;
-            inst.memory.write(at, bytes)?;
+        for d in &inst.program.datas {
+            let at = inst.eval_const(&d.offset)? as u32 as u64;
+            inst.memory.write(at, &d.bytes)?;
         }
         Ok(inst)
     }
 
     fn bare(program: Arc<Program<T>>, memory: Arc<Memory>) -> Result<Instance<T>, Trap> {
         let mut globals = Vec::with_capacity(program.globals.len());
-        for (_, init) in &program.globals {
+        for Global { init, .. } in &program.globals {
             let v = match init {
                 ConstExpr::I32(v) => *v as u32 as u64,
                 ConstExpr::I64(v) => *v as u64,
@@ -162,8 +161,10 @@ impl<T> Instance<T> {
     }
 
     fn apply_elems(&mut self) -> Result<(), Trap> {
-        let elems = self.program.elems.clone();
-        for (offset, funcs) in &elems {
+        // The segments are read through their own handle on the image,
+        // so the table can be written while they are borrowed.
+        let image = self.program.image.clone();
+        for ElemSegment { offset, funcs } in &image.elems {
             let at = self.eval_const(offset)? as u32 as usize;
             let end = at.checked_add(funcs.len()).ok_or(Trap::TableOutOfBounds)?;
             if end > self.table.len() {
@@ -209,8 +210,9 @@ impl<T> Instance<T> {
 
     /// Resolves an exported function index by name.
     pub fn export_func(&self, name: &str) -> Option<u32> {
-        match self.program.exports.get(name) {
-            Some(ExportDesc::Func(i)) => Some(*i),
+        let export = self.program.exports.iter().find(|e| e.name == name)?;
+        match export.desc {
+            ExportDesc::Func(i) => Some(i),
             _ => None,
         }
     }

@@ -8,12 +8,19 @@
 //! Pipeline:
 //!
 //! ```text
-//! bytes ──decode──▶ Module ──validate──▶ prep (flatten + safepoints)
+//! bytes ──decode──▶ Module ──validate──▶ prep (flatten + safepoints) ──▶ regir
 //!       ◀─encode──                        │
+//!                  Prepared (one per equal module, per process)
+//!                                         │
 //!                             Program<T> ─┴─ link(Linker<T>)
 //!                                  │
 //!                          instantiate ──▶ Instance<T> ──▶ Thread::call
 //! ```
+//!
+//! Everything above `Program<T>` is a pure function of the module, the
+//! safepoint scheme and the tier, so it is done once per process and
+//! structurally equal module ([`prep::Prepared::of`]); a link binds the
+//! imports in its own [`host::Linker`] and shares the rest.
 //!
 //! Design choices that matter for WALI:
 //!

@@ -4,7 +4,7 @@ use crate::instr::Instr;
 use crate::types::{FuncType, GlobalType, MemoryType, TableType, ValType};
 
 /// A constant initializer expression (globals, element/data offsets).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Hash)]
 #[allow(missing_docs)]
 pub enum ConstExpr {
     I32(i32),
@@ -35,7 +35,7 @@ impl ConstExpr {
 }
 
 /// What an import provides.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum ImportDesc {
     /// Function with the given type index.
     Func(u32),
@@ -59,7 +59,7 @@ pub struct Import {
 }
 
 /// What an export exposes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExportDesc {
     /// Function index (into the combined import+local space).
     Func(u32),
@@ -72,7 +72,7 @@ pub enum ExportDesc {
 }
 
 /// One export entry.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Export {
     /// Export name.
     pub name: String,
@@ -81,7 +81,7 @@ pub struct Export {
 }
 
 /// A defined (non-imported) global.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Global {
     /// Type and mutability.
     pub ty: GlobalType,
@@ -90,7 +90,7 @@ pub struct Global {
 }
 
 /// An active element segment for table 0.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct ElemSegment {
     /// Offset expression.
     pub offset: ConstExpr,
@@ -99,7 +99,7 @@ pub struct ElemSegment {
 }
 
 /// An active data segment for memory 0.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct DataSegment {
     /// Offset expression.
     pub offset: ConstExpr,

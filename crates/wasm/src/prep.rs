@@ -7,16 +7,25 @@
 //! Branches are pre-resolved to `(pc, stack-fixup)` pairs so the
 //! interpreter never scans for block boundaries; the naive QEMU-analogue
 //! tier in `wali-virt` deliberately skips this step.
+//!
+//! The result has two halves. [`Prepared`] is everything that depends on
+//! the module alone — validated once, flattened, lowered, kept in a small
+//! process-wide table and shared by every later link of an equal module.
+//! [`Program`] is one link: that image plus the imports resolved in one
+//! [`Linker`].
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex};
 
 use crate::error::ValidateError;
 use crate::host::{HostFn, Linker};
 use crate::instr::{BlockType, Instr};
-use crate::module::{ConstExpr, ExportDesc, FuncBody, ImportDesc, Module};
+use crate::module::{
+    ConstExpr, DataSegment, ElemSegment, Export, FuncBody, Global, ImportDesc, Module,
+};
 use crate::safepoint::SafepointScheme;
-use crate::types::{FuncType, GlobalType, MemoryType, TableType};
+use crate::types::{FuncType, MemoryType, TableType};
 
 /// A resolved branch destination with its stack fixup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -144,31 +153,332 @@ impl From<ValidateError> for LinkError {
     }
 }
 
-/// A validated, prepared, linked program ready to instantiate.
-pub struct Program<T> {
+/// The linker-independent half of a program: the module's metadata and
+/// its code, validated, flattened and lowered for one safepoint scheme
+/// and tier. Nothing in it depends on who links it or can be changed by
+/// who runs it, so every [`Program`] linked from an equal module shares
+/// one image (see [`Prepared::of`]).
+pub struct Prepared {
     /// Function signatures.
     pub types: Vec<FuncType>,
-    /// Combined function index space (imports first).
-    pub funcs: Vec<FuncDef<T>>,
-    /// Export name → descriptor.
-    pub exports: HashMap<String, ExportDesc>,
+    /// Exports (a valid module has no two of one name).
+    pub exports: Vec<Export>,
     /// Memory declaration, if any.
     pub memory: Option<MemoryType>,
     /// Table declaration, if any.
     pub table: Option<TableType>,
     /// Global declarations and initializers.
-    pub globals: Vec<(GlobalType, ConstExpr)>,
+    pub globals: Vec<Global>,
     /// Active element segments.
-    pub elems: Vec<(ConstExpr, Vec<u32>)>,
+    pub elems: Vec<ElemSegment>,
     /// Active data segments.
-    pub datas: Vec<(ConstExpr, Vec<u8>)>,
+    pub datas: Vec<DataSegment>,
     /// Start function.
     pub start: Option<u32>,
+    /// The prepared local functions, in index order.
+    pub bodies: Vec<Arc<PreparedFunc>>,
     /// Safepoint scheme the code was prepared with.
     pub scheme: SafepointScheme,
     /// Whether the tier-2 register IR is in effect (requested *and*
     /// every local function lowered successfully).
     pub regir: bool,
+    // The rest of what the image was made from, kept for
+    // `is_image_of` alone: what each import is (never its name — the
+    // image does not depend on it, a link resolves names from its own
+    // module), the structured code, and the tier that was asked for.
+    imports: Vec<ImportDesc>,
+    code: Vec<FuncBody>,
+    regir_requested: bool,
+}
+
+/// How many prepared images the process keeps, oldest out first. A
+/// constant: the table is a memo, not a tunable.
+const PREPARED_CAPACITY: usize = 16;
+
+/// Prepared images by structural hash, oldest first (see
+/// [`Prepared::of`] for the process-wide one).
+struct PreparedTable {
+    entries: VecDeque<(u64, Arc<Prepared>)>,
+}
+
+impl PreparedTable {
+    const fn new() -> PreparedTable {
+        PreparedTable {
+            entries: VecDeque::new(),
+        }
+    }
+
+    /// The image prepared from a module equal to `module` under the same
+    /// scheme and tier. `hash` only narrows the scan: a hit is decided by
+    /// comparing the modules, because the register loop runs unchecked on
+    /// what was validated and a module must never run another's code.
+    fn lookup(
+        &self,
+        hash: u64,
+        module: &Module,
+        scheme: SafepointScheme,
+        regir: bool,
+    ) -> Option<Arc<Prepared>> {
+        self.entries
+            .iter()
+            .find(|(h, p)| *h == hash && p.is_image_of(module, scheme, regir))
+            .map(|(_, p)| p.clone())
+    }
+
+    /// Adds `image`, prepared from `module`, unless an equal one got
+    /// there first (two threads may both prepare a module on first
+    /// sight). Returns the image kept and the one pushed out, if any, for
+    /// the caller to drop once the lock is released.
+    fn insert(
+        &mut self,
+        hash: u64,
+        module: &Module,
+        image: Prepared,
+    ) -> (Arc<Prepared>, Option<Arc<Prepared>>) {
+        if let Some(winner) = self.lookup(hash, module, image.scheme, image.regir_requested) {
+            return (winner, None);
+        }
+        let evicted = if self.entries.len() == PREPARED_CAPACITY {
+            self.entries.pop_front().map(|(_, old)| old)
+        } else {
+            None
+        };
+        let image = Arc::new(image);
+        self.entries.push_back((hash, image.clone()));
+        (image, evicted)
+    }
+}
+
+/// Word-at-a-time multiply-rotate hasher for [`structural_hash`]. It
+/// need not resist crafted collisions: the table is a bounded scan and
+/// a colliding module costs one failed comparison, never a wrong hit.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
+                .wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The table key's hash: the scheme, the requested tier and the
+/// module's declarations (imports by what they are, not by name), but
+/// of the code only its shape. It narrows the scan and no more — a hit
+/// compares every instruction anyway, and hashing them first would cost
+/// more than that comparison; modules of one shape that differ in an
+/// instruction are told apart by [`Prepared::is_image_of`].
+fn structural_hash(module: &Module, scheme: SafepointScheme, regir: bool) -> u64 {
+    let Module {
+        types,
+        imports,
+        funcs,
+        tables,
+        memories,
+        globals,
+        exports,
+        start,
+        elems,
+        datas,
+        code,
+    } = module;
+    let mut h = WordHasher::default();
+    for imp in imports {
+        imp.desc.hash(&mut h);
+    }
+    (types, funcs, tables, memories, globals, exports).hash(&mut h);
+    (start, elems, datas, scheme, regir).hash(&mut h);
+    for body in code {
+        (&body.locals, body.instrs.len()).hash(&mut h);
+    }
+    h.finish()
+}
+
+impl Prepared {
+    /// The prepared image of `module`: the one this process already made
+    /// from a structurally equal module under the same `scheme` and
+    /// `regir` request, or a new one — validated, flattened, lowered,
+    /// and remembered for the next caller. `scheme` and `regir` come
+    /// from the caller, never from the environment, so the table is a
+    /// memo of a pure function and invisible in results.
+    pub fn of(
+        module: &Module,
+        scheme: SafepointScheme,
+        regir: bool,
+    ) -> Result<Arc<Prepared>, ValidateError> {
+        static TABLE: Mutex<PreparedTable> = Mutex::new(PreparedTable::new());
+        Self::of_in(&TABLE, module, scheme, regir)
+    }
+
+    /// [`Prepared::of`] on a given table. The lock is a leaf: held for a
+    /// scan or an insert, never across validate/prepare/lower.
+    fn of_in(
+        table: &Mutex<PreparedTable>,
+        module: &Module,
+        scheme: SafepointScheme,
+        regir: bool,
+    ) -> Result<Arc<Prepared>, ValidateError> {
+        // Every update leaves the deque whole, so a poisoned lock is usable.
+        let lock = || table.lock().unwrap_or_else(|p| p.into_inner());
+        let hash = structural_hash(module, scheme, regir);
+        if let Some(seen) = lock().lookup(hash, module, scheme, regir) {
+            return Ok(seen);
+        }
+        let image = Prepared::build(module, scheme, regir)?;
+        // The guard is gone by the end of this statement: an image pushed
+        // out of the table is freed after the lock, not under it.
+        let (image, _evicted) = lock().insert(hash, module, image);
+        Ok(image)
+    }
+
+    /// Whether this image was prepared from a module structurally equal
+    /// to `module`, under the same scheme and tier request. Every field
+    /// is named, so one added to [`Module`] cannot be left out.
+    fn is_image_of(&self, module: &Module, scheme: SafepointScheme, regir: bool) -> bool {
+        let Module {
+            types,
+            imports,
+            funcs,
+            tables,
+            memories,
+            globals,
+            exports,
+            start,
+            elems,
+            datas,
+            code,
+        } = module;
+        self.scheme == scheme
+            && self.regir_requested == regir
+            && self.types == *types
+            && self.imports.iter().eq(imports.iter().map(|i| &i.desc))
+            && self.bodies.iter().map(|b| &b.ty).eq(funcs)
+            // A validated module declares at most one of each.
+            && self.table.as_slice() == tables.as_slice()
+            && self.memory.as_slice() == memories.as_slice()
+            && self.globals == *globals
+            && self.exports == *exports
+            && self.start == *start
+            && self.elems == *elems
+            && self.datas == *datas
+            && self.code == *code
+    }
+
+    /// Validates `module` and prepares every local function. When
+    /// `regir` is requested, every function is lowered to the register
+    /// IR; if any bails, the whole program stays on the stack tier
+    /// (`regir` records the effective state).
+    fn build(
+        module: &Module,
+        scheme: SafepointScheme,
+        regir: bool,
+    ) -> Result<Prepared, ValidateError> {
+        crate::validate::validate(module)?;
+
+        let mut prepared: Vec<PreparedFunc> = module
+            .code
+            .iter()
+            .enumerate()
+            .map(|(i, body)| {
+                let ty_idx = module.funcs[i];
+                let ty = &module.types[ty_idx as usize];
+                prepare_func(module, ty_idx, ty, body, scheme)
+            })
+            .collect();
+
+        // Tier-2 lowering is all-or-nothing: a single bail keeps the
+        // whole program on the stack tier so one call stack never mixes
+        // frame layouts mid-flight.
+        let mut regir_on = regir;
+        if regir_on {
+            let sigs: Vec<(u16, u16)> = module
+                .func_imports()
+                .map(|(_, _, ty)| ty)
+                .chain(module.funcs.iter().copied())
+                .map(|ty| {
+                    let ty = &module.types[ty as usize];
+                    (ty.params.len() as u16, ty.results.len() as u16)
+                })
+                .collect();
+            let lowered: Option<Vec<crate::regir::RegFunc>> = prepared
+                .iter()
+                .map(|p| crate::regir::lower(p, &sigs, &module.types))
+                .collect();
+            match lowered {
+                Some(lowered) => {
+                    for (p, r) in prepared.iter_mut().zip(lowered) {
+                        p.reg = Some(r);
+                    }
+                }
+                None => regir_on = false,
+            }
+        }
+
+        Ok(Prepared {
+            types: module.types.clone(),
+            exports: module.exports.clone(),
+            memory: module.memories.first().copied(),
+            table: module.tables.first().copied(),
+            globals: module.globals.clone(),
+            elems: module.elems.clone(),
+            datas: module.datas.clone(),
+            start: module.start,
+            bodies: prepared.into_iter().map(Arc::new).collect(),
+            scheme,
+            regir: regir_on,
+            imports: module.imports.iter().map(|i| i.desc.clone()).collect(),
+            code: module.code.clone(),
+            regir_requested: regir,
+        })
+    }
+
+    /// One past the highest byte any active data segment initializes
+    /// (the conventional heap base for WALI contexts).
+    pub fn data_end(&self) -> u32 {
+        self.datas
+            .iter()
+            .map(|d| match d.offset {
+                ConstExpr::I32(v) => v as u32 + d.bytes.len() as u32,
+                _ => 0,
+            })
+            .max()
+            .unwrap_or(1024)
+    }
+
+    /// Counts safepoint ops across all prepared functions (Table 3
+    /// instrumentation).
+    pub fn safepoint_count(&self) -> usize {
+        self.bodies
+            .iter()
+            .map(|p| p.ops.iter().filter(|o| matches!(o, Op::Safepoint)).count())
+            .sum()
+    }
+}
+
+/// A validated, prepared, linked program ready to instantiate: a shared
+/// [`Prepared`] image (reachable through `Deref`) plus this link's
+/// binding of its imports.
+pub struct Program<T> {
+    /// The linker-independent image.
+    pub image: Arc<Prepared>,
+    /// Combined function index space (imports first), the imports
+    /// resolved in the [`Linker`] this program was linked against.
+    pub funcs: Vec<FuncDef<T>>,
+}
+
+impl<T> std::ops::Deref for Program<T> {
+    type Target = Prepared;
+    fn deref(&self) -> &Prepared {
+        &self.image
+    }
 }
 
 impl<T> Program<T> {
@@ -182,20 +492,20 @@ impl<T> Program<T> {
         Self::link_tiered(module, linker, scheme, crate::regir::regir_default())
     }
 
-    /// Validates, prepares and links with explicit control over the
-    /// execution tier. When `regir` is requested, every local function
-    /// is lowered to the register IR; if any bails, the whole program
-    /// stays on the stack tier (`self.regir` records the effective
-    /// state).
+    /// Links with explicit control over the execution tier: takes the
+    /// module's [`Prepared`] image (`regir` records the effective tier)
+    /// and resolves its imports in `linker`. For a module this process
+    /// has prepared before, that is a hash, a comparison and one lookup
+    /// per import.
     pub fn link_tiered(
         module: &Module,
         linker: &Linker<T>,
         scheme: SafepointScheme,
         regir: bool,
     ) -> Result<Program<T>, LinkError> {
-        crate::validate::validate(module)?;
+        let image = Prepared::of(module, scheme, regir)?;
 
-        let mut funcs = Vec::new();
+        let mut funcs = Vec::with_capacity(module.imports.len() + image.bodies.len());
         for imp in &module.imports {
             match &imp.desc {
                 ImportDesc::Func(ty) => {
@@ -222,101 +532,9 @@ impl<T> Program<T> {
                 }
             }
         }
+        funcs.extend(image.bodies.iter().cloned().map(FuncDef::Local));
 
-        let mut prepared: Vec<PreparedFunc> = module
-            .code
-            .iter()
-            .enumerate()
-            .map(|(i, body)| {
-                let ty_idx = module.funcs[i];
-                let ty = &module.types[ty_idx as usize];
-                prepare_func(module, ty_idx, ty, body, scheme)
-            })
-            .collect();
-
-        // Tier-2 lowering is all-or-nothing: a single bail keeps the
-        // whole program on the stack tier so one call stack never mixes
-        // frame layouts mid-flight.
-        let mut regir_on = regir;
-        if regir_on {
-            let sigs: Vec<(u16, u16)> = funcs
-                .iter()
-                .map(|f| f.type_idx())
-                .chain(module.funcs.iter().copied())
-                .map(|ty| {
-                    let ty = &module.types[ty as usize];
-                    (ty.params.len() as u16, ty.results.len() as u16)
-                })
-                .collect();
-            let lowered: Option<Vec<crate::regir::RegFunc>> = prepared
-                .iter()
-                .map(|p| crate::regir::lower(p, &sigs, &module.types))
-                .collect();
-            match lowered {
-                Some(lowered) => {
-                    for (p, r) in prepared.iter_mut().zip(lowered) {
-                        p.reg = Some(r);
-                    }
-                }
-                None => regir_on = false,
-            }
-        }
-        for p in prepared {
-            funcs.push(FuncDef::Local(Arc::new(p)));
-        }
-
-        Ok(Program {
-            types: module.types.clone(),
-            funcs,
-            exports: module
-                .exports
-                .iter()
-                .map(|e| (e.name.clone(), e.desc))
-                .collect(),
-            memory: module.memories.first().copied(),
-            table: module.tables.first().copied(),
-            globals: module.globals.iter().map(|g| (g.ty, g.init)).collect(),
-            elems: module
-                .elems
-                .iter()
-                .map(|e| (e.offset, e.funcs.clone()))
-                .collect(),
-            datas: module
-                .datas
-                .iter()
-                .map(|d| (d.offset, d.bytes.clone()))
-                .collect(),
-            start: module.start,
-            scheme,
-            regir: regir_on,
-        })
-    }
-
-    /// One past the highest byte any active data segment initializes
-    /// (the conventional heap base for WALI contexts).
-    pub fn data_end(&self) -> u32 {
-        self.datas
-            .iter()
-            .map(|(off, bytes)| match off {
-                ConstExpr::I32(v) => *v as u32 + bytes.len() as u32,
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(1024)
-    }
-
-    /// Counts safepoint ops across all prepared functions (Table 3
-    /// instrumentation).
-    pub fn safepoint_count(&self) -> usize {
-        self.funcs
-            .iter()
-            .filter_map(|f| match f {
-                FuncDef::Local(p) => {
-                    Some(p.ops.iter().filter(|o| matches!(o, Op::Safepoint)).count())
-                }
-                _ => None,
-            })
-            .sum()
+        Ok(Program { image, funcs })
     }
 }
 
@@ -887,6 +1105,137 @@ mod tests {
         );
         let polls = p.ops.iter().filter(|o| matches!(o, Op::Safepoint)).count();
         assert_eq!(polls, 3);
+    }
+
+    /// `main` returns `v`, after a loop so the schemes differ; with
+    /// `import`, it also imports (and never calls) `env.<import>`.
+    fn konst(v: i32, import: Option<&str>) -> Module {
+        let mut mb = crate::build::ModuleBuilder::new();
+        if let Some(name) = import {
+            let sig = mb.sig([], []);
+            mb.import_func("env", name, sig);
+        }
+        let sig = mb.sig([], [ValType::I32]);
+        let main = mb.func(sig, |b| {
+            b.loop_(BlockType::Empty, |b| {
+                b.i32(0).br_if(0);
+            });
+            b.i32(v);
+        });
+        mb.export("main", main);
+        mb.build()
+    }
+
+    const LOOPS: SafepointScheme = SafepointScheme::LoopHeaders;
+
+    fn table() -> Mutex<PreparedTable> {
+        Mutex::new(PreparedTable::new())
+    }
+
+    fn len(table: &Mutex<PreparedTable>) -> usize {
+        table.lock().unwrap().entries.len()
+    }
+
+    #[test]
+    fn an_equal_module_shares_the_image_and_one_immediate_splits_it() {
+        let t = table();
+        let one = Prepared::of_in(&t, &konst(1, None), LOOPS, true).unwrap();
+        let again = Prepared::of_in(&t, &konst(1, None), LOOPS, true).unwrap();
+        let two = Prepared::of_in(&t, &konst(2, None), LOOPS, true).unwrap();
+        assert!(Arc::ptr_eq(&one, &again));
+        assert!(!Arc::ptr_eq(&one, &two));
+        assert_ne!(one.bodies[0].ops, two.bodies[0].ops);
+        assert_eq!(len(&t), 2);
+        // The two have one shape, so the hash alone cannot tell them
+        // apart: the comparison did.
+        assert_eq!(
+            structural_hash(&konst(1, None), LOOPS, true),
+            structural_hash(&konst(2, None), LOOPS, true)
+        );
+    }
+
+    #[test]
+    fn a_hash_collision_is_a_miss() {
+        let t = table();
+        let (a, b) = (konst(1, None), konst(1, Some("f")));
+        let hash_a = structural_hash(&a, LOOPS, true);
+        assert_ne!(hash_a, structural_hash(&b, LOOPS, true));
+        Prepared::of_in(&t, &a, LOOPS, true).unwrap();
+        let t = t.lock().unwrap();
+        assert!(t.lookup(hash_a, &a, LOOPS, true).is_some());
+        // `b` presented under `a`'s hash — a collision — finds nothing.
+        assert!(t.lookup(hash_a, &b, LOOPS, true).is_none());
+    }
+
+    #[test]
+    fn import_names_are_not_part_of_the_image() {
+        let t = table();
+        let f = Prepared::of_in(&t, &konst(1, Some("f")), LOOPS, true).unwrap();
+        let g = Prepared::of_in(&t, &konst(1, Some("g")), LOOPS, true).unwrap();
+        assert!(Arc::ptr_eq(&f, &g));
+        // Each link still binds its own module's names.
+        let mut linker: Linker<()> = Linker::new();
+        linker.func_raw("env", "f", |_, _| Ok(0));
+        assert!(Program::link_tiered(&konst(1, Some("f")), &linker, LOOPS, true).is_ok());
+        assert!(matches!(
+            Program::link_tiered(&konst(1, Some("g")), &linker, LOOPS, true),
+            Err(LinkError::MissingImport(_, name)) if name == "g"
+        ));
+    }
+
+    #[test]
+    fn scheme_and_tier_are_part_of_the_key() {
+        let t = table();
+        let m = konst(1, None);
+        let loops = Prepared::of_in(&t, &m, LOOPS, true).unwrap();
+        let entry = Prepared::of_in(&t, &m, SafepointScheme::FunctionEntry, true).unwrap();
+        let stack = Prepared::of_in(&t, &m, LOOPS, false).unwrap();
+        assert_eq!(len(&t), 3);
+        assert_ne!(loops.bodies[0].ops, entry.bodies[0].ops);
+        assert_eq!(loops.bodies[0].ops, stack.bodies[0].ops);
+        assert!(loops.regir && loops.bodies[0].reg.is_some());
+        assert!(!stack.regir && stack.bodies[0].reg.is_none());
+    }
+
+    #[test]
+    fn an_invalid_module_is_never_kept_and_fails_the_same_way_twice() {
+        // `main` promises an i32 and leaves nothing.
+        let mut bad = konst(1, Some("missing"));
+        bad.code[0].instrs.pop();
+        let t = table();
+        for _ in 0..2 {
+            assert!(Prepared::of_in(&t, &bad, LOOPS, true).is_err());
+            assert_eq!(len(&t), 0);
+        }
+        // Validation comes before import resolution, on first sight and
+        // on every later one; a valid module's missing import is reported
+        // by the link that misses it, image found or not.
+        let linker: Linker<()> = Linker::new();
+        let good = konst(1, Some("missing"));
+        for _ in 0..2 {
+            assert!(matches!(
+                Program::link_tiered(&bad, &linker, LOOPS, true),
+                Err(LinkError::Validate(_))
+            ));
+            assert!(matches!(
+                Program::link_tiered(&good, &linker, LOOPS, true),
+                Err(LinkError::MissingImport(..))
+            ));
+        }
+    }
+
+    #[test]
+    fn the_oldest_image_is_pushed_out_and_prepared_again_on_demand() {
+        let t = table();
+        let first = Prepared::of_in(&t, &konst(100, None), LOOPS, true).unwrap();
+        for i in 1..=PREPARED_CAPACITY as i32 {
+            Prepared::of_in(&t, &konst(100 + i, None), LOOPS, true).unwrap();
+        }
+        assert_eq!(len(&t), PREPARED_CAPACITY);
+        let again = Prepared::of_in(&t, &konst(100, None), LOOPS, true).unwrap();
+        assert!(!Arc::ptr_eq(&first, &again), "the first image was evicted");
+        assert_eq!(first.bodies[0].ops, again.bodies[0].ops);
+        assert_eq!(len(&t), PREPARED_CAPACITY);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! at any safepoint without materialising extra state.
 
 /// Where `prep` inserts safepoint polls.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SafepointScheme {
     /// No polling: asynchronous signals are never delivered.
     None,

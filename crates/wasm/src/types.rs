@@ -96,7 +96,7 @@ impl fmt::Display for FuncType {
 }
 
 /// Min/max size limits for memories and tables.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Limits {
     /// Initial size (pages or elements).
     pub min: u32,
@@ -112,7 +112,7 @@ impl Limits {
 }
 
 /// A memory type (limits in 64 KiB pages, optionally shared).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MemoryType {
     /// Page limits.
     pub limits: Limits,
@@ -122,14 +122,14 @@ pub struct MemoryType {
 }
 
 /// A table type (funcref only, per core MVP).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TableType {
     /// Element count limits.
     pub limits: Limits,
 }
 
 /// A global variable type.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct GlobalType {
     /// Value type of the global.
     pub ty: ValType,
