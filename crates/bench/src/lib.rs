@@ -45,22 +45,33 @@ pub fn run_on_wali_with(
 ) -> (RunOutcome, Duration) {
     let module = reload(&app.module);
     let t0 = Instant::now();
+    let out = run_module(&module, scheme, configure);
+    (out, t0.elapsed())
+}
+
+/// One start of an already decoded module: a fresh runner adjusted by
+/// `configure`, the workload files seeded, the program registered,
+/// spawned and run to its exit, which must be 0. What the benches that
+/// hoist their module out of the timed closure put inside it.
+pub fn run_module(
+    module: &Module,
+    scheme: SafepointScheme,
+    configure: impl FnOnce(&mut WaliRunner),
+) -> RunOutcome {
     let mut runner = WaliRunner::new(scheme);
     configure(&mut runner);
     seed_files(&runner);
     runner
-        .register_program("/usr/bin/app", &module)
+        .register_program("/usr/bin/app", module)
         .expect("register");
     runner.spawn("/usr/bin/app", &[], &[]).expect("spawn");
     let out = runner.run().expect("run");
-    let wall = t0.elapsed();
     assert!(
         matches!(out.main_exit, Some(wali::runner::TaskEnd::Exited(0))),
-        "{} failed: {:?}",
-        app.name,
+        "guest failed: {:?}",
         out.main_exit
     );
-    (out, wall)
+    out
 }
 
 /// Invokes `wali.SYS_<name>` directly on its resolved handle — the
@@ -135,6 +146,19 @@ mod tests {
         assert_eq!(bar(0.0, 10), "..........");
         assert_eq!(bar(1.0, 10), "##########");
         assert_eq!(bar(0.5, 10).len(), 10);
+    }
+
+    #[test]
+    fn lua_hot_dispatch_counts_are_pinned() {
+        // `interp_hot`'s two lua rows, as read at PR 19: a change to what
+        // a dispatch costs leaves the count alone; one to the lowering
+        // moves it on purpose and says so here.
+        for (regir, want) in [(true, (0, 42_666)), (false, (218_899, 0))] {
+            let app = apps::lua_sim(100);
+            let (out, _) =
+                run_on_wali_with(&app, SafepointScheme::LoopHeaders, |r| r.set_regir(regir));
+            assert_eq!(out.dispatches(), want, "regir={regir}");
+        }
     }
 
     #[test]

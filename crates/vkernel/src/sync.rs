@@ -102,6 +102,15 @@ impl HintFlag {
     pub fn set(&self, value: bool) {
         self.0.store(value, Ordering::Relaxed);
     }
+
+    /// The flag itself, for a reader that polls it in a loop of its own
+    /// (the interpreter's safepoints) with the relaxed load [`get`] makes.
+    ///
+    /// [`get`]: HintFlag::get
+    #[inline]
+    pub fn as_atomic(&self) -> &AtomicBool {
+        &self.0
+    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! [`thread_sibling`]: WaliContext::thread_sibling
 //! [`exec_image`]: WaliContext::exec_image
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vkernel::kernel::{KernelHandles, SignalDelivery};
@@ -277,12 +277,11 @@ impl WaliContext {
     }
 }
 
-impl HostCtx for WaliContext {
-    fn poll_signal(&mut self) -> Option<PendingCall> {
-        // Fast path: nothing flagged for this task.
-        if !self.sig_hint.get() {
-            return None;
-        }
+impl WaliContext {
+    /// [`HostCtx::poll_signal`] with the hint up: the next deliverable
+    /// signal, as a handler call or as this task's death.
+    #[cold]
+    fn deliver_signal(&mut self) -> Option<PendingCall> {
         let delivery = {
             let mut k = self.kernel.lock_ok();
             let d = k.next_signal(self.tid);
@@ -313,20 +312,38 @@ impl HostCtx for WaliContext {
         }
     }
 
+    /// [`HostCtx::check_abort`] with the hint up: another task may have
+    /// terminated our process.
+    #[cold]
+    fn check_killed(&mut self) -> Option<Trap> {
+        let k = self.kernel.lock_ok();
+        if k.task(self.tid).is_ok_and(|task| task.exited()) {
+            drop(k);
+            self.exited = Some(0);
+            return Some(Trap::Aborted);
+        }
+        None
+    }
+}
+
+impl HostCtx for WaliContext {
+    // Both hooks answer "nothing" from the hint alone; that part inlines
+    // into the interpreter's port, the rest stays out of line.
+    #[inline]
+    fn poll_signal(&mut self) -> Option<PendingCall> {
+        if !self.sig_hint.get() {
+            return None;
+        }
+        self.deliver_signal()
+    }
+
+    #[inline]
     fn check_abort(&mut self) -> Option<Trap> {
         if self.exited.is_some() {
             return Some(Trap::Aborted);
         }
         if self.sig_hint.get() {
-            // Another task may have terminated our process.
-            let k = self.kernel.lock_ok();
-            if let Ok(task) = k.task(self.tid) {
-                if task.exited() {
-                    drop(k);
-                    self.exited = Some(0);
-                    return Some(Trap::Aborted);
-                }
-            }
+            return self.check_killed();
         }
         None
     }
@@ -335,6 +352,15 @@ impl HostCtx for WaliContext {
         if let Some(mask) = self.handler_masks.pop() {
             self.kernel.lock_ok().signal_return(self.tid, mask);
         }
+    }
+
+    /// The task's signal hint gates the register tier's safepoints. With
+    /// it down, `poll_signal` returns at its first line and `check_abort`
+    /// looks at `exited` alone — which is only ever set inside a host call
+    /// that suspends the task for good (`exit`, `exit_group`, `proc_exit`)
+    /// or by a poll that found the hint up, and that poll leaves it up.
+    fn sig_hint(&self) -> &AtomicBool {
+        self.sig_hint.as_atomic()
     }
 }
 

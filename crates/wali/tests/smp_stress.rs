@@ -318,6 +318,52 @@ fn single_worker_counters_match_deterministic_scheduler() {
 }
 
 #[test]
+fn exit_group_ends_a_sibling_spinning_without_a_host_call() {
+    // A thread raises a flag and then spins in `loop { br 0 }`: no host
+    // call, so nothing but the loop's own safepoint can end it. The main
+    // thread sleep-polls for the flag and calls `exit_group(7)`. With
+    // four workers the spinner is mid-loop on another worker when the
+    // kernel raises its signal hint, and the next back edge's poll must
+    // take it down; with one worker it is preempted mid-loop and found
+    // dead in the queue. Either way the run ends, with the group's code.
+    let mut mb = ModuleBuilder::new();
+    let clone = sys(&mut mb, "clone", 5);
+    let nanosleep = sys(&mut mb, "nanosleep", 2);
+    let exit_group = sys(&mut mb, "exit_group", 1);
+    mb.memory(1, Some(1));
+    let ts = mb.reserve(16);
+    let started = mb.reserve(4) as i32;
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        spawn_thread(b, clone, |b| {
+            b.i32(started).i32(1).store32(0);
+            b.loop_(BlockType::Empty, |b| {
+                b.br(0);
+            });
+        });
+        b.loop_(BlockType::Empty, |b| {
+            emit_sleep(b, nanosleep, ts, 0, 1_000);
+            b.i32(started).load32(0).eqz32().br_if(0);
+        });
+        b.i64(7).call(exit_group).drop_();
+        b.i32(0);
+    });
+    mb.export("_start", main);
+    let module = mb.build();
+    for workers in [1, 4] {
+        let opts = RunnerOpts {
+            workers: Some(workers),
+            ..RunnerOpts::single()
+        };
+        let out = run_module(&module, &[], &[], opts).expect("run").outcome;
+        assert_eq!(out.exit_code(), Some(7), "workers={workers}");
+        assert_eq!(out.ends.len(), 2, "workers={workers}: {:?}", out.ends);
+        // The spinner ran: whole fuel slices of nothing but back edges.
+        assert!(out.trace.wasm_steps > 1 << 19, "workers={workers}");
+    }
+}
+
+#[test]
 fn blocked_call_outside_the_waitqueue_protocol_completes() {
     // A layered host function registered through `linker_mut` may block
     // without subscribing a wait channel or setting a deadline. Both

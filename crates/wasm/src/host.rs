@@ -8,6 +8,7 @@
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use crate::error::Trap;
@@ -120,9 +121,30 @@ pub trait HostCtx {
     /// Called when a frame injected by [`HostCtx::poll_signal`] returns,
     /// so the embedder can restore the pre-handler signal mask.
     fn signal_return(&mut self) {}
+
+    /// The flag that gates a compiler-inserted safepoint in the register
+    /// tier: while it reads `false` (one relaxed load) a safepoint calls
+    /// neither hook. The embedder's contract is that whenever the flag is
+    /// `false` *and* no host call has returned since the last poll,
+    /// [`HostCtx::check_abort`] and [`HostCtx::poll_signal`] would both
+    /// answer `None` and change nothing; the polls after a host call
+    /// returns are made regardless. The default is a flag that is always
+    /// `true` — every safepoint polls, right for any context.
+    fn sig_hint(&self) -> &AtomicBool {
+        static ALWAYS: AtomicBool = AtomicBool::new(true);
+        &ALWAYS
+    }
 }
 
-impl HostCtx for () {}
+/// A [`HostCtx::sig_hint`] for contexts that never deliver a signal or
+/// abort (both hooks left at their defaults): always `false`.
+pub static NO_SIGNALS: AtomicBool = AtomicBool::new(false);
+
+impl HostCtx for () {
+    fn sig_hint(&self) -> &AtomicBool {
+        &NO_SIGNALS
+    }
+}
 
 /// Registry of host functions keyed by `(module, name)`.
 ///

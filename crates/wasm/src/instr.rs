@@ -70,24 +70,44 @@ pub enum RmwOp {
     Xchg,
 }
 
-/// A memory load shape.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum LoadKind {
-    I32,
-    I64,
-    F32,
-    F64,
-    I32_8S,
-    I32_8U,
-    I32_16S,
-    I32_16U,
-    I64_8S,
-    I64_8U,
-    I64_16S,
-    I64_16U,
-    I64_32S,
-    I64_32U,
+/// Declares a fieldless operator enum together with `ALL`, the list of
+/// its variants in declaration order — one declaration, so the list
+/// cannot miss an operator (the specialisation table in [`crate::regir`]
+/// and the tier-equivalence corpus both walk it).
+macro_rules! op_enum {
+    ($(#[$meta:meta])* $name:ident { $($variant:ident),* $(,)? }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[allow(missing_docs)]
+        pub enum $name {
+            $($variant),*
+        }
+
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$name] = &[$($name::$variant),*];
+        }
+    };
+}
+
+op_enum! {
+    /// A memory load shape.
+    LoadKind {
+        I32,
+        I64,
+        F32,
+        F64,
+        I32_8S,
+        I32_8U,
+        I32_16S,
+        I32_16U,
+        I64_8S,
+        I64_8U,
+        I64_16S,
+        I64_16U,
+        I64_32S,
+        I64_32U,
+    }
 }
 
 impl LoadKind {
@@ -114,19 +134,19 @@ impl LoadKind {
     }
 }
 
-/// A memory store shape.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum StoreKind {
-    I32,
-    I64,
-    F32,
-    F64,
-    I32_8,
-    I32_16,
-    I64_8,
-    I64_16,
-    I64_32,
+op_enum! {
+    /// A memory store shape.
+    StoreKind {
+        I32,
+        I64,
+        F32,
+        F64,
+        I32_8,
+        I32_16,
+        I64_8,
+        I64_16,
+        I64_32,
+    }
 }
 
 impl StoreKind {
@@ -153,37 +173,37 @@ impl StoreKind {
     }
 }
 
-/// Unary operators (one operand, one result).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum UnOp {
-    I32Clz,
-    I32Ctz,
-    I32Popcnt,
-    I32Eqz,
-    I64Clz,
-    I64Ctz,
-    I64Popcnt,
-    I64Eqz,
-    F32Abs,
-    F32Neg,
-    F32Ceil,
-    F32Floor,
-    F32Trunc,
-    F32Nearest,
-    F32Sqrt,
-    F64Abs,
-    F64Neg,
-    F64Ceil,
-    F64Floor,
-    F64Trunc,
-    F64Nearest,
-    F64Sqrt,
-    I32Extend8S,
-    I32Extend16S,
-    I64Extend8S,
-    I64Extend16S,
-    I64Extend32S,
+op_enum! {
+    /// Unary operators (one operand, one result).
+    UnOp {
+        I32Clz,
+        I32Ctz,
+        I32Popcnt,
+        I32Eqz,
+        I64Clz,
+        I64Ctz,
+        I64Popcnt,
+        I64Eqz,
+        F32Abs,
+        F32Neg,
+        F32Ceil,
+        F32Floor,
+        F32Trunc,
+        F32Nearest,
+        F32Sqrt,
+        F64Abs,
+        F64Neg,
+        F64Ceil,
+        F64Floor,
+        F64Trunc,
+        F64Nearest,
+        F64Sqrt,
+        I32Extend8S,
+        I32Extend16S,
+        I64Extend8S,
+        I64Extend16S,
+        I64Extend32S,
+    }
 }
 
 impl UnOp {
@@ -202,54 +222,54 @@ impl UnOp {
     }
 }
 
-/// Binary operators (`(t, t) -> t`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum BinOp {
-    I32Add,
-    I32Sub,
-    I32Mul,
-    I32DivS,
-    I32DivU,
-    I32RemS,
-    I32RemU,
-    I32And,
-    I32Or,
-    I32Xor,
-    I32Shl,
-    I32ShrS,
-    I32ShrU,
-    I32Rotl,
-    I32Rotr,
-    I64Add,
-    I64Sub,
-    I64Mul,
-    I64DivS,
-    I64DivU,
-    I64RemS,
-    I64RemU,
-    I64And,
-    I64Or,
-    I64Xor,
-    I64Shl,
-    I64ShrS,
-    I64ShrU,
-    I64Rotl,
-    I64Rotr,
-    F32Add,
-    F32Sub,
-    F32Mul,
-    F32Div,
-    F32Min,
-    F32Max,
-    F32Copysign,
-    F64Add,
-    F64Sub,
-    F64Mul,
-    F64Div,
-    F64Min,
-    F64Max,
-    F64Copysign,
+op_enum! {
+    /// Binary operators (`(t, t) -> t`).
+    BinOp {
+        I32Add,
+        I32Sub,
+        I32Mul,
+        I32DivS,
+        I32DivU,
+        I32RemS,
+        I32RemU,
+        I32And,
+        I32Or,
+        I32Xor,
+        I32Shl,
+        I32ShrS,
+        I32ShrU,
+        I32Rotl,
+        I32Rotr,
+        I64Add,
+        I64Sub,
+        I64Mul,
+        I64DivS,
+        I64DivU,
+        I64RemS,
+        I64RemU,
+        I64And,
+        I64Or,
+        I64Xor,
+        I64Shl,
+        I64ShrS,
+        I64ShrU,
+        I64Rotl,
+        I64Rotr,
+        F32Add,
+        F32Sub,
+        F32Mul,
+        F32Div,
+        F32Min,
+        F32Max,
+        F32Copysign,
+        F64Add,
+        F64Sub,
+        F64Mul,
+        F64Div,
+        F64Min,
+        F64Max,
+        F64Copysign,
+    }
 }
 
 impl BinOp {
@@ -267,42 +287,42 @@ impl BinOp {
     }
 }
 
-/// Comparison operators (`(t, t) -> i32`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum RelOp {
-    I32Eq,
-    I32Ne,
-    I32LtS,
-    I32LtU,
-    I32GtS,
-    I32GtU,
-    I32LeS,
-    I32LeU,
-    I32GeS,
-    I32GeU,
-    I64Eq,
-    I64Ne,
-    I64LtS,
-    I64LtU,
-    I64GtS,
-    I64GtU,
-    I64LeS,
-    I64LeU,
-    I64GeS,
-    I64GeU,
-    F32Eq,
-    F32Ne,
-    F32Lt,
-    F32Gt,
-    F32Le,
-    F32Ge,
-    F64Eq,
-    F64Ne,
-    F64Lt,
-    F64Gt,
-    F64Le,
-    F64Ge,
+op_enum! {
+    /// Comparison operators (`(t, t) -> i32`).
+    RelOp {
+        I32Eq,
+        I32Ne,
+        I32LtS,
+        I32LtU,
+        I32GtS,
+        I32GtU,
+        I32LeS,
+        I32LeU,
+        I32GeS,
+        I32GeU,
+        I64Eq,
+        I64Ne,
+        I64LtS,
+        I64LtU,
+        I64GtS,
+        I64GtU,
+        I64LeS,
+        I64LeU,
+        I64GeS,
+        I64GeU,
+        F32Eq,
+        F32Ne,
+        F32Lt,
+        F32Gt,
+        F32Le,
+        F32Ge,
+        F64Eq,
+        F64Ne,
+        F64Lt,
+        F64Gt,
+        F64Le,
+        F64Ge,
+    }
 }
 
 impl RelOp {
@@ -320,35 +340,35 @@ impl RelOp {
     }
 }
 
-/// Conversion operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum CvtOp {
-    I32WrapI64,
-    I32TruncF32S,
-    I32TruncF32U,
-    I32TruncF64S,
-    I32TruncF64U,
-    I64ExtendI32S,
-    I64ExtendI32U,
-    I64TruncF32S,
-    I64TruncF32U,
-    I64TruncF64S,
-    I64TruncF64U,
-    F32ConvertI32S,
-    F32ConvertI32U,
-    F32ConvertI64S,
-    F32ConvertI64U,
-    F32DemoteF64,
-    F64ConvertI32S,
-    F64ConvertI32U,
-    F64ConvertI64S,
-    F64ConvertI64U,
-    F64PromoteF32,
-    I32ReinterpretF32,
-    I64ReinterpretF64,
-    F32ReinterpretI32,
-    F64ReinterpretI64,
+op_enum! {
+    /// Conversion operators.
+    CvtOp {
+        I32WrapI64,
+        I32TruncF32S,
+        I32TruncF32U,
+        I32TruncF64S,
+        I32TruncF64U,
+        I64ExtendI32S,
+        I64ExtendI32U,
+        I64TruncF32S,
+        I64TruncF32U,
+        I64TruncF64S,
+        I64TruncF64U,
+        F32ConvertI32S,
+        F32ConvertI32U,
+        F32ConvertI64S,
+        F32ConvertI64U,
+        F32DemoteF64,
+        F64ConvertI32S,
+        F64ConvertI32U,
+        F64ConvertI64S,
+        F64ConvertI64U,
+        F64PromoteF32,
+        I32ReinterpretF32,
+        I64ReinterpretF64,
+        F32ReinterpretI32,
+        F64ReinterpretI64,
+    }
 }
 
 impl CvtOp {
@@ -434,6 +454,21 @@ pub enum Instr {
 mod tests {
     use super::*;
     use ValType::*;
+
+    #[test]
+    fn all_lists_every_variant_in_declaration_order() {
+        assert_eq!(LoadKind::ALL.len(), 14);
+        assert_eq!(StoreKind::ALL.len(), 9);
+        assert_eq!(UnOp::ALL.len(), 27);
+        assert_eq!(BinOp::ALL.len(), 44);
+        assert_eq!(RelOp::ALL.len(), 32);
+        assert_eq!(CvtOp::ALL.len(), 25);
+        assert!(BinOp::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, op)| *op as usize == i));
+        assert_eq!(BinOp::ALL.last(), Some(&BinOp::F64Copysign));
+    }
 
     #[test]
     fn load_kinds_have_consistent_widths() {

@@ -6,15 +6,16 @@
 //! safepoints to run signal handlers (paper §3.3), all without touching the
 //! host call stack.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::error::Trap;
 use crate::host::{Blocked, Caller, HostCtx, HostOutcome, PendingCall, Suspension};
-use crate::instr::{BinOp, CvtOp, LoadKind, RelOp, StoreKind, UnOp};
-use crate::mem::Memory;
+use crate::instr::{AtomicWidth, BinOp, CvtOp, LoadKind, RelOp, StoreKind, UnOp};
+use crate::mem::{MemView, Memory};
 use crate::module::{ConstExpr, ElemSegment, ExportDesc, Global};
-use crate::prep::{BrDest, FuncDef, Op, PreparedFunc, Program};
-use crate::regir::{ROp, RSrc};
+use crate::prep::{BrDest, FuncDef, Op, Prepared, PreparedFunc, Program};
+use crate::regir::{RBr, ROp, RSrc};
 use crate::types::{FuncType, ValType};
 
 /// Maximum wasm frame depth before [`Trap::StackOverflow`].
@@ -219,8 +220,114 @@ impl<T> Instance<T> {
 
     /// The signature of a function in the combined index space.
     pub fn func_type(&self, func: u32) -> Option<&FuncType> {
-        let def = self.program.funcs.get(func as usize)?;
-        self.program.types.get(def.type_idx() as usize)
+        self.program.func_type(func)
+    }
+}
+
+/// What the register loop runs on besides the module's [`Prepared`]
+/// image: the `T`-free parts of an `Instance<T>`, taken once per run.
+struct Env<'a> {
+    memory: &'a Memory,
+    table: &'a [Option<u32>],
+    /// The instance's globals, which the loop alone writes. A raw slice
+    /// because the [`Port`] lends the same instance, shared, to host
+    /// functions; see [`Thread::run`] for why it stays valid.
+    globals: *mut [u64],
+}
+
+/// What a crossing through the [`Port`] hands back to the loop.
+struct Polled<'a> {
+    /// [`HostCtx::sig_hint`], borrowed anew: the context was lent out.
+    hint: &'a AtomicBool,
+    /// The signal handler to run next, when it is a local function (one
+    /// that is an import has run).
+    handler: Option<PendingCall>,
+}
+
+/// The register loop's way to its embedder. [`Thread::run_reg`] has no
+/// type parameter; what depends on the context type `T` — calling a host
+/// function with a [`Caller`] over the `Instance<T>`, asking the context
+/// whether a signal is due — is behind this object, and the loop goes
+/// through it at exactly two places, a host call and the out-of-line half
+/// of a safepoint (plus the note that a handler returned).
+trait Port {
+    /// [`HostCtx::sig_hint`]: while it reads `false` a safepoint is one
+    /// load and a branch.
+    fn hint(&self) -> &AtomicBool;
+
+    /// Calls import `func` on the argument slots below `top`
+    /// ([`Thread::call_host`]), restores the stack to `frame_top` slots —
+    /// the caller's full register frame — and makes the poll every
+    /// returning host call ends with (Linux delivers signals on the
+    /// syscall return path).
+    fn call(
+        &mut self,
+        thread: &mut Thread,
+        func: u32,
+        top: usize,
+        frame_top: usize,
+    ) -> Result<Polled<'_>, HostOutcome>;
+
+    /// The out-of-line half of a safepoint (paper §3.3):
+    /// [`HostCtx::check_abort`], then [`HostCtx::poll_signal`].
+    fn poll(&mut self, thread: &mut Thread) -> Result<Polled<'_>, Trap>;
+
+    /// [`HostCtx::signal_return`]. The context was lent out: take
+    /// [`Port::hint`] again.
+    fn signal_return(&mut self);
+}
+
+/// The [`Port`] onto an `Instance<T>` and its context: the one place the
+/// register tier is generic.
+struct Embedder<'a, T> {
+    inst: &'a Instance<T>,
+    ctx: &'a mut T,
+}
+
+impl<T: HostCtx> Port for Embedder<'_, T> {
+    fn hint(&self) -> &AtomicBool {
+        self.ctx.sig_hint()
+    }
+
+    fn call(
+        &mut self,
+        thread: &mut Thread,
+        func: u32,
+        top: usize,
+        frame_top: usize,
+    ) -> Result<Polled<'_>, HostOutcome> {
+        thread.call_host(self.inst, self.ctx, func, top)?;
+        // Before the poll: a handler's frame stacks on the full frame.
+        thread.stack.resize(frame_top, 0);
+        Ok(self.poll(thread)?)
+    }
+
+    /// A handler that is an import runs here, above the live frame; one
+    /// that is a local function is handed back for the loop to enter.
+    #[inline(always)]
+    fn poll(&mut self, thread: &mut Thread) -> Result<Polled<'_>, Trap> {
+        if let Some(t) = self.ctx.check_abort() {
+            return Err(t);
+        }
+        let mut handler = self.ctx.poll_signal();
+        if let Some(call) = &handler {
+            match self.inst.program.funcs.get(call.func as usize) {
+                Some(FuncDef::Local(_)) => {}
+                Some(FuncDef::Host { .. }) => {
+                    thread.signal_host(self.inst, self.ctx, call)?;
+                    handler = None;
+                }
+                None => return Err(Trap::Host("bad signal handler index".into())),
+            }
+        }
+        Ok(Polled {
+            hint: self.ctx.sig_hint(),
+            handler,
+        })
+    }
+
+    fn signal_return(&mut self) {
+        self.ctx.signal_return();
     }
 }
 
@@ -424,10 +531,9 @@ impl Thread {
     /// pick the call up again; a blocked call keeps its arguments on top
     /// of the stack, where `retry` lends them out again.
     ///
-    /// Out of line on purpose: the dispatch loops are monomorphised
-    /// into the embedder's crate, and keeping this body out of them
-    /// keeps their layout independent of it.
-    #[inline(never)]
+    /// The register loop reaches it through its [`Port`]: inlined, so
+    /// that [`Embedder::call`] is the crossing and not a frame above it.
+    #[inline(always)]
     fn call_host<T>(
         &mut self,
         inst: &Instance<T>,
@@ -503,7 +609,14 @@ impl Thread {
     /// Pops the results of `func` — the slots from `base` up — as typed
     /// values.
     fn take_results<T>(&mut self, inst: &Instance<T>, func: u32, base: usize) -> Vec<Value> {
-        let tys = &inst.func_type(func).expect("function exists").results;
+        self.typed_results(
+            &inst.func_type(func).expect("function exists").results,
+            base,
+        )
+    }
+
+    /// Pops the slots from `base` up as values of types `tys`.
+    fn typed_results(&mut self, tys: &[ValType], base: usize) -> Vec<Value> {
         let out = tys
             .iter()
             .zip(&self.stack[base..])
@@ -581,7 +694,24 @@ impl Thread {
     /// activation suffices.
     fn run<T: HostCtx>(&mut self, inst: &mut Instance<T>, ctx: &mut T) -> RunResult {
         if inst.program.regir {
-            self.run_reg(inst, ctx)
+            let image = inst.program.image.clone();
+            // The vector's own pointer, with no slice reference in between
+            // for a later reader of the globals to invalidate.
+            let globals =
+                std::ptr::slice_from_raw_parts_mut(inst.globals.as_mut_ptr(), inst.globals.len());
+            // From here to the end of the run the instance is shared: the
+            // loop reads its memory and table, host functions see all of
+            // it ([`Caller::instance`]). Nobody holding `&Instance<T>`
+            // can resize, replace or drop the `globals` vector, so the
+            // pointer taken above stays valid; the loop is the only
+            // writer, and it is not running while a host function reads.
+            let inst: &Instance<T> = inst;
+            let env = Env {
+                memory: &inst.memory,
+                table: &inst.table,
+                globals,
+            };
+            self.run_reg(&image, env, &mut Embedder { inst, ctx })
         } else {
             self.run_stack(inst, ctx)
         }
@@ -738,8 +868,7 @@ impl Thread {
                         Some(f) => f,
                         None => trap!(Trap::UninitializedElement),
                     };
-                    let actual = program.funcs[f as usize].type_idx();
-                    if program.types[actual as usize] != program.types[expect_ty as usize] {
+                    if program.sig_of_func(f) != program.sig_of_type(expect_ty) {
                         trap!(Trap::IndirectCallTypeMismatch);
                     }
                     enter!(f);
@@ -935,18 +1064,28 @@ impl Thread {
     /// clone/suspend/safepoint re-entry see the same canonical layout the
     /// stack tier produces.
     ///
+    /// It has no type parameter: it runs on the module's [`Prepared`]
+    /// image and the `T`-free parts of the instance ([`Env`]), and
+    /// reaches the embedder through the [`Port`] alone — for a host call and
+    /// for the out-of-line half of a safepoint (and to report a signal
+    /// handler's return). So it is compiled once, in this crate, and its
+    /// code does not depend on who embeds it.
+    ///
     /// The loop is two-level: the outer `'frame` loop re-derives per-frame
-    /// state (code, ops slice, `base`, `pc`) once per activation, and the
-    /// inner dispatch loop runs on locals only. `frame.pc` and the step/fuel
-    /// counters are synced back exclusively at frame switches, host calls
-    /// and run exits — never on the straight-line or branch fast path.
-    fn run_reg<T: HostCtx>(&mut self, inst: &mut Instance<T>, ctx: &mut T) -> RunResult {
-        let program = inst.program.clone();
-        let mut cur: Arc<PreparedFunc> =
-            match &program.funcs[self.frames.last().expect("frame").func as usize] {
-                FuncDef::Local(c) => c.clone(),
-                FuncDef::Host { .. } => unreachable!("frames are local functions"),
-            };
+    /// state (code, op and pool pointers, the register window, the
+    /// instruction pointer) once per activation, and the inner `'dispatch`
+    /// loop runs on locals only: one budget counter, one op fetch, one
+    /// `match`. `frame.pc` and the thread's step and fuel counters are
+    /// written back at frame switches, host calls and run exits — never
+    /// on the straight-line or branch fast path.
+    #[inline(never)]
+    fn run_reg(&mut self, image: &Prepared, env: Env<'_>, port: &mut dyn Port) -> RunResult {
+        /// The body of `func`, which a frame or a `call` names: a local
+        /// function.
+        fn body(image: &Prepared, func: u32) -> &PreparedFunc {
+            &image.bodies[(func - image.nimports) as usize]
+        }
+        let mut cur = body(image, self.frames.last().expect("frame").func);
 
         // Re-entry after a suspension: the host call truncated the stack to
         // its result top. Re-extend to the full register frame — every slot
@@ -959,16 +1098,23 @@ impl Thread {
             }
         }
 
-        // Dispatch-loop state held in locals; `flush!` reconciles the
-        // thread-visible counters on every path that leaves the loop.
-        let mut fuel = self.fuel;
-        let mut steps: u64 = 0;
+        // One down-counter is both fuel and step count: it starts at the
+        // fuel (all ones when there is none) and loses one per op, so
+        // what it has lost is what ran.
+        let bounded = self.fuel.is_some();
+        let start = self.fuel.unwrap_or(u64::MAX);
+        let mut budget = start;
 
+        // Reconciles the thread-visible counters, once, on the path that
+        // leaves the loop.
         macro_rules! flush {
             () => {{
-                self.fuel = fuel;
-                self.steps += steps;
-                self.reg_steps += steps;
+                let ran = start - budget;
+                self.steps += ran;
+                self.reg_steps += ran;
+                if bounded {
+                    self.fuel = Some(budget);
+                }
             }};
         }
 
@@ -981,121 +1127,134 @@ impl Thread {
             }};
         }
 
+        // The memory with its backing resolved, once per run, and the
+        // safepoint flag, borrowed anew after every crossing.
+        let mem = env.memory.view();
+        let mut hint = port.hint();
+
+        // SAFETY (both): `env.globals` is valid for the whole run and
+        // nothing else refers to the globals while the loop runs
+        // (`Thread::run`).
+        macro_rules! global {
+            ($idx:expr) => {
+                unsafe { (&*env.globals)[$idx as usize] }
+            };
+        }
+        macro_rules! set_global {
+            ($idx:expr, $v:expr) => {{
+                let v: u64 = $v;
+                unsafe { (&mut *env.globals)[$idx as usize] = v }
+            }};
+        }
+
         'frame: loop {
             // Frame activation: hoist everything per-frame out of the
-            // dispatch loop. `codearc` pins the borrow of the ops slice so
-            // `cur` stays reassignable at the switch points below.
-            let codearc = cur.clone();
-            let rcode = codearc
+            // dispatch loop.
+            let rcode = cur
                 .reg
                 .as_ref()
                 .expect("register tier requires lowered code");
-            let ops: &[ROp] = &rcode.ops;
-            let consts: &[u64] = &rcode.consts;
+            let ops: *const ROp = rcode.ops.as_ptr();
+            let consts: *const u64 = rcode.consts.as_ptr();
             let nregs = rcode.nregs as usize;
-            let (mut pc, base) = {
+            let (pc, base) = {
                 let f = self.frames.last().expect("frame");
                 (f.pc, f.base)
             };
-
-            // SAFETY (for the three macros below): `regir::lower` only
-            // returns code whose register indices are `< nregs` and whose
-            // pool indices are within `consts` (its `validated` pass), and
-            // the frame invariant keeps `stack.len() >= base + nregs`
-            // while this frame is on top (entry resize, `push_frame`,
-            // `enter!` after a host call and the `Return` resize all
+            // SAFETY: a frame's pc is 0 or was written by `sync_pc!`
+            // behind an op that is not the function's last
+            // (`regir::validated`, *terminator*: the code is not empty
+            // and nothing resumes behind its last op).
+            let mut ip: *const ROp = unsafe { ops.add(pc) };
+            // The register window: register `r` is `*regs.add(r)`.
+            // Re-derived (`rebase!`) wherever the stack may have been
+            // reallocated since — here, and after a host call or a poll.
+            //
+            // SAFETY (for `regs` and the four macros below):
+            // `regir::validated` admits only code whose register indices
+            // are `< nregs` (*registers*) and whose pool indices are
+            // within `consts` (*pool*) — in a specialised variant an `R`
+            // operand is held to the first, a `C` operand to the second
+            // (`variant_in_bounds`) — and the frame invariant keeps
+            // `stack.len() >= base + nregs` while
+            // this frame is on top (entry resize, `push_frame`,
+            // `Port::call` after a host call and the `Return` resize all
             // re-establish it). The unchecked accesses therefore stay in
-            // bounds; they are the hottest loads/stores in the interpreter.
+            // bounds; they are the hottest loads and stores in the
+            // interpreter.
+            let mut regs: *mut u64 = unsafe { self.stack.as_mut_ptr().add(base) };
+
+            macro_rules! rebase {
+                () => {
+                    regs = unsafe { self.stack.as_mut_ptr().add(base) }
+                };
+            }
 
             // Register read.
-            macro_rules! reg {
+            macro_rules! rd {
                 ($r:expr) => {
-                    unsafe { *self.stack.get_unchecked(base + $r as usize) }
+                    unsafe { *regs.add($r as usize) }
                 };
             }
 
             // Register write.
-            macro_rules! set_reg {
+            macro_rules! wr {
                 ($r:expr, $v:expr) => {{
-                    let v = $v;
-                    unsafe {
-                        *self.stack.get_unchecked_mut(base + $r as usize) = v;
-                    }
+                    let v: u64 = $v;
+                    unsafe { *regs.add($r as usize) = v }
                 }};
             }
 
-            // Register-or-immediate operand read (immediates live in the
-            // function's constant pool).
+            // Constant-pool read.
+            macro_rules! k {
+                ($i:expr) => {
+                    unsafe { *consts.add($i as usize) }
+                };
+            }
+
+            // Register-or-immediate operand of a generic instruction.
             macro_rules! src {
-                ($s:expr, $base:expr) => {
+                ($s:expr) => {
                     match $s {
-                        RSrc::Reg(r) => reg!(r),
-                        RSrc::Const(i) => unsafe { *consts.get_unchecked(i as usize) },
+                        RSrc::Reg(r) => rd!(r),
+                        RSrc::Const(i) => k!(i),
                     }
                 };
             }
 
-            // Write the local pc back to the frame — required before any
-            // host call (fork clones the thread mid-call) and any frame
-            // push (the interrupted/calling frame must resume after the op).
+            // Write the pc back to the frame — required before any host
+            // call (fork clones the thread mid-call) and any frame push
+            // (the interrupted/calling frame must resume after the op).
             macro_rules! sync_pc {
                 () => {
-                    self.frames.last_mut().expect("frame").pc = pc
+                    // SAFETY: `ip` points into (or one past) the op array
+                    // `ops` points to.
+                    self.frames.last_mut().expect("frame").pc =
+                        unsafe { ip.offset_from(ops) } as usize
                 };
             }
 
-            // The safepoint poll (paper §3.3). Registers already sit
-            // canonically in the frame — a handler frame stacks directly
-            // on top, no spill needed. Shared by the `Safepoint` op,
-            // poll-carrying branches (the back-edge fold) and the return
-            // path of host calls (Linux delivers signals at syscall
-            // exit); in every case `pc` is already the handler's resume
-            // point.
-            macro_rules! poll_signals {
-                () => {{
-                    if let Some(t) = ctx.check_abort() {
-                        trap!(t);
-                    }
-                    if let Some(call) = ctx.poll_signal() {
-                        let func = call.func;
-                        sync_pc!();
-                        match program.funcs.get(func as usize) {
-                            Some(FuncDef::Local(code)) => {
-                                let code = code.clone();
-                                self.stack.extend(call.args.iter().map(Value::raw));
-                                if let Err(t) = self.push_frame(func, &code, false, true) {
-                                    trap!(t);
-                                }
-                                cur = code;
-                                continue 'frame;
-                            }
-                            Some(FuncDef::Host { .. }) => {
-                                if let Err(t) = self.signal_host(inst, ctx, &call) {
-                                    trap!(t);
-                                }
-                            }
-                            None => trap!(Trap::Host("bad signal handler index".into())),
-                        }
-                    }
-                }};
+            // Jumps to op `target` of this function.
+            macro_rules! jump {
+                ($target:expr) => {
+                    // SAFETY: `regir::validated`, *targets*.
+                    ip = unsafe { ops.add($target as usize) }
+                };
             }
 
-            // A register-IR branch: jump, plus the statically resolved copy
-            // of the `keep` registers carried to their canonical home (a
-            // no-op on most branches). Stays inside the current frame, so
-            // no writeback. `poll` branches absorbed a loop-header
-            // safepoint (see `regir::fold_safepoint_polls`).
-            macro_rules! branch {
-                ($d:expr) => {{
-                    let d = $d;
-                    pc = d.target as usize;
-                    if d.keep > 0 && d.src != d.dst {
-                        let (s, t) = (base + d.src as usize, base + d.dst as usize);
-                        self.stack.copy_within(s..s + d.keep as usize, t);
+            // Stacks the frame of a signal handler that is a local
+            // function on the live one, whose pc has been written back.
+            // Registers already sit canonically in the frame — no spill.
+            macro_rules! deliver {
+                ($call:expr) => {{
+                    let call: PendingCall = $call;
+                    let code = body(image, call.func);
+                    self.stack.extend(call.args.iter().map(Value::raw));
+                    if let Err(t) = self.push_frame(call.func, code, false, true) {
+                        trap!(t);
                     }
-                    if d.poll {
-                        poll_signals!();
-                    }
+                    cur = code;
+                    continue 'frame;
                 }};
             }
 
@@ -1104,428 +1263,402 @@ impl Thread {
             // starts on them, an import borrows them across the host
             // boundary. `pc` is written back first — the calling frame
             // resumes after the op, and `fork` clones the thread
-            // mid-call. After a host call the stack is restored to the
-            // full register frame before the syscall-exit poll can stack
-            // a handler frame on it.
+            // mid-call. The port restores the stack to the full register
+            // frame after a host call, then makes the syscall-exit poll
+            // (Linux delivers signals on the return path of syscalls).
             macro_rules! enter {
                 ($f:expr, $top:expr) => {{
-                    let (f, top) = ($f, base + $top as usize);
+                    let (f, top): (u32, usize) = ($f, base + $top as usize);
                     sync_pc!();
-                    match &program.funcs[f as usize] {
-                        FuncDef::Local(code) => {
-                            let code = code.clone();
-                            self.stack.truncate(top);
-                            if let Err(t) = self.push_frame(f, &code, false, false) {
-                                trap!(t);
-                            }
-                            cur = code;
-                            continue 'frame;
+                    if f >= image.nimports {
+                        let code = body(image, f);
+                        self.stack.truncate(top);
+                        if let Err(t) = self.push_frame(f, code, false, false) {
+                            trap!(t);
                         }
-                        FuncDef::Host { .. } => match self.call_host(inst, ctx, f, top) {
-                            Ok(()) => {
-                                self.stack.resize(base + nregs, 0);
-                                poll_signals!();
+                        cur = code;
+                        continue 'frame;
+                    }
+                    match port.call(self, f, top, base + nregs) {
+                        Ok(polled) => {
+                            hint = polled.hint;
+                            if let Some(call) = polled.handler {
+                                deliver!(call);
                             }
-                            Err(HostOutcome::Trap(t)) => trap!(t),
-                            Err(parked) => {
-                                flush!();
-                                return RunResult::parked(parked);
-                            }
-                        },
+                            rebase!();
+                        }
+                        Err(HostOutcome::Trap(t)) => trap!(t),
+                        Err(parked) => {
+                            flush!();
+                            return RunResult::parked(parked);
+                        }
                     }
                 }};
             }
 
-            loop {
-                if let Some(f) = &mut fuel {
-                    if *f == 0 {
-                        // Yield at an op boundary; resume(&[]) continues here.
-                        sync_pc!();
-                        flush!();
-                        self.pending = Some(PendingHost {
-                            func: None,
-                            nresults: 0,
-                            kept: None,
-                        });
-                        return RunResult::Suspended(Suspension::new(Preempted));
+            // A value op whose operator may trap.
+            macro_rules! checked {
+                ($dst:expr, $r:expr) => {
+                    match $r {
+                        Ok(v) => wr!($dst, v),
+                        Err(t) => trap!(t),
                     }
-                    *f -= 1;
-                }
-                // SAFETY: `regir::validated` guarantees every branch
-                // target is in bounds and the last op is a terminator, so
-                // neither fallthrough nor a jump can move `pc` past the
-                // array (resume pcs always follow non-terminator ops).
-                let op = unsafe { ops.get_unchecked(pc) };
-                pc += 1;
-                steps += 1;
+                };
+            }
 
-                match op {
-                    ROp::Unreachable => trap!(Trap::Unreachable),
-                    ROp::Safepoint => poll_signals!(),
-                    ROp::Mov { dst, src } => {
-                        let v = src!(*src, base);
-                        set_reg!(*dst, v);
+            // The effective address of a memory access.
+            macro_rules! ea {
+                ($addr:expr, $offset:expr) => {
+                    $addr as u32 as u64 + $offset as u64
+                };
+            }
+            macro_rules! ea_idx {
+                ($a:expr, $b:expr, $offset:expr) => {
+                    ($a as u32).wrapping_add($b as u32) as u64 + $offset as u64
+                };
+            }
+
+            macro_rules! store {
+                ($kind:expr, $ea:expr, $v:expr) => {{
+                    let (ea, v): (u64, u64) = ($ea, $v);
+                    if let Err(t) = store_at(&mem, $kind, ea, v) {
+                        trap!(t);
                     }
-                    ROp::Br(d) => branch!(*d),
-                    ROp::BrIf { cond, dest } => {
-                        let (c, d) = (src!(*cond, base), *dest);
-                        if c as u32 != 0 {
-                            branch!(d);
+                }};
+            }
+
+            'dispatch: loop {
+                // A safepoint (paper §3.3): one relaxed load of the embedder's
+                // flag. Only when it is raised does the poll happen, behind
+                // the dispatch loop (below). Shared by the `Safepoint` op and
+                // poll-carrying branches (the back-edge fold,
+                // `regir::fold_safepoint_polls`); in every case `ip` is
+                // already the handler's resume point.
+                macro_rules! safepoint {
+                    () => {
+                        if hint.load(Ordering::Relaxed) {
+                            break 'dispatch;
                         }
-                    }
-                    ROp::BrIfZero { cond, dest } => {
-                        let (c, d) = (src!(*cond, base), *dest);
-                        if c as u32 == 0 {
-                            branch!(d);
-                        }
-                    }
-                    ROp::RelBr {
-                        op,
-                        a,
-                        b,
-                        if_true,
-                        dest,
-                    } => {
-                        let (va, vb) = (src!(*a, base), src!(*b, base));
-                        let (want, d) = (*if_true, *dest);
-                        if (eval_rel(*op, va, vb) != 0) == want {
-                            branch!(d);
-                        }
-                    }
-                    ROp::BrTable { idx, table } => {
-                        let i = src!(*idx, base) as u32 as usize;
-                        let d = *table.dests.get(i).unwrap_or(&table.default);
-                        branch!(d);
-                    }
-                    ROp::Return { src, n } => {
-                        let (src, n) = (*src as usize, *n as usize);
-                        let frame = self.frames.pop().expect("frame");
-                        if frame.signal_frame {
-                            ctx.signal_return();
-                        }
-                        let from = frame.base + src;
-                        // Move results down over the register frame.
-                        self.stack.copy_within(from..from + n, frame.base);
-                        self.stack.truncate(frame.base + n);
-                        if frame.barrier {
-                            flush!();
-                            return RunResult::Done(
-                                self.take_results(inst, frame.func, frame.base),
-                            );
-                        }
-                        let parent = self.frames.last().expect("parent frame");
-                        let pbase = parent.base;
-                        cur = match &program.funcs[parent.func as usize] {
-                            FuncDef::Local(c) => c.clone(),
-                            FuncDef::Host { .. } => unreachable!(),
-                        };
-                        // The results landed exactly in the caller's
-                        // canonical result registers; re-extend to its full
-                        // frame. (The parent's pc was synced at its call.)
-                        let pnregs = cur.reg.as_ref().expect("register tier").nregs as usize;
-                        self.stack.resize(pbase + pnregs, 0);
-                        continue 'frame;
-                    }
-                    ROp::Call { func, top, .. } => enter!(*func, *top),
-                    ROp::CallIndirect {
-                        ty: expect_ty,
-                        idx,
-                        top,
-                        ..
-                    } => {
-                        let expect_ty = *expect_ty;
-                        let i = src!(*idx, base) as u32 as usize;
-                        let entry = match inst.table.get(i) {
-                            Some(e) => *e,
-                            None => trap!(Trap::TableOutOfBounds),
-                        };
-                        let f = match entry {
-                            Some(f) => f,
-                            None => trap!(Trap::UninitializedElement),
-                        };
-                        let actual = program.funcs[f as usize].type_idx();
-                        if program.types[actual as usize] != program.types[expect_ty as usize] {
-                            trap!(Trap::IndirectCallTypeMismatch);
-                        }
-                        enter!(f, *top);
-                    }
-                    ROp::Select { dst, cond, a, b } => {
-                        let c = src!(*cond, base) as u32;
-                        let (va, vb) = (src!(*a, base), src!(*b, base));
-                        set_reg!(*dst, if c != 0 { va } else { vb });
-                    }
-                    ROp::GlobalGet { dst, idx } => {
-                        set_reg!(*dst, inst.globals[*idx as usize]);
-                    }
-                    ROp::GlobalSet { idx, src } => {
-                        inst.globals[*idx as usize] = src!(*src, base);
-                    }
-                    ROp::Load {
-                        dst,
-                        kind,
-                        addr,
-                        offset,
-                    } => {
-                        let addr = src!(*addr, base) as u32 as u64 + *offset as u64;
-                        let v = match load(&inst.memory, *kind, addr) {
-                            Ok(v) => v,
-                            Err(t) => trap!(t),
-                        };
-                        set_reg!(*dst, v);
-                    }
-                    ROp::Store {
-                        kind,
-                        addr,
-                        val,
-                        offset,
-                    } => {
-                        let v = src!(*val, base);
-                        let addr = src!(*addr, base) as u32 as u64 + *offset as u64;
-                        if let Err(t) = store(&inst.memory, *kind, addr, v) {
-                            trap!(t);
-                        }
-                    }
-                    ROp::MemorySize { dst } => {
-                        set_reg!(*dst, inst.memory.pages() as u64);
-                    }
-                    ROp::MemoryGrow { dst, delta } => {
-                        let delta = src!(*delta, base) as u32;
-                        let prev = inst.memory.grow(delta);
-                        set_reg!(*dst, prev as u32 as u64);
-                    }
-                    ROp::MemoryCopy { dst, src, len } => {
-                        let len = src!(*len, base) as u32 as u64;
-                        let s = src!(*src, base) as u32 as u64;
-                        let d = src!(*dst, base) as u32 as u64;
-                        if let Err(t) = inst.memory.copy_within(d, s, len) {
-                            trap!(t);
-                        }
-                    }
-                    ROp::MemoryFill { dst, val, len } => {
-                        let len = src!(*len, base) as u32 as u64;
-                        let v = src!(*val, base) as u8;
-                        let d = src!(*dst, base) as u32 as u64;
-                        if let Err(t) = inst.memory.fill(d, v, len) {
-                            trap!(t);
-                        }
-                    }
-                    ROp::Un { dst, op, a } => {
-                        let a = src!(*a, base);
-                        match eval_un(*op, a) {
-                            Ok(v) => set_reg!(*dst, v),
-                            Err(t) => trap!(t),
-                        }
-                    }
-                    ROp::Bin { dst, op, a, b } => {
-                        let (va, vb) = (src!(*a, base), src!(*b, base));
-                        match eval_bin(*op, va, vb) {
-                            Ok(v) => set_reg!(*dst, v),
-                            Err(t) => trap!(t),
-                        }
-                    }
-                    ROp::Rel { dst, op, a, b } => {
-                        let (va, vb) = (src!(*a, base), src!(*b, base));
-                        set_reg!(*dst, eval_rel(*op, va, vb) as u64);
-                    }
-                    ROp::Cvt { dst, op, a } => {
-                        let a = src!(*a, base);
-                        match eval_cvt(*op, a) {
-                            Ok(v) => set_reg!(*dst, v),
-                            Err(t) => trap!(t),
-                        }
-                    }
-                    ROp::LoadIdx {
-                        dst,
-                        kind,
-                        a,
-                        b,
-                        offset,
-                    } => {
-                        let (va, vb) = (src!(*a, base), src!(*b, base));
-                        let addr = (va as u32).wrapping_add(vb as u32) as u64 + *offset as u64;
-                        let v = match load(&inst.memory, *kind, addr) {
-                            Ok(v) => v,
-                            Err(t) => trap!(t),
-                        };
-                        set_reg!(*dst, v);
-                    }
-                    ROp::Bin2 {
-                        op1,
-                        a,
-                        b,
-                        dst1,
-                        op2,
-                        a2,
-                        b2,
-                        dst2,
-                    } => {
-                        let (va, vb) = (src!(*a, base), src!(*b, base));
-                        let v1 = match eval_bin(*op1, va, vb) {
-                            Ok(v) => v,
-                            Err(t) => trap!(t),
-                        };
-                        // dst1 is written before the second op's operands
-                        // are read: one aliasing dst1 sees the fresh
-                        // value, exactly as the unfused sequence would.
-                        set_reg!(*dst1, v1);
-                        let (v2a, v2b) = (src!(*a2, base), src!(*b2, base));
-                        match eval_bin(*op2, v2a, v2b) {
-                            Ok(v) => set_reg!(*dst2, v),
-                            Err(t) => trap!(t),
-                        }
-                    }
-                    ROp::BinRelBr {
-                        op,
-                        a,
-                        b,
-                        dst,
-                        rel,
-                        c,
-                        if_true,
-                        target,
-                        poll,
-                    } => {
-                        let (va, vb) = (src!(*a, base), src!(*b, base));
-                        let v = match eval_bin(*op, va, vb) {
-                            Ok(v) => v,
-                            Err(t) => trap!(t),
-                        };
-                        set_reg!(*dst, v);
-                        let vc = src!(*c, base);
-                        if (eval_rel(*rel, v, vc) != 0) == *if_true {
-                            pc = *target as usize;
-                            if *poll {
-                                poll_signals!();
+                    };
+                }
+
+                // The fused `dst = a op b; if (dst rel c) == if_true goto
+                // target`, generic and specialised.
+                macro_rules! bin_rel_br {
+                    ($r:expr, $dst:expr, $rel:expr, $c:expr, $want:expr, $to:expr, $poll:expr) => {
+                        match $r {
+                            Ok(v) => {
+                                // `c` is read after the write: it may be `dst`.
+                                wr!($dst, v);
+                                if (eval_rel($rel, v, $c) != 0) == $want {
+                                    jump!($to);
+                                    if $poll {
+                                        safepoint!();
+                                    }
+                                }
                             }
-                        }
-                    }
-                    ROp::CvtBin {
-                        cvt,
-                        a,
-                        dst1,
-                        op,
-                        a2,
-                        b2,
-                        dst2,
-                    } => {
-                        let va = src!(*a, base);
-                        let v1 = match eval_cvt(*cvt, va) {
-                            Ok(v) => v,
-                            Err(t) => trap!(t),
-                        };
-                        set_reg!(*dst1, v1);
-                        let (v2a, v2b) = (src!(*a2, base), src!(*b2, base));
-                        match eval_bin(*op, v2a, v2b) {
-                            Ok(v) => set_reg!(*dst2, v),
                             Err(t) => trap!(t),
                         }
-                    }
-                    ROp::AtomicNotify {
-                        dst,
-                        addr,
-                        count,
-                        offset,
-                    } => {
-                        let _count = src!(*count, base) as u32;
-                        let addr = src!(*addr, base) as u32 as u64 + *offset as u64;
-                        if let Err(t) = inst.memory.check(addr, 4) {
-                            trap!(t);
-                        }
-                        // See the stack tier: engine-level parking is not
-                        // modeled, report zero waiters woken.
-                        set_reg!(*dst, 0);
-                    }
-                    ROp::AtomicWait32 {
-                        dst,
-                        addr,
-                        expected,
-                        timeout,
-                        offset,
-                    } => {
-                        let _timeout = src!(*timeout, base) as i64;
-                        let expected = src!(*expected, base) as u32;
-                        let addr = src!(*addr, base) as u32 as u64 + *offset as u64;
-                        let v = match inst.memory.atomic_load32(addr) {
-                            Ok(v) => v,
-                            Err(t) => trap!(t),
-                        };
-                        set_reg!(*dst, if v != expected { 1 } else { 2 });
-                    }
-                    ROp::AtomicFence => {
-                        std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
-                    }
-                    ROp::AtomicLoad {
-                        dst,
-                        width,
-                        addr,
-                        offset,
-                    } => {
-                        let addr = src!(*addr, base) as u32 as u64 + *offset as u64;
-                        let r = match width {
-                            crate::instr::AtomicWidth::I32 => {
-                                inst.memory.atomic_load32(addr).map(|v| v as u64)
+                    };
+                }
+
+                let Some(left) = budget.checked_sub(1) else {
+                    // Yield at an op boundary; resume(&[]) continues here.
+                    sync_pc!();
+                    flush!();
+                    self.pending = Some(PendingHost {
+                        func: None,
+                        nresults: 0,
+                        kept: None,
+                    });
+                    return RunResult::Suspended(Suspension::new(Preempted));
+                };
+                budget = left;
+                // SAFETY: `regir::validated`, *targets* and *terminator*:
+                // neither a jump nor fallthrough can move `ip` past the
+                // array (resume pcs always follow non-terminator ops).
+                let op = unsafe { &*ip };
+                ip = unsafe { ip.add(1) };
+
+                // One `match` runs the op. A taken branch that carries a
+                // register fixup leaves it with its destination, for the
+                // shared tail below; everything else goes round again.
+                let dest: &RBr = 'taken: {
+                    // The arms of the one dispatch `match`: the generic
+                    // instructions written out, then one arm per entry of
+                    // `regir::spec_table!`, each calling the same `eval_bin`
+                    // / `eval_rel` / `load_at` a generic arm calls — with a
+                    // literal operator, so the inner `match` and the
+                    // `Result` fold away at compile time.
+                    macro_rules! dispatch {
+                        (
+                            bin { $($bop:ident => $brr:ident $brc:ident;)* }
+                            load_idx {
+                                $($lk:ident $(| $lks:ident)* => $xrr:ident $xrc:ident;)*
                             }
-                            crate::instr::AtomicWidth::I64 => inst.memory.atomic_load64(addr),
-                        };
-                        match r {
-                            Ok(v) => set_reg!(*dst, v),
-                            Err(t) => trap!(t),
-                        }
-                    }
-                    ROp::AtomicStore {
-                        width,
-                        addr,
-                        val,
-                        offset,
-                    } => {
-                        let v = src!(*val, base);
-                        let addr = src!(*addr, base) as u32 as u64 + *offset as u64;
-                        let r = match width {
-                            crate::instr::AtomicWidth::I32 => {
-                                inst.memory.atomic_store32(addr, v as u32)
+                            addbr { $($aop:ident => $ar:ident $ac:ident;)* }
+                        ) => {
+                            match op {
+                                ROp::Unreachable => trap!(Trap::Unreachable),
+                                ROp::Safepoint => safepoint!(),
+                                ROp::Mov { dst, src } => wr!(*dst, src!(*src)),
+                                ROp::Br(dest) => break 'taken dest,
+                                ROp::BrIf { cond, dest } => {
+                                    if src!(*cond) as u32 != 0 {
+                                        break 'taken dest;
+                                    }
+                                }
+                                ROp::BrIfZero { cond, dest } => {
+                                    if src!(*cond) as u32 == 0 {
+                                        break 'taken dest;
+                                    }
+                                }
+                                ROp::RelBr { op, a, b, if_true, dest } => {
+                                    if (eval_rel(*op, src!(*a), src!(*b)) != 0) == *if_true {
+                                        break 'taken dest;
+                                    }
+                                }
+                                ROp::BrTable { idx, table } => {
+                                    let i = src!(*idx) as u32 as usize;
+                                    break 'taken table.dests.get(i).unwrap_or(&table.default);
+                                }
+                                ROp::Return { src, n } => {
+                                    let (src, n) = (*src as usize, *n as usize);
+                                    let frame = self.frames.pop().expect("frame");
+                                    if frame.signal_frame {
+                                        port.signal_return();
+                                        hint = port.hint();
+                                    }
+                                    let from = frame.base + src;
+                                    // Move results down over the register frame.
+                                    self.stack.copy_within(from..from + n, frame.base);
+                                    self.stack.truncate(frame.base + n);
+                                    if frame.barrier {
+                                        flush!();
+                                        let ty = image.func_type(frame.func).expect("function");
+                                        return RunResult::Done(
+                                            self.typed_results(&ty.results, frame.base),
+                                        );
+                                    }
+                                    let parent = self.frames.last().expect("parent frame");
+                                    let pbase = parent.base;
+                                    cur = body(image, parent.func);
+                                    // The results landed exactly in the caller's
+                                    // canonical result registers; re-extend to its full
+                                    // frame. (The parent's pc was synced at its call.)
+                                    let preg = cur.reg.as_ref().expect("register tier");
+                                    self.stack.resize(pbase + preg.nregs as usize, 0);
+                                    continue 'frame;
+                                }
+                                ROp::Call { func, top, .. } => enter!(*func, *top),
+                                ROp::CallIndirect { ty, idx, top, .. } => {
+                                    let i = src!(*idx) as u32 as usize;
+                                    let f = match env.table.get(i) {
+                                        Some(Some(f)) => *f,
+                                        Some(None) => trap!(Trap::UninitializedElement),
+                                        None => trap!(Trap::TableOutOfBounds),
+                                    };
+                                    if image.sig_of_func(f) != image.sig_of_type(*ty) {
+                                        trap!(Trap::IndirectCallTypeMismatch);
+                                    }
+                                    enter!(f, *top);
+                                }
+                                ROp::Select { dst, cond, a, b } => {
+                                    let (va, vb) = (src!(*a), src!(*b));
+                                    wr!(*dst, if src!(*cond) as u32 != 0 { va } else { vb });
+                                }
+                                ROp::GlobalGet { dst, idx } => wr!(*dst, global!(*idx)),
+                                ROp::GlobalSet { idx, src } => set_global!(*idx, src!(*src)),
+                                ROp::Load { dst, kind, addr, offset } => {
+                                    checked!(*dst, load_at(&mem, *kind, ea!(src!(*addr), *offset)))
+                                }
+                                ROp::Store { kind, addr, val, offset } => {
+                                    store!(*kind, ea!(src!(*addr), *offset), src!(*val))
+                                }
+                                ROp::MemorySize { dst } => wr!(*dst, env.memory.pages() as u64),
+                                ROp::MemoryGrow { dst, delta } => {
+                                    let prev = env.memory.grow(src!(*delta) as u32);
+                                    wr!(*dst, prev as u32 as u64);
+                                }
+                                ROp::MemoryCopy { dst, src, len } => {
+                                    let len = src!(*len) as u32 as u64;
+                                    let s = src!(*src) as u32 as u64;
+                                    let d = src!(*dst) as u32 as u64;
+                                    if let Err(t) = env.memory.copy_within(d, s, len) {
+                                        trap!(t);
+                                    }
+                                }
+                                ROp::MemoryFill { dst, val, len } => {
+                                    let len = src!(*len) as u32 as u64;
+                                    let v = src!(*val) as u8;
+                                    let d = src!(*dst) as u32 as u64;
+                                    if let Err(t) = env.memory.fill(d, v, len) {
+                                        trap!(t);
+                                    }
+                                }
+                                ROp::Un { dst, op, a } => checked!(*dst, eval_un(*op, src!(*a))),
+                                ROp::Bin { dst, op, a, b } => {
+                                    checked!(*dst, eval_bin(*op, src!(*a), src!(*b)))
+                                }
+                                ROp::Rel { dst, op, a, b } => {
+                                    wr!(*dst, eval_rel(*op, src!(*a), src!(*b)) as u64)
+                                }
+                                ROp::Cvt { dst, op, a } => checked!(*dst, eval_cvt(*op, src!(*a))),
+                                ROp::Bin2 { op1, a, b, dst1, op2, a2, b2, dst2 } => {
+                                    // dst1 is written before the second op's operands
+                                    // are read: one aliasing dst1 sees the fresh
+                                    // value, exactly as the unfused sequence would.
+                                    checked!(*dst1, eval_bin(*op1, src!(*a), src!(*b)));
+                                    checked!(*dst2, eval_bin(*op2, src!(*a2), src!(*b2)));
+                                }
+                                ROp::CvtBin { cvt, a, dst1, op, a2, b2, dst2 } => {
+                                    checked!(*dst1, eval_cvt(*cvt, src!(*a)));
+                                    checked!(*dst2, eval_bin(*op, src!(*a2), src!(*b2)));
+                                }
+                                ROp::BinRelBr { op, a, b, dst, rel, c, if_true, target, poll } => {
+                                    let r = eval_bin(*op, src!(*a), src!(*b));
+                                    bin_rel_br!(r, *dst, *rel, src!(*c), *if_true, *target, *poll)
+                                }
+                                ROp::AtomicNotify { dst, addr, count, offset } => {
+                                    let _count = src!(*count) as u32;
+                                    if let Err(t) = env.memory.check(ea!(src!(*addr), *offset), 4) {
+                                        trap!(t);
+                                    }
+                                    // See the stack tier: engine-level parking is not
+                                    // modeled, report zero waiters woken.
+                                    wr!(*dst, 0);
+                                }
+                                ROp::AtomicWait32 { dst, addr, expected, timeout, offset } => {
+                                    let _timeout = src!(*timeout) as i64;
+                                    let expected = src!(*expected) as u32;
+                                    match env.memory.atomic_load32(ea!(src!(*addr), *offset)) {
+                                        Ok(v) => wr!(*dst, if v != expected { 1 } else { 2 }),
+                                        Err(t) => trap!(t),
+                                    }
+                                }
+                                ROp::AtomicFence => {
+                                    std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
+                                }
+                                ROp::AtomicLoad { dst, width, addr, offset } => {
+                                    let (mem, ea) = (env.memory, ea!(src!(*addr), *offset));
+                                    checked!(*dst, match width {
+                                        AtomicWidth::I32 => mem.atomic_load32(ea).map(|v| v as u64),
+                                        AtomicWidth::I64 => mem.atomic_load64(ea),
+                                    })
+                                }
+                                ROp::AtomicStore { width, addr, val, offset } => {
+                                    let (mem, v) = (env.memory, src!(*val));
+                                    let ea = ea!(src!(*addr), *offset);
+                                    let r = match width {
+                                        AtomicWidth::I32 => mem.atomic_store32(ea, v as u32),
+                                        AtomicWidth::I64 => mem.atomic_store64(ea, v),
+                                    };
+                                    if let Err(t) = r {
+                                        trap!(t);
+                                    }
+                                }
+                                ROp::AtomicRmw { dst, op, addr, val, offset } => {
+                                    let v = src!(*val) as u32;
+                                    let ea = ea!(src!(*addr), *offset);
+                                    let old = env.memory.atomic_rmw32(ea, *op, v);
+                                    checked!(*dst, old.map(u64::from))
+                                }
+                                ROp::AtomicCmpxchg { dst, addr, expected, new, offset } => {
+                                    let new = src!(*new) as u32;
+                                    let expected = src!(*expected) as u32;
+                                    let ea = ea!(src!(*addr), *offset);
+                                    let old = env.memory.atomic_cmpxchg32(ea, expected, new);
+                                    checked!(*dst, old.map(u64::from))
+                                }
+                                $(
+                                    ROp::$brr { dst, a, b } => {
+                                        checked!(*dst, eval_bin(BinOp::$bop, rd!(*a), rd!(*b)))
+                                    }
+                                    ROp::$brc { dst, a, b } => {
+                                        checked!(*dst, eval_bin(BinOp::$bop, rd!(*a), k!(*b)))
+                                    }
+                                )*
+                                $(
+                                    ROp::$xrr { dst, a, b, offset } => {
+                                        let ea = ea_idx!(rd!(*a), rd!(*b), *offset);
+                                        checked!(*dst, load_at(&mem, LoadKind::$lk, ea))
+                                    }
+                                    ROp::$xrc { dst, a, b, offset } => {
+                                        let ea = ea_idx!(rd!(*a), k!(*b), *offset);
+                                        checked!(*dst, load_at(&mem, LoadKind::$lk, ea))
+                                    }
+                                )*
+                                $(
+                                    ROp::$ar { a, b, dst, c, if_true, target, poll } => {
+                                        let r = eval_bin(BinOp::I32Add, rd!(*a), k!(*b));
+                                        let rel = RelOp::$aop;
+                                        bin_rel_br!(r, *dst, rel, rd!(*c), *if_true, *target, *poll)
+                                    }
+                                    ROp::$ac { a, b, dst, c, if_true, target, poll } => {
+                                        let r = eval_bin(BinOp::I32Add, rd!(*a), k!(*b));
+                                        let rel = RelOp::$aop;
+                                        bin_rel_br!(r, *dst, rel, k!(*c), *if_true, *target, *poll)
+                                    }
+                                )*
                             }
-                            crate::instr::AtomicWidth::I64 => inst.memory.atomic_store64(addr, v),
                         };
-                        if let Err(t) = r {
-                            trap!(t);
-                        }
                     }
-                    ROp::AtomicRmw {
-                        dst,
-                        op,
-                        addr,
-                        val,
-                        offset,
-                    } => {
-                        let v = src!(*val, base) as u32;
-                        let addr = src!(*addr, base) as u32 as u64 + *offset as u64;
-                        match inst.memory.atomic_rmw32(addr, *op, v) {
-                            Ok(old) => set_reg!(*dst, old as u64),
-                            Err(t) => trap!(t),
-                        }
-                    }
-                    ROp::AtomicCmpxchg {
-                        dst,
-                        addr,
-                        expected,
-                        new,
-                        offset,
-                    } => {
-                        let new = src!(*new, base) as u32;
-                        let expected = src!(*expected, base) as u32;
-                        let addr = src!(*addr, base) as u32 as u64 + *offset as u64;
-                        match inst.memory.atomic_cmpxchg32(addr, expected, new) {
-                            Ok(old) => set_reg!(*dst, old as u64),
-                            Err(t) => trap!(t),
-                        }
+                    crate::regir::spec_table!(dispatch);
+                    continue 'dispatch;
+                };
+
+                // A taken branch: jump, plus the statically resolved copy
+                // of the `keep` registers carried to their canonical home
+                // (a no-op on most branches). Stays inside the current
+                // frame, so no writeback. `poll` branches absorbed a
+                // loop-header safepoint.
+                jump!(dest.target);
+                if dest.keep > 0 && dest.src != dest.dst {
+                    // SAFETY: `regir::validated`, *fixups*.
+                    unsafe {
+                        std::ptr::copy(
+                            regs.add(dest.src as usize),
+                            regs.add(dest.dst as usize),
+                            dest.keep as usize,
+                        );
                     }
                 }
+                if dest.poll {
+                    safepoint!();
+                }
+            }
+
+            // Only a safepoint that found the flag raised ends the
+            // dispatch loop this way: the out-of-line half, the poll
+            // itself. `ip` is where the frame goes on afterwards — behind
+            // a handler's frame if the poll delivered one.
+            sync_pc!();
+            match port.poll(self) {
+                Ok(polled) => {
+                    hint = polled.hint;
+                    if let Some(call) = polled.handler {
+                        deliver!(call);
+                    }
+                }
+                Err(t) => trap!(t),
             }
         }
     }
 }
 
+#[inline(always)]
 fn load(mem: &Memory, kind: LoadKind, addr: u64) -> Result<u64, Trap> {
+    load_at(&mem.view(), kind, addr)
+}
+
+#[inline(always)]
+fn store(mem: &Memory, kind: StoreKind, addr: u64, v: u64) -> Result<(), Trap> {
+    store_at(&mem.view(), kind, addr, v)
+}
+
+/// A load of shape `kind`: the bytes at `addr`, extended to a slot.
+#[inline(always)]
+fn load_at(mem: &MemView<'_>, kind: LoadKind, addr: u64) -> Result<u64, Trap> {
     Ok(match kind {
         LoadKind::I32 | LoadKind::F32 => u32::from_le_bytes(mem.load::<4>(addr)?) as u64,
         LoadKind::I64 | LoadKind::F64 => u64::from_le_bytes(mem.load::<8>(addr)?),
@@ -1542,7 +1675,9 @@ fn load(mem: &Memory, kind: LoadKind, addr: u64) -> Result<u64, Trap> {
     })
 }
 
-fn store(mem: &Memory, kind: StoreKind, addr: u64, v: u64) -> Result<(), Trap> {
+/// A store of shape `kind`: the low bytes of slot `v` to `addr`.
+#[inline(always)]
+fn store_at(mem: &MemView<'_>, kind: StoreKind, addr: u64, v: u64) -> Result<(), Trap> {
     match kind {
         StoreKind::I32 | StoreKind::F32 => mem.store::<4>(addr, (v as u32).to_le_bytes()),
         StoreKind::I64 | StoreKind::F64 => mem.store::<8>(addr, v.to_le_bytes()),
@@ -1552,6 +1687,7 @@ fn store(mem: &Memory, kind: StoreKind, addr: u64, v: u64) -> Result<(), Trap> {
     }
 }
 
+#[inline(always)]
 pub(crate) fn eval_un(op: UnOp, a: u64) -> Result<u64, Trap> {
     use UnOp::*;
     let v = match op {
@@ -1586,6 +1722,7 @@ pub(crate) fn eval_un(op: UnOp, a: u64) -> Result<u64, Trap> {
     Ok(v)
 }
 
+#[inline(always)]
 pub(crate) fn eval_bin(op: BinOp, a: u64, b: u64) -> Result<u64, Trap> {
     use BinOp::*;
     let v = match op {
@@ -1689,6 +1826,7 @@ pub(crate) fn eval_bin(op: BinOp, a: u64, b: u64) -> Result<u64, Trap> {
     Ok(v)
 }
 
+#[inline(always)]
 pub(crate) fn eval_rel(op: RelOp, a: u64, b: u64) -> u32 {
     use RelOp::*;
     let r = match op {
@@ -1728,6 +1866,7 @@ pub(crate) fn eval_rel(op: RelOp, a: u64, b: u64) -> u32 {
     r as u32
 }
 
+#[inline(always)]
 pub(crate) fn eval_cvt(op: CvtOp, a: u64) -> Result<u64, Trap> {
     use CvtOp::*;
     let v = match op {

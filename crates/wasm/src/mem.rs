@@ -556,61 +556,41 @@ impl Memory {
         }
     }
 
+    /// This memory with its backing resolved, for a run of accesses.
+    #[inline]
+    pub fn view(&self) -> MemView<'_> {
+        let (flat, read_ptrs, write_ptrs): (_, &[_], &[_]) = match &self.backing {
+            Backing::Flat(f) => (f.ptr(), &[], &[]),
+            Backing::Paged(p) => (std::ptr::null_mut(), &p.read_ptrs, &p.write_ptrs),
+        };
+        MemView {
+            mem: self,
+            flat,
+            read_ptrs,
+            write_ptrs,
+        }
+    }
+
     /// Reads `N` bytes at `addr`.
     #[inline]
     pub fn load<const N: usize>(&self, addr: u64) -> Result<[u8; N], Trap> {
-        let off = self.check(addr, N as u64)?;
-        let mut out = [0u8; N];
-        match &self.backing {
-            Backing::Flat(f) => {
-                // SAFETY: `check` guarantees `off + N <= size <= allocation`.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(f.ptr().add(off), out.as_mut_ptr(), N);
-                }
-            }
-            Backing::Paged(p) => {
-                let po = off & PAGE_MASK;
-                if po + N <= PAGE_SIZE {
-                    let src = p.read_ptrs[off >> PAGE_SHIFT].load(Ordering::Acquire);
-                    // SAFETY: Bounds-checked; `src` is a live page (or the
-                    // zero page) and the access stays inside it.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(src.add(po), out.as_mut_ptr(), N);
-                    }
-                } else {
-                    self.copy_out(off, &mut out);
-                }
-            }
-        }
-        Ok(out)
+        self.view().load(addr)
     }
 
     /// Writes `N` bytes at `addr`.
     #[inline]
     pub fn store<const N: usize>(&self, addr: u64, val: [u8; N]) -> Result<(), Trap> {
-        let off = self.check(addr, N as u64)?;
+        self.view().store(addr, val)
+    }
+
+    /// The locked slow path of a paged store: first touch or COW copy of
+    /// page `idx` (see [`PageStore::page_for_write`]).
+    #[cold]
+    fn first_write(&self, idx: usize) -> *mut u8 {
         match &self.backing {
-            Backing::Flat(f) => {
-                // SAFETY: `check` guarantees `off + N <= size <= allocation`.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(val.as_ptr(), f.ptr().add(off), N);
-                }
-            }
-            Backing::Paged(p) => {
-                let po = off & PAGE_MASK;
-                if po + N <= PAGE_SIZE {
-                    let dst = p.write_ptr(off >> PAGE_SHIFT);
-                    // SAFETY: `dst` is this store's exclusively-owned page
-                    // and the access stays inside it.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(val.as_ptr(), dst.add(po), N);
-                    }
-                } else {
-                    self.copy_in(off, &val);
-                }
-            }
+            Backing::Paged(p) => p.page_for_write(idx),
+            Backing::Flat(_) => unreachable!("the flat backing has no page table"),
         }
-        Ok(())
     }
 
     /// Copies a byte range out of memory.
@@ -910,6 +890,82 @@ impl Memory {
             return Err(Trap::MemoryOutOfBounds);
         }
         self.check(addr, align)
+    }
+}
+
+/// A [`Memory`] whose backing has been looked at once: the flat base
+/// pointer, or the paged store's two page-pointer tables. The dispatch
+/// loop takes one per run, so that an in-bounds, in-page
+/// access is a bounds compare against the *current* size (read per
+/// access — a sibling thread's `memory.grow` is seen at once), one
+/// page-pointer load and a copy, with no `match` on the backing and no
+/// walk through the store in between. [`Memory::load`]/[`Memory::store`]
+/// are one-shot uses of the same code.
+#[derive(Clone, Copy)]
+pub struct MemView<'a> {
+    mem: &'a Memory,
+    /// Base of the flat reservation; null on the paged backing.
+    flat: *mut u8,
+    /// [`PageStore::read_ptrs`] (empty on the flat backing).
+    read_ptrs: &'a [AtomicPtr<u8>],
+    /// [`PageStore::write_ptrs`] (empty on the flat backing).
+    write_ptrs: &'a [AtomicPtr<u8>],
+}
+
+impl<'a> MemView<'a> {
+    /// Reads `N` bytes at `addr`.
+    #[inline(always)]
+    pub fn load<const N: usize>(&self, addr: u64) -> Result<[u8; N], Trap> {
+        let off = self.mem.check(addr, N as u64)?;
+        let mut out = [0u8; N];
+        let src = if !self.flat.is_null() {
+            // SAFETY: `check` guarantees `off + N <= size <= allocation`.
+            unsafe { self.flat.add(off) }
+        } else {
+            let po = off & PAGE_MASK;
+            if po + N > PAGE_SIZE {
+                self.mem.copy_out(off, &mut out);
+                return Ok(out);
+            }
+            let page = self.read_ptrs[off >> PAGE_SHIFT].load(Ordering::Acquire);
+            // SAFETY: `page` is a live page (or the zero page) and the
+            // access stays inside it.
+            unsafe { page.add(po) }
+        };
+        // SAFETY: Bounds-checked above; `src` is valid for `N` bytes.
+        unsafe {
+            std::ptr::copy_nonoverlapping(src, out.as_mut_ptr(), N);
+        }
+        Ok(out)
+    }
+
+    /// Writes `N` bytes at `addr`.
+    #[inline(always)]
+    pub fn store<const N: usize>(&self, addr: u64, val: [u8; N]) -> Result<(), Trap> {
+        let off = self.mem.check(addr, N as u64)?;
+        let dst = if !self.flat.is_null() {
+            // SAFETY: `check` guarantees `off + N <= size <= allocation`.
+            unsafe { self.flat.add(off) }
+        } else {
+            let po = off & PAGE_MASK;
+            if po + N > PAGE_SIZE {
+                self.mem.copy_in(off, &val);
+                return Ok(());
+            }
+            let idx = off >> PAGE_SHIFT;
+            let mut page = self.write_ptrs[idx].load(Ordering::Acquire);
+            if page.is_null() {
+                page = self.mem.first_write(idx);
+            }
+            // SAFETY: `page` is this store's exclusively-owned page and
+            // the access stays inside it.
+            unsafe { page.add(po) }
+        };
+        // SAFETY: Bounds-checked above; `dst` is valid for `N` bytes.
+        unsafe {
+            std::ptr::copy_nonoverlapping(val.as_ptr(), dst, N);
+        }
+        Ok(())
     }
 }
 

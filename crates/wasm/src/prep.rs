@@ -113,16 +113,6 @@ pub enum FuncDef<T> {
     Local(Arc<PreparedFunc>),
 }
 
-impl<T> FuncDef<T> {
-    /// The function's type index.
-    pub fn type_idx(&self) -> u32 {
-        match self {
-            FuncDef::Host { ty, .. } => *ty,
-            FuncDef::Local(p) => p.ty,
-        }
-    }
-}
-
 /// An error while linking a module against a [`Linker`].
 #[derive(Debug)]
 pub enum LinkError {
@@ -175,8 +165,18 @@ pub struct Prepared {
     pub datas: Vec<DataSegment>,
     /// Start function.
     pub start: Option<u32>,
-    /// The prepared local functions, in index order.
+    /// The prepared local functions, in index order: function `f` of the
+    /// combined index space is `bodies[f - nimports]`.
     pub bodies: Vec<Arc<PreparedFunc>>,
+    /// How many functions the module imports — the combined index space
+    /// puts them first, so `f < nimports` is "`f` is a host function".
+    pub nimports: u32,
+    /// The canonical signature of every function in the combined index
+    /// space, as [`Prepared::sig_of_type`] numbers it.
+    func_sigs: Vec<u32>,
+    /// A canonical id per type index: two indices get one id exactly
+    /// when their [`FuncType`]s are equal.
+    type_sigs: Vec<u32>,
     /// Safepoint scheme the code was prepared with.
     pub scheme: SafepointScheme,
     /// Whether the tier-2 register IR is in effect (requested *and*
@@ -394,17 +394,24 @@ impl Prepared {
             })
             .collect();
 
+        // The type index of every function in the combined index space,
+        // imports first.
+        let nimports = module.func_imports().count();
+        let func_types: Vec<u32> = module
+            .func_imports()
+            .map(|(_, _, ty)| ty)
+            .chain(module.funcs.iter().copied())
+            .collect();
+
         // Tier-2 lowering is all-or-nothing: a single bail keeps the
         // whole program on the stack tier so one call stack never mixes
         // frame layouts mid-flight.
         let mut regir_on = regir;
         if regir_on {
-            let sigs: Vec<(u16, u16)> = module
-                .func_imports()
-                .map(|(_, _, ty)| ty)
-                .chain(module.funcs.iter().copied())
+            let sigs: Vec<(u16, u16)> = func_types
+                .iter()
                 .map(|ty| {
-                    let ty = &module.types[ty as usize];
+                    let ty = &module.types[*ty as usize];
                     (ty.params.len() as u16, ty.results.len() as u16)
                 })
                 .collect();
@@ -422,7 +429,28 @@ impl Prepared {
             }
         }
 
+        // The lowest index holding an equal type names the signature. By
+        // sorting, not by comparing all pairs: a hostile module may
+        // declare as many types as it has bytes.
+        let mut by_type: Vec<u32> = (0..module.types.len() as u32).collect();
+        by_type.sort_unstable_by_key(|i| (&module.types[*i as usize], *i));
+        let mut type_sigs = vec![0; by_type.len()];
+        let mut first = 0;
+        for (n, i) in by_type.into_iter().enumerate() {
+            if n == 0 || module.types[i as usize] != module.types[first as usize] {
+                first = i;
+            }
+            type_sigs[i as usize] = first;
+        }
+        let func_sigs = func_types
+            .iter()
+            .map(|ty| type_sigs[*ty as usize])
+            .collect();
+
         Ok(Prepared {
+            nimports: nimports as u32,
+            func_sigs,
+            type_sigs,
             types: module.types.clone(),
             exports: module.exports.clone(),
             memory: module.memories.first().copied(),
@@ -438,6 +466,27 @@ impl Prepared {
             code: module.code.clone(),
             regir_requested: regir,
         })
+    }
+
+    /// The canonical id of type index `ty`: equal signatures declared at
+    /// different indices share one, so the `call_indirect` check is an
+    /// integer compare ([`Prepared::sig_of_func`] is the other side).
+    /// `None` past the type section.
+    #[inline]
+    pub fn sig_of_type(&self, ty: u32) -> Option<u32> {
+        self.type_sigs.get(ty as usize).copied()
+    }
+
+    /// The canonical signature id of function `func` of the combined
+    /// index space; `None` when there is no such function.
+    #[inline]
+    pub fn sig_of_func(&self, func: u32) -> Option<u32> {
+        self.func_sigs.get(func as usize).copied()
+    }
+
+    /// The signature of function `func` of the combined index space.
+    pub fn func_type(&self, func: u32) -> Option<&FuncType> {
+        self.types.get(self.sig_of_func(func)? as usize)
     }
 
     /// One past the highest byte any active data segment initializes

@@ -6,7 +6,8 @@
 //! executes with no value-stack traffic on straight-line code. Its input
 //! is the plain one-op-per-instruction program of [`crate::prep`]; every
 //! superinstruction the engine has is chosen here (lazy operands, the
-//! store-redirect and compare-branch rewrites, and the `peephole` pass).
+//! store-redirect and compare-branch rewrites, the `peephole` pass and
+//! the operator-specialised variants).
 //!
 //! # Register frame layout
 //!
@@ -52,13 +53,42 @@
 //! from rewriting ops emitted before one: a jump must land on code that
 //! does exactly what the instructions after the label do.
 //!
+//! # Specialisation
+//!
+//! Lowering and the peephole emit *generic* instructions: a value op
+//! carries its operator as a field (`Bin { op, a, b }`) and each operand
+//! as an [`RSrc`], so executing one means a second `match` on the
+//! operator and a register-or-constant select per operand. For three
+//! families the engine also has variants that *name* the operator and
+//! the operand kinds — `I64AddRC { dst, a, b }` is `i64.add` of register
+//! `a` and pool constant `b` — which the dispatch loop reaches with one
+//! indirect branch (`spec_table!`): the integer binary operators that
+//! cannot trap, the base-plus-index load, and the back edge of a counted
+//! loop (`i32.add` of a constant, then `lt_s`/`lt_u`/`ne` and a branch).
+//! The table is sized from measured traffic, not from the operator
+//! enums: these are the families that the one interpreter-bound workload
+//! spends its dispatches in and whose removal shows end to end (DESIGN.md
+//! "Tier-2 register IR" has the execution histogram over every workload
+//! and the per-family ablation); everything else — moves, compares,
+//! branches, unary operators, conversions, plain loads and stores,
+//! `select`, all floating point — stays generic, because switching its
+//! variants off moved no workload. The last pass, `specialise`, rewrites
+//! `Bin` and the fused back edge in place; the indexed load is built
+//! named by the peephole that fuses it. Either way the rewrite is one for
+//! one — same op count, same pcs, same branch targets — so step counts,
+//! preemption points and handler resume pcs are those of the generic
+//! code; and a variant's arm in the loop calls the same `eval_*` function
+//! as the generic arm, with a literal operator, so arithmetic has one
+//! definition (which the reference stack loop shares).
+//!
 //! # Bail-out
 //!
 //! `lower` returns `None` when a function cannot be lowered (register
 //! index beyond `u16`, inconsistent label heights — both defensive; they
-//! do not occur for validated modules). The caller then runs the whole
-//! program on the stack tier: mixing tiers inside one call stack is
-//! never attempted.
+//! do not occur for validated modules) or when the result does not pass
+//! `validated`, the bounds check the unchecked dispatch loop relies on.
+//! The caller then runs the whole program on the stack tier: mixing tiers
+//! inside one call stack is never attempted.
 
 use std::collections::HashMap;
 
@@ -104,223 +134,316 @@ pub struct RBr {
     pub poll: bool,
 }
 
-/// A register-IR instruction. `dst` fields are always register indices;
-/// operands are [`RSrc`] so immediates fold into the using instruction.
-#[derive(Clone, Debug, PartialEq)]
-#[allow(missing_docs)]
-pub enum ROp {
-    Unreachable,
-    /// Poll for pending asynchronous signals (paper §3.3). Registers are
-    /// already canonical in-frame, so handler re-entry needs no spill.
-    Safepoint,
-    Mov {
-        dst: u16,
-        src: RSrc,
-    },
-    Br(RBr),
-    BrIf {
-        cond: RSrc,
-        dest: RBr,
-    },
-    BrIfZero {
-        cond: RSrc,
-        dest: RBr,
-    },
-    /// Fused compare-and-branch (`br_if_lt r1, #c, L`): branch when the
-    /// relation's truth equals `if_true`.
-    RelBr {
-        op: RelOp,
-        a: RSrc,
-        b: RSrc,
-        if_true: bool,
-        dest: RBr,
-    },
-    /// The jump table is boxed out-of-line: it is the one
-    /// unbounded-payload op and would otherwise set the size of every
-    /// `ROp` in the array.
-    BrTable {
-        idx: RSrc,
-        table: Box<RTable>,
-    },
-    /// Copy `n` result registers starting at `src` down to the frame
-    /// base and pop the frame.
-    Return {
-        src: u16,
-        n: u16,
-    },
-    /// Call with the arguments already in canonical registers ending at
-    /// `top`; the stack is truncated to `base + top` so the callee frame
-    /// starts right on the arguments.
-    Call {
-        func: u32,
-        top: u16,
-        nargs: u16,
-    },
-    CallIndirect {
-        ty: u32,
-        idx: RSrc,
-        top: u16,
-        nargs: u16,
-    },
-    Select {
-        dst: u16,
-        cond: RSrc,
-        a: RSrc,
-        b: RSrc,
-    },
-    GlobalGet {
-        dst: u16,
-        idx: u32,
-    },
-    GlobalSet {
-        idx: u32,
-        src: RSrc,
-    },
-    Load {
-        dst: u16,
-        kind: LoadKind,
-        addr: RSrc,
-        offset: u32,
-    },
-    Store {
-        kind: StoreKind,
-        addr: RSrc,
-        val: RSrc,
-        offset: u32,
-    },
-    MemorySize {
-        dst: u16,
-    },
-    MemoryGrow {
-        dst: u16,
-        delta: RSrc,
-    },
-    MemoryCopy {
-        dst: RSrc,
-        src: RSrc,
-        len: RSrc,
-    },
-    MemoryFill {
-        dst: RSrc,
-        val: RSrc,
-        len: RSrc,
-    },
-    Un {
-        dst: u16,
-        op: UnOp,
-        a: RSrc,
-    },
-    Bin {
-        dst: u16,
-        op: BinOp,
-        a: RSrc,
-        b: RSrc,
-    },
-    Rel {
-        dst: u16,
-        op: RelOp,
-        a: RSrc,
-        b: RSrc,
-    },
-    Cvt {
-        dst: u16,
-        op: CvtOp,
-        a: RSrc,
-    },
-    /// Peephole superinstruction (`a + b` address feeding a load whose
-    /// result overwrites the address scratch): one dispatch for the
-    /// ubiquitous base-plus-index addressing pattern.
-    LoadIdx {
-        dst: u16,
-        kind: LoadKind,
-        a: RSrc,
-        b: RSrc,
-        offset: u32,
-    },
-    /// Peephole superinstruction: two adjacent binary ops in one
-    /// dispatch. `dst1` is written before the second op's operands are
-    /// read, so the register file is observably identical to the two-op
-    /// sequence whether or not the second consumes the first's result —
-    /// the fusion needs no liveness or dataflow information.
-    Bin2 {
-        op1: BinOp,
-        a: RSrc,
-        b: RSrc,
-        dst1: u16,
-        op2: BinOp,
-        a2: RSrc,
-        b2: RSrc,
-        dst2: u16,
-    },
-    /// Peephole superinstruction: a conversion followed by a binary op
-    /// (same write-before-read contract as [`ROp::Bin2`]).
-    CvtBin {
-        cvt: CvtOp,
-        a: RSrc,
-        dst1: u16,
-        op: BinOp,
-        a2: RSrc,
-        b2: RSrc,
-        dst2: u16,
-    },
-    /// Peephole superinstruction: a binary op whose result is the left
-    /// operand of a compare-and-branch (`dst = a op b; br_if (v rel c)
-    /// == if_true, target`) — the shape of every `i += 1; if i < n`
-    /// back edge. Only fuses register-fixup-free branches
-    /// (`keep == 0`), so the destination is a bare `target`/`poll`
-    /// pair.
-    BinRelBr {
-        op: BinOp,
-        a: RSrc,
-        b: RSrc,
-        dst: u16,
-        rel: RelOp,
-        c: RSrc,
-        if_true: bool,
-        target: u32,
-        poll: bool,
-    },
-    AtomicNotify {
-        dst: u16,
-        addr: RSrc,
-        count: RSrc,
-        offset: u32,
-    },
-    AtomicWait32 {
-        dst: u16,
-        addr: RSrc,
-        expected: RSrc,
-        timeout: RSrc,
-        offset: u32,
-    },
-    AtomicFence,
-    AtomicLoad {
-        dst: u16,
-        width: AtomicWidth,
-        addr: RSrc,
-        offset: u32,
-    },
-    AtomicStore {
-        width: AtomicWidth,
-        addr: RSrc,
-        val: RSrc,
-        offset: u32,
-    },
-    AtomicRmw {
-        dst: u16,
-        op: RmwOp,
-        addr: RSrc,
-        val: RSrc,
-        offset: u32,
-    },
-    AtomicCmpxchg {
-        dst: u16,
-        addr: RSrc,
-        expected: RSrc,
-        new: RSrc,
-        offset: u32,
-    },
+/// The specialisation table — every operator-specialised variant of
+/// [`ROp`], named once. `spec_table!(callback)` hands the whole table to
+/// `callback!`; its four consumers are the enum definition, the rewrite
+/// ([`specialise`] and the indexed-load constructor), the bounds check of
+/// the variants ([`validated`]) and the dispatch arms in
+/// [`crate::interp`]. A variant's suffix spells its operand kinds in
+/// operand order: `R` a register index, `C` a constant-pool index.
+///
+/// A family is in the table because its traffic and its effect were
+/// measured (module docs, "Specialisation"), in the two operand forms of
+/// a three-address op: reg·reg and reg·const. What the table does not
+/// name runs the generic arm, which is total.
+macro_rules! spec_table {
+    ($callback:ident) => {
+        $callback! {
+            // `dst = a op b` for the integer operators that cannot trap:
+            // operator => reg·reg reg·const. A constant on the left of an
+            // operator that commutes is turned around; on the left of one
+            // that does not, the instruction stays generic.
+            bin {
+                I32Add => I32AddRR I32AddRC;
+                I32Sub => I32SubRR I32SubRC;
+                I32Mul => I32MulRR I32MulRC;
+                I32And => I32AndRR I32AndRC;
+                I32Or => I32OrRR I32OrRC;
+                I32Xor => I32XorRR I32XorRC;
+                I32Shl => I32ShlRR I32ShlRC;
+                I32ShrS => I32ShrSRR I32ShrSRC;
+                I32ShrU => I32ShrURR I32ShrURC;
+                I32Rotl => I32RotlRR I32RotlRC;
+                I32Rotr => I32RotrRR I32RotrRC;
+                I64Add => I64AddRR I64AddRC;
+                I64Sub => I64SubRR I64SubRC;
+                I64Mul => I64MulRR I64MulRC;
+                I64And => I64AndRR I64AndRC;
+                I64Or => I64OrRR I64OrRC;
+                I64Xor => I64XorRR I64XorRC;
+                I64Shl => I64ShlRR I64ShlRC;
+                I64ShrS => I64ShrSRR I64ShrSRC;
+                I64ShrU => I64ShrURR I64ShrURC;
+                I64Rotl => I64RotlRR I64RotlRC;
+                I64Rotr => I64RotrRR I64RotrRC;
+            }
+            // `dst = load(a + b + offset)`, the base-plus-index load the
+            // peephole fuses, by what the load does to the bytes (kinds that
+            // agree share a row): kinds => reg·reg reg·const (`i32.add`
+            // commutes, and two constants fold before they get here).
+            load_idx {
+                I32 | F32 | I64_32U => LoadIdx32RR LoadIdx32RC;
+                I64 | F64 => LoadIdx64RR LoadIdx64RC;
+                I32_8U | I64_8U => LoadIdx8URR LoadIdx8URC;
+                I32_8S => LoadIdx8S32RR LoadIdx8S32RC;
+                I64_8S => LoadIdx8S64RR LoadIdx8S64RC;
+                I32_16U | I64_16U => LoadIdx16URR LoadIdx16URC;
+                I32_16S => LoadIdx16S32RR LoadIdx16S32RC;
+                I64_16S => LoadIdx16S64RR LoadIdx16S64RC;
+                I64_32S => LoadIdx32S64RR LoadIdx32S64RC;
+            }
+            // `dst = a + #b; if (dst op c) == if_true goto target` — the back
+            // edge of a counted loop, the one shape of [`ROp::BinRelBr`] worth
+            // its own arm: comparison => limit in a register, limit a constant.
+            addbr {
+                I32LtS => AddI32LtSBrR AddI32LtSBrC;
+                I32LtU => AddI32LtUBrR AddI32LtUBrC;
+                I32Ne => AddI32NeBrR AddI32NeBrC;
+            }
+        }
+    };
 }
+pub(crate) use spec_table;
+
+/// Defines [`ROp`]: the generic instructions written out here, then one
+/// variant per entry of [`spec_table!`].
+macro_rules! define_rop {
+    (
+        bin { $($bop:ident => $brr:ident $brc:ident;)* }
+        load_idx { $($lk:ident $(| $lks:ident)* => $xrr:ident $xrc:ident;)* }
+        addbr { $($aop:ident => $ar:ident $ac:ident;)* }
+    ) => {
+        /// A register-IR instruction. `dst` fields are always register
+        /// indices. The generic forms come first: their operands are
+        /// [`RSrc`] so immediates fold into the using instruction, and
+        /// value operators are a field. After them, the variants of
+        /// `spec_table!`, which *name* their operator and operand
+        /// kinds — the `R`/`C` suffixes, see the module docs — and whose
+        /// operands are bare register or pool indices.
+        #[derive(Clone, Debug, PartialEq)]
+        #[allow(missing_docs)]
+        pub enum ROp {
+            Unreachable,
+            /// Poll for pending asynchronous signals (paper §3.3). Registers are
+            /// already canonical in-frame, so handler re-entry needs no spill.
+            Safepoint,
+            Mov {
+                dst: u16,
+                src: RSrc,
+            },
+            Br(RBr),
+            BrIf {
+                cond: RSrc,
+                dest: RBr,
+            },
+            BrIfZero {
+                cond: RSrc,
+                dest: RBr,
+            },
+            /// Fused compare-and-branch (`br_if_lt r1, #c, L`): branch when the
+            /// relation's truth equals `if_true`.
+            RelBr {
+                op: RelOp,
+                a: RSrc,
+                b: RSrc,
+                if_true: bool,
+                dest: RBr,
+            },
+            /// The jump table is boxed out-of-line: it is the one
+            /// unbounded-payload op and would otherwise set the size of every
+            /// `ROp` in the array.
+            BrTable {
+                idx: RSrc,
+                table: Box<RTable>,
+            },
+            /// Copy `n` result registers starting at `src` down to the frame
+            /// base and pop the frame.
+            Return {
+                src: u16,
+                n: u16,
+            },
+            /// Call with the arguments already in canonical registers ending at
+            /// `top`; the stack is truncated to `base + top` so the callee frame
+            /// starts right on the arguments.
+            Call {
+                func: u32,
+                top: u16,
+                nargs: u16,
+            },
+            CallIndirect {
+                ty: u32,
+                idx: RSrc,
+                top: u16,
+                nargs: u16,
+            },
+            Select {
+                dst: u16,
+                cond: RSrc,
+                a: RSrc,
+                b: RSrc,
+            },
+            GlobalGet {
+                dst: u16,
+                idx: u32,
+            },
+            GlobalSet {
+                idx: u32,
+                src: RSrc,
+            },
+            Load {
+                dst: u16,
+                kind: LoadKind,
+                addr: RSrc,
+                offset: u32,
+            },
+            Store {
+                kind: StoreKind,
+                addr: RSrc,
+                val: RSrc,
+                offset: u32,
+            },
+            MemorySize {
+                dst: u16,
+            },
+            MemoryGrow {
+                dst: u16,
+                delta: RSrc,
+            },
+            MemoryCopy {
+                dst: RSrc,
+                src: RSrc,
+                len: RSrc,
+            },
+            MemoryFill {
+                dst: RSrc,
+                val: RSrc,
+                len: RSrc,
+            },
+            Un {
+                dst: u16,
+                op: UnOp,
+                a: RSrc,
+            },
+            Bin {
+                dst: u16,
+                op: BinOp,
+                a: RSrc,
+                b: RSrc,
+            },
+            Rel {
+                dst: u16,
+                op: RelOp,
+                a: RSrc,
+                b: RSrc,
+            },
+            Cvt {
+                dst: u16,
+                op: CvtOp,
+                a: RSrc,
+            },
+            /// Peephole superinstruction: two adjacent binary ops in one
+            /// dispatch. `dst1` is written before the second op's operands are
+            /// read, so the register file is observably identical to the two-op
+            /// sequence whether or not the second consumes the first's result —
+            /// the fusion needs no liveness or dataflow information.
+            Bin2 {
+                op1: BinOp,
+                a: RSrc,
+                b: RSrc,
+                dst1: u16,
+                op2: BinOp,
+                a2: RSrc,
+                b2: RSrc,
+                dst2: u16,
+            },
+            /// Peephole superinstruction: a conversion followed by a binary op
+            /// (same write-before-read contract as [`ROp::Bin2`]).
+            CvtBin {
+                cvt: CvtOp,
+                a: RSrc,
+                dst1: u16,
+                op: BinOp,
+                a2: RSrc,
+                b2: RSrc,
+                dst2: u16,
+            },
+            /// Peephole superinstruction: a binary op whose result is the left
+            /// operand of a compare-and-branch (`dst = a op b; br_if (v rel c)
+            /// == if_true, target`) — the shape of every `i += 1; if i < n`
+            /// back edge. Only fuses register-fixup-free branches
+            /// (`keep == 0`), so the destination is a bare `target`/`poll`
+            /// pair.
+            BinRelBr {
+                op: BinOp,
+                a: RSrc,
+                b: RSrc,
+                dst: u16,
+                rel: RelOp,
+                c: RSrc,
+                if_true: bool,
+                target: u32,
+                poll: bool,
+            },
+            AtomicNotify {
+                dst: u16,
+                addr: RSrc,
+                count: RSrc,
+                offset: u32,
+            },
+            AtomicWait32 {
+                dst: u16,
+                addr: RSrc,
+                expected: RSrc,
+                timeout: RSrc,
+                offset: u32,
+            },
+            AtomicFence,
+            AtomicLoad {
+                dst: u16,
+                width: AtomicWidth,
+                addr: RSrc,
+                offset: u32,
+            },
+            AtomicStore {
+                width: AtomicWidth,
+                addr: RSrc,
+                val: RSrc,
+                offset: u32,
+            },
+            AtomicRmw {
+                dst: u16,
+                op: RmwOp,
+                addr: RSrc,
+                val: RSrc,
+                offset: u32,
+            },
+            AtomicCmpxchg {
+                dst: u16,
+                addr: RSrc,
+                expected: RSrc,
+                new: RSrc,
+                offset: u32,
+            },
+            $(
+                $brr { dst: u16, a: u16, b: u16 },
+                $brc { dst: u16, a: u16, b: u16 },
+            )*
+            // Peephole superinstruction (`a + b` address feeding a load whose
+            // result overwrites the address scratch): one dispatch for the
+            // ubiquitous base-plus-index addressing pattern. It has no
+            // generic form: `load_idx` builds it named.
+            $(
+                $xrr { dst: u16, a: u16, b: u16, offset: u32 },
+                $xrc { dst: u16, a: u16, b: u16, offset: u32 },
+            )*
+            $(
+                $ar { a: u16, b: u16, dst: u16, c: u16, if_true: bool, target: u32, poll: bool },
+                $ac { a: u16, b: u16, dst: u16, c: u16, if_true: bool, target: u32, poll: bool },
+            )*
+        }
+    };
+}
+spec_table!(define_rop);
 
 /// An out-of-line `br_table` jump table (see [`ROp::BrTable`]).
 #[derive(Clone, Debug, PartialEq)]
@@ -673,12 +796,138 @@ pub fn lower(func: &PreparedFunc, sigs: &[(u16, u16)], types: &[FuncType]) -> Op
 
     let mut out = peephole(lw.out);
     fold_safepoint_polls(&mut out);
+    specialise(&mut out);
 
     validated(RegFunc {
         nregs: nlocals + lw.max_height as u32,
         ops: out.into_boxed_slice(),
         consts: lw.consts.into_boxed_slice(),
     })
+}
+
+/// Whether `a op b == b op a` bit for bit, for the operators of the
+/// table's `bin` family.
+fn commutes(op: BinOp) -> bool {
+    use BinOp::*;
+    matches!(
+        op,
+        I32Add | I32Mul | I32And | I32Or | I32Xor | I64Add | I64Mul | I64And | I64Or | I64Xor
+    )
+}
+
+/// Defines, from [`spec_table!`]: the specialising rewrite `specialised`
+/// (generic → named variant, `None` when the table has none for this
+/// operator and these operand kinds); `load_idx`, which builds the indexed
+/// load; and `variant_in_bounds`, the part of [`validated`] that checks
+/// the named variants.
+macro_rules! define_rewrites {
+    (
+        bin { $($bop:ident => $brr:ident $brc:ident;)* }
+        load_idx { $($lk:ident $(| $lks:ident)* => $xrr:ident $xrc:ident;)* }
+        addbr { $($aop:ident => $ar:ident $ac:ident;)* }
+    ) => {
+        fn specialised(op: &ROp) -> Option<ROp> {
+            use RSrc::{Const as C, Reg as R};
+            Some(match *op {
+                ROp::Bin { dst, op, a, b } => {
+                    let (a, b) = match (a, b) {
+                        (C(_), R(_)) if commutes(op) => (b, a),
+                        _ => (a, b),
+                    };
+                    match (op, a, b) {
+                        $(
+                            (BinOp::$bop, R(a), R(b)) => ROp::$brr { dst, a, b },
+                            (BinOp::$bop, R(a), C(b)) => ROp::$brc { dst, a, b },
+                        )*
+                        _ => return None,
+                    }
+                }
+                ROp::BinRelBr { op: BinOp::I32Add, a, b, dst, rel, c, if_true, target, poll } => {
+                    let (a, b) = match (a, b) {
+                        (C(_), R(_)) => (b, a),
+                        _ => (a, b),
+                    };
+                    match (rel, a, b, c) {
+                        $(
+                            (RelOp::$aop, R(a), C(b), R(c)) => {
+                                ROp::$ar { a, b, dst, c, if_true, target, poll }
+                            }
+                            (RelOp::$aop, R(a), C(b), C(c)) => {
+                                ROp::$ac { a, b, dst, c, if_true, target, poll }
+                            }
+                        )*
+                        _ => return None,
+                    }
+                }
+                _ => return None,
+            })
+        }
+
+        /// `dst = load(a + b + offset)` of shape `kind` (`a + b` an
+        /// `i32.add`, so a constant on the left is turned around). `None`
+        /// for two constants — lowering folds that sum, so the peephole
+        /// never sees one, and would leave the pair unfused if it did.
+        fn load_idx(dst: u16, kind: LoadKind, a: RSrc, b: RSrc, offset: u32) -> Option<ROp> {
+            use RSrc::{Const as C, Reg as R};
+            let (a, b) = match (a, b) {
+                (C(_), R(_)) => (b, a),
+                _ => (a, b),
+            };
+            Some(match (kind, a, b) {
+                $(
+                    (LoadKind::$lk $(| LoadKind::$lks)*, R(a), R(b)) => {
+                        ROp::$xrr { dst, a, b, offset }
+                    }
+                    (LoadKind::$lk $(| LoadKind::$lks)*, R(a), C(b)) => {
+                        ROp::$xrc { dst, a, b, offset }
+                    }
+                )*
+                _ => return None,
+            })
+        }
+
+        /// Whether a specialised variant keeps within `bounds`: the rules
+        /// [`validated`] holds the generic instructions to, spelled per
+        /// family — an `R` operand is a register, a `C` operand a pool
+        /// index. `None` when `op` is a generic instruction.
+        fn variant_in_bounds(op: &ROp, bounds: &Bounds) -> Option<Option<()>> {
+            let (reg, pool) = (|r: u16| bounds.reg(r), |i: u16| bounds.pool(i));
+            Some(match *op {
+                $(
+                    ROp::$brr { dst, a, b } => reg(dst).and(reg(a)).and(reg(b)),
+                    ROp::$brc { dst, a, b } => reg(dst).and(reg(a)).and(pool(b)),
+                )*
+                $(
+                    ROp::$xrr { dst, a, b, .. } => reg(dst).and(reg(a)).and(reg(b)),
+                    ROp::$xrc { dst, a, b, .. } => reg(dst).and(reg(a)).and(pool(b)),
+                )*
+                $(
+                    ROp::$ar { a, b, dst, c, target, .. } => {
+                        reg(a).and(pool(b)).and(reg(dst)).and(reg(c)).and(bounds.target(target))
+                    }
+                    ROp::$ac { a, b, dst, c, target, .. } => {
+                        reg(a).and(pool(b)).and(reg(dst)).and(pool(c)).and(bounds.target(target))
+                    }
+                )*
+                _ => return None,
+            })
+        }
+    };
+}
+spec_table!(define_rewrites);
+
+/// The last lowering pass: rewrites every instruction the table has a
+/// variant for into that variant, in place and one for one — same op
+/// count, same pcs, same branch targets, so step counts, preemption
+/// points and handler resume pcs are those of the generic code. What it
+/// leaves generic the dispatch loop runs through the same `eval_*`
+/// functions with the operator read from the instruction.
+fn specialise(ops: &mut [ROp]) {
+    for op in ops {
+        if let Some(named) = specialised(op) {
+            *op = named;
+        }
+    }
 }
 
 /// Visits every branch destination of `op` (including jump-table
@@ -722,13 +971,7 @@ fn fuse_pair(first: &ROp, second: &ROp) -> Option<ROp> {
                 addr: RSrc::Reg(r),
                 offset,
             },
-        ) if r == t && dst == t => Some(ROp::LoadIdx {
-            dst: *dst,
-            kind: *kind,
-            a: *a,
-            b: *b,
-            offset: *offset,
-        }),
+        ) if r == t && dst == t => load_idx(*dst, *kind, *a, *b, *offset),
         // `i += 1; if i rel n goto L`: a binary op feeding the left
         // operand of a compare-and-branch with no register fixup.
         (
@@ -874,38 +1117,81 @@ fn fold_safepoint_polls(ops: &mut [ROp]) {
     }
 }
 
-/// Bounds-checks a lowered function once: every register operand below
-/// `nregs`, every pool index within the pool, every branch fixup within
-/// the frame, every branch target within the code, and a terminator
-/// (`Return`/`Unreachable`/`Br`/`BrTable`) as the last op. The dispatch
-/// loop relies on this to elide per-access bounds checks on the
-/// register file *and* the op fetch ([`crate::interp`]'s register-tier
-/// `SAFETY` comment): in-bounds targets plus a terminating tail mean
-/// the pc can never step or jump past the op array. `lower` never
-/// emits code violating these, so a failure is a lowering bug and the
-/// caller bails to the stack tier.
+/// The limits [`validated`] holds every index of a lowered function to.
+struct Bounds {
+    nregs: u32,
+    npool: usize,
+    nops: u32,
+}
+
+impl Bounds {
+    fn reg(&self, r: u16) -> Option<()> {
+        ((r as u32) < self.nregs).then_some(())
+    }
+
+    fn pool(&self, i: u16) -> Option<()> {
+        ((i as usize) < self.npool).then_some(())
+    }
+
+    fn target(&self, t: u32) -> Option<()> {
+        (t < self.nops).then_some(())
+    }
+
+    /// `n` registers from `at` on are within the frame.
+    fn span(&self, at: u16, n: u16) -> Option<()> {
+        (at as u32 + n as u32 <= self.nregs).then_some(())
+    }
+
+    fn br(&self, d: &RBr) -> Option<()> {
+        self.target(d.target)
+            .and(self.span(d.src, d.keep))
+            .and(self.span(d.dst, d.keep))
+    }
+}
+
+/// Bounds-checks a lowered function once. The clauses, which the
+/// `SAFETY` comments of [`crate::interp`]'s register loop cite by name:
+///
+/// * **registers** — every register an instruction reads or writes is
+///   below `nregs`;
+/// * **pool** — every constant-pool index is within the pool;
+/// * **fixups** — a branch's `src + keep` and `dst + keep` are within the
+///   frame's registers;
+/// * **targets** — every branch target, jump-table entries and fused back
+///   edges included, is within the code;
+/// * **terminator** — the last op is `Return`/`Unreachable`/`Br`/
+///   `BrTable`, so the code is not empty and the pc cannot step past it.
+///
+/// The generic instructions are checked here, the specialised variants by
+/// `variant_in_bounds` (generated from the table, an `R` operand held to
+/// *registers*, a `C` operand to *pool*); a variant neither knows is
+/// rejected. The dispatch loop relies on all five to elide per-access
+/// bounds checks on the register file, the pool *and* the op fetch.
+/// `lower` never emits code violating them, so a failure is a lowering
+/// bug and the caller bails to the stack tier.
 fn validated(rf: RegFunc) -> Option<RegFunc> {
-    let nregs = rf.nregs;
-    let npool = rf.consts.len();
-    let nops = rf.ops.len() as u32;
-    let reg = |r: u16| ((r as u32) < nregs).then_some(());
+    let bounds = Bounds {
+        nregs: rf.nregs,
+        npool: rf.consts.len(),
+        nops: rf.ops.len() as u32,
+    };
+    let reg = |r: u16| bounds.reg(r);
     let src = |s: &RSrc| match *s {
-        RSrc::Reg(r) => reg(r),
-        RSrc::Const(i) => ((i as usize) < npool).then_some(()),
+        RSrc::Reg(r) => bounds.reg(r),
+        RSrc::Const(i) => bounds.pool(i),
     };
-    let br = |d: &RBr| {
-        (d.target < nops
-            && d.src as u32 + d.keep as u32 <= nregs
-            && d.dst as u32 + d.keep as u32 <= nregs)
-            .then_some(())
-    };
+    let br = |d: &RBr| bounds.br(d);
     matches!(
         rf.ops.last()?,
         ROp::Return { .. } | ROp::Unreachable | ROp::Br(_) | ROp::BrTable { .. }
     )
     .then_some(())?;
-    let span = |at: u16, n: u16| (at as u32 + n as u32 <= nregs).then_some(());
+    let span = |at: u16, n: u16| bounds.span(at, n);
     for op in &rf.ops {
+        if let Some(in_bounds) = variant_in_bounds(op, &bounds) {
+            in_bounds?;
+            continue;
+        }
         match op {
             ROp::Unreachable | ROp::Safepoint | ROp::AtomicFence => Some(()),
             ROp::Mov { dst, src: s } => reg(*dst).and(src(s)),
@@ -934,9 +1220,9 @@ fn validated(rf: RegFunc) -> Option<RegFunc> {
             ROp::MemoryCopy { dst, src: s, len } => src(dst).and(src(s)).and(src(len)),
             ROp::MemoryFill { dst, val, len } => src(dst).and(src(val)).and(src(len)),
             ROp::Un { dst, a, .. } | ROp::Cvt { dst, a, .. } => reg(*dst).and(src(a)),
-            ROp::Bin { dst, a, b, .. }
-            | ROp::Rel { dst, a, b, .. }
-            | ROp::LoadIdx { dst, a, b, .. } => reg(*dst).and(src(a)).and(src(b)),
+            ROp::Bin { dst, a, b, .. } | ROp::Rel { dst, a, b, .. } => {
+                reg(*dst).and(src(a)).and(src(b))
+            }
             ROp::Bin2 {
                 a,
                 b,
@@ -970,8 +1256,8 @@ fn validated(rf: RegFunc) -> Option<RegFunc> {
                 c,
                 target,
                 ..
-            } => (*target < nops)
-                .then_some(())
+            } => bounds
+                .target(*target)
                 .and(reg(*dst))
                 .and(src(a))
                 .and(src(b))
@@ -999,6 +1285,9 @@ fn validated(rf: RegFunc) -> Option<RegFunc> {
                 new,
                 ..
             } => reg(*dst).and(src(addr)).and(src(expected)).and(src(new)),
+            // `variant_in_bounds` knows every specialised variant; one it
+            // missed must not reach the loop unchecked.
+            _ => None,
         }?;
     }
     Some(rf)
@@ -1344,7 +1633,6 @@ fn emit_call(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::BinOp;
 
     fn pf(params: u32, locals: u32, results: u32, ops: Vec<Op>) -> PreparedFunc {
         PreparedFunc {
@@ -1378,12 +1666,7 @@ mod tests {
         assert_eq!(
             &*r.ops,
             &[
-                ROp::Bin {
-                    dst: 2,
-                    op: BinOp::I32Add,
-                    a: RSrc::Reg(0),
-                    b: RSrc::Reg(1),
-                },
+                ROp::I32AddRR { dst: 2, a: 0, b: 1 },
                 ROp::Return { src: 2, n: 1 },
             ]
         );
@@ -1466,27 +1749,22 @@ mod tests {
         );
         let r = lower(&f, &[], &[]).expect("lowers");
         // Safepoint; then the whole steady state — increment, compare
-        // and back edge — is ONE `BinRelBr` dispatch whose poll flag
-        // absorbed the header safepoint; Return. Zero Movs, zero stack
-        // traffic.
-        assert!(
-            !r.ops.iter().any(|o| matches!(o, ROp::Mov { .. })),
-            "loop should lower Mov-free: {:?}",
-            r.ops
-        );
-        assert_eq!(r.ops.len(), 3, "{:?}", r.ops);
+        // and back edge — is ONE fused dispatch (the back-edge variant of
+        // `BinRelBr`) whose poll flag absorbed the header safepoint;
+        // Return. Zero Movs, zero stack traffic.
+        assert_eq!(r.ops.len(), 3, "loop should lower Mov-free: {:?}", r.ops);
         match r.ops[1] {
-            ROp::BinRelBr {
+            ROp::AddI32LtUBrC {
                 dst: 0,
-                a: RSrc::Reg(0),
+                a: 0,
                 b,
                 c,
+                if_true: true,
                 target,
                 poll,
-                ..
             } => {
-                assert_eq!(r.const_of(b), Some(1));
-                assert_eq!(r.const_of(c), Some(10));
+                assert_eq!(r.consts[b as usize], 1);
+                assert_eq!(r.consts[c as usize], 10);
                 assert_eq!(target, 1, "back edge skips the header safepoint");
                 assert!(poll, "back edge absorbs the header safepoint poll");
             }
@@ -1560,5 +1838,326 @@ mod tests {
             ],
         );
         assert!(lower(&f, &[], &[]).is_none());
+    }
+
+    #[test]
+    fn op_layout_is_pinned() {
+        // The op fetch is the hottest load in the interpreter: three ops
+        // to a cache line, whatever the table grows to.
+        assert_eq!(std::mem::size_of::<ROp>(), 24);
+        assert_eq!(std::mem::size_of::<RSrc>(), 4);
+        assert_eq!(std::mem::size_of::<RBr>(), 12);
+    }
+
+    // ---- the specialised variants --------------------------------------
+
+    /// A frame of 8 registers and a pool of 12 constants. The valid
+    /// instructions below use pool indices from 9 up, so a `C` operand
+    /// checked as a register fails a valid instruction, and an `R` operand
+    /// checked as a pool index passes an invalid one: either confusion
+    /// fails a test.
+    const NREGS: u16 = 8;
+    const NPOOL: u16 = 12;
+
+    /// An instruction of a table family before it is named: a generic
+    /// instruction for [`specialise`], or the operands of [`load_idx`].
+    #[derive(Clone, Debug)]
+    enum Form {
+        Generic(ROp),
+        LoadIdx {
+            dst: u16,
+            kind: LoadKind,
+            a: RSrc,
+            b: RSrc,
+        },
+    }
+
+    impl Form {
+        fn named(&self) -> Option<ROp> {
+            match self {
+                Form::Generic(op) => specialised(op),
+                Form::LoadIdx { dst, kind, a, b } => load_idx(*dst, *kind, *a, *b, 16),
+            }
+        }
+
+        /// The `dst` registers, the operands and the branch target.
+        fn slots(&mut self) -> (Vec<&mut u16>, Vec<&mut RSrc>, Option<&mut u32>) {
+            match self {
+                Form::Generic(ROp::Bin { dst, a, b, .. }) | Form::LoadIdx { dst, a, b, .. } => {
+                    (vec![dst], vec![a, b], None)
+                }
+                Form::Generic(ROp::BinRelBr {
+                    a,
+                    b,
+                    dst,
+                    c,
+                    target,
+                    ..
+                }) => (vec![dst], vec![a, b, c], Some(target)),
+                other => panic!("not a table family: {other:?}"),
+            }
+        }
+    }
+
+    /// Every operator of the three families the table covers × each
+    /// operand-kind combination lowering can emit, on in-range indices
+    /// that differ slot by slot.
+    fn forms() -> Vec<Form> {
+        use RSrc::{Const as C, Reg as R};
+        let pairs = [(R(1), R(3)), (R(1), C(10)), (C(9), R(3))];
+        let mut out = Vec::new();
+        for (a, b) in pairs {
+            let (dst, if_true) = (7, true);
+            for &op in BinOp::ALL {
+                out.push(Form::Generic(ROp::Bin { dst, op, a, b }));
+            }
+            for &kind in LoadKind::ALL {
+                out.push(Form::LoadIdx { dst, kind, a, b });
+            }
+            // The one fused shape in the table adds a constant.
+            let back_edges = [RelOp::I32LtS, RelOp::I32LtU, RelOp::I32Ne];
+            for rel in back_edges.into_iter().filter(|_| (a, b) != pairs[0]) {
+                for c in [R(6), C(11)] {
+                    out.push(Form::Generic(ROp::BinRelBr {
+                        op: BinOp::I32Add,
+                        a,
+                        b,
+                        dst,
+                        rel,
+                        c,
+                        if_true,
+                        target: 0,
+                        poll: true,
+                    }));
+                }
+            }
+        }
+        out
+    }
+
+    /// `op` followed by a terminator, in a frame of [`NREGS`] and a pool
+    /// of [`NPOOL`].
+    fn checked(op: ROp) -> Option<RegFunc> {
+        validated(RegFunc {
+            nregs: NREGS as u32,
+            ops: vec![op, ROp::Return { src: 0, n: 0 }].into_boxed_slice(),
+            consts: vec![0; NPOOL as usize].into_boxed_slice(),
+        })
+    }
+
+    /// What the table leaves to the generic `Bin`: operators that can
+    /// trap, floating point, and a constant on the left of an operator
+    /// that does not commute.
+    fn stays_generic(form: &Form) -> bool {
+        use BinOp::*;
+        let Form::Generic(ROp::Bin { op, a, b, .. }) = form else {
+            return false;
+        };
+        let traps_or_float = matches!(
+            op,
+            I32DivS
+                | I32DivU
+                | I32RemS
+                | I32RemU
+                | I64DivS
+                | I64DivU
+                | I64RemS
+                | I64RemU
+                | F32Add
+                | F32Sub
+                | F32Mul
+                | F32Div
+                | F32Min
+                | F32Max
+                | F32Copysign
+                | F64Add
+                | F64Sub
+                | F64Mul
+                | F64Div
+                | F64Min
+                | F64Max
+                | F64Copysign
+        );
+        traps_or_float || (matches!((a, b), (RSrc::Const(_), RSrc::Reg(_))) && !commutes(*op))
+    }
+
+    #[test]
+    fn every_table_operator_and_operand_form_gets_its_variant() {
+        let mut variants = std::collections::HashSet::new();
+        for form in forms() {
+            let Some(named) = form.named() else {
+                assert!(stays_generic(&form), "no variant for {form:?}");
+                continue;
+            };
+            assert!(
+                !stays_generic(&form),
+                "{form:?} is not in the table: {named:?}"
+            );
+            // Not a generic instruction any more, and within bounds as
+            // built: every `C` operand is held to the pool.
+            assert_eq!(specialised(&named), None, "{named:?}");
+            assert!(checked(named.clone()).is_some(), "{named:?}");
+            variants.insert(format!("{named:?}").split(' ').next().unwrap().to_string());
+        }
+        // 22 integer operators, 9 load shapes and 3 back edges, each reg·reg
+        // (reg·reg-limit) and reg·const: the whole table is reachable.
+        assert_eq!(variants.len(), (22 + 9 + 3) * 2);
+    }
+
+    #[test]
+    fn what_the_table_does_not_name_stays_generic() {
+        use RSrc::{Const as C, Reg as R};
+        let (dst, a, b) = (0, R(0), R(1));
+        for op in [BinOp::I32DivU, BinOp::I64RemS, BinOp::F64Add, BinOp::F32Min] {
+            assert_eq!(specialised(&ROp::Bin { dst, op, a, b }), None);
+        }
+        // `c - r` is not `r - c`; `c + r` is `r + c`.
+        let (a, b) = (C(0), R(1));
+        let op = BinOp::I64Sub;
+        assert_eq!(specialised(&ROp::Bin { dst, op, a, b }), None);
+        let op = BinOp::I64Add;
+        assert_eq!(
+            specialised(&ROp::Bin { dst, op, a, b }),
+            Some(ROp::I64AddRC { dst, a: 1, b: 0 })
+        );
+        // The families switching which off moved no workload.
+        for op in [
+            ROp::Mov { dst, src: a },
+            ROp::Load {
+                dst,
+                kind: LoadKind::I32,
+                addr: a,
+                offset: 0,
+            },
+            ROp::Un {
+                dst,
+                op: UnOp::I32Eqz,
+                a,
+            },
+        ] {
+            assert_eq!(specialised(&op), None);
+        }
+        // Only the counted loop's back edge of the fused pairs.
+        let back_edge = |op, rel| ROp::BinRelBr {
+            op,
+            a: R(0),
+            b: C(0),
+            dst,
+            rel,
+            c: C(1),
+            if_true: true,
+            target: 0,
+            poll: false,
+        };
+        assert!(specialised(&back_edge(BinOp::I32Add, RelOp::I32LtS)).is_some());
+        assert_eq!(specialised(&back_edge(BinOp::I32And, RelOp::I32Eq)), None);
+        assert_eq!(specialised(&back_edge(BinOp::I32Add, RelOp::I32GeU)), None);
+    }
+
+    /// For every specialised variant of the family `family` picks: the
+    /// variant passes [`validated`] as built, and fails it with any one of
+    /// its register, pool or branch indices moved out of range — so
+    /// `lower` would bail to the stack tier instead of handing it to the
+    /// unchecked loop.
+    fn assert_out_of_range_is_rejected(family: fn(&Form) -> bool) {
+        let mut seen = 0;
+        for form in forms().into_iter().filter(family) {
+            let Some(named) = form.named() else {
+                continue;
+            };
+            seen += 1;
+            assert!(checked(named).is_some());
+            let reject = |what: &str, bad: Form| {
+                let named = bad.named().expect("the same variant, another index");
+                assert!(checked(named.clone()).is_none(), "{what} of {named:?}");
+            };
+            let (ndst, nsrc) = {
+                let mut probe = form.clone();
+                let (dsts, srcs, _) = probe.slots();
+                (dsts.len(), srcs.len())
+            };
+            for i in 0..ndst {
+                let mut bad = form.clone();
+                *bad.slots().0.swap_remove(i) = NREGS;
+                reject("dst", bad);
+            }
+            for i in 0..nsrc {
+                let mut bad = form.clone();
+                let src = bad.slots().1.swap_remove(i);
+                *src = match *src {
+                    RSrc::Reg(_) => RSrc::Reg(NREGS),
+                    RSrc::Const(_) => RSrc::Const(NPOOL),
+                };
+                reject("operand", bad);
+            }
+            let mut bad = form.clone();
+            if let Some(target) = bad.slots().2 {
+                *target = 2;
+                reject("branch target", bad);
+            }
+        }
+        assert!(seen > 0);
+    }
+
+    #[test]
+    fn out_of_range_bin_variants_are_rejected() {
+        assert_out_of_range_is_rejected(|f| matches!(f, Form::Generic(ROp::Bin { .. })));
+    }
+
+    #[test]
+    fn out_of_range_indexed_load_variants_are_rejected() {
+        assert_out_of_range_is_rejected(|f| matches!(f, Form::LoadIdx { .. }));
+    }
+
+    #[test]
+    fn out_of_range_back_edge_variants_are_rejected() {
+        assert_out_of_range_is_rejected(|f| matches!(f, Form::Generic(ROp::BinRelBr { .. })));
+    }
+
+    #[test]
+    fn lowering_ends_specialised_and_keeps_its_pcs() {
+        // The counted loop of `counter_loop_needs_no_movs`, plus a
+        // trapping division that has to stay generic.
+        let f = pf(
+            1,
+            0,
+            1,
+            vec![
+                Op::Safepoint,
+                Op::LocalGet(0),
+                Op::Const(1),
+                Op::Bin(BinOp::I32Add),
+                Op::LocalSet(0),
+                Op::LocalGet(0),
+                Op::Const(10),
+                Op::Rel(RelOp::I32LtU),
+                Op::BrIf(BrDest {
+                    target: 0,
+                    drop_to: 0,
+                    keep: 0,
+                }),
+                Op::LocalGet(0),
+                Op::Const(0),
+                Op::Bin(BinOp::I32DivU),
+                Op::Return,
+            ],
+        );
+        let named = lower(&f, &[], &[]).expect("lowers");
+        // Safepoint, the fused back edge, the division, Return: the
+        // rewrite is one for one, so the back edge still targets op 1.
+        assert_eq!(named.ops.len(), 4, "{:?}", named.ops);
+        assert!(
+            matches!(
+                named.ops[1],
+                ROp::AddI32LtUBrC {
+                    target: 1,
+                    poll: true,
+                    ..
+                }
+            ),
+            "{:?}",
+            named.ops
+        );
+        assert!(matches!(named.ops[2], ROp::Bin { .. }), "{:?}", named.ops);
     }
 }

@@ -4,7 +4,7 @@
 use core::fmt;
 
 /// A Wasm value type.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ValType {
     /// 32-bit integer.
     I32,
@@ -57,7 +57,7 @@ impl fmt::Display for ValType {
 }
 
 /// A function signature.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FuncType {
     /// Parameter types, in order.
     pub params: Vec<ValType>,

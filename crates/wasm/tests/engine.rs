@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use wasm::build::ModuleBuilder;
 use wasm::host::{HostCtx, HostOutcome, Linker, PendingCall, Suspension};
-use wasm::instr::BlockType;
+use wasm::instr::{BlockType, Instr};
 use wasm::interp::{Instance, RunResult, Thread, Value};
 use wasm::prep::Program;
 use wasm::safepoint::SafepointScheme;
@@ -152,6 +152,129 @@ fn call_indirect_checks_signatures() {
     match t.call(&mut inst, &mut ctx, main, &[Value::I32(99)]) {
         RunResult::Trapped(Trap::TableOutOfBounds) => {}
         other => panic!("{other:?}"),
+    }
+}
+
+#[test]
+fn call_indirect_matches_equal_signatures_declared_twice() {
+    // Types 0 and 3 are both `[] -> [i32]`; type 1 is `[] -> [i64]`.
+    // `via_dup` calls through type 3, `via_first` through type 0; the
+    // table holds a function of type 0, one of type 3 and one of type 1.
+    let mut mb = ModuleBuilder::new();
+    let sig_i32 = mb.sig([], [ValType::I32]);
+    let sig_i64 = mb.sig([], [ValType::I64]);
+    let first = mb.func(sig_i32, |b| {
+        b.i32(7);
+    });
+    let dup = mb.func(sig_i32, |b| {
+        b.i32(9);
+    });
+    let other = mb.func(sig_i64, |b| {
+        b.i64(8);
+    });
+    let base = mb.table_entries(&[first, dup, other]) as i32;
+    let main_sig = mb.sig([ValType::I32], [ValType::I32]);
+    let via_dup = mb.func(main_sig, |b| {
+        b.local_get(0).call_indirect(sig_i32);
+    });
+    let via_first = mb.func(main_sig, |b| {
+        b.local_get(0).call_indirect(sig_i32);
+    });
+    mb.export("via_dup", via_dup).export("via_first", via_first);
+    let mut module = mb.build();
+    let sig_dup = module.types.len() as u32;
+    module.types.push(module.types[sig_i32 as usize].clone());
+    module.funcs[1] = sig_dup;
+    module.code[3].instrs = vec![Instr::LocalGet(0), Instr::CallIndirect(sig_dup)];
+
+    for regir in [false, true] {
+        let linker: Linker<Ctx> = Linker::new();
+        let program =
+            Program::link_tiered(&module, &linker, SafepointScheme::LoopHeaders, regir).unwrap();
+        assert_eq!(program.regir, regir);
+        assert_eq!(program.sig_of_type(sig_dup), program.sig_of_type(sig_i32));
+        assert_ne!(program.sig_of_type(sig_i64), program.sig_of_type(sig_i32));
+        let mut inst = Instance::new(Arc::new(program)).unwrap();
+        let mut ctx = Ctx::default();
+        for entry in ["via_dup", "via_first"] {
+            let f = inst.export_func(entry).unwrap();
+            for (slot, want) in [(0, Some(7)), (1, Some(9)), (2, None)] {
+                let r = Thread::new().call(&mut inst, &mut ctx, f, &[Value::I32(base + slot)]);
+                match (r, want) {
+                    (RunResult::Done(v), Some(want)) => assert_eq!(v, [Value::I32(want)]),
+                    (RunResult::Trapped(Trap::IndirectCallTypeMismatch), None) => {}
+                    (other, _) => panic!("{entry}({slot}) regir={regir}: {other:?}"),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_safepoint_polls_only_under_a_raised_hint_and_then_within_one_back_edge() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// Aborts as soon as it is asked with the hint up; counts the asks.
+    #[derive(Default)]
+    struct Gated {
+        hint: AtomicBool,
+        asked: u32,
+    }
+    impl HostCtx for Gated {
+        fn check_abort(&mut self) -> Option<Trap> {
+            self.asked += 1;
+            self.hint.load(Ordering::Relaxed).then_some(Trap::Aborted)
+        }
+        fn sig_hint(&self) -> &AtomicBool {
+            &self.hint
+        }
+    }
+
+    // `loop { br 0 }`: nothing but the back edge's safepoint.
+    let mut mb = ModuleBuilder::new();
+    let sig = mb.sig([], []);
+    let f = mb.func(sig, |b| {
+        b.loop_(BlockType::Empty, |b| {
+            b.br(0);
+        });
+    });
+    mb.export("main", f);
+    let module = mb.build();
+
+    for regir in [true, false] {
+        let linker: Linker<Gated> = Linker::new();
+        let program =
+            Program::link_tiered(&module, &linker, SafepointScheme::LoopHeaders, regir).unwrap();
+        let mut inst = Instance::new(Arc::new(program)).unwrap();
+        let main = inst.export_func("main").unwrap();
+        let mut ctx = Gated::default();
+        let mut t = Thread::new();
+        t.refuel(Some(1000));
+        match t.call(&mut inst, &mut ctx, main, &[]) {
+            RunResult::Suspended(s) => assert!(s.0.is::<wasm::interp::Preempted>()),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(t.steps, 1000);
+        // The register tier reads the flag and asks nothing; the
+        // reference loop asks at every safepoint, to the same effect.
+        if regir {
+            assert_eq!(ctx.asked, 0);
+        } else {
+            assert!(ctx.asked > 100);
+        }
+        ctx.hint.store(true, Ordering::Relaxed);
+        let asked = ctx.asked;
+        t.refuel(Some(1000));
+        match t.resume(&mut inst, &mut ctx, &[]) {
+            RunResult::Trapped(Trap::Aborted) => {}
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(
+            ctx.asked,
+            asked + 1,
+            "the first poll under the hint ends it"
+        );
+        assert!(t.steps <= 1002, "within one back edge: {}", t.steps);
     }
 }
 

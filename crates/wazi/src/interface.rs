@@ -44,7 +44,11 @@ pub struct WaziCtx {
     pub zephyr: Rc<RefCell<Zephyr>>,
 }
 
-impl HostCtx for WaziCtx {}
+impl HostCtx for WaziCtx {
+    fn sig_hint(&self) -> &std::sync::atomic::AtomicBool {
+        &wasm::host::NO_SIGNALS
+    }
+}
 
 type C<'a, 'b> = &'a mut Caller<'b, WaziCtx>;
 
