@@ -5,12 +5,12 @@
 //! `FD_CLOEXEC` lives on the descriptor not the description, and the
 //! lowest free slot is always allocated.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use wali_abi::flags::{O_ACCMODE, O_RDONLY, O_WRONLY};
 use wali_abi::Errno;
 
-use crate::sync::MutexExt;
-
+use crate::lockorder::{LockClass, Tracked};
 use crate::vfs::InodeId;
 
 /// Default soft limit on open descriptors (RLIMIT_NOFILE).
@@ -53,23 +53,37 @@ pub struct OpenFile {
 }
 
 impl OpenFile {
-    /// Creates a description.
-    pub fn new(kind: FileKind, flags: i32) -> OpenFile {
-        OpenFile {
+    /// Creates a description behind its shared handle.
+    pub fn shared(kind: FileKind, flags: i32) -> FileRef {
+        let file = OpenFile {
             kind,
             offset: 0,
             flags,
             counter: 0,
-        }
+        };
+        Arc::new(Tracked::new(LockClass::Description, file))
+    }
+
+    /// Opened `O_RDONLY` or `O_RDWR`: `read`-family calls on anything
+    /// else answer `-EBADF`.
+    pub fn readable(&self) -> bool {
+        self.flags & O_ACCMODE != O_WRONLY
+    }
+
+    /// Opened `O_WRONLY` or `O_RDWR`: `write`-family calls on anything
+    /// else answer `-EBADF`.
+    pub fn writable(&self) -> bool {
+        self.flags & O_ACCMODE != O_RDONLY
     }
 }
 
 /// A shared open file description handle.
 ///
-/// The description carries its own lock: offset updates and eventfd
-/// counter edits on one file never serialize against another file or
-/// against the kernel core.
-pub type FileRef = Arc<Mutex<OpenFile>>;
+/// The description carries its own lock ([`LockClass::Description`]):
+/// offset updates and eventfd counter edits on one file never serialize
+/// against another file or against the kernel core. A descriptor call
+/// takes it once, for the whole call.
+pub type FileRef = Arc<Tracked<OpenFile>>;
 
 /// One descriptor-table slot.
 #[derive(Clone, Debug)]
@@ -81,39 +95,31 @@ pub struct FdEntry {
 }
 
 /// A file descriptor table.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FdTable {
     slots: Vec<Option<FdEntry>>,
     /// RLIMIT_NOFILE soft limit.
     pub limit: usize,
-    /// One-entry lookup cache for [`FdTable::get_file_cached`]: the last
-    /// `(fd, description)` resolved. Read/write-heavy applications hammer
-    /// a single descriptor, so this skips the slot walk and entry clone
-    /// on the repeat lookups that dominate the syscall hot path.
-    last: Mutex<Option<(i32, FileRef)>>,
+    /// Tasks using this table (`CLONE_FILES` siblings share one). The
+    /// task whose exit brings it to zero closes every descriptor —
+    /// counted here, not read off the `Arc`, so a handle kept by a
+    /// syscall path does not keep the descriptors open.
+    members: usize,
 }
 
-impl Clone for FdTable {
-    /// Cloning never copies the lookup cache: the clone's cache starts
-    /// cold so it can never serve a hit that the original's subsequent
-    /// `close`/`dup2` invalidation would not reach. (Every clone path —
-    /// `fork_copy` and direct `.clone()` — goes through here.)
-    fn clone(&self) -> FdTable {
-        FdTable {
-            slots: self.slots.clone(),
-            limit: self.limit,
-            last: Mutex::new(None),
-        }
+impl Default for FdTable {
+    fn default() -> FdTable {
+        FdTable::new()
     }
 }
 
 impl FdTable {
-    /// Creates an empty table with the default limit.
+    /// Creates an empty table with the default limit, used by one task.
     pub fn new() -> FdTable {
         FdTable {
             slots: Vec::new(),
             limit: DEFAULT_NOFILE,
-            last: Mutex::new(None),
+            members: 1,
         }
     }
 
@@ -166,28 +172,9 @@ impl FdTable {
             .ok_or(Errno::Ebadf)
     }
 
-    /// The cached fast path to an open file description.
-    ///
-    /// Equivalent to `get(fd)?.file.clone()` but remembers the last hit,
-    /// so repeated I/O on one descriptor — the shape of every read/write
-    /// loop — resolves without touching the slot table.
-    pub fn get_file_cached(&self, fd: i32) -> Result<FileRef, Errno> {
-        if let Some((cached_fd, file)) = &*self.last.lock_ok() {
-            if *cached_fd == fd {
-                return Ok(file.clone());
-            }
-        }
-        let file = self.get(fd)?.file.clone();
-        *self.last.lock_ok() = Some((fd, file.clone()));
-        Ok(file)
-    }
-
-    /// Drops the lookup cache entry for `fd` (slot is being replaced).
-    fn uncache(&mut self, fd: i32) {
-        let stale = matches!(&*self.last.lock_ok(), Some((cached_fd, _)) if *cached_fd == fd);
-        if stale {
-            *self.last.lock_ok() = None;
-        }
+    /// The open file description behind `fd`.
+    pub fn file(&self, fd: i32) -> Result<FileRef, Errno> {
+        Ok(self.get(fd)?.file.clone())
     }
 
     /// Closes a descriptor, returning its description.
@@ -195,7 +182,6 @@ impl FdTable {
         if fd < 0 {
             return Err(Errno::Ebadf);
         }
-        self.uncache(fd);
         self.slots
             .get_mut(fd as usize)
             .and_then(|e| e.take())
@@ -208,8 +194,7 @@ impl FdTable {
         if new < 0 || new as usize >= self.limit {
             return Err(Errno::Ebadf);
         }
-        self.uncache(new);
-        let file = self.get(old)?.file.clone();
+        let file = self.file(old)?;
         while self.slots.len() <= new as usize {
             self.slots.push(None);
         }
@@ -227,7 +212,6 @@ impl FdTable {
     /// counts, socket refs) exactly like an explicit `close`.
     #[must_use = "swept entries must be released by the kernel"]
     pub fn close_cloexec(&mut self) -> Vec<FdEntry> {
-        *self.last.lock_ok() = None;
         let mut swept = Vec::new();
         for slot in &mut self.slots {
             if slot.as_ref().map(|e| e.cloexec).unwrap_or(false) {
@@ -239,11 +223,22 @@ impl FdTable {
         swept
     }
 
-    /// Empties the table, returning every open entry (task exit: the
-    /// kernel releases each description).
-    pub fn drain(&mut self) -> Vec<FdEntry> {
-        *self.last.lock_ok() = None;
-        self.slots.drain(..).flatten().collect()
+    /// One more task uses this table (`clone` with `CLONE_FILES`).
+    pub fn join(&mut self) {
+        self.members += 1;
+    }
+
+    /// A task stops using this table (exit). When it was the last one
+    /// the table is emptied and every open entry returned, for the
+    /// kernel to release; otherwise nothing is.
+    #[must_use = "the last member's entries must be released by the kernel"]
+    pub fn leave(&mut self) -> Vec<FdEntry> {
+        self.members = self.members.saturating_sub(1);
+        if self.members == 0 {
+            self.slots.drain(..).flatten().collect()
+        } else {
+            Vec::new()
+        }
     }
 
     /// Iterates over open `(fd, entry)` pairs.
@@ -254,10 +249,15 @@ impl FdTable {
             .filter_map(|(i, s)| s.as_ref().map(|e| (i as i32, e)))
     }
 
-    /// Deep-copies the table sharing the open file descriptions (fork
-    /// semantics: descriptors copied, descriptions shared; cold cache).
+    /// Copies the table for one new task, sharing the open file
+    /// descriptions (fork semantics: descriptors copied, descriptions
+    /// shared).
     pub fn fork_copy(&self) -> FdTable {
-        self.clone()
+        FdTable {
+            slots: self.slots.clone(),
+            limit: self.limit,
+            members: 1,
+        }
     }
 }
 
@@ -266,7 +266,7 @@ mod tests {
     use super::*;
 
     fn file() -> FileRef {
-        Arc::new(Mutex::new(OpenFile::new(FileKind::Regular(0), 0)))
+        OpenFile::shared(FileKind::Regular(0), 0)
     }
 
     #[test]
@@ -324,79 +324,19 @@ mod tests {
     }
 
     #[test]
-    fn cached_lookup_tracks_close_and_dup() {
+    fn only_the_last_member_to_leave_drains_the_table() {
         let mut t = FdTable::new();
-        let a = t.alloc(file(), false).unwrap();
-        let f1 = t.get_file_cached(a).unwrap();
-        // Cache hit resolves to the same description.
-        assert!(Arc::ptr_eq(&f1, &t.get_file_cached(a).unwrap()));
-        // close invalidates: the fd must become EBADF, not a stale hit.
-        t.close(a).unwrap();
-        assert_eq!(t.get_file_cached(a).unwrap_err(), Errno::Ebadf);
-        // Re-allocating the lowest slot re-caches the new description.
-        let b = t.alloc(file(), false).unwrap();
-        assert_eq!(a, b);
-        let f2 = t.get_file_cached(b).unwrap();
-        assert!(!Arc::ptr_eq(&f1, &f2));
-        // dup2 over a cached fd must drop the stale mapping.
-        let c = t.alloc(file(), false).unwrap();
-        let _ = t.get_file_cached(c).unwrap();
-        t.dup_to(b, c, false).unwrap();
-        assert!(Arc::ptr_eq(&t.get_file_cached(c).unwrap(), &f2));
-        // close_cloexec wipes the cache wholesale.
-        let _ = t.get_file_cached(b).unwrap();
-        let _ = t.close_cloexec();
-        assert!(t.get_file_cached(b).is_ok(), "non-cloexec fd survives");
-    }
-
-    #[test]
-    fn exec_sweep_cannot_serve_stale_cache() {
-        // Regression: the execve close-on-exec sweep must invalidate the
-        // lookup cache — a cached CLOEXEC description must not survive.
-        let mut t = FdTable::new();
-        let doomed = t.alloc(file(), true).unwrap();
-        let f1 = t.get_file_cached(doomed).unwrap();
-        let swept = t.close_cloexec();
-        assert_eq!(swept.len(), 1);
-        assert_eq!(t.get_file_cached(doomed).unwrap_err(), Errno::Ebadf);
-        // The slot re-allocates; the cache must resolve the new description.
-        let again = t.alloc(file(), false).unwrap();
-        assert_eq!(doomed, again);
-        assert!(!Arc::ptr_eq(&f1, &t.get_file_cached(again).unwrap()));
-    }
-
-    #[test]
-    fn clone_paths_start_with_a_cold_cache() {
-        // Regression: cloned tables (fork_copy and direct Clone) must not
-        // inherit the cache — a stale hit in the clone would bypass the
-        // clone's own slot state.
-        let mut t = FdTable::new();
-        let fd = t.alloc(file(), false).unwrap();
-        let _ = t.get_file_cached(fd).unwrap(); // warm the parent cache
-        let mut forked = t.fork_copy();
-        let mut cloned = t.clone();
-        // Mutate the clones' slots directly; a warm inherited cache would
-        // keep resolving the old description.
-        let repl = file();
-        let src = forked.alloc(repl.clone(), false).unwrap();
-        forked.dup_to(src, fd, false).unwrap();
-        assert!(Arc::ptr_eq(&forked.get_file_cached(fd).unwrap(), &repl));
-        cloned.close(fd).unwrap();
-        assert_eq!(cloned.get_file_cached(fd).unwrap_err(), Errno::Ebadf);
-        // The parent cache still serves its own (unchanged) slot.
-        assert!(t.get_file_cached(fd).is_ok());
-    }
-
-    #[test]
-    fn drain_returns_every_entry_and_clears_cache() {
-        let mut t = FdTable::new();
-        let a = t.alloc(file(), false).unwrap();
-        let _b = t.alloc(file(), true).unwrap();
-        let _ = t.get_file_cached(a).unwrap();
-        let drained = t.drain();
-        assert_eq!(drained.len(), 2);
+        t.alloc(file(), false).unwrap();
+        t.alloc(file(), true).unwrap();
+        t.join();
+        assert!(t.leave().is_empty(), "a sibling still uses the table");
+        assert_eq!(t.open_count(), 2);
+        assert_eq!(t.leave().len(), 2);
         assert_eq!(t.open_count(), 0);
-        assert_eq!(t.get_file_cached(a).unwrap_err(), Errno::Ebadf);
+        // A copy starts over with the one task it is made for.
+        t.alloc(file(), false).unwrap();
+        t.join();
+        assert_eq!(t.fork_copy().leave().len(), 1);
     }
 
     #[test]

@@ -43,15 +43,16 @@
 //!   everything it popped.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Weak};
 
 use wali_abi::flags::{
     EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLONESHOT, EPOLLOUT, EPOLL_CLOEXEC, EPOLL_CTL_ADD,
-    EPOLL_CTL_DEL, EPOLL_CTL_MOD, POLLERR, POLLHUP, POLLIN, POLLOUT,
+    EPOLL_CTL_DEL, EPOLL_CTL_MOD, O_RDWR, POLLERR, POLLHUP, POLLIN, POLLOUT,
 };
 use wali_abi::Errno;
 
 use crate::fd::{FileKind, FileRef, OpenFile};
+use crate::lockorder::Tracked;
 use crate::sync::{FastMap, MutexExt};
 use crate::wait::Channel;
 use crate::{SysResult, Tid};
@@ -68,7 +69,7 @@ pub(crate) struct EpollReg {
     pub(crate) fd: i32,
     pub(crate) events: u32,
     pub(crate) data: u64,
-    pub(crate) file: Weak<Mutex<OpenFile>>,
+    pub(crate) file: Weak<Tracked<OpenFile>>,
     /// `EPOLLET` state: the readiness mask the previous pop observed.
     /// A bit reports when it rises, or when the registration's event
     /// generation moved (a new transition arrived — Linux re-notifies
@@ -277,7 +278,7 @@ impl Kernel {
             return Err(Errno::Einval.into());
         }
         let id = self.alloc_epoll();
-        let file: FileRef = Arc::new(Mutex::new(OpenFile::new(FileKind::Epoll(id), 0)));
+        let file = OpenFile::shared(FileKind::Epoll(id), O_RDWR);
         let task = self.task(tid)?;
         let fd = task
             .fdtable

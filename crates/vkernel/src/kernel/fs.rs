@@ -1,25 +1,24 @@
 //! File and filesystem syscalls.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use wali_abi::flags::{
     AT_FDCWD, AT_REMOVEDIR, AT_SYMLINK_NOFOLLOW, FD_CLOEXEC, FIONBIO, FIONREAD, F_DUPFD,
     F_DUPFD_CLOEXEC, F_GETFD, F_GETFL, F_SETFD, F_SETFL, O_ACCMODE, O_APPEND, O_CLOEXEC, O_CREAT,
-    O_DIRECTORY, O_EXCL, O_NOFOLLOW, O_NONBLOCK, O_RDONLY, O_TRUNC, SEEK_CUR, SEEK_END, SEEK_SET,
-    S_IFIFO, S_IFSOCK, TIOCGWINSZ,
+    O_DIRECTORY, O_EXCL, O_NOFOLLOW, O_NONBLOCK, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY, TIOCGWINSZ,
 };
-use wali_abi::layout::{WaliDirent, WaliStat, WaliTimespec};
+use wali_abi::layout::{WaliDirent, WaliStat};
 use wali_abi::signals::Signal;
 use wali_abi::Errno;
 
 use crate::fd::{FdEntry, FileKind, FileRef, OpenFile};
-use crate::pipe::PipeIo;
 use crate::sync::MutexExt;
 use crate::vfs::{DevKind, InodeId, InodeKind};
 use crate::wait::Channel;
-use crate::{block, SysResult, Tid};
+use crate::{SysResult, Tid};
 
+use super::io::Core;
 use super::Kernel;
 
 impl Kernel {
@@ -110,7 +109,7 @@ impl Kernel {
             }
         }
 
-        let file: FileRef = Arc::new(Mutex::new(OpenFile::new(kind, flags & !O_CLOEXEC)));
+        let file = OpenFile::shared(kind, flags & !O_CLOEXEC);
         let task = self.task(tid)?;
         let fd = task.fdtable.lock_ok().alloc(file, flags & O_CLOEXEC != 0)?;
         Ok(fd)
@@ -136,263 +135,108 @@ impl Kernel {
     }
 
     fn file_of(&self, tid: Tid, fd: i32) -> Result<FileRef, Errno> {
-        let task = self.task(tid)?;
-        let table = task.fdtable.lock_ok();
-        table.get_file_cached(fd)
+        self.task(tid)?.fdtable.lock_ok().file(fd)
     }
 
     /// `read`.
     pub fn sys_read(&mut self, tid: Tid, fd: i32, out: &mut [u8]) -> SysResult {
         let file = self.file_of(tid, fd)?;
-        let (kind, offset, flags) = {
-            let f = file.lock_ok();
-            (f.kind.clone(), f.offset, f.flags)
-        };
-        match kind {
-            FileKind::Regular(inode) => {
-                let n = self.read_inode_at(inode, offset, out)?;
-                file.lock_ok().offset += n as u64;
-                Ok(n as i64)
-            }
-            FileKind::ProcSnapshot(text) => {
-                let off = (offset as usize).min(text.len());
-                let n = out.len().min(text.len() - off);
-                out[..n].copy_from_slice(&text[off..off + n]);
-                file.lock_ok().offset += n as u64;
-                Ok(n as i64)
-            }
-            FileKind::Dir(_) => Err(Errno::Eisdir.into()),
-            FileKind::PipeRead(id) => {
-                let nonblock = flags & O_NONBLOCK != 0;
-                let has_sig = self.has_pending_signal(tid);
-                let io = self.with_pipe(id, |p| {
-                    let r = p.read(out);
-                    if matches!(r, PipeIo::WouldBlock) && !nonblock && !has_sig {
-                        // Subscribe while still holding the pipe lock: a
-                        // writer filling the buffer after this point posts
-                        // only after dropping the lock, so the wakeup
-                        // cannot be missed.
-                        self.waits.park_on(tid, Channel::PipeReadable(id));
-                    }
-                    r
-                })?;
-                match io {
-                    PipeIo::Xfer(n) => {
-                        // Space opened up: wake blocked writers.
-                        self.waits.post(Channel::PipeWritable(id));
-                        Ok(n as i64)
-                    }
-                    PipeIo::Eof => Ok(0),
-                    PipeIo::WouldBlock if nonblock => Err(Errno::Eagain.into()),
-                    PipeIo::WouldBlock if has_sig => Err(Errno::Eintr.into()),
-                    PipeIo::WouldBlock => Err(block()),
-                    PipeIo::Broken => unreachable!("read never reports Broken"),
+        self.read_file(tid, &file, out)
+    }
+
+    /// `read` on a description the caller resolved: against the shards
+    /// ([`super::io`]), then whatever of it needs the core.
+    pub fn read_file(&mut self, tid: Tid, file: &FileRef, out: &mut [u8]) -> SysResult {
+        let io = self
+            .shards
+            .read(tid, file, out, &|| self.has_pending_signal(tid));
+        io.unwrap_or_else(|rest| self.finish_read(tid, rest, out))
+    }
+
+    /// The part of a `read` [`KernelHandles::read`](super::KernelHandles::read)
+    /// left to the core.
+    pub fn finish_read(&mut self, tid: Tid, rest: Core, out: &mut [u8]) -> SysResult {
+        match rest {
+            Core::Sock(id) => self.sock_recv(tid, id, out, 0).map(|n| n as i64),
+            Core::Dev(inode) => match self.dev_kind(inode)? {
+                DevKind::Null | DevKind::Tty => Ok(0),
+                DevKind::Zero => {
+                    out.fill(0);
+                    Ok(out.len() as i64)
                 }
-            }
-            FileKind::PipeWrite(_) => Err(Errno::Ebadf.into()),
-            FileKind::Socket(id) => self.sock_recv(tid, id, out, 0).map(|n| n as i64),
-            FileKind::CharDev(inode) => {
-                let dev = match &self.vfs.read().get(inode)?.kind {
-                    InodeKind::CharDev(d) => d.clone(),
-                    _ => return Err(Errno::Eio.into()),
-                };
-                match dev {
-                    DevKind::Null | DevKind::Tty => Ok(0),
-                    DevKind::Zero => {
-                        out.fill(0);
-                        Ok(out.len() as i64)
-                    }
-                    DevKind::Urandom => self.sys_getrandom(out),
-                    // Reads of /proc/self/mem are denied by WALI before
-                    // reaching here; defence in depth returns EIO.
-                    DevKind::ProcSelfMem => Err(Errno::Eio.into()),
-                    DevKind::ProcText(_) => Ok(0),
-                }
-            }
-            FileKind::Epoll(_) => Err(Errno::Einval.into()),
-            FileKind::EventFd => {
-                let mut f = file.lock_ok();
-                if f.counter == 0 {
-                    if flags & O_NONBLOCK != 0 {
-                        return Err(Errno::Eagain.into());
-                    }
-                    drop(f);
-                    self.waits
-                        .park_on(tid, Channel::EventFd(Arc::as_ptr(&file) as usize));
-                    return Err(block());
-                }
-                if out.len() < 8 {
-                    return Err(Errno::Einval.into());
-                }
-                out[..8].copy_from_slice(&f.counter.to_le_bytes());
-                f.counter = 0;
-                Ok(8)
-            }
+                DevKind::Urandom => self.sys_getrandom(out),
+                // Reads of /proc/self/mem are denied by WALI before
+                // reaching here; defence in depth returns EIO.
+                DevKind::ProcSelfMem => Err(Errno::Eio.into()),
+                DevKind::ProcText(_) => Ok(0),
+            },
+            Core::Sigpipe => self.epipe(tid),
         }
     }
 
     /// `write`.
     pub fn sys_write(&mut self, tid: Tid, fd: i32, data: &[u8]) -> SysResult {
         let file = self.file_of(tid, fd)?;
-        let (kind, mut offset, flags) = {
-            let f = file.lock_ok();
-            (f.kind.clone(), f.offset, f.flags)
-        };
-        match kind {
-            FileKind::Regular(inode) => {
-                if flags & O_APPEND != 0 {
-                    offset = self.vfs.read().get(inode)?.size();
+        self.write_file(tid, &file, data)
+    }
+
+    /// `write` on a description the caller resolved (see
+    /// [`Kernel::read_file`]).
+    pub fn write_file(&mut self, tid: Tid, file: &FileRef, data: &[u8]) -> SysResult {
+        let io = self
+            .shards
+            .write(tid, file, data, &|| self.has_pending_signal(tid));
+        io.unwrap_or_else(|rest| self.finish_write(tid, rest, data))
+    }
+
+    /// The part of a `write` [`KernelHandles::write`](super::KernelHandles::write)
+    /// left to the core.
+    pub fn finish_write(&mut self, tid: Tid, rest: Core, data: &[u8]) -> SysResult {
+        match rest {
+            Core::Sock(id) => self.sock_send(tid, id, data, 0).map(|n| n as i64),
+            Core::Dev(inode) => match self.dev_kind(inode)? {
+                DevKind::Null | DevKind::Zero | DevKind::Urandom => Ok(data.len() as i64),
+                DevKind::Tty => {
+                    self.console.extend_from_slice(data);
+                    Ok(data.len() as i64)
                 }
-                let n = self.write_inode_at(inode, offset, data)?;
-                file.lock_ok().offset = offset + n as u64;
-                Ok(n as i64)
-            }
-            FileKind::Dir(_) => Err(Errno::Eisdir.into()),
-            FileKind::ProcSnapshot(_) => Err(Errno::Eacces.into()),
-            FileKind::PipeWrite(id) => {
-                let nonblock = flags & O_NONBLOCK != 0;
-                let has_sig = self.has_pending_signal(tid);
-                let io = self.with_pipe(id, |p| {
-                    let r = p.write(data);
-                    if matches!(r, PipeIo::WouldBlock) && !nonblock && !has_sig {
-                        // Subscribe under the pipe lock (see sys_read).
-                        self.waits.park_on(tid, Channel::PipeWritable(id));
-                    }
-                    r
-                })?;
-                match io {
-                    PipeIo::Xfer(n) => {
-                        // Data arrived: wake blocked readers and pollers.
-                        self.waits.post(Channel::PipeReadable(id));
-                        Ok(n as i64)
-                    }
-                    PipeIo::Broken => {
-                        let tgid = self.task(tid)?.tgid;
-                        let _ = self.send_signal_to_process(tgid, Signal::Sigpipe.number());
-                        Err(Errno::Epipe.into())
-                    }
-                    PipeIo::WouldBlock if nonblock => Err(Errno::Eagain.into()),
-                    PipeIo::WouldBlock if has_sig => Err(Errno::Eintr.into()),
-                    PipeIo::WouldBlock => Err(block()),
-                    PipeIo::Eof => unreachable!("write never reports Eof"),
-                }
-            }
-            FileKind::PipeRead(_) => Err(Errno::Ebadf.into()),
-            FileKind::Socket(id) => self.sock_send(tid, id, data, 0).map(|n| n as i64),
-            FileKind::CharDev(inode) => {
-                let dev = match &self.vfs.read().get(inode)?.kind {
-                    InodeKind::CharDev(d) => d.clone(),
-                    _ => return Err(Errno::Eio.into()),
-                };
-                match dev {
-                    DevKind::Null | DevKind::Zero | DevKind::Urandom => Ok(data.len() as i64),
-                    DevKind::Tty => {
-                        self.console.extend_from_slice(data);
-                        Ok(data.len() as i64)
-                    }
-                    DevKind::ProcSelfMem => Err(Errno::Eio.into()),
-                    DevKind::ProcText(_) => Err(Errno::Eacces.into()),
-                }
-            }
-            FileKind::Epoll(_) => Err(Errno::Einval.into()),
-            FileKind::EventFd => {
-                if data.len() < 8 {
-                    return Err(Errno::Einval.into());
-                }
-                let v = u64::from_le_bytes(data[..8].try_into().expect("8 bytes"));
-                {
-                    let mut f = file.lock_ok();
-                    f.counter = f.counter.saturating_add(v);
-                }
-                // The counter became non-zero: wake blocked readers.
-                self.waits
-                    .post(Channel::EventFd(Arc::as_ptr(&file) as usize));
-                Ok(8)
-            }
+                DevKind::ProcSelfMem => Err(Errno::Eio.into()),
+                DevKind::ProcText(_) => Err(Errno::Eacces.into()),
+            },
+            Core::Sigpipe => self.epipe(tid),
         }
+    }
+
+    fn dev_kind(&self, inode: InodeId) -> Result<DevKind, Errno> {
+        match &self.vfs.read().get(inode)?.kind {
+            InodeKind::CharDev(d) => Ok(d.clone()),
+            _ => Err(Errno::Eio),
+        }
+    }
+
+    /// Raises `SIGPIPE` for the caller's process and answers `-EPIPE`.
+    pub(crate) fn epipe<T>(&mut self, tid: Tid) -> SysResult<T> {
+        let tgid = self.task(tid)?.tgid;
+        let _ = self.send_signal_to_process(tgid, Signal::Sigpipe.number());
+        Err(Errno::Epipe.into())
     }
 
     /// `pread64`.
     pub fn sys_pread(&mut self, tid: Tid, fd: i32, out: &mut [u8], offset: u64) -> SysResult {
         let file = self.file_of(tid, fd)?;
-        let kind = file.lock_ok().kind.clone();
-        match kind {
-            FileKind::Regular(inode) => Ok(self.read_inode_at(inode, offset, out)? as i64),
-            FileKind::PipeRead(_) | FileKind::PipeWrite(_) | FileKind::Socket(_) => {
-                Err(Errno::Espipe.into())
-            }
-            _ => Err(Errno::Einval.into()),
-        }
+        self.shards.pread(&file, out, offset)
     }
 
     /// `pwrite64`.
     pub fn sys_pwrite(&mut self, tid: Tid, fd: i32, data: &[u8], offset: u64) -> SysResult {
         let file = self.file_of(tid, fd)?;
-        let kind = file.lock_ok().kind.clone();
-        match kind {
-            FileKind::Regular(inode) => Ok(self.write_inode_at(inode, offset, data)? as i64),
-            FileKind::PipeRead(_) | FileKind::PipeWrite(_) | FileKind::Socket(_) => {
-                Err(Errno::Espipe.into())
-            }
-            _ => Err(Errno::Einval.into()),
-        }
-    }
-
-    fn read_inode_at(&self, inode: InodeId, offset: u64, out: &mut [u8]) -> Result<usize, Errno> {
-        match &self.vfs.read().get(inode)?.kind {
-            InodeKind::File(data) => {
-                let off = (offset as usize).min(data.len());
-                let n = out.len().min(data.len() - off);
-                out[..n].copy_from_slice(&data[off..off + n]);
-                Ok(n)
-            }
-            _ => Err(Errno::Einval),
-        }
-    }
-
-    fn write_inode_at(&mut self, inode: InodeId, offset: u64, data: &[u8]) -> Result<usize, Errno> {
-        let now = self.clock.realtime_ns();
-        let mut vfs = self.vfs.write();
-        let node = vfs.get_mut(inode)?;
-        match &mut node.kind {
-            InodeKind::File(content) => {
-                let end = offset as usize + data.len();
-                if end > content.len() {
-                    content.resize(end, 0);
-                }
-                content[offset as usize..end].copy_from_slice(data);
-                node.mtime = now;
-                Ok(data.len())
-            }
-            _ => Err(Errno::Einval),
-        }
+        self.shards.pwrite(&file, data, offset)
     }
 
     /// `lseek`.
     pub fn sys_lseek(&mut self, tid: Tid, fd: i32, offset: i64, whence: i32) -> SysResult {
         let file = self.file_of(tid, fd)?;
-        let (kind, cur) = {
-            let f = file.lock_ok();
-            (f.kind.clone(), f.offset)
-        };
-        let size = match &kind {
-            FileKind::Regular(inode) => self.vfs.read().get(*inode)?.size(),
-            FileKind::ProcSnapshot(t) => t.len() as u64,
-            FileKind::Dir(inode) => self.vfs.read().get(*inode)?.dir()?.len() as u64 + 2,
-            _ => return Err(Errno::Espipe.into()),
-        };
-        let base = match whence {
-            SEEK_SET => 0i64,
-            SEEK_CUR => cur as i64,
-            SEEK_END => size as i64,
-            _ => return Err(Errno::Einval.into()),
-        };
-        let new = base.checked_add(offset).ok_or(Errno::Eoverflow)?;
-        if new < 0 {
-            return Err(Errno::Einval.into());
-        }
-        file.lock_ok().offset = new as u64;
-        Ok(new)
+        self.shards.lseek(&file, offset, whence)
     }
 
     /// `close`.
@@ -403,32 +247,26 @@ impl Kernel {
         Ok(0)
     }
 
-    /// Drops side-effects when the last descriptor to a description goes
-    /// away (pipe end counts, socket refs).
+    /// Drops one reference to a description (a closed descriptor) and,
+    /// when it was the last, the description's side-effects.
     pub(crate) fn release_if_last(&mut self, entry: FdEntry) {
-        // One strong ref means only `entry` holds the description now.
-        if Arc::strong_count(&entry.file) != 1 {
-            return;
+        let key = Arc::as_ptr(&entry.file) as usize;
+        // Linux's `fput`: whoever drops the last reference releases, and
+        // exactly one holder is told it was the last — also when an
+        // embedder's in-flight call on another worker still held the
+        // description while its descriptor was closed here.
+        if let Some(last) = Arc::into_inner(entry.file) {
+            self.release_description(last.into_inner(), key);
         }
-        // Only the referent's id is needed: copy it out rather than
-        // cloning the kind under the description lock.
-        enum Gone {
-            PipeEnd { id: usize, read: bool },
-            Socket(usize),
-            Epoll(usize),
-            EventFd,
-            Other,
-        }
-        let gone = match entry.file.lock_ok().kind {
-            FileKind::PipeRead(id) => Gone::PipeEnd { id, read: true },
-            FileKind::PipeWrite(id) => Gone::PipeEnd { id, read: false },
-            FileKind::Socket(id) => Gone::Socket(id),
-            FileKind::Epoll(id) => Gone::Epoll(id),
-            FileKind::EventFd => Gone::EventFd,
-            _ => Gone::Other,
-        };
-        match gone {
-            Gone::PipeEnd { id, read } => {
+    }
+
+    /// Drops the side-effects of a description nobody refers to any more
+    /// (pipe end counts, socket refs, wait heads). `key` is the address
+    /// its handle had — an eventfd's wait channel.
+    pub fn release_description(&mut self, gone: OpenFile, key: usize) {
+        match gone.kind {
+            FileKind::PipeRead(id) | FileKind::PipeWrite(id) => {
+                let read = matches!(gone.kind, FileKind::PipeRead(_));
                 // Decrement under the pipe lock, but free the slab slot
                 // only after the guard drops: Slab ranks below Object in
                 // the lock-ordering DAG.
@@ -440,7 +278,7 @@ impl Kernel {
                     })
                     .unwrap_or(false);
                 if dead {
-                    self.pipes.free(id);
+                    self.shards.pipes.free(id);
                 }
                 // Blocked writers must observe EPIPE, blocked readers
                 // EOF, pollers the hangup: the other end's channel first.
@@ -455,13 +293,10 @@ impl Kernel {
                     waits.release(w);
                 }
             }
-            Gone::Socket(id) => self.release_socket(id),
-            Gone::Epoll(id) => self.release_epoll(id),
-            Gone::EventFd => {
-                let key = Arc::as_ptr(&entry.file) as usize;
-                self.waits.lock().release(Channel::EventFd(key));
-            }
-            Gone::Other => {}
+            FileKind::Socket(id) => self.release_socket(id),
+            FileKind::Epoll(id) => self.release_epoll(id),
+            FileKind::EventFd => self.waits.lock().release(Channel::EventFd(key)),
+            _ => {}
         }
     }
 
@@ -472,8 +307,8 @@ impl Kernel {
         let status = flags & O_NONBLOCK;
         let task = self.task(tid)?;
         let mut table = task.fdtable.lock_ok();
-        let r: FileRef = Arc::new(Mutex::new(OpenFile::new(FileKind::PipeRead(id), status)));
-        let w: FileRef = Arc::new(Mutex::new(OpenFile::new(FileKind::PipeWrite(id), status)));
+        let r = OpenFile::shared(FileKind::PipeRead(id), status | O_RDONLY);
+        let w = OpenFile::shared(FileKind::PipeWrite(id), status | O_WRONLY);
         let rfd = table.alloc(r, cloexec)?;
         let wfd = table.alloc(w, cloexec)?;
         Ok((rfd, wfd))
@@ -592,32 +427,7 @@ impl Kernel {
     /// `fstat`.
     pub fn sys_fstat(&mut self, tid: Tid, fd: i32) -> SysResult<WaliStat> {
         let file = self.file_of(tid, fd)?;
-        let kind = file.lock_ok().kind.clone();
-        match kind {
-            FileKind::Regular(inode) | FileKind::Dir(inode) | FileKind::CharDev(inode) => {
-                self.stat_inode(inode)
-            }
-            FileKind::PipeRead(_) | FileKind::PipeWrite(_) => Ok(WaliStat {
-                st_mode: S_IFIFO | 0o600,
-                st_blksize: 4096,
-                ..Default::default()
-            }),
-            FileKind::Socket(_) => Ok(WaliStat {
-                st_mode: S_IFSOCK | 0o777,
-                st_blksize: 4096,
-                ..Default::default()
-            }),
-            FileKind::ProcSnapshot(t) => Ok(WaliStat {
-                st_mode: 0o100444,
-                st_size: t.len() as i64,
-                st_blksize: 4096,
-                ..Default::default()
-            }),
-            FileKind::EventFd | FileKind::Epoll(_) => Ok(WaliStat {
-                st_mode: 0o600,
-                ..Default::default()
-            }),
-        }
+        self.shards.fstat(&file)
     }
 
     /// `newfstatat` / `stat` / `lstat`.
@@ -632,27 +442,7 @@ impl Kernel {
         let follow = flags & AT_SYMLINK_NOFOLLOW == 0;
         let r = self.vfs.resolve(base, path, follow)?;
         let inode = r.inode.ok_or(Errno::Enoent)?;
-        self.stat_inode(inode)
-    }
-
-    fn stat_inode(&self, inode: InodeId) -> SysResult<WaliStat> {
-        let vfs = self.vfs.read();
-        let node = vfs.get(inode)?;
-        Ok(WaliStat {
-            st_dev: 1,
-            st_ino: node.ino,
-            st_mode: node.mode(),
-            st_nlink: node.nlink,
-            st_uid: node.uid,
-            st_gid: node.gid,
-            st_rdev: 0,
-            st_size: node.size() as i64,
-            st_blksize: 4096,
-            st_blocks: (node.size() as i64 + 511) / 512,
-            st_atim: WaliTimespec::from_nanos(node.atime),
-            st_mtim: WaliTimespec::from_nanos(node.mtime),
-            st_ctim: WaliTimespec::from_nanos(node.ctime),
-        })
+        self.shards.stat_inode(inode)
     }
 
     /// `getdents64`: fills directory entries starting at the open file's
@@ -664,13 +454,13 @@ impl Kernel {
         capacity: usize,
     ) -> SysResult<Vec<WaliDirent>> {
         let file = self.file_of(tid, fd)?;
-        let (kind, cursor) = {
-            let f = file.lock_ok();
-            (f.kind.clone(), f.offset as usize)
-        };
-        let FileKind::Dir(inode) = kind else {
+        // One hold for the whole call: the cursor is read, the entries
+        // walked and the cursor moved as one step.
+        let mut f = file.lock_ok();
+        let FileKind::Dir(inode) = f.kind else {
             return Err(Errno::Enotdir.into());
         };
+        let cursor = f.offset as usize;
         let vfs = self.vfs.read();
         let node = vfs.get(inode)?;
         let entries = node.dir()?;
@@ -709,7 +499,7 @@ impl Kernel {
         if out.is_empty() && idx < all.len() {
             return Err(Errno::Einval.into());
         }
-        file.lock_ok().offset = idx as u64;
+        f.offset = idx as u64;
         Ok(out)
     }
 
@@ -898,13 +688,10 @@ impl Kernel {
     /// `ftruncate`.
     pub fn sys_ftruncate(&mut self, tid: Tid, fd: i32, len: u64) -> SysResult {
         let file = self.file_of(tid, fd)?;
-        let kind = file.lock_ok().kind.clone();
-        match kind {
-            FileKind::Regular(inode) => {
-                match &mut self.vfs.write().get_mut(inode)?.kind {
-                    InodeKind::File(data) => data.resize(len as usize, 0),
-                    _ => return Err(Errno::Einval.into()),
-                }
+        let f = file.lock_ok();
+        match f.kind {
+            FileKind::Regular(inode) if f.writable() => {
+                self.vfs.write().set_len(inode, len)?;
                 Ok(0)
             }
             _ => Err(Errno::Einval.into()),
@@ -916,14 +703,8 @@ impl Kernel {
         let base = self.task(tid)?.fs.lock_ok().cwd;
         let r = self.vfs.resolve(base, path, true)?;
         let inode = r.inode.ok_or(Errno::Enoent)?;
-        match &mut self.vfs.write().get_mut(inode)?.kind {
-            InodeKind::File(data) => {
-                data.resize(len as usize, 0);
-                Ok(0)
-            }
-            InodeKind::Dir(_) => Err(Errno::Eisdir.into()),
-            _ => Err(Errno::Einval.into()),
-        }
+        self.vfs.write().set_len(inode, len)?;
+        Ok(0)
     }
 
     /// `getcwd`.
@@ -974,13 +755,10 @@ impl Kernel {
 
     /// `eventfd2`.
     pub fn sys_eventfd2(&mut self, tid: Tid, initval: u32, flags: i32) -> SysResult {
-        let mut file = OpenFile::new(FileKind::EventFd, flags & O_NONBLOCK);
-        file.counter = initval as u64;
+        let file = OpenFile::shared(FileKind::EventFd, O_RDWR | (flags & O_NONBLOCK));
+        file.lock_ok().counter = initval as u64;
         let task = self.task(tid)?;
-        let fd = task
-            .fdtable
-            .lock_ok()
-            .alloc(Arc::new(Mutex::new(file)), flags & O_CLOEXEC != 0)?;
+        let fd = task.fdtable.lock_ok().alloc(file, flags & O_CLOEXEC != 0)?;
         Ok(fd as i64)
     }
 }
@@ -1002,8 +780,9 @@ pub enum IoctlOut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::FILE_SIZE_MAX;
     use crate::SysError;
-    use wali_abi::flags::{O_RDWR, O_WRONLY, S_IFMT, S_IFREG};
+    use wali_abi::flags::{SEEK_CUR, SEEK_END, SEEK_SET, S_IFMT, S_IFREG};
 
     fn kp() -> (Kernel, Tid) {
         let mut k = Kernel::new();
@@ -1400,6 +1179,104 @@ mod tests {
         assert_eq!(k.vfs.read_file("/tmp/t").unwrap(), b"he");
         k.sys_truncate(tid, "/tmp/t", 4).unwrap();
         assert_eq!(k.vfs.read_file("/tmp/t").unwrap(), b"he\0\0");
+    }
+
+    /// A file open for reading and writing, holding `b"hello"`.
+    fn hello_file(k: &mut Kernel, tid: Tid) -> i32 {
+        let fd = k
+            .sys_openat(tid, AT_FDCWD, "/tmp/big", O_CREAT | O_RDWR, 0o644)
+            .unwrap();
+        k.sys_write(tid, fd, b"hello").unwrap();
+        fd
+    }
+
+    const EFBIG: Result<i64, SysError> = Err(SysError::Err(Errno::Efbig));
+
+    #[test]
+    fn pwrite_at_a_far_offset_is_efbig() {
+        let (mut k, tid) = kp();
+        let fd = hello_file(&mut k, tid);
+        for offset in [1 << 63, u64::MAX, FILE_SIZE_MAX] {
+            assert_eq!(k.sys_pwrite(tid, fd, b"x", offset), EFBIG);
+        }
+        assert_eq!(
+            k.sys_pwrite(tid, fd, b"x", FILE_SIZE_MAX - 1 - (1 << 27)),
+            Ok(1)
+        );
+    }
+
+    #[test]
+    fn write_after_a_far_lseek_is_efbig() {
+        let (mut k, tid) = kp();
+        let fd = hello_file(&mut k, tid);
+        assert_eq!(k.sys_lseek(tid, fd, i64::MAX, SEEK_SET), Ok(i64::MAX));
+        assert_eq!(k.sys_write(tid, fd, b"x"), EFBIG);
+        assert_eq!(k.sys_lseek(tid, fd, 0, SEEK_CUR), Ok(i64::MAX), "unmoved");
+        assert_eq!(k.sys_lseek(tid, fd, 0, SEEK_END), Ok(5), "not grown");
+    }
+
+    #[test]
+    fn ftruncate_to_a_huge_length_is_efbig() {
+        let (mut k, tid) = kp();
+        let fd = hello_file(&mut k, tid);
+        for len in [FILE_SIZE_MAX + 1, 1 << 62, u64::MAX] {
+            assert_eq!(k.sys_ftruncate(tid, fd, len), EFBIG);
+        }
+        assert_eq!(k.sys_fstat(tid, fd).unwrap().st_size, 5);
+    }
+
+    #[test]
+    fn truncate_to_a_huge_length_is_efbig() {
+        let (mut k, tid) = kp();
+        hello_file(&mut k, tid);
+        assert_eq!(k.sys_truncate(tid, "/tmp/big", u64::MAX), EFBIG);
+        assert_eq!(k.vfs.read_file("/tmp/big").unwrap(), b"hello");
+        assert_eq!(
+            k.sys_truncate(tid, "/tmp", 0),
+            Err(SysError::Err(Errno::Eisdir))
+        );
+    }
+
+    #[test]
+    fn the_access_mode_of_a_description_is_enforced() {
+        const EBADF: Result<i64, SysError> = Err(SysError::Err(Errno::Ebadf));
+        let (mut k, tid) = kp();
+        let fd = hello_file(&mut k, tid);
+        k.sys_close(tid, fd).unwrap();
+        let mut buf = [0u8; 8];
+
+        let wr = k
+            .sys_openat(tid, AT_FDCWD, "/tmp/big", O_WRONLY, 0)
+            .unwrap();
+        assert_eq!(k.sys_read(tid, wr, &mut buf), EBADF);
+        assert_eq!(k.sys_pread(tid, wr, &mut buf, 0), EBADF);
+        assert_eq!(k.sys_write(tid, wr, b"J"), Ok(1));
+
+        let rd = k
+            .sys_openat(tid, AT_FDCWD, "/tmp/big", O_RDONLY, 0)
+            .unwrap();
+        assert_eq!(k.sys_write(tid, rd, b"x"), EBADF);
+        assert_eq!(k.sys_pwrite(tid, rd, b"x", 0), EBADF);
+        assert_eq!(
+            k.sys_ftruncate(tid, rd, 0),
+            Err(SysError::Err(Errno::Einval))
+        );
+        assert_eq!(k.sys_read(tid, rd, &mut buf), Ok(5));
+        assert_eq!(&buf[..5], b"Jello");
+        // A duplicate shares the description, access mode included.
+        let dup = k.sys_dup(tid, rd).unwrap() as i32;
+        assert_eq!(k.sys_write(tid, dup, b"x"), EBADF);
+
+        // Every kind of description carries a mode: a pipe's ends are
+        // one-way, sockets, eventfds and the standard streams two-way.
+        let (r, w) = k.sys_pipe2(tid, 0).unwrap();
+        assert_eq!(k.sys_write(tid, r, b"x"), EBADF);
+        assert_eq!(k.sys_read(tid, w, &mut buf), EBADF);
+        assert_eq!(k.sys_fcntl(tid, w, F_GETFL, 0), Ok(O_WRONLY as i64));
+        assert_eq!(k.sys_fcntl(tid, 1, F_GETFL, 0), Ok(O_RDWR as i64));
+        let ev = k.sys_eventfd2(tid, 0, 0).unwrap() as i32;
+        assert_eq!(k.sys_write(tid, ev, &1u64.to_le_bytes()), Ok(8));
+        assert_eq!(k.sys_read(tid, ev, &mut buf), Ok(8));
     }
 
     #[test]

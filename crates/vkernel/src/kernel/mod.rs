@@ -4,13 +4,15 @@
 
 pub mod epoll;
 pub mod fs;
+pub mod io;
 pub mod sock;
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use wali_abi::flags::{
-    w_exitcode, w_termsig, CLONE_FILES, CLONE_FS, CLONE_SIGHAND, CLONE_THREAD, CLONE_VM, WNOHANG,
+    w_exitcode, w_termsig, CLONE_FILES, CLONE_FS, CLONE_SIGHAND, CLONE_THREAD, CLONE_VM, O_RDWR,
+    WNOHANG,
 };
 use wali_abi::layout::{WaliSigaction, WaliUtsname};
 use wali_abi::signals::{SigSet, Signal, SIG_BLOCK, SIG_SETMASK, SIG_UNBLOCK};
@@ -83,8 +85,6 @@ pub struct Kernel {
     tasks: BTreeMap<Tid, Task>,
     next_tid: Tid,
     next_mm: u64,
-    pub(crate) pipes: ObjSlab<Pipe>,
-    pub(crate) sockets: ObjSlab<Socket>,
     pub(crate) epolls: ObjSlab<epoll::Epoll>,
     pub(crate) addr_registry: FastMap<AddrKey, usize>,
     futexes: FastMap<(MmId, u32), VecDeque<Tid>>,
@@ -94,22 +94,22 @@ pub struct Kernel {
     /// Waitqueues: blocked tasks parked on wait channels, behind their
     /// own shard lock (innermost in the ordering DAG).
     pub(crate) waits: WaitShard,
-    /// The sharded tid → hot-state mirror (maintained on spawn/fork/
-    /// clone/reap; read lock-cheaply by the embedder's fast paths).
-    pub(crate) procs: ProcIndex,
     rng_state: u64,
     /// Captured console (tty) output.
     pub console: Vec<u8>,
-    /// Count of syscalls entered (all tasks). Atomic and `Arc`-shared so
-    /// the per-syscall tick ([`Kernel::syscall_meter`]) never takes the
-    /// kernel lock.
-    pub syscalls: Arc<std::sync::atomic::AtomicU64>,
+    /// The handles [`Kernel::handles`] gives out — the pipe and socket
+    /// slabs, the process index (the tid → hot-state mirror maintained on
+    /// spawn/fork/clone/reap) and the shards `vfs`, `clock` and `waits`
+    /// above are handles onto. Descriptor I/O ([`io`]) runs against
+    /// these whether or not its caller holds the kernel lock.
+    pub(crate) shards: KernelHandles,
 }
 
-/// Cloneable handles onto the kernel's shards: everything the
-/// embedder's uncontended fast path needs to run a pipe/socket syscall
-/// without the big kernel lock. Fetched once per context
-/// ([`Kernel::handles`]) while the kernel lock is already held.
+/// Cloneable handles onto the kernel's shards: everything descriptor
+/// I/O on a regular file, a pipe or a stream socket touches ([`io`]), so
+/// an embedder runs those calls without the big kernel lock. Fetched
+/// once per context ([`Kernel::handles`]) while the kernel lock is
+/// already held.
 #[derive(Clone, Debug)]
 pub struct KernelHandles {
     /// The pipe slab.
@@ -120,6 +120,10 @@ pub struct KernelHandles {
     pub waits: WaitShard,
     /// The process index.
     pub procs: ProcIndex,
+    /// The filesystem shard.
+    pub vfs: VfsShard,
+    /// Virtual time (file timestamps; the per-syscall tick).
+    pub clock: Clock,
 }
 
 impl Default for Kernel {
@@ -136,23 +140,28 @@ impl Kernel {
         let init = Task::init(vfs.root);
         let mut tasks = BTreeMap::new();
         tasks.insert(1, init);
-        let k = Kernel {
+        let shards = KernelHandles {
+            pipes: ObjSlab::new(LockClass::Object),
+            socks: ObjSlab::new(LockClass::Object),
+            waits: WaitShard::new(),
+            procs: ProcIndex::new(),
             vfs: VfsShard::new(vfs),
             clock: Clock::new(),
+        };
+        let k = Kernel {
+            vfs: shards.vfs.clone(),
+            clock: shards.clock.clone(),
             tasks,
             next_tid: 2,
             next_mm: 2,
-            pipes: ObjSlab::new(LockClass::Object),
-            sockets: ObjSlab::new(LockClass::Object),
             epolls: ObjSlab::new(LockClass::Epoll),
             addr_registry: FastMap::default(),
             futexes: FastMap::default(),
             epoll_scratch: Vec::new(),
-            waits: WaitShard::new(),
-            procs: ProcIndex::new(),
+            waits: shards.waits.clone(),
             rng_state: 0x9e37_79b9_7f4a_7c15,
             console: Vec::new(),
-            syscalls: Arc::new(std::sync::atomic::AtomicU64::new(0)),
+            shards,
         };
         // The waitqueue's readiness router resolves epoll ids against
         // the slab directly (hub → ring push without the kernel lock).
@@ -162,20 +171,15 @@ impl Kernel {
     }
 
     /// Cloneable handles onto the kernel's shards (for the embedder's
-    /// uncontended fast path). Cheap: five `Arc` clones.
+    /// lock-free descriptor I/O). Cheap: a handful of `Arc` clones.
     pub fn handles(&self) -> KernelHandles {
-        KernelHandles {
-            pipes: self.pipes.clone(),
-            socks: self.sockets.clone(),
-            waits: self.waits.clone(),
-            procs: self.procs.clone(),
-        }
+        self.shards.clone()
     }
 
     /// Mirrors `tid`'s hot state into the sharded process index.
     fn register_hot(&self, tid: Tid) {
         if let Some(t) = self.tasks.get(&tid) {
-            self.procs.insert(
+            self.shards.procs.insert(
                 tid,
                 TaskHot {
                     tgid: t.tgid,
@@ -187,25 +191,11 @@ impl Kernel {
         }
     }
 
-    /// Per-syscall bookkeeping: tick the clock and count the entry.
-    /// Both pieces are lock-free shards; embedders on the hot path use
-    /// [`Kernel::syscall_meter`] to tick without the kernel lock at all.
+    /// Per-syscall bookkeeping: one quantum of virtual time. The clock
+    /// is a lock-free shard; an embedder on the hot path ticks its own
+    /// handle ([`KernelHandles::clock`]) without the kernel lock.
     pub fn enter_syscall(&self) {
         self.clock.tick();
-        self.syscalls
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Hands out `(clock, counter)` handles for lock-free per-syscall
-    /// ticking — the clock shard in action: one atomic add each, no
-    /// kernel lock on any syscall entry.
-    pub fn syscall_meter(&self) -> (Clock, Arc<std::sync::atomic::AtomicU64>) {
-        (self.clock.clone(), self.syscalls.clone())
-    }
-
-    /// Count of syscalls entered (all tasks).
-    pub fn syscall_count(&self) -> u64 {
-        self.syscalls.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     // --- Waitqueues --------------------------------------------------------
@@ -347,23 +337,20 @@ impl Kernel {
     }
 
     /// Closes a dying task's descriptors eagerly (Linux closes fds at
-    /// exit, not at reap): drops this task's reference to its fd table
-    /// and, when it was the last holder, releases every description so
-    /// pipe/socket peers observe EOF/EPIPE — and get their wakeups.
+    /// exit, not at reap): the task leaves its fd table and, when it was
+    /// the last member ([`FdTable::leave`] — a count of tasks, so the
+    /// handles the process index and an embedder's context keep do not
+    /// matter), every description is released so pipe/socket peers
+    /// observe EOF/EPIPE — and get their wakeups.
     fn release_task_files(&mut self, tid: Tid) {
-        // Drop the fast-path index entry first: it holds a clone of the
-        // fd-table `Arc`, and the last-holder unwrap below must see this
-        // task's reference count only.
-        self.procs.remove(tid);
+        self.shards.procs.remove(tid);
         let Some(task) = self.tasks.get_mut(&tid) else {
             return;
         };
         let table = std::mem::replace(&mut task.fdtable, shared(FdTable::new()));
-        if let Ok(cell) = Arc::try_unwrap(table) {
-            let mut table = cell.into_inner().unwrap_or_else(|p| p.into_inner());
-            for entry in table.drain() {
-                self.release_if_last(entry);
-            }
+        let entries = table.lock_ok().leave();
+        for entry in entries {
+            self.release_if_last(entry);
         }
     }
 
@@ -399,7 +386,7 @@ impl Kernel {
             .and_then(|r| r.inode)
             .expect("std layout has /dev/tty");
         for _ in 0..3 {
-            let file: FileRef = Arc::new(Mutex::new(OpenFile::new(FileKind::CharDev(tty), 0)));
+            let file = OpenFile::shared(FileKind::CharDev(tty), O_RDWR);
             fdtable.alloc(file, false).expect("empty table");
         }
 
@@ -505,6 +492,7 @@ impl Kernel {
             mm
         };
         let fdtable = if flags & CLONE_FILES != 0 {
+            parent.fdtable.lock_ok().join();
             parent.fdtable.clone()
         } else {
             shared(parent.fdtable.lock_ok().fork_copy())
@@ -675,7 +663,7 @@ impl Kernel {
                     .collect();
                 for d in dead {
                     self.tasks.remove(&d);
-                    self.procs.remove(d);
+                    self.shards.procs.remove(d);
                     // Its wait record and Signal/Child heads die with it.
                     self.waits.lock().release_task(d);
                 }
@@ -1238,7 +1226,7 @@ impl Kernel {
     }
 
     pub(crate) fn alloc_pipe(&mut self) -> usize {
-        self.pipes.insert(Pipe::new())
+        self.shards.pipes.insert(Pipe::new())
     }
 
     /// Runs `f` under the per-pipe lock (first-free-slot reuse keeps the
@@ -1251,13 +1239,13 @@ impl Kernel {
         id: usize,
         f: impl FnOnce(&mut Pipe) -> R,
     ) -> Result<R, Errno> {
-        let p = self.pipes.get(id).ok_or(Errno::Ebadf)?;
+        let p = self.shards.pipes.get(id).ok_or(Errno::Ebadf)?;
         let mut g = p.lock_ok();
         Ok(f(&mut g))
     }
 
     pub(crate) fn alloc_socket(&mut self, sock: Socket) -> usize {
-        self.sockets.insert(sock)
+        self.shards.socks.insert(sock)
     }
 
     /// Runs `f` under the per-socket lock. Same rules as
@@ -1268,7 +1256,7 @@ impl Kernel {
         id: usize,
         f: impl FnOnce(&mut Socket) -> R,
     ) -> Result<R, Errno> {
-        let s = self.sockets.get(id).ok_or(Errno::Ebadf)?;
+        let s = self.shards.socks.get(id).ok_or(Errno::Ebadf)?;
         let mut g = s.lock_ok();
         Ok(f(&mut g))
     }
@@ -1322,8 +1310,8 @@ impl Kernel {
         LeakReport {
             live_tasks,
             zombie_tasks,
-            open_pipes: self.pipes.live(),
-            open_sockets: self.sockets.live(),
+            open_pipes: self.shards.pipes.live(),
+            open_sockets: self.shards.socks.live(),
             open_epolls: self.epolls.live(),
             wait_subscriptions: records.iter().filter(|(_, subs)| *subs != 0).count(),
             undrained_wakeups,
@@ -1356,10 +1344,10 @@ impl Kernel {
         let stray_head = |&(ch, waiters): &(Channel, usize)| match ch {
             Channel::Signal(t) | Channel::Child(t) => !self.tasks.contains_key(&t),
             Channel::PipeReadable(id) | Channel::PipeWritable(id) => {
-                waiters != 0 && self.pipes.get(id).is_none()
+                waiters != 0 && self.shards.pipes.get(id).is_none()
             }
             Channel::SockReadable(id) | Channel::SockSpace(id) => {
-                waiters != 0 && self.sockets.get(id).is_none()
+                waiters != 0 && self.shards.socks.get(id).is_none()
             }
             Channel::EpollReady(id) => waiters != 0 && self.epolls.get(id).is_none(),
             Channel::EventFd(key) => !description_open(key),

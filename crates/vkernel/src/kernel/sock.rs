@@ -1,13 +1,10 @@
 //! Socket syscalls and readiness (`poll`).
 
-use std::sync::{Arc, Mutex};
-
 use wali_abi::flags::{
-    MSG_DONTWAIT, MSG_PEEK, O_NONBLOCK, POLLERR, POLLHUP, POLLIN, POLLOUT, SHUT_RD, SHUT_RDWR,
-    SHUT_WR, SOCK_CLOEXEC, SOCK_DGRAM, SOCK_NONBLOCK, SOCK_STREAM,
+    MSG_DONTWAIT, MSG_PEEK, O_NONBLOCK, O_RDWR, POLLERR, POLLHUP, POLLIN, POLLOUT, SHUT_RD,
+    SHUT_RDWR, SHUT_WR, SOCK_CLOEXEC, SOCK_DGRAM, SOCK_NONBLOCK, SOCK_STREAM,
 };
 use wali_abi::layout::WaliSockaddr;
-use wali_abi::signals::Signal;
 use wali_abi::Errno;
 
 use crate::fd::{FileKind, FileRef, OpenFile};
@@ -27,7 +24,7 @@ impl Kernel {
         } else {
             0
         };
-        let file: FileRef = Arc::new(Mutex::new(OpenFile::new(FileKind::Socket(sock_id), status)));
+        let file = OpenFile::shared(FileKind::Socket(sock_id), O_RDWR | status);
         let task = self.task(tid)?;
         let fd = task
             .fdtable
@@ -281,12 +278,6 @@ impl Kernel {
             }
             _ => Err(Errno::Einval.into()),
         }
-    }
-
-    fn epipe(&mut self, tid: Tid) -> SysResult<usize> {
-        let tgid = self.task(tid)?.tgid;
-        let _ = self.send_signal_to_process(tgid, Signal::Sigpipe.number());
-        Err(Errno::Epipe.into())
     }
 
     fn dgram_send_to(
@@ -596,7 +587,7 @@ impl Kernel {
         for o in orphans {
             let _ = self.with_sock(o, |os| os.state = SockState::Closed);
         }
-        self.sockets.free(id);
+        self.shards.socks.free(id);
         let mut waits = self.waits.lock();
         waits.release(Channel::SockReadable(id));
         waits.release(Channel::SockSpace(id));

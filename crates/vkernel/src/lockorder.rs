@@ -21,8 +21,12 @@
 //! The rank order (see DESIGN.md "Concurrency" for the full DAG):
 //!
 //! ```text
-//! Kernel(0) → Proc(10) → ReadyHub(12) → Slab(15) → Epoll(18) → Object(20) → Vfs(30) → Waits(40)
+//! Kernel(0) → Proc(10) → ReadyHub(12) → Slab(15) → Epoll(18) → Object(20) → Description(25) → Vfs(30) → Waits(40)
 //! ```
+//!
+//! Debug builds also count this thread's acquisitions
+//! ([`acquisitions`]): `crates/wali/tests/locks_per_crossing.rs` turns
+//! "a `read` takes three locks" into an assertion.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
@@ -45,6 +49,11 @@ pub enum LockClass {
     Epoll,
     /// A pipe or socket object lock.
     Object,
+    /// An open file description ([`crate::fd::FileRef`]): held once per
+    /// descriptor call, across the inode access of a regular file (so a
+    /// read and its offset advance are one step, like Linux's
+    /// `f_pos_lock`) and across an eventfd's wait subscription.
+    Description,
     /// The VFS inode table (reader/writer).
     Vfs,
     /// The waitqueue table (innermost: subscriptions happen under
@@ -53,7 +62,7 @@ pub enum LockClass {
 }
 
 /// Number of lock classes (sizes the counter table).
-const CLASS_COUNT: usize = 8;
+const CLASS_COUNT: usize = 9;
 
 impl LockClass {
     /// Rank in the ordering DAG; acquisitions must be strictly
@@ -66,6 +75,7 @@ impl LockClass {
             LockClass::Slab => 15,
             LockClass::Epoll => 18,
             LockClass::Object => 20,
+            LockClass::Description => 25,
             LockClass::Vfs => 30,
             LockClass::Waits => 40,
         }
@@ -79,14 +89,16 @@ impl LockClass {
             LockClass::Slab => 3,
             LockClass::Epoll => 4,
             LockClass::Object => 5,
-            LockClass::Vfs => 6,
-            LockClass::Waits => 7,
+            LockClass::Description => 6,
+            LockClass::Vfs => 7,
+            LockClass::Waits => 8,
         }
     }
 }
 
 /// Process-global contended-acquisition counters, one per class.
 static CONTENTION: [AtomicU64; CLASS_COUNT] = [
+    AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
@@ -113,6 +125,25 @@ thread_local! {
     /// Ranks of the tracked locks this thread currently holds, in
     /// acquisition order.
     static RANK_STACK: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// Locks this thread has taken so far, ranked or not.
+    static ACQUIRED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Locks the calling thread has taken since it started: every
+/// [`OrderToken::enter`] (tracked mutexes, the VFS shard, slab lookups)
+/// and every [`crate::sync::MutexExt::lock_ok`]. Debug builds only — a
+/// test reads it before and after a run on its own thread and divides
+/// the difference by the number of crossings.
+#[cfg(debug_assertions)]
+pub fn acquisitions() -> u64 {
+    ACQUIRED.with(std::cell::Cell::get)
+}
+
+/// Counts one acquisition on this thread (nothing in a release build).
+#[inline]
+pub(crate) fn note_acquired() {
+    #[cfg(debug_assertions)]
+    ACQUIRED.with(|c| c.set(c.get() + 1));
 }
 
 /// RAII witness that this thread holds a lock of a given class.
@@ -132,6 +163,7 @@ impl OrderToken {
     /// Asserts the ordering DAG allows acquiring `class` now, and marks
     /// it held until the token drops.
     pub fn enter(class: LockClass) -> OrderToken {
+        note_acquired();
         #[cfg(debug_assertions)]
         {
             let rank = class.rank();
@@ -213,6 +245,12 @@ impl<T> Tracked<T> {
             guard,
             _token: token,
         }
+    }
+
+    /// Unwraps the value (poison-tolerantly): for the holder of the last
+    /// reference to a shared lock, which no one can be holding.
+    pub fn into_inner(self) -> T {
+        self.inner.into_inner().unwrap_or_else(|p| p.into_inner())
     }
 }
 

@@ -9,11 +9,12 @@
 //!
 //! Lock ordering (see DESIGN.md "Concurrency" and
 //! [`crate::lockorder`]): the tracked classes form a DAG acquired
-//! strictly downward — `Kernel → Proc → Slab → Epoll → Object → Vfs →
-//! Waits` — enforced by a debug-build rank stack. Per-task shards (fd
-//! table → open file description) are plain mutexes nesting inside
-//! whatever class is held; the scheduler's queue locks are never held
-//! across a kernel call. The virtual clock is lock-free (atomics) and
+//! strictly downward — `Kernel → Proc → Slab → Epoll → Object →
+//! Description → Vfs → Waits` — enforced by a debug-build rank stack.
+//! The other per-task shards (fd table, fs info, signal handlers,
+//! pending sets) are plain mutexes nesting inside whatever class is
+//! held; the scheduler's queue locks are never held across a kernel
+//! call. The virtual clock is lock-free (atomics) and
 //! may be read or ticked from any level.
 
 use std::collections::{HashMap, HashSet};
@@ -40,6 +41,7 @@ pub trait MutexExt<T> {
 
 impl<T> MutexExt<T> for Mutex<T> {
     fn lock_ok(&self) -> MutexGuard<'_, T> {
+        crate::lockorder::note_acquired();
         self.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }

@@ -16,6 +16,11 @@ pub type InodeId = usize;
 pub const MAX_SYMLINK_DEPTH: u32 = 40;
 /// Maximum path length before `ENAMETOOLONG`.
 pub const PATH_MAX: usize = 4096;
+/// Largest size a regular file may reach (an `RLIMIT_FSIZE` every task
+/// runs under): a write or truncate that would end past it answers
+/// `-EFBIG`. File contents live in host memory, and the offset and
+/// length of such a call are the guest's to choose.
+pub const FILE_SIZE_MAX: u64 = 1 << 28;
 
 /// Character/pseudo device behaviours.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -439,6 +444,60 @@ impl Vfs {
         Ok(cur)
     }
 
+    /// Copies file bytes from `offset` on into `out`; returns how many
+    /// there were (0 at or past the end).
+    pub fn read_at(&self, id: InodeId, offset: u64, out: &mut [u8]) -> Result<usize, Errno> {
+        match &self.get(id)?.kind {
+            InodeKind::File(data) => {
+                let off = usize::try_from(offset).map_or(data.len(), |o| o.min(data.len()));
+                let n = out.len().min(data.len() - off);
+                out[..n].copy_from_slice(&data[off..off + n]);
+                Ok(n)
+            }
+            _ => Err(Errno::Einval),
+        }
+    }
+
+    /// Writes `data` at `offset` — at the end of the file when `offset`
+    /// is `None` (`O_APPEND`: finding the end and writing there are one
+    /// step) — zero-filling any gap, and returns where the data went.
+    pub fn write_at(
+        &mut self,
+        id: InodeId,
+        offset: Option<u64>,
+        data: &[u8],
+        now: u64,
+    ) -> Result<u64, Errno> {
+        let node = self.get_mut(id)?;
+        let InodeKind::File(content) = &mut node.kind else {
+            return Err(Errno::Einval);
+        };
+        let start = offset.unwrap_or(content.len() as u64);
+        let end = start
+            .checked_add(data.len() as u64)
+            .filter(|end| *end <= FILE_SIZE_MAX)
+            .ok_or(Errno::Efbig)? as usize;
+        if end > content.len() {
+            content.resize(end, 0);
+        }
+        content[start as usize..end].copy_from_slice(data);
+        node.mtime = now;
+        Ok(start)
+    }
+
+    /// Sets a regular file's length (`truncate`), zero-filling growth.
+    pub fn set_len(&mut self, id: InodeId, len: u64) -> Result<(), Errno> {
+        match &mut self.get_mut(id)?.kind {
+            InodeKind::File(_) if len > FILE_SIZE_MAX => Err(Errno::Efbig),
+            InodeKind::File(data) => {
+                data.resize(len as usize, 0);
+                Ok(())
+            }
+            InodeKind::Dir(_) => Err(Errno::Eisdir),
+            _ => Err(Errno::Einval),
+        }
+    }
+
     /// Creates (or truncates) a regular file at an absolute path.
     pub fn write_file(&mut self, path: &str, content: &[u8]) -> Result<InodeId, Errno> {
         let r = self.resolve(self.root, path, true)?;
@@ -786,6 +845,29 @@ mod tests {
         assert_eq!(vfs.get(dev).unwrap().mode() & S_IFMT, S_IFCHR);
         let tmp = vfs.resolve(vfs.root, "/tmp", true).unwrap().inode.unwrap();
         assert_eq!(vfs.get(tmp).unwrap().mode() & S_IFMT, S_IFDIR);
+    }
+
+    #[test]
+    fn a_file_cannot_grow_past_the_cap() {
+        let mut vfs = Vfs::with_std_layout();
+        let id = vfs.write_file("/tmp/f", b"abc").unwrap();
+        // The guest picks the offset: far ones are refused, not resized to.
+        for offset in [FILE_SIZE_MAX, 1 << 63, u64::MAX] {
+            assert_eq!(vfs.write_at(id, Some(offset), b"x", 0), Err(Errno::Efbig));
+        }
+        assert_eq!(vfs.set_len(id, FILE_SIZE_MAX + 1), Err(Errno::Efbig));
+        assert_eq!(vfs.read_file("/tmp/f").unwrap(), b"abc", "untouched");
+        // Up to the cap everything works, gaps read back as zeros.
+        assert_eq!(vfs.write_at(id, Some(5), b"z", 0), Ok(5));
+        assert_eq!(
+            vfs.write_at(id, None, b"!", 0),
+            Ok(6),
+            "append finds the end"
+        );
+        assert_eq!(vfs.read_file("/tmp/f").unwrap(), b"abc\0\0z!");
+        let mut buf = [0u8; 4];
+        assert_eq!(vfs.read_at(id, 4, &mut buf), Ok(3));
+        assert_eq!(vfs.read_at(id, u64::MAX, &mut buf), Ok(0));
     }
 
     #[test]

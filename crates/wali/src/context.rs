@@ -16,13 +16,13 @@
 //! | trace counters | fresh (merged at exit) | fresh (merged at exit) | kept — same task |
 //! | sigtable, mmap pool, `brk` | private copy | shared | fresh, above the new image's data |
 //! | argv / env | copied | copied | the call's |
-//! | handler masks, in-flight ring SQEs, `ext`, hot cache, retry deadline | fresh | fresh | fresh |
+//! | handler masks, in-flight ring SQEs, `ext`, fd-table handle, retry deadline | fresh | fresh | fresh |
 //!
 //! [`fork_child`]: WaliContext::fork_child
 //! [`thread_sibling`]: WaliContext::thread_sibling
 //! [`exec_image`]: WaliContext::exec_image
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use vkernel::kernel::{KernelHandles, SignalDelivery};
@@ -89,14 +89,15 @@ pub struct WaliContext {
     /// Deadline handed back by the runner when retrying a blocked call.
     pub retry_deadline: Option<u64>,
     /// Cloneable handles to the kernel's independently lockable shards
-    /// (pipe/socket slabs, the waitqueue, the process index). The
-    /// sharded syscall fast path goes through these without ever
-    /// touching the kernel lock.
+    /// (pipe/socket slabs, the waitqueue, the process index, the VFS,
+    /// the clock). Descriptor I/O ([`crate::fastpath`]) and the
+    /// per-syscall tick go through these without ever touching the
+    /// kernel lock.
     pub(crate) handles: KernelHandles,
-    /// Lazily cached fast-path handles (fd table + signal hint) for
-    /// this task; filled on the first sharded syscall, reset whenever a
+    /// This task's fd table, fetched from the process index by its first
+    /// descriptor call ([`crate::fastpath::resolve`]); reset whenever a
     /// fresh context is built (spawn, fork, thread, exec).
-    pub(crate) hot_cache: Option<crate::fastpath::HotCache>,
+    pub(crate) fdtable: Option<Shared<vkernel::fd::FdTable>>,
     /// Whether batched syscall rings are enabled for this task
     /// (`WALI_NO_RING=1` makes `wali_ring_enter` return `-ENOSYS` so
     /// guests fall back to the synchronous per-op ABI).
@@ -108,10 +109,6 @@ pub struct WaliContext {
     pub(crate) ring_pending: Vec<wali_abi::ring::WaliSqe>,
     /// Fast-path signal hint shared with the kernel task.
     sig_hint: HintFlag,
-    /// Lock-free syscall meter: clock + entry counter handles, cloned
-    /// from the kernel once so [`WaliContext::tick_syscall`] never takes
-    /// the kernel lock.
-    meter: (vkernel::Clock, std::sync::Arc<AtomicU64>),
     /// Masks to restore when nested signal handlers return (§3.3).
     handler_masks: Vec<SigSet>,
     /// Exit status once the task is terminated.
@@ -130,15 +127,10 @@ impl WaliContext {
     /// whether `wali_ring_enter` is served (a runner passes its own
     /// setting, anyone else [`crate::runner::ring_default`]).
     pub fn new(kernel: KernelRef, tid: Tid, heap_base: u32, ring: bool) -> WaliContext {
-        let (mm, sig_hint, meter, handles) = {
+        let (mm, sig_hint, handles) = {
             let k = kernel.lock_ok();
             let task = k.task(tid).expect("task exists");
-            (
-                task.mm,
-                task.sig_hint.clone(),
-                k.syscall_meter(),
-                k.handles(),
-            )
+            (task.mm, task.sig_hint.clone(), k.handles())
         };
         let (brk_start, pool_base) = heap_layout(heap_base);
         WaliContext {
@@ -155,11 +147,10 @@ impl WaliContext {
             policy: None,
             retry_deadline: None,
             handles,
-            hot_cache: None,
+            fdtable: None,
             ring,
             ring_pending: Vec::new(),
             sig_hint,
-            meter,
             handler_masks: Vec::new(),
             exited: None,
             ext: None,
@@ -209,11 +200,10 @@ impl WaliContext {
             policy: self.policy.clone(),
             retry_deadline: None,
             handles: self.handles.clone(),
-            hot_cache: None,
+            fdtable: None,
             ring: self.ring,
             ring_pending: Vec::new(),
             sig_hint,
-            meter: self.meter.clone(),
             handler_masks: Vec::new(),
             exited: None,
             ext: None,
@@ -240,7 +230,7 @@ impl WaliContext {
         self.args = if argv.is_empty() { vec![path] } else { argv };
         self.env = envp;
         self.retry_deadline = None;
-        self.hot_cache = None;
+        self.fdtable = None;
         self.ring_pending.clear();
         self.handler_masks.clear();
         self.ext = None;
@@ -257,6 +247,18 @@ impl WaliContext {
         r
     }
 
+    /// Runs `f` against the kernel's shards — descriptor I/O that needs
+    /// no kernel lock — charged to the kernel layer like
+    /// [`WaliContext::with_kernel`] (it is the same kernel-model work).
+    pub(crate) fn with_shards<R>(&mut self, f: impl FnOnce(&KernelHandles, Tid) -> R) -> R {
+        let t0 = self.trace.clock();
+        let r = f(&self.handles, self.tid);
+        if let Some(t0) = t0 {
+            self.trace.kernel_time += t0.elapsed();
+        }
+        r
+    }
+
     /// Fast-path read of the kernel's signal/termination hint for this
     /// task: the scheduler gates its killed-by-a-sibling check on it
     /// (every external termination path raises the hint before the state
@@ -266,14 +268,13 @@ impl WaliContext {
         self.sig_hint.get()
     }
 
-    /// Per-syscall-entry bookkeeping (clock tick + counter), without the
-    /// layer-timing wrap: the tick is constant-time and timing it would
-    /// charge the timer's own overhead to the kernel layer (Fig. 7) on
-    /// every single syscall.
+    /// Per-syscall-entry bookkeeping (one quantum of virtual time),
+    /// without the layer-timing wrap: the tick is one atomic add and
+    /// timing it would charge the timer's own overhead to the kernel
+    /// layer (Fig. 7) on every single syscall.
     #[inline]
     pub fn tick_syscall(&mut self) {
-        self.meter.0.tick();
-        self.meter.1.fetch_add(1, Ordering::Relaxed);
+        self.handles.clock.tick();
     }
 }
 

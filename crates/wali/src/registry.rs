@@ -298,7 +298,7 @@ mod tests {
             };
             stub(&mut caller, &[])
         };
-        let entered = || kernel.lock_ok().syscall_count();
+        let now = || kernel.lock_ok().clock.monotonic_ns();
 
         ctx.policy = Some(Policy::allow_list(["read"], DenyAction::Kill));
         assert!(matches!(
@@ -308,11 +308,15 @@ mod tests {
         ctx.policy = Some(Policy::deny_list(["sync"], DenyAction::Errno(Errno::Eperm)));
         assert_eq!(call(&mut ctx).ok(), Some(Errno::Eperm.as_ret() as u64));
         assert_eq!(ctx.policy.as_ref().unwrap().denied_log, vec!["sync"]);
-        assert_eq!(entered(), 0, "denied calls never enter the kernel");
+        assert_eq!(now(), 0, "denied calls never enter the kernel");
 
         ctx.policy = None;
         assert_eq!(call(&mut ctx).ok(), Some(Errno::Enosys.as_ret() as u64));
-        assert_eq!(entered(), 1, "an allowed stub ticks like any syscall");
+        assert_eq!(
+            now(),
+            vkernel::clock::SYSCALL_QUANTUM_NS,
+            "an allowed stub ticks like any syscall"
+        );
         assert_eq!(ctx.trace.counts.of("sync"), 3, "every attempt is counted");
     }
 

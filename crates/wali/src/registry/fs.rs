@@ -8,6 +8,7 @@ use wali_abi::Errno;
 use wasm::host::{Caller, Linker};
 
 use crate::context::WaliContext;
+use crate::fastpath;
 use crate::mem::{
     arg, arg_i32, arg_ptr, page_chunks, read_bytes, read_cstr, with_slice, with_slice_mut,
     write_bytes, write_u32,
@@ -32,37 +33,28 @@ fn do_openat(c: C, dirfd: i32, path: &str, flags: i32, mode: u32) -> R {
 }
 
 fn stat_out(c: C, ptr: u32, st: WaliStat) -> R {
-    let mem = c.instance.memory.clone();
     let mut buf = [0u8; WaliStat::SIZE];
     st.write_to(&mut buf).map_err(SysError::Err)?;
-    write_bytes(&mem, ptr, &buf).map_err(SysError::Err)?;
+    write_bytes(&c.instance.memory, ptr, &buf).map_err(SysError::Err)?;
     Ok(0)
 }
 
 pub(crate) fn register(l: &mut Linker<WaliContext>) {
+    // Descriptor I/O runs against the kernel's shards — the task's fd
+    // table, the description, the VFS or one pipe/socket — without the
+    // kernel lock ([`crate::fastpath`]).
     sys!(l, "read", |c: C, a: &[u64]| -> R {
         let (fd, ptr, len) = (arg_i32(a, 0), arg_ptr(a, 1), arg(a, 2) as usize);
-        let mem = c.instance.memory.clone();
-        flat(with_slice_mut(&mem, ptr, len, |buf| {
-            // Sharded fast path: pipe/stream-socket reads complete
-            // against the per-object locks without the kernel lock.
-            if let Some(r) = crate::fastpath::try_read(c.data, fd, buf) {
-                return r;
-            }
-            k(c, |kk, tid| kk.sys_read(tid, fd, buf))
+        let mem = &*c.instance.memory;
+        flat(with_slice_mut(mem, ptr, len, |buf| {
+            fastpath::read(c, fd, buf)
         }))
     });
 
     sys!(l, "write", |c: C, a: &[u64]| -> R {
         let (fd, ptr, len) = (arg_i32(a, 0), arg_ptr(a, 1), arg(a, 2) as usize);
-        let mem = c.instance.memory.clone();
-        flat(with_slice(&mem, ptr, len, |buf| {
-            // Sharded fast path (see `read` above).
-            if let Some(r) = crate::fastpath::try_write(c.data, fd, buf) {
-                return r;
-            }
-            k(c, |kk, tid| kk.sys_write(tid, fd, buf))
-        }))
+        let mem = &*c.instance.memory;
+        flat(with_slice(mem, ptr, len, |buf| fastpath::write(c, fd, buf)))
     });
 
     sys!(l, "pread64", |c: C, a: &[u64]| -> R {
@@ -72,9 +64,9 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
             arg(a, 2) as usize,
             arg(a, 3) as u64,
         );
-        let mem = c.instance.memory.clone();
-        flat(with_slice_mut(&mem, ptr, len, |buf| {
-            k(c, |kk, tid| kk.sys_pread(tid, fd, buf, off))
+        let mem = &*c.instance.memory;
+        flat(with_slice_mut(mem, ptr, len, |buf| {
+            fastpath::pread(c, fd, buf, off)
         }))
     });
 
@@ -85,16 +77,16 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
             arg(a, 2) as usize,
             arg(a, 3) as u64,
         );
-        let mem = c.instance.memory.clone();
-        flat(with_slice(&mem, ptr, len, |buf| {
-            k(c, |kk, tid| kk.sys_pwrite(tid, fd, buf, off))
+        let mem = &*c.instance.memory;
+        flat(with_slice(mem, ptr, len, |buf| {
+            fastpath::pwrite(c, fd, buf, off)
         }))
     });
 
     // Scatter-gather I/O needs layout conversion: wasm32 iovecs are 8
     // bytes, native ones 16 (§3.2 "Layout Conversion"). The positional
-    // variants route through `sys_pread`/`sys_pwrite`, leaving the file
-    // cursor unmoved like Linux.
+    // variants route through `pread`/`pwrite`, leaving the file cursor
+    // unmoved like Linux.
     sys!(l, "readv", |c: C, a: &[u64]| -> R {
         do_iov(c, a, false, false)
     });
@@ -109,14 +101,14 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     });
 
     sys!(l, "open", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         do_openat(c, AT_FDCWD, &path, arg_i32(a, 1), arg(a, 2) as u32)
     });
 
     sys!(l, "openat", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         do_openat(c, arg_i32(a, 0), &path, arg_i32(a, 2), arg(a, 3) as u32)
     });
 
@@ -127,7 +119,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
 
     sys!(l, "lseek", |c: C, a: &[u64]| -> R {
         let (fd, off, whence) = (arg_i32(a, 0), arg(a, 1), arg_i32(a, 2));
-        k(c, |kk, tid| kk.sys_lseek(tid, fd, off, whence))
+        fastpath::lseek(c, fd, off, whence)
     });
 
     sys!(l, "dup", |c: C, a: &[u64]| -> R {
@@ -167,12 +159,12 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
 
     sys!(l, "ioctl", |c: C, a: &[u64]| -> R {
         let (fd, op, argp) = (arg_i32(a, 0), arg(a, 1) as u64, arg_ptr(a, 2));
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
         let out = k(c, |kk, tid| kk.sys_ioctl(tid, fd, op))?;
         match out {
             IoctlOut::Int(v) => {
                 if argp != 0 {
-                    write_u32(&mem, argp, v as u32).map_err(SysError::Err)?;
+                    write_u32(mem, argp, v as u32).map_err(SysError::Err)?;
                 }
                 Ok(0)
             }
@@ -180,7 +172,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
                 let mut ws = [0u8; 8];
                 ws[0..2].copy_from_slice(&rows.to_le_bytes());
                 ws[2..4].copy_from_slice(&cols.to_le_bytes());
-                write_bytes(&mem, argp, &ws).map_err(SysError::Err)?;
+                write_bytes(mem, argp, &ws).map_err(SysError::Err)?;
                 Ok(0)
             }
         }
@@ -203,8 +195,8 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     sys!(l, "sync", |_c: C, _a: &[u64]| -> R { Ok(0) });
 
     sys!(l, "truncate", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let len = arg(a, 1) as u64;
         k(c, |kk, tid| kk.sys_truncate(tid, &path, len))
     });
@@ -218,7 +210,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         let (fd, off, len) = (arg_i32(a, 0), arg(a, 2) as u64, arg(a, 3) as u64);
         k(c, |kk, tid| {
             let st = kk.sys_fstat(tid, fd)?;
-            let want = off + len;
+            let want = off.checked_add(len).ok_or(Errno::Efbig)?;
             if (st.st_size as u64) < want {
                 kk.sys_ftruncate(tid, fd, want)?;
             }
@@ -227,15 +219,15 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     });
 
     sys!(l, "stat", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let st = k(c, |kk, tid| kk.sys_fstatat(tid, AT_FDCWD, &path, 0))?;
         stat_out(c, arg_ptr(a, 1), st)
     });
 
     sys!(l, "lstat", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let st = k(c, |kk, tid| {
             kk.sys_fstatat(tid, AT_FDCWD, &path, AT_SYMLINK_NOFOLLOW)
         })?;
@@ -243,14 +235,13 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     });
 
     sys!(l, "fstat", |c: C, a: &[u64]| -> R {
-        let fd = arg_i32(a, 0);
-        let st = k(c, |kk, tid| kk.sys_fstat(tid, fd))?;
+        let st = fastpath::fstat(c, arg_i32(a, 0))?;
         stat_out(c, arg_ptr(a, 1), st)
     });
 
     sys!(l, "newfstatat", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         let (dirfd, flags) = (arg_i32(a, 0), arg_i32(a, 3));
         let st = if path.is_empty() {
             // AT_EMPTY_PATH convention.
@@ -263,7 +254,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
 
     sys!(l, "getdents64", |c: C, a: &[u64]| -> R {
         let (fd, dirp, count) = (arg_i32(a, 0), arg_ptr(a, 1), arg(a, 2) as usize);
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
         let entries = k(c, |kk, tid| kk.sys_getdents(tid, fd, count))?;
         let mut image = vec![0u8; count];
         let mut used = 0;
@@ -273,25 +264,25 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
                 None => break,
             }
         }
-        write_bytes(&mem, dirp, &image[..used]).map_err(SysError::Err)?;
+        write_bytes(mem, dirp, &image[..used]).map_err(SysError::Err)?;
         Ok(used as i64)
     });
 
     sys!(l, "getcwd", |c: C, a: &[u64]| -> R {
         let (buf, size) = (arg_ptr(a, 0), arg(a, 1) as usize);
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
         let cwd = k(c, |kk, tid| kk.sys_getcwd(tid))?;
         if cwd.len() + 1 > size {
             return Err(Errno::Erange.into());
         }
-        write_bytes(&mem, buf, cwd.as_bytes()).map_err(SysError::Err)?;
-        write_bytes(&mem, buf + cwd.len() as u32, &[0]).map_err(SysError::Err)?;
+        write_bytes(mem, buf, cwd.as_bytes()).map_err(SysError::Err)?;
+        write_bytes(mem, buf + cwd.len() as u32, &[0]).map_err(SysError::Err)?;
         Ok(cwd.len() as i64 + 1)
     });
 
     sys!(l, "chdir", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         k(c, |kk, tid| kk.sys_chdir(tid, &path))
     });
 
@@ -301,93 +292,93 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     });
 
     sys!(l, "mkdir", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let mode = arg(a, 1) as u32;
         k(c, |kk, tid| kk.sys_mkdirat(tid, AT_FDCWD, &path, mode))
     });
 
     sys!(l, "mkdirat", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         let (dirfd, mode) = (arg_i32(a, 0), arg(a, 2) as u32);
         k(c, |kk, tid| kk.sys_mkdirat(tid, dirfd, &path, mode))
     });
 
     sys!(l, "rmdir", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         k(c, |kk, tid| {
             kk.sys_unlinkat(tid, AT_FDCWD, &path, AT_REMOVEDIR)
         })
     });
 
     sys!(l, "unlink", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         k(c, |kk, tid| kk.sys_unlinkat(tid, AT_FDCWD, &path, 0))
     });
 
     sys!(l, "unlinkat", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         let (dirfd, flags) = (arg_i32(a, 0), arg_i32(a, 2));
         k(c, |kk, tid| kk.sys_unlinkat(tid, dirfd, &path, flags))
     });
 
     sys!(l, "rename", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let old = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        let new = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let old = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
+        let new = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         k(c, |kk, tid| {
             kk.sys_renameat(tid, AT_FDCWD, &old, AT_FDCWD, &new)
         })
     });
 
     sys!(l, "renameat", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let old = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
-        let new = read_cstr(&mem, arg_ptr(a, 3)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let old = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
+        let new = read_cstr(mem, arg_ptr(a, 3)).map_err(SysError::Err)?;
         let (ofd, nfd) = (arg_i32(a, 0), arg_i32(a, 2));
         k(c, |kk, tid| kk.sys_renameat(tid, ofd, &old, nfd, &new))
     });
 
     sys!(l, "renameat2", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let old = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
-        let new = read_cstr(&mem, arg_ptr(a, 3)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let old = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
+        let new = read_cstr(mem, arg_ptr(a, 3)).map_err(SysError::Err)?;
         let (ofd, nfd) = (arg_i32(a, 0), arg_i32(a, 2));
         k(c, |kk, tid| kk.sys_renameat(tid, ofd, &old, nfd, &new))
     });
 
     sys!(l, "link", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let old = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        let new = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let old = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
+        let new = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         k(c, |kk, tid| {
             kk.sys_linkat(tid, AT_FDCWD, &old, AT_FDCWD, &new)
         })
     });
 
     sys!(l, "linkat", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let old = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
-        let new = read_cstr(&mem, arg_ptr(a, 3)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let old = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
+        let new = read_cstr(mem, arg_ptr(a, 3)).map_err(SysError::Err)?;
         let (ofd, nfd) = (arg_i32(a, 0), arg_i32(a, 2));
         k(c, |kk, tid| kk.sys_linkat(tid, ofd, &old, nfd, &new))
     });
 
     sys!(l, "symlink", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let target = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let target = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
+        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         k(c, |kk, tid| kk.sys_symlinkat(tid, &target, AT_FDCWD, &path))
     });
 
     sys!(l, "symlinkat", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let target = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        let path = read_cstr(&mem, arg_ptr(a, 2)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let target = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
+        let path = read_cstr(mem, arg_ptr(a, 2)).map_err(SysError::Err)?;
         let dirfd = arg_i32(a, 1);
         k(c, |kk, tid| kk.sys_symlinkat(tid, &target, dirfd, &path))
     });
@@ -413,29 +404,29 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     });
 
     sys!(l, "access", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let mode = arg_i32(a, 1);
         k(c, |kk, tid| kk.sys_faccessat(tid, AT_FDCWD, &path, mode))
     });
 
     sys!(l, "faccessat", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         let (dirfd, mode) = (arg_i32(a, 0), arg_i32(a, 2));
         k(c, |kk, tid| kk.sys_faccessat(tid, dirfd, &path, mode))
     });
 
     sys!(l, "faccessat2", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         let (dirfd, mode) = (arg_i32(a, 0), arg_i32(a, 2));
         k(c, |kk, tid| kk.sys_faccessat(tid, dirfd, &path, mode))
     });
 
     sys!(l, "chmod", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let mode = arg(a, 1) as u32;
         k(c, |kk, tid| kk.sys_fchmodat(tid, AT_FDCWD, &path, mode))
     });
@@ -446,15 +437,15 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     });
 
     sys!(l, "fchmodat", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         let (dirfd, mode) = (arg_i32(a, 0), arg(a, 2) as u32);
         k(c, |kk, tid| kk.sys_fchmodat(tid, dirfd, &path, mode))
     });
 
     sys!(l, "chown", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let (uid, gid) = (arg(a, 1) as u32, arg(a, 2) as u32);
         k(c, |kk, tid| {
             kk.sys_fchownat(tid, AT_FDCWD, &path, uid, gid, 0)
@@ -468,8 +459,8 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     });
 
     sys!(l, "fchownat", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
         let (dirfd, uid, gid, flags) = (
             arg_i32(a, 0),
             arg(a, 2) as u32,
@@ -488,8 +479,8 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
 
     sys!(l, "mknod", |c: C, a: &[u64]| -> R {
         // Userspace mknod: regular files only (devices are privileged).
-        let mem = c.instance.memory.clone();
-        let path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
+        let mem = &*c.instance.memory;
+        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
         let mode = arg(a, 1) as u32;
         k(c, |kk, tid| {
             kk.sys_openat(
@@ -504,31 +495,31 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     });
 
     sys!(l, "utimensat", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
         let path_ptr = arg_ptr(a, 1);
         if path_ptr != 0 {
-            let path = read_cstr(&mem, path_ptr).map_err(SysError::Err)?;
+            let path = read_cstr(mem, path_ptr).map_err(SysError::Err)?;
             let dirfd = arg_i32(a, 0);
             k(c, |kk, tid| kk.sys_faccessat(tid, dirfd, &path, 0))?;
         }
         // Timestamps accepted; the virtual clock owns time.
         let times_ptr = arg_ptr(a, 2);
         if times_ptr != 0 {
-            let raw = read_bytes(&mem, times_ptr, 2 * WaliTimespec::SIZE).map_err(SysError::Err)?;
+            let raw = read_bytes(mem, times_ptr, 2 * WaliTimespec::SIZE).map_err(SysError::Err)?;
             WaliTimespec::read_from(&raw[..WaliTimespec::SIZE]).map_err(SysError::Err)?;
         }
         Ok(0)
     });
 
     sys!(l, "statfs", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        let _path = read_cstr(&mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        write_statfs(&mem, arg_ptr(a, 1))
+        let mem = &*c.instance.memory;
+        let _path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
+        write_statfs(mem, arg_ptr(a, 1))
     });
 
     sys!(l, "fstatfs", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
-        write_statfs(&mem, arg_ptr(a, 1))
+        let mem = &*c.instance.memory;
+        write_statfs(mem, arg_ptr(a, 1))
     });
 
     sys!(l, "sendfile", |c: C, a: &[u64]| -> R {
@@ -582,19 +573,19 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
 }
 
 fn do_pipe(c: C, fds_ptr: u32, flags: i32) -> R {
-    let mem = c.instance.memory.clone();
+    let mem = &*c.instance.memory;
     let (r, w) = k(c, |kk, tid| kk.sys_pipe2(tid, flags))?;
-    write_u32(&mem, fds_ptr, r as u32).map_err(SysError::Err)?;
-    write_u32(&mem, fds_ptr + 4, w as u32).map_err(SysError::Err)?;
+    write_u32(mem, fds_ptr, r as u32).map_err(SysError::Err)?;
+    write_u32(mem, fds_ptr + 4, w as u32).map_err(SysError::Err)?;
     Ok(0)
 }
 
 fn do_readlink(c: C, dirfd: i32, path_ptr: u32, buf: u32, size: usize) -> R {
-    let mem = c.instance.memory.clone();
-    let path = read_cstr(&mem, path_ptr).map_err(SysError::Err)?;
+    let mem = &*c.instance.memory;
+    let path = read_cstr(mem, path_ptr).map_err(SysError::Err)?;
     let target = k(c, |kk, tid| kk.sys_readlinkat(tid, dirfd, &path))?;
     let n = target.len().min(size);
-    write_bytes(&mem, buf, &target[..n]).map_err(SysError::Err)?;
+    write_bytes(mem, buf, &target[..n]).map_err(SysError::Err)?;
     Ok(n as i64)
 }
 
@@ -610,8 +601,8 @@ fn do_iov(c: C, a: &[u64], write: bool, positional: bool) -> R {
 
 /// Shared core of `readv`/`writev`/`preadv`/`pwritev` and the ring's
 /// vectored SQE opcodes. Positional calls (`offset` set) go through
-/// `sys_pread`/`sys_pwrite` at `offset + bytes-done`, leaving the file
-/// cursor unmoved; sequential calls move it as usual.
+/// `pread`/`pwrite` at `offset + bytes-done`, leaving the file cursor
+/// unmoved; sequential calls move it as usual.
 ///
 /// Blocking follows Linux's short-count rule: once any bytes have
 /// transferred, a would-block (or error) on a later iov returns the
@@ -635,8 +626,8 @@ pub(crate) fn iov_rw(
         return Err(Errno::Einval.into());
     }
     let bytes = iovcnt.checked_mul(WaliIovec::SIZE).ok_or(Errno::Einval)?;
-    let mem = c.instance.memory.clone();
-    let raw = read_bytes(&mem, iov_ptr, bytes).map_err(SysError::Err)?;
+    let mem = &*c.instance.memory;
+    let raw = read_bytes(mem, iov_ptr, bytes).map_err(SysError::Err)?;
     let iovs = WaliIovec::read_array(&raw, iovcnt).map_err(SysError::Err)?;
     let mut total = 0i64;
     for iov in iovs {
@@ -646,20 +637,16 @@ pub(crate) fn iov_rw(
         let mut done = 0u32;
         let mut short = false;
         for (addr, len) in page_chunks(iov.base, iov.len) {
-            let pos = offset.map(|off| off + total as u64 + done as u64);
+            let pos = offset.map(|off| off.wrapping_add(total as u64 + done as u64));
             let r = if write {
-                flat(with_slice(&mem, addr, len as usize, |buf| {
-                    k(c, |kk, tid| match pos {
-                        Some(off) => kk.sys_pwrite(tid, fd, buf, off),
-                        None => kk.sys_write(tid, fd, buf),
-                    })
+                flat(with_slice(mem, addr, len as usize, |buf| match pos {
+                    Some(off) => fastpath::pwrite(c, fd, buf, off),
+                    None => fastpath::write(c, fd, buf),
                 }))
             } else {
-                flat(with_slice_mut(&mem, addr, len as usize, |buf| {
-                    k(c, |kk, tid| match pos {
-                        Some(off) => kk.sys_pread(tid, fd, buf, off),
-                        None => kk.sys_read(tid, fd, buf),
-                    })
+                flat(with_slice_mut(mem, addr, len as usize, |buf| match pos {
+                    Some(off) => fastpath::pread(c, fd, buf, off),
+                    None => fastpath::read(c, fd, buf),
                 }))
             };
             match r {

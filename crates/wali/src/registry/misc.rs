@@ -135,7 +135,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
 
     sys!(l, "getrandom", |c: C, a: &[u64]| -> R {
         let (ptr, len) = (arg_ptr(a, 0), arg(a, 1) as usize);
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
         flat(
             mem.with_slice_mut(ptr as u64, len, |buf| k(c, |kk, _| kk.sys_getrandom(buf)))
                 .map_err(|_| Errno::Efault),
@@ -149,7 +149,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         let base_op = op & !FUTEX_PRIVATE_FLAG;
         match base_op {
             FUTEX_WAIT => {
-                let mem = c.instance.memory.clone();
+                let mem = &*c.instance.memory;
                 let retry = c.data.retry_deadline.take();
                 let mm = c.data.mm;
                 let deadline = match retry {
@@ -185,11 +185,11 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     });
 
     sys!(l, "getcpu", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
         for i in 0..2 {
             let p = arg_ptr(a, i);
             if p != 0 {
-                crate::mem::write_u32(&mem, p, 0).map_err(SysError::Err)?;
+                crate::mem::write_u32(mem, p, 0).map_err(SysError::Err)?;
             }
         }
         Ok(0)

@@ -40,7 +40,7 @@ fn populate_file_mapping(c: C, region: &Region) -> Result<(), SysError> {
     let Some((fd, off)) = region.file else {
         return Ok(());
     };
-    let mem = c.instance.memory.clone();
+    let mem = &*c.instance.memory;
     for (at, n) in crate::mem::page_chunks(region.addr, region.len) {
         let file_off = off + (at - region.addr) as u64;
         let got = flat(
@@ -68,7 +68,7 @@ fn writeback_shared(c: C, region: &Region) -> Result<(), SysError> {
     let Some((fd, off)) = region.file else {
         return Ok(());
     };
-    let mem = c.instance.memory.clone();
+    let mem = &*c.instance.memory;
     for (at, n) in crate::mem::page_chunks(region.addr, region.len) {
         let file_off = off + (at - region.addr) as u64;
         flat(
@@ -246,7 +246,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         // page, not once per map page — sixteen aligned map pages share
         // a probe (and alignment means none straddles two store pages).
         let pages = len.div_ceil(4096);
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
         let mut incore = vec![0u8; pages];
         let mut i = 0;
         while i < pages {
@@ -258,7 +258,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
             incore[i..i + run].fill(bit);
             i += run;
         }
-        crate::mem::write_bytes(&mem, vec, &incore).map_err(SysError::Err)?;
+        crate::mem::write_bytes(mem, vec, &incore).map_err(SysError::Err)?;
         Ok(0)
     });
 }

@@ -111,7 +111,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
 
     sys!(l, "getrusage", |c: C, a: &[u64]| -> R {
         let usage_ptr = arg_ptr(a, 1);
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
         let ru = k(c, |kk, tid| Ok::<_, SysError>(kk.rusage_of(tid)))?;
         let out = WaliRusage {
             utime: WaliTimeval {
@@ -128,13 +128,13 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         };
         let mut buf = [0u8; WaliRusage::SIZE];
         out.write_to(&mut buf).map_err(SysError::Err)?;
-        write_bytes(&mem, usage_ptr, &buf).map_err(SysError::Err)?;
+        write_bytes(mem, usage_ptr, &buf).map_err(SysError::Err)?;
         Ok(0)
     });
 
     sys!(l, "times", |c: C, a: &[u64]| -> R {
         let buf_ptr = arg_ptr(a, 0);
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
         let (ru, now) = k(c, |kk, tid| {
             Ok::<_, SysError>((kk.rusage_of(tid), kk.clock.monotonic_ns()))
         })?;
@@ -143,7 +143,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         let mut image = [0u8; 32];
         image[0..8].copy_from_slice(&tick(ru.utime_ns).to_le_bytes());
         image[8..16].copy_from_slice(&tick(ru.stime_ns).to_le_bytes());
-        write_bytes(&mem, buf_ptr, &image).map_err(SysError::Err)?;
+        write_bytes(mem, buf_ptr, &image).map_err(SysError::Err)?;
         Ok(tick(now) as i64)
     });
 
@@ -247,7 +247,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         })
     });
     sys!(l, "getresuid", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
         let (uid, euid) = k(c, |kk, tid| {
             let t = kk.task(tid).map_err(SysError::Err)?;
             Ok::<_, SysError>((t.uid, t.euid))
@@ -255,13 +255,13 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         for (i, v) in [uid, euid, uid].iter().enumerate() {
             let p = arg_ptr(a, i);
             if p != 0 {
-                write_u32(&mem, p, *v).map_err(SysError::Err)?;
+                write_u32(mem, p, *v).map_err(SysError::Err)?;
             }
         }
         Ok(0)
     });
     sys!(l, "getresgid", |c: C, a: &[u64]| -> R {
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
         let (gid, egid) = k(c, |kk, tid| {
             let t = kk.task(tid).map_err(SysError::Err)?;
             Ok::<_, SysError>((t.gid, t.egid))
@@ -269,7 +269,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         for (i, v) in [gid, egid, gid].iter().enumerate() {
             let p = arg_ptr(a, i);
             if p != 0 {
-                write_u32(&mem, p, *v).map_err(SysError::Err)?;
+                write_u32(mem, p, *v).map_err(SysError::Err)?;
             }
         }
         Ok(0)
@@ -282,10 +282,10 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     // wait4(pid, wstatus, options, rusage).
     sys!(l, "wait4", |c: C, a: &[u64]| -> R {
         let (pid, status_ptr, options) = (arg_i32(a, 0), arg_ptr(a, 1), arg_i32(a, 2));
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
         let (child, status) = k(c, |kk, tid| kk.sys_wait4(tid, pid, options))?;
         if status_ptr != 0 && child > 0 {
-            write_u32(&mem, status_ptr, status as u32).map_err(SysError::Err)?;
+            write_u32(mem, status_ptr, status as u32).map_err(SysError::Err)?;
         }
         Ok(child as i64)
     });
@@ -349,12 +349,12 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
             Err(SysError::Err(e)) => return errno_out(e),
             Err(SysError::Block(_)) => return errno_out(Errno::Eagain),
         };
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
         if flags & CLONE_PARENT_SETTID != 0 && ptid != 0 {
-            let _ = crate::mem::write_u32(&mem, ptid, child as u32);
+            let _ = crate::mem::write_u32(mem, ptid, child as u32);
         }
         if flags & CLONE_CHILD_SETTID != 0 && ctid != 0 {
-            let _ = crate::mem::write_u32(&mem, ctid, child as u32);
+            let _ = crate::mem::write_u32(mem, ctid, child as u32);
         }
         if flags & CLONE_CHILD_CLEARTID != 0 {
             let _ = k(c, |kk, _| kk.sys_set_tid_address(child, ctid));
@@ -368,16 +368,16 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
 
     // execve(path, argv, envp).
     sysx!(l, "execve", |c: C, a: &[u64]| -> X {
-        let mem = c.instance.memory.clone();
-        let path = match read_cstr(&mem, arg_ptr(a, 0)) {
+        let mem = &*c.instance.memory;
+        let path = match read_cstr(mem, arg_ptr(a, 0)) {
             Ok(p) => p,
             Err(e) => return errno_out(e),
         };
-        let argv = match read_str_array(&mem, arg_ptr(a, 1)) {
+        let argv = match read_str_array(mem, arg_ptr(a, 1)) {
             Ok(v) => v,
             Err(e) => return errno_out(e),
         };
-        let envp = match read_str_array(&mem, arg_ptr(a, 2)) {
+        let envp = match read_str_array(mem, arg_ptr(a, 2)) {
             Ok(v) => v,
             Err(e) => return errno_out(e),
         };
@@ -386,7 +386,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
 }
 
 fn do_getrlimit(c: C, resource: i32, ptr: u32) -> R {
-    let mem = c.instance.memory.clone();
+    let mem = &*c.instance.memory;
     let lim = match resource {
         RLIMIT_NOFILE => {
             let n = k(c, |kk, tid| {
@@ -404,13 +404,13 @@ fn do_getrlimit(c: C, resource: i32, ptr: u32) -> R {
     };
     let mut buf = [0u8; WaliRlimit::SIZE];
     lim.write_to(&mut buf).map_err(SysError::Err)?;
-    write_bytes(&mem, ptr, &buf).map_err(SysError::Err)?;
+    write_bytes(mem, ptr, &buf).map_err(SysError::Err)?;
     Ok(0)
 }
 
 fn do_setrlimit(c: C, resource: i32, ptr: u32) -> R {
-    let mem = c.instance.memory.clone();
-    let raw = crate::mem::read_bytes(&mem, ptr, WaliRlimit::SIZE).map_err(SysError::Err)?;
+    let mem = &*c.instance.memory;
+    let raw = crate::mem::read_bytes(mem, ptr, WaliRlimit::SIZE).map_err(SysError::Err)?;
     let lim = WaliRlimit::read_from(&raw).map_err(SysError::Err)?;
     if resource == RLIMIT_NOFILE {
         k(c, |kk, tid| {

@@ -51,10 +51,10 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     // rt_sigaction(signo, act, oldact, sigsetsize).
     sys!(l, "rt_sigaction", |c: C, a: &[u64]| -> R {
         let (signo, act_ptr, old_ptr) = (arg_i32(a, 0), arg_ptr(a, 1), arg_ptr(a, 2));
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
 
         let new_action = if act_ptr != 0 {
-            let raw = read_bytes(&mem, act_ptr, WaliSigaction::SIZE).map_err(SysError::Err)?;
+            let raw = read_bytes(mem, act_ptr, WaliSigaction::SIZE).map_err(SysError::Err)?;
             let act = WaliSigaction::read_from(&raw).map_err(SysError::Err)?;
             // Dereference the function pointer once, now.
             let entry = match act.handler {
@@ -78,7 +78,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         if old_ptr != 0 {
             let mut buf = [0u8; WaliSigaction::SIZE];
             old.write_to(&mut buf).map_err(SysError::Err)?;
-            write_bytes(&mem, old_ptr, &buf).map_err(SysError::Err)?;
+            write_bytes(mem, old_ptr, &buf).map_err(SysError::Err)?;
         }
         Ok(0)
     });
@@ -88,32 +88,32 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     // at every host-call return, which subsumes it.
     sys!(l, "rt_sigprocmask", |c: C, a: &[u64]| -> R {
         let (how, set_ptr, old_ptr) = (arg_i32(a, 0), arg_ptr(a, 1), arg_ptr(a, 2));
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
         let set = if set_ptr != 0 {
-            Some(SigSet(read_u64(&mem, set_ptr).map_err(SysError::Err)?))
+            Some(SigSet(read_u64(mem, set_ptr).map_err(SysError::Err)?))
         } else {
             None
         };
         let old = k(c, |kk, tid| kk.sys_rt_sigprocmask(tid, how, set))?;
         if old_ptr != 0 {
-            write_u64(&mem, old_ptr, old.0).map_err(SysError::Err)?;
+            write_u64(mem, old_ptr, old.0).map_err(SysError::Err)?;
         }
         Ok(0)
     });
 
     sys!(l, "rt_sigpending", |c: C, a: &[u64]| -> R {
         let set_ptr = arg_ptr(a, 0);
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
         let pending = k(c, |kk, tid| kk.sys_rt_sigpending(tid))?;
-        write_u64(&mem, set_ptr, pending.0).map_err(SysError::Err)?;
+        write_u64(mem, set_ptr, pending.0).map_err(SysError::Err)?;
         Ok(0)
     });
 
     // rt_sigsuspend(mask): atomically swap the mask and wait for a signal.
     sys!(l, "rt_sigsuspend", |c: C, a: &[u64]| -> R {
         let mask_ptr = arg_ptr(a, 0);
-        let mem = c.instance.memory.clone();
-        let mask = SigSet(read_u64(&mem, mask_ptr).map_err(SysError::Err)?);
+        let mem = &*c.instance.memory;
+        let mask = SigSet(read_u64(mem, mask_ptr).map_err(SysError::Err)?);
         k(c, |kk, tid| {
             let old = kk.sys_rt_sigprocmask(tid, SIG_SETMASK, Some(mask))?;
             match kk.sys_pause(tid) {
@@ -133,8 +133,8 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     sys!(l, "rt_sigtimedwait", |c: C, a: &[u64]| -> R {
         let set_ptr = arg_ptr(a, 0);
         let timeout_ptr = arg_ptr(a, 2);
-        let mem = c.instance.memory.clone();
-        let want = SigSet(read_u64(&mem, set_ptr).map_err(SysError::Err)?);
+        let mem = &*c.instance.memory;
+        let want = SigSet(read_u64(mem, set_ptr).map_err(SysError::Err)?);
         let retry_deadline = c.data.retry_deadline.take();
         k(c, |kk, tid| {
             let pending = kk.sys_rt_sigpending(tid)?;
@@ -153,7 +153,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
                 Some(d) => Some(d),
                 None if timeout_ptr != 0 => {
                     let raw = crate::mem::read_bytes(
-                        &mem,
+                        mem,
                         timeout_ptr,
                         wali_abi::layout::WaliTimespec::SIZE,
                     )

@@ -57,10 +57,10 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
 
     sys!(l, "socketpair", |c: C, a: &[u64]| -> R {
         let (domain, ty, fds_ptr) = (arg_i32(a, 0), arg_i32(a, 1), arg_ptr(a, 3));
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
         let (fa, fb) = k(c, |kk, tid| kk.sys_socketpair(tid, domain, ty))?;
-        write_u32(&mem, fds_ptr, fa as u32).map_err(SysError::Err)?;
-        write_u32(&mem, fds_ptr + 4, fb as u32).map_err(SysError::Err)?;
+        write_u32(mem, fds_ptr, fa as u32).map_err(SysError::Err)?;
+        write_u32(mem, fds_ptr + 4, fb as u32).map_err(SysError::Err)?;
         Ok(0)
     });
 
@@ -116,8 +116,8 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         } else {
             None
         };
-        let mem = c.instance.memory.clone();
-        flat(with_slice(&mem, ptr, len, |buf| {
+        let mem = &*c.instance.memory;
+        flat(with_slice(mem, ptr, len, |buf| {
             k(c, |kk, tid| {
                 kk.sys_sendto(tid, fd, buf, flags, dest.clone())
             })
@@ -135,8 +135,8 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
             arg_ptr(a, 4),
             arg_ptr(a, 5),
         );
-        let mem = c.instance.memory.clone();
-        let (n, src) = flat(with_slice_mut(&mem, ptr, len, |buf| {
+        let mem = &*c.instance.memory;
+        let (n, src) = flat(with_slice_mut(mem, ptr, len, |buf| {
             k(c, |kk, tid| kk.sys_recvfrom(tid, fd, buf, flags))
         }))?;
         if let Some(addr) = src {
@@ -164,11 +164,11 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
             arg_ptr(a, 3),
             arg_ptr(a, 4),
         );
-        let mem = c.instance.memory.clone();
+        let mem = &*c.instance.memory;
         let v = k(c, |kk, tid| kk.sys_getsockopt(tid, fd, level, name))?;
-        write_u32(&mem, val_ptr, v as u32).map_err(SysError::Err)?;
+        write_u32(mem, val_ptr, v as u32).map_err(SysError::Err)?;
         if len_ptr != 0 {
-            write_u32(&mem, len_ptr, 4).map_err(SysError::Err)?;
+            write_u32(mem, len_ptr, 4).map_err(SysError::Err)?;
         }
         Ok(0)
     });
@@ -300,7 +300,7 @@ fn do_epoll_wait(c: C, a: &[u64]) -> R {
     if maxevents <= 0 {
         return Err(Errno::Einval.into());
     }
-    let mem = c.instance.memory.clone();
+    let mem = &*c.instance.memory;
     let retry_deadline = c.data.retry_deadline.take();
     // Scan-then-subscribe runs inside ONE kernel critical section: a
     // readiness transition on another worker can land between a separate
@@ -316,7 +316,7 @@ fn do_epoll_wait(c: C, a: &[u64]) -> R {
             kk.sys_epoll_wait_ready(tid, epfd, maxevents as usize)
         })?;
         if !ready.is_empty() || timeout_ms == 0 {
-            return write_epoll_events(&mem, ev_ptr, &ready);
+            return write_epoll_events(mem, ev_ptr, &ready);
         }
         // Kernel lock released here: the lost-wakeup window. Yield a few
         // times to widen it — the injected race should fire within a
@@ -374,7 +374,7 @@ fn do_epoll_wait(c: C, a: &[u64]) -> R {
             None => vkernel::block(),
         })
     })?;
-    write_epoll_events(&mem, ev_ptr, &ready)
+    write_epoll_events(mem, ev_ptr, &ready)
 }
 
 /// Marshals ready `(events, data)` pairs into the guest's event array
@@ -418,17 +418,17 @@ fn do_msg(c: C, a: &[u64], send: bool) -> R {
 /// would duplicate the sent bytes); only a zero-progress block parks.
 pub(crate) fn msg_rw(c: C, fd: i32, msg_ptr: u32, flags: i32, send: bool) -> R {
     use wali_abi::layout::WaliIovec;
-    let mem = c.instance.memory.clone();
+    let mem = &*c.instance.memory;
     // wasm32 msghdr: name(4) namelen(4) iov(4) iovlen(4) control(4)
     // controllen(4) flags(4).
-    let hdr = read_bytes(&mem, msg_ptr, 28).map_err(SysError::Err)?;
+    let hdr = read_bytes(mem, msg_ptr, 28).map_err(SysError::Err)?;
     let iov_ptr = u32::from_le_bytes(hdr[8..12].try_into().expect("4 bytes"));
     let iovlen = u32::from_le_bytes(hdr[12..16].try_into().expect("4 bytes")) as usize;
     if iovlen > wali_abi::ring::IOV_MAX {
         return Err(Errno::Einval.into());
     }
     let bytes = iovlen.checked_mul(WaliIovec::SIZE).ok_or(Errno::Einval)?;
-    let raw = read_bytes(&mem, iov_ptr, bytes).map_err(SysError::Err)?;
+    let raw = read_bytes(mem, iov_ptr, bytes).map_err(SysError::Err)?;
     let iovs = WaliIovec::read_array(&raw, iovlen).map_err(SysError::Err)?;
     let mut total = 0i64;
     for iov in iovs {
@@ -436,11 +436,11 @@ pub(crate) fn msg_rw(c: C, fd: i32, msg_ptr: u32, flags: i32, send: bool) -> R {
             continue;
         }
         let r = if send {
-            flat(with_slice(&mem, iov.base, iov.len as usize, |buf| {
+            flat(with_slice(mem, iov.base, iov.len as usize, |buf| {
                 k(c, |kk, tid| kk.sys_sendto(tid, fd, buf, flags, None))
             }))
         } else {
-            flat(with_slice_mut(&mem, iov.base, iov.len as usize, |buf| {
+            flat(with_slice_mut(mem, iov.base, iov.len as usize, |buf| {
                 k(c, |kk, tid| {
                     kk.sys_recvfrom(tid, fd, buf, flags).map(|(n, _)| n)
                 })
@@ -463,8 +463,8 @@ fn do_poll(c: C, fds_ptr: u32, nfds: usize, timeout_ms: i64) -> R {
     if nfds > 1024 {
         return Err(Errno::Einval.into());
     }
-    let mem = c.instance.memory.clone();
-    let raw = read_bytes(&mem, fds_ptr, nfds * WaliPollFd::SIZE).map_err(SysError::Err)?;
+    let mem = &*c.instance.memory;
+    let raw = read_bytes(mem, fds_ptr, nfds * WaliPollFd::SIZE).map_err(SysError::Err)?;
     let mut fds = Vec::with_capacity(nfds);
     for i in 0..nfds {
         let p = WaliPollFd::read_from(&raw[i * WaliPollFd::SIZE..]).map_err(SysError::Err)?;
@@ -497,7 +497,7 @@ fn do_poll(c: C, fds_ptr: u32, nfds: usize, timeout_ms: i64) -> R {
         p.revents = revents[i];
         let mut buf = [0u8; WaliPollFd::SIZE];
         p.write_to(&mut buf).map_err(SysError::Err)?;
-        write_bytes(&mem, fds_ptr + (i * WaliPollFd::SIZE) as u32, &buf).map_err(SysError::Err)?;
+        write_bytes(mem, fds_ptr + (i * WaliPollFd::SIZE) as u32, &buf).map_err(SysError::Err)?;
     }
     Ok(ready as i64)
 }
@@ -506,13 +506,13 @@ fn do_select(c: C, a: &[u64], is_pselect: bool) -> R {
     let nfds = arg_i32(a, 0).clamp(0, 1024) as usize;
     let (rptr, wptr) = (arg_ptr(a, 1), arg_ptr(a, 2));
     let tptr = arg_ptr(a, 4);
-    let mem = c.instance.memory.clone();
+    let mem = &*c.instance.memory;
 
     let read_set = |ptr: u32| -> Result<Vec<i32>, SysError> {
         if ptr == 0 {
             return Ok(Vec::new());
         }
-        let raw = read_bytes(&mem, ptr, 128).map_err(SysError::Err)?;
+        let raw = read_bytes(mem, ptr, 128).map_err(SysError::Err)?;
         let mut fds = Vec::new();
         for fd in 0..nfds {
             if raw[fd / 8] & (1 << (fd % 8)) != 0 {
@@ -535,11 +535,11 @@ fn do_select(c: C, a: &[u64], is_pselect: bool) -> R {
     let timeout_ms: i64 = if tptr == 0 {
         -1
     } else if is_pselect {
-        let raw = read_bytes(&mem, tptr, WaliTimespec::SIZE).map_err(SysError::Err)?;
+        let raw = read_bytes(mem, tptr, WaliTimespec::SIZE).map_err(SysError::Err)?;
         let ts = WaliTimespec::read_from(&raw).map_err(SysError::Err)?;
         (ts.to_nanos().unwrap_or(0) / 1_000_000) as i64
     } else {
-        let raw = read_bytes(&mem, tptr, 16).map_err(SysError::Err)?;
+        let raw = read_bytes(mem, tptr, 16).map_err(SysError::Err)?;
         let sec = i64::from_le_bytes(raw[0..8].try_into().expect("8 bytes"));
         let usec = i64::from_le_bytes(raw[8..16].try_into().expect("8 bytes"));
         sec * 1000 + usec / 1000
@@ -580,7 +580,7 @@ fn do_select(c: C, a: &[u64], is_pselect: bool) -> R {
                 raw[*fd as usize / 8] |= 1 << (*fd as usize % 8);
             }
         }
-        write_bytes(&mem, ptr, &raw).map_err(SysError::Err)
+        write_bytes(mem, ptr, &raw).map_err(SysError::Err)
     };
     write_set(rptr, &rfds, 0)?;
     write_set(wptr, &wfds, rfds.len())?;

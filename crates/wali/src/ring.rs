@@ -2,8 +2,8 @@
 //!
 //! The guest lays out an SQ/CQ pair in its own linear memory
 //! ([`wali_abi::ring`]) and describes many operations before paying for
-//! a single host call. Synchronous-completable SQEs — the
-//! [`crate::fastpath`] shapes plus the vectored family riding on
+//! a single host call. Synchronous-completable SQEs — descriptor I/O
+//! ([`crate::fastpath`]) plus the vectored family riding on
 //! [`crate::registry::fs::iov_rw`] / [`crate::registry::sock::msg_rw`]
 //! — complete inline and post their CQEs immediately. An SQE that would
 //! block is moved to the context's in-flight list
@@ -38,8 +38,9 @@ use wali_abi::Errno;
 use wasm::host::{Caller, Linker};
 
 use crate::context::WaliContext;
+use crate::fastpath;
 use crate::mem::{arg, arg_ptr, read_bytes, with_slice, with_slice_mut, write_bytes, write_u32};
-use crate::registry::{flat, k, sys};
+use crate::registry::{flat, sys};
 
 type C<'a, 'b> = &'a mut Caller<'b, WaliContext>;
 type R = Result<i64, SysError>;
@@ -66,9 +67,11 @@ fn is_write_op(opcode: u8) -> bool {
 /// shapes whose channel can't be recovered from the fd alone (they just
 /// keep submission order).
 fn fd_channel(ctx: &WaliContext, fd: i32, write: bool) -> Option<Channel> {
+    // Looked at under the table lock: no reference to the description
+    // is taken, so none can outlive a `close` (see `fastpath`).
     let hot = ctx.handles.procs.get(ctx.tid)?;
-    let file = hot.fdtable.lock_ok().get_file_cached(fd).ok()?;
-    let kind = file.lock_ok().kind.clone();
+    let table = hot.fdtable.lock_ok();
+    let kind = table.get(fd).ok()?.file.lock_ok().kind.clone();
     match kind {
         FileKind::PipeRead(id) if !write => Some(Channel::PipeReadable(id)),
         FileKind::PipeWrite(id) if write => Some(Channel::PipeWritable(id)),
@@ -87,26 +90,20 @@ fn fd_channel(ctx: &WaliContext, fd: i32, write: bool) -> Option<Channel> {
 /// don't restart the countdown).
 fn attempt(c: C, sqe: &WaliSqe) -> R {
     let fd = sqe.fd;
-    let mem = c.instance.memory.clone();
+    let mem = &*c.instance.memory;
     match sqe.opcode {
         op::NOP => Ok(0),
-        op::READ => flat(with_slice_mut(&mem, sqe.addr, sqe.len as usize, |buf| {
-            if let Some(r) = crate::fastpath::try_read(c.data, fd, buf) {
-                return r;
-            }
-            k(c, |kk, tid| kk.sys_read(tid, fd, buf))
+        op::READ => flat(with_slice_mut(mem, sqe.addr, sqe.len as usize, |buf| {
+            fastpath::read(c, fd, buf)
         })),
-        op::WRITE => flat(with_slice(&mem, sqe.addr, sqe.len as usize, |buf| {
-            if let Some(r) = crate::fastpath::try_write(c.data, fd, buf) {
-                return r;
-            }
-            k(c, |kk, tid| kk.sys_write(tid, fd, buf))
+        op::WRITE => flat(with_slice(mem, sqe.addr, sqe.len as usize, |buf| {
+            fastpath::write(c, fd, buf)
         })),
-        op::PREAD => flat(with_slice_mut(&mem, sqe.addr, sqe.len as usize, |buf| {
-            k(c, |kk, tid| kk.sys_pread(tid, fd, buf, sqe.off))
+        op::PREAD => flat(with_slice_mut(mem, sqe.addr, sqe.len as usize, |buf| {
+            fastpath::pread(c, fd, buf, sqe.off)
         })),
-        op::PWRITE => flat(with_slice(&mem, sqe.addr, sqe.len as usize, |buf| {
-            k(c, |kk, tid| kk.sys_pwrite(tid, fd, buf, sqe.off))
+        op::PWRITE => flat(with_slice(mem, sqe.addr, sqe.len as usize, |buf| {
+            fastpath::pwrite(c, fd, buf, sqe.off)
         })),
         op::READV => crate::registry::fs::iov_rw(c, fd, sqe.addr, sqe.len as usize, false, None),
         op::WRITEV => crate::registry::fs::iov_rw(c, fd, sqe.addr, sqe.len as usize, true, None),
@@ -146,8 +143,8 @@ fn ring_enter(c: C, a: &[u64]) -> R {
     let ring_ptr = arg_ptr(a, 0);
     let to_submit = arg(a, 1) as u32;
     let min_complete = arg(a, 2) as u32;
-    let mem = c.instance.memory.clone();
-    let raw = read_bytes(&mem, ring_ptr, WaliRingHdr::SIZE).map_err(SysError::Err)?;
+    let mem = &*c.instance.memory;
+    let raw = read_bytes(mem, ring_ptr, WaliRingHdr::SIZE).map_err(SysError::Err)?;
     let mut hdr = WaliRingHdr::read_from(&raw).map_err(SysError::Err)?;
     hdr.validate().map_err(SysError::Err)?;
 
@@ -183,11 +180,11 @@ fn ring_enter(c: C, a: &[u64]) -> R {
     let now = c.data.with_kernel(|kk| kk.clock.monotonic_ns());
     for _ in 0..take {
         let slot = ring_ptr.wrapping_add(hdr.sqe_offset(hdr.sq_head));
-        let raw = read_bytes(&mem, slot, WaliSqe::SIZE).map_err(SysError::Err)?;
+        let raw = read_bytes(mem, slot, WaliSqe::SIZE).map_err(SysError::Err)?;
         let mut sqe = WaliSqe::read_from(&raw).map_err(SysError::Err)?;
         // Consume before attempting: a retry must never see this SQE.
         hdr.sq_head = hdr.sq_head.wrapping_add(1);
-        write_u32(&mem, ring_ptr.wrapping_add(8), hdr.sq_head).map_err(SysError::Err)?;
+        write_u32(mem, ring_ptr.wrapping_add(8), hdr.sq_head).map_err(SysError::Err)?;
         if sqe.opcode == op::TIMEOUT {
             // Anchor the countdown once; retries compare against this.
             sqe.off = now.saturating_add(sqe.off);
@@ -200,12 +197,12 @@ fn ring_enter(c: C, a: &[u64]) -> R {
         let slot = ring_ptr.wrapping_add(hdr.cqe_offset(hdr.cq_tail));
         let mut buf = [0u8; WaliCqe::SIZE];
         cqe.write_to(&mut buf).map_err(SysError::Err)?;
-        write_bytes(&mem, slot, &buf).map_err(SysError::Err)?;
+        write_bytes(mem, slot, &buf).map_err(SysError::Err)?;
         hdr.cq_tail = hdr.cq_tail.wrapping_add(1);
     }
     // Publish only the host-owned indexes; `sq_tail`/`cq_head` belong
     // to the guest side of the SPSC protocol.
-    write_u32(&mem, ring_ptr.wrapping_add(20), hdr.cq_tail).map_err(SysError::Err)?;
+    write_u32(mem, ring_ptr.wrapping_add(20), hdr.cq_tail).map_err(SysError::Err)?;
 
     c.data.ring_pending = acc.still;
     let available = hdr.cq_tail.wrapping_sub(hdr.cq_head);

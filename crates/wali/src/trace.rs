@@ -200,8 +200,9 @@ pub struct Trace {
     pub kernel_time: Duration,
     /// Total wall time of the task (set by the runner).
     pub total_time: Duration,
-    /// Syscalls completed on the sharded fast path: pipe and stream
-    /// socket I/O that never took the kernel lock.
+    /// `read`/`write` calls served by the kernel's shards alone — a
+    /// regular file, a pipe, an eventfd, a stream socket with bytes or
+    /// room ready — without the kernel lock (`crate::fastpath`).
     pub fastpath_hits: u64,
     /// Executed Wasm ops (engine step counter snapshot).
     pub wasm_steps: u64,

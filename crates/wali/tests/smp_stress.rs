@@ -412,3 +412,428 @@ fn blocked_call_outside_the_waitqueue_protocol_completes() {
     // clock step to its backoff deadline.
     assert_eq!((one.sched.parks, one.sched.idle_advances), (3, 3));
 }
+
+// --- What the kernel lock used to serialise ------------------------------
+//
+// Descriptor I/O on regular files runs against the kernel's shards
+// without the kernel lock (`wali::fastpath`), so what that lock made
+// atomic is now the description lock's and the VFS write lock's to
+// keep: a read and its offset advance, `O_APPEND`'s end-of-file and its
+// copy, and the last reference to a description releasing it. Each
+// guest below runs at one worker and at four, on both dispatch tiers.
+
+use wasm::build::FuncBuilder;
+
+const RECORD: u32 = 64;
+const RECORDS: u32 = 400;
+const APPENDS: u32 = 1_000;
+const APPEND_BYTES: u32 = 16;
+const SEEKS: u32 = 600;
+const MARK: i32 = -1;
+
+/// `do { body } while (++i < n)`.
+fn counted(b: &mut FuncBuilder, i: u32, n: u32, body: impl FnOnce(&mut FuncBuilder)) {
+    b.i32(0).local_set(i);
+    b.loop_(BlockType::Empty, |b| {
+        body(b);
+        b.local_get(i)
+            .i32(1)
+            .add32()
+            .local_tee(i)
+            .i32(n as i32)
+            .lt_s32()
+            .br_if(0);
+    });
+}
+
+/// Every worker count and tier a guest of this section runs under.
+fn configs() -> impl Iterator<Item = (usize, bool)> {
+    [1, 4]
+        .into_iter()
+        .flat_map(|w| [true, false].map(|r| (w, r)))
+}
+
+/// Runs `module` with `path` holding `content`; returns the outcome,
+/// the file afterwards and the teardown audit.
+fn run_on_file(
+    module: &Module,
+    path: &str,
+    content: &[u8],
+    (workers, regir): (usize, bool),
+) -> (wali::RunOutcome, Vec<u8>, vkernel::LeakReport) {
+    let mut runner = wali::WaliRunner::new_default();
+    runner.set_workers(workers);
+    runner.set_regir(regir);
+    let vfs = runner.kernel.lock_ok().vfs.clone();
+    vfs.write_file(path, content).expect("std layout has /tmp");
+    runner
+        .register_program("/usr/bin/app", &wali::testkit::roundtrip(module))
+        .unwrap();
+    runner.spawn("/usr/bin/app", &[], &[]).unwrap();
+    let out = runner.run().expect("run");
+    let after = vfs.read_file(path).expect("still there");
+    (out, after, runner.leak_audit())
+}
+
+/// Two readers — `clone` threads or forked processes — share one
+/// description of a file of numbered records and read it to the end,
+/// reporting every record's number through a pipe; the main task
+/// tallies. Exit code: the records not reported exactly once.
+fn shared_reader_program(fork_readers: bool) -> Module {
+    let mut mb = ModuleBuilder::new();
+    let open = sys(&mut mb, "open", 3);
+    let pipe = sys(&mut mb, "pipe", 1);
+    let read = sys(&mut mb, "read", 3);
+    let write = sys(&mut mb, "write", 3);
+    let clone = sys(&mut mb, "clone", 5);
+    let fork = sys(&mut mb, "fork", 0);
+    let wait4 = sys(&mut mb, "wait4", 4);
+    let exit = sys(&mut mb, "exit", 1);
+    mb.memory(4, Some(16));
+    let path = mb.c_str("/tmp/records.dat");
+    let fds = mb.reserve(8);
+    let recs = mb.reserve(2 * RECORD); // one buffer per reader
+    let id = mb.reserve(4);
+    let seen = mb.reserve(RECORDS * 4);
+    let status = mb.reserve(8);
+
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let fd = b.local(I64);
+        let r = b.local(I32);
+        let i = b.local(I32);
+        let done = b.local(I32);
+        let bad = b.local(I32);
+        let pid = b.local(I64);
+        b.i64(path as i64).i64(0).i64(0).call(open).local_set(fd);
+        b.i64(fds as i64).call(pipe).drop_();
+
+        let reader = |b: &mut FuncBuilder| {
+            // buf = recs + r * RECORD (r came along with the stack).
+            let report = |b: &mut FuncBuilder| {
+                b.i32(fds as i32).load32(4).extend_u();
+                b.i32(recs as i32)
+                    .local_get(r)
+                    .i32(RECORD as i32)
+                    .mul32()
+                    .add32()
+                    .extend_u();
+                b.i64(4).call(write).drop_();
+            };
+            b.block(BlockType::Empty, |b| {
+                b.loop_(BlockType::Empty, |b| {
+                    b.local_get(fd);
+                    b.i32(recs as i32)
+                        .local_get(r)
+                        .i32(RECORD as i32)
+                        .mul32()
+                        .add32()
+                        .extend_u();
+                    b.i64(RECORD as i64).call(read);
+                    b.i64(RECORD as i64).eq64().eqz32().br_if(1);
+                    report(b);
+                    b.br(0);
+                });
+            });
+            b.i32(recs as i32)
+                .local_get(r)
+                .i32(RECORD as i32)
+                .mul32()
+                .add32()
+                .i32(MARK)
+                .store32(0);
+            report(b);
+            b.i64(0).call(exit).drop_();
+        };
+        counted(b, r, 2, |b| {
+            if fork_readers {
+                b.call(fork).local_set(pid);
+                b.local_get(pid).i64(0).eq64();
+                b.if_(BlockType::Empty, reader);
+            } else {
+                spawn_thread(b, clone, reader);
+            }
+        });
+
+        // Tally until both readers have reported their end.
+        b.loop_(BlockType::Empty, |b| {
+            b.i32(fds as i32)
+                .load32(0)
+                .extend_u()
+                .i64(id as i64)
+                .i64(4)
+                .call(read)
+                .drop_();
+            b.i32(id as i32).load32(0).i32(MARK).eq32();
+            b.if_else(
+                BlockType::Empty,
+                |b| {
+                    b.local_get(done).i32(1).add32().local_set(done);
+                },
+                |b| {
+                    // seen[id] += 1
+                    b.i32(seen as i32)
+                        .i32(id as i32)
+                        .load32(0)
+                        .i32(4)
+                        .mul32()
+                        .add32()
+                        .local_tee(i);
+                    b.local_get(i).load32(0).i32(1).add32().store32(0);
+                },
+            );
+            b.local_get(done).i32(2).lt_s32().br_if(0);
+        });
+        if fork_readers {
+            counted(b, r, 2, |b| {
+                b.i64(-1)
+                    .i64(status as i64)
+                    .i64(0)
+                    .i64(0)
+                    .call(wait4)
+                    .drop_();
+            });
+        }
+        counted(b, i, RECORDS, |b| {
+            b.i32(seen as i32)
+                .local_get(i)
+                .i32(4)
+                .mul32()
+                .add32()
+                .load32(0)
+                .i32(1)
+                .ne32();
+            b.local_get(bad).add32().local_set(bad);
+        });
+        b.local_get(bad);
+    });
+    mb.export("_start", main);
+    mb.build()
+}
+
+#[test]
+fn readers_sharing_a_description_get_every_record_exactly_once() {
+    let mut file = vec![0u8; (RECORDS * RECORD) as usize];
+    for (n, record) in file.chunks_mut(RECORD as usize).enumerate() {
+        record[..4].copy_from_slice(&(n as u32).to_le_bytes());
+    }
+    for fork_readers in [false, true] {
+        let module = shared_reader_program(fork_readers);
+        for config in configs() {
+            let (out, _, leaks) = run_on_file(&module, "/tmp/records.dat", &file, config);
+            let what = format!("fork={fork_readers} (workers, regir)={config:?}");
+            assert_eq!(out.exit_code(), Some(0), "{what}: records lost or doubled");
+            assert!(leaks.is_clean(), "{what}: {}", leaks.describe());
+        }
+    }
+}
+
+/// Two forked processes each open the log `O_WRONLY | O_APPEND` and
+/// append `APPENDS` records `[who, seq, who, seq]`; the main task
+/// meanwhile asks where the end is, `SEEKS` times, through a
+/// description of its own. Exit code: the answers no append produced
+/// (off a record boundary, backwards, or past the final length).
+fn append_race_program() -> Module {
+    let mut mb = ModuleBuilder::new();
+    let open = sys(&mut mb, "open", 3);
+    let write = sys(&mut mb, "write", 3);
+    let lseek = sys(&mut mb, "lseek", 3);
+    let fork = sys(&mut mb, "fork", 0);
+    let wait4 = sys(&mut mb, "wait4", 4);
+    let exit = sys(&mut mb, "exit", 1);
+    mb.memory(4, Some(16));
+    let path = mb.c_str("/tmp/append.log");
+    let rec = mb.reserve(APPEND_BYTES);
+    let status = mb.reserve(8);
+    let total = (2 * APPENDS * APPEND_BYTES) as i32;
+
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let fd = b.local(I64);
+        let who = b.local(I32);
+        let seq = b.local(I32);
+        let pid = b.local(I64);
+        let end = b.local(I32);
+        let last = b.local(I32);
+        let bad = b.local(I32);
+        counted(b, who, 2, |b| {
+            b.call(fork).local_set(pid);
+            b.local_get(pid).i64(0).eq64();
+            b.if_(BlockType::Empty, |b| {
+                // O_WRONLY | O_APPEND
+                b.i64(path as i64)
+                    .i64(0o2001)
+                    .i64(0)
+                    .call(open)
+                    .local_set(fd);
+                counted(b, seq, APPENDS, |b| {
+                    for (at, word) in [(0, who), (4, seq), (8, who), (12, seq)] {
+                        b.i32(rec as i32).local_get(word).store32(at);
+                    }
+                    b.local_get(fd)
+                        .i64(rec as i64)
+                        .i64(APPEND_BYTES as i64)
+                        .call(write)
+                        .drop_();
+                });
+                b.i64(0).call(exit).drop_();
+            });
+        });
+        b.i64(path as i64).i64(0).i64(0).call(open).local_set(fd);
+        let check_end = |b: &mut FuncBuilder| {
+            // SEEK_END
+            b.local_get(fd)
+                .i64(0)
+                .i64(2)
+                .call(lseek)
+                .wrap()
+                .local_set(end);
+            b.local_get(end).i32(APPEND_BYTES as i32 - 1).and32();
+            b.i32(0).ne32();
+            b.local_get(end).local_get(last).lt_s32().add32();
+            b.i32(total).local_get(end).lt_s32().add32();
+            b.local_get(bad).add32().local_set(bad);
+            b.local_get(end).local_set(last);
+        };
+        counted(b, seq, SEEKS, check_end);
+        counted(b, seq, 2, |b| {
+            b.i64(-1)
+                .i64(status as i64)
+                .i64(0)
+                .i64(0)
+                .call(wait4)
+                .drop_();
+        });
+        check_end(b);
+        b.local_get(end).i32(total).ne32();
+        b.local_get(bad).add32();
+    });
+    mb.export("_start", main);
+    mb.build()
+}
+
+#[test]
+fn separate_append_descriptions_never_overwrite_and_the_end_is_always_a_record_boundary() {
+    let module = append_race_program();
+    for config in configs() {
+        let what = format!("(workers, regir)={config:?}");
+        let (out, log, leaks) = run_on_file(&module, "/tmp/append.log", b"", config);
+        assert_eq!(out.exit_code(), Some(0), "{what}: lseek(SEEK_END) lied");
+        assert_eq!(log.len(), (2 * APPENDS * APPEND_BYTES) as usize, "{what}");
+        let mut next = [0u32; 2];
+        for record in log.chunks(APPEND_BYTES as usize) {
+            let word = |at: usize| u32::from_le_bytes(record[at..at + 4].try_into().unwrap());
+            let (who, seq) = (word(0), word(4));
+            assert_eq!((word(8), word(12)), (who, seq), "{what}: torn record");
+            // Each appender's records keep their order; none is missing.
+            assert_eq!(seq, next[who as usize], "{what}: appender {who}");
+            next[who as usize] += 1;
+        }
+        assert_eq!(next, [APPENDS; 2], "{what}");
+        assert!(leaks.is_clean(), "{what}: {}", leaks.describe());
+    }
+}
+
+#[test]
+fn a_description_closed_under_a_reader_on_another_worker_is_still_released() {
+    // Each round makes a pipe, starts a thread — one that shares the fd
+    // table — reading its read end until nothing more can come, writes
+    // to it and closes both ends from the main thread: possibly while
+    // the reader, which needs no kernel lock, is inside `read` holding
+    // the description. Whichever of the two drops the last reference
+    // must release the pipe end: the teardown audit finds no pipe left.
+    // (A descriptor number is reused by the next round's pipe, so a
+    // reader may go on to that one; every reader still ends once the
+    // last round has closed its ends.)
+    const ROUNDS: u32 = 64;
+    let mut mb = ModuleBuilder::new();
+    let pipe = sys(&mut mb, "pipe", 1);
+    let read = sys(&mut mb, "read", 3);
+    let write = sys(&mut mb, "write", 3);
+    let close = sys(&mut mb, "close", 1);
+    let clone = sys(&mut mb, "clone", 5);
+    let nanosleep = sys(&mut mb, "nanosleep", 2);
+    let exit = sys(&mut mb, "exit", 1);
+    mb.memory(4, Some(16));
+    let fds = mb.reserve(8);
+    let bufs = mb.reserve(ROUNDS * 8);
+    let ts = mb.reserve(16);
+    let flags = mb.reserve(ROUNDS * 4);
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let i = b.local(I32);
+        let rfd = b.local(I64);
+        counted(b, i, ROUNDS, |b| {
+            b.i64(fds as i64).call(pipe).drop_();
+            b.i32(fds as i32).load32(0).extend_u().local_set(rfd);
+            // CLONE_VM | CLONE_FS | CLONE_FILES | CLONE_SIGHAND | CLONE_THREAD
+            b.i64(0x10d00).i64(0).i64(0).i64(0).i64(0).call(clone);
+            b.i64(0).eq64();
+            b.if_(BlockType::Empty, |b| {
+                // While bytes come: until end-of-file or `-EBADF`.
+                b.loop_(BlockType::Empty, |b| {
+                    b.local_get(rfd);
+                    b.i32(bufs as i32)
+                        .local_get(i)
+                        .i32(8)
+                        .mul32()
+                        .add32()
+                        .extend_u();
+                    b.i64(8).call(read);
+                    b.i64(1).lt_s64().eqz32();
+                    b.br_if(0);
+                });
+                b.i32(flags as i32)
+                    .local_get(i)
+                    .i32(4)
+                    .mul32()
+                    .add32()
+                    .i32(1)
+                    .store32(0);
+                b.i64(0).call(exit).drop_();
+            });
+            b.i32(fds as i32)
+                .load32(4)
+                .extend_u()
+                .i64(fds as i64)
+                .i64(8)
+                .call(write)
+                .drop_();
+            b.local_get(rfd).call(close).drop_();
+            b.i32(fds as i32).load32(4).extend_u().call(close).drop_();
+        });
+        // Sleep-poll until every reader has seen its descriptor go.
+        counted(b, i, ROUNDS, |b| {
+            b.loop_(BlockType::Empty, |b| {
+                emit_sleep(b, nanosleep, ts, 0, 1_000);
+                b.i32(flags as i32)
+                    .local_get(i)
+                    .i32(4)
+                    .mul32()
+                    .add32()
+                    .load32(0)
+                    .eqz32()
+                    .br_if(0);
+            });
+        });
+        b.i32(0);
+    });
+    mb.export("_start", main);
+    let module = mb.build();
+    for (workers, regir) in configs() {
+        let opts = RunnerOpts {
+            workers: Some(workers),
+            regir: Some(regir),
+            ..RunnerOpts::single()
+        };
+        let report = run_module(&module, &[], &[], opts).expect("run");
+        let what = format!("workers={workers} regir={regir}");
+        assert_eq!(report.outcome.exit_code(), Some(0), "{what}");
+        assert_eq!(report.outcome.ends.len(), 1 + ROUNDS as usize, "{what}");
+        assert!(
+            report.leaks.is_clean(),
+            "{what}: {}",
+            report.leaks.describe()
+        );
+    }
+}

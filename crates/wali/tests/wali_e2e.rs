@@ -1064,3 +1064,113 @@ fn deadlock_report_names_the_call_the_place_and_the_kernel_state() {
         );
     }
 }
+
+#[test]
+fn far_offsets_and_wrong_access_modes_are_errnos_not_host_panics() {
+    // Offsets and lengths are the guest's to choose: a write, pwrite or
+    // truncate that would end past the per-file cap answers -EFBIG (the
+    // host used to compute `offset + len` and resize to it), and a
+    // description refuses the direction it was not opened for. Each call
+    // stores what it returned; the slots go out through stdout.
+    const EFBIG: i64 = -27;
+    const EBADF: i64 = -9;
+    const EINVAL: i64 = -22;
+    const SLOTS: u32 = 10;
+    let mut mb = ModuleBuilder::new();
+    let open = sys(&mut mb, "open", 3);
+    let read = sys(&mut mb, "read", 3);
+    let write = sys(&mut mb, "write", 3);
+    let pwrite = sys(&mut mb, "pwrite64", 4);
+    let pwritev = sys(&mut mb, "pwritev", 4);
+    let lseek = sys(&mut mb, "lseek", 3);
+    let ftruncate = sys(&mut mb, "ftruncate", 2);
+    let truncate = sys(&mut mb, "truncate", 2);
+    let fallocate = sys(&mut mb, "fallocate", 4);
+    mb.memory(2, Some(16));
+    let path = mb.c_str("/tmp/far.dat");
+    let buf = mb.data(b"x");
+    let iov = mb.data(&[buf.to_le_bytes(), 1u32.to_le_bytes()].concat());
+    let out = mb.reserve(SLOTS * 8);
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let rw = b.local(I64);
+        let rd = b.local(I64);
+        let wr = b.local(I64);
+        let mut slot = 0;
+        let mut store = |b: &mut wasm::build::FuncBuilder,
+                         call: &dyn Fn(&mut wasm::build::FuncBuilder)| {
+            b.i32((out + 8 * slot) as i32);
+            call(b);
+            b.store64(0);
+            slot += 1;
+        };
+        // O_CREAT | O_RDWR, O_RDONLY, O_WRONLY
+        for (flags, fd) in [(0o102, rw), (0, rd), (1, wr)] {
+            b.i64(path as i64)
+                .i64(flags)
+                .i64(0o644)
+                .call(open)
+                .local_set(fd);
+        }
+        store(b, &|b| {
+            b.local_get(rw).i64(buf as i64).i64(1).i64(i64::MIN);
+            b.call(pwrite);
+        });
+        store(b, &|b| {
+            b.local_get(rw).i64(iov as i64).i64(1).i64(i64::MAX);
+            b.call(pwritev);
+        });
+        store(b, &|b| {
+            b.local_get(rw).i64(i64::MAX).i64(0).call(lseek).drop_();
+            b.local_get(rw).i64(buf as i64).i64(1).call(write);
+        });
+        store(b, &|b| {
+            b.local_get(rw).i64(1 << 62).call(ftruncate);
+        });
+        store(b, &|b| {
+            b.i64(path as i64).i64(-1).call(truncate);
+        });
+        store(b, &|b| {
+            b.local_get(rw).i64(0).i64(i64::MAX).i64(i64::MAX);
+            b.call(fallocate);
+        });
+        store(b, &|b| {
+            b.local_get(wr).i64(buf as i64).i64(1).call(read);
+        });
+        store(b, &|b| {
+            b.local_get(rd).i64(buf as i64).i64(1).call(write);
+        });
+        store(b, &|b| {
+            b.local_get(rd).i64(buf as i64).i64(1).i64(0).call(pwrite);
+        });
+        store(b, &|b| {
+            b.local_get(rd).i64(0).call(ftruncate);
+        });
+        assert_eq!(slot, SLOTS);
+        b.i64(1)
+            .i64(out as i64)
+            .i64(SLOTS as i64 * 8)
+            .call(write)
+            .drop_();
+        b.i32(0);
+    });
+    mb.export("_start", main);
+    let module = roundtrip(&mb.build());
+    for workers in [1, 4] {
+        let mut runner = WaliRunner::new_default();
+        runner.set_workers(workers);
+        runner.register_program("/usr/bin/app", &module).unwrap();
+        runner.spawn("/usr/bin/app", &[], &[]).unwrap();
+        let run = runner.run().expect("the run survives");
+        assert_eq!(run.exit_code(), Some(0), "workers={workers}");
+        let got: Vec<i64> = run
+            .console
+            .chunks(8)
+            .map(|word| i64::from_le_bytes(word.try_into().unwrap()))
+            .collect();
+        let want = [
+            EFBIG, EFBIG, EFBIG, EFBIG, EFBIG, EFBIG, EBADF, EBADF, EBADF, EINVAL,
+        ];
+        assert_eq!(got, want, "workers={workers}");
+    }
+}

@@ -200,8 +200,10 @@ fn check(ret: i64) -> Result<i64, X> {
     errno::demux(ret).map_err(fail_x)
 }
 
-fn wmem(c: &Caller<'_, WaliContext>) -> Arc<wasm::mem::Memory> {
-    c.instance.memory.clone()
+/// The instance's linear memory, borrowed for as long as the instance —
+/// not the caller — lives, so host calls can go on using `c`.
+fn wmem<'a>(c: &Caller<'a, WaliContext>) -> &'a wasm::mem::Memory {
+    &c.instance.memory
 }
 
 /// Resolves `(dirfd, guest path)` through the capability table into a host
