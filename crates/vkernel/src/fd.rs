@@ -10,25 +10,31 @@ use std::sync::Arc;
 use wali_abi::flags::{O_ACCMODE, O_RDONLY, O_WRONLY};
 use wali_abi::Errno;
 
+use crate::kernel::epoll::Epoll;
 use crate::lockorder::{LockClass, Tracked};
+use crate::pipe::Pipe;
+use crate::slab::Handle;
+use crate::socket::Socket;
 use crate::vfs::InodeId;
 
 /// Default soft limit on open descriptors (RLIMIT_NOFILE).
 pub const DEFAULT_NOFILE: usize = 1024;
 
-/// What an open file description refers to.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// What an open file description refers to. A pipe, socket or epoll
+/// instance is held by [`Handle`] — the object, not a slab id to look
+/// up — so a call that has the description has its object.
+#[derive(Clone, Debug)]
 pub enum FileKind {
     /// Regular file.
     Regular(InodeId),
     /// Open directory (for `getdents64` / `fchdir`).
     Dir(InodeId),
     /// Read end of a pipe.
-    PipeRead(usize),
+    PipeRead(Handle<Pipe>),
     /// Write end of a pipe.
-    PipeWrite(usize),
+    PipeWrite(Handle<Pipe>),
     /// A socket.
-    Socket(usize),
+    Socket(Handle<Socket>),
     /// Character device by inode.
     CharDev(InodeId),
     /// Snapshot text (generated `/proc` files).
@@ -36,7 +42,7 @@ pub enum FileKind {
     /// An eventfd counter.
     EventFd,
     /// An epoll instance.
-    Epoll(usize),
+    Epoll(Handle<Epoll>),
 }
 
 /// An open file description (shared by duplicated descriptors).

@@ -53,6 +53,7 @@ use wali_abi::Errno;
 
 use crate::fd::{FileKind, FileRef, OpenFile};
 use crate::lockorder::Tracked;
+use crate::slab::Handle;
 use crate::sync::{FastMap, MutexExt};
 use crate::wait::Channel;
 use crate::{SysResult, Tid};
@@ -93,15 +94,21 @@ pub(crate) struct EpollReg {
     pub(crate) hub_chans: ChanSet,
 }
 
-/// One drained ring entry on its way through a pop: the registration as
-/// the drain saw it, then what verifying it decided — applied to the
-/// interest list in one pass at the end.
-#[derive(Clone, Debug)]
+/// One drained ring entry on its way through a pop: what the drain
+/// copied of the registration — its description already upgraded, so
+/// the probe starts from a handle — then what verifying it decided,
+/// applied to the interest list in one pass at the end.
+#[derive(Debug)]
 pub(crate) struct Candidate {
     key: u64,
-    reg: EpollReg,
-    /// The description is fully closed: remove the registration.
-    swept: bool,
+    events: u32,
+    data: u64,
+    prev_ready: u32,
+    prev_gen: u64,
+    hub_chans: ChanSet,
+    /// The registered description; `None` once it is fully closed
+    /// (remove the registration).
+    file: Option<FileRef>,
     /// New `(prev_ready, prev_gen)` edge memory, and whether ONESHOT
     /// fired.
     update: Option<(u32, u64, bool)>,
@@ -175,17 +182,12 @@ impl Epoll {
     }
 
     /// The key registered for the `(fd, description)` pair, if any.
-    fn find(&self, fd: i32, target: &Option<FileRef>) -> Option<u64> {
+    fn find(&self, fd: i32, target: &FileRef) -> Option<u64> {
         let keys = self.by_fd.get(&fd)?;
-        keys.iter().copied().find(|k| {
-            self.interest.get(k).is_some_and(|reg| {
-                reg.file
-                    .upgrade()
-                    .zip(target.clone())
-                    .map(|(a, b)| Arc::ptr_eq(&a, &b))
-                    .unwrap_or(false)
-            })
-        })
+        let registered = |k: &u64| self.interest.get(k).map(|reg| reg.file.as_ptr());
+        keys.iter()
+            .copied()
+            .find(|k| registered(k) == Some(Arc::as_ptr(target)))
     }
 }
 
@@ -221,44 +223,23 @@ fn poll_to_epoll(revents: i16, interest: u32) -> u32 {
 }
 
 impl Kernel {
-    fn alloc_epoll(&mut self) -> usize {
-        self.epolls.insert(Epoll::default())
-    }
-
-    /// Runs `f` under epoll instance `id`'s own lock (rank
-    /// [`LockClass::Epoll`](crate::lockorder::LockClass), below the
-    /// pipe/socket object rank so a pop may look at objects while the
-    /// interest list is held — though the pop below deliberately
-    /// snapshots first and never does).
-    pub(crate) fn with_epoll<R>(
-        &self,
-        id: usize,
-        f: impl FnOnce(&mut Epoll) -> R,
-    ) -> Result<R, Errno> {
-        let e = self.epolls.get(id).ok_or(Errno::Ebadf)?;
-        let mut g = e.lock_ok();
-        Ok(f(&mut g))
-    }
-
     /// The epoll instance behind `epfd` — resolved once per
     /// `epoll_wait`, then [`Kernel::epoll_pop`] and
-    /// [`Kernel::epoll_park`] go by id.
-    pub fn epoll_id(&self, tid: Tid, epfd: i32) -> Result<usize, Errno> {
+    /// [`Kernel::epoll_park`] go by handle.
+    pub fn epoll_of(&self, tid: Tid, epfd: i32) -> Result<Handle<Epoll>, Errno> {
         let task = self.task(tid)?;
         let table = task.fdtable.lock_ok();
         let file = table.get(epfd)?.file.lock_ok();
-        match file.kind {
-            FileKind::Epoll(id) => Ok(id),
+        match &file.kind {
+            FileKind::Epoll(ep) => Ok(ep.clone()),
             _ => Err(Errno::Einval),
         }
     }
 
     /// Frees an epoll instance when its last descriptor closes,
     /// unregistering every ready-hub channel its registrations held.
-    pub(crate) fn release_epoll(&mut self, id: usize) {
-        let Some(ep) = self.epolls.free(id) else {
-            return;
-        };
+    pub(crate) fn release_epoll(&mut self, ep: &Handle<Epoll>) {
+        self.epolls.free(ep.id);
         let chans: Vec<(Channel, u64)> = {
             let g = ep.lock_ok();
             g.interest
@@ -267,9 +248,9 @@ impl Kernel {
                 .collect()
         };
         for (ch, key) in chans {
-            self.waits.hub_unregister(ch, id, key);
+            self.waits.hub_unregister(ch, ep.id, key);
         }
-        self.waits.lock().release(Channel::EpollReady(id));
+        self.waits.lock().release(Channel::EpollReady(ep.id));
     }
 
     /// `epoll_create1(flags)`: allocates an instance and its fd.
@@ -277,8 +258,8 @@ impl Kernel {
         if flags & !EPOLL_CLOEXEC != 0 {
             return Err(Errno::Einval.into());
         }
-        let id = self.alloc_epoll();
-        let file = OpenFile::shared(FileKind::Epoll(id), O_RDWR);
+        let ep = self.epolls.insert(Epoll::default());
+        let file = OpenFile::shared(FileKind::Epoll(ep), O_RDWR);
         let task = self.task(tid)?;
         let fd = task
             .fdtable
@@ -297,87 +278,73 @@ impl Kernel {
         events: u32,
         data: u64,
     ) -> SysResult {
-        let id = self.epoll_id(tid, epfd)?;
+        let ep = self.epoll_of(tid, epfd)?;
         // The target must be an open descriptor of the caller.
-        let (kind, file) = {
-            let task = self.task(tid)?;
-            let table = task.fdtable.lock_ok();
-            let entry = table.get(fd)?;
-            let pair = (
-                entry.file.lock_ok().kind.clone(),
-                Arc::downgrade(&entry.file),
-            );
-            pair
-        };
-        if matches!(kind, FileKind::Epoll(_)) {
+        let target = self.task(tid)?.fdtable.lock_ok().file(fd)?;
+        if matches!(target.lock_ok().kind, FileKind::Epoll(_)) {
             // Nested epoll instances would make the wait-channel walk
             // cyclic; Linux reports closed loops the same way.
             return Err(Errno::Eloop.into());
         }
-        let target = file.upgrade();
         // What happened under the epoll lock (hub bookkeeping and the
         // readiness probe run after it drops: they take locks that rank
         // below/above the epoll class).
         enum Edit {
-            Added(u64),
-            Modified(u64, ChanSet),
+            Armed(u64, ChanSet),
             Deleted(ChanSet, u64),
         }
-        let edit = self.with_epoll(id, |ep| {
+        let edit = {
+            let mut g = ep.lock_ok();
             // The registration key is the (fd, description) pair: a stale
             // entry for the same fd number but a different (or dead)
             // description does not count as "present".
-            let existing = ep.find(fd, &target);
+            let existing = g.find(fd, &target);
             match (op, existing) {
-                (EPOLL_CTL_ADD, Some(_)) => Err(Errno::Eexist),
-                (EPOLL_CTL_ADD, None) => Ok(Edit::Added(ep.insert_reg(EpollReg {
-                    fd,
-                    events,
-                    data,
-                    file: file.clone(),
-                    prev_ready: 0,
-                    prev_gen: 0,
-                    armed: true,
-                    queued: false,
-                    hub_chans: ChanSet::default(),
-                }))),
+                (EPOLL_CTL_ADD, Some(_)) => return Err(Errno::Eexist.into()),
+                (EPOLL_CTL_ADD, None) => {
+                    let key = g.insert_reg(EpollReg {
+                        fd,
+                        events,
+                        data,
+                        file: Arc::downgrade(&target),
+                        prev_ready: 0,
+                        prev_gen: 0,
+                        armed: true,
+                        queued: false,
+                        hub_chans: ChanSet::default(),
+                    });
+                    Edit::Armed(key, ChanSet::default())
+                }
                 // MOD re-arms a ONESHOT-disarmed registration and resets
                 // the edge-trigger state (Linux re-arms on modify).
                 (EPOLL_CTL_MOD, Some(key)) => {
-                    let reg = ep.interest.get_mut(&key).expect("found key is live");
+                    let reg = g.interest.get_mut(&key).expect("found key is live");
                     let old_chans = std::mem::take(&mut reg.hub_chans);
                     reg.events = events;
                     reg.data = data;
                     reg.prev_ready = 0;
                     reg.prev_gen = 0;
                     reg.armed = true;
-                    Ok(Edit::Modified(key, old_chans))
+                    Edit::Armed(key, old_chans)
                 }
                 (EPOLL_CTL_DEL, Some(key)) => {
-                    let reg = ep.remove_reg(key).expect("found key is live");
-                    Ok(Edit::Deleted(reg.hub_chans, key))
+                    let reg = g.remove_reg(key).expect("found key is live");
+                    Edit::Deleted(reg.hub_chans, key)
                 }
-                (EPOLL_CTL_MOD | EPOLL_CTL_DEL, None) => Err(Errno::Enoent),
-                _ => Err(Errno::Einval),
+                (EPOLL_CTL_MOD | EPOLL_CTL_DEL, None) => return Err(Errno::Enoent.into()),
+                _ => return Err(Errno::Einval.into()),
             }
-        })??;
+        };
         match edit {
-            Edit::Added(key) => {
-                if let Some(f) = target {
-                    self.ring_arm(tid, id, key, &f, events, ChanSet::default())?;
-                }
-            }
-            Edit::Modified(key, old_chans) => {
-                if let Some(f) = target {
-                    self.ring_arm(tid, id, key, &f, events, old_chans)?;
-                }
+            Edit::Armed(key, old_chans) => {
+                self.ring_arm(tid, &ep, key, &target, events, old_chans)?;
             }
             Edit::Deleted(chans, key) => {
                 // No wakeup: a waiter that no longer matches this entry
                 // simply never sees it (a stale ring key is skipped at
                 // the next pop).
                 for ch in chans.iter() {
-                    self.waits.hub_unregister(ch, id, key);
+                    self.waits.hub_unregister(ch, ep.id, key);
                 }
             }
         }
@@ -392,29 +359,27 @@ impl Kernel {
     fn ring_arm(
         &mut self,
         tid: Tid,
-        id: usize,
+        ep: &Handle<Epoll>,
         key: u64,
         file: &FileRef,
         events: u32,
         old_chans: ChanSet,
     ) -> SysResult {
-        let chans = self.desc_wait_channels(file, epoll_to_poll(events));
+        let (chans, _) = self.probe(tid, file, epoll_to_poll(events))?;
         for ch in chans.iter() {
-            self.waits.hub_register(ch, id, key);
+            self.waits.hub_register(ch, ep, key);
         }
         for ch in old_chans.iter().filter(|ch| !chans.contains(*ch)) {
-            self.waits.hub_unregister(ch, id, key);
+            self.waits.hub_unregister(ch, ep.id, key);
         }
-        self.with_epoll(id, |ep| {
-            if let Some(reg) = ep.interest.get_mut(&key) {
-                reg.hub_chans = chans;
-            }
-        })?;
-        let revents = self.poll_desc(tid, file, epoll_to_poll(events))?;
+        if let Some(reg) = ep.lock_ok().interest.get_mut(&key) {
+            reg.hub_chans = chans;
+        }
+        let (_, revents) = self.probe(tid, file, epoll_to_poll(events))?;
         if poll_to_epoll(revents, events) != 0 {
-            let pushed = self.with_epoll(id, |ep| ep.ring_push(key))?;
+            let pushed = ep.lock_ok().ring_push(key);
             if pushed {
-                self.wait_post(Channel::EpollReady(id));
+                self.wait_post(Channel::EpollReady(ep.id));
             }
         }
         Ok(0)
@@ -439,14 +404,13 @@ impl Kernel {
     pub(crate) fn epoll_ready(
         &mut self,
         tid: Tid,
-        id: usize,
+        ep: &Handle<Epoll>,
         max: usize,
         peek: bool,
         out: &mut Vec<(u32, u64)>,
     ) -> SysResult<()> {
         let budget = out.len() + max.max(1);
-        let ep = self.epolls.get(id).ok_or(Errno::Ebadf)?;
-        // Phase 1: drain the whole ring under the epoll lock, snapshotting
+        // Phase 1: drain the whole ring under the epoll lock, copying
         // the armed registrations into the kernel's candidate list. Keys
         // are sorted so reports come out in registration order
         // (single-worker runs stay bit-deterministic). `queued` clears
@@ -469,8 +433,12 @@ impl Kernel {
                 if reg.armed {
                     cands.push(Candidate {
                         key,
-                        reg: reg.clone(),
-                        swept: false,
+                        events: reg.events,
+                        data: reg.data,
+                        prev_ready: reg.prev_ready,
+                        prev_gen: reg.prev_gen,
+                        hub_chans: reg.hub_chans,
+                        file: reg.file.upgrade(),
                         update: None,
                         rewire: None,
                         requeue: false,
@@ -482,8 +450,8 @@ impl Kernel {
             self.epoll_scratch = cands;
             return Ok(());
         }
-        // Phase 2: verify with no epoll lock held (readiness probes and
-        // channel walks take slab/object locks).
+        // Phase 2: verify with no epoll lock held (a probe takes
+        // description and object locks).
         for c in &mut cands {
             if out.len() >= budget {
                 // Past the caller's budget: re-queue unverified, their
@@ -491,25 +459,23 @@ impl Kernel {
                 c.requeue = true;
                 continue;
             }
-            let reg = &c.reg;
-            let Some(file) = reg.file.upgrade() else {
-                c.swept = true;
-                continue;
-            };
-            // Refresh the hub wiring first: a description's readiness
-            // channels can change (a socket that connected gained its
-            // peer's space channel), and registering *before* the probe
-            // closes the missed-transition window.
-            let chans = self.desc_wait_channels(&file, epoll_to_poll(reg.events));
-            if chans != reg.hub_chans {
-                for ch in chans.iter().filter(|ch| !reg.hub_chans.contains(*ch)) {
-                    self.waits.hub_register(ch, id, c.key);
+            let Some(file) = &c.file else { continue };
+            let asked = epoll_to_poll(c.events);
+            let (mut chans, mut revents) = self.probe(tid, file, asked)?;
+            if chans != c.hub_chans {
+                // The description's readiness channels changed (a socket
+                // that connected gained its peer's space channel):
+                // register them, then look again — registering *before*
+                // the probe that counts closes the missed-transition
+                // window.
+                for ch in chans.iter().filter(|ch| !c.hub_chans.contains(*ch)) {
+                    self.waits.hub_register(ch, ep, c.key);
                 }
+                (chans, revents) = self.probe(tid, file, asked)?;
                 c.rewire = Some(chans);
             }
-            let revents = self.poll_desc(tid, &file, epoll_to_poll(reg.events))?;
-            let ready = poll_to_epoll(revents, reg.events);
-            let et = reg.events & EPOLLET != 0;
+            let ready = poll_to_epoll(revents, c.events);
+            let et = c.events & EPOLLET != 0;
             // The sum of the channels' event generations moves whenever
             // a new transition (post) happened on any of them: the ET
             // re-arm signal.
@@ -525,16 +491,16 @@ impl Kernel {
                 // transition arrived in between (generation moved) —
                 // data written between a drain and this pop must
                 // re-notify, like Linux ET re-arming on new events.
-                (ready & !reg.prev_ready) | if gen != reg.prev_gen { ready } else { 0 }
+                (ready & !c.prev_ready) | if gen != c.prev_gen { ready } else { 0 }
             } else {
                 ready
             };
-            let disarm = reg.events & EPOLLONESHOT != 0 && report != 0;
-            if reg.prev_ready != ready || reg.prev_gen != gen || disarm {
+            let disarm = c.events & EPOLLONESHOT != 0 && report != 0;
+            if c.prev_ready != ready || c.prev_gen != gen || disarm {
                 c.update = Some((ready, gen, disarm));
             }
             if report != 0 {
-                out.push((report, reg.data));
+                out.push((report, c.data));
                 // Level-triggered readiness persists until drained:
                 // re-queue so the next pop re-verifies it.
                 c.requeue = !et && !disarm;
@@ -545,7 +511,7 @@ impl Kernel {
         {
             let mut g = ep.lock_ok();
             for c in &cands {
-                if c.swept {
+                if c.file.is_none() {
                     g.remove_reg(c.key);
                     continue;
                 }
@@ -564,32 +530,37 @@ impl Kernel {
                 }
             }
         }
-        // Hub bookkeeping runs with no epoll lock held.
-        for c in &cands {
-            let keep = match c.rewire {
-                _ if c.swept => ChanSet::default(),
-                Some(chans) => chans,
-                None => continue,
+        // Hub bookkeeping runs with no epoll lock held. A candidate's
+        // reference to its description goes the way every reference
+        // does: a `close` that raced the probe on another worker left
+        // this one the last, and the last one releases.
+        for c in cands.drain(..) {
+            let keep = match (c.rewire, &c.file) {
+                (_, None) => Some(ChanSet::default()),
+                (rewired, Some(_)) => rewired,
             };
-            for ch in c.reg.hub_chans.iter().filter(|ch| !keep.contains(*ch)) {
-                self.waits.hub_unregister(ch, id, c.key);
+            let dropped = |ch: &Channel| keep.is_some_and(|keep| !keep.contains(*ch));
+            for ch in c.hub_chans.iter().filter(dropped) {
+                self.waits.hub_unregister(ch, ep.id, c.key);
+            }
+            if let Some(file) = c.file {
+                self.release_if_last(file);
             }
         }
-        cands.clear();
         self.epoll_scratch = cands;
         Ok(())
     }
 
-    /// The ready-ring pop for `epoll_wait`, by instance id: appends up to
-    /// `max` ready `(events, data)` reports to `out`.
+    /// The ready-ring pop for `epoll_wait`: appends up to `max` ready
+    /// `(events, data)` reports to `out`.
     pub fn epoll_pop(
         &mut self,
         tid: Tid,
-        id: usize,
+        ep: &Handle<Epoll>,
         max: usize,
         out: &mut Vec<(u32, u64)>,
     ) -> SysResult<()> {
-        self.epoll_ready(tid, id, max, false, out)
+        self.epoll_ready(tid, ep, max, false, out)
     }
 
     /// The ready-ring pop addressed by epoll fd.
@@ -599,9 +570,9 @@ impl Kernel {
         epfd: i32,
         max: usize,
     ) -> SysResult<Vec<(u32, u64)>> {
-        let id = self.epoll_id(tid, epfd)?;
+        let ep = self.epoll_of(tid, epfd)?;
         let mut out = Vec::new();
-        self.epoll_pop(tid, id, max, &mut out)?;
+        self.epoll_pop(tid, &ep, max, &mut out)?;
         Ok(out)
     }
 
@@ -609,14 +580,14 @@ impl Kernel {
     /// channels — the instance's ready ring and the task's signal
     /// channel — regardless of interest-list size; the hub routes every
     /// relevant readiness transition to [`Channel::EpollReady`].
-    pub fn epoll_park(&mut self, tid: Tid, id: usize) {
-        self.waits.park_on(tid, Channel::EpollReady(id));
+    pub fn epoll_park(&mut self, tid: Tid, ep: &Handle<Epoll>) {
+        self.waits.park_on(tid, Channel::EpollReady(ep.id));
     }
 
     /// [`Kernel::epoll_park`] addressed by epoll fd.
     pub fn epoll_subscribe(&mut self, tid: Tid, epfd: i32) -> SysResult {
-        let id = self.epoll_id(tid, epfd)?;
-        self.epoll_park(tid, id);
+        let ep = self.epoll_of(tid, epfd)?;
+        self.epoll_park(tid, &ep);
         Ok(0)
     }
 }
@@ -935,7 +906,7 @@ mod tests {
             .lock_ok()
             .kind
         {
-            FileKind::PipeRead(id) => id,
+            FileKind::PipeRead(ref pipe) => pipe.id,
             ref other => panic!("{other:?}"),
         };
         assert!(k.waits.lock().generation(Channel::PipeReadable(id)) >= 5);

@@ -13,12 +13,13 @@ use wali_abi::signals::Signal;
 use wali_abi::Errno;
 
 use crate::fd::{FdEntry, FileKind, FileRef, OpenFile};
+use crate::pipe::Pipe;
 use crate::sync::MutexExt;
 use crate::vfs::{DevKind, InodeId, InodeKind};
 use crate::wait::Channel;
 use crate::{SysResult, Tid};
 
-use super::io::Core;
+use super::io::{Core, Intr};
 use super::Kernel;
 
 impl Kernel {
@@ -147,9 +148,8 @@ impl Kernel {
     /// `read` on a description the caller resolved: against the shards
     /// ([`super::io`]), then whatever of it needs the core.
     pub fn read_file(&mut self, tid: Tid, file: &FileRef, out: &mut [u8]) -> SysResult {
-        let io = self
-            .shards
-            .read(tid, file, out, &|| self.has_pending_signal(tid));
+        let ask = || self.has_pending_signal(tid);
+        let io = self.shards.read(tid, file, out, Intr::Ask(&ask));
         io.unwrap_or_else(|rest| self.finish_read(tid, rest, out))
     }
 
@@ -157,7 +157,10 @@ impl Kernel {
     /// left to the core.
     pub fn finish_read(&mut self, tid: Tid, rest: Core, out: &mut [u8]) -> SysResult {
         match rest {
-            Core::Sock(id) => self.sock_recv(tid, id, out, 0).map(|n| n as i64),
+            Core::Park(sock) => {
+                let got = self.recv_asking(tid, &sock, out, 0, false);
+                got.map(|(n, _)| n as i64)
+            }
             Core::Dev(inode) => match self.dev_kind(inode)? {
                 DevKind::Null | DevKind::Tty => Ok(0),
                 DevKind::Zero => {
@@ -170,7 +173,8 @@ impl Kernel {
                 DevKind::ProcSelfMem => Err(Errno::Eio.into()),
                 DevKind::ProcText(_) => Ok(0),
             },
-            Core::Sigpipe => self.epipe(tid),
+            // Reads leave nothing else to the core.
+            Core::Dgram(_) | Core::Sigpipe => self.epipe(tid),
         }
     }
 
@@ -183,9 +187,8 @@ impl Kernel {
     /// `write` on a description the caller resolved (see
     /// [`Kernel::read_file`]).
     pub fn write_file(&mut self, tid: Tid, file: &FileRef, data: &[u8]) -> SysResult {
-        let io = self
-            .shards
-            .write(tid, file, data, &|| self.has_pending_signal(tid));
+        let ask = || self.has_pending_signal(tid);
+        let io = self.shards.write(tid, file, data, Intr::Ask(&ask));
         io.unwrap_or_else(|rest| self.finish_write(tid, rest, data))
     }
 
@@ -193,7 +196,6 @@ impl Kernel {
     /// left to the core.
     pub fn finish_write(&mut self, tid: Tid, rest: Core, data: &[u8]) -> SysResult {
         match rest {
-            Core::Sock(id) => self.sock_send(tid, id, data, 0).map(|n| n as i64),
             Core::Dev(inode) => match self.dev_kind(inode)? {
                 DevKind::Null | DevKind::Zero | DevKind::Urandom => Ok(data.len() as i64),
                 DevKind::Tty => {
@@ -203,7 +205,7 @@ impl Kernel {
                 DevKind::ProcSelfMem => Err(Errno::Eio.into()),
                 DevKind::ProcText(_) => Err(Errno::Eacces.into()),
             },
-            Core::Sigpipe => self.epipe(tid),
+            rest => self.finish_send(tid, rest, None, data).map(|n| n as i64),
         }
     }
 
@@ -243,19 +245,19 @@ impl Kernel {
     pub fn sys_close(&mut self, tid: Tid, fd: i32) -> SysResult {
         let task = self.task(tid)?;
         let entry = task.fdtable.lock_ok().close(fd)?;
-        self.release_if_last(entry);
+        self.release_if_last(entry.file);
         Ok(0)
     }
 
     /// Drops one reference to a description (a closed descriptor) and,
     /// when it was the last, the description's side-effects.
-    pub(crate) fn release_if_last(&mut self, entry: FdEntry) {
-        let key = Arc::as_ptr(&entry.file) as usize;
+    pub(crate) fn release_if_last(&mut self, file: FileRef) {
+        let key = Arc::as_ptr(&file) as usize;
         // Linux's `fput`: whoever drops the last reference releases, and
         // exactly one holder is told it was the last — also when an
         // embedder's in-flight call on another worker still held the
         // description while its descriptor was closed here.
-        if let Some(last) = Arc::into_inner(entry.file) {
+        if let Some(last) = Arc::into_inner(file) {
             self.release_description(last.into_inner(), key);
         }
     }
@@ -264,37 +266,31 @@ impl Kernel {
     /// (pipe end counts, socket refs, wait heads). `key` is the address
     /// its handle had — an eventfd's wait channel.
     pub fn release_description(&mut self, gone: OpenFile, key: usize) {
-        match gone.kind {
-            FileKind::PipeRead(id) | FileKind::PipeWrite(id) => {
+        match &gone.kind {
+            FileKind::PipeRead(pipe) | FileKind::PipeWrite(pipe) => {
                 let read = matches!(gone.kind, FileKind::PipeRead(_));
-                // Decrement under the pipe lock, but free the slab slot
-                // only after the guard drops: Slab ranks below Object in
-                // the lock-ordering DAG.
-                let dead = self
-                    .with_pipe(id, |p| {
-                        let end = if read { &mut p.readers } else { &mut p.writers };
-                        *end = end.saturating_sub(1);
-                        p.readers == 0 && p.writers == 0
-                    })
-                    .unwrap_or(false);
+                let dead = {
+                    let mut p = pipe.lock_ok();
+                    let end = if read { &mut p.readers } else { &mut p.writers };
+                    *end = end.saturating_sub(1);
+                    p.readers == 0 && p.writers == 0
+                };
                 if dead {
-                    self.shards.pipes.free(id);
+                    self.pipes.free(pipe.id);
                 }
                 // Blocked writers must observe EPIPE, blocked readers
-                // EOF, pollers the hangup: the other end's channel first.
-                let (r, w) = (Channel::PipeReadable(id), Channel::PipeWritable(id));
-                let (first, second) = if read { (w, r) } else { (r, w) };
-                self.waits.post(first);
-                self.waits.post(second);
-                if dead {
-                    // Last post done: the heads die with the pipe.
-                    let mut waits = self.waits.lock();
-                    waits.release(r);
-                    waits.release(w);
-                }
+                // EOF, pollers the hangup: the other end's channel
+                // first. After the last post the heads die with the
+                // pipe.
+                let (r, w) = (
+                    Channel::PipeReadable(pipe.id),
+                    Channel::PipeWritable(pipe.id),
+                );
+                let posts = if read { [w, r] } else { [r, w] };
+                self.waits.post_all(&posts, if dead { &posts } else { &[] });
             }
-            FileKind::Socket(id) => self.release_socket(id),
-            FileKind::Epoll(id) => self.release_epoll(id),
+            FileKind::Socket(sock) => self.release_socket(sock),
+            FileKind::Epoll(ep) => self.release_epoll(ep),
             FileKind::EventFd => self.waits.lock().release(Channel::EventFd(key)),
             _ => {}
         }
@@ -302,13 +298,13 @@ impl Kernel {
 
     /// `pipe2`: returns `(read_fd, write_fd)`.
     pub fn sys_pipe2(&mut self, tid: Tid, flags: i32) -> SysResult<(i32, i32)> {
-        let id = self.alloc_pipe();
+        let pipe = self.pipes.insert(Pipe::new());
         let cloexec = flags & O_CLOEXEC != 0;
         let status = flags & O_NONBLOCK;
         let task = self.task(tid)?;
         let mut table = task.fdtable.lock_ok();
-        let r = OpenFile::shared(FileKind::PipeRead(id), status | O_RDONLY);
-        let w = OpenFile::shared(FileKind::PipeWrite(id), status | O_WRONLY);
+        let r = OpenFile::shared(FileKind::PipeRead(pipe.clone()), status | O_RDONLY);
+        let w = OpenFile::shared(FileKind::PipeWrite(pipe), status | O_WRONLY);
         let rfd = table.alloc(r, cloexec)?;
         let wfd = table.alloc(w, cloexec)?;
         Ok((rfd, wfd))
@@ -336,10 +332,7 @@ impl Kernel {
         };
         // Release the replaced description if that was its last ref.
         if let Some(file) = closed {
-            self.release_if_last(FdEntry {
-                file,
-                cloexec: false,
-            });
+            self.release_if_last(file);
         }
         Ok(new as i64)
     }
@@ -403,13 +396,23 @@ impl Kernel {
                 _ => Err(Errno::Enotty.into()),
             },
             FIONREAD => {
-                let kind = file.lock_ok().kind.clone();
-                let n = match kind {
-                    FileKind::PipeRead(id) => self.with_pipe(id, |p| p.len())?,
-                    FileKind::Socket(id) => self.with_sock(id, |s| s.recv.len())?,
+                let f = file.lock_ok();
+                let n = match &f.kind {
+                    FileKind::PipeRead(pipe) => {
+                        let pipe = pipe.clone();
+                        drop(f);
+                        let n = pipe.lock_ok().len();
+                        n
+                    }
+                    FileKind::Socket(sock) => {
+                        let sock = sock.clone();
+                        drop(f);
+                        let n = sock.lock_ok().recv.len();
+                        n
+                    }
                     FileKind::Regular(inode) => {
-                        let size = self.vfs.read().get(inode)?.size();
-                        size.saturating_sub(file.lock_ok().offset) as usize
+                        let size = self.vfs.read().get(*inode)?.size();
+                        size.saturating_sub(f.offset) as usize
                     }
                     _ => 0,
                 };

@@ -2,70 +2,106 @@
 //! `pwrite64`, `lseek` and `fstat` on an already-resolved description.
 //!
 //! Everything these calls touch on a regular file, a pipe, an eventfd
-//! or a stream socket with bytes (or room) ready is a shard — the
-//! description, the [`VfsShard`](crate::vfs::VfsShard), one pipe or
-//! socket, the waitqueue, the clock — so they are methods of
-//! [`KernelHandles`] and run the same whether the caller holds the
-//! kernel lock ([`super::Kernel::sys_read`] and friends) or not (an embedder
-//! that resolved the descriptor through the task's own fd table). What
-//! does need the kernel core — raising `SIGPIPE`, a character device, a
-//! socket that must block, report a hangup or route a datagram — comes
-//! back as a [`Core`] for `Kernel::finish_read` / `Kernel::finish_write`.
+//! or a socket is a shard — the description, the
+//! [`VfsShard`](crate::vfs::VfsShard), the pipe or socket the
+//! description holds by handle, the waitqueue, the clock — so they are
+//! methods of [`KernelHandles`] and run the same whether the caller
+//! holds the kernel lock ([`super::Kernel::sys_read`] and friends) or
+//! not (an embedder that resolved the descriptor through the task's own
+//! fd table). What does need the kernel core — raising `SIGPIPE`, a
+//! character device, routing a datagram through the address registry —
+//! comes back as a [`Core`] for `Kernel::finish_read` /
+//! `Kernel::finish_write`.
 //!
-//! A call takes the description lock once and keeps it: a regular
-//! file's transfer and its offset advance are one step (Linux's
-//! `f_pos_lock`), `O_APPEND` finds the end of the file and writes there
-//! under one hold of the VFS write lock, and an eventfd reader
-//! subscribes before a writer can post. Nesting is `Description → Vfs`
-//! or `Description → Waits`; pipe and socket locks are taken with the
-//! description lock released ([`crate::lockorder`]).
+//! A call takes the description lock once: it yields the access mode,
+//! `O_NONBLOCK` and the object. A regular file's transfer and its
+//! offset advance are one step under it (Linux's `f_pos_lock`),
+//! `O_APPEND` finds the end of the file and writes there under one hold
+//! of the VFS write lock, and an eventfd reader subscribes before a
+//! writer can post. Nesting is `Description → Vfs` or `Description →
+//! Waits`; a pipe or socket is locked — once, for whatever the call
+//! finds: bytes, EOF, `-EAGAIN`, the park — with the description lock
+//! released ([`crate::lockorder`]).
 //!
 //! Blocking follows the protocol of [`crate::wait`]: a consumer that
 //! finds nothing subscribes under the object's lock, a producer posts
 //! after releasing it. Whether a signal is pending (`EINTR` instead of
-//! a park) is the core's to know; callers outside the kernel lock pass
-//! "no" while the task's signal hint is down and re-check the hint
-//! after a park (every kill path raises it before posting its wakeup).
+//! a park) is the core's to know and is asked only where a call would
+//! park ([`Intr`]); a caller outside the kernel lock makes the call
+//! while the task's signal hint is down and re-checks the hint after a
+//! park (every kill path raises it before posting its wakeup).
 
 use std::sync::Arc;
 
-use wali_abi::flags::{
-    O_APPEND, O_NONBLOCK, SEEK_CUR, SEEK_END, SEEK_SET, SOCK_STREAM, S_IFIFO, S_IFSOCK,
-};
-use wali_abi::layout::{WaliStat, WaliTimespec};
+use wali_abi::flags::{O_APPEND, O_NONBLOCK, SEEK_CUR, SEEK_END, SEEK_SET, S_IFIFO, S_IFSOCK};
+use wali_abi::layout::{WaliSockaddr, WaliStat, WaliTimespec};
 use wali_abi::Errno;
 
 use crate::fd::{FileKind, FileRef};
-use crate::pipe::PipeIo;
-use crate::socket::SockState;
+use crate::pipe::{Pipe, PipeIo};
+use crate::slab::Handle;
+use crate::socket::Socket;
 use crate::vfs::InodeId;
 use crate::wait::Channel;
 use crate::{block, SysError, SysResult, Tid};
 
+use super::sock::dontwait;
 use super::KernelHandles;
+
+/// How a call about to park learns whether a signal would interrupt it.
+#[derive(Clone, Copy)]
+pub enum Intr<'a> {
+    /// The caller holds the kernel lock: ask the core.
+    Ask(&'a dyn Fn() -> bool),
+    /// The caller does not, and found the task's signal hint down. A
+    /// pipe takes that for "no". A stream socket's receive does not: the
+    /// hint says nothing for a thread cloned while a process-directed
+    /// signal was pending, a socket's park has always asked the core,
+    /// and the single-worker schedule (two of the 360 pinned fuzz seeds)
+    /// depends on the difference — it hands the park over
+    /// ([`Core::Park`]).
+    HintDown,
+}
+
+impl Intr<'_> {
+    fn pending(self) -> bool {
+        match self {
+            Intr::Ask(ask) => ask(),
+            Intr::HintDown => false,
+        }
+    }
+}
 
 /// The rest of a `read` or `write` the shards could not finish: what the
 /// description turned out to be, for the kernel core to carry on with
 /// (no second resolution).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Core {
-    /// A socket off the ready-stream shape.
-    Sock(usize),
+    /// A stream `read` that found nothing and may block, from a caller
+    /// that cannot say whether a signal is pending ([`Intr::HintDown`]):
+    /// the socket, for the core to ask and park. (Only `read` is made
+    /// off the kernel lock, so the call has no `MSG_*` flags to carry.)
+    Park(Handle<Socket>),
+    /// A datagram to route through the address registry: the sender's
+    /// bound address and its default destination (`connect`). Boxed:
+    /// every `read` and `write` returns a `Core`-sized value.
+    Dgram(Box<(Option<WaliSockaddr>, Option<WaliSockaddr>)>),
     /// A character device, by inode.
     Dev(InodeId),
-    /// A write to a pipe nobody reads: `SIGPIPE`, then `-EPIPE`.
+    /// A write to a pipe nobody reads or a connection that is gone:
+    /// `SIGPIPE`, then `-EPIPE`.
     Sigpipe,
 }
 
 impl KernelHandles {
-    /// `read` on `file`. `has_sig` answers "would a park be interrupted"
-    /// and is asked only where the call could park.
+    /// `read` on `file`. `intr` answers "would a park be interrupted"
+    /// and is consulted only where the call is about to park.
     pub fn read(
         &self,
         tid: Tid,
         file: &FileRef,
         out: &mut [u8],
-        has_sig: &dyn Fn() -> bool,
+        intr: Intr,
     ) -> Result<SysResult, Core> {
         let mut f = file.lock_ok();
         if !f.readable() {
@@ -84,16 +120,17 @@ impl KernelHandles {
                 n
             }
             FileKind::Dir(_) => return Ok(Err(Errno::Eisdir.into())),
-            FileKind::PipeRead(id) => {
-                let id = *id;
+            FileKind::PipeRead(pipe) => {
+                let pipe = pipe.clone();
                 drop(f);
-                return Ok(self.pipe_read(tid, id, nonblock, has_sig(), out));
+                return Ok(self.pipe_read(tid, &pipe, nonblock, intr, out));
             }
             FileKind::PipeWrite(_) => return Ok(Err(Errno::Ebadf.into())),
-            FileKind::Socket(id) => {
-                let id = *id;
+            FileKind::Socket(sock) => {
+                let sock = sock.clone();
                 drop(f);
-                return self.stream_recv_ready(id, out).ok_or(Core::Sock(id));
+                let got = self.sock_recv(tid, &sock, out, dontwait(nonblock), false, intr)?;
+                return Ok(got.map(|(n, _)| n as i64));
             }
             FileKind::CharDev(inode) => return Err(Core::Dev(*inode)),
             FileKind::Epoll(_) => return Ok(Err(Errno::Einval.into())),
@@ -118,13 +155,13 @@ impl KernelHandles {
         Ok(Ok(n as i64))
     }
 
-    /// `write` on `file` (see [`KernelHandles::read`] for `has_sig`).
+    /// `write` on `file` (see [`KernelHandles::read`] for `intr`).
     pub fn write(
         &self,
         tid: Tid,
         file: &FileRef,
         data: &[u8],
-        has_sig: &dyn Fn() -> bool,
+        intr: Intr,
     ) -> Result<SysResult, Core> {
         let mut f = file.lock_ok();
         if !f.writable() {
@@ -143,16 +180,17 @@ impl KernelHandles {
             }
             FileKind::Dir(_) => Ok(Err(Errno::Eisdir.into())),
             FileKind::ProcSnapshot(_) => Ok(Err(Errno::Eacces.into())),
-            FileKind::PipeWrite(id) => {
-                let id = *id;
+            FileKind::PipeWrite(pipe) => {
+                let pipe = pipe.clone();
                 drop(f);
-                self.pipe_write(tid, id, nonblock, has_sig(), data)
+                self.pipe_write(tid, &pipe, nonblock, intr, data)
             }
             FileKind::PipeRead(_) => Ok(Err(Errno::Ebadf.into())),
-            FileKind::Socket(id) => {
-                let id = *id;
+            FileKind::Socket(sock) => {
+                let sock = sock.clone();
                 drop(f);
-                self.stream_send_ready(id, data).ok_or(Core::Sock(id))
+                let sent = self.sock_send(tid, &sock, data, dontwait(nonblock))?;
+                Ok(sent.map(|n| n as i64))
             }
             FileKind::CharDev(inode) => Err(Core::Dev(*inode)),
             FileKind::Epoll(_) => Ok(Err(Errno::Einval.into())),
@@ -282,33 +320,29 @@ impl KernelHandles {
     fn pipe_read(
         &self,
         tid: Tid,
-        id: usize,
+        pipe: &Handle<Pipe>,
         nonblock: bool,
-        has_sig: bool,
+        intr: Intr,
         out: &mut [u8],
     ) -> SysResult {
-        let pipe = self.pipes.get(id).ok_or(Errno::Ebadf)?;
-        let io = {
-            let mut p = pipe.lock_ok();
-            let r = p.read(out);
-            if matches!(r, PipeIo::WouldBlock) && !nonblock && !has_sig {
-                // Subscribe while still holding the pipe lock: a writer
-                // filling the buffer after this point posts only after
-                // dropping the lock, so the wakeup cannot be missed.
-                self.waits.park_on(tid, Channel::PipeReadable(id));
-            }
-            r
-        };
-        match io {
+        let mut p = pipe.lock_ok();
+        match p.read(out) {
             PipeIo::Xfer(n) => {
+                drop(p);
                 // Space opened up: wake blocked writers.
-                self.waits.post(Channel::PipeWritable(id));
+                self.waits.post(Channel::PipeWritable(pipe.id));
                 Ok(n as i64)
             }
             PipeIo::Eof => Ok(0),
             PipeIo::WouldBlock if nonblock => Err(Errno::Eagain.into()),
-            PipeIo::WouldBlock if has_sig => Err(Errno::Eintr.into()),
-            PipeIo::WouldBlock => Err(block()),
+            PipeIo::WouldBlock if intr.pending() => Err(Errno::Eintr.into()),
+            PipeIo::WouldBlock => {
+                // Subscribe while still holding the pipe lock: a writer
+                // filling the buffer after this point posts only after
+                // dropping the lock, so the wakeup cannot be missed.
+                self.waits.park_on(tid, Channel::PipeReadable(pipe.id));
+                Err(block())
+            }
             PipeIo::Broken => unreachable!("read never reports Broken"),
         }
     }
@@ -316,94 +350,29 @@ impl KernelHandles {
     fn pipe_write(
         &self,
         tid: Tid,
-        id: usize,
+        pipe: &Handle<Pipe>,
         nonblock: bool,
-        has_sig: bool,
+        intr: Intr,
         data: &[u8],
     ) -> Result<SysResult, Core> {
-        let Some(pipe) = self.pipes.get(id) else {
-            return Ok(Err(Errno::Ebadf.into()));
-        };
-        let io = {
-            let mut p = pipe.lock_ok();
-            let r = p.write(data);
-            if matches!(r, PipeIo::WouldBlock) && !nonblock && !has_sig {
-                // Subscribe under the pipe lock (see `pipe_read`).
-                self.waits.park_on(tid, Channel::PipeWritable(id));
-            }
-            r
-        };
-        Ok(match io {
+        let mut p = pipe.lock_ok();
+        Ok(match p.write(data) {
             PipeIo::Xfer(n) => {
+                drop(p);
                 // Data arrived: wake blocked readers and pollers.
-                self.waits.post(Channel::PipeReadable(id));
+                self.waits.post(Channel::PipeReadable(pipe.id));
                 Ok(n as i64)
             }
             // No pipe state was changed; the signal is the core's.
             PipeIo::Broken => return Err(Core::Sigpipe),
             PipeIo::WouldBlock if nonblock => Err(Errno::Eagain.into()),
-            PipeIo::WouldBlock if has_sig => Err(Errno::Eintr.into()),
-            PipeIo::WouldBlock => Err(block()),
+            PipeIo::WouldBlock if intr.pending() => Err(Errno::Eintr.into()),
+            PipeIo::WouldBlock => {
+                // Subscribe under the pipe lock (see `pipe_read`).
+                self.waits.park_on(tid, Channel::PipeWritable(pipe.id));
+                Err(block())
+            }
             PipeIo::Eof => unreachable!("write never reports Eof"),
         })
-    }
-
-    /// Stream-socket receive, the drain-available-bytes shape only (what
-    /// a request/response loop hits); EOF, blocking and datagrams are
-    /// `Kernel::sock_recv`'s.
-    fn stream_recv_ready(&self, id: usize, out: &mut [u8]) -> Option<SysResult> {
-        let sock = self.socks.get(id)?;
-        let n = {
-            let mut s = sock.lock_ok();
-            if s.ty != SOCK_STREAM || s.recv.is_empty() {
-                return None;
-            }
-            let n = out.len().min(s.recv.len());
-            for b in out.iter_mut().take(n) {
-                *b = s.recv.pop_front().expect("non-empty");
-            }
-            n
-        };
-        // Space opened in our receive buffer: wake the peer's blocked
-        // senders and POLLOUT pollers (post after dropping the lock).
-        self.waits.post(Channel::SockSpace(id));
-        Some(Ok(n as i64))
-    }
-
-    /// Stream-socket send, the copy-into-peer-space shape only; full
-    /// buffers, closed peers (`SIGPIPE`) and datagrams are
-    /// `Kernel::sock_send`'s, which redoes the checks (nothing here
-    /// changes socket state before it declines).
-    fn stream_send_ready(&self, id: usize, data: &[u8]) -> Option<SysResult> {
-        let peer = {
-            let s = self.socks.get(id)?;
-            let g = s.lock_ok();
-            if g.ty != SOCK_STREAM || g.shut_wr {
-                return None;
-            }
-            match g.state {
-                SockState::Connected { peer } => peer,
-                _ => return None,
-            }
-            // Own lock dropped here: the two per-socket locks never nest.
-        };
-        let n = {
-            let p = self.socks.get(peer)?;
-            let mut g = p.lock_ok();
-            if !matches!(g.state, SockState::Connected { .. }) || g.shut_rd {
-                return None;
-            }
-            let space = g.recv_space();
-            if space == 0 {
-                return None;
-            }
-            let n = data.len().min(space);
-            g.recv.extend(&data[..n]);
-            n
-        };
-        // Data arrived at the peer: wake its readers and pollers (post
-        // after dropping the peer's lock).
-        self.waits.post(Channel::SockReadable(peer));
-        Some(Ok(n as i64))
     }
 }

@@ -19,12 +19,12 @@ use wali_abi::signals::{SigSet, Signal, SIG_BLOCK, SIG_SETMASK, SIG_UNBLOCK};
 use wali_abi::Errno;
 
 use crate::clock::Clock;
-use crate::fd::{FdTable, FileKind, FileRef, OpenFile};
+use crate::fd::{FdTable, FileKind, OpenFile};
 use crate::lockorder::LockClass;
 use crate::pipe::Pipe;
 use crate::proc::{ProcIndex, TaskHot};
 use crate::signal::{disposition, Disposition, PendingSet, SigHandlers};
-use crate::slab::ObjSlab;
+use crate::slab::{Handle, ObjSlab};
 use crate::socket::{AddrKey, Socket};
 use crate::sync::{shared, FastMap, HintFlag, MutexExt};
 use crate::task::{FsInfo, Pid, Rusage, Task, TaskState, Tid};
@@ -85,8 +85,15 @@ pub struct Kernel {
     tasks: BTreeMap<Tid, Task>,
     next_tid: Tid,
     next_mm: u64,
+    /// The slabs that give pipes, sockets and epoll instances their ids
+    /// (which name wait channels and order first-free reuse): touched by
+    /// insert, free and audits only — calls reach an object through the
+    /// [`Handle`](crate::slab::Handle) its description holds.
+    pub(crate) pipes: ObjSlab<Pipe>,
+    pub(crate) socks: ObjSlab<Socket>,
     pub(crate) epolls: ObjSlab<epoll::Epoll>,
-    pub(crate) addr_registry: FastMap<AddrKey, usize>,
+    /// Bound addresses, by the socket that owns each.
+    pub(crate) addr_registry: FastMap<AddrKey, Handle<Socket>>,
     futexes: FastMap<(MmId, u32), VecDeque<Tid>>,
     /// `epoll_wait`'s candidate list, kept for its capacity: a pop that
     /// reports nothing allocates nothing (see [`epoll`]).
@@ -97,25 +104,21 @@ pub struct Kernel {
     rng_state: u64,
     /// Captured console (tty) output.
     pub console: Vec<u8>,
-    /// The handles [`Kernel::handles`] gives out — the pipe and socket
-    /// slabs, the process index (the tid → hot-state mirror maintained on
-    /// spawn/fork/clone/reap) and the shards `vfs`, `clock` and `waits`
-    /// above are handles onto. Descriptor I/O ([`io`]) runs against
-    /// these whether or not its caller holds the kernel lock.
+    /// The handles [`Kernel::handles`] gives out — the process index
+    /// (the tid → hot-state mirror maintained on spawn/fork/clone/reap)
+    /// and the shards `vfs`, `clock` and `waits` above are handles onto.
+    /// Descriptor I/O ([`io`]) runs against these whether or not its
+    /// caller holds the kernel lock.
     pub(crate) shards: KernelHandles,
 }
 
 /// Cloneable handles onto the kernel's shards: everything descriptor
-/// I/O on a regular file, a pipe or a stream socket touches ([`io`]), so
-/// an embedder runs those calls without the big kernel lock. Fetched
-/// once per context ([`Kernel::handles`]) while the kernel lock is
-/// already held.
+/// I/O touches besides the description and the pipe or socket it holds
+/// ([`io`]), so an embedder runs those calls without the big kernel
+/// lock. Fetched once per context ([`Kernel::handles`]) while the kernel
+/// lock is already held.
 #[derive(Clone, Debug)]
 pub struct KernelHandles {
-    /// The pipe slab.
-    pub pipes: ObjSlab<Pipe>,
-    /// The socket slab.
-    pub socks: ObjSlab<Socket>,
     /// The waitqueue shard.
     pub waits: WaitShard,
     /// The process index.
@@ -141,8 +144,6 @@ impl Kernel {
         let mut tasks = BTreeMap::new();
         tasks.insert(1, init);
         let shards = KernelHandles {
-            pipes: ObjSlab::new(LockClass::Object),
-            socks: ObjSlab::new(LockClass::Object),
             waits: WaitShard::new(),
             procs: ProcIndex::new(),
             vfs: VfsShard::new(vfs),
@@ -154,6 +155,8 @@ impl Kernel {
             tasks,
             next_tid: 2,
             next_mm: 2,
+            pipes: ObjSlab::new(LockClass::Object),
+            socks: ObjSlab::new(LockClass::Object),
             epolls: ObjSlab::new(LockClass::Epoll),
             addr_registry: FastMap::default(),
             futexes: FastMap::default(),
@@ -163,9 +166,6 @@ impl Kernel {
             console: Vec::new(),
             shards,
         };
-        // The waitqueue's readiness router resolves epoll ids against
-        // the slab directly (hub → ring push without the kernel lock).
-        k.waits.set_epolls(k.epolls.clone());
         k.register_hot(1);
         k
     }
@@ -275,65 +275,17 @@ impl Kernel {
     /// poller too, like the EINTR path on Linux.
     pub fn wait_on_fds(&mut self, tid: Tid, fds: &[(i32, i16)]) {
         for &(fd, events) in fds {
-            // The walk takes slab and object locks: finish it before
-            // the (innermost) waitqueue lock.
-            let chans = self.fd_wait_channels(tid, fd, events);
+            // The walk takes object locks: finish it before the
+            // (innermost) waitqueue lock.
+            let file = self.task(tid).and_then(|t| t.fdtable.lock_ok().file(fd));
+            let probed = file
+                .map_err(Into::into)
+                .and_then(|f| self.probe(tid, &f, events));
+            let chans = probed.map_or_else(|_| ChanSet::default(), |(chans, _)| chans);
             let mut waits = self.waits.lock();
             chans.iter().for_each(|ch| waits.subscribe(tid, ch));
         }
         self.waits.lock().subscribe(tid, Channel::Signal(tid));
-    }
-
-    /// The wait channels that can change fd readiness for the given
-    /// `poll`-style event mask. Always-ready kinds (regular files,
-    /// directories) contribute nothing.
-    pub(crate) fn fd_wait_channels(&self, tid: Tid, fd: i32, events: i16) -> ChanSet {
-        let file = self.task(tid).ok().and_then(|task| {
-            let table = task.fdtable.lock_ok();
-            table.get(fd).ok().map(|entry| entry.file.clone())
-        });
-        file.map_or_else(ChanSet::default, |f| self.desc_wait_channels(&f, events))
-    }
-
-    /// Same, addressed by open file description (the epoll interest list
-    /// is description-keyed, so its channel walk must not depend on fd
-    /// numbers still being open).
-    pub(crate) fn desc_wait_channels(&self, file: &FileRef, events: i16) -> ChanSet {
-        use wali_abi::flags::{POLLIN, POLLOUT};
-        let mut out = ChanSet::default();
-        let kind = file.lock_ok().kind.clone();
-        match kind {
-            // POLLHUP/POLLERR are reported regardless of the requested
-            // events (a zero mask is the classic watch-for-hangup idiom),
-            // and hangups post on the same channels as data transitions —
-            // so pipe/socket pollers subscribe unconditionally. A data
-            // wakeup the poller did not ask for is merely spurious: the
-            // retry re-scans readiness and re-parks.
-            FileKind::PipeRead(id) => out.push(Channel::PipeReadable(id)),
-            FileKind::PipeWrite(id) => out.push(Channel::PipeWritable(id)),
-            FileKind::Socket(id) => {
-                out.push(Channel::SockReadable(id));
-                out.push(Channel::SockSpace(id));
-                if events & POLLOUT != 0 {
-                    // Writability = space in the peer's receive buffer.
-                    if let Ok(Some(peer)) = self.with_sock(id, |s| match s.state {
-                        crate::socket::SockState::Connected { peer } => Some(peer),
-                        _ => None,
-                    }) {
-                        out.push(Channel::SockSpace(peer));
-                    }
-                }
-            }
-            FileKind::EventFd if events & POLLIN != 0 => {
-                out.push(Channel::EventFd(Arc::as_ptr(file) as usize));
-            }
-            // Every readiness transition of the interest set is routed
-            // to the instance's ready channel by the hub — one channel,
-            // any size.
-            FileKind::Epoll(id) => out.push(Channel::EpollReady(id)),
-            _ => {}
-        }
-        out
     }
 
     /// Closes a dying task's descriptors eagerly (Linux closes fds at
@@ -350,7 +302,7 @@ impl Kernel {
         let table = std::mem::replace(&mut task.fdtable, shared(FdTable::new()));
         let entries = table.lock_ok().leave();
         for entry in entries {
-            self.release_if_last(entry);
+            self.release_if_last(entry.file);
         }
     }
 
@@ -688,7 +640,7 @@ impl Kernel {
         let swept = task.fdtable.lock_ok().close_cloexec();
         task.sighand.lock_ok().reset_for_exec();
         for entry in swept {
-            self.release_if_last(entry);
+            self.release_if_last(entry.file);
         }
         Ok(0)
     }
@@ -1225,42 +1177,6 @@ impl Kernel {
         std::mem::take(&mut self.console)
     }
 
-    pub(crate) fn alloc_pipe(&mut self) -> usize {
-        self.shards.pipes.insert(Pipe::new())
-    }
-
-    /// Runs `f` under the per-pipe lock (first-free-slot reuse keeps the
-    /// ids bit-identical to the pre-shard `Vec<Option<Pipe>>` table).
-    /// Takes `&self`: the closure may subscribe waiters through
-    /// `self.waits` (Object rank 20 → Waits rank 40), but must not call
-    /// back into pipe/socket accessors (equal rank is a violation).
-    pub(crate) fn with_pipe<R>(
-        &self,
-        id: usize,
-        f: impl FnOnce(&mut Pipe) -> R,
-    ) -> Result<R, Errno> {
-        let p = self.shards.pipes.get(id).ok_or(Errno::Ebadf)?;
-        let mut g = p.lock_ok();
-        Ok(f(&mut g))
-    }
-
-    pub(crate) fn alloc_socket(&mut self, sock: Socket) -> usize {
-        self.shards.socks.insert(sock)
-    }
-
-    /// Runs `f` under the per-socket lock. Same rules as
-    /// [`Kernel::with_pipe`]; two-socket flows (send to a connected
-    /// peer) must take the locks one after the other, never nested.
-    pub(crate) fn with_sock<R>(
-        &self,
-        id: usize,
-        f: impl FnOnce(&mut Socket) -> R,
-    ) -> Result<R, Errno> {
-        let s = self.shards.socks.get(id).ok_or(Errno::Ebadf)?;
-        let mut g = s.lock_ok();
-        Ok(f(&mut g))
-    }
-
     // --- Teardown audit ----------------------------------------------------
 
     /// Audits kernel state after a full run, for leak detection.
@@ -1310,8 +1226,8 @@ impl Kernel {
         LeakReport {
             live_tasks,
             zombie_tasks,
-            open_pipes: self.shards.pipes.live(),
-            open_sockets: self.shards.socks.live(),
+            open_pipes: self.pipes.live(),
+            open_sockets: self.socks.live(),
             open_epolls: self.epolls.live(),
             wait_subscriptions: records.iter().filter(|(_, subs)| *subs != 0).count(),
             undrained_wakeups,
@@ -1344,10 +1260,10 @@ impl Kernel {
         let stray_head = |&(ch, waiters): &(Channel, usize)| match ch {
             Channel::Signal(t) | Channel::Child(t) => !self.tasks.contains_key(&t),
             Channel::PipeReadable(id) | Channel::PipeWritable(id) => {
-                waiters != 0 && self.shards.pipes.get(id).is_none()
+                waiters != 0 && self.pipes.get(id).is_none()
             }
             Channel::SockReadable(id) | Channel::SockSpace(id) => {
-                waiters != 0 && self.shards.socks.get(id).is_none()
+                waiters != 0 && self.socks.get(id).is_none()
             }
             Channel::EpollReady(id) => waiters != 0 && self.epolls.get(id).is_none(),
             Channel::EventFd(key) => !description_open(key),

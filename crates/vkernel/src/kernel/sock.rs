@@ -1,4 +1,17 @@
 //! Socket syscalls and readiness (`poll`).
+//!
+//! A call resolves its descriptor once (`Kernel::sock_of_fd`: the
+//! socket's handle and the description's `O_NONBLOCK`), takes each
+//! socket's lock once — never two at a time: the locks of a
+//! connection's two ends are of equal rank — and tells the waitqueue
+//! everything in one entry ([`crate::wait::WaitShard::post_all`]) after
+//! the last object lock is dropped. Stream and datagram transfers
+//! (`KernelHandles::sock_recv`, `KernelHandles::sock_send`) touch
+//! only shards, so `read`/`write` on a socket run them without the
+//! kernel lock; what is left to the core is `SIGPIPE`, routing a
+//! datagram through the address registry and — for a caller that cannot
+//! say whether a signal is pending — the park of a stream receive
+//! ([`Core`]).
 
 use wali_abi::flags::{
     MSG_DONTWAIT, MSG_PEEK, O_NONBLOCK, O_RDWR, POLLERR, POLLHUP, POLLIN, POLLOUT, SHUT_RD,
@@ -8,6 +21,7 @@ use wali_abi::layout::WaliSockaddr;
 use wali_abi::Errno;
 
 use crate::fd::{FileKind, FileRef, OpenFile};
+use crate::slab::Handle;
 use crate::socket::{addr_key, SockState, Socket};
 use crate::sync::MutexExt;
 use crate::vfs::DevKind;
@@ -15,45 +29,173 @@ use crate::vfs::InodeKind;
 use crate::wait::Channel;
 use crate::{block, SysResult, Tid};
 
-use super::Kernel;
+use super::io::{Core, Intr};
+use super::{ChanSet, Kernel, KernelHandles};
+
+/// A received byte count and, where asked for or carried by the
+/// datagram, the sender's address.
+type Received = (usize, Option<WaliSockaddr>);
+
+impl KernelHandles {
+    /// Stream/datagram receive: `read`, `recv`, `recvfrom`, `recvmsg`.
+    /// `flags` are the `MSG_*` flags, `MSG_DONTWAIT` standing for a
+    /// non-blocking description too. One hold of the socket serves
+    /// ready bytes, EOF, `-EAGAIN`, `-EINTR` and the park (`intr` is
+    /// consulted only there); a connected socket needs no look at its
+    /// peer — whoever closes an end closes the other's state
+    /// ([`SockState::Connected`]).
+    pub(crate) fn sock_recv(
+        &self,
+        tid: Tid,
+        sock: &Handle<Socket>,
+        out: &mut [u8],
+        flags: i32,
+        want_src: bool,
+        intr: Intr,
+    ) -> Result<SysResult<Received>, Core> {
+        let (nonblock, peek) = (flags & MSG_DONTWAIT != 0, flags & MSG_PEEK != 0);
+        let mut s = sock.lock_ok();
+        if s.ty == SOCK_DGRAM {
+            let got = match peek {
+                true => s.dgrams.front().cloned(),
+                false => s.dgrams.pop_front(),
+            };
+            return Ok(match got {
+                Some((src, data)) => {
+                    let n = out.len().min(data.len());
+                    out[..n].copy_from_slice(&data[..n]);
+                    Ok((n, Some(src)))
+                }
+                None if s.shut_rd => Ok((0, None)),
+                None if nonblock => Err(Errno::Eagain.into()),
+                None => {
+                    self.waits.park_on(tid, Channel::SockReadable(sock.id));
+                    Err(block())
+                }
+            });
+        }
+        if !s.recv.is_empty() {
+            let n = s.take_bytes(out, peek);
+            let src = want_src.then(|| s.remote.clone()).flatten();
+            drop(s);
+            if !peek {
+                // Space opened in our receive buffer: wake the peer's
+                // blocked senders and POLLOUT pollers.
+                self.waits.post(Channel::SockSpace(sock.id));
+            }
+            return Ok(Ok((n, src)));
+        }
+        Ok(match s.state {
+            _ if s.shut_rd => Ok((0, None)),
+            SockState::Closed => Ok((0, None)),
+            SockState::Connected { .. } if nonblock => Err(Errno::Eagain.into()),
+            SockState::Connected { .. } => match intr {
+                Intr::HintDown => return Err(Core::Park(sock.clone())),
+                Intr::Ask(pending) if pending() => Err(Errno::Eintr.into()),
+                Intr::Ask(_) => {
+                    // Subscribe under our lock: a sender filling the
+                    // buffer (or a close emptying the state) after this
+                    // posts only after unlocking.
+                    self.waits.park_on(tid, Channel::SockReadable(sock.id));
+                    Err(block())
+                }
+            },
+            _ => Err(Errno::Enotconn.into()),
+        })
+    }
+
+    /// Stream send: `write`, `send`, `sendto`, `sendmsg` (`flags` as in
+    /// [`KernelHandles::sock_recv`]). One hold of the sender (may it
+    /// send, and to whom), then one of the peer: the copy into its
+    /// receive buffer or, when that is full, the park (which alone comes
+    /// back to the sender for a second look). A datagram socket and a
+    /// broken connection are the core's.
+    pub(crate) fn sock_send(
+        &self,
+        tid: Tid,
+        sock: &Handle<Socket>,
+        data: &[u8],
+        flags: i32,
+    ) -> Result<SysResult<usize>, Core> {
+        let peer = {
+            let s = sock.lock_ok();
+            if s.shut_wr {
+                return Err(Core::Sigpipe);
+            }
+            if s.ty == SOCK_DGRAM {
+                return Err(Core::Dgram(Box::new((s.local.clone(), s.remote.clone()))));
+            }
+            match &s.state {
+                SockState::Connected { peer } => peer.upgrade().ok_or(Core::Sigpipe)?,
+                SockState::Closed => return Err(Core::Sigpipe),
+                _ => return Ok(Err(Errno::Enotconn.into())),
+            }
+        };
+        let n = {
+            let mut p = peer.lock_ok();
+            if !matches!(p.state, SockState::Connected { .. }) || p.shut_rd {
+                return Err(Core::Sigpipe);
+            }
+            let n = data.len().min(p.recv_space());
+            if n == 0 {
+                if flags & MSG_DONTWAIT != 0 {
+                    return Ok(Err(Errno::Eagain.into()));
+                }
+                // Park until the peer drains its buffer; it posts after
+                // unlocking.
+                self.waits.park_on(tid, Channel::SockSpace(peer.id));
+                drop(p);
+                // `shutdown(SHUT_WR)` changes the sender's socket, not
+                // the peer this park was made under, and a caller off
+                // the kernel lock can be overtaken by one between its
+                // two holds: subscribed, look again (the shutdown's post
+                // follows its store).
+                if sock.lock_ok().shut_wr {
+                    self.waits.lock().unsubscribe(tid);
+                    return Err(Core::Sigpipe);
+                }
+                return Ok(Err(block()));
+            }
+            p.recv.extend(&data[..n]);
+            n
+        };
+        // Data arrived at the peer: wake its readers and pollers.
+        self.waits.post(Channel::SockReadable(peer.id));
+        Ok(Ok(n))
+    }
+}
 
 impl Kernel {
-    fn sock_fd(&mut self, tid: Tid, sock_id: usize, flags: i32) -> SysResult<i32> {
-        let status = if flags & SOCK_NONBLOCK != 0 {
-            O_NONBLOCK
-        } else {
-            0
+    /// A new descriptor for `sock` (which nothing else refers to yet: a
+    /// table with no room releases it).
+    fn sock_fd(&mut self, tid: Tid, sock: Handle<Socket>, flags: i32) -> SysResult<i32> {
+        let status = match flags & SOCK_NONBLOCK {
+            0 => 0,
+            _ => O_NONBLOCK,
         };
-        let file = OpenFile::shared(FileKind::Socket(sock_id), O_RDWR | status);
+        let file = OpenFile::shared(FileKind::Socket(sock.clone()), O_RDWR | status);
         let task = self.task(tid)?;
         let fd = task
             .fdtable
             .lock_ok()
-            .alloc(file, flags & SOCK_CLOEXEC != 0)?;
-        Ok(fd)
+            .alloc(file, flags & SOCK_CLOEXEC != 0);
+        if fd.is_err() {
+            self.release_socket(&sock);
+        }
+        Ok(fd?)
     }
 
-    fn sock_of_fd(&self, tid: Tid, fd: i32) -> Result<usize, Errno> {
+    /// The socket behind `fd` and whether its description is
+    /// `O_NONBLOCK` — the one place a socket call reads the fd table
+    /// and the description.
+    fn sock_of_fd(&self, tid: Tid, fd: i32) -> Result<(Handle<Socket>, bool), Errno> {
         let task = self.task(tid)?;
         let table = task.fdtable.lock_ok();
         let file = table.get(fd)?.file.lock_ok();
-        match file.kind {
-            FileKind::Socket(id) => Ok(id),
+        match &file.kind {
+            FileKind::Socket(sock) => Ok((sock.clone(), file.flags & O_NONBLOCK != 0)),
             _ => Err(Errno::Enotsock),
         }
-    }
-
-    fn fd_nonblock(&self, tid: Tid, fd: i32) -> bool {
-        self.task(tid)
-            .ok()
-            .and_then(|t| {
-                let table = t.fdtable.lock_ok();
-                table
-                    .get(fd)
-                    .ok()
-                    .map(|e| e.file.lock_ok().flags & O_NONBLOCK != 0)
-            })
-            .unwrap_or(false)
     }
 
     /// `socket`.
@@ -66,15 +208,13 @@ impl Kernel {
         if base_ty != SOCK_STREAM && base_ty != SOCK_DGRAM {
             return Err(Errno::Eprotonosupport.into());
         }
-        let mut sock = Socket::new(domain, base_ty);
-        sock.nonblock = ty & SOCK_NONBLOCK != 0;
-        let id = self.alloc_socket(sock);
-        self.sock_fd(tid, id, ty)
+        let sock = self.socks.insert(Socket::new(domain, base_ty));
+        self.sock_fd(tid, sock, ty)
     }
 
     /// `bind`.
     pub fn sys_bind(&mut self, tid: Tid, fd: i32, addr: WaliSockaddr) -> SysResult {
-        let id = self.sock_of_fd(tid, fd)?;
+        let (sock, _) = self.sock_of_fd(tid, fd)?;
         let addr = match addr {
             WaliSockaddr::Inet { addr: ip, port: 0 } => {
                 // Ephemeral port assignment.
@@ -93,219 +233,161 @@ impl Kernel {
         if self.addr_registry.contains_key(&key) {
             return Err(Errno::Eaddrinuse.into());
         }
-        self.with_sock(id, |sock| {
-            if sock.local.is_some() {
-                return Err(Errno::Einval);
+        {
+            let mut s = sock.lock_ok();
+            if s.local.is_some() {
+                return Err(Errno::Einval.into());
             }
-            sock.local = Some(addr.clone());
-            sock.state = SockState::Bound;
-            Ok(())
-        })??;
-        self.addr_registry.insert(key, id);
+            s.local = Some(addr);
+            s.state = SockState::Bound;
+        }
+        self.addr_registry.insert(key, sock);
         Ok(0)
     }
 
     /// `listen`.
     pub fn sys_listen(&mut self, tid: Tid, fd: i32, backlog: i32) -> SysResult {
-        let id = self.sock_of_fd(tid, fd)?;
-        self.with_sock(id, |sock| {
-            if sock.ty != SOCK_STREAM {
-                return Err(Errno::Eopnotsupp);
-            }
-            match sock.state {
-                SockState::Bound | SockState::Listening { .. } => {
-                    sock.state = SockState::Listening {
-                        backlog: backlog.max(1) as usize,
-                        pending: Default::default(),
-                    };
-                    Ok(())
-                }
-                _ => Err(Errno::Einval),
-            }
-        })??;
-        Ok(0)
-    }
-
-    /// `connect`.
-    pub fn sys_connect(&mut self, tid: Tid, fd: i32, addr: WaliSockaddr) -> SysResult {
-        let id = self.sock_of_fd(tid, fd)?;
-        let (ty, state_ok) = self.with_sock(id, |s| {
-            (
-                s.ty,
-                matches!(s.state, SockState::Unbound | SockState::Bound),
-            )
-        })?;
-        if ty == SOCK_DGRAM {
-            // Datagram connect just sets the default peer address.
-            self.with_sock(id, |s| s.remote = Some(addr))?;
-            return Ok(0);
+        let (sock, _) = self.sock_of_fd(tid, fd)?;
+        let mut s = sock.lock_ok();
+        if s.ty != SOCK_STREAM {
+            return Err(Errno::Eopnotsupp.into());
         }
-        if !state_ok {
-            return Err(Errno::Eisconn.into());
-        }
-        let listener_id = *self
-            .addr_registry
-            .get(&addr_key(&addr))
-            .ok_or(Errno::Econnrefused)?;
-        // Create the server-side socket of the pair. The per-socket
-        // locks are taken strictly one at a time (equal-rank locks must
-        // never nest).
-        let (domain, srv_ty) = self.with_sock(listener_id, |l| match &l.state {
-            SockState::Listening { backlog, pending } if pending.len() >= *backlog => {
-                Err(Errno::Econnrefused)
-            }
-            SockState::Listening { .. } => Ok((l.domain, l.ty)),
-            _ => Err(Errno::Econnrefused),
-        })??;
-        let mut server_side = Socket::new(domain, srv_ty);
-        server_side.state = SockState::Connected { peer: id };
-        server_side.local = Some(addr.clone());
-        let server_id = self.alloc_socket(server_side);
-
-        let client_local = self.with_sock(id, |client| {
-            client.state = SockState::Connected { peer: server_id };
-            client.remote = Some(addr);
-            client.local.clone()
-        })?;
-        self.with_sock(server_id, |server| server.remote = client_local)?;
-        self.with_sock(listener_id, |l| match &mut l.state {
-            SockState::Listening { pending, .. } => pending.push_back(server_id),
-            _ => unreachable!("checked above"),
-        })?;
-        // A connection is pending: wake blocked `accept`s and pollers
-        // (post after every lock is dropped). Establishing the pair is
-        // also both ends' writability transition (POLLOUT = space in
-        // the peer's receive buffer, which just came into existence) —
-        // the ready-ring router needs that edge to queue POLLOUT-only
-        // registrations made before the connect.
-        self.waits.post(Channel::SockReadable(listener_id));
-        self.waits.post(Channel::SockSpace(id));
-        self.waits.post(Channel::SockSpace(server_id));
-        Ok(0)
-    }
-
-    /// `accept4`: returns the new connection fd.
-    pub fn sys_accept(&mut self, tid: Tid, fd: i32, flags: i32) -> SysResult<i32> {
-        let id = self.sock_of_fd(tid, fd)?;
-        let nonblock = self.fd_nonblock(tid, fd) || self.with_sock(id, |s| s.nonblock)?;
-        let has_sig = self.has_pending_signal(tid);
-        let conn = self.with_sock(id, |sock| match &mut sock.state {
-            SockState::Listening { pending, .. } => {
-                let c = pending.pop_front();
-                if c.is_none() && !nonblock && !has_sig {
-                    // Subscribe under the listener's lock: a connect
-                    // landing after this posts only after releasing it.
-                    self.waits.park_on(tid, Channel::SockReadable(id));
-                }
-                Ok(c)
-            }
-            _ => Err(Errno::Einval),
-        })??;
-        match conn {
-            Some(conn_id) => self.sock_fd(tid, conn_id, flags),
-            None if nonblock => Err(Errno::Eagain.into()),
-            None if has_sig => Err(Errno::Eintr.into()),
-            None => Err(block()),
-        }
-    }
-
-    /// Stream/dgram send used by `write`, `send` and `sendto`.
-    pub fn sock_send(
-        &mut self,
-        tid: Tid,
-        id: usize,
-        data: &[u8],
-        msg_flags: i32,
-    ) -> SysResult<usize> {
-        // The peer id is copied out by reference: a listener's state
-        // owns its whole pending queue.
-        let (ty, peer, closed, shut_wr, sock_nonblock) = self.with_sock(id, |s| {
-            let closed = matches!(s.state, SockState::Closed);
-            (s.ty, s.peer(), closed, s.shut_wr, s.nonblock)
-        })?;
-        let nonblock = msg_flags & MSG_DONTWAIT != 0 || sock_nonblock;
-        if shut_wr {
-            return self.epipe(tid);
-        }
-        match (ty, peer) {
-            (SOCK_STREAM, Some(peer)) => {
-                // One acquisition of the peer's lock covers the state
-                // check, the copy into its receive buffer and — when the
-                // buffer is full — the wakeup subscription (a reader that
-                // drains afterwards posts only after unlocking).
-                enum Step {
-                    Sent(usize),
-                    Gone,
-                    Full,
-                }
-                let step = self
-                    .with_sock(peer, |p| {
-                        if !matches!(p.state, SockState::Connected { .. }) || p.shut_rd {
-                            return Step::Gone;
-                        }
-                        let space = p.recv_space();
-                        if space == 0 {
-                            if !nonblock {
-                                // Park until the peer drains its buffer.
-                                self.waits.park_on(tid, Channel::SockSpace(peer));
-                            }
-                            return Step::Full;
-                        }
-                        let n = data.len().min(space);
-                        p.recv.extend(&data[..n]);
-                        Step::Sent(n)
-                    })
-                    .unwrap_or(Step::Gone);
-                match step {
-                    Step::Sent(n) => {
-                        // Data arrived at the peer: wake its readers and
-                        // pollers (post after dropping the peer's lock).
-                        self.waits.post(Channel::SockReadable(peer));
-                        Ok(n)
-                    }
-                    Step::Gone => self.epipe(tid),
-                    Step::Full if nonblock => Err(Errno::Eagain.into()),
-                    Step::Full => Err(block()),
-                }
-            }
-            (SOCK_STREAM, None) if closed => self.epipe(tid),
-            (SOCK_STREAM, None) => Err(Errno::Enotconn.into()),
-            (SOCK_DGRAM, _) => {
-                let dest = self
-                    .with_sock(id, |s| s.remote.clone())?
-                    .ok_or(Errno::Edestaddrreq)?;
-                self.dgram_send_to(id, &dest, data)
+        match s.state {
+            SockState::Bound | SockState::Listening { .. } => {
+                s.state = SockState::Listening {
+                    backlog: backlog.max(1) as usize,
+                    pending: Default::default(),
+                };
+                Ok(0)
             }
             _ => Err(Errno::Einval.into()),
         }
     }
 
-    fn dgram_send_to(
+    /// `connect`.
+    pub fn sys_connect(&mut self, tid: Tid, fd: i32, addr: WaliSockaddr) -> SysResult {
+        let (client, _) = self.sock_of_fd(tid, fd)?;
+        let local = {
+            let mut c = client.lock_ok();
+            if c.ty == SOCK_DGRAM {
+                // Datagram connect just sets the default peer address.
+                c.remote = Some(addr);
+                return Ok(0);
+            }
+            if !matches!(c.state, SockState::Unbound | SockState::Bound) {
+                return Err(Errno::Eisconn.into());
+            }
+            c.local.clone()
+        };
+        let listener = self.addr_registry.get(&addr_key(&addr));
+        let listener = listener.ok_or(Errno::Econnrefused)?.clone();
+        // The server-side socket of the pair is complete before anyone
+        // can see it: made, given its id and queued under one hold of
+        // the listener.
+        let server = {
+            let mut l = listener.lock_ok();
+            let mut server = Socket::new(l.domain, l.ty);
+            match &mut l.state {
+                SockState::Listening { backlog, pending } if pending.len() < *backlog => {
+                    server.state = SockState::Connected {
+                        peer: client.downgrade(),
+                    };
+                    server.local = Some(addr.clone());
+                    server.remote = local;
+                    let server = self.socks.insert(server);
+                    pending.push_back(server.clone());
+                    server
+                }
+                _ => return Err(Errno::Econnrefused.into()),
+            }
+        };
+        {
+            let mut c = client.lock_ok();
+            c.state = SockState::Connected {
+                peer: server.downgrade(),
+            };
+            c.remote = Some(addr);
+        }
+        // A connection is pending: wake blocked `accept`s and pollers.
+        // Establishing the pair is also both ends' writability
+        // transition (POLLOUT = space in the peer's receive buffer,
+        // which just came into existence) — the ready-ring router needs
+        // that edge to queue POLLOUT-only registrations made before the
+        // connect.
+        self.waits.post_all(
+            &[
+                Channel::SockReadable(listener.id),
+                Channel::SockSpace(client.id),
+                Channel::SockSpace(server.id),
+            ],
+            &[],
+        );
+        Ok(0)
+    }
+
+    /// `accept4`: returns the new connection fd.
+    pub fn sys_accept(&mut self, tid: Tid, fd: i32, flags: i32) -> SysResult<i32> {
+        let (listener, nonblock) = self.sock_of_fd(tid, fd)?;
+        let conn = {
+            let mut l = listener.lock_ok();
+            let SockState::Listening { pending, .. } = &mut l.state else {
+                return Err(Errno::Einval.into());
+            };
+            match pending.pop_front() {
+                Some(conn) => conn,
+                None if nonblock => return Err(Errno::Eagain.into()),
+                None if self.has_pending_signal(tid) => return Err(Errno::Eintr.into()),
+                None => {
+                    // Subscribe under the listener's lock: a connect
+                    // landing after this posts only after releasing it.
+                    self.waits.park_on(tid, Channel::SockReadable(listener.id));
+                    return Err(block());
+                }
+            }
+        };
+        self.sock_fd(tid, conn, flags)
+    }
+
+    /// Delivers a datagram to whoever is bound to `dest`.
+    fn dgram_deliver(
         &mut self,
-        from_id: usize,
-        dest: &WaliSockaddr,
+        from: Option<WaliSockaddr>,
+        dest: Option<WaliSockaddr>,
         data: &[u8],
     ) -> SysResult<usize> {
-        let target = *self
-            .addr_registry
-            .get(&addr_key(dest))
-            .ok_or(Errno::Econnrefused)?;
-        let src = self
-            .with_sock(from_id, |s| s.local.clone())?
-            .unwrap_or(WaliSockaddr::Inet {
-                addr: [127, 0, 0, 1],
-                port: 0,
-            });
-        self.with_sock(target, |t| {
+        let dest = dest.ok_or(Errno::Edestaddrreq)?;
+        let target = self.addr_registry.get(&addr_key(&dest));
+        let target = target.ok_or(Errno::Econnrefused)?;
+        let from = from.unwrap_or(WaliSockaddr::Inet {
+            addr: [127, 0, 0, 1],
+            port: 0,
+        });
+        {
+            let mut t = target.lock_ok();
             if t.dgrams.len() >= 256 {
-                return Err(Errno::Enobufs);
+                return Err(Errno::Enobufs.into());
             }
-            t.dgrams.push_back((src, data.to_vec()));
-            Ok(())
-        })??;
+            t.dgrams.push_back((from, data.to_vec()));
+        }
         // A datagram arrived: wake the target's readers and pollers.
-        self.waits.post(Channel::SockReadable(target));
+        self.waits.post(Channel::SockReadable(target.id));
         Ok(data.len())
+    }
+
+    /// What [`KernelHandles::sock_send`] left to the core, for a send
+    /// whose explicit destination (`sendto`) is `dest`.
+    pub(crate) fn finish_send(
+        &mut self,
+        tid: Tid,
+        rest: Core,
+        dest: Option<WaliSockaddr>,
+        data: &[u8],
+    ) -> SysResult<usize> {
+        match rest {
+            Core::Dgram(addrs) => self.dgram_deliver(addrs.0, dest.or(addrs.1), data),
+            // A send leaves nothing else to the core.
+            Core::Sigpipe | Core::Dev(_) | Core::Park(_) => self.epipe(tid),
+        }
     }
 
     /// `sendto`.
@@ -317,127 +399,10 @@ impl Kernel {
         msg_flags: i32,
         dest: Option<WaliSockaddr>,
     ) -> SysResult<usize> {
-        let id = self.sock_of_fd(tid, fd)?;
-        match dest {
-            Some(addr) if self.with_sock(id, |s| s.ty)? == SOCK_DGRAM => {
-                self.dgram_send_to(id, &addr, data)
-            }
-            _ => self.sock_send(tid, id, data, msg_flags),
-        }
-    }
-
-    /// Stream/dgram receive used by `read`, `recv` and `recvfrom`.
-    pub fn sock_recv(
-        &mut self,
-        tid: Tid,
-        id: usize,
-        out: &mut [u8],
-        msg_flags: i32,
-    ) -> SysResult<usize> {
-        let (ty, peer, sock_nonblock) = self.with_sock(id, |s| (s.ty, s.peer(), s.nonblock))?;
-        let nonblock = msg_flags & MSG_DONTWAIT != 0 || sock_nonblock;
-        let peek = msg_flags & MSG_PEEK != 0;
-        // Outcome of the single pass under our own socket lock; wakeup
-        // posts happen after the lock is dropped.
-        enum Step {
-            Data(usize, bool),
-            Eof,
-            NotConn,
-            Again,
-            Intr,
-            Park,
-        }
-        match ty {
-            SOCK_STREAM => {
-                let has_sig = self.has_pending_signal(tid);
-                // Peer liveness is snapshotted before taking our own lock
-                // (the two per-socket locks must never nest). Any data the
-                // peer pushes concurrently is observed by the drain below
-                // or by the post it issues after unlocking.
-                let peer_live = peer.is_some_and(|peer| {
-                    matches!(self.with_sock(peer, |p| p.peer().is_some()), Ok(true))
-                });
-                let step = self.with_sock(id, |s| {
-                    if !s.recv.is_empty() {
-                        let n = out.len().min(s.recv.len());
-                        if peek {
-                            for (i, b) in s.recv.iter().take(n).enumerate() {
-                                out[i] = *b;
-                            }
-                        } else {
-                            for b in out.iter_mut().take(n) {
-                                *b = s.recv.pop_front().expect("non-empty");
-                            }
-                        }
-                        return Step::Data(n, !peek);
-                    }
-                    if s.shut_rd || matches!(s.state, SockState::Closed) {
-                        return Step::Eof;
-                    }
-                    if !matches!(s.state, SockState::Connected { .. }) {
-                        return Step::NotConn;
-                    }
-                    // Peer gone means EOF too.
-                    if !peer_live {
-                        return Step::Eof;
-                    }
-                    if nonblock {
-                        return Step::Again;
-                    }
-                    if has_sig {
-                        return Step::Intr;
-                    }
-                    // Subscribe under our lock: a sender filling the
-                    // buffer after this posts only after unlocking.
-                    self.waits.park_on(tid, Channel::SockReadable(id));
-                    Step::Park
-                })?;
-                match step {
-                    Step::Data(n, drained) => {
-                        if drained {
-                            // Space opened in our receive buffer: wake the
-                            // peer's blocked senders and POLLOUT pollers.
-                            self.waits.post(Channel::SockSpace(id));
-                        }
-                        Ok(n)
-                    }
-                    Step::Eof => Ok(0),
-                    Step::NotConn => Err(Errno::Enotconn.into()),
-                    Step::Again => Err(Errno::Eagain.into()),
-                    Step::Intr => Err(Errno::Eintr.into()),
-                    Step::Park => Err(block()),
-                }
-            }
-            SOCK_DGRAM => {
-                let step = self.with_sock(id, |s| {
-                    match if peek {
-                        s.dgrams.front().cloned()
-                    } else {
-                        s.dgrams.pop_front()
-                    } {
-                        Some((_, data)) => {
-                            let n = out.len().min(data.len());
-                            out[..n].copy_from_slice(&data[..n]);
-                            Step::Data(n, false)
-                        }
-                        None if s.shut_rd => Step::Eof,
-                        None if nonblock => Step::Again,
-                        None => {
-                            self.waits.park_on(tid, Channel::SockReadable(id));
-                            Step::Park
-                        }
-                    }
-                })?;
-                match step {
-                    Step::Data(n, _) => Ok(n),
-                    Step::Eof => Ok(0),
-                    Step::Again => Err(Errno::Eagain.into()),
-                    Step::Park => Err(block()),
-                    Step::NotConn | Step::Intr => unreachable!("dgram path"),
-                }
-            }
-            _ => Err(Errno::Einval.into()),
-        }
+        let (sock, nonblock) = self.sock_of_fd(tid, fd)?;
+        let flags = msg_flags | dontwait(nonblock);
+        let io = self.shards.sock_send(tid, &sock, data, flags);
+        io.unwrap_or_else(|rest| self.finish_send(tid, rest, dest, data))
     }
 
     /// `recvfrom`: returns `(n, source_address)`.
@@ -448,38 +413,34 @@ impl Kernel {
         out: &mut [u8],
         msg_flags: i32,
     ) -> SysResult<(usize, Option<WaliSockaddr>)> {
-        let id = self.sock_of_fd(tid, fd)?;
-        let (ty, sock_nonblock) = self.with_sock(id, |s| (s.ty, s.nonblock))?;
-        if ty == SOCK_DGRAM {
-            let nonblock = msg_flags & MSG_DONTWAIT != 0 || sock_nonblock;
-            let got = self.with_sock(id, |s| match s.dgrams.pop_front() {
-                Some((src, data)) => {
-                    let n = out.len().min(data.len());
-                    out[..n].copy_from_slice(&data[..n]);
-                    Some((n, Some(src)))
-                }
-                None => {
-                    if !nonblock {
-                        self.waits.park_on(tid, Channel::SockReadable(id));
-                    }
-                    None
-                }
-            })?;
-            return match got {
-                Some(v) => Ok(v),
-                None if nonblock => Err(Errno::Eagain.into()),
-                None => Err(block()),
-            };
-        }
-        let n = self.sock_recv(tid, id, out, msg_flags)?;
-        let src = self.with_sock(id, |s| s.remote.clone())?;
-        Ok((n, src))
+        let (sock, nonblock) = self.sock_of_fd(tid, fd)?;
+        let flags = msg_flags | dontwait(nonblock);
+        self.recv_asking(tid, &sock, out, flags, true)
+    }
+
+    /// [`KernelHandles::sock_recv`] for a caller under the kernel lock:
+    /// a park asks the core about pending signals, so none is handed
+    /// back.
+    pub(crate) fn recv_asking(
+        &self,
+        tid: Tid,
+        sock: &Handle<Socket>,
+        out: &mut [u8],
+        flags: i32,
+        want_src: bool,
+    ) -> SysResult<Received> {
+        let ask = || self.has_pending_signal(tid);
+        let got = self
+            .shards
+            .sock_recv(tid, sock, out, flags, want_src, Intr::Ask(&ask));
+        got.unwrap_or_else(|_| Err(Errno::Eintr.into()))
     }
 
     /// `shutdown`.
     pub fn sys_shutdown(&mut self, tid: Tid, fd: i32, how: i32) -> SysResult {
-        let id = self.sock_of_fd(tid, fd)?;
-        self.with_sock(id, |s| {
+        let (sock, _) = self.sock_of_fd(tid, fd)?;
+        let peer = {
+            let mut s = sock.lock_ok();
             match how {
                 SHUT_RD => s.shut_rd = true,
                 SHUT_WR => s.shut_wr = true,
@@ -487,38 +448,51 @@ impl Kernel {
                     s.shut_rd = true;
                     s.shut_wr = true;
                 }
-                _ => return Err(Errno::Einval),
+                _ => return Err(Errno::Einval.into()),
             }
-            Ok(())
-        })??;
+            s.peer_id()
+        };
         // Readiness changed for both ends: blocked readers see EOF,
         // blocked senders EPIPE.
-        self.post_socket_hangup(id);
+        self.post_hangup(sock.id, peer, &[]);
         Ok(0)
     }
 
-    /// Posts every channel a hangup on socket `id` can unblock: its own
-    /// readers/senders and, when connected, the peer's.
-    fn post_socket_hangup(&mut self, id: usize) {
-        let peer = self.with_sock(id, |s| s.peer()).ok().flatten();
-        self.waits.post(Channel::SockReadable(id));
-        self.waits.post(Channel::SockSpace(id));
-        if let Some(p) = peer {
-            self.waits.post(Channel::SockReadable(p));
-            self.waits.post(Channel::SockSpace(p));
-        }
+    /// Posts every channel a hangup on socket `id` can unblock — its own
+    /// readers and senders and, when connected, the peer's — and
+    /// releases the `dead` heads of a socket that is gone.
+    fn post_hangup(&self, id: usize, peer: Option<usize>, dead: &[Channel]) {
+        let p = peer.unwrap_or(id);
+        let posts = [
+            Channel::SockReadable(id),
+            Channel::SockSpace(id),
+            Channel::SockReadable(p),
+            Channel::SockSpace(p),
+        ];
+        let posts = &posts[..if peer.is_some() { 4 } else { 2 }];
+        self.waits.post_all(posts, dead);
     }
 
     /// `socketpair`.
     pub fn sys_socketpair(&mut self, tid: Tid, domain: i32, ty: i32) -> SysResult<(i32, i32)> {
         let base_ty = ty & 0xf;
-        let a = self.alloc_socket(Socket::new(domain, base_ty));
-        let b = self.alloc_socket(Socket::new(domain, base_ty));
-        self.with_sock(a, |s| s.state = SockState::Connected { peer: b })?;
-        self.with_sock(b, |s| s.state = SockState::Connected { peer: a })?;
-        let fa = self.sock_fd(tid, a, ty)?;
-        let fb = self.sock_fd(tid, b, ty)?;
-        Ok((fa, fb))
+        let a = self.socks.insert(Socket::new(domain, base_ty));
+        let mut b = Socket::new(domain, base_ty);
+        b.state = SockState::Connected {
+            peer: a.downgrade(),
+        };
+        let b = self.socks.insert(b);
+        a.lock_ok().state = SockState::Connected {
+            peer: b.downgrade(),
+        };
+        // A full table releases the socket it had no room for; the other
+        // end goes too.
+        let fa = self.sock_fd(tid, a, ty);
+        match (fa, self.sock_fd(tid, b, ty)) {
+            (Ok(fa), Ok(fb)) => Ok((fa, fb)),
+            (Ok(fa), Err(e)) => self.sys_close(tid, fa).and(Err(e)),
+            (Err(e), _) => Err(e),
+        }
     }
 
     /// `setsockopt`.
@@ -530,67 +504,67 @@ impl Kernel {
         name: i32,
         value: i32,
     ) -> SysResult {
-        let id = self.sock_of_fd(tid, fd)?;
-        self.with_sock(id, |s| s.set_option(level, name, value))?;
+        let (sock, _) = self.sock_of_fd(tid, fd)?;
+        sock.lock_ok().set_option(level, name, value);
         Ok(0)
     }
 
     /// `getsockopt`.
     pub fn sys_getsockopt(&mut self, tid: Tid, fd: i32, level: i32, name: i32) -> SysResult<i32> {
-        let id = self.sock_of_fd(tid, fd)?;
-        Ok(self.with_sock(id, |s| s.get_option(level, name))?)
+        let (sock, _) = self.sock_of_fd(tid, fd)?;
+        let value = sock.lock_ok().get_option(level, name);
+        Ok(value)
     }
 
     /// `getsockname`.
     pub fn sys_getsockname(&mut self, tid: Tid, fd: i32) -> SysResult<WaliSockaddr> {
-        let id = self.sock_of_fd(tid, fd)?;
-        self.with_sock(id, |s| s.local.clone())?
-            .ok_or(Errno::Einval.into())
+        let (sock, _) = self.sock_of_fd(tid, fd)?;
+        let local = sock.lock_ok().local.clone();
+        local.ok_or(Errno::Einval.into())
     }
 
     /// `getpeername`.
     pub fn sys_getpeername(&mut self, tid: Tid, fd: i32) -> SysResult<WaliSockaddr> {
-        let id = self.sock_of_fd(tid, fd)?;
-        self.with_sock(id, |s| s.remote.clone())?
-            .ok_or(Errno::Enotconn.into())
+        let (sock, _) = self.sock_of_fd(tid, fd)?;
+        let remote = sock.lock_ok().remote.clone();
+        remote.ok_or(Errno::Enotconn.into())
     }
 
-    /// Tears a socket down when its last descriptor closes.
-    pub(crate) fn release_socket(&mut self, id: usize) {
-        // Post the hangup while the peer link is still visible.
-        self.post_socket_hangup(id);
+    /// Tears a socket down when its last descriptor closes: its state
+    /// and its peer's close (one hold each), the bound address and the
+    /// slot go, then — after the last object lock — the hangup is posted
+    /// and the socket's wait heads die.
+    pub(crate) fn release_socket(&mut self, sock: &Handle<Socket>) {
+        let (peer, local, orphans) = {
+            let mut s = sock.lock_ok();
+            let peer = s.peer();
+            let was = std::mem::replace(&mut s.state, SockState::Closed);
+            let orphans = match was {
+                SockState::Listening { pending, .. } => pending,
+                _ => Default::default(),
+            };
+            (peer, s.local.take(), orphans)
+        };
         // Unregister the bound address only if this socket owns the
         // registration (accepted connections share the listener's local
         // address but must not tear its registration down).
-        if let Ok(Some(local)) = self.with_sock(id, |s| s.local.clone()) {
-            let key = addr_key(&local);
-            if self.addr_registry.get(&key) == Some(&id) {
+        if let Some(key) = local.as_ref().map(addr_key) {
+            if self.addr_registry.get(&key) == Some(sock) {
                 self.addr_registry.remove(&key);
             }
         }
-        let peer = self.with_sock(id, |s| s.peer()).ok().flatten();
-        if let Some(p) = peer {
-            let _ = self.with_sock(p, |ps| ps.state = SockState::Closed);
+        if let Some(p) = &peer {
+            p.lock_ok().state = SockState::Closed;
         }
-        // Drop pending unaccepted connections of a listener; free the
-        // slab slot only after the last per-socket guard is dropped.
-        let orphans = self
-            .with_sock(id, |s| {
-                let orphans: Vec<usize> = match &mut s.state {
-                    SockState::Listening { pending, .. } => pending.drain(..).collect(),
-                    _ => Vec::new(),
-                };
-                s.state = SockState::Closed;
-                orphans
-            })
-            .unwrap_or_default();
-        for o in orphans {
-            let _ = self.with_sock(o, |os| os.state = SockState::Closed);
+        self.socks.free(sock.id);
+        let dead = [Channel::SockReadable(sock.id), Channel::SockSpace(sock.id)];
+        self.post_hangup(sock.id, peer.map(|p| p.id), &dead);
+        // A listener's unaccepted connections go with it: each is a
+        // socket nobody else will ever close, and its client must hear
+        // of the hangup.
+        for orphan in &orphans {
+            self.release_socket(orphan);
         }
-        self.shards.socks.free(id);
-        let mut waits = self.waits.lock();
-        waits.release(Channel::SockReadable(id));
-        waits.release(Channel::SockSpace(id));
     }
 
     // --- poll ---------------------------------------------------------------
@@ -612,81 +586,100 @@ impl Kernel {
 
     pub(crate) fn poll_one(&mut self, tid: Tid, fd: i32, events: i16) -> SysResult<i16> {
         let task = self.task(tid)?;
-        let entry = {
-            let table = task.fdtable.lock_ok();
-            match table.get(fd) {
-                Ok(e) => e.file.clone(),
-                Err(_) => return Ok(wali_abi::flags::POLLNVAL),
-            }
-        };
-        self.poll_desc(tid, &entry, events)
+        let file = task.fdtable.lock_ok().file(fd);
+        match file {
+            Ok(file) => Ok(self.probe(tid, &file, events)?.1),
+            Err(_) => Ok(wali_abi::flags::POLLNVAL),
+        }
     }
 
-    /// Readiness of one open file description (shared by `poll_one` and
-    /// the description-keyed epoll scan, which must keep reporting for a
-    /// registration whose original fd number was closed while a duplicate
-    /// keeps the description alive).
-    pub(crate) fn poll_desc(&mut self, tid: Tid, entry: &FileRef, events: i16) -> SysResult<i16> {
-        let kind = entry.lock_ok().kind.clone();
+    /// One readiness walk over an open file description: the wait
+    /// channels whose posts can change its readiness for `events`, and
+    /// its `poll` revents right now — from one hold of the description
+    /// and one of its object (and, for a connected socket asked about
+    /// output, one of the peer, whose receive buffer is the space).
+    /// Addressed by description, not fd: the epoll interest list is
+    /// description-keyed and must keep reporting for a registration
+    /// whose original fd number was closed while a duplicate keeps the
+    /// description alive.
+    ///
+    /// POLLHUP/POLLERR are reported regardless of the requested events
+    /// (a zero mask is the classic watch-for-hangup idiom), and hangups
+    /// post on the same channels as data transitions — so pipe/socket
+    /// pollers subscribe unconditionally. A data wakeup the poller did
+    /// not ask for is merely spurious: the retry re-scans and re-parks.
+    pub(crate) fn probe(
+        &mut self,
+        tid: Tid,
+        file: &FileRef,
+        events: i16,
+    ) -> SysResult<(ChanSet, i16)> {
+        let mut chans = ChanSet::default();
         let mut revents = 0i16;
-        match kind {
+        let f = file.lock_ok();
+        match &f.kind {
             FileKind::Regular(_) | FileKind::Dir(_) | FileKind::ProcSnapshot(_) => {
                 // Always ready.
                 revents |= (POLLIN | POLLOUT) & events;
             }
-            FileKind::PipeRead(id) => {
-                let (readable, writers) = self.with_pipe(id, |p| (p.readable(), p.writers))?;
-                if readable {
+            FileKind::PipeRead(pipe) => {
+                let pipe = pipe.clone();
+                drop(f);
+                chans.push(Channel::PipeReadable(pipe.id));
+                let p = pipe.lock_ok();
+                if p.readable() {
                     revents |= POLLIN & events;
                 }
-                if writers == 0 {
+                if p.writers == 0 {
                     revents |= POLLHUP;
                 }
             }
-            FileKind::PipeWrite(id) => {
-                let (writable, readers) = self.with_pipe(id, |p| (p.writable(), p.readers))?;
-                if writable {
+            FileKind::PipeWrite(pipe) => {
+                let pipe = pipe.clone();
+                drop(f);
+                chans.push(Channel::PipeWritable(pipe.id));
+                let p = pipe.lock_ok();
+                if p.writable() {
                     revents |= POLLOUT & events;
                 }
-                if readers == 0 {
+                if p.readers == 0 {
                     revents |= POLLERR;
                 }
             }
-            FileKind::Socket(id) => {
-                let (readable, peer, closed) = self.with_sock(id, |s| {
-                    (s.readable(), s.peer(), matches!(s.state, SockState::Closed))
-                })?;
+            FileKind::Socket(sock) => {
+                let sock = sock.clone();
+                drop(f);
+                chans.push(Channel::SockReadable(sock.id));
+                chans.push(Channel::SockSpace(sock.id));
+                let (readable, closed, peer) = {
+                    let s = sock.lock_ok();
+                    let closed = matches!(s.state, SockState::Closed);
+                    // Output is asked about: space is the peer's to tell.
+                    let peer = (events & POLLOUT != 0).then(|| s.peer()).flatten();
+                    (s.readable(), closed, peer)
+                };
                 if readable {
                     revents |= POLLIN & events;
                 }
-                match peer {
-                    Some(peer) => {
-                        // Peer looked at with its own (sequential) lock.
-                        let peer_view = self
-                            .with_sock(peer, |p| {
-                                (
-                                    matches!(p.state, SockState::Connected { .. }),
-                                    p.recv_space(),
-                                )
-                            })
-                            .ok();
-                        match peer_view {
-                            Some((true, space)) => {
-                                if space > 0 {
-                                    revents |= POLLOUT & events;
-                                }
-                            }
-                            _ => revents |= POLLIN & events | POLLHUP,
+                if closed {
+                    revents |= POLLHUP;
+                }
+                if let Some(peer) = peer {
+                    chans.push(Channel::SockSpace(peer.id));
+                    let p = peer.lock_ok();
+                    match p.state {
+                        SockState::Connected { .. } if p.recv_space() > 0 => {
+                            revents |= POLLOUT & events
                         }
+                        SockState::Connected { .. } => {}
+                        _ => revents |= POLLIN & events | POLLHUP,
                     }
-                    None if closed => revents |= POLLHUP,
-                    None => {}
                 }
             }
             FileKind::CharDev(inode) => {
-                let dev = match &self.vfs.read().get(inode)?.kind {
+                let dev = match &self.vfs.read().get(*inode)?.kind {
                     InodeKind::CharDev(d) => d.clone(),
-                    _ => return Ok(0),
+                    _ => return Ok((chans, 0)),
                 };
                 match dev {
                     // The console never produces input; always writable.
@@ -695,24 +688,40 @@ impl Kernel {
                 }
             }
             FileKind::EventFd => {
-                if entry.lock_ok().counter > 0 {
+                if events & POLLIN != 0 {
+                    chans.push(Channel::EventFd(std::sync::Arc::as_ptr(file) as usize));
+                }
+                if f.counter > 0 {
                     revents |= POLLIN & events;
                 }
                 revents |= POLLOUT & events;
             }
-            FileKind::Epoll(id) => {
-                // An epoll fd is readable when its interest set has at
-                // least one ready entry (epoll-inside-poll composition).
-                // A pure peek, like Linux: the event stays for the
-                // following `epoll_wait`.
+            FileKind::Epoll(ep) => {
+                let ep = ep.clone();
+                drop(f);
+                // Every readiness transition of the interest set is
+                // routed to the instance's ready channel by the hub —
+                // one channel, any size. An epoll fd is readable when
+                // its interest set has at least one ready entry
+                // (epoll-inside-poll composition). A pure peek, like
+                // Linux: the event stays for the following `epoll_wait`.
+                chans.push(Channel::EpollReady(ep.id));
                 let mut peeked = Vec::new();
-                self.epoll_ready(tid, id, 1, true, &mut peeked)?;
+                self.epoll_ready(tid, &ep, 1, true, &mut peeked)?;
                 if !peeked.is_empty() {
                     revents |= POLLIN & events;
                 }
             }
         }
-        Ok(revents)
+        Ok((chans, revents))
+    }
+}
+
+/// `MSG_DONTWAIT` for a description that is `O_NONBLOCK`.
+pub(crate) fn dontwait(nonblock: bool) -> i32 {
+    match nonblock {
+        true => MSG_DONTWAIT,
+        false => 0,
     }
 }
 
@@ -746,8 +755,7 @@ mod tests {
         k.sys_connect(tid, cli, loopback(8080)).unwrap();
         let conn = k.sys_accept(tid, srv, 0).unwrap();
 
-        let id = k.sock_of_fd(tid, cli).unwrap();
-        assert_eq!(k.sock_send(tid, id, b"ping", 0).unwrap(), 4);
+        assert_eq!(k.sys_sendto(tid, cli, b"ping", 0, None).unwrap(), 4);
         let mut buf = [0u8; 8];
         assert_eq!(k.sys_read(tid, conn, &mut buf).unwrap(), 4);
         assert_eq!(&buf[..4], b"ping");
@@ -856,11 +864,10 @@ mod tests {
             1
         );
         k.sys_write(tid, a, b"peekme").unwrap();
-        let id = k.sock_of_fd(tid, b).unwrap();
         let mut buf = [0u8; 6];
-        assert_eq!(k.sock_recv(tid, id, &mut buf, MSG_PEEK).unwrap(), 6);
+        assert_eq!(k.sys_recvfrom(tid, b, &mut buf, MSG_PEEK).unwrap().0, 6);
         assert_eq!(
-            k.sock_recv(tid, id, &mut buf, 0).unwrap(),
+            k.sys_recvfrom(tid, b, &mut buf, 0).unwrap().0,
             6,
             "peek did not consume"
         );
@@ -913,5 +920,167 @@ mod tests {
         // Port is released.
         let srv2 = k.sys_socket(tid, AF_INET, SOCK_STREAM, 0).unwrap();
         k.sys_bind(tid, srv2, loopback(6000)).unwrap();
+    }
+
+    fn woken(k: &mut Kernel) -> Vec<Tid> {
+        let mut out = Vec::new();
+        k.drain_woken(&mut out);
+        out
+    }
+
+    fn parked<T: std::fmt::Debug>(r: SysResult<T>) {
+        assert!(
+            matches!(r, Err(SysError::Block(_))),
+            "expected a park: {r:?}"
+        );
+    }
+
+    /// A listener that closes with a connection nobody accepted used to
+    /// leave the server-side socket allocated for good and the client
+    /// parked for good: its retry would have read 0, but nothing posted
+    /// on its channels.
+    #[test]
+    fn a_closing_listener_frees_unaccepted_connections_and_wakes_their_clients() {
+        let (mut k, tid) = kp();
+        let reader = k.sys_fork(tid).unwrap() as Tid;
+        let srv = k.sys_socket(tid, AF_INET, SOCK_STREAM, 0).unwrap();
+        k.sys_bind(tid, srv, loopback(6100)).unwrap();
+        k.sys_listen(tid, srv, 4).unwrap();
+        let parked_cli = k.sys_socket(reader, AF_INET, SOCK_STREAM, 0).unwrap();
+        k.sys_connect(reader, parked_cli, loopback(6100)).unwrap();
+        let idle_cli = k.sys_socket(tid, AF_INET, SOCK_STREAM, 0).unwrap();
+        k.sys_connect(tid, idle_cli, loopback(6100)).unwrap();
+        let mut buf = [0u8; 4];
+        parked(k.sys_read(reader, parked_cli, &mut buf));
+        assert_eq!(k.leak_audit().open_sockets, 5);
+
+        k.sys_close(tid, srv).unwrap();
+        assert_eq!(woken(&mut k), vec![reader], "the parked client hears of it");
+        assert_eq!(k.leak_audit().open_sockets, 2, "both orphans are freed");
+        for (t, fd) in [(reader, parked_cli), (tid, idle_cli)] {
+            assert_eq!(k.sys_read(t, fd, &mut buf), Ok(0), "reset reads as EOF");
+            assert_eq!(k.sys_write(t, fd, b"x"), Err(SysError::Err(Errno::Epipe)));
+            k.sys_close(t, fd).unwrap();
+        }
+        let audit = k.leak_audit();
+        assert_eq!(
+            (
+                audit.open_sockets,
+                audit.wait_subscriptions,
+                audit.wait_heads
+            ),
+            (0, 0, 0),
+            "{}",
+            audit.describe()
+        );
+        // The slots are reusable: ids start over.
+        let (a, b) = k.sys_socketpair(tid, AF_UNIX, SOCK_STREAM).unwrap();
+        assert_eq!(k.sock_of_fd(tid, a).unwrap().0.id, 0);
+        assert_eq!(k.sock_of_fd(tid, b).unwrap().0.id, 1);
+    }
+
+    /// `O_NONBLOCK` lives on the description and nowhere else: set at
+    /// creation (`SOCK_NONBLOCK`, `accept4`), by `fcntl(F_SETFL)` or by
+    /// `FIONBIO`, it turns every park of every socket call into
+    /// `-EAGAIN`; cleared, the parks are back. (`F_SETFL` used to be
+    /// ignored by socket I/O, which kept a flag of its own.)
+    #[test]
+    fn o_nonblock_set_by_fcntl_governs_every_socket_call() {
+        use wali_abi::flags::{FIONBIO, F_GETFL, F_SETFL};
+        let again = |r: SysResult<usize>| assert_eq!(r, Err(SysError::Err(Errno::Eagain)));
+        let (mut k, tid) = kp();
+        let (a, b) = k.sys_socketpair(tid, AF_UNIX, SOCK_STREAM).unwrap();
+        let srv = k.sys_socket(tid, AF_INET, SOCK_STREAM, 0).unwrap();
+        k.sys_bind(tid, srv, loopback(6200)).unwrap();
+        k.sys_listen(tid, srv, 4).unwrap();
+        // Fill `b`'s receive buffer so a blocking send on `a` would park.
+        let chunk = vec![7u8; crate::socket::SOCK_BUF_SIZE];
+        assert_eq!(k.sys_write(tid, a, &chunk), Ok(chunk.len() as i64));
+        let mut buf = [0u8; 8];
+
+        for fd in [a, srv] {
+            k.sys_fcntl(tid, fd, F_SETFL, O_NONBLOCK).unwrap();
+        }
+        again(k.sys_read(tid, a, &mut buf).map(|n| n as usize));
+        again(k.sys_recvfrom(tid, a, &mut buf, 0).map(|(n, _)| n));
+        again(k.sys_write(tid, a, b"x").map(|n| n as usize));
+        again(k.sys_sendto(tid, a, b"x", 0, None));
+        again(k.sys_accept(tid, srv, 0).map(|fd| fd as usize));
+        assert!(
+            woken(&mut k).is_empty() && !k.task_waits(tid),
+            "nothing parked"
+        );
+
+        for fd in [a, srv] {
+            k.sys_fcntl(tid, fd, F_SETFL, 0).unwrap();
+        }
+        parked(k.sys_read(tid, a, &mut buf));
+        parked(k.sys_recvfrom(tid, a, &mut buf, 0));
+        parked(k.sys_write(tid, a, b"x"));
+        parked(k.sys_sendto(tid, a, b"x", 0, None));
+        parked(k.sys_accept(tid, srv, 0));
+        // One call's flag still overrides a blocking description.
+        again(
+            k.sys_recvfrom(tid, a, &mut buf, MSG_DONTWAIT)
+                .map(|(n, _)| n),
+        );
+        k.wait_cancel(tid);
+
+        // The other ways in: FIONBIO, SOCK_NONBLOCK, accept4.
+        k.sys_ioctl(tid, b, FIONBIO).unwrap();
+        let chunk_len = chunk.len();
+        let mut sink = chunk;
+        assert_eq!(k.sys_read(tid, b, &mut sink), Ok(chunk_len as i64));
+        again(k.sys_read(tid, b, &mut buf).map(|n| n as usize));
+        let cli = k
+            .sys_socket(tid, AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0)
+            .unwrap();
+        let nonblocking =
+            |k: &mut Kernel, fd| k.sys_fcntl(tid, fd, F_GETFL, 0).unwrap() & O_NONBLOCK as i64 != 0;
+        assert!(nonblocking(&mut k, cli) && !nonblocking(&mut k, srv));
+        k.sys_connect(tid, cli, loopback(6200)).unwrap();
+        again(k.sys_read(tid, cli, &mut buf).map(|n| n as usize));
+        let conn = k.sys_accept(tid, srv, SOCK_NONBLOCK).unwrap();
+        assert!(nonblocking(&mut k, conn));
+        again(k.sys_read(tid, conn, &mut buf).map(|n| n as usize));
+    }
+
+    /// A sender asks "may I send" under its own lock and parks under its
+    /// peer's. Off the kernel lock, `shutdown(SHUT_WR)` can land between
+    /// the two — it needs only the sender's socket — and its post finds
+    /// nobody: the sender looks at its own socket again once subscribed.
+    /// The interleaving is forced by holding the peer's lock until the
+    /// sender is seen waiting for it.
+    #[test]
+    fn a_shutdown_between_a_senders_two_holds_still_ends_its_write() {
+        use crate::lockorder::{contention, LockClass};
+        use std::sync::mpsc::channel;
+        let (mut k, tid) = kp();
+        let (a, b) = k.sys_socketpair(tid, AF_UNIX, SOCK_STREAM).unwrap();
+        let full = vec![0u8; crate::socket::SOCK_BUF_SIZE];
+        assert_eq!(k.sys_write(tid, a, &full), Ok(full.len() as i64));
+        let file = k.task(tid).unwrap().fdtable.lock_ok().file(a).unwrap();
+        let (peer, _) = k.sock_of_fd(tid, b).unwrap();
+        let handles = k.handles();
+
+        let (locked, is_locked) = channel();
+        let (release, released) = channel::<()>();
+        let holder = std::thread::spawn(move || {
+            let _held = peer.lock_ok();
+            locked.send(()).unwrap();
+            let _ = released.recv();
+        });
+        is_locked.recv().unwrap();
+        let contended = contention(LockClass::Object);
+        let sender = std::thread::spawn(move || handles.write(tid, &file, b"x", Intr::HintDown));
+        // Past its own hold, stopped at the peer's.
+        while contention(LockClass::Object) == contended {
+            std::thread::yield_now();
+        }
+        k.sys_shutdown(tid, a, SHUT_WR).unwrap();
+        release.send(()).unwrap();
+        assert_eq!(sender.join().unwrap(), Err(Core::Sigpipe));
+        holder.join().unwrap();
+        assert!(!k.task_waits(tid), "the park was taken back");
     }
 }

@@ -21,12 +21,14 @@
 //! The rank order (see DESIGN.md "Concurrency" for the full DAG):
 //!
 //! ```text
-//! Kernel(0) → Proc(10) → ReadyHub(12) → Slab(15) → Epoll(18) → Object(20) → Description(25) → Vfs(30) → Waits(40)
+//! Kernel(0) → Proc(10) → ReadyHub(12) → Epoll(18) → Object(20) → Description(25) → Vfs(30) → Waits(40)
 //! ```
 //!
-//! Debug builds also count this thread's acquisitions
-//! ([`acquisitions`]): `crates/wali/tests/locks_per_crossing.rs` turns
-//! "a `read` takes three locks" into an assertion.
+//! Debug builds also count this thread's acquisitions, in all
+//! ([`acquisitions`]) and per class ([`acquisitions_of`]):
+//! `crates/wali/tests/locks_per_crossing.rs` and
+//! `crates/vkernel/tests/lock_budget.rs` turn "a `read` takes three
+//! locks" and "no call looks an id up in a slab" into assertions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
@@ -39,12 +41,10 @@ pub enum LockClass {
     /// A process-index shard (tid → hot task state).
     Proc,
     /// The epoll ready-hub routing table (channel → interested epoll
-    /// registrations). Ranked *below* Slab/Epoll so the waitqueue's
+    /// registrations). Ranked *below* Epoll so the waitqueue's
     /// readiness router can look up targets and then take the epoll
     /// locks, never the reverse.
     ReadyHub,
-    /// An object slab's slot table (id → object handle).
-    Slab,
     /// An epoll instance (its readiness scan takes pipe/socket locks).
     Epoll,
     /// A pipe or socket object lock.
@@ -62,7 +62,7 @@ pub enum LockClass {
 }
 
 /// Number of lock classes (sizes the counter table).
-const CLASS_COUNT: usize = 9;
+const CLASS_COUNT: usize = 8;
 
 impl LockClass {
     /// Rank in the ordering DAG; acquisitions must be strictly
@@ -72,7 +72,6 @@ impl LockClass {
             LockClass::Kernel => 0,
             LockClass::Proc => 10,
             LockClass::ReadyHub => 12,
-            LockClass::Slab => 15,
             LockClass::Epoll => 18,
             LockClass::Object => 20,
             LockClass::Description => 25,
@@ -86,28 +85,17 @@ impl LockClass {
             LockClass::Kernel => 0,
             LockClass::Proc => 1,
             LockClass::ReadyHub => 2,
-            LockClass::Slab => 3,
-            LockClass::Epoll => 4,
-            LockClass::Object => 5,
-            LockClass::Description => 6,
-            LockClass::Vfs => 7,
-            LockClass::Waits => 8,
+            LockClass::Epoll => 3,
+            LockClass::Object => 4,
+            LockClass::Description => 5,
+            LockClass::Vfs => 6,
+            LockClass::Waits => 7,
         }
     }
 }
 
 /// Process-global contended-acquisition counters, one per class.
-static CONTENTION: [AtomicU64; CLASS_COUNT] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static CONTENTION: [AtomicU64; CLASS_COUNT] = [const { AtomicU64::new(0) }; CLASS_COUNT];
 
 /// Total contended acquisitions ever recorded for `class` in this
 /// process. Monotone; tests compare before/after deltas.
@@ -127,16 +115,25 @@ thread_local! {
     static RANK_STACK: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
     /// Locks this thread has taken so far, ranked or not.
     static ACQUIRED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// The ranked ones among them, by class.
+    static ACQUIRED_OF: [std::cell::Cell<u64>; CLASS_COUNT] =
+        const { [const { std::cell::Cell::new(0) }; CLASS_COUNT] };
 }
 
 /// Locks the calling thread has taken since it started: every
-/// [`OrderToken::enter`] (tracked mutexes, the VFS shard, slab lookups)
-/// and every [`crate::sync::MutexExt::lock_ok`]. Debug builds only — a
+/// [`OrderToken::enter`] (tracked mutexes, the VFS shard) and every [`crate::sync::MutexExt::lock_ok`]. Debug builds only — a
 /// test reads it before and after a run on its own thread and divides
 /// the difference by the number of crossings.
 #[cfg(debug_assertions)]
 pub fn acquisitions() -> u64 {
     ACQUIRED.with(std::cell::Cell::get)
+}
+
+/// The [`acquisitions`] that were of `class` (an [`OrderToken::enter`];
+/// plain mutexes — fd tables, pending sets — have no class).
+#[cfg(debug_assertions)]
+pub fn acquisitions_of(class: LockClass) -> u64 {
+    ACQUIRED_OF.with(|c| c[class.index()].get())
 }
 
 /// Counts one acquisition on this thread (nothing in a release build).
@@ -150,9 +147,9 @@ pub(crate) fn note_acquired() {
 ///
 /// Created *before* blocking on the lock (a violation must assert, not
 /// deadlock) and dropped when the guard drops. Also used standalone by
-/// shards built on `RwLock` ([`crate::vfs::VfsShard`]) and by
-/// [`crate::slab::ObjSlab`], so every tracked acquisition — mutex or
-/// not — participates in the same ordering check.
+/// shards built on `RwLock` ([`crate::vfs::VfsShard`]), so every
+/// tracked acquisition — mutex or not — participates in the same
+/// ordering check.
 #[derive(Debug)]
 pub struct OrderToken {
     #[cfg(debug_assertions)]
@@ -166,6 +163,7 @@ impl OrderToken {
         note_acquired();
         #[cfg(debug_assertions)]
         {
+            ACQUIRED_OF.with(|c| c[class.index()].set(c[class.index()].get() + 1));
             let rank = class.rank();
             RANK_STACK.with(|s| {
                 let mut s = s.borrow_mut();
@@ -292,7 +290,7 @@ mod tests {
 
     #[test]
     fn out_of_order_guard_drops_are_fine() {
-        let a = Tracked::new(LockClass::Slab, 1u32);
+        let a = Tracked::new(LockClass::Epoll, 1u32);
         let b = Tracked::new(LockClass::Object, 2u32);
         let ga = a.lock_ok();
         let gb = b.lock_ok();

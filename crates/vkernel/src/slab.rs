@@ -1,123 +1,163 @@
-//! Id-keyed slabs of independently lockable kernel objects, and the
-//! `Paged` side table for state indexed by the same kind of id.
+//! Id-keyed slabs of independently lockable kernel objects, the
+//! [`Handle`] their users hold, and the `Paged` side table for state
+//! indexed by the same kind of id.
 //!
-//! Pipes, sockets and epoll instances used to live in `Vec<Option<T>>`
-//! fields of the kernel, reachable only under the big kernel lock. An
-//! [`ObjSlab`] gives each object its own [`Tracked`] lock and makes the
-//! id → object lookup a cloneable handle, so the embedder's uncontended
-//! fast path can reach a pipe or socket without taking the kernel lock
-//! at all.
+//! A pipe, socket or epoll instance has its own [`Tracked`] lock and is
+//! reached by *handle*: whoever uses one — an open file description, a
+//! connected peer, a listener's pending queue, the address registry, the
+//! ready hub — keeps the object itself ([`Handle`], or a [`WeakHandle`]
+//! where a strong one would close a cycle), the way Linux's `struct
+//! file` keeps `private_data`. No per-call path looks an id up.
 //!
-//! The slot table itself hides behind an `RwLock`: lookups (the hot
-//! path, including concurrent lookups from several workers) take the
-//! read side and never contend with each other; only allocation and
-//! teardown take the write side. Slot ids are reused exactly like the
-//! old `Vec<Option<T>>` (first free slot), which keeps single-worker
-//! runs bit-deterministic.
+//! The [`ObjSlab`] is what gives an object its id, and the id is what
+//! the rest of the model is keyed by: it names the object's wait
+//! channels, first-free reuse of it keeps single-worker runs
+//! bit-deterministic (exactly the old `Vec<Option<T>>` tables), and the
+//! live slots are what `leak_audit` counts. With no lookup left on any
+//! call's path, the table needs no lock of its own.
 
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Weak};
 
-use crate::lockorder::{note_contention, LockClass, OrderToken, Tracked};
+use crate::lockorder::{LockClass, Tracked};
 
-/// One slab slot: the object behind its own [`Tracked`] lock.
-type Slot<T> = Option<Arc<Tracked<T>>>;
-
-/// A shared slab of per-object-locked values.
-#[derive(Debug)]
-pub struct ObjSlab<T> {
-    slots: Arc<RwLock<Vec<Slot<T>>>>,
-    /// Class of the *element* locks ([`LockClass::Slab`] guards the
-    /// table itself).
-    class: LockClass,
+/// A kernel object as its users hold it: the object, and the slab id
+/// it was given (see the module documentation for what the id is for).
+/// A handle that outlives its slot — an in-flight call, a peer link read
+/// just before the close — still reaches the object it was made for,
+/// never the slot's next owner.
+pub struct Handle<T> {
+    /// The slab id.
+    pub id: usize,
+    obj: Arc<Tracked<T>>,
 }
 
-impl<T> Clone for ObjSlab<T> {
-    fn clone(&self) -> ObjSlab<T> {
-        ObjSlab {
-            slots: self.slots.clone(),
-            class: self.class,
+impl<T> Handle<T> {
+    /// A handle that does not keep the object alive.
+    pub fn downgrade(&self) -> WeakHandle<T> {
+        WeakHandle {
+            id: self.id,
+            obj: Arc::downgrade(&self.obj),
         }
     }
+}
+
+impl<T> Clone for Handle<T> {
+    fn clone(&self) -> Handle<T> {
+        Handle {
+            id: self.id,
+            obj: self.obj.clone(),
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Handle<T> {
+    type Target = Tracked<T>;
+    fn deref(&self) -> &Tracked<T> {
+        &self.obj
+    }
+}
+
+/// Same object (not merely the same id).
+impl<T> PartialEq for Handle<T> {
+    fn eq(&self, other: &Handle<T>) -> bool {
+        Arc::ptr_eq(&self.obj, &other.obj)
+    }
+}
+
+// The id only: printing the object would lock it, and two connected
+// sockets print each other.
+impl<T> std::fmt::Debug for Handle<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Handle({})", self.id)
+    }
+}
+
+/// A [`Handle`] that does not keep its object alive: a connected
+/// socket's link to its peer (two strong links would be a cycle).
+pub struct WeakHandle<T> {
+    /// The slab id.
+    pub id: usize,
+    obj: Weak<Tracked<T>>,
+}
+
+impl<T> WeakHandle<T> {
+    /// The object, unless every strong handle is gone.
+    pub fn upgrade(&self) -> Option<Handle<T>> {
+        let obj = self.obj.upgrade()?;
+        Some(Handle { id: self.id, obj })
+    }
+}
+
+impl<T> Clone for WeakHandle<T> {
+    fn clone(&self) -> WeakHandle<T> {
+        WeakHandle {
+            id: self.id,
+            obj: self.obj.clone(),
+        }
+    }
+}
+
+impl<T> PartialEq for WeakHandle<T> {
+    fn eq(&self, other: &WeakHandle<T>) -> bool {
+        Weak::ptr_eq(&self.obj, &other.obj)
+    }
+}
+
+impl<T> std::fmt::Debug for WeakHandle<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "WeakHandle({})", self.id)
+    }
+}
+
+/// The table that gives per-object-locked values their ids. Owned by
+/// the kernel core, hence unlocked: insert, free and the audits all run
+/// under the kernel lock, and nothing else comes here.
+#[derive(Debug)]
+pub struct ObjSlab<T> {
+    slots: Vec<Option<Handle<T>>>,
+    /// Class of the element locks.
+    class: LockClass,
 }
 
 impl<T> ObjSlab<T> {
     /// An empty slab whose elements lock with `class`.
     pub fn new(class: LockClass) -> ObjSlab<T> {
         ObjSlab {
-            slots: Arc::new(RwLock::new(Vec::new())),
+            slots: Vec::new(),
             class,
         }
     }
 
-    fn read_table(&self) -> (RwLockReadGuard<'_, Vec<Slot<T>>>, OrderToken) {
-        let token = OrderToken::enter(LockClass::Slab);
-        let guard = match self.slots.try_read() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                note_contention(LockClass::Slab);
-                self.slots.read().unwrap_or_else(|p| p.into_inner())
-            }
-        };
-        (guard, token)
-    }
-
-    fn write_table(&self) -> (RwLockWriteGuard<'_, Vec<Slot<T>>>, OrderToken) {
-        let token = OrderToken::enter(LockClass::Slab);
-        let guard = match self.slots.try_write() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                note_contention(LockClass::Slab);
-                self.slots.write().unwrap_or_else(|p| p.into_inner())
-            }
-        };
-        (guard, token)
-    }
-
     /// Inserts `value`, reusing the first free slot (old `Vec<Option>`
-    /// semantics), and returns its id.
-    pub fn insert(&self, value: T) -> usize {
+    /// semantics), and returns its handle.
+    pub fn insert(&mut self, value: T) -> Handle<T> {
+        let free = self.slots.iter().position(Option::is_none);
+        let id = free.unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
         let obj = Arc::new(Tracked::new(self.class, value));
-        let (mut slots, _token) = self.write_table();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(obj);
-                return i;
-            }
+        let handle = Handle { id, obj };
+        self.slots[id] = Some(handle.clone());
+        handle
+    }
+
+    /// The object in slot `id`, if live — for paths that start from an
+    /// id (audits, tests); calls reach objects by handle.
+    pub fn get(&self, id: usize) -> Option<&Handle<T>> {
+        self.slots.get(id)?.as_ref()
+    }
+
+    /// Frees slot `id`; the object lives on while handles to it do.
+    pub fn free(&mut self, id: usize) {
+        if let Some(slot) = self.slots.get_mut(id) {
+            *slot = None;
         }
-        slots.push(Some(obj));
-        slots.len() - 1
-    }
-
-    /// The object in slot `id`, if live. The returned handle stays
-    /// valid (and lockable) even if the slot is freed concurrently —
-    /// exactly like an fd kept open across a close elsewhere.
-    pub fn get(&self, id: usize) -> Option<Arc<Tracked<T>>> {
-        let (slots, _token) = self.read_table();
-        slots.get(id).and_then(|s| s.clone())
-    }
-
-    /// Frees slot `id`, returning the (possibly still shared) object.
-    pub fn free(&self, id: usize) -> Option<Arc<Tracked<T>>> {
-        let (mut slots, _token) = self.write_table();
-        slots.get_mut(id).and_then(|s| s.take())
     }
 
     /// Number of live slots (leak audits).
     pub fn live(&self) -> usize {
-        let (slots, _token) = self.read_table();
-        slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Ids of the live slots, ascending (deterministic iteration).
-    pub fn live_ids(&self) -> Vec<usize> {
-        let (slots, _token) = self.read_table();
-        slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| i))
-            .collect()
+        self.slots.iter().flatten().count()
     }
 }
 
@@ -192,14 +232,13 @@ mod tests {
 
     #[test]
     fn slot_ids_are_reused_first_free() {
-        let slab: ObjSlab<u32> = ObjSlab::new(LockClass::Object);
-        assert_eq!(slab.insert(10), 0);
-        assert_eq!(slab.insert(11), 1);
-        assert_eq!(slab.insert(12), 2);
+        let mut slab: ObjSlab<u32> = ObjSlab::new(LockClass::Object);
+        assert_eq!(slab.insert(10).id, 0);
+        assert_eq!(slab.insert(11).id, 1);
+        assert_eq!(slab.insert(12).id, 2);
         slab.free(1);
-        assert_eq!(slab.insert(13), 1, "first free slot wins");
+        assert_eq!(slab.insert(13).id, 1, "first free slot wins");
         assert_eq!(slab.live(), 3);
-        assert_eq!(slab.live_ids(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -225,11 +264,17 @@ mod tests {
 
     #[test]
     fn handles_outlive_the_slot() {
-        let slab: ObjSlab<String> = ObjSlab::new(LockClass::Object);
-        let id = slab.insert("alive".into());
-        let handle = slab.get(id).unwrap();
-        slab.free(id);
-        assert!(slab.get(id).is_none());
+        let mut slab: ObjSlab<String> = ObjSlab::new(LockClass::Object);
+        let handle = slab.insert("alive".into());
+        let weak = handle.downgrade();
+        slab.free(handle.id);
+        assert!(slab.get(handle.id).is_none());
+        // The slot's next owner is another object under the same id.
+        let next = slab.insert("next".into());
+        assert_eq!(next.id, handle.id);
+        assert!(next != handle && weak.upgrade().as_ref() == Some(&handle));
         assert_eq!(*handle.lock_ok(), "alive");
+        drop(handle);
+        assert!(weak.upgrade().is_none());
     }
 }

@@ -8,6 +8,8 @@ use std::collections::VecDeque;
 
 use wali_abi::layout::WaliSockaddr;
 
+use crate::slab::{Handle, WeakHandle};
+
 /// Per-direction stream buffer size.
 pub const SOCK_BUF_SIZE: usize = 208 * 1024;
 
@@ -18,17 +20,19 @@ pub enum SockState {
     Unbound,
     /// Bound to an address.
     Bound,
-    /// Listening with a backlog of pending peer socket ids.
+    /// Listening with a backlog of pending connections.
     Listening {
         /// Maximum queued connections.
         backlog: usize,
-        /// Connected-but-unaccepted peer sockets.
-        pending: VecDeque<usize>,
+        /// The server-side sockets of connected-but-unaccepted
+        /// connections (the queue is what keeps them alive).
+        pending: VecDeque<Handle<Socket>>,
     },
-    /// Connected to a peer socket id.
+    /// Connected. Both ends are in this state or neither is: whoever
+    /// tears one end down closes the other's state too.
     Connected {
-        /// The other end's socket id.
-        peer: usize,
+        /// The other end (weak: the two ends point at each other).
+        peer: WeakHandle<Socket>,
     },
     /// Peer closed or connection torn down.
     Closed,
@@ -57,10 +61,6 @@ pub struct Socket {
     pub shut_rd: bool,
     /// Send direction shut down.
     pub shut_wr: bool,
-    /// Non-blocking mode.
-    pub nonblock: bool,
-    /// Reference count (descriptors pointing here).
-    pub refs: u32,
 }
 
 impl Socket {
@@ -77,15 +77,22 @@ impl Socket {
             options: Vec::new(),
             shut_rd: false,
             shut_wr: false,
-            nonblock: false,
-            refs: 1,
         }
     }
 
     /// The connected peer's socket id, if any.
-    pub fn peer(&self) -> Option<usize> {
-        match self.state {
-            SockState::Connected { peer } => Some(peer),
+    pub fn peer_id(&self) -> Option<usize> {
+        match &self.state {
+            SockState::Connected { peer } => Some(peer.id),
+            _ => None,
+        }
+    }
+
+    /// The connected peer, if any — to be locked once this socket's own
+    /// lock is released (the two never nest).
+    pub fn peer(&self) -> Option<Handle<Socket>> {
+        match &self.state {
+            SockState::Connected { peer } => peer.upgrade(),
             _ => None,
         }
     }
@@ -93,6 +100,20 @@ impl Socket {
     /// Space left in the receive buffer.
     pub fn recv_space(&self) -> usize {
         SOCK_BUF_SIZE - self.recv.len()
+    }
+
+    /// Copies up to `out.len()` received stream bytes into `out`,
+    /// consuming them unless `peek`; returns the count.
+    pub fn take_bytes(&mut self, out: &mut [u8], peek: bool) -> usize {
+        let n = out.len().min(self.recv.len());
+        let (head, tail) = self.recv.as_slices();
+        let from_head = n.min(head.len());
+        out[..from_head].copy_from_slice(&head[..from_head]);
+        out[from_head..n].copy_from_slice(&tail[..n - from_head]);
+        if !peek {
+            self.recv.drain(..n);
+        }
+        n
     }
 
     /// True when a reader would not block.

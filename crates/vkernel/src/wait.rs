@@ -33,11 +33,11 @@
 //! so a fork-per-request guest holds state for live objects only.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::kernel::epoll::Epoll;
 use crate::lockorder::{LockClass, Tracked, TrackedGuard};
-use crate::slab::{ObjSlab, Paged};
+use crate::slab::{Handle, Paged};
 use crate::sync::FastMap;
 use crate::{MmId, Pid, Tid};
 
@@ -411,16 +411,31 @@ impl WaitSet {
     }
 }
 
-/// The ready-ring router's lookup table: wait channel → `(epoll id,
-/// registration key)` watchers whose readiness that channel's
-/// transitions may change.
+/// One epoll registration watching a channel: the instance (by
+/// handle — the router pushes onto its ring without looking anything
+/// up) and the registration's key in it.
+#[derive(Debug)]
+struct Watcher {
+    ep: Handle<Epoll>,
+    key: u64,
+}
+
+/// The ready-ring router's lookup table: wait channel → the epoll
+/// registrations whose readiness that channel's transitions may change.
 ///
 /// Kept outside the [`WaitSet`] lock so the common post (no epoll
 /// watcher anywhere) pays a single relaxed atomic load, and locked at
-/// [`LockClass::ReadyHub`] — *below* the slab and epoll classes — so
-/// the router can walk a channel's watchers and take each one's epoll
-/// lock without inverting the DAG.
-type ReadyHub = ChanTable<Vec<(usize, u64)>>;
+/// [`LockClass::ReadyHub`] — *below* the epoll class — so the router
+/// can walk a channel's watchers and take each one's epoll lock without
+/// inverting the DAG.
+#[derive(Debug, Default)]
+struct ReadyHub {
+    watchers: ChanTable<Vec<Watcher>>,
+    /// [`WaitShard::post_all`]'s list of freshly queued ring entries —
+    /// `(index of the post that routed there, epoll id)` — kept for its
+    /// capacity.
+    routed: Vec<(usize, usize)>,
+}
 
 /// The waitqueue table behind its own shard lock.
 ///
@@ -444,10 +459,6 @@ pub struct WaitShard {
     /// hub lock entirely while this is zero (no epoll registrations
     /// anywhere).
     hub_count: Arc<AtomicUsize>,
-    /// The kernel's epoll slab, wired once at kernel construction so
-    /// the router can push onto ready rings. Posts that race the wiring
-    /// window simply skip routing (no epoll exists yet to watch).
-    epolls: Arc<OnceLock<ObjSlab<Epoll>>>,
 }
 
 impl Default for WaitShard {
@@ -463,19 +474,13 @@ impl WaitShard {
             inner: Arc::new(Tracked::new(LockClass::Waits, WaitSet::new())),
             hub: Arc::new(Tracked::new(LockClass::ReadyHub, ReadyHub::default())),
             hub_count: Arc::new(AtomicUsize::new(0)),
-            epolls: Arc::new(OnceLock::new()),
         }
     }
 
-    /// Wires the kernel's epoll slab into the router (called once at
-    /// kernel construction; later calls are no-ops).
-    pub fn set_epolls(&self, slab: ObjSlab<Epoll>) {
-        let _ = self.epolls.set(slab);
-    }
-
     /// The table, locked: every [`WaitSet`] operation but a post goes
-    /// through here (a post also routes, see [`WaitShard::post`]). The
-    /// guard is the innermost lock — take nothing else while it lives.
+    /// through here (a post also routes, see [`WaitShard::post_all`]).
+    /// The guard is the innermost lock — take nothing else while it
+    /// lives.
     pub fn lock(&self) -> TrackedGuard<'_, WaitSet> {
         self.inner.lock_ok()
     }
@@ -488,14 +493,15 @@ impl WaitShard {
         waits.subscribe(tid, Channel::Signal(tid));
     }
 
-    /// Registers epoll `eid`'s registration `key` as a watcher of `ch`.
-    /// Must not be called while holding a lock of rank ≥
+    /// Registers registration `key` of epoll instance `ep` as a watcher
+    /// of `ch`. Must not be called while holding a lock of rank ≥
     /// [`LockClass::ReadyHub`] (notably the epoll lock itself).
-    pub fn hub_register(&self, ch: Channel, eid: usize, key: u64) {
+    pub fn hub_register(&self, ch: Channel, ep: &Handle<Epoll>, key: u64) {
         let mut hub = self.hub.lock_ok();
-        let watchers = hub.slot(ch);
-        if !watchers.contains(&(eid, key)) {
-            watchers.push((eid, key));
+        let watchers = hub.watchers.slot(ch);
+        if !watchers.iter().any(|w| w.ep.id == ep.id && w.key == key) {
+            let ep = ep.clone();
+            watchers.push(Watcher { ep, key });
             self.hub_count.fetch_add(1, Ordering::AcqRel);
         }
     }
@@ -503,16 +509,16 @@ impl WaitShard {
     /// Removes a watcher added by [`WaitShard::hub_register`].
     pub fn hub_unregister(&self, ch: Channel, eid: usize, key: u64) {
         let mut hub = self.hub.lock_ok();
-        let Some(watchers) = hub.get_mut(ch) else {
+        let Some(watchers) = hub.watchers.get_mut(ch) else {
             return;
         };
         let before = watchers.len();
-        watchers.retain(|&w| w != (eid, key));
+        watchers.retain(|w| w.ep.id != eid || w.key != key);
         if watchers.len() != before {
             self.hub_count.fetch_sub(1, Ordering::AcqRel);
         }
         if watchers.is_empty() {
-            hub.free(ch);
+            hub.watchers.free(ch);
         }
     }
 
@@ -521,34 +527,56 @@ impl WaitShard {
         self.hub_count.load(Ordering::Acquire)
     }
 
-    /// See [`WaitSet::post`], plus ready-ring routing: if any epoll
-    /// registration watches `ch`, push it onto that instance's ready
-    /// ring and post [`Channel::EpollReady`] for freshly queued entries.
-    ///
-    /// Locking: the waitqueue lock is released before the hub lock; the
-    /// watcher list is walked in place under the hub lock, taking each
-    /// epoll lock and then (epoll lock released) the waitqueue lock for
-    /// the `EpollReady` post — ReadyHub → Slab → Epoll → Waits, strictly
-    /// down the DAG from at most the caller's held ranks (≤ `Kernel`).
-    /// `EpollReady` has no watchers (nested epoll is `ELOOP`), so that
-    /// post needs no routing of its own.
+    /// One post (see [`WaitShard::post_all`]); the number of tasks it
+    /// woke.
     pub fn post(&self, ch: Channel) -> usize {
-        let n = self.inner.lock_ok().post(ch);
-        if self.hub_count.load(Ordering::Acquire) == 0 {
-            return n;
-        }
-        let Some(epolls) = self.epolls.get() else {
-            return n;
+        self.post_all(&[ch], &[])
+    }
+
+    /// Everything one call has to tell the waitqueue, under one hold of
+    /// it: [`WaitSet::post`] on each of `posts`, in order, then
+    /// [`WaitSet::release`] of the `dead` heads of an object the call
+    /// tore down. Returns the number of tasks the posts woke.
+    ///
+    /// Ready-ring routing: an epoll registration watching a posted
+    /// channel is pushed onto its instance's ready ring, and
+    /// [`Channel::EpollReady`] is posted for each freshly queued entry
+    /// right after the post that routed there (`EpollReady` has no
+    /// watchers — nested epoll is `ELOOP` — so it needs no routing of
+    /// its own). With watchers anywhere, the hub is locked first and the
+    /// pushes happen — each under its instance's lock, through the
+    /// watcher's handle — before the waitqueue is taken: ReadyHub →
+    /// Epoll, then ReadyHub → Waits, strictly down the DAG from at most
+    /// the caller's held ranks (≤ `Kernel`). Producers push-then-post,
+    /// `epoll_wait` subscribes-then-rechecks; pushing a call's entries
+    /// ahead of its first post keeps that order.
+    pub fn post_all(&self, posts: &[Channel], dead: &[Channel]) -> usize {
+        let mut hub = match self.hub_count.load(Ordering::Acquire) {
+            0 => None,
+            _ => Some(self.hub.lock_ok()),
         };
-        let hub = self.hub.lock_ok();
-        for &(eid, key) in hub.get(ch).map_or(&[][..], Vec::as_slice) {
-            let Some(ep) = epolls.get(eid) else { continue };
-            let pushed = ep.lock_ok().ring_push(key);
-            if pushed {
-                self.inner.lock_ok().post(Channel::EpollReady(eid));
+        let routed = hub.as_deref_mut().map(|hub| {
+            hub.routed.clear();
+            for (i, &ch) in posts.iter().enumerate() {
+                for w in hub.watchers.get(ch).map_or(&[][..], Vec::as_slice) {
+                    if w.ep.lock_ok().ring_push(w.key) {
+                        hub.routed.push((i, w.ep.id));
+                    }
+                }
+            }
+            &hub.routed[..]
+        });
+        let mut routed = routed.unwrap_or(&[]).iter().peekable();
+        let mut waits = self.inner.lock_ok();
+        let mut woken = 0;
+        for (i, &ch) in posts.iter().enumerate() {
+            woken += waits.post(ch);
+            while let Some((_, eid)) = routed.next_if(|(at, _)| *at == i) {
+                waits.post(Channel::EpollReady(*eid));
             }
         }
-        n
+        dead.iter().for_each(|&ch| waits.release(ch));
+        woken
     }
 }
 

@@ -23,15 +23,17 @@
 //! 3. **Signal precedence.** Whether a park would be interrupted is the
 //!    core's to know. Every kill path raises the task's
 //!    [`vkernel::HintFlag`] *before* posting its wakeup, so a call that
-//!    finds the hint down may park on its own; one that finds it up —
-//!    on entry, or again straight after subscribing — goes through
-//!    `Kernel::read_file`/`write_file` under the kernel lock, which see
-//!    the pending signal and answer `EINTR`.
+//!    finds the hint down may park on its own
+//!    ([`vkernel::kernel::io::Intr::HintDown`] — all but a stream
+//!    socket's receive, whose park the core makes: see there); one that
+//!    finds it up — on entry, or again straight after subscribing —
+//!    goes through `Kernel::read_file`/`write_file` under the kernel
+//!    lock, which see the pending signal and answer `EINTR`.
 
 use std::sync::Arc;
 
 use vkernel::fd::FileRef;
-use vkernel::kernel::io::Core;
+use vkernel::kernel::io::{Core, Intr};
 use vkernel::{MutexExt, SysError};
 use wali_abi::layout::WaliStat;
 use wali_abi::Errno;
@@ -113,7 +115,7 @@ fn on_shards(
 /// `read(fd, out)`.
 pub(crate) fn read(c: C, fd: i32, out: &mut [u8]) -> R {
     with_file(c, fd, |c, file| {
-        match on_shards(c, |h, tid| h.read(tid, file, out, &|| false)) {
+        match on_shards(c, |h, tid| h.read(tid, file, out, Intr::HintDown)) {
             Next::Done(r) => r,
             Next::Rest(rest) => k(c, |kk, tid| kk.finish_read(tid, rest, out)),
             Next::Locked => k(c, |kk, tid| kk.read_file(tid, file, out)),
@@ -124,7 +126,7 @@ pub(crate) fn read(c: C, fd: i32, out: &mut [u8]) -> R {
 /// `write(fd, data)`.
 pub(crate) fn write(c: C, fd: i32, data: &[u8]) -> R {
     with_file(c, fd, |c, file| {
-        match on_shards(c, |h, tid| h.write(tid, file, data, &|| false)) {
+        match on_shards(c, |h, tid| h.write(tid, file, data, Intr::HintDown)) {
             Next::Done(r) => r,
             Next::Rest(rest) => k(c, |kk, tid| kk.finish_write(tid, rest, data)),
             Next::Locked => k(c, |kk, tid| kk.write_file(tid, file, data)),

@@ -344,9 +344,9 @@ fn do_epoll_wait(c: C, a: &[u64]) -> R {
     // so a spuriously woken waiter (all but one of a prefork herd) costs
     // two ring peeks and a re-park.
     let ready = k(c, |kk, tid| {
-        let id = kk.epoll_id(tid, epfd)?;
+        let ep = kk.epoll_of(tid, epfd)?;
         let mut ready = Vec::new();
-        kk.epoll_pop(tid, id, maxevents as usize, &mut ready)?;
+        kk.epoll_pop(tid, &ep, maxevents as usize, &mut ready)?;
         if !ready.is_empty() || timeout_ms == 0 {
             return Ok(ready);
         }
@@ -357,14 +357,14 @@ fn do_epoll_wait(c: C, a: &[u64]) -> R {
                 return Ok(ready);
             }
         }
-        kk.epoll_park(tid, id);
+        kk.epoll_park(tid, &ep);
         // The lock-free syscall fast path posts without the kernel lock,
         // so a readiness transition can land between the pop above and
         // the subscribe. Producers push-then-post; this consumer
         // subscribes-then-rechecks — one of the two sides always sees
         // the other. The recheck is an O(ready) ring pop, cheap enough
         // to run on every park.
-        kk.epoll_pop(tid, id, maxevents as usize, &mut ready)?;
+        kk.epoll_pop(tid, &ep, maxevents as usize, &mut ready)?;
         if !ready.is_empty() {
             kk.wait_cancel(tid);
             return Ok(ready);

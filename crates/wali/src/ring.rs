@@ -71,12 +71,12 @@ fn fd_channel(ctx: &WaliContext, fd: i32, write: bool) -> Option<Channel> {
     // is taken, so none can outlive a `close` (see `fastpath`).
     let hot = ctx.handles.procs.get(ctx.tid)?;
     let table = hot.fdtable.lock_ok();
-    let kind = table.get(fd).ok()?.file.lock_ok().kind.clone();
-    match kind {
-        FileKind::PipeRead(id) if !write => Some(Channel::PipeReadable(id)),
-        FileKind::PipeWrite(id) if write => Some(Channel::PipeWritable(id)),
-        FileKind::Socket(id) if write => Some(Channel::SockSpace(id)),
-        FileKind::Socket(id) => Some(Channel::SockReadable(id)),
+    let file = table.get(fd).ok()?.file.lock_ok();
+    match &file.kind {
+        FileKind::PipeRead(pipe) if !write => Some(Channel::PipeReadable(pipe.id)),
+        FileKind::PipeWrite(pipe) if write => Some(Channel::PipeWritable(pipe.id)),
+        FileKind::Socket(sock) if write => Some(Channel::SockSpace(sock.id)),
+        FileKind::Socket(sock) => Some(Channel::SockReadable(sock.id)),
         _ => None,
     }
 }

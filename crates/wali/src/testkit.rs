@@ -111,6 +111,15 @@ pub fn run_modules(
     Ok(RunReport { outcome, leaks })
 }
 
+/// The 16-byte `sockaddr_in` image of 127.0.0.1:`port`.
+pub fn sockaddr_in(port: u16) -> [u8; 16] {
+    let mut bytes = [0u8; 16];
+    bytes[0..2].copy_from_slice(&2u16.to_le_bytes());
+    bytes[2..4].copy_from_slice(&port.to_be_bytes());
+    bytes[4..8].copy_from_slice(&[127, 0, 0, 1]);
+    bytes
+}
+
 /// Emits a pthread-style thread spawn: `clone(CLONE_PTHREAD_FLAGS)`,
 /// with `child` emitted in the tid==0 branch. The child body must end
 /// the thread itself (call `exit`) — threads that fall off the end

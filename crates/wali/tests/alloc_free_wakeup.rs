@@ -7,7 +7,9 @@
 //! grows its wait record, the woken list and the run queue to size), but
 //! not on the number of rounds. A second guest checks the other shape
 //! `prefork_serve` lives on: an `epoll_wait` that is woken and finds
-//! nothing ready re-parks without allocating.
+//! nothing ready re-parks without allocating. A third prices a loopback
+//! connection per request (`memcached_threads`): it allocates — a
+//! connection is made of objects — but the same amount each time.
 //!
 //! The counter is per thread and the runs pin one worker, so the whole
 //! run happens on the counting thread.
@@ -255,4 +257,39 @@ fn a_woken_epoll_wait_that_finds_nothing_allocates_nothing() {
         "240 more edges: one answer each, nothing for the {} spurious retries",
         many_retries - few_retries
     );
+}
+
+/// Allocations of `run()` of `apps::memcached_sim(requests)`: a client
+/// thread and a server thread, one loopback connection per request.
+fn allocs_of_loopback(requests: u32) -> u64 {
+    let module = roundtrip(&apps::memcached_sim(requests).module);
+    let mut runner = WaliRunner::new_default();
+    runner.set_workers(1);
+    runner.register_program("/usr/bin/app", &module).unwrap();
+    runner.spawn("/usr/bin/app", &[], &[]).unwrap();
+    let before = ALLOCS.with(Cell::get);
+    let out = runner.run().expect("run");
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(out.exit_code(), Some(0));
+    assert_eq!(out.trace.counts.of("connect"), requests as u64);
+    allocs
+}
+
+#[test]
+fn a_connection_round_trip_allocates_a_fixed_amount() {
+    allocs_of_loopback(1);
+    let [a, b, c] = [64, 128, 1024].map(allocs_of_loopback);
+    // A connection is objects — two sockets, two descriptions, two
+    // receive buffers, the page and the waiter list of the wait heads
+    // that come and go with its ids, the parsed `sockaddr`: nine. What
+    // it must not do is cost more as the run gets longer — no table
+    // that grows with requests served, no list rebuilt per call.
+    let per_request = (b - a) / 64;
+    assert_eq!((b - a) % 64, 0, "a whole number per request");
+    assert_eq!(
+        c - a,
+        960 * per_request,
+        "request 1 000 costs what request 100 did"
+    );
+    assert_eq!(per_request, 9, "allocations per request");
 }

@@ -422,7 +422,7 @@ fn blocked_call_outside_the_waitqueue_protocol_completes() {
 // copy, and the last reference to a description releasing it. Each
 // guest below runs at one worker and at four, on both dispatch tiers.
 
-use wasm::build::FuncBuilder;
+use wasm::build::{FuncBuilder, FuncId};
 
 const RECORD: u32 = 64;
 const RECORDS: u32 = 400;
@@ -836,4 +836,391 @@ fn a_description_closed_under_a_reader_on_another_worker_is_still_released() {
             report.leaks.describe()
         );
     }
+}
+
+// --- What the merged holds used to serialise ------------------------------
+//
+// `read` and `write` on a socket run without the kernel lock too, park
+// included, and every other socket call takes each socket's lock once
+// and posts once, after its last unlock. What the longer, repeated
+// holds under the kernel lock used to make atomic is now down to the
+// order "store under the object's lock, then post": a close or a
+// shutdown racing a call that is about to park must still wake it, a
+// listener torn down under a storm of connects must strand no client
+// and leak no queued connection, and a link to a peer must never lead
+// to whoever got the peer's slab id next. Each guest runs at one worker
+// and at four, on both dispatch tiers; threads share the fd table
+// (`CLONE_FILES`), so a `close` closes for everyone.
+
+/// `CLONE_VM | CLONE_FS | CLONE_FILES | CLONE_SIGHAND | CLONE_THREAD`.
+const THREAD_SHARING_FDS: i64 = 0x10d00;
+const EPIPE: i64 = -32;
+const EAGAIN: i64 = -11;
+
+/// The socket calls the guests below use.
+struct Net {
+    socket: FuncId,
+    socketpair: FuncId,
+    bind: FuncId,
+    listen: FuncId,
+    connect: FuncId,
+    shutdown: FuncId,
+    recvfrom: FuncId,
+    dup: FuncId,
+    read: FuncId,
+    write: FuncId,
+    close: FuncId,
+    clone: FuncId,
+    exit: FuncId,
+    nanosleep: FuncId,
+    sigaction: FuncId,
+    ts: u32,
+}
+
+impl Net {
+    fn import(mb: &mut ModuleBuilder) -> Net {
+        let mut net = Net {
+            socket: sys(mb, "socket", 3),
+            socketpair: sys(mb, "socketpair", 4),
+            bind: sys(mb, "bind", 3),
+            listen: sys(mb, "listen", 2),
+            connect: sys(mb, "connect", 3),
+            shutdown: sys(mb, "shutdown", 2),
+            recvfrom: sys(mb, "recvfrom", 6),
+            dup: sys(mb, "dup", 1),
+            read: sys(mb, "read", 3),
+            write: sys(mb, "write", 3),
+            close: sys(mb, "close", 1),
+            clone: sys(mb, "clone", 5),
+            exit: sys(mb, "exit", 1),
+            nanosleep: sys(mb, "nanosleep", 2),
+            sigaction: sys(mb, "rt_sigaction", 4),
+            ts: 0,
+        };
+        mb.memory(4, Some(16));
+        net.ts = mb.reserve(16);
+        net
+    }
+
+    /// A thread sharing the fd table; `body` must not fall through.
+    fn thread(&self, b: &mut FuncBuilder, body: impl FnOnce(&mut FuncBuilder)) {
+        b.i64(THREAD_SHARING_FDS).i64(0).i64(0).i64(0).i64(0);
+        b.call(self.clone).i64(0).eq64();
+        b.if_(BlockType::Empty, |b| {
+            body(b);
+            b.i64(0).call(self.exit).drop_();
+        });
+    }
+
+    /// `socketpair(AF_UNIX, SOCK_STREAM)` into `fds`, then into locals.
+    fn pair(&self, b: &mut FuncBuilder, fds: u32, (x, y): (u32, u32)) {
+        b.i64(1).i64(1).i64(0).i64(fds as i64);
+        b.call(self.socketpair).drop_();
+        b.i32(fds as i32).load32(0).extend_u().local_set(x);
+        b.i32(fds as i32).load32(4).extend_u().local_set(y);
+    }
+
+    /// A write to a broken connection is `-EPIPE`, not the guest's death.
+    fn ignore_sigpipe(&self, b: &mut FuncBuilder, act: u32) {
+        b.i32(act as i32).i32(1).store32(0); // SIG_IGN
+        b.i64(13).i64(act as i64).i64(0).i64(8);
+        b.call(self.sigaction).drop_();
+    }
+
+    /// Sleep-polls until the `n` flag words at `flags` are all up, at
+    /// most `POLLS` sleeps in all (a stranded thread fails the test, it
+    /// does not hang it); leaves the number still down on the stack.
+    fn await_flags(&self, b: &mut FuncBuilder, flags: u32, n: u32) {
+        const POLLS: i32 = 20_000;
+        let (i, polls, down) = (b.local(I32), b.local(I32), b.local(I32));
+        let flag = |b: &mut FuncBuilder| {
+            b.i32(flags as i32).local_get(i).i32(4).mul32().add32();
+            b.load32(0);
+        };
+        counted(b, i, n, |b| {
+            b.loop_(BlockType::Empty, |b| {
+                flag(b);
+                b.eqz32();
+                b.if_(BlockType::Empty, |b| {
+                    emit_sleep(b, self.nanosleep, self.ts, 0, 1_000);
+                    b.local_get(polls).i32(1).add32().local_tee(polls);
+                    b.i32(POLLS).lt_s32().br_if(1);
+                });
+            });
+            flag(b);
+            b.eqz32().local_get(down).add32().local_set(down);
+        });
+        b.local_get(down);
+    }
+}
+
+/// `flags[i] = 1`.
+fn raise(b: &mut FuncBuilder, flags: u32, i: u32) {
+    b.i32(flags as i32).local_get(i).i32(4).mul32().add32();
+    b.i32(1).store32(0);
+}
+
+fn run_everywhere(module: &Module, tasks: usize) {
+    for (workers, regir) in configs() {
+        let opts = RunnerOpts {
+            workers: Some(workers),
+            regir: Some(regir),
+            ..RunnerOpts::single()
+        };
+        let what = format!("workers={workers} regir={regir}");
+        let report = run_module(module, &[], &[], opts).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(report.outcome.exit_code(), Some(0), "{what}");
+        assert_eq!(report.outcome.ends.len(), tasks, "{what}");
+        assert!(
+            report.leaks.is_clean(),
+            "{what}: {}",
+            report.leaks.describe()
+        );
+    }
+}
+
+#[test]
+fn both_ends_closed_under_a_reader_is_one_release_each_and_an_eof() {
+    // Each round: a connected pair `(a, b)`; a reader reads `a` through
+    // a descriptor of its own (a `dup`) until the read answers 0 or an
+    // error — in `read`, about to park or parked when the ends go; a
+    // second thread closes `a`, the main thread writes a byte and
+    // closes `b`. `b`'s release closes `a`'s state and must wake the
+    // reader wherever it was; the reader's own close then releases `a`,
+    // whose peer is gone. Exit code: readers that did not end on 0.
+    const ROUNDS: u32 = 64;
+    let mut mb = ModuleBuilder::new();
+    let net = Net::import(&mut mb);
+    let fds = mb.reserve(8);
+    let bufs = mb.reserve(ROUNDS * 8);
+    let flags = mb.reserve(ROUNDS * 4);
+    let ends = mb.reserve(ROUNDS * 8);
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let (i, bad) = (b.local(I32), b.local(I32));
+        let (a, pb, a2, n) = (b.local(I64), b.local(I64), b.local(I64), b.local(I64));
+        let slot = |b: &mut FuncBuilder, base: u32| {
+            b.i32(base as i32).local_get(i).i32(8).mul32().add32();
+        };
+        counted(b, i, ROUNDS, |b| {
+            net.pair(b, fds, (a, pb));
+            b.local_get(a).call(net.dup).local_set(a2);
+            net.thread(b, |b| {
+                b.loop_(BlockType::Empty, |b| {
+                    b.local_get(a2);
+                    slot(b, bufs);
+                    b.extend_u().i64(8).call(net.read).local_tee(n);
+                    b.i64(0).lt_s64().eqz32();
+                    b.local_get(n).i64(0).eq64().eqz32().and32();
+                    b.br_if(0);
+                });
+                slot(b, ends);
+                b.local_get(n).store64(0);
+                b.local_get(a2).call(net.close).drop_();
+                raise(b, flags, i);
+            });
+            net.thread(b, |b| {
+                b.local_get(a).call(net.close).drop_();
+            });
+            b.local_get(pb).i64(fds as i64).i64(1);
+            b.call(net.write).drop_();
+            b.local_get(pb).call(net.close).drop_();
+        });
+        net.await_flags(b, flags, ROUNDS);
+        b.local_set(bad);
+        counted(b, i, ROUNDS, |b| {
+            slot(b, ends);
+            b.load64(0).i64(0).eq64().eqz32();
+            b.local_get(bad).add32().local_set(bad);
+        });
+        b.local_get(bad);
+    });
+    mb.export("_start", main);
+    run_everywhere(&mb.build(), 1 + 2 * ROUNDS as usize);
+}
+
+#[test]
+fn a_connect_storm_against_a_closing_listener_strands_and_leaks_nothing() {
+    // Three clients connect over and over; whoever gets through reads —
+    // nobody ever accepts, so the read can only end when the listener
+    // goes and takes its queue with it: reset, 0. The main thread opens
+    // and closes the listener `LIFETIMES` times under them. A queued
+    // connection that outlives its listener would park its client for
+    // good (the bounded wait below gives up on it) and show in the
+    // audit as a socket.
+    const CLIENTS: u32 = 3;
+    const ATTEMPTS: u32 = 48;
+    const LIFETIMES: u32 = 24;
+    let mut mb = ModuleBuilder::new();
+    let net = Net::import(&mut mb);
+    let addr = mb.data(&wali::testkit::sockaddr_in(7400));
+    let bufs = mb.reserve(CLIENTS * 8);
+    let flags = mb.reserve(CLIENTS * 4);
+    let wrong = mb.reserve(CLIENTS * 4);
+    let go = mb.reserve(4);
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let (c, j, bad) = (b.local(I32), b.local(I32), b.local(I32));
+        let (s, l) = (b.local(I64), b.local(I64));
+        let tcp = |b: &mut FuncBuilder, into: u32| {
+            b.i64(2).i64(1).i64(0).call(net.socket).local_set(into);
+        };
+        counted(b, c, CLIENTS, |b| {
+            net.thread(b, |b| {
+                // A new thread runs before its parent goes on: wait for
+                // the first listener.
+                b.loop_(BlockType::Empty, |b| {
+                    b.i32(go as i32).load32(0).eqz32().br_if(0);
+                });
+                counted(b, j, ATTEMPTS, |b| {
+                    tcp(b, s);
+                    b.local_get(s).i64(addr as i64).i64(16);
+                    b.call(net.connect).i64(0).eq64();
+                    b.if_(BlockType::Empty, |b| {
+                        b.local_get(s);
+                        b.i32(bufs as i32).local_get(c).i32(8).mul32().add32();
+                        b.extend_u().i64(8).call(net.read);
+                        b.i64(0).eq64().eqz32();
+                        b.if_(BlockType::Empty, |b| raise(b, wrong, c));
+                    });
+                    b.local_get(s).call(net.close).drop_();
+                });
+                raise(b, flags, c);
+            });
+        });
+        counted(b, j, LIFETIMES, |b| {
+            tcp(b, l);
+            b.local_get(l).i64(addr as i64).i64(16);
+            b.call(net.bind).drop_();
+            b.local_get(l).i64(2).call(net.listen).drop_();
+            b.i32(go as i32).i32(1).store32(0);
+            emit_sleep(b, net.nanosleep, net.ts, 0, 1_000);
+            b.local_get(l).call(net.close).drop_();
+        });
+        net.await_flags(b, flags, CLIENTS);
+        b.local_set(bad);
+        counted(b, c, CLIENTS, |b| {
+            b.i32(wrong as i32).local_get(c).i32(4).mul32().add32();
+            b.load32(0).local_get(bad).add32().local_set(bad);
+        });
+        b.local_get(bad);
+    });
+    mb.export("_start", main);
+    run_everywhere(&mb.build(), 1 + CLIENTS as usize);
+}
+
+#[test]
+fn shutdown_for_writing_reaches_a_sender_however_close_to_its_park() {
+    // A sender fills its peer's receive buffer (nobody reads) and parks
+    // in the write that finds no room; the main thread waits until the
+    // sender is at that write and shuts the sender's own socket down
+    // for writing. The sender checks "may I send" under its own lock
+    // and parks under the peer's: a shutdown between the two must still
+    // end the write with `-EPIPE`. Exit code: senders that ended on
+    // anything else, or never.
+    const ROUNDS: u32 = 6;
+    const CHUNK: u32 = 32 * 1024;
+    let filling_writes = (vkernel::socket::SOCK_BUF_SIZE as u32).div_ceil(CHUNK);
+    let mut mb = ModuleBuilder::new();
+    let net = Net::import(&mut mb);
+    let fds = mb.reserve(8);
+    let act = mb.reserve(24);
+    let chunk = mb.reserve(CHUNK);
+    let flags = mb.reserve(ROUNDS * 4);
+    let wrote = mb.reserve(ROUNDS * 4);
+    let ends = mb.reserve(ROUNDS * 8);
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let (i, bad) = (b.local(I32), b.local(I32));
+        let (a, pb, n) = (b.local(I64), b.local(I64), b.local(I64));
+        let word = |b: &mut FuncBuilder, base: u32| {
+            b.i32(base as i32).local_get(i).i32(4).mul32().add32();
+        };
+        net.ignore_sigpipe(b, act);
+        counted(b, i, ROUNDS, |b| {
+            net.pair(b, fds, (a, pb));
+            net.thread(b, |b| {
+                b.loop_(BlockType::Empty, |b| {
+                    b.local_get(a).i64(chunk as i64).i64(CHUNK as i64);
+                    b.call(net.write).local_set(n);
+                    word(b, wrote);
+                    word(b, wrote);
+                    b.load32(0).i32(1).add32().store32(0);
+                    b.local_get(n).i64(0).lt_s64().eqz32().br_if(0);
+                });
+                b.i32(ends as i32).local_get(i).i32(8).mul32().add32();
+                b.local_get(n).store64(0);
+                raise(b, flags, i);
+            });
+            // Until the sender has made every write that finds room.
+            b.loop_(BlockType::Empty, |b| {
+                word(b, wrote);
+                b.load32(0).i32(filling_writes as i32).lt_s32().br_if(0);
+            });
+            b.local_get(a).i64(1).call(net.shutdown).drop_();
+        });
+        net.await_flags(b, flags, ROUNDS);
+        b.local_set(bad);
+        counted(b, i, ROUNDS, |b| {
+            b.i32(ends as i32).local_get(i).i32(8).mul32().add32();
+            b.load64(0).i64(EPIPE).eq64().eqz32();
+            b.local_get(bad).add32().local_set(bad);
+        });
+        b.local_get(bad);
+    });
+    mb.export("_start", main);
+    run_everywhere(&mb.build(), 1 + ROUNDS as usize);
+}
+
+#[test]
+fn a_peer_link_never_leads_to_the_next_owner_of_the_peers_id() {
+    // A writer sends chunk after chunk down `a` while the main thread
+    // closes `b` — freeing `b`'s slab id — and at once makes a new
+    // pair, which takes that id. A writer that read its peer link just
+    // before the close holds the old socket, not the id: its bytes go
+    // nowhere (`-EPIPE`), and the new pair, which nobody writes to, has
+    // nothing to receive. (At one worker the writer runs first and is
+    // parked on a full buffer when the close comes.) Exit code: new
+    // pairs that received something, plus writers that never ended.
+    const ROUNDS: u32 = 96;
+    const CHUNK: u32 = 512;
+    let mut mb = ModuleBuilder::new();
+    let net = Net::import(&mut mb);
+    let fds = mb.reserve(8);
+    let act = mb.reserve(24);
+    let chunk = mb.data(&[b'w'; CHUNK as usize]);
+    let sink = mb.reserve(8);
+    let flags = mb.reserve(ROUNDS * 4);
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let (i, bad) = (b.local(I32), b.local(I32));
+        let (a, pb, c, d) = (b.local(I64), b.local(I64), b.local(I64), b.local(I64));
+        net.ignore_sigpipe(b, act);
+        counted(b, i, ROUNDS, |b| {
+            net.pair(b, fds, (a, pb));
+            net.thread(b, |b| {
+                b.loop_(BlockType::Empty, |b| {
+                    b.local_get(a).i64(chunk as i64).i64(CHUNK as i64);
+                    b.call(net.write).i64(0).lt_s64().eqz32().br_if(0);
+                });
+                b.local_get(a).call(net.close).drop_();
+                raise(b, flags, i);
+            });
+            b.local_get(pb).call(net.close).drop_();
+            net.pair(b, fds, (c, d));
+            for end in [c, d] {
+                b.local_get(end).i64(sink as i64).i64(8);
+                b.i64(0x40).i64(0).i64(0); // MSG_DONTWAIT
+                b.call(net.recvfrom).i64(EAGAIN).eq64().eqz32();
+                b.local_get(bad).add32().local_set(bad);
+            }
+            for end in [c, d] {
+                b.local_get(end).call(net.close).drop_();
+            }
+        });
+        net.await_flags(b, flags, ROUNDS);
+        b.local_get(bad).add32();
+    });
+    mb.export("_start", main);
+    run_everywhere(&mb.build(), 1 + ROUNDS as usize);
 }

@@ -1174,3 +1174,96 @@ fn far_offsets_and_wrong_access_modes_are_errnos_not_host_panics() {
         assert_eq!(got, want, "workers={workers}");
     }
 }
+
+/// A listener closes while a connection nobody accepted sits in its
+/// queue and the connection's client is parked in `read`: the client
+/// must be woken (its read answers 0 — the connection was reset) and the
+/// server-side socket freed. Before PR 22 neither happened: the run
+/// ended as a deadlock (client parked on the socket, main on the pipe)
+/// and the audit counted a socket.
+#[test]
+fn a_listener_closed_over_a_pending_connection_resets_its_client() {
+    use wali::testkit::{emit_sleep, sockaddr_in, spawn_thread};
+    let mut mb = ModuleBuilder::new();
+    let pipe = sys(&mut mb, "pipe", 1);
+    let socket = sys(&mut mb, "socket", 3);
+    let bind = sys(&mut mb, "bind", 3);
+    let listen = sys(&mut mb, "listen", 2);
+    let connect = sys(&mut mb, "connect", 3);
+    let read = sys(&mut mb, "read", 3);
+    let write = sys(&mut mb, "write", 3);
+    let close = sys(&mut mb, "close", 1);
+    let clone = sys(&mut mb, "clone", 5);
+    let exit = sys(&mut mb, "exit", 1);
+    let nanosleep = sys(&mut mb, "nanosleep", 2);
+    mb.memory(2, Some(16));
+    let addr = mb.data(&sockaddr_in(7300));
+    let fds = mb.reserve(8);
+    let ready = mb.reserve(4);
+    let note = mb.reserve(8);
+    let got = mb.reserve(8);
+    let ts = mb.reserve(16);
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let (srv, cli, n) = (b.local(I64), b.local(I64), b.local(I64));
+        let pipe_end = |b: &mut wasm::build::FuncBuilder, end: u32| {
+            b.i32(fds as i32).load32(4 * end).extend_u();
+        };
+        b.i64(fds as i64).call(pipe).drop_();
+        // The client: spawned before the listener exists, so its copy of
+        // the fd table does not keep the listener open.
+        spawn_thread(b, clone, |b| {
+            b.loop_(BlockType::Empty, |b| {
+                b.i32(ready as i32).load32(0).eqz32().br_if(0);
+            });
+            b.i64(2).i64(1).i64(0).call(socket).local_set(cli);
+            b.local_get(cli)
+                .i64(addr as i64)
+                .i64(16)
+                .call(connect)
+                .drop_();
+            // "connected", then park in read.
+            pipe_end(b, 1);
+            b.i64(note as i64).i64(1).call(write).drop_();
+            b.local_get(cli)
+                .i64(got as i64)
+                .i64(8)
+                .call(read)
+                .local_set(n);
+            b.local_get(cli).call(close).drop_();
+            b.i32(note as i32).local_get(n).wrap().store8(0);
+            pipe_end(b, 1);
+            b.i64(note as i64).i64(1).call(write).drop_();
+            b.i64(0).call(exit).drop_();
+        });
+        b.i64(2).i64(1).i64(0).call(socket).local_set(srv);
+        b.local_get(srv).i64(addr as i64).i64(16).call(bind).drop_();
+        b.local_get(srv).i64(4).call(listen).drop_();
+        b.i32(ready as i32).i32(1).store32(0);
+        pipe_end(b, 0);
+        b.i64(got as i64).i64(1).call(read).drop_();
+        // Virtual time passes only once nothing can run: the client is
+        // parked in its read by the time this returns.
+        emit_sleep(b, nanosleep, ts, 0, 1_000_000);
+        b.local_get(srv).call(close).drop_();
+        b.i32(got as i32).i32(99).store8(0);
+        pipe_end(b, 0);
+        b.i64(got as i64).i64(1).call(read).drop_();
+        // What the client's read returned.
+        b.i32(got as i32).load8u(0);
+    });
+    mb.export("_start", main);
+    let module = roundtrip(&mb.build());
+    for workers in [1, 4] {
+        let mut runner = WaliRunner::new_default();
+        runner.set_workers(workers);
+        runner.register_program("/usr/bin/app", &module).unwrap();
+        runner.spawn("/usr/bin/app", &[], &[]).unwrap();
+        let out = runner
+            .run()
+            .unwrap_or_else(|e| panic!("workers {workers}: {e}"));
+        assert_eq!(out.exit_code(), Some(0), "workers {workers}: read != 0");
+        let leaks = runner.leak_audit();
+        assert!(leaks.is_clean(), "workers {workers}: {}", leaks.describe());
+    }
+}
