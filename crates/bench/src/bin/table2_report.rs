@@ -139,7 +139,7 @@ fn main() {
             // Paired with munmap so the pool stays flat; half the pair
             // time approximates the map cost (the kernel-side work is
             // split between the two anyway).
-            let pool_base = ctx.mmap.lock_ok().base() as i64;
+            let pool_base = ctx.space.mmap.lock_ok().base() as i64;
             let t0 = Instant::now();
             for _ in 0..N {
                 call(&linker, &mut ctx, &instance, "mmap", args);

@@ -181,12 +181,10 @@ impl<'a> Emu<'a> {
                     drop(k);
                     self.ctx.retry_deadline = blocked.deadline;
                 }
-                Err(HostOutcome::Suspend(s)) => match s.downcast::<WaliSuspend>() {
-                    Ok(p) => match *p {
-                        WaliSuspend::Exit { code } => return Ok(Flow::Exit(code)),
-                        _ => return Err("multi-process guest not emulatable".into()),
-                    },
-                    Err(_) => return Err("unknown suspension".into()),
+                Err(HostOutcome::Suspend) => match self.ctx.take_suspend() {
+                    Some(WaliSuspend::Exit { code }) => return Ok(Flow::Exit(code)),
+                    Some(_) => return Err("multi-process guest not emulatable".into()),
+                    None => return Err("unknown suspension".into()),
                 },
             }
         }

@@ -235,16 +235,17 @@ impl FdTable {
     }
 
     /// A task stops using this table (exit). When it was the last one
-    /// the table is emptied and every open entry returned, for the
-    /// kernel to release; otherwise nothing is.
+    /// the table is emptied and every open entry handed out, in
+    /// descriptor order, for the kernel to release; otherwise nothing
+    /// is. (The slots leave as they are: no list is built.)
     #[must_use = "the last member's entries must be released by the kernel"]
-    pub fn leave(&mut self) -> Vec<FdEntry> {
+    pub fn leave(&mut self) -> impl Iterator<Item = FdEntry> {
         self.members = self.members.saturating_sub(1);
-        if self.members == 0 {
-            self.slots.drain(..).flatten().collect()
-        } else {
-            Vec::new()
-        }
+        let slots = match self.members {
+            0 => std::mem::take(&mut self.slots),
+            _ => Vec::new(),
+        };
+        slots.into_iter().flatten()
     }
 
     /// Iterates over open `(fd, entry)` pairs.
@@ -335,14 +336,14 @@ mod tests {
         t.alloc(file(), false).unwrap();
         t.alloc(file(), true).unwrap();
         t.join();
-        assert!(t.leave().is_empty(), "a sibling still uses the table");
+        assert_eq!(t.leave().count(), 0, "a sibling still uses the table");
         assert_eq!(t.open_count(), 2);
-        assert_eq!(t.leave().len(), 2);
+        assert_eq!(t.leave().count(), 2);
         assert_eq!(t.open_count(), 0);
         // A copy starts over with the one task it is made for.
         t.alloc(file(), false).unwrap();
         t.join();
-        assert_eq!(t.fork_copy().leave().len(), 1);
+        assert_eq!(t.fork_copy().leave().count(), 1);
     }
 
     #[test]

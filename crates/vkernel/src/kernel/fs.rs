@@ -25,7 +25,7 @@ use super::Kernel;
 impl Kernel {
     fn base_dir(&self, tid: Tid, dirfd: i32) -> Result<InodeId, Errno> {
         if dirfd == AT_FDCWD {
-            return Ok(self.task(tid)?.fs.lock_ok().cwd);
+            return Ok(self.task(tid)?.fs().cwd);
         }
         let task = self.task(tid)?;
         let table = task.fdtable.lock_ok();
@@ -62,7 +62,7 @@ impl Kernel {
                 if flags & O_CREAT == 0 {
                     return Err(Errno::Enoent.into());
                 }
-                let umask = self.task(tid)?.fs.lock_ok().umask;
+                let umask = self.task(tid)?.fs().umask;
                 let id = self
                     .vfs
                     .alloc(InodeKind::File(Vec::new()), mode & !umask & 0o777, now);
@@ -513,7 +513,7 @@ impl Kernel {
         if r.inode.is_some() {
             return Err(Errno::Eexist.into());
         }
-        let umask = self.task(tid)?.fs.lock_ok().umask;
+        let umask = self.task(tid)?.fs().umask;
         let now = self.clock.realtime_ns();
         let id = self
             .vfs
@@ -703,7 +703,7 @@ impl Kernel {
 
     /// `truncate`.
     pub fn sys_truncate(&mut self, tid: Tid, path: &str, len: u64) -> SysResult {
-        let base = self.task(tid)?.fs.lock_ok().cwd;
+        let base = self.task(tid)?.fs().cwd;
         let r = self.vfs.resolve(base, path, true)?;
         let inode = r.inode.ok_or(Errno::Enoent)?;
         self.vfs.write().set_len(inode, len)?;
@@ -712,19 +712,19 @@ impl Kernel {
 
     /// `getcwd`.
     pub fn sys_getcwd(&mut self, tid: Tid) -> SysResult<String> {
-        let cwd = self.task(tid)?.fs.lock_ok().cwd;
+        let cwd = self.task(tid)?.fs().cwd;
         Ok(self.vfs.abs_path_of(cwd)?)
     }
 
     /// `chdir`.
     pub fn sys_chdir(&mut self, tid: Tid, path: &str) -> SysResult {
-        let base = self.task(tid)?.fs.lock_ok().cwd;
+        let base = self.task(tid)?.fs().cwd;
         let r = self.vfs.resolve(base, path, true)?;
         let inode = r.inode.ok_or(Errno::Enoent)?;
         if !matches!(self.vfs.read().get(inode)?.kind, InodeKind::Dir(_)) {
             return Err(Errno::Enotdir.into());
         }
-        self.task(tid)?.fs.lock_ok().cwd = inode;
+        self.task(tid)?.fs().cwd = inode;
         Ok(0)
     }
 
@@ -734,7 +734,7 @@ impl Kernel {
         let kind = file.lock_ok().kind.clone();
         match kind {
             FileKind::Dir(inode) => {
-                self.task(tid)?.fs.lock_ok().cwd = inode;
+                self.task(tid)?.fs().cwd = inode;
                 Ok(0)
             }
             _ => Err(Errno::Enotdir.into()),
@@ -744,7 +744,7 @@ impl Kernel {
     /// `umask`.
     pub fn sys_umask(&mut self, tid: Tid, mask: u32) -> SysResult {
         let task = self.task(tid)?;
-        let mut fs = task.fs.lock_ok();
+        let mut fs = task.fs();
         let old = fs.umask;
         fs.umask = mask & 0o777;
         Ok(old as i64)

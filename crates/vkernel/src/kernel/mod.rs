@@ -7,7 +7,7 @@ pub mod fs;
 pub mod io;
 pub mod sock;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use wali_abi::flags::{
@@ -15,19 +15,21 @@ use wali_abi::flags::{
     WNOHANG,
 };
 use wali_abi::layout::{WaliSigaction, WaliUtsname};
-use wali_abi::signals::{SigSet, Signal, SIG_BLOCK, SIG_SETMASK, SIG_UNBLOCK};
+use wali_abi::signals::{
+    SigSet, Signal, SA_NOCLDWAIT, SIG_BLOCK, SIG_IGN, SIG_SETMASK, SIG_UNBLOCK,
+};
 use wali_abi::Errno;
 
 use crate::clock::Clock;
 use crate::fd::{FdTable, FileKind, OpenFile};
 use crate::lockorder::LockClass;
 use crate::pipe::Pipe;
-use crate::proc::{ProcIndex, TaskHot};
 use crate::signal::{disposition, Disposition, PendingSet, SigHandlers};
+use crate::slab::Paged;
 use crate::slab::{Handle, ObjSlab};
 use crate::socket::{AddrKey, Socket};
-use crate::sync::{shared, FastMap, HintFlag, MutexExt};
-use crate::task::{FsInfo, Pid, Rusage, Task, TaskState, Tid};
+use crate::sync::{shared, FastMap, HintFlag, MutexExt, Shared};
+use crate::task::{Pid, Rusage, Shares, Task, TaskState, Tid};
 use crate::vfs::{Vfs, VfsShard};
 use crate::wait::{Channel, WaitShard, WaitStats};
 use crate::{block, block_until, MmId, SysResult};
@@ -76,13 +78,23 @@ impl ChanSet {
     }
 }
 
+/// Where the task table keeps `tid` (a negative one lands past every
+/// page, like any tid that never existed).
+fn at(tid: Tid) -> usize {
+    tid as usize
+}
+
 /// The deterministic Linux model.
 pub struct Kernel {
     /// The filesystem, behind its reader/writer shard.
     pub vfs: VfsShard,
     /// Virtual time.
     pub clock: Clock,
-    tasks: BTreeMap<Tid, Task>,
+    /// Every task, by tid: tids are dense and only grow.
+    tasks: Paged<Task>,
+    /// The fd table of a task that has exited: nothing open, nothing
+    /// can be ([`Kernel::release_task_files`]).
+    closed_files: Shared<FdTable>,
     next_tid: Tid,
     next_mm: u64,
     /// The slabs that give pipes, sockets and epoll instances their ids
@@ -104,11 +116,9 @@ pub struct Kernel {
     rng_state: u64,
     /// Captured console (tty) output.
     pub console: Vec<u8>,
-    /// The handles [`Kernel::handles`] gives out — the process index
-    /// (the tid → hot-state mirror maintained on spawn/fork/clone/reap)
-    /// and the shards `vfs`, `clock` and `waits` above are handles onto.
-    /// Descriptor I/O ([`io`]) runs against these whether or not its
-    /// caller holds the kernel lock.
+    /// The handles [`Kernel::handles`] gives out, onto the shards `vfs`,
+    /// `clock` and `waits` above. Descriptor I/O ([`io`]) runs against
+    /// these whether or not its caller holds the kernel lock.
     pub(crate) shards: KernelHandles,
 }
 
@@ -121,8 +131,6 @@ pub struct Kernel {
 pub struct KernelHandles {
     /// The waitqueue shard.
     pub waits: WaitShard,
-    /// The process index.
-    pub procs: ProcIndex,
     /// The filesystem shard.
     pub vfs: VfsShard,
     /// Virtual time (file timestamps; the per-syscall tick).
@@ -140,19 +148,20 @@ impl Kernel {
     /// task (pid 1).
     pub fn new() -> Kernel {
         let vfs = Vfs::with_std_layout();
-        let init = Task::init(vfs.root);
-        let mut tasks = BTreeMap::new();
-        tasks.insert(1, init);
+        let mut tasks = Paged::default();
+        tasks.insert(1, Task::init(vfs.root));
+        let mut closed = FdTable::new();
+        closed.limit = 0;
         let shards = KernelHandles {
             waits: WaitShard::new(),
-            procs: ProcIndex::new(),
             vfs: VfsShard::new(vfs),
             clock: Clock::new(),
         };
-        let k = Kernel {
+        Kernel {
             vfs: shards.vfs.clone(),
             clock: shards.clock.clone(),
             tasks,
+            closed_files: shared(closed),
             next_tid: 2,
             next_mm: 2,
             pipes: ObjSlab::new(LockClass::Object),
@@ -165,30 +174,13 @@ impl Kernel {
             rng_state: 0x9e37_79b9_7f4a_7c15,
             console: Vec::new(),
             shards,
-        };
-        k.register_hot(1);
-        k
+        }
     }
 
     /// Cloneable handles onto the kernel's shards (for the embedder's
     /// lock-free descriptor I/O). Cheap: a handful of `Arc` clones.
     pub fn handles(&self) -> KernelHandles {
         self.shards.clone()
-    }
-
-    /// Mirrors `tid`'s hot state into the sharded process index.
-    fn register_hot(&self, tid: Tid) {
-        if let Some(t) = self.tasks.get(&tid) {
-            self.shards.procs.insert(
-                tid,
-                TaskHot {
-                    tgid: t.tgid,
-                    fdtable: t.fdtable.clone(),
-                    sig_hint: t.sig_hint.clone(),
-                    mm: t.mm,
-                },
-            );
-        }
     }
 
     /// Per-syscall bookkeeping: one quantum of virtual time. The clock
@@ -245,7 +237,7 @@ impl Kernel {
     /// after the reap goes here.
     pub fn wait_cancel(&mut self, tid: Tid) {
         let mut waits = self.waits.lock();
-        match self.tasks.contains_key(&tid) {
+        match self.tasks.get(at(tid)).is_some() {
             true => waits.unsubscribe(tid),
             false => waits.release_task(tid),
         }
@@ -291,15 +283,15 @@ impl Kernel {
     /// Closes a dying task's descriptors eagerly (Linux closes fds at
     /// exit, not at reap): the task leaves its fd table and, when it was
     /// the last member ([`FdTable::leave`] — a count of tasks, so the
-    /// handles the process index and an embedder's context keep do not
-    /// matter), every description is released so pipe/socket peers
-    /// observe EOF/EPIPE — and get their wakeups.
+    /// handle an embedder's context keeps does not matter), every
+    /// description is released so pipe/socket peers observe EOF/EPIPE —
+    /// and get their wakeups. From here on the task has the kernel's
+    /// one closed table: whatever still runs in its name finds `-EBADF`.
     fn release_task_files(&mut self, tid: Tid) {
-        self.shards.procs.remove(tid);
-        let Some(task) = self.tasks.get_mut(&tid) else {
+        let Some(task) = self.tasks.get_mut(at(tid)) else {
             return;
         };
-        let table = std::mem::replace(&mut task.fdtable, shared(FdTable::new()));
+        let table = std::mem::replace(&mut task.fdtable, self.closed_files.clone());
         let entries = table.lock_ok().leave();
         for entry in entries {
             self.release_if_last(entry.file);
@@ -308,133 +300,63 @@ impl Kernel {
 
     /// Fetches a task.
     pub fn task(&self, tid: Tid) -> Result<&Task, Errno> {
-        self.tasks.get(&tid).ok_or(Errno::Esrch)
+        self.tasks.get(at(tid)).ok_or(Errno::Esrch)
     }
 
     /// Fetches a task mutably.
     pub fn task_mut(&mut self, tid: Tid) -> Result<&mut Task, Errno> {
-        self.tasks.get_mut(&tid).ok_or(Errno::Esrch)
+        self.tasks.get_mut(at(tid)).ok_or(Errno::Esrch)
     }
 
     /// All live tids (diagnostics, schedulers).
     pub fn tids(&self) -> Vec<Tid> {
-        self.tasks.keys().copied().collect()
+        self.tasks.values().map(|t| t.tid).collect()
     }
 
-    /// Spawns a fresh process (child of init) with stdio wired to the
-    /// console tty. This is how the WALI runner creates an application's
-    /// initial process.
+    /// Spawns a fresh process with stdio wired to the console tty: a
+    /// child forked off init that leads its own process group. This is
+    /// how the WALI runner creates an application's initial process.
     pub fn spawn_process(&mut self) -> Tid {
-        let tid = self.next_tid;
-        self.next_tid += 1;
-        let mm = MmId(self.next_mm);
-        self.next_mm += 1;
-
-        let mut fdtable = FdTable::new();
+        let tid = self.sys_fork(1).expect("init never exits") as Tid;
         let tty = self
             .vfs
             .resolve(self.vfs.root, "/dev/tty", true)
             .ok()
             .and_then(|r| r.inode)
             .expect("std layout has /dev/tty");
+        let task = self.task_mut(tid).expect("just made");
+        task.pgid = tid;
+        let mut fdtable = task.fdtable.lock_ok();
         for _ in 0..3 {
             let file = OpenFile::shared(FileKind::CharDev(tty), O_RDWR);
             fdtable.alloc(file, false).expect("empty table");
         }
-
-        let task = Task {
-            tid,
-            tgid: tid,
-            ppid: 1,
-            pgid: tid,
-            sid: 1,
-            state: TaskState::Running,
-            fdtable: shared(fdtable),
-            fs: shared(FsInfo {
-                cwd: self.vfs.root,
-                umask: 0o022,
-            }),
-            sighand: shared(SigHandlers::new()),
-            shared_pending: shared(PendingSet::default()),
-            pending: PendingSet::default(),
-            sigmask: SigSet::EMPTY,
-            saved_sigmask: None,
-            mm,
-            uid: 1000,
-            euid: 1000,
-            gid: 1000,
-            egid: 1000,
-            children: Vec::new(),
-            clear_child_tid: 0,
-            rusage: Rusage::default(),
-            alarm_deadline: None,
-            futex_woken: false,
-            exit_code: None,
-            sig_hint: HintFlag::new(),
-        };
-        self.tasks.get_mut(&1).expect("init").children.push(tid);
-        self.tasks.insert(tid, task);
-        self.register_hot(tid);
         tid
     }
 
     // --- Process lifecycle -------------------------------------------------
 
     /// `fork`: new process duplicating the caller (fd table copied with
-    /// shared descriptions, fresh address space id).
+    /// shared descriptions, fresh address space id) — `clone` sharing
+    /// nothing.
     pub fn sys_fork(&mut self, tid: Tid) -> SysResult {
-        let parent = self.task(tid)?.clone();
-        let child_tid = self.next_tid;
-        self.next_tid += 1;
-        let mm = MmId(self.next_mm);
-        self.next_mm += 1;
-
-        let child = Task {
-            tid: child_tid,
-            tgid: child_tid,
-            ppid: parent.tgid,
-            pgid: parent.pgid,
-            sid: parent.sid,
-            state: TaskState::Running,
-            fdtable: shared(parent.fdtable.lock_ok().fork_copy()),
-            fs: shared(parent.fs.lock_ok().clone()),
-            sighand: shared(parent.sighand.lock_ok().clone()),
-            shared_pending: shared(PendingSet::default()),
-            pending: PendingSet::default(),
-            sigmask: parent.sigmask,
-            saved_sigmask: None,
-            mm,
-            uid: parent.uid,
-            euid: parent.euid,
-            gid: parent.gid,
-            egid: parent.egid,
-            children: Vec::new(),
-            clear_child_tid: 0,
-            rusage: Rusage::default(),
-            alarm_deadline: None,
-            futex_woken: false,
-            exit_code: None,
-            sig_hint: HintFlag::new(),
-        };
-        self.tasks.insert(child_tid, child);
-        self.task_mut(tid)?.children.push(child_tid);
-        self.register_hot(child_tid);
-        Ok(child_tid as i64)
+        self.sys_clone(tid, 0)
     }
 
     /// `clone`: thread or process creation per the flag set (§3.1). The
     /// embedder decides what to do with the engine-side state; the kernel
-    /// only manages task identity and sharing.
+    /// only manages task identity and sharing. The parent is read in
+    /// place: what the child does not share it gets by value, or — the
+    /// handler table — shared until written.
     pub fn sys_clone(&mut self, tid: Tid, flags: u64) -> SysResult {
-        let parent = self.task(tid)?.clone();
-        let child_tid = self.next_tid;
-        self.next_tid += 1;
-
         let is_thread = flags & CLONE_THREAD != 0;
         if is_thread && flags & (CLONE_VM | CLONE_SIGHAND) != (CLONE_VM | CLONE_SIGHAND) {
             // Linux requires CLONE_THREAD ⊆ CLONE_SIGHAND ⊆ CLONE_VM.
             return Err(Errno::Einval.into());
         }
+        let parent = self.tasks.get(at(tid)).ok_or(Errno::Esrch)?;
+        let child_tid = self.next_tid;
+        self.next_tid += 1;
 
         let mm = if flags & CLONE_VM != 0 {
             parent.mm
@@ -449,20 +371,20 @@ impl Kernel {
         } else {
             shared(parent.fdtable.lock_ok().fork_copy())
         };
-        let fs = if flags & CLONE_FS != 0 {
-            parent.fs.clone()
-        } else {
-            shared(parent.fs.lock_ok().clone())
+        // The child's own block starts each cell the child will use as
+        // the parent's is now; a cell it shares instead stays unused.
+        let handlers = match flags & CLONE_SIGHAND {
+            0 => parent.handlers().clone(),
+            _ => SigHandlers::new(),
         };
-        let sighand = if flags & CLONE_SIGHAND != 0 {
-            parent.sighand.clone()
-        } else {
-            shared(parent.sighand.lock_ok().clone())
+        let own = Shares::new(parent.fs().clone(), handlers);
+        let theirs = |shared: u64, whose: &Arc<Shares>| match flags & shared {
+            0 => own.clone(),
+            _ => whose.clone(),
         };
-        let (tgid, ppid, shared_pending) = if is_thread {
-            (parent.tgid, parent.ppid, parent.shared_pending.clone())
-        } else {
-            (child_tid, parent.tgid, shared(PendingSet::default()))
+        let (tgid, ppid) = match is_thread {
+            true => (parent.tgid, parent.ppid),
+            false => (child_tid, parent.tgid),
         };
 
         let child = Task {
@@ -473,9 +395,9 @@ impl Kernel {
             sid: parent.sid,
             state: TaskState::Running,
             fdtable,
-            fs,
-            sighand,
-            shared_pending,
+            fs: theirs(CLONE_FS, &parent.fs),
+            sighand: theirs(CLONE_SIGHAND, &parent.sighand),
+            group: theirs(CLONE_THREAD, &parent.group),
             pending: PendingSet::default(),
             sigmask: parent.sigmask,
             saved_sigmask: None,
@@ -485,18 +407,19 @@ impl Kernel {
             gid: parent.gid,
             egid: parent.egid,
             children: Vec::new(),
+            threads: Vec::new(),
             clear_child_tid: 0,
             rusage: Rusage::default(),
             alarm_deadline: None,
             futex_woken: false,
             exit_code: None,
-            sig_hint: HintFlag::new(),
+            sig_hint: HintFlag::of(own),
         };
-        self.tasks.insert(child_tid, child);
-        if !is_thread {
-            self.task_mut(tid)?.children.push(child_tid);
+        self.tasks.insert(at(child_tid), child);
+        match is_thread {
+            true => self.task_mut(tgid)?.threads.push(child_tid),
+            false => self.task_mut(tid)?.children.push(child_tid),
         }
-        self.register_hot(child_tid);
         Ok(child_tid as i64)
     }
 
@@ -510,7 +433,8 @@ impl Kernel {
     /// `exit`: terminates one thread (whole group if it is the last).
     pub fn sys_exit_thread(&mut self, tid: Tid, code: i32) -> SysResult {
         let tgid = self.task(tid)?.tgid;
-        let group: Vec<Tid> = self.group_tids(tgid);
+        let mut alive = 0;
+        self.each_member(tgid, |_, _| alive += 1);
         // Futex-wake the clear_child_tid word (pthread_join protocol).
         let (ctid, mm) = {
             let t = self.task(tid)?;
@@ -519,7 +443,7 @@ impl Kernel {
         if ctid != 0 {
             self.futex_wake_at(mm, ctid, usize::MAX);
         }
-        if group.len() == 1 {
+        if alive == 1 {
             self.terminate_group(tgid, w_exitcode(code), Some(code));
         } else {
             let t = self.task_mut(tid)?;
@@ -533,95 +457,124 @@ impl Kernel {
         Ok(0)
     }
 
-    fn group_tids(&self, tgid: Pid) -> Vec<Tid> {
-        self.tasks
-            .values()
-            .filter(|t| t.tgid == tgid && !matches!(t.state, TaskState::Dead))
-            .map(|t| t.tid)
-            .collect()
+    /// The `i`th task of thread group `tgid` still in the table, `Dead`
+    /// or not, in tid order: the leader, then the threads it lists.
+    fn member(&self, tgid: Pid, i: usize) -> Option<Tid> {
+        let leader = self.tasks.get(at(tgid))?;
+        match i {
+            0 => Some(tgid),
+            _ => leader.threads.get(i - 1).copied(),
+        }
+    }
+
+    /// Calls `f` for each task of thread group `tgid` that is not
+    /// `Dead`, in tid order. The group is read one [`Kernel::member`]
+    /// per step, so `f` may do to the kernel what it likes short of
+    /// reaping the group.
+    fn each_member(&mut self, tgid: Pid, mut f: impl FnMut(&mut Kernel, Tid)) {
+        let mut i = 0;
+        while let Some(tid) = self.member(tgid, i) {
+            i += 1;
+            if self.task(tid).is_ok_and(|t| t.state != TaskState::Dead) {
+                f(self, tid);
+            }
+        }
     }
 
     /// Marks a whole thread group zombie with `status` and signals the
     /// parent with SIGCHLD; children are reparented to init. Every dying
     /// task's descriptors are released (peers observe EOF/EPIPE and their
     /// waitqueues fire), parked siblings are woken so the embedder can
-    /// finalize them, and the parent's `wait4` channel is posted.
+    /// finalize them, and the parent's `wait4` channel is posted. A
+    /// parent that ignores `SIGCHLD` (or set `SA_NOCLDWAIT`) has said it
+    /// will not wait: the group is reaped here and now.
     fn terminate_group(&mut self, tgid: Pid, status: i32, code: Option<i32>) {
-        let tids = self.group_tids(tgid);
-        for t in &tids {
-            if let Some(task) = self.tasks.get(t) {
+        self.each_member(tgid, |k, t| {
+            if let Ok(task) = k.task(t) {
                 task.sig_hint.set(true);
             }
-        }
+        });
         let mut ppid = 1;
         let mut orphans = Vec::new();
-        for t in &tids {
-            if let Some(task) = self.tasks.get_mut(t) {
-                if *t == tgid {
-                    task.state = TaskState::Zombie(status);
-                    ppid = task.ppid;
-                    task.exit_code = code;
-                    orphans.append(&mut task.children);
-                } else {
-                    task.state = TaskState::Dead;
-                }
+        if let Some(leader) = self.tasks.get_mut(at(tgid)) {
+            if leader.state != TaskState::Dead {
+                leader.state = TaskState::Zombie(status);
+                ppid = leader.ppid;
+                leader.exit_code = code;
+                orphans = std::mem::take(&mut leader.children);
             }
         }
         for orphan in orphans {
-            if let Some(t) = self.tasks.get_mut(&orphan) {
+            if let Some(t) = self.tasks.get_mut(at(orphan)) {
                 t.ppid = 1;
             }
-            self.tasks.get_mut(&1).expect("init").children.push(orphan);
+            self.tasks.get_mut(1).expect("init").children.push(orphan);
         }
-        for t in &tids {
-            self.release_task_files(*t);
-        }
-        for t in &tids {
-            self.waits.lock().wake(*t);
+        // The threads stay as they are until both passes have seen them.
+        self.each_member(tgid, |k, t| k.release_task_files(t));
+        self.each_member(tgid, |k, t| k.waits.lock().wake(t));
+        self.each_member(tgid, |k, t| {
+            if let Some(thread) = k.tasks.get_mut(at(t)).filter(|_| t != tgid) {
+                thread.state = TaskState::Dead;
+            }
+        });
+        let chld = Signal::Sigchld.number();
+        let unwaited = self.task(ppid).is_ok_and(|parent| {
+            let action = parent.handlers().get(chld);
+            action.handler == SIG_IGN || action.flags & SA_NOCLDWAIT != 0
+        });
+        if unwaited {
+            self.reap(tgid);
+            let mut i = 0;
+            while let Some(holder) = self.member(ppid, i) {
+                i += 1;
+                if let Ok(t) = self.task_mut(holder) {
+                    t.children.retain(|c| *c != tgid);
+                }
+            }
         }
         self.waits.post(Channel::Child(ppid));
-        let _ = self.send_signal_to_process(ppid, Signal::Sigchld.number());
+        let _ = self.send_signal_to_process(ppid, chld);
+    }
+
+    /// Removes an exited thread group from the task table, with each
+    /// task's wait record and `Signal`/`Child` heads.
+    fn reap(&mut self, tgid: Pid) {
+        let Some(leader) = self.tasks.remove(at(tgid)) else {
+            return;
+        };
+        let mut waits = self.waits.lock();
+        waits.release_task(tgid);
+        for &thread in &leader.threads {
+            self.tasks.remove(at(thread));
+            waits.release_task(thread);
+        }
     }
 
     /// `wait4(pid, options)`: reaps a zombie child; returns
     /// `(pid, status)`. Blocks unless `WNOHANG`.
     pub fn sys_wait4(&mut self, tid: Tid, pid: i32, options: i32) -> SysResult<(Pid, i32)> {
-        let me = self.task(tid)?.tgid;
-        let children = self.task(tid)?.children.clone();
-        if children.is_empty() {
+        let waiter = self.task(tid)?;
+        let me = waiter.tgid;
+        let pgid_of = |p: Pid| self.tasks.get(at(p)).map(|t| t.pgid);
+        let wanted = |c: &Pid| match pid {
+            -1 => true,
+            0 => pgid_of(*c) == pgid_of(me),
+            p if p > 0 => *c == p,
+            pg => pgid_of(*c) == Some(-pg),
+        };
+        let mut candidates = waiter.children.iter().copied().filter(wanted).peekable();
+        if candidates.peek().is_none() {
             return Err(Errno::Echild.into());
         }
-        let candidates: Vec<Pid> = children
-            .iter()
-            .copied()
-            .filter(|&c| match pid {
-                -1 => true,
-                0 => self.tasks.get(&c).map(|t| t.pgid) == self.tasks.get(&me).map(|t| t.pgid),
-                p if p > 0 => c == p,
-                pg => self.tasks.get(&c).map(|t| t.pgid == -pg).unwrap_or(false),
-            })
-            .collect();
-        if candidates.is_empty() {
-            return Err(Errno::Echild.into());
-        }
-        for c in &candidates {
-            if let Some(TaskState::Zombie(status)) = self.tasks.get(c).map(|t| t.state.clone()) {
-                // Reap: remove the zombie and its dead siblings.
-                let dead: Vec<Tid> = self
-                    .tasks
-                    .values()
-                    .filter(|t| t.tgid == *c)
-                    .map(|t| t.tid)
-                    .collect();
-                for d in dead {
-                    self.tasks.remove(&d);
-                    self.shards.procs.remove(d);
-                    // Its wait record and Signal/Child heads die with it.
-                    self.waits.lock().release_task(d);
-                }
-                self.task_mut(tid)?.children.retain(|x| x != c);
-                return Ok((*c, status));
-            }
+        let zombie = candidates.find_map(|c| match self.tasks.get(at(c))?.state {
+            TaskState::Zombie(status) => Some((c, status)),
+            _ => None,
+        });
+        if let Some((child, status)) = zombie {
+            self.reap(child);
+            self.task_mut(tid)?.children.retain(|c| *c != child);
+            return Ok((child, status));
         }
         if options & WNOHANG != 0 {
             return Ok((0, 0));
@@ -638,7 +591,7 @@ impl Kernel {
     pub fn sys_execve(&mut self, tid: Tid) -> SysResult {
         let task = self.task(tid)?;
         let swept = task.fdtable.lock_ok().close_cloexec();
-        task.sighand.lock_ok().reset_for_exec();
+        task.handlers().reset_for_exec();
         for entry in swept {
             self.release_if_last(entry.file);
         }
@@ -720,7 +673,7 @@ impl Kernel {
             return Err(Errno::Einval.into());
         }
         let task = self.task(tid)?;
-        let mut handlers = task.sighand.lock_ok();
+        let mut handlers = task.handlers();
         let old = handlers.get(signo);
         if let Some(action) = new {
             if sig.map(|s| !s.catchable()).unwrap_or(false) {
@@ -748,7 +701,7 @@ impl Kernel {
             // Unblocking may expose pending signals; re-raise the hint so
             // the safepoint right after this syscall delivers them
             // (paper §3.3: the extra post-sigprocmask safepoint).
-            if !task.pending.is_empty() || !task.shared_pending.lock_ok().is_empty() {
+            if !task.pending.is_empty() || !task.shared_pending().is_empty() {
                 task.sig_hint.set(true);
             }
         }
@@ -769,7 +722,7 @@ impl Kernel {
         }
         task.saved_sigmask = Some(task.sigmask);
         task.sigmask = mask;
-        if !task.pending.is_empty() || !task.shared_pending.lock_ok().is_empty() {
+        if !task.pending.is_empty() || !task.shared_pending().is_empty() {
             task.sig_hint.set(true);
         }
     }
@@ -785,7 +738,7 @@ impl Kernel {
             return;
         };
         task.sigmask = old;
-        if !task.pending.is_empty() || !task.shared_pending.lock_ok().is_empty() {
+        if !task.pending.is_empty() || !task.shared_pending().is_empty() {
             task.sig_hint.set(true);
         }
     }
@@ -794,7 +747,7 @@ impl Kernel {
     pub fn sys_rt_sigpending(&self, tid: Tid) -> SysResult<SigSet> {
         let t = self.task(tid)?;
         Ok(SigSet(
-            t.pending.mask().0 | t.shared_pending.lock_ok().mask().0,
+            t.pending.mask().0 | t.shared_pending().mask().0,
         ))
     }
 
@@ -863,29 +816,28 @@ impl Kernel {
 
     /// Generates `signo` for process `pid` (stage 2 of the lifecycle).
     pub fn send_signal_to_process(&mut self, pid: Pid, signo: i32) -> Result<(), Errno> {
-        let main = self.tasks.get(&pid).ok_or(Errno::Esrch)?;
+        let main = self.tasks.get(at(pid)).ok_or(Errno::Esrch)?;
         if main.tgid != pid || main.exited() {
             return Err(Errno::Esrch);
         }
-        main.shared_pending.lock_ok().add(signo);
-        for t in self.group_tids(pid) {
-            if let Some(task) = self.tasks.get(&t) {
+        main.shared_pending().add(signo);
+        self.each_member(pid, |k, t| {
+            if let Ok(task) = k.task(t) {
                 task.sig_hint.set(true);
             }
             // Signal arrival is a wake-up source: parked EINTR-able calls
             // and `pause`/`sigtimedwait` waiters must retry.
-            self.waits.post(Channel::Signal(t));
-        }
+            k.waits.post(Channel::Signal(t));
+        });
         // SIGCONT resumes stopped tasks at generation time, like Linux.
         if signo == Signal::Sigcont.number() {
-            let tids = self.group_tids(pid);
-            for t in tids {
-                if let Some(task) = self.tasks.get_mut(&t) {
+            self.each_member(pid, |k, t| {
+                if let Some(task) = k.tasks.get_mut(at(t)) {
                     if task.state == TaskState::Stopped {
                         task.state = TaskState::Running;
                     }
                 }
-            }
+            });
         }
         Ok(())
     }
@@ -897,7 +849,7 @@ impl Kernel {
     pub fn next_signal(&mut self, tid: Tid) -> Option<SignalDelivery> {
         loop {
             let (signo, action, old_mask) = {
-                let task = self.tasks.get_mut(&tid)?;
+                let task = self.tasks.get_mut(at(tid))?;
                 if task.exited() {
                     return None;
                 }
@@ -905,29 +857,29 @@ impl Kernel {
                 let signo = task
                     .pending
                     .take_deliverable(mask)
-                    .or_else(|| task.shared_pending.lock_ok().take_deliverable(mask))?;
-                let action = task.sighand.lock_ok().get(signo);
+                    .or_else(|| task.shared_pending().take_deliverable(mask))?;
+                let action = task.handlers().get(signo);
                 (signo, action, mask)
             };
             match disposition(signo, action) {
                 Disposition::Ignore => continue,
                 Disposition::Continue => continue,
                 Disposition::Stop => {
-                    let tgid = self.tasks.get(&tid)?.tgid;
-                    for t in self.group_tids(tgid) {
-                        if let Some(task) = self.tasks.get_mut(&t) {
+                    let tgid = self.tasks.get(at(tid))?.tgid;
+                    self.each_member(tgid, |k, t| {
+                        if let Ok(task) = k.task_mut(t) {
                             task.state = TaskState::Stopped;
                         }
-                    }
+                    });
                     continue;
                 }
                 Disposition::Kill => {
-                    let tgid = self.tasks.get(&tid)?.tgid;
+                    let tgid = self.tasks.get(at(tid))?.tgid;
                     self.terminate_group(tgid, w_termsig(signo), None);
                     return Some(SignalDelivery::Killed { signo });
                 }
                 Disposition::Handler(action) => {
-                    let task = self.tasks.get_mut(&tid)?;
+                    let task = self.tasks.get_mut(at(tid))?;
                     // Block the handler's mask plus the signal itself
                     // (unless SA_NODEFER) for the handler's duration.
                     let mut during = SigSet(old_mask.0 | action.mask);
@@ -936,7 +888,7 @@ impl Kernel {
                     }
                     task.sigmask = during;
                     if action.flags & wali_abi::signals::SA_RESETHAND != 0 {
-                        task.sighand.lock_ok().set(signo, WaliSigaction::default());
+                        task.handlers().set(signo, WaliSigaction::default());
                     }
                     return Some(SignalDelivery::Handler {
                         signo,
@@ -950,10 +902,10 @@ impl Kernel {
 
     /// Restores the mask after a handler completes.
     pub fn signal_return(&mut self, tid: Tid, old_mask: SigSet) {
-        if let Some(task) = self.tasks.get_mut(&tid) {
+        if let Some(task) = self.tasks.get_mut(at(tid)) {
             task.sigmask = old_mask;
             // Previously-masked pending signals may now be deliverable.
-            if !task.pending.is_empty() || !task.shared_pending.lock_ok().is_empty() {
+            if !task.pending.is_empty() || !task.shared_pending().is_empty() {
                 task.sig_hint.set(true);
             }
         }
@@ -966,7 +918,7 @@ impl Kernel {
             return false;
         };
         let mask = task.sigmask;
-        let pend = SigSet(task.pending.mask().0 | task.shared_pending.lock_ok().mask().0);
+        let pend = SigSet(task.pending.mask().0 | task.shared_pending().mask().0);
         SigSet(pend.0 & !mask.0).lowest().is_some()
     }
 
@@ -1007,11 +959,11 @@ impl Kernel {
             .map(|t| t.tgid)
             .collect();
         for pid in expired {
-            for t in self.group_tids(pid) {
-                if let Some(task) = self.tasks.get_mut(&t) {
+            self.each_member(pid, |k, t| {
+                if let Ok(task) = k.task_mut(t) {
                     task.alarm_deadline = None;
                 }
-            }
+            });
             let _ = self.send_signal_to_process(pid, Signal::Sigalrm.number());
         }
     }
@@ -1082,7 +1034,7 @@ impl Kernel {
         let mut wake_tids = Vec::new();
         while woken < count {
             let Some(t) = q.pop_front() else { break };
-            if let Some(task) = self.tasks.get_mut(&t) {
+            if let Some(task) = self.tasks.get_mut(at(t)) {
                 task.futex_woken = true;
                 woken += 1;
                 wake_tids.push(t);
@@ -1212,12 +1164,7 @@ impl Kernel {
             .futexes
             .values()
             .flatten()
-            .filter(|t| {
-                self.tasks
-                    .get(t)
-                    .map(|task| !task.exited())
-                    .unwrap_or(false)
-            })
+            .filter(|t| self.task(**t).is_ok_and(|task| !task.exited()))
             .count();
         let (records, heads, undrained_wakeups) = {
             let waits = self.waits.lock();
@@ -1258,7 +1205,7 @@ impl Kernel {
             self.tasks.values().any(holds)
         };
         let stray_head = |&(ch, waiters): &(Channel, usize)| match ch {
-            Channel::Signal(t) | Channel::Child(t) => !self.tasks.contains_key(&t),
+            Channel::Signal(t) | Channel::Child(t) => self.tasks.get(at(t)).is_none(),
             Channel::PipeReadable(id) | Channel::PipeWritable(id) => {
                 waiters != 0 && self.pipes.get(id).is_none()
             }
@@ -1269,7 +1216,7 @@ impl Kernel {
             Channel::EventFd(key) => !description_open(key),
             Channel::Futex(..) => false,
         };
-        let stray_records = records.iter().filter(|(t, _)| !self.tasks.contains_key(t));
+        let stray_records = records.iter().filter(|(t, _)| self.tasks.get(at(*t)).is_none());
         stray_records.count() + heads.iter().filter(|h| stray_head(h)).count()
     }
 }

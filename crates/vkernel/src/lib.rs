@@ -35,7 +35,6 @@ pub mod fd;
 pub mod kernel;
 pub mod lockorder;
 pub mod pipe;
-pub mod proc;
 pub mod signal;
 pub mod slab;
 pub mod socket;
@@ -47,10 +46,9 @@ pub mod wait;
 pub use clock::Clock;
 pub use kernel::{Kernel, KernelHandles, LeakReport};
 pub use lockorder::{contention, LockClass, OrderToken, Tracked};
-pub use proc::{ProcIndex, TaskHot};
 pub use slab::ObjSlab;
 pub use sync::{shared, FastMap, FastSet, HintFlag, MutexExt, Shared};
-pub use task::{Pid, Task, TaskState, Tid};
+pub use task::{Pid, Task, TaskHot, TaskState, Tid};
 pub use wait::{Channel, WaitSet, WaitShard, WaitStats};
 
 use wali_abi::Errno;

@@ -5,6 +5,10 @@ use std::collections::VecDeque;
 /// Default pipe capacity (Linux: 16 pages).
 pub const PIPE_BUF_SIZE: usize = 16 * 4096;
 
+/// The largest write a pipe takes whole or not at all (pipe(7)): two
+/// writers' messages of at most this many bytes never interleave.
+pub const PIPE_BUF: usize = 4096;
+
 /// One pipe's shared buffer state.
 #[derive(Clone, Debug)]
 pub struct Pipe {
@@ -70,21 +74,27 @@ impl Pipe {
             return PipeIo::WouldBlock;
         }
         let n = out.len().min(self.buf.len());
-        for b in out.iter_mut().take(n) {
-            *b = self.buf.pop_front().expect("non-empty");
-        }
+        // The ring's two runs, front first.
+        let (front, back) = self.buf.as_slices();
+        let head = n.min(front.len());
+        out[..head].copy_from_slice(&front[..head]);
+        out[head..n].copy_from_slice(&back[..n - head]);
+        self.buf.drain(..n);
         PipeIo::Xfer(n)
     }
 
-    /// Attempts to write `data`, transferring as much as fits.
+    /// Attempts to write `data`. At most [`PIPE_BUF`] bytes go in whole
+    /// or wait for room; a longer write transfers what fits.
     pub fn write(&mut self, data: &[u8]) -> PipeIo {
         if self.readers == 0 {
             return PipeIo::Broken;
         }
-        if self.space() == 0 {
+        let space = self.space();
+        let atomic = data.len() <= PIPE_BUF;
+        if space == 0 || (atomic && space < data.len()) {
             return PipeIo::WouldBlock;
         }
-        let n = data.len().min(self.space());
+        let n = data.len().min(space);
         self.buf.extend(&data[..n]);
         PipeIo::Xfer(n)
     }
@@ -140,6 +150,55 @@ mod tests {
         let mut buf = vec![0u8; 100];
         assert_eq!(p.read(&mut buf), PipeIo::Xfer(100));
         assert_eq!(p.write(b"more"), PipeIo::Xfer(4));
+    }
+
+    #[test]
+    fn a_write_of_at_most_pipe_buf_is_all_or_nothing() {
+        let mut p = Pipe::new();
+        let fill = vec![1u8; PIPE_BUF_SIZE - 40];
+        assert_eq!(p.write(&fill), PipeIo::Xfer(fill.len()));
+        // 40 bytes free: a 100-byte message does not go in in part …
+        assert_eq!(p.write(&[2u8; 100]), PipeIo::WouldBlock);
+        assert_eq!(p.len(), fill.len(), "nothing was transferred");
+        // … one that fits does, and so does the first once there is room.
+        assert_eq!(p.write(&[3u8; 40]), PipeIo::Xfer(40));
+        assert_eq!(p.write(&[2u8; 1]), PipeIo::WouldBlock);
+        let mut sink = vec![0u8; 100];
+        assert_eq!(p.read(&mut sink), PipeIo::Xfer(100));
+        assert_eq!(p.write(&[2u8; 100]), PipeIo::Xfer(100));
+        // The boundary: PIPE_BUF itself is atomic, one byte more is not.
+        let mut p = Pipe::new();
+        let fill = vec![1u8; PIPE_BUF_SIZE - PIPE_BUF + 1];
+        p.write(&fill).unwrap_xfer();
+        assert_eq!(p.write(&[4u8; PIPE_BUF]), PipeIo::WouldBlock);
+        assert_eq!(p.write(&[4u8; PIPE_BUF + 1]), PipeIo::Xfer(PIPE_BUF - 1));
+        // No reader left wins over no room.
+        p.readers = 0;
+        assert_eq!(p.write(&[4u8; 8]), PipeIo::Broken);
+    }
+
+    #[test]
+    fn reads_cross_the_ring_seam_in_order() {
+        let mut p = Pipe::new();
+        let mut out = vec![0u8; PIPE_BUF_SIZE];
+        // Walk the ring's start forward so later transfers wrap.
+        let mut next = 0u8;
+        for round in 0..40 {
+            let chunk: Vec<u8> = (0..5000).map(|_| {
+                next = next.wrapping_add(1);
+                next
+            }).collect();
+            assert_eq!(p.write(&chunk), PipeIo::Xfer(5000), "round {round}");
+            let want = if round % 3 == 0 { 1234 } else { 5000 };
+            let n = p.read(&mut out[..want]).unwrap_xfer();
+            assert_eq!(n, want.min(p.len() + n));
+            let first = out[0];
+            assert!(out[..n].iter().enumerate().all(|(i, b)| *b == first.wrapping_add(i as u8)));
+        }
+        let left = p.len();
+        assert_eq!(p.read(&mut out), PipeIo::Xfer(left));
+        assert_eq!(out[left - 1], next, "the last byte written is the last read");
+        assert!(p.is_empty());
     }
 
     impl PipeIo {

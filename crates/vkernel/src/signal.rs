@@ -4,50 +4,56 @@
 //! 2–3); the WALI layer owns the virtual sigtable of Wasm function pointers
 //! and handler *execution* at safepoints (stages 1 and 4).
 
+use std::sync::Arc;
+
 use wali_abi::layout::WaliSigaction;
 use wali_abi::signals::{DefaultDisposition, SigSet, Signal, NSIG, SIG_DFL, SIG_IGN};
 
 /// Per-process signal handler table (shared under `CLONE_SIGHAND`).
-#[derive(Clone, Debug)]
+///
+/// A copy shares the table with its original until one of them is
+/// written (`fork` copies a process's handlers; few children ever call
+/// `rt_sigaction`), and a table nobody has written is not there at all:
+/// every action reads as the default.
+#[derive(Clone, Debug, Default)]
 pub struct SigHandlers {
-    actions: [WaliSigaction; NSIG],
-}
-
-impl Default for SigHandlers {
-    fn default() -> Self {
-        Self::new()
-    }
+    actions: Option<Arc<[WaliSigaction; NSIG]>>,
 }
 
 impl SigHandlers {
     /// All-default handler table.
     pub fn new() -> SigHandlers {
-        SigHandlers {
-            actions: [WaliSigaction::default(); NSIG],
-        }
+        SigHandlers::default()
     }
 
     /// The action registered for `signo`.
     pub fn get(&self, signo: i32) -> WaliSigaction {
-        self.actions
-            .get(signo as usize)
-            .copied()
-            .unwrap_or_default()
+        let actions = self.actions.as_ref();
+        let action = actions.and_then(|a| a.get(usize::try_from(signo).ok()?));
+        action.copied().unwrap_or_default()
+    }
+
+    /// This table's own, writable actions: made on the first write,
+    /// copied on the first write after a copy was taken.
+    fn own(&mut self) -> &mut [WaliSigaction; NSIG] {
+        let actions = self.actions.get_or_insert_with(|| Arc::new([WaliSigaction::default(); NSIG]));
+        Arc::make_mut(actions)
     }
 
     /// Replaces the action for `signo`, returning the old one.
     pub fn set(&mut self, signo: i32, action: WaliSigaction) -> WaliSigaction {
-        let slot = &mut self.actions[signo as usize];
-        std::mem::replace(slot, action)
+        std::mem::replace(&mut self.own()[signo as usize], action)
     }
 
     /// Resets caught signals to default on `execve` (ignored dispositions
     /// are preserved, per POSIX).
     pub fn reset_for_exec(&mut self) {
-        for a in &mut self.actions {
-            if a.handler != SIG_IGN {
-                *a = WaliSigaction::default();
-            }
+        let caught = |a: &WaliSigaction| a.handler != SIG_IGN && *a != WaliSigaction::default();
+        if !self.actions.as_ref().is_some_and(|a| a.iter().any(caught)) {
+            return;
+        }
+        for a in self.own().iter_mut().filter(|a| a.handler != SIG_IGN) {
+            *a = WaliSigaction::default();
         }
     }
 }
@@ -138,6 +144,43 @@ mod tests {
         let old = h.set(2, a);
         assert_eq!(old, WaliSigaction::default());
         assert_eq!(h.set(2, WaliSigaction::default()), a);
+    }
+
+    #[test]
+    fn a_copy_shares_the_table_until_either_side_writes() {
+        let act = |handler| WaliSigaction {
+            handler,
+            flags: 0,
+            mask: 0,
+        };
+        let mut parent = SigHandlers::new();
+        assert!(parent.actions.is_none(), "nothing written, nothing made");
+        assert_eq!(parent.clone().get(17), WaliSigaction::default());
+        parent.set(17, act(5));
+        let mut child = parent.clone();
+        let shared = |a: &SigHandlers, b: &SigHandlers| match (&a.actions, &b.actions) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        assert!(shared(&parent, &child));
+        // Reads and an exec with nothing to reset leave it shared.
+        assert_eq!(child.get(17), act(5));
+        let mut ignoring = SigHandlers::new();
+        ignoring.set(2, act(SIG_IGN));
+        let mut image = ignoring.clone();
+        image.reset_for_exec();
+        assert!(shared(&ignoring, &image));
+        // The child's write is the child's alone, and the parent's the
+        // parent's.
+        child.set(17, act(9));
+        assert!(!shared(&parent, &child));
+        assert_eq!((parent.get(17), child.get(17)), (act(5), act(9)));
+        let third = parent.clone();
+        parent.set(10, act(3));
+        assert_eq!((parent.get(10), third.get(10)), (act(3), act(0)));
+        // Out-of-range numbers read as the default.
+        assert_eq!(parent.get(-1), WaliSigaction::default());
+        assert_eq!(parent.get(1000), WaliSigaction::default());
     }
 
     #[test]

@@ -164,21 +164,46 @@ impl<T> ObjSlab<T> {
 /// Entries per [`Paged`] page.
 const PAGE: usize = 32;
 
-#[derive(Debug, Default)]
-pub(crate) struct Page<T> {
+#[derive(Debug)]
+struct Page<T> {
     live: usize,
     slots: [Option<T>; PAGE],
 }
 
-/// A table indexed by ids that are dense but never retire on their own
-/// (slab slots recycle, tids only grow): pages of [`PAGE`] entries, a
-/// page freed with its last entry.
-#[derive(Debug, Default)]
-pub(crate) struct Paged<T> {
-    pub(crate) pages: Vec<Option<Box<Page<T>>>>,
+impl<T> Default for Page<T> {
+    fn default() -> Page<T> {
+        Page {
+            live: 0,
+            slots: std::array::from_fn(|_| None),
+        }
+    }
 }
 
-impl<T: Default> Paged<T> {
+/// A table indexed by ids that are dense but never retire on their own
+/// (slab slots recycle, tids only grow): pages of [`PAGE`] entries, a
+/// page given up with its last entry. The table keeps the page it
+/// emptied last for the next one it needs: an entry that comes and goes
+/// alone on its page — the one pipe of a shell job, the one tid that
+/// dies per request — makes and clears a page once, not once per
+/// request, and a table whose ids only grow still holds pages for live
+/// entries only (plus that one).
+#[derive(Debug)]
+pub(crate) struct Paged<T> {
+    pages: Vec<Option<Box<Page<T>>>>,
+    /// The page emptied last: all `None`, ready for reuse.
+    spare: Option<Box<Page<T>>>,
+}
+
+impl<T> Default for Paged<T> {
+    fn default() -> Paged<T> {
+        Paged {
+            pages: Vec::new(),
+            spare: None,
+        }
+    }
+}
+
+impl<T> Paged<T> {
     pub(crate) fn get(&self, id: usize) -> Option<&T> {
         self.pages.get(id / PAGE)?.as_ref()?.slots[id % PAGE].as_ref()
     }
@@ -187,33 +212,53 @@ impl<T: Default> Paged<T> {
         self.pages.get_mut(id / PAGE)?.as_mut()?.slots[id % PAGE].as_mut()
     }
 
-    /// The entry of `id`, made if absent.
-    pub(crate) fn slot(&mut self, id: usize) -> &mut T {
+    /// The slot of `id`, on a page made (or taken from the spare) if the
+    /// table has none there.
+    fn slot_mut(&mut self, id: usize) -> (&mut usize, &mut Option<T>) {
         if id / PAGE >= self.pages.len() {
             self.pages.resize_with(id / PAGE + 1, || None);
         }
-        let page: &mut Page<T> = self.pages[id / PAGE].get_or_insert_with(Box::default);
-        let slot = &mut page.slots[id % PAGE];
+        let spare = &mut self.spare;
+        let page = self.pages[id / PAGE].get_or_insert_with(|| spare.take().unwrap_or_default());
+        (&mut page.live, &mut page.slots[id % PAGE])
+    }
+
+    /// The entry of `id`, made if absent.
+    pub(crate) fn slot(&mut self, id: usize) -> &mut T
+    where
+        T: Default,
+    {
+        let (live, slot) = self.slot_mut(id);
         if slot.is_none() {
-            page.live += 1;
+            *live += 1;
         }
         slot.get_or_insert_with(T::default)
     }
 
-    /// Drops the entry of `id`, and its page with the last one.
-    pub(crate) fn free(&mut self, id: usize) {
-        let Some(Some(page)) = self.pages.get_mut(id / PAGE) else {
-            return;
-        };
-        if page.slots[id % PAGE].take().is_some() {
-            page.live -= 1;
-            if page.live == 0 {
-                self.pages[id / PAGE] = None;
-                while let Some(None) = self.pages.last() {
-                    self.pages.pop();
-                }
+    /// Puts `value` at `id`, returning what was there.
+    pub(crate) fn insert(&mut self, id: usize, value: T) -> Option<T> {
+        let (live, slot) = self.slot_mut(id);
+        let old = slot.replace(value);
+        if old.is_none() {
+            *live += 1;
+        }
+        old
+    }
+
+    /// Takes the entry of `id` out; the page that leaves empty becomes
+    /// the spare.
+    pub(crate) fn remove(&mut self, id: usize) -> Option<T> {
+        let at = self.pages.get_mut(id / PAGE)?;
+        let page = at.as_mut()?;
+        let gone = page.slots[id % PAGE].take()?;
+        page.live -= 1;
+        if page.live == 0 {
+            self.spare = at.take();
+            while let Some(None) = self.pages.last() {
+                self.pages.pop();
             }
         }
+        Some(gone)
     }
 
     /// The entries present, by ascending id.
@@ -223,6 +268,18 @@ impl<T: Default> Paged<T> {
             let slots = page.iter().flat_map(|page| page.slots.iter().enumerate());
             slots.filter_map(move |(i, s)| Some((p * PAGE + i, s.as_ref()?)))
         })
+    }
+
+    /// The entries present, by ascending id.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
+        self.iter().map(|(_, t)| t)
+    }
+
+    /// Pages currently allocated, the spare included (tests: a steady
+    /// state makes none).
+    #[cfg(test)]
+    pub(crate) fn pages_held(&self) -> usize {
+        self.pages.iter().flatten().count() + usize::from(self.spare.is_some())
     }
 }
 
@@ -252,14 +309,39 @@ mod tests {
         assert!(t.get(71).is_none() && t.get_mut(5000).is_none());
         assert_eq!(t.iter().map(|(id, _)| id).collect::<Vec<_>>(), [3, 70]);
         assert_eq!(t.pages.iter().flatten().count(), 2, "pages 0 and 2 only");
-        // Freeing the last entry of the last page shrinks the table;
-        // freeing what is not there is a no-op.
-        t.free(70);
-        t.free(70);
-        t.free(9999);
+        // Removing the last entry of the last page shrinks the table;
+        // removing what is not there is a no-op.
+        assert_eq!(t.remove(70), Some(vec![7, 8]));
+        assert_eq!(t.remove(70), None);
+        assert_eq!(t.remove(9999), None);
         assert_eq!(t.pages.len(), 1);
-        t.free(3);
+        assert_eq!(t.insert(4, vec![4]), None);
+        assert_eq!(t.insert(4, vec![5]), Some(vec![4]));
+        t.remove(3);
+        t.remove(4);
         assert!(t.pages.is_empty());
+    }
+
+    #[test]
+    fn an_emptied_page_is_kept_for_the_next_entry() {
+        let mut t: Paged<u32> = Paged::default();
+        t.insert(1, 1);
+        // One entry alone on its page, coming and going — on the same
+        // page or, like a tid, on ever later ones: one page serves.
+        for id in (40..4000).step_by(7) {
+            t.insert(id, 7);
+            assert_eq!(t.pages_held(), 2, "at {id}");
+            assert_eq!(t.remove(id), Some(7));
+            assert_eq!(t.pages_held(), 2, "the emptied page is the spare");
+        }
+        // Only one is kept: a second emptied page replaces it.
+        t.insert(100, 0);
+        t.insert(200, 0);
+        assert_eq!(t.pages_held(), 3);
+        t.remove(100);
+        t.remove(200);
+        assert_eq!(t.pages_held(), 2);
+        assert_eq!(t.values().copied().collect::<Vec<_>>(), [1]);
     }
 
     #[test]

@@ -22,6 +22,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::task::Shares;
+
 /// A shared, independently lockable shard of kernel state.
 pub type Shared<T> = Arc<Mutex<T>>;
 
@@ -77,32 +79,34 @@ pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 /// A `HashSet` hashed by [`FastHasher`].
 pub type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
 
-/// A shared boolean hint flag (the per-task signal fast path).
+/// A shared boolean hint flag (the per-task signal fast path): the
+/// handle on the flag in a task's [`Shares`] block — the task, the
+/// embedder's context and whoever signals it hold one each.
 ///
-/// Replaces the old `Rc<Cell<bool>>`: safepoint polling happens on the
-/// worker running the task while signal generation can happen on any
-/// other worker, so the flag is an atomic. `Relaxed` suffices — the flag
-/// is a *hint*; the authoritative pending state is read under the kernel
-/// lock, which orders the actual delivery.
-#[derive(Clone, Debug, Default)]
-pub struct HintFlag(Arc<AtomicBool>);
+/// Safepoint polling happens on the worker running the task while signal
+/// generation can happen on any other worker, so the flag is an atomic.
+/// `Relaxed` suffices — the flag is a *hint*; the authoritative pending
+/// state is read under the kernel lock, which orders the actual
+/// delivery.
+#[derive(Clone, Debug)]
+pub struct HintFlag(Arc<Shares>);
 
 impl HintFlag {
-    /// A fresh, unset flag.
-    pub fn new() -> HintFlag {
-        HintFlag::default()
+    /// The flag of `block`.
+    pub(crate) fn of(block: Arc<Shares>) -> HintFlag {
+        HintFlag(block)
     }
 
     /// Reads the hint.
     #[inline]
     pub fn get(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
+        self.as_atomic().load(Ordering::Relaxed)
     }
 
     /// Sets or clears the hint.
     #[inline]
     pub fn set(&self, value: bool) {
-        self.0.store(value, Ordering::Relaxed);
+        self.as_atomic().store(value, Ordering::Relaxed);
     }
 
     /// The flag itself, for a reader that polls it in a loop of its own
@@ -111,7 +115,7 @@ impl HintFlag {
     /// [`get`]: HintFlag::get
     #[inline]
     pub fn as_atomic(&self) -> &AtomicBool {
-        &self.0
+        &self.0.sig_hint
     }
 }
 
@@ -121,7 +125,7 @@ mod tests {
 
     #[test]
     fn hint_flag_is_shared_between_clones() {
-        let a = HintFlag::new();
+        let a = crate::Task::init(0).sig_hint;
         let b = a.clone();
         assert!(!b.get());
         a.set(true);

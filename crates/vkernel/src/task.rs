@@ -5,12 +5,23 @@
 //! filesystem info, signal handlers and address space is governed by the
 //! `clone` flags exactly as on Linux, which is what lets WALI explore the
 //! paper's process-model spectrum (§3.1, Fig. 4).
+//!
+//! # What a new task costs
+//!
+//! `fork` makes three things: the child's descriptor slots, the lock
+//! they sit behind, and one [`Shares`] block. Everything else the child
+//! starts out equal to is either a scalar or shared until written
+//! ([`SigHandlers`] copies its table on the first `rt_sigaction` after
+//! the fork).
+
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use wali_abi::signals::SigSet;
 
 use crate::fd::FdTable;
 use crate::signal::{PendingSet, SigHandlers};
-use crate::sync::{shared, HintFlag, Shared};
+use crate::sync::{shared, HintFlag, MutexExt, Shared};
 use crate::vfs::InodeId;
 use crate::MmId;
 
@@ -26,6 +37,38 @@ pub struct FsInfo {
     pub cwd: InodeId,
     /// File-creation mask.
     pub umask: u32,
+}
+
+/// The state of a task that others hold on to, in one allocation made
+/// with the task: its signal hint (the embedder's context polls it) and
+/// the three things `clone` shares by flag. A task uses the cells of
+/// *some* task's block through one handle each — its own after a
+/// `fork`, its creator's for whatever `CLONE_THREAD`, `CLONE_FS` or
+/// `CLONE_SIGHAND` said to share — so sharing costs a reference count
+/// and not sharing costs nothing beyond this block.
+#[derive(Debug)]
+pub struct Shares {
+    /// Set whenever a signal may be deliverable to the task or it was
+    /// terminated ([`HintFlag`]).
+    pub(crate) sig_hint: AtomicBool,
+    /// Process-wide pending signals (one cell per thread group).
+    pending: Mutex<PendingSet>,
+    /// cwd/umask (one cell per `CLONE_FS` group).
+    fs: Mutex<FsInfo>,
+    /// Signal handlers (one cell per `CLONE_SIGHAND` group).
+    handlers: Mutex<SigHandlers>,
+}
+
+impl Shares {
+    /// A block whose cells start out as given.
+    pub fn new(fs: FsInfo, handlers: SigHandlers) -> Arc<Shares> {
+        Arc::new(Shares {
+            sig_hint: AtomicBool::new(false),
+            pending: Mutex::new(PendingSet::default()),
+            fs: Mutex::new(fs),
+            handlers: Mutex::new(handlers),
+        })
+    }
 }
 
 /// Scheduling/lifecycle state of a task.
@@ -55,7 +98,7 @@ pub struct Rusage {
 }
 
 /// One kernel task.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Task {
     /// Thread id (unique).
     pub tid: Tid,
@@ -71,12 +114,12 @@ pub struct Task {
     pub state: TaskState,
     /// Descriptor table (shared under `CLONE_FILES`; own lock — a shard).
     pub fdtable: Shared<FdTable>,
-    /// cwd/umask (shared under `CLONE_FS`).
-    pub fs: Shared<FsInfo>,
-    /// Signal handlers (shared under `CLONE_SIGHAND`).
-    pub sighand: Shared<SigHandlers>,
-    /// Process-wide pending signals (shared by the thread group).
-    pub shared_pending: Shared<PendingSet>,
+    /// Whose [`Shares`] hold this task's cwd/umask (`CLONE_FS`).
+    pub(crate) fs: Arc<Shares>,
+    /// Whose hold its signal handlers (`CLONE_SIGHAND`).
+    pub(crate) sighand: Arc<Shares>,
+    /// Whose hold its thread group's pending signals (`CLONE_THREAD`).
+    pub(crate) group: Arc<Shares>,
     /// Thread-private pending signals (`tkill`/`tgkill`).
     pub pending: PendingSet,
     /// Blocked-signal mask (per thread).
@@ -97,6 +140,9 @@ pub struct Task {
     pub egid: u32,
     /// Children pids (for `wait4`).
     pub children: Vec<Pid>,
+    /// On a thread-group leader: the group's other tasks still in the
+    /// task table, in creation (= tid) order.
+    pub(crate) threads: Vec<Tid>,
     /// `set_tid_address` / `CLONE_CHILD_CLEARTID` address.
     pub clear_child_tid: u32,
     /// Accounting.
@@ -109,13 +155,35 @@ pub struct Task {
     pub exit_code: Option<i32>,
     /// Fast-path flag the embedder polls at safepoints: set whenever a
     /// signal may be deliverable or the task was terminated, cleared by
-    /// the embedder once drained. Keeps safepoint polling O(1).
+    /// the embedder once drained. Keeps safepoint polling O(1). It is
+    /// the handle on this task's own [`Shares`].
     pub sig_hint: HintFlag,
+}
+
+/// What an embedder's context keeps of its task: read once, under the
+/// kernel lock the `spawn`, `fork` or `clone` that made the task holds
+/// anyway.
+#[derive(Clone, Debug)]
+pub struct TaskHot {
+    /// The task.
+    pub tid: Tid,
+    /// Its address space.
+    pub mm: MmId,
+    /// Its signal hint.
+    pub sig_hint: HintFlag,
+    /// Its fd table (descriptor I/O resolves through it without the
+    /// kernel lock).
+    pub fdtable: Shared<FdTable>,
 }
 
 impl Task {
     /// Creates the init task (pid 1).
     pub fn init(root: InodeId) -> Task {
+        let fs = FsInfo {
+            cwd: root,
+            umask: 0o022,
+        };
+        let own = Shares::new(fs, SigHandlers::new());
         Task {
             tid: 1,
             tgid: 1,
@@ -124,12 +192,9 @@ impl Task {
             sid: 1,
             state: TaskState::Running,
             fdtable: shared(FdTable::new()),
-            fs: shared(FsInfo {
-                cwd: root,
-                umask: 0o022,
-            }),
-            sighand: shared(SigHandlers::new()),
-            shared_pending: shared(PendingSet::default()),
+            fs: own.clone(),
+            sighand: own.clone(),
+            group: own.clone(),
             pending: PendingSet::default(),
             sigmask: SigSet::EMPTY,
             saved_sigmask: None,
@@ -139,12 +204,38 @@ impl Task {
             gid: 1000,
             egid: 1000,
             children: Vec::new(),
+            threads: Vec::new(),
             clear_child_tid: 0,
             rusage: Rusage::default(),
             alarm_deadline: None,
             futex_woken: false,
             exit_code: None,
-            sig_hint: HintFlag::new(),
+            sig_hint: HintFlag::of(own),
+        }
+    }
+
+    /// cwd and umask.
+    pub fn fs(&self) -> MutexGuard<'_, FsInfo> {
+        self.fs.fs.lock_ok()
+    }
+
+    /// The registered signal actions.
+    pub fn handlers(&self) -> MutexGuard<'_, SigHandlers> {
+        self.sighand.handlers.lock_ok()
+    }
+
+    /// The process-wide pending signals.
+    pub fn shared_pending(&self) -> MutexGuard<'_, PendingSet> {
+        self.group.pending.lock_ok()
+    }
+
+    /// The handles an embedder's context keeps.
+    pub fn hot(&self) -> TaskHot {
+        TaskHot {
+            tid: self.tid,
+            mm: self.mm,
+            sig_hint: self.sig_hint.clone(),
+            fdtable: self.fdtable.clone(),
         }
     }
 

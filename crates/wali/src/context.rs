@@ -13,27 +13,33 @@
 //! | state | `fork`/`vfork` ([`fork_child`]) | `clone` thread ([`thread_sibling`]) | `execve` ([`exec_image`]) |
 //! |---|---|---|---|
 //! | policy (+ its denial log), ring switch, layer-timing flag | inherited | inherited | inherited |
-//! | trace counters | fresh (merged at exit) | fresh (merged at exit) | kept — same task |
-//! | sigtable, mmap pool, `brk` | private copy | shared | fresh, above the new image's data |
-//! | argv / env | copied | copied | the call's |
-//! | handler masks, in-flight ring SQEs, `ext`, fd-table handle, retry deadline | fresh | fresh | fresh |
+//! | trace timings and step counts | fresh (merged at exit) | fresh (merged at exit) | kept — same task |
+//! | sigtable, mmap pool, `brk` ([`AddressSpace`]) | private copy; the sigtable shared until written | shared | fresh, above the new image's data |
+//! | argv / env | shared (immutable) | shared (immutable) | the call's |
+//! | kernel handles (fd table, signal hint, mm) | the child task's | the child task's | kept — same task |
+//! | handler masks, in-flight ring SQEs, `ext`, retry deadline | fresh | fresh | fresh |
+//!
+//! Syscall *counts* belong to whoever runs the task, not to the task
+//! (`task::run_slice` lends the table): a child starts with none.
 //!
 //! [`fork_child`]: WaliContext::fork_child
 //! [`thread_sibling`]: WaliContext::thread_sibling
 //! [`exec_image`]: WaliContext::exec_image
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use vkernel::fd::FdTable;
 use vkernel::kernel::{KernelHandles, SignalDelivery};
-use vkernel::{shared, HintFlag, Kernel, LockClass, MmId, MutexExt, Shared, Tid, Tracked};
+use vkernel::{HintFlag, Kernel, LockClass, MmId, MutexExt, Shared, TaskHot, Tid, Tracked};
 use wali_abi::signals::SigSet;
 use wasm::error::Trap;
-use wasm::host::{HostCtx, PendingCall};
+use wasm::host::{HostCtx, HostOutcome, PendingCall};
 use wasm::interp::Value;
 
 use crate::mmap::MmapPool;
 use crate::policy::Policy;
+use crate::registry::WaliSuspend;
 use crate::sigtable::SigTable;
 use crate::trace::Trace;
 
@@ -52,12 +58,45 @@ pub fn new_kernel_ref(kernel: Kernel) -> KernelRef {
     Arc::new(Tracked::new(LockClass::Kernel, kernel))
 }
 
-/// Where a program image's heap goes: `(brk_start, pool_base)` — the
-/// `brk` heap starts at the first 16-byte boundary past the static data
-/// and the mmap pool 1 MiB (the brk headroom) above it.
-fn heap_layout(heap_base: u32) -> (u32, u32) {
-    let brk_start = (heap_base + 15) & !15;
-    (brk_start, brk_start + (1 << 20))
+/// The engine-side bookkeeping of one address space, in one allocation:
+/// the threads of a process share it, `fork` copies it (the sigtable's
+/// entries stay shared until either side registers a handler), `execve`
+/// starts a new one.
+pub struct AddressSpace {
+    /// Virtual signal table.
+    pub sigtable: Mutex<SigTable>,
+    /// Memory-mapping pool.
+    pub mmap: Mutex<MmapPool>,
+    /// Current program break (atomic because sibling threads may run on
+    /// different workers).
+    pub brk: AtomicU32,
+    /// Initial program break (floor for shrinking).
+    pub brk_start: u32,
+}
+
+impl AddressSpace {
+    /// The layout of a fresh program image whose static data ends at
+    /// `heap_base`: the `brk` heap starts at the first 16-byte boundary
+    /// past it and the mmap pool 1 MiB (the brk headroom) above that.
+    fn above(heap_base: u32) -> Arc<AddressSpace> {
+        let brk_start = (heap_base + 15) & !15;
+        Arc::new(AddressSpace {
+            sigtable: Mutex::new(SigTable::new()),
+            mmap: Mutex::new(MmapPool::new(brk_start + (1 << 20))),
+            brk: AtomicU32::new(brk_start),
+            brk_start,
+        })
+    }
+
+    /// What `fork` gives the child: equal state, its own from here on.
+    fn forked(&self) -> Arc<AddressSpace> {
+        Arc::new(AddressSpace {
+            sigtable: Mutex::new(self.sigtable.lock_ok().clone()),
+            mmap: Mutex::new(self.mmap.lock_ok().clone()),
+            brk: AtomicU32::new(self.brk.load(Ordering::Relaxed)),
+            brk_start: self.brk_start,
+        })
+    }
 }
 
 /// The embedder context threaded through every WALI host call.
@@ -68,20 +107,14 @@ pub struct WaliContext {
     pub tid: Tid,
     /// Address-space identity (for futex keys).
     pub mm: MmId,
-    /// Virtual signal table (shared between threads of a process).
-    pub sigtable: Shared<SigTable>,
-    /// Memory-mapping pool (shared between threads of a process).
-    pub mmap: Shared<MmapPool>,
-    /// Current program break (shared between threads of a process;
-    /// atomic because sibling threads may run on different workers).
-    pub brk: Arc<AtomicU32>,
-    /// Initial program break (floor for shrinking).
-    pub brk_start: u32,
+    /// Sigtable, mmap pool and `brk` (shared between threads of a
+    /// process).
+    pub space: Arc<AddressSpace>,
     /// Command-line arguments (§3.4: owned by the engine, copied into the
     /// sandbox on request).
-    pub args: Vec<String>,
+    pub args: Arc<[String]>,
     /// Environment variables as `KEY=VALUE` strings.
-    pub env: Vec<String>,
+    pub env: Arc<[String]>,
     /// Syscall trace.
     pub trace: Trace,
     /// Optional syscall policy layered over the interface (§3.6).
@@ -89,15 +122,15 @@ pub struct WaliContext {
     /// Deadline handed back by the runner when retrying a blocked call.
     pub retry_deadline: Option<u64>,
     /// Cloneable handles to the kernel's independently lockable shards
-    /// (pipe/socket slabs, the waitqueue, the process index, the VFS,
-    /// the clock). Descriptor I/O ([`crate::fastpath`]) and the
-    /// per-syscall tick go through these without ever touching the
-    /// kernel lock.
+    /// (the waitqueue, the VFS, the clock). Descriptor I/O
+    /// ([`crate::fastpath`]) and the per-syscall tick go through these
+    /// without ever touching the kernel lock.
     pub(crate) handles: KernelHandles,
-    /// This task's fd table, fetched from the process index by its first
-    /// descriptor call ([`crate::fastpath::resolve`]); reset whenever a
-    /// fresh context is built (spawn, fork, thread, exec).
-    pub(crate) fdtable: Option<Shared<vkernel::fd::FdTable>>,
+    /// This task's fd table, as the kernel had it when the task was made
+    /// (a task never changes tables; one that exited finds its own
+    /// emptied). Descriptor calls resolve through it, never behind the
+    /// kernel lock.
+    pub(crate) fdtable: Shared<FdTable>,
     /// Whether batched syscall rings are enabled for this task
     /// (`WALI_NO_RING=1` makes `wali_ring_enter` return `-ENOSYS` so
     /// guests fall back to the synchronous per-op ABI).
@@ -111,6 +144,9 @@ pub struct WaliContext {
     sig_hint: HintFlag,
     /// Masks to restore when nested signal handlers return (§3.3).
     handler_masks: Vec<SigSet>,
+    /// Why the host call that just answered [`HostOutcome::Suspend`]
+    /// did: the runner's to take ([`WaliContext::take_suspend`]).
+    suspended: Option<WaliSuspend>,
     /// Exit status once the task is terminated.
     pub exited: Option<i32>,
     /// Opaque state slot for APIs layered over WALI (e.g. the WASI
@@ -127,84 +163,65 @@ impl WaliContext {
     /// whether `wali_ring_enter` is served (a runner passes its own
     /// setting, anyone else [`crate::runner::ring_default`]).
     pub fn new(kernel: KernelRef, tid: Tid, heap_base: u32, ring: bool) -> WaliContext {
-        let (mm, sig_hint, handles) = {
+        let (task, handles) = {
             let k = kernel.lock_ok();
-            let task = k.task(tid).expect("task exists");
-            (task.mm, task.sig_hint.clone(), k.handles())
+            (k.task(tid).expect("task exists").hot(), k.handles())
         };
-        let (brk_start, pool_base) = heap_layout(heap_base);
         WaliContext {
             kernel,
             tid,
-            mm,
-            sigtable: shared(SigTable::new()),
-            mmap: shared(MmapPool::new(pool_base)),
-            brk: Arc::new(AtomicU32::new(brk_start)),
-            brk_start,
-            args: Vec::new(),
-            env: Vec::new(),
+            mm: task.mm,
+            space: AddressSpace::above(heap_base),
+            args: Arc::new([]),
+            env: Arc::new([]),
             trace: Trace::default(),
             policy: None,
             retry_deadline: None,
             handles,
-            fdtable: None,
+            fdtable: task.fdtable,
             ring,
             ring_pending: Vec::new(),
-            sig_hint,
+            sig_hint: task.sig_hint,
             handler_masks: Vec::new(),
+            suspended: None,
             exited: None,
             ext: None,
         }
     }
 
     /// Derives a sibling context for a `CLONE_THREAD` child: shares the
-    /// sigtable, mmap pool and brk (one address space).
-    pub fn thread_sibling(&self, tid: Tid) -> WaliContext {
-        self.child(tid, true)
+    /// sigtable, mmap pool and brk (one address space). `task` is what
+    /// the `clone` that made the kernel task read of it.
+    pub fn thread_sibling(&self, task: TaskHot) -> WaliContext {
+        self.child(task, self.space.clone())
     }
 
     /// Derives a child context for `fork`: private copies of the sigtable,
     /// pool and brk (fresh address space with identical content).
-    pub fn fork_child(&self, tid: Tid) -> WaliContext {
-        self.child(tid, false)
+    pub fn fork_child(&self, task: TaskHot) -> WaliContext {
+        self.child(task, self.space.forked())
     }
 
     /// What every new task takes from the one that created it (see the
     /// module docs); only the address-space state depends on the kind.
-    fn child(&self, tid: Tid, same_address_space: bool) -> WaliContext {
-        let (sigtable, mmap, brk) = if same_address_space {
-            (self.sigtable.clone(), self.mmap.clone(), self.brk.clone())
-        } else {
-            (
-                shared(self.sigtable.lock_ok().clone()),
-                shared(self.mmap.lock_ok().clone()),
-                Arc::new(AtomicU32::new(self.brk.load(Ordering::Relaxed))),
-            )
-        };
-        let (mm, sig_hint) = {
-            let k = self.kernel.lock_ok();
-            let task = k.task(tid).expect("task exists");
-            (task.mm, task.sig_hint.clone())
-        };
+    fn child(&self, task: TaskHot, space: Arc<AddressSpace>) -> WaliContext {
         WaliContext {
             kernel: self.kernel.clone(),
-            tid,
-            mm,
-            sigtable,
-            mmap,
-            brk,
-            brk_start: self.brk_start,
+            tid: task.tid,
+            mm: task.mm,
+            space,
             args: self.args.clone(),
             env: self.env.clone(),
             trace: self.trace.child(),
             policy: self.policy.clone(),
             retry_deadline: None,
             handles: self.handles.clone(),
-            fdtable: None,
+            fdtable: task.fdtable,
             ring: self.ring,
             ring_pending: Vec::new(),
-            sig_hint,
+            sig_hint: task.sig_hint,
             handler_masks: Vec::new(),
+            suspended: None,
             exited: None,
             ext: None,
         }
@@ -222,15 +239,10 @@ impl WaliContext {
         argv: Vec<String>,
         envp: Vec<String>,
     ) {
-        let (brk_start, pool_base) = heap_layout(heap_base);
-        self.sigtable = shared(SigTable::new());
-        self.mmap = shared(MmapPool::new(pool_base));
-        self.brk = Arc::new(AtomicU32::new(brk_start));
-        self.brk_start = brk_start;
-        self.args = if argv.is_empty() { vec![path] } else { argv };
-        self.env = envp;
+        self.space = AddressSpace::above(heap_base);
+        self.args = if argv.is_empty() { vec![path] } else { argv }.into();
+        self.env = envp.into();
         self.retry_deadline = None;
-        self.fdtable = None;
         self.ring_pending.clear();
         self.handler_masks.clear();
         self.ext = None;
@@ -257,6 +269,19 @@ impl WaliContext {
             self.trace.kernel_time += t0.elapsed();
         }
         r
+    }
+
+    /// Records why the calling host function suspends the task, and
+    /// hands back the outcome it answers with.
+    pub fn suspend(&mut self, why: WaliSuspend) -> HostOutcome {
+        self.suspended = Some(why);
+        HostOutcome::Suspend
+    }
+
+    /// What the task suspended for, once: after a run that ended
+    /// [`wasm::interp::RunResult::Suspended`].
+    pub fn take_suspend(&mut self) -> Option<WaliSuspend> {
+        self.suspended.take()
     }
 
     /// Fast-path read of the kernel's signal/termination hint for this
@@ -299,11 +324,11 @@ impl WaliContext {
             SignalDelivery::Handler {
                 signo, old_mask, ..
             } => {
-                let entry = self.sigtable.lock_ok().get(signo)?;
+                let entry = self.space.sigtable.lock_ok().get(signo)?;
                 self.handler_masks.push(old_mask);
                 Some(PendingCall {
                     func: entry.func_index,
-                    args: vec![Value::I32(signo)],
+                    arg: Some(Value::I32(signo)),
                 })
             }
             SignalDelivery::Killed { signo } => {
@@ -318,7 +343,9 @@ impl WaliContext {
     #[cold]
     fn check_killed(&mut self) -> Option<Trap> {
         let k = self.kernel.lock_ok();
-        if k.task(self.tid).is_ok_and(|task| task.exited()) {
+        // Gone altogether counts: a parent that does not wait reaps at
+        // once, and one that does may have by now.
+        if k.task(self.tid).map_or(true, |task| task.exited()) {
             drop(k);
             self.exited = Some(0);
             return Some(Trap::Aborted);
@@ -378,8 +405,9 @@ mod tests {
     #[test]
     fn layout_of_heap_and_pool() {
         let c = ctx();
-        assert_eq!(c.brk.load(Ordering::Relaxed), 4096);
-        assert!(c.mmap.lock_ok().base() >= c.brk.load(Ordering::Relaxed) + (1 << 20));
+        let brk = c.space.brk.load(Ordering::Relaxed);
+        assert_eq!(brk, 4096);
+        assert!(c.space.mmap.lock_ok().base() >= brk + (1 << 20));
     }
 
     #[test]
@@ -409,7 +437,7 @@ mod tests {
         use wali_abi::layout::WaliSigaction;
         let mut c = ctx();
         let tid = c.tid;
-        c.sigtable.lock_ok().set(
+        c.space.sigtable.lock_ok().set(
             10,
             Some(SigEntry {
                 table_index: 2,
@@ -431,7 +459,7 @@ mod tests {
         c.kernel.lock_ok().sys_kill(tid, tid, 10).unwrap();
         let call = c.poll_signal().expect("handler call");
         assert_eq!(call.func, 42);
-        assert_eq!(call.args, vec![Value::I32(10)]);
+        assert_eq!(call.arg, Some(Value::I32(10)));
         // During the handler the signal is masked; same signal stays
         // pending rather than delivering.
         c.kernel.lock_ok().sys_kill(tid, tid, 10).unwrap();
@@ -444,18 +472,20 @@ mod tests {
     #[test]
     fn fork_child_gets_private_state() {
         let c = ctx();
-        let child_tid = {
-            let tid = c.tid;
-            c.kernel.lock_ok().sys_fork(tid).unwrap() as Tid
+        let child = {
+            let mut k = c.kernel.lock_ok();
+            let child = k.sys_fork(c.tid).unwrap() as Tid;
+            k.task(child).unwrap().hot()
         };
-        let child = c.fork_child(child_tid);
-        child.brk.store(999, Ordering::Relaxed);
+        let child = c.fork_child(child);
+        child.space.brk.store(999, Ordering::Relaxed);
         assert_ne!(
-            c.brk.load(Ordering::Relaxed),
+            c.space.brk.load(Ordering::Relaxed),
             999,
             "brk not shared across fork"
         );
         assert_ne!(c.mm, child.mm);
+        assert_eq!(child.trace.counts, c.trace.counts, "and no counter table");
     }
 
     #[test]
@@ -468,7 +498,7 @@ mod tests {
         c.ring = false;
         c.trace.timing = true;
         c.trace.wasm_steps = 7;
-        c.brk.store(1 << 16, Ordering::Relaxed);
+        c.space.brk.store(1 << 16, Ordering::Relaxed);
         c.ext = Some(Box::new(1u8));
         c.exec_image(8000, "/bin/b".into(), Vec::new(), vec!["K=V".into()]);
         // Inherited: what the runner was told about this task.
@@ -477,10 +507,11 @@ mod tests {
         assert!(!c.ring && c.trace.timing);
         assert_eq!(c.trace.wasm_steps, 7, "same task, same trace");
         // Fresh: everything that described the old image.
-        assert_eq!((c.brk.load(Ordering::Relaxed), c.brk_start), (8000, 8000));
-        assert!(c.mmap.lock_ok().base() >= 8000 + (1 << 20));
-        assert_eq!(c.args, ["/bin/b"]);
-        assert_eq!(c.env, ["K=V"]);
+        let space = &c.space;
+        assert_eq!((space.brk.load(Ordering::Relaxed), space.brk_start), (8000, 8000));
+        assert!(space.mmap.lock_ok().base() >= 8000 + (1 << 20));
+        assert_eq!(*c.args, ["/bin/b"]);
+        assert_eq!(*c.env, ["K=V"]);
         assert!(c.ext.is_none());
     }
 
@@ -488,16 +519,14 @@ mod tests {
     fn thread_sibling_shares_address_space_state() {
         let c = ctx();
         let t2 = {
-            let tid = c.tid;
-            c.kernel
-                .lock_ok()
-                .sys_clone(tid, wali_abi::flags::CLONE_PTHREAD)
-                .unwrap() as Tid
+            let mut k = c.kernel.lock_ok();
+            let t2 = k.sys_clone(c.tid, wali_abi::flags::CLONE_PTHREAD).unwrap() as Tid;
+            k.task(t2).unwrap().hot()
         };
         let sib = c.thread_sibling(t2);
-        sib.brk.store(777, Ordering::Relaxed);
+        sib.space.brk.store(777, Ordering::Relaxed);
         assert_eq!(
-            c.brk.load(Ordering::Relaxed),
+            c.space.brk.load(Ordering::Relaxed),
             777,
             "brk shared between threads"
         );

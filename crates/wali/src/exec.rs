@@ -6,7 +6,7 @@
 //!
 //! Each live task's [`Slot`] (instance, interpreter thread, context)
 //! migrates between workers at safepoint boundaries: a worker *takes* the
-//! slot out of the shared pool, runs exactly one scheduling slice
+//! (boxed) slot out of the shared pool, runs exactly one scheduling slice
 //! ([`run_slice`], the step the single-threaded loop runs too), and hands
 //! the slot back with the step's decision applied ([`Worker::apply`]).
 //! Ownership of the slot is the execution token — a task can never run
@@ -70,13 +70,14 @@ use vkernel::{Clock, FastMap, FastSet, MutexExt, Tid};
 
 use crate::runner::{RunOutcome, RunnerError, WaliRunner};
 use crate::task::{retire, run_slice, stuck_report, After, SliceEnv, Slot, SLICE_QUANTUM_NS};
+use crate::trace::SysCounts;
 
 /// Mutable scheduler state shared by the worker pool (one lock).
 struct SmpSched {
     /// Slots of every live task not currently executing: queued, parked
     /// ([`Slot::park`]), or vfork-suspended. A running task's slot is
     /// owned by its worker.
-    slots: FastMap<Tid, Slot>,
+    slots: FastMap<Tid, Box<Slot>>,
     /// Tids present in some queue (global or any local), or popped from
     /// one and not yet claimed by [`Worker::take_slot`] — the dedup guard
     /// (a tid is enqueued at most once) and the quiescence test's
@@ -172,7 +173,7 @@ impl SmpPool {
 impl WaliRunner {
     /// Runs every task to completion on `nworkers` host workers.
     pub(crate) fn run_smp(&mut self, nworkers: usize) -> Result<RunOutcome, RunnerError> {
-        let slots: FastMap<Tid, Slot> = std::mem::take(&mut self.tasks).into_iter().collect();
+        let slots = std::mem::take(&mut self.tasks);
         let mut sched = SmpSched {
             queued: FastSet::default(),
             global: VecDeque::new(),
@@ -213,12 +214,12 @@ impl WaliRunner {
             let pool = &pool;
             std::thread::scope(|s| {
                 for widx in 0..nworkers {
-                    let woken = Vec::new();
                     let mut worker = Worker {
                         env,
                         pool,
                         widx,
-                        woken,
+                        woken: Vec::new(),
+                        counts: SysCounts::default(),
                     };
                     s.spawn(move || worker.run());
                 }
@@ -242,11 +243,20 @@ struct Worker<'a> {
     widx: usize,
     /// The batch of woken tids being drained (kept for its capacity).
     woken: Vec<Tid>,
+    /// The syscall counter table the task this worker runs counts in.
+    counts: SysCounts,
 }
 
 impl Worker<'_> {
-    /// Drain wakeups, fire lapsed deadlines, run a slice, repeat.
+    /// Runs slices until the run is over, then adds this worker's
+    /// syscall counts to the outcome.
     fn run(&mut self) {
+        self.run_slices();
+        self.pool.outcome.lock_ok().trace.counts.merge(&self.counts);
+    }
+
+    /// Drain wakeups, fire lapsed deadlines, run a slice, repeat.
+    fn run_slices(&mut self) {
         loop {
             if self.pool.sched.lock_ok().done {
                 return;
@@ -257,7 +267,7 @@ impl Worker<'_> {
             wake_lapsed(self.pool);
             match self.take_slot() {
                 Some(mut slot) => {
-                    let after = run_slice(&mut slot, self.env);
+                    let after = run_slice(&mut slot, self.env, &mut self.counts);
                     self.apply(slot, after);
                 }
                 None => {
@@ -272,7 +282,7 @@ impl Worker<'_> {
     /// Pops a runnable tid — own queue, then injector, then steal the
     /// back half of a sibling's queue — and takes its slot out of the
     /// pool.
-    fn take_slot(&self) -> Option<Slot> {
+    fn take_slot(&self) -> Option<Box<Slot>> {
         loop {
             let tid = pop_tid(self.pool, self.widx)?;
             let mut sched = self.pool.sched.lock_ok();
@@ -365,7 +375,8 @@ impl Worker<'_> {
         // Quiescent: every live task is parked (or vfork-suspended).
         let wake_sources = [sched.deadlines.next_deadline(), k.next_timer_deadline()];
         let Some(deadline) = wake_sources.into_iter().flatten().min() else {
-            let report = stuck_report(sched.slots.values(), &sched.vfork_waiters, &k);
+            let slots = sched.slots.values().map(|slot| &**slot);
+            let report = stuck_report(slots, &sched.vfork_waiters, &k);
             pool.fail(&mut sched, RunnerError::Deadlock(report));
             return true;
         };
@@ -384,7 +395,7 @@ impl Worker<'_> {
     /// a wakeup that raced the slice (`pending_wakes`) turns a park into
     /// a requeue, and work this worker produced goes to its own queue
     /// while a released vfork parent goes to the injector.
-    fn apply(&self, mut slot: Slot, after: After) {
+    fn apply(&self, mut slot: Box<Slot>, after: After) {
         let (pool, widx, tid) = (self.pool, Some(self.widx), slot.tid);
         let after = match after {
             After::Finished(end) => {
@@ -429,7 +440,7 @@ impl Worker<'_> {
                 } else {
                     pool.enqueue(&mut sched, widx, tid);
                 }
-                sched.slots.insert(child.tid, *child);
+                sched.slots.insert(child.tid, child);
             }
             After::Execed => {
                 pool.enqueue(&mut sched, widx, tid);

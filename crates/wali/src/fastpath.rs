@@ -8,10 +8,9 @@
 //! [`vkernel::kernel::io`], where `Kernel::sys_read` and friends call
 //! them too; this module is the embedder's way in:
 //!
-//! 1. **One resolution.** [`resolve`] finds the description through the
-//!    fd table handle the context keeps (fetched from the
-//!    [`vkernel::ProcIndex`] by the task's first descriptor call), and
-//!    whoever ends up serving the call — the shards, or the kernel core
+//! 1. **One resolution.** [`with_file`] finds the description through
+//!    the fd table handle the context has kept since the task was made,
+//!    and whoever ends up serving the call — the shards, or the kernel core
 //!    for what [`vkernel::kernel::io::Core`] names — is handed *that*
 //!    description. Nothing is probed and then redone.
 //! 2. **The last reference releases.** The call holds a reference to
@@ -36,7 +35,6 @@ use vkernel::fd::FileRef;
 use vkernel::kernel::io::{Core, Intr};
 use vkernel::{MutexExt, SysError};
 use wali_abi::layout::WaliStat;
-use wali_abi::Errno;
 use wasm::host::Caller;
 
 use crate::context::WaliContext;
@@ -45,31 +43,16 @@ use crate::registry::k;
 type C<'a, 'b> = &'a mut Caller<'b, WaliContext>;
 type R = Result<i64, SysError>;
 
-/// The open file description behind `fd`, through the task's own fd
-/// table (never behind the kernel lock).
-fn resolve(ctx: &mut WaliContext, fd: i32) -> Result<FileRef, Errno> {
-    if ctx.fdtable.is_none() {
-        // A task the index no longer lists is exiting: its descriptors
-        // are closed.
-        let hot = ctx.handles.procs.get(ctx.tid).ok_or(Errno::Ebadf)?;
-        ctx.fdtable = Some(hot.fdtable);
-    }
-    ctx.fdtable
-        .as_ref()
-        .expect("just filled")
-        .lock_ok()
-        .file(fd)
-}
-
-/// One descriptor call: resolves `fd` once, lends the description to
-/// `f`, and releases it if a `close` elsewhere made this the last
-/// reference meanwhile.
+/// One descriptor call: resolves `fd` once — through the task's own fd
+/// table, never behind the kernel lock — lends the description to `f`,
+/// and releases it if a `close` elsewhere made this the last reference
+/// meanwhile.
 fn with_file<T>(
     c: C,
     fd: i32,
     f: impl FnOnce(C, &FileRef) -> Result<T, SysError>,
 ) -> Result<T, SysError> {
-    let file = resolve(c.data, fd)?;
+    let file = c.data.fdtable.lock_ok().file(fd)?;
     let r = f(c, &file);
     let key = Arc::as_ptr(&file) as usize;
     if let Some(last) = Arc::into_inner(file) {

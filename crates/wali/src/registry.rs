@@ -12,7 +12,7 @@
 //! blocks leaves them there for its retry
 //! ([`wasm::host::HostOutcome::Block`]).
 
-use vkernel::{Block, SysError};
+use vkernel::{Block, SysError, TaskHot};
 use wali_abi::Errno;
 use wasm::error::Trap;
 use wasm::host::{Blocked, Caller, HostOutcome, Linker};
@@ -38,8 +38,8 @@ pub enum WaliSuspend {
     },
     /// `fork`/`vfork`: clone thread + memory; child resumes with 0.
     Fork {
-        /// The already-created kernel child pid.
-        child_tid: i32,
+        /// The already-created kernel child, as its context will hold it.
+        child: TaskHot,
         /// `vfork` semantics: the child borrows the parent's pages
         /// outright (no COW snapshot) and the parent stays suspended
         /// until the child execs or exits.
@@ -47,8 +47,8 @@ pub enum WaliSuspend {
     },
     /// `clone`: thread-style child sharing memory when `share_vm`.
     Clone {
-        /// The already-created kernel child tid.
-        child_tid: i32,
+        /// The already-created kernel child, as its context will hold it.
+        child: TaskHot,
         /// `CLONE_VM` was set (share linear memory).
         share_vm: bool,
         /// `CLONE_THREAD` was set (same process).

@@ -97,7 +97,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
             Some((fd, off))
         };
         let region = {
-            let mut pool = c.data.mmap.lock_ok();
+            let mut pool = c.data.space.mmap.lock_ok();
             pool.map(len, prot, flags, file).map_err(SysError::Err)?
         };
         ensure_mapped(c, region.addr + region.len)?;
@@ -118,7 +118,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     sys!(l, "munmap", |c: C, a: &[u64]| -> R {
         let (addr, len) = (arg_ptr(a, 0), arg(a, 1) as u32);
         let removed = {
-            let mut pool = c.data.mmap.lock_ok();
+            let mut pool = c.data.space.mmap.lock_ok();
             pool.unmap(addr, len).map_err(SysError::Err)?
         };
         for region in &removed {
@@ -141,7 +141,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
             arg_i32(a, 3),
         );
         let (old, new) = {
-            let mut pool = c.data.mmap.lock_ok();
+            let mut pool = c.data.space.mmap.lock_ok();
             pool.remap(old_addr, old_len, new_len, flags)
                 .map_err(SysError::Err)?
         };
@@ -177,7 +177,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
 
     sys!(l, "mprotect", |c: C, a: &[u64]| -> R {
         let (addr, len, prot) = (arg_ptr(a, 0), arg(a, 1) as u32, arg_i32(a, 2));
-        let mut pool = c.data.mmap.lock_ok();
+        let mut pool = c.data.space.mmap.lock_ok();
         match pool.protect(addr, len, prot) {
             Ok(()) => Ok(0),
             // Protecting non-pool memory (data/heap) is a no-op success:
@@ -189,19 +189,19 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
 
     sys!(l, "brk", |c: C, a: &[u64]| -> R {
         let want = arg_ptr(a, 0);
-        let cur = c.data.brk.load(std::sync::atomic::Ordering::Relaxed);
+        let cur = c.data.space.brk.load(std::sync::atomic::Ordering::Relaxed);
         if want == 0 {
             return Ok(cur as i64);
         }
-        if want < c.data.brk_start {
+        if want < c.data.space.brk_start {
             return Ok(cur as i64);
         }
-        let ceiling = c.data.mmap.lock_ok().base();
+        let ceiling = c.data.space.mmap.lock_ok().base();
         if want > ceiling {
             return Ok(cur as i64);
         }
         ensure_mapped(c, want)?;
-        c.data.brk.store(want, std::sync::atomic::Ordering::Relaxed);
+        c.data.space.brk.store(want, std::sync::atomic::Ordering::Relaxed);
         Ok(want as i64)
     });
 
@@ -217,7 +217,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
 
     sys!(l, "msync", |c: C, a: &[u64]| -> R {
         let (addr, _len) = (arg_ptr(a, 0), arg(a, 1) as u32);
-        let region = c.data.mmap.lock_ok().region_at(addr).cloned();
+        let region = c.data.space.mmap.lock_ok().region_at(addr).cloned();
         match region {
             Some(r) => {
                 writeback_shared(c, &r)?;

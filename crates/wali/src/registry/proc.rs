@@ -7,7 +7,7 @@ use wali_abi::flags::{
 };
 use wali_abi::layout::{WaliRlimit, WaliRusage, WaliTimeval};
 use wali_abi::Errno;
-use wasm::host::{Caller, HostOutcome, Linker, Suspension};
+use wasm::host::{Caller, HostOutcome, Linker};
 
 use crate::context::WaliContext;
 use crate::mem::{arg, arg_i32, arg_ptr, read_cstr, read_str_array, write_bytes, write_u32};
@@ -18,8 +18,26 @@ type C<'a, 'b> = &'a mut Caller<'b, WaliContext>;
 type R = Result<i64, SysError>;
 type X = Result<u64, HostOutcome>;
 
-fn suspend(s: WaliSuspend) -> X {
-    Err(HostOutcome::Suspend(Suspension::new(s)))
+fn suspend(c: C, s: WaliSuspend) -> X {
+    Err(c.data.suspend(s))
+}
+
+/// `clone` in the kernel, and what the child's context will keep of the
+/// new task — read under the same hold of the kernel lock.
+fn kernel_clone(c: C, flags: u64) -> Result<vkernel::TaskHot, SysError> {
+    k(c, |kk, tid| {
+        let child = kk.sys_clone(tid, flags)? as vkernel::Tid;
+        Ok(kk.task(child)?.hot())
+    })
+}
+
+/// `fork`/`vfork`.
+fn fork(c: C, vfork: bool) -> X {
+    match kernel_clone(c, 0) {
+        Ok(child) => suspend(c, WaliSuspend::Fork { child, vfork }),
+        Err(SysError::Err(e)) => errno_out(e),
+        Err(SysError::Block(_)) => errno_out(Errno::Eagain),
+    }
 }
 
 fn errno_out(e: Errno) -> X {
@@ -308,59 +326,40 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         let code = arg_i32(a, 0);
         let _ = k(c, |kk, tid| kk.sys_exit_group(tid, code));
         c.data.exited = Some(code);
-        suspend(WaliSuspend::Exit { code })
+        suspend(c, WaliSuspend::Exit { code })
     });
 
     sysx!(l, "exit", |c: C, a: &[u64]| -> X {
         let code = arg_i32(a, 0);
         let _ = k(c, |kk, tid| kk.sys_exit_thread(tid, code));
         c.data.exited = Some(code);
-        suspend(WaliSuspend::Exit { code })
+        suspend(c, WaliSuspend::Exit { code })
     });
 
-    sysx!(l, "fork", |c: C, _a: &[u64]| -> X {
-        match k(c, |kk, tid| kk.sys_fork(tid)) {
-            Ok(child) => suspend(WaliSuspend::Fork {
-                child_tid: child as i32,
-                vfork: false,
-            }),
-            Err(SysError::Err(e)) => errno_out(e),
-            Err(SysError::Block(_)) => errno_out(Errno::Eagain),
-        }
-    });
-
-    sysx!(l, "vfork", |c: C, _a: &[u64]| -> X {
-        match k(c, |kk, tid| kk.sys_fork(tid)) {
-            Ok(child) => suspend(WaliSuspend::Fork {
-                child_tid: child as i32,
-                vfork: true,
-            }),
-            Err(SysError::Err(e)) => errno_out(e),
-            Err(SysError::Block(_)) => errno_out(Errno::Eagain),
-        }
-    });
+    sysx!(l, "fork", |c: C, _a: &[u64]| -> X { fork(c, false) });
+    sysx!(l, "vfork", |c: C, _a: &[u64]| -> X { fork(c, true) });
 
     // clone(flags, stack, parent_tid, child_tid, tls).
     sysx!(l, "clone", |c: C, a: &[u64]| -> X {
         let flags = arg(a, 0) as u64;
         let (ptid, ctid) = (arg_ptr(a, 2), arg_ptr(a, 3));
-        let child = match k(c, |kk, tid| kk.sys_clone(tid, flags)) {
-            Ok(child) => child as i32,
+        let child = match kernel_clone(c, flags) {
+            Ok(child) => child,
             Err(SysError::Err(e)) => return errno_out(e),
             Err(SysError::Block(_)) => return errno_out(Errno::Eagain),
         };
         let mem = &*c.instance.memory;
         if flags & CLONE_PARENT_SETTID != 0 && ptid != 0 {
-            let _ = crate::mem::write_u32(mem, ptid, child as u32);
+            let _ = crate::mem::write_u32(mem, ptid, child.tid as u32);
         }
         if flags & CLONE_CHILD_SETTID != 0 && ctid != 0 {
-            let _ = crate::mem::write_u32(mem, ctid, child as u32);
+            let _ = crate::mem::write_u32(mem, ctid, child.tid as u32);
         }
         if flags & CLONE_CHILD_CLEARTID != 0 {
-            let _ = k(c, |kk, _| kk.sys_set_tid_address(child, ctid));
+            let _ = k(c, |kk, _| kk.sys_set_tid_address(child.tid, ctid));
         }
-        suspend(WaliSuspend::Clone {
-            child_tid: child,
+        suspend(c, WaliSuspend::Clone {
+            child,
             share_vm: flags & CLONE_VM != 0,
             thread: flags & CLONE_THREAD != 0,
         })
@@ -381,7 +380,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
             Ok(v) => v,
             Err(e) => return errno_out(e),
         };
-        suspend(WaliSuspend::Exec { path, argv, envp })
+        suspend(c, WaliSuspend::Exec { path, argv, envp })
     });
 }
 

@@ -73,7 +73,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
             kk.sys_rt_sigaction(tid, signo, new_action.as_ref().map(|(act, _)| *act))
         })?;
         if let Some((_, entry)) = new_action {
-            c.data.sigtable.lock_ok().set(signo, entry);
+            c.data.space.sigtable.lock_ok().set(signo, entry);
         }
         if old_ptr != 0 {
             let mut buf = [0u8; WaliSigaction::SIZE];
@@ -144,8 +144,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
                 let t = kk.task_mut(tid).map_err(SysError::Err)?;
                 t.pending.mask();
                 t.pending.take_deliverable(SigSet(!0 ^ (1 << (signo - 1))));
-                t.shared_pending
-                    .lock_ok()
+                t.shared_pending()
                     .take_deliverable(SigSet(!0 ^ (1 << (signo - 1))));
                 return Ok(signo as i64);
             }

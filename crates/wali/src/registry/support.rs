@@ -6,7 +6,7 @@
 //! entry with `copy_argv`, so any parsing overflow stays inside the
 //! sandbox. `proc_exit` is the libc-level exit hook.
 
-use wasm::host::{Caller, HostOutcome, Linker, Suspension};
+use wasm::host::{Caller, HostOutcome, Linker};
 use wasm::interp::Value;
 
 use crate::context::WaliContext;
@@ -89,8 +89,6 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         let tid = caller.data.tid;
         let _ = caller.data.kernel.lock_ok().sys_exit_group(tid, code);
         caller.data.exited = Some(code);
-        Err(HostOutcome::Suspend(Suspension::new(WaliSuspend::Exit {
-            code,
-        })))
+        Err(caller.data.suspend(WaliSuspend::Exit { code }))
     });
 }

@@ -69,8 +69,7 @@ fn is_write_op(opcode: u8) -> bool {
 fn fd_channel(ctx: &WaliContext, fd: i32, write: bool) -> Option<Channel> {
     // Looked at under the table lock: no reference to the description
     // is taken, so none can outlive a `close` (see `fastpath`).
-    let hot = ctx.handles.procs.get(ctx.tid)?;
-    let table = hot.fdtable.lock_ok();
+    let table = ctx.fdtable.lock_ok();
     let file = table.get(fd).ok()?.file.lock_ok();
     match &file.kind {
         FileKind::PipeRead(pipe) if !write => Some(Channel::PipeReadable(pipe.id)),

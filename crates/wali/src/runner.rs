@@ -23,7 +23,7 @@
 //! pinned to; `N > 1` trades that determinism for true parallelism — see
 //! `crates/wali/src/exec.rs` and DESIGN.md "Scheduler".
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -39,7 +39,7 @@ use crate::registry::build_linker;
 use crate::task::{
     load, retire, run_slice, stuck_report, After, Pending, SliceEnv, Slot, SLICE_QUANTUM_NS,
 };
-use crate::trace::Trace;
+use crate::trace::{SysCounts, Trace};
 
 /// How a task ended.
 #[derive(Clone, Debug, PartialEq)]
@@ -242,8 +242,13 @@ pub struct WaliRunner {
     workers: Option<usize>,
     /// Whether spawned tasks record the Fig. 7 layer timings.
     layer_timing: bool,
-    /// Every live task, keyed by kernel tid (deterministic order).
-    pub(crate) tasks: BTreeMap<Tid, Slot>,
+    /// Every live task, keyed by kernel tid, each in the box it was made
+    /// in.
+    pub(crate) tasks: FastMap<Tid, Box<Slot>>,
+    /// The syscall counter table the task being run counts in
+    /// ([`run_slice`] lends it), folded into the outcome when the run
+    /// ends.
+    pub(crate) counts: SysCounts,
     /// Runnable tasks, round-robin FIFO. Blocked tasks are never here:
     /// they are parked ([`Slot::park`]).
     pub(crate) run_queue: VecDeque<Tid>,
@@ -286,7 +291,8 @@ impl WaliRunner {
             ring: None,
             workers: None,
             layer_timing: false,
-            tasks: BTreeMap::new(),
+            tasks: FastMap::default(),
+            counts: SysCounts::default(),
             run_queue: VecDeque::new(),
             deadlines: crate::timer::TimerWheel::default(),
             vfork_waiters: FastMap::default(),
@@ -421,19 +427,18 @@ impl WaliRunner {
         let mut ctx =
             WaliContext::new(self.kernel.clone(), tid, program.data_end(), self.ring_on());
         ctx.trace.timing = self.layer_timing;
-        ctx.args = std::iter::once(path.to_string())
-            .chain(args.iter().map(|s| s.to_string()))
-            .collect();
+        let args = args.iter().map(|s| s.to_string());
+        ctx.args = std::iter::once(path.to_string()).chain(args).collect();
         ctx.env = env.iter().map(|s| s.to_string()).collect();
         self.main_tid.get_or_insert(tid);
-        self.admit(Slot {
+        self.admit(Box::new(Slot {
             tid,
             instance,
             thread: Thread::new(),
             ctx,
             pending: Some(Pending::Start(entry)),
             park: None,
-        });
+        }));
         Ok(tid)
     }
 
@@ -451,7 +456,7 @@ impl WaliRunner {
     }
 
     /// Registers a new task and queues it to run.
-    fn admit(&mut self, slot: Slot) {
+    fn admit(&mut self, slot: Box<Slot>) {
         let tid = slot.tid;
         self.tasks.insert(tid, slot);
         self.run_queue.push_back(tid);
@@ -488,10 +493,8 @@ impl WaliRunner {
                 stats: &self.stats,
                 clock: &self.clock,
             };
-            // In place: a slot is 728 bytes, and moving it out of the map
-            // and back per slice costs more than the slice's bookkeeping.
             if let Some(slot) = self.tasks.get_mut(&tid) {
-                let after = run_slice(slot, &env);
+                let after = run_slice(slot, &env, &mut self.counts);
                 self.apply(tid, after)?;
             }
         }
@@ -502,6 +505,7 @@ impl WaliRunner {
     /// outcome of a completed run.
     pub(crate) fn finish_outcome(&mut self) -> Result<RunOutcome, RunnerError> {
         let mut outcome = std::mem::take(&mut self.outcome);
+        outcome.trace.counts.merge(&std::mem::take(&mut self.counts));
         outcome.sched = self.stats.take();
         outcome.console = self.kernel.lock_ok().take_console();
         Ok(outcome)
@@ -537,7 +541,8 @@ impl WaliRunner {
         let mut k = self.kernel.lock_ok();
         let wake_sources = [self.deadlines.next_deadline(), k.next_timer_deadline()];
         let Some(deadline) = wake_sources.into_iter().flatten().min() else {
-            let report = stuck_report(self.tasks.values(), &self.vfork_waiters, &k);
+            let slots = self.tasks.values().map(|slot| &**slot);
+            let report = stuck_report(slots, &self.vfork_waiters, &k);
             return Err(RunnerError::Deadlock(report));
         };
         k.clock.advance_to(deadline);
@@ -615,7 +620,7 @@ impl WaliRunner {
                 if suspend_parent {
                     self.vfork_waiters.insert(child.tid, tid);
                 }
-                self.admit(*child);
+                self.admit(child);
                 if !suspend_parent {
                     self.run_queue.push_back(tid);
                 }

@@ -6,6 +6,8 @@
 //! round-trips back to the module on later `rt_sigaction` calls. The table
 //! costs well under 1 KiB, matching the paper's bookkeeping claim.
 
+use std::sync::Arc;
+
 use wali_abi::signals::NSIG;
 
 /// One registered virtual handler.
@@ -17,24 +19,18 @@ pub struct SigEntry {
     pub func_index: u32,
 }
 
-/// signo → registered Wasm handler.
-#[derive(Clone, Debug)]
+/// signo → registered Wasm handler. A copy (`fork`) shares the entries
+/// with its original until either registers a handler; a table nobody
+/// registered in has none.
+#[derive(Clone, Debug, Default)]
 pub struct SigTable {
-    entries: [Option<SigEntry>; NSIG],
-}
-
-impl Default for SigTable {
-    fn default() -> Self {
-        Self::new()
-    }
+    entries: Option<Arc<[Option<SigEntry>; NSIG]>>,
 }
 
 impl SigTable {
     /// An empty table.
     pub fn new() -> SigTable {
-        SigTable {
-            entries: [None; NSIG],
-        }
+        SigTable::default()
     }
 
     /// Registers a handler, returning the previous entry.
@@ -42,7 +38,8 @@ impl SigTable {
         if !(1..NSIG as i32).contains(&signo) {
             return None;
         }
-        std::mem::replace(&mut self.entries[signo as usize], entry)
+        let entries = self.entries.get_or_insert_with(|| Arc::new([None; NSIG]));
+        std::mem::replace(&mut Arc::make_mut(entries)[signo as usize], entry)
     }
 
     /// Looks up the handler for `signo`.
@@ -50,12 +47,13 @@ impl SigTable {
         if !(1..NSIG as i32).contains(&signo) {
             return None;
         }
-        self.entries[signo as usize]
+        self.entries.as_ref()?[signo as usize]
     }
 
-    /// Approximate in-engine footprint in bytes (paper: "<1 kB").
+    /// In-engine footprint of a table with a handler registered, in
+    /// bytes (paper: "<1 kB").
     pub fn footprint_bytes(&self) -> usize {
-        std::mem::size_of_val(&self.entries)
+        std::mem::size_of::<[Option<SigEntry>; NSIG]>()
     }
 }
 
@@ -80,6 +78,28 @@ mod tests {
         assert_eq!(t.set(2, Some(e2)), Some(e));
         assert_eq!(t.set(2, None), Some(e2));
         assert_eq!(t.get(2), None);
+    }
+
+    #[test]
+    fn a_copy_shares_the_entries_until_either_side_registers() {
+        let e = |func_index| SigEntry {
+            table_index: 1,
+            func_index,
+        };
+        let mut parent = SigTable::new();
+        parent.set(17, Some(e(5)));
+        let mut child = parent.clone();
+        let shared = |a: &SigTable, b: &SigTable| match (&a.entries, &b.entries) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        assert!(shared(&parent, &child) && child.get(17) == Some(e(5)));
+        child.set(10, Some(e(6)));
+        assert!(!shared(&parent, &child));
+        assert_eq!((parent.get(10), child.get(10)), (None, Some(e(6))));
+        let later = parent.clone();
+        parent.set(17, None);
+        assert_eq!((parent.get(17), later.get(17)), (None, Some(e(5))));
     }
 
     #[test]

@@ -16,29 +16,33 @@
 //!
 //! Everything here works on `&mut Slot`: the single loop runs slots in
 //! place in its task map, the executor owns a slot for the slice — both
-//! can lend one.
+//! can lend one. A slot is boxed when its task is made and stays in that
+//! box until [`retire`]: maps, queues and the executor's hand-offs move
+//! the pointer.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use vkernel::{Clock, FastMap, Kernel, TaskState, Tid};
+use vkernel::{Clock, FastMap, Kernel, TaskHot, TaskState, Tid};
 use wali_abi::Errno;
 use wasm::host::Blocked;
-use wasm::interp::{Instance, Preempted, RunResult, Thread, Value};
+use wasm::interp::{Instance, RunResult, Thread, Value};
 use wasm::prep::Program;
 use wasm::Trap;
 
 use crate::context::WaliContext;
 use crate::registry::WaliSuspend;
 use crate::runner::{AtomicSched, RunOutcome, RunnerError, TaskEnd};
+use crate::trace::SysCounts;
 
 /// The next step of a task that is not running.
 pub(crate) enum Pending {
     /// Call the program's entry function.
     Start(u32),
-    /// Resume the suspended thread with these values.
-    Resume(Vec<Value>),
+    /// Resume the suspended thread with this value (the result of the
+    /// call it suspended in), or none after a preemption.
+    Resume(Option<Value>),
     /// Re-enter the import the thread is blocked in (its arguments never
     /// left the thread's operand stack).
     Retry(Blocked),
@@ -118,8 +122,11 @@ pub(crate) fn load(
     Ok((instance, entry))
 }
 
-/// Runs one scheduling slice of `slot`.
-pub(crate) fn run_slice(slot: &mut Slot, env: &SliceEnv<'_>) -> After {
+/// Runs one scheduling slice of `slot`. `counts` is the caller's syscall
+/// counter table, the task's for as long as it runs: the calls it makes
+/// are counted where its runner will look for them, and a task that
+/// forks, makes five calls and exits never owns a table of its own.
+pub(crate) fn run_slice(slot: &mut Slot, env: &SliceEnv<'_>, counts: &mut SysCounts) -> After {
     let Some(pending) = slot.pending.take() else {
         return After::Finished(None);
     };
@@ -137,18 +144,22 @@ pub(crate) fn run_slice(slot: &mut Slot, env: &SliceEnv<'_>) -> After {
     let t0 = slot.ctx.trace.clock();
     let (steps0, reg0) = (slot.thread.steps, slot.thread.reg_steps);
     slot.thread.refuel(Some(FUEL_SLICE));
+    std::mem::swap(&mut slot.ctx.trace.counts, counts);
     let result = match pending {
         Pending::Start(func) => slot
             .thread
             .call(&mut slot.instance, &mut slot.ctx, func, &[]),
-        Pending::Resume(values) => slot
-            .thread
-            .resume(&mut slot.instance, &mut slot.ctx, &values),
+        Pending::Resume(value) => {
+            let values = value.as_slice();
+            slot.thread
+                .resume(&mut slot.instance, &mut slot.ctx, values)
+        }
         Pending::Retry(blocked) => {
             slot.ctx.retry_deadline = blocked.deadline;
             slot.thread.retry(&mut slot.instance, &mut slot.ctx)
         }
     };
+    std::mem::swap(&mut slot.ctx.trace.counts, counts);
     if let Some(t0) = t0 {
         slot.ctx.trace.total_time += t0.elapsed();
     }
@@ -171,14 +182,14 @@ pub(crate) fn run_slice(slot: &mut Slot, env: &SliceEnv<'_>) -> After {
             After::Finished(Some(TaskEnd::Trapped(t)))
         }
         RunResult::Blocked(blocked) => After::Parked(park_blocked(slot, env, blocked, ran_wasm)),
-        RunResult::Suspended(s) => match s.downcast::<WaliSuspend>() {
-            Ok(payload) => transition(slot, env, *payload),
-            Err(s) if s.0.is::<Preempted>() => {
-                slot.pending = Some(Pending::Resume(Vec::new()));
-                After::Preempted
-            }
-            Err(_) => After::Fatal(RunnerError::NoEntry("unknown suspension payload")),
+        RunResult::Suspended => match slot.ctx.take_suspend() {
+            Some(why) => transition(slot, env, why),
+            None => After::Fatal(RunnerError::NoEntry("suspension without a reason")),
         },
+        RunResult::Preempted => {
+            slot.pending = Some(Pending::Resume(None));
+            After::Preempted
+        }
     }
 }
 
@@ -223,12 +234,12 @@ fn transition(slot: &mut Slot, env: &SliceEnv<'_>, payload: WaliSuspend) -> Afte
         // `vfork` shares the parent's pages outright (no snapshot); the
         // parent is suspended until the child execs or exits — the Linux
         // contract.
-        WaliSuspend::Fork { child_tid, vfork } => spawn_child(slot, child_tid, vfork, false, vfork),
+        WaliSuspend::Fork { child, vfork } => spawn_child(slot, child, vfork, false, vfork),
         WaliSuspend::Clone {
-            child_tid,
+            child,
             share_vm,
             thread,
-        } => spawn_child(slot, child_tid, share_vm, thread, false),
+        } => spawn_child(slot, child, share_vm, thread, false),
         WaliSuspend::Exec { path, argv, envp } => exec(slot, env, path, argv, envp),
     }
 }
@@ -239,7 +250,7 @@ fn transition(slot: &mut Slot, env: &SliceEnv<'_>, payload: WaliSuspend) -> Afte
 /// `thread` keeps the child in the parent's process.
 fn spawn_child(
     slot: &mut Slot,
-    child_tid: Tid,
+    child: TaskHot,
     share_vm: bool,
     thread: bool,
     suspend_parent: bool,
@@ -249,20 +260,21 @@ fn spawn_child(
     } else {
         slot.instance.fork_clone()
     };
+    let child_tid = child.tid;
     let ctx = if thread {
-        slot.ctx.thread_sibling(child_tid)
+        slot.ctx.thread_sibling(child)
     } else {
-        slot.ctx.fork_child(child_tid)
+        slot.ctx.fork_child(child)
     };
     let child = Box::new(Slot {
         tid: child_tid,
         instance,
         thread: slot.thread.clone(),
         ctx,
-        pending: Some(Pending::Resume(vec![Value::I64(0)])),
+        pending: Some(Pending::Resume(Some(Value::I64(0)))),
         park: None,
     });
-    slot.pending = Some(Pending::Resume(vec![Value::I64(child_tid as i64)]));
+    slot.pending = Some(Pending::Resume(Some(Value::I64(child_tid as i64))));
     After::Spawned {
         child,
         suspend_parent,
@@ -288,7 +300,7 @@ fn exec(
     let (program, instance, entry) = match image {
         Ok(image) => image,
         Err(errno) => {
-            slot.pending = Some(Pending::Resume(vec![Value::I64(errno.as_ret())]));
+            slot.pending = Some(Pending::Resume(Some(Value::I64(errno.as_ret()))));
             return After::Runnable;
         }
     };
@@ -306,7 +318,7 @@ fn exec(
 /// Retires a finished task: resolves its end status and merges its
 /// accounting into `outcome`.
 pub(crate) fn retire(
-    slot: Slot,
+    slot: Box<Slot>,
     end: Option<TaskEnd>,
     main_tid: Option<Tid>,
     outcome: &mut RunOutcome,
@@ -429,14 +441,15 @@ mod tests {
                 stats: &self.runner.stats,
                 clock: &self.clock,
             };
-            run_slice(self.runner.tasks.get_mut(&self.tid).unwrap(), &env)
+            let slot = self.runner.tasks.get_mut(&self.tid).unwrap();
+            run_slice(slot, &env, &mut self.runner.counts)
         }
     }
 
-    /// The slot's pending step, if it is a one-value `Resume`.
+    /// The slot's pending step, if it is a `Resume` with a value.
     fn resume_value(slot: &Slot) -> Option<i64> {
         match &slot.pending {
-            Some(Pending::Resume(v)) if v.len() == 1 => v[0].as_i64(),
+            Some(Pending::Resume(Some(v))) => v.as_i64(),
             _ => None,
         }
     }
@@ -489,7 +502,7 @@ mod tests {
             &child.instance.memory,
             &parent.instance.memory
         ));
-        assert!(!Arc::ptr_eq(&child.ctx.brk, &parent.ctx.brk));
+        assert!(!Arc::ptr_eq(&child.ctx.space, &parent.ctx.space));
         assert_ne!(child.ctx.mm, parent.ctx.mm);
     }
 
@@ -505,7 +518,7 @@ mod tests {
         assert!(suspend_parent);
         let parent = r.slot();
         assert!(Arc::ptr_eq(&child.instance.memory, &parent.instance.memory));
-        assert!(!Arc::ptr_eq(&child.ctx.brk, &parent.ctx.brk));
+        assert!(!Arc::ptr_eq(&child.ctx.space, &parent.ctx.space));
     }
 
     #[test]
@@ -526,7 +539,7 @@ mod tests {
                 "flags {flags:#x}"
             );
             assert_eq!(
-                Arc::ptr_eq(&child.ctx.brk, &parent.ctx.brk),
+                Arc::ptr_eq(&child.ctx.space, &parent.ctx.space),
                 thread,
                 "flags {flags:#x}"
             );
@@ -555,7 +568,7 @@ mod tests {
         assert!(matches!(r.slice(), After::Execed));
         let slot = r.slot();
         assert!(matches!(slot.pending, Some(Pending::Start(_))));
-        assert_eq!(slot.ctx.args, ["/b"]);
+        assert_eq!(*slot.ctx.args, ["/b"]);
         assert_eq!(slot.thread.steps, 0, "a fresh interpreter thread");
         assert!(matches!(
             r.slice(),
@@ -641,7 +654,7 @@ mod tests {
         )]);
         for _ in 0..2 {
             assert!(matches!(r.slice(), After::Preempted));
-            assert!(matches!(&r.slot().pending, Some(Pending::Resume(v)) if v.is_empty()));
+            assert!(matches!(&r.slot().pending, Some(Pending::Resume(None))));
         }
         assert!(r.slot().thread.steps >= 2 * FUEL_SLICE);
     }

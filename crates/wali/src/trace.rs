@@ -16,79 +16,79 @@
 //! syscalls in a dense array indexed by [`wali_abi::spec::sysno`] — one
 //! add per call — and falls back to a name-keyed map only for non-spec
 //! entries (support methods, layered APIs).
+//!
+//! A table is 171 counters, and a run may fork thousands of tasks that
+//! make five calls each: the array is made by the first call counted in
+//! it, and the runner lends a task the table of whoever runs it
+//! (`task::run_slice`) — so a task counts into a table that already
+//! exists, and nothing is added up when it exits.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use vkernel::MutexExt;
 use wali_abi::spec::{self, SPEC_LEN};
 
 /// Per-syscall invocation counters with a dense spec-indexed fast path.
-///
-/// The counters are atomic: a trace may be observed (merged, printed)
-/// while the owning task still runs on another worker, and the dense
-/// bump must never be torn or lost under the SMP executor. `Relaxed`
-/// ordering suffices — counts are statistics, not synchronization.
+/// Owned by whoever counts: every update is a plain add through `&mut`.
+#[derive(Clone, Default)]
 pub struct SysCounts {
-    dense: Box<[AtomicU64]>,
-    named: Mutex<BTreeMap<&'static str, u64>>,
-}
-
-impl Default for SysCounts {
-    fn default() -> Self {
-        SysCounts {
-            dense: (0..SPEC_LEN).map(|_| AtomicU64::new(0)).collect(),
-            named: Mutex::new(BTreeMap::new()),
-        }
-    }
+    /// One cell per spec entry, or none at all before the first count.
+    dense: Vec<u64>,
+    named: BTreeMap<&'static str, u64>,
 }
 
 impl SysCounts {
-    /// Records one invocation by dense syscall index (the hot path).
+    /// Records one invocation by dense syscall index (the hot path): an
+    /// indexed add — the bounds check is the one indexing makes anyway,
+    /// its failure the table's first use.
     #[inline]
-    pub fn bump(&self, sysno: u16) {
-        self.dense[sysno as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Same, through exclusive access — the single-owner hot path the
-    /// registry wrappers use: a plain add on the atomic cell, no RMW.
-    #[inline]
-    pub fn bump_mut(&mut self, sysno: u16) {
-        *self.dense[sysno as usize].get_mut() += 1;
-    }
-
-    /// Records one invocation by name (slow path; resolves the index).
-    pub fn count(&self, name: &'static str) {
-        match spec::sysno(name) {
-            Some(no) => self.bump(no),
-            None => self.count_named(name),
+    pub fn bump(&mut self, sysno: u16) {
+        match self.dense.get_mut(sysno as usize) {
+            Some(cell) => *cell += 1,
+            None => self.add_dense(sysno, 1),
         }
     }
 
-    /// Records one invocation of a non-spec name (the named fallback;
-    /// callers that already resolved `sysno(name) == None` land here
-    /// directly instead of resolving twice).
-    fn count_named(&self, name: &'static str) {
-        *self.named.lock_ok().entry(name).or_insert(0) += 1;
+    /// Adds to a cell the table may not have yet.
+    #[cold]
+    fn add_dense(&mut self, sysno: u16, n: u64) {
+        self.dense.resize(SPEC_LEN, 0);
+        self.dense[sysno as usize] += n;
     }
 
-    /// Adds `n` invocations of `name` (merging).
-    fn add(&self, name: &'static str, n: u64) {
+    /// Records one invocation by name (slow path; resolves the index).
+    pub fn count(&mut self, name: &'static str) {
+        self.add(name, 1);
+    }
+
+    /// Adds `n` invocations of `name`.
+    fn add(&mut self, name: &'static str, n: u64) {
         match spec::sysno(name) {
-            Some(no) => {
-                self.dense[no as usize].fetch_add(n, Ordering::Relaxed);
+            Some(no) => self.add_dense(no, n),
+            None => *self.named.entry(name).or_insert(0) += n,
+        }
+    }
+
+    /// Adds every count of `other`.
+    pub fn merge(&mut self, other: &SysCounts) {
+        // Skipping the (typical) zero cells keeps a table nobody counted
+        // in from making this one.
+        for (i, n) in other.dense.iter().enumerate().filter(|(_, n)| **n != 0) {
+            match self.dense.get_mut(i) {
+                Some(cell) => *cell += n,
+                None => self.add_dense(i as u16, *n),
             }
-            None => *self.named.lock_ok().entry(name).or_insert(0) += n,
+        }
+        for (name, n) in &other.named {
+            self.add(name, *n);
         }
     }
 
     /// The count recorded for `name` (0 when never invoked).
     pub fn of(&self, name: &str) -> u64 {
         match spec::sysno(name) {
-            Some(no) => self.dense[no as usize].load(Ordering::Relaxed),
-            None => self.named.lock_ok().get(name).copied().unwrap_or(0),
+            Some(no) => self.dense.get(no as usize).copied().unwrap_or(0),
+            None => self.named.get(name).copied().unwrap_or(0),
         }
     }
 
@@ -103,23 +103,16 @@ impl SysCounts {
         self.get(name).is_some()
     }
 
-    /// Snapshot of `(name, count)` pairs with nonzero counts.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> {
-        let mut out: Vec<(&'static str, u64)> = self
-            .dense
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                let c = c.load(Ordering::Relaxed);
-                (c > 0).then(|| (spec::SPEC[i].name, c))
-            })
-            .collect();
-        out.extend(self.named.lock_ok().iter().map(|(n, c)| (*n, *c)));
-        out.into_iter()
+    /// `(name, count)` pairs with nonzero counts: spec entries in spec
+    /// order, then the named ones.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        let dense = self.dense.iter().enumerate();
+        let dense = dense.filter_map(|(i, c)| (*c > 0).then(|| (spec::SPEC[i].name, *c)));
+        dense.chain(self.named.iter().map(|(n, c)| (*n, *c)))
     }
 
     /// Iterates over invoked syscall names.
-    pub fn keys(&self) -> impl Iterator<Item = &'static str> {
+    pub fn keys(&self) -> impl Iterator<Item = &'static str> + '_ {
         self.iter().map(|(n, _)| n)
     }
 
@@ -135,29 +128,12 @@ impl SysCounts {
 
     /// Sum of all counts.
     pub fn total(&self) -> u64 {
-        self.dense
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum::<u64>()
-            + self.named.lock_ok().values().sum::<u64>()
+        self.dense.iter().sum::<u64>() + self.named.values().sum::<u64>()
     }
 
     /// Snapshot as an ordinary name-keyed map (report binaries).
     pub fn to_map(&self) -> BTreeMap<&'static str, u64> {
         self.iter().collect()
-    }
-}
-
-impl Clone for SysCounts {
-    fn clone(&self) -> Self {
-        SysCounts {
-            dense: self
-                .dense
-                .iter()
-                .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
-                .collect(),
-            named: Mutex::new(self.named.lock_ok().clone()),
-        }
     }
 }
 
@@ -170,13 +146,10 @@ impl<'a> IntoIterator for &'a SysCounts {
     }
 }
 
+/// Equal counts, whether or not either side ever made its table.
 impl PartialEq for SysCounts {
     fn eq(&self, other: &Self) -> bool {
-        self.dense
-            .iter()
-            .zip(other.dense.iter())
-            .all(|(a, b)| a.load(Ordering::Relaxed) == b.load(Ordering::Relaxed))
-            && *self.named.lock_ok() == *other.named.lock_ok()
+        self.iter().eq(other.iter())
     }
 }
 
@@ -231,17 +204,14 @@ impl Trace {
     /// Records one invocation of `name`.
     #[inline]
     pub fn count(&mut self, name: &'static str) {
-        match spec::sysno(name) {
-            Some(no) => self.counts.bump_mut(no),
-            None => self.counts.count_named(name),
-        }
+        self.count_dispatch(spec::sysno(name), name);
     }
 
     /// Records one invocation by pre-resolved dense index (the hot path
     /// used by the registry wrappers).
     #[inline]
     pub fn count_sysno(&mut self, sysno: u16) {
-        self.counts.bump_mut(sysno);
+        self.counts.bump(sysno);
     }
 
     /// Records one invocation through a registration-time dispatch pair:
@@ -250,7 +220,7 @@ impl Trace {
     #[inline]
     pub fn count_dispatch(&mut self, sysno: Option<u16>, name: &'static str) {
         match sysno {
-            Some(no) => self.counts.bump_mut(no),
+            Some(no) => self.counts.bump(no),
             None => self.counts.count(name),
         }
     }
@@ -289,18 +259,8 @@ impl Trace {
     }
 
     /// Merges another trace into this one (multi-task aggregation).
-    /// Exclusive access: plain adds, skipping the (typical) zero cells —
-    /// a per-task-exit cost that must stay cheap with hundreds of tasks.
     pub fn merge(&mut self, other: &Trace) {
-        for i in 0..SPEC_LEN {
-            let v = other.counts.dense[i].load(std::sync::atomic::Ordering::Relaxed);
-            if v != 0 {
-                *self.counts.dense[i].get_mut() += v;
-            }
-        }
-        for (name, n) in other.counts.named.lock_ok().iter() {
-            self.counts.add(name, *n);
-        }
+        self.counts.merge(&other.counts);
         self.timing |= other.timing;
         self.host_time += other.host_time;
         self.kernel_time += other.kernel_time;
@@ -328,7 +288,8 @@ mod tests {
 
     #[test]
     fn dense_and_named_counts_agree() {
-        let c = SysCounts::default();
+        let mut c = SysCounts::default();
+        assert!(c.is_empty() && c.of("read") == 0, "no table yet, all zero");
         let no = spec::sysno("read").expect("read is in the spec");
         c.bump(no);
         c.count("read");
@@ -370,5 +331,12 @@ mod tests {
         assert_eq!(a.counts.of("read"), 2);
         assert_eq!(a.counts.of("mmap"), 1);
         assert_eq!(a.kernel_time, Duration::from_millis(3));
+        // A table nobody counted in adds nothing and makes nothing.
+        let mut sum = Trace::default();
+        sum.merge(&Trace::default().child());
+        assert!(sum.counts.dense.is_empty());
+        sum.merge(&a);
+        assert_eq!(sum.counts, a.counts);
+        assert_ne!(sum.counts, b.counts);
     }
 }

@@ -294,9 +294,9 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         let mem = wmem(c);
         let mut argv = a32(args, 0) as u32;
         let mut buf = a32(args, 1) as u32;
-        for arg in c.data.args.clone() {
+        for arg in c.data.args.iter() {
             let _ = mem.store::<4>(argv as u64, buf.to_le_bytes());
-            let mut bytes = arg.into_bytes();
+            let mut bytes = arg.clone().into_bytes();
             bytes.push(0);
             let _ = mem.write(buf as u64, &bytes);
             buf += bytes.len() as u32;
@@ -318,9 +318,9 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         let mem = wmem(c);
         let mut envp = a32(args, 0) as u32;
         let mut buf = a32(args, 1) as u32;
-        for e in c.data.env.clone() {
+        for e in c.data.env.iter() {
             let _ = mem.store::<4>(envp as u64, buf.to_le_bytes());
-            let mut bytes = e.into_bytes();
+            let mut bytes = e.clone().into_bytes();
             bytes.push(0);
             let _ = mem.write(buf as u64, &bytes);
             buf += bytes.len() as u32;

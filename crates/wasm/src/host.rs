@@ -6,7 +6,6 @@
 //! against WALI. The generic parameter `T` is the embedder context (e.g.
 //! `wali::WaliContext`) threaded into every host call.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -23,8 +22,10 @@ pub enum HostOutcome {
     ///
     /// WALI uses this for control-transferring syscalls: `fork` (snapshot
     /// and resume both sides), `execve` (replace the program), thread
-    /// `clone` (spawn an instance-per-thread sibling) and `exit`.
-    Suspend(Suspension),
+    /// `clone` (spawn an instance-per-thread sibling) and `exit`. What
+    /// the suspension is for is between the host function and the
+    /// embedder: it is left in the context both can see.
+    Suspend,
     /// The call cannot complete yet. The thread parks as it stands — the
     /// argument slots stay on its operand stack — and
     /// [`crate::interp::Thread::retry`] re-enters the same import on
@@ -46,21 +47,6 @@ pub struct Blocked {
 impl From<Trap> for HostOutcome {
     fn from(t: Trap) -> Self {
         HostOutcome::Trap(t)
-    }
-}
-
-/// An opaque embedder-defined suspension payload.
-pub struct Suspension(pub Box<dyn Any + Send>);
-
-impl Suspension {
-    /// Wraps a payload.
-    pub fn new<P: Any + Send>(payload: P) -> Self {
-        Suspension(Box::new(payload))
-    }
-
-    /// Attempts to downcast the payload.
-    pub fn downcast<P: Any>(self) -> Result<Box<P>, Suspension> {
-        self.0.downcast::<P>().map_err(Suspension)
     }
 }
 
@@ -94,12 +80,13 @@ pub type HostFn<T> =
     Arc<dyn Fn(&mut Caller<'_, T>, &[u64]) -> Result<u64, HostOutcome> + Send + Sync>;
 
 /// A pending re-entrant call requested at a safepoint (signal delivery).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PendingCall {
     /// Function index (combined space) to invoke.
     pub func: u32,
-    /// Arguments to pass.
-    pub args: Vec<Value>,
+    /// The argument to pass, if the function takes one (a signal handler
+    /// takes the signal number).
+    pub arg: Option<Value>,
 }
 
 /// Embedder context hooks the interpreter consults during execution.
@@ -289,14 +276,4 @@ mod tests {
         assert!(Arc::ptr_eq(&fd_write(&base), &fd_write(&copy)));
     }
 
-    #[test]
-    fn suspension_downcasts() {
-        #[derive(Debug, PartialEq)]
-        struct Payload(u32);
-        let s = Suspension::new(Payload(7));
-        assert_eq!(*s.downcast::<Payload>().ok().unwrap(), Payload(7));
-
-        let s = Suspension::new(Payload(7));
-        assert!(s.downcast::<String>().is_err());
-    }
 }

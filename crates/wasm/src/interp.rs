@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::error::Trap;
-use crate::host::{Blocked, Caller, HostCtx, HostOutcome, PendingCall, Suspension};
+use crate::host::{Blocked, Caller, HostCtx, HostOutcome, PendingCall};
 use crate::instr::{AtomicWidth, BinOp, CvtOp, LoadKind, RelOp, StoreKind, UnOp};
 use crate::mem::{MemView, Memory};
 use crate::module::{ConstExpr, ElemSegment, ExportDesc, Global};
@@ -93,8 +93,10 @@ pub struct Instance<T> {
     pub memory: Arc<Memory>,
     /// Global values (raw bits), one per declared global.
     pub globals: Vec<u64>,
-    /// Function table (funcref entries).
-    pub table: Vec<Option<u32>>,
+    /// Function table (funcref entries): filled from the element
+    /// segments at instantiation and read-only from then on, so forks
+    /// and thread siblings share it.
+    pub table: Arc<[Option<u32>]>,
 }
 
 impl<T> Instance<T> {
@@ -117,17 +119,14 @@ impl<T> Instance<T> {
         program: Arc<Program<T>>,
         memory: Arc<Memory>,
     ) -> Result<Instance<T>, Trap> {
-        let mut inst = Self::bare(program, memory)?;
-        inst.apply_elems()?;
-        Ok(inst)
+        Self::bare(program, memory)
     }
 
     /// Instantiates over the given memory, applying data segments.
     pub fn with_memory(program: Arc<Program<T>>, memory: Arc<Memory>) -> Result<Instance<T>, Trap> {
-        let mut inst = Self::bare(program, memory)?;
-        inst.apply_elems()?;
+        let inst = Self::bare(program, memory)?;
         for d in &inst.program.datas {
-            let at = inst.eval_const(&d.offset)? as u32 as u64;
+            let at = Self::eval_const(&d.offset)? as u32 as u64;
             inst.memory.write(at, &d.bytes)?;
         }
         Ok(inst)
@@ -149,36 +148,29 @@ impl<T> Instance<T> {
             };
             globals.push(v);
         }
-        let table = match &program.table {
+        let mut table = match &program.table {
             Some(t) => vec![None; t.limits.min as usize],
             None => Vec::new(),
         };
+        for ElemSegment { offset, funcs } in &program.image.elems {
+            let at = Self::eval_const(offset)? as u32 as usize;
+            let end = at.checked_add(funcs.len()).ok_or(Trap::TableOutOfBounds)?;
+            let Some(entries) = table.get_mut(at..end) else {
+                return Err(Trap::TableOutOfBounds);
+            };
+            for (entry, f) in entries.iter_mut().zip(funcs) {
+                *entry = Some(*f);
+            }
+        }
         Ok(Instance {
             program,
             memory,
             globals,
-            table,
+            table: table.into(),
         })
     }
 
-    fn apply_elems(&mut self) -> Result<(), Trap> {
-        // The segments are read through their own handle on the image,
-        // so the table can be written while they are borrowed.
-        let image = self.program.image.clone();
-        for ElemSegment { offset, funcs } in &image.elems {
-            let at = self.eval_const(offset)? as u32 as usize;
-            let end = at.checked_add(funcs.len()).ok_or(Trap::TableOutOfBounds)?;
-            if end > self.table.len() {
-                return Err(Trap::TableOutOfBounds);
-            }
-            for (i, f) in funcs.iter().enumerate() {
-                self.table[at + i] = Some(*f);
-            }
-        }
-        Ok(())
-    }
-
-    fn eval_const(&self, e: &ConstExpr) -> Result<i64, Trap> {
+    fn eval_const(e: &ConstExpr) -> Result<i64, Trap> {
         match e {
             ConstExpr::I32(v) => Ok(*v as i64),
             ConstExpr::I64(v) => Ok(*v),
@@ -188,7 +180,7 @@ impl<T> Instance<T> {
 
     /// Fork-style duplicate: copy-on-write memory snapshot on the paged
     /// backing (O(allocated pages)), deep copy on the flat backing; cloned
-    /// globals and table either way.
+    /// globals and the shared table either way.
     pub fn fork_clone(&self) -> Instance<T> {
         Instance {
             program: self.program.clone(),
@@ -337,8 +329,14 @@ pub enum RunResult {
     Done(Vec<Value>),
     /// Execution trapped; the thread is dead.
     Trapped(Trap),
-    /// A host function suspended; call [`Thread::resume`] to continue.
-    Suspended(Suspension),
+    /// A host function suspended ([`HostOutcome::Suspend`]); call
+    /// [`Thread::resume`] to continue.
+    Suspended,
+    /// The thread exhausted its fuel slice at an op boundary; resuming
+    /// with no values continues exactly where it left off. This is what
+    /// lets a cooperative scheduler preempt busy-spinning tasks (e.g. a
+    /// thread polling shared memory).
+    Preempted,
     /// A host function blocked; call [`Thread::retry`] to re-enter it.
     Blocked(Blocked),
 }
@@ -350,7 +348,7 @@ impl RunResult {
     fn parked(outcome: HostOutcome) -> RunResult {
         match outcome {
             HostOutcome::Trap(t) => RunResult::Trapped(t),
-            HostOutcome::Suspend(s) => RunResult::Suspended(s),
+            HostOutcome::Suspend => RunResult::Suspended,
             HostOutcome::Block(b) => RunResult::Blocked(b),
         }
     }
@@ -361,7 +359,8 @@ impl std::fmt::Debug for RunResult {
         match self {
             RunResult::Done(v) => write!(f, "Done({v:?})"),
             RunResult::Trapped(t) => write!(f, "Trapped({t:?})"),
-            RunResult::Suspended(_) => write!(f, "Suspended(..)"),
+            RunResult::Suspended => write!(f, "Suspended"),
+            RunResult::Preempted => write!(f, "Preempted"),
             RunResult::Blocked(b) => write!(f, "{b:?}"),
         }
     }
@@ -385,13 +384,6 @@ struct Frame {
     signal_frame: bool,
 }
 
-/// Suspension payload produced when a thread exhausts its fuel slice.
-///
-/// The embedder resumes with no values to continue exactly where the
-/// thread left off; this is what lets a cooperative scheduler preempt
-/// busy-spinning tasks (e.g. a thread polling shared memory).
-pub struct Preempted;
-
 /// What a suspended thread is waiting on.
 #[derive(Clone, Copy)]
 struct PendingHost {
@@ -410,7 +402,7 @@ struct PendingHost {
 ///
 /// Cloning a [`Thread`] (together with its instance state) yields a
 /// fork-style snapshot: both copies resume from the same point.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct Thread {
     stack: Vec<u64>,
     frames: Vec<Frame>,
@@ -426,6 +418,30 @@ pub struct Thread {
     pub reg_steps: u64,
 }
 
+/// A stack with the contents *and the room* of `of`: the copy goes on
+/// from where the original stands — pushes a host call's result, a
+/// callee's or a signal handler's frame — and the original's capacity is
+/// what running this far took, so the copy's next push fits where an
+/// exact-size one would grow at once.
+fn snapshot<E: Clone>(of: &Vec<E>) -> Vec<E> {
+    let mut copy = Vec::with_capacity(of.capacity());
+    copy.extend_from_slice(of);
+    copy
+}
+
+impl Clone for Thread {
+    fn clone(&self) -> Thread {
+        Thread {
+            stack: snapshot(&self.stack),
+            frames: snapshot(&self.frames),
+            pending: self.pending,
+            fuel: self.fuel,
+            steps: self.steps,
+            reg_steps: self.reg_steps,
+        }
+    }
+}
+
 impl Thread {
     /// Creates an idle thread.
     pub fn new() -> Thread {
@@ -437,7 +453,7 @@ impl Thread {
         self.pending.is_some()
     }
 
-    /// Sets the preemption fuel: the thread yields [`Preempted`] after
+    /// Sets the preemption fuel: the thread yields [`RunResult::Preempted`] after
     /// this many ops. `None` disables preemption.
     pub fn refuel(&mut self, fuel: Option<u64>) {
         self.fuel = fuel;
@@ -589,17 +605,17 @@ impl Thread {
         ctx: &mut T,
         call: &PendingCall,
     ) -> Result<(), Trap> {
-        if inst.func_type(call.func).map(|t| t.params.len()) != Some(call.args.len()) {
+        if inst.func_type(call.func).map(|t| t.params.len()) != Some(call.arg.iter().len()) {
             return Err(Trap::Host("bad signal handler arity".into()));
         }
         let top = self.stack.len();
-        self.stack.extend(call.args.iter().map(Value::raw));
+        self.stack.extend(call.arg.iter().map(Value::raw));
         let r = self.call_host(inst, ctx, call.func, self.stack.len());
         self.stack.truncate(top);
         match r {
             Ok(()) => Ok(()),
             Err(HostOutcome::Trap(t)) => Err(t),
-            Err(HostOutcome::Suspend(_) | HostOutcome::Block(_)) => {
+            Err(HostOutcome::Suspend | HostOutcome::Block(_)) => {
                 self.pending = None;
                 Err(Trap::Host("suspend in signal handler".into()))
             }
@@ -750,7 +766,7 @@ impl Thread {
                     match program.funcs.get(call.func as usize) {
                         Some(FuncDef::Local(code)) => {
                             let code = code.clone();
-                            self.stack.extend(call.args.iter().map(Value::raw));
+                            self.stack.extend(call.arg.iter().map(Value::raw));
                             if let Err(t) = self.push_frame(call.func, &code, false, true) {
                                 trap!(t);
                             }
@@ -798,7 +814,7 @@ impl Thread {
                         nresults: 0,
                         kept: None,
                     });
-                    return RunResult::Suspended(Suspension::new(Preempted));
+                    return RunResult::Preempted;
                 }
                 *fuel -= 1;
             }
@@ -1249,7 +1265,7 @@ impl Thread {
                 ($call:expr) => {{
                     let call: PendingCall = $call;
                     let code = body(image, call.func);
-                    self.stack.extend(call.args.iter().map(Value::raw));
+                    self.stack.extend(call.arg.iter().map(Value::raw));
                     if let Err(t) = self.push_frame(call.func, code, false, true) {
                         trap!(t);
                     }
@@ -1371,7 +1387,7 @@ impl Thread {
                         nresults: 0,
                         kept: None,
                     });
-                    return RunResult::Suspended(Suspension::new(Preempted));
+                    return RunResult::Preempted;
                 };
                 budget = left;
                 // SAFETY: `regir::validated`, *targets* and *terminator*:

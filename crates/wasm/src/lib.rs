@@ -57,7 +57,7 @@ pub mod validate;
 
 pub use build::{FuncBuilder, ModuleBuilder};
 pub use error::{DecodeError, Trap, ValidateError};
-pub use host::{Blocked, Caller, HostFn, HostOutcome, Linker, Suspension};
+pub use host::{Blocked, Caller, HostFn, HostOutcome, Linker};
 pub use interp::{Instance, RunResult, Thread, Value};
 pub use module::Module;
 pub use prep::Program;

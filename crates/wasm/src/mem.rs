@@ -174,17 +174,20 @@ impl FlatStore {
 
 /// The lazily-allocated paged backing with copy-on-write fork.
 struct PageStore {
-    /// Owner of record, one slot per reservable page; `None` reads as
-    /// zero. Mutated only under this lock (first touch, COW, release,
-    /// fork).
+    /// Owner of record of each materialized page, by index, as long as
+    /// the highest page ever touched needs (a slot past the end, like a
+    /// `None`, reads as zero). Mutated only under this lock (first
+    /// touch, COW, release, fork).
     pages: Mutex<Vec<Option<Arc<Page>>>>,
-    /// Hot-path page-pointer cache for reads: always valid — the page's
-    /// data when materialized, the shared zero page otherwise.
-    read_ptrs: Box<[AtomicPtr<u8>]>,
-    /// Hot-path page-pointer cache for writes: the page's data while this
+    /// The two hot-path page-pointer caches, `read` then `write`, each
+    /// one entry per reservable page, in one allocation — all a fork
+    /// makes besides its short owner list.
+    ///
+    /// `read`: always valid — the page's data when materialized, the
+    /// shared zero page otherwise. `write`: the page's data while this
     /// store owns it exclusively, null otherwise (untouched or
     /// COW-shared → take the slow path).
-    write_ptrs: Box<[AtomicPtr<u8>]>,
+    ptrs: Box<[AtomicPtr<u8>]>,
     /// Currently materialized pages.
     resident: AtomicU32,
     /// Peak materialized pages over the store's lifetime.
@@ -194,15 +197,24 @@ struct PageStore {
 impl PageStore {
     fn new(max_pages: u32) -> PageStore {
         let n = max_pages as usize;
+        let read = (0..n).map(|_| AtomicPtr::new(zero_ptr()));
+        let write = (0..n).map(|_| AtomicPtr::new(std::ptr::null_mut()));
         PageStore {
-            pages: Mutex::new(vec![None; n]),
-            read_ptrs: (0..n).map(|_| AtomicPtr::new(zero_ptr())).collect(),
-            write_ptrs: (0..n)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
+            pages: Mutex::new(Vec::new()),
+            ptrs: read.chain(write).collect(),
             resident: AtomicU32::new(0),
             peak_resident: AtomicU32::new(0),
         }
+    }
+
+    #[inline]
+    fn read_ptrs(&self) -> &[AtomicPtr<u8>] {
+        &self.ptrs[..self.ptrs.len() / 2]
+    }
+
+    #[inline]
+    fn write_ptrs(&self) -> &[AtomicPtr<u8>] {
+        &self.ptrs[self.ptrs.len() / 2..]
     }
 
     /// Slow path: materializes page `idx` for writing — first touch
@@ -210,17 +222,25 @@ impl PageStore {
     /// one — and republishes both pointer caches.
     fn page_for_write(&self, idx: usize) -> *mut u8 {
         let mut pages = self.pages.lock().expect("page table");
+        if pages.len() <= idx {
+            pages.resize(idx + 1, None);
+        }
         let slot = &mut pages[idx];
-        let ptr = match slot {
-            Some(page) if Arc::strong_count(page) == 1 => page.data(),
-            Some(page) => {
+        // Sole owner (again: the sibling wrote or exited first)? Not
+        // `strong_count`: `get_mut`'s check acquires the sibling's release
+        // of its reference, which orders its last read of the page before
+        // the writes this pointer is for.
+        let sole = slot.as_mut().map(|page| Arc::get_mut(page).is_some());
+        let ptr = match (&*slot, sole) {
+            (Some(page), Some(true)) => page.data(),
+            (Some(page), _) => {
                 // COW: the page is shared with a forked sibling; copy it.
                 let fresh = Page::copy_of(page);
                 let ptr = fresh.data();
                 *slot = Some(fresh);
                 ptr
             }
-            None => {
+            (None, _) => {
                 let fresh = Page::zeroed();
                 let ptr = fresh.data();
                 *slot = Some(fresh);
@@ -229,20 +249,22 @@ impl PageStore {
                 ptr
             }
         };
-        self.read_ptrs[idx].store(ptr, Ordering::Release);
-        self.write_ptrs[idx].store(ptr, Ordering::Release);
+        self.read_ptrs()[idx].store(ptr, Ordering::Release);
+        self.write_ptrs()[idx].store(ptr, Ordering::Release);
         ptr
     }
 
+    /// Whether page `idx` is materialized: its read pointer says so (it
+    /// leaves the zero page on first touch and returns on release).
     fn is_resident(&self, idx: usize) -> bool {
-        self.pages.lock().expect("page table")[idx].is_some()
+        self.read_ptrs()[idx].load(Ordering::Acquire) != zero_ptr()
     }
 
     /// Hot-path write resolution: the cached exclusive pointer, or the
     /// locked slow path (first touch / COW copy).
     #[inline]
     fn write_ptr(&self, idx: usize) -> *mut u8 {
-        let ptr = self.write_ptrs[idx].load(Ordering::Acquire);
+        let ptr = self.write_ptrs()[idx].load(Ordering::Acquire);
         if ptr.is_null() {
             self.page_for_write(idx)
         } else {
@@ -254,9 +276,9 @@ impl PageStore {
     /// page's allocation is dropped (or its `Arc` reference released).
     fn release_page(&self, idx: usize) {
         let mut pages = self.pages.lock().expect("page table");
-        if pages[idx].take().is_some() {
-            self.write_ptrs[idx].store(std::ptr::null_mut(), Ordering::Release);
-            self.read_ptrs[idx].store(zero_ptr(), Ordering::Release);
+        if pages.get_mut(idx).and_then(Option::take).is_some() {
+            self.write_ptrs()[idx].store(std::ptr::null_mut(), Ordering::Release);
+            self.read_ptrs()[idx].store(zero_ptr(), Ordering::Release);
             self.resident.fetch_sub(1, Ordering::Relaxed);
         }
     }
@@ -286,11 +308,24 @@ pub struct Memory {
 // shared memories give to unsynchronized accesses (the value read is
 // *some* byte-level interleaving, never UB at the Wasm level); the
 // host-level data race is confined to `u8` reads/writes via raw pointers,
-// never references with aliasing guarantees. Fork-related paged memories
-// (which share `Arc` pages) are driven from one host thread by the
-// embedding — the WALI runner is single-threaded — so a page is never
-// reclaimed by one store while a sibling store's reader holds its
-// pointer; truly thread-shared memories use the flat backing.
+// never references with aliasing guarantees. Truly thread-shared memories
+// use the flat backing. Paged memories related by `fork` share `Arc`
+// pages, and parent and child may well run on two workers at once (the
+// SMP executor); page reclaim is sound because of who may touch what:
+//
+// * a store's owner list changes only inside a slice of the one task
+//   that owns the memory (first touch, COW, release and `fork` are all
+//   that task's own accesses), and the executor's slot hand-off orders
+//   one slice of a task after another — so every page a store's pointer
+//   caches name is held alive by a reference in that same store's list,
+//   and a sibling dropping or replacing *its* reference (a COW copy, a
+//   release, its exit) never frees a page this store can still reach;
+// * a page is written in place only through a write pointer, which is
+//   published only for a page its store found itself the sole owner of
+//   (under its lock, with acquire ordering — `page_for_write`), and a
+//   sole owner's count rises again only through a `fork` of that very
+//   store, which revokes its write pointers first; a page two stores
+//   share is frozen, so its concurrent readers race with no writer.
 unsafe impl Sync for Memory {}
 // SAFETY: See `Sync` above; ownership transfer adds no additional hazard.
 unsafe impl Send for Memory {}
@@ -425,12 +460,11 @@ impl Memory {
                 let src = a.pages.lock().expect("page table");
                 let mut dst = b.pages.lock().expect("page table");
                 let mut resident = 0;
-                for (i, slot) in src.iter().enumerate() {
-                    if let Some(page) = slot {
-                        let fresh = Page::copy_of(page);
-                        b.read_ptrs[i].store(fresh.data(), Ordering::Release);
-                        b.write_ptrs[i].store(fresh.data(), Ordering::Release);
-                        dst[i] = Some(fresh);
+                *dst = src.iter().map(|slot| slot.as_deref().map(Page::copy_of)).collect();
+                for (i, page) in dst.iter().enumerate() {
+                    if let Some(fresh) = page {
+                        b.read_ptrs()[i].store(fresh.data(), Ordering::Release);
+                        b.write_ptrs()[i].store(fresh.data(), Ordering::Release);
                         resident += 1;
                     }
                 }
@@ -458,19 +492,19 @@ impl Memory {
         };
         {
             let src = parent.pages.lock().expect("page table");
-            let mut dst = cs.pages.lock().expect("page table");
             let mut resident = 0;
             for (i, slot) in src.iter().enumerate() {
                 if let Some(page) = slot {
-                    cs.read_ptrs[i].store(page.data(), Ordering::Release);
-                    dst[i] = Some(Arc::clone(page));
+                    cs.read_ptrs()[i].store(page.data(), Ordering::Release);
                     resident += 1;
                     // The parent's page is now shared: revoke its in-place
                     // write permission so its next write takes the COW
                     // slow path.
-                    parent.write_ptrs[i].store(std::ptr::null_mut(), Ordering::Release);
+                    parent.write_ptrs()[i].store(std::ptr::null_mut(), Ordering::Release);
                 }
             }
+            // Every page, shared: one reference each.
+            *cs.pages.lock().expect("page table") = src.clone();
             cs.resident.store(resident, Ordering::Relaxed);
             cs.peak_resident.store(resident, Ordering::Relaxed);
         }
@@ -504,7 +538,7 @@ impl Memory {
                     let pg = off >> PAGE_SHIFT;
                     let po = off & PAGE_MASK;
                     let n = (PAGE_SIZE - po).min(out.len() - done);
-                    let src = p.read_ptrs[pg].load(Ordering::Acquire);
+                    let src = p.read_ptrs()[pg].load(Ordering::Acquire);
                     // SAFETY: `src` is a live page (or the zero page) and
                     // `po + n <= PAGE_SIZE`.
                     unsafe {
@@ -538,9 +572,7 @@ impl Memory {
                     // no-op: keep it lazy (this is what lets bulk copies
                     // of untouched regions — memory.copy, syscall buffer
                     // write-backs — avoid materializing the destination).
-                    let skip = p.write_ptrs[pg].load(Ordering::Acquire).is_null()
-                        && chunk.iter().all(|b| *b == 0)
-                        && !p.is_resident(pg);
+                    let skip = !p.is_resident(pg) && chunk.iter().all(|b| *b == 0);
                     if !skip {
                         let dst = p.write_ptr(pg);
                         // SAFETY: `dst` is this store's exclusively-owned
@@ -561,7 +593,7 @@ impl Memory {
     pub fn view(&self) -> MemView<'_> {
         let (flat, read_ptrs, write_ptrs): (_, &[_], &[_]) = match &self.backing {
             Backing::Flat(f) => (f.ptr(), &[], &[]),
-            Backing::Paged(p) => (std::ptr::null_mut(), &p.read_ptrs, &p.write_ptrs),
+            Backing::Paged(p) => (std::ptr::null_mut(), p.read_ptrs(), p.write_ptrs()),
         };
         MemView {
             mem: self,
@@ -631,7 +663,7 @@ impl Memory {
             Backing::Paged(p) => {
                 let po = off & PAGE_MASK;
                 if len > 0 && po + len <= PAGE_SIZE {
-                    let src = p.read_ptrs[off >> PAGE_SHIFT].load(Ordering::Acquire);
+                    let src = p.read_ptrs()[off >> PAGE_SHIFT].load(Ordering::Acquire);
                     // SAFETY: Bounds checked; in-page range of a live page.
                     let slice = unsafe { core::slice::from_raw_parts(src.add(po), len) };
                     Ok(f(slice))
@@ -700,10 +732,7 @@ impl Memory {
                     let n = (PAGE_SIZE - po).min(left);
                     if val == 0 && po == 0 && n == PAGE_SIZE {
                         p.release_page(pg);
-                    } else if val == 0
-                        && p.write_ptrs[pg].load(Ordering::Acquire).is_null()
-                        && !p.is_resident(pg)
-                    {
+                    } else if val == 0 && !p.is_resident(pg) {
                         // Untouched page already reads as zero.
                     } else {
                         let dst = p.write_ptr(pg);
@@ -796,7 +825,7 @@ impl Memory {
                 Some(unsafe { f.ptr().add(off) })
             }
             Backing::Paged(p) => {
-                let ptr = p.write_ptrs[off >> PAGE_SHIFT].load(Ordering::Acquire);
+                let ptr = p.write_ptrs()[off >> PAGE_SHIFT].load(Ordering::Acquire);
                 if ptr.is_null() {
                     None
                 } else {

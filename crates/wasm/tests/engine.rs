@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use wasm::build::ModuleBuilder;
-use wasm::host::{HostCtx, HostOutcome, Linker, PendingCall, Suspension};
+use wasm::host::{HostCtx, HostOutcome, Linker, PendingCall};
 use wasm::instr::{BlockType, Instr};
 use wasm::interp::{Instance, RunResult, Thread, Value};
 use wasm::prep::Program;
@@ -251,7 +251,7 @@ fn a_safepoint_polls_only_under_a_raised_hint_and_then_within_one_back_edge() {
         let mut t = Thread::new();
         t.refuel(Some(1000));
         match t.call(&mut inst, &mut ctx, main, &[]) {
-            RunResult::Suspended(s) => assert!(s.0.is::<wasm::interp::Preempted>()),
+            RunResult::Preempted => {}
             other => panic!("{other:?}"),
         }
         assert_eq!(t.steps, 1000);
@@ -278,9 +278,6 @@ fn a_safepoint_polls_only_under_a_raised_hint_and_then_within_one_back_edge() {
     }
 }
 
-/// Suspension payload used by the fork-style test.
-struct ForkPoint;
-
 #[test]
 fn suspension_resume_and_fork_style_clone() {
     let mut mb = ModuleBuilder::new();
@@ -298,8 +295,10 @@ fn suspension_resume_and_fork_style_clone() {
     let module = mb.build();
 
     let mut linker: Linker<Ctx> = Linker::new();
-    linker.func("wali", "SYS_fork", |_, _| {
-        Err(HostOutcome::Suspend(Suspension::new(ForkPoint)))
+    // What it suspends for, the host function leaves in the context.
+    linker.func("wali", "SYS_fork", |caller, _| {
+        caller.data.log.push(-1);
+        Err(HostOutcome::Suspend)
     });
 
     let mut inst = link(&module, &linker, SafepointScheme::LoopHeaders);
@@ -307,11 +306,11 @@ fn suspension_resume_and_fork_style_clone() {
     let main = inst.export_func("main").unwrap();
 
     let mut parent = Thread::new();
-    let suspension = match parent.call(&mut inst, &mut ctx, main, &[]) {
-        RunResult::Suspended(s) => s,
+    match parent.call(&mut inst, &mut ctx, main, &[]) {
+        RunResult::Suspended => {}
         other => panic!("{other:?}"),
-    };
-    assert!(suspension.downcast::<ForkPoint>().is_ok());
+    }
+    assert_eq!(ctx.log, [-1]);
     assert!(parent.is_suspended());
 
     // Snapshot the suspended state: this is exactly how WALI implements
@@ -358,7 +357,7 @@ fn safepoint_reentrancy_runs_signal_handler() {
     let mut ctx = Ctx {
         pending: Some(PendingCall {
             func: handler_idx,
-            args: vec![Value::I32(2)],
+            arg: Some(Value::I32(2)),
         }),
         ..Default::default()
     };
@@ -398,7 +397,7 @@ fn no_safepoints_means_no_delivery() {
     let mut ctx = Ctx {
         pending: Some(PendingCall {
             func: handler_idx,
-            args: vec![Value::I32(2)],
+            arg: Some(Value::I32(2)),
         }),
         ..Default::default()
     };

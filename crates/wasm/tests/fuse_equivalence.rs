@@ -451,8 +451,7 @@ fn preemption_lands_on_the_same_op() {
             for k in [1, 2, 3, 7, 64, 1000] {
                 let (mut inst, mut t, mut r) = start(Some(k));
                 let mut slices = 0;
-                while let RunResult::Suspended(s) = r {
-                    assert!(s.0.is::<wasm::interp::Preempted>());
+                while let RunResult::Preempted = r {
                     slices += 1;
                     assert_eq!(t.steps, slices * k, "{name} regir={regir} k={k}");
                     t.refuel(Some(k));

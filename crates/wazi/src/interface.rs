@@ -226,7 +226,9 @@ impl WaziRunner {
         match thread.call(&mut instance, &mut ctx, entry, args) {
             RunResult::Done(v) => Ok(v),
             RunResult::Trapped(t) => Err(format!("trap: {t}")),
-            RunResult::Suspended(_) | RunResult::Blocked(_) => Err("unexpected suspension".into()),
+            RunResult::Suspended | RunResult::Preempted | RunResult::Blocked(_) => {
+                Err("unexpected suspension".into())
+            }
         }
     }
 }
