@@ -939,6 +939,47 @@ mod tests {
         );
     }
 
+    /// pipe(7): a write of at most `PIPE_BUF` bytes goes in whole or not
+    /// at all — `-EAGAIN` on a non-blocking end, a park on
+    /// `PipeWritable` otherwise, which the read that makes room wakes.
+    #[test]
+    fn a_small_write_into_a_nearly_full_pipe_waits_for_room() {
+        use crate::pipe::PIPE_BUF_SIZE;
+        for flags in [O_NONBLOCK, 0] {
+            let (mut k, tid) = kp();
+            let (r, w) = k.sys_pipe2(tid, flags).unwrap();
+            let writer = k.sys_fork(tid).unwrap() as Tid;
+            let fill = vec![b'f'; PIPE_BUF_SIZE - 40];
+            assert_eq!(k.sys_write(tid, w, &fill).unwrap(), fill.len() as i64);
+            let refused = k.sys_write(writer, w, &[b'a'; 100]);
+            match flags {
+                O_NONBLOCK => assert_eq!(refused, Err(SysError::Err(Errno::Eagain))),
+                _ => assert!(matches!(refused, Err(SysError::Block(_)))),
+            }
+            let mut buf = vec![0u8; PIPE_BUF_SIZE];
+            assert_eq!(k.sys_read(tid, r, &mut buf[..50]).unwrap(), 50);
+            assert!(
+                buf[..50].iter().all(|b| *b == b'f'),
+                "no part of it went in"
+            );
+            if flags == 0 {
+                let mut woken = Vec::new();
+                k.drain_woken(&mut woken);
+                assert_eq!(woken, [writer], "room was made");
+                // Still short of 100: the retry parks again.
+                assert!(matches!(
+                    k.sys_write(writer, w, &[b'a'; 100]),
+                    Err(SysError::Block(_))
+                ));
+            }
+            assert_eq!(k.sys_read(tid, r, &mut buf[..10]).unwrap(), 10);
+            assert_eq!(k.sys_write(writer, w, &[b'a'; 100]).unwrap(), 100);
+            let n = k.sys_read(tid, r, &mut buf).unwrap() as usize;
+            assert_eq!(n, fill.len() - 60 + 100);
+            assert!(buf[n - 100..n].iter().all(|b| *b == b'a'));
+        }
+    }
+
     #[test]
     fn dup_shares_offset_dup3_replaces() {
         let (mut k, tid) = kp();

@@ -25,8 +25,7 @@ use crate::fd::{FdTable, FileKind, OpenFile};
 use crate::lockorder::LockClass;
 use crate::pipe::Pipe;
 use crate::signal::{disposition, Disposition, PendingSet, SigHandlers};
-use crate::slab::Paged;
-use crate::slab::{Handle, ObjSlab};
+use crate::slab::{Handle, ObjSlab, Paged};
 use crate::socket::{AddrKey, Socket};
 use crate::sync::{shared, FastMap, HintFlag, MutexExt, Shared};
 use crate::task::{Pid, Rusage, Shares, Task, TaskState, Tid};
@@ -746,9 +745,7 @@ impl Kernel {
     /// `rt_sigpending`.
     pub fn sys_rt_sigpending(&self, tid: Tid) -> SysResult<SigSet> {
         let t = self.task(tid)?;
-        Ok(SigSet(
-            t.pending.mask().0 | t.shared_pending().mask().0,
-        ))
+        Ok(SigSet(t.pending.mask().0 | t.shared_pending().mask().0))
     }
 
     /// `kill(pid, sig)`.
@@ -1216,7 +1213,9 @@ impl Kernel {
             Channel::EventFd(key) => !description_open(key),
             Channel::Futex(..) => false,
         };
-        let stray_records = records.iter().filter(|(t, _)| self.tasks.get(at(*t)).is_none());
+        let stray_records = records
+            .iter()
+            .filter(|(t, _)| self.tasks.get(at(*t)).is_none());
         stray_records.count() + heads.iter().filter(|h| stray_head(h)).count()
     }
 }
@@ -1306,7 +1305,6 @@ mod tests {
     use super::*;
     use crate::SysError;
     use wali_abi::flags::{wexitstatus, wifexited, wifsignaled, wtermsig, CLONE_PTHREAD};
-    use wali_abi::signals::SIG_IGN;
 
     fn kernel_with_proc() -> (Kernel, Tid) {
         let mut k = Kernel::new();
@@ -1380,6 +1378,192 @@ mod tests {
         let audit = k.leak_audit();
         assert_eq!(audit.wait_heads, 2, "the record and its Signal head");
         assert!(!audit.is_clean() && audit.describe().contains("ownerless wait head"));
+    }
+
+    /// A shell job — fork, a pipe, the child writes and exits, the
+    /// parent reads and reaps — has one tid and one pipe id come and go,
+    /// each alone on its table page: once the tids have left the
+    /// parent's page no table makes another, however far they climb.
+    #[test]
+    fn a_fork_pipe_exit_wait_cycle_makes_no_table_page() {
+        use crate::slab::PAGES_MADE;
+        let (mut k, tid) = kernel_with_proc();
+        let job = |k: &mut Kernel| {
+            let (r, w) = k.sys_pipe2(tid, 0).unwrap();
+            let child = k.sys_fork(tid).unwrap() as Tid;
+            k.sys_close(child, r).unwrap();
+            k.sys_write(child, w, b"echo hello").unwrap();
+            k.sys_exit_group(child, 0).unwrap();
+            k.sys_close(tid, w).unwrap();
+            let mut buf = [0u8; 16];
+            assert_eq!(k.sys_read(tid, r, &mut buf).unwrap(), 10);
+            k.sys_close(tid, r).unwrap();
+            assert_eq!(k.sys_wait4(tid, child, 0).unwrap().0, child);
+            k.drain_woken(&mut Vec::new());
+            k.wait_cancel(child);
+        };
+        (0..40).for_each(|_| job(&mut k));
+        let made = PAGES_MADE.with(|n| n.get());
+        for _ in 0..2_000 {
+            job(&mut k);
+        }
+        assert_eq!(PAGES_MADE.with(|n| n.get()), made);
+        assert!(k.leak_audit().wait_heads == 0 && k.leak_audit().open_pipes == 0);
+    }
+
+    fn act(handler: u32, flags: u32) -> WaliSigaction {
+        WaliSigaction {
+            handler,
+            flags,
+            mask: 0,
+        }
+    }
+
+    /// `SIGCHLD` set to `SIG_IGN`, or `SA_NOCLDWAIT`: an exiting child is
+    /// reaped at once — task, wait record, heads — and `wait4` finds no
+    /// child, instead of a zombie per fork for the rest of the run.
+    #[test]
+    fn a_parent_that_ignores_sigchld_gets_no_zombies() {
+        let chld = Signal::Sigchld.number();
+        for action in [act(SIG_IGN, 0), act(7, SA_NOCLDWAIT)] {
+            let (mut k, tid) = kernel_with_proc();
+            k.sys_rt_sigaction(tid, chld, Some(action)).unwrap();
+            for code in 0..100 {
+                let child = k.sys_fork(tid).unwrap() as Tid;
+                // A thread of the child goes with it.
+                let thread = k.sys_clone(child, CLONE_PTHREAD).unwrap() as Tid;
+                k.sys_exit_group(child, code).unwrap();
+                assert!(k.task(child).is_err() && k.task(thread).is_err());
+                k.wait_cancel(child); // the embedder's finish, after the fact
+                k.wait_cancel(thread);
+            }
+            assert!(k.task(tid).unwrap().children.is_empty());
+            assert_eq!(k.sys_wait4(tid, -1, 0), Err(SysError::Err(Errno::Echild)));
+            // A parent already parked in `wait4` is woken to find that.
+            let child = k.sys_fork(tid).unwrap() as Tid;
+            assert!(matches!(k.sys_wait4(tid, -1, 0), Err(SysError::Block(_))));
+            k.sys_exit_group(child, 0).unwrap();
+            let mut woken = Vec::new();
+            k.drain_woken(&mut woken);
+            assert!(woken.contains(&tid));
+            assert_eq!(k.sys_wait4(tid, -1, 0), Err(SysError::Err(Errno::Echild)));
+            k.wait_cancel(child);
+
+            let audit = k.leak_audit();
+            assert!(audit.zombie_tasks.is_empty(), "{:?}", audit.zombie_tasks);
+            assert_eq!(audit.wait_heads, 0, "{}", audit.describe());
+            assert_eq!(k.tids(), [1, tid]);
+            assert_eq!(k.waits.lock().records().len(), 1, "the parent's");
+        }
+        // The default disposition also ignores the signal, but not the
+        // child: that one waits to be waited for.
+        let (mut k, tid) = kernel_with_proc();
+        let child = k.sys_fork(tid).unwrap() as Tid;
+        k.sys_exit_group(child, 3).unwrap();
+        assert_eq!(k.sys_wait4(tid, -1, 0).unwrap().0, child);
+    }
+
+    /// What `fork` shares until written stays each side's own: a handler
+    /// or a working directory set after the fork is invisible across it,
+    /// whichever side sets it — and visible to whoever `clone` said
+    /// shares it.
+    #[test]
+    fn handlers_and_cwd_written_after_a_fork_stay_on_their_side() {
+        let (mut k, parent) = kernel_with_proc();
+        k.sys_rt_sigaction(parent, 10, Some(act(5, 0))).unwrap();
+        let child = k.sys_fork(parent).unwrap() as Tid;
+        let handler =
+            |k: &mut Kernel, t, signo| k.sys_rt_sigaction(t, signo, None).unwrap().handler;
+        assert_eq!(handler(&mut k, child, 10), 5, "inherited");
+
+        k.sys_rt_sigaction(parent, 10, Some(act(6, 0))).unwrap();
+        k.sys_rt_sigaction(child, 12, Some(act(7, 0))).unwrap();
+        assert_eq!(
+            (handler(&mut k, parent, 10), handler(&mut k, child, 10)),
+            (6, 5)
+        );
+        assert_eq!(
+            (handler(&mut k, parent, 12), handler(&mut k, child, 12)),
+            (0, 7)
+        );
+        // A grandchild forked now starts from the child's table.
+        let grandchild = k.sys_fork(child).unwrap() as Tid;
+        k.sys_rt_sigaction(child, 12, Some(act(8, 0))).unwrap();
+        assert_eq!(handler(&mut k, grandchild, 12), 7);
+
+        k.sys_chdir(parent, "/tmp").unwrap();
+        assert_eq!(k.sys_getcwd(parent).unwrap(), "/tmp");
+        assert_eq!(k.sys_getcwd(child).unwrap(), "/");
+        k.sys_chdir(child, "/usr").unwrap();
+        k.sys_umask(child, 0o077).unwrap();
+        assert_eq!(k.sys_getcwd(parent).unwrap(), "/tmp");
+        assert_eq!(k.sys_umask(parent, 0o022).unwrap(), 0o022);
+
+        // `CLONE_SIGHAND` and `CLONE_FS` are the opposite promise.
+        let thread = k.sys_clone(parent, CLONE_PTHREAD).unwrap() as Tid;
+        k.sys_rt_sigaction(thread, 10, Some(act(9, 0))).unwrap();
+        k.sys_chdir(thread, "/usr").unwrap();
+        assert_eq!(handler(&mut k, parent, 10), 9);
+        assert_eq!(k.sys_getcwd(parent).unwrap(), "/usr");
+        assert_eq!(
+            (handler(&mut k, child, 10), k.sys_getcwd(child).unwrap()),
+            (5, "/usr".into())
+        );
+        // An exec in the child resets the child's caught handlers only.
+        k.sys_execve(child).unwrap();
+        assert_eq!(
+            (handler(&mut k, child, 12), handler(&mut k, grandchild, 12)),
+            (0, 7)
+        );
+    }
+
+    /// A thread group is its leader and the threads the leader lists:
+    /// `exit_group` from any of them takes all, a thread that has exited
+    /// is skipped, and the reap removes every one.
+    #[test]
+    fn a_thread_group_dies_and_is_reaped_as_one() {
+        let (mut k, parent) = kernel_with_proc();
+        let leader = k.sys_fork(parent).unwrap() as Tid;
+        let t1 = k.sys_clone(leader, CLONE_PTHREAD).unwrap() as Tid;
+        let t2 = k.sys_clone(t1, CLONE_PTHREAD).unwrap() as Tid;
+        let t3 = k.sys_clone(leader, CLONE_PTHREAD).unwrap() as Tid;
+        assert_eq!(k.task(leader).unwrap().threads, [t1, t2, t3]);
+        k.sys_exit_thread(t1, 0).unwrap();
+        assert_eq!(k.task(t1).unwrap().state, TaskState::Dead);
+        k.drain_woken(&mut Vec::new());
+        // A signal for the process reaches the live members, in tid order.
+        k.sys_pause(t3).unwrap_err();
+        k.sys_pause(t2).unwrap_err();
+        k.sys_pause(t1).unwrap_err(); // stale: t1 no longer runs
+        k.sys_kill(parent, leader, Signal::Sigusr1.number())
+            .unwrap();
+        let mut woken = Vec::new();
+        k.drain_woken(&mut woken);
+        assert_eq!(woken, [t2, t3]);
+        assert!(!k.task(t1).unwrap().sig_hint.get() && k.task(leader).unwrap().sig_hint.get());
+
+        k.sys_exit_group(t2, 5).unwrap();
+        let state = |k: &Kernel, t| k.task(t).unwrap().state.clone();
+        assert!(matches!(state(&k, leader), TaskState::Zombie(_)));
+        assert!([t1, t2, t3]
+            .iter()
+            .all(|t| state(&k, *t) == TaskState::Dead));
+        k.drain_woken(&mut woken);
+        assert_eq!(
+            woken[2..],
+            [leader, t2, t3],
+            "the live ones, for their finish"
+        );
+        let (pid, status) = k.sys_wait4(parent, -1, 0).unwrap();
+        assert_eq!((pid, wexitstatus(status)), (leader, 5));
+        assert_eq!(k.tids(), [1, parent]);
+        let audit = k.leak_audit();
+        assert_eq!(
+            (audit.wait_heads, audit.wait_subscriptions),
+            (0, 0),
+            "{}",
+            audit.describe()
+        );
     }
 
     #[test]

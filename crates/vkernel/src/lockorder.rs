@@ -21,7 +21,7 @@
 //! The rank order (see DESIGN.md "Concurrency" for the full DAG):
 //!
 //! ```text
-//! Kernel(0) → Proc(10) → ReadyHub(12) → Epoll(18) → Object(20) → Description(25) → Vfs(30) → Waits(40)
+//! Kernel(0) → ReadyHub(12) → Epoll(18) → Object(20) → Description(25) → Vfs(30) → Waits(40)
 //! ```
 //!
 //! Debug builds also count this thread's acquisitions, in all
@@ -38,8 +38,6 @@ use std::sync::{Mutex, MutexGuard, TryLockError};
 pub enum LockClass {
     /// The big kernel lock (outermost; syscall bodies).
     Kernel,
-    /// A process-index shard (tid → hot task state).
-    Proc,
     /// The epoll ready-hub routing table (channel → interested epoll
     /// registrations). Ranked *below* Epoll so the waitqueue's
     /// readiness router can look up targets and then take the epoll
@@ -62,7 +60,7 @@ pub enum LockClass {
 }
 
 /// Number of lock classes (sizes the counter table).
-const CLASS_COUNT: usize = 8;
+const CLASS_COUNT: usize = 7;
 
 impl LockClass {
     /// Rank in the ordering DAG; acquisitions must be strictly
@@ -70,7 +68,6 @@ impl LockClass {
     pub fn rank(self) -> u32 {
         match self {
             LockClass::Kernel => 0,
-            LockClass::Proc => 10,
             LockClass::ReadyHub => 12,
             LockClass::Epoll => 18,
             LockClass::Object => 20,
@@ -83,13 +80,12 @@ impl LockClass {
     fn index(self) -> usize {
         match self {
             LockClass::Kernel => 0,
-            LockClass::Proc => 1,
-            LockClass::ReadyHub => 2,
-            LockClass::Epoll => 3,
-            LockClass::Object => 4,
-            LockClass::Description => 5,
-            LockClass::Vfs => 6,
-            LockClass::Waits => 7,
+            LockClass::ReadyHub => 1,
+            LockClass::Epoll => 2,
+            LockClass::Object => 3,
+            LockClass::Description => 4,
+            LockClass::Vfs => 5,
+            LockClass::Waits => 6,
         }
     }
 }
@@ -323,8 +319,8 @@ mod tests {
     #[test]
     fn contention_is_counted() {
         use std::sync::Arc;
-        let m = Arc::new(Tracked::new(LockClass::Proc, 0u64));
-        let before = contention(LockClass::Proc);
+        let m = Arc::new(Tracked::new(LockClass::ReadyHub, 0u64));
+        let before = contention(LockClass::ReadyHub);
         let m2 = m.clone();
         let g = m.lock_ok();
         let t = std::thread::spawn(move || {
@@ -339,6 +335,6 @@ mod tests {
         drop(g);
         t.join().unwrap();
         assert_eq!(*m.lock_ok(), 1);
-        assert!(contention(LockClass::Proc) >= before);
+        assert!(contention(LockClass::ReadyHub) >= before);
     }
 }

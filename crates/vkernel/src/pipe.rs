@@ -184,20 +184,29 @@ mod tests {
         // Walk the ring's start forward so later transfers wrap.
         let mut next = 0u8;
         for round in 0..40 {
-            let chunk: Vec<u8> = (0..5000).map(|_| {
-                next = next.wrapping_add(1);
-                next
-            }).collect();
+            let chunk: Vec<u8> = (0..5000)
+                .map(|_| {
+                    next = next.wrapping_add(1);
+                    next
+                })
+                .collect();
             assert_eq!(p.write(&chunk), PipeIo::Xfer(5000), "round {round}");
             let want = if round % 3 == 0 { 1234 } else { 5000 };
             let n = p.read(&mut out[..want]).unwrap_xfer();
             assert_eq!(n, want.min(p.len() + n));
             let first = out[0];
-            assert!(out[..n].iter().enumerate().all(|(i, b)| *b == first.wrapping_add(i as u8)));
+            assert!(out[..n]
+                .iter()
+                .enumerate()
+                .all(|(i, b)| *b == first.wrapping_add(i as u8)));
         }
         let left = p.len();
         assert_eq!(p.read(&mut out), PipeIo::Xfer(left));
-        assert_eq!(out[left - 1], next, "the last byte written is the last read");
+        assert_eq!(
+            out[left - 1],
+            next,
+            "the last byte written is the last read"
+        );
         assert!(p.is_empty());
     }
 

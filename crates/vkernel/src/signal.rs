@@ -36,7 +36,9 @@ impl SigHandlers {
     /// This table's own, writable actions: made on the first write,
     /// copied on the first write after a copy was taken.
     fn own(&mut self) -> &mut [WaliSigaction; NSIG] {
-        let actions = self.actions.get_or_insert_with(|| Arc::new([WaliSigaction::default(); NSIG]));
+        let actions = self
+            .actions
+            .get_or_insert_with(|| Arc::new([WaliSigaction::default(); NSIG]));
         Arc::make_mut(actions)
     }
 

@@ -164,6 +164,13 @@ impl<T> ObjSlab<T> {
 /// Entries per [`Paged`] page.
 const PAGE: usize = 32;
 
+#[cfg(test)]
+thread_local! {
+    /// Pages this thread's tables have allocated (tests: a steady state
+    /// makes none).
+    pub(crate) static PAGES_MADE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 #[derive(Debug)]
 struct Page<T> {
     live: usize,
@@ -219,7 +226,13 @@ impl<T> Paged<T> {
             self.pages.resize_with(id / PAGE + 1, || None);
         }
         let spare = &mut self.spare;
-        let page = self.pages[id / PAGE].get_or_insert_with(|| spare.take().unwrap_or_default());
+        let page = self.pages[id / PAGE].get_or_insert_with(|| {
+            spare.take().unwrap_or_else(|| {
+                #[cfg(test)]
+                PAGES_MADE.with(|n| n.set(n.get() + 1));
+                Box::default()
+            })
+        });
         (&mut page.live, &mut page.slots[id % PAGE])
     }
 

@@ -9,7 +9,7 @@
 //!
 //! Lock ordering (see DESIGN.md "Concurrency" and
 //! [`crate::lockorder`]): the tracked classes form a DAG acquired
-//! strictly downward — `Kernel → Proc → ReadyHub → Epoll → Object →
+//! strictly downward — `Kernel → ReadyHub → Epoll → Object →
 //! Description → Vfs → Waits` — enforced by a debug-build rank stack.
 //! The other per-task shards (fd table, fs info, signal handlers,
 //! pending sets) are plain mutexes nesting inside whatever class is

@@ -61,7 +61,7 @@ pub struct Shares {
 
 impl Shares {
     /// A block whose cells start out as given.
-    pub fn new(fs: FsInfo, handlers: SigHandlers) -> Arc<Shares> {
+    pub(crate) fn new(fs: FsInfo, handlers: SigHandlers) -> Arc<Shares> {
         Arc::new(Shares {
             sig_hint: AtomicBool::new(false),
             pending: Mutex::new(PendingSet::default()),

@@ -508,7 +508,10 @@ mod tests {
         assert_eq!(c.trace.wasm_steps, 7, "same task, same trace");
         // Fresh: everything that described the old image.
         let space = &c.space;
-        assert_eq!((space.brk.load(Ordering::Relaxed), space.brk_start), (8000, 8000));
+        assert_eq!(
+            (space.brk.load(Ordering::Relaxed), space.brk_start),
+            (8000, 8000)
+        );
         assert!(space.mmap.lock_ok().base() >= 8000 + (1 << 20));
         assert_eq!(*c.args, ["/bin/b"]);
         assert_eq!(*c.env, ["K=V"]);

@@ -201,7 +201,10 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
             return Ok(cur as i64);
         }
         ensure_mapped(c, want)?;
-        c.data.space.brk.store(want, std::sync::atomic::Ordering::Relaxed);
+        c.data
+            .space
+            .brk
+            .store(want, std::sync::atomic::Ordering::Relaxed);
         Ok(want as i64)
     });
 

@@ -358,11 +358,14 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
         if flags & CLONE_CHILD_CLEARTID != 0 {
             let _ = k(c, |kk, _| kk.sys_set_tid_address(child.tid, ctid));
         }
-        suspend(c, WaliSuspend::Clone {
-            child,
-            share_vm: flags & CLONE_VM != 0,
-            thread: flags & CLONE_THREAD != 0,
-        })
+        suspend(
+            c,
+            WaliSuspend::Clone {
+                child,
+                share_vm: flags & CLONE_VM != 0,
+                thread: flags & CLONE_THREAD != 0,
+            },
+        )
     });
 
     // execve(path, argv, envp).

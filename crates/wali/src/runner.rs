@@ -505,7 +505,10 @@ impl WaliRunner {
     /// outcome of a completed run.
     pub(crate) fn finish_outcome(&mut self) -> Result<RunOutcome, RunnerError> {
         let mut outcome = std::mem::take(&mut self.outcome);
-        outcome.trace.counts.merge(&std::mem::take(&mut self.counts));
+        outcome
+            .trace
+            .counts
+            .merge(&std::mem::take(&mut self.counts));
         outcome.sched = self.stats.take();
         outcome.console = self.kernel.lock_ok().take_console();
         Ok(outcome)

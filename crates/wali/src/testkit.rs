@@ -8,6 +8,9 @@
 //! way the tests do, or a fuzzer-found failure would not reproduce as a
 //! regression test.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use vkernel::LeakReport;
 use wasm::build::{FuncBuilder, FuncId, ModuleBuilder};
 use wasm::instr::BlockType;
@@ -15,6 +18,54 @@ use wasm::types::ValType::{I32, I64};
 use wasm::Module;
 
 use crate::runner::{RunOutcome, RunnerError, WaliRunner};
+
+thread_local! {
+    static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// The system allocator, counting what each thread asks of it: the
+/// tests and benches that price a run in allocations install it as
+/// their binary's `#[global_allocator]` and read [`allocated`] around
+/// the run. Per thread, so a `cargo test` sibling allocating on its own
+/// thread is not charged to the one measuring.
+pub struct CountingAlloc;
+
+impl CountingAlloc {
+    fn count(bytes: usize) {
+        ALLOCATED.with(|c| c.set((c.get().0 + 1, c.get().1 + bytes as u64)));
+    }
+}
+
+// SAFETY: defers to `System` for every operation; the only addition is a
+// bump of a const-initialised, destructor-free thread-local, which itself
+// never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+/// `(allocations, bytes)` this thread has requested so far (a `realloc`
+/// is one allocation of its new size) — zeros unless the binary's
+/// global allocator is [`CountingAlloc`].
+pub fn allocated() -> (u64, u64) {
+    ALLOCATED.with(Cell::get)
+}
 
 /// Imports `wali.SYS_<name>` with `n` i64 params returning i64 — the
 /// calling convention every WALI syscall wrapper uses.

@@ -45,15 +45,15 @@ impl SysCounts {
     pub fn bump(&mut self, sysno: u16) {
         match self.dense.get_mut(sysno as usize) {
             Some(cell) => *cell += 1,
-            None => self.add_dense(sysno, 1),
+            None => self.table()[sysno as usize] += 1,
         }
     }
 
-    /// Adds to a cell the table may not have yet.
+    /// The dense cells, made if this is their first use.
     #[cold]
-    fn add_dense(&mut self, sysno: u16, n: u64) {
+    fn table(&mut self) -> &mut [u64] {
         self.dense.resize(SPEC_LEN, 0);
-        self.dense[sysno as usize] += n;
+        &mut self.dense
     }
 
     /// Records one invocation by name (slow path; resolves the index).
@@ -64,20 +64,17 @@ impl SysCounts {
     /// Adds `n` invocations of `name`.
     fn add(&mut self, name: &'static str, n: u64) {
         match spec::sysno(name) {
-            Some(no) => self.add_dense(no, n),
+            Some(no) => self.table()[no as usize] += n,
             None => *self.named.entry(name).or_insert(0) += n,
         }
     }
 
     /// Adds every count of `other`.
     pub fn merge(&mut self, other: &SysCounts) {
-        // Skipping the (typical) zero cells keeps a table nobody counted
-        // in from making this one.
+        // Only the nonzero cells: a table nobody counted in does not
+        // make this one.
         for (i, n) in other.dense.iter().enumerate().filter(|(_, n)| **n != 0) {
-            match self.dense.get_mut(i) {
-                Some(cell) => *cell += n,
-                None => self.add_dense(i as u16, *n),
-            }
+            self.table()[i] += n;
         }
         for (name, n) in &other.named {
             self.add(name, *n);
@@ -107,7 +104,8 @@ impl SysCounts {
     /// order, then the named ones.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         let dense = self.dense.iter().enumerate();
-        let dense = dense.filter_map(|(i, c)| (*c > 0).then(|| (spec::SPEC[i].name, *c)));
+        let dense = dense.filter(|(_, c)| **c > 0);
+        let dense = dense.map(|(i, c)| (spec::SPEC[i].name, *c));
         dense.chain(self.named.iter().map(|(n, c)| (*n, *c)))
     }
 

@@ -13,9 +13,6 @@
 //! own thread must not be charged to this one) and the runs pin one
 //! worker, so the whole run happens on the counting thread.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use wasm::build::ModuleBuilder;
 use wasm::instr::BlockType;
 use wasm::prep::FuncDef;
@@ -23,35 +20,10 @@ use wasm::types::ValType::{I32, I64};
 use wasm::Module;
 
 use wali::runner::WaliRunner;
-use wali::testkit::{roundtrip, sys};
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: defers to `System` for every operation; the only addition is a
-// bump of a const-initialised, destructor-free thread-local, which itself
-// never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use wali::testkit::{allocated, roundtrip, sys, CountingAlloc};
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 const IO_BYTES: i64 = 64;
 
@@ -126,9 +98,9 @@ fn allocs_of_run(rounds: u32, regir: bool) -> u64 {
     runner.set_regir(regir);
     runner.register_program("/usr/bin/app", &module).unwrap();
     runner.spawn("/usr/bin/app", &[], &[]).unwrap();
-    let before = ALLOCS.with(Cell::get);
+    let before = allocated().0;
     let out = runner.run().expect("run");
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let allocs = allocated().0 - before;
     assert_eq!(out.exit_code(), Some(b'x' as i32));
     assert_eq!(out.trace.counts.of("read"), rounds as u64);
     assert_eq!(out.trace.total_syscalls(), 7 * rounds as u64 + 1);
@@ -157,9 +129,9 @@ fn a_second_runner_does_not_rebuild_the_import_table() {
     // Whichever runner comes first in this process builds the table and
     // the standard VFS layout.
     drop(WaliRunner::new_default());
-    let before = ALLOCS.with(Cell::get);
+    let before = allocated().0;
     drop(WaliRunner::new_default());
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let allocs = allocated().0 - before;
     // 29: the kernel's own tables plus one clone of the inode table.
     // Replaying the layout per runner made it 103; one registration per
     // spec entry would be > 1 000.
@@ -171,9 +143,9 @@ fn a_second_start_of_a_seen_module_prepares_nothing() {
     let guest = dense_guest(3);
     let link = |module: &Module| {
         let mut runner = WaliRunner::new_default();
-        let before = ALLOCS.with(Cell::get);
+        let before = allocated().0;
         runner.register_program("/usr/bin/app", module).unwrap();
-        let allocs = ALLOCS.with(Cell::get) - before;
+        let allocs = allocated().0 - before;
         (runner, allocs)
     };
     let (first, _) = link(&roundtrip(&guest));

@@ -14,44 +14,16 @@
 //! The counter is per thread and the runs pin one worker, so the whole
 //! run happens on the counting thread.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use wasm::build::ModuleBuilder;
 use wasm::instr::BlockType;
 use wasm::types::ValType::I32;
 use wasm::Module;
 
 use wali::runner::WaliRunner;
-use wali::testkit::{roundtrip, spawn_thread, sys};
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: defers to `System` for every operation; the only addition is a
-// bump of a const-initialised, destructor-free thread-local, which itself
-// never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use wali::testkit::{allocated, roundtrip, spawn_thread, sys, CountingAlloc};
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Main writes pipe A and reads pipe B `rounds` times; a `clone` thread
 /// echoes A to B. Exit code: the last byte that came back.
@@ -113,9 +85,9 @@ fn allocs_of_pingpong(rounds: u32) -> u64 {
     runner.set_workers(1);
     runner.register_program("/usr/bin/app", &module).unwrap();
     runner.spawn("/usr/bin/app", &[], &[]).unwrap();
-    let before = ALLOCS.with(Cell::get);
+    let before = allocated().0;
     let out = runner.run().expect("run");
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let allocs = allocated().0 - before;
     assert_eq!(out.exit_code(), Some(b'p' as i32));
     assert_eq!(out.trace.counts.of("write"), 2 * rounds as u64);
     // Every round parks both sides; the kernel woke each park.
@@ -229,9 +201,9 @@ fn allocs_of_herd(events: u32) -> (u64, u64) {
     runner.set_workers(1);
     runner.register_program("/usr/bin/app", &module).unwrap();
     runner.spawn("/usr/bin/app", &[], &[]).unwrap();
-    let before = ALLOCS.with(Cell::get);
+    let before = allocated().0;
     let out = runner.run().expect("run");
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let allocs = allocated().0 - before;
     assert_eq!(out.exit_code(), Some(0));
     assert_eq!(out.trace.counts.of("write"), 2 * events as u64);
     (allocs, out.sched.blocked_retries)
@@ -267,9 +239,9 @@ fn allocs_of_loopback(requests: u32) -> u64 {
     runner.set_workers(1);
     runner.register_program("/usr/bin/app", &module).unwrap();
     runner.spawn("/usr/bin/app", &[], &[]).unwrap();
-    let before = ALLOCS.with(Cell::get);
+    let before = allocated().0;
     let out = runner.run().expect("run");
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let allocs = allocated().0 - before;
     assert_eq!(out.exit_code(), Some(0));
     assert_eq!(out.trace.counts.of("connect"), requests as u64);
     allocs

@@ -403,8 +403,10 @@ fn a_request_stays_inside_its_lock_budget() {
     // all woken through their epoll instances. Was 273.
     let prefork = locks_per_unit(8, 8, &|n| apps::prefork_server_sim(8, n).module);
     assert!(prefork.0 <= 200, "prefork request: {prefork:?}");
-    // `bash_jobs`: fork, a pipe between parent and child, wait4. Was 74.
+    // `bash_jobs`: fork, a pipe between parent and child, wait4. Was 74,
+    // then 64 until the process index went (a child's context is handed
+    // its handles by the `fork` that made it).
     let job = locks_per_unit(32, 1, &|n| apps::bash_sim(n).module);
-    assert!(job.0 <= 70, "bash job: {job:?}");
+    assert!(job.0 <= 59, "bash job: {job:?}");
     println!("locks per unit: loopback {loopback:?} prefork {prefork:?} bash job {job:?}");
 }

@@ -1267,3 +1267,178 @@ fn a_listener_closed_over_a_pending_connection_resets_its_client() {
         assert!(leaks.is_clean(), "workers {workers}: {}", leaks.describe());
     }
 }
+
+/// pipe(7) atomicity, end to end: two forked writers each `write` a
+/// 100-byte message into a pipe with 40 bytes free. Each message goes in
+/// whole once the reader has made room — none is split, so the two
+/// cannot interleave — and each `write` answers 100.
+#[test]
+fn two_small_writers_into_a_nearly_full_pipe_do_not_interleave() {
+    const CAPACITY: i32 = 65_536;
+    const MESSAGE: i32 = 100;
+    let mut mb = ModuleBuilder::new();
+    let pipe = sys(&mut mb, "pipe", 1);
+    let fork = sys(&mut mb, "fork", 0);
+    let read = sys(&mut mb, "read", 3);
+    let write = sys(&mut mb, "write", 3);
+    let close = sys(&mut mb, "close", 1);
+    let exit = sys(&mut mb, "exit_group", 1);
+    mb.memory(2, Some(16));
+    let fds = mb.reserve(8);
+    let filler = mb.data(&[b'f'; 4096]);
+    let msg_a = mb.data(&[b'a'; MESSAGE as usize]);
+    let msg_b = mb.data(&[b'b'; MESSAGE as usize]);
+    let sink = mb.reserve(4096);
+    let tail = mb.reserve(512);
+    let main_sig = mb.sig([], [I32]);
+    let main = mb.func(main_sig, |b| {
+        let (n, left, got, i, ok) = (
+            b.local(I64),
+            b.local(I32),
+            b.local(I32),
+            b.local(I32),
+            b.local(I32),
+        );
+        let rfd = |b: &mut wasm::build::FuncBuilder| {
+            b.i32(fds as i32).load32(0).extend_u();
+        };
+        let wfd = |b: &mut wasm::build::FuncBuilder| {
+            b.i32(fds as i32 + 4).load32(0).extend_u();
+        };
+        b.i64(fds as i64).call(pipe).drop_();
+        // Fill the pipe to 40 bytes short: 15 × 4096 + 4056.
+        for len in std::iter::repeat_n(4096, 15).chain([4096 - 40]) {
+            wfd(b);
+            b.i64(filler as i64).i64(len).call(write).drop_();
+        }
+        // Two writers, one blocking 100-byte `write` each; the exit code
+        // says whether it answered 100.
+        for msg in [msg_a, msg_b] {
+            b.call(fork).i64(0).eq64();
+            b.if_(BlockType::Empty, |b| {
+                wfd(b);
+                b.i64(msg as i64).i64(MESSAGE as i64).call(write);
+                b.i64(MESSAGE as i64)
+                    .eq64()
+                    .eqz32()
+                    .extend_u()
+                    .call(exit)
+                    .drop_();
+            });
+        }
+        wfd(b);
+        b.call(close).drop_();
+        // Drain the filler …
+        b.i32(CAPACITY - 40).local_set(left);
+        b.loop_(BlockType::Empty, |b| {
+            rfd(b);
+            b.i64(sink as i64);
+            // min(left, 4096)
+            b.local_get(left)
+                .i32(4096)
+                .local_get(left)
+                .i32(4096)
+                .lt_s32()
+                .select();
+            b.extend_u().call(read).local_set(n);
+            b.local_get(left)
+                .local_get(n)
+                .wrap()
+                .sub32()
+                .local_set(left);
+            b.i32(0).local_get(left).lt_s32().br_if(0);
+        });
+        // … then everything up to EOF: the two messages.
+        b.loop_(BlockType::Empty, |b| {
+            rfd(b);
+            b.i32(tail as i32).local_get(got).add32().extend_u();
+            b.i32(512).local_get(got).sub32().extend_u();
+            b.call(read).local_set(n);
+            b.local_get(got).local_get(n).wrap().add32().local_set(got);
+            b.i64(0).local_get(n).lt_s64().br_if(0);
+        });
+        // 200 bytes: 100 of one letter, then 100 of the other.
+        b.local_get(got).i32(2 * MESSAGE).eq32();
+        b.i32(tail as i32)
+            .load8u(0)
+            .i32(tail as i32)
+            .load8u(MESSAGE as u32)
+            .ne32();
+        b.and32().local_set(ok);
+        b.loop_(BlockType::Empty, |b| {
+            for half in [0, MESSAGE as u32] {
+                b.i32(tail as i32).local_get(i).add32().load8u(half);
+                b.i32(tail as i32).load8u(half).eq32();
+                b.local_get(ok).and32().local_set(ok);
+            }
+            b.local_get(i)
+                .i32(1)
+                .add32()
+                .local_tee(i)
+                .i32(MESSAGE)
+                .lt_s32()
+                .br_if(0);
+        });
+        b.local_get(ok).eqz32();
+    });
+    mb.export("_start", main);
+    let out = run(&mb.build(), &[]);
+    assert_eq!(out.exit_code(), Some(0), "a message was split or lost");
+    assert_eq!(out.ends.len(), 3);
+    assert!(
+        out.ends.iter().all(|(_, end)| *end == TaskEnd::Exited(0)),
+        "a writer's `write` did not answer 100: {:?}",
+        out.ends
+    );
+}
+
+/// A daemon that ignores `SIGCHLD` forks a thousand children and never
+/// waits: each is reaped as it exits, so the run ends with the kernel
+/// holding what it held before the first fork — no zombie, no wait
+/// record — and `wait4` has nothing to report.
+#[test]
+fn a_thousand_unwaited_children_of_a_sigchld_ignorer_leave_nothing() {
+    use wali::testkit::{run_module, RunnerOpts};
+    const FORKS: i32 = 1000;
+    let mut mb = ModuleBuilder::new();
+    let sigaction = sys(&mut mb, "rt_sigaction", 4);
+    let fork = sys(&mut mb, "fork", 0);
+    let wait4 = sys(&mut mb, "wait4", 4);
+    let exit = sys(&mut mb, "exit_group", 1);
+    mb.memory(1, Some(2));
+    let act = mb.reserve(24);
+    let main_sig = mb.sig([], [I32]);
+    let main = mb.func(main_sig, |b| {
+        let i = b.local(I32);
+        // SIGCHLD (17) := SIG_IGN (1).
+        b.i32(act as i32).i32(1).store32(0);
+        b.i64(17)
+            .i64(act as i64)
+            .i64(0)
+            .i64(8)
+            .call(sigaction)
+            .drop_();
+        b.loop_(BlockType::Empty, |b| {
+            b.call(fork).i64(0).eq64();
+            b.if_(BlockType::Empty, |b| {
+                b.i64(0).call(exit).drop_();
+            });
+            b.local_get(i)
+                .i32(1)
+                .add32()
+                .local_tee(i)
+                .i32(FORKS)
+                .lt_s32()
+                .br_if(0);
+        });
+        // Blocks while any child still runs, then: -ECHILD (10).
+        b.i64(-1).i64(0).i64(0).i64(0).call(wait4);
+        b.i64(-10).eq64().eqz32();
+    });
+    mb.export("_start", main);
+    let report = run_module(&mb.build(), &[], &[], RunnerOpts::default()).expect("run");
+    assert_eq!(report.outcome.exit_code(), Some(0), "wait4 found a child");
+    assert_eq!(report.outcome.ends.len(), FORKS as usize + 1);
+    assert!(report.leaks.is_clean(), "{}", report.leaks.describe());
+    assert_eq!(report.leaks.zombie_tasks.len(), 1, "the main task alone");
+}

@@ -275,5 +275,4 @@ mod tests {
         let fd_write = |l: &Linker<()>| l.resolve("wasi", "fd_write").unwrap().clone();
         assert!(Arc::ptr_eq(&fd_write(&base), &fd_write(&copy)));
     }
-
 }

@@ -225,28 +225,23 @@ impl PageStore {
         if pages.len() <= idx {
             pages.resize(idx + 1, None);
         }
-        let slot = &mut pages[idx];
-        // Sole owner (again: the sibling wrote or exited first)? Not
-        // `strong_count`: `get_mut`'s check acquires the sibling's release
-        // of its reference, which orders its last read of the page before
-        // the writes this pointer is for.
-        let sole = slot.as_mut().map(|page| Arc::get_mut(page).is_some());
-        let ptr = match (&*slot, sole) {
-            (Some(page), Some(true)) => page.data(),
-            (Some(page), _) => {
-                // COW: the page is shared with a forked sibling; copy it.
-                let fresh = Page::copy_of(page);
-                let ptr = fresh.data();
-                *slot = Some(fresh);
-                ptr
+        let ptr = match &mut pages[idx] {
+            Some(page) => {
+                // Sole owner (again: the sibling wrote or exited first)?
+                // Not `strong_count`: `get_mut`'s check acquires the
+                // sibling's release of its reference, which orders its
+                // last read of the page before the writes this pointer is
+                // for. Otherwise the page is shared with a forked
+                // sibling: COW.
+                if Arc::get_mut(page).is_none() {
+                    *page = Page::copy_of(page);
+                }
+                page.data()
             }
-            (None, _) => {
-                let fresh = Page::zeroed();
-                let ptr = fresh.data();
-                *slot = Some(fresh);
+            slot => {
                 let now = self.resident.fetch_add(1, Ordering::Relaxed) + 1;
                 self.peak_resident.fetch_max(now, Ordering::Relaxed);
-                ptr
+                slot.insert(Page::zeroed()).data()
             }
         };
         self.read_ptrs()[idx].store(ptr, Ordering::Release);
@@ -460,7 +455,10 @@ impl Memory {
                 let src = a.pages.lock().expect("page table");
                 let mut dst = b.pages.lock().expect("page table");
                 let mut resident = 0;
-                *dst = src.iter().map(|slot| slot.as_deref().map(Page::copy_of)).collect();
+                *dst = src
+                    .iter()
+                    .map(|slot| slot.as_deref().map(Page::copy_of))
+                    .collect();
                 for (i, page) in dst.iter().enumerate() {
                     if let Some(fresh) = page {
                         b.read_ptrs()[i].store(fresh.data(), Ordering::Release);
