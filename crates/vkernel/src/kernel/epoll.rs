@@ -1,7 +1,7 @@
 //! `epoll`: scalable readiness notification.
 //!
 //! A thin, deterministic model of the Linux epoll family, layered over the
-//! same readiness logic as `poll` (`Kernel::poll_one`) and the same
+//! same readiness logic as `poll` (`Kernel::probe`) and the same
 //! waitqueues as every other blocking call:
 //!
 //! * the interest list is keyed by descriptor number but each
@@ -30,17 +30,17 @@
 //!   registrations onto their instance's `Epoll::ready` ring (the
 //!   `queued` flag keeps an entry on the ring at most once) and posting
 //!   [`Channel::EpollReady`] for freshly queued entries;
-//! * `epoll_wait` drains the ring and re-verifies only the popped
-//!   entries — O(ready), not O(interest) — re-queuing still-ready
-//!   level-triggered entries; a parked waiter subscribes the single
-//!   `EpollReady` channel, whatever the interest-list size. The pop
-//!   works in the kernel's retained candidate list and resolves the
-//!   epoll fd once per call, so a woken waiter that finds the ring
-//!   empty (seven of the eight workers a prefork herd wakes per
-//!   connection) allocates nothing and takes one lock;
-//! * `poll`/`ppoll` on an epoll fd runs the same pop as a pure peek: it
-//!   verifies, consumes no ET edge or ONESHOT arm, and re-queues
-//!   everything it popped.
+//! * `epoll_wait` pops the ring under one hold of the instance's lock
+//!   ([`Kernel::epoll_wait`]): it re-verifies only the popped entries —
+//!   O(ready), not O(interest) — each through the pipe or socket its
+//!   registration was armed with, re-queues still-ready level-triggered
+//!   entries and, for a caller about to block with nothing to report,
+//!   subscribes the single `EpollReady` channel before letting go.
+//!   Producers push under that lock and post after it, so whichever
+//!   side comes second sees the other. A woken waiter that finds its
+//!   one candidate drained (seven of the eight workers a prefork herd
+//!   wakes per connection) takes three locks and allocates nothing;
+//! * `poll`/`ppoll` on an epoll fd runs the same pop as a pure peek.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Weak};
@@ -58,6 +58,7 @@ use crate::sync::{FastMap, MutexExt};
 use crate::wait::Channel;
 use crate::{SysResult, Tid};
 
+use super::sock::Pollable;
 use super::{ChanSet, Kernel};
 
 /// One interest-list registration. Like Linux, the registration key is
@@ -70,7 +71,13 @@ pub(crate) struct EpollReg {
     pub(crate) fd: i32,
     pub(crate) events: u32,
     pub(crate) data: u64,
+    /// The registered description: its identity, and whether anything
+    /// still holds it (a fully closed one is swept).
     pub(crate) file: Weak<Tracked<OpenFile>>,
+    /// The pipe end or socket that description holds: a pop verifies
+    /// through it. `None` for the kinds that are probed through `file`
+    /// (an eventfd's counter, the always-ready rest).
+    pub(crate) object: Option<Pollable>,
     /// `EPOLLET` state: the readiness mask the previous pop observed.
     /// A bit reports when it rises, or when the registration's event
     /// generation moved (a new transition arrived — Linux re-notifies
@@ -94,29 +101,27 @@ pub(crate) struct EpollReg {
     pub(crate) hub_chans: ChanSet,
 }
 
-/// One drained ring entry on its way through a pop: what the drain
-/// copied of the registration — its description already upgraded, so
-/// the probe starts from a handle — then what verifying it decided,
-/// applied to the interest list in one pass at the end.
+/// What a pop does besides verifying what it popped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Pop {
+    /// `poll` on the epoll fd: no ET edge or ONESHOT disarm is recorded
+    /// and every popped entry goes back on the ring.
+    Peek,
+    /// `epoll_wait` that returns whatever it finds.
+    Take,
+    /// `epoll_wait` that blocks: with nothing to report, the caller is
+    /// subscribed before the pop lets go of the instance.
+    TakeOrPark,
+}
+
+/// What a blocked `epoll_wait` retries by: the description it resolved,
+/// *kept* — a sibling that closes the descriptor (and reuses the number)
+/// neither releases the instance under the waiter nor redirects it:
+/// Linux's `fdget` — and the instance ([`Kernel::epoll_release`]).
 #[derive(Debug)]
-pub(crate) struct Candidate {
-    key: u64,
-    events: u32,
-    data: u64,
-    prev_ready: u32,
-    prev_gen: u64,
-    hub_chans: ChanSet,
-    /// The registered description; `None` once it is fully closed
-    /// (remove the registration).
-    file: Option<FileRef>,
-    /// New `(prev_ready, prev_gen)` edge memory, and whether ONESHOT
-    /// fired.
-    update: Option<(u32, u64, bool)>,
-    /// The description's wait channels changed: the new hub wiring.
-    rewire: Option<ChanSet>,
-    /// Goes back on the ring (still-ready level-triggered, past the
-    /// caller's budget, or a peek).
-    requeue: bool,
+pub struct EpollHold {
+    file: FileRef,
+    ep: Handle<Epoll>,
 }
 
 /// One epoll instance: the interest list and its ready ring.
@@ -223,17 +228,41 @@ fn poll_to_epoll(revents: i16, interest: u32) -> u32 {
 }
 
 impl Kernel {
-    /// The epoll instance behind `epfd` — resolved once per
-    /// `epoll_wait`, then [`Kernel::epoll_pop`] and
-    /// [`Kernel::epoll_park`] go by handle.
-    pub fn epoll_of(&self, tid: Tid, epfd: i32) -> Result<Handle<Epoll>, Errno> {
+    /// `f` on the description behind `epfd` and the instance it holds.
+    fn with_epoll<R>(
+        &self,
+        tid: Tid,
+        epfd: i32,
+        f: impl FnOnce(&FileRef, &Handle<Epoll>) -> R,
+    ) -> Result<R, Errno> {
         let task = self.task(tid)?;
         let table = task.fdtable.lock_ok();
-        let file = table.get(epfd)?.file.lock_ok();
-        match &file.kind {
-            FileKind::Epoll(ep) => Ok(ep.clone()),
+        let file = &table.get(epfd)?.file;
+        let guard = file.lock_ok();
+        match &guard.kind {
+            FileKind::Epoll(ep) => Ok(f(file, ep)),
             _ => Err(Errno::Einval),
         }
+    }
+
+    /// The epoll instance behind `epfd`.
+    pub fn epoll_of(&self, tid: Tid, epfd: i32) -> Result<Handle<Epoll>, Errno> {
+        self.with_epoll(tid, epfd, |_, ep| ep.clone())
+    }
+
+    /// Resolves `epfd` for an `epoll_wait` — once per call, however
+    /// often it blocks: the retries go by the hold.
+    pub fn epoll_hold(&self, tid: Tid, epfd: i32) -> Result<EpollHold, Errno> {
+        self.with_epoll(tid, epfd, |file, ep| EpollHold {
+            file: file.clone(),
+            ep: ep.clone(),
+        })
+    }
+
+    /// The `epoll_wait` that took `hold` is over; if its descriptor was
+    /// closed meanwhile, this is the last reference and releases.
+    pub fn epoll_release(&mut self, hold: EpollHold) {
+        self.release_if_last(hold.file);
     }
 
     /// Frees an epoll instance when its last descriptor closes,
@@ -281,14 +310,15 @@ impl Kernel {
         let ep = self.epoll_of(tid, epfd)?;
         // The target must be an open descriptor of the caller.
         let target = self.task(tid)?.fdtable.lock_ok().file(fd)?;
-        if matches!(target.lock_ok().kind, FileKind::Epoll(_)) {
+        let object = match &target.lock_ok().kind {
             // Nested epoll instances would make the wait-channel walk
             // cyclic; Linux reports closed loops the same way.
-            return Err(Errno::Eloop.into());
-        }
+            FileKind::Epoll(_) => return Err(Errno::Eloop.into()),
+            kind => Pollable::of(kind),
+        };
         // What happened under the epoll lock (hub bookkeeping and the
-        // readiness probe run after it drops: they take locks that rank
-        // below/above the epoll class).
+        // readiness probe run after it drops: the hub ranks below the
+        // epoll class).
         enum Edit {
             Armed(u64, ChanSet),
             Deleted(ChanSet, u64),
@@ -307,6 +337,7 @@ impl Kernel {
                         events,
                         data,
                         file: Arc::downgrade(&target),
+                        object,
                         prev_ready: 0,
                         prev_gen: 0,
                         armed: true,
@@ -337,25 +368,32 @@ impl Kernel {
         };
         match edit {
             Edit::Armed(key, old_chans) => {
-                self.ring_arm(tid, &ep, key, &target, events, old_chans)?;
+                self.ring_arm(tid, &ep, key, &target, events, old_chans, None)?
             }
-            Edit::Deleted(chans, key) => {
-                // No wakeup: a waiter that no longer matches this entry
-                // simply never sees it (a stale ring key is skipped at
-                // the next pop).
-                for ch in chans.iter() {
-                    self.waits.hub_unregister(ch, ep.id, key);
-                }
-            }
+            // No wakeup: a waiter that no longer matches this entry
+            // simply never sees it (a stale ring key is skipped at the
+            // next pop).
+            Edit::Deleted(chans, key) => self.waits.hub_rewire(&ep, key, chans, ChanSet::default()),
         }
         Ok(0)
     }
 
-    /// (Re)wires registration `key`'s hub channels and, when the
-    /// description is report-worthy right now, queues it and posts the
-    /// wakeup. Registration happens *before* the readiness probe so a
-    /// transition landing after the probe is guaranteed to route; a
-    /// not-ready `EPOLL_CTL_ADD` wakes nobody.
+    /// The sum of `chans`' event generations: it moves whenever a new
+    /// transition (post) happened on any of them — the ET re-arm signal.
+    fn generation(&self, chans: ChanSet) -> u64 {
+        let waits = self.waits.lock();
+        chans.iter().map(|ch| waits.generation(ch)).sum()
+    }
+
+    /// (Re)wires registration `key`'s hub channels — it watched `old` —
+    /// *then* looks at the description: a transition landing after the
+    /// look is guaranteed to route. `epoll_ctl` (`seen: None`) queues
+    /// the registration and posts the wakeup if it is report-worthy now
+    /// (a not-ready `EPOLL_CTL_ADD` wakes nobody); a pop that found the
+    /// channel set changed says what it `seen` — revents, generation —
+    /// and queues it if anything moved since: a transition on a channel
+    /// not yet watched reached no ring.
+    #[allow(clippy::too_many_arguments)]
     fn ring_arm(
         &mut self,
         tid: Tid,
@@ -363,207 +401,181 @@ impl Kernel {
         key: u64,
         file: &FileRef,
         events: u32,
-        old_chans: ChanSet,
-    ) -> SysResult {
-        let (chans, _) = self.probe(tid, file, epoll_to_poll(events))?;
-        for ch in chans.iter() {
-            self.waits.hub_register(ch, ep, key);
-        }
-        for ch in old_chans.iter().filter(|ch| !chans.contains(*ch)) {
-            self.waits.hub_unregister(ch, ep.id, key);
-        }
+        old: ChanSet,
+        seen: Option<(i16, u64)>,
+    ) -> SysResult<()> {
+        let asked = epoll_to_poll(events);
+        let (chans, _) = self.probe(tid, file, asked)?;
+        self.waits.hub_rewire(ep, key, old, chans);
         if let Some(reg) = ep.lock_ok().interest.get_mut(&key) {
             reg.hub_chans = chans;
         }
-        let (_, revents) = self.probe(tid, file, epoll_to_poll(events))?;
-        if poll_to_epoll(revents, events) != 0 {
-            let pushed = ep.lock_ok().ring_push(key);
-            if pushed {
-                self.wait_post(Channel::EpollReady(ep.id));
-            }
+        let (_, revents) = self.probe(tid, file, asked)?;
+        let push = match seen {
+            None => poll_to_epoll(revents, events) != 0,
+            Some(seen) => (revents, self.generation(chans)) != seen,
+        };
+        if push && ep.lock_ok().ring_push(key) {
+            self.wait_post(Channel::EpollReady(ep.id));
         }
-        Ok(0)
+        Ok(())
     }
 
     /// The ready-ring pop: appends up to `max` ready `(events, data)`
-    /// reports to `out`, in registration order. Drains the ring,
-    /// re-verifies only the popped entries — O(ready) — and re-queues
-    /// still-ready level-triggered entries plus anything past the
-    /// caller's budget. A registration stays live as long as *any*
-    /// duplicate of its open file description exists (`dup`/fork copies
-    /// keep it reportable even after the registering fd number is closed
-    /// — Linux's description-keyed semantics); it is swept once the
-    /// description is fully closed. Never blocks — the embedder handles
-    /// timeout and parking, exactly as for `poll`. Allocates nothing
-    /// beyond what `out` needs to grow.
+    /// reports to `out`, in registration order, and says whether it
+    /// parked the caller ([`Pop::TakeOrPark`] with nothing to report).
+    /// Under one hold of the instance it drains the ring, re-verifies
+    /// only the popped entries — O(ready) — and re-queues still-ready
+    /// level-triggered entries plus anything past the caller's budget. A
+    /// registration stays live while *any* duplicate of its description
+    /// exists and is swept once that is fully closed. Never blocks — the
+    /// embedder handles the timeout — and allocates nothing beyond what
+    /// `out` needs to grow.
     ///
-    /// `peek` is `poll` on the epoll fd itself: the same verification,
-    /// but no ET edge memory or ONESHOT disarm is recorded and every
-    /// popped entry goes back on the ring, so the following `epoll_wait`
-    /// still reports it.
+    /// Lock order: `Epoll → Object` for a verify, `Epoll → Waits` for an
+    /// ET generation and the park. What needs the ready hub, which ranks
+    /// *below* the instance, waits until the hold is over: a swept
+    /// registration's channels, the re-wiring of one whose description
+    /// changed its channel set (a connected socket gained its peer's).
     pub(crate) fn epoll_ready(
         &mut self,
         tid: Tid,
         ep: &Handle<Epoll>,
         max: usize,
-        peek: bool,
+        how: Pop,
         out: &mut Vec<(u32, u64)>,
-    ) -> SysResult<()> {
-        let budget = out.len() + max.max(1);
-        // Phase 1: drain the whole ring under the epoll lock, copying
-        // the armed registrations into the kernel's candidate list. Keys
-        // are sorted so reports come out in registration order
-        // (single-worker runs stay bit-deterministic). `queued` clears
-        // now: a transition racing the verification below re-pushes and
-        // is seen by the next pop.
-        let mut cands = std::mem::take(&mut self.epoll_scratch);
-        {
-            let mut g = ep.lock_ok();
+    ) -> bool {
+        let (start, budget) = (out.len(), out.len() + max.max(1));
+        // `(key, channels it watched, what the pop saw: the description,
+        // its events, revents and generation — none once fully closed)`.
+        let mut rewires = Vec::new();
+        let mut g = ep.lock_ok();
+        // Keys are sorted so reports come out in registration order
+        // (single-worker runs stay bit-deterministic).
+        g.ready.make_contiguous().sort_unstable();
+        let mut last = None;
+        for _ in 0..g.ready.len() {
             let Epoll {
                 ready, interest, ..
             } = &mut *g;
-            ready.make_contiguous().sort_unstable();
-            let mut last = None;
-            for key in ready.drain(..).filter(|k| last.replace(*k) != Some(*k)) {
-                // Unknown key: deleted after it was queued — dropped.
-                let Some(reg) = interest.get_mut(&key) else {
-                    continue;
-                };
-                reg.queued = false;
-                if reg.armed {
-                    cands.push(Candidate {
-                        key,
-                        events: reg.events,
-                        data: reg.data,
-                        prev_ready: reg.prev_ready,
-                        prev_gen: reg.prev_gen,
-                        hub_chans: reg.hub_chans,
-                        file: reg.file.upgrade(),
-                        update: None,
-                        rewire: None,
-                        requeue: false,
-                    });
-                }
-            }
-        }
-        if cands.is_empty() {
-            self.epoll_scratch = cands;
-            return Ok(());
-        }
-        // Phase 2: verify with no epoll lock held (a probe takes
-        // description and object locks).
-        for c in &mut cands {
-            if out.len() >= budget {
-                // Past the caller's budget: re-queue unverified, their
-                // transitions are still unconsumed.
-                c.requeue = true;
+            let key = ready.pop_front().expect("counted");
+            // Unknown key: deleted after it was queued — dropped.
+            let (false, Some(reg)) = (last.replace(key) == Some(key), interest.get_mut(&key))
+            else {
+                continue;
+            };
+            reg.queued = false;
+            if !reg.armed {
                 continue;
             }
-            let Some(file) = &c.file else { continue };
-            let asked = epoll_to_poll(c.events);
-            let (mut chans, mut revents) = self.probe(tid, file, asked)?;
-            if chans != c.hub_chans {
-                // The description's readiness channels changed (a socket
-                // that connected gained its peer's space channel):
-                // register them, then look again — registering *before*
-                // the probe that counts closes the missed-transition
-                // window.
-                for ch in chans.iter().filter(|ch| !c.hub_chans.contains(*ch)) {
-                    self.waits.hub_register(ch, ep, c.key);
-                }
-                (chans, revents) = self.probe(tid, file, asked)?;
-                c.rewire = Some(chans);
+            if out.len() >= budget {
+                // Past the caller's budget: re-queued unverified, its
+                // transitions are still unconsumed.
+                reg.queued = true;
+                ready.push_back(key);
+                continue;
             }
-            let ready = poll_to_epoll(revents, c.events);
-            let et = c.events & EPOLLET != 0;
-            // The sum of the channels' event generations moves whenever
-            // a new transition (post) happened on any of them: the ET
-            // re-arm signal.
-            let gen = if et {
-                let waits = self.waits.lock();
-                chans.iter().map(|ch| waits.generation(ch)).sum()
+            let asked = epoll_to_poll(reg.events);
+            let probed = match (&reg.object, reg.file.strong_count()) {
+                (_, 0) => None,
+                (Some(object), _) => Some(object.probe(asked)),
+                (None, _) => reg.file.upgrade().map(|file| {
+                    // A device that lost its inode reads as never ready.
+                    let probed = self.probe(tid, &file, asked).unwrap_or_default();
+                    // A description that tells its own readiness holds
+                    // no pipe or socket: if a `close` just made this
+                    // reference the last, releasing it takes nothing
+                    // that ranks below the instance.
+                    self.release_if_last(file);
+                    probed
+                }),
+            };
+            let Some((chans, revents)) = probed else {
+                // Fully closed: swept.
+                rewires.push((key, reg.hub_chans, None));
+                g.remove_reg(key);
+                continue;
+            };
+            let rewire = (chans != reg.hub_chans)
+                .then(|| reg.file.upgrade())
+                .flatten();
+            let ready_now = poll_to_epoll(revents, reg.events);
+            let et = reg.events & EPOLLET != 0;
+            let gen = if et || rewire.is_some() {
+                self.generation(chans)
             } else {
                 0
             };
+            if let Some(file) = rewire {
+                rewires.push((key, reg.hub_chans, Some((file, reg.events, revents, gen))));
+            }
             let report = if et {
                 // Edge-triggered: report bits that rose since the
                 // previous pop, or everything ready when a new
                 // transition arrived in between (generation moved) —
                 // data written between a drain and this pop must
                 // re-notify, like Linux ET re-arming on new events.
-                (ready & !c.prev_ready) | if gen != c.prev_gen { ready } else { 0 }
+                (ready_now & !reg.prev_ready) | if gen != reg.prev_gen { ready_now } else { 0 }
             } else {
-                ready
+                ready_now
             };
-            let disarm = c.events & EPOLLONESHOT != 0 && report != 0;
-            if c.prev_ready != ready || c.prev_gen != gen || disarm {
-                c.update = Some((ready, gen, disarm));
+            let disarm = reg.events & EPOLLONESHOT != 0 && report != 0;
+            if how != Pop::Peek {
+                reg.prev_ready = ready_now;
+                reg.prev_gen = gen;
+                reg.armed &= !disarm;
             }
             if report != 0 {
-                out.push((report, c.data));
-                // Level-triggered readiness persists until drained:
-                // re-queue so the next pop re-verifies it.
-                c.requeue = !et && !disarm;
+                out.push((report, reg.data));
+            }
+            // Level-triggered readiness persists until drained: back on
+            // the ring, so the next pop re-verifies it.
+            if how == Pop::Peek || (report != 0 && !et && !disarm) {
+                reg.queued = true;
+                ready.push_back(key);
             }
         }
-        // Phase 3: apply under the epoll lock (ring_push is idempotent
-        // against pushes that raced the verification).
-        {
-            let mut g = ep.lock_ok();
-            for c in &cands {
-                if c.file.is_none() {
-                    g.remove_reg(c.key);
-                    continue;
-                }
-                if let Some(reg) = g.interest.get_mut(&c.key) {
-                    if let (Some((ready, gen, disarm)), false) = (c.update, peek) {
-                        reg.prev_ready = ready;
-                        reg.prev_gen = gen;
-                        reg.armed &= !disarm;
-                    }
-                    if let Some(chans) = c.rewire {
-                        reg.hub_chans = chans;
-                    }
-                }
-                if c.requeue || peek {
-                    g.ring_push(c.key);
+        // Nothing to report and the caller blocks: subscribed before the
+        // instance is let go. A producer pushes under this lock and
+        // posts after it, so a transition either was on the ring above
+        // or finds the subscription.
+        let parked = how == Pop::TakeOrPark && out.len() == start;
+        if parked {
+            self.waits.park_on(tid, Channel::EpollReady(ep.id));
+        }
+        drop(g);
+        for (key, old, seen) in rewires {
+            match seen {
+                None => self.waits.hub_rewire(ep, key, old, ChanSet::default()),
+                Some((file, events, revents, gen)) => {
+                    // A pipe or socket: its probe cannot fail.
+                    let _ = self.ring_arm(tid, ep, key, &file, events, old, Some((revents, gen)));
+                    self.release_if_last(file);
                 }
             }
         }
-        // Hub bookkeeping runs with no epoll lock held. A candidate's
-        // reference to its description goes the way every reference
-        // does: a `close` that raced the probe on another worker left
-        // this one the last, and the last one releases.
-        for c in cands.drain(..) {
-            let keep = match (c.rewire, &c.file) {
-                (_, None) => Some(ChanSet::default()),
-                (rewired, Some(_)) => rewired,
-            };
-            let dropped = |ch: &Channel| keep.is_some_and(|keep| !keep.contains(*ch));
-            for ch in c.hub_chans.iter().filter(dropped) {
-                self.waits.hub_unregister(ch, ep.id, c.key);
-            }
-            if let Some(file) = c.file {
-                self.release_if_last(file);
-            }
-        }
-        self.epoll_scratch = cands;
-        Ok(())
+        parked
     }
 
-    /// The ready-ring pop for `epoll_wait`: appends up to `max` ready
-    /// `(events, data)` reports to `out`.
-    pub fn epoll_pop(
+    /// One attempt of `epoll_wait` on the instance `hold` names: appends
+    /// up to `max` ready `(events, data)` reports to `out`. With `park`,
+    /// an attempt that reports nothing leaves `tid` subscribed to the
+    /// ready channel and its signal channel — two, whatever the interest
+    /// size — and answers `true`: the caller blocks and retries by `hold`.
+    pub fn epoll_wait(
         &mut self,
         tid: Tid,
-        ep: &Handle<Epoll>,
+        hold: &EpollHold,
         max: usize,
+        park: bool,
         out: &mut Vec<(u32, u64)>,
-    ) -> SysResult<()> {
-        self.epoll_ready(tid, ep, max, false, out)
+    ) -> bool {
+        let how = if park { Pop::TakeOrPark } else { Pop::Take };
+        self.epoll_ready(tid, &hold.ep, max, how, out)
     }
 
-    /// The ready-ring pop addressed by epoll fd.
+    /// The ready-ring pop addressed by epoll fd: what a non-blocking
+    /// `epoll_wait` reports.
     pub fn sys_epoll_wait_ready(
         &mut self,
         tid: Tid,
@@ -572,23 +584,8 @@ impl Kernel {
     ) -> SysResult<Vec<(u32, u64)>> {
         let ep = self.epoll_of(tid, epfd)?;
         let mut out = Vec::new();
-        self.epoll_pop(tid, &ep, max, &mut out)?;
+        self.epoll_ready(tid, &ep, max, Pop::Take, &mut out);
         Ok(out)
-    }
-
-    /// Parks `tid` for the blocking half of `epoll_wait`: exactly two
-    /// channels — the instance's ready ring and the task's signal
-    /// channel — regardless of interest-list size; the hub routes every
-    /// relevant readiness transition to [`Channel::EpollReady`].
-    pub fn epoll_park(&mut self, tid: Tid, ep: &Handle<Epoll>) {
-        self.waits.park_on(tid, Channel::EpollReady(ep.id));
-    }
-
-    /// [`Kernel::epoll_park`] addressed by epoll fd.
-    pub fn epoll_subscribe(&mut self, tid: Tid, epfd: i32) -> SysResult {
-        let ep = self.epoll_of(tid, epfd)?;
-        self.epoll_park(tid, &ep);
-        Ok(0)
     }
 }
 
@@ -604,6 +601,16 @@ mod tests {
         let mut k = Kernel::new();
         let tid = k.spawn_process();
         (k, tid)
+    }
+
+    /// A blocking `epoll_wait` attempt that expects nothing to report:
+    /// whether it parked.
+    fn park(k: &mut Kernel, tid: Tid, epfd: i32) -> bool {
+        let hold = k.epoll_hold(tid, epfd).unwrap();
+        let mut out = Vec::new();
+        let parked = k.epoll_wait(tid, &hold, 8, true, &mut out);
+        k.epoll_release(hold);
+        parked && out.is_empty()
     }
 
     #[test]
@@ -803,7 +810,7 @@ mod tests {
         let ep = k.sys_epoll_create1(tid, 0).unwrap();
         k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN, 0)
             .unwrap();
-        k.epoll_subscribe(tid, ep).unwrap();
+        assert!(park(&mut k, tid, ep), "nothing ready: parked");
         assert!(k.task_waits(tid));
         k.sys_write(tid, w, b"wake").unwrap();
         let mut woken = Vec::new();
@@ -971,7 +978,7 @@ mod tests {
         k.sys_write(tid, w, b"more").unwrap();
         assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
         // Disarmed registrations contribute no wait channels either.
-        k.epoll_subscribe(tid, ep).unwrap();
+        assert!(park(&mut k, tid, ep));
         assert!(k.task_waits(tid), "still parked on ready/signal channels");
         k.wait_cancel(tid);
         // MOD re-arms; the pending level is reported again.
@@ -1229,7 +1236,7 @@ mod tests {
             writers.push(w);
         }
         let before = k.wait_stats().subscribes;
-        k.epoll_subscribe(tid, ep).unwrap();
+        assert!(park(&mut k, tid, ep));
         assert_eq!(
             k.wait_stats().subscribes - before,
             2,
@@ -1240,5 +1247,144 @@ mod tests {
         let mut woken = Vec::new();
         k.drain_woken(&mut woken);
         assert_eq!(woken, vec![tid]);
+    }
+
+    // --- The one-hold pop ------------------------------------------------
+
+    /// A pop consumes what it reports and nothing else: with room for
+    /// two reports it takes two edges and leaves the third queued, so an
+    /// embedder that checked a two-event buffer before popping loses
+    /// nothing to a fault — and a buffer it could not check is never
+    /// popped for (`wali`'s `epoll_wait` answers `-EFAULT` first).
+    #[test]
+    fn a_pop_consumes_only_the_edges_it_has_room_to_report() {
+        let (mut k, tid) = kp();
+        let ep = k.sys_epoll_create1(tid, 0).unwrap();
+        let mut writers = Vec::new();
+        for i in 0..3 {
+            let (r, w) = k.sys_pipe2(tid, 0).unwrap();
+            k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN | EPOLLET, i)
+                .unwrap();
+            writers.push(w);
+        }
+        for &w in &writers {
+            k.sys_write(tid, w, b"x").unwrap();
+        }
+        assert_eq!(
+            k.sys_epoll_wait_ready(tid, ep, 2).unwrap(),
+            vec![(EPOLLIN, 0), (EPOLLIN, 1)]
+        );
+        assert_eq!(
+            k.sys_epoll_wait_ready(tid, ep, 2).unwrap(),
+            vec![(EPOLLIN, 2)],
+            "the edge past the budget was neither reported nor consumed"
+        );
+        assert!(k.sys_epoll_wait_ready(tid, ep, 2).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_pop_that_reports_nothing_parks_in_the_same_hold() {
+        let (mut k, tid) = kp();
+        let (r, w) = k.sys_pipe2(tid, 0).unwrap();
+        let ep = k.sys_epoll_create1(tid, 0).unwrap();
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN, 4)
+            .unwrap();
+        let hold = k.epoll_hold(tid, ep).unwrap();
+        let mut out = Vec::new();
+        // Not asked to park: nothing found, nothing subscribed.
+        assert!(!k.epoll_wait(tid, &hold, 8, false, &mut out));
+        assert!(!k.task_waits(tid));
+        let before = k.wait_stats().subscribes;
+        assert!(k.epoll_wait(tid, &hold, 8, true, &mut out));
+        assert_eq!(
+            k.wait_stats().subscribes - before,
+            2,
+            "ready ring + signal channel"
+        );
+        k.sys_write(tid, w, b"x").unwrap();
+        let mut woken = Vec::new();
+        k.drain_woken(&mut woken);
+        assert_eq!(woken, vec![tid]);
+        // With something to report there is no park to make.
+        assert!(!k.epoll_wait(tid, &hold, 8, true, &mut out));
+        assert_eq!(out, vec![(EPOLLIN, 4)]);
+        assert!(!k.task_waits(tid));
+        k.epoll_release(hold);
+    }
+
+    /// A hold keeps the description, so the instance outlives its last
+    /// descriptor for as long as a blocked call keeps it — still wired,
+    /// still waking — and goes when the hold does.
+    #[test]
+    fn a_hold_keeps_the_instance_alive_and_wired_past_its_last_descriptor() {
+        let (mut k, tid) = kp();
+        let (r, w) = k.sys_pipe2(tid, 0).unwrap();
+        let ep = k.sys_epoll_create1(tid, 0).unwrap();
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN, 6)
+            .unwrap();
+        let hold = k.epoll_hold(tid, ep).unwrap();
+        let mut out = Vec::new();
+        assert!(k.epoll_wait(tid, &hold, 8, true, &mut out));
+        k.sys_close(tid, ep).unwrap();
+        assert_eq!(k.leak_audit().open_epolls, 1, "kept by the hold");
+        // The number goes to something else; the waiter is not confused.
+        assert_eq!(k.sys_dup(tid, r).unwrap() as i32, ep);
+        k.sys_write(tid, w, b"x").unwrap();
+        let mut woken = Vec::new();
+        k.drain_woken(&mut woken);
+        assert_eq!(woken, vec![tid], "the old instance's event still routes");
+        assert!(!k.epoll_wait(tid, &hold, 8, true, &mut out));
+        assert_eq!(out, vec![(EPOLLIN, 6)]);
+        k.epoll_release(hold);
+        let audit = k.leak_audit();
+        assert_eq!((audit.open_epolls, audit.hub_watchers), (0, 0));
+    }
+
+    /// A socket registered for output before it connects watches two
+    /// channels and, connected, three (its peer's space). The pop that
+    /// notices re-wires the hub once its hold of the instance is over,
+    /// and the registration keeps reporting.
+    #[test]
+    fn a_pop_rewires_a_registration_whose_channels_changed() {
+        let (mut k, tid) = kp();
+        let srv = k.sys_socket(tid, AF_INET, SOCK_STREAM, 0).unwrap();
+        let addr = WaliSockaddr::Inet {
+            addr: [127, 0, 0, 1],
+            port: 9191,
+        };
+        k.sys_bind(tid, srv, addr.clone()).unwrap();
+        k.sys_listen(tid, srv, 8).unwrap();
+        let cli = k.sys_socket(tid, AF_INET, SOCK_STREAM, 0).unwrap();
+        let ep = k.sys_epoll_create1(tid, 0).unwrap();
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, cli, EPOLLOUT, 3)
+            .unwrap();
+        assert_eq!(k.leak_audit().hub_watchers, 2);
+        assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
+        k.sys_connect(tid, cli, addr).unwrap();
+        assert_eq!(
+            k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
+            vec![(EPOLLOUT, 3)]
+        );
+        assert_eq!(k.leak_audit().hub_watchers, 3, "the peer's space channel");
+        // Fill the peer's buffer: not writable; the peer draining it is
+        // a transition on the newly watched channel alone.
+        let conn = k.sys_accept(tid, srv, 0).unwrap();
+        let full = vec![0u8; crate::socket::SOCK_BUF_SIZE];
+        assert_eq!(k.sys_write(tid, cli, &full), Ok(full.len() as i64));
+        assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
+        let mut sink = full;
+        k.sys_read(tid, conn, &mut sink).unwrap();
+        assert_eq!(
+            k.sys_epoll_wait_ready(tid, ep, 8).unwrap(),
+            vec![(EPOLLOUT, 3)],
+            "routed through the re-wired channel"
+        );
+        // The peer goes: back to the socket's own two channels.
+        k.sys_close(tid, conn).unwrap();
+        let _ = k.sys_epoll_wait_ready(tid, ep, 8).unwrap();
+        assert_eq!(k.leak_audit().hub_watchers, 2);
+        k.sys_close(tid, cli).unwrap();
+        assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
+        assert_eq!(k.leak_audit().hub_watchers, 0, "swept with its description");
     }
 }

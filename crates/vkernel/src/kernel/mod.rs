@@ -106,9 +106,6 @@ pub struct Kernel {
     /// Bound addresses, by the socket that owns each.
     pub(crate) addr_registry: FastMap<AddrKey, Handle<Socket>>,
     futexes: FastMap<(MmId, u32), VecDeque<Tid>>,
-    /// `epoll_wait`'s candidate list, kept for its capacity: a pop that
-    /// reports nothing allocates nothing (see [`epoll`]).
-    pub(crate) epoll_scratch: Vec<epoll::Candidate>,
     /// Waitqueues: blocked tasks parked on wait channels, behind their
     /// own shard lock (innermost in the ordering DAG).
     pub(crate) waits: WaitShard,
@@ -168,7 +165,6 @@ impl Kernel {
             epolls: ObjSlab::new(LockClass::Epoll),
             addr_registry: FastMap::default(),
             futexes: FastMap::default(),
-            epoll_scratch: Vec::new(),
             waits: shards.waits.clone(),
             rng_state: 0x9e37_79b9_7f4a_7c15,
             console: Vec::new(),

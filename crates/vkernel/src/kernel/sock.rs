@@ -21,6 +21,7 @@ use wali_abi::layout::WaliSockaddr;
 use wali_abi::Errno;
 
 use crate::fd::{FileKind, FileRef, OpenFile};
+use crate::pipe::Pipe;
 use crate::slab::Handle;
 use crate::socket::{addr_key, SockState, Socket};
 use crate::sync::MutexExt;
@@ -29,6 +30,7 @@ use crate::vfs::InodeKind;
 use crate::wait::Channel;
 use crate::{block, SysResult, Tid};
 
+use super::epoll::Pop;
 use super::io::{Core, Intr};
 use super::{ChanSet, Kernel, KernelHandles};
 
@@ -596,12 +598,11 @@ impl Kernel {
     /// One readiness walk over an open file description: the wait
     /// channels whose posts can change its readiness for `events`, and
     /// its `poll` revents right now — from one hold of the description
-    /// and one of its object (and, for a connected socket asked about
-    /// output, one of the peer, whose receive buffer is the space).
-    /// Addressed by description, not fd: the epoll interest list is
-    /// description-keyed and must keep reporting for a registration
-    /// whose original fd number was closed while a duplicate keeps the
-    /// description alive.
+    /// and, for a pipe end or socket, [`Pollable::probe`] of the object
+    /// it holds. Addressed by description, not fd: the epoll interest
+    /// list is description-keyed and must keep reporting for a
+    /// registration whose original fd number was closed while a
+    /// duplicate keeps the description alive.
     ///
     /// POLLHUP/POLLERR are reported regardless of the requested events
     /// (a zero mask is the classic watch-for-hangup idiom), and hangups
@@ -617,65 +618,11 @@ impl Kernel {
         let mut chans = ChanSet::default();
         let mut revents = 0i16;
         let f = file.lock_ok();
+        if let Some(object) = Pollable::of(&f.kind) {
+            drop(f);
+            return Ok(object.probe(events));
+        }
         match &f.kind {
-            FileKind::Regular(_) | FileKind::Dir(_) | FileKind::ProcSnapshot(_) => {
-                // Always ready.
-                revents |= (POLLIN | POLLOUT) & events;
-            }
-            FileKind::PipeRead(pipe) => {
-                let pipe = pipe.clone();
-                drop(f);
-                chans.push(Channel::PipeReadable(pipe.id));
-                let p = pipe.lock_ok();
-                if p.readable() {
-                    revents |= POLLIN & events;
-                }
-                if p.writers == 0 {
-                    revents |= POLLHUP;
-                }
-            }
-            FileKind::PipeWrite(pipe) => {
-                let pipe = pipe.clone();
-                drop(f);
-                chans.push(Channel::PipeWritable(pipe.id));
-                let p = pipe.lock_ok();
-                if p.writable() {
-                    revents |= POLLOUT & events;
-                }
-                if p.readers == 0 {
-                    revents |= POLLERR;
-                }
-            }
-            FileKind::Socket(sock) => {
-                let sock = sock.clone();
-                drop(f);
-                chans.push(Channel::SockReadable(sock.id));
-                chans.push(Channel::SockSpace(sock.id));
-                let (readable, closed, peer) = {
-                    let s = sock.lock_ok();
-                    let closed = matches!(s.state, SockState::Closed);
-                    // Output is asked about: space is the peer's to tell.
-                    let peer = (events & POLLOUT != 0).then(|| s.peer()).flatten();
-                    (s.readable(), closed, peer)
-                };
-                if readable {
-                    revents |= POLLIN & events;
-                }
-                if closed {
-                    revents |= POLLHUP;
-                }
-                if let Some(peer) = peer {
-                    chans.push(Channel::SockSpace(peer.id));
-                    let p = peer.lock_ok();
-                    match p.state {
-                        SockState::Connected { .. } if p.recv_space() > 0 => {
-                            revents |= POLLOUT & events
-                        }
-                        SockState::Connected { .. } => {}
-                        _ => revents |= POLLIN & events | POLLHUP,
-                    }
-                }
-            }
             FileKind::CharDev(inode) => {
                 let dev = match &self.vfs.read().get(*inode)?.kind {
                     InodeKind::CharDev(d) => d.clone(),
@@ -707,13 +654,102 @@ impl Kernel {
                 // Linux: the event stays for the following `epoll_wait`.
                 chans.push(Channel::EpollReady(ep.id));
                 let mut peeked = Vec::new();
-                self.epoll_ready(tid, &ep, 1, true, &mut peeked)?;
+                self.epoll_ready(tid, &ep, 1, Pop::Peek, &mut peeked);
                 if !peeked.is_empty() {
                     revents |= POLLIN & events;
                 }
             }
+            // Always ready.
+            FileKind::Regular(_) | FileKind::Dir(_) | FileKind::ProcSnapshot(_) => {
+                revents |= (POLLIN | POLLOUT) & events
+            }
+            FileKind::PipeRead(_) | FileKind::PipeWrite(_) | FileKind::Socket(_) => {
+                unreachable!("a pipe end or socket is a `Pollable`")
+            }
         }
         Ok((chans, revents))
+    }
+}
+
+/// A pipe end or a socket as a readiness walk reaches it: the object
+/// itself, which a description holds and an epoll registration keeps
+/// from the `epoll_ctl` that armed it — so a walk that starts from
+/// either takes no lock but the object's.
+#[derive(Clone, Debug)]
+pub(crate) enum Pollable {
+    PipeRead(Handle<Pipe>),
+    PipeWrite(Handle<Pipe>),
+    Socket(Handle<Socket>),
+}
+
+impl Pollable {
+    /// What `kind` holds, if it is a pipe end or a socket.
+    pub(crate) fn of(kind: &FileKind) -> Option<Pollable> {
+        Some(match kind {
+            FileKind::PipeRead(pipe) => Pollable::PipeRead(pipe.clone()),
+            FileKind::PipeWrite(pipe) => Pollable::PipeWrite(pipe.clone()),
+            FileKind::Socket(sock) => Pollable::Socket(sock.clone()),
+            _ => return None,
+        })
+    }
+
+    /// [`Kernel::probe`] of the object: one hold of it and, for a
+    /// connected socket asked about output, one of the peer, whose
+    /// receive buffer is the space.
+    pub(crate) fn probe(&self, events: i16) -> (ChanSet, i16) {
+        let mut chans = ChanSet::default();
+        let mut revents = 0i16;
+        match self {
+            Pollable::PipeRead(pipe) => {
+                chans.push(Channel::PipeReadable(pipe.id));
+                let p = pipe.lock_ok();
+                if p.readable() {
+                    revents |= POLLIN & events;
+                }
+                if p.writers == 0 {
+                    revents |= POLLHUP;
+                }
+            }
+            Pollable::PipeWrite(pipe) => {
+                chans.push(Channel::PipeWritable(pipe.id));
+                let p = pipe.lock_ok();
+                if p.writable() {
+                    revents |= POLLOUT & events;
+                }
+                if p.readers == 0 {
+                    revents |= POLLERR;
+                }
+            }
+            Pollable::Socket(sock) => {
+                chans.push(Channel::SockReadable(sock.id));
+                chans.push(Channel::SockSpace(sock.id));
+                let (readable, closed, peer) = {
+                    let s = sock.lock_ok();
+                    let closed = matches!(s.state, SockState::Closed);
+                    // Output is asked about: space is the peer's to tell.
+                    let peer = (events & POLLOUT != 0).then(|| s.peer()).flatten();
+                    (s.readable(), closed, peer)
+                };
+                if readable {
+                    revents |= POLLIN & events;
+                }
+                if closed {
+                    revents |= POLLHUP;
+                }
+                if let Some(peer) = peer {
+                    chans.push(Channel::SockSpace(peer.id));
+                    let p = peer.lock_ok();
+                    match p.state {
+                        SockState::Connected { .. } if p.recv_space() > 0 => {
+                            revents |= POLLOUT & events
+                        }
+                        SockState::Connected { .. } => {}
+                        _ => revents |= POLLIN & events | POLLHUP,
+                    }
+                }
+            }
+        }
+        (chans, revents)
     }
 }
 

@@ -93,8 +93,6 @@ pub struct Rusage {
     pub stime_ns: u64,
     /// Peak resident set (bytes, engine-reported).
     pub maxrss: u64,
-    /// Voluntary context switches (blocks).
-    pub nvcsw: u64,
 }
 
 /// One kernel task.

@@ -36,6 +36,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::kernel::epoll::Epoll;
+use crate::kernel::ChanSet;
 use crate::lockorder::{LockClass, Tracked, TrackedGuard};
 use crate::slab::{Handle, Paged};
 use crate::sync::FastMap;
@@ -520,6 +521,15 @@ impl WaitShard {
         if watchers.is_empty() {
             hub.watchers.free(ch);
         }
+    }
+
+    /// Registration `key` of `ep` watched `old` and is to watch `new`:
+    /// the new channels go in before the old ones come out. (Same rule
+    /// as [`WaitShard::hub_register`] about locks held.)
+    pub(crate) fn hub_rewire(&self, ep: &Handle<Epoll>, key: u64, old: ChanSet, new: ChanSet) {
+        new.iter().for_each(|ch| self.hub_register(ch, ep, key));
+        let dropped = old.iter().filter(|ch| !new.contains(*ch));
+        dropped.for_each(|ch| self.hub_unregister(ch, ep.id, key));
     }
 
     /// Total watcher entries currently in the hub (leak audits).

@@ -177,18 +177,70 @@ fn an_epoll_pop_probes_a_ready_listener_with_one_hold_of_each() {
         .unwrap();
     let cli = k.sys_socket(tid, AF_INET, SOCK_STREAM, 0).unwrap();
     k.sys_connect(tid, cli, loopback(7004)).unwrap();
-    // fd table, the epoll description, the instance (drain), the
-    // listener's description, the listener, the instance (apply).
-    // Was 9.
+    // fd table, the epoll description, the instance — drain, verify and
+    // re-queue in one hold — and under it the listener, reached by the
+    // handle the registration was armed with. Was 6: the instance twice
+    // (drain, apply) and the listener's description; 9 before that.
     let (n, objects, r) = locks(|| k.sys_epoll_wait_ready(tid, ep, 8));
     assert_eq!(r.unwrap(), vec![(EPOLLIN, 9)]);
-    assert_eq!((n, objects), (6, 1), "epoll pop, one ready listener");
+    assert_eq!((n, objects), (4, 1), "epoll pop, one ready listener");
     // Nothing queued: fd table, description, instance.
     let conn = k.sys_accept(tid, srv, 0).unwrap();
     let _ = (conn, k.sys_epoll_wait_ready(tid, ep, 8).unwrap());
     let (n, objects, r) = locks(|| k.sys_epoll_wait_ready(tid, ep, 8));
     assert!(r.unwrap().is_empty());
     assert_eq!((n, objects), (3, 0), "epoll pop, empty ring");
+}
+
+/// The cycle a herd pays per worker and connection: the connection's
+/// post pushes onto the worker's ring and wakes it, a sibling takes the
+/// connection, the woken worker pops its one candidate, finds it
+/// drained and parks again — by the instance it kept, so nothing is
+/// looked up.
+#[test]
+fn a_wake_that_finds_nothing_costs_the_push_and_a_three_lock_pop() {
+    let (mut k, tid) = kp();
+    let srv = listener(&mut k, tid, 7005);
+    let ep = k.sys_epoll_create1(tid, 0).unwrap();
+    k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, srv, EPOLLIN, 9)
+        .unwrap();
+    let hold = k.epoll_hold(tid, ep).unwrap();
+    let mut out = Vec::new();
+    // Empty ring, so the park is all there is: the instance and, under
+    // it, the waitqueue (two subscriptions, one hold).
+    let (n, objects, parked) = locks(|| k.epoll_wait(tid, &hold, 8, true, &mut out));
+    assert_eq!((parked, out.len()), (true, 0));
+    assert_eq!((n, objects), (2, 0), "park on an empty ring");
+    // The connection: `connect`'s own six, the hub, the instance (the
+    // push) — and the wake is one more post under the waitqueue hold
+    // the call already has. Was the same 8; the waiter is the news.
+    let cli = k.sys_socket(tid, AF_INET, SOCK_STREAM, 0).unwrap();
+    let (n, objects, r) = locks(|| k.sys_connect(tid, cli, loopback(7005)));
+    r.unwrap();
+    assert_eq!((n, objects), (8, 3), "ring push + wake of one waiter");
+    let mut woken = Vec::new();
+    k.drain_woken(&mut woken);
+    assert_eq!(woken, vec![tid]);
+    // A sibling wins the connection; the retry pops the candidate under
+    // the instance, looks at the listener, reports nothing and
+    // subscribes before it lets go: instance, listener, waitqueue. Was
+    // 8 — the fd table and the epoll description (`epoll_of`, on every
+    // retry), the instance three times (drain, apply, the re-pop after
+    // subscribing), the listener's description, the listener, the
+    // waitqueue — plus two in the scheduler's park.
+    let _conn = k.sys_accept(tid, srv, 0).unwrap();
+    let (n, objects, parked) = locks(|| k.epoll_wait(tid, &hold, 8, true, &mut out));
+    assert_eq!((parked, out.len()), (true, 0));
+    assert_eq!(
+        (n, objects),
+        (3, 1),
+        "pop that finds its one candidate drained, then parks"
+    );
+    assert!(k.task_waits(tid));
+    k.wait_cancel(tid);
+    // Giving the instance back costs nothing while a descriptor names it.
+    let (n, _, ()) = locks(|| k.epoll_release(hold));
+    assert_eq!(n, 0, "release of a hold that is not the last reference");
 }
 
 #[test]

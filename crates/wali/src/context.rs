@@ -17,7 +17,8 @@
 //! | sigtable, mmap pool, `brk` ([`AddressSpace`]) | private copy; the sigtable shared until written | shared | fresh, above the new image's data |
 //! | argv / env | shared (immutable) | shared (immutable) | the call's |
 //! | kernel handles (fd table, signal hint, mm) | the child task's | the child task's | kept — same task |
-//! | handler masks, in-flight ring SQEs, `ext`, retry deadline | fresh | fresh | fresh |
+//! | handler masks, in-flight ring SQEs, `ext`, retry deadline and kept epoll instance | fresh | fresh | fresh |
+//! | voluntary context switches (`getrusage`) | zero | zero | kept — same task |
 //!
 //! Syscall *counts* belong to whoever runs the task, not to the task
 //! (`task::run_slice` lends the table): a child starts with none.
@@ -30,6 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
 use vkernel::fd::FdTable;
+use vkernel::kernel::epoll::EpollHold;
 use vkernel::kernel::{KernelHandles, SignalDelivery};
 use vkernel::{HintFlag, Kernel, LockClass, MmId, MutexExt, Shared, TaskHot, Tid, Tracked};
 use wali_abi::signals::SigSet;
@@ -121,6 +123,22 @@ pub struct WaliContext {
     pub policy: Option<Policy>,
     /// Deadline handed back by the runner when retrying a blocked call.
     pub retry_deadline: Option<u64>,
+    /// The epoll instance a blocked `epoll_wait`/`epoll_pwait` resolved,
+    /// kept with the descriptor number it was resolved from: the retry
+    /// of that call — the task's next host call — takes it back and
+    /// looks nothing up. Returned to the kernel when the call ends, or
+    /// when the task does first ([`crate::task::retire`]).
+    pub(crate) epoll_hold: Option<(i32, EpollHold)>,
+    /// Voluntary context switches: times this task parked (`getrusage`).
+    pub(crate) nvcsw: u64,
+    /// The call that just blocked was a syscall: the wrapper around
+    /// every one ([`crate::registry::wrapped`]) says so, the park that
+    /// follows takes the answer. A kernel call that blocks without a
+    /// deadline has subscribed its task to what will wake it — the
+    /// blocking protocol of `vkernel` — so the park need not ask the
+    /// waitqueue; a blocked host function of another layer that made no
+    /// syscall is outside that protocol and is polled.
+    pub(crate) subscribed: bool,
     /// Cloneable handles to the kernel's independently lockable shards
     /// (the waitqueue, the VFS, the clock). Descriptor I/O
     /// ([`crate::fastpath`]) and the per-syscall tick go through these
@@ -177,6 +195,9 @@ impl WaliContext {
             trace: Trace::default(),
             policy: None,
             retry_deadline: None,
+            epoll_hold: None,
+            nvcsw: 0,
+            subscribed: false,
             handles,
             fdtable: task.fdtable,
             ring,
@@ -215,6 +236,9 @@ impl WaliContext {
             trace: self.trace.child(),
             policy: self.policy.clone(),
             retry_deadline: None,
+            epoll_hold: None,
+            nvcsw: 0,
+            subscribed: false,
             handles: self.handles.clone(),
             fdtable: task.fdtable,
             ring: self.ring,
@@ -243,6 +267,10 @@ impl WaliContext {
         self.args = if argv.is_empty() { vec![path] } else { argv }.into();
         self.env = envp.into();
         self.retry_deadline = None;
+        debug_assert!(
+            self.epoll_hold.is_none(),
+            "execve is not the retry of a blocked call"
+        );
         self.ring_pending.clear();
         self.handler_masks.clear();
         self.ext = None;

@@ -100,6 +100,9 @@ pub fn wrapped(
         Ok(()) => body(caller),
         Err(denied) => denied,
     };
+    if let Err(HostOutcome::Block(_)) = r {
+        caller.data.subscribed = true;
+    }
     if let Some(t0) = t0 {
         caller.data.trace.host_time += t0.elapsed();
     }

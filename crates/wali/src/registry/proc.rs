@@ -141,7 +141,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
                 usec: ((ru.stime_ns % 1_000_000_000) / 1000) as i64,
             },
             maxrss: (ru.maxrss / 1024) as i64,
-            nvcsw: ru.nvcsw as i64,
+            nvcsw: c.data.nvcsw as i64,
             ..Default::default()
         };
         let mut buf = [0u8; WaliRusage::SIZE];

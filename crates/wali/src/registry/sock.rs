@@ -180,7 +180,8 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
 
     // poll(fds, nfds, timeout_ms).
     sys!(l, "poll", |c: C, a: &[u64]| -> R {
-        let timeout_ms = arg(a, 2);
+        // The timeout is a C `int`.
+        let timeout_ms = arg_i32(a, 2) as i64;
         do_poll(c, arg_ptr(a, 0), arg(a, 1) as usize, timeout_ms)
     });
 
@@ -280,8 +281,9 @@ fn restore_wait_mask(c: C, r: R) -> R {
 
 /// Resolves the effective block deadline of a readiness wait (a retry
 /// keeps the one it blocked with). `None` means block without deadline;
-/// `Some(Err(Lapsed))`-style handling is the caller's: a deadline at or
-/// before `now` means the wait has timed out.
+/// a deadline at or before `now` means the wait has timed out — the
+/// caller's to notice. The arithmetic saturates: a guest picks the
+/// timeout.
 fn wait_deadline(
     kk: &vkernel::Kernel,
     retry_deadline: Option<u64>,
@@ -289,19 +291,50 @@ fn wait_deadline(
 ) -> Option<u64> {
     match retry_deadline {
         Some(d) => Some(d),
-        None if timeout_ms > 0 => Some(kk.clock.monotonic_ns() + timeout_ms as u64 * 1_000_000),
+        None if timeout_ms > 0 => {
+            let ns = (timeout_ms as u64).saturating_mul(1_000_000);
+            Some(kk.clock.monotonic_ns().saturating_add(ns))
+        }
         None => None,
+    }
+}
+
+/// How a wait that found nothing blocks.
+fn block_on(deadline: Option<u64>) -> SysError {
+    match deadline {
+        Some(d) => vkernel::block_until(d),
+        None => vkernel::block(),
     }
 }
 
 fn do_epoll_wait(c: C, a: &[u64]) -> R {
     let (epfd, ev_ptr, maxevents) = (arg_i32(a, 0), arg_ptr(a, 1), arg_i32(a, 2));
-    let timeout_ms = arg(a, 3);
-    if maxevents <= 0 {
-        return Err(Errno::Einval.into());
-    }
+    // The timeout is a C `int`.
+    let timeout_ms = arg_i32(a, 3) as i64;
     let mem = &*c.instance.memory;
     let retry_deadline = c.data.retry_deadline.take();
+    // A report consumes what it reports (an edge, a ONESHOT arm), so the
+    // buffer is checked before anything is popped: a bad `events` pointer
+    // is `-EFAULT` with the events still queued.
+    let args = match maxevents {
+        ..=0 => Err(Errno::Einval),
+        n => mem
+            .check(ev_ptr as u64, n as u64 * WaliEpollEvent::SIZE as u64)
+            .map_err(|_| Errno::Efault),
+    };
+    let split = crate::fault::scan_split_enabled();
+    // The instance this call resolved before it blocked — its own only:
+    // the retry of a blocked call is its task's next host call, and the
+    // descriptor number says it is this one. Anything else gives it back.
+    let kept = match c.data.epoll_hold.take() {
+        Some((fd, hold)) if fd == epfd && args.is_ok() && !split => Some(hold),
+        Some((_, hold)) => {
+            k(c, |kk, _| kk.epoll_release(hold));
+            None
+        }
+        None => None,
+    };
+    args.map_err(SysError::Err)?;
     // Scan-then-subscribe runs inside ONE kernel critical section: a
     // readiness transition on another worker can land between a separate
     // scan and subscribe, posting its wakeup to no subscriber — the
@@ -311,7 +344,7 @@ fn do_epoll_wait(c: C, a: &[u64]) -> R {
     // The `scan-split` fault gate re-opens exactly that window (two
     // separate critical sections) so the fuzzer can demonstrate its
     // oracles catch the race; see `crate::fault`.
-    if crate::fault::scan_split_enabled() {
+    if split {
         let ready = k(c, |kk, tid| {
             kk.sys_epoll_wait_ready(tid, epfd, maxevents as usize)
         })?;
@@ -331,50 +364,39 @@ fn do_epoll_wait(c: C, a: &[u64]) -> R {
                     return Ok(());
                 }
             }
-            kk.epoll_subscribe(tid, epfd)?;
-            Err(match deadline {
-                Some(d) => vkernel::block_until(d),
-                None => vkernel::block(),
-            })
+            let ready = vkernel::Channel::EpollReady(kk.epoll_of(tid, epfd)?.id);
+            kk.wait_subscribe(tid, ready);
+            kk.wait_subscribe(tid, vkernel::Channel::Signal(tid));
+            Err(block_on(deadline))
         })?;
         // Deadline lapsed without events.
         return Ok(0);
     }
-    // One fd lookup per call; a pop that finds nothing allocates nothing,
-    // so a spuriously woken waiter (all but one of a prefork herd) costs
-    // two ring peeks and a re-park.
-    let ready = k(c, |kk, tid| {
-        let ep = kk.epoll_of(tid, epfd)?;
-        let mut ready = Vec::new();
-        kk.epoll_pop(tid, &ep, maxevents as usize, &mut ready)?;
-        if !ready.is_empty() || timeout_ms == 0 {
-            return Ok(ready);
-        }
+    // One kernel hold: resolve (a first attempt only), pop — which parks
+    // in the same hold of the instance when it finds nothing and the
+    // call may block — and give the instance back unless the call
+    // blocks. A spuriously woken waiter (all but one of a prefork herd)
+    // looks nothing up and re-parks from inside its one pop.
+    let (r, hold) = k(c, |kk, tid| {
+        let hold = match kept {
+            Some(hold) => hold,
+            None => match kk.epoll_hold(tid, epfd) {
+                Ok(hold) => hold,
+                Err(errno) => return (Err(errno.into()), None),
+            },
+        };
         let deadline = wait_deadline(kk, retry_deadline, timeout_ms);
-        if let Some(d) = deadline {
-            if kk.clock.monotonic_ns() >= d {
-                // Timed out: report no events.
-                return Ok(ready);
-            }
+        let park = timeout_ms != 0 && deadline.is_none_or(|d| kk.clock.monotonic_ns() < d);
+        let mut ready = Vec::new();
+        if kk.epoll_wait(tid, &hold, maxevents as usize, park, &mut ready) {
+            return (Err(block_on(deadline)), Some(hold));
         }
-        kk.epoll_park(tid, &ep);
-        // The lock-free syscall fast path posts without the kernel lock,
-        // so a readiness transition can land between the pop above and
-        // the subscribe. Producers push-then-post; this consumer
-        // subscribes-then-rechecks — one of the two sides always sees
-        // the other. The recheck is an O(ready) ring pop, cheap enough
-        // to run on every park.
-        kk.epoll_pop(tid, &ep, maxevents as usize, &mut ready)?;
-        if !ready.is_empty() {
-            kk.wait_cancel(tid);
-            return Ok(ready);
-        }
-        Err(match deadline {
-            Some(d) => vkernel::block_until(d),
-            None => vkernel::block(),
-        })
-    })?;
-    write_epoll_events(mem, ev_ptr, &ready)
+        // Events, a zero timeout or a lapsed one (no events).
+        kk.epoll_release(hold);
+        (Ok(ready), None)
+    });
+    c.data.epoll_hold = hold.map(|hold| (epfd, hold));
+    write_epoll_events(mem, ev_ptr, &r?)
 }
 
 /// Marshals ready `(events, data)` pairs into the guest's event array
@@ -399,7 +421,13 @@ fn do_accept(c: C, a: &[u64], flags: i32) -> R {
     let conn = k(c, |kk, tid| kk.sys_accept(tid, fd, flags))?;
     if addr_ptr != 0 {
         if let Ok(addr) = k(c, |kk, tid| kk.sys_getpeername(tid, conn)) {
-            write_sockaddr(c, &addr, addr_ptr, len_ptr).map_err(SysError::Err)?;
+            if let Err(errno) = write_sockaddr(c, &addr, addr_ptr, len_ptr) {
+                // The descriptor is installed and the guest will never
+                // learn its number: the connection goes with the call
+                // (Linux: `put_unused_fd` + `fput`).
+                k(c, |kk, tid| kk.sys_close(tid, conn))?;
+                return Err(errno.into());
+            }
         }
     }
     Ok(conn as i64)
@@ -487,10 +515,7 @@ fn do_poll(c: C, fds_ptr: u32, nfds: usize, timeout_ms: i64) -> R {
             }
         }
         kk.wait_on_fds(tid, &pairs);
-        Err(match deadline {
-            Some(d) => vkernel::block_until(d),
-            None => vkernel::block(),
-        })
+        Err(block_on(deadline))
     })?;
     let ready = revents.iter().filter(|&&r| r != 0).count();
     for (i, p) in fds.iter_mut().enumerate() {
@@ -542,7 +567,7 @@ fn do_select(c: C, a: &[u64], is_pselect: bool) -> R {
         let raw = read_bytes(mem, tptr, 16).map_err(SysError::Err)?;
         let sec = i64::from_le_bytes(raw[0..8].try_into().expect("8 bytes"));
         let usec = i64::from_le_bytes(raw[8..16].try_into().expect("8 bytes"));
-        sec * 1000 + usec / 1000
+        sec.saturating_mul(1000).saturating_add(usec / 1000)
     };
 
     let retry_deadline = c.data.retry_deadline.take();
@@ -561,10 +586,7 @@ fn do_select(c: C, a: &[u64], is_pselect: bool) -> R {
             }
         }
         kk.wait_on_fds(tid, &pairs);
-        Err(match deadline {
-            Some(d) => vkernel::block_until(d),
-            None => vkernel::block(),
-        })
+        Err(block_on(deadline))
     })?;
     let Some(revents) = revents else {
         return Ok(0);
@@ -585,4 +607,74 @@ fn do_select(c: C, a: &[u64], is_pselect: bool) -> R {
     write_set(rptr, &rfds, 0)?;
     write_set(wptr, &wfds, rfds.len())?;
     Ok(ready as i64)
+}
+
+#[cfg(test)]
+mod tests {
+    use vkernel::Kernel;
+    use wali_abi::flags::{EPOLLIN, EPOLL_CTL_ADD};
+    use wasm::host::{Caller, HostOutcome};
+
+    use crate::context::WaliContext;
+    use crate::registry::build_linker;
+    use crate::WALI_MODULE;
+
+    /// The instance a blocked `epoll_wait` keeps goes to the retry of
+    /// that call and to nothing else: a call on another descriptor (a
+    /// layer above re-entered on other arguments) gives it back and
+    /// resolves its own. Given back, it is released — here the
+    /// descriptor was closed under the blocked call, so the kept
+    /// reference was the instance's last.
+    #[test]
+    fn a_kept_epoll_instance_is_not_inherited_by_another_call() {
+        let wait = build_linker()
+            .resolve(WALI_MODULE, "SYS_epoll_wait")
+            .expect("registered")
+            .clone();
+        let mut mb = wasm::build::ModuleBuilder::new();
+        mb.memory(1, Some(1));
+        let program =
+            wasm::Program::link(&mb.build(), &build_linker(), wasm::SafepointScheme::None)
+                .expect("link");
+        let instance = wasm::Instance::new(std::sync::Arc::new(program)).expect("instantiate");
+        let kernel = crate::new_kernel_ref(Kernel::new());
+        let tid = kernel.lock_ok().spawn_process();
+        let mut ctx = WaliContext::new(kernel.clone(), tid, 4096, true);
+        let call = |ctx: &mut WaliContext, epfd: i32, timeout: i64| {
+            let mut caller = Caller {
+                instance: &instance,
+                data: ctx,
+                sig: None,
+            };
+            wait(&mut caller, &[epfd as u64, 64, 1, timeout as u64])
+        };
+        let (idle, busy) = {
+            let mut k = kernel.lock_ok();
+            let idle = k.sys_epoll_create1(tid, 0).unwrap();
+            let busy = k.sys_epoll_create1(tid, 0).unwrap();
+            let (r, w) = k.sys_pipe2(tid, 0).unwrap();
+            k.sys_epoll_ctl(tid, busy, EPOLL_CTL_ADD, r, EPOLLIN, 0xB2)
+                .unwrap();
+            k.sys_write(tid, w, b"x").unwrap();
+            (idle, busy)
+        };
+        let epolls = || kernel.lock_ok().leak_audit().open_epolls;
+
+        assert!(matches!(
+            call(&mut ctx, idle, -1),
+            Err(HostOutcome::Block(_))
+        ));
+        assert!(ctx.subscribed, "a syscall that blocks has subscribed");
+        assert!(matches!(ctx.epoll_hold, Some((fd, _)) if fd == idle));
+        // Closed under the blocked call: the instance stays, kept.
+        kernel.lock_ok().sys_close(tid, idle).unwrap();
+        assert_eq!(epolls(), 2);
+
+        assert_eq!(call(&mut ctx, busy, 0).ok(), Some(1));
+        assert!(ctx.epoll_hold.is_none(), "an answered call keeps nothing");
+        assert_eq!(epolls(), 1, "the other call gave the kept instance back");
+        let data = instance.memory.load::<8>(64 + 4).map(u64::from_le_bytes);
+        assert_eq!(data.ok(), Some(0xB2));
+        kernel.lock_ok().wait_cancel(tid);
+    }
 }

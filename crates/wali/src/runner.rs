@@ -272,6 +272,9 @@ pub struct WaliRunner {
     pub(crate) clock: vkernel::Clock,
     /// Lock-free mirror of "the kernel has undrained wakeups".
     pub(crate) woken_hint: Arc<std::sync::atomic::AtomicBool>,
+    /// The kernel's waitqueue shard: the woken list is drained under its
+    /// own lock, not the kernel's.
+    waits: vkernel::WaitShard,
     /// The batch of woken tids being drained (kept for its capacity).
     woken: Vec<Tid>,
 }
@@ -282,6 +285,7 @@ impl WaliRunner {
         let kernel = Kernel::new();
         let clock = kernel.clock.clone();
         let woken_hint = kernel.woken_hint();
+        let waits = kernel.handles().waits;
         WaliRunner {
             kernel: crate::context::new_kernel_ref(kernel),
             linker: build_linker(),
@@ -301,6 +305,7 @@ impl WaliRunner {
             stats: AtomicSched::default(),
             clock,
             woken_hint,
+            waits,
             woken: Vec::new(),
         }
     }
@@ -517,11 +522,11 @@ impl WaliRunner {
     /// Moves kernel-woken parked tasks to the run queue.
     fn drain_wakeups(&mut self) {
         // Lock-free gate: the hint mirrors the kernel's woken list, so the
-        // kernel lock is taken only when there is something to drain.
+        // waitqueue is locked only when there is something to drain.
         if !self.woken_hint.load(Ordering::Acquire) {
             return;
         }
-        self.kernel.lock_ok().drain_woken(&mut self.woken);
+        self.waits.lock().drain_woken(&mut self.woken);
         for tid in self.woken.drain(..) {
             // Wakeups for queued/running tasks are redundant: they will
             // observe the new state on their own next attempt.

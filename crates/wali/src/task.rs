@@ -195,7 +195,8 @@ pub(crate) fn run_slice(slot: &mut Slot, env: &SliceEnv<'_>, counts: &mut SysCou
 
 /// A call blocked: count it, leave the retry pending in the slot, charge
 /// the context switch, and mark the slot parked. The scheduler arms the
-/// returned deadline in its timer wheel.
+/// returned deadline in its timer wheel. Takes no lock: whether the call
+/// subscribed is known from what blocked ([`WaliContext::subscribed`]).
 fn park_blocked(
     slot: &mut Slot,
     env: &SliceEnv<'_>,
@@ -207,20 +208,15 @@ fn park_blocked(
     }
     env.stats.parks.fetch_add(1, Ordering::Relaxed);
     slot.pending = Some(Pending::Retry(blocked));
-    let tid = slot.tid;
-    let waits = slot.ctx.with_kernel(|k| {
-        if let Ok(t) = k.task_mut(tid) {
-            t.rusage.nvcsw += 1;
-        }
-        k.task_waits(tid)
-    });
+    slot.ctx.nvcsw += 1;
+    let subscribed = std::mem::take(&mut slot.ctx.subscribed);
     // A call that subscribed a wait channel or carries a deadline parks on
     // exactly that. One outside the waitqueue protocol (a layered host
     // function with neither) parks on a one-quantum backoff deadline
     // instead of staying queued: run queues hold only runnable work,
     // which is what makes "queue empty" an exact idle test.
     let deadline = match blocked.deadline {
-        None if !waits => Some(env.clock.monotonic_ns() + SLICE_QUANTUM_NS),
+        None if !subscribed => Some(env.clock.monotonic_ns() + SLICE_QUANTUM_NS),
         deadline => deadline,
     };
     slot.park = Some(deadline);
@@ -318,7 +314,7 @@ fn exec(
 /// Retires a finished task: resolves its end status and merges its
 /// accounting into `outcome`.
 pub(crate) fn retire(
-    slot: Box<Slot>,
+    mut slot: Box<Slot>,
     end: Option<TaskEnd>,
     main_tid: Option<Tid>,
     outcome: &mut RunOutcome,
@@ -326,6 +322,11 @@ pub(crate) fn retire(
     let tid = slot.tid;
     let end = {
         let mut k = slot.ctx.kernel.lock_ok();
+        // Killed while blocked in `epoll_wait`: the instance it kept
+        // goes back (it may hold the description's last reference).
+        if let Some((_, hold)) = slot.ctx.epoll_hold.take() {
+            k.epoll_release(hold);
+        }
         // A task killed mid-slice may have re-blocked (and re-subscribed)
         // between the fatal signal and the scheduler noticing the death:
         // EINTR resumes its wasm, which can reach the next blocking

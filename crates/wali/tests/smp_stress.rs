@@ -1224,3 +1224,157 @@ fn a_peer_link_never_leads_to_the_next_owner_of_the_peers_id() {
     mb.export("_start", main);
     run_everywhere(&mb.build(), 1 + ROUNDS as usize);
 }
+
+// --- What the one-hold pop has to keep --------------------------------------
+//
+// `epoll_wait` drains its instance's ring, verifies what it popped and —
+// when there is nothing to report — subscribes, all under one hold of
+// the instance's lock, and does not look at the ring again. A producer
+// changes its object, pushes under that same lock and posts after it.
+// Whichever side takes the lock second must see the other: a push that
+// waited out the pop finds the subscription.
+
+/// The interleaving, forced: the consumer is stopped *inside* its hold
+/// of the instance (at the lock of a pipe the test holds), the producer
+/// is seen waiting for the instance, and only then is the consumer let
+/// go. It finds nothing, parks and returns; the producer's push and post
+/// come after — and must wake it. (The contention counters are
+/// process-wide: another test of this binary can end a wait early, which
+/// only makes the round less forced, never wrong.)
+#[test]
+fn a_post_that_waits_out_the_one_hold_pop_finds_the_subscription() {
+    use std::sync::mpsc::channel;
+    use vkernel::fd::FileKind;
+    use vkernel::kernel::io::Intr;
+    use vkernel::{contention, Kernel, LockClass, MutexExt, Tid};
+    use wali_abi::flags::{EPOLLIN, EPOLL_CTL_ADD};
+
+    for round in 0..16 {
+        let mut k = Kernel::new();
+        let tid = k.spawn_process();
+        let writer = k.sys_fork(tid).unwrap() as Tid;
+        let (stale_r, stale_w) = k.sys_pipe2(tid, 0).unwrap();
+        let (fresh_r, fresh_w) = k.sys_pipe2(tid, 0).unwrap();
+        let ep = k.sys_epoll_create1(tid, 0).unwrap();
+        for (fd, data) in [(stale_r, 1), (fresh_r, 2)] {
+            k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, fd, EPOLLIN, data)
+                .unwrap();
+        }
+        // One candidate on the ring that will verify as drained: the
+        // pop takes its pipe's lock under the instance's.
+        k.sys_write(tid, stale_w, b"x").unwrap();
+        k.sys_read(tid, stale_r, &mut [0u8; 1]).unwrap();
+        let file_of = |k: &Kernel, fd| k.task(tid).unwrap().fdtable.lock_ok().file(fd).unwrap();
+        let stale = match &file_of(&k, stale_r).lock_ok().kind {
+            FileKind::PipeRead(pipe) => pipe.clone(),
+            other => panic!("{other:?}"),
+        };
+        let fresh_end = file_of(&k, fresh_w);
+        let handles = k.handles();
+        let hold = k.epoll_hold(tid, ep).unwrap();
+        let mut out = Vec::new();
+
+        let (release, released) = channel::<()>();
+        let parked = std::thread::scope(|s| {
+            let held = stale.lock_ok();
+            let in_pop = contention(LockClass::Object);
+            let consumer = s.spawn(|| k.epoll_wait(tid, &hold, 8, true, &mut out));
+            // Inside its hold of the instance, stopped at the pipe.
+            while contention(LockClass::Object) == in_pop {
+                std::thread::yield_now();
+            }
+            let at_ring = contention(LockClass::Epoll);
+            let producer = s.spawn(|| {
+                let wrote = handles.write(writer, &fresh_end, b"y", Intr::HintDown);
+                release.send(()).unwrap();
+                wrote
+            });
+            // Past its own pipe, stopped at the instance (the push).
+            while contention(LockClass::Epoll) == at_ring {
+                std::thread::yield_now();
+            }
+            assert!(released.try_recv().is_err(), "the push waits for the pop");
+            drop(held);
+            assert_eq!(producer.join().unwrap(), Ok(Ok(1)), "round {round}");
+            consumer.join().unwrap()
+        });
+        assert!(parked, "round {round}: nothing to report yet");
+        let mut woken = Vec::new();
+        k.drain_woken(&mut woken);
+        assert_eq!(woken, vec![tid], "round {round}: the post was lost");
+        assert!(!k.epoll_wait(tid, &hold, 8, true, &mut out));
+        assert_eq!(out, vec![(EPOLLIN, 2)], "round {round}");
+        k.epoll_release(hold);
+    }
+}
+
+/// The same race, unforced and at scale: four threads each wait on an
+/// epoll instance of their own, all watching one non-blocking pipe; the
+/// main thread writes a byte and blocks until whoever got it
+/// acknowledges, 300 times. Every write wakes the whole herd; one wins
+/// the byte, the rest read `-EAGAIN`, pop a drained candidate and park
+/// again in the same hold. A lost wake-up ends the run in a deadlock
+/// report, a leaked instance in the audit.
+#[test]
+fn an_epoll_herd_loses_no_event_however_its_pops_and_pushes_interleave() {
+    const WAITERS: u32 = 4;
+    const EVENTS: u32 = 300;
+    const O_NONBLOCK: i64 = 0o4000;
+    let mut mb = ModuleBuilder::new();
+    let net = Net::import(&mut mb);
+    let pipe2 = sys(&mut mb, "pipe2", 2);
+    let epoll_create1 = sys(&mut mb, "epoll_create1", 1);
+    let epoll_ctl = sys(&mut mb, "epoll_ctl", 4);
+    let epoll_wait = sys(&mut mb, "epoll_wait", 4);
+    let exit_group = sys(&mut mb, "exit_group", 1);
+    let events = mb.reserve(8);
+    let acks = mb.reserve(8);
+    let mut ev = 1u32.to_le_bytes().to_vec(); // EPOLLIN
+    ev.extend_from_slice(&7u64.to_le_bytes());
+    let ev_in = mb.data(&ev);
+    let ev_out = mb.reserve(WAITERS * 16);
+    let sinks = mb.reserve(WAITERS * 8);
+    let byte = mb.data(b"e");
+    let ack = mb.reserve(8);
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let (i, w, ep) = (b.local(I32), b.local(I32), b.local(I64));
+        b.i64(events as i64).i64(O_NONBLOCK).call(pipe2).drop_();
+        b.i64(acks as i64).i64(0).call(pipe2).drop_();
+        let slot = |b: &mut FuncBuilder, base: u32, size: i32| {
+            b.i32(base as i32).local_get(w).i32(size).mul32().add32();
+            b.extend_u();
+        };
+        counted(b, w, WAITERS, |b| {
+            net.thread(b, |b| {
+                b.i64(0).call(epoll_create1).local_set(ep);
+                b.local_get(ep).i64(1);
+                b.i32(events as i32).load32(0).extend_u();
+                b.i64(ev_in as i64).call(epoll_ctl).drop_();
+                b.loop_(BlockType::Empty, |b| {
+                    b.local_get(ep);
+                    slot(b, ev_out, 16);
+                    b.i64(1).i64(-1).call(epoll_wait).drop_();
+                    b.i32(events as i32).load32(0).extend_u();
+                    slot(b, sinks, 8);
+                    b.i64(1).call(net.read).i64(1).eq64();
+                    b.if_(BlockType::Empty, |b| {
+                        b.i32(acks as i32).load32(4).extend_u();
+                        b.i64(byte as i64).i64(1).call(net.write).drop_();
+                    });
+                    b.br(0);
+                });
+            });
+        });
+        counted(b, i, EVENTS, |b| {
+            b.i32(events as i32).load32(4).extend_u();
+            b.i64(byte as i64).i64(1).call(net.write).drop_();
+            b.i32(acks as i32).load32(0).extend_u();
+            b.i64(ack as i64).i64(1).call(net.read).drop_();
+        });
+        b.i64(0).call(exit_group).drop_();
+        b.i32(0);
+    });
+    mb.export("_start", main);
+    run_everywhere(&mb.build(), 1 + WAITERS as usize);
+}

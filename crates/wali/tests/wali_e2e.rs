@@ -1442,3 +1442,448 @@ fn a_thousand_unwaited_children_of_a_sigchld_ignorer_leave_nothing() {
     assert!(report.leaks.is_clean(), "{}", report.leaks.describe());
     assert_eq!(report.leaks.zombie_tasks.len(), 1, "the main task alone");
 }
+
+// --- A blocked `epoll_wait`, its arguments and its instance ---------------
+
+use wali::testkit::{emit_sleep, run_module, sockaddr_in, RunnerOpts};
+use wasm::build::{FuncBuilder, FuncId};
+
+const EFAULT: i64 = -14;
+const EPOLLIN: u32 = 0x001;
+const EPOLLET: u32 = 1 << 31;
+/// Past the end of every guest's memory below.
+const BAD_PTR: i64 = 0xFFFF_FF00;
+/// `CLONE_VM | CLONE_FS | CLONE_FILES | CLONE_SIGHAND | CLONE_THREAD`.
+const THREAD_SHARING_FDS: i64 = 0x10d00;
+
+/// The packed `epoll_event { events, data }` image.
+fn epoll_event(events: u32, data: u64) -> Vec<u8> {
+    let mut ev = events.to_le_bytes().to_vec();
+    ev.extend_from_slice(&data.to_le_bytes());
+    ev
+}
+
+/// Runs `module` at one worker and at four: exit code 0 and a clean
+/// teardown audit, or the panic says which.
+fn exits_clean_at_1_and_4(module: &Module, what: &str) {
+    for workers in [1, 4] {
+        let opts = RunnerOpts {
+            workers: Some(workers),
+            ..RunnerOpts::default()
+        };
+        let report = run_module(module, &[], &[], opts)
+            .unwrap_or_else(|e| panic!("{what}, workers {workers}: {e}"));
+        assert_eq!(
+            report.outcome.exit_code(),
+            Some(0),
+            "{what}, workers {workers}: {:?}",
+            report.outcome.main_exit
+        );
+        assert!(
+            report.leaks.is_clean(),
+            "{what}, workers {workers}: {}",
+            report.leaks.describe()
+        );
+    }
+}
+
+/// The epoll calls, a pipe to watch and the rest the guests below use.
+struct Ep {
+    create: FuncId,
+    ctl: FuncId,
+    wait: FuncId,
+    pipe: FuncId,
+    write: FuncId,
+    close: FuncId,
+    clone: FuncId,
+    exit: FuncId,
+    nanosleep: FuncId,
+    /// Scratch `timespec`.
+    ts: u32,
+    /// Room for four reported events.
+    evbuf: u32,
+}
+
+impl Ep {
+    fn import(mb: &mut ModuleBuilder) -> Ep {
+        let mut ep = Ep {
+            create: sys(mb, "epoll_create1", 1),
+            ctl: sys(mb, "epoll_ctl", 4),
+            wait: sys(mb, "epoll_wait", 4),
+            pipe: sys(mb, "pipe", 1),
+            write: sys(mb, "write", 3),
+            close: sys(mb, "close", 1),
+            clone: sys(mb, "clone", 5),
+            exit: sys(mb, "exit", 1),
+            nanosleep: sys(mb, "nanosleep", 2),
+            ts: 0,
+            evbuf: 0,
+        };
+        mb.memory(2, Some(16));
+        ep.ts = mb.reserve(16);
+        ep.evbuf = mb.reserve(4 * 12);
+        ep
+    }
+
+    /// `ep = epoll_create1(0); epoll_ctl(ep, ADD, fds[0], ev)`, with
+    /// `fds` a fresh pipe.
+    fn watch_new_pipe(&self, b: &mut FuncBuilder, ep: u32, fds: u32, ev: u32) {
+        b.i64(fds as i64).call(self.pipe).drop_();
+        b.i64(0).call(self.create).local_set(ep);
+        b.local_get(ep).i64(1);
+        b.i32(fds as i32).load32(0).extend_u();
+        b.i64(ev as i64).call(self.ctl).drop_();
+    }
+
+    /// `write(fds[1], fds, 1)`: one byte into the pipe at `fds`.
+    fn feed(&self, b: &mut FuncBuilder, fds: u32) {
+        b.i32(fds as i32).load32(4).extend_u();
+        b.i64(fds as i64).i64(1).call(self.write).drop_();
+    }
+
+    /// `epoll_wait(ep, events, 1, timeout)`, result left on the stack.
+    fn wait_one(&self, b: &mut FuncBuilder, ep: u32, events: i64, timeout: i64) {
+        b.local_get(ep).i64(events).i64(1).i64(timeout);
+        b.call(self.wait);
+    }
+
+    /// A thread; `body` must not fall through.
+    fn thread(&self, b: &mut FuncBuilder, flags: i64, body: impl FnOnce(&mut FuncBuilder)) {
+        b.i64(flags).i64(0).i64(0).i64(0).i64(0);
+        b.call(self.clone).i64(0).eq64();
+        b.if_(BlockType::Empty, |b| {
+            body(b);
+            b.i64(0).call(self.exit).drop_();
+        });
+    }
+}
+
+/// The timeout of `epoll_wait` is a C `int`, whatever a guest puts in
+/// the 64-bit slot: `i64::MAX` is `-1` (forever), not a number of
+/// milliseconds to multiply into a deadline (the host used to overflow
+/// doing that: a panic in a debug build, a deadline in the past — an
+/// immediate 0 — in a release one). Each blocking flavour is ended by
+/// an event a second thread makes once the waiter is parked.
+#[test]
+fn epoll_wait_takes_its_timeout_as_a_c_int() {
+    for (timeout, blocks) in [
+        (i32::MAX as i64, true),
+        (i64::MAX, true),
+        (-1, true),
+        (0, false),
+    ] {
+        let mut mb = ModuleBuilder::new();
+        let e = Ep::import(&mut mb);
+        let fds = mb.reserve(8);
+        let ev = mb.data(&epoll_event(EPOLLIN, 7));
+        let sig = mb.sig([], [I32]);
+        let main = mb.func(sig, |b| {
+            let ep = b.local(I64);
+            e.watch_new_pipe(b, ep, fds, ev);
+            if blocks {
+                e.thread(b, THREAD_SHARING_FDS, |b| {
+                    emit_sleep(b, e.nanosleep, e.ts, 0, 1_000_000);
+                    e.feed(b, fds);
+                });
+            }
+            e.wait_one(b, ep, e.evbuf as i64, timeout);
+            b.i64(blocks as i64).eq64().eqz32();
+        });
+        mb.export("_start", main);
+        exits_clean_at_1_and_4(&mb.build(), &format!("timeout {timeout}"));
+    }
+}
+
+/// `accept` with an `addr` it cannot write answers `-EFAULT` — after the
+/// connection was taken off the listener and given a descriptor. The
+/// descriptor must go with the call (the guest never learns its number):
+/// the next `accept` gets the *next* connection under the *same* number,
+/// and nothing is left open at the end.
+#[test]
+fn an_accept_that_faults_on_its_address_leaves_no_descriptor() {
+    let mut mb = ModuleBuilder::new();
+    let socket = sys(&mut mb, "socket", 3);
+    let bind = sys(&mut mb, "bind", 3);
+    let listen = sys(&mut mb, "listen", 2);
+    let connect = sys(&mut mb, "connect", 3);
+    let accept = sys(&mut mb, "accept", 3);
+    let dup = sys(&mut mb, "dup", 1);
+    let read = sys(&mut mb, "read", 3);
+    let write = sys(&mut mb, "write", 3);
+    let close = sys(&mut mb, "close", 1);
+    mb.memory(2, Some(16));
+    let addr = mb.data(&sockaddr_in(7310));
+    // The clients are bound: a peer with an address is what `accept`
+    // has something to write about.
+    let from = [7311, 7312].map(|port| mb.data(&sockaddr_in(port)));
+    let len = mb.data(&16u32.to_le_bytes());
+    let first = mb.data(b"1");
+    let second = mb.data(b"2");
+    let got = mb.reserve(8);
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let (srv, c1, c2, conn, next_fd) = (
+            b.local(I64),
+            b.local(I64),
+            b.local(I64),
+            b.local(I64),
+            b.local(I64),
+        );
+        b.i64(2).i64(1).i64(0).call(socket).local_set(srv);
+        b.local_get(srv).i64(addr as i64).i64(16).call(bind).drop_();
+        b.local_get(srv).i64(8).call(listen).drop_();
+        for (cli, byte, from) in [(c1, first, from[0]), (c2, second, from[1])] {
+            b.i64(2).i64(1).i64(0).call(socket).local_set(cli);
+            b.local_get(cli).i64(from as i64).i64(16).call(bind).drop_();
+            b.local_get(cli).i64(addr as i64).i64(16);
+            b.call(connect).drop_();
+            b.local_get(cli).i64(byte as i64).i64(1).call(write).drop_();
+        }
+        // The number the next descriptor gets.
+        b.local_get(srv)
+            .call(dup)
+            .local_tee(next_fd)
+            .call(close)
+            .drop_();
+        let fail = |b: &mut FuncBuilder, code: i32| {
+            b.if_(BlockType::Empty, |b| {
+                b.i32(code).ret();
+            });
+        };
+        b.local_get(srv).i64(BAD_PTR).i64(len as i64).call(accept);
+        b.i64(EFAULT).eq64().eqz32();
+        fail(b, 1);
+        b.local_get(srv).i64(0).i64(0).call(accept).local_tee(conn);
+        b.local_get(next_fd).eq64().eqz32();
+        fail(b, 2);
+        // The first connection went with the failed call: this is the
+        // second, and the first client reads end-of-file.
+        b.local_get(conn).i64(got as i64).i64(1).call(read).drop_();
+        b.i32(got as i32).load8u(0).i32('2' as i32).ne32();
+        fail(b, 3);
+        b.local_get(c1).i64(got as i64).i64(1).call(read);
+        b.i64(0).eq64().eqz32();
+        fail(b, 4);
+        for fd in [conn, c1, c2, srv] {
+            b.local_get(fd).call(close).drop_();
+        }
+        b.i32(0);
+    });
+    mb.export("_start", main);
+    exits_clean_at_1_and_4(&mb.build(), "accept into a bad address");
+}
+
+/// `epoll_wait` into a buffer it cannot write answers `-EFAULT` and
+/// consumes nothing: the edge of an `EPOLLET` registration is still
+/// there for the call that brings a buffer.
+#[test]
+fn an_epoll_wait_that_faults_on_its_buffer_keeps_the_event() {
+    let mut mb = ModuleBuilder::new();
+    let e = Ep::import(&mut mb);
+    let fds = mb.reserve(8);
+    let ev = mb.data(&epoll_event(EPOLLIN | EPOLLET, 0x5EED));
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let ep = b.local(I64);
+        e.watch_new_pipe(b, ep, fds, ev);
+        e.feed(b, fds);
+        let fail = |b: &mut FuncBuilder, code: i32| {
+            b.if_(BlockType::Empty, |b| {
+                b.i32(code).ret();
+            });
+        };
+        // Out of range altogether, then a span whose tail is: both are
+        // refused before anything is popped.
+        e.wait_one(b, ep, BAD_PTR, 0);
+        b.i64(EFAULT).eq64().eqz32();
+        fail(b, 1);
+        b.local_get(ep).i64(2 * 65536 - 12).i64(2).i64(-1);
+        b.call(e.wait).i64(EFAULT).eq64().eqz32();
+        fail(b, 2);
+        e.wait_one(b, ep, e.evbuf as i64, 0);
+        b.i64(1).eq64().eqz32();
+        fail(b, 3);
+        b.i32(e.evbuf as i32).load64(4).i64(0x5EED).eq64().eqz32();
+        fail(b, 4);
+        // Reported once: the edge is consumed now.
+        e.wait_one(b, ep, e.evbuf as i64, 0);
+        b.i64(0).eq64().eqz32();
+    });
+    mb.export("_start", main);
+    exits_clean_at_1_and_4(&mb.build(), "epoll_wait into a bad buffer");
+}
+
+/// A waiter stays on the instance it blocked on (Linux's `fdget`): a
+/// sibling sharing the fd table closes the epoll descriptor under a
+/// parked `epoll_wait` and a pipe takes the number. The old instance's
+/// event still wakes the waiter and is what it reports; the instance is
+/// released when that call returns — the audit finds no epoll instance.
+#[test]
+fn a_parked_epoll_wait_survives_its_descriptor_being_closed_and_reused() {
+    let mut mb = ModuleBuilder::new();
+    let e = Ep::import(&mut mb);
+    let fds = mb.reserve(8);
+    let other = mb.reserve(8);
+    let ev = mb.data(&epoll_event(EPOLLIN, 0xA1));
+    let result = mb.reserve(8);
+    let done = mb.reserve(4);
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let (ep, polls) = (b.local(I64), b.local(I32));
+        e.watch_new_pipe(b, ep, fds, ev);
+        e.thread(b, THREAD_SHARING_FDS, |b| {
+            b.i32(result as i32);
+            e.wait_one(b, ep, e.evbuf as i64, -1);
+            b.store64(0);
+            b.i32(done as i32).i32(1).store32(0);
+        });
+        // Virtual time passes only once nothing can run: the waiter is
+        // parked by the time this returns.
+        emit_sleep(b, e.nanosleep, e.ts, 0, 1_000_000);
+        b.local_get(ep).call(e.close).drop_();
+        b.i64(other as i64).call(e.pipe).drop_();
+        let fail = |b: &mut FuncBuilder, code: i32| {
+            b.if_(BlockType::Empty, |b| {
+                b.i32(code).ret();
+            });
+        };
+        // The number was reused.
+        b.i32(other as i32).load32(0).extend_u();
+        b.local_get(ep).eq64().eqz32();
+        fail(b, 1);
+        e.feed(b, fds);
+        b.loop_(BlockType::Empty, |b| {
+            b.i32(done as i32).load32(0).eqz32();
+            b.if_(BlockType::Empty, |b| {
+                emit_sleep(b, e.nanosleep, e.ts, 0, 1_000);
+                b.local_get(polls).i32(1).add32().local_tee(polls);
+                b.i32(20_000).lt_s32().br_if(1);
+            });
+        });
+        b.i32(result as i32).load64(0).i64(1).eq64().eqz32();
+        fail(b, 2);
+        b.i32(e.evbuf as i32).load64(4).i64(0xA1).eq64().eqz32();
+        fail(b, 3);
+        for end in [0, 4] {
+            for pair in [fds, other] {
+                b.i32(pair as i32).load32(end).extend_u();
+                b.call(e.close).drop_();
+            }
+        }
+        b.i32(0);
+    });
+    mb.export("_start", main);
+    exits_clean_at_1_and_4(&mb.build(), "epfd closed under a waiter");
+}
+
+/// The instance a blocked `epoll_wait` keeps belongs to that call. A
+/// signal wakes the waiter (in this model the retry finds nothing and
+/// parks again — signals do not interrupt `epoll_wait` — and the handler
+/// runs when the call returns); the handler then blocks in `epoll_wait`
+/// on a *second* instance, from inside its own frame. Each call reports
+/// its own instance's event, and both instances are released at the end.
+#[test]
+fn a_handler_waiting_on_a_second_instance_does_not_inherit_the_first() {
+    let mut mb = ModuleBuilder::new();
+    let e = Ep::import(&mut mb);
+    let sigaction = sys(&mut mb, "rt_sigaction", 4);
+    let tgkill = sys(&mut mb, "tgkill", 3);
+    let getpid = sys(&mut mb, "getpid", 0);
+    let fds = mb.reserve(8);
+    let other = mb.reserve(8);
+    let ev1 = mb.data(&epoll_event(EPOLLIN, 0xA1));
+    let ev2 = mb.data(&epoll_event(EPOLLIN, 0xB2));
+    let ep2_at = mb.reserve(8);
+    let hbuf = mb.reserve(12);
+    let hres = mb.reserve(8);
+    let act = mb.reserve(24);
+
+    let handler_sig = mb.sig([I32], []);
+    let dummy = mb.func(handler_sig, |_| {});
+    let handler = mb.func(handler_sig, |b| {
+        // hres = epoll_wait(ep2, hbuf, 1, -1): parks until pipe B is fed.
+        b.i32(hres as i32);
+        b.i32(ep2_at as i32).load64(0);
+        b.i64(hbuf as i64).i64(1).i64(-1).call(e.wait);
+        b.store64(0);
+    });
+    assert_eq!(mb.table_entries(&[dummy, dummy, handler]), 0);
+
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let (ep1, ep2, me) = (b.local(I64), b.local(I64), b.local(I64));
+        e.watch_new_pipe(b, ep1, fds, ev1);
+        e.watch_new_pipe(b, ep2, other, ev2);
+        b.i32(ep2_at as i32).local_get(ep2).store64(0);
+        // SIGUSR1 (10) → table index 2.
+        b.i32(act as i32).i32(2).store32(0);
+        b.i64(10).i64(act as i64).i64(0).i64(8);
+        b.call(sigaction).drop_();
+        b.call(getpid).local_set(me);
+        e.thread(b, THREAD_SHARING_FDS, |b| {
+            // Each sleep ends once everything else is parked.
+            emit_sleep(b, e.nanosleep, e.ts, 0, 1_000_000);
+            b.local_get(me).local_get(me).i64(10).call(tgkill).drop_();
+            emit_sleep(b, e.nanosleep, e.ts, 0, 1_000_000);
+            e.feed(b, fds);
+            emit_sleep(b, e.nanosleep, e.ts, 0, 1_000_000);
+            e.feed(b, other);
+        });
+        let fail = |b: &mut FuncBuilder, code: i32| {
+            b.if_(BlockType::Empty, |b| {
+                b.i32(code).ret();
+            });
+        };
+        e.wait_one(b, ep1, e.evbuf as i64, -1);
+        b.i64(1).eq64().eqz32();
+        fail(b, 1);
+        b.i32(e.evbuf as i32).load64(4).i64(0xA1).eq64().eqz32();
+        fail(b, 2);
+        // The handler runs at the next safepoint: this loop's header.
+        b.loop_(BlockType::Empty, |b| {
+            b.i32(hres as i32).load32(0).eqz32().br_if(0);
+        });
+        b.i32(hres as i32).load64(0).i64(1).eq64().eqz32();
+        fail(b, 3);
+        b.i32(hbuf as i32).load64(4).i64(0xB2).eq64().eqz32();
+        fail(b, 4);
+        for fd in [ep1, ep2] {
+            b.local_get(fd).call(e.close).drop_();
+        }
+        for end in [0, 4] {
+            for pair in [fds, other] {
+                b.i32(pair as i32).load32(end).extend_u();
+                b.call(e.close).drop_();
+            }
+        }
+        b.i32(0);
+    });
+    mb.export("_start", main);
+    exits_clean_at_1_and_4(&mb.build(), "handler waits on a second instance");
+}
+
+/// A task whose process exits while it is parked in `epoll_wait` never
+/// makes the retry that would give the kept instance back: retiring the
+/// task does. Its descriptors close at its death; the instance must not
+/// outlive the run.
+#[test]
+fn a_task_that_dies_in_epoll_wait_gives_its_instance_back() {
+    let mut mb = ModuleBuilder::new();
+    let e = Ep::import(&mut mb);
+    let exit_group = sys(&mut mb, "exit_group", 1);
+    let fds = mb.reserve(8);
+    let ev = mb.data(&epoll_event(EPOLLIN, 1));
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let ep = b.local(I64);
+        e.watch_new_pipe(b, ep, fds, ev);
+        e.thread(b, THREAD_SHARING_FDS, |b| {
+            emit_sleep(b, e.nanosleep, e.ts, 0, 1_000_000);
+            b.i64(0).call(exit_group).drop_();
+        });
+        e.wait_one(b, ep, e.evbuf as i64, -1);
+        b.drop_().i32(7);
+    });
+    mb.export("_start", main);
+    exits_clean_at_1_and_4(&mb.build(), "exit_group under a parked epoll_wait");
+}

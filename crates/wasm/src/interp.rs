@@ -682,7 +682,7 @@ impl Thread {
             // Register frame: zero the locals and allocate every canonical
             // operand slot up front; the stack stays at `base + nregs` for
             // the frame's whole lifetime (the safepoint spill invariant).
-            let need = base + reg.nregs as usize;
+            let need = base + reg.nregs() as usize;
             if need >= MAX_STACK {
                 return Err(Trap::StackOverflow);
             }
@@ -1108,7 +1108,7 @@ impl Thread {
         // above the results is dead or re-derivable from locals/immediates.
         {
             let frame = self.frames.last().expect("frame");
-            let need = frame.base + cur.reg.as_ref().expect("register tier").nregs as usize;
+            let need = frame.base + cur.reg.as_ref().expect("register tier").nregs() as usize;
             if self.stack.len() < need {
                 self.stack.resize(need, 0);
             }
@@ -1170,9 +1170,12 @@ impl Thread {
                 .reg
                 .as_ref()
                 .expect("register tier requires lowered code");
-            let ops: *const ROp = rcode.ops.as_ptr();
-            let consts: *const u64 = rcode.consts.as_ptr();
-            let nregs = rcode.nregs as usize;
+            let ops: *const ROp = rcode.ops().as_ptr();
+            let consts: *const u64 = rcode.consts().as_ptr();
+            let nregs = rcode.nregs() as usize;
+            // What the debug-build assertions of `rd!`/`wr!`/`k!`/`jump!`
+            // hold an access to (a release build reads neither).
+            let (nops, npool) = (rcode.ops().len(), rcode.consts().len());
             let (pc, base) = {
                 let f = self.frames.last().expect("frame");
                 (f.pc, f.base)
@@ -1208,24 +1211,27 @@ impl Thread {
 
             // Register read.
             macro_rules! rd {
-                ($r:expr) => {
+                ($r:expr) => {{
+                    debug_assert!(($r as usize) < nregs, "register read past the frame");
                     unsafe { *regs.add($r as usize) }
-                };
+                }};
             }
 
             // Register write.
             macro_rules! wr {
                 ($r:expr, $v:expr) => {{
                     let v: u64 = $v;
+                    debug_assert!(($r as usize) < nregs, "register write past the frame");
                     unsafe { *regs.add($r as usize) = v }
                 }};
             }
 
             // Constant-pool read.
             macro_rules! k {
-                ($i:expr) => {
+                ($i:expr) => {{
+                    debug_assert!(($i as usize) < npool, "constant past the pool");
                     unsafe { *consts.add($i as usize) }
-                };
+                }};
             }
 
             // Register-or-immediate operand of a generic instruction.
@@ -1252,10 +1258,11 @@ impl Thread {
 
             // Jumps to op `target` of this function.
             macro_rules! jump {
-                ($target:expr) => {
+                ($target:expr) => {{
+                    debug_assert!(($target as usize) < nops, "branch past the code");
                     // SAFETY: `regir::validated`, *targets*.
                     ip = unsafe { ops.add($target as usize) }
-                };
+                }};
             }
 
             // Stacks the frame of a signal handler that is a local
@@ -1463,7 +1470,7 @@ impl Thread {
                                     // canonical result registers; re-extend to its full
                                     // frame. (The parent's pc was synced at its call.)
                                     let preg = cur.reg.as_ref().expect("register tier");
-                                    self.stack.resize(pbase + preg.nregs as usize, 0);
+                                    self.stack.resize(pbase + preg.nregs() as usize, 0);
                                     continue 'frame;
                                 }
                                 ROp::Call { func, top, .. } => enter!(*func, *top),

@@ -96,8 +96,9 @@ pub struct PreparedFunc {
     pub ops: Box<[Op]>,
     /// Tier-2 register-IR body, when the program was lowered
     /// ([`crate::regir`]). Present on every function or on none: the
-    /// interpreter never mixes tiers inside one call stack.
-    pub reg: Option<crate::regir::RegFunc>,
+    /// interpreter never mixes tiers inside one call stack. Set by
+    /// [`Prepared`]'s own lowering pass and by nothing outside the crate.
+    pub(crate) reg: Option<crate::regir::RegFunc>,
 }
 
 /// A function in the combined index space.

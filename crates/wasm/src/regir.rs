@@ -455,17 +455,46 @@ pub struct RTable {
 }
 
 /// A function body lowered to the register IR.
+///
+/// The dispatch loop runs it without bounds checks, on the strength of
+/// what `validated` established — so the fields are private to this
+/// module and a body exists only as [`lower`] made it: nothing can build
+/// one from parts or edit one in place.
+///
+/// ```compile_fail
+/// // Private fields: no struct literal outside `wasm::regir`.
+/// let _ = wasm::regir::RegFunc {
+///     nregs: 1,
+///     ops: Box::new([]),
+///     consts: Box::new([]),
+/// };
+/// ```
 #[derive(Clone, Debug)]
 pub struct RegFunc {
     /// Frame size in registers: `params + locals + max operand height`.
-    pub nregs: u32,
+    nregs: u32,
     /// Flat register-IR op array (branch targets index into it).
-    pub ops: Box<[ROp]>,
+    ops: Box<[ROp]>,
     /// Constant pool referenced by [`RSrc::Const`] operands.
-    pub consts: Box<[u64]>,
+    consts: Box<[u64]>,
 }
 
 impl RegFunc {
+    /// Frame size in registers: `params + locals + max operand height`.
+    pub fn nregs(&self) -> u32 {
+        self.nregs
+    }
+
+    /// The flat register-IR op array (branch targets index into it).
+    pub fn ops(&self) -> &[ROp] {
+        &self.ops
+    }
+
+    /// The constant pool [`RSrc::Const`] operands refer to.
+    pub fn consts(&self) -> &[u64] {
+        &self.consts
+    }
+
     /// The pool value behind a [`RSrc::Const`] operand (`None` for
     /// registers) — diagnostics and test support.
     pub fn const_of(&self, s: RSrc) -> Option<u64> {
