@@ -1059,7 +1059,8 @@ impl Kernel {
         if self.has_pending_signal(tid) {
             return Err(Errno::Eintr.into());
         }
-        let deadline = self.clock.monotonic_ns() + duration_ns;
+        // The guest picks the duration: a near-forever sleep saturates.
+        let deadline = self.clock.monotonic_ns().saturating_add(duration_ns);
         // The deadline is the primary wake-up; a signal ends the sleep
         // early (EINTR on the retry).
         self.waits.lock().subscribe(tid, Channel::Signal(tid));

@@ -12,8 +12,9 @@
 //! * [`isa`] / [`tables`] — per-ISA Linux syscall tables used to quantify
 //!   cross-ISA syscall commonality (paper Fig. 3).
 //! * [`spec`] — the name-bound WALI syscall specification: the union of
-//!   syscalls across ISAs, each classified as passthrough / translated /
-//!   stateful (paper §3, §5 recipe steps 1–3).
+//!   syscalls across ISAs, one row each in [`wali_syscalls!`] with typed
+//!   parameters and a class — passthrough / translated / stateful (paper
+//!   §3, §5 recipe steps 1–3).
 //! * [`layout`] — explicit little-endian byte layouts for the handful of
 //!   structured syscall arguments whose native layout varies across ISAs
 //!   (`kstat`, `ksigaction`, timespec, iovec, …; paper §3.2 "Layout (ABI)

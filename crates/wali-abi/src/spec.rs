@@ -2,16 +2,23 @@
 //!
 //! WALI exposes syscalls as named Wasm host functions with statically
 //! defined type signatures (§3.5). The specification below is the union of
-//! implemented syscalls across ISAs; each entry records its implementation
-//! class per the kernel-interface recipe (§5):
+//! implemented syscalls across ISAs, written once as the
+//! [`wali_syscalls!`](crate::wali_syscalls) table: each row gives the
+//! name, the typed parameters, the implementation class per the
+//! kernel-interface recipe (§5) and the kind of outcome.
 //!
 //! * [`SyscallClass::Passthrough`] — scalar and raw-buffer arguments only;
 //!   requires nothing beyond address-space translation (recipe steps 1–2)
 //!   and is therefore mechanically generatable.
 //! * [`SyscallClass::Translated`] — at least one ISA-variant structured
 //!   argument, requiring explicit layout conversion (recipe step 3).
-//! * [`SyscallClass::Stateful`] — requires engine-side bookkeeping (mmap
+//! * [`SyscallClass::Stateful`] — requires engine-side state (mmap
 //!   pool, virtual sigtable, process model; recipe steps 4–6).
+//!
+//! This crate expands the table into [`SPEC`] (arity = the slots of the
+//! parameters, see [`Param`]) and the dense index [`Sysno`]; the `wali`
+//! crate expands the same table into its host-function registration, so
+//! a row without a handler or a handler without a row does not build.
 //!
 //! The paper reports that >85 % of WALI could be auto-generated because
 //! most calls are passthrough; `tests::autogen_fraction` asserts the same
@@ -58,205 +65,336 @@ impl WaliSyscall {
     }
 }
 
-use SyscallClass::{Passthrough as P, Stateful as S, Translated as T};
+/// A parameter type of the table: how many i64 argument slots it takes.
+/// Every integer type is one slot, truncated to its width; the kinds
+/// below name what the slots point at.
+pub trait Param {
+    /// Argument slots the parameter occupies.
+    const SLOTS: usize;
+}
 
-macro_rules! sc {
-    ($name:literal, $args:literal, $class:expr) => {
-        WaliSyscall {
-            name: $name,
-            args: $args,
-            class: $class,
+macro_rules! one_slot {
+    ($($t:ty),*) => { $(impl Param for $t { const SLOTS: usize = 1; })* };
+}
+one_slot!(i32, u32, i64, u64, usize, Ptr, Path);
+
+/// A wasm32 pointer whose target the handler reads or writes itself.
+pub enum Ptr {}
+
+/// A wasm32 pointer to a NUL-terminated UTF-8 path, read before the call
+/// (`EFAULT` out of bounds, `EINVAL` not UTF-8).
+pub enum Path {}
+
+/// A `(pointer, length)` byte buffer the kernel reads: a zero-copy view,
+/// bounds-checked before the call (`EFAULT`).
+pub enum InBuf {}
+
+/// A `(pointer, length)` byte buffer the kernel fills: a zero-copy view,
+/// bounds-checked before the call (`EFAULT`).
+pub enum OutBuf {}
+
+/// A `(pointer, length)` socket address, read and converted before the
+/// call.
+pub enum SockAddr {}
+
+impl Param for InBuf {
+    const SLOTS: usize = 2;
+}
+impl Param for OutBuf {
+    const SLOTS: usize = 2;
+}
+impl Param for SockAddr {
+    const SLOTS: usize = 2;
+}
+
+/// A nullable pointer kind: `None` when its pointer slot is 0.
+impl<T: Param> Param for Option<T> {
+    const SLOTS: usize = T::SLOTS;
+}
+
+/// The WALI syscall table: the one declaration of every syscall.
+///
+/// Expands to `$callback! { spec { rows } extensions { rows } }`. A row
+/// is `name(param: Type, …) CLASS kind;` — the class `P`, `T` or `S`
+/// ([`SyscallClass`]), the kind `value` (the handler answers
+/// `Result<i64, SysError>`), `control` (it answers the host outcome
+/// itself: exit, fork, exec, traps) or `nosys` (no handler; the call
+/// answers `-ENOSYS`). Parameter types are integers, truncated from
+/// their slot, or the kinds of [`Param`]. `spec` rows are [`SPEC`] —
+/// sized to the paper's "137 most common syscalls" coverage plus the
+/// legacy x86-64 aliases needed to run unmodified applications;
+/// `extensions` rows are imports beyond the paper that share the
+/// registration and the dense index [`Sysno`], but not the spec.
+#[macro_export]
+macro_rules! wali_syscalls {
+    ($callback:ident) => {
+        $callback! {
+            spec {
+                // File I/O.
+                read(fd: i32, buf: OutBuf) P value;
+                write(fd: i32, buf: InBuf) P value;
+                open(path: Path, flags: i32, mode: u32) P value;
+                openat(dirfd: i32, path: Path, flags: i32, mode: u32) P value;
+                close(fd: i32) P value;
+                lseek(fd: i32, offset: i64, whence: i32) P value;
+                pread64(fd: i32, buf: OutBuf, offset: u64) P value;
+                pwrite64(fd: i32, buf: InBuf, offset: u64) P value;
+                readv(fd: i32, iov: Ptr, iovcnt: usize) T value;
+                writev(fd: i32, iov: Ptr, iovcnt: usize) T value;
+                preadv(fd: i32, iov: Ptr, iovcnt: usize, offset: u64) T value;
+                pwritev(fd: i32, iov: Ptr, iovcnt: usize, offset: u64) T value;
+                sendfile(out_fd: i32, in_fd: i32, offset: Option<Ptr>, count: usize) P value;
+                copy_file_range(
+                    fd_in: i32, off_in: Option<Ptr>, fd_out: i32, off_out: Option<Ptr>,
+                    len: usize, flags: u32
+                ) P value;
+                dup(fd: i32) P value;
+                dup2(oldfd: i32, newfd: i32) P value;
+                dup3(oldfd: i32, newfd: i32, flags: i32) P value;
+                pipe(fds: Ptr) P value;
+                pipe2(fds: Ptr, flags: i32) P value;
+                fcntl(fd: i32, cmd: i32, arg: i32) P value;
+                ioctl(fd: i32, op: u64, argp: Ptr) P value;
+                flock(fd: i32, op: i32) P value;
+                fsync(fd: i32) P value;
+                fdatasync(fd: i32) P value;
+                sync() P value;
+                truncate(path: Path, length: u64) P value;
+                ftruncate(fd: i32, length: u64) P value;
+                fallocate(fd: i32, mode: i32, offset: u64, len: u64) P value;
+                // Filesystem namespace.
+                stat(path: Path, statbuf: Ptr) T value;
+                fstat(fd: i32, statbuf: Ptr) T value;
+                lstat(path: Path, statbuf: Ptr) T value;
+                newfstatat(dirfd: i32, path: Path, statbuf: Ptr, flags: i32) T value;
+                // Libcs fall back to `newfstatat` on ENOSYS.
+                statx(dirfd: i32, path: Path, flags: i32, mask: u32, statxbuf: Ptr) T nosys;
+                access(path: Path, mode: i32) P value;
+                faccessat(dirfd: i32, path: Path, mode: i32) P value;
+                faccessat2(dirfd: i32, path: Path, mode: i32, flags: i32) P value;
+                getdents64(fd: i32, dirp: Ptr, count: usize) T value;
+                getcwd(buf: Ptr, size: usize) P value;
+                chdir(path: Path) P value;
+                fchdir(fd: i32) P value;
+                mkdir(path: Path, mode: u32) P value;
+                mkdirat(dirfd: i32, path: Path, mode: u32) P value;
+                rmdir(path: Path) P value;
+                rename(oldpath: Path, newpath: Path) P value;
+                renameat(olddirfd: i32, oldpath: Path, newdirfd: i32, newpath: Path) P value;
+                renameat2(
+                    olddirfd: i32, oldpath: Path, newdirfd: i32, newpath: Path, flags: u32
+                ) P value;
+                link(oldpath: Path, newpath: Path) P value;
+                linkat(
+                    olddirfd: i32, oldpath: Path, newdirfd: i32, newpath: Path, flags: i32
+                ) P value;
+                unlink(path: Path) P value;
+                unlinkat(dirfd: i32, path: Path, flags: i32) P value;
+                symlink(target: Path, linkpath: Path) P value;
+                symlinkat(target: Path, newdirfd: i32, linkpath: Path) P value;
+                readlink(path: Path, buf: Ptr, bufsiz: usize) P value;
+                readlinkat(dirfd: i32, path: Path, buf: Ptr, bufsiz: usize) P value;
+                chmod(path: Path, mode: u32) P value;
+                fchmod(fd: i32, mode: u32) P value;
+                fchmodat(dirfd: i32, path: Path, mode: u32) P value;
+                chown(path: Path, owner: u32, group: u32) P value;
+                fchown(fd: i32, owner: u32, group: u32) P value;
+                fchownat(dirfd: i32, path: Path, owner: u32, group: u32, flags: i32) P value;
+                umask(mask: u32) P value;
+                mknod(path: Path, mode: u32, dev: u64) P value;
+                utimensat(dirfd: i32, path: Option<Path>, times: Option<Ptr>, flags: i32) T value;
+                statfs(path: Path, buf: Ptr) T value;
+                fstatfs(fd: i32, buf: Ptr) T value;
+                // Memory management.
+                mmap(addr: Ptr, length: u32, prot: i32, flags: i32, fd: i32, offset: u64) S value;
+                munmap(addr: Ptr, length: u32) S value;
+                mremap(
+                    old_address: Ptr, old_size: u32, new_size: u32, flags: i32, new_address: Ptr
+                ) S value;
+                mprotect(addr: Ptr, len: u32, prot: i32) P value;
+                brk(addr: Ptr) S value;
+                madvise(addr: Ptr, length: u64, advice: i32) P value;
+                msync(addr: Ptr, length: u32, flags: i32) P value;
+                mlock(addr: Ptr, len: usize) P value;
+                munlock(addr: Ptr, len: usize) P value;
+                membarrier(cmd: i32, flags: u32, cpu_id: i32) P value;
+                mincore(addr: Ptr, length: usize, vec: Ptr) P value;
+                // Processes and threads.
+                clone(
+                    flags: u64, stack: Ptr, parent_tid: Option<Ptr>, child_tid: Ptr, tls: Ptr
+                ) S control;
+                fork() S control;
+                vfork() S control;
+                execve(path: Path, argv: Ptr, envp: Ptr) S control;
+                exit(status: i32) S control;
+                exit_group(status: i32) S control;
+                wait4(pid: i32, wstatus: Option<Ptr>, options: i32, rusage: Option<Ptr>) T value;
+                waitid(idtype: i32, id: i32, infop: Ptr, options: i32, rusage: Ptr) T value;
+                getpid() P value;
+                getppid() P value;
+                gettid() P value;
+                getpgid(pid: i32) P value;
+                setpgid(pid: i32, pgid: i32) P value;
+                getpgrp() P value;
+                setsid() P value;
+                getsid(pid: i32) P value;
+                kill(pid: i32, sig: i32) P value;
+                tkill(tid: i32, sig: i32) P value;
+                tgkill(tgid: i32, tid: i32, sig: i32) P value;
+                sched_yield() P value;
+                sched_getaffinity(pid: i32, cpusetsize: usize, mask: Ptr) P value;
+                sched_setaffinity(pid: i32, cpusetsize: usize, mask: Ptr) P value;
+                getpriority(which: i32, who: i32) P value;
+                setpriority(which: i32, who: i32, prio: i32) P value;
+                getrlimit(resource: i32, rlim: Ptr) T value;
+                setrlimit(resource: i32, rlim: Ptr) T value;
+                prlimit64(
+                    pid: i32, resource: i32, new_limit: Option<Ptr>, old_limit: Option<Ptr>
+                ) T value;
+                getrusage(who: i32, usage: Ptr) T value;
+                times(buf: Ptr) T value;
+                set_tid_address(tidptr: Ptr) S value;
+                prctl(option: i32, arg2: u64, arg3: u64, arg4: u64, arg5: u64) P value;
+                personality(persona: u32) P value;
+                // Signals.
+                rt_sigaction(
+                    signum: i32, act: Option<Ptr>, oldact: Option<Ptr>, sigsetsize: usize
+                ) S value;
+                rt_sigprocmask(
+                    how: i32, set: Option<Ptr>, oldset: Option<Ptr>, sigsetsize: usize
+                ) P value;
+                rt_sigpending(set: Ptr, sigsetsize: usize) P value;
+                rt_sigsuspend(mask: Ptr, sigsetsize: usize) S value;
+                rt_sigtimedwait(
+                    set: Ptr, info: Option<Ptr>, timeout: Option<Ptr>, sigsetsize: usize
+                ) T value;
+                rt_sigqueueinfo(tgid: i32, sig: i32, info: Ptr) T value;
+                rt_sigreturn() S control;
+                sigaltstack(ss: Option<Ptr>, old_ss: Option<Ptr>) T value;
+                pause() S value;
+                alarm(seconds: u32) S value;
+                // Identity.
+                getuid() P value;
+                geteuid() P value;
+                getgid() P value;
+                getegid() P value;
+                setuid(uid: u32) P value;
+                setgid(gid: u32) P value;
+                getgroups(size: i32, list: Ptr) P value;
+                setgroups(size: usize, list: Ptr) P value;
+                getresuid(ruid: Option<Ptr>, euid: Option<Ptr>, suid: Option<Ptr>) P value;
+                getresgid(rgid: Option<Ptr>, egid: Option<Ptr>, sgid: Option<Ptr>) P value;
+                setresuid(ruid: u32, euid: u32, suid: u32) P value;
+                setresgid(rgid: u32, egid: u32, sgid: u32) P value;
+                setreuid(ruid: u32, euid: u32) P value;
+                setregid(rgid: u32, egid: u32) P value;
+                setfsuid(fsuid: u32) P value;
+                setfsgid(fsgid: u32) P value;
+                // Sockets.
+                socket(domain: i32, ty: i32, protocol: i32) P value;
+                socketpair(domain: i32, ty: i32, protocol: i32, sv: Ptr) P value;
+                bind(fd: i32, addr: SockAddr) T value;
+                listen(fd: i32, backlog: i32) P value;
+                accept(fd: i32, addr: Option<Ptr>, addrlen: Option<Ptr>) T value;
+                accept4(fd: i32, addr: Option<Ptr>, addrlen: Option<Ptr>, flags: i32) T value;
+                connect(fd: i32, addr: SockAddr) T value;
+                getsockname(fd: i32, addr: Option<Ptr>, addrlen: Option<Ptr>) T value;
+                getpeername(fd: i32, addr: Option<Ptr>, addrlen: Option<Ptr>) T value;
+                // The destination is read before the buffer is looked at.
+                sendto(
+                    fd: i32, buf: Ptr, len: usize, flags: i32, dest: Option<SockAddr>
+                ) T value;
+                recvfrom(
+                    fd: i32, buf: OutBuf, flags: i32, src: Option<Ptr>, addrlen: Option<Ptr>
+                ) T value;
+                sendmsg(fd: i32, msg: Ptr, flags: i32) T value;
+                recvmsg(fd: i32, msg: Ptr, flags: i32) T value;
+                setsockopt(fd: i32, level: i32, optname: i32, optval: Ptr, optlen: u32) P value;
+                getsockopt(
+                    fd: i32, level: i32, optname: i32, optval: Ptr, optlen: Option<Ptr>
+                ) P value;
+                shutdown(fd: i32, how: i32) P value;
+                // Readiness.
+                poll(fds: Ptr, nfds: usize, timeout: i32) T value;
+                ppoll(fds: Ptr, nfds: usize, tmo: Option<Ptr>, sigmask: Option<Ptr>) T value;
+                select(
+                    nfds: i32, readfds: Option<Ptr>, writefds: Option<Ptr>,
+                    exceptfds: Option<Ptr>, timeout: Option<Ptr>
+                ) T value;
+                pselect6(
+                    nfds: i32, readfds: Option<Ptr>, writefds: Option<Ptr>,
+                    exceptfds: Option<Ptr>, timeout: Option<Ptr>, sigmask: Ptr
+                ) T value;
+                epoll_create1(flags: i32) P value;
+                epoll_ctl(epfd: i32, op: i32, fd: i32, event: Option<Ptr>) T value;
+                epoll_wait(epfd: i32, events: Ptr, maxevents: i32, timeout: i32) T value;
+                epoll_pwait(
+                    epfd: i32, events: Ptr, maxevents: i32, timeout: i32, sigmask: Option<Ptr>
+                ) T value;
+                eventfd2(initval: u32, flags: i32) P value;
+                // Time.
+                nanosleep(req: Ptr, rem: Option<Ptr>) T value;
+                clock_gettime(clockid: i32, tp: Ptr) T value;
+                clock_getres(clockid: i32, res: Option<Ptr>) T value;
+                clock_nanosleep(clockid: i32, flags: i32, req: Ptr, rem: Option<Ptr>) T value;
+                gettimeofday(tv: Option<Ptr>, tz: Option<Ptr>) T value;
+                settimeofday(tv: Option<Ptr>, tz: Option<Ptr>) T value;
+                getitimer(which: i32, curr_value: Ptr) T value;
+                setitimer(which: i32, new_value: Ptr, old_value: Option<Ptr>) T value;
+                // Miscellaneous.
+                uname(buf: Ptr) T value;
+                sysinfo(info: Ptr) T value;
+                getrandom(buf: OutBuf, flags: u32) P value;
+                futex(
+                    uaddr: Ptr, futex_op: i32, val: u32, timeout: Option<Ptr>, uaddr2: Ptr,
+                    val3: u32
+                ) S value;
+                getcpu(cpu: Option<Ptr>, node: Option<Ptr>, tcache: Option<Ptr>) P value;
+                syslog(ty: i32, bufp: Ptr, len: i32) P value;
+            }
+            extensions {
+                // The batched-syscall ring (`crate::ring`; DESIGN.md
+                // "Substitutions": WALI proper is one import per syscall).
+                wali_ring_enter(ring: Ptr, to_submit: u32, min_complete: u32, flags: u32) P value;
+            }
         }
     };
 }
 
-/// The WALI syscall specification table.
-///
-/// Sized to the paper's "137 most common syscalls" coverage plus the
-/// legacy x86-64 aliases needed to run unmodified applications.
-pub const SPEC: &[WaliSyscall] = &[
-    // File I/O.
-    sc!("read", 3, P),
-    sc!("write", 3, P),
-    sc!("open", 3, P),
-    sc!("openat", 4, P),
-    sc!("close", 1, P),
-    sc!("lseek", 3, P),
-    sc!("pread64", 4, P),
-    sc!("pwrite64", 4, P),
-    sc!("readv", 3, T),
-    sc!("writev", 3, T),
-    sc!("preadv", 4, T),
-    sc!("pwritev", 4, T),
-    sc!("sendfile", 4, P),
-    sc!("copy_file_range", 6, P),
-    sc!("dup", 1, P),
-    sc!("dup2", 2, P),
-    sc!("dup3", 3, P),
-    sc!("pipe", 1, P),
-    sc!("pipe2", 2, P),
-    sc!("fcntl", 3, P),
-    sc!("ioctl", 3, P),
-    sc!("flock", 2, P),
-    sc!("fsync", 1, P),
-    sc!("fdatasync", 1, P),
-    sc!("sync", 0, P),
-    sc!("truncate", 2, P),
-    sc!("ftruncate", 2, P),
-    sc!("fallocate", 4, P),
-    // Filesystem namespace.
-    sc!("stat", 2, T),
-    sc!("fstat", 2, T),
-    sc!("lstat", 2, T),
-    sc!("newfstatat", 4, T),
-    sc!("statx", 5, T),
-    sc!("access", 2, P),
-    sc!("faccessat", 3, P),
-    sc!("faccessat2", 4, P),
-    sc!("getdents64", 3, T),
-    sc!("getcwd", 2, P),
-    sc!("chdir", 1, P),
-    sc!("fchdir", 1, P),
-    sc!("mkdir", 2, P),
-    sc!("mkdirat", 3, P),
-    sc!("rmdir", 1, P),
-    sc!("rename", 2, P),
-    sc!("renameat", 4, P),
-    sc!("renameat2", 5, P),
-    sc!("link", 2, P),
-    sc!("linkat", 5, P),
-    sc!("unlink", 1, P),
-    sc!("unlinkat", 3, P),
-    sc!("symlink", 2, P),
-    sc!("symlinkat", 3, P),
-    sc!("readlink", 3, P),
-    sc!("readlinkat", 4, P),
-    sc!("chmod", 2, P),
-    sc!("fchmod", 2, P),
-    sc!("fchmodat", 3, P),
-    sc!("chown", 3, P),
-    sc!("fchown", 3, P),
-    sc!("fchownat", 5, P),
-    sc!("umask", 1, P),
-    sc!("mknod", 3, P),
-    sc!("utimensat", 4, T),
-    sc!("statfs", 2, T),
-    sc!("fstatfs", 2, T),
-    // Memory management.
-    sc!("mmap", 6, S),
-    sc!("munmap", 2, S),
-    sc!("mremap", 5, S),
-    sc!("mprotect", 3, P),
-    sc!("brk", 1, S),
-    sc!("madvise", 3, P),
-    sc!("msync", 3, P),
-    sc!("mlock", 2, P),
-    sc!("munlock", 2, P),
-    sc!("membarrier", 3, P),
-    sc!("mincore", 3, P),
-    // Processes and threads.
-    sc!("clone", 5, S),
-    sc!("fork", 0, S),
-    sc!("vfork", 0, S),
-    sc!("execve", 3, S),
-    sc!("exit", 1, S),
-    sc!("exit_group", 1, S),
-    sc!("wait4", 4, T),
-    sc!("waitid", 5, T),
-    sc!("getpid", 0, P),
-    sc!("getppid", 0, P),
-    sc!("gettid", 0, P),
-    sc!("getpgid", 1, P),
-    sc!("setpgid", 2, P),
-    sc!("getpgrp", 0, P),
-    sc!("setsid", 0, P),
-    sc!("getsid", 1, P),
-    sc!("kill", 2, P),
-    sc!("tkill", 2, P),
-    sc!("tgkill", 3, P),
-    sc!("sched_yield", 0, P),
-    sc!("sched_getaffinity", 3, P),
-    sc!("sched_setaffinity", 3, P),
-    sc!("getpriority", 2, P),
-    sc!("setpriority", 3, P),
-    sc!("getrlimit", 2, T),
-    sc!("setrlimit", 2, T),
-    sc!("prlimit64", 4, T),
-    sc!("getrusage", 2, T),
-    sc!("times", 1, T),
-    sc!("set_tid_address", 1, S),
-    sc!("prctl", 5, P),
-    sc!("personality", 1, P),
-    // Signals.
-    sc!("rt_sigaction", 4, S),
-    sc!("rt_sigprocmask", 4, P),
-    sc!("rt_sigpending", 2, P),
-    sc!("rt_sigsuspend", 2, S),
-    sc!("rt_sigtimedwait", 4, T),
-    sc!("rt_sigqueueinfo", 3, T),
-    sc!("rt_sigreturn", 0, S),
-    sc!("sigaltstack", 2, T),
-    sc!("pause", 0, S),
-    sc!("alarm", 1, S),
-    // Identity.
-    sc!("getuid", 0, P),
-    sc!("geteuid", 0, P),
-    sc!("getgid", 0, P),
-    sc!("getegid", 0, P),
-    sc!("setuid", 1, P),
-    sc!("setgid", 1, P),
-    sc!("getgroups", 2, P),
-    sc!("setgroups", 2, P),
-    sc!("getresuid", 3, P),
-    sc!("getresgid", 3, P),
-    sc!("setresuid", 3, P),
-    sc!("setresgid", 3, P),
-    sc!("setreuid", 2, P),
-    sc!("setregid", 2, P),
-    // Sockets.
-    sc!("socket", 3, P),
-    sc!("socketpair", 4, P),
-    sc!("bind", 3, T),
-    sc!("listen", 2, P),
-    sc!("accept", 3, T),
-    sc!("accept4", 4, T),
-    sc!("connect", 3, T),
-    sc!("getsockname", 3, T),
-    sc!("getpeername", 3, T),
-    sc!("sendto", 6, T),
-    sc!("recvfrom", 6, T),
-    sc!("sendmsg", 3, T),
-    sc!("recvmsg", 3, T),
-    sc!("setsockopt", 5, P),
-    sc!("getsockopt", 5, P),
-    sc!("shutdown", 2, P),
-    // Readiness.
-    sc!("poll", 3, T),
-    sc!("ppoll", 4, T),
-    sc!("select", 5, T),
-    sc!("pselect6", 6, T),
-    sc!("epoll_create1", 1, P),
-    sc!("epoll_ctl", 4, T),
-    sc!("epoll_wait", 4, T),
-    sc!("epoll_pwait", 5, T),
-    sc!("eventfd2", 2, P),
-    // Time.
-    sc!("nanosleep", 2, T),
-    sc!("clock_gettime", 2, T),
-    sc!("clock_getres", 2, T),
-    sc!("clock_nanosleep", 4, T),
-    sc!("gettimeofday", 2, T),
-    sc!("settimeofday", 2, T),
-    sc!("getitimer", 2, T),
-    sc!("setitimer", 3, T),
-    // Miscellaneous.
-    sc!("uname", 1, T),
-    sc!("sysinfo", 1, T),
-    sc!("getrandom", 3, P),
-    sc!("futex", 6, S),
-    sc!("getcpu", 3, P),
-    sc!("syslog", 3, P),
-];
+use SyscallClass::{Passthrough as P, Stateful as S, Translated as T};
+
+/// The table as data: [`SPEC`], [`EXTENSIONS`] and [`Sysno`].
+macro_rules! spec_data {
+    (
+        spec { $($s:ident ($($sp:ident : $st:ty),*) $sc:ident $sk:ident;)* }
+        extensions { $($e:ident ($($ep:ident : $et:ty),*) $ec:ident $ek:ident;)* }
+    ) => {
+        /// The WALI syscall specification: the `spec` rows of
+        /// [`wali_syscalls!`](crate::wali_syscalls), in table order.
+        pub const SPEC: &[WaliSyscall] = &[$(WaliSyscall {
+            name: stringify!($s),
+            args: (0 $(+ <$st as Param>::SLOTS)*) as u8,
+            class: $sc,
+        }),*];
+
+        /// Imports beyond the specification, registered and counted like
+        /// its rows: the `extensions` rows of the table.
+        pub const EXTENSIONS: &[WaliSyscall] = &[$(WaliSyscall {
+            name: stringify!($e),
+            args: (0 $(+ <$et as Param>::SLOTS)*) as u8,
+            class: $ec,
+        }),*];
+
+        /// The dense index of a table row — [`SPEC`] rows first, then
+        /// [`EXTENSIONS`]: stable for a build and contiguous, the key of
+        /// per-syscall counters (`Sysno::read as u16`).
+        #[allow(non_camel_case_types, missing_docs)]
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(u16)]
+        pub enum Sysno { $($s,)* $($e,)* }
+    };
+}
+wali_syscalls!(spec_data);
 
 /// WALI support methods for external parameters (§3.4); not syscalls.
 pub const SUPPORT_METHODS: &[&str] = &[
@@ -269,28 +407,20 @@ pub const SUPPORT_METHODS: &[&str] = &[
     "proc_exit",
 ];
 
-/// Number of entries in [`SPEC`]; the size of dense per-syscall tables
-/// (trace counters) indexed by [`sysno`].
-pub const SPEC_LEN: usize = SPEC.len();
+/// Number of table rows ([`SPEC`] and [`EXTENSIONS`]): the size of dense
+/// per-syscall tables indexed by [`Sysno`].
+pub const ROWS: usize = SPEC.len() + EXTENSIONS.len();
 
-/// Resolves a syscall name to its dense index into [`SPEC`].
-///
-/// The index is the key of the dense trace counters: stable for a build, contiguous, and cheap to look up
-/// (one hash over an interned map, done once at registration time — the
-/// per-call paths only ever index with the result).
+/// Every row in [`Sysno`] order.
+pub fn rows() -> impl Iterator<Item = &'static WaliSyscall> {
+    SPEC.iter().chain(EXTENSIONS)
+}
+
+/// Resolves a row name to its dense index ([`Sysno`]). A linear scan:
+/// registration knows its indices at compile time, so only reports and
+/// tests look a name up.
 pub fn sysno(name: &str) -> Option<u16> {
-    use std::collections::HashMap;
-    use std::sync::OnceLock;
-    static INDEX: OnceLock<HashMap<&'static str, u16>> = OnceLock::new();
-    INDEX
-        .get_or_init(|| {
-            SPEC.iter()
-                .enumerate()
-                .map(|(i, s)| (s.name, i as u16))
-                .collect()
-        })
-        .get(name)
-        .copied()
+    rows().position(|s| s.name == name).map(|i| i as u16)
 }
 
 /// Looks a spec entry up by syscall name.
@@ -320,8 +450,15 @@ mod tests {
 
     #[test]
     fn spec_has_no_duplicate_names() {
-        let set: BTreeSet<_> = SPEC.iter().map(|s| s.name).collect();
-        assert_eq!(set.len(), SPEC.len());
+        let set: BTreeSet<_> = rows().map(|s| s.name).collect();
+        assert_eq!(set.len(), ROWS);
+        assert_eq!(sysno("read"), Some(Sysno::read as u16));
+        assert_eq!(
+            sysno("wali_ring_enter"),
+            Some(Sysno::wali_ring_enter as u16)
+        );
+        assert_eq!(Sysno::wali_ring_enter as usize, SPEC.len());
+        assert_eq!(sysno("get_argc"), None);
     }
 
     #[test]
@@ -386,6 +523,9 @@ mod tests {
     #[test]
     fn import_names_are_name_bound() {
         assert_eq!(lookup("mmap").unwrap().import_name(), "SYS_mmap");
+        // Arity is the parameters' slots: buffers take two.
+        let args = |name| lookup(name).unwrap().args;
+        assert_eq!((args("read"), args("sendto"), args("sync")), (3, 6, 0));
     }
 
     #[test]

@@ -7,15 +7,16 @@
 //! * [`mem`] — address-space translation between wasm32 pointers and
 //!   kernel buffers: zero-copy for raw byte buffers, explicit layout
 //!   conversion (via `wali-abi::layout`) for the <10 % of structured
-//!   arguments (§3.2).
+//!   arguments (§3.2), and the decoder of every syscall parameter type.
 //! * [`mmap`] — sandboxed `mmap`/`mremap`/`munmap` entirely inside linear
 //!   memory with single-base-pointer bookkeeping (§3.2).
 //! * [`sigtable`] + [`context`] — the virtual signal table, asynchronous
 //!   delivery at engine safepoints, handler re-entrancy and mask
 //!   restoration (§3.3).
-//! * [`registry`] — builds the host-function [`wasm::Linker`]; passthrough
-//!   wrappers are generated mechanically from the spec classification,
-//!   realizing the >85 % auto-generation claim (§5).
+//! * [`registry`] — builds the host-function [`wasm::Linker`] from the
+//!   one syscall table ([`wali_abi::wali_syscalls!`]): decode and wrapper
+//!   are generated per row, a handler is a plain function of typed
+//!   values — the >85 % auto-generation claim (§5).
 //! * [`runner`] — the process runtime: the 1-to-1 instance-per-thread
 //!   model with `fork` (thread snapshot + memory clone), `execve`
 //!   (program swap) and pthread-style `clone` (shared memory sibling),

@@ -1,12 +1,19 @@
 //! Address-space translation between the Wasm sandbox and the kernel
-//! (§3.2).
+//! (§3.2), and the one argument decoder of the syscall table.
 //!
 //! Raw byte buffers cross the boundary zero-copy via
 //! [`wasm::mem::Memory::with_slice`]; structured arguments go through the
 //! explicit WALI layouts in [`wali_abi::layout`]. Every access is
 //! bounds-checked against the module's linear memory and surfaces as
 //! `EFAULT`, matching what the kernel reports for bad user pointers.
+//!
+//! [`Decode`] turns the raw i64 slots of a call into the values of the
+//! parameter types a table row names ([`wali_abi::spec::Param`]); the
+//! registration decodes a row's parameters in order, so a handler is a
+//! plain function of typed values and never sees a slot.
 
+use wali_abi::layout::WaliSockaddr;
+use wali_abi::spec::{InBuf, OutBuf, Path, Ptr, SockAddr};
 use wali_abi::Errno;
 use wasm::mem::Memory;
 
@@ -17,16 +24,106 @@ pub fn arg(args: &[u64], i: usize) -> i64 {
     args.get(i).copied().unwrap_or(0) as i64
 }
 
-/// Extracts argument slot `i` as a wasm32 pointer.
-#[inline]
-pub fn arg_ptr(args: &[u64], i: usize) -> u32 {
-    arg(args, i) as u32
-}
-
 /// Extracts argument slot `i` as an i32.
 #[inline]
 pub fn arg_i32(args: &[u64], i: usize) -> i32 {
     arg(args, i) as i32
+}
+
+/// A parameter type of the syscall table, decoded from the slots at
+/// `i..i + SLOTS`.
+pub trait Decode: wali_abi::spec::Param {
+    /// What the handler takes.
+    type Value<'m>;
+
+    /// Decodes the parameter and hands it to `f`; a view lives as long
+    /// as `f` runs. A failed decode is the call's errno.
+    fn with<O>(
+        mem: &Memory,
+        args: &[u64],
+        i: usize,
+        f: impl for<'m> FnOnce(Self::Value<'m>) -> Result<O, Errno>,
+    ) -> Result<O, Errno>;
+}
+
+/// Parameter types decoded to an owned value.
+macro_rules! owned {
+    ($($t:ty => $v:ty = |$mem:pat_param, $a:ident, $i:ident| $e:expr;)*) => {$(
+        impl Decode for $t {
+            type Value<'m> = $v;
+
+            #[inline]
+            fn with<O>(
+                $mem: &Memory,
+                $a: &[u64],
+                $i: usize,
+                f: impl for<'m> FnOnce($v) -> Result<O, Errno>,
+            ) -> Result<O, Errno> {
+                f($e)
+            }
+        }
+    )*};
+}
+
+owned! {
+    i32 => i32 = |_, a, i| arg_i32(a, i);
+    u32 => u32 = |_, a, i| arg(a, i) as u32;
+    i64 => i64 = |_, a, i| arg(a, i);
+    u64 => u64 = |_, a, i| arg(a, i) as u64;
+    usize => usize = |_, a, i| arg(a, i) as usize;
+    Ptr => u32 = |_, a, i| arg(a, i) as u32;
+    Path => String = |mem, a, i| read_cstr(mem, arg(a, i) as u32)?;
+    SockAddr => WaliSockaddr = |mem, a, i| {
+        let len = (arg(a, i + 1) as usize).clamp(2, 128);
+        WaliSockaddr::read_from(&read_bytes(mem, arg(a, i) as u32, len)?)?
+    };
+}
+
+impl Decode for InBuf {
+    type Value<'m> = &'m [u8];
+
+    #[inline]
+    fn with<O>(
+        mem: &Memory,
+        a: &[u64],
+        i: usize,
+        f: impl for<'m> FnOnce(&'m [u8]) -> Result<O, Errno>,
+    ) -> Result<O, Errno> {
+        with_slice(mem, arg(a, i) as u32, arg(a, i + 1) as usize, f)?
+    }
+}
+
+impl Decode for OutBuf {
+    type Value<'m> = &'m mut [u8];
+
+    #[inline]
+    fn with<O>(
+        mem: &Memory,
+        a: &[u64],
+        i: usize,
+        f: impl for<'m> FnOnce(&'m mut [u8]) -> Result<O, Errno>,
+    ) -> Result<O, Errno> {
+        with_slice_mut(mem, arg(a, i) as u32, arg(a, i + 1) as usize, f)?
+    }
+}
+
+/// A nullable pointer kind: `None`, and nothing read, when the wasm32
+/// pointer in its first slot is 0.
+impl<T: Decode> Decode for Option<T> {
+    type Value<'m> = Option<T::Value<'m>>;
+
+    #[inline]
+    fn with<O>(
+        mem: &Memory,
+        a: &[u64],
+        i: usize,
+        f: impl for<'m> FnOnce(Option<T::Value<'m>>) -> Result<O, Errno>,
+    ) -> Result<O, Errno> {
+        match arg(a, i) as u32 {
+            0 => f(None),
+            _ => T::with(mem, a, i, |v| f(Some(v))),
+        }
+    }
 }
 
 /// Reads `len` bytes at `ptr` into a fresh buffer.
@@ -199,10 +296,35 @@ mod tests {
 
     #[test]
     fn value_arg_extraction() {
-        let args = [-5i64 as u64, 0xffff_ffff];
+        let (m, args) = (mem(), [-5i64 as u64, 0xffff_ffff, 1 << 40]);
         assert_eq!(arg(&args, 0), -5);
-        assert_eq!(arg_i32(&args, 0), -5);
-        assert_eq!(arg_ptr(&args, 1), 0xffff_ffff);
-        assert_eq!(arg(&args, 7), 0, "missing args default to 0");
+        assert_eq!(i32::with(&m, &args, 0, Ok), Ok(-5));
+        assert_eq!(u32::with(&m, &args, 0, Ok), Ok(u32::MAX - 4));
+        assert_eq!(u64::with(&m, &args, 0, Ok), Ok(-5i64 as u64));
+        assert_eq!(Ptr::with(&m, &args, 1, Ok), Ok(0xffff_ffff));
+        assert_eq!(Ptr::with(&m, &args, 7, Ok), Ok(0), "missing args read 0");
+        // A nullable pointer is null by its wasm32 value.
+        let nullable = |i| Option::<Ptr>::with(&m, &args, i, Ok);
+        assert_eq!(nullable(1), Ok(Some(0xffff_ffff)));
+        assert_eq!(nullable(2), Ok(None));
+    }
+
+    #[test]
+    fn views_paths_and_addresses_are_checked_before_the_call() {
+        let m = mem();
+        write_bytes(&m, 64, b"/tmp\0").unwrap();
+        let called = |r: Result<(), Errno>| r.err();
+        let path = |p: u64| called(Path::with(&m, &[p], 0, |_| Ok(())));
+        assert_eq!(path(64), None);
+        assert_eq!(path(1 << 16), Some(Errno::Efault));
+        write_bytes(&m, 96, &[0xff, 0]).unwrap();
+        assert_eq!(path(96), Some(Errno::Einval));
+        let view = |a: &[u64]| called(OutBuf::with(&m, a, 0, |_| Ok(())));
+        assert_eq!(view(&[64, 16]), None);
+        assert_eq!(view(&[65530, 100]), Some(Errno::Efault));
+        assert_eq!(view(&[64, 1 << 40]), Some(Errno::Efault));
+        let dest = |a: &[u64]| called(Option::<SockAddr>::with(&m, a, 0, |_| Ok(())));
+        assert_eq!(dest(&[0, 16]), None, "null: nothing read");
+        assert_eq!(dest(&[u32::MAX as u64, 16]), Some(Errno::Efault));
     }
 }

@@ -51,7 +51,7 @@ pub struct MmapPool {
 impl MmapPool {
     /// Creates a pool starting at `base` (rounded up to a map page).
     pub fn new(base: u32) -> MmapPool {
-        let base = round_up(base);
+        let base = round_up(base).expect("the pool starts below the last map page");
         MmapPool {
             base,
             high_water: base,
@@ -104,7 +104,7 @@ impl MmapPool {
         if flags & MAP_ANONYMOUS != 0 && file.is_some() {
             return Err(Errno::Einval);
         }
-        let len = round_up(len);
+        let len = round_up(len).ok_or(Errno::Enomem)?;
         let addr = self.find_gap(len).ok_or(Errno::Enomem)?;
         let region = Region {
             addr,
@@ -149,7 +149,7 @@ impl MmapPool {
         if !addr.is_multiple_of(MAP_PAGE) || len == 0 {
             return Err(Errno::Einval);
         }
-        let len = round_up(len);
+        let len = round_up(len).ok_or(Errno::Einval)?;
         let end = addr.checked_add(len).ok_or(Errno::Einval)?;
         let overlapping: Vec<u32> = self
             .regions
@@ -202,8 +202,8 @@ impl MmapPool {
         new_len: u32,
         flags: i32,
     ) -> Result<(Region, Region), Errno> {
-        let old_len = round_up(old_len.max(1));
-        let new_len = round_up(new_len.max(1));
+        let old_len = round_up(old_len.max(1)).ok_or(Errno::Einval)?;
+        let new_len = round_up(new_len.max(1)).ok_or(Errno::Einval)?;
         let region = self.regions.get(&old_addr).cloned().ok_or(Errno::Efault)?;
         if region.len != old_len {
             return Err(Errno::Einval);
@@ -217,11 +217,9 @@ impl MmapPool {
         }
         // Try to extend in place.
         let end = old_addr + old_len;
-        let extension_free = self
-            .regions
-            .range(end..end + (new_len - old_len))
-            .next()
-            .is_none();
+        let extension_free = end
+            .checked_add(new_len - old_len)
+            .is_some_and(|new_end| self.regions.range(end..new_end).next().is_none());
         if extension_free {
             let r = self.regions.get_mut(&old_addr).expect("exists");
             r.len = new_len;
@@ -243,8 +241,8 @@ impl MmapPool {
         if prot & PROT_EXEC != 0 {
             return Err(Errno::Eacces);
         }
-        let len = round_up(len.max(1));
-        let end = addr + len;
+        let len = round_up(len.max(1)).ok_or(Errno::Enomem)?;
+        let end = addr.checked_add(len).ok_or(Errno::Enomem)?;
         let any = self
             .regions
             .values_mut()
@@ -258,8 +256,10 @@ impl MmapPool {
     }
 }
 
-fn round_up(v: u32) -> u32 {
-    v.div_ceil(MAP_PAGE) * MAP_PAGE
+/// `v` rounded up to a map page; `None` past the last one (a guest picks
+/// the lengths).
+fn round_up(v: u32) -> Option<u32> {
+    v.checked_next_multiple_of(MAP_PAGE)
 }
 
 #[cfg(test)]

@@ -1,8 +1,12 @@
 //! The name-bound host-function registry.
 //!
 //! `build_linker` materializes the WALI specification: one host function
-//! per syscall, registered as `wali.SYS_<name>` with an all-i64 signature
-//! (§3.5 name binding). The wrapper around every call ([`wrapped`]) is
+//! per row of the syscall table ([`wali_abi::wali_syscalls!`]), registered
+//! as `wali.SYS_<name>` with an all-i64 signature (§3.5 name binding).
+//! The table expands here into the registration of every row: decode the
+//! row's typed parameters in order ([`crate::mem::Decode`]), call the
+//! handler — a plain function of the decoded values, named after its
+//! syscall — and wrap it. The wrapper around every call ([`wrapped`]) is
 //! the mechanical part of the recipe (§5): count the call, apply the
 //! policy layer, tick the kernel clock, time the layers when the run
 //! records them, and map the kernel result onto the raw Linux return
@@ -12,12 +16,17 @@
 //! blocks leaves them there for its retry
 //! ([`wasm::host::HostOutcome::Block`]).
 
+// A handler no row names is refused like a row without a handler.
+#![deny(dead_code)]
+
 use vkernel::{Block, SysError, TaskHot};
+use wali_abi::spec::{InBuf, OutBuf, Param, Path, Ptr, SockAddr, Sysno};
 use wali_abi::Errno;
 use wasm::error::Trap;
 use wasm::host::{Blocked, Caller, HostOutcome, Linker};
 
 use crate::context::WaliContext;
+use crate::mem::Decode;
 use crate::policy::{DenyAction, Verdict};
 use crate::WALI_MODULE;
 
@@ -28,6 +37,12 @@ pub(crate) mod proc;
 pub(crate) mod sig;
 pub(crate) mod sock;
 pub(crate) mod support;
+
+/// Every row's handler, under its syscall's name.
+mod handlers {
+    pub(super) use super::{fs::*, misc::*, mm::*, proc::*, sig::*, sock::*};
+    pub(super) use crate::ring::wali_ring_enter;
+}
 
 /// Control-transferring suspension payloads the runner interprets (§3.1).
 pub enum WaliSuspend {
@@ -84,15 +99,15 @@ pub fn finish(import: &'static str, r: Result<i64, SysError>) -> Result<u64, Hos
     }
 }
 
-/// The wrapper around every syscall handler — implemented, control
-/// transferring or ENOSYS stub alike: `enter`, then `body` unless the
-/// policy layer answered in its place. Host time is clocked only in a
-/// run that records layer timing.
+/// The wrapper around every syscall — a value, control-transferring or
+/// `nosys` row alike: `enter`, then `body` unless the policy layer
+/// answered in its place. Host time is clocked only in a run that
+/// records layer timing.
 #[inline]
 pub fn wrapped(
     caller: &mut Caller<'_, WaliContext>,
     name: &'static str,
-    sysno: Option<u16>,
+    sysno: Sysno,
     body: impl FnOnce(&mut Caller<'_, WaliContext>) -> Result<u64, HostOutcome>,
 ) -> Result<u64, HostOutcome> {
     let t0 = caller.data.trace.clock();
@@ -111,15 +126,14 @@ pub fn wrapped(
 
 /// Syscall entry, shared by every wrapper instance: count the call,
 /// consult the policy layer, tick the virtual clock. `sysno` is the
-/// dense spec index resolved once at registration, so counting is an
-/// array increment, not a name lookup. `Err` is the policy's answer to a
-/// denied call.
+/// row's dense index, so counting is an array increment. `Err` is the
+/// policy's answer to a denied call.
 fn enter(
     ctx: &mut WaliContext,
     name: &'static str,
-    sysno: Option<u16>,
+    sysno: Sysno,
 ) -> Result<(), Result<u64, HostOutcome>> {
-    ctx.trace.count_dispatch(sysno, name);
+    ctx.trace.counts.bump(sysno);
     if let Some(policy) = &mut ctx.policy {
         match policy.check(name) {
             Verdict::Allow => {}
@@ -133,59 +147,73 @@ fn enter(
     Ok(())
 }
 
-/// Compile-time proof that a handler captures nothing. The import table
-/// is built once per process and shared by every runner
-/// ([`build_linker`]), so a handler holding state would leak it from one
-/// run into another; everything a run mutates belongs in [`WaliContext`].
-pub(crate) fn stateless<F>(f: F) -> F {
-    const {
-        assert!(
-            std::mem::size_of::<F>() == 0,
-            "syscall handlers capture nothing"
-        )
+/// Decodes a row's parameters, in order, around a call of its handler:
+/// each [`Decode::with`] hands its value (a view lives as long as the
+/// rest of the call) to the decode of the next.
+macro_rules! decode {
+    ($c:ident $a:ident [$i:expr] $f:path [$($v:ident)*]) => {
+        Ok($f($c $(, $v)*))
     };
-    f
+    ($c:ident $a:ident [$i:expr] $f:path [$($v:ident)*] $p:ident : $t:ty $(, $rp:ident : $rt:ty)*) => {
+        <$t as Decode>::with(&$c.instance.memory, $a, $i, |$p| {
+            decode!($c $a [$i + <$t as Param>::SLOTS] $f [$($v)* $p] $($rp : $rt),*)
+        })
+    };
 }
 
-/// Registers a syscall whose implementation returns `Result<i64, SysError>`.
-macro_rules! sys {
-    ($l:expr, $name:literal, $f:expr) => {{
-        let name: &'static str = $name;
-        let sysno = wali_abi::spec::sysno(name);
-        let f = crate::registry::stateless($f);
-        $l.func_raw(
-            crate::WALI_MODULE,
-            concat!("SYS_", $name),
-            move |caller: &mut wasm::host::Caller<'_, crate::context::WaliContext>,
-                  args: &[u64]| {
-                crate::registry::wrapped(caller, name, sysno, |caller| {
-                    let r = f(caller, args);
-                    crate::registry::finish(concat!("SYS_", $name), r)
-                })
-            },
-        );
-    }};
+/// The registration of every row of the table: the import
+/// `SYS_<name>` through [`wrapped`], with the row's [`Sysno`].
+macro_rules! register_rows {
+    (
+        spec { $($spec:tt)* }
+        extensions { $($ext:tt)* }
+    ) => {
+        // A row without parameters leaves the slots unread.
+        #[allow(unused_variables)]
+        fn register_syscalls(l: &mut Linker<WaliContext>) {
+            register_rows!(@rows l $($spec)* $($ext)*);
+        }
+    };
+    (@rows $l:ident $($name:ident ($($p:ident : $t:ty),*) $class:ident $kind:ident;)*) => {
+        $(register_rows!(@row $l $kind $name ($($p : $t),*));)*
+    };
+    // The handler answers `Result<i64, SysError>`; a failed decode is
+    // its errno.
+    (@row $l:ident value $name:ident ($($p:ident : $t:ty),*)) => {
+        $l.func_raw(WALI_MODULE, concat!("SYS_", stringify!($name)), |caller, a| {
+            wrapped(caller, stringify!($name), Sysno::$name, |c| {
+                let r: Result<_, Errno> = decode!(c a [0] handlers::$name [] $($p : $t),*);
+                finish(
+                    concat!("SYS_", stringify!($name)),
+                    r.unwrap_or_else(|e| Err(e.into())),
+                )
+            })
+        });
+    };
+    // The handler answers the host outcome itself (exit, fork, exec,
+    // traps); a failed decode returns its errno.
+    (@row $l:ident control $name:ident ($($p:ident : $t:ty),*)) => {
+        $l.func_raw(WALI_MODULE, concat!("SYS_", stringify!($name)), |caller, a| {
+            wrapped(caller, stringify!($name), Sysno::$name, |c| {
+                let r: Result<_, Errno> = decode!(c a [0] handlers::$name [] $($p : $t),*);
+                r.unwrap_or_else(|e| Ok(e.as_ret() as u64))
+            })
+        });
+    };
+    // In the spec with no faithful implementation here: name-bound and
+    // present, but answers `-ENOSYS` (§3.5 "allowing the latter to trap
+    // if it cannot faithfully attempt the execution") — through the same
+    // wrapper as every other syscall, so the policy layer sees it too.
+    (@row $l:ident nosys $name:ident ($($p:ident : $t:ty),*)) => {
+        $l.func_raw(WALI_MODULE, concat!("SYS_", stringify!($name)), |caller, _| {
+            wrapped(caller, stringify!($name), Sysno::$name, |_| {
+                Ok(Errno::Enosys.as_ret() as u64)
+            })
+        });
+    };
 }
 
-/// Registers a syscall whose implementation controls the full outcome
-/// (exit, fork, exec, traps).
-macro_rules! sysx {
-    ($l:expr, $name:literal, $f:expr) => {{
-        let name: &'static str = $name;
-        let sysno = wali_abi::spec::sysno(name);
-        let f = crate::registry::stateless($f);
-        $l.func_raw(
-            crate::WALI_MODULE,
-            concat!("SYS_", $name),
-            move |caller: &mut wasm::host::Caller<'_, crate::context::WaliContext>,
-                  args: &[u64]| {
-                crate::registry::wrapped(caller, name, sysno, |caller| f(caller, args))
-            },
-        );
-    }};
-}
-
-pub(crate) use {sys, sysx};
+wali_abi::wali_syscalls!(register_rows);
 
 /// Runs a kernel operation for the calling task, with layer timing.
 pub(crate) fn k<R>(
@@ -204,26 +232,14 @@ pub(crate) fn flat<T>(r: Result<Result<T, SysError>, Errno>) -> Result<T, SysErr
     }
 }
 
-/// A syscall in the spec with no faithful implementation on this platform:
-/// name-bound and present, but answers `-ENOSYS` when invoked (§3.5
-/// "allowing the latter to trap if it cannot faithfully attempt the
-/// execution") — through the same wrapper as every other syscall, so the
-/// policy layer sees it too.
-pub(crate) fn register_nosys(l: &mut Linker<WaliContext>, name: &'static str) {
-    let sysno = wali_abi::spec::sysno(name);
-    l.func_raw(WALI_MODULE, &format!("SYS_{name}"), move |caller, _args| {
-        wrapped(caller, name, sysno, |_| Ok(Errno::Enosys.as_ret() as u64))
-    });
-}
-
 /// The complete WALI linker: a clone of one table built on first use.
 ///
-/// The table is immutable shared data, not shared state — every
-/// registered closure captures only its name and dense spec index, and
-/// everything a run mutates lives in its [`WaliContext`]. A clone costs
-/// one reference count per import module ([`Linker`] copies a module's
-/// table on write), so what a runner adds through
-/// [`crate::WaliRunner::linker_mut`] stays private to that runner.
+/// The table is immutable shared data, not shared state — a registered
+/// closure captures nothing, and everything a run mutates lives in its
+/// [`WaliContext`]. A clone costs one reference count per import module
+/// ([`Linker`] copies a module's table on write), so what a runner adds
+/// through [`crate::WaliRunner::linker_mut`] stays private to that
+/// runner.
 pub fn build_linker() -> Linker<WaliContext> {
     static TABLE: std::sync::OnceLock<Linker<WaliContext>> = std::sync::OnceLock::new();
     TABLE.get_or_init(build_table).clone()
@@ -231,59 +247,46 @@ pub fn build_linker() -> Linker<WaliContext> {
 
 fn build_table() -> Linker<WaliContext> {
     let mut l = Linker::new();
-    fs::register(&mut l);
-    mm::register(&mut l);
-    proc::register(&mut l);
-    sig::register(&mut l);
-    sock::register(&mut l);
-    misc::register(&mut l);
+    register_syscalls(&mut l);
     support::register(&mut l);
-    // The batched-syscall ring entry point (an extension import beyond
-    // the spec; `WALI_NO_RING=1` turns it into a runtime -ENOSYS).
-    crate::ring::register(&mut l);
-
-    // Every remaining spec entry is exposed as a name-bound ENOSYS stub so
-    // modules link against the full specification surface.
-    for spec in wali_abi::spec::SPEC {
-        if l.resolve(WALI_MODULE, &spec.import_name()).is_none() {
-            register_nosys(&mut l, spec.name);
-        }
-    }
     l
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::collections::BTreeSet;
 
+    use super::*;
+    use wali_abi::spec::{EXTENSIONS, SPEC, SUPPORT_METHODS};
+
+    /// What the linker registers under `wali` is the table and the
+    /// support methods, exactly.
     #[test]
     fn linker_covers_full_spec() {
         let l = build_linker();
-        for spec in wali_abi::spec::SPEC {
-            assert!(
-                l.resolve(WALI_MODULE, &spec.import_name()).is_some(),
-                "missing {}",
-                spec.import_name()
-            );
-        }
-        for m in wali_abi::spec::SUPPORT_METHODS {
-            assert!(
-                l.resolve(WALI_MODULE, m).is_some(),
-                "missing support method {m}"
-            );
-        }
+        let registered: BTreeSet<String> = l
+            .names()
+            .filter(|(module, _)| *module == WALI_MODULE)
+            .map(|(_, name)| name.to_string())
+            .collect();
+        let declared: BTreeSet<String> = SPEC
+            .iter()
+            .chain(EXTENSIONS)
+            .map(|s| s.import_name())
+            .chain(SUPPORT_METHODS.iter().map(|m| m.to_string()))
+            .collect();
+        assert_eq!(registered, declared);
     }
 
-    /// An ENOSYS stub is a syscall like any other to the policy layer:
+    /// A `nosys` row is a syscall like any other to the policy layer:
     /// denied calls trap or fail with the policy's errno and are logged;
     /// allowed ones tick the virtual clock and answer `-ENOSYS`.
     #[test]
     fn nosys_stubs_go_through_the_policy_layer() {
         use crate::policy::Policy;
 
-        let mut l = Linker::new();
-        register_nosys(&mut l, "sync");
-        let stub = l.resolve(WALI_MODULE, "SYS_sync").unwrap().clone();
+        let l = build_linker();
+        let stub = l.resolve(WALI_MODULE, "SYS_statx").unwrap().clone();
 
         let mut mb = wasm::build::ModuleBuilder::new();
         mb.memory(1, Some(1));
@@ -306,11 +309,14 @@ mod tests {
         ctx.policy = Some(Policy::allow_list(["read"], DenyAction::Kill));
         assert!(matches!(
             call(&mut ctx),
-            Err(HostOutcome::Trap(Trap::Forbidden("sync")))
+            Err(HostOutcome::Trap(Trap::Forbidden("statx")))
         ));
-        ctx.policy = Some(Policy::deny_list(["sync"], DenyAction::Errno(Errno::Eperm)));
+        ctx.policy = Some(Policy::deny_list(
+            ["statx"],
+            DenyAction::Errno(Errno::Eperm),
+        ));
         assert_eq!(call(&mut ctx).ok(), Some(Errno::Eperm.as_ret() as u64));
-        assert_eq!(ctx.policy.as_ref().unwrap().denied_log, vec!["sync"]);
+        assert_eq!(ctx.policy.as_ref().unwrap().denied_log, vec!["statx"]);
         assert_eq!(now(), 0, "denied calls never enter the kernel");
 
         ctx.policy = None;
@@ -320,7 +326,7 @@ mod tests {
             vkernel::clock::SYSCALL_QUANTUM_NS,
             "an allowed stub ticks like any syscall"
         );
-        assert_eq!(ctx.trace.counts.of("sync"), 3, "every attempt is counted");
+        assert_eq!(ctx.trace.counts.of("statx"), 3, "every attempt is counted");
     }
 
     #[test]

@@ -2,18 +2,15 @@
 
 use vkernel::kernel::fs::IoctlOut;
 use vkernel::SysError;
-use wali_abi::flags::{AT_FDCWD, AT_REMOVEDIR, AT_SYMLINK_NOFOLLOW, O_RDWR};
+use wali_abi::flags::{AT_FDCWD, AT_REMOVEDIR, AT_SYMLINK_NOFOLLOW, O_CREAT, O_RDWR};
 use wali_abi::layout::{WaliIovec, WaliStat, WaliTimespec};
 use wali_abi::Errno;
-use wasm::host::{Caller, Linker};
+use wasm::host::Caller;
 
 use crate::context::WaliContext;
 use crate::fastpath;
-use crate::mem::{
-    arg, arg_i32, arg_ptr, page_chunks, read_bytes, read_cstr, with_slice, with_slice_mut,
-    write_bytes, write_u32,
-};
-use crate::registry::{flat, k, sys};
+use crate::mem::{page_chunks, read_bytes, with_slice, with_slice_mut, write_bytes, write_u32};
+use crate::registry::{flat, k};
 use vkernel::MutexExt;
 
 type C<'a, 'b> = &'a mut Caller<'b, WaliContext>;
@@ -24,579 +21,410 @@ fn forbidden_path(path: &str) -> bool {
     path == "/proc/self/mem" || path.starts_with("/proc/self/mem/")
 }
 
-fn do_openat(c: C, dirfd: i32, path: &str, flags: i32, mode: u32) -> R {
-    if forbidden_path(path) {
+fn stat_out(c: C, ptr: u32, st: WaliStat) -> R {
+    let mut buf = [0u8; WaliStat::SIZE];
+    st.write_to(&mut buf)?;
+    write_bytes(&c.instance.memory, ptr, &buf)?;
+    Ok(0)
+}
+
+// Descriptor I/O runs against the kernel's shards — the task's fd
+// table, the description, the VFS or one pipe/socket — without the
+// kernel lock ([`crate::fastpath`]).
+
+pub(super) fn read(c: C, fd: i32, buf: &mut [u8]) -> R {
+    fastpath::read(c, fd, buf)
+}
+
+pub(super) fn write(c: C, fd: i32, buf: &[u8]) -> R {
+    fastpath::write(c, fd, buf)
+}
+
+pub(super) fn pread64(c: C, fd: i32, buf: &mut [u8], offset: u64) -> R {
+    fastpath::pread(c, fd, buf, offset)
+}
+
+pub(super) fn pwrite64(c: C, fd: i32, buf: &[u8], offset: u64) -> R {
+    fastpath::pwrite(c, fd, buf, offset)
+}
+
+// Scatter-gather I/O needs layout conversion: wasm32 iovecs are 8 bytes,
+// native ones 16 (§3.2 "Layout Conversion"). The positional variants
+// route through `pread`/`pwrite`, leaving the file cursor unmoved like
+// Linux.
+
+pub(super) fn readv(c: C, fd: i32, iov: u32, iovcnt: usize) -> R {
+    iov_rw(c, fd, iov, iovcnt, false, None)
+}
+
+pub(super) fn writev(c: C, fd: i32, iov: u32, iovcnt: usize) -> R {
+    iov_rw(c, fd, iov, iovcnt, true, None)
+}
+
+pub(super) fn preadv(c: C, fd: i32, iov: u32, iovcnt: usize, offset: u64) -> R {
+    iov_rw(c, fd, iov, iovcnt, false, Some(offset))
+}
+
+pub(super) fn pwritev(c: C, fd: i32, iov: u32, iovcnt: usize, offset: u64) -> R {
+    iov_rw(c, fd, iov, iovcnt, true, Some(offset))
+}
+
+pub(super) fn open(c: C, path: String, flags: i32, mode: u32) -> R {
+    openat(c, AT_FDCWD, path, flags, mode)
+}
+
+pub(super) fn openat(c: C, dirfd: i32, path: String, flags: i32, mode: u32) -> R {
+    if forbidden_path(&path) {
         // Interposed before the kernel ever sees it.
         return Err(Errno::Eacces.into());
     }
-    k(c, |kk, tid| kk.sys_openat(tid, dirfd, path, flags, mode)).map(|fd| fd as i64)
+    k(c, |kk, tid| kk.sys_openat(tid, dirfd, &path, flags, mode)).map(|fd| fd as i64)
 }
 
-fn stat_out(c: C, ptr: u32, st: WaliStat) -> R {
-    let mut buf = [0u8; WaliStat::SIZE];
-    st.write_to(&mut buf).map_err(SysError::Err)?;
-    write_bytes(&c.instance.memory, ptr, &buf).map_err(SysError::Err)?;
-    Ok(0)
+pub(super) fn close(c: C, fd: i32) -> R {
+    k(c, |kk, tid| kk.sys_close(tid, fd))
 }
 
-pub(crate) fn register(l: &mut Linker<WaliContext>) {
-    // Descriptor I/O runs against the kernel's shards — the task's fd
-    // table, the description, the VFS or one pipe/socket — without the
-    // kernel lock ([`crate::fastpath`]).
-    sys!(l, "read", |c: C, a: &[u64]| -> R {
-        let (fd, ptr, len) = (arg_i32(a, 0), arg_ptr(a, 1), arg(a, 2) as usize);
-        let mem = &*c.instance.memory;
-        flat(with_slice_mut(mem, ptr, len, |buf| {
-            fastpath::read(c, fd, buf)
-        }))
-    });
-
-    sys!(l, "write", |c: C, a: &[u64]| -> R {
-        let (fd, ptr, len) = (arg_i32(a, 0), arg_ptr(a, 1), arg(a, 2) as usize);
-        let mem = &*c.instance.memory;
-        flat(with_slice(mem, ptr, len, |buf| fastpath::write(c, fd, buf)))
-    });
-
-    sys!(l, "pread64", |c: C, a: &[u64]| -> R {
-        let (fd, ptr, len, off) = (
-            arg_i32(a, 0),
-            arg_ptr(a, 1),
-            arg(a, 2) as usize,
-            arg(a, 3) as u64,
-        );
-        let mem = &*c.instance.memory;
-        flat(with_slice_mut(mem, ptr, len, |buf| {
-            fastpath::pread(c, fd, buf, off)
-        }))
-    });
-
-    sys!(l, "pwrite64", |c: C, a: &[u64]| -> R {
-        let (fd, ptr, len, off) = (
-            arg_i32(a, 0),
-            arg_ptr(a, 1),
-            arg(a, 2) as usize,
-            arg(a, 3) as u64,
-        );
-        let mem = &*c.instance.memory;
-        flat(with_slice(mem, ptr, len, |buf| {
-            fastpath::pwrite(c, fd, buf, off)
-        }))
-    });
-
-    // Scatter-gather I/O needs layout conversion: wasm32 iovecs are 8
-    // bytes, native ones 16 (§3.2 "Layout Conversion"). The positional
-    // variants route through `pread`/`pwrite`, leaving the file cursor
-    // unmoved like Linux.
-    sys!(l, "readv", |c: C, a: &[u64]| -> R {
-        do_iov(c, a, false, false)
-    });
-    sys!(l, "writev", |c: C, a: &[u64]| -> R {
-        do_iov(c, a, true, false)
-    });
-    sys!(l, "preadv", |c: C, a: &[u64]| -> R {
-        do_iov(c, a, false, true)
-    });
-    sys!(l, "pwritev", |c: C, a: &[u64]| -> R {
-        do_iov(c, a, true, true)
-    });
-
-    sys!(l, "open", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        do_openat(c, AT_FDCWD, &path, arg_i32(a, 1), arg(a, 2) as u32)
-    });
-
-    sys!(l, "openat", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
-        do_openat(c, arg_i32(a, 0), &path, arg_i32(a, 2), arg(a, 3) as u32)
-    });
-
-    sys!(l, "close", |c: C, a: &[u64]| -> R {
-        let fd = arg_i32(a, 0);
-        k(c, |kk, tid| kk.sys_close(tid, fd))
-    });
-
-    sys!(l, "lseek", |c: C, a: &[u64]| -> R {
-        let (fd, off, whence) = (arg_i32(a, 0), arg(a, 1), arg_i32(a, 2));
-        fastpath::lseek(c, fd, off, whence)
-    });
-
-    sys!(l, "dup", |c: C, a: &[u64]| -> R {
-        let fd = arg_i32(a, 0);
-        k(c, |kk, tid| kk.sys_dup(tid, fd))
-    });
-
-    sys!(l, "dup2", |c: C, a: &[u64]| -> R {
-        let (old, new) = (arg_i32(a, 0), arg_i32(a, 1));
-        if old == new {
-            // dup2 is a no-op on equal fds (dup3 errors instead).
-            return k(c, |kk, tid| {
-                kk.task(tid)
-                    .and_then(|t| t.fdtable.lock_ok().get(old).map(|_| new as i64))
-                    .map_err(SysError::Err)
-            });
-        }
-        k(c, |kk, tid| kk.sys_dup3(tid, old, new, 0))
-    });
-
-    sys!(l, "dup3", |c: C, a: &[u64]| -> R {
-        let (old, new, flags) = (arg_i32(a, 0), arg_i32(a, 1), arg_i32(a, 2));
-        k(c, |kk, tid| kk.sys_dup3(tid, old, new, flags))
-    });
-
-    sys!(l, "pipe", |c: C, a: &[u64]| -> R {
-        do_pipe(c, arg_ptr(a, 0), 0)
-    });
-    sys!(l, "pipe2", |c: C, a: &[u64]| -> R {
-        do_pipe(c, arg_ptr(a, 0), arg_i32(a, 1))
-    });
-
-    sys!(l, "fcntl", |c: C, a: &[u64]| -> R {
-        let (fd, cmd, argv) = (arg_i32(a, 0), arg_i32(a, 1), arg_i32(a, 2));
-        k(c, |kk, tid| kk.sys_fcntl(tid, fd, cmd, argv))
-    });
-
-    sys!(l, "ioctl", |c: C, a: &[u64]| -> R {
-        let (fd, op, argp) = (arg_i32(a, 0), arg(a, 1) as u64, arg_ptr(a, 2));
-        let mem = &*c.instance.memory;
-        let out = k(c, |kk, tid| kk.sys_ioctl(tid, fd, op))?;
-        match out {
-            IoctlOut::Int(v) => {
-                if argp != 0 {
-                    write_u32(mem, argp, v as u32).map_err(SysError::Err)?;
-                }
-                Ok(0)
-            }
-            IoctlOut::Winsize { rows, cols } => {
-                let mut ws = [0u8; 8];
-                ws[0..2].copy_from_slice(&rows.to_le_bytes());
-                ws[2..4].copy_from_slice(&cols.to_le_bytes());
-                write_bytes(mem, argp, &ws).map_err(SysError::Err)?;
-                Ok(0)
-            }
-        }
-    });
-
-    sys!(l, "flock", |c: C, a: &[u64]| -> R {
-        // Single-kernel model: advisory locks always succeed.
-        let fd = arg_i32(a, 0);
-        k(c, |kk, tid| kk.sys_fsync(tid, fd))
-    });
-
-    sys!(l, "fsync", |c: C, a: &[u64]| -> R {
-        let fd = arg_i32(a, 0);
-        k(c, |kk, tid| kk.sys_fsync(tid, fd))
-    });
-    sys!(l, "fdatasync", |c: C, a: &[u64]| -> R {
-        let fd = arg_i32(a, 0);
-        k(c, |kk, tid| kk.sys_fsync(tid, fd))
-    });
-    sys!(l, "sync", |_c: C, _a: &[u64]| -> R { Ok(0) });
-
-    sys!(l, "truncate", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        let len = arg(a, 1) as u64;
-        k(c, |kk, tid| kk.sys_truncate(tid, &path, len))
-    });
-
-    sys!(l, "ftruncate", |c: C, a: &[u64]| -> R {
-        let (fd, len) = (arg_i32(a, 0), arg(a, 1) as u64);
-        k(c, |kk, tid| kk.sys_ftruncate(tid, fd, len))
-    });
-
-    sys!(l, "fallocate", |c: C, a: &[u64]| -> R {
-        let (fd, off, len) = (arg_i32(a, 0), arg(a, 2) as u64, arg(a, 3) as u64);
-        k(c, |kk, tid| {
-            let st = kk.sys_fstat(tid, fd)?;
-            let want = off.checked_add(len).ok_or(Errno::Efbig)?;
-            if (st.st_size as u64) < want {
-                kk.sys_ftruncate(tid, fd, want)?;
-            }
-            Ok(0)
-        })
-    });
-
-    sys!(l, "stat", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        let st = k(c, |kk, tid| kk.sys_fstatat(tid, AT_FDCWD, &path, 0))?;
-        stat_out(c, arg_ptr(a, 1), st)
-    });
-
-    sys!(l, "lstat", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        let st = k(c, |kk, tid| {
-            kk.sys_fstatat(tid, AT_FDCWD, &path, AT_SYMLINK_NOFOLLOW)
-        })?;
-        stat_out(c, arg_ptr(a, 1), st)
-    });
-
-    sys!(l, "fstat", |c: C, a: &[u64]| -> R {
-        let st = fastpath::fstat(c, arg_i32(a, 0))?;
-        stat_out(c, arg_ptr(a, 1), st)
-    });
-
-    sys!(l, "newfstatat", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
-        let (dirfd, flags) = (arg_i32(a, 0), arg_i32(a, 3));
-        let st = if path.is_empty() {
-            // AT_EMPTY_PATH convention.
-            k(c, |kk, tid| kk.sys_fstat(tid, dirfd))?
-        } else {
-            k(c, |kk, tid| kk.sys_fstatat(tid, dirfd, &path, flags))?
-        };
-        stat_out(c, arg_ptr(a, 2), st)
-    });
-
-    sys!(l, "getdents64", |c: C, a: &[u64]| -> R {
-        let (fd, dirp, count) = (arg_i32(a, 0), arg_ptr(a, 1), arg(a, 2) as usize);
-        let mem = &*c.instance.memory;
-        let entries = k(c, |kk, tid| kk.sys_getdents(tid, fd, count))?;
-        let mut image = vec![0u8; count];
-        let mut used = 0;
-        for e in &entries {
-            match e.write_to(&mut image[used..]) {
-                Some(n) => used += n,
-                None => break,
-            }
-        }
-        write_bytes(mem, dirp, &image[..used]).map_err(SysError::Err)?;
-        Ok(used as i64)
-    });
-
-    sys!(l, "getcwd", |c: C, a: &[u64]| -> R {
-        let (buf, size) = (arg_ptr(a, 0), arg(a, 1) as usize);
-        let mem = &*c.instance.memory;
-        let cwd = k(c, |kk, tid| kk.sys_getcwd(tid))?;
-        if cwd.len() + 1 > size {
-            return Err(Errno::Erange.into());
-        }
-        write_bytes(mem, buf, cwd.as_bytes()).map_err(SysError::Err)?;
-        write_bytes(mem, buf + cwd.len() as u32, &[0]).map_err(SysError::Err)?;
-        Ok(cwd.len() as i64 + 1)
-    });
-
-    sys!(l, "chdir", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        k(c, |kk, tid| kk.sys_chdir(tid, &path))
-    });
-
-    sys!(l, "fchdir", |c: C, a: &[u64]| -> R {
-        let fd = arg_i32(a, 0);
-        k(c, |kk, tid| kk.sys_fchdir(tid, fd))
-    });
-
-    sys!(l, "mkdir", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        let mode = arg(a, 1) as u32;
-        k(c, |kk, tid| kk.sys_mkdirat(tid, AT_FDCWD, &path, mode))
-    });
-
-    sys!(l, "mkdirat", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
-        let (dirfd, mode) = (arg_i32(a, 0), arg(a, 2) as u32);
-        k(c, |kk, tid| kk.sys_mkdirat(tid, dirfd, &path, mode))
-    });
-
-    sys!(l, "rmdir", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        k(c, |kk, tid| {
-            kk.sys_unlinkat(tid, AT_FDCWD, &path, AT_REMOVEDIR)
-        })
-    });
-
-    sys!(l, "unlink", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        k(c, |kk, tid| kk.sys_unlinkat(tid, AT_FDCWD, &path, 0))
-    });
-
-    sys!(l, "unlinkat", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
-        let (dirfd, flags) = (arg_i32(a, 0), arg_i32(a, 2));
-        k(c, |kk, tid| kk.sys_unlinkat(tid, dirfd, &path, flags))
-    });
-
-    sys!(l, "rename", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let old = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        let new = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
-        k(c, |kk, tid| {
-            kk.sys_renameat(tid, AT_FDCWD, &old, AT_FDCWD, &new)
-        })
-    });
-
-    sys!(l, "renameat", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let old = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
-        let new = read_cstr(mem, arg_ptr(a, 3)).map_err(SysError::Err)?;
-        let (ofd, nfd) = (arg_i32(a, 0), arg_i32(a, 2));
-        k(c, |kk, tid| kk.sys_renameat(tid, ofd, &old, nfd, &new))
-    });
-
-    sys!(l, "renameat2", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let old = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
-        let new = read_cstr(mem, arg_ptr(a, 3)).map_err(SysError::Err)?;
-        let (ofd, nfd) = (arg_i32(a, 0), arg_i32(a, 2));
-        k(c, |kk, tid| kk.sys_renameat(tid, ofd, &old, nfd, &new))
-    });
-
-    sys!(l, "link", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let old = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        let new = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
-        k(c, |kk, tid| {
-            kk.sys_linkat(tid, AT_FDCWD, &old, AT_FDCWD, &new)
-        })
-    });
-
-    sys!(l, "linkat", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let old = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
-        let new = read_cstr(mem, arg_ptr(a, 3)).map_err(SysError::Err)?;
-        let (ofd, nfd) = (arg_i32(a, 0), arg_i32(a, 2));
-        k(c, |kk, tid| kk.sys_linkat(tid, ofd, &old, nfd, &new))
-    });
-
-    sys!(l, "symlink", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let target = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
-        k(c, |kk, tid| kk.sys_symlinkat(tid, &target, AT_FDCWD, &path))
-    });
-
-    sys!(l, "symlinkat", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let target = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        let path = read_cstr(mem, arg_ptr(a, 2)).map_err(SysError::Err)?;
-        let dirfd = arg_i32(a, 1);
-        k(c, |kk, tid| kk.sys_symlinkat(tid, &target, dirfd, &path))
-    });
-
-    sys!(l, "readlink", |c: C, a: &[u64]| -> R {
-        do_readlink(
-            c,
-            AT_FDCWD,
-            arg_ptr(a, 0),
-            arg_ptr(a, 1),
-            arg(a, 2) as usize,
-        )
-    });
-
-    sys!(l, "readlinkat", |c: C, a: &[u64]| -> R {
-        do_readlink(
-            c,
-            arg_i32(a, 0),
-            arg_ptr(a, 1),
-            arg_ptr(a, 2),
-            arg(a, 3) as usize,
-        )
-    });
-
-    sys!(l, "access", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        let mode = arg_i32(a, 1);
-        k(c, |kk, tid| kk.sys_faccessat(tid, AT_FDCWD, &path, mode))
-    });
-
-    sys!(l, "faccessat", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
-        let (dirfd, mode) = (arg_i32(a, 0), arg_i32(a, 2));
-        k(c, |kk, tid| kk.sys_faccessat(tid, dirfd, &path, mode))
-    });
-
-    sys!(l, "faccessat2", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
-        let (dirfd, mode) = (arg_i32(a, 0), arg_i32(a, 2));
-        k(c, |kk, tid| kk.sys_faccessat(tid, dirfd, &path, mode))
-    });
-
-    sys!(l, "chmod", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        let mode = arg(a, 1) as u32;
-        k(c, |kk, tid| kk.sys_fchmodat(tid, AT_FDCWD, &path, mode))
-    });
-
-    sys!(l, "fchmod", |c: C, a: &[u64]| -> R {
-        let (fd, mode) = (arg_i32(a, 0), arg(a, 1) as u32);
-        k(c, |kk, tid| kk.sys_fchmod(tid, fd, mode))
-    });
-
-    sys!(l, "fchmodat", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
-        let (dirfd, mode) = (arg_i32(a, 0), arg(a, 2) as u32);
-        k(c, |kk, tid| kk.sys_fchmodat(tid, dirfd, &path, mode))
-    });
-
-    sys!(l, "chown", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        let (uid, gid) = (arg(a, 1) as u32, arg(a, 2) as u32);
-        k(c, |kk, tid| {
-            kk.sys_fchownat(tid, AT_FDCWD, &path, uid, gid, 0)
-        })
-    });
-
-    sys!(l, "fchown", |_c: C, a: &[u64]| -> R {
-        // fd-relative chown: resolve through fstat then ignore (ids only).
-        let _fd = arg_i32(a, 0);
-        Ok(0)
-    });
-
-    sys!(l, "fchownat", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 1)).map_err(SysError::Err)?;
-        let (dirfd, uid, gid, flags) = (
-            arg_i32(a, 0),
-            arg(a, 2) as u32,
-            arg(a, 3) as u32,
-            arg_i32(a, 4),
-        );
-        k(c, |kk, tid| {
-            kk.sys_fchownat(tid, dirfd, &path, uid, gid, flags)
-        })
-    });
-
-    sys!(l, "umask", |c: C, a: &[u64]| -> R {
-        let mask = arg(a, 0) as u32;
-        k(c, |kk, tid| kk.sys_umask(tid, mask))
-    });
-
-    sys!(l, "mknod", |c: C, a: &[u64]| -> R {
-        // Userspace mknod: regular files only (devices are privileged).
-        let mem = &*c.instance.memory;
-        let path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        let mode = arg(a, 1) as u32;
-        k(c, |kk, tid| {
-            kk.sys_openat(
-                tid,
-                AT_FDCWD,
-                &path,
-                wali_abi::flags::O_CREAT | O_RDWR,
-                mode,
-            )
-            .and_then(|fd| kk.sys_close(tid, fd))
-        })
-    });
-
-    sys!(l, "utimensat", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let path_ptr = arg_ptr(a, 1);
-        if path_ptr != 0 {
-            let path = read_cstr(mem, path_ptr).map_err(SysError::Err)?;
-            let dirfd = arg_i32(a, 0);
-            k(c, |kk, tid| kk.sys_faccessat(tid, dirfd, &path, 0))?;
-        }
-        // Timestamps accepted; the virtual clock owns time.
-        let times_ptr = arg_ptr(a, 2);
-        if times_ptr != 0 {
-            let raw = read_bytes(mem, times_ptr, 2 * WaliTimespec::SIZE).map_err(SysError::Err)?;
-            WaliTimespec::read_from(&raw[..WaliTimespec::SIZE]).map_err(SysError::Err)?;
-        }
-        Ok(0)
-    });
-
-    sys!(l, "statfs", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        let _path = read_cstr(mem, arg_ptr(a, 0)).map_err(SysError::Err)?;
-        write_statfs(mem, arg_ptr(a, 1))
-    });
-
-    sys!(l, "fstatfs", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        write_statfs(mem, arg_ptr(a, 1))
-    });
-
-    sys!(l, "sendfile", |c: C, a: &[u64]| -> R {
-        let (out_fd, in_fd, count) = (arg_i32(a, 0), arg_i32(a, 1), arg(a, 3) as usize);
-        k(c, |kk, tid| {
-            let mut moved = 0usize;
-            let mut chunk = [0u8; 4096];
-            while moved < count {
-                let want = chunk.len().min(count - moved);
-                let n = kk.sys_read(tid, in_fd, &mut chunk[..want])? as usize;
-                if n == 0 {
-                    break;
-                }
-                let w = kk.sys_write(tid, out_fd, &chunk[..n])? as usize;
-                moved += w;
-                if w < n {
-                    break;
-                }
-            }
-            Ok(moved as i64)
-        })
-    });
-
-    sys!(l, "copy_file_range", |c: C, a: &[u64]| -> R {
-        let (in_fd, out_fd, count) = (arg_i32(a, 0), arg_i32(a, 2), arg(a, 4) as usize);
-        k(c, |kk, tid| {
-            let mut moved = 0usize;
-            let mut chunk = [0u8; 4096];
-            while moved < count {
-                let want = chunk.len().min(count - moved);
-                let n = kk.sys_read(tid, in_fd, &mut chunk[..want])? as usize;
-                if n == 0 {
-                    break;
-                }
-                kk.sys_write(tid, out_fd, &chunk[..n])?;
-                moved += n;
-            }
-            Ok(moved as i64)
-        })
-    });
-
-    sys!(l, "eventfd2", |c: C, a: &[u64]| -> R {
-        let (initval, flags) = (arg(a, 0) as u32, arg_i32(a, 1));
-        k(c, |kk, tid| kk.sys_eventfd2(tid, initval, flags))
-    });
-
-    sys!(l, "statx", |_c: C, _a: &[u64]| -> R {
-        // Modern stat variant: libcs fall back to newfstatat on ENOSYS.
-        Err(Errno::Enosys.into())
-    });
+pub(super) fn lseek(c: C, fd: i32, offset: i64, whence: i32) -> R {
+    fastpath::lseek(c, fd, offset, whence)
 }
 
-fn do_pipe(c: C, fds_ptr: u32, flags: i32) -> R {
+pub(super) fn dup(c: C, fd: i32) -> R {
+    k(c, |kk, tid| kk.sys_dup(tid, fd))
+}
+
+pub(super) fn dup2(c: C, old: i32, new: i32) -> R {
+    if old == new {
+        // dup2 is a no-op on equal fds (dup3 errors instead).
+        return k(c, |kk, tid| {
+            kk.task(tid)?.fdtable.lock_ok().get(old)?;
+            Ok(new as i64)
+        });
+    }
+    k(c, |kk, tid| kk.sys_dup3(tid, old, new, 0))
+}
+
+pub(super) fn dup3(c: C, old: i32, new: i32, flags: i32) -> R {
+    k(c, |kk, tid| kk.sys_dup3(tid, old, new, flags))
+}
+
+pub(super) fn pipe(c: C, fds: u32) -> R {
+    pipe2(c, fds, 0)
+}
+
+pub(super) fn pipe2(c: C, fds: u32, flags: i32) -> R {
     let mem = &*c.instance.memory;
     let (r, w) = k(c, |kk, tid| kk.sys_pipe2(tid, flags))?;
-    write_u32(mem, fds_ptr, r as u32).map_err(SysError::Err)?;
-    write_u32(mem, fds_ptr + 4, w as u32).map_err(SysError::Err)?;
+    write_u32(mem, fds, r as u32)?;
+    write_u32(mem, fds + 4, w as u32)?;
     Ok(0)
 }
 
-fn do_readlink(c: C, dirfd: i32, path_ptr: u32, buf: u32, size: usize) -> R {
+pub(super) fn fcntl(c: C, fd: i32, cmd: i32, arg: i32) -> R {
+    k(c, |kk, tid| kk.sys_fcntl(tid, fd, cmd, arg))
+}
+
+pub(super) fn ioctl(c: C, fd: i32, op: u64, argp: u32) -> R {
     let mem = &*c.instance.memory;
-    let path = read_cstr(mem, path_ptr).map_err(SysError::Err)?;
+    match k(c, |kk, tid| kk.sys_ioctl(tid, fd, op))? {
+        IoctlOut::Int(v) => {
+            if argp != 0 {
+                write_u32(mem, argp, v as u32)?;
+            }
+        }
+        IoctlOut::Winsize { rows, cols } => {
+            let mut ws = [0u8; 8];
+            ws[0..2].copy_from_slice(&rows.to_le_bytes());
+            ws[2..4].copy_from_slice(&cols.to_le_bytes());
+            write_bytes(mem, argp, &ws)?;
+        }
+    }
+    Ok(0)
+}
+
+/// Single-kernel model: advisory locks always succeed.
+pub(super) fn flock(c: C, fd: i32, _op: i32) -> R {
+    fsync(c, fd)
+}
+
+pub(super) fn fsync(c: C, fd: i32) -> R {
+    k(c, |kk, tid| kk.sys_fsync(tid, fd))
+}
+
+pub(super) fn fdatasync(c: C, fd: i32) -> R {
+    fsync(c, fd)
+}
+
+pub(super) fn sync(_c: C) -> R {
+    Ok(0)
+}
+
+pub(super) fn truncate(c: C, path: String, len: u64) -> R {
+    k(c, |kk, tid| kk.sys_truncate(tid, &path, len))
+}
+
+pub(super) fn ftruncate(c: C, fd: i32, len: u64) -> R {
+    k(c, |kk, tid| kk.sys_ftruncate(tid, fd, len))
+}
+
+pub(super) fn fallocate(c: C, fd: i32, _mode: i32, off: u64, len: u64) -> R {
+    k(c, |kk, tid| {
+        let st = kk.sys_fstat(tid, fd)?;
+        let want = off.checked_add(len).ok_or(Errno::Efbig)?;
+        if (st.st_size as u64) < want {
+            kk.sys_ftruncate(tid, fd, want)?;
+        }
+        Ok(0)
+    })
+}
+
+pub(super) fn stat(c: C, path: String, statbuf: u32) -> R {
+    let st = k(c, |kk, tid| kk.sys_fstatat(tid, AT_FDCWD, &path, 0))?;
+    stat_out(c, statbuf, st)
+}
+
+pub(super) fn lstat(c: C, path: String, statbuf: u32) -> R {
+    let st = k(c, |kk, tid| {
+        kk.sys_fstatat(tid, AT_FDCWD, &path, AT_SYMLINK_NOFOLLOW)
+    })?;
+    stat_out(c, statbuf, st)
+}
+
+pub(super) fn fstat(c: C, fd: i32, statbuf: u32) -> R {
+    let st = fastpath::fstat(c, fd)?;
+    stat_out(c, statbuf, st)
+}
+
+pub(super) fn newfstatat(c: C, dirfd: i32, path: String, statbuf: u32, flags: i32) -> R {
+    let st = if path.is_empty() {
+        // AT_EMPTY_PATH convention.
+        k(c, |kk, tid| kk.sys_fstat(tid, dirfd))?
+    } else {
+        k(c, |kk, tid| kk.sys_fstatat(tid, dirfd, &path, flags))?
+    };
+    stat_out(c, statbuf, st)
+}
+
+pub(super) fn getdents64(c: C, fd: i32, dirp: u32, count: usize) -> R {
+    let mem = &*c.instance.memory;
+    let entries = k(c, |kk, tid| kk.sys_getdents(tid, fd, count))?;
+    // Sized by what the kernel found room for, never by the guest's
+    // `count`.
+    let mut image = vec![0u8; entries.iter().map(|e| e.reclen()).sum()];
+    let mut used = 0;
+    for e in &entries {
+        match e.write_to(&mut image[used..]) {
+            Some(n) => used += n,
+            None => break,
+        }
+    }
+    write_bytes(mem, dirp, &image[..used])?;
+    Ok(used as i64)
+}
+
+pub(super) fn getcwd(c: C, buf: u32, size: usize) -> R {
+    let mem = &*c.instance.memory;
+    let cwd = k(c, |kk, tid| kk.sys_getcwd(tid))?;
+    if cwd.len() + 1 > size {
+        return Err(Errno::Erange.into());
+    }
+    write_bytes(mem, buf, cwd.as_bytes())?;
+    write_bytes(mem, buf + cwd.len() as u32, &[0])?;
+    Ok(cwd.len() as i64 + 1)
+}
+
+pub(super) fn chdir(c: C, path: String) -> R {
+    k(c, |kk, tid| kk.sys_chdir(tid, &path))
+}
+
+pub(super) fn fchdir(c: C, fd: i32) -> R {
+    k(c, |kk, tid| kk.sys_fchdir(tid, fd))
+}
+
+pub(super) fn mkdir(c: C, path: String, mode: u32) -> R {
+    mkdirat(c, AT_FDCWD, path, mode)
+}
+
+pub(super) fn mkdirat(c: C, dirfd: i32, path: String, mode: u32) -> R {
+    k(c, |kk, tid| kk.sys_mkdirat(tid, dirfd, &path, mode))
+}
+
+pub(super) fn rmdir(c: C, path: String) -> R {
+    unlinkat(c, AT_FDCWD, path, AT_REMOVEDIR)
+}
+
+pub(super) fn unlink(c: C, path: String) -> R {
+    unlinkat(c, AT_FDCWD, path, 0)
+}
+
+pub(super) fn unlinkat(c: C, dirfd: i32, path: String, flags: i32) -> R {
+    k(c, |kk, tid| kk.sys_unlinkat(tid, dirfd, &path, flags))
+}
+
+pub(super) fn rename(c: C, old: String, new: String) -> R {
+    renameat(c, AT_FDCWD, old, AT_FDCWD, new)
+}
+
+pub(super) fn renameat(c: C, ofd: i32, old: String, nfd: i32, new: String) -> R {
+    k(c, |kk, tid| kk.sys_renameat(tid, ofd, &old, nfd, &new))
+}
+
+pub(super) fn renameat2(c: C, ofd: i32, old: String, nfd: i32, new: String, _flags: u32) -> R {
+    renameat(c, ofd, old, nfd, new)
+}
+
+pub(super) fn link(c: C, old: String, new: String) -> R {
+    linkat(c, AT_FDCWD, old, AT_FDCWD, new, 0)
+}
+
+pub(super) fn linkat(c: C, ofd: i32, old: String, nfd: i32, new: String, _flags: i32) -> R {
+    k(c, |kk, tid| kk.sys_linkat(tid, ofd, &old, nfd, &new))
+}
+
+pub(super) fn symlink(c: C, target: String, path: String) -> R {
+    symlinkat(c, target, AT_FDCWD, path)
+}
+
+pub(super) fn symlinkat(c: C, target: String, dirfd: i32, path: String) -> R {
+    k(c, |kk, tid| kk.sys_symlinkat(tid, &target, dirfd, &path))
+}
+
+pub(super) fn readlink(c: C, path: String, buf: u32, size: usize) -> R {
+    readlinkat(c, AT_FDCWD, path, buf, size)
+}
+
+pub(super) fn readlinkat(c: C, dirfd: i32, path: String, buf: u32, size: usize) -> R {
+    let mem = &*c.instance.memory;
     let target = k(c, |kk, tid| kk.sys_readlinkat(tid, dirfd, &path))?;
     let n = target.len().min(size);
-    write_bytes(mem, buf, &target[..n]).map_err(SysError::Err)?;
+    write_bytes(mem, buf, &target[..n])?;
     Ok(n as i64)
 }
 
-fn do_iov(c: C, a: &[u64], write: bool, positional: bool) -> R {
-    let (fd, iov_ptr, iovcnt) = (arg_i32(a, 0), arg_ptr(a, 1), arg(a, 2) as usize);
-    let offset = if positional {
-        Some(arg(a, 3) as u64)
-    } else {
-        None
-    };
-    iov_rw(c, fd, iov_ptr, iovcnt, write, offset)
+pub(super) fn access(c: C, path: String, mode: i32) -> R {
+    faccessat(c, AT_FDCWD, path, mode)
+}
+
+pub(super) fn faccessat(c: C, dirfd: i32, path: String, mode: i32) -> R {
+    k(c, |kk, tid| kk.sys_faccessat(tid, dirfd, &path, mode))
+}
+
+pub(super) fn faccessat2(c: C, dirfd: i32, path: String, mode: i32, _flags: i32) -> R {
+    faccessat(c, dirfd, path, mode)
+}
+
+pub(super) fn chmod(c: C, path: String, mode: u32) -> R {
+    fchmodat(c, AT_FDCWD, path, mode)
+}
+
+pub(super) fn fchmod(c: C, fd: i32, mode: u32) -> R {
+    k(c, |kk, tid| kk.sys_fchmod(tid, fd, mode))
+}
+
+pub(super) fn fchmodat(c: C, dirfd: i32, path: String, mode: u32) -> R {
+    k(c, |kk, tid| kk.sys_fchmodat(tid, dirfd, &path, mode))
+}
+
+pub(super) fn chown(c: C, path: String, uid: u32, gid: u32) -> R {
+    fchownat(c, AT_FDCWD, path, uid, gid, 0)
+}
+
+/// Ownership by descriptor: ids only, nothing to check.
+pub(super) fn fchown(_c: C, _fd: i32, _uid: u32, _gid: u32) -> R {
+    Ok(0)
+}
+
+pub(super) fn fchownat(c: C, dirfd: i32, path: String, uid: u32, gid: u32, flags: i32) -> R {
+    k(c, |kk, tid| {
+        kk.sys_fchownat(tid, dirfd, &path, uid, gid, flags)
+    })
+}
+
+pub(super) fn umask(c: C, mask: u32) -> R {
+    k(c, |kk, tid| kk.sys_umask(tid, mask))
+}
+
+/// Userspace mknod: regular files only (devices are privileged).
+pub(super) fn mknod(c: C, path: String, mode: u32, _dev: u64) -> R {
+    k(c, |kk, tid| {
+        kk.sys_openat(tid, AT_FDCWD, &path, O_CREAT | O_RDWR, mode)
+            .and_then(|fd| kk.sys_close(tid, fd))
+    })
+}
+
+pub(super) fn utimensat(
+    c: C,
+    dirfd: i32,
+    path: Option<String>,
+    times: Option<u32>,
+    _flags: i32,
+) -> R {
+    if let Some(path) = path {
+        k(c, |kk, tid| kk.sys_faccessat(tid, dirfd, &path, 0))?;
+    }
+    // Timestamps accepted; the virtual clock owns time.
+    if let Some(times) = times {
+        let raw = read_bytes(&c.instance.memory, times, 2 * WaliTimespec::SIZE)?;
+        WaliTimespec::read_from(&raw[..WaliTimespec::SIZE])?;
+    }
+    Ok(0)
+}
+
+pub(super) fn statfs(c: C, _path: String, buf: u32) -> R {
+    write_statfs(&c.instance.memory, buf)
+}
+
+pub(super) fn fstatfs(c: C, _fd: i32, buf: u32) -> R {
+    write_statfs(&c.instance.memory, buf)
+}
+
+pub(super) fn sendfile(c: C, out_fd: i32, in_fd: i32, _offset: Option<u32>, count: usize) -> R {
+    k(c, |kk, tid| {
+        let mut moved = 0usize;
+        let mut chunk = [0u8; 4096];
+        while moved < count {
+            let want = chunk.len().min(count - moved);
+            let n = kk.sys_read(tid, in_fd, &mut chunk[..want])? as usize;
+            if n == 0 {
+                break;
+            }
+            let w = kk.sys_write(tid, out_fd, &chunk[..n])? as usize;
+            moved += w;
+            if w < n {
+                break;
+            }
+        }
+        Ok(moved as i64)
+    })
+}
+
+pub(super) fn copy_file_range(
+    c: C,
+    in_fd: i32,
+    _off_in: Option<u32>,
+    out_fd: i32,
+    _off_out: Option<u32>,
+    count: usize,
+    _flags: u32,
+) -> R {
+    k(c, |kk, tid| {
+        let mut moved = 0usize;
+        let mut chunk = [0u8; 4096];
+        while moved < count {
+            let want = chunk.len().min(count - moved);
+            let n = kk.sys_read(tid, in_fd, &mut chunk[..want])? as usize;
+            if n == 0 {
+                break;
+            }
+            kk.sys_write(tid, out_fd, &chunk[..n])?;
+            moved += n;
+        }
+        Ok(moved as i64)
+    })
+}
+
+pub(super) fn eventfd2(c: C, initval: u32, flags: i32) -> R {
+    k(c, |kk, tid| kk.sys_eventfd2(tid, initval, flags))
 }
 
 /// Shared core of `readv`/`writev`/`preadv`/`pwritev` and the ring's
@@ -627,8 +455,8 @@ pub(crate) fn iov_rw(
     }
     let bytes = iovcnt.checked_mul(WaliIovec::SIZE).ok_or(Errno::Einval)?;
     let mem = &*c.instance.memory;
-    let raw = read_bytes(mem, iov_ptr, bytes).map_err(SysError::Err)?;
-    let iovs = WaliIovec::read_array(&raw, iovcnt).map_err(SysError::Err)?;
+    let raw = read_bytes(mem, iov_ptr, bytes)?;
+    let iovs = WaliIovec::read_array(&raw, iovcnt)?;
     let mut total = 0i64;
     for iov in iovs {
         if iov.len == 0 {
@@ -684,6 +512,6 @@ fn write_statfs(mem: &wasm::mem::Memory, ptr: u32) -> R {
     for (off, v) in fields {
         buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
     }
-    write_bytes(mem, ptr, &buf).map_err(SysError::Err)?;
+    write_bytes(mem, ptr, &buf)?;
     Ok(0)
 }

@@ -4,11 +4,11 @@ use vkernel::SysError;
 use wali_abi::flags::{FUTEX_PRIVATE_FLAG, FUTEX_WAIT, FUTEX_WAKE};
 use wali_abi::layout::{WaliSysinfo, WaliTimespec, WaliTimeval, WaliUtsname};
 use wali_abi::Errno;
-use wasm::host::{Caller, Linker};
+use wasm::host::Caller;
 
 use crate::context::WaliContext;
-use crate::mem::{arg, arg_i32, arg_ptr, read_bytes, write_bytes};
-use crate::registry::{flat, k, sys};
+use crate::mem::{read_bytes, write_bytes, write_u32};
+use crate::registry::k;
 
 type C<'a, 'b> = &'a mut Caller<'b, WaliContext>;
 type R = Result<i64, SysError>;
@@ -24,176 +24,161 @@ fn write_timespec(c: &Caller<'_, WaliContext>, ptr: u32, ts: WaliTimespec) -> Re
     write_bytes(&c.instance.memory, ptr, &buf)
 }
 
-pub(crate) fn register(l: &mut Linker<WaliContext>) {
-    sys!(l, "clock_gettime", |c: C, a: &[u64]| -> R {
-        let (clock_id, ts_ptr) = (arg_i32(a, 0), arg_ptr(a, 1));
-        let ns = k(c, |kk, _| kk.sys_clock_gettime(clock_id))?;
-        write_timespec(c, ts_ptr, WaliTimespec::from_nanos(ns)).map_err(SysError::Err)?;
-        Ok(0)
-    });
+pub(super) fn clock_gettime(c: C, clock_id: i32, tp: u32) -> R {
+    let ns = k(c, |kk, _| kk.sys_clock_gettime(clock_id))?;
+    write_timespec(c, tp, WaliTimespec::from_nanos(ns))?;
+    Ok(0)
+}
 
-    sys!(l, "clock_getres", |c: C, a: &[u64]| -> R {
-        let ts_ptr = arg_ptr(a, 1);
-        if ts_ptr != 0 {
-            write_timespec(c, ts_ptr, WaliTimespec { sec: 0, nsec: 1 }).map_err(SysError::Err)?;
-        }
-        Ok(0)
-    });
+pub(super) fn clock_getres(c: C, _clock_id: i32, res: Option<u32>) -> R {
+    if let Some(res) = res {
+        write_timespec(c, res, WaliTimespec { sec: 0, nsec: 1 })?;
+    }
+    Ok(0)
+}
 
-    sys!(l, "gettimeofday", |c: C, a: &[u64]| -> R {
-        let tv_ptr = arg_ptr(a, 0);
-        let ns = k(c, |kk, _| {
-            kk.sys_clock_gettime(wali_abi::flags::CLOCK_REALTIME)
-        })?;
-        if tv_ptr != 0 {
-            let tv = WaliTimeval {
-                sec: (ns / 1_000_000_000) as i64,
-                usec: ((ns % 1_000_000_000) / 1000) as i64,
-            };
-            let mut buf = [0u8; WaliTimeval::SIZE];
-            tv.write_to(&mut buf).map_err(SysError::Err)?;
-            write_bytes(&c.instance.memory, tv_ptr, &buf).map_err(SysError::Err)?;
-        }
-        Ok(0)
-    });
-
-    sys!(l, "settimeofday", |_c: C, _a: &[u64]| -> R {
-        Err(Errno::Eperm.into())
-    });
-
-    sys!(l, "nanosleep", |c: C, a: &[u64]| -> R {
-        let req_ptr = arg_ptr(a, 0);
-        let retry = c.data.retry_deadline.take();
-        match retry {
-            Some(deadline) => k(c, |kk, tid| kk.sys_nanosleep_retry(tid, deadline)),
-            None => {
-                let ts = read_timespec(c, req_ptr).map_err(SysError::Err)?;
-                let ns = ts.to_nanos().ok_or(Errno::Einval)?;
-                k(c, |kk, tid| kk.sys_nanosleep(tid, ns))
-            }
-        }
-    });
-
-    sys!(l, "clock_nanosleep", |c: C, a: &[u64]| -> R {
-        let req_ptr = arg_ptr(a, 2);
-        let retry = c.data.retry_deadline.take();
-        match retry {
-            Some(deadline) => k(c, |kk, tid| kk.sys_nanosleep_retry(tid, deadline)),
-            None => {
-                let ts = read_timespec(c, req_ptr).map_err(SysError::Err)?;
-                let ns = ts.to_nanos().ok_or(Errno::Einval)?;
-                k(c, |kk, tid| kk.sys_nanosleep(tid, ns))
-            }
-        }
-    });
-
-    sys!(l, "getitimer", |c: C, a: &[u64]| -> R {
-        let ptr = arg_ptr(a, 1);
-        // it_interval + it_value, both zero unless an alarm is pending.
-        write_bytes(&c.instance.memory, ptr, &[0u8; 32]).map_err(SysError::Err)?;
-        Ok(0)
-    });
-
-    sys!(l, "setitimer", |c: C, a: &[u64]| -> R {
-        // ITIMER_REAL mapped onto alarm(2) granularity.
-        let (which, new_ptr) = (arg_i32(a, 0), arg_ptr(a, 1));
-        if which != 0 {
-            return Err(Errno::Einval.into());
-        }
-        let raw = read_bytes(&c.instance.memory, new_ptr, 32).map_err(SysError::Err)?;
-        let sec = i64::from_le_bytes(raw[16..24].try_into().expect("8 bytes"));
-        let usec = i64::from_le_bytes(raw[24..32].try_into().expect("8 bytes"));
-        let secs = (sec + if usec > 0 { 1 } else { 0 }) as u32;
-        k(c, |kk, tid| kk.sys_alarm(tid, secs))?;
-        Ok(0)
-    });
-
-    sys!(l, "uname", |c: C, a: &[u64]| -> R {
-        let ptr = arg_ptr(a, 0);
-        let info: WaliUtsname = k(c, |kk, _| Ok::<_, SysError>(kk.sys_uname()))?;
-        let mut buf = [0u8; WaliUtsname::SIZE];
-        info.write_to(&mut buf).map_err(SysError::Err)?;
-        write_bytes(&c.instance.memory, ptr, &buf).map_err(SysError::Err)?;
-        Ok(0)
-    });
-
-    sys!(l, "sysinfo", |c: C, a: &[u64]| -> R {
-        let ptr = arg_ptr(a, 0);
-        let uptime = k(c, |kk, _| Ok::<_, SysError>(kk.clock.monotonic_ns()))? / 1_000_000_000;
-        let info = WaliSysinfo {
-            uptime: uptime as i64,
-            totalram: 16 << 30,
-            freeram: 8 << 30,
-            procs: 1,
-            mem_unit: 1,
+pub(super) fn gettimeofday(c: C, tv: Option<u32>, _tz: Option<u32>) -> R {
+    let ns = k(c, |kk, _| {
+        kk.sys_clock_gettime(wali_abi::flags::CLOCK_REALTIME)
+    })?;
+    if let Some(tv) = tv {
+        let val = WaliTimeval {
+            sec: (ns / 1_000_000_000) as i64,
+            usec: ((ns % 1_000_000_000) / 1000) as i64,
         };
-        let mut buf = [0u8; WaliSysinfo::SIZE];
-        info.write_to(&mut buf).map_err(SysError::Err)?;
-        write_bytes(&c.instance.memory, ptr, &buf).map_err(SysError::Err)?;
-        Ok(0)
-    });
+        let mut buf = [0u8; WaliTimeval::SIZE];
+        val.write_to(&mut buf)?;
+        write_bytes(&c.instance.memory, tv, &buf)?;
+    }
+    Ok(0)
+}
 
-    sys!(l, "getrandom", |c: C, a: &[u64]| -> R {
-        let (ptr, len) = (arg_ptr(a, 0), arg(a, 1) as usize);
-        let mem = &*c.instance.memory;
-        flat(
-            mem.with_slice_mut(ptr as u64, len, |buf| k(c, |kk, _| kk.sys_getrandom(buf)))
-                .map_err(|_| Errno::Efault),
-        )
-    });
+pub(super) fn settimeofday(_c: C, _tv: Option<u32>, _tz: Option<u32>) -> R {
+    Err(Errno::Eperm.into())
+}
 
-    // futex(uaddr, op, val, timeout, uaddr2, val3).
-    sys!(l, "futex", |c: C, a: &[u64]| -> R {
-        let (uaddr, op, val) = (arg_ptr(a, 0), arg_i32(a, 1), arg(a, 2) as u32);
-        let timeout_ptr = arg_ptr(a, 3);
-        let base_op = op & !FUTEX_PRIVATE_FLAG;
-        match base_op {
-            FUTEX_WAIT => {
-                let mem = &*c.instance.memory;
-                let retry = c.data.retry_deadline.take();
-                let mm = c.data.mm;
-                let deadline = match retry {
-                    Some(d) => Some(d),
-                    None if timeout_ptr != 0 => {
-                        let ts = read_timespec(c, timeout_ptr).map_err(SysError::Err)?;
-                        let rel = ts.to_nanos().ok_or(Errno::Einval)?;
-                        Some(k(c, |kk, _| {
-                            Ok::<_, SysError>(kk.clock.monotonic_ns() + rel)
-                        })?)
-                    }
-                    None => None,
-                };
-                // The engine reads the futex word (the kernel cannot see
-                // Wasm memory) inside the same kernel critical section
-                // that queues the waiter: a waker stores, then takes the
-                // kernel lock to wake, so it either finds this waiter
-                // queued or this load sees its store — a compare outside
-                // the lock loses the wakeup under SMP.
-                k(c, |kk, tid| {
-                    let cur = mem
-                        .atomic_load32(uaddr as u64)
-                        .map_err(|_| SysError::Err(Errno::Efault))?;
-                    kk.sys_futex_wait(tid, mm, uaddr, cur == val, deadline)
-                })
-            }
-            FUTEX_WAKE => {
-                let mm = c.data.mm;
-                k(c, |kk, _| kk.sys_futex_wake(mm, uaddr, val as usize))
-            }
-            _ => Err(Errno::Enosys.into()),
+pub(super) fn nanosleep(c: C, req: u32, _rem: Option<u32>) -> R {
+    sleep(c, req)
+}
+
+pub(super) fn clock_nanosleep(c: C, _clock_id: i32, _flags: i32, req: u32, _rem: Option<u32>) -> R {
+    sleep(c, req)
+}
+
+/// A sleep of the timespec at `req`; its retry keeps the deadline the
+/// first attempt set.
+fn sleep(c: C, req: u32) -> R {
+    match c.data.retry_deadline.take() {
+        Some(deadline) => k(c, |kk, tid| kk.sys_nanosleep_retry(tid, deadline)),
+        None => {
+            let ns = read_timespec(c, req)?.to_nanos().ok_or(Errno::Einval)?;
+            k(c, |kk, tid| kk.sys_nanosleep(tid, ns))
         }
-    });
+    }
+}
 
-    sys!(l, "getcpu", |c: C, a: &[u64]| -> R {
-        let mem = &*c.instance.memory;
-        for i in 0..2 {
-            let p = arg_ptr(a, i);
-            if p != 0 {
-                crate::mem::write_u32(mem, p, 0).map_err(SysError::Err)?;
-            }
+/// It_interval + it_value, both zero unless an alarm is pending.
+pub(super) fn getitimer(c: C, _which: i32, curr_value: u32) -> R {
+    write_bytes(&c.instance.memory, curr_value, &[0u8; 32])?;
+    Ok(0)
+}
+
+/// `ITIMER_REAL` mapped onto alarm(2) granularity: whole seconds,
+/// rounded up and clamped to what `alarm` takes.
+pub(super) fn setitimer(c: C, which: i32, new_value: u32, _old_value: Option<u32>) -> R {
+    if which != 0 {
+        return Err(Errno::Einval.into());
+    }
+    let raw = read_bytes(&c.instance.memory, new_value, 32)?;
+    let sec = i64::from_le_bytes(raw[16..24].try_into().expect("8 bytes"));
+    let usec = i64::from_le_bytes(raw[24..32].try_into().expect("8 bytes"));
+    let secs = sec
+        .saturating_add((usec > 0) as i64)
+        .clamp(0, u32::MAX as i64) as u32;
+    k(c, |kk, tid| kk.sys_alarm(tid, secs))?;
+    Ok(0)
+}
+
+pub(super) fn uname(c: C, buf: u32) -> R {
+    let info: WaliUtsname = k(c, |kk, _| kk.sys_uname());
+    let mut image = [0u8; WaliUtsname::SIZE];
+    info.write_to(&mut image)?;
+    write_bytes(&c.instance.memory, buf, &image)?;
+    Ok(0)
+}
+
+pub(super) fn sysinfo(c: C, info: u32) -> R {
+    let uptime = k(c, |kk, _| kk.clock.monotonic_ns()) / 1_000_000_000;
+    let image = WaliSysinfo {
+        uptime: uptime as i64,
+        totalram: 16 << 30,
+        freeram: 8 << 30,
+        procs: 1,
+        mem_unit: 1,
+    };
+    let mut buf = [0u8; WaliSysinfo::SIZE];
+    image.write_to(&mut buf)?;
+    write_bytes(&c.instance.memory, info, &buf)?;
+    Ok(0)
+}
+
+pub(super) fn getrandom(c: C, buf: &mut [u8], _flags: u32) -> R {
+    k(c, |kk, _| kk.sys_getrandom(buf))
+}
+
+pub(super) fn futex(
+    c: C,
+    uaddr: u32,
+    op: i32,
+    val: u32,
+    timeout: Option<u32>,
+    _uaddr2: u32,
+    _val3: u32,
+) -> R {
+    match op & !FUTEX_PRIVATE_FLAG {
+        FUTEX_WAIT => {
+            let mem = &*c.instance.memory;
+            let retry = c.data.retry_deadline.take();
+            let mm = c.data.mm;
+            let deadline = match (retry, timeout) {
+                (Some(d), _) => Some(d),
+                (None, Some(timeout)) => {
+                    let rel = read_timespec(c, timeout)?.to_nanos().ok_or(Errno::Einval)?;
+                    // The guest picks the timeout: a near-forever one
+                    // saturates.
+                    Some(k(c, |kk, _| kk.clock.monotonic_ns()).saturating_add(rel))
+                }
+                (None, None) => None,
+            };
+            // The engine reads the futex word (the kernel cannot see
+            // Wasm memory) inside the same kernel critical section that
+            // queues the waiter: a waker stores, then takes the kernel
+            // lock to wake, so it either finds this waiter queued or this
+            // load sees its store — a compare outside the lock loses the
+            // wakeup under SMP.
+            k(c, |kk, tid| {
+                let cur = mem
+                    .atomic_load32(uaddr as u64)
+                    .map_err(|_| SysError::Err(Errno::Efault))?;
+                kk.sys_futex_wait(tid, mm, uaddr, cur == val, deadline)
+            })
         }
-        Ok(0)
-    });
+        FUTEX_WAKE => {
+            let mm = c.data.mm;
+            k(c, |kk, _| kk.sys_futex_wake(mm, uaddr, val as usize))
+        }
+        _ => Err(Errno::Enosys.into()),
+    }
+}
 
-    sys!(l, "syslog", |_c: C, _a: &[u64]| -> R { Ok(0) });
+pub(super) fn getcpu(c: C, cpu: Option<u32>, node: Option<u32>, _tcache: Option<u32>) -> R {
+    let mem = &*c.instance.memory;
+    for p in [cpu, node].into_iter().flatten() {
+        write_u32(mem, p, 0)?;
+    }
+    Ok(0)
+}
+
+pub(super) fn syslog(_c: C, _ty: i32, _bufp: u32, _len: i32) -> R {
+    Ok(0)
 }

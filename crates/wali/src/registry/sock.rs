@@ -4,262 +4,260 @@ use vkernel::SysError;
 use wali_abi::layout::{WaliEpollEvent, WaliPollFd, WaliSockaddr, WaliTimespec};
 use wali_abi::signals::SigSet;
 use wali_abi::Errno;
-use wasm::host::{Caller, Linker};
+use wasm::host::Caller;
 
 use crate::context::WaliContext;
 use crate::mem::{
-    arg, arg_i32, arg_ptr, read_bytes, read_u32, read_u64, with_slice, with_slice_mut, write_bytes,
-    write_u32,
+    read_bytes, read_u32, read_u64, with_slice, with_slice_mut, write_bytes, write_u32,
 };
-use crate::registry::{flat, k, sys};
+use crate::registry::{flat, k};
 
 type C<'a, 'b> = &'a mut Caller<'b, WaliContext>;
 type R = Result<i64, SysError>;
 
-fn read_sockaddr(
-    c: &mut Caller<'_, WaliContext>,
-    ptr: u32,
-    len: usize,
-) -> Result<WaliSockaddr, Errno> {
-    let raw = read_bytes(&c.instance.memory, ptr, len.clamp(2, 128))?;
-    WaliSockaddr::read_from(&raw)
-}
-
 fn write_sockaddr(
     c: &mut Caller<'_, WaliContext>,
     addr: &WaliSockaddr,
-    ptr: u32,
-    len_ptr: u32,
+    ptr: Option<u32>,
+    len_ptr: Option<u32>,
 ) -> Result<(), Errno> {
-    if ptr == 0 {
+    let Some(ptr) = ptr else {
         return Ok(());
-    }
+    };
     let mut buf = [0u8; 128];
     let n = addr.write_to(&mut buf)?;
-    let cap = if len_ptr != 0 {
-        read_u32(&c.instance.memory, len_ptr)? as usize
-    } else {
-        n
+    let cap = match len_ptr {
+        Some(len_ptr) => read_u32(&c.instance.memory, len_ptr)? as usize,
+        None => n,
     };
     let out = n.min(cap);
     write_bytes(&c.instance.memory, ptr, &buf[..out])?;
-    if len_ptr != 0 {
+    if let Some(len_ptr) = len_ptr {
         write_u32(&c.instance.memory, len_ptr, n as u32)?;
     }
     Ok(())
 }
 
-pub(crate) fn register(l: &mut Linker<WaliContext>) {
-    sys!(l, "socket", |c: C, a: &[u64]| -> R {
-        let (domain, ty, proto) = (arg_i32(a, 0), arg_i32(a, 1), arg_i32(a, 2));
-        k(c, |kk, tid| kk.sys_socket(tid, domain, ty, proto)).map(|fd| fd as i64)
-    });
+pub(super) fn socket(c: C, domain: i32, ty: i32, proto: i32) -> R {
+    k(c, |kk, tid| kk.sys_socket(tid, domain, ty, proto)).map(|fd| fd as i64)
+}
 
-    sys!(l, "socketpair", |c: C, a: &[u64]| -> R {
-        let (domain, ty, fds_ptr) = (arg_i32(a, 0), arg_i32(a, 1), arg_ptr(a, 3));
-        let mem = &*c.instance.memory;
-        let (fa, fb) = k(c, |kk, tid| kk.sys_socketpair(tid, domain, ty))?;
-        write_u32(mem, fds_ptr, fa as u32).map_err(SysError::Err)?;
-        write_u32(mem, fds_ptr + 4, fb as u32).map_err(SysError::Err)?;
-        Ok(0)
-    });
+pub(super) fn socketpair(c: C, domain: i32, ty: i32, _proto: i32, sv: u32) -> R {
+    let mem = &*c.instance.memory;
+    let (fa, fb) = k(c, |kk, tid| kk.sys_socketpair(tid, domain, ty))?;
+    write_u32(mem, sv, fa as u32)?;
+    write_u32(mem, sv + 4, fb as u32)?;
+    Ok(0)
+}
 
-    sys!(l, "bind", |c: C, a: &[u64]| -> R {
-        let (fd, ptr, len) = (arg_i32(a, 0), arg_ptr(a, 1), arg(a, 2) as usize);
-        let addr = read_sockaddr(c, ptr, len).map_err(SysError::Err)?;
-        k(c, |kk, tid| kk.sys_bind(tid, fd, addr))
-    });
+pub(super) fn bind(c: C, fd: i32, addr: WaliSockaddr) -> R {
+    k(c, |kk, tid| kk.sys_bind(tid, fd, addr))
+}
 
-    sys!(l, "listen", |c: C, a: &[u64]| -> R {
-        let (fd, backlog) = (arg_i32(a, 0), arg_i32(a, 1));
-        k(c, |kk, tid| kk.sys_listen(tid, fd, backlog))
-    });
+pub(super) fn listen(c: C, fd: i32, backlog: i32) -> R {
+    k(c, |kk, tid| kk.sys_listen(tid, fd, backlog))
+}
 
-    sys!(l, "connect", |c: C, a: &[u64]| -> R {
-        let (fd, ptr, len) = (arg_i32(a, 0), arg_ptr(a, 1), arg(a, 2) as usize);
-        let addr = read_sockaddr(c, ptr, len).map_err(SysError::Err)?;
-        k(c, |kk, tid| kk.sys_connect(tid, fd, addr))
-    });
+pub(super) fn connect(c: C, fd: i32, addr: WaliSockaddr) -> R {
+    k(c, |kk, tid| kk.sys_connect(tid, fd, addr))
+}
 
-    sys!(l, "accept", |c: C, a: &[u64]| -> R { do_accept(c, a, 0) });
-    sys!(l, "accept4", |c: C, a: &[u64]| -> R {
-        let flags = arg_i32(a, 3);
-        do_accept(c, a, flags)
-    });
+pub(super) fn accept(c: C, fd: i32, addr: Option<u32>, addrlen: Option<u32>) -> R {
+    accept4(c, fd, addr, addrlen, 0)
+}
 
-    sys!(l, "getsockname", |c: C, a: &[u64]| -> R {
-        let (fd, ptr, len_ptr) = (arg_i32(a, 0), arg_ptr(a, 1), arg_ptr(a, 2));
-        let addr = k(c, |kk, tid| kk.sys_getsockname(tid, fd))?;
-        write_sockaddr(c, &addr, ptr, len_ptr).map_err(SysError::Err)?;
-        Ok(0)
-    });
-
-    sys!(l, "getpeername", |c: C, a: &[u64]| -> R {
-        let (fd, ptr, len_ptr) = (arg_i32(a, 0), arg_ptr(a, 1), arg_ptr(a, 2));
-        let addr = k(c, |kk, tid| kk.sys_getpeername(tid, fd))?;
-        write_sockaddr(c, &addr, ptr, len_ptr).map_err(SysError::Err)?;
-        Ok(0)
-    });
-
-    // sendto(fd, buf, len, flags, dest, destlen).
-    sys!(l, "sendto", |c: C, a: &[u64]| -> R {
-        let (fd, ptr, len, flags, dest_ptr, dest_len) = (
-            arg_i32(a, 0),
-            arg_ptr(a, 1),
-            arg(a, 2) as usize,
-            arg_i32(a, 3),
-            arg_ptr(a, 4),
-            arg(a, 5) as usize,
-        );
-        let dest = if dest_ptr != 0 {
-            Some(read_sockaddr(c, dest_ptr, dest_len).map_err(SysError::Err)?)
-        } else {
-            None
-        };
-        let mem = &*c.instance.memory;
-        flat(with_slice(mem, ptr, len, |buf| {
-            k(c, |kk, tid| {
-                kk.sys_sendto(tid, fd, buf, flags, dest.clone())
-            })
-        }))
-        .map(|n| n as i64)
-    });
-
-    // recvfrom(fd, buf, len, flags, src, srclen).
-    sys!(l, "recvfrom", |c: C, a: &[u64]| -> R {
-        let (fd, ptr, len, flags, src_ptr, srclen_ptr) = (
-            arg_i32(a, 0),
-            arg_ptr(a, 1),
-            arg(a, 2) as usize,
-            arg_i32(a, 3),
-            arg_ptr(a, 4),
-            arg_ptr(a, 5),
-        );
-        let mem = &*c.instance.memory;
-        let (n, src) = flat(with_slice_mut(mem, ptr, len, |buf| {
-            k(c, |kk, tid| kk.sys_recvfrom(tid, fd, buf, flags))
-        }))?;
-        if let Some(addr) = src {
-            write_sockaddr(c, &addr, src_ptr, srclen_ptr).map_err(SysError::Err)?;
+pub(super) fn accept4(c: C, fd: i32, addr: Option<u32>, addrlen: Option<u32>, flags: i32) -> R {
+    let conn = k(c, |kk, tid| kk.sys_accept(tid, fd, flags))?;
+    if addr.is_some() {
+        if let Ok(peer) = k(c, |kk, tid| kk.sys_getpeername(tid, conn)) {
+            if let Err(errno) = write_sockaddr(c, &peer, addr, addrlen) {
+                // The descriptor is installed and the guest will never
+                // learn its number: the connection goes with the call
+                // (Linux: `put_unused_fd` + `fput`).
+                k(c, |kk, tid| kk.sys_close(tid, conn))?;
+                return Err(errno.into());
+            }
         }
-        Ok(n as i64)
-    });
+    }
+    Ok(conn as i64)
+}
 
-    // sendmsg/recvmsg: parse the wasm32 msghdr (name/namelen, iov/iovlen).
-    sys!(l, "sendmsg", |c: C, a: &[u64]| -> R { do_msg(c, a, true) });
-    sys!(l, "recvmsg", |c: C, a: &[u64]| -> R { do_msg(c, a, false) });
+pub(super) fn getsockname(c: C, fd: i32, addr: Option<u32>, addrlen: Option<u32>) -> R {
+    let name = k(c, |kk, tid| kk.sys_getsockname(tid, fd))?;
+    write_sockaddr(c, &name, addr, addrlen)?;
+    Ok(0)
+}
 
-    sys!(l, "setsockopt", |c: C, a: &[u64]| -> R {
-        let (fd, level, name, val_ptr) =
-            (arg_i32(a, 0), arg_i32(a, 1), arg_i32(a, 2), arg_ptr(a, 3));
-        let value = read_u32(&c.instance.memory, val_ptr).map_err(SysError::Err)? as i32;
-        k(c, |kk, tid| kk.sys_setsockopt(tid, fd, level, name, value))
-    });
+pub(super) fn getpeername(c: C, fd: i32, addr: Option<u32>, addrlen: Option<u32>) -> R {
+    let peer = k(c, |kk, tid| kk.sys_getpeername(tid, fd))?;
+    write_sockaddr(c, &peer, addr, addrlen)?;
+    Ok(0)
+}
 
-    sys!(l, "getsockopt", |c: C, a: &[u64]| -> R {
-        let (fd, level, name, val_ptr, len_ptr) = (
-            arg_i32(a, 0),
-            arg_i32(a, 1),
-            arg_i32(a, 2),
-            arg_ptr(a, 3),
-            arg_ptr(a, 4),
-        );
-        let mem = &*c.instance.memory;
-        let v = k(c, |kk, tid| kk.sys_getsockopt(tid, fd, level, name))?;
-        write_u32(mem, val_ptr, v as u32).map_err(SysError::Err)?;
-        if len_ptr != 0 {
-            write_u32(mem, len_ptr, 4).map_err(SysError::Err)?;
-        }
-        Ok(0)
-    });
+pub(super) fn sendto(
+    c: C,
+    fd: i32,
+    buf: u32,
+    len: usize,
+    flags: i32,
+    dest: Option<WaliSockaddr>,
+) -> R {
+    let mem = &*c.instance.memory;
+    flat(with_slice(mem, buf, len, |buf| {
+        k(c, |kk, tid| kk.sys_sendto(tid, fd, buf, flags, dest))
+    }))
+    .map(|n| n as i64)
+}
 
-    sys!(l, "shutdown", |c: C, a: &[u64]| -> R {
-        let (fd, how) = (arg_i32(a, 0), arg_i32(a, 1));
-        k(c, |kk, tid| kk.sys_shutdown(tid, fd, how))
-    });
+pub(super) fn recvfrom(
+    c: C,
+    fd: i32,
+    buf: &mut [u8],
+    flags: i32,
+    src: Option<u32>,
+    addrlen: Option<u32>,
+) -> R {
+    let (n, from) = k(c, |kk, tid| kk.sys_recvfrom(tid, fd, buf, flags))?;
+    if let Some(from) = from {
+        write_sockaddr(c, &from, src, addrlen)?;
+    }
+    Ok(n as i64)
+}
 
-    // poll(fds, nfds, timeout_ms).
-    sys!(l, "poll", |c: C, a: &[u64]| -> R {
-        // The timeout is a C `int`.
-        let timeout_ms = arg_i32(a, 2) as i64;
-        do_poll(c, arg_ptr(a, 0), arg(a, 1) as usize, timeout_ms)
-    });
+// sendmsg/recvmsg: parse the wasm32 msghdr (name/namelen, iov/iovlen).
 
-    // ppoll(fds, nfds, timespec, sigmask): the mask is installed
-    // atomically with the block (saved once on entry, held across every
-    // re-park) and restored when the call returns — a signal that
-    // arrived masked during the wait is delivered exactly once, at the
-    // safepoint straight after the syscall.
-    sys!(l, "ppoll", |c: C, a: &[u64]| -> R {
-        let ts_ptr = arg_ptr(a, 2);
-        let timeout_ms = if ts_ptr == 0 {
-            -1
-        } else {
-            let raw = read_bytes(&c.instance.memory, ts_ptr, WaliTimespec::SIZE)
-                .map_err(SysError::Err)?;
-            let ts = WaliTimespec::read_from(&raw).map_err(SysError::Err)?;
+pub(super) fn sendmsg(c: C, fd: i32, msg: u32, flags: i32) -> R {
+    msg_rw(c, fd, msg, flags, true)
+}
+
+pub(super) fn recvmsg(c: C, fd: i32, msg: u32, flags: i32) -> R {
+    msg_rw(c, fd, msg, flags, false)
+}
+
+pub(super) fn setsockopt(c: C, fd: i32, level: i32, name: i32, optval: u32, _len: u32) -> R {
+    let value = read_u32(&c.instance.memory, optval)? as i32;
+    k(c, |kk, tid| kk.sys_setsockopt(tid, fd, level, name, value))
+}
+
+pub(super) fn getsockopt(
+    c: C,
+    fd: i32,
+    level: i32,
+    name: i32,
+    optval: u32,
+    optlen: Option<u32>,
+) -> R {
+    let mem = &*c.instance.memory;
+    let v = k(c, |kk, tid| kk.sys_getsockopt(tid, fd, level, name))?;
+    write_u32(mem, optval, v as u32)?;
+    if let Some(optlen) = optlen {
+        write_u32(mem, optlen, 4)?;
+    }
+    Ok(0)
+}
+
+pub(super) fn shutdown(c: C, fd: i32, how: i32) -> R {
+    k(c, |kk, tid| kk.sys_shutdown(tid, fd, how))
+}
+
+pub(super) fn poll(c: C, fds: u32, nfds: usize, timeout_ms: i32) -> R {
+    do_poll(c, fds, nfds, timeout_ms as i64)
+}
+
+/// `ppoll`: the mask is installed atomically with the block (saved once
+/// on entry, held across every re-park) and restored when the call
+/// returns — a signal that arrived masked during the wait is delivered
+/// exactly once, at the safepoint straight after the syscall.
+pub(super) fn ppoll(c: C, fds: u32, nfds: usize, tmo: Option<u32>, sigmask: Option<u32>) -> R {
+    let timeout_ms = match tmo {
+        None => -1,
+        Some(tmo) => {
+            let raw = read_bytes(&c.instance.memory, tmo, WaliTimespec::SIZE)?;
+            let ts = WaliTimespec::read_from(&raw)?;
             (ts.to_nanos().unwrap_or(0) / 1_000_000) as i64
-        };
-        swap_wait_mask(c, arg_ptr(a, 3))?;
-        let r = do_poll(c, arg_ptr(a, 0), arg(a, 1) as usize, timeout_ms);
-        restore_wait_mask(c, r)
-    });
+        }
+    };
+    swap_wait_mask(c, sigmask)?;
+    let r = do_poll(c, fds, nfds, timeout_ms);
+    restore_wait_mask(c, r)
+}
 
-    // select(nfds, readfds, writefds, exceptfds, timeval) over fd_set
-    // bitmaps, lowered onto the same readiness check.
-    sys!(l, "select", |c: C, a: &[u64]| -> R {
-        do_select(c, a, false)
-    });
-    sys!(l, "pselect6", |c: C, a: &[u64]| -> R {
-        do_select(c, a, true)
-    });
+// select/pselect6 over fd_set bitmaps, lowered onto the same readiness
+// check.
 
-    // The epoll family, backed by the kernel's waitqueues: a blocked
-    // `epoll_wait` parks on its interest list's wait channels and is
-    // woken by the first readiness transition on any of them.
-    sys!(l, "epoll_create1", |c: C, a: &[u64]| -> R {
-        let flags = arg_i32(a, 0);
-        k(c, |kk, tid| kk.sys_epoll_create1(tid, flags)).map(|fd| fd as i64)
-    });
+pub(super) fn select(
+    c: C,
+    nfds: i32,
+    readfds: Option<u32>,
+    writefds: Option<u32>,
+    _exceptfds: Option<u32>,
+    timeout: Option<u32>,
+) -> R {
+    do_select(c, nfds, readfds, writefds, timeout, false)
+}
 
-    // epoll_ctl(epfd, op, fd, event).
-    sys!(l, "epoll_ctl", |c: C, a: &[u64]| -> R {
-        let (epfd, op, fd, ev_ptr) = (arg_i32(a, 0), arg_i32(a, 1), arg_i32(a, 2), arg_ptr(a, 3));
-        let (events, data) = if ev_ptr != 0 {
-            let raw = read_bytes(&c.instance.memory, ev_ptr, WaliEpollEvent::SIZE)
-                .map_err(SysError::Err)?;
-            let ev = WaliEpollEvent::read_from(&raw).map_err(SysError::Err)?;
+pub(super) fn pselect6(
+    c: C,
+    nfds: i32,
+    readfds: Option<u32>,
+    writefds: Option<u32>,
+    _exceptfds: Option<u32>,
+    timeout: Option<u32>,
+    _sigmask: u32,
+) -> R {
+    do_select(c, nfds, readfds, writefds, timeout, true)
+}
+
+// The epoll family, backed by the kernel's waitqueues: a blocked
+// `epoll_wait` parks on its interest list's wait channels and is woken
+// by the first readiness transition on any of them.
+
+pub(super) fn epoll_create1(c: C, flags: i32) -> R {
+    k(c, |kk, tid| kk.sys_epoll_create1(tid, flags)).map(|fd| fd as i64)
+}
+
+pub(super) fn epoll_ctl(c: C, epfd: i32, op: i32, fd: i32, event: Option<u32>) -> R {
+    let (events, data) = match event {
+        Some(event) => {
+            let raw = read_bytes(&c.instance.memory, event, WaliEpollEvent::SIZE)?;
+            let ev = WaliEpollEvent::read_from(&raw)?;
             (ev.events, ev.data)
-        } else {
-            // EPOLL_CTL_DEL accepts a NULL event since Linux 2.6.9.
-            (0, 0)
-        };
-        k(c, |kk, tid| {
-            kk.sys_epoll_ctl(tid, epfd, op, fd, events, data)
-        })
-    });
+        }
+        // EPOLL_CTL_DEL accepts a NULL event since Linux 2.6.9.
+        None => (0, 0),
+    };
+    k(c, |kk, tid| {
+        kk.sys_epoll_ctl(tid, epfd, op, fd, events, data)
+    })
+}
 
-    // epoll_wait(epfd, events, maxevents, timeout_ms) — epoll_pwait adds
-    // a sigmask argument honored like ppoll's: swapped in atomically with
-    // the block, restored on return.
-    sys!(l, "epoll_wait", |c: C, a: &[u64]| -> R {
-        do_epoll_wait(c, a)
-    });
-    sys!(l, "epoll_pwait", |c: C, a: &[u64]| -> R {
-        swap_wait_mask(c, arg_ptr(a, 4))?;
-        let r = do_epoll_wait(c, a);
-        restore_wait_mask(c, r)
-    });
+pub(super) fn epoll_wait(c: C, epfd: i32, events: u32, maxevents: i32, timeout_ms: i32) -> R {
+    do_epoll_wait(c, epfd, events, maxevents, timeout_ms as i64)
+}
+
+/// `epoll_wait` with a sigmask honored like `ppoll`'s: swapped in
+/// atomically with the block, restored on return.
+pub(super) fn epoll_pwait(
+    c: C,
+    epfd: i32,
+    events: u32,
+    maxevents: i32,
+    timeout_ms: i32,
+    sigmask: Option<u32>,
+) -> R {
+    swap_wait_mask(c, sigmask)?;
+    let r = do_epoll_wait(c, epfd, events, maxevents, timeout_ms as i64);
+    restore_wait_mask(c, r)
 }
 
 /// Installs a `ppoll`/`epoll_pwait` temporary signal mask (no-op for a
 /// NULL mask pointer). Safe to call on every blocked-call retry: the
 /// kernel saves the original mask only on the first swap of the wait.
-fn swap_wait_mask(c: C, mask_ptr: u32) -> Result<(), SysError> {
-    if mask_ptr == 0 {
+fn swap_wait_mask(c: C, mask_ptr: Option<u32>) -> Result<(), SysError> {
+    let Some(mask_ptr) = mask_ptr else {
         return Ok(());
-    }
-    let mask = SigSet(read_u64(&c.instance.memory, mask_ptr).map_err(SysError::Err)?);
+    };
+    let mask = SigSet(read_u64(&c.instance.memory, mask_ptr)?);
     k(c, |kk, tid| {
         kk.sigmask_swap_for_wait(tid, mask);
         Ok::<_, SysError>(())
@@ -307,10 +305,7 @@ fn block_on(deadline: Option<u64>) -> SysError {
     }
 }
 
-fn do_epoll_wait(c: C, a: &[u64]) -> R {
-    let (epfd, ev_ptr, maxevents) = (arg_i32(a, 0), arg_ptr(a, 1), arg_i32(a, 2));
-    // The timeout is a C `int`.
-    let timeout_ms = arg_i32(a, 3) as i64;
+fn do_epoll_wait(c: C, epfd: i32, ev_ptr: u32, maxevents: i32, timeout_ms: i64) -> R {
     let mem = &*c.instance.memory;
     let retry_deadline = c.data.retry_deadline.take();
     // A report consumes what it reports (an edge, a ONESHOT arm), so the
@@ -334,7 +329,7 @@ fn do_epoll_wait(c: C, a: &[u64]) -> R {
         }
         None => None,
     };
-    args.map_err(SysError::Err)?;
+    args?;
     // Scan-then-subscribe runs inside ONE kernel critical section: a
     // readiness transition on another worker can land between a separate
     // scan and subscribe, posting its wakeup to no subscriber — the
@@ -409,33 +404,10 @@ fn write_epoll_events(mem: &wasm::mem::Memory, ev_ptr: u32, ready: &[(u32, u64)]
             data: *data,
         };
         let mut buf = [0u8; WaliEpollEvent::SIZE];
-        ev.write_to(&mut buf).map_err(SysError::Err)?;
-        write_bytes(mem, ev_ptr + (i * WaliEpollEvent::SIZE) as u32, &buf)
-            .map_err(SysError::Err)?;
+        ev.write_to(&mut buf)?;
+        write_bytes(mem, ev_ptr + (i * WaliEpollEvent::SIZE) as u32, &buf)?;
     }
     Ok(ready.len() as i64)
-}
-
-fn do_accept(c: C, a: &[u64], flags: i32) -> R {
-    let (fd, addr_ptr, len_ptr) = (arg_i32(a, 0), arg_ptr(a, 1), arg_ptr(a, 2));
-    let conn = k(c, |kk, tid| kk.sys_accept(tid, fd, flags))?;
-    if addr_ptr != 0 {
-        if let Ok(addr) = k(c, |kk, tid| kk.sys_getpeername(tid, conn)) {
-            if let Err(errno) = write_sockaddr(c, &addr, addr_ptr, len_ptr) {
-                // The descriptor is installed and the guest will never
-                // learn its number: the connection goes with the call
-                // (Linux: `put_unused_fd` + `fput`).
-                k(c, |kk, tid| kk.sys_close(tid, conn))?;
-                return Err(errno.into());
-            }
-        }
-    }
-    Ok(conn as i64)
-}
-
-fn do_msg(c: C, a: &[u64], send: bool) -> R {
-    let (fd, msg_ptr, flags) = (arg_i32(a, 0), arg_ptr(a, 1), arg_i32(a, 2));
-    msg_rw(c, fd, msg_ptr, flags, send)
 }
 
 /// Shared core of `sendmsg`/`recvmsg` and the ring's `Sendmsg` SQE:
@@ -449,15 +421,15 @@ pub(crate) fn msg_rw(c: C, fd: i32, msg_ptr: u32, flags: i32, send: bool) -> R {
     let mem = &*c.instance.memory;
     // wasm32 msghdr: name(4) namelen(4) iov(4) iovlen(4) control(4)
     // controllen(4) flags(4).
-    let hdr = read_bytes(mem, msg_ptr, 28).map_err(SysError::Err)?;
+    let hdr = read_bytes(mem, msg_ptr, 28)?;
     let iov_ptr = u32::from_le_bytes(hdr[8..12].try_into().expect("4 bytes"));
     let iovlen = u32::from_le_bytes(hdr[12..16].try_into().expect("4 bytes")) as usize;
     if iovlen > wali_abi::ring::IOV_MAX {
         return Err(Errno::Einval.into());
     }
     let bytes = iovlen.checked_mul(WaliIovec::SIZE).ok_or(Errno::Einval)?;
-    let raw = read_bytes(mem, iov_ptr, bytes).map_err(SysError::Err)?;
-    let iovs = WaliIovec::read_array(&raw, iovlen).map_err(SysError::Err)?;
+    let raw = read_bytes(mem, iov_ptr, bytes)?;
+    let iovs = WaliIovec::read_array(&raw, iovlen)?;
     let mut total = 0i64;
     for iov in iovs {
         if iov.len == 0 {
@@ -492,10 +464,10 @@ fn do_poll(c: C, fds_ptr: u32, nfds: usize, timeout_ms: i64) -> R {
         return Err(Errno::Einval.into());
     }
     let mem = &*c.instance.memory;
-    let raw = read_bytes(mem, fds_ptr, nfds * WaliPollFd::SIZE).map_err(SysError::Err)?;
+    let raw = read_bytes(mem, fds_ptr, nfds * WaliPollFd::SIZE)?;
     let mut fds = Vec::with_capacity(nfds);
     for i in 0..nfds {
-        let p = WaliPollFd::read_from(&raw[i * WaliPollFd::SIZE..]).map_err(SysError::Err)?;
+        let p = WaliPollFd::read_from(&raw[i * WaliPollFd::SIZE..])?;
         fds.push(p);
     }
     let pairs: Vec<(i32, i16)> = fds.iter().map(|p| (p.fd, p.events)).collect();
@@ -521,23 +493,28 @@ fn do_poll(c: C, fds_ptr: u32, nfds: usize, timeout_ms: i64) -> R {
     for (i, p) in fds.iter_mut().enumerate() {
         p.revents = revents[i];
         let mut buf = [0u8; WaliPollFd::SIZE];
-        p.write_to(&mut buf).map_err(SysError::Err)?;
-        write_bytes(mem, fds_ptr + (i * WaliPollFd::SIZE) as u32, &buf).map_err(SysError::Err)?;
+        p.write_to(&mut buf)?;
+        write_bytes(mem, fds_ptr + (i * WaliPollFd::SIZE) as u32, &buf)?;
     }
     Ok(ready as i64)
 }
 
-fn do_select(c: C, a: &[u64], is_pselect: bool) -> R {
-    let nfds = arg_i32(a, 0).clamp(0, 1024) as usize;
-    let (rptr, wptr) = (arg_ptr(a, 1), arg_ptr(a, 2));
-    let tptr = arg_ptr(a, 4);
+fn do_select(
+    c: C,
+    nfds: i32,
+    rptr: Option<u32>,
+    wptr: Option<u32>,
+    tptr: Option<u32>,
+    is_pselect: bool,
+) -> R {
+    let nfds = nfds.clamp(0, 1024) as usize;
     let mem = &*c.instance.memory;
 
-    let read_set = |ptr: u32| -> Result<Vec<i32>, SysError> {
-        if ptr == 0 {
+    let read_set = |ptr: Option<u32>| -> Result<Vec<i32>, SysError> {
+        let Some(ptr) = ptr else {
             return Ok(Vec::new());
-        }
-        let raw = read_bytes(mem, ptr, 128).map_err(SysError::Err)?;
+        };
+        let raw = read_bytes(mem, ptr, 128)?;
         let mut fds = Vec::new();
         for fd in 0..nfds {
             if raw[fd / 8] & (1 << (fd % 8)) != 0 {
@@ -557,17 +534,19 @@ fn do_select(c: C, a: &[u64], is_pselect: bool) -> R {
         pairs.push((*fd, wali_abi::flags::POLLOUT));
     }
 
-    let timeout_ms: i64 = if tptr == 0 {
-        -1
-    } else if is_pselect {
-        let raw = read_bytes(mem, tptr, WaliTimespec::SIZE).map_err(SysError::Err)?;
-        let ts = WaliTimespec::read_from(&raw).map_err(SysError::Err)?;
-        (ts.to_nanos().unwrap_or(0) / 1_000_000) as i64
-    } else {
-        let raw = read_bytes(mem, tptr, 16).map_err(SysError::Err)?;
-        let sec = i64::from_le_bytes(raw[0..8].try_into().expect("8 bytes"));
-        let usec = i64::from_le_bytes(raw[8..16].try_into().expect("8 bytes"));
-        sec.saturating_mul(1000).saturating_add(usec / 1000)
+    let timeout_ms: i64 = match tptr {
+        None => -1,
+        Some(tptr) if is_pselect => {
+            let raw = read_bytes(mem, tptr, WaliTimespec::SIZE)?;
+            let ts = WaliTimespec::read_from(&raw)?;
+            (ts.to_nanos().unwrap_or(0) / 1_000_000) as i64
+        }
+        Some(tptr) => {
+            let raw = read_bytes(mem, tptr, 16)?;
+            let sec = i64::from_le_bytes(raw[0..8].try_into().expect("8 bytes"));
+            let usec = i64::from_le_bytes(raw[8..16].try_into().expect("8 bytes"));
+            sec.saturating_mul(1000).saturating_add(usec / 1000)
+        }
     };
 
     let retry_deadline = c.data.retry_deadline.take();
@@ -592,17 +571,17 @@ fn do_select(c: C, a: &[u64], is_pselect: bool) -> R {
         return Ok(0);
     };
     let ready = revents.iter().filter(|&&r| r != 0).count();
-    let write_set = |ptr: u32, fds: &[i32], base: usize| -> Result<(), SysError> {
-        if ptr == 0 {
+    let write_set = |ptr: Option<u32>, fds: &[i32], base: usize| -> Result<(), SysError> {
+        let Some(ptr) = ptr else {
             return Ok(());
-        }
+        };
         let mut raw = [0u8; 128];
         for (i, fd) in fds.iter().enumerate() {
             if revents[base + i] != 0 {
                 raw[*fd as usize / 8] |= 1 << (*fd as usize % 8);
             }
         }
-        write_bytes(mem, ptr, &raw).map_err(SysError::Err)
+        Ok(write_bytes(mem, ptr, &raw)?)
     };
     write_set(rptr, &rfds, 0)?;
     write_set(wptr, &wfds, rfds.len())?;

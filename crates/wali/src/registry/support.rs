@@ -10,8 +10,23 @@ use wasm::host::{Caller, HostOutcome, Linker};
 use wasm::interp::Value;
 
 use crate::context::WaliContext;
-use crate::registry::{stateless, WaliSuspend};
+use crate::registry::WaliSuspend;
 use crate::WALI_MODULE;
+
+/// Compile-time proof that a method captures nothing. The import table
+/// is built once per process and shared by every runner
+/// ([`crate::build_linker`]), so a method holding state would leak it
+/// from one run into another; everything a run mutates belongs in
+/// [`WaliContext`].
+fn stateless<F>(f: F) -> F {
+    const {
+        assert!(
+            std::mem::size_of::<F>() == 0,
+            "support methods capture nothing"
+        )
+    };
+    f
+}
 
 /// Registers one support method (typed convention; none is hot).
 fn method(

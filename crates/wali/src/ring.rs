@@ -35,24 +35,15 @@ use vkernel::fd::FileKind;
 use vkernel::{Block, Channel, MutexExt, SysError};
 use wali_abi::ring::{op, WaliCqe, WaliRingHdr, WaliSqe};
 use wali_abi::Errno;
-use wasm::host::{Caller, Linker};
+use wasm::host::Caller;
 
 use crate::context::WaliContext;
 use crate::fastpath;
-use crate::mem::{arg, arg_ptr, read_bytes, with_slice, with_slice_mut, write_bytes, write_u32};
-use crate::registry::{flat, sys};
+use crate::mem::{read_bytes, with_slice, with_slice_mut, write_bytes, write_u32};
+use crate::registry::flat;
 
 type C<'a, 'b> = &'a mut Caller<'b, WaliContext>;
 type R = Result<i64, SysError>;
-
-/// Registers the batched-syscall entry point. Not part of the WALI
-/// specification table — an extension import, name-bound like the
-/// support methods (retries resolve it by name, not by spec index).
-pub(crate) fn register(l: &mut Linker<WaliContext>) {
-    sys!(l, "wali_ring_enter", |c: C, a: &[u64]| -> R {
-        ring_enter(c, a)
-    });
-}
 
 /// SQE opcodes that wait for output space rather than input data.
 fn is_write_op(opcode: u8) -> bool {
@@ -135,17 +126,23 @@ fn attempt(c: C, sqe: &WaliSqe) -> R {
 /// fewer than `min_complete` completions are available and operations
 /// remain in flight. Returns `-ENOSYS` when rings are toggled off
 /// (`WALI_NO_RING=1`), directing guests to the synchronous per-op ABI.
-fn ring_enter(c: C, a: &[u64]) -> R {
+///
+/// An extension row of the syscall table: registered and counted like a
+/// spec row, but not part of the WALI specification.
+pub(crate) fn wali_ring_enter(
+    c: C,
+    ring_ptr: u32,
+    to_submit: u32,
+    min_complete: u32,
+    _flags: u32,
+) -> R {
     if !c.data.ring {
         return Err(Errno::Enosys.into());
     }
-    let ring_ptr = arg_ptr(a, 0);
-    let to_submit = arg(a, 1) as u32;
-    let min_complete = arg(a, 2) as u32;
     let mem = &*c.instance.memory;
-    let raw = read_bytes(mem, ring_ptr, WaliRingHdr::SIZE).map_err(SysError::Err)?;
-    let mut hdr = WaliRingHdr::read_from(&raw).map_err(SysError::Err)?;
-    hdr.validate().map_err(SysError::Err)?;
+    let raw = read_bytes(mem, ring_ptr, WaliRingHdr::SIZE)?;
+    let mut hdr = WaliRingHdr::read_from(&raw)?;
+    hdr.validate()?;
 
     let tid = c.data.tid;
     let mut pending = std::mem::take(&mut c.data.ring_pending);
@@ -179,11 +176,11 @@ fn ring_enter(c: C, a: &[u64]) -> R {
     let now = c.data.with_kernel(|kk| kk.clock.monotonic_ns());
     for _ in 0..take {
         let slot = ring_ptr.wrapping_add(hdr.sqe_offset(hdr.sq_head));
-        let raw = read_bytes(mem, slot, WaliSqe::SIZE).map_err(SysError::Err)?;
-        let mut sqe = WaliSqe::read_from(&raw).map_err(SysError::Err)?;
+        let raw = read_bytes(mem, slot, WaliSqe::SIZE)?;
+        let mut sqe = WaliSqe::read_from(&raw)?;
         // Consume before attempting: a retry must never see this SQE.
         hdr.sq_head = hdr.sq_head.wrapping_add(1);
-        write_u32(mem, ring_ptr.wrapping_add(8), hdr.sq_head).map_err(SysError::Err)?;
+        write_u32(mem, ring_ptr.wrapping_add(8), hdr.sq_head)?;
         if sqe.opcode == op::TIMEOUT {
             // Anchor the countdown once; retries compare against this.
             sqe.off = now.saturating_add(sqe.off);
@@ -195,13 +192,13 @@ fn ring_enter(c: C, a: &[u64]) -> R {
     for cqe in acc.completions {
         let slot = ring_ptr.wrapping_add(hdr.cqe_offset(hdr.cq_tail));
         let mut buf = [0u8; WaliCqe::SIZE];
-        cqe.write_to(&mut buf).map_err(SysError::Err)?;
-        write_bytes(mem, slot, &buf).map_err(SysError::Err)?;
+        cqe.write_to(&mut buf)?;
+        write_bytes(mem, slot, &buf)?;
         hdr.cq_tail = hdr.cq_tail.wrapping_add(1);
     }
     // Publish only the host-owned indexes; `sq_tail`/`cq_head` belong
     // to the guest side of the SPSC protocol.
-    write_u32(mem, ring_ptr.wrapping_add(20), hdr.cq_tail).map_err(SysError::Err)?;
+    write_u32(mem, ring_ptr.wrapping_add(20), hdr.cq_tail)?;
 
     c.data.ring_pending = acc.still;
     let available = hdr.cq_tail.wrapping_sub(hdr.cq_head);

@@ -12,12 +12,11 @@
 //! clock reads, which cost more than the crossing itself and land in the
 //! very slices being measured.
 //!
-//! Counting is on every syscall's hot path, so [`SysCounts`] stores spec
-//! syscalls in a dense array indexed by [`wali_abi::spec::sysno`] — one
-//! add per call — and falls back to a name-keyed map only for non-spec
-//! entries (support methods, layered APIs).
+//! Counting is on every syscall's hot path, so [`SysCounts`] stores one
+//! cell per row of the syscall table, indexed by its
+//! [`wali_abi::spec::Sysno`] — one add per call.
 //!
-//! A table is 171 counters, and a run may fork thousands of tasks that
+//! A table is 174 counters, and a run may fork thousands of tasks that
 //! make five calls each: the array is made by the first call counted in
 //! it, and the runner lends a task the table of whoever runs it
 //! (`task::run_slice`) — so a task counts into a table that already
@@ -26,23 +25,22 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use wali_abi::spec::{self, SPEC_LEN};
+use wali_abi::spec::{self, Sysno};
 
-/// Per-syscall invocation counters with a dense spec-indexed fast path.
-/// Owned by whoever counts: every update is a plain add through `&mut`.
+/// Per-syscall invocation counters, one cell per table row. Owned by
+/// whoever counts: every update is a plain add through `&mut`.
 #[derive(Clone, Default)]
 pub struct SysCounts {
-    /// One cell per spec entry, or none at all before the first count.
+    /// One cell per row, or none at all before the first count.
     dense: Vec<u64>,
-    named: BTreeMap<&'static str, u64>,
 }
 
 impl SysCounts {
-    /// Records one invocation by dense syscall index (the hot path): an
-    /// indexed add — the bounds check is the one indexing makes anyway,
-    /// its failure the table's first use.
+    /// Records one invocation (the hot path): an indexed add — the
+    /// bounds check is the one indexing makes anyway, its failure the
+    /// table's first use.
     #[inline]
-    pub fn bump(&mut self, sysno: u16) {
+    pub fn bump(&mut self, sysno: Sysno) {
         match self.dense.get_mut(sysno as usize) {
             Some(cell) => *cell += 1,
             None => self.table()[sysno as usize] += 1,
@@ -52,21 +50,8 @@ impl SysCounts {
     /// The dense cells, made if this is their first use.
     #[cold]
     fn table(&mut self) -> &mut [u64] {
-        self.dense.resize(SPEC_LEN, 0);
+        self.dense.resize(spec::ROWS, 0);
         &mut self.dense
-    }
-
-    /// Records one invocation by name (slow path; resolves the index).
-    pub fn count(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Adds `n` invocations of `name`.
-    fn add(&mut self, name: &'static str, n: u64) {
-        match spec::sysno(name) {
-            Some(no) => self.table()[no as usize] += n,
-            None => *self.named.entry(name).or_insert(0) += n,
-        }
     }
 
     /// Adds every count of `other`.
@@ -76,17 +61,13 @@ impl SysCounts {
         for (i, n) in other.dense.iter().enumerate().filter(|(_, n)| **n != 0) {
             self.table()[i] += n;
         }
-        for (name, n) in &other.named {
-            self.add(name, *n);
-        }
     }
 
     /// The count recorded for `name` (0 when never invoked).
     pub fn of(&self, name: &str) -> u64 {
-        match spec::sysno(name) {
-            Some(no) => self.dense.get(no as usize).copied().unwrap_or(0),
-            None => self.named.get(name).copied().unwrap_or(0),
-        }
+        spec::sysno(name)
+            .and_then(|no| self.dense.get(no as usize).copied())
+            .unwrap_or(0)
     }
 
     /// The count for `name`, if any were recorded.
@@ -100,13 +81,10 @@ impl SysCounts {
         self.get(name).is_some()
     }
 
-    /// `(name, count)` pairs with nonzero counts: spec entries in spec
-    /// order, then the named ones.
+    /// `(name, count)` pairs with nonzero counts, in table order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        let dense = self.dense.iter().enumerate();
-        let dense = dense.filter(|(_, c)| **c > 0);
-        let dense = dense.map(|(i, c)| (spec::SPEC[i].name, *c));
-        dense.chain(self.named.iter().map(|(n, c)| (*n, *c)))
+        let rows = self.dense.iter().zip(spec::rows());
+        rows.filter(|(c, _)| **c > 0).map(|(c, s)| (s.name, *c))
     }
 
     /// Iterates over invoked syscall names.
@@ -126,7 +104,7 @@ impl SysCounts {
 
     /// Sum of all counts.
     pub fn total(&self) -> u64 {
-        self.dense.iter().sum::<u64>() + self.named.values().sum::<u64>()
+        self.dense.iter().sum()
     }
 
     /// Snapshot as an ordinary name-keyed map (report binaries).
@@ -199,30 +177,6 @@ impl Trace {
         self.timing.then(Instant::now)
     }
 
-    /// Records one invocation of `name`.
-    #[inline]
-    pub fn count(&mut self, name: &'static str) {
-        self.count_dispatch(spec::sysno(name), name);
-    }
-
-    /// Records one invocation by pre-resolved dense index (the hot path
-    /// used by the registry wrappers).
-    #[inline]
-    pub fn count_sysno(&mut self, sysno: u16) {
-        self.counts.bump(sysno);
-    }
-
-    /// Records one invocation through a registration-time dispatch pair:
-    /// the dense index when the call is a spec syscall, the name
-    /// otherwise.
-    #[inline]
-    pub fn count_dispatch(&mut self, sysno: Option<u16>, name: &'static str) {
-        match sysno {
-            Some(no) => self.counts.bump(no),
-            None => self.counts.count(name),
-        }
-    }
-
     /// Total syscall invocations.
     pub fn total_syscalls(&self) -> u64 {
         self.counts.total()
@@ -276,9 +230,9 @@ mod tests {
     #[test]
     fn counts_accumulate() {
         let mut t = Trace::default();
-        t.count("read");
-        t.count("read");
-        t.count("write");
+        t.counts.bump(Sysno::read);
+        t.counts.bump(Sysno::read);
+        t.counts.bump(Sysno::write);
         assert_eq!(t.counts.of("read"), 2);
         assert_eq!(t.total_syscalls(), 3);
         assert_eq!(t.unique_syscalls(), 2);
@@ -288,17 +242,20 @@ mod tests {
     fn dense_and_named_counts_agree() {
         let mut c = SysCounts::default();
         assert!(c.is_empty() && c.of("read") == 0, "no table yet, all zero");
-        let no = spec::sysno("read").expect("read is in the spec");
-        c.bump(no);
-        c.count("read");
-        c.count("get_argc"); // support method: not in SPEC, named fallback
+        c.bump(Sysno::read);
+        c.bump(Sysno::read);
+        // An extension row counts like a spec row.
+        c.bump(Sysno::wali_ring_enter);
         assert_eq!(c.of("read"), 2);
-        assert_eq!(c.of("get_argc"), 1);
-        assert_eq!(c.of("never_called"), 0);
-        assert!(c.contains_key("get_argc"));
+        assert_eq!(c.of("wali_ring_enter"), 1);
+        assert_eq!(c.of("get_argc"), 0, "support methods are not counted");
+        assert!(c.contains_key("wali_ring_enter"));
         assert!(!c.contains_key("never_called"));
         assert_eq!(c.total(), 3);
-        assert_eq!(c.to_map().len(), 2);
+        assert_eq!(
+            c.to_map().into_iter().collect::<Vec<_>>(),
+            [("read", 2), ("wali_ring_enter", 1)]
+        );
     }
 
     #[test]
@@ -319,11 +276,11 @@ mod tests {
     #[test]
     fn merge_sums_everything() {
         let mut a = Trace::default();
-        a.count("read");
+        a.counts.bump(Sysno::read);
         a.host_time = Duration::from_millis(5);
         let mut b = Trace::default();
-        b.count("read");
-        b.count("mmap");
+        b.counts.bump(Sysno::read);
+        b.counts.bump(Sysno::mmap);
         b.kernel_time = Duration::from_millis(3);
         a.merge(&b);
         assert_eq!(a.counts.of("read"), 2);
