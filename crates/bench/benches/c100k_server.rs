@@ -29,7 +29,6 @@
 use std::time::Instant;
 
 use bench::harness;
-use vkernel::sync::MutexExt;
 use vkernel::{Kernel, Tid};
 use wali_abi::flags::{AF_UNIX, EPOLLIN, EPOLL_CTL_ADD, EPOLL_CTL_DEL, SHUT_WR, SOCK_STREAM};
 

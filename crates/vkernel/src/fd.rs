@@ -5,13 +5,14 @@
 //! `FD_CLOEXEC` lives on the descriptor not the description, and the
 //! lowest free slot is always allocated.
 
+use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::Arc;
 
-use wali_abi::flags::{O_ACCMODE, O_RDONLY, O_WRONLY};
+use wali_abi::flags::{O_ACCMODE, O_NONBLOCK, O_RDONLY, O_WRONLY};
 use wali_abi::Errno;
 
 use crate::kernel::epoll::Epoll;
-use crate::lockorder::{LockClass, Tracked};
+use crate::lockorder::{LockClass, Tracked, TrackedGuard};
 use crate::pipe::Pipe;
 use crate::slab::Handle;
 use crate::socket::Socket;
@@ -46,14 +47,30 @@ pub enum FileKind {
 }
 
 /// An open file description (shared by duplicated descriptors).
-#[derive(Clone, Debug)]
+///
+/// What a call reads of it is fixed or one word: the referent never
+/// changes after open and the status flags are an atomic that
+/// `fcntl(F_SETFL)` stores. Only what a call *changes* sits behind the
+/// description lock ([`LockClass::Description`], Linux's `f_pos_lock`):
+/// the offset and the eventfd counter, so offset updates and eventfd
+/// edits on one file never serialize against another file, against the
+/// kernel core, or against a call that only reads the description.
+#[derive(Debug)]
 pub struct OpenFile {
-    /// Referent.
+    /// Referent (fixed at open).
     pub kind: FileKind,
+    /// Status flags (`O_APPEND`, `O_NONBLOCK`, access mode …). `Relaxed`
+    /// throughout: the word publishes no other data.
+    flags: AtomicI32,
+    /// The offset and the eventfd counter.
+    pos: Tracked<FilePos>,
+}
+
+/// What the description lock guards.
+#[derive(Debug, Default)]
+pub struct FilePos {
     /// Byte offset for seekable files.
     pub offset: u64,
-    /// Status flags (`O_APPEND`, `O_NONBLOCK`, access mode …).
-    pub flags: i32,
     /// eventfd counter value (only for `FileKind::EventFd`).
     pub counter: u64,
 }
@@ -61,35 +78,58 @@ pub struct OpenFile {
 impl OpenFile {
     /// Creates a description behind its shared handle.
     pub fn shared(kind: FileKind, flags: i32) -> FileRef {
-        let file = OpenFile {
+        Arc::new(OpenFile {
             kind,
-            offset: 0,
-            flags,
-            counter: 0,
-        };
-        Arc::new(Tracked::new(LockClass::Description, file))
+            flags: AtomicI32::new(flags),
+            pos: Tracked::new(LockClass::Description, FilePos::default()),
+        })
+    }
+
+    /// Status flags.
+    #[inline]
+    pub fn flags(&self) -> i32 {
+        self.flags.load(Ordering::Relaxed)
+    }
+
+    /// Replaces the status flags under `mask` with those of `bits`
+    /// (`fcntl(F_SETFL)`, `FIONBIO`).
+    pub fn set_flags(&self, mask: i32, bits: i32) {
+        let _ = self
+            .flags
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |f| {
+                Some((f & !mask) | (bits & mask))
+            });
+    }
+
+    /// `O_NONBLOCK` is set.
+    #[inline]
+    pub fn nonblock(&self) -> bool {
+        self.flags() & O_NONBLOCK != 0
     }
 
     /// Opened `O_RDONLY` or `O_RDWR`: `read`-family calls on anything
     /// else answer `-EBADF`.
+    #[inline]
     pub fn readable(&self) -> bool {
-        self.flags & O_ACCMODE != O_WRONLY
+        self.flags() & O_ACCMODE != O_WRONLY
     }
 
     /// Opened `O_WRONLY` or `O_RDWR`: `write`-family calls on anything
     /// else answer `-EBADF`.
+    #[inline]
     pub fn writable(&self) -> bool {
-        self.flags & O_ACCMODE != O_RDONLY
+        self.flags() & O_ACCMODE != O_RDONLY
+    }
+
+    /// Takes the description lock.
+    #[inline]
+    pub fn lock_ok(&self) -> TrackedGuard<'_, FilePos> {
+        self.pos.lock_ok()
     }
 }
 
 /// A shared open file description handle.
-///
-/// The description carries its own lock ([`LockClass::Description`]):
-/// offset updates and eventfd counter edits on one file never serialize
-/// against another file or against the kernel core. A descriptor call
-/// takes it once, for the whole call.
-pub type FileRef = Arc<Tracked<OpenFile>>;
+pub type FileRef = Arc<OpenFile>;
 
 /// One descriptor-table slot.
 #[derive(Clone, Debug)]
@@ -99,6 +139,10 @@ pub struct FdEntry {
     /// Close-on-exec flag (per descriptor).
     pub cloexec: bool,
 }
+
+/// A task's fd table behind its lock ([`LockClass::Files`]); one handle
+/// per task, shared by `CLONE_FILES` siblings.
+pub type Files = Arc<Tracked<FdTable>>;
 
 /// A file descriptor table.
 #[derive(Debug)]
@@ -127,6 +171,19 @@ impl FdTable {
             limit: DEFAULT_NOFILE,
             members: 1,
         }
+    }
+
+    /// Puts the table behind its lock.
+    pub fn into_files(self) -> Files {
+        Arc::new(Tracked::new(LockClass::Files, self))
+    }
+
+    /// Tasks using this table. At one, only that task's own calls can
+    /// change a slot, so one of them may use a description in place for
+    /// as long as it holds the table's lock (Linux's `__fget_light`).
+    #[inline]
+    pub fn members(&self) -> usize {
+        self.members
     }
 
     /// Allocates the lowest free descriptor at or above `min`.

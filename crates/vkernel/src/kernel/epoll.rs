@@ -52,9 +52,8 @@ use wali_abi::flags::{
 use wali_abi::Errno;
 
 use crate::fd::{FileKind, FileRef, OpenFile};
-use crate::lockorder::Tracked;
 use crate::slab::Handle;
-use crate::sync::{FastMap, MutexExt};
+use crate::sync::FastMap;
 use crate::wait::Channel;
 use crate::{SysResult, Tid};
 
@@ -73,7 +72,7 @@ pub(crate) struct EpollReg {
     pub(crate) data: u64,
     /// The registered description: its identity, and whether anything
     /// still holds it (a fully closed one is swept).
-    pub(crate) file: Weak<Tracked<OpenFile>>,
+    pub(crate) file: Weak<OpenFile>,
     /// The pipe end or socket that description holds: a pop verifies
     /// through it. `None` for the kinds that are probed through `file`
     /// (an eventfd's counter, the always-ready rest).
@@ -238,8 +237,7 @@ impl Kernel {
         let task = self.task(tid)?;
         let table = task.fdtable.lock_ok();
         let file = &table.get(epfd)?.file;
-        let guard = file.lock_ok();
-        match &guard.kind {
+        match &file.kind {
             FileKind::Epoll(ep) => Ok(f(file, ep)),
             _ => Err(Errno::Einval),
         }
@@ -310,7 +308,7 @@ impl Kernel {
         let ep = self.epoll_of(tid, epfd)?;
         // The target must be an open descriptor of the caller.
         let target = self.task(tid)?.fdtable.lock_ok().file(fd)?;
-        let object = match &target.lock_ok().kind {
+        let object = match &target.kind {
             // Nested epoll instances would make the wait-channel walk
             // cyclic; Linux reports closed loops the same way.
             FileKind::Epoll(_) => return Err(Errno::Eloop.into()),
@@ -910,7 +908,6 @@ mod tests {
             .get(r)
             .unwrap()
             .file
-            .lock_ok()
             .kind
         {
             FileKind::PipeRead(ref pipe) => pipe.id,

@@ -14,7 +14,6 @@ use wali_abi::Errno;
 
 use crate::fd::{FdEntry, FileKind, FileRef, OpenFile};
 use crate::pipe::Pipe;
-use crate::sync::MutexExt;
 use crate::vfs::{DevKind, InodeId, InodeKind};
 use crate::wait::Channel;
 use crate::{SysResult, Tid};
@@ -27,11 +26,7 @@ impl Kernel {
         if dirfd == AT_FDCWD {
             return Ok(self.task(tid)?.fs().cwd);
         }
-        let task = self.task(tid)?;
-        let table = task.fdtable.lock_ok();
-        let entry = table.get(dirfd)?;
-        let kind = entry.file.lock_ok().kind.clone();
-        match kind {
+        match self.task(tid)?.fdtable.lock_ok().get(dirfd)?.file.kind {
             FileKind::Dir(id) => Ok(id),
             _ => Err(Errno::Enotdir),
         }
@@ -258,7 +253,7 @@ impl Kernel {
         // embedder's in-flight call on another worker still held the
         // description while its descriptor was closed here.
         if let Some(last) = Arc::into_inner(file) {
-            self.release_description(last.into_inner(), key);
+            self.release_description(last, key);
         }
     }
 
@@ -369,18 +364,11 @@ impl Kernel {
                 table.get_mut(fd)?.cloexec = arg & FD_CLOEXEC != 0;
                 Ok(0)
             }
-            F_GETFL => {
-                let table = task.fdtable.lock_ok();
-                let flags = table.get(fd)?.file.lock_ok().flags;
-                Ok(flags as i64)
-            }
+            F_GETFL => Ok(task.fdtable.lock_ok().get(fd)?.file.flags() as i64),
             F_SETFL => {
-                let table = task.fdtable.lock_ok();
-                let file = table.get(fd)?.file.clone();
-                drop(table);
                 // Only O_APPEND and O_NONBLOCK are changeable.
-                let mut f = file.lock_ok();
-                f.flags = (f.flags & !(O_APPEND | O_NONBLOCK)) | (arg & (O_APPEND | O_NONBLOCK));
+                let table = task.fdtable.lock_ok();
+                table.get(fd)?.file.set_flags(O_APPEND | O_NONBLOCK, arg);
                 Ok(0)
             }
             _ => Err(Errno::Einval.into()),
@@ -391,26 +379,16 @@ impl Kernel {
     pub fn sys_ioctl(&mut self, tid: Tid, fd: i32, op: u64) -> SysResult<IoctlOut> {
         let file = self.file_of(tid, fd)?;
         match op {
-            TIOCGWINSZ => match file.lock_ok().kind {
+            TIOCGWINSZ => match file.kind {
                 FileKind::CharDev(_) => Ok(IoctlOut::Winsize { rows: 24, cols: 80 }),
                 _ => Err(Errno::Enotty.into()),
             },
             FIONREAD => {
-                let f = file.lock_ok();
-                let n = match &f.kind {
-                    FileKind::PipeRead(pipe) => {
-                        let pipe = pipe.clone();
-                        drop(f);
-                        let n = pipe.lock_ok().len();
-                        n
-                    }
-                    FileKind::Socket(sock) => {
-                        let sock = sock.clone();
-                        drop(f);
-                        let n = sock.lock_ok().recv.len();
-                        n
-                    }
+                let n = match &file.kind {
+                    FileKind::PipeRead(pipe) => pipe.lock_ok().len(),
+                    FileKind::Socket(sock) => sock.lock_ok().recv.len(),
                     FileKind::Regular(inode) => {
+                        let f = file.lock_ok();
                         let size = self.vfs.read().get(*inode)?.size();
                         size.saturating_sub(f.offset) as usize
                     }
@@ -419,8 +397,7 @@ impl Kernel {
                 Ok(IoctlOut::Int(n as i32))
             }
             FIONBIO => {
-                let mut f = file.lock_ok();
-                f.flags |= O_NONBLOCK;
+                file.set_flags(O_NONBLOCK, O_NONBLOCK);
                 Ok(IoctlOut::Int(0))
             }
             _ => Err(Errno::Enotty.into()),
@@ -459,10 +436,10 @@ impl Kernel {
         let file = self.file_of(tid, fd)?;
         // One hold for the whole call: the cursor is read, the entries
         // walked and the cursor moved as one step.
-        let mut f = file.lock_ok();
-        let FileKind::Dir(inode) = f.kind else {
+        let FileKind::Dir(inode) = file.kind else {
             return Err(Errno::Enotdir.into());
         };
+        let mut f = file.lock_ok();
         let cursor = f.offset as usize;
         let vfs = self.vfs.read();
         let node = vfs.get(inode)?;
@@ -653,8 +630,7 @@ impl Kernel {
     /// `fchmod`.
     pub fn sys_fchmod(&mut self, tid: Tid, fd: i32, mode: u32) -> SysResult {
         let file = self.file_of(tid, fd)?;
-        let kind = file.lock_ok().kind.clone();
-        match kind {
+        match file.kind {
             FileKind::Regular(i) | FileKind::Dir(i) | FileKind::CharDev(i) => {
                 self.vfs.write().get_mut(i)?.perm = mode & 0o7777;
                 Ok(0)
@@ -677,6 +653,23 @@ impl Kernel {
         let follow = flags & AT_SYMLINK_NOFOLLOW == 0;
         let r = self.vfs.resolve(base, path, follow)?;
         let inode = r.inode.ok_or(Errno::Enoent)?;
+        self.chown_inode(inode, uid, gid)
+    }
+
+    /// `fchown`. A pipe, socket or other inode-less description has no
+    /// owner to change here.
+    pub fn sys_fchown(&mut self, tid: Tid, fd: i32, uid: u32, gid: u32) -> SysResult {
+        match self.file_of(tid, fd)?.kind {
+            FileKind::Regular(i) | FileKind::Dir(i) | FileKind::CharDev(i) => {
+                self.chown_inode(i, uid, gid)
+            }
+            _ => Ok(0),
+        }
+    }
+
+    /// Sets an inode's owner and group; `u32::MAX` (`-1`) leaves one as
+    /// it is.
+    fn chown_inode(&mut self, inode: InodeId, uid: u32, gid: u32) -> SysResult {
         let mut vfs = self.vfs.write();
         let node = vfs.get_mut(inode)?;
         if uid != u32::MAX {
@@ -691,9 +684,8 @@ impl Kernel {
     /// `ftruncate`.
     pub fn sys_ftruncate(&mut self, tid: Tid, fd: i32, len: u64) -> SysResult {
         let file = self.file_of(tid, fd)?;
-        let f = file.lock_ok();
-        match f.kind {
-            FileKind::Regular(inode) if f.writable() => {
+        match file.kind {
+            FileKind::Regular(inode) if file.writable() => {
                 self.vfs.write().set_len(inode, len)?;
                 Ok(0)
             }
@@ -731,8 +723,7 @@ impl Kernel {
     /// `fchdir`.
     pub fn sys_fchdir(&mut self, tid: Tid, fd: i32) -> SysResult {
         let file = self.file_of(tid, fd)?;
-        let kind = file.lock_ok().kind.clone();
-        match kind {
+        match file.kind {
             FileKind::Dir(inode) => {
                 self.task(tid)?.fs().cwd = inode;
                 Ok(0)

@@ -13,15 +13,16 @@
 //! comes back as a [`Core`] for `Kernel::finish_read` /
 //! `Kernel::finish_write`.
 //!
-//! A call takes the description lock once: it yields the access mode,
-//! `O_NONBLOCK` and the object. A regular file's transfer and its
-//! offset advance are one step under it (Linux's `f_pos_lock`),
-//! `O_APPEND` finds the end of the file and writes there under one hold
-//! of the VFS write lock, and an eventfd reader subscribes before a
-//! writer can post. Nesting is `Description → Vfs` or `Description →
-//! Waits`; a pipe or socket is locked — once, for whatever the call
-//! finds: bytes, EOF, `-EAGAIN`, the park — with the description lock
-//! released ([`crate::lockorder`]).
+//! The access mode, `O_NONBLOCK` and the object are read off the
+//! description without a lock; the description lock is taken only by a
+//! call that moves the offset or the eventfd counter. A regular file's
+//! transfer and its offset advance are one step under it (Linux's
+//! `f_pos_lock`), `O_APPEND` finds the end of the file and writes there
+//! under one hold of the VFS write lock, and an eventfd reader
+//! subscribes before a writer can post. Nesting is `Description → Vfs`
+//! or `Description → Waits`; a pipe or socket is locked — once, for
+//! whatever the call finds: bytes, EOF, `-EAGAIN`, the park — by the
+//! handle the description holds, borrowed ([`crate::lockorder`]).
 //!
 //! Blocking follows the protocol of [`crate::wait`]: a consumer that
 //! finds nothing subscribes under the object's lock, a producer posts
@@ -33,7 +34,7 @@
 
 use std::sync::Arc;
 
-use wali_abi::flags::{O_APPEND, O_NONBLOCK, SEEK_CUR, SEEK_END, SEEK_SET, S_IFIFO, S_IFSOCK};
+use wali_abi::flags::{O_APPEND, SEEK_CUR, SEEK_END, SEEK_SET, S_IFIFO, S_IFSOCK};
 use wali_abi::layout::{WaliSockaddr, WaliStat, WaliTimespec};
 use wali_abi::Errno;
 
@@ -103,40 +104,42 @@ impl KernelHandles {
         out: &mut [u8],
         intr: Intr,
     ) -> Result<SysResult, Core> {
-        let mut f = file.lock_ok();
-        if !f.readable() {
+        if !file.readable() {
             return Ok(Err(Errno::Ebadf.into()));
         }
-        let nonblock = f.flags & O_NONBLOCK != 0;
-        let n = match &f.kind {
-            FileKind::Regular(inode) => match self.vfs.read().read_at(*inode, f.offset, out) {
-                Ok(n) => n,
-                Err(e) => return Ok(Err(e.into())),
-            },
+        Ok(match &file.kind {
+            FileKind::Regular(inode) => {
+                let mut f = file.lock_ok();
+                self.vfs.read().read_at(*inode, f.offset, out).map_or_else(
+                    |e| Err(e.into()),
+                    |n| {
+                        f.offset += n as u64;
+                        Ok(n as i64)
+                    },
+                )
+            }
             FileKind::ProcSnapshot(text) => {
+                let mut f = file.lock_ok();
                 let off = (f.offset as usize).min(text.len());
                 let n = out.len().min(text.len() - off);
                 out[..n].copy_from_slice(&text[off..off + n]);
-                n
+                f.offset += n as u64;
+                Ok(n as i64)
             }
-            FileKind::Dir(_) => return Ok(Err(Errno::Eisdir.into())),
-            FileKind::PipeRead(pipe) => {
-                let pipe = pipe.clone();
-                drop(f);
-                return Ok(self.pipe_read(tid, &pipe, nonblock, intr, out));
-            }
-            FileKind::PipeWrite(_) => return Ok(Err(Errno::Ebadf.into())),
+            FileKind::Dir(_) => Err(Errno::Eisdir.into()),
+            FileKind::PipeRead(pipe) => self.pipe_read(tid, pipe, file.nonblock(), intr, out),
+            FileKind::PipeWrite(_) => Err(Errno::Ebadf.into()),
             FileKind::Socket(sock) => {
-                let sock = sock.clone();
-                drop(f);
-                let got = self.sock_recv(tid, &sock, out, dontwait(nonblock), false, intr)?;
-                return Ok(got.map(|(n, _)| n as i64));
+                let flags = dontwait(file.nonblock());
+                let got = self.sock_recv(tid, sock, out, flags, false, intr)?;
+                got.map(|(n, _)| n as i64)
             }
             FileKind::CharDev(inode) => return Err(Core::Dev(*inode)),
-            FileKind::Epoll(_) => return Ok(Err(Errno::Einval.into())),
+            FileKind::Epoll(_) => Err(Errno::Einval.into()),
             FileKind::EventFd => {
+                let mut f = file.lock_ok();
                 if f.counter == 0 {
-                    if nonblock {
+                    if file.nonblock() {
                         return Ok(Err(Errno::Eagain.into()));
                     }
                     let key = Arc::as_ptr(file) as usize;
@@ -148,11 +151,9 @@ impl KernelHandles {
                 }
                 out[..8].copy_from_slice(&f.counter.to_le_bytes());
                 f.counter = 0;
-                return Ok(Ok(8));
+                Ok(8)
             }
-        };
-        f.offset += n as u64;
-        Ok(Ok(n as i64))
+        })
     }
 
     /// `write` on `file` (see [`KernelHandles::read`] for `intr`).
@@ -163,14 +164,13 @@ impl KernelHandles {
         data: &[u8],
         intr: Intr,
     ) -> Result<SysResult, Core> {
-        let mut f = file.lock_ok();
-        if !f.writable() {
+        if !file.writable() {
             return Ok(Err(Errno::Ebadf.into()));
         }
-        let nonblock = f.flags & O_NONBLOCK != 0;
-        match &f.kind {
+        match &file.kind {
             FileKind::Regular(inode) => {
-                let at = (f.flags & O_APPEND == 0).then_some(f.offset);
+                let mut f = file.lock_ok();
+                let at = (file.flags() & O_APPEND == 0).then_some(f.offset);
                 let now = self.clock.realtime_ns();
                 let start = self.vfs.write().write_at(*inode, at, data, now);
                 Ok(start.map_err(SysError::from).map(|start| {
@@ -180,16 +180,10 @@ impl KernelHandles {
             }
             FileKind::Dir(_) => Ok(Err(Errno::Eisdir.into())),
             FileKind::ProcSnapshot(_) => Ok(Err(Errno::Eacces.into())),
-            FileKind::PipeWrite(pipe) => {
-                let pipe = pipe.clone();
-                drop(f);
-                self.pipe_write(tid, &pipe, nonblock, intr, data)
-            }
+            FileKind::PipeWrite(pipe) => self.pipe_write(tid, pipe, file.nonblock(), intr, data),
             FileKind::PipeRead(_) => Ok(Err(Errno::Ebadf.into())),
             FileKind::Socket(sock) => {
-                let sock = sock.clone();
-                drop(f);
-                let sent = self.sock_send(tid, &sock, data, dontwait(nonblock))?;
+                let sent = self.sock_send(tid, sock, data, dontwait(file.nonblock()))?;
                 Ok(sent.map(|n| n as i64))
             }
             FileKind::CharDev(inode) => Err(Core::Dev(*inode)),
@@ -199,8 +193,10 @@ impl KernelHandles {
                     return Ok(Err(Errno::Einval.into()));
                 }
                 let v = u64::from_le_bytes(data[..8].try_into().expect("8 bytes"));
-                f.counter = f.counter.saturating_add(v);
-                drop(f);
+                {
+                    let mut f = file.lock_ok();
+                    f.counter = f.counter.saturating_add(v);
+                }
                 // The counter became non-zero: wake blocked readers.
                 self.waits
                     .post(Channel::EventFd(Arc::as_ptr(file) as usize));
@@ -209,13 +205,13 @@ impl KernelHandles {
         }
     }
 
-    /// `pread64`: the file cursor stays where it is.
+    /// `pread64`: the file cursor stays where it is, so the description
+    /// lock is not taken.
     pub fn pread(&self, file: &FileRef, out: &mut [u8], offset: u64) -> SysResult {
-        let f = file.lock_ok();
-        if !f.readable() {
+        if !file.readable() {
             return Err(Errno::Ebadf.into());
         }
-        match &f.kind {
+        match &file.kind {
             FileKind::Regular(inode) => Ok(self.vfs.read().read_at(*inode, offset, out)? as i64),
             FileKind::PipeRead(_) | FileKind::PipeWrite(_) | FileKind::Socket(_) => {
                 Err(Errno::Espipe.into())
@@ -226,11 +222,10 @@ impl KernelHandles {
 
     /// `pwrite64`: the file cursor stays where it is.
     pub fn pwrite(&self, file: &FileRef, data: &[u8], offset: u64) -> SysResult {
-        let f = file.lock_ok();
-        if !f.writable() {
+        if !file.writable() {
             return Err(Errno::Ebadf.into());
         }
-        match &f.kind {
+        match &file.kind {
             FileKind::Regular(inode) => {
                 let now = self.clock.realtime_ns();
                 self.vfs.write().write_at(*inode, Some(offset), data, now)?;
@@ -243,19 +238,27 @@ impl KernelHandles {
         }
     }
 
-    /// `lseek`.
+    /// `lseek`. Only `SEEK_END` needs the size, and with it the VFS.
     pub fn lseek(&self, file: &FileRef, offset: i64, whence: i32) -> SysResult {
-        let mut f = file.lock_ok();
-        let size = match &f.kind {
-            FileKind::Regular(inode) => self.vfs.read().get(*inode)?.size(),
-            FileKind::ProcSnapshot(t) => t.len() as u64,
-            FileKind::Dir(inode) => self.vfs.read().get(*inode)?.dir()?.len() as u64 + 2,
-            _ => return Err(Errno::Espipe.into()),
+        let size = || -> Result<u64, Errno> {
+            Ok(match &file.kind {
+                FileKind::Regular(inode) => self.vfs.read().get(*inode)?.size(),
+                FileKind::ProcSnapshot(t) => t.len() as u64,
+                FileKind::Dir(inode) => self.vfs.read().get(*inode)?.dir()?.len() as u64 + 2,
+                _ => unreachable!("not seekable"),
+            })
         };
+        if !matches!(
+            file.kind,
+            FileKind::Regular(_) | FileKind::ProcSnapshot(_) | FileKind::Dir(_)
+        ) {
+            return Err(Errno::Espipe.into());
+        }
+        let mut f = file.lock_ok();
         let base = match whence {
             SEEK_SET => 0i64,
             SEEK_CUR => f.offset as i64,
-            SEEK_END => size as i64,
+            SEEK_END => size()? as i64,
             _ => return Err(Errno::Einval.into()),
         };
         let new = base.checked_add(offset).ok_or(Errno::Eoverflow)?;
@@ -266,10 +269,10 @@ impl KernelHandles {
         Ok(new)
     }
 
-    /// `fstat`.
+    /// `fstat`: what the description refers to, never its offset — no
+    /// description lock.
     pub fn fstat(&self, file: &FileRef) -> SysResult<WaliStat> {
-        let f = file.lock_ok();
-        match &f.kind {
+        match &file.kind {
             FileKind::Regular(inode) | FileKind::Dir(inode) | FileKind::CharDev(inode) => {
                 self.stat_inode(*inode)
             }

@@ -21,13 +21,13 @@ use wali_abi::signals::{
 use wali_abi::Errno;
 
 use crate::clock::Clock;
-use crate::fd::{FdTable, FileKind, OpenFile};
+use crate::fd::{FdTable, FileKind, Files, OpenFile};
 use crate::lockorder::LockClass;
 use crate::pipe::Pipe;
 use crate::signal::{disposition, Disposition, PendingSet, SigHandlers};
 use crate::slab::{Handle, ObjSlab, Paged};
 use crate::socket::{AddrKey, Socket};
-use crate::sync::{shared, FastMap, HintFlag, MutexExt, Shared};
+use crate::sync::{FastMap, HintFlag};
 use crate::task::{Pid, Rusage, Shares, Task, TaskState, Tid};
 use crate::vfs::{Vfs, VfsShard};
 use crate::wait::{Channel, WaitShard, WaitStats};
@@ -93,7 +93,7 @@ pub struct Kernel {
     tasks: Paged<Task>,
     /// The fd table of a task that has exited: nothing open, nothing
     /// can be ([`Kernel::release_task_files`]).
-    closed_files: Shared<FdTable>,
+    closed_files: Files,
     next_tid: Tid,
     next_mm: u64,
     /// The slabs that give pipes, sockets and epoll instances their ids
@@ -157,7 +157,7 @@ impl Kernel {
             vfs: shards.vfs.clone(),
             clock: shards.clock.clone(),
             tasks,
-            closed_files: shared(closed),
+            closed_files: closed.into_files(),
             next_tid: 2,
             next_mm: 2,
             pipes: ObjSlab::new(LockClass::Object),
@@ -179,8 +179,9 @@ impl Kernel {
     }
 
     /// Per-syscall bookkeeping: one quantum of virtual time. The clock
-    /// is a lock-free shard; an embedder on the hot path ticks its own
-    /// handle ([`KernelHandles::clock`]) without the kernel lock.
+    /// is a lock-free shard; an embedder on the hot path may add its
+    /// quanta up and charge them to its handle ([`KernelHandles::clock`])
+    /// at once, before anything reads the time its calls made.
     pub fn enter_syscall(&self) {
         self.clock.tick();
     }
@@ -364,7 +365,7 @@ impl Kernel {
             parent.fdtable.lock_ok().join();
             parent.fdtable.clone()
         } else {
-            shared(parent.fdtable.lock_ok().fork_copy())
+            parent.fdtable.lock_ok().fork_copy().into_files()
         };
         // The child's own block starts each cell the child will use as
         // the parent's is now; a cell it shares instead stays unused.

@@ -24,7 +24,6 @@ use crate::fd::{FileKind, FileRef, OpenFile};
 use crate::pipe::Pipe;
 use crate::slab::Handle;
 use crate::socket::{addr_key, SockState, Socket};
-use crate::sync::MutexExt;
 use crate::vfs::DevKind;
 use crate::vfs::InodeKind;
 use crate::wait::Channel;
@@ -193,9 +192,9 @@ impl Kernel {
     fn sock_of_fd(&self, tid: Tid, fd: i32) -> Result<(Handle<Socket>, bool), Errno> {
         let task = self.task(tid)?;
         let table = task.fdtable.lock_ok();
-        let file = table.get(fd)?.file.lock_ok();
+        let file = &table.get(fd)?.file;
         match &file.kind {
-            FileKind::Socket(sock) => Ok((sock.clone(), file.flags & O_NONBLOCK != 0)),
+            FileKind::Socket(sock) => Ok((sock.clone(), file.nonblock())),
             _ => Err(Errno::Enotsock),
         }
     }
@@ -597,12 +596,12 @@ impl Kernel {
 
     /// One readiness walk over an open file description: the wait
     /// channels whose posts can change its readiness for `events`, and
-    /// its `poll` revents right now — from one hold of the description
-    /// and, for a pipe end or socket, [`Pollable::probe`] of the object
-    /// it holds. Addressed by description, not fd: the epoll interest
-    /// list is description-keyed and must keep reporting for a
-    /// registration whose original fd number was closed while a
-    /// duplicate keeps the description alive.
+    /// its `poll` revents right now — for a pipe end or socket,
+    /// [`Pollable::probe`] of the object the description holds; the
+    /// description lock only for an eventfd's counter. Addressed by
+    /// description, not fd: the epoll interest list is description-keyed
+    /// and must keep reporting for a registration whose original fd
+    /// number was closed while a duplicate keeps the description alive.
     ///
     /// POLLHUP/POLLERR are reported regardless of the requested events
     /// (a zero mask is the classic watch-for-hangup idiom), and hangups
@@ -617,12 +616,10 @@ impl Kernel {
     ) -> SysResult<(ChanSet, i16)> {
         let mut chans = ChanSet::default();
         let mut revents = 0i16;
-        let f = file.lock_ok();
-        if let Some(object) = Pollable::of(&f.kind) {
-            drop(f);
+        if let Some(object) = Pollable::of(&file.kind) {
             return Ok(object.probe(events));
         }
-        match &f.kind {
+        match &file.kind {
             FileKind::CharDev(inode) => {
                 let dev = match &self.vfs.read().get(*inode)?.kind {
                     InodeKind::CharDev(d) => d.clone(),
@@ -638,14 +635,12 @@ impl Kernel {
                 if events & POLLIN != 0 {
                     chans.push(Channel::EventFd(std::sync::Arc::as_ptr(file) as usize));
                 }
-                if f.counter > 0 {
+                if file.lock_ok().counter > 0 {
                     revents |= POLLIN & events;
                 }
                 revents |= POLLOUT & events;
             }
             FileKind::Epoll(ep) => {
-                let ep = ep.clone();
-                drop(f);
                 // Every readiness transition of the interest set is
                 // routed to the instance's ready channel by the hub —
                 // one channel, any size. An epoll fd is readable when
@@ -654,7 +649,7 @@ impl Kernel {
                 // Linux: the event stays for the following `epoll_wait`.
                 chans.push(Channel::EpollReady(ep.id));
                 let mut peeked = Vec::new();
-                self.epoll_ready(tid, &ep, 1, Pop::Peek, &mut peeked);
+                self.epoll_ready(tid, ep, 1, Pop::Peek, &mut peeked);
                 if !peeked.is_empty() {
                     revents |= POLLIN & events;
                 }

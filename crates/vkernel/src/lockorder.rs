@@ -21,7 +21,7 @@
 //! The rank order (see DESIGN.md "Concurrency" for the full DAG):
 //!
 //! ```text
-//! Kernel(0) → ReadyHub(12) → Epoll(18) → Object(20) → Description(25) → Vfs(30) → Waits(40)
+//! Kernel(0) → Files(6) → ReadyHub(12) → Epoll(18) → Object(20) → Description(25) → Vfs(30) → Waits(40)
 //! ```
 //!
 //! Debug builds also count this thread's acquisitions, in all
@@ -38,6 +38,11 @@ use std::sync::{Mutex, MutexGuard, TryLockError};
 pub enum LockClass {
     /// The big kernel lock (outermost; syscall bodies).
     Kernel,
+    /// A task's fd table ([`crate::fd::Files`]). A descriptor call on a
+    /// table no other task uses holds it across the whole call, so
+    /// everything the call takes ranks below it — and whoever holds it
+    /// lets go before taking the kernel lock.
+    Files,
     /// The epoll ready-hub routing table (channel → interested epoll
     /// registrations). Ranked *below* Epoll so the waitqueue's
     /// readiness router can look up targets and then take the epoll
@@ -47,10 +52,11 @@ pub enum LockClass {
     Epoll,
     /// A pipe or socket object lock.
     Object,
-    /// An open file description ([`crate::fd::FileRef`]): held once per
-    /// descriptor call, across the inode access of a regular file (so a
-    /// read and its offset advance are one step, like Linux's
-    /// `f_pos_lock`) and across an eventfd's wait subscription.
+    /// An open file description's offset and eventfd counter
+    /// ([`crate::fd::OpenFile::lock_ok`]): held across the inode access
+    /// of a regular file's `read`/`write` (so a transfer and its offset
+    /// advance are one step, like Linux's `f_pos_lock`) and across an
+    /// eventfd's wait subscription.
     Description,
     /// The VFS inode table (reader/writer).
     Vfs,
@@ -60,7 +66,7 @@ pub enum LockClass {
 }
 
 /// Number of lock classes (sizes the counter table).
-const CLASS_COUNT: usize = 7;
+const CLASS_COUNT: usize = 8;
 
 impl LockClass {
     /// Rank in the ordering DAG; acquisitions must be strictly
@@ -68,6 +74,7 @@ impl LockClass {
     pub fn rank(self) -> u32 {
         match self {
             LockClass::Kernel => 0,
+            LockClass::Files => 6,
             LockClass::ReadyHub => 12,
             LockClass::Epoll => 18,
             LockClass::Object => 20,
@@ -80,12 +87,13 @@ impl LockClass {
     fn index(self) -> usize {
         match self {
             LockClass::Kernel => 0,
-            LockClass::ReadyHub => 1,
-            LockClass::Epoll => 2,
-            LockClass::Object => 3,
-            LockClass::Description => 4,
-            LockClass::Vfs => 5,
-            LockClass::Waits => 6,
+            LockClass::Files => 1,
+            LockClass::ReadyHub => 2,
+            LockClass::Epoll => 3,
+            LockClass::Object => 4,
+            LockClass::Description => 5,
+            LockClass::Vfs => 6,
+            LockClass::Waits => 7,
         }
     }
 }
@@ -126,7 +134,7 @@ pub fn acquisitions() -> u64 {
 }
 
 /// The [`acquisitions`] that were of `class` (an [`OrderToken::enter`];
-/// plain mutexes — fd tables, pending sets — have no class).
+/// plain mutexes — pending sets, signal handlers — have no class).
 #[cfg(debug_assertions)]
 pub fn acquisitions_of(class: LockClass) -> u64 {
     ACQUIRED_OF.with(|c| c[class.index()].get())

@@ -4,18 +4,18 @@
 //! everywhere). The SMP executor interprets runnable tasks on a pool of
 //! host worker threads, so every piece of state that `clone` semantics
 //! share between tasks — fd tables, open file descriptions, fs info,
-//! signal handlers, pending sets — is now an [`Shared`] handle with its
-//! own lock, independently lockable from the kernel core.
+//! signal handlers, pending sets — has its own lock, independently
+//! lockable from the kernel core.
 //!
 //! Lock ordering (see DESIGN.md "Concurrency" and
 //! [`crate::lockorder`]): the tracked classes form a DAG acquired
-//! strictly downward — `Kernel → ReadyHub → Epoll → Object →
+//! strictly downward — `Kernel → Files → ReadyHub → Epoll → Object →
 //! Description → Vfs → Waits` — enforced by a debug-build rank stack.
-//! The other per-task shards (fd table, fs info, signal handlers,
-//! pending sets) are plain mutexes nesting inside whatever class is
-//! held; the scheduler's queue locks are never held across a kernel
-//! call. The virtual clock is lock-free (atomics) and
-//! may be read or ticked from any level.
+//! The other per-task shards (fs info, signal handlers, pending sets)
+//! are plain mutexes ([`Shared`]) nesting inside whatever class is held;
+//! the scheduler's queue locks are never held across a kernel call. The
+//! virtual clock is lock-free (atomics) and may be read or ticked from
+//! any level.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -19,9 +19,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use wali_abi::signals::SigSet;
 
-use crate::fd::FdTable;
+use crate::fd::{FdTable, Files};
 use crate::signal::{PendingSet, SigHandlers};
-use crate::sync::{shared, HintFlag, MutexExt, Shared};
+use crate::sync::{HintFlag, MutexExt};
 use crate::vfs::InodeId;
 use crate::MmId;
 
@@ -111,7 +111,7 @@ pub struct Task {
     /// Lifecycle state.
     pub state: TaskState,
     /// Descriptor table (shared under `CLONE_FILES`; own lock — a shard).
-    pub fdtable: Shared<FdTable>,
+    pub fdtable: Files,
     /// Whose [`Shares`] hold this task's cwd/umask (`CLONE_FS`).
     pub(crate) fs: Arc<Shares>,
     /// Whose hold its signal handlers (`CLONE_SIGHAND`).
@@ -165,13 +165,15 @@ pub struct Task {
 pub struct TaskHot {
     /// The task.
     pub tid: Tid,
+    /// Its process (fixed when the task is made: `getpid` answers it).
+    pub tgid: Pid,
     /// Its address space.
     pub mm: MmId,
     /// Its signal hint.
     pub sig_hint: HintFlag,
     /// Its fd table (descriptor I/O resolves through it without the
     /// kernel lock).
-    pub fdtable: Shared<FdTable>,
+    pub fdtable: Files,
 }
 
 impl Task {
@@ -189,7 +191,7 @@ impl Task {
             pgid: 1,
             sid: 1,
             state: TaskState::Running,
-            fdtable: shared(FdTable::new()),
+            fdtable: FdTable::new().into_files(),
             fs: own.clone(),
             sighand: own.clone(),
             group: own.clone(),
@@ -231,6 +233,7 @@ impl Task {
     pub fn hot(&self) -> TaskHot {
         TaskHot {
             tid: self.tid,
+            tgid: self.tgid,
             mm: self.mm,
             sig_hint: self.sig_hint.clone(),
             fdtable: self.fdtable.clone(),

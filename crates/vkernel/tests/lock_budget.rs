@@ -12,13 +12,20 @@
 //! Each shape is asserted as `(locks, of which pipe/socket locks)`: the
 //! second number is the "each object once" rule — one per socket the
 //! call touches, `connect` alone coming back to its client to commit.
-//! The "was" column is the same file run against commit `75d73ce`,
-//! where every socket touch also went through a slab table's lock.
+//! No call takes a description's lock to learn what it refers to or
+//! whether it is `O_NONBLOCK`: the lock guards the offset and an
+//! eventfd's counter only. The "was" column is the same file run
+//! against commit `75d73ce`, where every socket touch also went through
+//! a slab table's lock; "then" is the file before the description lock
+//! shrank to what changes.
 #![cfg(debug_assertions)]
 
 use vkernel::lockorder::{acquisitions, acquisitions_of};
 use vkernel::{Kernel, LockClass, SysError, Tid};
-use wali_abi::flags::{AF_INET, AF_UNIX, EPOLLIN, EPOLL_CTL_ADD, O_CREAT, O_RDWR, SOCK_STREAM};
+use wali_abi::flags::{
+    AF_INET, AF_UNIX, EPOLLIN, EPOLL_CTL_ADD, O_CREAT, O_RDWR, SEEK_CUR, SEEK_END, SEEK_SET,
+    SOCK_STREAM,
+};
 use wali_abi::layout::WaliSockaddr;
 
 fn kp() -> (Kernel, Tid) {
@@ -69,21 +76,21 @@ fn parks<T: std::fmt::Debug>(r: Result<T, SysError>) {
 }
 
 #[test]
-fn accept_takes_the_fd_table_the_description_the_listener_and_the_new_fd() {
+fn accept_takes_the_fd_table_the_listener_and_the_new_fd() {
     let (mut k, tid) = kp();
     let srv = listener(&mut k, tid, 7000);
-    // Parks: fd table, description, the pending-signal set (asked only
-    // because the call is about to park), listener, waitqueue. Was 10.
+    // Parks: fd table, the pending-signal set (asked only because the
+    // call is about to park), listener, waitqueue. Was 10, then 5.
     let (n, objects, r) = locks(|| k.sys_accept(tid, srv, 0));
     parks(r);
-    assert_eq!((n, objects), (5, 1), "accept that parks");
+    assert_eq!((n, objects), (4, 1), "accept that parks");
     let cli = k.sys_socket(tid, AF_INET, SOCK_STREAM, 0).unwrap();
     k.sys_connect(tid, cli, loopback(7000)).unwrap();
-    // Pending: fd table, description, listener, fd table (the new
-    // descriptor). Was 10.
+    // Pending: fd table, listener, fd table (the new descriptor). Was
+    // 10, then 4.
     let (n, objects, r) = locks(|| k.sys_accept(tid, srv, 0));
     r.unwrap();
-    assert_eq!((n, objects), (4, 1), "accept with a pending connection");
+    assert_eq!((n, objects), (3, 1), "accept with a pending connection");
 }
 
 #[test]
@@ -91,20 +98,20 @@ fn connect_locks_the_client_twice_and_everything_else_once() {
     let (mut k, tid) = kp();
     let srv = listener(&mut k, tid, 7001);
     let cli = k.sys_socket(tid, AF_INET, SOCK_STREAM, 0).unwrap();
-    // fd table, description, client (may it connect), listener (room?
-    // then queue), client (connected), waitqueue (three posts). Was 16.
+    // fd table, client (may it connect), listener (room? then queue),
+    // client (connected), waitqueue (three posts). Was 16, then 6.
     let (n, objects, r) = locks(|| k.sys_connect(tid, cli, loopback(7001)));
     r.unwrap();
-    assert_eq!((n, objects), (6, 3), "connect");
+    assert_eq!((n, objects), (5, 3), "connect");
     // One epoll instance watching the listener: the hub and the
-    // instance's ring, once each. Was 22.
+    // instance's ring, once each. Was 22, then 8.
     let ep = k.sys_epoll_create1(tid, 0).unwrap();
     k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, srv, EPOLLIN, 1)
         .unwrap();
     let cli = k.sys_socket(tid, AF_INET, SOCK_STREAM, 0).unwrap();
     let (n, objects, r) = locks(|| k.sys_connect(tid, cli, loopback(7001)));
     r.unwrap();
-    assert_eq!((n, objects), (8, 3), "connect under one epoll watcher");
+    assert_eq!((n, objects), (7, 3), "connect under one epoll watcher");
 }
 
 #[test]
@@ -112,24 +119,24 @@ fn a_stream_read_holds_its_socket_once_whatever_it_finds() {
     let (mut k, tid) = kp();
     let (_srv, cli, conn) = connection(&mut k, tid, 7002);
     let mut buf = [0u8; 16];
-    // Parks: fd table, description, pending signals, socket, waitqueue.
-    // Was 12.
+    // Parks: fd table, pending signals, socket, waitqueue. Was 12,
+    // then 5.
     let (n, objects, r) = locks(|| k.sys_read(tid, conn, &mut buf));
     parks(r);
-    assert_eq!((n, objects), (5, 1), "read that parks");
-    // Room: fd table, description, own socket, peer, waitqueue. Was 7.
+    assert_eq!((n, objects), (4, 1), "read that parks");
+    // Room: fd table, own socket, peer, waitqueue. Was 7, then 5.
     let (n, objects, r) = locks(|| k.sys_write(tid, cli, b"ping"));
     assert_eq!(r, Ok(4));
-    assert_eq!((n, objects), (5, 2), "write with room");
-    // Bytes: fd table, description, socket, waitqueue. Was 5.
+    assert_eq!((n, objects), (4, 2), "write with room");
+    // Bytes: fd table, socket, waitqueue. Was 5, then 4.
     let (n, objects, r) = locks(|| k.sys_read(tid, conn, &mut buf));
     assert_eq!(r, Ok(4));
-    assert_eq!((n, objects), (4, 1), "read with bytes");
+    assert_eq!((n, objects), (3, 1), "read with bytes");
     k.sys_close(tid, cli).unwrap();
-    // EOF: fd table, description, socket. Was 9.
+    // EOF: fd table, socket. Was 9, then 3.
     let (n, objects, r) = locks(|| k.sys_read(tid, conn, &mut buf));
     assert_eq!(r, Ok(0));
-    assert_eq!((n, objects), (3, 1), "read at EOF");
+    assert_eq!((n, objects), (2, 1), "read at EOF");
 }
 
 #[test]
@@ -154,18 +161,19 @@ fn close_of_a_connection_locks_each_end_once_and_posts_once() {
 }
 
 #[test]
-fn a_pipe_call_takes_four_locks() {
+fn a_pipe_call_takes_three_locks() {
     let (mut k, tid) = kp();
     let (r, w) = k.sys_pipe2(tid, 0).unwrap();
     let mut buf = [0u8; 8];
-    // fd table, description, pipe, waitqueue. Was 6 (the slab lookup,
-    // and the pending-signal set of a call that does not park).
+    // fd table, pipe, waitqueue. Was 6 (the slab lookup, and the
+    // pending-signal set of a call that does not park), then 4 (the
+    // description, for its access mode and `O_NONBLOCK`).
     let (n, objects, res) = locks(|| k.sys_write(tid, w, b"x"));
     assert_eq!(res, Ok(1));
-    assert_eq!((n, objects), (4, 1), "pipe write");
+    assert_eq!((n, objects), (3, 1), "pipe write");
     let (n, objects, res) = locks(|| k.sys_read(tid, r, &mut buf));
     assert_eq!(res, Ok(1));
-    assert_eq!((n, objects), (4, 1), "pipe read");
+    assert_eq!((n, objects), (3, 1), "pipe read");
 }
 
 #[test]
@@ -177,19 +185,20 @@ fn an_epoll_pop_probes_a_ready_listener_with_one_hold_of_each() {
         .unwrap();
     let cli = k.sys_socket(tid, AF_INET, SOCK_STREAM, 0).unwrap();
     k.sys_connect(tid, cli, loopback(7004)).unwrap();
-    // fd table, the epoll description, the instance — drain, verify and
-    // re-queue in one hold — and under it the listener, reached by the
-    // handle the registration was armed with. Was 6: the instance twice
-    // (drain, apply) and the listener's description; 9 before that.
+    // fd table, the instance — drain, verify and re-queue in one hold —
+    // and under it the listener, reached by the handle the registration
+    // was armed with. Was 6: the instance twice (drain, apply) and the
+    // listener's description; 9 before that; then 4, with the epoll
+    // description's lock.
     let (n, objects, r) = locks(|| k.sys_epoll_wait_ready(tid, ep, 8));
     assert_eq!(r.unwrap(), vec![(EPOLLIN, 9)]);
-    assert_eq!((n, objects), (4, 1), "epoll pop, one ready listener");
-    // Nothing queued: fd table, description, instance.
+    assert_eq!((n, objects), (3, 1), "epoll pop, one ready listener");
+    // Nothing queued: fd table, instance.
     let conn = k.sys_accept(tid, srv, 0).unwrap();
     let _ = (conn, k.sys_epoll_wait_ready(tid, ep, 8).unwrap());
     let (n, objects, r) = locks(|| k.sys_epoll_wait_ready(tid, ep, 8));
     assert!(r.unwrap().is_empty());
-    assert_eq!((n, objects), (3, 0), "epoll pop, empty ring");
+    assert_eq!((n, objects), (2, 0), "epoll pop, empty ring");
 }
 
 /// The cycle a herd pays per worker and connection: the connection's
@@ -211,13 +220,14 @@ fn a_wake_that_finds_nothing_costs_the_push_and_a_three_lock_pop() {
     let (n, objects, parked) = locks(|| k.epoll_wait(tid, &hold, 8, true, &mut out));
     assert_eq!((parked, out.len()), (true, 0));
     assert_eq!((n, objects), (2, 0), "park on an empty ring");
-    // The connection: `connect`'s own six, the hub, the instance (the
+    // The connection: `connect`'s own five, the hub, the instance (the
     // push) — and the wake is one more post under the waitqueue hold
-    // the call already has. Was the same 8; the waiter is the news.
+    // the call already has. Was the same as without the waiter; the
+    // waiter is the news.
     let cli = k.sys_socket(tid, AF_INET, SOCK_STREAM, 0).unwrap();
     let (n, objects, r) = locks(|| k.sys_connect(tid, cli, loopback(7005)));
     r.unwrap();
-    assert_eq!((n, objects), (8, 3), "ring push + wake of one waiter");
+    assert_eq!((n, objects), (7, 3), "ring push + wake of one waiter");
     let mut woken = Vec::new();
     k.drain_woken(&mut woken);
     assert_eq!(woken, vec![tid]);
@@ -250,13 +260,24 @@ fn a_regular_file_call_still_takes_three() {
         .sys_openat(tid, -100, "/tmp/budget.dat", O_CREAT | O_RDWR, 0o644)
         .unwrap();
     let mut buf = [0u8; 8];
+    // A transfer: fd table, description (the offset moves), VFS.
     let (n, _, r) = locks(|| k.sys_write(tid, fd, b"12345678"));
     assert_eq!((n, r), (3, Ok(8)), "write");
     k.sys_lseek(tid, fd, 0, 0).unwrap();
     let (n, _, r) = locks(|| k.sys_read(tid, fd, &mut buf));
     assert_eq!((n, r), (3, Ok(8)), "read");
+    // The rest take a lock fewer: `fstat` reads no offset, `pread64`
+    // moves none, `lseek` needs the size only from `SEEK_END`. Was 3.
     let (n, _, r) = locks(|| k.sys_fstat(tid, fd).map(|s| s.st_size));
-    assert_eq!((n, r), (3, Ok(8)), "fstat");
+    assert_eq!((n, r), (2, Ok(8)), "fstat");
+    let (n, _, r) = locks(|| k.sys_pread(tid, fd, &mut buf, 0));
+    assert_eq!((n, r), (2, Ok(8)), "pread64");
+    let (n, _, r) = locks(|| k.sys_lseek(tid, fd, 4, SEEK_SET));
+    assert_eq!((n, r), (2, Ok(4)), "lseek(SEEK_SET)");
+    let (n, _, r) = locks(|| k.sys_lseek(tid, fd, 0, SEEK_CUR));
+    assert_eq!((n, r), (2, Ok(4)), "lseek(SEEK_CUR)");
+    let (n, _, r) = locks(|| k.sys_lseek(tid, fd, -2, SEEK_END));
+    assert_eq!((n, r), (3, Ok(6)), "lseek(SEEK_END)");
     let (n, _, r) = locks(|| k.sys_getpid(tid));
     assert_eq!(
         (n, r),

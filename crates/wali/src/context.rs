@@ -21,19 +21,24 @@
 //! | voluntary context switches (`getrusage`) | zero | zero | kept — same task |
 //!
 //! Syscall *counts* belong to whoever runs the task, not to the task
-//! (`task::run_slice` lends the table): a child starts with none.
+//! (`task::run_slice` lends the table): a child starts with none. Nor
+//! does it start with deferred ticks ([`WaliContext::tick_syscall`]):
+//! the `fork` or `clone` that made it charged its creator's to the clock.
 //!
 //! [`fork_child`]: WaliContext::fork_child
 //! [`thread_sibling`]: WaliContext::thread_sibling
 //! [`exec_image`]: WaliContext::exec_image
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
-use vkernel::fd::FdTable;
+use vkernel::clock::SYSCALL_QUANTUM_NS;
+use vkernel::fd::Files;
 use vkernel::kernel::epoll::EpollHold;
 use vkernel::kernel::{KernelHandles, SignalDelivery};
-use vkernel::{HintFlag, Kernel, LockClass, MmId, MutexExt, Shared, TaskHot, Tid, Tracked};
+use vkernel::lockorder::TrackedGuard;
+use vkernel::{Clock, HintFlag, Kernel, LockClass, MmId, MutexExt, Pid, TaskHot, Tid, Tracked};
 use wali_abi::signals::SigSet;
 use wasm::error::Trap;
 use wasm::host::{HostCtx, HostOutcome, PendingCall};
@@ -107,6 +112,8 @@ pub struct WaliContext {
     pub kernel: KernelRef,
     /// Kernel task id.
     pub tid: Tid,
+    /// Its process id (fixed when the task was made).
+    pub(crate) tgid: Pid,
     /// Address-space identity (for futex keys).
     pub mm: MmId,
     /// Sigtable, mmap pool and `brk` (shared between threads of a
@@ -141,14 +148,17 @@ pub struct WaliContext {
     pub(crate) subscribed: bool,
     /// Cloneable handles to the kernel's independently lockable shards
     /// (the waitqueue, the VFS, the clock). Descriptor I/O
-    /// ([`crate::fastpath`]) and the per-syscall tick go through these
-    /// without ever touching the kernel lock.
+    /// ([`crate::fastpath`]) goes through these without ever touching
+    /// the kernel lock.
     pub(crate) handles: KernelHandles,
     /// This task's fd table, as the kernel had it when the task was made
     /// (a task never changes tables; one that exited finds its own
     /// emptied). Descriptor calls resolve through it, never behind the
     /// kernel lock.
-    pub(crate) fdtable: Shared<FdTable>,
+    pub(crate) fdtable: Files,
+    /// Virtual time this task's syscalls have ticked and the shared
+    /// clock has not been charged yet ([`WaliContext::tick_syscall`]).
+    ticks: Cell<u64>,
     /// Whether batched syscall rings are enabled for this task
     /// (`WALI_NO_RING=1` makes `wali_ring_enter` return `-ENOSYS` so
     /// guests fall back to the synchronous per-op ABI).
@@ -188,6 +198,7 @@ impl WaliContext {
         WaliContext {
             kernel,
             tid,
+            tgid: task.tgid,
             mm: task.mm,
             space: AddressSpace::above(heap_base),
             args: Arc::new([]),
@@ -200,6 +211,7 @@ impl WaliContext {
             subscribed: false,
             handles,
             fdtable: task.fdtable,
+            ticks: Cell::new(0),
             ring,
             ring_pending: Vec::new(),
             sig_hint: task.sig_hint,
@@ -229,6 +241,7 @@ impl WaliContext {
         WaliContext {
             kernel: self.kernel.clone(),
             tid: task.tid,
+            tgid: task.tgid,
             mm: task.mm,
             space,
             args: self.args.clone(),
@@ -241,6 +254,7 @@ impl WaliContext {
             subscribed: false,
             handles: self.handles.clone(),
             fdtable: task.fdtable,
+            ticks: Cell::new(0),
             ring: self.ring,
             ring_pending: Vec::new(),
             sig_hint: task.sig_hint,
@@ -280,23 +294,38 @@ impl WaliContext {
     /// attributes the elapsed time to the kernel layer (Fig. 7).
     pub fn with_kernel<R>(&mut self, f: impl FnOnce(&mut Kernel) -> R) -> R {
         let t0 = self.trace.clock();
-        let r = f(&mut self.kernel.lock_ok());
+        let r = f(&mut self.lock_kernel());
         if let Some(t0) = t0 {
             self.trace.kernel_time += t0.elapsed();
         }
         r
     }
 
-    /// Runs `f` against the kernel's shards — descriptor I/O that needs
-    /// no kernel lock — charged to the kernel layer like
-    /// [`WaliContext::with_kernel`] (it is the same kernel-model work).
-    pub(crate) fn with_shards<R>(&mut self, f: impl FnOnce(&KernelHandles, Tid) -> R) -> R {
-        let t0 = self.trace.clock();
-        let r = f(&self.handles, self.tid);
-        if let Some(t0) = t0 {
-            self.trace.kernel_time += t0.elapsed();
-        }
-        r
+    /// The kernel lock, taken for this task: whatever the holder reads
+    /// of virtual time includes every tick of this task's syscalls so
+    /// far. The one way a context enters the kernel core.
+    pub(crate) fn lock_kernel(&self) -> TrackedGuard<'_, Kernel> {
+        self.flush_ticks();
+        self.kernel.lock_ok()
+    }
+
+    /// Charges this task's ticks to the shared clock: at the end of every
+    /// slice, before the scheduler reads the time.
+    pub(crate) fn flush_ticks(&self) {
+        charge(&self.handles.clock, &self.ticks);
+    }
+
+    /// The fd table and, borrowed beside it, what the shard half of a
+    /// descriptor call uses of this context.
+    pub(crate) fn shards(&mut self) -> (&Files, Shards<'_>) {
+        let shards = Shards {
+            tid: self.tid,
+            handles: &self.handles,
+            trace: &mut self.trace,
+            sig_hint: &self.sig_hint,
+            ticks: &self.ticks,
+        };
+        (&self.fdtable, shards)
     }
 
     /// Records why the calling host function suspends the task, and
@@ -321,13 +350,60 @@ impl WaliContext {
         self.sig_hint.get()
     }
 
-    /// Per-syscall-entry bookkeeping (one quantum of virtual time),
-    /// without the layer-timing wrap: the tick is one atomic add and
-    /// timing it would charge the timer's own overhead to the kernel
-    /// layer (Fig. 7) on every single syscall.
+    /// Per-syscall-entry bookkeeping: one quantum of virtual time, added
+    /// here with a plain add. The shared clock is charged — one atomic
+    /// add for however many ticks — before anything can read the time
+    /// this task's calls made: whenever the task takes the kernel lock
+    /// (`WaliContext::lock_kernel`), before a shard call that stamps a
+    /// file (`Shards::flush_ticks`), and at the end of its slice.
     #[inline]
     pub fn tick_syscall(&mut self) {
-        self.handles.clock.tick();
+        self.ticks.set(self.ticks.get() + SYSCALL_QUANTUM_NS);
+    }
+}
+
+/// Charges `ticks` to `clock`.
+#[inline]
+fn charge(clock: &Clock, ticks: &Cell<u64>) {
+    if ticks.get() != 0 {
+        clock.advance(ticks.take());
+    }
+}
+
+/// What the shard half of a descriptor call ([`crate::fastpath`]) uses
+/// of its context, borrowed beside the fd table
+/// ([`WaliContext::shards`]): a call can run on a description the table
+/// lends it for as long as it holds the table's lock.
+pub(crate) struct Shards<'a> {
+    pub(crate) tid: Tid,
+    pub(crate) handles: &'a KernelHandles,
+    pub(crate) trace: &'a mut Trace,
+    sig_hint: &'a HintFlag,
+    ticks: &'a Cell<u64>,
+}
+
+impl Shards<'_> {
+    /// Runs `f` against the kernel's shards, charged to the kernel layer
+    /// like [`WaliContext::with_kernel`] (it is the same kernel-model
+    /// work).
+    pub(crate) fn run<R>(&mut self, f: impl FnOnce(&KernelHandles, Tid) -> R) -> R {
+        let t0 = self.trace.clock();
+        let r = f(self.handles, self.tid);
+        if let Some(t0) = t0 {
+            self.trace.kernel_time += t0.elapsed();
+        }
+        r
+    }
+
+    /// [`WaliContext::hint_raised`].
+    #[inline]
+    pub(crate) fn hint_raised(&self) -> bool {
+        self.sig_hint.get()
+    }
+
+    /// Charges the task's ticks before a shard call reads the clock.
+    pub(crate) fn flush_ticks(&self) {
+        charge(&self.handles.clock, self.ticks);
     }
 }
 
@@ -337,7 +413,7 @@ impl WaliContext {
     #[cold]
     fn deliver_signal(&mut self) -> Option<PendingCall> {
         let delivery = {
-            let mut k = self.kernel.lock_ok();
+            let mut k = self.lock_kernel();
             let d = k.next_signal(self.tid);
             if d.is_none() {
                 // Drained (or the hint was for an already-consumed
@@ -370,7 +446,7 @@ impl WaliContext {
     /// terminated our process.
     #[cold]
     fn check_killed(&mut self) -> Option<Trap> {
-        let k = self.kernel.lock_ok();
+        let k = self.lock_kernel();
         // Gone altogether counts: a parent that does not wait reaps at
         // once, and one that does may have by now.
         if k.task(self.tid).map_or(true, |task| task.exited()) {
@@ -406,7 +482,7 @@ impl HostCtx for WaliContext {
 
     fn signal_return(&mut self) {
         if let Some(mask) = self.handler_masks.pop() {
-            self.kernel.lock_ok().signal_return(self.tid, mask);
+            self.lock_kernel().signal_return(self.tid, mask);
         }
     }
 

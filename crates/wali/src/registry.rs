@@ -304,7 +304,8 @@ mod tests {
             };
             stub(&mut caller, &[])
         };
-        let now = || kernel.lock_ok().clock.monotonic_ns();
+        // The time as the task's next kernel entry sees it.
+        let now = |ctx: &mut WaliContext| ctx.with_kernel(|k| k.clock.monotonic_ns());
 
         ctx.policy = Some(Policy::allow_list(["read"], DenyAction::Kill));
         assert!(matches!(
@@ -317,12 +318,12 @@ mod tests {
         ));
         assert_eq!(call(&mut ctx).ok(), Some(Errno::Eperm.as_ret() as u64));
         assert_eq!(ctx.policy.as_ref().unwrap().denied_log, vec!["statx"]);
-        assert_eq!(now(), 0, "denied calls never enter the kernel");
+        assert_eq!(now(&mut ctx), 0, "denied calls never enter the kernel");
 
         ctx.policy = None;
         assert_eq!(call(&mut ctx).ok(), Some(Errno::Enosys.as_ret() as u64));
         assert_eq!(
-            now(),
+            now(&mut ctx),
             vkernel::clock::SYSCALL_QUANTUM_NS,
             "an allowed stub ticks like any syscall"
         );

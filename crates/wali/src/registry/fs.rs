@@ -9,9 +9,8 @@ use wasm::host::Caller;
 
 use crate::context::WaliContext;
 use crate::fastpath;
-use crate::mem::{page_chunks, read_bytes, with_slice, with_slice_mut, write_bytes, write_u32};
-use crate::registry::{flat, k};
-use vkernel::MutexExt;
+use crate::mem::{page_chunks, read_bytes, write_bytes, write_u32};
+use crate::registry::k;
 
 type C<'a, 'b> = &'a mut Caller<'b, WaliContext>;
 type R = Result<i64, SysError>;
@@ -329,9 +328,8 @@ pub(super) fn chown(c: C, path: String, uid: u32, gid: u32) -> R {
     fchownat(c, AT_FDCWD, path, uid, gid, 0)
 }
 
-/// Ownership by descriptor: ids only, nothing to check.
-pub(super) fn fchown(_c: C, _fd: i32, _uid: u32, _gid: u32) -> R {
-    Ok(0)
+pub(super) fn fchown(c: C, fd: i32, uid: u32, gid: u32) -> R {
+    k(c, |kk, tid| kk.sys_fchown(tid, fd, uid, gid))
 }
 
 pub(super) fn fchownat(c: C, dirfd: i32, path: String, uid: u32, gid: u32, flags: i32) -> R {
@@ -370,11 +368,15 @@ pub(super) fn utimensat(
     Ok(0)
 }
 
-pub(super) fn statfs(c: C, _path: String, buf: u32) -> R {
+/// One filesystem: what `statfs` describes is any path that resolves …
+pub(super) fn statfs(c: C, path: String, buf: u32) -> R {
+    k(c, |kk, tid| kk.sys_faccessat(tid, AT_FDCWD, &path, 0))?;
     write_statfs(&c.instance.memory, buf)
 }
 
-pub(super) fn fstatfs(c: C, _fd: i32, buf: u32) -> R {
+/// … or any open descriptor (`fsync`'s check: the descriptor is open).
+pub(super) fn fstatfs(c: C, fd: i32, buf: u32) -> R {
+    k(c, |kk, tid| kk.sys_fsync(tid, fd))?;
     write_statfs(&c.instance.memory, buf)
 }
 
@@ -428,17 +430,9 @@ pub(super) fn eventfd2(c: C, initval: u32, flags: i32) -> R {
 }
 
 /// Shared core of `readv`/`writev`/`preadv`/`pwritev` and the ring's
-/// vectored SQE opcodes. Positional calls (`offset` set) go through
-/// `pread`/`pwrite` at `offset + bytes-done`, leaving the file cursor
-/// unmoved; sequential calls move it as usual.
-///
-/// Blocking follows Linux's short-count rule: once any bytes have
-/// transferred, a would-block (or error) on a later iov returns the
-/// partial total instead of propagating — `Block`ing the whole syscall
-/// would re-execute the completed iovs on retry and duplicate their
-/// data. Only a zero-progress block propagates; that retry is
-/// idempotent. Each iov is walked in page-sized `page_chunks` so the
-/// kernel sees zero-copy views that never cross a store page.
+/// vectored SQE opcodes ([`fastpath::vectored`]). Each iov is walked in
+/// page-sized `page_chunks` so the kernel sees zero-copy views that never
+/// cross a store page.
 pub(crate) fn iov_rw(
     c: C,
     fd: i32,
@@ -454,47 +448,10 @@ pub(crate) fn iov_rw(
         return Err(Errno::Einval.into());
     }
     let bytes = iovcnt.checked_mul(WaliIovec::SIZE).ok_or(Errno::Einval)?;
-    let mem = &*c.instance.memory;
-    let raw = read_bytes(mem, iov_ptr, bytes)?;
+    let raw = read_bytes(&c.instance.memory, iov_ptr, bytes)?;
     let iovs = WaliIovec::read_array(&raw, iovcnt)?;
-    let mut total = 0i64;
-    for iov in iovs {
-        if iov.len == 0 {
-            continue;
-        }
-        let mut done = 0u32;
-        let mut short = false;
-        for (addr, len) in page_chunks(iov.base, iov.len) {
-            let pos = offset.map(|off| off.wrapping_add(total as u64 + done as u64));
-            let r = if write {
-                flat(with_slice(mem, addr, len as usize, |buf| match pos {
-                    Some(off) => fastpath::pwrite(c, fd, buf, off),
-                    None => fastpath::write(c, fd, buf),
-                }))
-            } else {
-                flat(with_slice_mut(mem, addr, len as usize, |buf| match pos {
-                    Some(off) => fastpath::pread(c, fd, buf, off),
-                    None => fastpath::read(c, fd, buf),
-                }))
-            };
-            match r {
-                Ok(n) => {
-                    done += n as u32;
-                    if (n as u32) < len {
-                        short = true;
-                        break;
-                    }
-                }
-                Err(e) if total == 0 && done == 0 => return Err(e),
-                Err(_) => return Ok(total + done as i64),
-            }
-        }
-        total += done as i64;
-        if short {
-            break;
-        }
-    }
-    Ok(total)
+    let chunks = iovs.iter().flat_map(|iov| page_chunks(iov.base, iov.len));
+    fastpath::vectored(c, fd, chunks, write, offset)
 }
 
 /// Writes a minimal ISA-portable `statfs` image (tmpfs-flavoured).

@@ -102,7 +102,7 @@ pub(crate) fn register(l: &mut Linker<WaliContext>) {
     method(l, "proc_exit", |caller, args| {
         let code = args.first().and_then(Value::as_i32).unwrap_or(0);
         let tid = caller.data.tid;
-        let _ = caller.data.kernel.lock_ok().sys_exit_group(tid, code);
+        let _ = caller.data.lock_kernel().sys_exit_group(tid, code);
         caller.data.exited = Some(code);
         Err(caller.data.suspend(WaliSuspend::Exit { code }))
     });

@@ -32,7 +32,7 @@
 //! order.
 
 use vkernel::fd::FileKind;
-use vkernel::{Block, Channel, MutexExt, SysError};
+use vkernel::{Block, Channel, SysError};
 use wali_abi::ring::{op, WaliCqe, WaliRingHdr, WaliSqe};
 use wali_abi::Errno;
 use wasm::host::Caller;
@@ -61,8 +61,7 @@ fn fd_channel(ctx: &WaliContext, fd: i32, write: bool) -> Option<Channel> {
     // Looked at under the table lock: no reference to the description
     // is taken, so none can outlive a `close` (see `fastpath`).
     let table = ctx.fdtable.lock_ok();
-    let file = table.get(fd).ok()?.file.lock_ok();
-    match &file.kind {
+    match &table.get(fd).ok()?.file.kind {
         FileKind::PipeRead(pipe) if !write => Some(Channel::PipeReadable(pipe.id)),
         FileKind::PipeWrite(pipe) if write => Some(Channel::PipeWritable(pipe.id)),
         FileKind::Socket(sock) if write => Some(Channel::SockSpace(sock.id)),

@@ -136,7 +136,7 @@ pub(crate) fn run_slice(slot: &mut Slot, env: &SliceEnv<'_>, counts: &mut SysCou
     // hint: every external termination path raises it, so the common
     // case skips the kernel lock entirely.
     if slot.ctx.hint_raised() {
-        let k = slot.ctx.kernel.lock_ok();
+        let k = slot.ctx.lock_kernel();
         if k.task(tid).map(|t| t.exited()).unwrap_or(true) {
             return After::Finished(None);
         }
@@ -160,6 +160,7 @@ pub(crate) fn run_slice(slot: &mut Slot, env: &SliceEnv<'_>, counts: &mut SysCou
         }
     };
     std::mem::swap(&mut slot.ctx.trace.counts, counts);
+    slot.ctx.flush_ticks();
     if let Some(t0) = t0 {
         slot.ctx.trace.total_time += t0.elapsed();
     }
@@ -171,14 +172,14 @@ pub(crate) fn run_slice(slot: &mut Slot, env: &SliceEnv<'_>, counts: &mut SysCou
         RunResult::Done(values) => {
             let code = slot.ctx.exited.unwrap_or_else(|| {
                 let code = values.first().and_then(Value::as_i32).unwrap_or(0);
-                let _ = slot.ctx.kernel.lock_ok().sys_exit_group(tid, code);
+                let _ = slot.ctx.lock_kernel().sys_exit_group(tid, code);
                 code
             });
             After::Finished(Some(TaskEnd::Exited(code)))
         }
         RunResult::Trapped(Trap::Aborted) => After::Finished(None),
         RunResult::Trapped(t) => {
-            let _ = slot.ctx.kernel.lock_ok().sys_exit_group(tid, 128);
+            let _ = slot.ctx.lock_kernel().sys_exit_group(tid, 128);
             After::Finished(Some(TaskEnd::Trapped(t)))
         }
         RunResult::Blocked(blocked) => After::Parked(park_blocked(slot, env, blocked, ran_wasm)),
@@ -300,7 +301,7 @@ fn exec(
             return After::Runnable;
         }
     };
-    let _ = slot.ctx.kernel.lock_ok().sys_execve(slot.tid);
+    let _ = slot.ctx.lock_kernel().sys_execve(slot.tid);
     slot.ctx.exec_image(program.data_end(), path, argv, envp);
     // A fresh private memory: replacing the old instance drops its page
     // references eagerly, so a vfork/COW parent regains exclusive
@@ -320,11 +321,12 @@ pub(crate) fn retire(
     outcome: &mut RunOutcome,
 ) {
     let tid = slot.tid;
+    let epoll_hold = slot.ctx.epoll_hold.take();
     let end = {
-        let mut k = slot.ctx.kernel.lock_ok();
+        let mut k = slot.ctx.lock_kernel();
         // Killed while blocked in `epoll_wait`: the instance it kept
         // goes back (it may hold the description's last reference).
-        if let Some((_, hold)) = slot.ctx.epoll_hold.take() {
+        if let Some((_, hold)) = epoll_hold {
             k.epoll_release(hold);
         }
         // A task killed mid-slice may have re-blocked (and re-subscribed)

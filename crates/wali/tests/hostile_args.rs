@@ -247,6 +247,29 @@ fn getdents64_sizes_its_image_by_the_entries_not_the_count() {
     clean(g);
 }
 
+#[test]
+fn ownership_and_statfs_calls_answer_for_what_is_not_there() {
+    const MISSING: u64 = 512;
+    const TMP: u64 = 528;
+    const STATFS: u64 = 3072;
+    let image: &[(u64, &[u8])] = &[(MISSING, b"/tmp/none\0"), (TMP, b"/tmp\0")];
+    let (ebadf, enoent) = (Errno::Ebadf.as_ret(), Errno::Enoent.as_ret());
+    // Descriptor 9 is not open.
+    for (name, slots, want) in [
+        ("fchown", vec![9, 0, 0], ebadf),
+        ("fstatfs", vec![9, STATFS], ebadf),
+        ("statfs", vec![MISSING, STATFS], enoent),
+        ("fchown", vec![0, 7, u32::MAX as u64], 0),
+        ("fstatfs", vec![0, STATFS], 0),
+        ("statfs", vec![TMP, STATFS], 0),
+    ] {
+        let want = Answer::Value(want);
+        let (g, answer) = case(Fd0::File, image, name, &slots);
+        assert_eq!(answer, want, "{name}{slots:?}");
+        clean(g);
+    }
+}
+
 // ---------------------------------------------------------------------
 // The sweep.
 // ---------------------------------------------------------------------

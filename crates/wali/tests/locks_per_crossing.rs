@@ -9,13 +9,15 @@
 //! whole run happens on the counting thread, and a release build has no
 //! counter to read.
 //!
-//! The budget, per call on a regular file: the fd table, the
-//! description, the VFS — three locks, and no kernel lock. `getpid` and
-//! `rt_sigprocmask` take the kernel lock and nothing else. A pipe or
-//! stream-socket transfer takes the fd table, the description (which
-//! holds the object), each object once and the waitqueue once; nothing
-//! on a call's path looks an id up, and the slab tables that give ids
-//! out have no lock to take
+//! The budget, per call on a regular file: the fd table, then only what
+//! the call touches — the description lock for a call that moves the
+//! offset, the VFS for one that reads or writes the inode — and no
+//! kernel lock. `getpid` takes no lock at all (the context answers it),
+//! `rt_sigprocmask` the kernel lock and nothing else. A pipe or
+//! stream-socket transfer takes the fd table, each object once (the
+//! description holds it, and is read without its lock) and the
+//! waitqueue once; nothing on a call's path looks an id up, and the
+//! slab tables that give ids out have no lock to take
 //! (`crates/vkernel/tests/lock_budget.rs` has the same ledger call by
 //! call at the `Kernel` API, where an `accept` that parks or a `close`
 //! after the peer is gone can be isolated). The last section prices
@@ -45,6 +47,7 @@ struct Env {
     pread: FuncId,
     pwrite: FuncId,
     fstat: FuncId,
+    writev: FuncId,
     sigprocmask: FuncId,
     socket: FuncId,
     connect: FuncId,
@@ -54,6 +57,8 @@ struct Env {
     /// Local holding the listening socket of `addr`.
     listener: u32,
     buf: u32,
+    /// Four iovecs of 16 bytes over `buf`.
+    iovs: u32,
     scratch: u32,
     pipe_fds: u32,
     /// A connected `socketpair`.
@@ -125,6 +130,7 @@ fn guest(rounds: u32, body: &dyn Fn(&mut FuncBuilder, &Env)) -> Module {
         pread: sys(&mut mb, "pread64", 4),
         pwrite: sys(&mut mb, "pwrite64", 4),
         fstat: sys(&mut mb, "fstat", 2),
+        writev: sys(&mut mb, "writev", 3),
         sigprocmask: sys(&mut mb, "rt_sigprocmask", 4),
         socket: sys(&mut mb, "socket", 3),
         connect: sys(&mut mb, "connect", 3),
@@ -133,6 +139,7 @@ fn guest(rounds: u32, body: &dyn Fn(&mut FuncBuilder, &Env)) -> Module {
         fd: 0,
         listener: 0,
         buf: 0,
+        iovs: 0,
         scratch: 0,
         pipe_fds: 0,
         pair_fds: 0,
@@ -141,6 +148,11 @@ fn guest(rounds: u32, body: &dyn Fn(&mut FuncBuilder, &Env)) -> Module {
     mb.memory(4, Some(16));
     let path = mb.c_str("/tmp/locks.dat");
     env.buf = mb.data(&[b'x'; IO_BYTES as usize]);
+    let iovs: Vec<u8> = (0..4)
+        .flat_map(|i| [env.buf + 16 * i, 16])
+        .flat_map(u32::to_le_bytes)
+        .collect();
+    env.iovs = mb.data(&iovs);
     env.scratch = mb.reserve(256);
     env.pipe_fds = mb.reserve(8);
     env.pair_fds = mb.reserve(8);
@@ -238,11 +250,12 @@ fn locks_per_round(body: &dyn Fn(&mut FuncBuilder, &Env)) -> u64 {
 
 #[test]
 fn calls_that_need_the_core_take_the_kernel_lock_and_nothing_else() {
+    // `getpid` does not: its answer was fixed when the task was made.
     assert_eq!(
         locks_per_round(&|b, e| {
             b.call(e.getpid).drop_();
         }),
-        1
+        0
     );
     assert_eq!(
         locks_per_round(&|b, e| {
@@ -258,26 +271,29 @@ fn calls_that_need_the_core_take_the_kernel_lock_and_nothing_else() {
 }
 
 #[test]
-fn a_regular_file_call_takes_the_fd_table_the_description_and_the_vfs() {
+fn a_regular_file_call_takes_the_fd_table_and_only_what_it_touches() {
+    // The offset, not the inode: `lseek(SEEK_SET)` needs no size.
     let lseek = locks_per_round(&|b, e| e.rewind(b));
-    assert_eq!(lseek, 3, "lseek");
+    assert_eq!(lseek, 2, "lseek");
+    // The inode, not the offset.
     let fstat = locks_per_round(&|b, e| {
         b.local_get(e.fd)
             .i64(e.scratch as i64)
             .call(e.fstat)
             .drop_();
     });
-    assert_eq!(fstat, 3, "fstat");
+    assert_eq!(fstat, 2, "fstat");
     assert_eq!(
         locks_per_round(&|b, e| e.positional(b, e.pread)),
-        3,
+        2,
         "pread64"
     );
     assert_eq!(
         locks_per_round(&|b, e| e.positional(b, e.pwrite)),
-        3,
+        2,
         "pwrite64"
     );
+    // Both: a transfer and its offset advance are one step.
     // Sequential transfers rewind first so the file stays 64 bytes.
     let read = locks_per_round(&|b, e| {
         e.rewind(b);
@@ -310,46 +326,66 @@ fn the_dense_round_is_the_sum_of_its_calls() {
             .call(e.sigprocmask)
             .drop_();
     });
-    // getpid 1, lseek 3, write 3, lseek 3, read 3, fstat 3, sigprocmask 1.
-    assert_eq!(round, 17);
+    // getpid 0, lseek 2, write 3, lseek 2, read 3, fstat 2, sigprocmask
+    // 1. Was 17: getpid's kernel lock, the VFS under each `lseek`, the
+    // description under `fstat`.
+    assert_eq!(round, 13);
+}
+
+#[test]
+fn a_vectored_call_resolves_its_descriptor_once() {
+    let writev = locks_per_round(&|b, e| {
+        e.rewind(b);
+        b.local_get(e.fd)
+            .i64(e.iovs as i64)
+            .i64(4)
+            .call(e.writev)
+            .drop_();
+    });
+    let lseek = locks_per_round(&|b, e| e.rewind(b));
+    // The fd table once, then the description and the VFS per iovec.
+    // Resolved per transfer, four iovecs took 12.
+    assert_eq!(writev - lseek, 1 + 4 * 2, "writev of four iovecs");
 }
 
 #[test]
 fn a_pipe_round_trip_in_one_task_takes_no_more_locks_than_it_did() {
-    // Per call: the fd table, the description (which holds the pipe),
-    // the pipe, and the waitqueue for the post — 4, so 8 a pair. The
-    // PR-21 tree took 10 (it looked the pipe's id up in a slab); the
-    // PR-20 tree, measured with the same counter, 14: its fd table kept
-    // a one-entry lookup cache behind two holds of a mutex of its own.
-    // (On that tree the regular-file calls above read 6 for `lseek`, 5
-    // for `fstat`/`pread64`/`pwrite64`, 9 for `read`/`write`, and the
-    // dense round 37.)
+    // Per call: the fd table, the pipe (held by the description, which
+    // is read without its lock), and the waitqueue for the post — 3, so
+    // 6 a pair. Commit `75d73ce` took 10 (it looked the pipe's id up in
+    // a slab, and locked the description); `f744866`, measured with the
+    // same counter, 14: its fd table kept a one-entry lookup cache
+    // behind two holds of a mutex of its own. (On that tree the
+    // regular-file calls above read 6 for `lseek`, 5 for
+    // `fstat`/`pread64`/`pwrite64`, 9 for `read`/`write`, and the dense
+    // round 37.)
     let pair = locks_per_round(&|b, e| {
         e.pipe_end(b, 1, e.write);
         e.pipe_end(b, 0, e.read);
     });
-    assert_eq!(pair, 8, "write+read on a pipe");
+    assert_eq!(pair, 6, "write+read on a pipe");
 }
 
 #[test]
 fn a_stream_socket_transfer_holds_each_end_once() {
-    // write: fd table, description, own socket, peer, waitqueue; read
-    // (bytes there): fd table, description, socket, waitqueue. The PR-21
-    // tree took 7 + 5, reaching both sockets through their slab's lock.
+    // write: fd table, own socket, peer, waitqueue; read (bytes there):
+    // fd table, socket, waitqueue. Commit `75d73ce` took 7 + 5, reaching
+    // both sockets through their slab's lock; `fc6723c` 5 + 4, the
+    // description locked for the socket it holds.
     let pair = locks_per_unit(500, 1, &|rounds| {
         guest(rounds, &|b, e| {
             e.end_of(b, e.pair_fds, 0, e.write);
             e.end_of(b, e.pair_fds, 1, e.read);
         })
     });
-    assert_eq!(pair, (9, 3), "write+read on a socket pair");
+    assert_eq!(pair, (7, 3), "write+read on a socket pair");
     let pipe = locks_per_unit(500, 1, &|rounds| {
         guest(rounds, &|b, e| {
             e.pipe_end(b, 1, e.write);
             e.pipe_end(b, 0, e.read);
         })
     });
-    assert_eq!(pipe, (8, 2), "write+read on a pipe");
+    assert_eq!(pipe, (6, 2), "write+read on a pipe");
 }
 
 #[test]
@@ -358,12 +394,13 @@ fn the_connection_round_is_the_sum_of_its_calls() {
     // finds what it needs, nothing parks. Each call but `read`/`write`
     // pays the kernel lock on top of `lock_budget.rs`'s count:
     //   socket   1 + fd table                                       2
-    //   connect  1 + 6                                              7
-    //   accept   1 + 4                                              5
-    //   write, read, write, read                        5 + 4 + 5 + 4
+    //   connect  1 + 5                                              6
+    //   accept   1 + 3                                              4
+    //   write, read, write, read                        4 + 3 + 4 + 3
     //   close    1 + 4 (connected), 1 + 3 (peer gone)               9
     // Socket locks: connect 3, accept 1, the transfers 2 + 1 + 2 + 1,
-    // the closes 2 + 1. The PR-21 tree took 87.
+    // the closes 2 + 1. Commit `75d73ce` took 87, `fc6723c` 41: one
+    // description lock per call but `socket` and `close`.
     let round = locks_per_unit(200, 1, &|rounds| {
         guest(rounds, &|b, e| {
             let (cli, conn) = (b.local(I64), b.local(I64));
@@ -386,29 +423,32 @@ fn the_connection_round_is_the_sum_of_its_calls() {
             b.local_get(conn).call(e.close).drop_();
         })
     });
-    assert_eq!(round, (41, 13));
+    assert_eq!(round, (35, 13));
 }
 
 /// The request-level budgets: what one more request (or job) of the
 /// servers `wali_bench` runs costs at the runner — every crossing, every
 /// park and wake, the scheduler's own locks. "Was" is this test against
-/// commit `85e35f4`, the parent of the one-hold `epoll_wait` pop.
+/// commit `85e35f4`, the parent of the one-hold `epoll_wait` pop, then
+/// against `fc6723c`, whose descriptor calls locked the description to
+/// read what it refers to.
 #[test]
 fn a_request_stays_inside_its_lock_budget() {
     // `memcached_threads`: socket, connect, write, read (parks), close
     // against accept (parks), read, write, close. Was 62: a park took
     // the kernel lock and the waitqueue to ask what the blocked call now
     // says itself, and a drain of the woken list went through the kernel
-    // lock.
+    // lock; then 56.
     let loopback = locks_per_unit(64, 1, &|n| apps::memcached_sim(n).module);
-    assert!(loopback.0 <= 56, "loopback request: {loopback:?}");
+    assert!(loopback.0 <= 48, "loopback request: {loopback:?}");
     // `prefork_serve`: the same connection, won by one of eight workers
-    // all woken through their epoll instances. Was 164.
+    // all woken through their epoll instances. Was 164, then 102.
     let prefork = locks_per_unit(8, 8, &|n| apps::prefork_server_sim(8, n).module);
-    assert!(prefork.0 <= 102, "prefork request: {prefork:?}");
-    // `bash_jobs`: fork, a pipe between parent and child, wait4. Was 59.
+    assert!(prefork.0 <= 94, "prefork request: {prefork:?}");
+    // `bash_jobs`: fork, a pipe between parent and child, wait4. Was 59,
+    // then 58.
     let job = locks_per_unit(32, 1, &|n| apps::bash_sim(n).module);
-    assert!(job.0 <= 58, "bash job: {job:?}");
+    assert!(job.0 <= 54, "bash job: {job:?}");
     println!("locks per unit: loopback {loopback:?} prefork {prefork:?} bash job {job:?}");
 }
 

@@ -838,6 +838,141 @@ fn a_description_closed_under_a_reader_on_another_worker_is_still_released() {
     }
 }
 
+/// A writer thread writes a pipe a byte a call while a `CLONE_FILES`
+/// sibling of the main thread replaces the write end's descriptor — a
+/// `dup2` of the read end over it — and then closes it; the main thread
+/// reads to the end. A writer that shares the table loses the write end
+/// (its next write answers `-EBADF`); one cloned without `CLONE_FILES`
+/// (`shares_table = false`) has a copy of the table of its own, so its
+/// writes run on a description borrowed from a table nobody else uses,
+/// and the end stays open until that thread exits. Either way the
+/// reader gets every byte a write reported, then end-of-file. Exit
+/// code: the rounds where it did not.
+fn a_writer_loses_its_descriptor_program(shares_table: bool) -> Module {
+    const WRITES: i32 = 200;
+    let mut mb = ModuleBuilder::new();
+    let pipe = sys(&mut mb, "pipe", 1);
+    let read = sys(&mut mb, "read", 3);
+    let write = sys(&mut mb, "write", 3);
+    let dup2 = sys(&mut mb, "dup2", 2);
+    let close = sys(&mut mb, "close", 1);
+    let clone = sys(&mut mb, "clone", 5);
+    let nanosleep = sys(&mut mb, "nanosleep", 2);
+    let exit = sys(&mut mb, "exit", 1);
+    mb.memory(4, Some(16));
+    let fds = mb.reserve(8);
+    let wbuf = mb.reserve(8);
+    let rbuf = mb.reserve(64);
+    let ts = mb.reserve(16);
+    let written = mb.reserve(REPLACED_ROUNDS * 4);
+    // Per round: the writer's flag, then the replacer's.
+    let done = mb.reserve(REPLACED_ROUNDS * 8);
+    let writer_flags = match shares_table {
+        true => THREAD_SHARING_FDS,
+        false => THREAD_SHARING_FDS & !CLONE_FILES,
+    };
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let (i, bad) = (b.local(I32), b.local(I32));
+        let (r, w, n, got) = (b.local(I64), b.local(I64), b.local(I64), b.local(I64));
+        let count = |b: &mut FuncBuilder| {
+            b.i32(written as i32).local_get(i).i32(4).mul32().add32();
+        };
+        let flag = |b: &mut FuncBuilder, which: u32| {
+            b.i32((done + 4 * which) as i32)
+                .local_get(i)
+                .i32(8)
+                .mul32()
+                .add32();
+        };
+        let thread = |b: &mut FuncBuilder, flags: i64, body: &dyn Fn(&mut FuncBuilder)| {
+            b.i64(flags).i64(0).i64(0).i64(0).i64(0).call(clone);
+            b.i64(0).eq64();
+            b.if_(BlockType::Empty, |b| {
+                body(b);
+                b.i64(0).call(exit).drop_();
+            });
+        };
+        counted(b, i, REPLACED_ROUNDS, |b| {
+            b.i64(fds as i64).call(pipe).drop_();
+            b.i32(fds as i32).load32(0).extend_u().local_set(r);
+            b.i32(fds as i32).load32(4).extend_u().local_set(w);
+            thread(b, writer_flags, &|b| {
+                b.block(BlockType::Empty, |b| {
+                    b.loop_(BlockType::Empty, |b| {
+                        count(b);
+                        b.load32(0).i32(WRITES).lt_s32().eqz32().br_if(1);
+                        b.local_get(w).i64(wbuf as i64).i64(1).call(write);
+                        b.i64(1).eq64().eqz32().br_if(1);
+                        count(b);
+                        count(b);
+                        b.load32(0).i32(1).add32().store32(0);
+                        // Let the replacer in between two writes.
+                        emit_sleep(b, nanosleep, ts, 0, 1_000);
+                        b.br(0);
+                    });
+                });
+                flag(b, 0);
+                b.i32(1).store32(0);
+            });
+            thread(b, THREAD_SHARING_FDS, &|b| {
+                // A few writes through first (or all of them).
+                b.loop_(BlockType::Empty, |b| {
+                    emit_sleep(b, nanosleep, ts, 0, 1_000);
+                    count(b);
+                    b.load32(0).i32(4).lt_s32();
+                    flag(b, 0);
+                    b.load32(0).eqz32().and32().br_if(0);
+                });
+                b.local_get(r).local_get(w).call(dup2).drop_();
+                b.local_get(w).call(close).drop_();
+                flag(b, 1);
+                b.i32(1).store32(0);
+            });
+            b.i64(0).local_set(got);
+            b.block(BlockType::Empty, |b| {
+                b.loop_(BlockType::Empty, |b| {
+                    b.local_get(r).i64(rbuf as i64).i64(64).call(read);
+                    b.local_tee(n).i64(1).lt_s64().br_if(1);
+                    b.local_get(got).local_get(n).add64().local_set(got);
+                    b.br(0);
+                });
+            });
+            // Both threads done: the count is final.
+            b.loop_(BlockType::Empty, |b| {
+                emit_sleep(b, nanosleep, ts, 0, 1_000);
+                flag(b, 0);
+                b.load32(0);
+                flag(b, 1);
+                b.load32(0).and32().eqz32().br_if(0);
+            });
+            b.local_get(n).i64(0).eq64().eqz32();
+            count(b);
+            b.load32(0).extend_u().local_get(got).eq64().eqz32();
+            b.add32().local_get(bad).add32().local_set(bad);
+            b.local_get(r).call(close).drop_();
+        });
+        b.local_get(bad);
+    });
+    mb.export("_start", main);
+    mb.build()
+}
+
+const REPLACED_ROUNDS: u32 = 16;
+const CLONE_FILES: i64 = 0x400;
+
+#[test]
+fn a_pipe_end_replaced_under_a_writer_sharing_the_table_reads_to_eof() {
+    let module = a_writer_loses_its_descriptor_program(true);
+    run_everywhere(&module, 1 + 2 * REPLACED_ROUNDS as usize);
+}
+
+#[test]
+fn a_pipe_end_replaced_under_a_writer_with_a_table_of_its_own_reads_to_eof() {
+    let module = a_writer_loses_its_descriptor_program(false);
+    run_everywhere(&module, 1 + 2 * REPLACED_ROUNDS as usize);
+}
+
 // --- What the merged holds used to serialise ------------------------------
 //
 // `read` and `write` on a socket run without the kernel lock too, park
@@ -1246,7 +1381,7 @@ fn a_post_that_waits_out_the_one_hold_pop_finds_the_subscription() {
     use std::sync::mpsc::channel;
     use vkernel::fd::FileKind;
     use vkernel::kernel::io::Intr;
-    use vkernel::{contention, Kernel, LockClass, MutexExt, Tid};
+    use vkernel::{contention, Kernel, LockClass, Tid};
     use wali_abi::flags::{EPOLLIN, EPOLL_CTL_ADD};
 
     for round in 0..16 {
@@ -1265,7 +1400,7 @@ fn a_post_that_waits_out_the_one_hold_pop_finds_the_subscription() {
         k.sys_write(tid, stale_w, b"x").unwrap();
         k.sys_read(tid, stale_r, &mut [0u8; 1]).unwrap();
         let file_of = |k: &Kernel, fd| k.task(tid).unwrap().fdtable.lock_ok().file(fd).unwrap();
-        let stale = match &file_of(&k, stale_r).lock_ok().kind {
+        let stale = match &file_of(&k, stale_r).kind {
             FileKind::PipeRead(pipe) => pipe.clone(),
             other => panic!("{other:?}"),
         };

@@ -292,3 +292,78 @@ fn vectored_calls_reject_iovcnt_over_iov_max() {
     let report = run_module(&mb.build(), &[], &[], RunnerOpts::single()).expect("run");
     assert_eq!(report.outcome.exit_code(), Some(0));
 }
+
+/// A vectored call on a descriptor whose transfers the kernel core
+/// finishes — the tty, `/dev/zero`, a pipe nobody reads — hands the
+/// first transfer to the core and makes every later one on the same
+/// description: all of the bytes, in order, and the errno only when
+/// nothing moved.
+#[test]
+fn a_vectored_call_the_core_finishes_moves_every_iovec_in_order() {
+    const PAGE: u32 = 65_536;
+    let mut mb = ModuleBuilder::new();
+    let writev = sys(&mut mb, "writev", 3);
+    let readv = sys(&mut mb, "readv", 3);
+    let open = sys(&mut mb, "open", 3);
+    let pipe = sys(&mut mb, "pipe", 1);
+    let close = sys(&mut mb, "close", 1);
+    let sigaction = sys(&mut mb, "rt_sigaction", 4);
+    mb.memory(2, Some(16));
+    let iovs = mb.reserve(32);
+    let fds = mb.reserve(8);
+    let act = mb.reserve(32);
+    let zero = mb.c_str("/dev/zero");
+    // "ab", nothing, "cd" across the page boundary, "ef".
+    let ab = mb.data(b"ab");
+    let ef = mb.data(b"ef");
+    let main_sig = mb.sig([], [I32]);
+    let main = mb.func(main_sig, |b| {
+        let (bad, fd) = (b.local(I32), b.local(I64));
+        let check = |b: &mut wasm::build::FuncBuilder, want: i64| {
+            b.i64(want).eq64().eqz32();
+            b.local_get(bad).add32().local_set(bad);
+        };
+        b.i32(PAGE as i32 - 1).i32('c' as i32).store8(0);
+        b.i32(PAGE as i32).i32('d' as i32).store8(0);
+        store_iov(b, iovs, 0, ab, 2);
+        store_iov(b, iovs, 1, ab, 0);
+        store_iov(b, iovs, 2, PAGE - 1, 2);
+        store_iov(b, iovs, 3, ef, 2);
+        b.i64(1).i64(iovs as i64).i64(4).call(writev);
+        check(b, 6);
+        // Three pages' worth of zeros over the same iovecs' places.
+        b.i64(zero as i64).i64(0).i64(0).call(open).local_set(fd);
+        store_iov(b, iovs, 1, ab, 3);
+        b.local_get(fd).i64(iovs as i64).i64(4).call(readv);
+        check(b, 9);
+        b.i32(PAGE as i32).load8u(0);
+        b.extend_u();
+        check(b, 0);
+        // SIGPIPE ignored: a pipe nobody reads answers -EPIPE.
+        b.i32(act as i32).i32(1).store32(0);
+        b.i64(13)
+            .i64(act as i64)
+            .i64(0)
+            .i64(8)
+            .call(sigaction)
+            .drop_();
+        b.i64(fds as i64).call(pipe).drop_();
+        b.i32(fds as i32).load32(0).extend_u().call(close).drop_();
+        b.i32(fds as i32).load32(4).extend_u();
+        b.i64(iovs as i64).i64(4).call(writev);
+        check(b, -32);
+        b.local_get(bad);
+    });
+    mb.export("_start", main);
+    let module = mb.build();
+    for workers in [1, 4] {
+        let opts = RunnerOpts {
+            workers: Some(workers),
+            ..RunnerOpts::default()
+        };
+        let report = run_module(&module, &[], &[], opts).expect("run");
+        assert_eq!(report.outcome.exit_code(), Some(0), "workers {workers}");
+        assert_eq!(report.outcome.stdout(), "abcdef", "workers {workers}");
+        assert!(report.leaks.is_clean(), "{}", report.leaks.describe());
+    }
+}

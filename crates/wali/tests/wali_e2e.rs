@@ -1887,3 +1887,130 @@ fn a_task_that_dies_in_epoll_wait_gives_its_instance_back() {
     mb.export("_start", main);
     exits_clean_at_1_and_4(&mb.build(), "exit_group under a parked epoll_wait");
 }
+
+// --- The per-syscall tick --------------------------------------------------
+
+/// `k` crossings between two `clock_gettime`s, whichever tasks make
+/// them, read as exactly `k + 1` quanta (the second read ticks too) —
+/// though a crossing only adds its quantum to its task's context, and
+/// the shared clock is charged later: at that task's next kernel entry
+/// or at the end of its slice. Three windows, at one worker, both tiers:
+/// fast-path calls in a row; a thread that parks in a pipe `read` (no
+/// kernel lock) and is woken by the main thread, whose two calls reach
+/// the clock only when its slice ends; and a forked child whose calls
+/// end in its exit.
+#[test]
+fn every_deferred_tick_is_on_the_clock_before_anyone_reads_it() {
+    const K: i64 = 5;
+    const Q: i64 = vkernel::clock::SYSCALL_QUANTUM_NS as i64;
+    let mut mb = ModuleBuilder::new();
+    let open = sys(&mut mb, "open", 3);
+    let lseek = sys(&mut mb, "lseek", 3);
+    let read = sys(&mut mb, "read", 3);
+    let write = sys(&mut mb, "write", 3);
+    let fstat = sys(&mut mb, "fstat", 2);
+    let pipe = sys(&mut mb, "pipe", 1);
+    let clock_gettime = sys(&mut mb, "clock_gettime", 2);
+    let clone = sys(&mut mb, "clone", 5);
+    let fork = sys(&mut mb, "fork", 0);
+    let wait4 = sys(&mut mb, "wait4", 4);
+    let exit = sys(&mut mb, "exit", 1);
+    let exit_group = sys(&mut mb, "exit_group", 1);
+    mb.memory(2, Some(16));
+    let path = mb.c_str("/tmp/tick.dat");
+    let buf = mb.reserve(64);
+    let st = mb.reserve(256);
+    let (p, p2) = (mb.reserve(8), mb.reserve(8));
+    let times = mb.reserve(6 * 16);
+    let status = mb.reserve(8);
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let fd = b.local(I64);
+        let now = |b: &mut FuncBuilder, j: u32| {
+            b.i64(1)
+                .i64((times + 16 * j) as i64)
+                .call(clock_gettime)
+                .drop_();
+        };
+        let fast_calls = |b: &mut FuncBuilder| {
+            for _ in 0..K {
+                b.local_get(fd).i64(0).i64(0).call(lseek).drop_();
+                b.local_get(fd).i64(buf as i64).i64(8).call(read).drop_();
+                b.local_get(fd).i64(st as i64).call(fstat).drop_();
+            }
+        };
+        let end = |b: &mut FuncBuilder, fds: u32, at: u32, call: FuncId| {
+            b.i32(fds as i32).load32(at).extend_u();
+            b.i64(buf as i64).i64(1).call(call).drop_();
+        };
+        // O_CREAT | O_RDWR
+        b.i64(path as i64)
+            .i64(0o102)
+            .i64(0o644)
+            .call(open)
+            .local_set(fd);
+        b.local_get(fd).i64(buf as i64).i64(64).call(write).drop_();
+        b.i64(p as i64).call(pipe).drop_();
+        b.i64(p2 as i64).call(pipe).drop_();
+        // In a row: 3K calls, then the read.
+        now(b, 0);
+        fast_calls(b);
+        now(b, 1);
+        // Across a park: the thread runs first, makes its calls and parks
+        // in `read` (3K + 1); the main thread writes the byte and parks
+        // in a read of its own (2); the thread's retry reads it (1), then
+        // the clock.
+        b.i64(THREAD_SHARING_FDS).i64(0).i64(0).i64(0).i64(0);
+        b.call(clone).i64(0).eq64();
+        b.if_(BlockType::Empty, |b| {
+            now(b, 2);
+            fast_calls(b);
+            end(b, p, 0, read);
+            now(b, 3);
+            end(b, p2, 4, write);
+            b.i64(0).call(exit).drop_();
+        });
+        end(b, p, 4, write);
+        end(b, p2, 0, read);
+        // Across a fork: the fork (1), the child's calls (3K) and its
+        // exit (1) — the child runs first — then the parent's read.
+        now(b, 4);
+        b.call(fork).i64(0).eq64();
+        b.if_(BlockType::Empty, |b| {
+            fast_calls(b);
+            b.i64(0).call(exit_group).drop_();
+        });
+        now(b, 5);
+        b.i64(-1)
+            .i64(status as i64)
+            .i64(0)
+            .i64(0)
+            .call(wait4)
+            .drop_();
+        b.i64(1).i64(times as i64).i64(6 * 16).call(write).drop_();
+        b.i32(0);
+    });
+    mb.export("_start", main);
+    let module = mb.build();
+    for regir in [true, false] {
+        let opts = RunnerOpts {
+            regir: Some(regir),
+            ..RunnerOpts::single()
+        };
+        let report = run_module(&module, &[], &[], opts).expect("run");
+        assert_eq!(report.outcome.exit_code(), Some(0), "regir={regir}");
+        let ns: Vec<i64> = report
+            .outcome
+            .console
+            .chunks(16)
+            .map(|ts| {
+                let word = |at: usize| i64::from_le_bytes(ts[at..at + 8].try_into().unwrap());
+                word(0) * 1_000_000_000 + word(8)
+            })
+            .collect();
+        assert_eq!(ns.len(), 6, "regir={regir}");
+        let elapsed = [ns[1] - ns[0], ns[3] - ns[2], ns[5] - ns[4]];
+        let crossings = [3 * K, 3 * K + 4, 3 * K + 2];
+        assert_eq!(elapsed, crossings.map(|k| (k + 1) * Q), "regir={regir}");
+    }
+}
