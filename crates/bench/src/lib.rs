@@ -162,6 +162,26 @@ mod tests {
     }
 
     #[test]
+    fn the_lua_loop_has_no_generic_fused_op() {
+        // `wasm::regir`'s pair rows are the fused pairs of this loop
+        // (DESIGN.md "Tier-2 register IR"): lowered, it names every one.
+        use wasm::regir::ROp;
+        let module = reload(&apps::lua_sim(1).module);
+        let image = wasm::prep::Prepared::of(&module, SafepointScheme::LoopHeaders, true).unwrap();
+        for body in &image.bodies {
+            for op in body.lowered().expect("lowered").ops() {
+                assert!(
+                    !matches!(
+                        op,
+                        ROp::Bin2 { .. } | ROp::CvtBin { .. } | ROp::BinRelBr { .. }
+                    ),
+                    "{op:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn run_on_wali_exercises_an_app() {
         let (out, wall) = run_on_wali(&apps::lua_sim(2), SafepointScheme::LoopHeaders);
         assert!(out.trace.total_syscalls() > 0);

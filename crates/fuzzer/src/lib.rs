@@ -57,27 +57,40 @@ pub fn replay(art: &Artifact, cfg: &OracleConfig) -> Result<(), Failure> {
     oracle::check(&art.scenario, cfg)
 }
 
+/// An oracle battery [`fuzz`] is about to run, as its progress callback
+/// hears of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Battery {
+    /// The battery over a seed's generated scenario.
+    Seed(u64),
+    /// One battery of the shrink of the seed that failed.
+    Shrink(u64),
+}
+
 /// Fuzzes `count` seeds starting at `start`. Stops at the first failure
 /// and returns it shrunk; `retries` extra oracle attempts classify a
 /// candidate as still-failing during shrinking (raise it above 1 when
 /// hunting a nondeterministic race, where one green run proves
-/// nothing).
+/// nothing). `progress` hears of every oracle battery before it runs.
 pub fn fuzz(
     start: u64,
     count: u64,
     cfg: &OracleConfig,
     retries: u32,
-    mut progress: impl FnMut(u64),
+    mut progress: impl FnMut(Battery),
 ) -> Option<Found> {
     for i in 0..count {
         let seed = start.wrapping_add(i);
-        progress(seed);
+        progress(Battery::Seed(seed));
         let Err(failure) = run_seed(seed, cfg) else {
             continue;
         };
         let scn = gen::generate(seed);
-        let fails = |s: &apps::scenario::Scenario| -> bool {
-            (0..retries.max(1)).any(|_| oracle::check(s, cfg).is_err())
+        let mut fails = |s: &apps::scenario::Scenario| -> bool {
+            (0..retries.max(1)).any(|_| {
+                progress(Battery::Shrink(seed));
+                oracle::check(s, cfg).is_err()
+            })
         };
         let (small, shrink_evals) = shrink::shrink(&scn, SHRINK_BUDGET, &mut |s| fails(s));
         return Some(Found {

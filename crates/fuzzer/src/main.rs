@@ -13,8 +13,11 @@
 //! running each generated scenario through the oracle battery; the
 //! first failure is shrunk and written to `--out` (default
 //! `fuzz-artifacts/`) as `seed-<S>.txt`, exit code 1. A clean sweep
-//! exits 0. `replay` re-runs a written artifact (exit 0 iff green) and
-//! `gen` prints a seed's scenario in artifact form — the way corpus
+//! exits 0. An oracle battery that runs past 120 s ends the process
+//! with exit code 3, naming the seed and the time it ran: a hang fails,
+//! it does not run until a CI job's timeout. `replay` re-runs a written
+//! artifact (exit 0 iff green) and `gen` prints a seed's scenario in
+//! artifact form — the way corpus
 //! entries are authored. `fingerprint` prints the `WALI_WORKERS=1`
 //! replay fingerprint of every seed and of the app suite under the
 //! default, `WALI_NO_REGIR` and `WALI_NO_RING` configurations, then one
@@ -25,8 +28,74 @@
 //! resident-page balance check is always on here: the CLI owns the
 //! whole process.
 
+use std::sync::{Condvar, Mutex, PoisonError};
+use std::time::{Duration, Instant};
+
 use fuzzer::artifact::Artifact;
 use fuzzer::oracle::OracleConfig;
+use fuzzer::Battery;
+
+/// How long one oracle battery may run before `wazi fuzz` calls it
+/// stuck. A battery (five runs of one scenario) takes well under a
+/// second; a hung one never ends.
+const BATTERY_BOUND: Duration = Duration::from_secs(120);
+
+/// The clock on the oracle battery that is running, read by
+/// [`Watchdog::watch`] on a thread of its own.
+#[derive(Default)]
+struct Watchdog {
+    state: Mutex<Watch>,
+    changed: Condvar,
+}
+
+#[derive(Clone, Copy, Default)]
+enum Watch {
+    #[default]
+    Idle,
+    Running(Battery, Instant),
+    Over,
+}
+
+impl Watchdog {
+    /// Starts the clock for `battery`.
+    fn arm(&self, battery: Battery) {
+        self.set(Watch::Running(battery, Instant::now()));
+    }
+
+    /// Ends [`Watchdog::watch`].
+    fn stop(&self) {
+        self.set(Watch::Over);
+    }
+
+    fn set(&self, watch: Watch) {
+        *self.state.lock().unwrap_or_else(PoisonError::into_inner) = watch;
+        self.changed.notify_one();
+    }
+
+    /// Returns at [`Watchdog::stop`], or once a battery has run longer
+    /// than `bound` — after calling `expired` with it and the time it ran.
+    fn watch(&self, bound: Duration, expired: impl FnOnce(Battery, Duration)) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            let wait = match *state {
+                Watch::Over => return,
+                Watch::Idle => bound,
+                Watch::Running(battery, since) => match bound.checked_sub(since.elapsed()) {
+                    Some(left) if !left.is_zero() => left,
+                    _ => {
+                        drop(state);
+                        return expired(battery, since.elapsed());
+                    }
+                },
+            };
+            state = self
+                .changed
+                .wait_timeout(state, wait)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -114,12 +183,34 @@ fn cmd_fuzz(a: &Args) -> i32 {
         "fuzzing {} seed(s) from {} (smp={}, toggles={}, retries={})",
         a.seeds, a.seed, !a.no_smp, !a.no_toggles, a.retries
     );
+    let watchdog = Watchdog::default();
     let mut done = 0u64;
-    let found = fuzzer::fuzz(a.seed, a.seeds, &cfg, a.retries, |_seed| {
-        done += 1;
-        if done.is_multiple_of(25) {
-            println!("  … {done} scenarios checked");
-        }
+    let found = std::thread::scope(|s| {
+        s.spawn(|| {
+            watchdog.watch(BATTERY_BOUND, |battery, ran| {
+                let (what, seed) = match battery {
+                    Battery::Seed(seed) => ("its oracle battery", seed),
+                    Battery::Shrink(seed) => ("a shrink battery", seed),
+                };
+                eprintln!(
+                    "STUCK: seed {seed} — {what} has run {:.1} s, past the {} s bound",
+                    ran.as_secs_f64(),
+                    BATTERY_BOUND.as_secs()
+                );
+                std::process::exit(3)
+            })
+        });
+        let found = fuzzer::fuzz(a.seed, a.seeds, &cfg, a.retries, |battery| {
+            watchdog.arm(battery);
+            if let Battery::Seed(_) = battery {
+                done += 1;
+                if done.is_multiple_of(25) {
+                    println!("  … {done} scenarios checked");
+                }
+            }
+        });
+        watchdog.stop();
+        found
     });
     match found {
         None => {
@@ -204,4 +295,48 @@ fn main() {
         _ => usage(),
     };
     std::process::exit(code)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_watchdog_names_the_battery_that_ran_past_its_bound() {
+        let (bound, watchdog) = (Duration::from_millis(400), Watchdog::default());
+        let reported = std::thread::scope(|s| {
+            let watcher = s.spawn(|| {
+                let mut reported = None;
+                watchdog.watch(bound, |battery, ran| reported = Some((battery, ran)));
+                reported
+            });
+            // Batteries that each finish in time, together longer than
+            // the bound …
+            for seed in 1..=4 {
+                watchdog.arm(Battery::Seed(seed));
+                std::thread::sleep(bound * 3 / 10);
+            }
+            // … and one that does not.
+            watchdog.arm(Battery::Shrink(7));
+            watcher.join().expect("the watcher returns")
+        });
+        let (battery, ran) = reported.expect("reported");
+        assert_eq!(battery, Battery::Shrink(7));
+        assert!(ran >= bound);
+    }
+
+    #[test]
+    fn a_stopped_watchdog_reports_nothing() {
+        let watchdog = Watchdog::default();
+        std::thread::scope(|s| {
+            let watcher = s.spawn(|| {
+                let mut reported = false;
+                watchdog.watch(Duration::from_secs(10), |_, _| reported = true);
+                reported
+            });
+            watchdog.arm(Battery::Seed(1));
+            watchdog.stop();
+            assert!(!watcher.join().expect("the watcher returns"));
+        });
+    }
 }

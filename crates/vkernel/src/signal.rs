@@ -9,6 +9,53 @@ use std::sync::Arc;
 use wali_abi::layout::WaliSigaction;
 use wali_abi::signals::{DefaultDisposition, SigSet, Signal, NSIG, SIG_DFL, SIG_IGN};
 
+/// A copy-on-write table with one slot per signal number — the cell
+/// behind the kernel's handler table ([`SigHandlers`]) and the WALI
+/// layer's table of Wasm handlers (`wali::sigtable::SigTable`). A table
+/// nobody has written is not there at all, and a copy shares its
+/// original's slots until either side writes. [`PerSignal`] reads and
+/// writes it.
+pub type SigCell<T> = Option<Arc<[T; NSIG]>>;
+
+/// Slot access to a [`SigCell`], and the one place a signal number is
+/// range-checked: a number outside `1..NSIG` reads as the default and
+/// writes nothing.
+pub trait PerSignal<T> {
+    /// The slot of `signo`.
+    fn get_slot(&self, signo: i32) -> T;
+
+    /// Replaces the slot of `signo`, returning what it held.
+    fn set_slot(&mut self, signo: i32, value: T) -> T;
+
+    /// The cell's own, writable slots: made on the first write, copied
+    /// on the first write after a copy was taken.
+    fn own_slots(&mut self) -> &mut [T; NSIG];
+}
+
+impl<T: Copy + Default> PerSignal<T> for SigCell<T> {
+    fn get_slot(&self, signo: i32) -> T {
+        match (self, slot_of(signo)) {
+            (Some(slots), Some(i)) => slots[i],
+            _ => T::default(),
+        }
+    }
+
+    fn set_slot(&mut self, signo: i32, value: T) -> T {
+        match slot_of(signo) {
+            Some(i) => std::mem::replace(&mut self.own_slots()[i], value),
+            None => T::default(),
+        }
+    }
+
+    fn own_slots(&mut self) -> &mut [T; NSIG] {
+        Arc::make_mut(self.get_or_insert_with(|| Arc::new([T::default(); NSIG])))
+    }
+}
+
+fn slot_of(signo: i32) -> Option<usize> {
+    (1..NSIG as i32).contains(&signo).then_some(signo as usize)
+}
+
 /// Per-process signal handler table (shared under `CLONE_SIGHAND`).
 ///
 /// A copy shares the table with its original until one of them is
@@ -17,7 +64,7 @@ use wali_abi::signals::{DefaultDisposition, SigSet, Signal, NSIG, SIG_DFL, SIG_I
 /// every action reads as the default.
 #[derive(Clone, Debug, Default)]
 pub struct SigHandlers {
-    actions: Option<Arc<[WaliSigaction; NSIG]>>,
+    actions: SigCell<WaliSigaction>,
 }
 
 impl SigHandlers {
@@ -28,23 +75,12 @@ impl SigHandlers {
 
     /// The action registered for `signo`.
     pub fn get(&self, signo: i32) -> WaliSigaction {
-        let actions = self.actions.as_ref();
-        let action = actions.and_then(|a| a.get(usize::try_from(signo).ok()?));
-        action.copied().unwrap_or_default()
-    }
-
-    /// This table's own, writable actions: made on the first write,
-    /// copied on the first write after a copy was taken.
-    fn own(&mut self) -> &mut [WaliSigaction; NSIG] {
-        let actions = self
-            .actions
-            .get_or_insert_with(|| Arc::new([WaliSigaction::default(); NSIG]));
-        Arc::make_mut(actions)
+        self.actions.get_slot(signo)
     }
 
     /// Replaces the action for `signo`, returning the old one.
     pub fn set(&mut self, signo: i32, action: WaliSigaction) -> WaliSigaction {
-        std::mem::replace(&mut self.own()[signo as usize], action)
+        self.actions.set_slot(signo, action)
     }
 
     /// Resets caught signals to default on `execve` (ignored dispositions
@@ -54,7 +90,12 @@ impl SigHandlers {
         if !self.actions.as_ref().is_some_and(|a| a.iter().any(caught)) {
             return;
         }
-        for a in self.own().iter_mut().filter(|a| a.handler != SIG_IGN) {
+        for a in self
+            .actions
+            .own_slots()
+            .iter_mut()
+            .filter(|a| a.handler != SIG_IGN)
+        {
             *a = WaliSigaction::default();
         }
     }
@@ -183,6 +224,23 @@ mod tests {
         // Out-of-range numbers read as the default.
         assert_eq!(parent.get(-1), WaliSigaction::default());
         assert_eq!(parent.get(1000), WaliSigaction::default());
+    }
+
+    #[test]
+    fn an_out_of_range_number_reads_the_default_and_writes_nothing() {
+        let act = WaliSigaction {
+            handler: 5,
+            flags: 0,
+            mask: 0,
+        };
+        let mut h = SigHandlers::new();
+        for signo in [i32::MIN, -1, 0, NSIG as i32, 1000] {
+            assert_eq!(h.set(signo, act), WaliSigaction::default());
+            assert_eq!(h.get(signo), WaliSigaction::default());
+        }
+        assert!(h.actions.is_none(), "no write, nothing made");
+        h.set(NSIG as i32 - 1, act);
+        assert_eq!(h.get(NSIG as i32 - 1), act);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! round-trips back to the module on later `rt_sigaction` calls. The table
 //! costs well under 1 KiB, matching the paper's bookkeeping claim.
 
+#[cfg(test)]
 use std::sync::Arc;
 
+use vkernel::signal::{PerSignal, SigCell};
 use wali_abi::signals::NSIG;
 
 /// One registered virtual handler.
@@ -24,7 +26,7 @@ pub struct SigEntry {
 /// registered in has none.
 #[derive(Clone, Debug, Default)]
 pub struct SigTable {
-    entries: Option<Arc<[Option<SigEntry>; NSIG]>>,
+    entries: SigCell<Option<SigEntry>>,
 }
 
 impl SigTable {
@@ -35,19 +37,12 @@ impl SigTable {
 
     /// Registers a handler, returning the previous entry.
     pub fn set(&mut self, signo: i32, entry: Option<SigEntry>) -> Option<SigEntry> {
-        if !(1..NSIG as i32).contains(&signo) {
-            return None;
-        }
-        let entries = self.entries.get_or_insert_with(|| Arc::new([None; NSIG]));
-        std::mem::replace(&mut Arc::make_mut(entries)[signo as usize], entry)
+        self.entries.set_slot(signo, entry)
     }
 
     /// Looks up the handler for `signo`.
     pub fn get(&self, signo: i32) -> Option<SigEntry> {
-        if !(1..NSIG as i32).contains(&signo) {
-            return None;
-        }
-        self.entries.as_ref()?[signo as usize]
+        self.entries.get_slot(signo)
     }
 
     /// In-engine footprint of a table with a handler registered, in

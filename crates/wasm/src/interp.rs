@@ -1410,9 +1410,9 @@ impl Thread {
                     // The arms of the one dispatch `match`: the generic
                     // instructions written out, then one arm per entry of
                     // `regir::spec_table!`, each calling the same `eval_bin`
-                    // / `eval_rel` / `load_at` a generic arm calls — with a
-                    // literal operator, so the inner `match` and the
-                    // `Result` fold away at compile time.
+                    // / `eval_cvt` / `eval_rel` / `load_at` a generic arm
+                    // calls — with a literal operator, so the inner `match`
+                    // and the `Result` fold away at compile time.
                     macro_rules! dispatch {
                         (
                             bin { $($bop:ident => $brr:ident $brc:ident;)* }
@@ -1420,6 +1420,17 @@ impl Thread {
                                 $($lk:ident $(| $lks:ident)* => $xrr:ident $xrc:ident;)*
                             }
                             addbr { $($aop:ident => $ar:ident $ac:ident;)* }
+                            pair {
+                                bin2 {
+                                    $($p1:ident; $p2:ident =>
+                                        $prrrr:ident $prrrc:ident $prcrr:ident $prcrc:ident;)*
+                                }
+                                cvt_bin { $($pcvt:ident; $pbin:ident => $crrr:ident $crrc:ident;)* }
+                                bin_rel_br {
+                                    $($qop:ident; $qrel:ident =>
+                                        $qrrr:ident $qrrc:ident $qrcr:ident $qrcc:ident;)*
+                                }
+                            }
                         ) => {
                             match op {
                                 ROp::Unreachable => trap!(Trap::Unreachable),
@@ -1620,6 +1631,58 @@ impl Thread {
                                     ROp::$ac { a, b, dst, c, if_true, target, poll } => {
                                         let r = eval_bin(BinOp::I32Add, rd!(*a), k!(*b));
                                         let rel = RelOp::$aop;
+                                        bin_rel_br!(r, *dst, rel, k!(*c), *if_true, *target, *poll)
+                                    }
+                                )*
+                                // A named pair writes `dst1` before it reads the
+                                // second half's operands, as `Bin2` does.
+                                $(
+                                    ROp::$prrrr { a, b, dst1, a2, b2, dst2 } => {
+                                        checked!(*dst1, eval_bin(BinOp::$p1, rd!(*a), rd!(*b)));
+                                        checked!(*dst2, eval_bin(BinOp::$p2, rd!(*a2), rd!(*b2)));
+                                    }
+                                    ROp::$prrrc { a, b, dst1, a2, b2, dst2 } => {
+                                        checked!(*dst1, eval_bin(BinOp::$p1, rd!(*a), rd!(*b)));
+                                        checked!(*dst2, eval_bin(BinOp::$p2, rd!(*a2), k!(*b2)));
+                                    }
+                                    ROp::$prcrr { a, b, dst1, a2, b2, dst2 } => {
+                                        checked!(*dst1, eval_bin(BinOp::$p1, rd!(*a), k!(*b)));
+                                        checked!(*dst2, eval_bin(BinOp::$p2, rd!(*a2), rd!(*b2)));
+                                    }
+                                    ROp::$prcrc { a, b, dst1, a2, b2, dst2 } => {
+                                        checked!(*dst1, eval_bin(BinOp::$p1, rd!(*a), k!(*b)));
+                                        checked!(*dst2, eval_bin(BinOp::$p2, rd!(*a2), k!(*b2)));
+                                    }
+                                )*
+                                $(
+                                    ROp::$crrr { a, dst1, a2, b2, dst2 } => {
+                                        checked!(*dst1, eval_cvt(CvtOp::$pcvt, rd!(*a)));
+                                        checked!(*dst2, eval_bin(BinOp::$pbin, rd!(*a2), rd!(*b2)));
+                                    }
+                                    ROp::$crrc { a, dst1, a2, b2, dst2 } => {
+                                        checked!(*dst1, eval_cvt(CvtOp::$pcvt, rd!(*a)));
+                                        checked!(*dst2, eval_bin(BinOp::$pbin, rd!(*a2), k!(*b2)));
+                                    }
+                                )*
+                                $(
+                                    ROp::$qrrr { a, b, dst, c, if_true, target, poll } => {
+                                        let r = eval_bin(BinOp::$qop, rd!(*a), rd!(*b));
+                                        let rel = RelOp::$qrel;
+                                        bin_rel_br!(r, *dst, rel, rd!(*c), *if_true, *target, *poll)
+                                    }
+                                    ROp::$qrrc { a, b, dst, c, if_true, target, poll } => {
+                                        let r = eval_bin(BinOp::$qop, rd!(*a), rd!(*b));
+                                        let rel = RelOp::$qrel;
+                                        bin_rel_br!(r, *dst, rel, k!(*c), *if_true, *target, *poll)
+                                    }
+                                    ROp::$qrcr { a, b, dst, c, if_true, target, poll } => {
+                                        let r = eval_bin(BinOp::$qop, rd!(*a), k!(*b));
+                                        let rel = RelOp::$qrel;
+                                        bin_rel_br!(r, *dst, rel, rd!(*c), *if_true, *target, *poll)
+                                    }
+                                    ROp::$qrcc { a, b, dst, c, if_true, target, poll } => {
+                                        let r = eval_bin(BinOp::$qop, rd!(*a), k!(*b));
+                                        let rel = RelOp::$qrel;
                                         bin_rel_br!(r, *dst, rel, k!(*c), *if_true, *target, *poll)
                                     }
                                 )*

@@ -101,6 +101,13 @@ pub struct PreparedFunc {
     pub(crate) reg: Option<crate::regir::RegFunc>,
 }
 
+impl PreparedFunc {
+    /// The register-IR body, when the program was lowered.
+    pub fn lowered(&self) -> Option<&crate::regir::RegFunc> {
+        self.reg.as_ref()
+    }
+}
+
 /// A function in the combined index space.
 pub enum FuncDef<T> {
     /// Imported host function.
@@ -377,7 +384,7 @@ impl Prepared {
     /// `regir` is requested, every function is lowered to the register
     /// IR; if any bails, the whole program stays on the stack tier
     /// (`regir` records the effective state).
-    fn build(
+    pub(crate) fn build(
         module: &Module,
         scheme: SafepointScheme,
         regir: bool,

@@ -58,22 +58,26 @@
 //! Lowering and the peephole emit *generic* instructions: a value op
 //! carries its operator as a field (`Bin { op, a, b }`) and each operand
 //! as an [`RSrc`], so executing one means a second `match` on the
-//! operator and a register-or-constant select per operand. For three
+//! operator and a register-or-constant select per operand. For four
 //! families the engine also has variants that *name* the operator and
 //! the operand kinds — `I64AddRC { dst, a, b }` is `i64.add` of register
 //! `a` and pool constant `b` — which the dispatch loop reaches with one
 //! indirect branch (`spec_table!`): the integer binary operators that
-//! cannot trap, the base-plus-index load, and the back edge of a counted
-//! loop (`i32.add` of a constant, then `lt_s`/`lt_u`/`ne` and a branch).
+//! cannot trap, the base-plus-index load, the back edge of a counted
+//! loop (`i32.add` of a constant, then `lt_s`/`lt_u`/`ne` and a branch),
+//! and fused pairs with both operators named (`I64MulI32AddRCRC` is
+//! `i64.mul` by a constant, then `i32.add` of a constant, in one arm).
 //! The table is sized from measured traffic, not from the operator
 //! enums: these are the families that the one interpreter-bound workload
-//! spends its dispatches in and whose removal shows end to end (DESIGN.md
-//! "Tier-2 register IR" has the execution histogram over every workload
-//! and the per-family ablation); everything else — moves, compares,
+//! spends its dispatches in and whose removal shows end to end, and a
+//! pair gets a row when it is at least 1 % of some workload's dispatches
+//! (DESIGN.md "Tier-2 register IR" has the execution histograms over
+//! every workload and the ablations); everything else — moves, compares,
 //! branches, unary operators, conversions, plain loads and stores,
-//! `select`, all floating point — stays generic, because switching its
-//! variants off moved no workload. The last pass, `specialise`, rewrites
-//! `Bin` and the fused back edge in place; the indexed load is built
+//! `select`, all floating point, the other pairs — stays generic, because
+//! switching its variants off moved no workload. The last pass,
+//! `specialise`, rewrites `Bin`, the fused pairs and the fused back edge
+//! in place; the indexed load is built
 //! named by the peephole that fuses it. Either way the rewrite is one for
 //! one — same op count, same pcs, same branch targets — so step counts,
 //! preemption points and handler resume pcs are those of the generic
@@ -143,9 +147,10 @@ pub struct RBr {
 /// operand order: `R` a register index, `C` a constant-pool index.
 ///
 /// A family is in the table because its traffic and its effect were
-/// measured (module docs, "Specialisation"), in the two operand forms of
-/// a three-address op: reg·reg and reg·const. What the table does not
-/// name runs the generic arm, which is total.
+/// measured (module docs, "Specialisation"), in every operand form
+/// lowering emits for it: reg·reg and reg·const for a three-address op,
+/// both halves' forms for a pair. What the table does not name runs the
+/// generic arm, which is total.
 macro_rules! spec_table {
     ($callback:ident) => {
         $callback! {
@@ -200,6 +205,28 @@ macro_rules! spec_table {
                 I32LtU => AddI32LtUBrR AddI32LtUBrC;
                 I32Ne => AddI32NeBrR AddI32NeBrC;
             }
+            // A fused pair with both operators named, by shape: the pairs
+            // that are at least 1 % of some workload's dispatches. Each in
+            // every operand form its halves take, turned around as `bin`
+            // turns them (the conversion's operand is always a register:
+            // lowering folds a constant one).
+            pair {
+                // `dst1 = a op1 b; dst2 = a2 op2 b2` => RRRR RRRC RCRR RCRC.
+                bin2 {
+                    I64Mul; I32Add => I64MulI32AddRRRR I64MulI32AddRRRC
+                        I64MulI32AddRCRR I64MulI32AddRCRC;
+                }
+                // `dst1 = cvt a; dst2 = a2 op b2` => RRR RRC.
+                cvt_bin {
+                    I64ExtendI32U; I64Add => ExtendUI64AddRRR ExtendUI64AddRRC;
+                }
+                // `dst = a op b; if (dst rel c) == if_true goto target`
+                // off the back edge => RRR RRC RCR RCC.
+                bin_rel_br {
+                    I32And; I32Eq => I32AndEqBrRRR I32AndEqBrRRC
+                        I32AndEqBrRCR I32AndEqBrRCC;
+                }
+            }
         }
     };
 }
@@ -212,6 +239,15 @@ macro_rules! define_rop {
         bin { $($bop:ident => $brr:ident $brc:ident;)* }
         load_idx { $($lk:ident $(| $lks:ident)* => $xrr:ident $xrc:ident;)* }
         addbr { $($aop:ident => $ar:ident $ac:ident;)* }
+        pair {
+            bin2 {
+                $($p1:ident; $p2:ident => $prrrr:ident $prrrc:ident $prcrr:ident $prcrc:ident;)*
+            }
+            cvt_bin { $($pcvt:ident; $pbin:ident => $crrr:ident $crrc:ident;)* }
+            bin_rel_br {
+                $($qop:ident; $qrel:ident => $qrrr:ident $qrrc:ident $qrcr:ident $qrcc:ident;)*
+            }
+        }
     ) => {
         /// A register-IR instruction. `dst` fields are always register
         /// indices. The generic forms come first: their operands are
@@ -439,6 +475,24 @@ macro_rules! define_rop {
             $(
                 $ar { a: u16, b: u16, dst: u16, c: u16, if_true: bool, target: u32, poll: bool },
                 $ac { a: u16, b: u16, dst: u16, c: u16, if_true: bool, target: u32, poll: bool },
+            )*
+            // The named fused pairs: the fields of `Bin2`, `CvtBin` and
+            // `BinRelBr`, the operators dropped.
+            $(
+                $prrrr { a: u16, b: u16, dst1: u16, a2: u16, b2: u16, dst2: u16 },
+                $prrrc { a: u16, b: u16, dst1: u16, a2: u16, b2: u16, dst2: u16 },
+                $prcrr { a: u16, b: u16, dst1: u16, a2: u16, b2: u16, dst2: u16 },
+                $prcrc { a: u16, b: u16, dst1: u16, a2: u16, b2: u16, dst2: u16 },
+            )*
+            $(
+                $crrr { a: u16, dst1: u16, a2: u16, b2: u16, dst2: u16 },
+                $crrc { a: u16, dst1: u16, a2: u16, b2: u16, dst2: u16 },
+            )*
+            $(
+                $qrrr { a: u16, b: u16, dst: u16, c: u16, if_true: bool, target: u32, poll: bool },
+                $qrrc { a: u16, b: u16, dst: u16, c: u16, if_true: bool, target: u32, poll: bool },
+                $qrcr { a: u16, b: u16, dst: u16, c: u16, if_true: bool, target: u32, poll: bool },
+                $qrcc { a: u16, b: u16, dst: u16, c: u16, if_true: bool, target: u32, poll: bool },
             )*
         }
     };
@@ -834,8 +888,8 @@ pub fn lower(func: &PreparedFunc, sigs: &[(u16, u16)], types: &[FuncType]) -> Op
     })
 }
 
-/// Whether `a op b == b op a` bit for bit, for the operators of the
-/// table's `bin` family.
+/// Whether `a op b == b op a` bit for bit, for the integer operators the
+/// table names.
 fn commutes(op: BinOp) -> bool {
     use BinOp::*;
     matches!(
@@ -844,9 +898,19 @@ fn commutes(op: BinOp) -> bool {
     )
 }
 
+/// The operands of `a op b` in the order the table names them: a constant
+/// on the left of an operator that commutes is turned around; on the left
+/// of one that does not, it stays (and the instruction stays generic).
+fn turned(op: BinOp, a: RSrc, b: RSrc) -> (RSrc, RSrc) {
+    match (a, b) {
+        (RSrc::Const(_), RSrc::Reg(_)) if commutes(op) => (b, a),
+        _ => (a, b),
+    }
+}
+
 /// Defines, from [`spec_table!`]: the specialising rewrite `specialised`
-/// (generic → named variant, `None` when the table has none for this
-/// operator and these operand kinds); `load_idx`, which builds the indexed
+/// (generic → named variant, `None` when the table has none for these
+/// operators and operand kinds); `load_idx`, which builds the indexed
 /// load; and `variant_in_bounds`, the part of [`validated`] that checks
 /// the named variants.
 macro_rules! define_rewrites {
@@ -854,35 +918,80 @@ macro_rules! define_rewrites {
         bin { $($bop:ident => $brr:ident $brc:ident;)* }
         load_idx { $($lk:ident $(| $lks:ident)* => $xrr:ident $xrc:ident;)* }
         addbr { $($aop:ident => $ar:ident $ac:ident;)* }
+        pair {
+            bin2 {
+                $($p1:ident; $p2:ident => $prrrr:ident $prrrc:ident $prcrr:ident $prcrc:ident;)*
+            }
+            cvt_bin { $($pcvt:ident; $pbin:ident => $crrr:ident $crrc:ident;)* }
+            bin_rel_br {
+                $($qop:ident; $qrel:ident => $qrrr:ident $qrrc:ident $qrcr:ident $qrcc:ident;)*
+            }
+        }
     ) => {
         fn specialised(op: &ROp) -> Option<ROp> {
             use RSrc::{Const as C, Reg as R};
             Some(match *op {
-                ROp::Bin { dst, op, a, b } => {
-                    let (a, b) = match (a, b) {
-                        (C(_), R(_)) if commutes(op) => (b, a),
-                        _ => (a, b),
-                    };
-                    match (op, a, b) {
+                ROp::Bin { dst, op, a, b } => match (op, turned(op, a, b)) {
+                    $(
+                        (BinOp::$bop, (R(a), R(b))) => ROp::$brr { dst, a, b },
+                        (BinOp::$bop, (R(a), C(b))) => ROp::$brc { dst, a, b },
+                    )*
+                    _ => return None,
+                },
+                ROp::Bin2 { op1, a, b, dst1, op2, a2, b2, dst2 } => {
+                    match (op1, op2, turned(op1, a, b), turned(op2, a2, b2)) {
                         $(
-                            (BinOp::$bop, R(a), R(b)) => ROp::$brr { dst, a, b },
-                            (BinOp::$bop, R(a), C(b)) => ROp::$brc { dst, a, b },
+                            (BinOp::$p1, BinOp::$p2, (R(a), R(b)), (R(a2), R(b2))) => {
+                                ROp::$prrrr { a, b, dst1, a2, b2, dst2 }
+                            }
+                            (BinOp::$p1, BinOp::$p2, (R(a), R(b)), (R(a2), C(b2))) => {
+                                ROp::$prrrc { a, b, dst1, a2, b2, dst2 }
+                            }
+                            (BinOp::$p1, BinOp::$p2, (R(a), C(b)), (R(a2), R(b2))) => {
+                                ROp::$prcrr { a, b, dst1, a2, b2, dst2 }
+                            }
+                            (BinOp::$p1, BinOp::$p2, (R(a), C(b)), (R(a2), C(b2))) => {
+                                ROp::$prcrc { a, b, dst1, a2, b2, dst2 }
+                            }
                         )*
                         _ => return None,
                     }
                 }
-                ROp::BinRelBr { op: BinOp::I32Add, a, b, dst, rel, c, if_true, target, poll } => {
-                    let (a, b) = match (a, b) {
-                        (C(_), R(_)) => (b, a),
-                        _ => (a, b),
-                    };
-                    match (rel, a, b, c) {
+                ROp::CvtBin { cvt, a, dst1, op, a2, b2, dst2 } => {
+                    match (cvt, op, a, turned(op, a2, b2)) {
                         $(
-                            (RelOp::$aop, R(a), C(b), R(c)) => {
+                            (CvtOp::$pcvt, BinOp::$pbin, R(a), (R(a2), R(b2))) => {
+                                ROp::$crrr { a, dst1, a2, b2, dst2 }
+                            }
+                            (CvtOp::$pcvt, BinOp::$pbin, R(a), (R(a2), C(b2))) => {
+                                ROp::$crrc { a, dst1, a2, b2, dst2 }
+                            }
+                        )*
+                        _ => return None,
+                    }
+                }
+                ROp::BinRelBr { op, a, b, dst, rel, c, if_true, target, poll } => {
+                    match (op, rel, turned(op, a, b), c) {
+                        $(
+                            (BinOp::I32Add, RelOp::$aop, (R(a), C(b)), R(c)) => {
                                 ROp::$ar { a, b, dst, c, if_true, target, poll }
                             }
-                            (RelOp::$aop, R(a), C(b), C(c)) => {
+                            (BinOp::I32Add, RelOp::$aop, (R(a), C(b)), C(c)) => {
                                 ROp::$ac { a, b, dst, c, if_true, target, poll }
+                            }
+                        )*
+                        $(
+                            (BinOp::$qop, RelOp::$qrel, (R(a), R(b)), R(c)) => {
+                                ROp::$qrrr { a, b, dst, c, if_true, target, poll }
+                            }
+                            (BinOp::$qop, RelOp::$qrel, (R(a), R(b)), C(c)) => {
+                                ROp::$qrrc { a, b, dst, c, if_true, target, poll }
+                            }
+                            (BinOp::$qop, RelOp::$qrel, (R(a), C(b)), R(c)) => {
+                                ROp::$qrcr { a, b, dst, c, if_true, target, poll }
+                            }
+                            (BinOp::$qop, RelOp::$qrel, (R(a), C(b)), C(c)) => {
+                                ROp::$qrcc { a, b, dst, c, if_true, target, poll }
                             }
                         )*
                         _ => return None,
@@ -898,10 +1007,7 @@ macro_rules! define_rewrites {
         /// never sees one, and would leave the pair unfused if it did.
         fn load_idx(dst: u16, kind: LoadKind, a: RSrc, b: RSrc, offset: u32) -> Option<ROp> {
             use RSrc::{Const as C, Reg as R};
-            let (a, b) = match (a, b) {
-                (C(_), R(_)) => (b, a),
-                _ => (a, b),
-            };
+            let (a, b) = turned(BinOp::I32Add, a, b);
             Some(match (kind, a, b) {
                 $(
                     (LoadKind::$lk $(| LoadKind::$lks)*, R(a), R(b)) => {
@@ -935,6 +1041,42 @@ macro_rules! define_rewrites {
                         reg(a).and(pool(b)).and(reg(dst)).and(reg(c)).and(bounds.target(target))
                     }
                     ROp::$ac { a, b, dst, c, target, .. } => {
+                        reg(a).and(pool(b)).and(reg(dst)).and(pool(c)).and(bounds.target(target))
+                    }
+                )*
+                $(
+                    ROp::$prrrr { a, b, dst1, a2, b2, dst2 } => {
+                        reg(a).and(reg(b)).and(reg(dst1)).and(reg(a2)).and(reg(b2)).and(reg(dst2))
+                    }
+                    ROp::$prrrc { a, b, dst1, a2, b2, dst2 } => {
+                        reg(a).and(reg(b)).and(reg(dst1)).and(reg(a2)).and(pool(b2)).and(reg(dst2))
+                    }
+                    ROp::$prcrr { a, b, dst1, a2, b2, dst2 } => {
+                        reg(a).and(pool(b)).and(reg(dst1)).and(reg(a2)).and(reg(b2)).and(reg(dst2))
+                    }
+                    ROp::$prcrc { a, b, dst1, a2, b2, dst2 } => {
+                        reg(a).and(pool(b)).and(reg(dst1)).and(reg(a2)).and(pool(b2)).and(reg(dst2))
+                    }
+                )*
+                $(
+                    ROp::$crrr { a, dst1, a2, b2, dst2 } => {
+                        reg(a).and(reg(dst1)).and(reg(a2)).and(reg(b2)).and(reg(dst2))
+                    }
+                    ROp::$crrc { a, dst1, a2, b2, dst2 } => {
+                        reg(a).and(reg(dst1)).and(reg(a2)).and(pool(b2)).and(reg(dst2))
+                    }
+                )*
+                $(
+                    ROp::$qrrr { a, b, dst, c, target, .. } => {
+                        reg(a).and(reg(b)).and(reg(dst)).and(reg(c)).and(bounds.target(target))
+                    }
+                    ROp::$qrrc { a, b, dst, c, target, .. } => {
+                        reg(a).and(reg(b)).and(reg(dst)).and(pool(c)).and(bounds.target(target))
+                    }
+                    ROp::$qrcr { a, b, dst, c, target, .. } => {
+                        reg(a).and(pool(b)).and(reg(dst)).and(reg(c)).and(bounds.target(target))
+                    }
+                    ROp::$qrcc { a, b, dst, c, target, .. } => {
                         reg(a).and(pool(b)).and(reg(dst)).and(pool(c)).and(bounds.target(target))
                     }
                 )*
@@ -1923,40 +2065,86 @@ mod tests {
                     target,
                     ..
                 }) => (vec![dst], vec![a, b, c], Some(target)),
+                Form::Generic(ROp::Bin2 {
+                    a,
+                    b,
+                    dst1,
+                    a2,
+                    b2,
+                    dst2,
+                    ..
+                }) => (vec![dst1, dst2], vec![a, b, a2, b2], None),
+                Form::Generic(ROp::CvtBin {
+                    a,
+                    dst1,
+                    a2,
+                    b2,
+                    dst2,
+                    ..
+                }) => (vec![dst1, dst2], vec![a, a2, b2], None),
                 other => panic!("not a table family: {other:?}"),
             }
         }
     }
 
-    /// Every operator of the three families the table covers × each
-    /// operand-kind combination lowering can emit, on in-range indices
+    /// Every operator (pair of operators) of the shapes the table covers ×
+    /// each operand-kind combination lowering can emit, on in-range indices
     /// that differ slot by slot.
     fn forms() -> Vec<Form> {
         use RSrc::{Const as C, Reg as R};
         let pairs = [(R(1), R(3)), (R(1), C(10)), (C(9), R(3))];
+        let seconds = [(R(2), R(4)), (R(2), C(11)), (C(9), R(4))];
+        let (dst, dst2, if_true) = (7, 5, true);
         let mut out = Vec::new();
         for (a, b) in pairs {
-            let (dst, if_true) = (7, true);
             for &op in BinOp::ALL {
                 out.push(Form::Generic(ROp::Bin { dst, op, a, b }));
+                for &rel in RelOp::ALL {
+                    for c in [R(6), C(11)] {
+                        out.push(Form::Generic(ROp::BinRelBr {
+                            op,
+                            a,
+                            b,
+                            dst,
+                            rel,
+                            c,
+                            if_true,
+                            target: 0,
+                            poll: true,
+                        }));
+                    }
+                }
+                for &op2 in BinOp::ALL {
+                    for (a2, b2) in seconds {
+                        out.push(Form::Generic(ROp::Bin2 {
+                            op1: op,
+                            a,
+                            b,
+                            dst1: dst,
+                            op2,
+                            a2,
+                            b2,
+                            dst2,
+                        }));
+                    }
+                }
             }
             for &kind in LoadKind::ALL {
                 out.push(Form::LoadIdx { dst, kind, a, b });
             }
-            // The one fused shape in the table adds a constant.
-            let back_edges = [RelOp::I32LtS, RelOp::I32LtU, RelOp::I32Ne];
-            for rel in back_edges.into_iter().filter(|_| (a, b) != pairs[0]) {
-                for c in [R(6), C(11)] {
-                    out.push(Form::Generic(ROp::BinRelBr {
-                        op: BinOp::I32Add,
-                        a,
-                        b,
-                        dst,
-                        rel,
-                        c,
-                        if_true,
-                        target: 0,
-                        poll: true,
+        }
+        // A conversion's operand is a register: lowering folds a constant.
+        for &cvt in CvtOp::ALL {
+            for &op in BinOp::ALL {
+                for (a2, b2) in seconds {
+                    out.push(Form::Generic(ROp::CvtBin {
+                        cvt,
+                        a: R(1),
+                        dst1: dst,
+                        op,
+                        a2,
+                        b2,
+                        dst2,
                     }));
                 }
             }
@@ -1974,40 +2162,55 @@ mod tests {
         })
     }
 
-    /// What the table leaves to the generic `Bin`: operators that can
-    /// trap, floating point, and a constant on the left of an operator
-    /// that does not commute.
+    /// What the table leaves generic, said without the table: a `Bin`
+    /// whose operator can trap or is floating point, or has a constant on
+    /// the left of an operator that does not commute; a fused back edge
+    /// other than `i32.add` of a constant then `lt_s`/`lt_u`/`ne`; a fused
+    /// pair other than the three measured ones.
     fn stays_generic(form: &Form) -> bool {
         use BinOp::*;
-        let Form::Generic(ROp::Bin { op, a, b, .. }) = form else {
+        use RSrc::{Const as C, Reg as R};
+        let Form::Generic(op) = form else {
             return false;
         };
-        let traps_or_float = matches!(
-            op,
-            I32DivS
-                | I32DivU
-                | I32RemS
-                | I32RemU
-                | I64DivS
-                | I64DivU
-                | I64RemS
-                | I64RemU
-                | F32Add
-                | F32Sub
-                | F32Mul
-                | F32Div
-                | F32Min
-                | F32Max
-                | F32Copysign
-                | F64Add
-                | F64Sub
-                | F64Mul
-                | F64Div
-                | F64Min
-                | F64Max
-                | F64Copysign
-        );
-        traps_or_float || (matches!((a, b), (RSrc::Const(_), RSrc::Reg(_))) && !commutes(*op))
+        match *op {
+            ROp::Bin { op, a, b, .. } => {
+                let traps_or_float = matches!(
+                    op,
+                    I32DivS
+                        | I32DivU
+                        | I32RemS
+                        | I32RemU
+                        | I64DivS
+                        | I64DivU
+                        | I64RemS
+                        | I64RemU
+                        | F32Add
+                        | F32Sub
+                        | F32Mul
+                        | F32Div
+                        | F32Min
+                        | F32Max
+                        | F32Copysign
+                        | F64Add
+                        | F64Sub
+                        | F64Mul
+                        | F64Div
+                        | F64Min
+                        | F64Max
+                        | F64Copysign
+                );
+                traps_or_float || (matches!((a, b), (C(_), R(_))) && !commutes(op))
+            }
+            ROp::BinRelBr { op, a, b, rel, .. } => {
+                let add_const = op == I32Add && matches!((a, b), (R(_), C(_)) | (C(_), R(_)));
+                let back_edge = matches!(rel, RelOp::I32LtS | RelOp::I32LtU | RelOp::I32Ne);
+                !(add_const && back_edge) && (op, rel) != (I32And, RelOp::I32Eq)
+            }
+            ROp::Bin2 { op1, op2, .. } => (op1, op2) != (I64Mul, I32Add),
+            ROp::CvtBin { cvt, op, .. } => (cvt, op) != (CvtOp::I64ExtendI32U, I64Add),
+            _ => panic!("not a table family: {op:?}"),
+        }
     }
 
     #[test]
@@ -2029,8 +2232,9 @@ mod tests {
             variants.insert(format!("{named:?}").split(' ').next().unwrap().to_string());
         }
         // 22 integer operators, 9 load shapes and 3 back edges, each reg·reg
-        // (reg·reg-limit) and reg·const: the whole table is reachable.
-        assert_eq!(variants.len(), (22 + 9 + 3) * 2);
+        // (reg·reg-limit) and reg·const; then the pairs, each in every form
+        // of its halves (4 + 2 + 4): the whole table is reachable.
+        assert_eq!(variants.len(), (22 + 9 + 3) * 2 + 10);
     }
 
     #[test]
@@ -2066,8 +2270,9 @@ mod tests {
         ] {
             assert_eq!(specialised(&op), None);
         }
-        // Only the counted loop's back edge of the fused pairs.
-        let back_edge = |op, rel| ROp::BinRelBr {
+        // Of the fused compare-and-branches, the counted loop's back edge
+        // and the one measured pair.
+        let fused = |op, rel| ROp::BinRelBr {
             op,
             a: R(0),
             b: C(0),
@@ -2078,9 +2283,45 @@ mod tests {
             target: 0,
             poll: false,
         };
-        assert!(specialised(&back_edge(BinOp::I32Add, RelOp::I32LtS)).is_some());
-        assert_eq!(specialised(&back_edge(BinOp::I32And, RelOp::I32Eq)), None);
-        assert_eq!(specialised(&back_edge(BinOp::I32Add, RelOp::I32GeU)), None);
+        assert!(specialised(&fused(BinOp::I32Add, RelOp::I32LtS)).is_some());
+        assert!(specialised(&fused(BinOp::I32And, RelOp::I32Eq)).is_some());
+        assert_eq!(specialised(&fused(BinOp::I32And, RelOp::I32Ne)), None);
+        assert_eq!(specialised(&fused(BinOp::I32Add, RelOp::I32GeU)), None);
+        // Of the other fused pairs, the measured two; a pair one operator
+        // away from one stays generic.
+        let bin2 = |op2| ROp::Bin2 {
+            op1: BinOp::I64Mul,
+            a: R(0),
+            b: C(0),
+            dst1: dst,
+            op2,
+            a2: R(1),
+            b2: C(1),
+            dst2: 2,
+        };
+        assert_eq!(
+            specialised(&bin2(BinOp::I32Add)),
+            Some(ROp::I64MulI32AddRCRC {
+                a: 0,
+                b: 0,
+                dst1: dst,
+                a2: 1,
+                b2: 1,
+                dst2: 2
+            })
+        );
+        assert_eq!(specialised(&bin2(BinOp::I32Sub)), None);
+        let cvt_bin = |cvt| ROp::CvtBin {
+            cvt,
+            a: R(0),
+            dst1: dst,
+            op: BinOp::I64Add,
+            a2: R(1),
+            b2: R(0),
+            dst2: 2,
+        };
+        assert!(specialised(&cvt_bin(CvtOp::I64ExtendI32U)).is_some());
+        assert_eq!(specialised(&cvt_bin(CvtOp::I64ExtendI32S)), None);
     }
 
     /// For every specialised variant of the family `family` picks: the
@@ -2140,7 +2381,139 @@ mod tests {
 
     #[test]
     fn out_of_range_back_edge_variants_are_rejected() {
-        assert_out_of_range_is_rejected(|f| matches!(f, Form::Generic(ROp::BinRelBr { .. })));
+        assert_out_of_range_is_rejected(|f| {
+            matches!(
+                f,
+                Form::Generic(ROp::BinRelBr {
+                    op: BinOp::I32Add,
+                    ..
+                })
+            )
+        });
+    }
+
+    #[test]
+    fn out_of_range_pair_variants_are_rejected() {
+        assert_out_of_range_is_rejected(|f| match f {
+            Form::Generic(ROp::Bin2 { .. } | ROp::CvtBin { .. }) => true,
+            Form::Generic(ROp::BinRelBr { op, .. }) => *op != BinOp::I32Add,
+            _ => false,
+        });
+    }
+
+    /// Runs `op` on the register loop as the body of a function of
+    /// [`NREGS`] parameters that returns its whole register file:
+    /// `op; return` — or, if `op` branches, to op 2: `r0 = pool[8];
+    /// return`. The pool holds `pool`.
+    fn run_alone(op: ROp, pool: &[u64], args: &[u64]) -> Vec<u64> {
+        use crate::build::ModuleBuilder;
+        use crate::interp::{Instance, RunResult, Thread, Value};
+        use crate::prep::{FuncDef, Prepared, Program};
+        use crate::safepoint::SafepointScheme;
+        use crate::types::ValType;
+        use std::sync::Arc;
+
+        let regs = [ValType::I64; NREGS as usize];
+        let mut mb = ModuleBuilder::new();
+        let sig = mb.sig(regs, regs);
+        let f = mb.func(sig, |b| {
+            for r in 0..NREGS {
+                b.local_get(r as u32);
+            }
+        });
+        mb.export("main", f);
+        let module = mb.build();
+        let mut image = Prepared::build(&module, SafepointScheme::None, true).expect("valid");
+        let all = ROp::Return { src: 0, n: NREGS };
+        let marker = ROp::Mov {
+            dst: 0,
+            src: RSrc::Const(8),
+        };
+        let body = Arc::get_mut(&mut image.bodies[0]).expect("a fresh image");
+        body.reg = Some(
+            validated(RegFunc {
+                nregs: NREGS as u32,
+                ops: vec![op, all.clone(), marker, all].into_boxed_slice(),
+                consts: pool.into(),
+            })
+            .expect("in bounds"),
+        );
+        let image = Arc::new(image);
+        let funcs = image.bodies.iter().cloned().map(FuncDef::Local).collect();
+        let mut inst = Instance::new(Arc::new(Program { image, funcs })).expect("instance");
+        let main = inst.export_func("main").expect("main");
+        let args: Vec<Value> = args.iter().map(|v| Value::I64(*v as i64)).collect();
+        match Thread::new().call(&mut inst, &mut (), main, &args) {
+            RunResult::Done(values) => values.iter().map(Value::raw).collect(),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_named_variant_computes_what_its_generic_form_computes_under_any_aliasing() {
+        // Every variant `specialise` makes runs beside the generic form it
+        // came from, as built and with one slot made to alias another —
+        // the first half's result read by the second half, a result
+        // written over an operand — which the named arms must do in the
+        // generic arm's order: `dst1` before the second half reads. Some
+        // of these aliasings no valid module produces (`i64.mul`'s result
+        // read by `i32.add`), so the equivalence corpus cannot reach them.
+        let pool: Vec<u64> = (0..NPOOL as u64)
+            .map(|i| 0x9e37_79b9_7f4a_7c15u64.rotate_left(i as u32 * 7) | 4)
+            .collect();
+        let argsets: [[u64; NREGS as usize]; 3] = [
+            [0, 1, 2, 3, 4, 5, 6, 7],
+            [u64::MAX, 7, 0x8000_0000, 4, 0xffff_ffff, 1 << 63, 3, 12],
+            [4, 0xffff_ffff_0000_0004, 7, u64::MAX, 9, 31, 0x7fff_ffff, 5],
+        ];
+        let mut runs = 0;
+        for form in forms() {
+            let Form::Generic(generic) = form else {
+                continue;
+            };
+            let mut variants = vec![generic.clone()];
+            let (ndst, nsrc) = {
+                let mut probe = Form::Generic(generic.clone());
+                let (dsts, srcs, _) = probe.slots();
+                (dsts.len(), srcs.len())
+            };
+            for d in 0..ndst {
+                for s in 0..nsrc {
+                    // An operand reads a result register ...
+                    let mut v = Form::Generic(generic.clone());
+                    let (mut dsts, mut srcs, _) = v.slots();
+                    let reg = *dsts.swap_remove(d);
+                    let src = srcs.swap_remove(s);
+                    if matches!(src, RSrc::Reg(_)) {
+                        *src = RSrc::Reg(reg);
+                        let Form::Generic(op) = v else { unreachable!() };
+                        variants.push(op);
+                    }
+                    // ... or a result lands on an operand's register.
+                    let mut v = Form::Generic(generic.clone());
+                    let (mut dsts, mut srcs, _) = v.slots();
+                    if let RSrc::Reg(r) = *srcs.swap_remove(s) {
+                        *dsts.swap_remove(d) = r;
+                        let Form::Generic(op) = v else { unreachable!() };
+                        variants.push(op);
+                    }
+                }
+            }
+            for mut generic in variants {
+                if let ROp::BinRelBr { target, .. } = &mut generic {
+                    *target = 2;
+                }
+                let Some(named) = specialised(&generic) else {
+                    continue;
+                };
+                for args in &argsets {
+                    let want = run_alone(generic.clone(), &pool, args);
+                    assert_eq!(run_alone(named.clone(), &pool, args), want, "{named:?}");
+                    runs += 1;
+                }
+            }
+        }
+        assert!(runs > 1000, "{runs}");
     }
 
     #[test]

@@ -19,6 +19,7 @@ use wasm::build::ModuleBuilder;
 use wasm::host::Linker;
 use wasm::instr::{BinOp, BlockType, CvtOp, Instr, LoadKind, MemArg, RelOp, StoreKind, UnOp};
 use wasm::interp::{Instance, RunResult, Thread, Value};
+use wasm::module::ConstExpr;
 use wasm::prep::Program;
 use wasm::safepoint::SafepointScheme;
 use wasm::types::ValType;
@@ -1010,4 +1011,360 @@ fn every_load_and_store_agrees_at_the_edges_of_memory_and_of_a_page() {
 #[test]
 fn counted_loop_back_edges_agree() {
     assert_tiers_agree(back_edge_cases());
+}
+
+// ---- the named fused pairs ---------------------------------------------
+//
+// The table's pair rows name both operators of a fused `Bin2`, `CvtBin` or
+// off-back-edge `BinRelBr`. Each row runs below in every operand form, on
+// edge values, and in each aliasing valid code gives it: the first half's
+// result read by the second half, the second half's result written over
+// an operand of the first. (`Bin2[I64Mul ; I32Add]` never has its product
+// read by its sum — no valid module puts an `i64` where `i32.add` reads;
+// `regir`'s `a_named_variant_computes_what_its_generic_form_computes_under_
+// any_aliasing` runs that aliasing on hand-built code.)
+
+/// The variants of the table's pair rows; every one must be reached.
+const NAMED_PAIRS: [&str; 10] = [
+    "I64MulI32AddRRRR",
+    "I64MulI32AddRRRC",
+    "I64MulI32AddRCRR",
+    "I64MulI32AddRCRC",
+    "ExtendUI64AddRRR",
+    "ExtendUI64AddRRC",
+    "I32AndEqBrRRR",
+    "I32AndEqBrRRC",
+    "I32AndEqBrRCR",
+    "I32AndEqBrRCC",
+];
+
+type Builder = wasm::build::FuncBuilder;
+
+/// A body that emits operand `i` with `push(b, i)`.
+type Body = Box<dyn Fn(&mut Builder, &dyn Fn(&mut Builder, usize))>;
+
+/// One way to run a pair row.
+struct Shape {
+    name: String,
+    operands: Vec<ValType>,
+    results: Vec<ValType>,
+    /// `(result, operands)`: in the named pair, the register field
+    /// `result` is one of the register fields `operands`.
+    alias: Option<(&'static str, &'static [&'static str])>,
+    body: Body,
+}
+
+fn shape(
+    name: &str,
+    operands: &[ValType],
+    results: &[ValType],
+    alias: Option<(&'static str, &'static [&'static str])>,
+    body: impl Fn(&mut Builder, &dyn Fn(&mut Builder, usize)) + 'static,
+) -> Shape {
+    Shape {
+        name: name.into(),
+        operands: operands.to_vec(),
+        results: results.to_vec(),
+        alias,
+        body: Box::new(body),
+    }
+}
+
+/// The module's globals: an `i64` and an `i32`. Routing an operand
+/// through one (`global.set; global.get`) puts it in the register of its
+/// stack slot, which the pair may then write over.
+const G64: u32 = 0;
+const G32: u32 = 1;
+
+fn pair_shapes() -> Vec<Shape> {
+    use ValType::{I32, I64};
+    let mut out = vec![
+        // `Bin2[I64Mul ; I32Add]`: `x = a * b; y = a2 + b2`.
+        shape(
+            "bin2",
+            &[I64, I64, I32, I32],
+            &[I64, I32],
+            None,
+            |b, push| {
+                let (x, y) = (b.local(I64), b.local(I32));
+                push(b, 0);
+                push(b, 1);
+                b.emit(Instr::Bin(BinOp::I64Mul)).local_set(x);
+                push(b, 2);
+                push(b, 3);
+                b.emit(Instr::Bin(BinOp::I32Add)).local_set(y);
+                b.local_get(x).local_get(y);
+            },
+        ),
+        // `a` in slot 0's register, where the sum lands.
+        shape(
+            "bin2/dst2=a",
+            &[I64, I64, I32, I32],
+            &[I32, I64],
+            Some(("dst2", &["a", "b"])),
+            |b, push| {
+                let x = b.local(I64);
+                push(b, 0);
+                b.global_set(G64).global_get(G64);
+                push(b, 1);
+                b.emit(Instr::Bin(BinOp::I64Mul)).local_set(x);
+                push(b, 2);
+                push(b, 3);
+                b.emit(Instr::Bin(BinOp::I32Add)).local_get(x);
+            },
+        ),
+        // `b` in slot 1's register; the sum goes there over a constant in
+        // slot 0.
+        shape(
+            "bin2/dst2=b",
+            &[I64, I64, I32, I32],
+            &[I32, I32, I64],
+            Some(("dst2", &["a", "b"])),
+            |b, push| {
+                let x = b.local(I64);
+                push(b, 0);
+                push(b, 1);
+                b.global_set(G64).global_get(G64);
+                b.emit(Instr::Bin(BinOp::I64Mul)).local_set(x).i32(-7);
+                push(b, 2);
+                push(b, 3);
+                b.emit(Instr::Bin(BinOp::I32Add)).local_get(x);
+            },
+        ),
+        // `CvtBin[I64ExtendI32U ; I64Add]`: `x = extend_u a; y = a2 + b2`.
+        shape("cvt_bin", &[I32, I64, I64], &[I64, I64], None, |b, push| {
+            let (x, y) = (b.local(I64), b.local(I64));
+            push(b, 0);
+            b.emit(Instr::Cvt(CvtOp::I64ExtendI32U)).local_set(x);
+            push(b, 1);
+            push(b, 2);
+            b.emit(Instr::Bin(BinOp::I64Add)).local_set(y);
+            b.local_get(x).local_get(y);
+        }),
+        // `extend_u a + b`: the sum reads the conversion's register.
+        shape(
+            "cvt_bin/dst1=a2",
+            &[I32, I64],
+            &[I64],
+            Some(("dst1", &["a2", "b2"])),
+            |b, push| {
+                push(b, 0);
+                b.emit(Instr::Cvt(CvtOp::I64ExtendI32U));
+                push(b, 1);
+                b.emit(Instr::Bin(BinOp::I64Add));
+            },
+        ),
+        // `b + extend_u a`, the lua loop's order.
+        shape(
+            "cvt_bin/dst1=b2",
+            &[I64, I32],
+            &[I64],
+            Some(("dst1", &["a2", "b2"])),
+            |b, push| {
+                push(b, 0);
+                push(b, 1);
+                b.emit(Instr::Cvt(CvtOp::I64ExtendI32U));
+                b.emit(Instr::Bin(BinOp::I64Add));
+            },
+        ),
+        // `a` in slot 0's register, where the sum lands.
+        shape(
+            "cvt_bin/dst2=a",
+            &[I32, I64, I64],
+            &[I64, I64],
+            Some(("dst2", &["a"])),
+            |b, push| {
+                let x = b.local(I64);
+                push(b, 0);
+                b.global_set(G32).global_get(G32);
+                b.emit(Instr::Cvt(CvtOp::I64ExtendI32U)).local_set(x);
+                push(b, 1);
+                push(b, 2);
+                b.emit(Instr::Bin(BinOp::I64Add)).local_get(x);
+            },
+        ),
+    ];
+    // `BinRelBr[I32And ; I32Eq]`: `x = a & b; x == c`, branching when true
+    // (`br_if` out of a block) and when false (`if`); `x` and where the
+    // branch went are the results. For `dst = a`, `a` goes through `x`
+    // first; for `dst = c`, `x` is compared with itself.
+    for via_if in [false, true] {
+        for (alias, operands) in [
+            (None, &[I32, I32, I32][..]),
+            (Some(("dst", &["c"][..])), &[I32, I32]),
+            (Some(("dst", &["a", "b"][..])), &[I32, I32, I32]),
+        ] {
+            let name = match alias {
+                None => "and_eq_br".to_string(),
+                Some((_, [c])) => format!("and_eq_br/dst={c}"),
+                Some(_) => "and_eq_br/dst=a".to_string(),
+            };
+            let body = move |b: &mut Builder, push: &dyn Fn(&mut Builder, usize)| {
+                let x = b.local(I32);
+                let pair = |b: &mut Builder| {
+                    push(b, 0);
+                    if alias == Some(("dst", &["a", "b"])) {
+                        b.local_set(x).local_get(x);
+                    }
+                    push(b, 1);
+                    b.emit(Instr::Bin(BinOp::I32And)).local_tee(x);
+                    match alias {
+                        Some((_, ["c"])) => {
+                            b.local_get(x);
+                        }
+                        _ => push(b, 2),
+                    }
+                    b.emit(Instr::Rel(RelOp::I32Eq));
+                };
+                if via_if {
+                    pair(b);
+                    b.if_(BlockType::Empty, |b| {
+                        b.local_get(x).i32(30).ret();
+                    });
+                    b.local_get(x).i32(40);
+                } else {
+                    b.block(BlockType::Empty, |b| {
+                        pair(b);
+                        b.br_if(0).local_get(x).i32(10).ret();
+                    });
+                    b.local_get(x).i32(20);
+                }
+            };
+            let name = format!("{name}/via_if={via_if}");
+            out.push(shape(&name, operands, &[I32, I32], alias, body));
+        }
+    }
+    out
+}
+
+/// Argument lists for `params` that walk their edge lists together —
+/// equal indices, the next one ahead, the last one ahead — so every edge
+/// value reaches every parameter without the cartesian product.
+fn diagonal_calls(params: &[ValType]) -> Vec<Vec<Value>> {
+    let Some(longest) = params.iter().map(|t| edges(*t).len()).max() else {
+        return vec![vec![]];
+    };
+    let mut calls = Vec::new();
+    for round in 0..longest {
+        for stride in [0, 1, longest - 1] {
+            calls.push(
+                params
+                    .iter()
+                    .enumerate()
+                    .map(|(i, ty)| {
+                        let e = edges(*ty);
+                        Value::from_raw(*ty, e[(round + i * stride) % e.len()])
+                    })
+                    .collect(),
+            );
+        }
+    }
+    calls
+}
+
+/// Every pair shape in every operand form.
+fn pair_cases(shapes: &[Shape]) -> Vec<(Case, &Shape)> {
+    let mut out = Vec::new();
+    for shape in shapes {
+        for (n, (operands, params)) in operand_forms(&shape.operands).into_iter().enumerate() {
+            let mut mb = ModuleBuilder::new();
+            mb.global(ValType::I64, true, ConstExpr::I64(0));
+            mb.global(ValType::I32, true, ConstExpr::I32(0));
+            let sig = mb.sig(params.clone(), shape.results.clone());
+            let f = mb.func(sig, |b| {
+                let push = |b: &mut Builder, i: usize| {
+                    match operands[i] {
+                        (_, From::Param(p)) => b.local_get(p),
+                        (ty, From::Const(raw)) => b.emit(konst(ty, raw)),
+                    };
+                };
+                (shape.body)(b, &push);
+            });
+            mb.export("main", f);
+            let case = Case {
+                name: format!("{}/{n}", shape.name),
+                module: mb.build(),
+                calls: diagonal_calls(&params),
+            };
+            out.push((case, shape));
+        }
+    }
+    out
+}
+
+/// The register fields of a named pair, read off its `Debug` form: each
+/// `dst*` field, and each operand whose kind (the name's `R`/`C` suffix,
+/// in operand order) is a register.
+fn register_fields(op: &str) -> Vec<(String, String)> {
+    let (name, fields) = op.split_once(" { ").expect("a struct variant");
+    let kinds = name.len() - name.trim_end_matches(['R', 'C']).len();
+    let mut kinds = name[name.len() - kinds..].chars();
+    fields
+        .trim_end_matches(" }")
+        .split(", ")
+        .filter_map(|f| f.split_once(": "))
+        .filter(|(field, _)| match *field {
+            "a" | "b" | "c" | "a2" | "b2" => kinds.next() == Some('R'),
+            field => field.starts_with("dst"),
+        })
+        .map(|(field, v)| (field.to_string(), v.to_string()))
+        .collect()
+}
+
+#[test]
+fn every_named_pair_lowers_from_its_row_in_each_aliasing() {
+    let shapes = pair_shapes();
+    let mut reached = std::collections::BTreeSet::new();
+    let mut aliased = std::collections::BTreeSet::new();
+    for (case, shape) in pair_cases(&shapes) {
+        for scheme in [SafepointScheme::None, SafepointScheme::LoopHeaders] {
+            let linker: Linker<()> = Linker::new();
+            let program = Program::link_tiered(&case.module, &linker, scheme, true).expect("link");
+            let main = program.image.bodies[0].lowered().expect("lowered");
+            for op in main.ops().iter().map(|op| format!("{op:?}")) {
+                let name = op.split(' ').next().unwrap();
+                assert!(
+                    !["Bin2", "CvtBin", "BinRelBr"].contains(&name),
+                    "{}: a row left generic: {op}",
+                    case.name
+                );
+                if !NAMED_PAIRS.contains(&name) {
+                    continue;
+                }
+                reached.insert(name.to_string());
+                let Some((result, operands)) = shape.alias else {
+                    continue;
+                };
+                let regs = register_fields(&op);
+                let value = |field: &str| regs.iter().find(|(f, _)| f == field).map(|(_, v)| v);
+                let aliases = operands
+                    .iter()
+                    .any(|o| value(o).is_some() && value(o) == value(result));
+                assert!(
+                    aliases,
+                    "{}: {op} has no {result} = {operands:?}",
+                    case.name
+                );
+                aliased.insert(shape.name.clone());
+            }
+        }
+    }
+    assert_eq!(reached.iter().collect::<Vec<_>>(), {
+        let mut all = NAMED_PAIRS.to_vec();
+        all.sort_unstable();
+        all
+    });
+    let mut with_alias = shapes.iter().filter(|s| s.alias.is_some());
+    assert!(with_alias.all(|s| aliased.contains(&s.name)), "{aliased:?}");
+}
+
+#[test]
+fn every_named_pair_agrees_on_edge_operands_in_every_operand_form_and_aliasing() {
+    let shapes = pair_shapes();
+    assert_tiers_agree(
+        pair_cases(&shapes)
+            .into_iter()
+            .map(|(case, _)| case)
+            .collect(),
+    );
 }
