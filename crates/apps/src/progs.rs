@@ -2,8 +2,9 @@
 
 use std::collections::BTreeSet;
 
+use wali::guest::{sys, Sysno};
 use wasi_layer::Feature;
-use wasm::build::{FuncId, ModuleBuilder};
+use wasm::build::ModuleBuilder;
 use wasm::instr::BlockType;
 use wasm::types::ValType::{I32, I64};
 use wasm::Module;
@@ -22,12 +23,6 @@ pub struct App {
     pub emulatable: bool,
 }
 
-/// Imports `SYS_<name>` with `n` i64 params returning i64.
-pub fn sys(mb: &mut ModuleBuilder, name: &str, n: usize) -> FuncId {
-    let sig = mb.sig(vec![I64; n], [I64]);
-    mb.import_func("wali", &format!("SYS_{name}"), sig)
-}
-
 fn feats(list: &[Feature]) -> BTreeSet<Feature> {
     list.iter().copied().collect()
 }
@@ -40,12 +35,12 @@ fn feats(list: &[Feature]) -> BTreeSet<Feature> {
 /// `scale` controls the executed instruction count.
 pub fn lua_sim(scale: u32) -> App {
     let mut mb = ModuleBuilder::new();
-    let open = sys(&mut mb, "open", 3);
-    let read = sys(&mut mb, "read", 3);
-    let close = sys(&mut mb, "close", 1);
-    let write = sys(&mut mb, "write", 3);
-    let brk = sys(&mut mb, "brk", 1);
-    let clock = sys(&mut mb, "clock_gettime", 2);
+    let open = sys(&mut mb, Sysno::open);
+    let read = sys(&mut mb, Sysno::read);
+    let close = sys(&mut mb, Sysno::close);
+    let write = sys(&mut mb, Sysno::write);
+    let brk = sys(&mut mb, Sysno::brk);
+    let clock = sys(&mut mb, Sysno::clock_gettime);
     mb.memory(4, Some(256));
     let script_path = mb.c_str("/tmp/script.lua");
     let script_buf = mb.reserve(4096);
@@ -142,16 +137,16 @@ pub fn lua_sim(scale: u32) -> App {
 /// `bash`-like shell workload: pipelines, job control, SIGCHLD.
 pub fn bash_sim(jobs: u32) -> App {
     let mut mb = ModuleBuilder::new();
-    let fork = sys(&mut mb, "fork", 0);
-    let pipe = sys(&mut mb, "pipe", 1);
-    let dup3 = sys(&mut mb, "dup3", 3);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let close = sys(&mut mb, "close", 1);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let sigaction = sys(&mut mb, "rt_sigaction", 4);
-    let getpid = sys(&mut mb, "getpid", 0);
-    let exit = sys(&mut mb, "exit_group", 1);
+    let fork = sys(&mut mb, Sysno::fork);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let dup3 = sys(&mut mb, Sysno::dup3);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let close = sys(&mut mb, Sysno::close);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let sigaction = sys(&mut mb, Sysno::rt_sigaction);
+    let getpid = sys(&mut mb, Sysno::getpid);
+    let exit = sys(&mut mb, Sysno::exit_group);
     mb.memory(4, Some(64));
 
     // SIGCHLD handler bumps a counter at mem[512].
@@ -258,10 +253,10 @@ pub fn bash_sim(jobs: u32) -> App {
 /// models single-address-space execution.
 pub fn bash_builtin_sim(iterations: u32) -> App {
     let mut mb = ModuleBuilder::new();
-    let write = sys(&mut mb, "write", 3);
-    let open = sys(&mut mb, "open", 3);
-    let close = sys(&mut mb, "close", 1);
-    let getpid = sys(&mut mb, "getpid", 0);
+    let write = sys(&mut mb, Sysno::write);
+    let open = sys(&mut mb, Sysno::open);
+    let close = sys(&mut mb, Sysno::close);
+    let getpid = sys(&mut mb, Sysno::getpid);
     mb.memory(4, Some(64));
     let prompt = mb.c_str("$ ");
     let path = mb.c_str("/tmp/.bash_history");
@@ -316,16 +311,16 @@ pub fn bash_builtin_sim(iterations: u32) -> App {
 /// `sqlite`-like page store: mmap'd database pages, B-tree-ish inserts.
 pub fn sqlite_sim(rows: u32) -> App {
     let mut mb = ModuleBuilder::new();
-    let open = sys(&mut mb, "open", 3);
-    let ftruncate = sys(&mut mb, "ftruncate", 2);
-    let mmap = sys(&mut mb, "mmap", 6);
-    let mremap = sys(&mut mb, "mremap", 5);
-    let msync = sys(&mut mb, "msync", 3);
-    let munmap = sys(&mut mb, "munmap", 2);
-    let pwrite = sys(&mut mb, "pwrite64", 4);
-    let pread = sys(&mut mb, "pread64", 4);
-    let fsync = sys(&mut mb, "fsync", 1);
-    let close = sys(&mut mb, "close", 1);
+    let open = sys(&mut mb, Sysno::open);
+    let ftruncate = sys(&mut mb, Sysno::ftruncate);
+    let mmap = sys(&mut mb, Sysno::mmap);
+    let mremap = sys(&mut mb, Sysno::mremap);
+    let msync = sys(&mut mb, Sysno::msync);
+    let munmap = sys(&mut mb, Sysno::munmap);
+    let pwrite = sys(&mut mb, Sysno::pwrite64);
+    let pread = sys(&mut mb, Sysno::pread64);
+    let fsync = sys(&mut mb, Sysno::fsync);
+    let close = sys(&mut mb, Sysno::close);
     mb.memory(8, Some(256));
     let db_path = mb.c_str("/tmp/test.db");
     let journal = mb.c_str("/tmp/test.db-journal");
@@ -440,17 +435,17 @@ pub fn sqlite_sim(rows: u32) -> App {
 /// `memcached`-like threaded KV server with loopback clients.
 pub fn memcached_sim(requests: u32) -> App {
     let mut mb = ModuleBuilder::new();
-    let socket = sys(&mut mb, "socket", 3);
-    let bind = sys(&mut mb, "bind", 3);
-    let listen = sys(&mut mb, "listen", 2);
-    let accept = sys(&mut mb, "accept", 3);
-    let connect = sys(&mut mb, "connect", 3);
-    let setsockopt = sys(&mut mb, "setsockopt", 5);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let close = sys(&mut mb, "close", 1);
-    let clone = sys(&mut mb, "clone", 5);
-    let exit = sys(&mut mb, "exit", 1);
+    let socket = sys(&mut mb, Sysno::socket);
+    let bind = sys(&mut mb, Sysno::bind);
+    let listen = sys(&mut mb, Sysno::listen);
+    let accept = sys(&mut mb, Sysno::accept);
+    let connect = sys(&mut mb, Sysno::connect);
+    let setsockopt = sys(&mut mb, Sysno::setsockopt);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let close = sys(&mut mb, Sysno::close);
+    let clone = sys(&mut mb, Sysno::clone);
+    let exit = sys(&mut mb, Sysno::exit);
     mb.memory(8, Some(256));
 
     // sockaddr_in 127.0.0.1:11211.
@@ -580,20 +575,20 @@ pub fn memcached_sim(requests: u32) -> App {
 /// `read` and are woken by the reply.
 pub fn epoll_server_sim(clients: u32, requests: u32) -> App {
     let mut mb = ModuleBuilder::new();
-    let socket = sys(&mut mb, "socket", 3);
-    let bind = sys(&mut mb, "bind", 3);
-    let listen = sys(&mut mb, "listen", 2);
-    let accept = sys(&mut mb, "accept", 3);
-    let connect = sys(&mut mb, "connect", 3);
-    let setsockopt = sys(&mut mb, "setsockopt", 5);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let close = sys(&mut mb, "close", 1);
-    let clone = sys(&mut mb, "clone", 5);
-    let exit = sys(&mut mb, "exit", 1);
-    let ep_create = sys(&mut mb, "epoll_create1", 1);
-    let ep_ctl = sys(&mut mb, "epoll_ctl", 4);
-    let ep_wait = sys(&mut mb, "epoll_wait", 4);
+    let socket = sys(&mut mb, Sysno::socket);
+    let bind = sys(&mut mb, Sysno::bind);
+    let listen = sys(&mut mb, Sysno::listen);
+    let accept = sys(&mut mb, Sysno::accept);
+    let connect = sys(&mut mb, Sysno::connect);
+    let setsockopt = sys(&mut mb, Sysno::setsockopt);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let close = sys(&mut mb, Sysno::close);
+    let clone = sys(&mut mb, Sysno::clone);
+    let exit = sys(&mut mb, Sysno::exit);
+    let ep_create = sys(&mut mb, Sysno::epoll_create1);
+    let ep_ctl = sys(&mut mb, Sysno::epoll_ctl);
+    let ep_wait = sys(&mut mb, Sysno::epoll_wait);
     mb.memory(8, Some(256));
 
     // sockaddr_in 127.0.0.1:11311.
@@ -827,21 +822,21 @@ pub fn epoll_server_sim(clients: u32, requests: u32) -> App {
 /// fork + COW + waitqueues + epoll end-to-end.
 pub fn prefork_server_sim(workers: u32, requests: u32) -> App {
     let mut mb = ModuleBuilder::new();
-    let socket = sys(&mut mb, "socket", 3);
-    let bind = sys(&mut mb, "bind", 3);
-    let listen = sys(&mut mb, "listen", 2);
-    let accept = sys(&mut mb, "accept", 3);
-    let connect = sys(&mut mb, "connect", 3);
-    let setsockopt = sys(&mut mb, "setsockopt", 5);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let close = sys(&mut mb, "close", 1);
-    let fork = sys(&mut mb, "fork", 0);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let exit = sys(&mut mb, "exit_group", 1);
-    let ep_create = sys(&mut mb, "epoll_create1", 1);
-    let ep_ctl = sys(&mut mb, "epoll_ctl", 4);
-    let ep_wait = sys(&mut mb, "epoll_wait", 4);
+    let socket = sys(&mut mb, Sysno::socket);
+    let bind = sys(&mut mb, Sysno::bind);
+    let listen = sys(&mut mb, Sysno::listen);
+    let accept = sys(&mut mb, Sysno::accept);
+    let connect = sys(&mut mb, Sysno::connect);
+    let setsockopt = sys(&mut mb, Sysno::setsockopt);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let close = sys(&mut mb, Sysno::close);
+    let fork = sys(&mut mb, Sysno::fork);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit_group);
+    let ep_create = sys(&mut mb, Sysno::epoll_create1);
+    let ep_ctl = sys(&mut mb, Sysno::epoll_ctl);
+    let ep_wait = sys(&mut mb, Sysno::epoll_wait);
     mb.memory(8, Some(256));
 
     // sockaddr_in 127.0.0.1:11411.
@@ -1026,14 +1021,14 @@ pub fn prefork_server_sim(workers: u32, requests: u32) -> App {
 /// `paho-mqtt`-style pub/sub client against an in-process echo broker.
 pub fn paho_mqtt_sim(messages: u32) -> App {
     let mut mb = ModuleBuilder::new();
-    let socket = sys(&mut mb, "socket", 3);
-    let bind = sys(&mut mb, "bind", 3);
-    let sendto = sys(&mut mb, "sendto", 6);
-    let recvfrom = sys(&mut mb, "recvfrom", 6);
-    let nanosleep = sys(&mut mb, "nanosleep", 2);
-    let clone = sys(&mut mb, "clone", 5);
-    let exit = sys(&mut mb, "exit", 1);
-    let setsockopt = sys(&mut mb, "setsockopt", 5);
+    let socket = sys(&mut mb, Sysno::socket);
+    let bind = sys(&mut mb, Sysno::bind);
+    let sendto = sys(&mut mb, Sysno::sendto);
+    let recvfrom = sys(&mut mb, Sysno::recvfrom);
+    let nanosleep = sys(&mut mb, Sysno::nanosleep);
+    let clone = sys(&mut mb, Sysno::clone);
+    let exit = sys(&mut mb, Sysno::exit);
+    let setsockopt = sys(&mut mb, Sysno::setsockopt);
     mb.memory(8, Some(128));
 
     let broker_addr = mb.reserve(16);
@@ -1207,7 +1202,7 @@ mod tests {
         let out = run(lua_sim(4));
         assert_eq!(out.exit_code(), Some(0));
         assert!(
-            out.trace.counts.contains_key("brk"),
+            out.trace.counts.contains_key(Sysno::brk),
             "{:?}",
             out.trace.counts
         );
@@ -1218,17 +1213,18 @@ mod tests {
     fn bash_sim_reaps_all_jobs_with_sigchld() {
         let out = run(bash_sim(3));
         assert_eq!(out.exit_code(), Some(0), "all SIGCHLDs observed");
-        assert_eq!(out.trace.counts.of("fork"), 3);
-        assert_eq!(out.trace.counts.of("wait4"), 3);
-        assert!(out.trace.counts.of("pipe") == 3);
+        assert_eq!(out.trace.counts.of(Sysno::fork), 3);
+        assert_eq!(out.trace.counts.of(Sysno::wait4), 3);
+        assert!(out.trace.counts.of(Sysno::pipe) == 3);
     }
 
     #[test]
     fn sqlite_sim_uses_the_mapping_path() {
         let out = run(sqlite_sim(64));
         assert_eq!(out.exit_code(), Some(0));
-        for call in ["mmap", "mremap", "msync", "munmap", "fsync", "pread64"] {
-            assert!(out.trace.counts.contains_key(call), "missing {call}");
+        use Sysno::{fsync, mmap, mremap, msync, munmap, pread64};
+        for call in [mmap, mremap, msync, munmap, fsync, pread64] {
+            assert!(out.trace.counts.contains_key(call), "missing {call:?}");
         }
         // The database file has real content.
         let k = run(sqlite_sim(64));
@@ -1239,9 +1235,9 @@ mod tests {
     fn memcached_sim_serves_every_request() {
         let out = run(memcached_sim(5));
         assert_eq!(out.exit_code(), Some(0));
-        assert_eq!(out.trace.counts.of("clone"), 1);
-        assert!(out.trace.counts.of("accept") >= 5);
-        assert!(out.trace.counts.of("connect") >= 5);
+        assert_eq!(out.trace.counts.of(Sysno::clone), 1);
+        assert!(out.trace.counts.of(Sysno::accept) >= 5);
+        assert!(out.trace.counts.of(Sysno::connect) >= 5);
     }
 
     #[test]
@@ -1253,15 +1249,15 @@ mod tests {
             "all 12 requests served: {:?}",
             out.main_exit
         );
-        assert_eq!(out.trace.counts.of("epoll_create1"), 1);
+        assert_eq!(out.trace.counts.of(Sysno::epoll_create1), 1);
         // Listener + 4 connections added, 4 removed on hangup.
         assert!(
-            out.trace.counts.of("epoll_ctl") >= 5,
+            out.trace.counts.of(Sysno::epoll_ctl) >= 5,
             "{:?}",
             out.trace.counts
         );
-        assert!(out.trace.counts.of("epoll_wait") >= 4);
-        assert!(out.trace.counts.of("accept") >= 4);
+        assert!(out.trace.counts.of(Sysno::epoll_wait) >= 4);
+        assert!(out.trace.counts.of(Sysno::accept) >= 4);
     }
 
     #[test]
@@ -1282,21 +1278,25 @@ mod tests {
             "all 12 replies received: {:?}",
             out.main_exit
         );
-        assert_eq!(out.trace.counts.of("fork"), 3);
+        assert_eq!(out.trace.counts.of(Sysno::fork), 3);
         // Blocked calls count one dispatch per retry, so these are floors.
-        assert!(out.trace.counts.of("wait4") >= 3, "{:?}", out.trace.counts);
+        assert!(
+            out.trace.counts.of(Sysno::wait4) >= 3,
+            "{:?}",
+            out.trace.counts
+        );
         assert_eq!(
-            out.trace.counts.of("epoll_create1"),
+            out.trace.counts.of(Sysno::epoll_create1),
             3,
             "one instance per worker"
         );
         // 12 serving accepts + 3 QUIT accepts.
         assert!(
-            out.trace.counts.of("accept") >= 15,
+            out.trace.counts.of(Sysno::accept) >= 15,
             "{:?}",
             out.trace.counts
         );
-        assert!(out.trace.counts.of("connect") >= 15);
+        assert!(out.trace.counts.of(Sysno::connect) >= 15);
         // Workers exited, so parent + 3 children report endings.
         assert_eq!(out.ends.len(), 4);
     }
@@ -1316,17 +1316,21 @@ mod tests {
         runner.spawn("/usr/bin/app", &[], &[]).unwrap();
         let out = runner.run().expect("run");
         assert_eq!(out.exit_code(), Some(0), "{:?}", out.main_exit);
-        assert_eq!(out.trace.counts.of("fork"), 3);
+        assert_eq!(out.trace.counts.of(Sysno::fork), 3);
         assert_eq!(out.ends.len(), 4, "parent + 3 workers: {:?}", out.ends);
-        assert!(out.trace.counts.of("accept") >= 15);
+        assert!(out.trace.counts.of(Sysno::accept) >= 15);
     }
 
     #[test]
     fn paho_sim_round_trips_publishes() {
         let out = run(paho_mqtt_sim(4));
         assert_eq!(out.exit_code(), Some(0));
-        assert!(out.trace.counts.of("sendto") >= 8, "{:?}", out.trace.counts);
-        assert!(out.trace.counts.of("nanosleep") >= 4);
+        assert!(
+            out.trace.counts.of(Sysno::sendto) >= 8,
+            "{:?}",
+            out.trace.counts
+        );
+        assert!(out.trace.counts.of(Sysno::nanosleep) >= 4);
     }
 
     #[test]
@@ -1335,8 +1339,8 @@ mod tests {
         // syscall subsets.
         let lua = run(lua_sim(2)).trace;
         let sqlite = run(sqlite_sim(32)).trace;
-        assert!(lua.counts.contains_key("brk"));
-        assert!(!lua.counts.contains_key("mmap"));
-        assert!(sqlite.counts.contains_key("mmap"));
+        assert!(lua.counts.contains_key(Sysno::brk));
+        assert!(!lua.counts.contains_key(Sysno::mmap));
+        assert!(sqlite.counts.contains_key(Sysno::mmap));
     }
 }

@@ -32,7 +32,8 @@
 //! program, pinning the vfork/exec path (the child borrows the parent's
 //! pages until it execs).
 
-use wali::testkit::{emit_sleep, spawn_thread, sys};
+use wali::guest::{sys, Sysno};
+use wali::testkit::{emit_sleep, spawn_thread};
 use wasm::build::{FuncBuilder, FuncId, ModuleBuilder};
 use wasm::instr::BlockType;
 use wasm::types::ValType::{I32, I64};
@@ -563,7 +564,7 @@ impl Scenario {
 /// The vfork-exec leaf: prints `x`, exits 9.
 fn leaf_module() -> Module {
     let mut mb = ModuleBuilder::new();
-    let write = sys(&mut mb, "write", 3);
+    let write = sys(&mut mb, Sysno::write);
     mb.memory(2, Some(16));
     let msg = mb.c_str("x\n");
     let sig = mb.sig([], [I32]);
@@ -575,61 +576,26 @@ fn leaf_module() -> Module {
     mb.build()
 }
 
-/// All the syscall imports the emitted program may use.
-struct Sys {
-    write: FuncId,
-    read: FuncId,
-    pipe: FuncId,
-    socketpair: FuncId,
-    eventfd2: FuncId,
-    futex: FuncId,
-    nanosleep: FuncId,
-    fork: FuncId,
-    vfork: FuncId,
-    execve: FuncId,
-    wait4: FuncId,
-    exit: FuncId,
-    exit_group: FuncId,
-    clone: FuncId,
-    kill: FuncId,
-    sigaction: FuncId,
-    poll: FuncId,
-    ppoll: FuncId,
-    epoll_create1: FuncId,
-    epoll_ctl: FuncId,
-    epoll_wait: FuncId,
-    shutdown: FuncId,
-    ring_enter: FuncId,
+/// Declares [`Sys`], the syscall imports the emitted program may use: one
+/// field per row, imported in this order.
+macro_rules! syscalls {
+    ($($name:ident),*) => {
+        struct Sys {
+            $($name: FuncId,)*
+        }
+
+        impl Sys {
+            fn import(mb: &mut ModuleBuilder) -> Sys {
+                Sys { $($name: sys(mb, Sysno::$name),)* }
+            }
+        }
+    };
 }
 
-impl Sys {
-    fn import(mb: &mut ModuleBuilder) -> Sys {
-        Sys {
-            write: sys(mb, "write", 3),
-            read: sys(mb, "read", 3),
-            pipe: sys(mb, "pipe", 1),
-            socketpair: sys(mb, "socketpair", 4),
-            eventfd2: sys(mb, "eventfd2", 2),
-            futex: sys(mb, "futex", 6),
-            nanosleep: sys(mb, "nanosleep", 2),
-            fork: sys(mb, "fork", 0),
-            vfork: sys(mb, "vfork", 0),
-            execve: sys(mb, "execve", 3),
-            wait4: sys(mb, "wait4", 4),
-            exit: sys(mb, "exit", 1),
-            exit_group: sys(mb, "exit_group", 1),
-            clone: sys(mb, "clone", 5),
-            kill: sys(mb, "kill", 2),
-            sigaction: sys(mb, "rt_sigaction", 4),
-            poll: sys(mb, "poll", 3),
-            ppoll: sys(mb, "ppoll", 4),
-            epoll_create1: sys(mb, "epoll_create1", 1),
-            epoll_ctl: sys(mb, "epoll_ctl", 4),
-            epoll_wait: sys(mb, "epoll_wait", 4),
-            shutdown: sys(mb, "shutdown", 2),
-            ring_enter: sys(mb, "wali_ring_enter", 4),
-        }
-    }
+syscalls! {
+    write, read, pipe, socketpair, eventfd2, futex, nanosleep, fork, vfork, execve, wait4, exit,
+    exit_group, clone, kill, rt_sigaction, poll, ppoll, epoll_create1, epoll_ctl, epoll_wait,
+    shutdown, wali_ring_enter
 }
 
 // Per-thread scratch block layout (threads share memory, so every
@@ -842,7 +808,7 @@ fn emit_proc(b: &mut FuncBuilder, ctx: &Ctx, scn: &Scenario, pi: usize) {
             .i64(ctx.lay.act as i64)
             .i64(0)
             .i64(8)
-            .call(ctx.sys.sigaction)
+            .call(ctx.sys.rt_sigaction)
             .drop_();
     }
 
@@ -1281,7 +1247,7 @@ fn emit_ring_read(b: &mut FuncBuilder, ctx: &Ctx, slot: u32, buf: u32, len: u32,
         .i64(1)
         .i64(1)
         .i64(0)
-        .call(ctx.sys.ring_enter)
+        .call(ctx.sys.wali_ring_enter)
         .local_set(ctx.l_ret);
     b.local_get(ctx.l_ret).i64(0).lt_s64();
     b.if_(BlockType::Empty, |b| {

@@ -18,7 +18,8 @@
 use std::time::Instant;
 
 use bench::harness;
-use wali::testkit::{sockaddr_in, sys};
+use wali::guest::{sys, Sysno};
+use wali::testkit::sockaddr_in;
 use wali::WaliRunner;
 use wasm::build::{FuncBuilder, ModuleBuilder};
 use wasm::instr::BlockType;
@@ -43,15 +44,15 @@ enum Body {
 /// then runs `body` `ITERS` times.
 fn guest(body: Body) -> Module {
     let mut mb = ModuleBuilder::new();
-    let socket = sys(&mut mb, "socket", 3);
-    let socketpair = sys(&mut mb, "socketpair", 4);
-    let bind = sys(&mut mb, "bind", 3);
-    let listen = sys(&mut mb, "listen", 2);
-    let connect = sys(&mut mb, "connect", 3);
-    let accept = sys(&mut mb, "accept", 3);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let close = sys(&mut mb, "close", 1);
+    let socket = sys(&mut mb, Sysno::socket);
+    let socketpair = sys(&mut mb, Sysno::socketpair);
+    let bind = sys(&mut mb, Sysno::bind);
+    let listen = sys(&mut mb, Sysno::listen);
+    let connect = sys(&mut mb, Sysno::connect);
+    let accept = sys(&mut mb, Sysno::accept);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let close = sys(&mut mb, Sysno::close);
     mb.memory(4, Some(64));
     let addr = mb.data(&sockaddr_in(7500));
     let buf = mb.data(&[b'x'; IO_BYTES as usize]);

@@ -8,8 +8,8 @@
 //! deep-copy backing was O(reservation) — DESIGN.md "Retired
 //! baselines"; resident-page accounting is in its memory section).
 
-use apps::progs::sys;
 use bench::harness;
+use wali::guest::{sys, Sysno};
 use wali::runner::WaliRunner;
 use wasm::build::ModuleBuilder;
 use wasm::instr::BlockType;
@@ -22,9 +22,9 @@ const FORKS: u32 = 4;
 /// memory, then fork/reap `FORKS` children.
 fn fork_program(resv: u32, touched: u32) -> Module {
     let mut mb = ModuleBuilder::new();
-    let fork = sys(&mut mb, "fork", 0);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let exit = sys(&mut mb, "exit_group", 1);
+    let fork = sys(&mut mb, Sysno::fork);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit_group);
     mb.memory(resv, Some(resv));
     let status = mb.reserve(8);
 

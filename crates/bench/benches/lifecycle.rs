@@ -20,7 +20,8 @@
 use std::time::Instant;
 
 use bench::harness;
-use wali::testkit::{allocated, sys, CountingAlloc};
+use wali::guest::{sys, Sysno};
+use wali::testkit::{allocated, CountingAlloc};
 use wali::WaliRunner;
 use wasm::build::ModuleBuilder;
 use wasm::instr::BlockType;
@@ -45,12 +46,12 @@ const PAIRS: usize = 15;
 /// is about.)
 fn guest(parked: u32, cycle: bool) -> Module {
     let mut mb = ModuleBuilder::new();
-    let fork = sys(&mut mb, "fork", 0);
-    let pipe = sys(&mut mb, "pipe", 1);
-    let read = sys(&mut mb, "read", 3);
-    let close = sys(&mut mb, "close", 1);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let exit = sys(&mut mb, "exit_group", 1);
+    let fork = sys(&mut mb, Sysno::fork);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let read = sys(&mut mb, Sysno::read);
+    let close = sys(&mut mb, Sysno::close);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit_group);
     mb.memory(1, Some(4));
     let fds = mb.reserve(8);
     let buf = mb.reserve(8);

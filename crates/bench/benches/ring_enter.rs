@@ -11,8 +11,8 @@
 //! `report_value` rows below are the figures quoted in `DESIGN.md` and
 //! `BENCH_PR10.json`.
 
-use apps::progs::sys;
 use bench::harness;
+use wali::guest::{sys, Sysno};
 use wali::runner::WaliRunner;
 use wali_abi::ring::op;
 use wasm::build::ModuleBuilder;
@@ -28,10 +28,10 @@ const TOTAL: u32 = 4096;
 /// `wali_ring_enter` per full batch.
 fn pread_program(batch: u32) -> Module {
     let mut mb = ModuleBuilder::new();
-    let open = sys(&mut mb, "open", 3);
-    let write = sys(&mut mb, "write", 3);
-    let pread = sys(&mut mb, "pread64", 4);
-    let ring_enter = sys(&mut mb, "wali_ring_enter", 4);
+    let open = sys(&mut mb, Sysno::open);
+    let write = sys(&mut mb, Sysno::write);
+    let pread = sys(&mut mb, Sysno::pread64);
+    let ring_enter = sys(&mut mb, Sysno::wali_ring_enter);
     mb.memory(4, Some(64));
     let path = mb.c_str("/tmp/ring_bench.dat");
     let data = mb.c_str("ringbench");

@@ -22,8 +22,8 @@
 //!
 //! The A/B medians are recorded in `DESIGN.md`'s concurrency section.
 
-use apps::progs::sys;
 use bench::harness;
+use wali::guest::{sys, Sysno};
 use wali::runner::WaliRunner;
 use wasm::build::ModuleBuilder;
 use wasm::instr::BlockType;
@@ -37,9 +37,9 @@ const ITERS: u32 = 150_000;
 /// parent reaps them all.
 fn cpu_fanout_program(tasks: u32, iters: u32) -> Module {
     let mut mb = ModuleBuilder::new();
-    let fork = sys(&mut mb, "fork", 0);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let exit = sys(&mut mb, "exit_group", 1);
+    let fork = sys(&mut mb, Sysno::fork);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit_group);
     mb.memory(2, Some(4));
     let status = mb.reserve(8);
     let sink = mb.reserve(8);
@@ -116,12 +116,12 @@ fn cpu_fanout_program(tasks: u32, iters: u32) -> Module {
 /// own pipe (2 syscalls per round) and exits; the parent reaps them.
 fn syscall_dense_program(tasks: u32, rounds: u32) -> Module {
     let mut mb = ModuleBuilder::new();
-    let fork = sys(&mut mb, "fork", 0);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let exit = sys(&mut mb, "exit_group", 1);
-    let pipe = sys(&mut mb, "pipe", 1);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
+    let fork = sys(&mut mb, Sysno::fork);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit_group);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
     mb.memory(2, Some(4));
     let status = mb.reserve(8);
     let fds = mb.reserve(8);

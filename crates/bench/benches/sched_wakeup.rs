@@ -22,8 +22,8 @@
 //! divided by the spurious retries the scheduler counted, is the cost of
 //! one woken-for-nothing `epoll_wait` (`herd/waiters=8`).
 
-use apps::progs::sys;
 use bench::harness;
+use wali::guest::{sys, Sysno};
 use wali::runner::WaliRunner;
 use wasm::build::ModuleBuilder;
 use wasm::instr::BlockType;
@@ -37,12 +37,12 @@ const ROUNDS: u32 = 256;
 /// finalizes them).
 fn pingpong_program(parked: u32, rounds: u32) -> Module {
     let mut mb = ModuleBuilder::new();
-    let pipe = sys(&mut mb, "pipe", 1);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let clone = sys(&mut mb, "clone", 5);
-    let futex = sys(&mut mb, "futex", 6);
-    let exit = sys(&mut mb, "exit", 1);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let clone = sys(&mut mb, Sysno::clone);
+    let futex = sys(&mut mb, Sysno::futex);
+    let exit = sys(&mut mb, Sysno::exit);
     mb.memory(4, Some(64));
     let fds_a = mb.reserve(8);
     let fds_b = mb.reserve(8);

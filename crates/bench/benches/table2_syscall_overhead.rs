@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use bench::harness;
-use wali::testkit::sys;
+use wali::guest::{sys, Sysno};
 use wali::WaliRunner;
 use wasm::build::{FuncBuilder, FuncId, ModuleBuilder};
 use wasm::instr::BlockType;
@@ -47,15 +47,15 @@ enum Body {
 /// Opens a 64-byte file, then runs `body` `ITERS` times.
 fn guest(body: Body) -> Module {
     let mut mb = ModuleBuilder::new();
-    let open = sys(&mut mb, "open", 3);
-    let getpid = sys(&mut mb, "getpid", 0);
-    let lseek = sys(&mut mb, "lseek", 3);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let fstat = sys(&mut mb, "fstat", 2);
-    let sigprocmask = sys(&mut mb, "rt_sigprocmask", 4);
-    let mmap = sys(&mut mb, "mmap", 6);
-    let munmap = sys(&mut mb, "munmap", 2);
+    let open = sys(&mut mb, Sysno::open);
+    let getpid = sys(&mut mb, Sysno::getpid);
+    let lseek = sys(&mut mb, Sysno::lseek);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let fstat = sys(&mut mb, Sysno::fstat);
+    let sigprocmask = sys(&mut mb, Sysno::rt_sigprocmask);
+    let mmap = sys(&mut mb, Sysno::mmap);
+    let munmap = sys(&mut mb, Sysno::munmap);
     mb.memory(4, Some(64));
     let path = mb.c_str("/tmp/table2.dat");
     let buf = mb.data(&[b'x'; IO_BYTES as usize]);

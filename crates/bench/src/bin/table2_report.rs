@@ -9,6 +9,7 @@
 use std::time::Instant;
 use vkernel::MutexExt;
 
+use wali::guest::Sysno::{mmap, munmap, open, socket, write};
 use wali::registry::build_linker;
 use wali::WaliContext;
 use wasm::host::Caller;
@@ -67,10 +68,10 @@ fn main() {
         .memory
         .write(buf as u64, b"/tmp/bench.dat\0")
         .unwrap();
-    let fd = call(&linker, &mut ctx, &instance, "open", &[buf, 0o102, 0o644]);
+    let fd = call(&linker, &mut ctx, &instance, open, &[buf, 0o102, 0o644]);
     instance.memory.write(buf as u64, &[0x55; 512]).unwrap();
-    call(&linker, &mut ctx, &instance, "write", &[fd, buf, 512]);
-    let sock = call(&linker, &mut ctx, &instance, "socket", &[1, 2, 0]); // unix dgram
+    call(&linker, &mut ctx, &instance, write, &[fd, buf, 512]);
+    let sock = call(&linker, &mut ctx, &instance, socket, &[1, 2, 0]); // unix dgram
 
     // (name, args) for the 30 representative syscalls of Table 2.
     let pathp = buf + 512;
@@ -133,8 +134,8 @@ fn main() {
     );
     println!("{}", "-".repeat(42));
     for (name, args) in &cases {
-        let spec = wali_abi::spec::lookup(name).expect("in spec");
-        let stateful = matches!(spec.class, wali_abi::SyscallClass::Stateful);
+        let sys = wali_abi::spec::lookup(name).expect("in spec");
+        let stateful = matches!(sys.row().class, wali_abi::SyscallClass::Stateful);
         if *name == "mmap" {
             // Paired with munmap so the pool stays flat; half the pair
             // time approximates the map cost (the kernel-side work is
@@ -142,8 +143,8 @@ fn main() {
             let pool_base = ctx.space.mmap.lock_ok().base() as i64;
             let t0 = Instant::now();
             for _ in 0..N {
-                call(&linker, &mut ctx, &instance, "mmap", args);
-                call(&linker, &mut ctx, &instance, "munmap", &[pool_base, 8192]);
+                call(&linker, &mut ctx, &instance, mmap, args);
+                call(&linker, &mut ctx, &instance, munmap, &[pool_base, 8192]);
             }
             let per = t0.elapsed().as_nanos() as f64 / N as f64 / 2.0 - baseline;
             println!(
@@ -168,7 +169,7 @@ fn main() {
         }
         let t0 = Instant::now();
         for _ in 0..N {
-            call(&linker, &mut ctx, &instance, name, args);
+            call(&linker, &mut ctx, &instance, sys, args);
         }
         let per = t0.elapsed().as_nanos() as f64 / N as f64 - baseline;
         println!(

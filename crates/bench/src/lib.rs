@@ -74,7 +74,7 @@ pub fn run_module(
     out
 }
 
-/// Invokes `wali.SYS_<name>` directly on its resolved handle — the
+/// Invokes the row `sys` directly on its resolved handle — the
 /// registry wrapper plus the kernel model, no interpreter — with `args`
 /// laid out as the raw slots the interpreter would lend it. Returns the
 /// syscall's return value, or -1 when it did not return (blocked,
@@ -83,11 +83,11 @@ pub fn call_sys(
     linker: &wasm::host::Linker<wali::WaliContext>,
     ctx: &mut wali::WaliContext,
     instance: &wasm::Instance<wali::WaliContext>,
-    name: &str,
+    sys: wali::guest::Sysno,
     args: &[i64],
 ) -> i64 {
     let f = linker
-        .resolve(wali::WALI_MODULE, &format!("SYS_{name}"))
+        .resolve(wali::WALI_MODULE, sys.row().import)
         .expect("in the WALI registry");
     let mut slots = [0u64; 6];
     for (slot, v) in slots.iter_mut().zip(args) {

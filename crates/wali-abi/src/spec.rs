@@ -38,23 +38,36 @@ pub enum SyscallClass {
     Stateful,
 }
 
+/// What a row's handler answers: the registration reads it, and the
+/// hostile-argument sweep holds every answer to it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum SyscallKind {
+    /// A value or `-errno` (`Result<i64, SysError>`).
+    Value,
+    /// Like [`SyscallKind::Value`], and the call may park the task.
+    Block,
+    /// The host outcome itself: exit, fork, exec, traps.
+    Control,
+    /// No handler: the call answers `-ENOSYS`.
+    Nosys,
+}
+
 /// One entry of the WALI syscall specification.
 #[derive(Clone, Copy, Debug)]
 pub struct WaliSyscall {
-    /// Linux syscall name; the Wasm import is `wali.SYS_<name>`.
+    /// Linux syscall name.
     pub name: &'static str,
+    /// The Wasm import, `SYS_<name>` in module `wali`.
+    pub import: &'static str,
     /// Number of i64-typed Wasm parameters.
     pub args: u8,
     /// Implementation class.
     pub class: SyscallClass,
+    /// What the handler answers.
+    pub kind: SyscallKind,
 }
 
 impl WaliSyscall {
-    /// The Wasm import name for this syscall (`SYS_<name>` in module `wali`).
-    pub fn import_name(&self) -> String {
-        format!("SYS_{}", self.name)
-    }
-
     /// Whether the host ISA implements this syscall natively.
     ///
     /// Calls absent from an ISA's table are still part of the WALI spec
@@ -116,10 +129,8 @@ impl<T: Param> Param for Option<T> {
 ///
 /// Expands to `$callback! { spec { rows } extensions { rows } }`. A row
 /// is `name(param: Type, …) CLASS kind;` — the class `P`, `T` or `S`
-/// ([`SyscallClass`]), the kind `value` (the handler answers
-/// `Result<i64, SysError>`), `control` (it answers the host outcome
-/// itself: exit, fork, exec, traps) or `nosys` (no handler; the call
-/// answers `-ENOSYS`). Parameter types are integers, truncated from
+/// ([`SyscallClass`]), the kind `value`, `block`, `control` or `nosys`
+/// ([`SyscallKind`]). Parameter types are integers, truncated from
 /// their slot, or the kinds of [`Param`]. `spec` rows are [`SPEC`] —
 /// sized to the paper's "137 most common syscalls" coverage plus the
 /// legacy x86-64 aliases needed to run unmodified applications;
@@ -131,23 +142,23 @@ macro_rules! wali_syscalls {
         $callback! {
             spec {
                 // File I/O.
-                read(fd: i32, buf: OutBuf) P value;
-                write(fd: i32, buf: InBuf) P value;
+                read(fd: i32, buf: OutBuf) P block;
+                write(fd: i32, buf: InBuf) P block;
                 open(path: Path, flags: i32, mode: u32) P value;
                 openat(dirfd: i32, path: Path, flags: i32, mode: u32) P value;
                 close(fd: i32) P value;
                 lseek(fd: i32, offset: i64, whence: i32) P value;
                 pread64(fd: i32, buf: OutBuf, offset: u64) P value;
                 pwrite64(fd: i32, buf: InBuf, offset: u64) P value;
-                readv(fd: i32, iov: Ptr, iovcnt: usize) T value;
-                writev(fd: i32, iov: Ptr, iovcnt: usize) T value;
+                readv(fd: i32, iov: Ptr, iovcnt: usize) T block;
+                writev(fd: i32, iov: Ptr, iovcnt: usize) T block;
                 preadv(fd: i32, iov: Ptr, iovcnt: usize, offset: u64) T value;
                 pwritev(fd: i32, iov: Ptr, iovcnt: usize, offset: u64) T value;
-                sendfile(out_fd: i32, in_fd: i32, offset: Option<Ptr>, count: usize) P value;
+                sendfile(out_fd: i32, in_fd: i32, offset: Option<Ptr>, count: usize) P block;
                 copy_file_range(
                     fd_in: i32, off_in: Option<Ptr>, fd_out: i32, off_out: Option<Ptr>,
                     len: usize, flags: u32
-                ) P value;
+                ) P block;
                 dup(fd: i32) P value;
                 dup2(oldfd: i32, newfd: i32) P value;
                 dup3(oldfd: i32, newfd: i32, flags: i32) P value;
@@ -228,8 +239,8 @@ macro_rules! wali_syscalls {
                 execve(path: Path, argv: Ptr, envp: Ptr) S control;
                 exit(status: i32) S control;
                 exit_group(status: i32) S control;
-                wait4(pid: i32, wstatus: Option<Ptr>, options: i32, rusage: Option<Ptr>) T value;
-                waitid(idtype: i32, id: i32, infop: Ptr, options: i32, rusage: Ptr) T value;
+                wait4(pid: i32, wstatus: Option<Ptr>, options: i32, rusage: Option<Ptr>) T block;
+                waitid(idtype: i32, id: i32, infop: Ptr, options: i32, rusage: Ptr) T block;
                 getpid() P value;
                 getppid() P value;
                 gettid() P value;
@@ -264,14 +275,14 @@ macro_rules! wali_syscalls {
                     how: i32, set: Option<Ptr>, oldset: Option<Ptr>, sigsetsize: usize
                 ) P value;
                 rt_sigpending(set: Ptr, sigsetsize: usize) P value;
-                rt_sigsuspend(mask: Ptr, sigsetsize: usize) S value;
+                rt_sigsuspend(mask: Ptr, sigsetsize: usize) S block;
                 rt_sigtimedwait(
                     set: Ptr, info: Option<Ptr>, timeout: Option<Ptr>, sigsetsize: usize
-                ) T value;
+                ) T block;
                 rt_sigqueueinfo(tgid: i32, sig: i32, info: Ptr) T value;
                 rt_sigreturn() S control;
                 sigaltstack(ss: Option<Ptr>, old_ss: Option<Ptr>) T value;
-                pause() S value;
+                pause() S block;
                 alarm(seconds: u32) S value;
                 // Identity.
                 getuid() P value;
@@ -295,48 +306,48 @@ macro_rules! wali_syscalls {
                 socketpair(domain: i32, ty: i32, protocol: i32, sv: Ptr) P value;
                 bind(fd: i32, addr: SockAddr) T value;
                 listen(fd: i32, backlog: i32) P value;
-                accept(fd: i32, addr: Option<Ptr>, addrlen: Option<Ptr>) T value;
-                accept4(fd: i32, addr: Option<Ptr>, addrlen: Option<Ptr>, flags: i32) T value;
+                accept(fd: i32, addr: Option<Ptr>, addrlen: Option<Ptr>) T block;
+                accept4(fd: i32, addr: Option<Ptr>, addrlen: Option<Ptr>, flags: i32) T block;
                 connect(fd: i32, addr: SockAddr) T value;
                 getsockname(fd: i32, addr: Option<Ptr>, addrlen: Option<Ptr>) T value;
                 getpeername(fd: i32, addr: Option<Ptr>, addrlen: Option<Ptr>) T value;
                 // The destination is read before the buffer is looked at.
                 sendto(
                     fd: i32, buf: Ptr, len: usize, flags: i32, dest: Option<SockAddr>
-                ) T value;
+                ) T block;
                 recvfrom(
                     fd: i32, buf: OutBuf, flags: i32, src: Option<Ptr>, addrlen: Option<Ptr>
-                ) T value;
-                sendmsg(fd: i32, msg: Ptr, flags: i32) T value;
-                recvmsg(fd: i32, msg: Ptr, flags: i32) T value;
+                ) T block;
+                sendmsg(fd: i32, msg: Ptr, flags: i32) T block;
+                recvmsg(fd: i32, msg: Ptr, flags: i32) T block;
                 setsockopt(fd: i32, level: i32, optname: i32, optval: Ptr, optlen: u32) P value;
                 getsockopt(
                     fd: i32, level: i32, optname: i32, optval: Ptr, optlen: Option<Ptr>
                 ) P value;
                 shutdown(fd: i32, how: i32) P value;
                 // Readiness.
-                poll(fds: Ptr, nfds: usize, timeout: i32) T value;
-                ppoll(fds: Ptr, nfds: usize, tmo: Option<Ptr>, sigmask: Option<Ptr>) T value;
+                poll(fds: Ptr, nfds: usize, timeout: i32) T block;
+                ppoll(fds: Ptr, nfds: usize, tmo: Option<Ptr>, sigmask: Option<Ptr>) T block;
                 select(
                     nfds: i32, readfds: Option<Ptr>, writefds: Option<Ptr>,
                     exceptfds: Option<Ptr>, timeout: Option<Ptr>
-                ) T value;
+                ) T block;
                 pselect6(
                     nfds: i32, readfds: Option<Ptr>, writefds: Option<Ptr>,
                     exceptfds: Option<Ptr>, timeout: Option<Ptr>, sigmask: Ptr
-                ) T value;
+                ) T block;
                 epoll_create1(flags: i32) P value;
                 epoll_ctl(epfd: i32, op: i32, fd: i32, event: Option<Ptr>) T value;
-                epoll_wait(epfd: i32, events: Ptr, maxevents: i32, timeout: i32) T value;
+                epoll_wait(epfd: i32, events: Ptr, maxevents: i32, timeout: i32) T block;
                 epoll_pwait(
                     epfd: i32, events: Ptr, maxevents: i32, timeout: i32, sigmask: Option<Ptr>
-                ) T value;
+                ) T block;
                 eventfd2(initval: u32, flags: i32) P value;
                 // Time.
-                nanosleep(req: Ptr, rem: Option<Ptr>) T value;
+                nanosleep(req: Ptr, rem: Option<Ptr>) T block;
                 clock_gettime(clockid: i32, tp: Ptr) T value;
                 clock_getres(clockid: i32, res: Option<Ptr>) T value;
-                clock_nanosleep(clockid: i32, flags: i32, req: Ptr, rem: Option<Ptr>) T value;
+                clock_nanosleep(clockid: i32, flags: i32, req: Ptr, rem: Option<Ptr>) T block;
                 gettimeofday(tv: Option<Ptr>, tz: Option<Ptr>) T value;
                 settimeofday(tv: Option<Ptr>, tz: Option<Ptr>) T value;
                 getitimer(which: i32, curr_value: Ptr) T value;
@@ -348,20 +359,21 @@ macro_rules! wali_syscalls {
                 futex(
                     uaddr: Ptr, futex_op: i32, val: u32, timeout: Option<Ptr>, uaddr2: Ptr,
                     val3: u32
-                ) S value;
+                ) S block;
                 getcpu(cpu: Option<Ptr>, node: Option<Ptr>, tcache: Option<Ptr>) P value;
                 syslog(ty: i32, bufp: Ptr, len: i32) P value;
             }
             extensions {
                 // The batched-syscall ring (`crate::ring`; DESIGN.md
                 // "Substitutions": WALI proper is one import per syscall).
-                wali_ring_enter(ring: Ptr, to_submit: u32, min_complete: u32, flags: u32) P value;
+                wali_ring_enter(ring: Ptr, to_submit: u32, min_complete: u32, flags: u32) P block;
             }
         }
     };
 }
 
 use SyscallClass::{Passthrough as P, Stateful as S, Translated as T};
+use SyscallKind::{Block as block, Control as control, Nosys as nosys, Value as value};
 
 /// The table as data: [`SPEC`], [`EXTENSIONS`] and [`Sysno`].
 macro_rules! spec_data {
@@ -371,19 +383,11 @@ macro_rules! spec_data {
     ) => {
         /// The WALI syscall specification: the `spec` rows of
         /// [`wali_syscalls!`](crate::wali_syscalls), in table order.
-        pub const SPEC: &[WaliSyscall] = &[$(WaliSyscall {
-            name: stringify!($s),
-            args: (0 $(+ <$st as Param>::SLOTS)*) as u8,
-            class: $sc,
-        }),*];
+        pub const SPEC: &[WaliSyscall] = &[$(spec_data!(@row $s ($($st),*) $sc $sk)),*];
 
         /// Imports beyond the specification, registered and counted like
         /// its rows: the `extensions` rows of the table.
-        pub const EXTENSIONS: &[WaliSyscall] = &[$(WaliSyscall {
-            name: stringify!($e),
-            args: (0 $(+ <$et as Param>::SLOTS)*) as u8,
-            class: $ec,
-        }),*];
+        pub const EXTENSIONS: &[WaliSyscall] = &[$(spec_data!(@row $e ($($et),*) $ec $ek)),*];
 
         /// The dense index of a table row — [`SPEC`] rows first, then
         /// [`EXTENSIONS`]: stable for a build and contiguous, the key of
@@ -392,20 +396,29 @@ macro_rules! spec_data {
         #[derive(Clone, Copy, Debug, PartialEq, Eq)]
         #[repr(u16)]
         pub enum Sysno { $($s,)* $($e,)* }
+
+        impl Sysno {
+            /// Every row's index, in order.
+            pub const ALL: &[Sysno] = &[$(Sysno::$s,)* $(Sysno::$e,)*];
+
+            /// The row this index names.
+            pub const fn row(self) -> &'static WaliSyscall {
+                let i = self as usize;
+                if i < SPEC.len() { &SPEC[i] } else { &EXTENSIONS[i - SPEC.len()] }
+            }
+        }
+    };
+    (@row $name:ident ($($t:ty),*) $class:ident $kind:ident) => {
+        WaliSyscall {
+            name: stringify!($name),
+            import: concat!("SYS_", stringify!($name)),
+            args: (0 $(+ <$t as Param>::SLOTS)*) as u8,
+            class: $class,
+            kind: $kind,
+        }
     };
 }
 wali_syscalls!(spec_data);
-
-/// WALI support methods for external parameters (§3.4); not syscalls.
-pub const SUPPORT_METHODS: &[&str] = &[
-    "get_argc",
-    "get_argv_len",
-    "copy_argv",
-    "get_envc",
-    "get_env_len",
-    "copy_env",
-    "proc_exit",
-];
 
 /// Number of table rows ([`SPEC`] and [`EXTENSIONS`]): the size of dense
 /// per-syscall tables indexed by [`Sysno`].
@@ -416,16 +429,11 @@ pub fn rows() -> impl Iterator<Item = &'static WaliSyscall> {
     SPEC.iter().chain(EXTENSIONS)
 }
 
-/// Resolves a row name to its dense index ([`Sysno`]). A linear scan:
-/// registration knows its indices at compile time, so only reports and
-/// tests look a name up.
-pub fn sysno(name: &str) -> Option<u16> {
-    rows().position(|s| s.name == name).map(|i| i as u16)
-}
-
-/// Looks a spec entry up by syscall name.
-pub fn lookup(name: &str) -> Option<&'static WaliSyscall> {
-    SPEC.iter().find(|s| s.name == name)
+/// Resolves a row name ([`SPEC`] or [`EXTENSIONS`]) to its index. A
+/// linear scan: code names its rows as [`Sysno`] at compile time, so only
+/// reports and policies look a name up.
+pub fn lookup(name: &str) -> Option<Sysno> {
+    Sysno::ALL.iter().copied().find(|s| s.row().name == name)
 }
 
 /// Fraction of the spec that is mechanically generatable (recipe steps
@@ -452,13 +460,14 @@ mod tests {
     fn spec_has_no_duplicate_names() {
         let set: BTreeSet<_> = rows().map(|s| s.name).collect();
         assert_eq!(set.len(), ROWS);
-        assert_eq!(sysno("read"), Some(Sysno::read as u16));
-        assert_eq!(
-            sysno("wali_ring_enter"),
-            Some(Sysno::wali_ring_enter as u16)
-        );
+        assert_eq!(lookup("read"), Some(Sysno::read));
+        assert_eq!(lookup("wali_ring_enter"), Some(Sysno::wali_ring_enter));
         assert_eq!(Sysno::wali_ring_enter as usize, SPEC.len());
-        assert_eq!(sysno("get_argc"), None);
+        assert_eq!(lookup("get_argc"), None);
+        for (i, s) in Sysno::ALL.iter().enumerate() {
+            assert_eq!(*s as usize, i);
+            assert_eq!(s.row().name, rows().nth(i).unwrap().name);
+        }
     }
 
     #[test]
@@ -486,7 +495,7 @@ mod tests {
         for name in [
             "open", "stat", "fork", "pipe", "dup2", "access", "select", "poll",
         ] {
-            let s = lookup(name).unwrap();
+            let s = lookup(name).unwrap().row();
             assert!(s.native_on(Isa::X86_64), "{name}");
             assert!(!s.native_on(Isa::Riscv64), "{name}");
         }
@@ -503,7 +512,7 @@ mod tests {
             "rt_sigaction",
             "futex",
         ] {
-            let s = lookup(name).unwrap();
+            let s = lookup(name).unwrap().row();
             for isa in Isa::ALL {
                 assert!(s.native_on(isa), "{name} missing on {isa}");
             }
@@ -522,10 +531,13 @@ mod tests {
 
     #[test]
     fn import_names_are_name_bound() {
-        assert_eq!(lookup("mmap").unwrap().import_name(), "SYS_mmap");
+        assert_eq!(Sysno::mmap.row().import, "SYS_mmap");
         // Arity is the parameters' slots: buffers take two.
-        let args = |name| lookup(name).unwrap().args;
-        assert_eq!((args("read"), args("sendto"), args("sync")), (3, 6, 0));
+        let args = |s: Sysno| s.row().args;
+        assert_eq!(
+            (args(Sysno::read), args(Sysno::sendto), args(Sysno::sync)),
+            (3, 6, 0)
+        );
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * [`registry`] — builds the host-function [`wasm::Linker`] from the
 //!   one syscall table ([`wali_abi::wali_syscalls!`]): decode and wrapper
 //!   are generated per row, a handler is a plain function of typed
-//!   values — the >85 % auto-generation claim (§5).
+//!   values — the >85 % auto-generation claim (§5). [`guest`] is the
+//!   table's other half: a guest imports a syscall by its row.
 //! * [`runner`] — the process runtime: the 1-to-1 instance-per-thread
 //!   model with `fork` (thread snapshot + memory clone), `execve`
 //!   (program swap) and pthread-style `clone` (shared memory sibling),
@@ -36,6 +37,7 @@ pub mod context;
 pub(crate) mod exec;
 pub(crate) mod fastpath;
 pub mod fault;
+pub mod guest;
 pub mod mem;
 pub mod mmap;
 pub mod policy;

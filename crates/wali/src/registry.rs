@@ -2,7 +2,8 @@
 //!
 //! `build_linker` materializes the WALI specification: one host function
 //! per row of the syscall table ([`wali_abi::wali_syscalls!`]), registered
-//! as `wali.SYS_<name>` with an all-i64 signature (§3.5 name binding).
+//! as `wali.SYS_<name>` with the row's all-i64 signature, which linking
+//! holds every import of it to (§3.5 name binding; [`crate::guest`]).
 //! The table expands here into the registration of every row: decode the
 //! row's typed parameters in order ([`crate::mem::Decode`]), call the
 //! handler — a plain function of the decoded values, named after its
@@ -20,12 +21,13 @@
 #![deny(dead_code)]
 
 use vkernel::{Block, SysError, TaskHot};
-use wali_abi::spec::{InBuf, OutBuf, Param, Path, Ptr, SockAddr, Sysno};
+use wali_abi::spec::{InBuf, OutBuf, Param, Path, Ptr, SockAddr, Sysno, WaliSyscall};
 use wali_abi::Errno;
 use wasm::error::Trap;
 use wasm::host::{Blocked, Caller, HostOutcome, Linker};
 
 use crate::context::WaliContext;
+use crate::guest::signature;
 use crate::mem::Decode;
 use crate::policy::{DenyAction, Verdict};
 use crate::WALI_MODULE;
@@ -106,12 +108,11 @@ pub fn finish(import: &'static str, r: Result<i64, SysError>) -> Result<u64, Hos
 #[inline]
 pub fn wrapped(
     caller: &mut Caller<'_, WaliContext>,
-    name: &'static str,
     sysno: Sysno,
     body: impl FnOnce(&mut Caller<'_, WaliContext>) -> Result<u64, HostOutcome>,
 ) -> Result<u64, HostOutcome> {
     let t0 = caller.data.trace.clock();
-    let r = match enter(caller.data, name, sysno) {
+    let r = match enter(caller.data, sysno) {
         Ok(()) => body(caller),
         Err(denied) => denied,
     };
@@ -128,13 +129,10 @@ pub fn wrapped(
 /// consult the policy layer, tick the virtual clock. `sysno` is the
 /// row's dense index, so counting is an array increment. `Err` is the
 /// policy's answer to a denied call.
-fn enter(
-    ctx: &mut WaliContext,
-    name: &'static str,
-    sysno: Sysno,
-) -> Result<(), Result<u64, HostOutcome>> {
+fn enter(ctx: &mut WaliContext, sysno: Sysno) -> Result<(), Result<u64, HostOutcome>> {
     ctx.trace.counts.bump(sysno);
     if let Some(policy) = &mut ctx.policy {
+        let name = sysno.row().name;
         match policy.check(name) {
             Verdict::Allow => {}
             Verdict::Deny(DenyAction::Errno(e)) => return Err(Ok(e.as_ret() as u64)),
@@ -161,8 +159,9 @@ macro_rules! decode {
     };
 }
 
-/// The registration of every row of the table: the import
-/// `SYS_<name>` through [`wrapped`], with the row's [`Sysno`].
+/// The registration of every row of the table: the row's import, typed
+/// by its slots ([`crate::guest::signature`]), through [`wrapped`] with
+/// the row's [`Sysno`].
 macro_rules! register_rows {
     (
         spec { $($spec:tt)* }
@@ -175,41 +174,36 @@ macro_rules! register_rows {
         }
     };
     (@rows $l:ident $($name:ident ($($p:ident : $t:ty),*) $class:ident $kind:ident;)*) => {
-        $(register_rows!(@row $l $kind $name ($($p : $t),*));)*
+        $({
+            const ROW: &WaliSyscall = Sysno::$name.row();
+            $l.func_raw_typed(WALI_MODULE, ROW.import, Some(signature(Sysno::$name)), |caller, a| {
+                wrapped(caller, Sysno::$name, |c| {
+                    register_rows!(@body $kind c a ROW $name ($($p : $t),*))
+                })
+            });
+        })*
     };
     // The handler answers `Result<i64, SysError>`; a failed decode is
-    // its errno.
-    (@row $l:ident value $name:ident ($($p:ident : $t:ty),*)) => {
-        $l.func_raw(WALI_MODULE, concat!("SYS_", stringify!($name)), |caller, a| {
-            wrapped(caller, stringify!($name), Sysno::$name, |c| {
-                let r: Result<_, Errno> = decode!(c a [0] handlers::$name [] $($p : $t),*);
-                finish(
-                    concat!("SYS_", stringify!($name)),
-                    r.unwrap_or_else(|e| Err(e.into())),
-                )
-            })
-        });
+    // its errno. A `block` row is registered the same way.
+    (@body value $c:ident $a:ident $row:ident $name:ident ($($p:ident : $t:ty),*)) => {{
+        let r: Result<_, Errno> = decode!($c $a [0] handlers::$name [] $($p : $t),*);
+        finish($row.import, r.unwrap_or_else(|e| Err(e.into())))
+    }};
+    (@body block $($rest:tt)*) => {
+        register_rows!(@body value $($rest)*)
     };
     // The handler answers the host outcome itself (exit, fork, exec,
     // traps); a failed decode returns its errno.
-    (@row $l:ident control $name:ident ($($p:ident : $t:ty),*)) => {
-        $l.func_raw(WALI_MODULE, concat!("SYS_", stringify!($name)), |caller, a| {
-            wrapped(caller, stringify!($name), Sysno::$name, |c| {
-                let r: Result<_, Errno> = decode!(c a [0] handlers::$name [] $($p : $t),*);
-                r.unwrap_or_else(|e| Ok(e.as_ret() as u64))
-            })
-        });
-    };
+    (@body control $c:ident $a:ident $row:ident $name:ident ($($p:ident : $t:ty),*)) => {{
+        let r: Result<_, Errno> = decode!($c $a [0] handlers::$name [] $($p : $t),*);
+        r.unwrap_or_else(|e| Ok(e.as_ret() as u64))
+    }};
     // In the spec with no faithful implementation here: name-bound and
     // present, but answers `-ENOSYS` (§3.5 "allowing the latter to trap
     // if it cannot faithfully attempt the execution") — through the same
     // wrapper as every other syscall, so the policy layer sees it too.
-    (@row $l:ident nosys $name:ident ($($p:ident : $t:ty),*)) => {
-        $l.func_raw(WALI_MODULE, concat!("SYS_", stringify!($name)), |caller, _| {
-            wrapped(caller, stringify!($name), Sysno::$name, |_| {
-                Ok(Errno::Enosys.as_ret() as u64)
-            })
-        });
+    (@body nosys $($rest:tt)*) => {
+        Ok(Errno::Enosys.as_ret() as u64)
     };
 }
 
@@ -257,23 +251,20 @@ mod tests {
     use std::collections::BTreeSet;
 
     use super::*;
-    use wali_abi::spec::{EXTENSIONS, SPEC, SUPPORT_METHODS};
 
     /// What the linker registers under `wali` is the table and the
     /// support methods, exactly.
     #[test]
     fn linker_covers_full_spec() {
         let l = build_linker();
-        let registered: BTreeSet<String> = l
+        let registered: BTreeSet<&str> = l
             .names()
             .filter(|(module, _)| *module == WALI_MODULE)
-            .map(|(_, name)| name.to_string())
+            .map(|(_, name)| name)
             .collect();
-        let declared: BTreeSet<String> = SPEC
-            .iter()
-            .chain(EXTENSIONS)
-            .map(|s| s.import_name())
-            .chain(SUPPORT_METHODS.iter().map(|m| m.to_string()))
+        let declared: BTreeSet<&str> = wali_abi::spec::rows()
+            .map(|s| s.import)
+            .chain(support::METHODS.map(|(name, _)| name))
             .collect();
         assert_eq!(registered, declared);
     }
@@ -286,7 +277,10 @@ mod tests {
         use crate::policy::Policy;
 
         let l = build_linker();
-        let stub = l.resolve(WALI_MODULE, "SYS_statx").unwrap().clone();
+        let stub = l
+            .resolve(WALI_MODULE, Sysno::statx.row().import)
+            .unwrap()
+            .clone();
 
         let mut mb = wasm::build::ModuleBuilder::new();
         mb.memory(1, Some(1));
@@ -327,7 +321,11 @@ mod tests {
             vkernel::clock::SYSCALL_QUANTUM_NS,
             "an allowed stub ticks like any syscall"
         );
-        assert_eq!(ctx.trace.counts.of("statx"), 3, "every attempt is counted");
+        assert_eq!(
+            ctx.trace.counts.of(Sysno::statx),
+            3,
+            "every attempt is counted"
+        );
     }
 
     #[test]

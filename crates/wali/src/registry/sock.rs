@@ -595,6 +595,7 @@ mod tests {
     use wasm::host::{Caller, HostOutcome};
 
     use crate::context::WaliContext;
+    use crate::guest::Sysno;
     use crate::registry::build_linker;
     use crate::WALI_MODULE;
 
@@ -607,7 +608,7 @@ mod tests {
     #[test]
     fn a_kept_epoll_instance_is_not_inherited_by_another_call() {
         let wait = build_linker()
-            .resolve(WALI_MODULE, "SYS_epoll_wait")
+            .resolve(WALI_MODULE, Sysno::epoll_wait.row().import)
             .expect("registered")
             .clone();
         let mut mb = wasm::build::ModuleBuilder::new();

@@ -394,19 +394,19 @@ pub(crate) fn stuck_report<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::guest::{sys, Sysno};
     use crate::runner::WaliRunner;
-    use crate::testkit::sys;
     use wali_abi::flags::{CLONE_PTHREAD, CLONE_VM};
     use wasm::build::{FuncBuilder, FuncId, ModuleBuilder};
     use wasm::instr::BlockType;
     use wasm::types::ValType::I32;
     use wasm::Module;
 
-    /// A one-function guest importing `imports` (`(name, arity)`); `body`
-    /// gets their ids in order and must leave the i32 exit code.
-    fn guest(imports: &[(&str, usize)], body: impl FnOnce(&mut FuncBuilder, &[FuncId])) -> Module {
+    /// A one-function guest importing `imports`; `body` gets their ids
+    /// in order and must leave the i32 exit code.
+    fn guest(imports: &[Sysno], body: impl FnOnce(&mut FuncBuilder, &[FuncId])) -> Module {
         let mut mb = ModuleBuilder::new();
-        let ids: Vec<FuncId> = imports.iter().map(|(n, a)| sys(&mut mb, n, *a)).collect();
+        let ids: Vec<FuncId> = imports.iter().map(|s| sys(&mut mb, *s)).collect();
         mb.memory(1, Some(2));
         let sig = mb.sig([], [I32]);
         let main = mb.func(sig, |b| body(b, &ids));
@@ -478,7 +478,7 @@ mod tests {
     }
 
     fn clone_guest(flags: u64) -> Module {
-        guest(&[("clone", 5)], |b, f| {
+        guest(&[Sysno::clone], |b, f| {
             b.i64(flags as i64).i64(0).i64(0).i64(0).i64(0).call(f[0]);
             b.drop_().i32(0);
         })
@@ -494,7 +494,7 @@ mod tests {
     fn fork_snapshots_memory_and_context() {
         let mut r = rig(&[(
             "/a",
-            guest(&[("fork", 0)], |b, f| {
+            guest(&[Sysno::fork], |b, f| {
                 b.call(f[0]).drop_().i32(0);
             }),
         )]);
@@ -513,7 +513,7 @@ mod tests {
     fn vfork_borrows_the_pages_and_suspends_the_parent() {
         let mut r = rig(&[(
             "/a",
-            guest(&[("vfork", 0)], |b, f| {
+            guest(&[Sysno::vfork], |b, f| {
                 b.call(f[0]).drop_().i32(0);
             }),
         )]);
@@ -551,7 +551,7 @@ mod tests {
 
     fn exec_guest(target: &str) -> Module {
         let mut mb = ModuleBuilder::new();
-        let execve = sys(&mut mb, "execve", 3);
+        let execve = sys(&mut mb, Sysno::execve);
         mb.memory(1, Some(2));
         let path = mb.c_str(target);
         let sig = mb.sig([], [I32]);
@@ -622,7 +622,7 @@ mod tests {
     fn exit_group_and_traps_finish_with_their_status() {
         let mut r = rig(&[(
             "/a",
-            guest(&[("exit_group", 1)], |b, f| {
+            guest(&[Sysno::exit_group], |b, f| {
                 b.i64(3).call(f[0]).drop_().i32(0);
             }),
         )]);
@@ -667,7 +667,7 @@ mod tests {
         // pipe2(fds, 0); read(fds[0], buf, 1) — the write end stays open.
         let mut r = rig(&[(
             "/a",
-            guest(&[("pipe2", 2), ("read", 3)], |b, f| {
+            guest(&[Sysno::pipe2, Sysno::read], |b, f| {
                 b.i64(16).i64(0).call(f[0]).drop_();
                 b.i32(16).load32(0).extend_u().i64(32).i64(1).call(f[1]);
                 b.wrap();

@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use vkernel::LeakReport;
-use wasm::build::{FuncBuilder, FuncId, ModuleBuilder};
+use wasm::build::{FuncBuilder, FuncId};
 use wasm::instr::BlockType;
 use wasm::types::ValType::{I32, I64};
 use wasm::Module;
@@ -65,13 +65,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// global allocator is [`CountingAlloc`].
 pub fn allocated() -> (u64, u64) {
     ALLOCATED.with(Cell::get)
-}
-
-/// Imports `wali.SYS_<name>` with `n` i64 params returning i64 — the
-/// calling convention every WALI syscall wrapper uses.
-pub fn sys(mb: &mut ModuleBuilder, name: &str, n: usize) -> FuncId {
-    let sig = mb.sig(vec![I64; n], [I64]);
-    mb.import_func("wali", &format!("SYS_{name}"), sig)
 }
 
 /// Encodes `module` to real binary bytes and decodes it back, so tests

@@ -63,22 +63,20 @@ impl SysCounts {
         }
     }
 
-    /// The count recorded for `name` (0 when never invoked).
-    pub fn of(&self, name: &str) -> u64 {
-        spec::sysno(name)
-            .and_then(|no| self.dense.get(no as usize).copied())
-            .unwrap_or(0)
+    /// The count recorded for `sysno` (0 when never invoked).
+    pub fn of(&self, sysno: Sysno) -> u64 {
+        self.dense.get(sysno as usize).copied().unwrap_or(0)
     }
 
-    /// The count for `name`, if any were recorded.
-    pub fn get(&self, name: &str) -> Option<u64> {
-        let c = self.of(name);
+    /// The count for `sysno`, if any were recorded.
+    pub fn get(&self, sysno: Sysno) -> Option<u64> {
+        let c = self.of(sysno);
         (c > 0).then_some(c)
     }
 
-    /// True if `name` was invoked at least once.
-    pub fn contains_key(&self, name: &str) -> bool {
-        self.get(name).is_some()
+    /// True if `sysno` was invoked at least once.
+    pub fn contains_key(&self, sysno: Sysno) -> bool {
+        self.get(sysno).is_some()
     }
 
     /// `(name, count)` pairs with nonzero counts, in table order.
@@ -233,7 +231,7 @@ mod tests {
         t.counts.bump(Sysno::read);
         t.counts.bump(Sysno::read);
         t.counts.bump(Sysno::write);
-        assert_eq!(t.counts.of("read"), 2);
+        assert_eq!(t.counts.of(Sysno::read), 2);
         assert_eq!(t.total_syscalls(), 3);
         assert_eq!(t.unique_syscalls(), 2);
     }
@@ -241,16 +239,18 @@ mod tests {
     #[test]
     fn dense_and_named_counts_agree() {
         let mut c = SysCounts::default();
-        assert!(c.is_empty() && c.of("read") == 0, "no table yet, all zero");
+        assert!(
+            c.is_empty() && c.of(Sysno::read) == 0,
+            "no table yet, all zero"
+        );
         c.bump(Sysno::read);
         c.bump(Sysno::read);
         // An extension row counts like a spec row.
         c.bump(Sysno::wali_ring_enter);
-        assert_eq!(c.of("read"), 2);
-        assert_eq!(c.of("wali_ring_enter"), 1);
-        assert_eq!(c.of("get_argc"), 0, "support methods are not counted");
-        assert!(c.contains_key("wali_ring_enter"));
-        assert!(!c.contains_key("never_called"));
+        assert_eq!(c.of(Sysno::read), 2);
+        assert_eq!(c.of(Sysno::wali_ring_enter), 1);
+        assert!(c.contains_key(Sysno::wali_ring_enter));
+        assert!(!c.contains_key(Sysno::write));
         assert_eq!(c.total(), 3);
         assert_eq!(
             c.to_map().into_iter().collect::<Vec<_>>(),
@@ -283,8 +283,8 @@ mod tests {
         b.counts.bump(Sysno::mmap);
         b.kernel_time = Duration::from_millis(3);
         a.merge(&b);
-        assert_eq!(a.counts.of("read"), 2);
-        assert_eq!(a.counts.of("mmap"), 1);
+        assert_eq!(a.counts.of(Sysno::read), 2);
+        assert_eq!(a.counts.of(Sysno::mmap), 1);
         assert_eq!(a.kernel_time, Duration::from_millis(3));
         // A table nobody counted in adds nothing and makes nothing.
         let mut sum = Trace::default();

@@ -19,8 +19,9 @@ use wasm::prep::FuncDef;
 use wasm::types::ValType::{I32, I64};
 use wasm::Module;
 
+use wali::guest::{sys, Sysno};
 use wali::runner::WaliRunner;
-use wali::testkit::{allocated, roundtrip, sys, CountingAlloc};
+use wali::testkit::{allocated, roundtrip, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -31,13 +32,13 @@ const IO_BYTES: i64 = 64;
 /// each transfer, so it stays `IO_BYTES` long).
 fn dense_guest(rounds: u32) -> Module {
     let mut mb = ModuleBuilder::new();
-    let open = sys(&mut mb, "open", 3);
-    let getpid = sys(&mut mb, "getpid", 0);
-    let lseek = sys(&mut mb, "lseek", 3);
-    let write = sys(&mut mb, "write", 3);
-    let read = sys(&mut mb, "read", 3);
-    let fstat = sys(&mut mb, "fstat", 2);
-    let sigprocmask = sys(&mut mb, "rt_sigprocmask", 4);
+    let open = sys(&mut mb, Sysno::open);
+    let getpid = sys(&mut mb, Sysno::getpid);
+    let lseek = sys(&mut mb, Sysno::lseek);
+    let write = sys(&mut mb, Sysno::write);
+    let read = sys(&mut mb, Sysno::read);
+    let fstat = sys(&mut mb, Sysno::fstat);
+    let sigprocmask = sys(&mut mb, Sysno::rt_sigprocmask);
     mb.memory(4, Some(16));
     let path = mb.c_str("/tmp/dense.dat");
     let src = mb.data(&[b'x'; IO_BYTES as usize]);
@@ -102,7 +103,7 @@ fn allocs_of_run(rounds: u32, regir: bool) -> u64 {
     let out = runner.run().expect("run");
     let allocs = allocated().0 - before;
     assert_eq!(out.exit_code(), Some(b'x' as i32));
-    assert_eq!(out.trace.counts.of("read"), rounds as u64);
+    assert_eq!(out.trace.counts.of(Sysno::read), rounds as u64);
     assert_eq!(out.trace.total_syscalls(), 7 * rounds as u64 + 1);
     allocs
 }

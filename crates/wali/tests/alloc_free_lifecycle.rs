@@ -23,8 +23,9 @@ use wasm::instr::BlockType;
 use wasm::types::ValType::{I32, I64};
 use wasm::Module;
 
+use wali::guest::{sys, Sysno};
 use wali::runner::WaliRunner;
-use wali::testkit::{allocated, roundtrip, sys, CountingAlloc};
+use wali::testkit::{allocated, roundtrip, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -86,9 +87,9 @@ fn cost_per_unit(what: &str, regir: bool, guest: &dyn Fn(u32) -> Module) -> (u64
 /// `max` pages at most.
 fn fork_guest(n: u32, max: Option<u32>) -> Module {
     let mut mb = ModuleBuilder::new();
-    let fork = sys(&mut mb, "fork", 0);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let exit = sys(&mut mb, "exit_group", 1);
+    let fork = sys(&mut mb, Sysno::fork);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit_group);
     mb.memory(1, max);
     let status = mb.reserve(8);
     let sig = mb.sig([], [I32]);
@@ -106,8 +107,8 @@ fn fork_guest(n: u32, max: Option<u32>) -> Module {
 /// creator does again, so each is gone before the next is made.
 fn thread_guest(n: u32) -> Module {
     let mut mb = ModuleBuilder::new();
-    let clone = sys(&mut mb, "clone", 5);
-    let exit = sys(&mut mb, "exit", 1);
+    let clone = sys(&mut mb, Sysno::clone);
+    let exit = sys(&mut mb, Sysno::exit);
     mb.shared_memory(1, 2);
     let sig = mb.sig([], [I32]);
     let main = mb.func(sig, |b| {
@@ -206,19 +207,18 @@ const MARK: u32 = 512;
 /// code 0 from both means every seam held.
 fn seams_guest() -> Module {
     let mut mb = ModuleBuilder::new();
-    let s = |mb: &mut ModuleBuilder, name, n| sys(mb, name, n);
-    let fork = s(&mut mb, "fork", 0);
-    let pipe = s(&mut mb, "pipe", 1);
-    let read = s(&mut mb, "read", 3);
-    let write = s(&mut mb, "write", 3);
-    let wait4 = s(&mut mb, "wait4", 4);
-    let exit = s(&mut mb, "exit_group", 1);
-    let sigaction = s(&mut mb, "rt_sigaction", 4);
-    let kill = s(&mut mb, "kill", 2);
-    let getpid = s(&mut mb, "getpid", 0);
-    let chdir = s(&mut mb, "chdir", 1);
-    let getcwd = s(&mut mb, "getcwd", 2);
-    let mmap = s(&mut mb, "mmap", 6);
+    let fork = sys(&mut mb, Sysno::fork);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit_group);
+    let sigaction = sys(&mut mb, Sysno::rt_sigaction);
+    let kill = sys(&mut mb, Sysno::kill);
+    let getpid = sys(&mut mb, Sysno::getpid);
+    let chdir = sys(&mut mb, Sysno::chdir);
+    let getcwd = sys(&mut mb, Sysno::getcwd);
+    let mmap = sys(&mut mb, Sysno::mmap);
     mb.memory(2, Some(64));
 
     // A handler stores its table index at MARK (0 and 1 are taken: as

@@ -19,8 +19,9 @@ use wasm::instr::BlockType;
 use wasm::types::ValType::I32;
 use wasm::Module;
 
+use wali::guest::{sys, Sysno};
 use wali::runner::WaliRunner;
-use wali::testkit::{allocated, roundtrip, spawn_thread, sys, CountingAlloc};
+use wali::testkit::{allocated, roundtrip, spawn_thread, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -29,11 +30,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// echoes A to B. Exit code: the last byte that came back.
 fn pingpong_guest(rounds: u32) -> Module {
     let mut mb = ModuleBuilder::new();
-    let pipe = sys(&mut mb, "pipe", 1);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let clone = sys(&mut mb, "clone", 5);
-    let exit = sys(&mut mb, "exit", 1);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let clone = sys(&mut mb, Sysno::clone);
+    let exit = sys(&mut mb, Sysno::exit);
     mb.memory(4, Some(16));
     let fds_a = mb.reserve(8);
     let fds_b = mb.reserve(8);
@@ -89,7 +90,7 @@ fn allocs_of_pingpong(rounds: u32) -> u64 {
     let out = runner.run().expect("run");
     let allocs = allocated().0 - before;
     assert_eq!(out.exit_code(), Some(b'p' as i32));
-    assert_eq!(out.trace.counts.of("write"), 2 * rounds as u64);
+    assert_eq!(out.trace.counts.of(Sysno::write), 2 * rounds as u64);
     // Every round parks both sides; the kernel woke each park.
     assert!(out.sched.parks >= 2 * rounds as u64 - 2, "{:?}", out.sched);
     assert_eq!(out.sched.parks, out.sched.wakeups, "{:?}", out.sched);
@@ -118,15 +119,15 @@ fn pingpong_allocations_do_not_grow_with_rounds() {
 /// the others find nothing and re-park — the `prefork_serve` shape.
 fn herd_guest(waiters: u32, events: u32) -> Module {
     let mut mb = ModuleBuilder::new();
-    let pipe = sys(&mut mb, "pipe", 1);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let clone = sys(&mut mb, "clone", 5);
-    let exit = sys(&mut mb, "exit", 1);
-    let exit_group = sys(&mut mb, "exit_group", 1);
-    let epoll_create1 = sys(&mut mb, "epoll_create1", 1);
-    let epoll_ctl = sys(&mut mb, "epoll_ctl", 4);
-    let epoll_wait = sys(&mut mb, "epoll_wait", 4);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let clone = sys(&mut mb, Sysno::clone);
+    let exit = sys(&mut mb, Sysno::exit);
+    let exit_group = sys(&mut mb, Sysno::exit_group);
+    let epoll_create1 = sys(&mut mb, Sysno::epoll_create1);
+    let epoll_ctl = sys(&mut mb, Sysno::epoll_ctl);
+    let epoll_wait = sys(&mut mb, Sysno::epoll_wait);
     mb.memory(4, Some(16));
     let fds_a = mb.reserve(8);
     let fds_b = mb.reserve(8);
@@ -205,7 +206,7 @@ fn allocs_of_herd(events: u32) -> (u64, u64) {
     let out = runner.run().expect("run");
     let allocs = allocated().0 - before;
     assert_eq!(out.exit_code(), Some(0));
-    assert_eq!(out.trace.counts.of("write"), 2 * events as u64);
+    assert_eq!(out.trace.counts.of(Sysno::write), 2 * events as u64);
     (allocs, out.sched.blocked_retries)
 }
 
@@ -243,7 +244,7 @@ fn allocs_of_loopback(requests: u32) -> u64 {
     let out = runner.run().expect("run");
     let allocs = allocated().0 - before;
     assert_eq!(out.exit_code(), Some(0));
-    assert_eq!(out.trace.counts.of("connect"), requests as u64);
+    assert_eq!(out.trace.counts.of(Sysno::connect), requests as u64);
     allocs
 }
 

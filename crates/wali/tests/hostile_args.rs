@@ -18,6 +18,7 @@ use wali::context::KernelRef;
 use wali::registry::WaliSuspend;
 use wali::{build_linker, new_kernel_ref, WaliContext, WALI_MODULE};
 use wali_abi::flags::{AF_UNIX, AT_FDCWD, FUTEX_WAIT, O_CREAT, O_DIRECTORY, O_RDWR, SOCK_STREAM};
+use wali_abi::spec::{SyscallKind, Sysno};
 use wali_abi::Errno;
 use wasm::error::Trap;
 use wasm::host::{Caller, HostOutcome};
@@ -97,10 +98,11 @@ impl Guest {
         }
     }
 
-    fn call(&mut self, name: &str, slots: &[u64]) -> Answer {
+    fn call(&mut self, sys: Sysno, slots: &[u64]) -> Answer {
         let linker = build_linker();
-        let import = format!("SYS_{name}");
-        let f = linker.resolve(WALI_MODULE, &import).expect("registered");
+        let f = linker
+            .resolve(WALI_MODULE, sys.row().import)
+            .expect("registered");
         let mut caller = Caller {
             instance: &self.instance,
             data: &mut self.ctx,
@@ -111,7 +113,7 @@ impl Guest {
             Err(HostOutcome::Block(b)) => Answer::Block(b.deadline),
             Err(HostOutcome::Suspend) => Answer::Suspend,
             Err(HostOutcome::Trap(Trap::Forbidden(_))) => Answer::Forbidden,
-            Err(HostOutcome::Trap(t)) => panic!("{name}{slots:x?} trapped: {t}"),
+            Err(HostOutcome::Trap(t)) => panic!("{sys:?}{slots:x?} trapped: {t}"),
         }
     }
 
@@ -165,12 +167,12 @@ const DIRENTS: u64 = 4096;
 
 /// Runs one case on a fresh task: the memory image, then the call; the
 /// answer and the task's retirement are checked by the caller.
-fn case(fd0: Fd0, image: &[(u64, &[u8])], name: &str, slots: &[u64]) -> (Guest, Answer) {
+fn case(fd0: Fd0, image: &[(u64, &[u8])], sys: Sysno, slots: &[u64]) -> (Guest, Answer) {
     let mut g = Guest::new(&program(), fd0);
     for (at, bytes) in image {
         g.poke(*at, bytes);
     }
-    let answer = g.call(name, slots);
+    let answer = g.call(sys, slots);
     (g, answer)
 }
 
@@ -183,11 +185,11 @@ fn clean(g: Guest) {
 fn near_forever_sleeps_block_with_the_deadline_saturated() {
     let image: &[(u64, &[u8])] = &[(TS, &FOREVER)];
     for (name, slots) in [
-        ("nanosleep", vec![TS, 0]),
-        ("clock_nanosleep", vec![0, 0, TS, 0]),
+        (Sysno::nanosleep, vec![TS, 0]),
+        (Sysno::clock_nanosleep, vec![0, 0, TS, 0]),
     ] {
         let (g, answer) = case(Fd0::File, image, name, &slots);
-        assert_eq!(answer, Answer::Block(Some(u64::MAX)), "{name}");
+        assert_eq!(answer, Answer::Block(Some(u64::MAX)), "{name:?}");
         clean(g);
     }
 }
@@ -196,7 +198,7 @@ fn near_forever_sleeps_block_with_the_deadline_saturated() {
 fn a_futex_wait_with_a_near_forever_timeout_blocks() {
     let image: &[(u64, &[u8])] = &[(TS, &FOREVER), (WORD, &[0; 4])];
     let slots = [WORD, FUTEX_WAIT as u64, 0, TS, 0, 0];
-    let (g, answer) = case(Fd0::File, image, "futex", &slots);
+    let (g, answer) = case(Fd0::File, image, Sysno::futex, &slots);
     assert_eq!(answer, Answer::Block(Some(u64::MAX)));
     clean(g);
 }
@@ -206,7 +208,7 @@ fn a_sigtimedwait_with_a_near_forever_timeout_blocks() {
     let usr1 = 1u64 << (wali_abi::Signal::Sigusr1.number() - 1);
     let image: &[(u64, &[u8])] = &[(TS, &FOREVER), (SIGSET, &usr1.to_le_bytes())];
     let slots = [SIGSET, 0, TS, 8];
-    let (g, answer) = case(Fd0::File, image, "rt_sigtimedwait", &slots);
+    let (g, answer) = case(Fd0::File, image, Sysno::rt_sigtimedwait, &slots);
     assert_eq!(answer, Answer::Block(Some(u64::MAX)));
     clean(g);
 }
@@ -221,25 +223,25 @@ fn setitimer_clamps_a_huge_interval_to_the_longest_alarm() {
     let (mut g, answer) = case(
         Fd0::File,
         &[(ITIMER, &itimer)],
-        "setitimer",
+        Sysno::setitimer,
         &[0, ITIMER, 0],
     );
     assert_eq!(answer, Answer::Value(0));
     // `alarm(0)` disarms and answers what was left: all of it.
-    assert_eq!(g.call("alarm", &[0]), Answer::Value(u32::MAX as i64));
+    assert_eq!(g.call(Sysno::alarm, &[0]), Answer::Value(u32::MAX as i64));
     clean(g);
 }
 
 #[test]
 fn mincore_of_a_wrapping_range_is_enomem() {
-    let (g, answer) = case(Fd0::File, &[], "mincore", &[4096, u64::MAX, 0]);
+    let (g, answer) = case(Fd0::File, &[], Sysno::mincore, &[4096, u64::MAX, 0]);
     assert_eq!(answer, Answer::Value(Errno::Enomem.as_ret()));
     clean(g);
 }
 
 #[test]
 fn getdents64_sizes_its_image_by_the_entries_not_the_count() {
-    let (g, answer) = case(Fd0::Dir, &[], "getdents64", &[0, DIRENTS, 1 << 40]);
+    let (g, answer) = case(Fd0::Dir, &[], Sysno::getdents64, &[0, DIRENTS, 1 << 40]);
     // `.` and `..`: two 24-byte records.
     assert_eq!(answer, Answer::Value(48));
     let name = g.instance.memory.read(DIRENTS + 19, 2).expect("in bounds");
@@ -256,16 +258,16 @@ fn ownership_and_statfs_calls_answer_for_what_is_not_there() {
     let (ebadf, enoent) = (Errno::Ebadf.as_ret(), Errno::Enoent.as_ret());
     // Descriptor 9 is not open.
     for (name, slots, want) in [
-        ("fchown", vec![9, 0, 0], ebadf),
-        ("fstatfs", vec![9, STATFS], ebadf),
-        ("statfs", vec![MISSING, STATFS], enoent),
-        ("fchown", vec![0, 7, u32::MAX as u64], 0),
-        ("fstatfs", vec![0, STATFS], 0),
-        ("statfs", vec![TMP, STATFS], 0),
+        (Sysno::fchown, vec![9, 0, 0], ebadf),
+        (Sysno::fstatfs, vec![9, STATFS], ebadf),
+        (Sysno::statfs, vec![MISSING, STATFS], enoent),
+        (Sysno::fchown, vec![0, 7, u32::MAX as u64], 0),
+        (Sysno::fstatfs, vec![0, STATFS], 0),
+        (Sysno::statfs, vec![TMP, STATFS], 0),
     ] {
         let want = Answer::Value(want);
         let (g, answer) = case(Fd0::File, image, name, &slots);
-        assert_eq!(answer, want, "{name}{slots:?}");
+        assert_eq!(answer, want, "{name:?}{slots:?}");
         clean(g);
     }
 }
@@ -277,15 +279,13 @@ fn ownership_and_statfs_calls_answer_for_what_is_not_there() {
 /// The values each slot takes in turn.
 const HOSTILE: [u64; 4] = [0, u32::MAX as u64, u64::MAX, 1 << 40];
 
-/// Rows whose handler transfers control.
-const CONTROL: [&str; 6] = ["clone", "fork", "vfork", "execve", "exit", "exit_group"];
-
 #[test]
 fn every_row_answers_hostile_slots_and_leaks_nothing() {
     let program = program();
     let mut calls = 0;
     for fd0 in [Fd0::Dir, Fd0::File, Fd0::Pipe, Fd0::Socket] {
-        for row in wali_abi::spec::rows() {
+        for &sys in Sysno::ALL {
+            let row = sys.row();
             let n = row.args as usize;
             let mut inputs = vec![vec![0u64; n]];
             for slot in 0..n {
@@ -298,10 +298,15 @@ fn every_row_answers_hostile_slots_and_leaks_nothing() {
             for slots in inputs {
                 let what = format!("{}{slots:x?} with {fd0:?} at fd 0", row.name);
                 let mut g = Guest::new(&program, fd0);
-                match g.call(row.name, &slots) {
-                    Answer::Value(_) | Answer::Block(_) => {}
-                    Answer::Suspend => assert!(CONTROL.contains(&row.name), "{what}: suspended"),
-                    Answer::Forbidden => assert_eq!(row.name, "rt_sigreturn", "{what}"),
+                // The table says which rows may park and which transfer
+                // control.
+                match g.call(sys, &slots) {
+                    Answer::Value(_) => {}
+                    Answer::Block(_) => assert_eq!(row.kind, SyscallKind::Block, "{what}: blocked"),
+                    Answer::Suspend => {
+                        assert_eq!(row.kind, SyscallKind::Control, "{what}: suspended")
+                    }
+                    Answer::Forbidden => assert_eq!(sys, Sysno::rt_sigreturn, "{what}"),
                 }
                 let audit = g.retire();
                 assert!(audit.is_clean(), "{what}: {}", audit.describe());

@@ -8,8 +8,9 @@ use std::sync::Barrier;
 use wasm::build::ModuleBuilder;
 use wasm::types::ValType::I32;
 
+use wali::guest::{sys, Sysno};
 use wali::runner::WaliRunner;
-use wali::testkit::{roundtrip, sys};
+use wali::testkit::roundtrip;
 
 const THREADS: i32 = 8;
 
@@ -23,7 +24,7 @@ fn concurrent_first_runners_all_get_a_complete_table() {
                 s.spawn(move || {
                     // `40 + i`, after a `getpid` that must link and run.
                     let mut mb = ModuleBuilder::new();
-                    let getpid = sys(&mut mb, "getpid", 0);
+                    let getpid = sys(&mut mb, Sysno::getpid);
                     mb.memory(1, Some(1));
                     let sig = mb.sig([], [I32]);
                     let main = mb.func(sig, |b| {
@@ -39,7 +40,7 @@ fn concurrent_first_runners_all_get_a_complete_table() {
                     runner.register_program("/usr/bin/app", &module).unwrap();
                     runner.spawn("/usr/bin/app", &[], &[]).unwrap();
                     let out = runner.run().expect("run");
-                    assert_eq!(out.trace.counts.of("getpid"), 1);
+                    assert_eq!(out.trace.counts.of(Sysno::getpid), 1);
                     out.exit_code()
                 })
             })

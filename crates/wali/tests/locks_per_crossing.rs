@@ -32,8 +32,9 @@ use wasm::Module;
 
 use vkernel::lockorder::{acquisitions, acquisitions_of};
 use vkernel::LockClass;
+use wali::guest::{sys, Sysno};
 use wali::runner::WaliRunner;
-use wali::testkit::{roundtrip, sockaddr_in, sys};
+use wali::testkit::{roundtrip, sockaddr_in};
 
 const IO_BYTES: i64 = 64;
 
@@ -117,25 +118,25 @@ impl Env {
 /// then runs `body` `rounds` times.
 fn guest(rounds: u32, body: &dyn Fn(&mut FuncBuilder, &Env)) -> Module {
     let mut mb = ModuleBuilder::new();
-    let open = sys(&mut mb, "open", 3);
-    let pipe = sys(&mut mb, "pipe", 1);
-    let socketpair = sys(&mut mb, "socketpair", 4);
-    let bind = sys(&mut mb, "bind", 3);
-    let listen = sys(&mut mb, "listen", 2);
+    let open = sys(&mut mb, Sysno::open);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let socketpair = sys(&mut mb, Sysno::socketpair);
+    let bind = sys(&mut mb, Sysno::bind);
+    let listen = sys(&mut mb, Sysno::listen);
     let mut env = Env {
-        getpid: sys(&mut mb, "getpid", 0),
-        lseek: sys(&mut mb, "lseek", 3),
-        read: sys(&mut mb, "read", 3),
-        write: sys(&mut mb, "write", 3),
-        pread: sys(&mut mb, "pread64", 4),
-        pwrite: sys(&mut mb, "pwrite64", 4),
-        fstat: sys(&mut mb, "fstat", 2),
-        writev: sys(&mut mb, "writev", 3),
-        sigprocmask: sys(&mut mb, "rt_sigprocmask", 4),
-        socket: sys(&mut mb, "socket", 3),
-        connect: sys(&mut mb, "connect", 3),
-        accept: sys(&mut mb, "accept", 3),
-        close: sys(&mut mb, "close", 1),
+        getpid: sys(&mut mb, Sysno::getpid),
+        lseek: sys(&mut mb, Sysno::lseek),
+        read: sys(&mut mb, Sysno::read),
+        write: sys(&mut mb, Sysno::write),
+        pread: sys(&mut mb, Sysno::pread64),
+        pwrite: sys(&mut mb, Sysno::pwrite64),
+        fstat: sys(&mut mb, Sysno::fstat),
+        writev: sys(&mut mb, Sysno::writev),
+        sigprocmask: sys(&mut mb, Sysno::rt_sigprocmask),
+        socket: sys(&mut mb, Sysno::socket),
+        connect: sys(&mut mb, Sysno::connect),
+        accept: sys(&mut mb, Sysno::accept),
+        close: sys(&mut mb, Sysno::close),
         fd: 0,
         listener: 0,
         buf: 0,

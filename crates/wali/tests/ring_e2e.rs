@@ -6,7 +6,8 @@ use wasm::build::{FuncBuilder, ModuleBuilder};
 use wasm::instr::BlockType;
 use wasm::types::ValType::{I32, I64};
 
-use wali::testkit::{run_module, run_modules, sys, RunnerOpts};
+use wali::guest::{sys, Sysno};
+use wali::testkit::{run_module, run_modules, RunnerOpts};
 use wali_abi::ring::op;
 
 /// Deterministic scheduler with the ring pinned on, so these tests
@@ -63,7 +64,7 @@ fn check_cqe(b: &mut FuncBuilder, ring: u32, sq_entries: u32, slot: u32, ud: u64
 #[test]
 fn ring_batch_completes_inline_with_one_crossing() {
     let mut mb = ModuleBuilder::new();
-    let ring_enter = sys(&mut mb, "wali_ring_enter", 4);
+    let ring_enter = sys(&mut mb, Sysno::wali_ring_enter);
     mb.memory(2, Some(16));
     let msg = mb.c_str("batch\n");
     let abc = mb.c_str("abc");
@@ -111,20 +112,20 @@ fn ring_batch_completes_inline_with_one_crossing() {
     assert_eq!(out.stdout(), "batch\nabcdef");
     // One boundary crossing for three operations: the inner ops never
     // dispatch as their own syscalls.
-    assert_eq!(out.trace.counts.of("wali_ring_enter"), 1);
-    assert_eq!(out.trace.counts.of("write"), 0);
-    assert_eq!(out.trace.counts.of("writev"), 0);
+    assert_eq!(out.trace.counts.of(Sysno::wali_ring_enter), 1);
+    assert_eq!(out.trace.counts.of(Sysno::write), 0);
+    assert_eq!(out.trace.counts.of(Sysno::writev), 0);
 }
 
 #[test]
 fn ring_blocked_sqe_completes_from_wakeup() {
     let mut mb = ModuleBuilder::new();
-    let ring_enter = sys(&mut mb, "wali_ring_enter", 4);
-    let pipe = sys(&mut mb, "pipe", 1);
-    let fork = sys(&mut mb, "fork", 0);
-    let write = sys(&mut mb, "write", 3);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let exit = sys(&mut mb, "exit_group", 1);
+    let ring_enter = sys(&mut mb, Sysno::wali_ring_enter);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let fork = sys(&mut mb, Sysno::fork);
+    let write = sys(&mut mb, Sysno::write);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit_group);
     mb.memory(2, Some(16));
     let ping = mb.c_str("ping");
     let pfds = mb.reserve(8);
@@ -183,7 +184,7 @@ fn ring_blocked_sqe_completes_from_wakeup() {
 #[test]
 fn ring_timeout_completes_with_etime() {
     let mut mb = ModuleBuilder::new();
-    let ring_enter = sys(&mut mb, "wali_ring_enter", 4);
+    let ring_enter = sys(&mut mb, Sysno::wali_ring_enter);
     mb.memory(2, Some(16));
     let ring = mb.reserve(32 + 32 + 16);
     let main_sig = mb.sig([], [I32]);
@@ -215,7 +216,7 @@ fn ring_timeout_completes_with_etime() {
 /// consumes nothing (`sq_head` still 0) — the sync-fallback signal.
 fn enosys_probe() -> wasm::Module {
     let mut mb = ModuleBuilder::new();
-    let ring_enter = sys(&mut mb, "wali_ring_enter", 4);
+    let ring_enter = sys(&mut mb, Sysno::wali_ring_enter);
     mb.memory(2, Some(16));
     let ring = mb.reserve(32 + 32 + 16);
     let main_sig = mb.sig([], [I32]);
@@ -259,7 +260,7 @@ fn ring_disabled_returns_enosys() {
 #[test]
 fn ring_override_survives_execve() {
     let mut mb = ModuleBuilder::new();
-    let execve = sys(&mut mb, "execve", 3);
+    let execve = sys(&mut mb, Sysno::execve);
     mb.memory(2, Some(16));
     let path = mb.c_str("/usr/bin/probe");
     let main_sig = mb.sig([], [I32]);

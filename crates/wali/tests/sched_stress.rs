@@ -16,7 +16,8 @@ use wasm::instr::BlockType;
 use wasm::types::ValType::{I32, I64};
 use wasm::Module;
 
-use wali::testkit::{emit_sleep, run_module, spawn_thread, sys, RunnerOpts};
+use wali::guest::{sys, Sysno};
+use wali::testkit::{emit_sleep, run_module, spawn_thread, RunnerOpts};
 
 const PIPE_TASKS: u32 = 24;
 const FUTEX_TASKS: u32 = 24;
@@ -31,13 +32,13 @@ const TASKS: u32 = PIPE_TASKS + FUTEX_TASKS + TIMER_TASKS;
 /// fds live in reserved data.
 fn stress_program() -> Module {
     let mut mb = ModuleBuilder::new();
-    let pipe = sys(&mut mb, "pipe", 1);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let clone = sys(&mut mb, "clone", 5);
-    let futex = sys(&mut mb, "futex", 6);
-    let nanosleep = sys(&mut mb, "nanosleep", 2);
-    let exit = sys(&mut mb, "exit", 1);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let clone = sys(&mut mb, Sysno::clone);
+    let futex = sys(&mut mb, Sysno::futex);
+    let nanosleep = sys(&mut mb, Sysno::nanosleep);
+    let exit = sys(&mut mb, Sysno::exit);
     mb.memory(4, Some(64));
 
     let fds = mb.reserve(PIPE_TASKS * 8); // [read_fd, write_fd] pairs
@@ -249,12 +250,12 @@ fn deadline_wakes_promptly_while_queue_stays_busy() {
     // sleep must complete after ~70 rounds; without the per-round
     // deadline check it never completes and the round cap is hit.
     let mut mb = ModuleBuilder::new();
-    let pipe = sys(&mut mb, "pipe", 1);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let clone = sys(&mut mb, "clone", 5);
-    let nanosleep = sys(&mut mb, "nanosleep", 2);
-    let exit = sys(&mut mb, "exit", 1);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let clone = sys(&mut mb, Sysno::clone);
+    let nanosleep = sys(&mut mb, Sysno::nanosleep);
+    let exit = sys(&mut mb, Sysno::exit);
     mb.memory(4, Some(16));
     let fds_a = mb.reserve(8);
     let fds_b = mb.reserve(8);

@@ -19,8 +19,9 @@ use wasm::instr::BlockType;
 use wasm::types::ValType::{I32, I64};
 use wasm::Module;
 
+use wali::guest::{sys, Sysno};
 use wali::runner::TaskEnd;
-use wali::testkit::{run_module, sys, RunnerOpts};
+use wali::testkit::{run_module, RunnerOpts};
 
 const CHILDREN: u32 = 4;
 const ROUNDS: u32 = 400;
@@ -31,16 +32,16 @@ const CHUNK: u32 = 32;
 /// private epoll instance; the parent reaps them all.
 fn disjoint_hammer_program() -> Module {
     let mut mb = ModuleBuilder::new();
-    let fork = sys(&mut mb, "fork", 0);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let exit = sys(&mut mb, "exit", 1);
-    let pipe = sys(&mut mb, "pipe", 1);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let socketpair = sys(&mut mb, "socketpair", 4);
-    let epoll_create1 = sys(&mut mb, "epoll_create1", 1);
-    let epoll_ctl = sys(&mut mb, "epoll_ctl", 4);
-    let epoll_wait = sys(&mut mb, "epoll_wait", 4);
+    let fork = sys(&mut mb, Sysno::fork);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let socketpair = sys(&mut mb, Sysno::socketpair);
+    let epoll_create1 = sys(&mut mb, Sysno::epoll_create1);
+    let epoll_ctl = sys(&mut mb, Sysno::epoll_ctl);
+    let epoll_wait = sys(&mut mb, Sysno::epoll_wait);
     mb.memory(4, Some(16));
 
     let fds = mb.reserve(8); // child's pipe [rfd, wfd]

@@ -25,7 +25,8 @@ use wasm::instr::BlockType;
 use wasm::types::ValType::{I32, I64};
 use wasm::Module;
 
-use wali::testkit::{emit_sleep, fork_reap_loop, run_module, spawn_thread, sys, RunnerOpts};
+use wali::guest::{sys, Sysno};
+use wali::testkit::{emit_sleep, fork_reap_loop, run_module, spawn_thread, RunnerOpts};
 
 const PIPE_TASKS: u32 = 12;
 const FUTEX_TASKS: u32 = 12;
@@ -39,16 +40,16 @@ const FORKS: u32 = 4;
 /// wake-up, and sleep-polls until every flag is up.
 fn smp_mix_program() -> Module {
     let mut mb = ModuleBuilder::new();
-    let pipe = sys(&mut mb, "pipe", 1);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let clone = sys(&mut mb, "clone", 5);
-    let futex = sys(&mut mb, "futex", 6);
-    let nanosleep = sys(&mut mb, "nanosleep", 2);
-    let fork = sys(&mut mb, "fork", 0);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let exit = sys(&mut mb, "exit", 1);
-    let exit_group = sys(&mut mb, "exit_group", 1);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let clone = sys(&mut mb, Sysno::clone);
+    let futex = sys(&mut mb, Sysno::futex);
+    let nanosleep = sys(&mut mb, Sysno::nanosleep);
+    let fork = sys(&mut mb, Sysno::fork);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit);
+    let exit_group = sys(&mut mb, Sysno::exit_group);
     mb.memory(4, Some(64));
 
     let fds = mb.reserve(PIPE_TASKS * 8);
@@ -258,9 +259,9 @@ fn assert_mix_contract(out: &wali::RunOutcome) {
         "every task reports an end: {:?}",
         out.ends
     );
-    assert_eq!(out.trace.counts.of("fork"), FORKS as u64);
-    assert!(out.trace.counts.of("wait4") >= FORKS as u64);
-    assert_eq!(out.trace.counts.of("pipe"), PIPE_TASKS as u64);
+    assert_eq!(out.trace.counts.of(Sysno::fork), FORKS as u64);
+    assert!(out.trace.counts.of(Sysno::wait4) >= FORKS as u64);
+    assert_eq!(out.trace.counts.of(Sysno::pipe), PIPE_TASKS as u64);
 }
 
 #[test]
@@ -327,9 +328,9 @@ fn exit_group_ends_a_sibling_spinning_without_a_host_call() {
     // take it down; with one worker it is preempted mid-loop and found
     // dead in the queue. Either way the run ends, with the group's code.
     let mut mb = ModuleBuilder::new();
-    let clone = sys(&mut mb, "clone", 5);
-    let nanosleep = sys(&mut mb, "nanosleep", 2);
-    let exit_group = sys(&mut mb, "exit_group", 1);
+    let clone = sys(&mut mb, Sysno::clone);
+    let nanosleep = sys(&mut mb, Sysno::nanosleep);
+    let exit_group = sys(&mut mb, Sysno::exit_group);
     mb.memory(1, Some(1));
     let ts = mb.reserve(16);
     let started = mb.reserve(4) as i32;
@@ -481,14 +482,14 @@ fn run_on_file(
 /// tallies. Exit code: the records not reported exactly once.
 fn shared_reader_program(fork_readers: bool) -> Module {
     let mut mb = ModuleBuilder::new();
-    let open = sys(&mut mb, "open", 3);
-    let pipe = sys(&mut mb, "pipe", 1);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let clone = sys(&mut mb, "clone", 5);
-    let fork = sys(&mut mb, "fork", 0);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let exit = sys(&mut mb, "exit", 1);
+    let open = sys(&mut mb, Sysno::open);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let clone = sys(&mut mb, Sysno::clone);
+    let fork = sys(&mut mb, Sysno::fork);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit);
     mb.memory(4, Some(16));
     let path = mb.c_str("/tmp/records.dat");
     let fds = mb.reserve(8);
@@ -635,12 +636,12 @@ fn readers_sharing_a_description_get_every_record_exactly_once() {
 /// (off a record boundary, backwards, or past the final length).
 fn append_race_program() -> Module {
     let mut mb = ModuleBuilder::new();
-    let open = sys(&mut mb, "open", 3);
-    let write = sys(&mut mb, "write", 3);
-    let lseek = sys(&mut mb, "lseek", 3);
-    let fork = sys(&mut mb, "fork", 0);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let exit = sys(&mut mb, "exit", 1);
+    let open = sys(&mut mb, Sysno::open);
+    let write = sys(&mut mb, Sysno::write);
+    let lseek = sys(&mut mb, Sysno::lseek);
+    let fork = sys(&mut mb, Sysno::fork);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit);
     mb.memory(4, Some(16));
     let path = mb.c_str("/tmp/append.log");
     let rec = mb.reserve(APPEND_BYTES);
@@ -747,13 +748,13 @@ fn a_description_closed_under_a_reader_on_another_worker_is_still_released() {
     // last round has closed its ends.)
     const ROUNDS: u32 = 64;
     let mut mb = ModuleBuilder::new();
-    let pipe = sys(&mut mb, "pipe", 1);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let close = sys(&mut mb, "close", 1);
-    let clone = sys(&mut mb, "clone", 5);
-    let nanosleep = sys(&mut mb, "nanosleep", 2);
-    let exit = sys(&mut mb, "exit", 1);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let close = sys(&mut mb, Sysno::close);
+    let clone = sys(&mut mb, Sysno::clone);
+    let nanosleep = sys(&mut mb, Sysno::nanosleep);
+    let exit = sys(&mut mb, Sysno::exit);
     mb.memory(4, Some(16));
     let fds = mb.reserve(8);
     let bufs = mb.reserve(ROUNDS * 8);
@@ -851,14 +852,14 @@ fn a_description_closed_under_a_reader_on_another_worker_is_still_released() {
 fn a_writer_loses_its_descriptor_program(shares_table: bool) -> Module {
     const WRITES: i32 = 200;
     let mut mb = ModuleBuilder::new();
-    let pipe = sys(&mut mb, "pipe", 1);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let dup2 = sys(&mut mb, "dup2", 2);
-    let close = sys(&mut mb, "close", 1);
-    let clone = sys(&mut mb, "clone", 5);
-    let nanosleep = sys(&mut mb, "nanosleep", 2);
-    let exit = sys(&mut mb, "exit", 1);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let dup2 = sys(&mut mb, Sysno::dup2);
+    let close = sys(&mut mb, Sysno::close);
+    let clone = sys(&mut mb, Sysno::clone);
+    let nanosleep = sys(&mut mb, Sysno::nanosleep);
+    let exit = sys(&mut mb, Sysno::exit);
     mb.memory(4, Some(16));
     let fds = mb.reserve(8);
     let wbuf = mb.reserve(8);
@@ -1015,21 +1016,21 @@ struct Net {
 impl Net {
     fn import(mb: &mut ModuleBuilder) -> Net {
         let mut net = Net {
-            socket: sys(mb, "socket", 3),
-            socketpair: sys(mb, "socketpair", 4),
-            bind: sys(mb, "bind", 3),
-            listen: sys(mb, "listen", 2),
-            connect: sys(mb, "connect", 3),
-            shutdown: sys(mb, "shutdown", 2),
-            recvfrom: sys(mb, "recvfrom", 6),
-            dup: sys(mb, "dup", 1),
-            read: sys(mb, "read", 3),
-            write: sys(mb, "write", 3),
-            close: sys(mb, "close", 1),
-            clone: sys(mb, "clone", 5),
-            exit: sys(mb, "exit", 1),
-            nanosleep: sys(mb, "nanosleep", 2),
-            sigaction: sys(mb, "rt_sigaction", 4),
+            socket: sys(mb, Sysno::socket),
+            socketpair: sys(mb, Sysno::socketpair),
+            bind: sys(mb, Sysno::bind),
+            listen: sys(mb, Sysno::listen),
+            connect: sys(mb, Sysno::connect),
+            shutdown: sys(mb, Sysno::shutdown),
+            recvfrom: sys(mb, Sysno::recvfrom),
+            dup: sys(mb, Sysno::dup),
+            read: sys(mb, Sysno::read),
+            write: sys(mb, Sysno::write),
+            close: sys(mb, Sysno::close),
+            clone: sys(mb, Sysno::clone),
+            exit: sys(mb, Sysno::exit),
+            nanosleep: sys(mb, Sysno::nanosleep),
+            sigaction: sys(mb, Sysno::rt_sigaction),
             ts: 0,
         };
         mb.memory(4, Some(16));
@@ -1457,11 +1458,11 @@ fn an_epoll_herd_loses_no_event_however_its_pops_and_pushes_interleave() {
     const O_NONBLOCK: i64 = 0o4000;
     let mut mb = ModuleBuilder::new();
     let net = Net::import(&mut mb);
-    let pipe2 = sys(&mut mb, "pipe2", 2);
-    let epoll_create1 = sys(&mut mb, "epoll_create1", 1);
-    let epoll_ctl = sys(&mut mb, "epoll_ctl", 4);
-    let epoll_wait = sys(&mut mb, "epoll_wait", 4);
-    let exit_group = sys(&mut mb, "exit_group", 1);
+    let pipe2 = sys(&mut mb, Sysno::pipe2);
+    let epoll_create1 = sys(&mut mb, Sysno::epoll_create1);
+    let epoll_ctl = sys(&mut mb, Sysno::epoll_ctl);
+    let epoll_wait = sys(&mut mb, Sysno::epoll_wait);
+    let exit_group = sys(&mut mb, Sysno::exit_group);
     let events = mb.reserve(8);
     let acks = mb.reserve(8);
     let mut ev = 1u32.to_le_bytes().to_vec(); // EPOLLIN

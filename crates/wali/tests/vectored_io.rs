@@ -7,8 +7,9 @@ use wasm::build::ModuleBuilder;
 use wasm::instr::BlockType;
 use wasm::types::ValType::{I32, I64};
 
+use wali::guest::{sys, Sysno};
 use wali::runner::TaskEnd;
-use wali::testkit::{run_module, sys, RunnerOpts};
+use wali::testkit::{run_module, RunnerOpts};
 
 /// Writes a wasm32 iovec `{ base, len }` at `iovs + 8*slot`.
 fn store_iov(b: &mut wasm::build::FuncBuilder, iovs: u32, slot: u32, base: u32, len: u32) {
@@ -19,12 +20,12 @@ fn store_iov(b: &mut wasm::build::FuncBuilder, iovs: u32, slot: u32, base: u32, 
 #[test]
 fn preadv_pwritev_honor_offset_and_leave_cursor() {
     let mut mb = ModuleBuilder::new();
-    let open = sys(&mut mb, "open", 3);
-    let write = sys(&mut mb, "write", 3);
-    let pwritev = sys(&mut mb, "pwritev", 4);
-    let preadv = sys(&mut mb, "preadv", 4);
-    let pread = sys(&mut mb, "pread64", 4);
-    let lseek = sys(&mut mb, "lseek", 3);
+    let open = sys(&mut mb, Sysno::open);
+    let write = sys(&mut mb, Sysno::write);
+    let pwritev = sys(&mut mb, Sysno::pwritev);
+    let preadv = sys(&mut mb, Sysno::preadv);
+    let pread = sys(&mut mb, Sysno::pread64);
+    let lseek = sys(&mut mb, Sysno::lseek);
     mb.memory(2, Some(16));
     let path = mb.c_str("/tmp/pv.dat");
     let base = mb.c_str("0123456789");
@@ -125,14 +126,14 @@ const SUM: i64 = A_LEN as i64 * b'A' as i64 + B_LEN as i64 * b'B' as i64;
 /// reader tallies byte count and sum; any duplication breaks both.
 fn writev_pipe_module() -> wasm::Module {
     let mut mb = ModuleBuilder::new();
-    let pipe = sys(&mut mb, "pipe", 1);
-    let fork = sys(&mut mb, "fork", 0);
-    let write = sys(&mut mb, "write", 3);
-    let writev = sys(&mut mb, "writev", 3);
-    let read = sys(&mut mb, "read", 3);
-    let close = sys(&mut mb, "close", 1);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let exit = sys(&mut mb, "exit_group", 1);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let fork = sys(&mut mb, Sysno::fork);
+    let write = sys(&mut mb, Sysno::write);
+    let writev = sys(&mut mb, Sysno::writev);
+    let read = sys(&mut mb, Sysno::read);
+    let close = sys(&mut mb, Sysno::close);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit_group);
     mb.memory(4, Some(16));
     let pfds = mb.reserve(8);
     let iovs = mb.reserve(16);
@@ -265,8 +266,8 @@ fn writev_blocking_mid_vector_writes_each_byte_once_smp() {
 #[test]
 fn vectored_calls_reject_iovcnt_over_iov_max() {
     let mut mb = ModuleBuilder::new();
-    let readv = sys(&mut mb, "readv", 3);
-    let pwritev = sys(&mut mb, "pwritev", 4);
+    let readv = sys(&mut mb, Sysno::readv);
+    let pwritev = sys(&mut mb, Sysno::pwritev);
     mb.memory(2, Some(16));
     let iovs = mb.reserve(16);
     let main_sig = mb.sig([], [I32]);
@@ -302,12 +303,12 @@ fn vectored_calls_reject_iovcnt_over_iov_max() {
 fn a_vectored_call_the_core_finishes_moves_every_iovec_in_order() {
     const PAGE: u32 = 65_536;
     let mut mb = ModuleBuilder::new();
-    let writev = sys(&mut mb, "writev", 3);
-    let readv = sys(&mut mb, "readv", 3);
-    let open = sys(&mut mb, "open", 3);
-    let pipe = sys(&mut mb, "pipe", 1);
-    let close = sys(&mut mb, "close", 1);
-    let sigaction = sys(&mut mb, "rt_sigaction", 4);
+    let writev = sys(&mut mb, Sysno::writev);
+    let readv = sys(&mut mb, Sysno::readv);
+    let open = sys(&mut mb, Sysno::open);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let close = sys(&mut mb, Sysno::close);
+    let sigaction = sys(&mut mb, Sysno::rt_sigaction);
     mb.memory(2, Some(16));
     let iovs = mb.reserve(32);
     let fds = mb.reserve(8);

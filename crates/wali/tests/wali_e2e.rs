@@ -7,8 +7,9 @@ use wasm::instr::BlockType;
 use wasm::types::ValType::{I32, I64};
 use wasm::Module;
 
+use wali::guest::{sys, Sysno};
 use wali::runner::{TaskEnd, WaliRunner};
-use wali::testkit::{roundtrip, sys};
+use wali::testkit::roundtrip;
 
 fn run(module: &Module, args: &[&str]) -> wali::RunOutcome {
     let module = roundtrip(module);
@@ -18,7 +19,7 @@ fn run(module: &Module, args: &[&str]) -> wali::RunOutcome {
 #[test]
 fn hello_world_via_sys_write() {
     let mut mb = ModuleBuilder::new();
-    let write = sys(&mut mb, "write", 3);
+    let write = sys(&mut mb, Sysno::write);
     mb.memory(2, Some(16));
     let msg = mb.c_str("hello, wali!\n");
     let main_sig = mb.sig([], [I32]);
@@ -30,17 +31,17 @@ fn hello_world_via_sys_write() {
     let out = run(&mb.build(), &[]);
     assert_eq!(out.exit_code(), Some(0));
     assert_eq!(out.stdout(), "hello, wali!\n");
-    assert_eq!(out.trace.counts.of("write"), 1);
+    assert_eq!(out.trace.counts.of(Sysno::write), 1);
 }
 
 #[test]
 fn open_write_read_file_round_trip() {
     let mut mb = ModuleBuilder::new();
-    let open = sys(&mut mb, "open", 3);
-    let write = sys(&mut mb, "write", 3);
-    let close = sys(&mut mb, "close", 1);
-    let lseek = sys(&mut mb, "lseek", 3);
-    let read = sys(&mut mb, "read", 3);
+    let open = sys(&mut mb, Sysno::open);
+    let write = sys(&mut mb, Sysno::write);
+    let close = sys(&mut mb, Sysno::close);
+    let lseek = sys(&mut mb, Sysno::lseek);
+    let read = sys(&mut mb, Sysno::read);
     mb.memory(2, Some(16));
     let path = mb.c_str("/tmp/data.txt");
     let content = mb.c_str("persisted");
@@ -91,10 +92,10 @@ fn fork_parent_and_child_diverge() {
     // parent: fork(); if pid == 0 { write "child"; exit(7) }
     //         else { wait4(pid); write "parent"; exit(0) }
     let mut mb = ModuleBuilder::new();
-    let fork = sys(&mut mb, "fork", 0);
-    let write = sys(&mut mb, "write", 3);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let exit = sys(&mut mb, "exit_group", 1);
+    let fork = sys(&mut mb, Sysno::fork);
+    let write = sys(&mut mb, Sysno::write);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit_group);
     mb.memory(2, Some(16));
     let child_msg = mb.c_str("child\n");
     let parent_msg = mb.c_str("parent\n");
@@ -126,8 +127,8 @@ fn fork_parent_and_child_diverge() {
 /// exits with whatever it reads back.
 fn vfork_probe() -> (Module, u32) {
     let mut mb = ModuleBuilder::new();
-    let vfork = sys(&mut mb, "vfork", 0);
-    let exit = sys(&mut mb, "exit_group", 1);
+    let vfork = sys(&mut mb, Sysno::vfork);
+    let exit = sys(&mut mb, Sysno::exit_group);
     mb.memory(2, Some(16));
     let flag = mb.reserve(8);
     let main_sig = mb.sig([], [I32]);
@@ -162,9 +163,9 @@ fn cow_fork_isolates_parent_and_child_writes() {
     // fork (not vfork): the COW snapshot must keep the halves independent
     // even though they share pages until first write.
     let mut mb = ModuleBuilder::new();
-    let fork = sys(&mut mb, "fork", 0);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let exit = sys(&mut mb, "exit_group", 1);
+    let fork = sys(&mut mb, Sysno::fork);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit_group);
     mb.memory(2, Some(16));
     let word = mb.reserve(8);
     mb.data_at(word, &7u32.to_le_bytes());
@@ -195,12 +196,12 @@ fn cow_fork_isolates_parent_and_child_writes() {
 #[test]
 fn pipe_between_fork_halves() {
     let mut mb = ModuleBuilder::new();
-    let pipe = sys(&mut mb, "pipe", 1);
-    let fork = sys(&mut mb, "fork", 0);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let close = sys(&mut mb, "close", 1);
-    let exit = sys(&mut mb, "exit_group", 1);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let fork = sys(&mut mb, Sysno::fork);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let close = sys(&mut mb, Sysno::close);
+    let exit = sys(&mut mb, Sysno::exit_group);
     mb.memory(2, Some(16));
     let fds = mb.reserve(8);
     let msg = mb.c_str("through-pipe");
@@ -253,9 +254,9 @@ fn ppoll_sigmask_defers_delivery_until_return() {
     // timeout elapses), and is delivered exactly once after ppoll
     // returns and the original (empty) mask is restored.
     let mut mb = ModuleBuilder::new();
-    let sigaction = sys(&mut mb, "rt_sigaction", 4);
-    let alarm = sys(&mut mb, "alarm", 1);
-    let ppoll = sys(&mut mb, "ppoll", 4);
+    let sigaction = sys(&mut mb, Sysno::rt_sigaction);
+    let alarm = sys(&mut mb, Sysno::alarm);
+    let ppoll = sys(&mut mb, Sysno::ppoll);
     mb.memory(2, Some(16));
 
     let handler_sig = mb.sig([I32], []);
@@ -318,7 +319,11 @@ fn ppoll_sigmask_defers_delivery_until_return() {
     // Dispatch counting is per retry: the initial call, the (masked,
     // non-delivering) signal-wake retry when the alarm fires, and the
     // deadline-lapse retry that reports the timeout.
-    assert!(out.trace.counts.of("ppoll") >= 1, "{:?}", out.trace.counts);
+    assert!(
+        out.trace.counts.of(Sysno::ppoll) >= 1,
+        "{:?}",
+        out.trace.counts
+    );
 }
 
 #[test]
@@ -326,9 +331,9 @@ fn signal_handler_runs_at_safepoint() {
     // Register a SIGUSR1 handler that stores 42 at mem[512]; kill(self);
     // spin until mem[512] != 0; return it.
     let mut mb = ModuleBuilder::new();
-    let sigaction = sys(&mut mb, "rt_sigaction", 4);
-    let kill = sys(&mut mb, "kill", 2);
-    let getpid = sys(&mut mb, "getpid", 0);
+    let sigaction = sys(&mut mb, Sysno::rt_sigaction);
+    let kill = sys(&mut mb, Sysno::kill);
+    let getpid = sys(&mut mb, Sysno::getpid);
     mb.memory(2, Some(16));
 
     let handler_sig = mb.sig([I32], []);
@@ -364,14 +369,14 @@ fn signal_handler_runs_at_safepoint() {
     mb.export("_start", main);
     let out = run(&mb.build(), &[]);
     assert_eq!(out.exit_code(), Some(42));
-    assert_eq!(out.trace.counts.of("rt_sigaction"), 1);
+    assert_eq!(out.trace.counts.of(Sysno::rt_sigaction), 1);
 }
 
 #[test]
 fn uncaught_sigterm_kills_process() {
     let mut mb = ModuleBuilder::new();
-    let kill = sys(&mut mb, "kill", 2);
-    let getpid = sys(&mut mb, "getpid", 0);
+    let kill = sys(&mut mb, Sysno::kill);
+    let getpid = sys(&mut mb, Sysno::getpid);
     mb.memory(1, Some(4));
     let main_sig = mb.sig([], [I32]);
     let main = mb.func(main_sig, |b| {
@@ -391,8 +396,8 @@ fn uncaught_sigterm_kills_process() {
 #[test]
 fn nanosleep_advances_virtual_clock() {
     let mut mb = ModuleBuilder::new();
-    let nanosleep = sys(&mut mb, "nanosleep", 2);
-    let clock_gettime = sys(&mut mb, "clock_gettime", 2);
+    let nanosleep = sys(&mut mb, Sysno::nanosleep);
+    let clock_gettime = sys(&mut mb, Sysno::clock_gettime);
     mb.memory(2, Some(16));
     let req = mb.reserve(16);
     let ts = mb.reserve(16);
@@ -415,9 +420,9 @@ fn nanosleep_advances_virtual_clock() {
 #[test]
 fn mmap_munmap_and_brk() {
     let mut mb = ModuleBuilder::new();
-    let mmap = sys(&mut mb, "mmap", 6);
-    let munmap = sys(&mut mb, "munmap", 2);
-    let brk = sys(&mut mb, "brk", 1);
+    let mmap = sys(&mut mb, Sysno::mmap);
+    let munmap = sys(&mut mb, Sysno::munmap);
+    let brk = sys(&mut mb, Sysno::brk);
     mb.memory(2, Some(64));
     let main_sig = mb.sig([], [I32]);
     let main = mb.func(main_sig, |b| {
@@ -455,15 +460,15 @@ fn mmap_munmap_and_brk() {
     mb.export("_start", main);
     let out = run(&mb.build(), &[]);
     assert_eq!(out.exit_code(), Some(0));
-    assert_eq!(out.trace.counts.of("mmap"), 1);
+    assert_eq!(out.trace.counts.of(Sysno::mmap), 1);
 }
 
 #[test]
 fn execve_replaces_program() {
     // Program A execs /usr/bin/b which writes "B ran" and exits 5.
     let mut a = ModuleBuilder::new();
-    let execve = sys(&mut a, "execve", 3);
-    let write_a = sys(&mut a, "write", 3);
+    let execve = sys(&mut a, Sysno::execve);
+    let write_a = sys(&mut a, Sysno::write);
     a.memory(2, Some(16));
     let path = a.c_str("/usr/bin/b");
     let pre = a.c_str("A before exec\n");
@@ -477,7 +482,7 @@ fn execve_replaces_program() {
     a.export("_start", main_a);
 
     let mut bm = ModuleBuilder::new();
-    let write_b = sys(&mut bm, "write", 3);
+    let write_b = sys(&mut bm, Sysno::write);
     bm.memory(2, Some(16));
     let msg = bm.c_str("B ran\n");
     let main_sig_b = bm.sig([], [I32]);
@@ -552,8 +557,8 @@ fn registered_program_is_a_file_wherever_it_is_registered() {
     // The caller: `faccessat(AT_FDCWD, "/bin/sh", X_OK)`, and only when
     // that succeeds, `execve` it. Any other exit code is 90 + the errno.
     let mut a = ModuleBuilder::new();
-    let faccessat = sys(&mut a, "faccessat", 4);
-    let execve = sys(&mut a, "execve", 3);
+    let faccessat = sys(&mut a, Sysno::faccessat);
+    let execve = sys(&mut a, Sysno::execve);
     a.memory(2, Some(16));
     let path = a.c_str("/bin/sh");
     let a_sig = a.sig([], [I32]);
@@ -562,7 +567,6 @@ fn registered_program_is_a_file_wherever_it_is_registered() {
         b.i64(-100)
             .i64(path as i64)
             .i64(1)
-            .i64(0)
             .call(faccessat)
             .local_set(r);
         b.local_get(r).i64(0).eq64();
@@ -599,8 +603,35 @@ fn registered_program_is_a_file_wherever_it_is_registered() {
     runner.spawn("/usr/bin/a", &[], &[]).unwrap();
     let out = runner.run().unwrap();
     assert_eq!(out.exit_code(), Some(5));
-    assert_eq!(out.trace.counts.of("faccessat"), 1);
-    assert_eq!(out.trace.counts.of("execve"), 1);
+    assert_eq!(out.trace.counts.of(Sysno::faccessat), 1);
+    assert_eq!(out.trace.counts.of(Sysno::execve), 1);
+}
+
+/// A syscall import typed otherwise than its row does not link: the
+/// registry registers every row with its signature, and the error names
+/// the import. Imported through `wali::guest::sys`, the same rows link.
+#[test]
+fn a_mistyped_syscall_import_is_refused_at_link_time() {
+    use wasm::prep::LinkError;
+    for (sysno, params) in [(Sysno::read, 1), (Sysno::faccessat, 4)] {
+        let mut mb = ModuleBuilder::new();
+        let sig = mb.sig(vec![I64; params], [I64]);
+        mb.import_func(wali::WALI_MODULE, sysno.row().import, sig);
+        let err = WaliRunner::new_default().register_program("/usr/bin/app", &mb.build());
+        assert!(
+            matches!(
+                &err,
+                Err(wali::runner::RunnerError::Link(LinkError::ImportType(m, n)))
+                    if m == "wali" && n == sysno.row().import
+            ),
+            "{sysno:?}: {:?}",
+            err.err()
+        );
+        let mut mb = ModuleBuilder::new();
+        sys(&mut mb, sysno);
+        let program = WaliRunner::new_default().register_program("/usr/bin/app", &mb.build());
+        assert!(program.is_ok(), "{sysno:?}");
+    }
 }
 
 /// The specification table is built once per process and shared, yet a
@@ -611,7 +642,7 @@ fn a_runner_linker_override_is_invisible_to_other_runners() {
     use std::sync::Arc;
 
     let mut mb = ModuleBuilder::new();
-    let getpid = sys(&mut mb, "getpid", 0);
+    let getpid = sys(&mut mb, Sysno::getpid);
     mb.memory(1, Some(1));
     let sig = mb.sig([], [I32]);
     let main = mb.func(sig, |b| {
@@ -628,11 +659,13 @@ fn a_runner_linker_override_is_invisible_to_other_runners() {
     let before = WaliRunner::new_default();
     let mut a = WaliRunner::new_default();
     a.linker_mut()
-        .func_raw(wali::WALI_MODULE, "SYS_getpid", |_, _| Ok(77));
+        .func_raw(wali::WALI_MODULE, Sysno::getpid.row().import, |_, _| Ok(77));
     let after = WaliRunner::new_default();
 
     let handle = |l: &wasm::host::Linker<wali::WaliContext>| {
-        l.resolve(wali::WALI_MODULE, "SYS_getpid").unwrap().clone()
+        l.resolve(wali::WALI_MODULE, Sysno::getpid.row().import)
+            .unwrap()
+            .clone()
     };
     let (one, two) = (wali::build_linker(), wali::build_linker());
     assert!(Arc::ptr_eq(&handle(&one), &handle(&two)));
@@ -656,7 +689,7 @@ fn argv_support_methods() {
     let get_argv_len = mb.import_func("wali", "get_argv_len", len_sig);
     let copy_sig = mb.sig([I32, I32], [I32]);
     let copy_argv = mb.import_func("wali", "copy_argv", copy_sig);
-    let write = sys(&mut mb, "write", 3);
+    let write = sys(&mut mb, Sysno::write);
     mb.memory(2, Some(16));
     let buf = mb.reserve(256);
     let main_sig = mb.sig([], [I32]);
@@ -688,7 +721,7 @@ fn argv_support_methods() {
 #[test]
 fn sigreturn_is_forbidden() {
     let mut mb = ModuleBuilder::new();
-    let sigreturn = sys(&mut mb, "rt_sigreturn", 0);
+    let sigreturn = sys(&mut mb, Sysno::rt_sigreturn);
     mb.memory(1, Some(4));
     let main_sig = mb.sig([], [I32]);
     let main = mb.func(main_sig, |b| {
@@ -707,7 +740,7 @@ fn sigreturn_is_forbidden() {
 #[test]
 fn proc_self_mem_is_interposed() {
     let mut mb = ModuleBuilder::new();
-    let open = sys(&mut mb, "open", 3);
+    let open = sys(&mut mb, Sysno::open);
     mb.memory(2, Some(16));
     let path = mb.c_str("/proc/self/mem");
     let main_sig = mb.sig([], [I32]);
@@ -728,8 +761,8 @@ fn clone_thread_shares_memory() {
     // Main clones a thread that stores 99 at mem[600]; main futex-waits
     // on a flag the thread sets, then reads mem[600].
     let mut mb = ModuleBuilder::new();
-    let clone = sys(&mut mb, "clone", 5);
-    let exit = sys(&mut mb, "exit", 1);
+    let clone = sys(&mut mb, Sysno::clone);
+    let exit = sys(&mut mb, Sysno::exit);
     mb.memory(2, Some(16));
     let main_sig = mb.sig([], [I32]);
     let main = mb.func(main_sig, |b| {
@@ -764,7 +797,7 @@ fn policy_denies_sockets() {
     use wali::policy::{DenyAction, Policy};
     use wali_abi::Errno;
     let mut mb = ModuleBuilder::new();
-    let socket = sys(&mut mb, "socket", 3);
+    let socket = sys(&mut mb, Sysno::socket);
     mb.memory(1, Some(4));
     let main_sig = mb.sig([], [I32]);
     let main = mb.func(main_sig, |b| {
@@ -799,11 +832,11 @@ fn time_breakdown_is_populated() {
     // The parent parks in a nanosleep, forks and reaps three children
     // that write a line each, then writes 200 bytes of its own.
     let mut mb = ModuleBuilder::new();
-    let write = sys(&mut mb, "write", 3);
-    let fork = sys(&mut mb, "fork", 0);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let exit = sys(&mut mb, "exit_group", 1);
-    let nanosleep = sys(&mut mb, "nanosleep", 2);
+    let write = sys(&mut mb, Sysno::write);
+    let fork = sys(&mut mb, Sysno::fork);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit_group);
+    let nanosleep = sys(&mut mb, Sysno::nanosleep);
     mb.memory(2, Some(16));
     let ts = mb.reserve(16);
     let msg = mb.c_str("x");
@@ -861,7 +894,7 @@ fn time_breakdown_is_populated() {
 
     // Everything else is the same run.
     assert_eq!(off.exit_code(), Some(0));
-    assert_eq!(off.trace.counts.of("write"), 203);
+    assert_eq!(off.trace.counts.of(Sysno::write), 203);
     assert_eq!((off.sched.parks, off.sched.idle_advances), (1, 1));
     assert!(off.trace.wasm_steps > 1000);
     assert_eq!(off.main_exit, on.main_exit);
@@ -895,7 +928,7 @@ fn policy_ring_and_timing_survive_execve() {
 
     // A makes no kernel call of its own: it only execs B.
     let mut a = ModuleBuilder::new();
-    let execve = sys(&mut a, "execve", 3);
+    let execve = sys(&mut a, Sysno::execve);
     a.memory(1, Some(2));
     let path = a.c_str("/usr/bin/b");
     let sig = a.sig([], [I32]);
@@ -907,9 +940,9 @@ fn policy_ring_and_timing_survive_execve() {
 
     // B exits 3 - (socket() == -EPERM) - 2 * (wali_ring_enter() == -ENOSYS).
     let mut bm = ModuleBuilder::new();
-    let socket = sys(&mut bm, "socket", 3);
-    let ring_enter = sys(&mut bm, "wali_ring_enter", 4);
-    let write = sys(&mut bm, "write", 3);
+    let socket = sys(&mut bm, Sysno::socket);
+    let ring_enter = sys(&mut bm, Sysno::wali_ring_enter);
+    let write = sys(&mut bm, Sysno::write);
     bm.memory(1, Some(2));
     let msg = bm.c_str("B\n");
     let sig = bm.sig([], [I32]);
@@ -963,9 +996,9 @@ fn a_bad_execve_target_is_enoexec_for_the_caller_only() {
     // Exits 3 - (execve(target) == -ENOEXEC) - 2 * (write(cloexec_fd) == 1).
     let prober = |target: &str| {
         let mut mb = ModuleBuilder::new();
-        let open = sys(&mut mb, "open", 3);
-        let execve = sys(&mut mb, "execve", 3);
-        let write = sys(&mut mb, "write", 3);
+        let open = sys(&mut mb, Sysno::open);
+        let execve = sys(&mut mb, Sysno::execve);
+        let write = sys(&mut mb, Sysno::write);
         mb.memory(1, Some(2));
         let file = mb.c_str("/tmp/keep");
         let path = mb.c_str(target);
@@ -1035,8 +1068,8 @@ fn a_bad_execve_target_is_enoexec_for_the_caller_only() {
 #[test]
 fn deadlock_report_names_the_call_the_place_and_the_kernel_state() {
     let mut mb = ModuleBuilder::new();
-    let pipe2 = sys(&mut mb, "pipe2", 2);
-    let read = sys(&mut mb, "read", 3);
+    let pipe2 = sys(&mut mb, Sysno::pipe2);
+    let read = sys(&mut mb, Sysno::read);
     mb.memory(1, Some(2));
     let fds = mb.reserve(8);
     let buf = mb.reserve(8);
@@ -1077,15 +1110,15 @@ fn far_offsets_and_wrong_access_modes_are_errnos_not_host_panics() {
     const EINVAL: i64 = -22;
     const SLOTS: u32 = 10;
     let mut mb = ModuleBuilder::new();
-    let open = sys(&mut mb, "open", 3);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let pwrite = sys(&mut mb, "pwrite64", 4);
-    let pwritev = sys(&mut mb, "pwritev", 4);
-    let lseek = sys(&mut mb, "lseek", 3);
-    let ftruncate = sys(&mut mb, "ftruncate", 2);
-    let truncate = sys(&mut mb, "truncate", 2);
-    let fallocate = sys(&mut mb, "fallocate", 4);
+    let open = sys(&mut mb, Sysno::open);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let pwrite = sys(&mut mb, Sysno::pwrite64);
+    let pwritev = sys(&mut mb, Sysno::pwritev);
+    let lseek = sys(&mut mb, Sysno::lseek);
+    let ftruncate = sys(&mut mb, Sysno::ftruncate);
+    let truncate = sys(&mut mb, Sysno::truncate);
+    let fallocate = sys(&mut mb, Sysno::fallocate);
     mb.memory(2, Some(16));
     let path = mb.c_str("/tmp/far.dat");
     let buf = mb.data(b"x");
@@ -1185,17 +1218,17 @@ fn far_offsets_and_wrong_access_modes_are_errnos_not_host_panics() {
 fn a_listener_closed_over_a_pending_connection_resets_its_client() {
     use wali::testkit::{emit_sleep, sockaddr_in, spawn_thread};
     let mut mb = ModuleBuilder::new();
-    let pipe = sys(&mut mb, "pipe", 1);
-    let socket = sys(&mut mb, "socket", 3);
-    let bind = sys(&mut mb, "bind", 3);
-    let listen = sys(&mut mb, "listen", 2);
-    let connect = sys(&mut mb, "connect", 3);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let close = sys(&mut mb, "close", 1);
-    let clone = sys(&mut mb, "clone", 5);
-    let exit = sys(&mut mb, "exit", 1);
-    let nanosleep = sys(&mut mb, "nanosleep", 2);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let socket = sys(&mut mb, Sysno::socket);
+    let bind = sys(&mut mb, Sysno::bind);
+    let listen = sys(&mut mb, Sysno::listen);
+    let connect = sys(&mut mb, Sysno::connect);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let close = sys(&mut mb, Sysno::close);
+    let clone = sys(&mut mb, Sysno::clone);
+    let exit = sys(&mut mb, Sysno::exit);
+    let nanosleep = sys(&mut mb, Sysno::nanosleep);
     mb.memory(2, Some(16));
     let addr = mb.data(&sockaddr_in(7300));
     let fds = mb.reserve(8);
@@ -1277,12 +1310,12 @@ fn two_small_writers_into_a_nearly_full_pipe_do_not_interleave() {
     const CAPACITY: i32 = 65_536;
     const MESSAGE: i32 = 100;
     let mut mb = ModuleBuilder::new();
-    let pipe = sys(&mut mb, "pipe", 1);
-    let fork = sys(&mut mb, "fork", 0);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let close = sys(&mut mb, "close", 1);
-    let exit = sys(&mut mb, "exit_group", 1);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let fork = sys(&mut mb, Sysno::fork);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let close = sys(&mut mb, Sysno::close);
+    let exit = sys(&mut mb, Sysno::exit_group);
     mb.memory(2, Some(16));
     let fds = mb.reserve(8);
     let filler = mb.data(&[b'f'; 4096]);
@@ -1401,10 +1434,10 @@ fn a_thousand_unwaited_children_of_a_sigchld_ignorer_leave_nothing() {
     use wali::testkit::{run_module, RunnerOpts};
     const FORKS: i32 = 1000;
     let mut mb = ModuleBuilder::new();
-    let sigaction = sys(&mut mb, "rt_sigaction", 4);
-    let fork = sys(&mut mb, "fork", 0);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let exit = sys(&mut mb, "exit_group", 1);
+    let sigaction = sys(&mut mb, Sysno::rt_sigaction);
+    let fork = sys(&mut mb, Sysno::fork);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit_group);
     mb.memory(1, Some(2));
     let act = mb.reserve(24);
     let main_sig = mb.sig([], [I32]);
@@ -1507,15 +1540,15 @@ struct Ep {
 impl Ep {
     fn import(mb: &mut ModuleBuilder) -> Ep {
         let mut ep = Ep {
-            create: sys(mb, "epoll_create1", 1),
-            ctl: sys(mb, "epoll_ctl", 4),
-            wait: sys(mb, "epoll_wait", 4),
-            pipe: sys(mb, "pipe", 1),
-            write: sys(mb, "write", 3),
-            close: sys(mb, "close", 1),
-            clone: sys(mb, "clone", 5),
-            exit: sys(mb, "exit", 1),
-            nanosleep: sys(mb, "nanosleep", 2),
+            create: sys(mb, Sysno::epoll_create1),
+            ctl: sys(mb, Sysno::epoll_ctl),
+            wait: sys(mb, Sysno::epoll_wait),
+            pipe: sys(mb, Sysno::pipe),
+            write: sys(mb, Sysno::write),
+            close: sys(mb, Sysno::close),
+            clone: sys(mb, Sysno::clone),
+            exit: sys(mb, Sysno::exit),
+            nanosleep: sys(mb, Sysno::nanosleep),
             ts: 0,
             evbuf: 0,
         };
@@ -1602,15 +1635,15 @@ fn epoll_wait_takes_its_timeout_as_a_c_int() {
 #[test]
 fn an_accept_that_faults_on_its_address_leaves_no_descriptor() {
     let mut mb = ModuleBuilder::new();
-    let socket = sys(&mut mb, "socket", 3);
-    let bind = sys(&mut mb, "bind", 3);
-    let listen = sys(&mut mb, "listen", 2);
-    let connect = sys(&mut mb, "connect", 3);
-    let accept = sys(&mut mb, "accept", 3);
-    let dup = sys(&mut mb, "dup", 1);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let close = sys(&mut mb, "close", 1);
+    let socket = sys(&mut mb, Sysno::socket);
+    let bind = sys(&mut mb, Sysno::bind);
+    let listen = sys(&mut mb, Sysno::listen);
+    let connect = sys(&mut mb, Sysno::connect);
+    let accept = sys(&mut mb, Sysno::accept);
+    let dup = sys(&mut mb, Sysno::dup);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let close = sys(&mut mb, Sysno::close);
     mb.memory(2, Some(16));
     let addr = mb.data(&sockaddr_in(7310));
     // The clients are bound: a peer with an address is what `accept`
@@ -1786,9 +1819,9 @@ fn a_parked_epoll_wait_survives_its_descriptor_being_closed_and_reused() {
 fn a_handler_waiting_on_a_second_instance_does_not_inherit_the_first() {
     let mut mb = ModuleBuilder::new();
     let e = Ep::import(&mut mb);
-    let sigaction = sys(&mut mb, "rt_sigaction", 4);
-    let tgkill = sys(&mut mb, "tgkill", 3);
-    let getpid = sys(&mut mb, "getpid", 0);
+    let sigaction = sys(&mut mb, Sysno::rt_sigaction);
+    let tgkill = sys(&mut mb, Sysno::tgkill);
+    let getpid = sys(&mut mb, Sysno::getpid);
     let fds = mb.reserve(8);
     let other = mb.reserve(8);
     let ev1 = mb.data(&epoll_event(EPOLLIN, 0xA1));
@@ -1870,7 +1903,7 @@ fn a_handler_waiting_on_a_second_instance_does_not_inherit_the_first() {
 fn a_task_that_dies_in_epoll_wait_gives_its_instance_back() {
     let mut mb = ModuleBuilder::new();
     let e = Ep::import(&mut mb);
-    let exit_group = sys(&mut mb, "exit_group", 1);
+    let exit_group = sys(&mut mb, Sysno::exit_group);
     let fds = mb.reserve(8);
     let ev = mb.data(&epoll_event(EPOLLIN, 1));
     let sig = mb.sig([], [I32]);
@@ -1904,18 +1937,18 @@ fn every_deferred_tick_is_on_the_clock_before_anyone_reads_it() {
     const K: i64 = 5;
     const Q: i64 = vkernel::clock::SYSCALL_QUANTUM_NS as i64;
     let mut mb = ModuleBuilder::new();
-    let open = sys(&mut mb, "open", 3);
-    let lseek = sys(&mut mb, "lseek", 3);
-    let read = sys(&mut mb, "read", 3);
-    let write = sys(&mut mb, "write", 3);
-    let fstat = sys(&mut mb, "fstat", 2);
-    let pipe = sys(&mut mb, "pipe", 1);
-    let clock_gettime = sys(&mut mb, "clock_gettime", 2);
-    let clone = sys(&mut mb, "clone", 5);
-    let fork = sys(&mut mb, "fork", 0);
-    let wait4 = sys(&mut mb, "wait4", 4);
-    let exit = sys(&mut mb, "exit", 1);
-    let exit_group = sys(&mut mb, "exit_group", 1);
+    let open = sys(&mut mb, Sysno::open);
+    let lseek = sys(&mut mb, Sysno::lseek);
+    let read = sys(&mut mb, Sysno::read);
+    let write = sys(&mut mb, Sysno::write);
+    let fstat = sys(&mut mb, Sysno::fstat);
+    let pipe = sys(&mut mb, Sysno::pipe);
+    let clock_gettime = sys(&mut mb, Sysno::clock_gettime);
+    let clone = sys(&mut mb, Sysno::clone);
+    let fork = sys(&mut mb, Sysno::fork);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit);
+    let exit_group = sys(&mut mb, Sysno::exit_group);
     mb.memory(2, Some(16));
     let path = mb.c_str("/tmp/tick.dat");
     let buf = mb.reserve(64);

@@ -10,6 +10,7 @@ use wali_abi::flags::{
     AT_FDCWD, O_APPEND, O_CREAT, O_DIRECTORY, O_EXCL, O_NONBLOCK, O_RDONLY, O_RDWR, O_TRUNC,
     SEEK_CUR, SEEK_END, SEEK_SET, S_IFDIR, S_IFMT, S_IFREG,
 };
+use wali_abi::spec::{rows, Sysno as S, WaliSyscall};
 use wasm::host::{Caller, HostFn, HostOutcome, Linker};
 
 use crate::errno::{self, BADF, INVAL, NOTCAPABLE, SUCCESS};
@@ -130,52 +131,29 @@ fn fail_x(code: i32) -> X {
     fail(code)
 }
 
-/// Declares [`Wali`]: the handles of the WALI syscalls this layer lowers
-/// onto, resolved once when [`add_wasi_layer`] runs so a nested call is
-/// one indirect call on raw slots — no name formatting, registry lookup
-/// or argument list per call.
-macro_rules! wali_handles {
-    ($($name:ident),* $(,)?) => {
-        struct Wali {
-            $($name: HostFn<WaliContext>,)*
-        }
+/// The WALI syscalls this layer lowers onto: every row's handle, indexed
+/// by [`Sysno`](S) and resolved once, when [`add_wasi_layer`] runs, through
+/// the linker it is given (so a runner's overrides apply). A nested call
+/// is one indirect call on raw slots — no name formatting, registry
+/// lookup or argument list per call.
+struct Wali(Vec<HostFn<WaliContext>>);
 
-        impl Wali {
-            fn resolve(linker: &Linker<WaliContext>) -> Wali {
-                Wali {
-                    $($name: linker
-                        .resolve(wali::WALI_MODULE, concat!("SYS_", stringify!($name)))
-                        .unwrap_or_else(|| {
-                            panic!("WALI registry is complete: {}", stringify!($name))
-                        })
-                        .clone(),)*
-                }
-            }
-        }
-    };
+impl Wali {
+    /// Every row is registered (`wali::registry`'s `linker_covers_full_spec`).
+    fn resolve(linker: &Linker<WaliContext>) -> Wali {
+        let handle = |row: &WaliSyscall| linker.resolve(wali::WALI_MODULE, row.import).cloned();
+        let handles = rows().map(handle).collect::<Option<_>>();
+        Wali(handles.expect("a WALI linker"))
+    }
 }
 
-wali_handles!(
-    clock_gettime,
-    close,
-    exit_group,
-    fdatasync,
-    fstat,
-    fsync,
-    getdents64,
-    getrandom,
-    lseek,
-    mkdirat,
-    nanosleep,
-    newfstatat,
-    openat,
-    readlinkat,
-    readv,
-    renameat,
-    sched_yield,
-    unlinkat,
-    writev,
-);
+impl std::ops::Index<S> for Wali {
+    type Output = HostFn<WaliContext>;
+
+    fn index(&self, sysno: S) -> &HostFn<WaliContext> {
+        &self.0[sysno as usize]
+    }
+}
 
 /// Invokes a WALI syscall from inside a WASI function (the layering).
 ///
@@ -334,7 +312,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         let out = a32(args, 2) as u32;
         let ts = STRUCT_SCRATCH;
         match wali_call(
-            &b.clock_gettime,
+            &b[S::clock_gettime],
             c,
             &[clock as u64, ts as u64],
             "clock_time_get",
@@ -364,7 +342,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         if let Some(s) = state_mut(c.data) {
             s.revoke(fd);
         }
-        match wali_call(&b.close, c, &[fd as u64], "fd_close") {
+        match wali_call(&b[S::close], c, &[fd as u64], "fd_close") {
             Ok(ret) => match check(ret) {
                 Ok(_) => ok(),
                 Err(e) => e,
@@ -405,7 +383,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
             _ => return fail(INVAL),
         };
         match wali_call(
-            &b.lseek,
+            &b[S::lseek],
             c,
             &[fd as u64, offset as u64, whence as u64],
             "fd_seek",
@@ -424,7 +402,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
 
     wasi!("fd_tell", |b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
-        match wali_call(&b.lseek, c, &[fd as u64, 0, SEEK_CUR as u64], "fd_tell") {
+        match wali_call(&b[S::lseek], c, &[fd as u64, 0, SEEK_CUR as u64], "fd_tell") {
             Ok(ret) => match check(ret) {
                 Ok(pos) => {
                     let mem = wmem(c);
@@ -441,7 +419,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         let fd = a32(args, 0);
         let out = a32(args, 1) as u32;
         let st = STRUCT_SCRATCH;
-        match wali_call(&b.fstat, c, &[fd as u64, st as u64], "fd_fdstat_get") {
+        match wali_call(&b[S::fstat], c, &[fd as u64, st as u64], "fd_fdstat_get") {
             Ok(ret) => {
                 if let Err(e) = check(ret) {
                     return e;
@@ -470,7 +448,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         let fd = a32(args, 0);
         let out = a32(args, 1) as u32;
         let st = STRUCT_SCRATCH;
-        match wali_call(&b.fstat, c, &[fd as u64, st as u64], "fd_filestat_get") {
+        match wali_call(&b[S::fstat], c, &[fd as u64, st as u64], "fd_filestat_get") {
             Ok(ret) => {
                 if let Err(e) = check(ret) {
                     return e;
@@ -527,7 +505,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         let (buf, buf_len) = (a32(args, 1) as u32, a32(args, 2) as u32);
         let tmp = STRUCT_SCRATCH;
         match wali_call(
-            &b.getdents64,
+            &b[S::getdents64],
             c,
             &[fd as u64, tmp as u64, 240],
             "fd_readdir",
@@ -573,7 +551,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
 
     wasi!("fd_sync", |b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
-        match wali_call(&b.fsync, c, &[fd as u64], "fd_sync") {
+        match wali_call(&b[S::fsync], c, &[fd as u64], "fd_sync") {
             Ok(_) => ok(),
             Err(x) => x,
         }
@@ -581,7 +559,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
 
     wasi!("fd_datasync", |b: &B, c: C, args: &[u64]| -> X {
         let fd = a32(args, 0);
-        match wali_call(&b.fdatasync, c, &[fd as u64], "fd_datasync") {
+        match wali_call(&b[S::fdatasync], c, &[fd as u64], "fd_datasync") {
             Ok(_) => ok(),
             Err(x) => x,
         }
@@ -636,7 +614,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
             Err(x) => return x,
         };
         match wali_call(
-            &b.openat,
+            &b[S::openat],
             c,
             &[AT_FDCWD as u64, staged as u64, flags as u64, 0o644],
             "path_open",
@@ -670,7 +648,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         };
         let st = STRUCT_SCRATCH;
         match wali_call(
-            &b.newfstatat,
+            &b[S::newfstatat],
             c,
             &[AT_FDCWD as u64, staged as u64, st as u64, 0],
             "path_filestat_get",
@@ -687,19 +665,19 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
     });
 
     wasi!("path_create_directory", |b: &B, c: C, args: &[u64]| -> X {
-        path_simple(c, args, &b.mkdirat, "path_create_directory", 0o755)
+        path_simple(c, args, &b[S::mkdirat], "path_create_directory", 0o755)
     });
     wasi!("path_remove_directory", |b: &B, c: C, args: &[u64]| -> X {
         path_simple(
             c,
             args,
-            &b.unlinkat,
+            &b[S::unlinkat],
             "path_remove_directory",
             wali_abi::flags::AT_REMOVEDIR as u64,
         )
     });
     wasi!("path_unlink_file", |b: &B, c: C, args: &[u64]| -> X {
-        path_simple(c, args, &b.unlinkat, "path_unlink_file", 0)
+        path_simple(c, args, &b[S::unlinkat], "path_unlink_file", 0)
     });
 
     wasi!("path_rename", |b: &B, c: C, args: &[u64]| -> X {
@@ -723,7 +701,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         bytes.push(0);
         let _ = mem.write(p2 as u64, &bytes);
         match wali_call(
-            &b.renameat,
+            &b[S::renameat],
             c,
             &[AT_FDCWD as u64, p1 as u64, AT_FDCWD as u64, p2 as u64],
             "path_rename",
@@ -748,7 +726,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
         };
         let (buf, len) = (a32(args, 3) as u64, a32(args, 4) as u64);
         match wali_call(
-            &b.readlinkat,
+            &b[S::readlinkat],
             c,
             &[AT_FDCWD as u64, staged as u64, buf, len],
             "path_readlink",
@@ -767,7 +745,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
 
     wasi!("proc_exit", |b: &B, c: C, args: &[u64]| -> X {
         let code = a32(args, 0);
-        match wali_call(&b.exit_group, c, &[code as u64], "proc_exit") {
+        match wali_call(&b[S::exit_group], c, &[code as u64], "proc_exit") {
             Ok(_) => ok(),
             Err(x) => x,
         }
@@ -775,7 +753,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
 
     wasi!("random_get", |b: &B, c: C, args: &[u64]| -> X {
         let (buf, len) = (a32(args, 0) as u64, a32(args, 1) as u64);
-        match wali_call(&b.getrandom, c, &[buf, len, 0], "random_get") {
+        match wali_call(&b[S::getrandom], c, &[buf, len, 0], "random_get") {
             Ok(ret) => match check(ret) {
                 Ok(_) => ok(),
                 Err(e) => e,
@@ -785,7 +763,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
     });
 
     wasi!("sched_yield", |b: &B, c: C, _args: &[u64]| -> X {
-        match wali_call(&b.sched_yield, c, &[], "sched_yield") {
+        match wali_call(&b[S::sched_yield], c, &[], "sched_yield") {
             Ok(_) => ok(),
             Err(x) => x,
         }
@@ -809,7 +787,7 @@ pub fn add_wasi_layer(linker: &mut Linker<WaliContext>) {
             let ts = STRUCT_SCRATCH;
             let _ = mem.store::<8>(ts as u64, (timeout / 1_000_000_000).to_le_bytes());
             let _ = mem.store::<8>(ts as u64 + 8, (timeout % 1_000_000_000).to_le_bytes());
-            if let Err(x) = wali_call(&b.nanosleep, c, &[ts as u64, 0], "poll_oneoff") {
+            if let Err(x) = wali_call(&b[S::nanosleep], c, &[ts as u64, 0], "poll_oneoff") {
                 return x;
             }
         }
@@ -832,7 +810,11 @@ fn do_rw(base: &Wali, c: C, args: &[u64], write: bool, import: &'static str) -> 
     );
     // WASI ciovec has the same wasm32 layout as the WALI iovec, so
     // readv/writev pass through directly — layering at its thinnest.
-    let f = if write { &base.writev } else { &base.readv };
+    let f = if write {
+        &base[S::writev]
+    } else {
+        &base[S::readv]
+    };
     match wali_call(f, c, &[fd as u64, iovs, iovcnt], import) {
         Ok(ret) => match check(ret) {
             Ok(n) => {

@@ -2,6 +2,7 @@
 //! on an engine whose only OS access is the WALI interface; the WASI
 //! implementation and its capability model live entirely above it.
 
+use wali::guest::Sysno;
 use wali::runner::WaliRunner;
 use wali::WaliContext;
 use wasi_layer::{add_wasi_layer, init_wasi, WasiState};
@@ -61,7 +62,7 @@ fn fd_write_reaches_console_through_wali() {
     assert_eq!(out.stdout(), "wasi over wali\n");
     // The layering is visible in the trace: the WASI call shows up as the
     // underlying WALI syscall.
-    assert_eq!(out.trace.counts.of("writev"), 1);
+    assert_eq!(out.trace.counts.of(Sysno::writev), 1);
 }
 
 #[test]
@@ -167,10 +168,11 @@ fn wasi_file_round_trip_over_wali() {
     let out = run_wasi(mb, &["/tmp"], &[]);
     assert_eq!(out.exit_code(), Some(0));
     // All through WALI: openat + writev + lseek + readv + close.
-    for call in ["openat", "writev", "lseek", "readv", "close"] {
+    use Sysno::{close, lseek, openat, readv, writev};
+    for call in [openat, writev, lseek, readv, close] {
         assert!(
             out.trace.counts.contains_key(call),
-            "missing WALI call {call}"
+            "missing WALI call {call:?}"
         );
     }
 }
@@ -221,7 +223,7 @@ fn proc_exit_goes_through_wali_exit_group() {
     let out = run_wasi(mb, &["/tmp"], &[]);
     assert_eq!(out.exit_code(), Some(33));
     assert_eq!(
-        out.trace.counts.of("exit_group"),
+        out.trace.counts.of(Sysno::exit_group),
         1,
         "lowered to SYS_exit_group"
     );

@@ -143,8 +143,11 @@ impl HostCtx for () {
 /// which is what lets an embedder build its specification table once per
 /// process and hand every runtime a clone of it.
 pub struct Linker<T> {
-    funcs: HashMap<String, Arc<HashMap<String, HostFn<T>>>>,
+    funcs: HashMap<String, Arc<HashMap<String, Entry<T>>>>,
 }
+
+/// A registered function and the signature it links to, if it has one.
+pub(crate) type Entry<T> = (HostFn<T>, Option<FuncType>);
 
 impl<T> Default for Linker<T> {
     fn default() -> Self {
@@ -175,8 +178,20 @@ impl<T> Linker<T> {
         name: &str,
         f: impl Fn(&mut Caller<'_, T>, &[u64]) -> Result<u64, HostOutcome> + Send + Sync + 'static,
     ) -> &mut Self {
+        self.func_raw_typed(module, name, None, f)
+    }
+
+    /// [`Linker::func_raw`] for a function that, given `sig`, links only
+    /// to an import of that signature ([`crate::prep::LinkError::ImportType`]).
+    pub fn func_raw_typed(
+        &mut self,
+        module: &str,
+        name: &str,
+        sig: Option<FuncType>,
+        f: impl Fn(&mut Caller<'_, T>, &[u64]) -> Result<u64, HostOutcome> + Send + Sync + 'static,
+    ) -> &mut Self {
         let table = self.funcs.entry(module.to_string()).or_default();
-        Arc::make_mut(table).insert(name.to_string(), Arc::new(f));
+        Arc::make_mut(table).insert(name.to_string(), (Arc::new(f), sig));
         self
     }
 
@@ -217,6 +232,10 @@ impl<T> Linker<T> {
 
     /// Looks up a registered function (no allocation).
     pub fn resolve(&self, module: &str, name: &str) -> Option<&HostFn<T>> {
+        self.entry(module, name).map(|(f, _)| f)
+    }
+
+    pub(crate) fn entry(&self, module: &str, name: &str) -> Option<&Entry<T>> {
         self.funcs.get(module)?.get(name)
     }
 

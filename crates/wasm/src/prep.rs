@@ -128,6 +128,9 @@ pub enum LinkError {
     Validate(ValidateError),
     /// An imported function had no host registration.
     MissingImport(String, String),
+    /// An imported function's type is not the one its host function
+    /// was registered for.
+    ImportType(String, String),
     /// Non-function imports, and function imports of more than one
     /// result, are not supported.
     UnsupportedImport(String, String),
@@ -138,6 +141,7 @@ impl std::fmt::Display for LinkError {
         match self {
             LinkError::Validate(e) => write!(f, "{e}"),
             LinkError::MissingImport(m, n) => write!(f, "missing import {m}.{n}"),
+            LinkError::ImportType(m, n) => write!(f, "import {m}.{n} has the wrong type"),
             LinkError::UnsupportedImport(m, n) => write!(f, "unsupported import kind {m}.{n}"),
         }
     }
@@ -573,12 +577,13 @@ impl<T> Program<T> {
                             imp.name.clone(),
                         ));
                     }
-                    let f = linker
-                        .resolve(&imp.module, &imp.name)
-                        .ok_or_else(|| {
-                            LinkError::MissingImport(imp.module.clone(), imp.name.clone())
-                        })?
-                        .clone();
+                    let (f, sig) = linker.entry(&imp.module, &imp.name).ok_or_else(|| {
+                        LinkError::MissingImport(imp.module.clone(), imp.name.clone())
+                    })?;
+                    if matches!(sig, Some(s) if *s != module.types[*ty as usize]) {
+                        return Err(LinkError::ImportType(imp.module.clone(), imp.name.clone()));
+                    }
+                    let f = f.clone();
                     funcs.push(FuncDef::Host { ty: *ty, f });
                 }
                 _ => {

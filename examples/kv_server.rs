@@ -5,6 +5,7 @@
 //! cargo run --example kv_server
 //! ```
 
+use wali::guest::Sysno;
 use wasm::SafepointScheme;
 
 fn main() {
@@ -22,10 +23,10 @@ fn main() {
     println!("exit: {:?} (0 = all requests served)", out.main_exit);
     println!(
         "server: clone={} accept={} | clients: connect={} sendto/write={}",
-        out.trace.counts.of("clone"),
-        out.trace.counts.of("accept"),
-        out.trace.counts.of("connect"),
-        out.trace.counts.of("write"),
+        out.trace.counts.of(Sysno::clone),
+        out.trace.counts.of(Sysno::accept),
+        out.trace.counts.of(Sysno::connect),
+        out.trace.counts.of(Sysno::write),
     );
     println!(
         "peak linear memory: {} KiB",

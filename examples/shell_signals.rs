@@ -5,6 +5,7 @@
 //! cargo run --example shell_signals
 //! ```
 
+use wali::guest::Sysno;
 use wasm::SafepointScheme;
 
 fn main() {
@@ -28,10 +29,10 @@ fn main() {
     );
     println!(
         "job-control syscalls: fork={} wait4={} pipe={} dup3={} rt_sigaction={}",
-        out.trace.counts.of("fork"),
-        out.trace.counts.of("wait4"),
-        out.trace.counts.of("pipe"),
-        out.trace.counts.of("dup3"),
-        out.trace.counts.of("rt_sigaction"),
+        out.trace.counts.of(Sysno::fork),
+        out.trace.counts.of(Sysno::wait4),
+        out.trace.counts.of(Sysno::pipe),
+        out.trace.counts.of(Sysno::dup3),
+        out.trace.counts.of(Sysno::rt_sigaction),
     );
 }

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the whole stack from application suite
 //! through WALI, the kernel model, the WASI layer and the comparators.
 
+use wali::guest::Sysno;
 use wali::policy::{DenyAction, Policy};
 use wali::runner::{TaskEnd, WaliRunner};
 use wali_abi::Errno;
@@ -52,9 +53,9 @@ fn syscall_profile_matches_table1_footprints() {
     let out = run_app(apps::bash_sim(2), SafepointScheme::LoopHeaders);
     let cat = apps::catalog();
     let bash = cat.iter().find(|e| e.name == "bash").unwrap();
-    assert!(out.trace.counts.contains_key("fork"));
+    assert!(out.trace.counts.contains_key(Sysno::fork));
     assert!(bash.required.contains(&Feature::Fork));
-    assert!(out.trace.counts.contains_key("rt_sigaction"));
+    assert!(out.trace.counts.contains_key(Sysno::rt_sigaction));
     assert!(bash.required.contains(&Feature::Signals));
 }
 
