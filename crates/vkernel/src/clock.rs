@@ -14,6 +14,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use wali_abi::Errno;
+
 /// Nanoseconds the clock advances per syscall entry (mode-switch model).
 pub const SYSCALL_QUANTUM_NS: u64 = 180;
 
@@ -57,6 +59,20 @@ impl Clock {
     /// Per-syscall tick.
     pub fn tick(&self) {
         self.advance(SYSCALL_QUANTUM_NS);
+    }
+
+    /// `clock_gettime(clock_id)`: a read of the counter, like Linux's
+    /// vDSO — no lock.
+    pub fn gettime(&self, clock_id: i32) -> Result<u64, Errno> {
+        use wali_abi::flags::*;
+        match clock_id {
+            CLOCK_REALTIME => Ok(self.realtime_ns()),
+            CLOCK_MONOTONIC
+            | CLOCK_MONOTONIC_RAW
+            | CLOCK_PROCESS_CPUTIME_ID
+            | CLOCK_THREAD_CPUTIME_ID => Ok(self.monotonic_ns()),
+            _ => Err(Errno::Einval),
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! `epoll`: scalable readiness notification.
 //!
 //! A thin, deterministic model of the Linux epoll family, layered over the
-//! same readiness logic as `poll` (`Kernel::probe`) and the same
+//! same readiness logic as `poll` (`KernelHandles::probe`) and the same
 //! waitqueues as every other blocking call:
 //!
 //! * the interest list is keyed by descriptor number but each
@@ -28,19 +28,23 @@
 //!   waitqueue's ready hub ([`crate::wait::WaitShard::hub_register`]);
 //! * every waitqueue post routes through the hub, pushing the watching
 //!   registrations onto their instance's `Epoll::ready` ring (the
-//!   `queued` flag keeps an entry on the ring at most once) and posting
-//!   [`Channel::EpollReady`] for freshly queued entries;
+//!   `queued` flag keeps an entry on the ring at most once); a push that
+//!   queued a fresh entry takes the instance's waiters, under the same
+//!   hold, for the post to wake;
 //! * `epoll_wait` pops the ring under one hold of the instance's lock
-//!   ([`Kernel::epoll_wait`]): it re-verifies only the popped entries —
-//!   O(ready), not O(interest) — each through the pipe or socket its
-//!   registration was armed with, re-queues still-ready level-triggered
-//!   entries and, for a caller about to block with nothing to report,
-//!   subscribes the single `EpollReady` channel before letting go.
-//!   Producers push under that lock and post after it, so whichever
+//!   ([`KernelHandles::epoll_wait`], on the shards — no kernel lock, as
+//!   Linux's `ep_poll` takes no global one): it re-verifies only the
+//!   popped entries — O(ready), not O(interest) — each through the pipe
+//!   or socket its registration was armed with, re-queues still-ready
+//!   level-triggered entries and, for a caller about to block with
+//!   nothing to report, parks it in the instance (`Epoll::waiters`)
+//!   before letting go. Producers push under that lock, so whichever
 //!   side comes second sees the other. A woken waiter that finds its
 //!   one candidate drained (seven of the eight workers a prefork herd
-//!   wakes per connection) takes three locks and allocates nothing;
-//! * `poll`/`ppoll` on an epoll fd runs the same pop as a pure peek.
+//!   wakes per connection) takes two locks — the instance and the
+//!   listener — and allocates nothing;
+//! * `poll`/`ppoll` on an epoll fd runs the same pop as a pure peek,
+//!   and waits in the instance beside any `epoll_wait`.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Weak};
@@ -51,14 +55,14 @@ use wali_abi::flags::{
 };
 use wali_abi::Errno;
 
-use crate::fd::{FileKind, FileRef, OpenFile};
+use crate::fd::{FileKind, FileRef, Files, OpenFile};
 use crate::slab::Handle;
-use crate::sync::FastMap;
-use crate::wait::Channel;
+use crate::sync::{FastMap, HintFlag};
+use crate::wait::{Channel, Sleeper};
 use crate::{SysResult, Tid};
 
 use super::sock::Pollable;
-use super::{ChanSet, Kernel};
+use super::{ChanSet, Kernel, KernelHandles};
 
 /// One interest-list registration. Like Linux, the registration key is
 /// the `(fd number, open file description)` *pair*: the `file` identity
@@ -101,16 +105,17 @@ pub(crate) struct EpollReg {
 }
 
 /// What a pop does besides verifying what it popped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Pop {
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Pop<'a> {
     /// `poll` on the epoll fd: no ET edge or ONESHOT disarm is recorded
     /// and every popped entry goes back on the ring.
     Peek,
     /// `epoll_wait` that returns whatever it finds.
     Take,
-    /// `epoll_wait` that blocks: with nothing to report, the caller is
-    /// subscribed before the pop lets go of the instance.
-    TakeOrPark,
+    /// `epoll_wait` that blocks: with nothing to report, the caller —
+    /// this is its block — is parked in the instance before the pop
+    /// lets go of it.
+    TakeOrPark(&'a HintFlag),
 }
 
 /// What a blocked `epoll_wait` retries by: the description it resolved,
@@ -121,6 +126,31 @@ pub(crate) enum Pop {
 pub struct EpollHold {
     file: FileRef,
     ep: Handle<Epoll>,
+}
+
+impl EpollHold {
+    /// Resolves `epfd` in `files` for an `epoll_wait` — once per call,
+    /// however often it blocks: the retries go by the hold.
+    pub fn resolve(files: &Files, epfd: i32) -> Result<EpollHold, Errno> {
+        let table = files.lock_ok();
+        let file = &table.get(epfd)?.file;
+        match &file.kind {
+            FileKind::Epoll(ep) => Ok(EpollHold {
+                file: file.clone(),
+                ep: ep.clone(),
+            }),
+            _ => Err(Errno::Einval),
+        }
+    }
+
+    /// The call that took the hold is over: the description, with the
+    /// address its handle had, if its descriptor was closed meanwhile
+    /// and this was its last reference — the core's to release
+    /// ([`Kernel::release_description`]).
+    pub fn give_back(self) -> Option<(OpenFile, usize)> {
+        let key = Arc::as_ptr(&self.file) as usize;
+        Arc::into_inner(self.file).map(|last| (last, key))
+    }
 }
 
 /// One epoll instance: the interest list and its ready ring.
@@ -143,13 +173,21 @@ pub struct Epoll {
     /// number maps to several keys when a reused slot coexists with a
     /// dup-kept registration).
     pub(crate) by_fd: FastMap<i32, Vec<u64>>,
+    /// The tasks parked here — `epoll_wait`s that found nothing, `poll`s
+    /// on the epoll fd — in the order they parked: Linux's `ep->wq`.
+    pub(crate) waiters: Vec<Sleeper>,
 }
 
 impl Epoll {
+    /// Parks `tid` (`task` is its block) until a push queues an entry.
+    pub(crate) fn park(&mut self, tid: Tid, task: &HintFlag) {
+        Sleeper::park(&mut self.waiters, tid, task);
+    }
+
     /// Queues registration `key` on the ready ring. Returns `true` iff
     /// the registration exists, is armed and was not already queued —
-    /// i.e. iff the caller should post [`Channel::EpollReady`].
-    /// Idempotent: racing pushes of the same key enqueue it once.
+    /// i.e. iff the instance's waiters are to be woken. Idempotent:
+    /// racing pushes of the same key enqueue it once.
     pub(crate) fn ring_push(&mut self, key: u64) -> bool {
         let Some(reg) = self.interest.get_mut(&key) else {
             return false;
@@ -227,44 +265,29 @@ fn poll_to_epoll(revents: i16, interest: u32) -> u32 {
 }
 
 impl Kernel {
-    /// `f` on the description behind `epfd` and the instance it holds.
-    fn with_epoll<R>(
-        &self,
-        tid: Tid,
-        epfd: i32,
-        f: impl FnOnce(&FileRef, &Handle<Epoll>) -> R,
-    ) -> Result<R, Errno> {
-        let task = self.task(tid)?;
-        let table = task.fdtable.lock_ok();
-        let file = &table.get(epfd)?.file;
-        match &file.kind {
-            FileKind::Epoll(ep) => Ok(f(file, ep)),
-            _ => Err(Errno::Einval),
-        }
-    }
-
     /// The epoll instance behind `epfd`.
     pub fn epoll_of(&self, tid: Tid, epfd: i32) -> Result<Handle<Epoll>, Errno> {
-        self.with_epoll(tid, epfd, |_, ep| ep.clone())
+        let hold = EpollHold::resolve(&self.task(tid)?.fdtable, epfd)?;
+        Ok(hold.ep)
     }
 
-    /// Resolves `epfd` for an `epoll_wait` — once per call, however
-    /// often it blocks: the retries go by the hold.
+    /// [`EpollHold::resolve`] in `tid`'s fd table.
     pub fn epoll_hold(&self, tid: Tid, epfd: i32) -> Result<EpollHold, Errno> {
-        self.with_epoll(tid, epfd, |file, ep| EpollHold {
-            file: file.clone(),
-            ep: ep.clone(),
-        })
+        EpollHold::resolve(&self.task(tid)?.fdtable, epfd)
     }
 
     /// The `epoll_wait` that took `hold` is over; if its descriptor was
     /// closed meanwhile, this is the last reference and releases.
     pub fn epoll_release(&mut self, hold: EpollHold) {
-        self.release_if_last(hold.file);
+        if let Some((last, key)) = hold.give_back() {
+            self.release_description(last, key);
+        }
     }
 
     /// Frees an epoll instance when its last descriptor closes,
     /// unregistering every ready-hub channel its registrations held.
+    /// Its waiters die with it: a blocked call keeps its instance alive
+    /// ([`EpollHold`]), so none is left.
     pub(crate) fn release_epoll(&mut self, ep: &Handle<Epoll>) {
         self.epolls.free(ep.id);
         let chans: Vec<(Channel, u64)> = {
@@ -277,7 +300,6 @@ impl Kernel {
         for (ch, key) in chans {
             self.waits.hub_unregister(ch, ep.id, key);
         }
-        self.waits.lock().release(Channel::EpollReady(ep.id));
     }
 
     /// `epoll_create1(flags)`: allocates an instance and its fd.
@@ -366,7 +388,9 @@ impl Kernel {
         };
         match edit {
             Edit::Armed(key, old_chans) => {
-                self.ring_arm(tid, &ep, key, &target, events, old_chans, None)?
+                let probe = |asked| self.shards.probe(&target, asked);
+                self.shards
+                    .ring_arm(&ep, key, &probe, events, old_chans, None)?
             }
             // No wakeup: a waiter that no longer matches this entry
             // simply never sees it (a stale ring key is skipped at the
@@ -376,6 +400,50 @@ impl Kernel {
         Ok(0)
     }
 
+    /// [`KernelHandles::epoll_wait`] for `tid`, under the kernel lock.
+    pub fn epoll_wait(
+        &mut self,
+        tid: Tid,
+        hold: &EpollHold,
+        max: usize,
+        park: bool,
+        out: &mut Vec<(u32, u64)>,
+    ) -> bool {
+        let Ok(task) = self.task(tid).map(|t| t.sig_hint.clone()) else {
+            return false;
+        };
+        let how = if park {
+            Pop::TakeOrPark(&task)
+        } else {
+            Pop::Take
+        };
+        self.shards.epoll_ready(tid, &hold.ep, max, how, out)
+    }
+
+    /// Parks `tid` in the instance behind `epfd` without looking at its
+    /// ring (the `scan-split` fault gate's second half).
+    pub fn epoll_park(&mut self, tid: Tid, epfd: i32) -> Result<(), Errno> {
+        let ep = self.epoll_of(tid, epfd)?;
+        ep.lock_ok().park(tid, &self.task(tid)?.sig_hint);
+        Ok(())
+    }
+
+    /// The ready-ring pop addressed by epoll fd: what a non-blocking
+    /// `epoll_wait` reports.
+    pub fn sys_epoll_wait_ready(
+        &mut self,
+        tid: Tid,
+        epfd: i32,
+        max: usize,
+    ) -> SysResult<Vec<(u32, u64)>> {
+        let ep = self.epoll_of(tid, epfd)?;
+        let mut out = Vec::new();
+        self.shards.epoll_ready(tid, &ep, max, Pop::Take, &mut out);
+        Ok(out)
+    }
+}
+
+impl KernelHandles {
     /// The sum of `chans`' event generations: it moves whenever a new
     /// transition (post) happened on any of them — the ET re-arm signal.
     fn generation(&self, chans: ChanSet) -> u64 {
@@ -384,37 +452,42 @@ impl Kernel {
     }
 
     /// (Re)wires registration `key`'s hub channels — it watched `old` —
-    /// *then* looks at the description: a transition landing after the
-    /// look is guaranteed to route. `epoll_ctl` (`seen: None`) queues
-    /// the registration and posts the wakeup if it is report-worthy now
-    /// (a not-ready `EPOLL_CTL_ADD` wakes nobody); a pop that found the
-    /// channel set changed says what it `seen` — revents, generation —
-    /// and queues it if anything moved since: a transition on a channel
-    /// not yet watched reached no ring.
-    #[allow(clippy::too_many_arguments)]
-    fn ring_arm(
-        &mut self,
-        tid: Tid,
+    /// *then* looks at the description (`probe`, asked for the events it
+    /// polls): a transition landing after the look is guaranteed to
+    /// route. `epoll_ctl` (`seen: None`) queues
+    /// the registration and wakes the instance's waiters if it is
+    /// report-worthy now (a not-ready `EPOLL_CTL_ADD` wakes nobody); a
+    /// pop that found the channel set changed says what it `seen` —
+    /// revents, generation — and queues it if anything moved since: a
+    /// transition on a channel not yet watched reached no ring.
+    pub(crate) fn ring_arm(
+        &self,
         ep: &Handle<Epoll>,
         key: u64,
-        file: &FileRef,
+        probe: &dyn Fn(i16) -> SysResult<(ChanSet, i16)>,
         events: u32,
         old: ChanSet,
         seen: Option<(i16, u64)>,
     ) -> SysResult<()> {
         let asked = epoll_to_poll(events);
-        let (chans, _) = self.probe(tid, file, asked)?;
+        let (chans, _) = probe(asked)?;
         self.waits.hub_rewire(ep, key, old, chans);
         if let Some(reg) = ep.lock_ok().interest.get_mut(&key) {
             reg.hub_chans = chans;
         }
-        let (_, revents) = self.probe(tid, file, asked)?;
+        let (_, revents) = probe(asked)?;
         let push = match seen {
             None => poll_to_epoll(revents, events) != 0,
             Some(seen) => (revents, self.generation(chans)) != seen,
         };
-        if push && ep.lock_ok().ring_push(key) {
-            self.wait_post(Channel::EpollReady(ep.id));
+        if push {
+            let mut g = ep.lock_ok();
+            let woken: Vec<Sleeper> = match g.ring_push(key) {
+                true => g.waiters.drain(..).collect(),
+                false => Vec::new(),
+            };
+            drop(g);
+            self.waits.wake_sleepers(woken);
         }
         Ok(())
     }
@@ -422,21 +495,21 @@ impl Kernel {
     /// The ready-ring pop: appends up to `max` ready `(events, data)`
     /// reports to `out`, in registration order, and says whether it
     /// parked the caller ([`Pop::TakeOrPark`] with nothing to report).
-    /// Under one hold of the instance it drains the ring, re-verifies
-    /// only the popped entries — O(ready) — and re-queues still-ready
-    /// level-triggered entries plus anything past the caller's budget. A
-    /// registration stays live while *any* duplicate of its description
-    /// exists and is swept once that is fully closed. Never blocks — the
-    /// embedder handles the timeout — and allocates nothing beyond what
-    /// `out` needs to grow.
+    /// Under one hold of the instance it drains the
+    /// ring, re-verifies only the popped entries — O(ready) — and
+    /// re-queues still-ready level-triggered entries plus anything past
+    /// the caller's budget. A registration stays live while *any*
+    /// duplicate of its description exists and is swept once that is
+    /// fully closed. Never blocks — the embedder handles the timeout —
+    /// and allocates nothing beyond what `out` needs to grow.
     ///
     /// Lock order: `Epoll → Object` for a verify, `Epoll → Waits` for an
-    /// ET generation and the park. What needs the ready hub, which ranks
-    /// *below* the instance, waits until the hold is over: a swept
-    /// registration's channels, the re-wiring of one whose description
-    /// changed its channel set (a connected socket gained its peer's).
+    /// ET generation. What needs the ready hub, which ranks *below* the
+    /// instance, waits until the hold is over: a swept registration's
+    /// channels, the re-wiring of one whose description changed its
+    /// channel set (a connected socket gained its peer's).
     pub(crate) fn epoll_ready(
-        &mut self,
+        &self,
         tid: Tid,
         ep: &Handle<Epoll>,
         max: usize,
@@ -444,8 +517,9 @@ impl Kernel {
         out: &mut Vec<(u32, u64)>,
     ) -> bool {
         let (start, budget) = (out.len(), out.len() + max.max(1));
-        // `(key, channels it watched, what the pop saw: the description,
-        // its events, revents and generation — none once fully closed)`.
+        let peek = matches!(how, Pop::Peek);
+        // `(key, channels it watched, what the pop saw: the object, its
+        // events, revents and generation — none once fully closed)`.
         let mut rewires = Vec::new();
         let mut g = ep.lock_ok();
         // Keys are sorted so reports come out in registration order
@@ -479,12 +553,8 @@ impl Kernel {
                 (Some(object), _) => Some(object.probe(asked)),
                 (None, _) => reg.file.upgrade().map(|file| {
                     // A device that lost its inode reads as never ready.
-                    let probed = self.probe(tid, &file, asked).unwrap_or_default();
-                    // A description that tells its own readiness holds
-                    // no pipe or socket: if a `close` just made this
-                    // reference the last, releasing it takes nothing
-                    // that ranks below the instance.
-                    self.release_if_last(file);
+                    let probed = self.probe(&file, asked).unwrap_or_default();
+                    self.release_unpollable(file);
                     probed
                 }),
             };
@@ -494,8 +564,10 @@ impl Kernel {
                 g.remove_reg(key);
                 continue;
             };
+            // Only a socket's channel set changes (it gains and loses a
+            // peer), so a re-wire probes the object.
             let rewire = (chans != reg.hub_chans)
-                .then(|| reg.file.upgrade())
+                .then(|| reg.object.clone())
                 .flatten();
             let ready_now = poll_to_epoll(revents, reg.events);
             let et = reg.events & EPOLLET != 0;
@@ -504,8 +576,8 @@ impl Kernel {
             } else {
                 0
             };
-            if let Some(file) = rewire {
-                rewires.push((key, reg.hub_chans, Some((file, reg.events, revents, gen))));
+            if let Some(object) = rewire {
+                rewires.push((key, reg.hub_chans, Some((object, reg.events, revents, gen))));
             }
             let report = if et {
                 // Edge-triggered: report bits that rose since the
@@ -518,7 +590,7 @@ impl Kernel {
                 ready_now
             };
             let disarm = reg.events & EPOLLONESHOT != 0 && report != 0;
-            if how != Pop::Peek {
+            if !peek {
                 reg.prev_ready = ready_now;
                 reg.prev_gen = gen;
                 reg.armed &= !disarm;
@@ -528,62 +600,67 @@ impl Kernel {
             }
             // Level-triggered readiness persists until drained: back on
             // the ring, so the next pop re-verifies it.
-            if how == Pop::Peek || (report != 0 && !et && !disarm) {
+            if peek || (report != 0 && !et && !disarm) {
                 reg.queued = true;
                 ready.push_back(key);
             }
         }
-        // Nothing to report and the caller blocks: subscribed before the
-        // instance is let go. A producer pushes under this lock and
-        // posts after it, so a transition either was on the ring above
-        // or finds the subscription.
-        let parked = how == Pop::TakeOrPark && out.len() == start;
-        if parked {
-            self.waits.park_on(tid, Channel::EpollReady(ep.id));
-        }
+        // Nothing to report and the caller blocks: parked before the
+        // instance is let go. A producer pushes under this lock and takes
+        // the waiters with it, so a transition either was on the ring
+        // above or finds the waiter.
+        let parked = match how {
+            Pop::TakeOrPark(task) if out.len() == start => {
+                g.park(tid, task);
+                true
+            }
+            _ => false,
+        };
         drop(g);
         for (key, old, seen) in rewires {
             match seen {
                 None => self.waits.hub_rewire(ep, key, old, ChanSet::default()),
-                Some((file, events, revents, gen)) => {
-                    // A pipe or socket: its probe cannot fail.
-                    let _ = self.ring_arm(tid, ep, key, &file, events, old, Some((revents, gen)));
-                    self.release_if_last(file);
+                Some((object, events, revents, gen)) => {
+                    let probe = |asked| Ok(object.probe(asked));
+                    let _ = self.ring_arm(ep, key, &probe, events, old, Some((revents, gen)));
                 }
             }
         }
         parked
     }
 
-    /// One attempt of `epoll_wait` on the instance `hold` names: appends
-    /// up to `max` ready `(events, data)` reports to `out`. With `park`,
-    /// an attempt that reports nothing leaves `tid` subscribed to the
-    /// ready channel and its signal channel — two, whatever the interest
-    /// size — and answers `true`: the caller blocks and retries by `hold`.
+    /// Drops `file`, a description that tells its own readiness: if a
+    /// `close` made this reference the last, releasing it is the
+    /// waitqueue's alone (an eventfd's head) — no kernel lock.
+    fn release_unpollable(&self, file: FileRef) {
+        let key = Arc::as_ptr(&file) as usize;
+        let last = Arc::into_inner(file);
+        if last.is_some_and(|gone| matches!(gone.kind, FileKind::EventFd)) {
+            self.waits.lock().release(Channel::EventFd(key));
+        }
+    }
+
+    /// One attempt of `epoll_wait` by `tid` (`task` is its block) on the
+    /// instance `hold` names: appends up to `max` ready `(events, data)`
+    /// reports to `out`. With `park`, an attempt that reports nothing
+    /// parks the caller in the instance — one entry, whatever the
+    /// interest size, and no waitqueue lock — and answers `true`: the
+    /// caller blocks and retries by `hold`.
     pub fn epoll_wait(
-        &mut self,
+        &self,
         tid: Tid,
+        task: &HintFlag,
         hold: &EpollHold,
         max: usize,
         park: bool,
         out: &mut Vec<(u32, u64)>,
     ) -> bool {
-        let how = if park { Pop::TakeOrPark } else { Pop::Take };
+        let how = if park {
+            Pop::TakeOrPark(task)
+        } else {
+            Pop::Take
+        };
         self.epoll_ready(tid, &hold.ep, max, how, out)
-    }
-
-    /// The ready-ring pop addressed by epoll fd: what a non-blocking
-    /// `epoll_wait` reports.
-    pub fn sys_epoll_wait_ready(
-        &mut self,
-        tid: Tid,
-        epfd: i32,
-        max: usize,
-    ) -> SysResult<Vec<(u32, u64)>> {
-        let ep = self.epoll_of(tid, epfd)?;
-        let mut out = Vec::new();
-        self.epoll_ready(tid, &ep, max, Pop::Take, &mut out);
-        Ok(out)
     }
 }
 
@@ -976,7 +1053,7 @@ mod tests {
         assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
         // Disarmed registrations contribute no wait channels either.
         assert!(park(&mut k, tid, ep));
-        assert!(k.task_waits(tid), "still parked on ready/signal channels");
+        assert!(k.task_waits(tid), "still parked in the instance");
         k.wait_cancel(tid);
         // MOD re-arms; the pending level is reported again.
         k.sys_epoll_ctl(tid, ep, EPOLL_CTL_MOD, r, EPOLLIN | EPOLLONESHOT, 4)
@@ -1222,7 +1299,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_park_subscribes_only_the_ready_channel() {
+    fn a_ring_park_waits_in_the_instance_whatever_the_interest_size() {
         let (mut k, tid) = kp();
         let ep = k.sys_epoll_create1(tid, 0).unwrap();
         let mut writers = Vec::new();
@@ -1236,14 +1313,47 @@ mod tests {
         assert!(park(&mut k, tid, ep));
         assert_eq!(
             k.wait_stats().subscribes - before,
-            2,
-            "ready ring + signal channel only, independent of interest size"
+            0,
+            "one entry in the instance and the signal bit: no channel"
         );
-        // And the two channels suffice: any member's transition wakes.
+        let instance = k.epoll_of(tid, ep).unwrap();
+        assert_eq!(instance.lock_ok().waiters.len(), 1);
+        // And that suffices: any member's transition wakes.
         k.sys_write(tid, writers[17], b"x").unwrap();
         let mut woken = Vec::new();
         k.drain_woken(&mut woken);
         assert_eq!(woken, vec![tid]);
+    }
+
+    /// A signal ends a wait in the instance for good: once its task has
+    /// parked elsewhere, a push onto the old instance wakes nobody — the
+    /// entry it left there is stale.
+    #[test]
+    fn a_waiter_a_signal_woke_is_not_woken_by_its_old_instance() {
+        let (mut k, tid) = kp();
+        let (r, w) = k.sys_pipe2(tid, 0).unwrap();
+        let (r2, w2) = k.sys_pipe2(tid, 0).unwrap();
+        let ep = k.sys_epoll_create1(tid, 0).unwrap();
+        k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN, 1)
+            .unwrap();
+        assert!(park(&mut k, tid, ep));
+        k.sys_kill(tid, tid, 28).unwrap(); // SIGWINCH: ignored, but it wakes
+        let mut woken = Vec::new();
+        k.drain_woken(&mut woken);
+        assert_eq!(woken, vec![tid]);
+        assert_eq!(k.next_signal(tid), None, "delivered: ignored");
+        let mut buf = [0u8; 1];
+        assert!(matches!(
+            k.sys_read(tid, r2, &mut buf),
+            Err(SysError::Block(_))
+        ));
+        k.sys_write(tid, w, b"x").unwrap();
+        k.drain_woken(&mut woken);
+        assert_eq!(woken, vec![tid], "the push woke nobody");
+        k.sys_write(tid, w2, b"y").unwrap();
+        k.drain_woken(&mut woken);
+        assert_eq!(woken, vec![tid, tid], "the read's own post did");
+        assert!(!k.task_waits(tid));
     }
 
     // --- The one-hold pop ------------------------------------------------
@@ -1293,11 +1403,8 @@ mod tests {
         assert!(!k.task_waits(tid));
         let before = k.wait_stats().subscribes;
         assert!(k.epoll_wait(tid, &hold, 8, true, &mut out));
-        assert_eq!(
-            k.wait_stats().subscribes - before,
-            2,
-            "ready ring + signal channel"
-        );
+        assert_eq!(k.wait_stats().subscribes, before, "parked in the instance");
+        assert!(k.task_waits(tid));
         k.sys_write(tid, w, b"x").unwrap();
         let mut woken = Vec::new();
         k.drain_woken(&mut woken);

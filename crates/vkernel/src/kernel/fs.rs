@@ -144,7 +144,9 @@ impl Kernel {
     /// ([`super::io`]), then whatever of it needs the core.
     pub fn read_file(&mut self, tid: Tid, file: &FileRef, out: &mut [u8]) -> SysResult {
         let ask = || self.has_pending_signal(tid);
-        let io = self.shards.read(tid, file, out, Intr::Ask(&ask));
+        let io = self
+            .shards
+            .read(tid, file, out, Intr::Ask(&ask, self.hint_of(tid)));
         io.unwrap_or_else(|rest| self.finish_read(tid, rest, out))
     }
 
@@ -183,7 +185,9 @@ impl Kernel {
     /// [`Kernel::read_file`]).
     pub fn write_file(&mut self, tid: Tid, file: &FileRef, data: &[u8]) -> SysResult {
         let ask = || self.has_pending_signal(tid);
-        let io = self.shards.write(tid, file, data, Intr::Ask(&ask));
+        let io = self
+            .shards
+            .write(tid, file, data, Intr::Ask(&ask, self.hint_of(tid)));
         io.unwrap_or_else(|rest| self.finish_write(tid, rest, data))
     }
 

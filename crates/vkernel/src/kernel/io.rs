@@ -42,6 +42,7 @@ use crate::fd::{FileKind, FileRef};
 use crate::pipe::{Pipe, PipeIo};
 use crate::slab::Handle;
 use crate::socket::Socket;
+use crate::sync::HintFlag;
 use crate::vfs::InodeId;
 use crate::wait::Channel;
 use crate::{block, SysError, SysResult, Tid};
@@ -49,11 +50,13 @@ use crate::{block, SysError, SysResult, Tid};
 use super::sock::dontwait;
 use super::KernelHandles;
 
-/// How a call about to park learns whether a signal would interrupt it.
+/// How a call about to park learns whether a signal would interrupt it,
+/// with the calling task's block (its sleep word: the park sets the
+/// signal interest there).
 #[derive(Clone, Copy)]
 pub enum Intr<'a> {
     /// The caller holds the kernel lock: ask the core.
-    Ask(&'a dyn Fn() -> bool),
+    Ask(&'a dyn Fn() -> bool, &'a HintFlag),
     /// The caller does not, and found the task's signal hint down. A
     /// pipe takes that for "no". A stream socket's receive does not: the
     /// hint says nothing for a thread cloned while a process-directed
@@ -61,14 +64,21 @@ pub enum Intr<'a> {
     /// and the single-worker schedule (two of the 360 pinned fuzz seeds)
     /// depends on the difference — it hands the park over
     /// ([`Core::Park`]).
-    HintDown,
+    HintDown(&'a HintFlag),
 }
 
-impl Intr<'_> {
+impl<'a> Intr<'a> {
     fn pending(self) -> bool {
         match self {
-            Intr::Ask(ask) => ask(),
-            Intr::HintDown => false,
+            Intr::Ask(ask, _) => ask(),
+            Intr::HintDown(_) => false,
+        }
+    }
+
+    /// The calling task's block.
+    pub(crate) fn task(self) -> &'a HintFlag {
+        match self {
+            Intr::Ask(_, task) | Intr::HintDown(task) => task,
         }
     }
 }
@@ -143,7 +153,7 @@ impl KernelHandles {
                         return Ok(Err(Errno::Eagain.into()));
                     }
                     let key = Arc::as_ptr(file) as usize;
-                    self.waits.park_on(tid, Channel::EventFd(key));
+                    self.waits.park_on(tid, intr.task(), Channel::EventFd(key));
                     return Ok(Err(block()));
                 }
                 if out.len() < 8 {
@@ -183,7 +193,8 @@ impl KernelHandles {
             FileKind::PipeWrite(pipe) => self.pipe_write(tid, pipe, file.nonblock(), intr, data),
             FileKind::PipeRead(_) => Ok(Err(Errno::Ebadf.into())),
             FileKind::Socket(sock) => {
-                let sent = self.sock_send(tid, sock, data, dontwait(file.nonblock()))?;
+                let flags = dontwait(file.nonblock());
+                let sent = self.sock_send(tid, sock, data, flags, intr.task())?;
                 Ok(sent.map(|n| n as i64))
             }
             FileKind::CharDev(inode) => Err(Core::Dev(*inode)),
@@ -343,7 +354,8 @@ impl KernelHandles {
                 // Subscribe while still holding the pipe lock: a writer
                 // filling the buffer after this point posts only after
                 // dropping the lock, so the wakeup cannot be missed.
-                self.waits.park_on(tid, Channel::PipeReadable(pipe.id));
+                self.waits
+                    .park_on(tid, intr.task(), Channel::PipeReadable(pipe.id));
                 Err(block())
             }
             PipeIo::Broken => unreachable!("read never reports Broken"),
@@ -372,7 +384,8 @@ impl KernelHandles {
             PipeIo::WouldBlock if intr.pending() => Err(Errno::Eintr.into()),
             PipeIo::WouldBlock => {
                 // Subscribe under the pipe lock (see `pipe_read`).
-                self.waits.park_on(tid, Channel::PipeWritable(pipe.id));
+                self.waits
+                    .park_on(tid, intr.task(), Channel::PipeWritable(pipe.id));
                 Err(block())
             }
             PipeIo::Eof => unreachable!("write never reports Eof"),

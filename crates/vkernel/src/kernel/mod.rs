@@ -94,6 +94,9 @@ pub struct Kernel {
     /// The fd table of a task that has exited: nothing open, nothing
     /// can be ([`Kernel::release_task_files`]).
     closed_files: Files,
+    /// The block a call of a task already reaped sleeps in
+    /// ([`Kernel::hint_of`]).
+    reaped: HintFlag,
     next_tid: Tid,
     next_mm: u64,
     /// The slabs that give pipes, sockets and epoll instances their ids
@@ -146,6 +149,7 @@ impl Kernel {
         let vfs = Vfs::with_std_layout();
         let mut tasks = Paged::default();
         tasks.insert(1, Task::init(vfs.root));
+        let reaped = Task::init(vfs.root).sig_hint;
         let mut closed = FdTable::new();
         closed.limit = 0;
         let shards = KernelHandles {
@@ -158,6 +162,7 @@ impl Kernel {
             clock: shards.clock.clone(),
             tasks,
             closed_files: closed.into_files(),
+            reaped,
             next_tid: 2,
             next_mm: 2,
             pipes: ObjSlab::new(LockClass::Object),
@@ -188,16 +193,18 @@ impl Kernel {
 
     // --- Waitqueues --------------------------------------------------------
 
-    /// Subscribes `tid` to a wait channel (embedder-visible for layered
-    /// APIs that block on kernel state, e.g. `poll`/`epoll_wait`).
-    pub fn wait_subscribe(&mut self, tid: Tid, ch: Channel) {
-        self.waits.lock().subscribe(tid, ch);
+    /// Puts `tid` in an interruptible sleep on no channel: a signal (or
+    /// a deadline the caller blocks with) ends it.
+    pub fn wait_interruptible(&mut self, tid: Tid) {
+        self.waits.lock().sleep(tid, self.hint_of(tid));
     }
 
-    /// Posts a wakeup on a channel (mostly internal; public so layered
-    /// subsystems can participate in the protocol).
-    pub fn wait_post(&mut self, ch: Channel) -> usize {
-        self.waits.post(ch)
+    /// `tid`'s block — its signal hint and sleep word — or, for a task
+    /// already reaped whose call still runs, one no task owns.
+    pub(crate) fn hint_of(&self, tid: Tid) -> &HintFlag {
+        self.tasks
+            .get(at(tid))
+            .map_or(&self.reaped, |t| &t.sig_hint)
     }
 
     /// Drains the tasks woken since the last drain, in wake order, onto
@@ -233,15 +240,17 @@ impl Kernel {
     /// after the reap goes here.
     pub fn wait_cancel(&mut self, tid: Tid) {
         let mut waits = self.waits.lock();
-        match self.tasks.get(at(tid)).is_some() {
-            true => waits.unsubscribe(tid),
-            false => waits.release_task(tid),
+        match self.tasks.get(at(tid)) {
+            Some(task) => waits.cancel(tid, &task.sig_hint),
+            None => waits.release_task(tid),
         }
     }
 
-    /// True when `tid` parked on at least one wait channel.
+    /// True when `tid` parked on at least one wait channel, in an epoll
+    /// instance, or in an interruptible sleep.
     pub fn task_waits(&self, tid: Tid) -> bool {
-        self.waits.lock().is_subscribed(tid)
+        let asleep = self.hint_of(tid).sleep().interruptible();
+        asleep || self.waits.lock().is_subscribed(tid)
     }
 
     /// Waitqueue counters (benchmarks and tests).
@@ -257,23 +266,30 @@ impl Kernel {
     }
 
     /// Subscribes `tid` to the readiness channels of each `(fd, events)`
-    /// pair — the blocking half of `poll`/`select`. Unknown or
-    /// always-ready fd kinds contribute no channel (the caller's
-    /// readiness scan already returned their state). A signal wakes the
-    /// poller too, like the EINTR path on Linux.
+    /// pair — the blocking half of `poll`/`select` — and parks it in
+    /// each epoll instance among them, beside its `epoll_wait`ers.
+    /// Unknown or always-ready fd kinds contribute no channel (the
+    /// caller's readiness scan already returned their state). A signal
+    /// wakes the poller too, like the EINTR path on Linux.
     pub fn wait_on_fds(&mut self, tid: Tid, fds: &[(i32, i16)]) {
+        let task = self.hint_of(tid).clone();
         for &(fd, events) in fds {
             // The walk takes object locks: finish it before the
             // (innermost) waitqueue lock.
             let file = self.task(tid).and_then(|t| t.fdtable.lock_ok().file(fd));
+            if let Ok(FileKind::Epoll(ep)) = file.as_ref().map(|f| &f.kind) {
+                ep.lock_ok().park(tid, &task);
+                continue;
+            }
             let probed = file
                 .map_err(Into::into)
-                .and_then(|f| self.probe(tid, &f, events));
+                .and_then(|f| self.shards.probe(&f, events));
             let chans = probed.map_or_else(|_| ChanSet::default(), |(chans, _)| chans);
             let mut waits = self.waits.lock();
+            waits.enroll(tid, &task);
             chans.iter().for_each(|ch| waits.subscribe(tid, ch));
         }
-        self.waits.lock().subscribe(tid, Channel::Signal(tid));
+        self.waits.lock().sleep(tid, &task);
     }
 
     /// Closes a dying task's descriptors eagerly (Linux closes fds at
@@ -508,7 +524,7 @@ impl Kernel {
         }
         // The threads stay as they are until both passes have seen them.
         self.each_member(tgid, |k, t| k.release_task_files(t));
-        self.each_member(tgid, |k, t| k.waits.lock().wake(t));
+        self.each_member(tgid, |k, t| k.waits.lock().wake(t, k.hint_of(t)));
         self.each_member(tgid, |k, t| {
             if let Some(thread) = k.tasks.get_mut(at(t)).filter(|_| t != tgid) {
                 thread.state = TaskState::Dead;
@@ -534,15 +550,18 @@ impl Kernel {
     }
 
     /// Removes an exited thread group from the task table, with each
-    /// task's wait record and `Signal`/`Child` heads.
+    /// task's wait record and `Child` head.
     fn reap(&mut self, tgid: Pid) {
         let Some(leader) = self.tasks.remove(at(tgid)) else {
             return;
         };
         let mut waits = self.waits.lock();
+        waits.cancel(tgid, &leader.sig_hint);
         waits.release_task(tgid);
         for &thread in &leader.threads {
-            self.tasks.remove(at(thread));
+            if let Some(task) = self.tasks.remove(at(thread)) {
+                waits.cancel(thread, &task.sig_hint);
+            }
             waits.release_task(thread);
         }
     }
@@ -576,7 +595,8 @@ impl Kernel {
             return Ok((0, 0));
         }
         // Park until a child changes state or a signal arrives.
-        self.waits.park_on(tid, Channel::Child(me));
+        self.waits
+            .park_on(tid, self.hint_of(tid), Channel::Child(me));
         Err(block())
     }
 
@@ -804,7 +824,7 @@ impl Kernel {
         }
         t.pending.add(signo);
         t.sig_hint.set(true);
-        self.waits.post(Channel::Signal(tid));
+        self.waits.interrupt(tid, self.hint_of(tid));
         Ok(0)
     }
 
@@ -816,12 +836,12 @@ impl Kernel {
         }
         main.shared_pending().add(signo);
         self.each_member(pid, |k, t| {
-            if let Ok(task) = k.task(t) {
-                task.sig_hint.set(true);
-            }
             // Signal arrival is a wake-up source: parked EINTR-able calls
             // and `pause`/`sigtimedwait` waiters must retry.
-            k.waits.post(Channel::Signal(t));
+            if let Ok(task) = k.task(t) {
+                task.sig_hint.set(true);
+                k.waits.interrupt(t, &task.sig_hint);
+            }
         });
         // SIGCONT resumes stopped tasks at generation time, like Linux.
         if signo == Signal::Sigcont.number() {
@@ -921,7 +941,7 @@ impl Kernel {
         if self.has_pending_signal(tid) {
             return Err(Errno::Eintr.into());
         }
-        self.waits.lock().subscribe(tid, Channel::Signal(tid));
+        self.wait_interruptible(tid);
         Err(block())
     }
 
@@ -1007,7 +1027,8 @@ impl Kernel {
         // Parity with every other blocking site: signal generation
         // re-queues the waiter (its retry re-parks if the word is still
         // unchanged, but killed/terminated tasks get finalized promptly).
-        self.waits.park_on(tid, Channel::Futex(mm, addr));
+        self.waits
+            .park_on(tid, self.hint_of(tid), Channel::Futex(mm, addr));
         Err(match deadline {
             Some(d) => block_until(d),
             None => block(),
@@ -1035,25 +1056,12 @@ impl Kernel {
             }
         }
         for t in wake_tids {
-            self.waits.lock().wake(t);
+            self.waits.lock().wake(t, self.hint_of(t));
         }
         woken
     }
 
     // --- Time --------------------------------------------------------------
-
-    /// `clock_gettime`.
-    pub fn sys_clock_gettime(&self, clock_id: i32) -> SysResult<u64> {
-        use wali_abi::flags::*;
-        match clock_id {
-            CLOCK_REALTIME => Ok(self.clock.realtime_ns()),
-            CLOCK_MONOTONIC
-            | CLOCK_MONOTONIC_RAW
-            | CLOCK_PROCESS_CPUTIME_ID
-            | CLOCK_THREAD_CPUTIME_ID => Ok(self.clock.monotonic_ns()),
-            _ => Err(Errno::Einval.into()),
-        }
-    }
 
     /// `nanosleep`: blocks until the virtual deadline.
     pub fn sys_nanosleep(&mut self, tid: Tid, duration_ns: u64) -> SysResult {
@@ -1064,7 +1072,7 @@ impl Kernel {
         let deadline = self.clock.monotonic_ns().saturating_add(duration_ns);
         // The deadline is the primary wake-up; a signal ends the sleep
         // early (EINTR on the retry).
-        self.waits.lock().subscribe(tid, Channel::Signal(tid));
+        self.wait_interruptible(tid);
         Err(block_until(deadline))
     }
 
@@ -1076,7 +1084,7 @@ impl Kernel {
         if self.has_pending_signal(tid) {
             return Err(Errno::Eintr.into());
         }
-        self.waits.lock().subscribe(tid, Channel::Signal(tid));
+        self.wait_interruptible(tid);
         Err(block_until(deadline))
     }
 
@@ -1171,7 +1179,7 @@ impl Kernel {
             open_pipes: self.pipes.live(),
             open_sockets: self.socks.live(),
             open_epolls: self.epolls.live(),
-            wait_subscriptions: records.iter().filter(|(_, subs)| *subs != 0).count(),
+            wait_subscriptions: self.waiting(&records),
             undrained_wakeups,
             futex_waiters,
             hub_watchers: self.waits.hub_entries(),
@@ -1179,9 +1187,23 @@ impl Kernel {
         }
     }
 
+    /// Tasks still subscribed to a channel or in an interruptible sleep.
+    fn waiting(&self, records: &[(Tid, usize)]) -> usize {
+        let subscribed = records.iter().filter(|(_, subs)| *subs != 0);
+        let asleep = self
+            .tasks
+            .values()
+            .filter(|t| t.sig_hint.sleep().interruptible());
+        let mut tids: Vec<Tid> = subscribed.map(|(t, _)| *t).collect();
+        tids.extend(asleep.map(|t| t.tid));
+        tids.sort_unstable();
+        tids.dedup();
+        tids.len()
+    }
+
     /// Counts wait records and wait heads whose owner is gone: a record
-    /// or `Signal`/`Child` head of a tid no longer in the task table, a
-    /// head still holding waiters for a freed pipe/socket/epoll slot, an
+    /// or `Child` head of a tid no longer in the task table, a head
+    /// still holding waiters for a freed pipe/socket slot, an
     /// eventfd head no open description matches. (A bare generation on a
     /// freed slot is not counted: a lock-free fast-path post may land
     /// just after the free, the table is bounded by the slab's peak, and
@@ -1200,14 +1222,13 @@ impl Kernel {
             self.tasks.values().any(holds)
         };
         let stray_head = |&(ch, waiters): &(Channel, usize)| match ch {
-            Channel::Signal(t) | Channel::Child(t) => self.tasks.get(at(t)).is_none(),
+            Channel::Child(t) => self.tasks.get(at(t)).is_none(),
             Channel::PipeReadable(id) | Channel::PipeWritable(id) => {
                 waiters != 0 && self.pipes.get(id).is_none()
             }
             Channel::SockReadable(id) | Channel::SockSpace(id) => {
                 waiters != 0 && self.socks.get(id).is_none()
             }
-            Channel::EpollReady(id) => waiters != 0 && self.epolls.get(id).is_none(),
             Channel::EventFd(key) => !description_open(key),
             Channel::Futex(..) => false,
         };
@@ -1338,15 +1359,18 @@ mod tests {
     /// The fork-per-request shape (`bash_sim`, `prefork_server_sim`): the
     /// waitqueue must hold state for live tasks and objects only. The old
     /// table kept a generation for every `Signal`/`Child` channel ever
-    /// posted, invisibly to the audit.
+    /// posted, invisibly to the audit; signal interest is now a bit in
+    /// each task's own block, and a reaped task takes it along.
     #[test]
     fn ten_thousand_fork_exit_cycles_leave_no_wait_state() {
         let (mut k, tid) = kernel_with_proc();
         for i in 0..10_000 {
             let child = k.sys_fork(tid).unwrap() as Tid;
             let (r, w) = k.sys_pipe2(child, 0).unwrap();
-            // The parent parks in wait4, the child in a pipe read; the
-            // child's exit posts both tasks' Signal and Child channels.
+            // The parent parks in wait4, the child in a pipe read, both
+            // interruptibly; the child's exit wakes the child and posts
+            // the parent's Child channel, and its SIGCHLD finds the
+            // parent's sleep already over.
             assert!(matches!(
                 k.sys_wait4(tid, child, 0),
                 Err(SysError::Block(_))
@@ -1365,16 +1389,19 @@ mod tests {
         let audit = k.leak_audit();
         assert_eq!(audit.wait_heads, 0, "{}", audit.describe());
         assert_eq!(audit.wait_subscriptions, 0);
-        // Only the survivors hold state: the parent's record and the
-        // Signal/Child heads of the parent and of init (SIGCHLD posts).
+        // Only the survivors hold state: the parent's record and its
+        // Child head. No sleep is left on.
         let records = k.waits.lock().records();
         let heads = k.waits.lock().heads();
         assert_eq!(records.len(), 1, "{records:?}");
-        assert!(heads.len() <= 4, "{heads:?}");
+        assert_eq!(heads, [(Channel::Child(tid), 0)]);
+        assert!(!k.task_waits(tid));
         // And a stray record is seen: state for a tid that never existed.
-        k.wait_subscribe(9_999_999, Channel::Signal(9_999_999));
+        k.waits
+            .lock()
+            .subscribe(9_999_999, Channel::Child(9_999_999));
         let audit = k.leak_audit();
-        assert_eq!(audit.wait_heads, 2, "the record and its Signal head");
+        assert_eq!(audit.wait_heads, 2, "the record and its Child head");
         assert!(!audit.is_clean() && audit.describe().contains("ownerless wait head"));
     }
 

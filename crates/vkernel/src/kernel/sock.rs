@@ -24,6 +24,7 @@ use crate::fd::{FileKind, FileRef, OpenFile};
 use crate::pipe::Pipe;
 use crate::slab::Handle;
 use crate::socket::{addr_key, SockState, Socket};
+use crate::sync::HintFlag;
 use crate::vfs::DevKind;
 use crate::vfs::InodeKind;
 use crate::wait::Channel;
@@ -70,7 +71,9 @@ impl KernelHandles {
                 None if s.shut_rd => Ok((0, None)),
                 None if nonblock => Err(Errno::Eagain.into()),
                 None => {
-                    self.waits.park_on(tid, Channel::SockReadable(sock.id));
+                    let task = intr.task();
+                    self.waits
+                        .park_on(tid, task, Channel::SockReadable(sock.id));
                     Err(block())
                 }
             });
@@ -91,13 +94,14 @@ impl KernelHandles {
             SockState::Closed => Ok((0, None)),
             SockState::Connected { .. } if nonblock => Err(Errno::Eagain.into()),
             SockState::Connected { .. } => match intr {
-                Intr::HintDown => return Err(Core::Park(sock.clone())),
-                Intr::Ask(pending) if pending() => Err(Errno::Eintr.into()),
-                Intr::Ask(_) => {
+                Intr::HintDown(_) => return Err(Core::Park(sock.clone())),
+                Intr::Ask(pending, _) if pending() => Err(Errno::Eintr.into()),
+                Intr::Ask(_, task) => {
                     // Subscribe under our lock: a sender filling the
                     // buffer (or a close emptying the state) after this
                     // posts only after unlocking.
-                    self.waits.park_on(tid, Channel::SockReadable(sock.id));
+                    self.waits
+                        .park_on(tid, task, Channel::SockReadable(sock.id));
                     Err(block())
                 }
             },
@@ -110,13 +114,14 @@ impl KernelHandles {
     /// send, and to whom), then one of the peer: the copy into its
     /// receive buffer or, when that is full, the park (which alone comes
     /// back to the sender for a second look). A datagram socket and a
-    /// broken connection are the core's.
+    /// broken connection are the core's. `task` is the sender's block.
     pub(crate) fn sock_send(
         &self,
         tid: Tid,
         sock: &Handle<Socket>,
         data: &[u8],
         flags: i32,
+        task: &HintFlag,
     ) -> Result<SysResult<usize>, Core> {
         let peer = {
             let s = sock.lock_ok();
@@ -144,7 +149,7 @@ impl KernelHandles {
                 }
                 // Park until the peer drains its buffer; it posts after
                 // unlocking.
-                self.waits.park_on(tid, Channel::SockSpace(peer.id));
+                self.waits.park_on(tid, task, Channel::SockSpace(peer.id));
                 drop(p);
                 // `shutdown(SHUT_WR)` changes the sender's socket, not
                 // the peer this park was made under, and a caller off
@@ -341,7 +346,8 @@ impl Kernel {
                 None => {
                     // Subscribe under the listener's lock: a connect
                     // landing after this posts only after releasing it.
-                    self.waits.park_on(tid, Channel::SockReadable(listener.id));
+                    self.waits
+                        .park_on(tid, self.hint_of(tid), Channel::SockReadable(listener.id));
                     return Err(block());
                 }
             }
@@ -402,7 +408,9 @@ impl Kernel {
     ) -> SysResult<usize> {
         let (sock, nonblock) = self.sock_of_fd(tid, fd)?;
         let flags = msg_flags | dontwait(nonblock);
-        let io = self.shards.sock_send(tid, &sock, data, flags);
+        let io = self
+            .shards
+            .sock_send(tid, &sock, data, flags, self.hint_of(tid));
         io.unwrap_or_else(|rest| self.finish_send(tid, rest, dest, data))
     }
 
@@ -431,9 +439,14 @@ impl Kernel {
         want_src: bool,
     ) -> SysResult<Received> {
         let ask = || self.has_pending_signal(tid);
-        let got = self
-            .shards
-            .sock_recv(tid, sock, out, flags, want_src, Intr::Ask(&ask));
+        let got = self.shards.sock_recv(
+            tid,
+            sock,
+            out,
+            flags,
+            want_src,
+            Intr::Ask(&ask, self.hint_of(tid)),
+        );
         got.unwrap_or_else(|_| Err(Errno::Eintr.into()))
     }
 
@@ -585,15 +598,28 @@ impl Kernel {
         Ok(out)
     }
 
+    /// An epoll fd is readable when its ring holds a report (epoll in
+    /// poll): a pure peek, like Linux, that leaves the event for the
+    /// following `epoll_wait`.
     pub(crate) fn poll_one(&mut self, tid: Tid, fd: i32, events: i16) -> SysResult<i16> {
         let task = self.task(tid)?;
-        let file = task.fdtable.lock_ok().file(fd);
-        match file {
-            Ok(file) => Ok(self.probe(tid, &file, events)?.1),
-            Err(_) => Ok(wali_abi::flags::POLLNVAL),
-        }
+        let Ok(file) = task.fdtable.lock_ok().file(fd) else {
+            return Ok(wali_abi::flags::POLLNVAL);
+        };
+        let FileKind::Epoll(ep) = &file.kind else {
+            return Ok(self.shards.probe(&file, events)?.1);
+        };
+        let mut peeked = Vec::new();
+        self.shards.epoll_ready(tid, ep, 1, Pop::Peek, &mut peeked);
+        Ok(if peeked.is_empty() {
+            0
+        } else {
+            POLLIN & events
+        })
     }
+}
 
+impl KernelHandles {
     /// One readiness walk over an open file description: the wait
     /// channels whose posts can change its readiness for `events`, and
     /// its `poll` revents right now — for a pipe end or socket,
@@ -608,12 +634,9 @@ impl Kernel {
     /// post on the same channels as data transitions — so pipe/socket
     /// pollers subscribe unconditionally. A data wakeup the poller did
     /// not ask for is merely spurious: the retry re-scans and re-parks.
-    pub(crate) fn probe(
-        &mut self,
-        tid: Tid,
-        file: &FileRef,
-        events: i16,
-    ) -> SysResult<(ChanSet, i16)> {
+    /// An epoll fd is the caller's ([`Kernel::poll_one`]): it names no
+    /// channel — its pollers wait in the instance.
+    pub(crate) fn probe(&self, file: &FileRef, events: i16) -> SysResult<(ChanSet, i16)> {
         let mut chans = ChanSet::default();
         let mut revents = 0i16;
         if let Some(object) = Pollable::of(&file.kind) {
@@ -640,24 +663,12 @@ impl Kernel {
                 }
                 revents |= POLLOUT & events;
             }
-            FileKind::Epoll(ep) => {
-                // Every readiness transition of the interest set is
-                // routed to the instance's ready channel by the hub —
-                // one channel, any size. An epoll fd is readable when
-                // its interest set has at least one ready entry
-                // (epoll-inside-poll composition). A pure peek, like
-                // Linux: the event stays for the following `epoll_wait`.
-                chans.push(Channel::EpollReady(ep.id));
-                let mut peeked = Vec::new();
-                self.epoll_ready(tid, ep, 1, Pop::Peek, &mut peeked);
-                if !peeked.is_empty() {
-                    revents |= POLLIN & events;
-                }
-            }
             // Always ready.
             FileKind::Regular(_) | FileKind::Dir(_) | FileKind::ProcSnapshot(_) => {
                 revents |= (POLLIN | POLLOUT) & events
             }
+            // An instance cannot be registered in another (`ELOOP`).
+            FileKind::Epoll(_) => {}
             FileKind::PipeRead(_) | FileKind::PipeWrite(_) | FileKind::Socket(_) => {
                 unreachable!("a pipe end or socket is a `Pollable`")
             }
@@ -688,7 +699,7 @@ impl Pollable {
         })
     }
 
-    /// [`Kernel::probe`] of the object: one hold of it and, for a
+    /// [`KernelHandles::probe`] of the object: one hold of it and, for a
     /// connected socket asked about output, one of the peer, whose
     /// receive buffer is the space.
     pub(crate) fn probe(&self, events: i16) -> (ChanSet, i16) {
@@ -1093,6 +1104,7 @@ mod tests {
         let file = k.task(tid).unwrap().fdtable.lock_ok().file(a).unwrap();
         let (peer, _) = k.sock_of_fd(tid, b).unwrap();
         let handles = k.handles();
+        let task = k.task(tid).unwrap().sig_hint.clone();
 
         let (locked, is_locked) = channel();
         let (release, released) = channel::<()>();
@@ -1103,7 +1115,8 @@ mod tests {
         });
         is_locked.recv().unwrap();
         let contended = contention(LockClass::Object);
-        let sender = std::thread::spawn(move || handles.write(tid, &file, b"x", Intr::HintDown));
+        let sender =
+            std::thread::spawn(move || handles.write(tid, &file, b"x", Intr::HintDown(&task)));
         // Past its own hold, stopped at the peer's.
         while contention(LockClass::Object) == contended {
             std::thread::yield_now();

@@ -23,6 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::task::Shares;
+use crate::wait::Sleep;
 
 /// A shared, independently lockable shard of kernel state.
 pub type Shared<T> = Arc<Mutex<T>>;
@@ -147,6 +148,12 @@ impl HintFlag {
     #[inline]
     pub fn as_atomic(&self) -> &AtomicBool {
         &self.0.sig_hint
+    }
+
+    /// The sleep word in the same block: a park in an epoll instance
+    /// arms it without the waitqueue lock.
+    pub fn sleep(&self) -> &Sleep {
+        &self.0.sleep
     }
 }
 

@@ -23,6 +23,7 @@ use crate::fd::{FdTable, Files};
 use crate::signal::{PendingSet, SigHandlers};
 use crate::sync::{HintFlag, MutexExt};
 use crate::vfs::InodeId;
+use crate::wait::Sleep;
 use crate::MmId;
 
 /// A thread id.
@@ -40,10 +41,10 @@ pub struct FsInfo {
 }
 
 /// The state of a task that others hold on to, in one allocation made
-/// with the task: its signal hint (the embedder's context polls it) and
-/// the three things `clone` shares by flag. A task uses the cells of
-/// *some* task's block through one handle each — its own after a
-/// `fork`, its creator's for whatever `CLONE_THREAD`, `CLONE_FS` or
+/// with the task: its signal hint (the embedder's context polls it), its
+/// sleep word and the three things `clone` shares by flag. A task uses
+/// the cells of *some* task's block through one handle each — its own
+/// after a `fork`, its creator's for whatever `CLONE_THREAD`, `CLONE_FS` or
 /// `CLONE_SIGHAND` said to share — so sharing costs a reference count
 /// and not sharing costs nothing beyond this block.
 #[derive(Debug)]
@@ -51,6 +52,8 @@ pub struct Shares {
     /// Set whenever a signal may be deliverable to the task or it was
     /// terminated ([`HintFlag`]).
     pub(crate) sig_hint: AtomicBool,
+    /// The task's sleep word ([`Sleep`]).
+    pub(crate) sleep: Sleep,
     /// Process-wide pending signals (one cell per thread group).
     pending: Mutex<PendingSet>,
     /// cwd/umask (one cell per `CLONE_FS` group).
@@ -64,6 +67,7 @@ impl Shares {
     pub(crate) fn new(fs: FsInfo, handlers: SigHandlers) -> Arc<Shares> {
         Arc::new(Shares {
             sig_hint: AtomicBool::new(false),
+            sleep: Sleep::default(),
             pending: Mutex::new(PendingSet::default()),
             fs: Mutex::new(fs),
             handlers: Mutex::new(handlers),

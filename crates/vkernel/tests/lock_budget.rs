@@ -202,12 +202,13 @@ fn an_epoll_pop_probes_a_ready_listener_with_one_hold_of_each() {
 }
 
 /// The cycle a herd pays per worker and connection: the connection's
-/// post pushes onto the worker's ring and wakes it, a sibling takes the
-/// connection, the woken worker pops its one candidate, finds it
-/// drained and parks again — by the instance it kept, so nothing is
-/// looked up.
+/// post pushes onto the worker's ring and takes it off the instance, a
+/// sibling takes the connection, the woken worker pops its one
+/// candidate, finds it drained and parks again — by the instance it
+/// kept, so nothing is looked up, and in the instance, so the waitqueue
+/// is not taken.
 #[test]
-fn a_wake_that_finds_nothing_costs_the_push_and_a_three_lock_pop() {
+fn a_wake_that_finds_nothing_costs_the_push_and_a_two_lock_pop() {
     let (mut k, tid) = kp();
     let srv = listener(&mut k, tid, 7005);
     let ep = k.sys_epoll_create1(tid, 0).unwrap();
@@ -215,15 +216,17 @@ fn a_wake_that_finds_nothing_costs_the_push_and_a_three_lock_pop() {
         .unwrap();
     let hold = k.epoll_hold(tid, ep).unwrap();
     let mut out = Vec::new();
-    // Empty ring, so the park is all there is: the instance and, under
-    // it, the waitqueue (two subscriptions, one hold).
+    // Empty ring, so the park is all there is: the instance, where the
+    // waiter parks — its signal interest is a bit of its own. Was 2:
+    // the waitqueue under the instance, for the `EpollReady` and
+    // `Signal` subscriptions.
     let (n, objects, parked) = locks(|| k.epoll_wait(tid, &hold, 8, true, &mut out));
     assert_eq!((parked, out.len()), (true, 0));
-    assert_eq!((n, objects), (2, 0), "park on an empty ring");
+    assert_eq!((n, objects), (1, 0), "park on an empty ring");
     // The connection: `connect`'s own five, the hub, the instance (the
-    // push) — and the wake is one more post under the waitqueue hold
-    // the call already has. Was the same as without the waiter; the
-    // waiter is the news.
+    // push, which takes the waiter with it) — and the wake is done under
+    // the waitqueue hold the call already has. The same as without the
+    // waiter.
     let cli = k.sys_socket(tid, AF_INET, SOCK_STREAM, 0).unwrap();
     let (n, objects, r) = locks(|| k.sys_connect(tid, cli, loopback(7005)));
     r.unwrap();
@@ -232,18 +235,19 @@ fn a_wake_that_finds_nothing_costs_the_push_and_a_three_lock_pop() {
     k.drain_woken(&mut woken);
     assert_eq!(woken, vec![tid]);
     // A sibling wins the connection; the retry pops the candidate under
-    // the instance, looks at the listener, reports nothing and
-    // subscribes before it lets go: instance, listener, waitqueue. Was
-    // 8 — the fd table and the epoll description (`epoll_of`, on every
-    // retry), the instance three times (drain, apply, the re-pop after
-    // subscribing), the listener's description, the listener, the
-    // waitqueue — plus two in the scheduler's park.
+    // the instance, looks at the listener, reports nothing and parks
+    // before it lets go: instance, listener. Was 3 (the waitqueue, for
+    // the park), then 8 before that — the fd table and the epoll
+    // description (`epoll_of`, on every retry), the instance three
+    // times (drain, apply, the re-pop after subscribing), the
+    // listener's description, the listener, the waitqueue — plus two
+    // in the scheduler's park.
     let _conn = k.sys_accept(tid, srv, 0).unwrap();
     let (n, objects, parked) = locks(|| k.epoll_wait(tid, &hold, 8, true, &mut out));
     assert_eq!((parked, out.len()), (true, 0));
     assert_eq!(
         (n, objects),
-        (3, 1),
+        (2, 1),
         "pop that finds its one candidate drained, then parks"
     );
     assert!(k.task_waits(tid));

@@ -132,8 +132,8 @@ pub struct WaliContext {
     pub retry_deadline: Option<u64>,
     /// The epoll instance a blocked `epoll_wait`/`epoll_pwait` resolved,
     /// kept with the descriptor number it was resolved from: the retry
-    /// of that call — the task's next host call — takes it back and
-    /// looks nothing up. Returned to the kernel when the call ends, or
+    /// of that call — the task's next host call — pops by it where it
+    /// is and looks nothing up. Returned to the kernel when the call ends, or
     /// when the task does first ([`crate::task::retire`]).
     pub(crate) epoll_hold: Option<(i32, EpollHold)>,
     /// Voluntary context switches: times this task parked (`getrusage`).
@@ -315,9 +315,10 @@ impl WaliContext {
         charge(&self.handles.clock, &self.ticks);
     }
 
-    /// The fd table and, borrowed beside it, what the shard half of a
-    /// descriptor call uses of this context.
-    pub(crate) fn shards(&mut self) -> (&Files, Shards<'_>) {
+    /// The fd table, the instance a blocked `epoll_wait` keeps
+    /// ([`WaliContext::epoll_hold`]) and, borrowed beside them, what the
+    /// shard half of a descriptor call uses of this context.
+    pub(crate) fn shards(&mut self) -> (&Files, Option<&EpollHold>, Shards<'_>) {
         let shards = Shards {
             tid: self.tid,
             handles: &self.handles,
@@ -325,7 +326,8 @@ impl WaliContext {
             sig_hint: &self.sig_hint,
             ticks: &self.ticks,
         };
-        (&self.fdtable, shards)
+        let hold = self.epoll_hold.as_ref().map(|(_, hold)| hold);
+        (&self.fdtable, hold, shards)
     }
 
     /// Records why the calling host function suspends the task, and
@@ -382,7 +384,7 @@ pub(crate) struct Shards<'a> {
     ticks: &'a Cell<u64>,
 }
 
-impl Shards<'_> {
+impl<'a> Shards<'a> {
     /// Runs `f` against the kernel's shards, charged to the kernel layer
     /// like [`WaliContext::with_kernel`] (it is the same kernel-model
     /// work).
@@ -399,6 +401,12 @@ impl Shards<'_> {
     #[inline]
     pub(crate) fn hint_raised(&self) -> bool {
         self.sig_hint.get()
+    }
+
+    /// The task's block: its signal hint and the sleep word a park on
+    /// the shards arms.
+    pub(crate) fn task(&self) -> &'a HintFlag {
+        self.sig_hint
     }
 
     /// Charges the task's ticks before a shard call reads the clock.
@@ -597,7 +605,7 @@ mod tests {
         use crate::policy::{DenyAction, Policy, Verdict};
         let mut c = ctx();
         let mut policy = Policy::deny_list(["socket"], DenyAction::Kill);
-        assert_ne!(policy.check("socket"), Verdict::Allow);
+        assert_ne!(policy.check(wali_abi::spec::Sysno::socket), Verdict::Allow);
         c.policy = Some(policy);
         c.ring = false;
         c.trace.timing = true;

@@ -68,7 +68,7 @@ use std::time::Duration;
 
 use vkernel::{Clock, FastMap, FastSet, MutexExt, Tid};
 
-use crate::runner::{RunOutcome, RunnerError, WaliRunner};
+use crate::runner::{RunOutcome, RunnerError, SchedStats, WaliRunner};
 use crate::task::{retire, run_slice, stuck_report, After, SliceEnv, Slot, SLICE_QUANTUM_NS};
 use crate::trace::SysCounts;
 
@@ -208,7 +208,6 @@ impl WaliRunner {
             // token. The slice environment is the part they share.)
             let env = &SliceEnv {
                 programs: &self.programs,
-                stats: &self.stats,
                 clock: &pool.clock,
             };
             let pool = &pool;
@@ -220,6 +219,7 @@ impl WaliRunner {
                         widx,
                         woken: Vec::new(),
                         counts: SysCounts::default(),
+                        stats: SchedStats::default(),
                     };
                     s.spawn(move || worker.run());
                 }
@@ -245,14 +245,18 @@ struct Worker<'a> {
     woken: Vec<Tid>,
     /// The syscall counter table the task this worker runs counts in.
     counts: SysCounts,
+    /// This worker's scheduler counters: it is their one writer.
+    stats: SchedStats,
 }
 
 impl Worker<'_> {
     /// Runs slices until the run is over, then adds this worker's
-    /// syscall counts to the outcome.
+    /// syscall and scheduler counts to the outcome.
     fn run(&mut self) {
         self.run_slices();
-        self.pool.outcome.lock_ok().trace.counts.merge(&self.counts);
+        let mut outcome = self.pool.outcome.lock_ok();
+        outcome.trace.counts.merge(&self.counts);
+        outcome.sched.merge(&self.stats);
     }
 
     /// Drain wakeups, fire lapsed deadlines, run a slice, repeat.
@@ -267,7 +271,7 @@ impl Worker<'_> {
             wake_lapsed(self.pool);
             match self.take_slot() {
                 Some(mut slot) => {
-                    let after = run_slice(&mut slot, self.env, &mut self.counts);
+                    let after = run_slice(&mut slot, self.env, &mut self.counts, &mut self.stats);
                     self.apply(slot, after);
                 }
                 None => {
@@ -315,7 +319,7 @@ impl Worker<'_> {
                         if let Some(d) = deadline {
                             sched.deadlines.cancel(d, tid);
                         }
-                        self.env.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+                        self.stats.wakeups += 1;
                         pool.enqueue(&mut sched, Some(self.widx), tid);
                     }
                     // Already runnable (it will observe the new state
@@ -336,7 +340,7 @@ impl Worker<'_> {
     /// take the idle step (advance the virtual clock to the earliest
     /// deadline) when the whole pool is quiescent. Returns `true` when
     /// the run is over.
-    fn idle(&self) -> bool {
+    fn idle(&mut self) -> bool {
         let pool = self.pool;
         {
             let sched = pool.sched.lock_ok();
@@ -384,7 +388,7 @@ impl Worker<'_> {
         k.clock.advance_to(deadline);
         k.fire_timers();
         drop(k);
-        self.env.stats.idle_advances.fetch_add(1, Ordering::Relaxed);
+        self.stats.idle_advances += 1;
         // Lapsed deadlines first; the next round drains the wakeups.
         wake_lapsed(pool);
         false

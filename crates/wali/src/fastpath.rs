@@ -81,7 +81,7 @@ fn with_file<T>(
     fd: i32,
     f: impl FnOnce(&mut Shards<'_>, &FileRef) -> Next<T>,
 ) -> Result<Left<T>, SysError> {
-    let (files, mut shards) = c.data.shards();
+    let (files, _, mut shards) = c.data.shards();
     let table = files.lock_ok();
     if table.members() == 1 {
         let file = &table.get(fd)?.file;
@@ -172,7 +172,8 @@ fn before_stamp(sh: &Shards<'_>, file: &FileRef) {
 }
 
 fn read_shards(sh: &mut Shards<'_>, file: &FileRef, out: &mut [u8]) -> Next<i64> {
-    on_shards(sh, |h, tid| h.read(tid, file, out, Intr::HintDown))
+    let task = sh.task();
+    on_shards(sh, |h, tid| h.read(tid, file, out, Intr::HintDown(task)))
 }
 
 fn read_core(kk: &mut Kernel, tid: Tid, file: &FileRef, rest: Option<Core>, out: &mut [u8]) -> R {
@@ -184,7 +185,8 @@ fn read_core(kk: &mut Kernel, tid: Tid, file: &FileRef, rest: Option<Core>, out:
 
 fn write_shards(sh: &mut Shards<'_>, file: &FileRef, data: &[u8]) -> Next<i64> {
     before_stamp(sh, file);
-    on_shards(sh, |h, tid| h.write(tid, file, data, Intr::HintDown))
+    let task = sh.task();
+    on_shards(sh, |h, tid| h.write(tid, file, data, Intr::HintDown(task)))
 }
 
 fn write_core(kk: &mut Kernel, tid: Tid, file: &FileRef, rest: Option<Core>, data: &[u8]) -> R {
@@ -294,7 +296,7 @@ pub(crate) fn vectored(
         let r = with_chunk(mem, chunk, write, |mut buf| {
             let next = match rest.take() {
                 Some(rest) => Next::Core(rest),
-                None => shard_half(&mut c.data.shards().1, &file, buf.reborrow(), pos),
+                None => shard_half(&mut c.data.shards().2, &file, buf.reborrow(), pos),
             };
             match next {
                 Next::Done(r) => r,

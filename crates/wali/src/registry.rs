@@ -132,12 +132,11 @@ pub fn wrapped(
 fn enter(ctx: &mut WaliContext, sysno: Sysno) -> Result<(), Result<u64, HostOutcome>> {
     ctx.trace.counts.bump(sysno);
     if let Some(policy) = &mut ctx.policy {
-        let name = sysno.row().name;
-        match policy.check(name) {
+        match policy.check(sysno) {
             Verdict::Allow => {}
             Verdict::Deny(DenyAction::Errno(e)) => return Err(Ok(e.as_ret() as u64)),
             Verdict::Deny(DenyAction::Kill) => {
-                return Err(Err(HostOutcome::Trap(Trap::Forbidden(name))))
+                return Err(Err(HostOutcome::Trap(Trap::Forbidden(sysno.row().name))))
             }
         }
     }

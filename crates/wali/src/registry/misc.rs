@@ -24,8 +24,16 @@ fn write_timespec(c: &Caller<'_, WaliContext>, ptr: u32, ts: WaliTimespec) -> Re
     write_bytes(&c.instance.memory, ptr, &buf)
 }
 
+/// The time, read off the clock shard after this task's deferred ticks
+/// are charged to it — Linux's vDSO read: no lock.
+fn now(c: C, clock_id: i32) -> Result<u64, Errno> {
+    let (_, _, mut sh) = c.data.shards();
+    sh.flush_ticks();
+    sh.run(|h, _| h.clock.gettime(clock_id))
+}
+
 pub(super) fn clock_gettime(c: C, clock_id: i32, tp: u32) -> R {
-    let ns = k(c, |kk, _| kk.sys_clock_gettime(clock_id))?;
+    let ns = now(c, clock_id)?;
     write_timespec(c, tp, WaliTimespec::from_nanos(ns))?;
     Ok(0)
 }
@@ -38,9 +46,7 @@ pub(super) fn clock_getres(c: C, _clock_id: i32, res: Option<u32>) -> R {
 }
 
 pub(super) fn gettimeofday(c: C, tv: Option<u32>, _tz: Option<u32>) -> R {
-    let ns = k(c, |kk, _| {
-        kk.sys_clock_gettime(wali_abi::flags::CLOCK_REALTIME)
-    })?;
+    let ns = now(c, wali_abi::flags::CLOCK_REALTIME)?;
     if let Some(tv) = tv {
         let val = WaliTimeval {
             sec: (ns / 1_000_000_000) as i64,

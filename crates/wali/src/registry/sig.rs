@@ -169,10 +169,10 @@ pub(super) fn rt_sigtimedwait(
             if kk.clock.monotonic_ns() >= d {
                 return Err(Errno::Eagain.into());
             }
-            kk.wait_subscribe(tid, vkernel::Channel::Signal(tid));
+            kk.wait_interruptible(tid);
             return Err(vkernel::block_until(d));
         }
-        kk.wait_subscribe(tid, vkernel::Channel::Signal(tid));
+        kk.wait_interruptible(tid);
         Err(vkernel::block())
     })
 }

@@ -1,5 +1,6 @@
 //! Socket and readiness syscalls.
 
+use vkernel::kernel::epoll::EpollHold;
 use vkernel::SysError;
 use wali_abi::layout::{WaliEpollEvent, WaliPollFd, WaliSockaddr, WaliTimespec};
 use wali_abi::signals::SigSet;
@@ -278,20 +279,16 @@ fn restore_wait_mask(c: C, r: R) -> R {
 }
 
 /// Resolves the effective block deadline of a readiness wait (a retry
-/// keeps the one it blocked with). `None` means block without deadline;
-/// a deadline at or before `now` means the wait has timed out — the
-/// caller's to notice. The arithmetic saturates: a guest picks the
-/// timeout.
-fn wait_deadline(
-    kk: &vkernel::Kernel,
-    retry_deadline: Option<u64>,
-    timeout_ms: i64,
-) -> Option<u64> {
+/// keeps the one it blocked with), `now` being the virtual time of the
+/// call. `None` means block without deadline; a deadline at or before
+/// `now` means the wait has timed out — the caller's to notice. The
+/// arithmetic saturates: a guest picks the timeout.
+fn wait_deadline(now: u64, retry_deadline: Option<u64>, timeout_ms: i64) -> Option<u64> {
     match retry_deadline {
         Some(d) => Some(d),
         None if timeout_ms > 0 => {
             let ns = (timeout_ms as u64).saturating_mul(1_000_000);
-            Some(kk.clock.monotonic_ns().saturating_add(ns))
+            Some(now.saturating_add(ns))
         }
         None => None,
     }
@@ -302,6 +299,14 @@ fn block_on(deadline: Option<u64>) -> SysError {
     match deadline {
         Some(d) => vkernel::block_until(d),
         None => vkernel::block(),
+    }
+}
+
+/// Gives `hold` back; the kernel lock only if the call dropped the
+/// description's last reference (its descriptor was closed meanwhile).
+fn give_back(c: C, hold: EpollHold) {
+    if let Some((last, key)) = hold.give_back() {
+        k(c, |kk, _| kk.release_description(last, key));
     }
 }
 
@@ -321,20 +326,17 @@ fn do_epoll_wait(c: C, epfd: i32, ev_ptr: u32, maxevents: i32, timeout_ms: i64) 
     // The instance this call resolved before it blocked — its own only:
     // the retry of a blocked call is its task's next host call, and the
     // descriptor number says it is this one. Anything else gives it back.
-    let kept = match c.data.epoll_hold.take() {
-        Some((fd, hold)) if fd == epfd && args.is_ok() && !split => Some(hold),
-        Some((_, hold)) => {
-            k(c, |kk, _| kk.epoll_release(hold));
-            None
+    let kept = matches!(c.data.epoll_hold, Some((fd, _)) if fd == epfd);
+    if !kept || args.is_err() || split {
+        if let Some((_, hold)) = c.data.epoll_hold.take() {
+            give_back(c, hold);
         }
-        None => None,
-    };
+    }
     args?;
-    // Scan-then-subscribe runs inside ONE kernel critical section: a
-    // readiness transition on another worker can land between a separate
-    // scan and subscribe, posting its wakeup to no subscriber — the
-    // classic lost-wakeup race. Atomic check-or-park closes it (the
-    // single-threaded scheduler got this for free).
+    // Pop-then-park runs inside ONE hold of the instance: a readiness
+    // transition on another worker can land between a separate pop and
+    // park, pushing to an instance nobody waits in yet — the classic
+    // lost-wakeup race. Atomic check-or-park closes it.
     //
     // The `scan-split` fault gate re-opens exactly that window (two
     // separate critical sections) so the fuzzer can demonstrate its
@@ -353,45 +355,56 @@ fn do_epoll_wait(c: C, epfd: i32, ev_ptr: u32, maxevents: i32, timeout_ms: i64) 
             std::thread::yield_now();
         }
         k(c, |kk, tid| {
-            let deadline = wait_deadline(kk, retry_deadline, timeout_ms);
+            let deadline = wait_deadline(kk.clock.monotonic_ns(), retry_deadline, timeout_ms);
             if let Some(d) = deadline {
                 if kk.clock.monotonic_ns() >= d {
                     return Ok(());
                 }
             }
-            let ready = vkernel::Channel::EpollReady(kk.epoll_of(tid, epfd)?.id);
-            kk.wait_subscribe(tid, ready);
-            kk.wait_subscribe(tid, vkernel::Channel::Signal(tid));
+            kk.epoll_park(tid, epfd)?;
             Err(block_on(deadline))
         })?;
         // Deadline lapsed without events.
         return Ok(0);
     }
-    // One kernel hold: resolve (a first attempt only), pop — which parks
-    // in the same hold of the instance when it finds nothing and the
-    // call may block — and give the instance back unless the call
-    // blocks. A spuriously woken waiter (all but one of a prefork herd)
-    // looks nothing up and re-parks from inside its one pop.
-    let (r, hold) = k(c, |kk, tid| {
-        let hold = match kept {
-            Some(hold) => hold,
-            None => match kk.epoll_hold(tid, epfd) {
-                Ok(hold) => hold,
-                Err(errno) => return (Err(errno.into()), None),
-            },
-        };
-        let deadline = wait_deadline(kk, retry_deadline, timeout_ms);
-        let park = timeout_ms != 0 && deadline.is_none_or(|d| kk.clock.monotonic_ns() < d);
-        let mut ready = Vec::new();
-        if kk.epoll_wait(tid, &hold, maxevents as usize, park, &mut ready) {
-            return (Err(block_on(deadline)), Some(hold));
+    // On the shards, like Linux's `ep_poll`: resolve (a first attempt
+    // only) through the task's own fd table, pop — which parks in the
+    // same hold of the instance when it finds nothing and the call may
+    // block — and give the instance back unless the call blocks. A
+    // spuriously woken waiter (all but one of a prefork herd) looks
+    // nothing up and re-parks from inside its one pop, under no kernel
+    // or waitqueue lock. The kernel lock is taken only to release a
+    // description whose last reference the call dropped. The hold stays
+    // in the context while the call blocks.
+    if c.data.epoll_hold.is_none() {
+        let hold = EpollHold::resolve(&c.data.fdtable, epfd)?;
+        c.data.epoll_hold = Some((epfd, hold));
+    }
+    let (_, hold, mut sh) = c.data.shards();
+    // A wait with a deadline reads the clock, this task's deferred ticks
+    // charged to it first; one without reads none.
+    let (deadline, lapsed) = match (retry_deadline, timeout_ms) {
+        (None, ..=0) => (None, false),
+        (retry, _) => {
+            sh.flush_ticks();
+            let now = sh.handles.clock.monotonic_ns();
+            let deadline = wait_deadline(now, retry, timeout_ms);
+            (deadline, deadline.is_some_and(|d| now >= d))
         }
-        // Events, a zero timeout or a lapsed one (no events).
-        kk.epoll_release(hold);
-        (Ok(ready), None)
-    });
-    c.data.epoll_hold = hold.map(|hold| (epfd, hold));
-    write_epoll_events(mem, ev_ptr, &r?)
+    };
+    let park = timeout_ms != 0 && !lapsed;
+    let (task, hold) = (sh.task(), hold.expect("kept or resolved"));
+    let mut ready = Vec::new();
+    let max = maxevents as usize;
+    let parked = sh.run(|h, tid| h.epoll_wait(tid, task, hold, max, park, &mut ready));
+    if parked {
+        return Err(block_on(deadline));
+    }
+    // Events, a zero timeout or a lapsed one (no events).
+    if let Some((_, hold)) = c.data.epoll_hold.take() {
+        give_back(c, hold);
+    }
+    write_epoll_events(mem, ev_ptr, &ready)
 }
 
 /// Marshals ready `(events, data)` pairs into the guest's event array
@@ -480,7 +493,7 @@ fn do_poll(c: C, fds_ptr: u32, nfds: usize, timeout_ms: i64) -> R {
         if ready > 0 || timeout_ms == 0 {
             return Ok(revents);
         }
-        let deadline = wait_deadline(kk, retry_deadline, timeout_ms);
+        let deadline = wait_deadline(kk.clock.monotonic_ns(), retry_deadline, timeout_ms);
         if let Some(d) = deadline {
             if kk.clock.monotonic_ns() >= d {
                 return Ok(vec![0; revents.len()]);
@@ -558,7 +571,7 @@ fn do_select(
         if ready > 0 || timeout_ms == 0 {
             return Ok(Some(revents));
         }
-        let deadline = wait_deadline(kk, retry_deadline, timeout_ms);
+        let deadline = wait_deadline(kk.clock.monotonic_ns(), retry_deadline, timeout_ms);
         if let Some(d) = deadline {
             if kk.clock.monotonic_ns() >= d {
                 return Ok(None);

@@ -24,7 +24,7 @@
 //! `crates/wali/src/exec.rs` and DESIGN.md "Scheduler".
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use vkernel::{FastMap, Kernel, Tid};
@@ -50,7 +50,9 @@ pub enum TaskEnd {
     Trapped(Trap),
 }
 
-/// Scheduler accounting for one run (waitqueue observability).
+/// Scheduler accounting for one run (waitqueue observability). Whoever
+/// schedules — the single loop, each SMP worker — counts into a table of
+/// its own, the one writer of it; a run adds the tables up at its end.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Times a task was parked on a wait channel or deadline.
@@ -64,26 +66,13 @@ pub struct SchedStats {
     pub blocked_retries: u64,
 }
 
-/// Lock-free accumulator behind [`SchedStats`]: SMP workers bump these
-/// concurrently; [`AtomicSched::take`] folds them into the plain struct
-/// a finished run reports. `Relaxed` suffices — counters, not
-/// synchronization.
-#[derive(Debug, Default)]
-pub(crate) struct AtomicSched {
-    pub(crate) parks: AtomicU64,
-    pub(crate) wakeups: AtomicU64,
-    pub(crate) idle_advances: AtomicU64,
-    pub(crate) blocked_retries: AtomicU64,
-}
-
-impl AtomicSched {
-    fn take(&self) -> SchedStats {
-        SchedStats {
-            parks: self.parks.swap(0, Ordering::Relaxed),
-            wakeups: self.wakeups.swap(0, Ordering::Relaxed),
-            idle_advances: self.idle_advances.swap(0, Ordering::Relaxed),
-            blocked_retries: self.blocked_retries.swap(0, Ordering::Relaxed),
-        }
+impl SchedStats {
+    /// Adds `other`'s counts to these.
+    pub(crate) fn merge(&mut self, other: &SchedStats) {
+        self.parks += other.parks;
+        self.wakeups += other.wakeups;
+        self.idle_advances += other.idle_advances;
+        self.blocked_retries += other.blocked_retries;
     }
 }
 
@@ -266,8 +255,8 @@ pub struct WaliRunner {
     pub(crate) vfork_waiters: FastMap<Tid, Tid>,
     pub(crate) main_tid: Option<Tid>,
     pub(crate) outcome: RunOutcome,
-    /// Concurrent scheduler counters (folded into `outcome.sched`).
-    pub(crate) stats: AtomicSched,
+    /// The single loop's scheduler counters (added to `outcome.sched`).
+    pub(crate) stats: SchedStats,
     /// Lock-free virtual-clock handle (shares the kernel's counter).
     pub(crate) clock: vkernel::Clock,
     /// Lock-free mirror of "the kernel has undrained wakeups".
@@ -302,7 +291,7 @@ impl WaliRunner {
             vfork_waiters: FastMap::default(),
             main_tid: None,
             outcome: RunOutcome::default(),
-            stats: AtomicSched::default(),
+            stats: SchedStats::default(),
             clock,
             woken_hint,
             waits,
@@ -495,11 +484,10 @@ impl WaliRunner {
             };
             let env = SliceEnv {
                 programs: &self.programs,
-                stats: &self.stats,
                 clock: &self.clock,
             };
             if let Some(slot) = self.tasks.get_mut(&tid) {
-                let after = run_slice(slot, &env, &mut self.counts);
+                let after = run_slice(slot, &env, &mut self.counts, &mut self.stats);
                 self.apply(tid, after)?;
             }
         }
@@ -514,7 +502,7 @@ impl WaliRunner {
             .trace
             .counts
             .merge(&std::mem::take(&mut self.counts));
-        outcome.sched = self.stats.take();
+        outcome.sched.merge(&std::mem::take(&mut self.stats));
         outcome.console = self.kernel.lock_ok().take_console();
         Ok(outcome)
     }
@@ -536,7 +524,7 @@ impl WaliRunner {
             if let Some(d) = deadline {
                 self.deadlines.cancel(d, tid);
             }
-            self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+            self.stats.wakeups += 1;
             self.run_queue.push_back(tid);
         }
     }
@@ -556,7 +544,7 @@ impl WaliRunner {
         k.clock.advance_to(deadline);
         k.fire_timers();
         drop(k);
-        self.stats.idle_advances.fetch_add(1, Ordering::Relaxed);
+        self.stats.idle_advances += 1;
         self.wake_lapsed();
         self.drain_wakeups();
         Ok(())

@@ -21,7 +21,6 @@
 //! the pointer.
 
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use vkernel::{Clock, FastMap, Kernel, TaskHot, TaskState, Tid};
@@ -33,7 +32,7 @@ use wasm::Trap;
 
 use crate::context::WaliContext;
 use crate::registry::WaliSuspend;
-use crate::runner::{AtomicSched, RunOutcome, RunnerError, TaskEnd};
+use crate::runner::{RunOutcome, RunnerError, SchedStats, TaskEnd};
 use crate::trace::SysCounts;
 
 /// The next step of a task that is not running.
@@ -76,7 +75,6 @@ pub(crate) struct Slot {
 pub(crate) struct SliceEnv<'a> {
     /// `execve` targets by path.
     pub(crate) programs: &'a HashMap<String, Arc<Program<WaliContext>>>,
-    pub(crate) stats: &'a AtomicSched,
     pub(crate) clock: &'a Clock,
 }
 
@@ -126,7 +124,13 @@ pub(crate) fn load(
 /// counter table, the task's for as long as it runs: the calls it makes
 /// are counted where its runner will look for them, and a task that
 /// forks, makes five calls and exits never owns a table of its own.
-pub(crate) fn run_slice(slot: &mut Slot, env: &SliceEnv<'_>, counts: &mut SysCounts) -> After {
+/// `stats` is the caller's scheduler counter table.
+pub(crate) fn run_slice(
+    slot: &mut Slot,
+    env: &SliceEnv<'_>,
+    counts: &mut SysCounts,
+    stats: &mut SchedStats,
+) -> After {
     let Some(pending) = slot.pending.take() else {
         return After::Finished(None);
     };
@@ -182,7 +186,9 @@ pub(crate) fn run_slice(slot: &mut Slot, env: &SliceEnv<'_>, counts: &mut SysCou
             let _ = slot.ctx.lock_kernel().sys_exit_group(tid, 128);
             After::Finished(Some(TaskEnd::Trapped(t)))
         }
-        RunResult::Blocked(blocked) => After::Parked(park_blocked(slot, env, blocked, ran_wasm)),
+        RunResult::Blocked(blocked) => {
+            After::Parked(park_blocked(slot, env, stats, blocked, ran_wasm))
+        }
         RunResult::Suspended => match slot.ctx.take_suspend() {
             Some(why) => transition(slot, env, why),
             None => After::Fatal(RunnerError::NoEntry("suspension without a reason")),
@@ -201,13 +207,14 @@ pub(crate) fn run_slice(slot: &mut Slot, env: &SliceEnv<'_>, counts: &mut SysCou
 fn park_blocked(
     slot: &mut Slot,
     env: &SliceEnv<'_>,
+    stats: &mut SchedStats,
     blocked: Blocked,
     ran_wasm: bool,
 ) -> Option<u64> {
     if !ran_wasm {
-        env.stats.blocked_retries.fetch_add(1, Ordering::Relaxed);
+        stats.blocked_retries += 1;
     }
-    env.stats.parks.fetch_add(1, Ordering::Relaxed);
+    stats.parks += 1;
     slot.pending = Some(Pending::Retry(blocked));
     slot.ctx.nvcsw += 1;
     let subscribed = std::mem::take(&mut slot.ctx.subscribed);
@@ -441,11 +448,10 @@ mod tests {
         fn slice(&mut self) -> After {
             let env = SliceEnv {
                 programs: &self.runner.programs,
-                stats: &self.runner.stats,
                 clock: &self.clock,
             };
             let slot = self.runner.tasks.get_mut(&self.tid).unwrap();
-            run_slice(slot, &env, &mut self.runner.counts)
+            run_slice(slot, &env, &mut self.runner.counts, &mut self.runner.stats)
         }
     }
 
@@ -678,12 +684,11 @@ mod tests {
         assert_eq!(slot.park, Some(None));
         assert!(matches!(&slot.pending, Some(Pending::Retry(b)) if b.import.ends_with("read")));
         let stats = &r.runner.stats;
-        assert_eq!(stats.parks.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.blocked_retries.load(Ordering::Relaxed), 0);
+        assert_eq!((stats.parks, stats.blocked_retries), (1, 0));
         // A retry nothing woke blocks again without running any wasm.
         r.slot().park = None;
         assert!(matches!(r.slice(), After::Parked(None)));
-        assert_eq!(r.runner.stats.blocked_retries.load(Ordering::Relaxed), 1);
+        assert_eq!(r.runner.stats.blocked_retries, 1);
     }
 
     #[test]

@@ -1407,6 +1407,7 @@ fn a_post_that_waits_out_the_one_hold_pop_finds_the_subscription() {
         };
         let fresh_end = file_of(&k, fresh_w);
         let handles = k.handles();
+        let writer_task = k.task(writer).unwrap().sig_hint.clone();
         let hold = k.epoll_hold(tid, ep).unwrap();
         let mut out = Vec::new();
 
@@ -1421,7 +1422,7 @@ fn a_post_that_waits_out_the_one_hold_pop_finds_the_subscription() {
             }
             let at_ring = contention(LockClass::Epoll);
             let producer = s.spawn(|| {
-                let wrote = handles.write(writer, &fresh_end, b"y", Intr::HintDown);
+                let wrote = handles.write(writer, &fresh_end, b"y", Intr::HintDown(&writer_task));
                 release.send(()).unwrap();
                 wrote
             });
@@ -1513,4 +1514,217 @@ fn an_epoll_herd_loses_no_event_however_its_pops_and_pushes_interleave() {
     });
     mb.export("_start", main);
     run_everywhere(&mb.build(), 1 + WAITERS as usize);
+}
+
+// --- What the waiters in an instance have to keep -----------------------
+//
+// An `epoll_wait` — or a `poll` on an epoll fd — waits in its instance,
+// and a signal is a bit of the waiter's own sleep word. An entry left in
+// an instance by a wait that something else ended (a deadline, a kill)
+// must wake nobody, whatever its task does next; and the waiters of one
+// instance wake in the order they parked.
+
+/// The epoll calls the guests below use, over [`Net`].
+struct Ep {
+    net: Net,
+    pipe2: FuncId,
+    create: FuncId,
+    ctl: FuncId,
+    wait: FuncId,
+    /// `struct epoll_event { EPOLLIN, 7 }`.
+    ev_in: u32,
+    ev_out: u32,
+}
+
+impl Ep {
+    fn import(mb: &mut ModuleBuilder) -> Ep {
+        let net = Net::import(mb);
+        let mut ev = 1u32.to_le_bytes().to_vec(); // EPOLLIN
+        ev.extend_from_slice(&7u64.to_le_bytes());
+        Ep {
+            net,
+            pipe2: sys(mb, Sysno::pipe2),
+            create: sys(mb, Sysno::epoll_create1),
+            ctl: sys(mb, Sysno::epoll_ctl),
+            wait: sys(mb, Sysno::epoll_wait),
+            ev_in: mb.data(&ev),
+            ev_out: mb.reserve(16),
+        }
+    }
+
+    /// `pipe2(fds, 0)`.
+    fn pipe(&self, b: &mut FuncBuilder, fds: u32) {
+        b.i64(fds as i64).i64(0).call(self.pipe2).drop_();
+    }
+
+    /// An instance watching the read end of the pipe at `fds`, into `ep`.
+    fn watching(&self, b: &mut FuncBuilder, fds: u32, ep: u32) {
+        b.i64(0).call(self.create).local_set(ep);
+        b.local_get(ep).i64(1);
+        b.i32(fds as i32).load32(0).extend_u();
+        b.i64(self.ev_in as i64).call(self.ctl).drop_();
+    }
+
+    /// `epoll_wait(ep, ev_out, 1, timeout_ms)`, its answer dropped.
+    fn wait(&self, b: &mut FuncBuilder, ep: u32, timeout_ms: i64) {
+        b.local_get(ep)
+            .i64(self.ev_out as i64)
+            .i64(1)
+            .i64(timeout_ms);
+        b.call(self.wait).drop_();
+    }
+
+    /// One byte from `buf` into end `end` of the pipe at `fds`.
+    fn put(&self, b: &mut FuncBuilder, fds: u32, end: u32, buf: u32) {
+        b.i32(fds as i32).load32(end).extend_u();
+        b.i64(buf as i64).i64(1).call(self.net.write).drop_();
+    }
+
+    /// One byte from end `end` of the pipe at `fds` into `buf`.
+    fn get(&self, b: &mut FuncBuilder, fds: u32, end: u32, buf: u32) {
+        b.i32(fds as i32).load32(end).extend_u();
+        b.i64(buf as i64).i64(1).call(self.net.read).drop_();
+    }
+}
+
+/// Two waits end otherwise than by their instance, and a push onto the
+/// instance follows:
+///
+/// * a thread's `epoll_wait` times out and the thread parks in a `read`
+///   of another pipe; the main task then writes the watched pipe. The
+///   thread counts its parks (`getrusage`'s voluntary switches): the
+///   wait and the read, two at most — a third is a wake by the old
+///   entry;
+/// * a thread of a forked child blocks in `epoll_wait` on an instance
+///   the child shares with the main task; the child's `exit_group` kills
+///   it, the main task reaps the child and writes the watched pipe: the
+///   push finds the dead waiter's entry, and the audit finds no state
+///   grown for it. (A `SIGKILL` would not do: a task parked in
+///   `epoll_wait` does not take it until an event ends the wait.)
+///
+/// Exit code: 1 for a third park of the thread, plus the flags left
+/// down.
+#[test]
+fn a_waiter_a_deadline_or_a_kill_woke_is_not_woken_by_its_old_instance() {
+    let mut mb = ModuleBuilder::new();
+    let ep = Ep::import(&mut mb);
+    let net = &ep.net;
+    let getrusage = sys(&mut mb, Sysno::getrusage);
+    let fork = sys(&mut mb, Sysno::fork);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit_group = sys(&mut mb, Sysno::exit_group);
+    let (watched, release, shared) = (mb.reserve(8), mb.reserve(8), mb.reserve(8));
+    let ru = mb.reserve(144);
+    let parks = mb.reserve(8);
+    let flags = mb.reserve(8);
+    let byte = mb.reserve(8);
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let (e1, e2, child, bad) = (b.local(I64), b.local(I64), b.local(I64), b.local(I32));
+        let i = b.local(I32);
+        for fds in [watched, release, shared] {
+            ep.pipe(b, fds);
+        }
+        ep.watching(b, watched, e1);
+        ep.watching(b, shared, e2);
+        net.thread(b, |b| {
+            ep.wait(b, e1, 1);
+            b.i32(0).local_set(i);
+            raise(b, flags, i);
+            ep.get(b, release, 0, byte);
+            b.i64(0).i64(ru as i64).call(getrusage).drop_();
+            b.i32(parks as i32).i32(ru as i32).load64(120).store64(0);
+            b.i32(1).local_set(i);
+            raise(b, flags, i);
+        });
+        net.await_flags(b, flags, 1);
+        b.local_set(bad);
+        emit_sleep(b, net.nanosleep, net.ts, 0, 1_000_000);
+        ep.put(b, watched, 4, byte);
+        emit_sleep(b, net.nanosleep, net.ts, 0, 1_000_000);
+        ep.put(b, release, 4, byte);
+        net.await_flags(b, flags + 4, 1);
+        b.local_get(bad).add32().local_set(bad);
+        // More than two parks.
+        b.i64(2).i32(parks as i32).load64(0).lt_s64();
+        b.local_get(bad).add32().local_set(bad);
+        b.call(fork).local_tee(child).i64(0).eq64();
+        b.if_(BlockType::Empty, |b| {
+            net.thread(b, |b| ep.wait(b, e2, -1));
+            emit_sleep(b, net.nanosleep, net.ts, 0, 1_000_000);
+            b.i64(3).call(exit_group).drop_();
+        });
+        b.local_get(child).i64(0).i64(0).i64(0).call(wait4).drop_();
+        ep.put(b, shared, 4, byte);
+        b.local_get(bad);
+    });
+    mb.export("_start", main);
+    run_everywhere(&mb.build(), 4);
+}
+
+/// A `poll` on an epoll fd waits in the instance beside an `epoll_wait`
+/// on it: one push wakes both, in the order they parked — the poller
+/// first here, so at one worker its report reaches the main task first.
+/// At four, both reach it. Exit code: 0 for "poller, then waiter", 1
+/// for the other order.
+#[test]
+fn a_poll_on_an_epoll_fd_and_an_epoll_wait_on_it_wake_in_the_order_they_parked() {
+    let mut mb = ModuleBuilder::new();
+    let ep = Ep::import(&mut mb);
+    let net = &ep.net;
+    let poll = sys(&mut mb, Sysno::poll);
+    let exit_group = sys(&mut mb, Sysno::exit_group);
+    let (watched, reports) = (mb.reserve(8), mb.reserve(8));
+    let pollfd = mb.reserve(8);
+    let (poller, waiter) = (mb.data(b"p"), mb.data(b"w"));
+    let got = mb.reserve(8);
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let e = b.local(I64);
+        ep.pipe(b, watched);
+        ep.pipe(b, reports);
+        ep.watching(b, watched, e);
+        // struct pollfd { fd, POLLIN }
+        b.i32(pollfd as i32).local_get(e).wrap().store32(0);
+        b.i32(pollfd as i32 + 4).i32(1).store32(0);
+        net.thread(b, |b| {
+            b.i64(pollfd as i64).i64(1).i64(-1).call(poll).drop_();
+            ep.put(b, reports, 4, poller);
+        });
+        emit_sleep(b, net.nanosleep, net.ts, 0, 1_000_000);
+        net.thread(b, |b| {
+            ep.wait(b, e, -1);
+            ep.put(b, reports, 4, waiter);
+        });
+        emit_sleep(b, net.nanosleep, net.ts, 0, 1_000_000);
+        ep.put(b, watched, 4, got);
+        ep.get(b, reports, 0, got);
+        ep.get(b, reports, 0, got + 1);
+        b.i32(got as i32).load32(0).i32(0xffff).and32();
+        b.i32(i32::from_le_bytes([b'p', b'w', 0, 0])).ne32();
+        b.extend_u().call(exit_group).drop_();
+        b.i32(0);
+    });
+    mb.export("_start", main);
+    let module = mb.build();
+    for (workers, regir) in configs() {
+        let opts = RunnerOpts {
+            workers: Some(workers),
+            regir: Some(regir),
+            ..RunnerOpts::single()
+        };
+        let what = format!("workers={workers} regir={regir}");
+        let report = run_module(&module, &[], &[], opts).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let code = report.outcome.exit_code();
+        match workers {
+            1 => assert_eq!(code, Some(0), "{what}: the waiter woke first"),
+            _ => assert!(matches!(code, Some(0 | 1)), "{what}: {code:?}"),
+        }
+        assert_eq!(report.outcome.ends.len(), 3, "{what}");
+        assert!(
+            report.leaks.is_clean(),
+            "{what}: {}",
+            report.leaks.describe()
+        );
+    }
 }
