@@ -5,7 +5,7 @@
 //! `FD_CLOEXEC` lives on the descriptor not the description, and the
 //! lowest free slot is always allocated.
 
-use std::sync::atomic::{AtomicI32, Ordering};
+use std::sync::atomic::{fence, AtomicI32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use wali_abi::flags::{O_ACCMODE, O_NONBLOCK, O_RDONLY, O_WRONLY};
@@ -50,11 +50,11 @@ pub enum FileKind {
 ///
 /// What a call reads of it is fixed or one word: the referent never
 /// changes after open and the status flags are an atomic that
-/// `fcntl(F_SETFL)` stores. Only what a call *changes* sits behind the
-/// description lock ([`LockClass::Description`], Linux's `f_pos_lock`):
-/// the offset and the eventfd counter, so offset updates and eventfd
-/// edits on one file never serialize against another file, against the
-/// kernel core, or against a call that only reads the description.
+/// `fcntl(F_SETFL)` stores. The description lock
+/// ([`LockClass::Description`], Linux's `f_pos_lock`) guards what a call
+/// *changes*: the offset, and the eventfd counter behind it. A call
+/// that moves the offset of a description nobody else can reach takes
+/// no lock at all ([`OpenFile::pos`]).
 #[derive(Debug)]
 pub struct OpenFile {
     /// Referent (fixed at open).
@@ -62,17 +62,33 @@ pub struct OpenFile {
     /// Status flags (`O_APPEND`, `O_NONBLOCK`, access mode …). `Relaxed`
     /// throughout: the word publishes no other data.
     flags: AtomicI32,
-    /// The offset and the eventfd counter.
-    pos: Tracked<FilePos>,
+    /// Byte offset of a seekable file: moved under the description lock,
+    /// or by the one holder of an exclusive description.
+    offset: AtomicU64,
+    /// The description lock, and the eventfd counter it guards.
+    counter: Tracked<u64>,
 }
 
-/// What the description lock guards.
-#[derive(Debug, Default)]
-pub struct FilePos {
-    /// Byte offset for seekable files.
-    pub offset: u64,
-    /// eventfd counter value (only for `FileKind::EventFd`).
-    pub counter: u64,
+/// A call's hold on a description's offset ([`OpenFile::pos`],
+/// [`OpenFile::lock_pos`]): read, then moved, as one step.
+#[derive(Debug)]
+pub struct FilePos<'a> {
+    offset: &'a AtomicU64,
+    _lock: Option<TrackedGuard<'a, u64>>,
+}
+
+impl FilePos<'_> {
+    /// The offset.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.offset.load(Ordering::Relaxed)
+    }
+
+    /// Moves the offset.
+    #[inline]
+    pub fn set(&mut self, offset: u64) {
+        self.offset.store(offset, Ordering::Relaxed);
+    }
 }
 
 impl OpenFile {
@@ -81,7 +97,8 @@ impl OpenFile {
         Arc::new(OpenFile {
             kind,
             flags: AtomicI32::new(flags),
-            pos: Tracked::new(LockClass::Description, FilePos::default()),
+            offset: AtomicU64::new(0),
+            counter: Tracked::new(LockClass::Description, 0),
         })
     }
 
@@ -121,10 +138,41 @@ impl OpenFile {
         self.flags() & O_ACCMODE != O_RDONLY
     }
 
-    /// Takes the description lock.
+    /// The offset for a `read`, `write` or `lseek` (Linux's
+    /// `fdget_pos`): under the description lock, unless `file` is the
+    /// only way to the description — one strong reference, borrowed by
+    /// the caller from the fd table it holds, and no weak one an epoll
+    /// registration could upgrade. Nobody else can then reach the
+    /// offset for as long as the caller holds that reference. A
+    /// description that was shared (a `dup`, a `fork`) becomes exclusive
+    /// when the last other reference drops: the acquire fence orders
+    /// that holder's last offset store before this caller's load.
     #[inline]
-    pub fn lock_ok(&self) -> TrackedGuard<'_, FilePos> {
-        self.pos.lock_ok()
+    pub fn pos(file: &FileRef) -> FilePos<'_> {
+        if Arc::strong_count(file) == 1 && Arc::weak_count(file) == 0 {
+            fence(Ordering::Acquire);
+            return FilePos {
+                offset: &file.offset,
+                _lock: None,
+            };
+        }
+        file.lock_pos()
+    }
+
+    /// The offset under the description lock, shared or not
+    /// (`getdents64` and `FIONREAD` read it this way).
+    #[inline]
+    pub fn lock_pos(&self) -> FilePos<'_> {
+        FilePos {
+            offset: &self.offset,
+            _lock: Some(self.counter.lock_ok()),
+        }
+    }
+
+    /// The eventfd counter, under the description lock.
+    #[inline]
+    pub fn counter(&self) -> TrackedGuard<'_, u64> {
+        self.counter.lock_ok()
     }
 }
 
@@ -348,8 +396,30 @@ mod tests {
         let mut t = FdTable::new();
         let fd = t.alloc(file(), false).unwrap();
         let dup = t.alloc(t.get(fd).unwrap().file.clone(), false).unwrap();
-        t.get(fd).unwrap().file.lock_ok().offset = 42;
-        assert_eq!(t.get(dup).unwrap().file.lock_ok().offset, 42);
+        OpenFile::pos(&t.get(fd).unwrap().file).set(42);
+        assert_eq!(OpenFile::pos(&t.get(dup).unwrap().file).get(), 42);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn only_a_description_another_can_reach_locks_its_offset() {
+        use crate::lockorder::acquisitions_of;
+        let moves = |f: &FileRef, to: u64| {
+            let before = acquisitions_of(LockClass::Description);
+            OpenFile::pos(f).set(to);
+            acquisitions_of(LockClass::Description) - before
+        };
+        let f = file();
+        assert_eq!(moves(&f, 1), 0, "one reference");
+        let dup = f.clone();
+        assert_eq!(moves(&f, 2), 1, "a dup holds another");
+        assert_eq!(OpenFile::pos(&dup).get(), 2, "one offset");
+        drop(dup);
+        assert_eq!(moves(&f, 3), 0, "the dup closed");
+        let watched = Arc::downgrade(&f);
+        assert_eq!(moves(&f, 4), 1, "an epoll registration can upgrade");
+        drop(watched);
+        assert_eq!(f.lock_pos().get(), 4);
     }
 
     #[test]
@@ -357,9 +427,9 @@ mod tests {
         let mut t = FdTable::new();
         let a = t.alloc(file(), false).unwrap();
         let b = t.alloc(file(), false).unwrap();
-        t.get(a).unwrap().file.lock_ok().offset = 7;
+        OpenFile::pos(&t.get(a).unwrap().file).set(7);
         t.dup_to(a, b, false).unwrap();
-        assert_eq!(t.get(b).unwrap().file.lock_ok().offset, 7);
+        assert_eq!(OpenFile::pos(&t.get(b).unwrap().file).get(), 7);
         // dup2 to a large out-of-range fd fails.
         assert_eq!(
             t.dup_to(a, DEFAULT_NOFILE as i32, false).unwrap_err(),
@@ -408,9 +478,9 @@ mod tests {
         let mut t = FdTable::new();
         let fd = t.alloc(file(), false).unwrap();
         let copy = t.fork_copy();
-        t.get(fd).unwrap().file.lock_ok().offset = 99;
+        OpenFile::pos(&t.get(fd).unwrap().file).set(99);
         assert_eq!(
-            copy.get(fd).unwrap().file.lock_ok().offset,
+            OpenFile::pos(&copy.get(fd).unwrap().file).get(),
             99,
             "offset shared across fork"
         );

@@ -62,12 +62,12 @@ impl Kernel {
                     .vfs
                     .alloc(InodeKind::File(Vec::new()), mode & !umask & 0o777, now);
                 self.vfs.link_into(r.parent, &r.name, id)?;
-                self.vfs.write().get_mut(id)?.nlink = 1;
+                self.vfs.lock().get_mut(id)?.nlink = 1;
                 id
             }
         };
 
-        let vfs = self.vfs.read();
+        let vfs = self.vfs.lock();
         let node = vfs.get(inode)?;
         let kind = match &node.kind {
             InodeKind::Dir(_) => {
@@ -100,7 +100,7 @@ impl Kernel {
         drop(vfs);
 
         if flags & O_TRUNC != 0 && flags & O_ACCMODE != O_RDONLY {
-            if let InodeKind::File(data) = &mut self.vfs.write().get_mut(inode)?.kind {
+            if let InodeKind::File(data) = &mut self.vfs.lock().get_mut(inode)?.kind {
                 data.clear();
             }
         }
@@ -134,10 +134,28 @@ impl Kernel {
         self.task(tid)?.fdtable.lock_ok().file(fd)
     }
 
+    /// Runs `f` on the description behind `fd`: borrowed from the fd
+    /// table, under its lock, while no other task uses the table (Linux's
+    /// `__fget_light`), so a call on a description no other descriptor
+    /// names moves its offset without the description lock
+    /// ([`OpenFile::pos`](crate::fd::OpenFile::pos)); on a reference of
+    /// its own otherwise.
+    fn on_file<R>(&self, tid: Tid, fd: i32, f: impl FnOnce(&FileRef) -> R) -> Result<R, Errno> {
+        let table = self.task(tid)?.fdtable.lock_ok();
+        if table.members() == 1 {
+            return Ok(f(&table.get(fd)?.file));
+        }
+        let file = table.file(fd)?;
+        drop(table);
+        Ok(f(&file))
+    }
+
     /// `read`.
     pub fn sys_read(&mut self, tid: Tid, fd: i32, out: &mut [u8]) -> SysResult {
-        let file = self.file_of(tid, fd)?;
-        self.read_file(tid, &file, out)
+        let ask = || self.has_pending_signal(tid);
+        let intr = Intr::Ask(&ask, self.hint_of(tid));
+        let io = self.on_file(tid, fd, |file| self.shards.read(tid, file, out, intr))?;
+        io.unwrap_or_else(|rest| self.finish_read(tid, rest, out))
     }
 
     /// `read` on a description the caller resolved: against the shards
@@ -177,8 +195,10 @@ impl Kernel {
 
     /// `write`.
     pub fn sys_write(&mut self, tid: Tid, fd: i32, data: &[u8]) -> SysResult {
-        let file = self.file_of(tid, fd)?;
-        self.write_file(tid, &file, data)
+        let ask = || self.has_pending_signal(tid);
+        let intr = Intr::Ask(&ask, self.hint_of(tid));
+        let io = self.on_file(tid, fd, |file| self.shards.write(tid, file, data, intr))?;
+        io.unwrap_or_else(|rest| self.finish_write(tid, rest, data))
     }
 
     /// `write` on a description the caller resolved (see
@@ -209,7 +229,7 @@ impl Kernel {
     }
 
     fn dev_kind(&self, inode: InodeId) -> Result<DevKind, Errno> {
-        match &self.vfs.read().get(inode)?.kind {
+        match &self.vfs.lock().get(inode)?.kind {
             InodeKind::CharDev(d) => Ok(d.clone()),
             _ => Err(Errno::Eio),
         }
@@ -236,8 +256,7 @@ impl Kernel {
 
     /// `lseek`.
     pub fn sys_lseek(&mut self, tid: Tid, fd: i32, offset: i64, whence: i32) -> SysResult {
-        let file = self.file_of(tid, fd)?;
-        self.shards.lseek(&file, offset, whence)
+        self.on_file(tid, fd, |file| self.shards.lseek(file, offset, whence))?
     }
 
     /// `close`.
@@ -392,9 +411,9 @@ impl Kernel {
                     FileKind::PipeRead(pipe) => pipe.lock_ok().len(),
                     FileKind::Socket(sock) => sock.lock_ok().recv.len(),
                     FileKind::Regular(inode) => {
-                        let f = file.lock_ok();
-                        let size = self.vfs.read().get(*inode)?.size();
-                        size.saturating_sub(f.offset) as usize
+                        let pos = file.lock_pos();
+                        let size = self.vfs.lock().get(*inode)?.size();
+                        size.saturating_sub(pos.get()) as usize
                     }
                     _ => 0,
                 };
@@ -443,9 +462,9 @@ impl Kernel {
         let FileKind::Dir(inode) = file.kind else {
             return Err(Errno::Enotdir.into());
         };
-        let mut f = file.lock_ok();
-        let cursor = f.offset as usize;
-        let vfs = self.vfs.read();
+        let mut pos = file.lock_pos();
+        let cursor = pos.get() as usize;
+        let vfs = self.vfs.lock();
         let node = vfs.get(inode)?;
         let entries = node.dir()?;
 
@@ -483,7 +502,7 @@ impl Kernel {
         if out.is_empty() && idx < all.len() {
             return Err(Errno::Einval.into());
         }
-        f.offset = idx as u64;
+        pos.set(idx as u64);
         Ok(out)
     }
 
@@ -500,7 +519,7 @@ impl Kernel {
             .vfs
             .alloc(InodeKind::Dir(BTreeMap::new()), mode & !umask & 0o777, now);
         self.vfs.link_into(r.parent, &r.name, id)?;
-        self.vfs.write().get_mut(id)?.nlink = 1;
+        self.vfs.lock().get_mut(id)?.nlink = 1;
         Ok(0)
     }
 
@@ -510,7 +529,7 @@ impl Kernel {
         let r = self.vfs.resolve(base, path, false)?;
         let inode = r.inode.ok_or(Errno::Enoent)?;
         {
-            let vfs = self.vfs.read();
+            let vfs = self.vfs.lock();
             let node = vfs.get(inode)?;
             let is_dir = matches!(node.kind, InodeKind::Dir(_));
             if flags & AT_REMOVEDIR != 0 {
@@ -548,7 +567,7 @@ impl Kernel {
             }
             // Replace target (directories only onto empty directories).
             {
-                let vfs = self.vfs.read();
+                let vfs = self.vfs.lock();
                 let enode = vfs.get(existing)?;
                 if matches!(enode.kind, InodeKind::Dir(_)) && !enode.dir()?.is_empty() {
                     return Err(Errno::Enotempty.into());
@@ -574,7 +593,7 @@ impl Kernel {
         let nbase = self.base_dir(tid, newdirfd)?;
         let or = self.vfs.resolve(obase, old, true)?;
         let inode = or.inode.ok_or(Errno::Enoent)?;
-        if matches!(self.vfs.read().get(inode)?.kind, InodeKind::Dir(_)) {
+        if matches!(self.vfs.lock().get(inode)?.kind, InodeKind::Dir(_)) {
             return Err(Errno::Eperm.into());
         }
         let nr = self.vfs.resolve(nbase, new, true)?;
@@ -597,7 +616,7 @@ impl Kernel {
             .vfs
             .alloc(InodeKind::Symlink(target.to_string()), 0o777, now);
         self.vfs.link_into(r.parent, &r.name, id)?;
-        self.vfs.write().get_mut(id)?.nlink = 1;
+        self.vfs.lock().get_mut(id)?.nlink = 1;
         Ok(0)
     }
 
@@ -606,7 +625,7 @@ impl Kernel {
         let base = self.base_dir(tid, dirfd)?;
         let r = self.vfs.resolve(base, path, false)?;
         let inode = r.inode.ok_or(Errno::Enoent)?;
-        match &self.vfs.read().get(inode)?.kind {
+        match &self.vfs.lock().get(inode)?.kind {
             InodeKind::Symlink(t) => Ok(t.clone().into_bytes()),
             _ => Err(Errno::Einval.into()),
         }
@@ -627,7 +646,7 @@ impl Kernel {
         let base = self.base_dir(tid, dirfd)?;
         let r = self.vfs.resolve(base, path, true)?;
         let inode = r.inode.ok_or(Errno::Enoent)?;
-        self.vfs.write().get_mut(inode)?.perm = mode & 0o7777;
+        self.vfs.lock().get_mut(inode)?.perm = mode & 0o7777;
         Ok(0)
     }
 
@@ -636,7 +655,7 @@ impl Kernel {
         let file = self.file_of(tid, fd)?;
         match file.kind {
             FileKind::Regular(i) | FileKind::Dir(i) | FileKind::CharDev(i) => {
-                self.vfs.write().get_mut(i)?.perm = mode & 0o7777;
+                self.vfs.lock().get_mut(i)?.perm = mode & 0o7777;
                 Ok(0)
             }
             _ => Err(Errno::Einval.into()),
@@ -674,7 +693,7 @@ impl Kernel {
     /// Sets an inode's owner and group; `u32::MAX` (`-1`) leaves one as
     /// it is.
     fn chown_inode(&mut self, inode: InodeId, uid: u32, gid: u32) -> SysResult {
-        let mut vfs = self.vfs.write();
+        let mut vfs = self.vfs.lock();
         let node = vfs.get_mut(inode)?;
         if uid != u32::MAX {
             node.uid = uid;
@@ -690,7 +709,7 @@ impl Kernel {
         let file = self.file_of(tid, fd)?;
         match file.kind {
             FileKind::Regular(inode) if file.writable() => {
-                self.vfs.write().set_len(inode, len)?;
+                self.vfs.lock().set_len(inode, len)?;
                 Ok(0)
             }
             _ => Err(Errno::Einval.into()),
@@ -702,7 +721,7 @@ impl Kernel {
         let base = self.task(tid)?.fs().cwd;
         let r = self.vfs.resolve(base, path, true)?;
         let inode = r.inode.ok_or(Errno::Enoent)?;
-        self.vfs.write().set_len(inode, len)?;
+        self.vfs.lock().set_len(inode, len)?;
         Ok(0)
     }
 
@@ -717,7 +736,7 @@ impl Kernel {
         let base = self.task(tid)?.fs().cwd;
         let r = self.vfs.resolve(base, path, true)?;
         let inode = r.inode.ok_or(Errno::Enoent)?;
-        if !matches!(self.vfs.read().get(inode)?.kind, InodeKind::Dir(_)) {
+        if !matches!(self.vfs.lock().get(inode)?.kind, InodeKind::Dir(_)) {
             return Err(Errno::Enotdir.into());
         }
         self.task(tid)?.fs().cwd = inode;
@@ -754,7 +773,7 @@ impl Kernel {
     /// `eventfd2`.
     pub fn sys_eventfd2(&mut self, tid: Tid, initval: u32, flags: i32) -> SysResult {
         let file = OpenFile::shared(FileKind::EventFd, O_RDWR | (flags & O_NONBLOCK));
-        file.lock_ok().counter = initval as u64;
+        *file.counter() = initval as u64;
         let task = self.task(tid)?;
         let fd = task.fdtable.lock_ok().alloc(file, flags & O_CLOEXEC != 0)?;
         Ok(fd as i64)

@@ -15,14 +15,16 @@
 //!
 //! The access mode, `O_NONBLOCK` and the object are read off the
 //! description without a lock; the description lock is taken only by a
-//! call that moves the offset or the eventfd counter. A regular file's
-//! transfer and its offset advance are one step under it (Linux's
-//! `f_pos_lock`), `O_APPEND` finds the end of the file and writes there
-//! under one hold of the VFS write lock, and an eventfd reader
-//! subscribes before a writer can post. Nesting is `Description → Vfs`
-//! or `Description → Waits`; a pipe or socket is locked — once, for
-//! whatever the call finds: bytes, EOF, `-EAGAIN`, the park — by the
-//! handle the description holds, borrowed ([`crate::lockorder`]).
+//! call that moves the offset of a description another reference can
+//! reach, or the eventfd counter ([`OpenFile::pos`], Linux's
+//! `fdget_pos`). A regular file's transfer and its offset advance are
+//! one step under it (`f_pos_lock`), `O_APPEND` finds the end of the
+//! file and writes there under one hold of the VFS lock, and an eventfd
+//! reader subscribes before a writer can post. Nesting is
+//! `Description → Vfs` or `Description → Waits`; a pipe or socket is
+//! locked — once, for whatever the call finds: bytes, EOF, `-EAGAIN`,
+//! the park — by the handle the description holds, borrowed
+//! ([`crate::lockorder`]).
 //!
 //! Blocking follows the protocol of [`crate::wait`]: a consumer that
 //! finds nothing subscribes under the object's lock, a producer posts
@@ -38,7 +40,7 @@ use wali_abi::flags::{O_APPEND, SEEK_CUR, SEEK_END, SEEK_SET, S_IFIFO, S_IFSOCK}
 use wali_abi::layout::{WaliSockaddr, WaliStat, WaliTimespec};
 use wali_abi::Errno;
 
-use crate::fd::{FileKind, FileRef};
+use crate::fd::{FileKind, FileRef, OpenFile};
 use crate::pipe::{Pipe, PipeIo};
 use crate::slab::Handle;
 use crate::socket::Socket;
@@ -119,21 +121,21 @@ impl KernelHandles {
         }
         Ok(match &file.kind {
             FileKind::Regular(inode) => {
-                let mut f = file.lock_ok();
-                self.vfs.read().read_at(*inode, f.offset, out).map_or_else(
+                let mut pos = OpenFile::pos(file);
+                self.vfs.lock().read_at(*inode, pos.get(), out).map_or_else(
                     |e| Err(e.into()),
                     |n| {
-                        f.offset += n as u64;
+                        pos.set(pos.get() + n as u64);
                         Ok(n as i64)
                     },
                 )
             }
             FileKind::ProcSnapshot(text) => {
-                let mut f = file.lock_ok();
-                let off = (f.offset as usize).min(text.len());
+                let mut pos = OpenFile::pos(file);
+                let off = (pos.get() as usize).min(text.len());
                 let n = out.len().min(text.len() - off);
                 out[..n].copy_from_slice(&text[off..off + n]);
-                f.offset += n as u64;
+                pos.set(pos.get() + n as u64);
                 Ok(n as i64)
             }
             FileKind::Dir(_) => Err(Errno::Eisdir.into()),
@@ -147,8 +149,8 @@ impl KernelHandles {
             FileKind::CharDev(inode) => return Err(Core::Dev(*inode)),
             FileKind::Epoll(_) => Err(Errno::Einval.into()),
             FileKind::EventFd => {
-                let mut f = file.lock_ok();
-                if f.counter == 0 {
+                let mut counter = file.counter();
+                if *counter == 0 {
                     if file.nonblock() {
                         return Ok(Err(Errno::Eagain.into()));
                     }
@@ -159,8 +161,8 @@ impl KernelHandles {
                 if out.len() < 8 {
                     return Ok(Err(Errno::Einval.into()));
                 }
-                out[..8].copy_from_slice(&f.counter.to_le_bytes());
-                f.counter = 0;
+                out[..8].copy_from_slice(&counter.to_le_bytes());
+                *counter = 0;
                 Ok(8)
             }
         })
@@ -179,12 +181,12 @@ impl KernelHandles {
         }
         match &file.kind {
             FileKind::Regular(inode) => {
-                let mut f = file.lock_ok();
-                let at = (file.flags() & O_APPEND == 0).then_some(f.offset);
+                let mut pos = OpenFile::pos(file);
+                let at = (file.flags() & O_APPEND == 0).then(|| pos.get());
                 let now = self.clock.realtime_ns();
-                let start = self.vfs.write().write_at(*inode, at, data, now);
+                let start = self.vfs.lock().write_at(*inode, at, data, now);
                 Ok(start.map_err(SysError::from).map(|start| {
-                    f.offset = start + data.len() as u64;
+                    pos.set(start + data.len() as u64);
                     data.len() as i64
                 }))
             }
@@ -205,8 +207,8 @@ impl KernelHandles {
                 }
                 let v = u64::from_le_bytes(data[..8].try_into().expect("8 bytes"));
                 {
-                    let mut f = file.lock_ok();
-                    f.counter = f.counter.saturating_add(v);
+                    let mut counter = file.counter();
+                    *counter = counter.saturating_add(v);
                 }
                 // The counter became non-zero: wake blocked readers.
                 self.waits
@@ -223,7 +225,7 @@ impl KernelHandles {
             return Err(Errno::Ebadf.into());
         }
         match &file.kind {
-            FileKind::Regular(inode) => Ok(self.vfs.read().read_at(*inode, offset, out)? as i64),
+            FileKind::Regular(inode) => Ok(self.vfs.lock().read_at(*inode, offset, out)? as i64),
             FileKind::PipeRead(_) | FileKind::PipeWrite(_) | FileKind::Socket(_) => {
                 Err(Errno::Espipe.into())
             }
@@ -239,7 +241,7 @@ impl KernelHandles {
         match &file.kind {
             FileKind::Regular(inode) => {
                 let now = self.clock.realtime_ns();
-                self.vfs.write().write_at(*inode, Some(offset), data, now)?;
+                self.vfs.lock().write_at(*inode, Some(offset), data, now)?;
                 Ok(data.len() as i64)
             }
             FileKind::PipeRead(_) | FileKind::PipeWrite(_) | FileKind::Socket(_) => {
@@ -253,9 +255,9 @@ impl KernelHandles {
     pub fn lseek(&self, file: &FileRef, offset: i64, whence: i32) -> SysResult {
         let size = || -> Result<u64, Errno> {
             Ok(match &file.kind {
-                FileKind::Regular(inode) => self.vfs.read().get(*inode)?.size(),
+                FileKind::Regular(inode) => self.vfs.lock().get(*inode)?.size(),
                 FileKind::ProcSnapshot(t) => t.len() as u64,
-                FileKind::Dir(inode) => self.vfs.read().get(*inode)?.dir()?.len() as u64 + 2,
+                FileKind::Dir(inode) => self.vfs.lock().get(*inode)?.dir()?.len() as u64 + 2,
                 _ => unreachable!("not seekable"),
             })
         };
@@ -265,10 +267,10 @@ impl KernelHandles {
         ) {
             return Err(Errno::Espipe.into());
         }
-        let mut f = file.lock_ok();
+        let mut pos = OpenFile::pos(file);
         let base = match whence {
             SEEK_SET => 0i64,
-            SEEK_CUR => f.offset as i64,
+            SEEK_CUR => pos.get() as i64,
             SEEK_END => size()? as i64,
             _ => return Err(Errno::Einval.into()),
         };
@@ -276,7 +278,7 @@ impl KernelHandles {
         if new < 0 {
             return Err(Errno::Einval.into());
         }
-        f.offset = new as u64;
+        pos.set(new as u64);
         Ok(new)
     }
 
@@ -312,7 +314,7 @@ impl KernelHandles {
 
     /// The `stat` image of an inode.
     pub(crate) fn stat_inode(&self, inode: InodeId) -> SysResult<WaliStat> {
-        let vfs = self.vfs.read();
+        let vfs = self.vfs.lock();
         let node = vfs.get(inode)?;
         Ok(WaliStat {
             st_dev: 1,

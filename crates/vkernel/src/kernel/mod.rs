@@ -15,9 +15,7 @@ use wali_abi::flags::{
     WNOHANG,
 };
 use wali_abi::layout::{WaliSigaction, WaliUtsname};
-use wali_abi::signals::{
-    SigSet, Signal, SA_NOCLDWAIT, SIG_BLOCK, SIG_IGN, SIG_SETMASK, SIG_UNBLOCK,
-};
+use wali_abi::signals::{SigSet, Signal, SA_NOCLDWAIT, SIG_IGN};
 use wali_abi::Errno;
 
 use crate::clock::Clock;
@@ -85,7 +83,7 @@ fn at(tid: Tid) -> usize {
 
 /// The deterministic Linux model.
 pub struct Kernel {
-    /// The filesystem, behind its reader/writer shard.
+    /// The filesystem, behind its shard lock.
     pub vfs: VfsShard,
     /// Virtual time.
     pub clock: Clock,
@@ -389,7 +387,7 @@ impl Kernel {
             0 => parent.handlers().clone(),
             _ => SigHandlers::new(),
         };
-        let own = Shares::new(parent.fs().clone(), handlers);
+        let own = Shares::new(parent.fs().clone(), handlers, parent.sigmask());
         let theirs = |shared: u64, whose: &Arc<Shares>| match flags & shared {
             0 => own.clone(),
             _ => whose.clone(),
@@ -411,7 +409,6 @@ impl Kernel {
             sighand: theirs(CLONE_SIGHAND, &parent.sighand),
             group: theirs(CLONE_THREAD, &parent.group),
             pending: PendingSet::default(),
-            sigmask: parent.sigmask,
             saved_sigmask: None,
             mm,
             uid: parent.uid,
@@ -708,12 +705,9 @@ impl Kernel {
         set: Option<SigSet>,
     ) -> SysResult<SigSet> {
         let task = self.task_mut(tid)?;
-        let old = task.sigmask;
+        let old = task.sigmask();
         if let Some(arg) = set {
-            if ![SIG_BLOCK, SIG_UNBLOCK, SIG_SETMASK].contains(&how) {
-                return Err(Errno::Einval.into());
-            }
-            task.sigmask = old.apply(how, arg).ok_or(Errno::Einval)?;
+            task.set_sigmask(old.apply(how, arg).ok_or(Errno::Einval)?);
             // Unblocking may expose pending signals; re-raise the hint so
             // the safepoint right after this syscall delivers them
             // (paper §3.3: the extra post-sigprocmask safepoint).
@@ -736,8 +730,8 @@ impl Kernel {
         if task.saved_sigmask.is_some() {
             return;
         }
-        task.saved_sigmask = Some(task.sigmask);
-        task.sigmask = mask;
+        task.saved_sigmask = Some(task.sigmask());
+        task.set_sigmask(mask);
         if !task.pending.is_empty() || !task.shared_pending().is_empty() {
             task.sig_hint.set(true);
         }
@@ -753,7 +747,7 @@ impl Kernel {
         let Some(old) = task.saved_sigmask.take() else {
             return;
         };
-        task.sigmask = old;
+        task.set_sigmask(old);
         if !task.pending.is_empty() || !task.shared_pending().is_empty() {
             task.sig_hint.set(true);
         }
@@ -867,7 +861,7 @@ impl Kernel {
                 if task.exited() {
                     return None;
                 }
-                let mask = task.sigmask;
+                let mask = task.sigmask();
                 let signo = task
                     .pending
                     .take_deliverable(mask)
@@ -900,7 +894,7 @@ impl Kernel {
                     if action.flags & wali_abi::signals::SA_NODEFER == 0 {
                         during.insert(signo);
                     }
-                    task.sigmask = during;
+                    task.set_sigmask(during);
                     if action.flags & wali_abi::signals::SA_RESETHAND != 0 {
                         task.handlers().set(signo, WaliSigaction::default());
                     }
@@ -917,7 +911,7 @@ impl Kernel {
     /// Restores the mask after a handler completes.
     pub fn signal_return(&mut self, tid: Tid, old_mask: SigSet) {
         if let Some(task) = self.tasks.get_mut(at(tid)) {
-            task.sigmask = old_mask;
+            task.set_sigmask(old_mask);
             // Previously-masked pending signals may now be deliverable.
             if !task.pending.is_empty() || !task.shared_pending().is_empty() {
                 task.sig_hint.set(true);
@@ -931,7 +925,7 @@ impl Kernel {
         let Ok(task) = self.task(tid) else {
             return false;
         };
-        let mask = task.sigmask;
+        let mask = task.sigmask();
         let pend = SigSet(task.pending.mask().0 | task.shared_pending().mask().0);
         SigSet(pend.0 & !mask.0).lowest().is_some()
     }
@@ -1324,6 +1318,7 @@ mod tests {
     use super::*;
     use crate::SysError;
     use wali_abi::flags::{wexitstatus, wifexited, wifsignaled, wtermsig, CLONE_PTHREAD};
+    use wali_abi::signals::{SIG_BLOCK, SIG_SETMASK, SIG_UNBLOCK};
 
     fn kernel_with_proc() -> (Kernel, Tid) {
         let mut k = Kernel::new();
@@ -1711,6 +1706,67 @@ mod tests {
     }
 
     #[test]
+    fn a_task_changes_its_own_mask_off_the_kernel_lock_unless_it_unblocks() {
+        let (mut k, tid) = kernel_with_proc();
+        let own = k.hint_of(tid).clone();
+        let usr1 = SigSet(1 << 9);
+        let both = SigSet(usr1.0 | 1 << 11);
+        assert_eq!(
+            own.sigprocmask_own(SIG_BLOCK, None),
+            Ok(Some(SigSet::EMPTY))
+        );
+        assert_eq!(
+            own.sigprocmask_own(SIG_BLOCK, Some(usr1)),
+            Ok(Some(SigSet::EMPTY))
+        );
+        assert_eq!(
+            k.task(tid).unwrap().sigmask(),
+            usr1,
+            "the core reads the same word"
+        );
+        // Growing the mask, or setting it to a superset, unblocks nothing.
+        assert_eq!(own.sigprocmask_own(SIG_SETMASK, Some(both)), Ok(Some(usr1)));
+        assert_eq!(
+            own.sigprocmask_own(SIG_UNBLOCK, Some(SigSet(1 << 3))),
+            Ok(Some(both))
+        );
+        // SIGKILL and SIGSTOP stay deliverable, as under the kernel lock.
+        own.sigprocmask_own(SIG_BLOCK, Some(SigSet(1 << 8 | 1 << 18)))
+            .unwrap();
+        assert_eq!(own.sigmask(), both);
+        assert_eq!(own.sigprocmask_own(99, Some(usr1)), Err(Errno::Einval));
+        assert_eq!(
+            own.sigprocmask_own(99, None),
+            Ok(Some(both)),
+            "a query ignores `how`"
+        );
+        // Unblocking is the core's: it re-checks what is pending.
+        assert_eq!(own.sigprocmask_own(SIG_UNBLOCK, Some(usr1)), Ok(None));
+        assert_eq!(
+            own.sigprocmask_own(SIG_SETMASK, Some(SigSet::EMPTY)),
+            Ok(None)
+        );
+        assert_eq!(
+            own.sigmask(),
+            both,
+            "a call left to the core changes nothing"
+        );
+        k.sys_kill(tid, tid, 10).unwrap();
+        k.task(tid).unwrap().sig_hint.set(false);
+        k.sys_rt_sigprocmask(tid, SIG_UNBLOCK, Some(usr1)).unwrap();
+        assert!(
+            k.task(tid).unwrap().sig_hint.get(),
+            "the pending SIGUSR1 shows"
+        );
+        // A fork starts with its parent's mask, in a word of its own.
+        let child = k.sys_fork(tid).unwrap() as Tid;
+        let theirs = k.hint_of(child).clone();
+        assert_eq!(theirs.sigmask(), SigSet(1 << 11));
+        theirs.sigprocmask_own(SIG_BLOCK, Some(usr1)).unwrap();
+        assert_eq!(own.sigmask(), SigSet(1 << 11), "the parent's stays");
+    }
+
+    #[test]
     fn sigprocmask_blocks_and_unblocks() {
         let (mut k, tid) = kernel_with_proc();
         let action = WaliSigaction {
@@ -1749,17 +1805,17 @@ mod tests {
         k.sigmask_swap_for_wait(tid, temp);
         // A retry must not clobber the saved mask with the temp one.
         k.sigmask_swap_for_wait(tid, temp);
-        assert_eq!(k.task(tid).unwrap().sigmask, temp);
+        assert_eq!(k.task(tid).unwrap().sigmask(), temp);
         // Signal 10 arrives during the wait: masked, stays pending.
         k.sys_kill(tid, tid, 10).unwrap();
         assert_eq!(k.next_signal(tid), None, "masked during the wait");
         // The wait returns: original (empty) mask restored, delivery due.
         k.sigmask_restore_after_wait(tid);
-        assert_eq!(k.task(tid).unwrap().sigmask, SigSet::EMPTY);
+        assert_eq!(k.task(tid).unwrap().sigmask(), SigSet::EMPTY);
         assert!(k.task(tid).unwrap().sig_hint.get(), "delivery hinted");
         // A second restore without a swap is a no-op.
         k.sigmask_restore_after_wait(tid);
-        assert_eq!(k.task(tid).unwrap().sigmask, SigSet::EMPTY);
+        assert_eq!(k.task(tid).unwrap().sigmask(), SigSet::EMPTY);
         assert!(matches!(
             k.next_signal(tid),
             Some(SignalDelivery::Handler { signo: 10, .. })

@@ -644,7 +644,7 @@ impl KernelHandles {
         }
         match &file.kind {
             FileKind::CharDev(inode) => {
-                let dev = match &self.vfs.read().get(*inode)?.kind {
+                let dev = match &self.vfs.lock().get(*inode)?.kind {
                     InodeKind::CharDev(d) => d.clone(),
                     _ => return Ok((chans, 0)),
                 };
@@ -658,7 +658,7 @@ impl KernelHandles {
                 if events & POLLIN != 0 {
                     chans.push(Channel::EventFd(std::sync::Arc::as_ptr(file) as usize));
                 }
-                if file.lock_ok().counter > 0 {
+                if *file.counter() > 0 {
                     revents |= POLLIN & events;
                 }
                 revents |= POLLOUT & events;

@@ -45,7 +45,7 @@ pub mod wait;
 
 pub use clock::Clock;
 pub use kernel::{Kernel, KernelHandles, LeakReport};
-pub use lockorder::{contention, LockClass, OrderToken, Tracked};
+pub use lockorder::{contention, KernelLock, LockClass, Tracked};
 pub use slab::ObjSlab;
 pub use sync::{shared, FastMap, FastSet, HintFlag, MutexExt, Shared};
 pub use task::{Pid, Task, TaskHot, TaskState, Tid};

@@ -13,10 +13,16 @@
 //!    ordering bug fails a test with a message instead of deadlocking
 //!    CI.
 //! 2. **Observable contention.** Every acquisition first tries an
-//!    uncontended `try_lock`; a miss bumps a per-class atomic counter.
+//!    uncontended take; a miss bumps a per-class atomic counter.
 //!    The counters let tests *assert* scalability claims — e.g. the
 //!    shard stress test pins "threads hammering disjoint pipes never
 //!    contend on an object lock" as `contention(Object) == 0`.
+//!
+//! Two lock kinds, as in Linux: the kernel lock is a sleeping mutex
+//! ([`KernelLock`]), every other class a leaf lock that costs one atomic
+//! read-modify-write to take and a plain release store to give back
+//! ([`Tracked`]). No leaf section sleeps, and no lock at all is held
+//! where a worker may sleep ([`assert_none_held`]).
 //!
 //! The rank order (see DESIGN.md "Concurrency" for the full DAG):
 //!
@@ -27,10 +33,12 @@
 //! Debug builds also count this thread's acquisitions, in all
 //! ([`acquisitions`]) and per class ([`acquisitions_of`]):
 //! `crates/wali/tests/locks_per_crossing.rs` and
-//! `crates/vkernel/tests/lock_budget.rs` turn "a `read` takes three
+//! `crates/vkernel/tests/lock_budget.rs` turn "a `read` takes two
 //! locks" and "no call looks an id up in a slab" into assertions.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::UnsafeCell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 
 /// The lock classes of the sharded kernel, in acquisition order.
@@ -53,12 +61,13 @@ pub enum LockClass {
     /// A pipe or socket object lock.
     Object,
     /// An open file description's offset and eventfd counter
-    /// ([`crate::fd::OpenFile::lock_ok`]): held across the inode access
-    /// of a regular file's `read`/`write` (so a transfer and its offset
-    /// advance are one step, like Linux's `f_pos_lock`) and across an
-    /// eventfd's wait subscription.
+    /// ([`crate::fd::OpenFile::pos`]): held across the inode access of
+    /// a regular file's `read`/`write` on a description another
+    /// reference can reach (so a transfer and its offset advance are
+    /// one step, like Linux's `f_pos_lock`) and across an eventfd's wait
+    /// subscription.
     Description,
-    /// The VFS inode table (reader/writer).
+    /// The VFS inode table.
     Vfs,
     /// The waitqueue table (innermost: subscriptions happen under
     /// object locks so wakeups are never missed).
@@ -125,7 +134,7 @@ thread_local! {
 }
 
 /// Locks the calling thread has taken since it started: every
-/// [`OrderToken::enter`] (tracked mutexes, the VFS shard) and every [`crate::sync::MutexExt::lock_ok`]. Debug builds only — a
+/// [`Tracked`] or [`KernelLock`] acquisition and every [`crate::sync::MutexExt::lock_ok`]. Debug builds only — a
 /// test reads it before and after a run on its own thread and divides
 /// the difference by the number of crossings.
 #[cfg(debug_assertions)]
@@ -133,11 +142,29 @@ pub fn acquisitions() -> u64 {
     ACQUIRED.with(std::cell::Cell::get)
 }
 
-/// The [`acquisitions`] that were of `class` (an [`OrderToken::enter`];
-/// plain mutexes — pending sets, signal handlers — have no class).
+/// The [`acquisitions`] that were of `class` (plain mutexes — pending
+/// sets, signal handlers — have no class).
 #[cfg(debug_assertions)]
 pub fn acquisitions_of(class: LockClass) -> u64 {
     ACQUIRED_OF.with(|c| c[class.index()].get())
+}
+
+/// Asserts this thread holds no tracked lock (debug builds; nothing in
+/// a release build). Called where a worker may sleep — at the end of
+/// every slice, before the task parks, yields or retires, and before
+/// the executor's condvar wait: a leaf lock carried into a sleep leaves
+/// every other taker spinning until it wakes, and the kernel lock
+/// carried there stops the machine (Linux's `might_sleep`).
+#[inline]
+pub fn assert_none_held() {
+    #[cfg(debug_assertions)]
+    RANK_STACK.with(|s| {
+        let s = s.borrow();
+        assert!(
+            s.is_empty(),
+            "might sleep while holding a lock (held ranks: {s:?})"
+        );
+    });
 }
 
 /// Counts one acquisition on this thread (nothing in a release build).
@@ -150,12 +177,9 @@ pub(crate) fn note_acquired() {
 /// RAII witness that this thread holds a lock of a given class.
 ///
 /// Created *before* blocking on the lock (a violation must assert, not
-/// deadlock) and dropped when the guard drops. Also used standalone by
-/// shards built on `RwLock` ([`crate::vfs::VfsShard`]), so every
-/// tracked acquisition — mutex or not — participates in the same
-/// ordering check.
+/// deadlock) and dropped when the guard drops.
 #[derive(Debug)]
-pub struct OrderToken {
+struct OrderToken {
     #[cfg(debug_assertions)]
     rank: u32,
 }
@@ -163,7 +187,7 @@ pub struct OrderToken {
 impl OrderToken {
     /// Asserts the ordering DAG allows acquiring `class` now, and marks
     /// it held until the token drops.
-    pub fn enter(class: LockClass) -> OrderToken {
+    fn enter(class: LockClass) -> OrderToken {
         note_acquired();
         #[cfg(debug_assertions)]
         {
@@ -205,22 +229,44 @@ impl Drop for OrderToken {
     }
 }
 
-/// A mutex that participates in lock-order checking and contention
-/// accounting. The sharded kernel's replacement for a bare
-/// [`std::sync::Mutex`] wherever the lock can be taken from more than
-/// one subsystem.
-#[derive(Debug)]
+/// Spins a contended taker makes before it yields its core: enough to
+/// outlast a short leaf section held on another core, few enough that a
+/// holder preempted on this one gets the core back soon.
+const SPINS: u32 = 128;
+
+/// A leaf lock — every class but [`LockClass::Kernel`] — that takes part
+/// in lock-order checking and contention accounting: one CAS to take,
+/// one release store to give back (Linux's `spinlock_t`). A taker that
+/// finds it held counts the contention, spins a little, then yields its
+/// core until the holder lets go. Nothing sleeps while holding one
+/// ([`assert_none_held`] checks where a worker may), so no holder is
+/// parked for long, and a panic releases it without poisoning it.
 pub struct Tracked<T> {
     class: LockClass,
-    inner: Mutex<T>,
+    held: AtomicBool,
+    value: UnsafeCell<T>,
 }
 
+// SAFETY: `class` is a plain `Copy` value and `held` an atomic. The value
+// is reached only through a `TrackedGuard`, and a guard exists only
+// while its `lock_ok` holds `held` — one at a time, the acquire of the
+// CAS and the release of the unlocking store ordering each holder's
+// accesses after the previous holder's — so sharing a `Tracked<T>`
+// hands `T` from thread to thread (`T: Send`), never to two at once.
+unsafe impl<T: Send> Send for Tracked<T> {}
+unsafe impl<T: Send> Sync for Tracked<T> {}
+
 impl<T> Tracked<T> {
-    /// Wraps `value` in a tracked mutex of the given class.
+    /// Wraps `value` in a leaf lock of the given class.
     pub fn new(class: LockClass, value: T) -> Tracked<T> {
+        assert!(
+            class != LockClass::Kernel,
+            "the kernel lock is a KernelLock"
+        );
         Tracked {
             class,
-            inner: Mutex::new(value),
+            held: AtomicBool::new(false),
+            value: UnsafeCell::new(value),
         }
     }
 
@@ -229,49 +275,156 @@ impl<T> Tracked<T> {
         self.class
     }
 
-    /// Locks, poison-tolerantly (see [`crate::sync::MutexExt`]),
-    /// checking the ordering DAG and counting contention.
+    /// Locks, checking the ordering DAG and counting contention.
+    #[inline]
     pub fn lock_ok(&self) -> TrackedGuard<'_, T> {
         let token = OrderToken::enter(self.class);
+        if !self.try_take() {
+            note_contention(self.class);
+            self.take_contended();
+        }
+        TrackedGuard {
+            lock: self,
+            _token: token,
+            _not_send: PhantomData,
+        }
+    }
+
+    #[inline]
+    fn try_take(&self) -> bool {
+        self.held
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+    }
+
+    #[cold]
+    fn take_contended(&self) {
+        let mut spins = 0;
+        loop {
+            while self.held.load(Ordering::Relaxed) {
+                if spins < SPINS {
+                    spins += 1;
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+            if self.try_take() {
+                return;
+            }
+        }
+    }
+
+    /// Unwraps the value: for the holder of the last reference to a
+    /// shared lock, which no one can be holding.
+    pub fn into_inner(self) -> T {
+        self.value.into_inner()
+    }
+}
+
+impl<T> std::fmt::Debug for Tracked<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The value is not shown: reading it would take the lock.
+        f.debug_struct("Tracked")
+            .field("class", &self.class)
+            .field("held", &self.held.load(Ordering::Relaxed))
+            .finish_non_exhaustive()
+    }
+}
+
+/// Guard returned by [`Tracked::lock_ok`]: unlocks on drop, then its
+/// order token pops. Not `Send`: the rank stack it pops is this
+/// thread's.
+pub struct TrackedGuard<'a, T> {
+    lock: &'a Tracked<T>,
+    _token: OrderToken,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl<T> Drop for TrackedGuard<'_, T> {
+    #[inline]
+    fn drop(&mut self) {
+        self.lock.held.store(false, Ordering::Release);
+    }
+}
+
+impl<T> std::ops::Deref for TrackedGuard<'_, T> {
+    type Target = T;
+    #[inline]
+    fn deref(&self) -> &T {
+        // SAFETY: this guard holds the lock.
+        unsafe { &*self.lock.value.get() }
+    }
+}
+
+impl<T> std::ops::DerefMut for TrackedGuard<'_, T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: this guard holds the lock, and `&mut self` is unique.
+        unsafe { &mut *self.lock.value.get() }
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for TrackedGuard<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// The kernel lock ([`LockClass::Kernel`]): a sleeping mutex, because
+/// its holder may run long — `fork`, `execve`, `exit` — and a waiter is
+/// better parked than spinning (Linux's `mutex` beside `spinlock_t`).
+/// Ordered, counted and poison-tolerant like the leaf locks.
+#[derive(Debug)]
+pub struct KernelLock<T> {
+    inner: Mutex<T>,
+}
+
+impl<T> KernelLock<T> {
+    /// Wraps `value` in the kernel lock.
+    pub fn new(value: T) -> KernelLock<T> {
+        KernelLock {
+            inner: Mutex::new(value),
+        }
+    }
+
+    /// Locks, poison-tolerantly (see [`crate::sync::MutexExt`]),
+    /// checking the ordering DAG and counting contention.
+    pub fn lock_ok(&self) -> KernelGuard<'_, T> {
+        let token = OrderToken::enter(LockClass::Kernel);
         let guard = match self.inner.try_lock() {
             Ok(g) => g,
             Err(TryLockError::Poisoned(p)) => p.into_inner(),
             Err(TryLockError::WouldBlock) => {
-                note_contention(self.class);
+                note_contention(LockClass::Kernel);
                 self.inner
                     .lock()
                     .unwrap_or_else(|poisoned| poisoned.into_inner())
             }
         };
-        TrackedGuard {
+        KernelGuard {
             guard,
             _token: token,
         }
     }
-
-    /// Unwraps the value (poison-tolerantly): for the holder of the last
-    /// reference to a shared lock, which no one can be holding.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|p| p.into_inner())
-    }
 }
 
-/// Guard returned by [`Tracked::lock_ok`]. Field order matters: the
+/// Guard returned by [`KernelLock::lock_ok`]. Field order matters: the
 /// mutex guard drops (releasing the lock) before the order token pops.
 #[derive(Debug)]
-pub struct TrackedGuard<'a, T> {
+pub struct KernelGuard<'a, T> {
     guard: MutexGuard<'a, T>,
     _token: OrderToken,
 }
 
-impl<T> std::ops::Deref for TrackedGuard<'_, T> {
+impl<T> std::ops::Deref for KernelGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
         &self.guard
     }
 }
 
-impl<T> std::ops::DerefMut for TrackedGuard<'_, T> {
+impl<T> std::ops::DerefMut for KernelGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.guard
     }
@@ -283,7 +436,7 @@ mod tests {
 
     #[test]
     fn increasing_ranks_are_allowed() {
-        let a = Tracked::new(LockClass::Kernel, 1u32);
+        let a = KernelLock::new(1u32);
         let b = Tracked::new(LockClass::Object, 2u32);
         let c = Tracked::new(LockClass::Waits, 3u32);
         let ga = a.lock_ok();
@@ -325,24 +478,74 @@ mod tests {
     }
 
     #[test]
-    fn contention_is_counted() {
-        use std::sync::Arc;
-        let m = Arc::new(Tracked::new(LockClass::ReadyHub, 0u64));
-        let before = contention(LockClass::ReadyHub);
-        let m2 = m.clone();
-        let g = m.lock_ok();
-        let t = std::thread::spawn(move || {
-            let mut g = m2.lock_ok();
-            *g += 1;
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "might sleep while holding a lock")]
+    fn a_leaf_lock_held_where_a_worker_may_sleep_asserts() {
+        let pipe = Tracked::new(LockClass::Object, ());
+        let _g = pipe.lock_ok();
+        assert_none_held();
+    }
+
+    #[test]
+    #[should_panic(expected = "the kernel lock is a KernelLock")]
+    fn the_kernel_class_is_not_a_leaf_lock() {
+        let _ = Tracked::new(LockClass::Kernel, ());
+    }
+
+    #[test]
+    fn nothing_held_is_nothing_held() {
+        let a = Tracked::new(LockClass::Object, ());
+        drop(a.lock_ok());
+        drop(KernelLock::new(()).lock_ok());
+        assert_none_held();
+    }
+
+    #[test]
+    fn four_threads_never_lose_an_increment() {
+        // A plain `u64` behind the lock: a lost update, or two holders at
+        // once, shows in the total.
+        const THREADS: u64 = 4;
+        const EACH: u64 = 100_000;
+        let counter = Tracked::new(LockClass::Vfs, 0u64);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for _ in 0..EACH {
+                        *counter.lock_ok() += 1;
+                    }
+                });
+            }
         });
-        // Give the other thread a moment to hit the held lock. The
-        // counter is monotone, so a scheduling fluke only weakens the
-        // delta (>= 0 either way); the sleep makes a hit overwhelmingly
-        // likely without being load-bearing for correctness.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        drop(g);
-        t.join().unwrap();
+        assert_eq!(counter.into_inner(), THREADS * EACH);
+    }
+
+    #[test]
+    fn contention_is_counted() {
+        let m = Tracked::new(LockClass::ReadyHub, 0u64);
+        let before = contention(LockClass::ReadyHub);
+        let g = m.lock_ok();
+        std::thread::scope(|s| {
+            s.spawn(|| *m.lock_ok() += 1);
+            // Held until the taker has counted itself contended (or some
+            // other test's taker has: either way the release follows).
+            while contention(LockClass::ReadyHub) == before {
+                std::thread::yield_now();
+            }
+            assert_eq!(*g, 0, "the taker waits for the release");
+            drop(g);
+        });
         assert_eq!(*m.lock_ok(), 1);
-        assert!(contention(LockClass::ReadyHub) >= before);
+        assert!(contention(LockClass::ReadyHub) > before);
+    }
+
+    #[test]
+    fn a_panicking_holder_leaves_the_lock_usable() {
+        let m = Tracked::new(LockClass::Object, 7u32);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _g = m.lock_ok();
+            panic!("unwinds through the guard");
+        }));
+        assert!(r.is_err());
+        assert_eq!(*m.lock_ok(), 7);
     }
 }

@@ -22,6 +22,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use wali_abi::signals::SigSet;
+use wali_abi::Errno;
+
 use crate::task::Shares;
 use crate::wait::Sleep;
 
@@ -113,7 +116,8 @@ pub type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
 
 /// A shared boolean hint flag (the per-task signal fast path): the
 /// handle on the flag in a task's [`Shares`] block — the task, the
-/// embedder's context and whoever signals it hold one each.
+/// embedder's context and whoever signals it hold one each — and on
+/// what sits beside it there (the sleep word, the blocked mask).
 ///
 /// Safepoint polling happens on the worker running the task while signal
 /// generation can happen on any other worker, so the flag is an atomic.
@@ -154,6 +158,45 @@ impl HintFlag {
     /// arms it without the waitqueue lock.
     pub fn sleep(&self) -> &Sleep {
         &self.0.sleep
+    }
+
+    /// The task's blocked-signal mask, in the same block. Only the task
+    /// writes it — its `rt_sigprocmask`, the entry and return of its
+    /// handlers, the mask swap of its `ppoll` — so the task reads its
+    /// own mask with no lock at all, and `Relaxed` suffices. The kernel
+    /// core reads it where it always did: delivery and the `EINTR`
+    /// check run for the task itself, under the kernel lock; signal
+    /// generation reads no mask.
+    #[inline]
+    pub fn sigmask(&self) -> SigSet {
+        SigSet(self.0.blocked.load(Ordering::Relaxed))
+    }
+
+    /// Replaces the mask (by or for the task itself).
+    #[inline]
+    pub(crate) fn set_sigmask(&self, mask: SigSet) {
+        self.0.blocked.store(mask.0, Ordering::Relaxed);
+    }
+
+    /// `rt_sigprocmask` on the task's own mask, by the task, without the
+    /// kernel lock: `Some(old)` when done. A query only reads, and a
+    /// call that unblocks nothing makes no pending signal deliverable,
+    /// so neither needs the core. `None` for a call that would unblock a
+    /// signal: the core must make it
+    /// ([`crate::Kernel::sys_rt_sigprocmask`]), which re-checks what is
+    /// pending and raises the hint for the safepoint right after the
+    /// call (paper §3.3).
+    pub fn sigprocmask_own(&self, how: i32, set: Option<SigSet>) -> Result<Option<SigSet>, Errno> {
+        let old = self.sigmask();
+        let Some(set) = set else {
+            return Ok(Some(old));
+        };
+        let new = old.apply(how, set).ok_or(Errno::Einval)?;
+        if old.0 & !new.0 != 0 {
+            return Ok(None);
+        }
+        self.set_sigmask(new);
+        Ok(Some(old))
     }
 }
 

@@ -14,7 +14,7 @@
 //! ([`SigHandlers`] copies its table on the first `rt_sigaction` after
 //! the fork).
 
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use wali_abi::signals::SigSet;
@@ -42,11 +42,12 @@ pub struct FsInfo {
 
 /// The state of a task that others hold on to, in one allocation made
 /// with the task: its signal hint (the embedder's context polls it), its
-/// sleep word and the three things `clone` shares by flag. A task uses
-/// the cells of *some* task's block through one handle each — its own
-/// after a `fork`, its creator's for whatever `CLONE_THREAD`, `CLONE_FS` or
-/// `CLONE_SIGHAND` said to share — so sharing costs a reference count
-/// and not sharing costs nothing beyond this block.
+/// sleep word, its blocked-signal mask and the three things `clone`
+/// shares by flag. A task uses the cells of *some* task's block through
+/// one handle each — its own after a `fork`, its creator's for whatever
+/// `CLONE_THREAD`, `CLONE_FS` or `CLONE_SIGHAND` said to share — so
+/// sharing costs a reference count and not sharing costs nothing beyond
+/// this block.
 #[derive(Debug)]
 pub struct Shares {
     /// Set whenever a signal may be deliverable to the task or it was
@@ -54,6 +55,8 @@ pub struct Shares {
     pub(crate) sig_hint: AtomicBool,
     /// The task's sleep word ([`Sleep`]).
     pub(crate) sleep: Sleep,
+    /// The task's blocked-signal mask ([`HintFlag::sigmask`]).
+    pub(crate) blocked: AtomicU64,
     /// Process-wide pending signals (one cell per thread group).
     pending: Mutex<PendingSet>,
     /// cwd/umask (one cell per `CLONE_FS` group).
@@ -64,10 +67,11 @@ pub struct Shares {
 
 impl Shares {
     /// A block whose cells start out as given.
-    pub(crate) fn new(fs: FsInfo, handlers: SigHandlers) -> Arc<Shares> {
+    pub(crate) fn new(fs: FsInfo, handlers: SigHandlers, blocked: SigSet) -> Arc<Shares> {
         Arc::new(Shares {
             sig_hint: AtomicBool::new(false),
             sleep: Sleep::default(),
+            blocked: AtomicU64::new(blocked.0),
             pending: Mutex::new(PendingSet::default()),
             fs: Mutex::new(fs),
             handlers: Mutex::new(handlers),
@@ -124,8 +128,6 @@ pub struct Task {
     pub(crate) group: Arc<Shares>,
     /// Thread-private pending signals (`tkill`/`tgkill`).
     pub pending: PendingSet,
-    /// Blocked-signal mask (per thread).
-    pub sigmask: SigSet,
     /// Mask saved by `ppoll`/`epoll_pwait` for the duration of the wait;
     /// restored (atomically with respect to delivery) when the call
     /// returns. `None` outside such a wait.
@@ -187,7 +189,7 @@ impl Task {
             cwd: root,
             umask: 0o022,
         };
-        let own = Shares::new(fs, SigHandlers::new());
+        let own = Shares::new(fs, SigHandlers::new(), SigSet::EMPTY);
         Task {
             tid: 1,
             tgid: 1,
@@ -200,7 +202,6 @@ impl Task {
             sighand: own.clone(),
             group: own.clone(),
             pending: PendingSet::default(),
-            sigmask: SigSet::EMPTY,
             saved_sigmask: None,
             mm: MmId(1),
             uid: 1000,
@@ -231,6 +232,18 @@ impl Task {
     /// The process-wide pending signals.
     pub fn shared_pending(&self) -> MutexGuard<'_, PendingSet> {
         self.group.pending.lock_ok()
+    }
+
+    /// The blocked-signal mask (per thread).
+    #[inline]
+    pub fn sigmask(&self) -> SigSet {
+        self.sig_hint.sigmask()
+    }
+
+    /// Replaces the blocked-signal mask: on the task's own behalf only
+    /// (see [`HintFlag::sigmask`]).
+    pub(crate) fn set_sigmask(&self, mask: SigSet) {
+        self.sig_hint.set_sigmask(mask);
     }
 
     /// The handles an embedder's context keeps.

@@ -2,12 +2,12 @@
 //! and the `/proc` entries WALI's security model interposes on.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, OnceLock};
 
 use wali_abi::flags::{S_IFCHR, S_IFDIR, S_IFLNK, S_IFMT, S_IFREG};
 use wali_abi::Errno;
 
-use crate::lockorder::{note_contention, LockClass, OrderToken};
+use crate::lockorder::{LockClass, Tracked, TrackedGuard};
 
 /// Index into the inode table.
 pub type InodeId = usize;
@@ -549,51 +549,16 @@ impl Vfs {
     }
 }
 
-/// The filesystem behind a reader/writer shard lock.
-///
-/// Path resolution and `stat`-family reads vastly outnumber namespace
-/// mutations, so the shard is an `RwLock`: concurrent lookups from
-/// several workers share the read side without contending. The root
-/// inode id is immutable for the filesystem's lifetime and mirrored
-/// here so `resolve(vfs.root, …)` call sites need no lock at all for
-/// the anchor.
+/// The filesystem behind its shard lock (a leaf lock: a lookup and a
+/// mutation exclude each other, each for as long as one short section
+/// takes). The root inode id is immutable for the filesystem's lifetime
+/// and mirrored here so `resolve(vfs.root, …)` call sites need no lock
+/// at all for the anchor.
 #[derive(Clone, Debug)]
 pub struct VfsShard {
-    inner: Arc<RwLock<Vfs>>,
+    inner: Arc<Tracked<Vfs>>,
     /// Root directory inode (immutable; copied out of the wrapped fs).
     pub root: InodeId,
-}
-
-/// Read guard over the shard ([`std::ops::Deref`] to [`Vfs`]).
-pub struct VfsReadGuard<'a> {
-    guard: RwLockReadGuard<'a, Vfs>,
-    _token: OrderToken,
-}
-
-impl std::ops::Deref for VfsReadGuard<'_> {
-    type Target = Vfs;
-    fn deref(&self) -> &Vfs {
-        &self.guard
-    }
-}
-
-/// Write guard over the shard (`Deref`/`DerefMut` to [`Vfs`]).
-pub struct VfsWriteGuard<'a> {
-    guard: RwLockWriteGuard<'a, Vfs>,
-    _token: OrderToken,
-}
-
-impl std::ops::Deref for VfsWriteGuard<'_> {
-    type Target = Vfs;
-    fn deref(&self) -> &Vfs {
-        &self.guard
-    }
-}
-
-impl std::ops::DerefMut for VfsWriteGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Vfs {
-        &mut self.guard
-    }
 }
 
 impl Default for VfsShard {
@@ -607,43 +572,16 @@ impl VfsShard {
     pub fn new(vfs: Vfs) -> VfsShard {
         let root = vfs.root;
         VfsShard {
-            inner: Arc::new(RwLock::new(vfs)),
+            inner: Arc::new(Tracked::new(LockClass::Vfs, vfs)),
             root,
         }
     }
 
-    /// Locks the read side (lookups, `stat`, `getdents`).
-    pub fn read(&self) -> VfsReadGuard<'_> {
-        let token = OrderToken::enter(LockClass::Vfs);
-        let guard = match self.inner.try_read() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                note_contention(LockClass::Vfs);
-                self.inner.read().unwrap_or_else(|p| p.into_inner())
-            }
-        };
-        VfsReadGuard {
-            guard,
-            _token: token,
-        }
-    }
-
-    /// Locks the write side (namespace and content mutation).
-    pub fn write(&self) -> VfsWriteGuard<'_> {
-        let token = OrderToken::enter(LockClass::Vfs);
-        let guard = match self.inner.try_write() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                note_contention(LockClass::Vfs);
-                self.inner.write().unwrap_or_else(|p| p.into_inner())
-            }
-        };
-        VfsWriteGuard {
-            guard,
-            _token: token,
-        }
+    /// Locks the filesystem (lookups, `stat`, `getdents`, namespace and
+    /// content mutation alike).
+    #[inline]
+    pub fn lock(&self) -> TrackedGuard<'_, Vfs> {
+        self.inner.lock_ok()
     }
 
     // Owned-result conveniences: the call sites that only need one
@@ -651,52 +589,52 @@ impl VfsShard {
 
     /// See [`Vfs::resolve`].
     pub fn resolve(&self, cwd: InodeId, path: &str, follow_last: bool) -> Result<Resolved, Errno> {
-        self.read().resolve(cwd, path, follow_last)
+        self.lock().resolve(cwd, path, follow_last)
     }
 
     /// See [`Vfs::alloc`].
     pub fn alloc(&self, kind: InodeKind, perm: u32, now: u64) -> InodeId {
-        self.write().alloc(kind, perm, now)
+        self.lock().alloc(kind, perm, now)
     }
 
     /// See [`Vfs::abs_path_of`].
     pub fn abs_path_of(&self, dir: InodeId) -> Result<String, Errno> {
-        self.read().abs_path_of(dir)
+        self.lock().abs_path_of(dir)
     }
 
     /// See [`Vfs::link_into`].
     pub fn link_into(&self, parent: InodeId, name: &str, child: InodeId) -> Result<(), Errno> {
-        self.write().link_into(parent, name, child)
+        self.lock().link_into(parent, name, child)
     }
 
     /// See [`Vfs::unlink_from`].
     pub fn unlink_from(&self, parent: InodeId, name: &str) -> Result<(), Errno> {
-        self.write().unlink_from(parent, name)
+        self.lock().unlink_from(parent, name)
     }
 
     /// See [`Vfs::mkdir_p`].
     pub fn mkdir_p(&self, path: &str) -> Result<InodeId, Errno> {
-        self.write().mkdir_p(path)
+        self.lock().mkdir_p(path)
     }
 
     /// See [`Vfs::write_file`].
     pub fn write_file(&self, path: &str, content: &[u8]) -> Result<InodeId, Errno> {
-        self.write().write_file(path, content)
+        self.lock().write_file(path, content)
     }
 
     /// See [`Vfs::read_file`].
     pub fn read_file(&self, path: &str) -> Result<Vec<u8>, Errno> {
-        self.read().read_file(path)
+        self.lock().read_file(path)
     }
 
     /// See [`Vfs::mknod_dev`].
     pub fn mknod_dev(&self, path: &str, dev: DevKind) -> Result<InodeId, Errno> {
-        self.write().mknod_dev(path, dev)
+        self.lock().mknod_dev(path, dev)
     }
 
     /// See [`Vfs::inode_count`].
     pub fn inode_count(&self) -> usize {
-        self.read().inode_count()
+        self.lock().inode_count()
     }
 }
 

@@ -258,34 +258,87 @@ fn a_wake_that_finds_nothing_costs_the_push_and_a_two_lock_pop() {
 }
 
 #[test]
-fn a_regular_file_call_still_takes_three() {
+fn a_regular_file_call_locks_no_description_only_it_names() {
     let (mut k, tid) = kp();
     let fd = k
         .sys_openat(tid, -100, "/tmp/budget.dat", O_CREAT | O_RDWR, 0o644)
         .unwrap();
     let mut buf = [0u8; 8];
-    // A transfer: fd table, description (the offset moves), VFS.
+    // A transfer: fd table, VFS. The description is borrowed from a
+    // table no other task uses and no other descriptor names it, so the
+    // offset moves without its lock (Linux's `fdget_pos`). Was 3.
     let (n, _, r) = locks(|| k.sys_write(tid, fd, b"12345678"));
-    assert_eq!((n, r), (3, Ok(8)), "write");
+    assert_eq!((n, r), (2, Ok(8)), "write");
     k.sys_lseek(tid, fd, 0, 0).unwrap();
     let (n, _, r) = locks(|| k.sys_read(tid, fd, &mut buf));
-    assert_eq!((n, r), (3, Ok(8)), "read");
-    // The rest take a lock fewer: `fstat` reads no offset, `pread64`
-    // moves none, `lseek` needs the size only from `SEEK_END`. Was 3.
+    assert_eq!((n, r), (2, Ok(8)), "read");
+    // `fstat` reads no offset, `pread64` moves none, `lseek` needs the
+    // size only from `SEEK_END`.
     let (n, _, r) = locks(|| k.sys_fstat(tid, fd).map(|s| s.st_size));
     assert_eq!((n, r), (2, Ok(8)), "fstat");
     let (n, _, r) = locks(|| k.sys_pread(tid, fd, &mut buf, 0));
     assert_eq!((n, r), (2, Ok(8)), "pread64");
+    // Was 2 each, then 3.
     let (n, _, r) = locks(|| k.sys_lseek(tid, fd, 4, SEEK_SET));
-    assert_eq!((n, r), (2, Ok(4)), "lseek(SEEK_SET)");
+    assert_eq!((n, r), (1, Ok(4)), "lseek(SEEK_SET)");
     let (n, _, r) = locks(|| k.sys_lseek(tid, fd, 0, SEEK_CUR));
-    assert_eq!((n, r), (2, Ok(4)), "lseek(SEEK_CUR)");
+    assert_eq!((n, r), (1, Ok(4)), "lseek(SEEK_CUR)");
     let (n, _, r) = locks(|| k.sys_lseek(tid, fd, -2, SEEK_END));
-    assert_eq!((n, r), (3, Ok(6)), "lseek(SEEK_END)");
+    assert_eq!((n, r), (2, Ok(6)), "lseek(SEEK_END)");
     let (n, _, r) = locks(|| k.sys_getpid(tid));
     assert_eq!(
         (n, r),
         (0, Ok(tid as i64)),
         "getpid (the runner adds the kernel lock)"
     );
+}
+
+/// A description another reference can reach keeps its lock: a `dup`
+/// names it twice, a `fork` gives the child a table of its own that
+/// names it, an epoll registration holds a weak reference it may
+/// upgrade. Each call then pays the fd table, the description and the
+/// VFS as before, and every descriptor sees one offset.
+#[test]
+fn a_shared_description_still_locks_its_offset() {
+    let (mut k, tid) = kp();
+    let fd = k
+        .sys_openat(tid, -100, "/tmp/shared.dat", O_CREAT | O_RDWR, 0o644)
+        .unwrap();
+    let description = acquisitions_of(LockClass::Description);
+    let (n, _, r) = locks(|| k.sys_write(tid, fd, b"abcd"));
+    assert_eq!((n, r), (2, Ok(4)), "unshared write");
+    assert_eq!(acquisitions_of(LockClass::Description), description);
+
+    // A dup: both descriptors move one offset, under its lock.
+    let dup = k.sys_dup(tid, fd).unwrap() as i32;
+    let (n, _, r) = locks(|| k.sys_write(tid, dup, b"ef"));
+    assert_eq!((n, r), (3, Ok(2)), "write through a dup");
+    let (n, _, r) = locks(|| k.sys_lseek(tid, fd, 0, SEEK_CUR));
+    assert_eq!((n, r), (2, Ok(6)), "the dup moved the shared offset");
+    k.sys_close(tid, dup).unwrap();
+    let (n, _, r) = locks(|| k.sys_lseek(tid, fd, 0, SEEK_CUR));
+    assert_eq!((n, r), (1, Ok(6)), "the dup closed: unshared again");
+
+    // A fork: parent and child share the description, and its offset.
+    let child = k.sys_fork(tid).unwrap() as Tid;
+    let (n, _, r) = locks(|| k.sys_write(child, fd, b"gh"));
+    assert_eq!((n, r), (3, Ok(2)), "the child's write");
+    let (n, _, r) = locks(|| k.sys_lseek(tid, fd, 0, SEEK_CUR));
+    assert_eq!((n, r), (2, Ok(8)), "the parent sees the child's offset");
+    let mut buf = [0u8; 8];
+    k.sys_lseek(child, fd, 0, SEEK_SET).unwrap();
+    let (n, _, r) = locks(|| k.sys_read(tid, fd, &mut buf));
+    assert_eq!((n, r), (3, Ok(8)), "the parent reads from the child's seek");
+    assert_eq!(&buf, b"abcdefgh");
+    k.sys_exit_group(child, 0).unwrap();
+    let (n, _, r) = locks(|| k.sys_lseek(tid, fd, 0, SEEK_SET));
+    assert_eq!((n, r), (1, Ok(0)), "the child's table let go of it");
+
+    // An epoll registration: the descriptor is the only one, but the
+    // instance can reach the description.
+    let ep = k.sys_epoll_create1(tid, 0).unwrap();
+    k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, fd, EPOLLIN, 1)
+        .unwrap();
+    let (n, _, r) = locks(|| k.sys_lseek(tid, fd, 2, SEEK_SET));
+    assert_eq!((n, r), (2, Ok(2)), "a watched description");
 }

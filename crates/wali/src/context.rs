@@ -37,8 +37,8 @@ use vkernel::clock::SYSCALL_QUANTUM_NS;
 use vkernel::fd::Files;
 use vkernel::kernel::epoll::EpollHold;
 use vkernel::kernel::{KernelHandles, SignalDelivery};
-use vkernel::lockorder::TrackedGuard;
-use vkernel::{Clock, HintFlag, Kernel, LockClass, MmId, MutexExt, Pid, TaskHot, Tid, Tracked};
+use vkernel::lockorder::KernelGuard;
+use vkernel::{Clock, HintFlag, Kernel, KernelLock, MmId, MutexExt, Pid, TaskHot, Tid};
 use wali_abi::signals::SigSet;
 use wasm::error::Trap;
 use wasm::host::{HostCtx, HostOutcome, PendingCall};
@@ -57,12 +57,12 @@ use crate::trace::Trace;
 /// tables, the atomic virtual clock and the waitqueue woken hint) hang
 /// off it as their own `Arc`s, so the hot paths that touch only a shard
 /// never contend on this lock.
-pub type KernelRef = Arc<Tracked<Kernel>>;
+pub type KernelRef = Arc<KernelLock<Kernel>>;
 
 /// Wraps a freshly built kernel in the shared, lock-order-tracked
 /// handle every context and worker clones.
 pub fn new_kernel_ref(kernel: Kernel) -> KernelRef {
-    Arc::new(Tracked::new(LockClass::Kernel, kernel))
+    Arc::new(KernelLock::new(kernel))
 }
 
 /// The engine-side bookkeeping of one address space, in one allocation:
@@ -168,8 +168,9 @@ pub struct WaliContext {
     /// posts their CQEs from the wakeup path. Never inherited — a fork
     /// or exec starts with no in-flight ring operations.
     pub(crate) ring_pending: Vec<wali_abi::ring::WaliSqe>,
-    /// Fast-path signal hint shared with the kernel task.
-    sig_hint: HintFlag,
+    /// Fast-path signal hint shared with the kernel task, and the
+    /// task's blocked mask beside it.
+    pub(crate) sig_hint: HintFlag,
     /// Masks to restore when nested signal handlers return (§3.3).
     handler_masks: Vec<SigSet>,
     /// Why the host call that just answered [`HostOutcome::Suspend`]
@@ -304,7 +305,7 @@ impl WaliContext {
     /// The kernel lock, taken for this task: whatever the holder reads
     /// of virtual time includes every tick of this task's syscalls so
     /// far. The one way a context enters the kernel core.
-    pub(crate) fn lock_kernel(&self) -> TrackedGuard<'_, Kernel> {
+    pub(crate) fn lock_kernel(&self) -> KernelGuard<'_, Kernel> {
         self.flush_ticks();
         self.kernel.lock_ok()
     }

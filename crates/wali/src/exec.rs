@@ -353,6 +353,7 @@ impl Worker<'_> {
             if sched.in_flight > 0 {
                 // Siblings may produce work; the timeout bounds a lost
                 // notify.
+                vkernel::lockorder::assert_none_held();
                 let (guard, _) = pool
                     .cv
                     .wait_timeout(sched, Duration::from_millis(1))

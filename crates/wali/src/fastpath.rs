@@ -18,8 +18,11 @@
 //!    `FdTable::members` is one, no other task can close or replace a
 //!    descriptor, so the call runs on the description in place, holding
 //!    the table's lock (`LockClass::Files`) — Linux's `__fget_light`: no
-//!    reference taken, none dropped. A part the kernel core must finish
-//!    leaves the table's lock first, with a reference of its own.
+//!    reference taken, none dropped. If no other descriptor names the
+//!    description either, its offset moves without the description lock
+//!    (`OpenFile::pos`, Linux's `fdget_pos`). A part the kernel core
+//!    must finish leaves the table's lock first, with a reference of its
+//!    own.
 //! 3. **The last reference releases.** On a table `CLONE_FILES` siblings
 //!    share, the call takes a reference and releases the table's lock,
 //!    so the description may be closed on another worker meanwhile; the

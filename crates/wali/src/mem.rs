@@ -136,6 +136,21 @@ pub fn write_bytes(mem: &Memory, ptr: u32, bytes: &[u8]) -> Result<(), Errno> {
     mem.write(ptr as u64, bytes).map_err(|_| Errno::Efault)
 }
 
+/// Checks that `len` bytes at `ptr` are guest memory, for a call that
+/// must not make what it cannot hand back (memory never shrinks, so
+/// what is checked stays writable).
+pub fn check_range(mem: &Memory, ptr: u32, len: u32) -> Result<(), Errno> {
+    mem.check(ptr as u64, len as u64)
+        .map(drop)
+        .map_err(|_| Errno::Efault)
+}
+
+/// Writes a pair of descriptors (`pipe2`'s `fds`, `socketpair`'s `sv`)
+/// into a range [`check_range`] passed.
+pub fn write_fd_pair(mem: &Memory, ptr: u32, (a, b): (i32, i32)) -> Result<(), Errno> {
+    write_u64(mem, ptr, a as u32 as u64 | (b as u32 as u64) << 32)
+}
+
 /// Reads a NUL-terminated UTF-8 string (paths, names).
 pub fn read_cstr(mem: &Memory, ptr: u32) -> Result<String, Errno> {
     let bytes = mem.read_cstr(ptr as u64).map_err(|_| Errno::Efault)?;

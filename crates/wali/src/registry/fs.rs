@@ -9,7 +9,7 @@ use wasm::host::Caller;
 
 use crate::context::WaliContext;
 use crate::fastpath;
-use crate::mem::{page_chunks, read_bytes, write_bytes, write_u32};
+use crate::mem::{check_range, page_chunks, read_bytes, write_bytes, write_fd_pair, write_u32};
 use crate::registry::k;
 
 type C<'a, 'b> = &'a mut Caller<'b, WaliContext>;
@@ -111,11 +111,13 @@ pub(super) fn pipe(c: C, fds: u32) -> R {
     pipe2(c, fds, 0)
 }
 
+/// Like Linux's `do_pipe2`, the descriptors are installed only once
+/// `fds` is known to take them: a bad pointer leaves nothing open.
 pub(super) fn pipe2(c: C, fds: u32, flags: i32) -> R {
     let mem = &*c.instance.memory;
-    let (r, w) = k(c, |kk, tid| kk.sys_pipe2(tid, flags))?;
-    write_u32(mem, fds, r as u32)?;
-    write_u32(mem, fds + 4, w as u32)?;
+    check_range(mem, fds, 8)?;
+    let pair = k(c, |kk, tid| kk.sys_pipe2(tid, flags))?;
+    write_fd_pair(mem, fds, pair)?;
     Ok(0)
 }
 

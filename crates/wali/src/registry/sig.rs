@@ -87,6 +87,9 @@ pub(super) fn rt_sigaction(
 
 /// The paper inserts an extra safepoint right after the native call;
 /// here the engine polls at every host-call return, which subsumes it.
+/// The mask is the task's own word: a query or a call that unblocks
+/// nothing is made on it without the kernel lock, one that unblocks a
+/// signal by the core, which re-checks what is pending.
 pub(super) fn rt_sigprocmask(
     c: C,
     how: i32,
@@ -99,7 +102,10 @@ pub(super) fn rt_sigprocmask(
         Some(set) => Some(SigSet(read_u64(mem, set)?)),
         None => None,
     };
-    let old = k(c, |kk, tid| kk.sys_rt_sigprocmask(tid, how, set))?;
+    let old = match c.data.sig_hint.sigprocmask_own(how, set)? {
+        Some(old) => old,
+        None => k(c, |kk, tid| kk.sys_rt_sigprocmask(tid, how, set))?,
+    };
     if let Some(oldset) = oldset {
         write_u64(mem, oldset, old.0)?;
     }

@@ -9,7 +9,8 @@ use wasm::host::Caller;
 
 use crate::context::WaliContext;
 use crate::mem::{
-    read_bytes, read_u32, read_u64, with_slice, with_slice_mut, write_bytes, write_u32,
+    check_range, read_bytes, read_u32, read_u64, with_slice, with_slice_mut, write_bytes,
+    write_fd_pair, write_u32,
 };
 use crate::registry::{flat, k};
 
@@ -43,11 +44,12 @@ pub(super) fn socket(c: C, domain: i32, ty: i32, proto: i32) -> R {
     k(c, |kk, tid| kk.sys_socket(tid, domain, ty, proto)).map(|fd| fd as i64)
 }
 
+/// A bad `sv` leaves nothing open (see `pipe2`).
 pub(super) fn socketpair(c: C, domain: i32, ty: i32, _proto: i32, sv: u32) -> R {
     let mem = &*c.instance.memory;
-    let (fa, fb) = k(c, |kk, tid| kk.sys_socketpair(tid, domain, ty))?;
-    write_u32(mem, sv, fa as u32)?;
-    write_u32(mem, sv + 4, fb as u32)?;
+    check_range(mem, sv, 8)?;
+    let pair = k(c, |kk, tid| kk.sys_socketpair(tid, domain, ty))?;
+    write_fd_pair(mem, sv, pair)?;
     Ok(0)
 }
 

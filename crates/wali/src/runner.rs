@@ -398,7 +398,7 @@ impl WaliRunner {
     /// directory created (the standard layout has `/usr/bin` but no `/bin`).
     fn write_stub(&self, path: &str) -> Result<(), Errno> {
         let kernel = self.kernel.lock_ok();
-        let mut vfs = kernel.vfs.write();
+        let mut vfs = kernel.vfs.lock();
         if let Some((dir, _)) = path.rsplit_once('/') {
             vfs.mkdir_p(dir)?;
         }

@@ -164,6 +164,9 @@ pub(crate) fn run_slice(
         }
     };
     std::mem::swap(&mut slot.ctx.trace.counts, counts);
+    // The slice is over: whatever follows may park this task or let
+    // its worker sleep.
+    vkernel::lockorder::assert_none_held();
     slot.ctx.flush_ticks();
     if let Some(t0) = t0 {
         slot.ctx.trace.total_time += t0.elapsed();

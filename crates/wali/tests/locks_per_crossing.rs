@@ -10,11 +10,13 @@
 //! counter to read.
 //!
 //! The budget, per call on a regular file: the fd table, then only what
-//! the call touches — the description lock for a call that moves the
-//! offset, the VFS for one that reads or writes the inode — and no
-//! kernel lock. `getpid` takes no lock at all (the context answers it),
-//! nor do `clock_gettime` and `gettimeofday` (a read of the clock
-//! shard), `rt_sigprocmask` the kernel lock and nothing else. A pipe or
+//! the call touches — the VFS for one that reads or writes the inode,
+//! the description lock for one that moves the offset of a description
+//! another reference can reach (a `dup`, a `fork`) — and no kernel lock.
+//! `getpid` takes no lock at all (the context answers it), nor do
+//! `clock_gettime` and `gettimeofday` (a read of the clock shard) and an
+//! `rt_sigprocmask` that unblocks nothing (the task's own mask word);
+//! one that unblocks takes the kernel lock and nothing else. A pipe or
 //! stream-socket transfer takes the fd table, each object once (the
 //! description holds it, and is read without its lock) and the
 //! waitqueue once; nothing on a call's path looks an id up, and the
@@ -58,6 +60,9 @@ struct Env {
     accept: FuncId,
     close: FuncId,
     fd: u32,
+    /// Local holding a descriptor of a second file whose description a
+    /// `dup` names too.
+    shared: u32,
     /// Local holding the listening socket of `addr`.
     listener: u32,
     buf: u32,
@@ -124,6 +129,7 @@ fn guest(rounds: u32, body: &dyn Fn(&mut FuncBuilder, &Env)) -> Module {
     let open = sys(&mut mb, Sysno::open);
     let pipe = sys(&mut mb, Sysno::pipe);
     let socketpair = sys(&mut mb, Sysno::socketpair);
+    let dup = sys(&mut mb, Sysno::dup);
     let bind = sys(&mut mb, Sysno::bind);
     let listen = sys(&mut mb, Sysno::listen);
     let mut env = Env {
@@ -143,6 +149,7 @@ fn guest(rounds: u32, body: &dyn Fn(&mut FuncBuilder, &Env)) -> Module {
         accept: sys(&mut mb, Sysno::accept),
         close: sys(&mut mb, Sysno::close),
         fd: 0,
+        shared: 0,
         listener: 0,
         buf: 0,
         iovs: 0,
@@ -153,6 +160,7 @@ fn guest(rounds: u32, body: &dyn Fn(&mut FuncBuilder, &Env)) -> Module {
     };
     mb.memory(4, Some(16));
     let path = mb.c_str("/tmp/locks.dat");
+    let shared_path = mb.c_str("/tmp/locks-shared.dat");
     env.buf = mb.data(&[b'x'; IO_BYTES as usize]);
     let iovs: Vec<u8> = (0..4)
         .flat_map(|i| [env.buf + 16 * i, 16])
@@ -166,6 +174,7 @@ fn guest(rounds: u32, body: &dyn Fn(&mut FuncBuilder, &Env)) -> Module {
     let sig = mb.sig([], [I32]);
     let main = mb.func(sig, |b| {
         env.fd = b.local(I64);
+        env.shared = b.local(I64);
         env.listener = b.local(I64);
         let i = b.local(I32);
         // O_CREAT | O_RDWR
@@ -175,6 +184,13 @@ fn guest(rounds: u32, body: &dyn Fn(&mut FuncBuilder, &Env)) -> Module {
             .call(open)
             .local_set(env.fd);
         env.rw(b, env.write);
+        b.i64(shared_path as i64)
+            .i64(0o102)
+            .i64(0o644)
+            .call(open)
+            .local_set(env.shared);
+        env.rw_local(b, env.shared, env.write);
+        b.local_get(env.shared).call(dup).drop_();
         b.i64(env.pipe_fds as i64).call(pipe).drop_();
         // AF_UNIX, SOCK_STREAM.
         b.i64(1)
@@ -254,6 +270,18 @@ fn locks_per_round(body: &dyn Fn(&mut FuncBuilder, &Env)) -> u64 {
     locks_per_unit(500, 1, &|rounds| guest(rounds, body)).0
 }
 
+/// `rt_sigprocmask(how, set, oldset)` with `set` at `scratch + 8` when
+/// given.
+fn sigprocmask(b: &mut FuncBuilder, e: &Env, how: i64, set: bool) {
+    let set = if set { e.scratch as i64 + 8 } else { 0 };
+    b.i64(how)
+        .i64(set)
+        .i64(e.scratch as i64)
+        .i64(8)
+        .call(e.sigprocmask)
+        .drop_();
+}
+
 #[test]
 fn calls_that_need_the_core_take_the_kernel_lock_and_nothing_else() {
     // `getpid` does not: its answer was fixed when the task was made.
@@ -263,17 +291,27 @@ fn calls_that_need_the_core_take_the_kernel_lock_and_nothing_else() {
         }),
         0
     );
-    assert_eq!(
-        locks_per_round(&|b, e| {
-            b.i64(0)
-                .i64(0)
-                .i64(e.scratch as i64)
-                .i64(8)
-                .call(e.sigprocmask)
-                .drop_();
-        }),
-        1
-    );
+    // Nor does a mask query, or a call that blocks more: the mask is the
+    // task's own word. Was 1 each: the kernel lock.
+    assert_eq!(locks_per_round(&|b, e| sigprocmask(b, e, 0, false)), 0);
+    let set_usr1 = |b: &mut FuncBuilder, e: &Env| {
+        b.i32(e.scratch as i32).i64(1 << 9).store64(8);
+    };
+    let block = locks_per_round(&|b, e| {
+        set_usr1(b, e);
+        // SIG_BLOCK.
+        sigprocmask(b, e, 0, true);
+    });
+    assert_eq!(block, 0, "SIG_BLOCK");
+    // One that unblocks takes the kernel lock, and the process's pending
+    // set to re-check what the call made deliverable.
+    let block_unblock = locks_per_round(&|b, e| {
+        set_usr1(b, e);
+        sigprocmask(b, e, 0, true);
+        // SIG_UNBLOCK.
+        sigprocmask(b, e, 1, true);
+    });
+    assert_eq!(block_unblock - block, 2, "SIG_UNBLOCK");
 }
 
 /// Like Linux's vDSO: the time is a read of the clock shard, after the
@@ -293,9 +331,10 @@ fn reading_the_clock_takes_no_lock() {
 
 #[test]
 fn a_regular_file_call_takes_the_fd_table_and_only_what_it_touches() {
-    // The offset, not the inode: `lseek(SEEK_SET)` needs no size.
+    // Neither the inode nor — on a description only this descriptor
+    // names — the offset's lock: `lseek(SEEK_SET)` needs no size. Was 2.
     let lseek = locks_per_round(&|b, e| e.rewind(b));
-    assert_eq!(lseek, 2, "lseek");
+    assert_eq!(lseek, 1, "lseek");
     // The inode, not the offset.
     let fstat = locks_per_round(&|b, e| {
         b.local_get(e.fd)
@@ -314,16 +353,37 @@ fn a_regular_file_call_takes_the_fd_table_and_only_what_it_touches() {
         2,
         "pwrite64"
     );
-    // Both: a transfer and its offset advance are one step.
-    // Sequential transfers rewind first so the file stays 64 bytes.
+    // The inode: a transfer and its offset advance are one step, which
+    // nobody else can see half made. Sequential transfers rewind first
+    // so the file stays 64 bytes. Was 3 each: the description lock.
     let read = locks_per_round(&|b, e| {
         e.rewind(b);
         e.rw(b, e.read);
     });
-    assert_eq!(read - lseek, 3, "read");
+    assert_eq!(read - lseek, 2, "read");
     let write = locks_per_round(&|b, e| {
         e.rewind(b);
         e.rw(b, e.write);
+    });
+    assert_eq!(write - lseek, 2, "write");
+}
+
+#[test]
+fn a_description_a_dup_names_still_locks_its_offset() {
+    // `shared` and its dup are one description: a call through either
+    // takes the description lock, as every call did before.
+    let lseek = locks_per_round(&|b, e| {
+        b.local_get(e.shared).i64(0).i64(0).call(e.lseek).drop_();
+    });
+    assert_eq!(lseek, 2, "lseek");
+    let read = locks_per_round(&|b, e| {
+        b.local_get(e.shared).i64(0).i64(0).call(e.lseek).drop_();
+        e.rw_local(b, e.shared, e.read);
+    });
+    assert_eq!(read - lseek, 3, "read");
+    let write = locks_per_round(&|b, e| {
+        b.local_get(e.shared).i64(0).i64(0).call(e.lseek).drop_();
+        e.rw_local(b, e.shared, e.write);
     });
     assert_eq!(write - lseek, 3, "write");
 }
@@ -340,17 +400,14 @@ fn the_dense_round_is_the_sum_of_its_calls() {
             .i64(e.scratch as i64)
             .call(e.fstat)
             .drop_();
-        b.i64(0)
-            .i64(0)
-            .i64(e.scratch as i64)
-            .i64(8)
-            .call(e.sigprocmask)
-            .drop_();
+        sigprocmask(b, e, 0, false);
     });
-    // getpid 0, lseek 2, write 3, lseek 2, read 3, fstat 2, sigprocmask
-    // 1. Was 17: getpid's kernel lock, the VFS under each `lseek`, the
-    // description under `fstat`.
-    assert_eq!(round, 13);
+    // getpid 0, lseek 1, write 2, lseek 1, read 2, fstat 2, sigprocmask
+    // 0. Was 17 (getpid's kernel lock, the VFS under each `lseek`, the
+    // description under `fstat`), then 13 (the description under each
+    // `lseek`, `read` and `write`, the kernel lock under the mask
+    // query).
+    assert_eq!(round, 8);
 }
 
 #[test]
@@ -364,9 +421,9 @@ fn a_vectored_call_resolves_its_descriptor_once() {
             .drop_();
     });
     let lseek = locks_per_round(&|b, e| e.rewind(b));
-    // The fd table once, then the description and the VFS per iovec.
-    // Resolved per transfer, four iovecs took 12.
-    assert_eq!(writev - lseek, 1 + 4 * 2, "writev of four iovecs");
+    // The fd table once, then the VFS per iovec. Resolved per transfer,
+    // four iovecs took 12; with the description locked per iovec, 9.
+    assert_eq!(writev - lseek, 1 + 4, "writev of four iovecs");
 }
 
 #[test]

@@ -583,7 +583,7 @@ fn registered_program_is_a_file_wherever_it_is_registered() {
     runner.register_program("tools/sh", &sh).unwrap();
     {
         let kernel = runner.kernel.lock_ok();
-        let vfs = kernel.vfs.read();
+        let vfs = kernel.vfs.lock();
         for stub in ["/bin/sh", "/tools/sh", "/usr/bin/a"] {
             let id = vfs.resolve(vfs.root, stub, true).unwrap().inode.unwrap();
             assert_eq!(vfs.get(id).unwrap().mode() & 0o7777, 0o755, "{stub}");
@@ -2046,4 +2046,129 @@ fn every_deferred_tick_is_on_the_clock_before_anyone_reads_it() {
         let crossings = [3 * K, 3 * K + 4, 3 * K + 2];
         assert_eq!(elapsed, crossings.map(|k| (k + 1) * Q), "regir={regir}");
     }
+}
+
+// --- Descriptor pairs into bad memory; an offset two tasks share ---------
+
+/// `pipe2` and `socketpair` with a pair they cannot write answer
+/// `-EFAULT` and leave nothing open: like Linux's `do_pipe2`, the range
+/// is checked before anything is made. The next `pipe2` gets
+/// descriptors 3 and 4 — the numbers the failed calls would have taken.
+#[test]
+fn a_pipe_or_socketpair_into_a_bad_pointer_leaves_no_descriptor() {
+    let mut mb = ModuleBuilder::new();
+    let pipe2 = sys(&mut mb, Sysno::pipe2);
+    let socketpair = sys(&mut mb, Sysno::socketpair);
+    let close = sys(&mut mb, Sysno::close);
+    mb.memory(2, Some(16));
+    let fds = mb.reserve(8);
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let fail = |b: &mut FuncBuilder, code: i32| {
+            b.if_(BlockType::Empty, |b| {
+                b.i32(code).ret();
+            });
+        };
+        // Out of range altogether, then a pair whose second half is.
+        let tail = 2 * 65536 - 4;
+        for (code, at) in [(1, BAD_PTR), (2, tail)] {
+            b.i64(at).i64(0).call(pipe2);
+            b.i64(EFAULT).eq64().eqz32();
+            fail(b, code);
+        }
+        for (code, at) in [(3, BAD_PTR), (4, tail)] {
+            // AF_UNIX, SOCK_STREAM.
+            b.i64(1).i64(1).i64(0).i64(at).call(socketpair);
+            b.i64(EFAULT).eq64().eqz32();
+            fail(b, code);
+        }
+        b.i64(fds as i64).i64(0).call(pipe2);
+        b.i64(0).eq64().eqz32();
+        fail(b, 5);
+        for (code, half) in [(6, 0), (7, 4)] {
+            b.i32(fds as i32)
+                .load32(half)
+                .i32(3 + half as i32 / 4)
+                .ne32();
+            fail(b, code);
+        }
+        for half in [0, 4] {
+            b.i32(fds as i32)
+                .load32(half)
+                .extend_u()
+                .call(close)
+                .drop_();
+        }
+        b.i32(0);
+    });
+    mb.export("_start", main);
+    exits_clean_at_1_and_4(&mb.build(), "pipe2 and socketpair into bad memory");
+}
+
+/// A `fork` shares the open file description, so the child's write
+/// moves the parent's offset — the description lock is what keeps the
+/// two tasks' transfers and offset moves whole, and a description both
+/// tables name still takes it. After the child is gone the parent's
+/// descriptor is the only one again, and the offset carries on.
+#[test]
+fn a_forked_description_moves_one_offset_for_both_tasks() {
+    let mut mb = ModuleBuilder::new();
+    let open = sys(&mut mb, Sysno::open);
+    let write = sys(&mut mb, Sysno::write);
+    let lseek = sys(&mut mb, Sysno::lseek);
+    let pread = sys(&mut mb, Sysno::pread64);
+    let fork = sys(&mut mb, Sysno::fork);
+    let wait4 = sys(&mut mb, Sysno::wait4);
+    let exit = sys(&mut mb, Sysno::exit_group);
+    let close = sys(&mut mb, Sysno::close);
+    mb.memory(2, Some(16));
+    let path = mb.c_str("/tmp/forked.dat");
+    let text = mb.data(b"abcdefgh");
+    let got = mb.reserve(8);
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let (fd, pid) = (b.local(I64), b.local(I64));
+        let fail = |b: &mut FuncBuilder, code: i32| {
+            b.if_(BlockType::Empty, |b| {
+                b.i32(code).ret();
+            });
+        };
+        // O_CREAT | O_RDWR
+        b.i64(path as i64).i64(0o102).i64(0o644).call(open);
+        b.local_set(fd);
+        b.local_get(fd).i64(text as i64).i64(4).call(write).drop_();
+        b.call(fork).local_set(pid);
+        b.local_get(pid).i64(0).eq64();
+        b.if_(BlockType::Empty, |b| {
+            b.local_get(fd)
+                .i64(text as i64 + 4)
+                .i64(2)
+                .call(write)
+                .drop_();
+            b.i64(0).call(exit).drop_();
+        });
+        b.local_get(pid).i64(0).i64(0).i64(0).call(wait4).drop_();
+        // SEEK_CUR: where the child left the shared offset.
+        b.local_get(fd).i64(0).i64(1).call(lseek);
+        b.i64(6).eq64().eqz32();
+        fail(b, 1);
+        b.local_get(fd)
+            .i64(text as i64 + 6)
+            .i64(2)
+            .call(write)
+            .drop_();
+        b.local_get(fd).i64(got as i64).i64(8).i64(0).call(pread);
+        b.i64(8).eq64().eqz32();
+        fail(b, 2);
+        b.i32(got as i32)
+            .load64(0)
+            .i64(i64::from_le_bytes(*b"abcdefgh"))
+            .eq64()
+            .eqz32();
+        fail(b, 3);
+        b.local_get(fd).call(close).drop_();
+        b.i32(0);
+    });
+    mb.export("_start", main);
+    exits_clean_at_1_and_4(&mb.build(), "an offset shared across a fork");
 }
