@@ -4,6 +4,9 @@
 //! guest wrote rather than by the bytes it supplied (a 28-byte module
 //! once asked for 32 GiB and aborted the host; see
 //! `wasm::decode::tests::a_count_beyond_the_input_is_eof_not_an_allocation`).
+//! A mutant that validates is then prepared for the register tier:
+//! lowering must not panic either, and a body it lowers is one the
+//! unchecked register loop may run.
 //!
 //! Seeded and std-only; `WALI_FUZZ_SEED` replays another stream. A
 //! global allocator records the largest single request made on the
@@ -105,6 +108,8 @@ fn mutated_app_modules_neither_panic_nor_size_allocations_from_counts() {
     ];
     let mut rng = SplitMix64(seed);
     let (mut decoded, mut valid) = (0, 0);
+    // Bodies of valid mutants, and of those the ones that lowered.
+    let (mut bodies, mut lowered) = (0, 0);
     for app in &apps {
         let pristine = wasm::encode::encode(&app.module);
         for case in 0..MUTANTS {
@@ -113,7 +118,7 @@ fn mutated_app_modules_neither_panic_nor_size_allocations_from_counts() {
             LARGEST.with(|c| c.set(0));
             let verdict = std::panic::catch_unwind(|| {
                 let module = wasm::decode::decode(&bytes).ok()?;
-                Some(wasm::validate::validate(&module).is_ok())
+                Some(wasm::validate::validate(&module).map(|()| module).ok())
             });
             let largest = LARGEST.with(Cell::get);
             let what = format!("{} mutant {case} (seed {seed}): {bytes:?}", app.name);
@@ -124,7 +129,27 @@ fn mutated_app_modules_neither_panic_nor_size_allocations_from_counts() {
                 bytes.len()
             );
             decoded += verdict.is_some() as u32;
-            valid += (verdict == Some(true)) as u32;
+            let Some(Some(module)) = verdict else {
+                continue;
+            };
+            valid += 1;
+            // Lowering is all or nothing: a program with a body that does
+            // not lower runs every body on the stack tier.
+            let scheme = wasm::SafepointScheme::LoopHeaders;
+            let image =
+                std::panic::catch_unwind(|| wasm::prep::Prepared::of(&module, scheme, true))
+                    .unwrap_or_else(|_| panic!("lowering panicked on {what}"))
+                    .unwrap_or_else(|e| panic!("{e:?} preparing valid {what}"));
+            let regs: Vec<_> = image.bodies.iter().map(|b| b.lowered()).collect();
+            assert!(
+                regs.iter().all(|r| r.is_some() == image.regir),
+                "a program on both tiers: {what}"
+            );
+            for reg in regs.iter().flatten() {
+                assert!(reg.in_bounds(), "a lowered body out of bounds: {what}");
+            }
+            bodies += regs.len() as u32;
+            lowered += regs.iter().flatten().count() as u32;
         }
     }
     // The stream is not all noise: about a tenth of the mutants decode
@@ -133,4 +158,5 @@ fn mutated_app_modules_neither_panic_nor_size_allocations_from_counts() {
         decoded > 500 && valid > 100,
         "{decoded} decoded, {valid} valid"
     );
+    println!("{decoded} decoded, {valid} valid; {lowered} of their {bodies} bodies lowered");
 }

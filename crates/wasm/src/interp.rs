@@ -1193,7 +1193,8 @@ impl Thread {
             // `regir::validated` admits only code whose register indices
             // are `< nregs` (*registers*) and whose pool indices are
             // within `consts` (*pool*) — in a specialised variant an `R`
-            // operand is held to the first, a `C` operand to the second
+            // operand is held to the first, a `C` operand to the second,
+            // and so are a chain's `r` and `k` fields and every `dst`
             // (`variant_in_bounds`) — and the frame invariant keeps
             // `stack.len() >= base + nregs` while
             // this frame is on top (entry resize, `push_frame`,
@@ -1385,6 +1386,45 @@ impl Thread {
                     };
                 }
 
+                // A chain operand: register field `f` (`r f`), pool field
+                // `f` (`k f`), or the result of step `i` (`l i`), which a
+                // chain arm keeps in `v`.
+                macro_rules! operand {
+                    ($v:ident; r $f:ident) => {
+                        rd!(*$f)
+                    };
+                    ($v:ident; k $f:ident) => {
+                        k!(*$f)
+                    };
+                    ($v:ident; l $i:tt) => {
+                        $v[$i]
+                    };
+                }
+
+                // One step of a chain: its value, which only a leading load
+                // can fail to produce.
+                macro_rules! chain_step {
+                    ($v:ident; bin $op:ident ($am:ident $a:tt, $bm:ident $b:tt) []) => {
+                        match eval_bin(BinOp::$op, operand!($v; $am $a), operand!($v; $bm $b)) {
+                            Ok(x) => x,
+                            Err(t) => trap!(t),
+                        }
+                    };
+                    ($v:ident; cvt $op:ident ($am:ident $a:tt) []) => {
+                        match eval_cvt(CvtOp::$op, operand!($v; $am $a)) {
+                            Ok(x) => x,
+                            Err(t) => trap!(t),
+                        }
+                    };
+                    ($v:ident; load_idx $kind:ident ($am:ident $a:tt, $bm:ident $b:tt) [$off:ident]) => {{
+                        let ea = ea_idx!(operand!($v; $am $a), operand!($v; $bm $b), *$off);
+                        match load_at(&mem, LoadKind::$kind, ea) {
+                            Ok(x) => x,
+                            Err(t) => trap!(t),
+                        }
+                    }};
+                }
+
                 let Some(left) = budget.checked_sub(1) else {
                     // Yield at an op boundary; resume(&[]) continues here.
                     sync_pc!();
@@ -1430,6 +1470,21 @@ impl Thread {
                                     $($qop:ident; $qrel:ident =>
                                         $qrrr:ident $qrrc:ident $qrcr:ident $qrcc:ident;)*
                                 }
+                            }
+                            chain {
+                                $(
+                                    $chn:ident { $($cf:ident: $cty:ty),* } =
+                                    $($ci:literal: $ck:ident $cop:ident ($($cm:ident $cv:tt),*)
+                                        $(+ $coff:ident)? -> $cd:ident;)*
+                                )*
+                            }
+                            chain_br {
+                                $(
+                                    $bn:ident { $($bf:ident: $bty:ty),* } =
+                                    $($bi:literal: $bk:ident $bo:ident ($($bm:ident $bv:tt),*)
+                                        $(+ $boff:ident)? -> $bd:ident;)*
+                                    => $brel:ident ($xm:ident $xv:tt, $ym:ident $yv:tt);
+                                )*
                             }
                         ) => {
                             match op {
@@ -1684,6 +1739,34 @@ impl Thread {
                                         let r = eval_bin(BinOp::$qop, rd!(*a), k!(*b));
                                         let rel = RelOp::$qrel;
                                         bin_rel_br!(r, *dst, rel, k!(*c), *if_true, *target, *poll)
+                                    }
+                                )*
+                                // A chain runs its steps in program order, each
+                                // writing its destination before the next reads
+                                // anything; a link is read from `v`, not the frame.
+                                $(
+                                    ROp::$chn { $($cf),* } => {
+                                        let mut v = [0u64; crate::regir::MAX_CHAIN];
+                                        $(
+                                            v[$ci] = chain_step!(v; $ck $cop ($($cm $cv),*) [$($coff)?]);
+                                            wr!(*$cd, v[$ci]);
+                                        )*
+                                    }
+                                )*
+                                $(
+                                    ROp::$bn { $($bf,)* if_true, target, poll } => {
+                                        let mut v = [0u64; crate::regir::MAX_CHAIN];
+                                        $(
+                                            v[$bi] = chain_step!(v; $bk $bo ($($bm $bv),*) [$($boff)?]);
+                                            wr!(*$bd, v[$bi]);
+                                        )*
+                                        let (x, y) = (operand!(v; $xm $xv), operand!(v; $ym $yv));
+                                        if (eval_rel(RelOp::$brel, x, y) != 0) == *if_true {
+                                            jump!(*target);
+                                            if *poll {
+                                                safepoint!();
+                                            }
+                                        }
                                     }
                                 )*
                             }

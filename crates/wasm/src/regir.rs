@@ -6,8 +6,8 @@
 //! executes with no value-stack traffic on straight-line code. Its input
 //! is the plain one-op-per-instruction program of [`crate::prep`]; every
 //! superinstruction the engine has is chosen here (lazy operands, the
-//! store-redirect and compare-branch rewrites, the `peephole` pass and
-//! the operator-specialised variants).
+//! store-redirect and compare-branch rewrites, the `peephole` pass, the
+//! chains and the operator-specialised variants).
 //!
 //! # Register frame layout
 //!
@@ -79,11 +79,28 @@
 //! `specialise`, rewrites `Bin`, the fused pairs and the fused back edge
 //! in place; the indexed load is built
 //! named by the peephole that fuses it. Either way the rewrite is one for
-//! one — same op count, same pcs, same branch targets — so step counts,
-//! preemption points and handler resume pcs are those of the generic
-//! code; and a variant's arm in the loop calls the same `eval_*` function
-//! as the generic arm, with a literal operator, so arithmetic has one
-//! definition (which the reference stack loop shares).
+//! one — same op count, same pcs, same branch targets — so it moves no
+//! step count, preemption point or handler resume pc; and a variant's arm
+//! in the loop calls the same `eval_*` function as the generic arm, with
+//! a literal operator, so arithmetic has one definition (which the
+//! reference stack loop shares).
+//!
+//! # Chains
+//!
+//! The pass before `specialise`, `chain`, is the one that changes op
+//! counts on purpose. A chain row of the table names a run of adjacent
+//! ops — at most `MAX_CHAIN` steps, a fused pair being two — in which
+//! later steps read earlier steps' results; the run becomes one op, one
+//! dispatch and one step of fuel. Its arm keeps each such result (a
+//! *link*) in a host register for the steps that read it, and the links
+//! are not fields of the op, which is how five steps fit in 24 bytes. It
+//! still writes every destination to the frame, in program order, so the
+//! frame stays canonical. The round fuses a run only where its registers
+//! carry every link (the operand reads the register its step wrote, and
+//! no step between wrote it again), where no step but a leading load can
+//! trap, and where no op but the first is a branch target; a run that
+//! ends in a branch ends the chain. Two rows exist, the two runs that are
+//! at least 1 % of some workload's dispatches.
 //!
 //! # Bail-out
 //!
@@ -227,10 +244,42 @@ macro_rules! spec_table {
                         I32AndEqBrRCR I32AndEqBrRCC;
                 }
             }
+            // Chains: runs of adjacent ops, each at least 1 % of some
+            // workload's dispatches, in one arm that hands each result to
+            // the steps that read it in a host register (a link, `l i`:
+            // step `i`'s result) and still writes every destination. A step
+            // is `i: kind operator (operands) -> dst`; an operand is `r f`
+            // (register field `f`), `k f` (pool field `f`) or a link. Links
+            // are not fields. Only a load may trap, and only as step 0.
+            chain {
+                // The lua loop's accumulator: `acc + #k`, `extend_u op`,
+                // their sum, `* #31` — and its independent `i += #1`.
+                I64AddExtendAddMulI32AddRCRCRC {
+                    a0: u16, b0: u16, d0: u16, a1: u16, d1: u16, d2: u16,
+                    b3: u16, d3: u16, a4: u16, b4: u16, d4: u16
+                } =
+                    0: bin I64Add (r a0, k b0) -> d0;
+                    1: cvt I64ExtendI32U (r a1) -> d1;
+                    2: bin I64Add (l 0, l 1) -> d2;
+                    3: bin I64Mul (l 2, k b3) -> d3;
+                    4: bin I32Add (r a4, k b4) -> d4;
+            }
+            // Chains that end in a compare-and-branch on a link (`=> rel`),
+            // `if (x rel y) == if_true goto target`.
+            chain_br {
+                // The lua loop's opcode decode: `script[pc] & #7 == #4`.
+                Load8UAndEqBrRCCC { a0: u16, b0: u16, off: u32, d0: u16, b1: u16, d1: u16, c: u16 } =
+                    0: load_idx I32_8U (r a0, k b0) + off -> d0;
+                    1: bin I32And (l 0, k b1) -> d1;
+                    => I32Eq (l 1, k c);
+            }
         }
     };
 }
 pub(crate) use spec_table;
+
+/// The longest chain, in steps (a fused pair is two).
+pub(crate) const MAX_CHAIN: usize = 5;
 
 /// Defines [`ROp`]: the generic instructions written out here, then one
 /// variant per entry of [`spec_table!`].
@@ -247,6 +296,19 @@ macro_rules! define_rop {
             bin_rel_br {
                 $($qop:ident; $qrel:ident => $qrrr:ident $qrrc:ident $qrcr:ident $qrcc:ident;)*
             }
+        }
+        chain {
+            $(
+                $chn:ident { $($cf:ident: $cty:ty),* } =
+                $($ci:literal: $ck:ident $cop:ident ($($cm:ident $cv:tt),*) $(+ $coff:ident)? -> $cd:ident;)*
+            )*
+        }
+        chain_br {
+            $(
+                $bn:ident { $($bf:ident: $bty:ty),* } =
+                $($bi:literal: $bk:ident $bo:ident ($($bm:ident $bv:tt),*) $(+ $boff:ident)? -> $bd:ident;)*
+                => $brel:ident ($xm:ident $xv:tt, $ym:ident $yv:tt);
+            )*
         }
     ) => {
         /// A register-IR instruction. `dst` fields are always register
@@ -494,6 +556,10 @@ macro_rules! define_rop {
                 $qrcr { a: u16, b: u16, dst: u16, c: u16, if_true: bool, target: u32, poll: bool },
                 $qrcc { a: u16, b: u16, dst: u16, c: u16, if_true: bool, target: u32, poll: bool },
             )*
+            // The chains: each step's register and pool fields and its
+            // destination; a chain that branches adds the branch's.
+            $($chn { $($cf: $cty),* },)*
+            $($bn { $($bf: $bty,)* if_true: bool, target: u32, poll: bool },)*
         }
     };
 }
@@ -547,6 +613,13 @@ impl RegFunc {
     /// The constant pool [`RSrc::Const`] operands refer to.
     pub fn consts(&self) -> &[u64] {
         &self.consts
+    }
+
+    /// Whether the body passes the bounds check the unchecked dispatch
+    /// loop relies on (`validated`), as every body [`lower`] returns does
+    /// — test support for code that reaches a body only from outside.
+    pub fn in_bounds(&self) -> bool {
+        validated(self.clone()).is_some()
     }
 
     /// The pool value behind a [`RSrc::Const`] operand (`None` for
@@ -879,6 +952,7 @@ pub fn lower(func: &PreparedFunc, sigs: &[(u16, u16)], types: &[FuncType]) -> Op
 
     let mut out = peephole(lw.out);
     fold_safepoint_polls(&mut out);
+    let mut out = chain(out);
     specialise(&mut out);
 
     validated(RegFunc {
@@ -908,6 +982,370 @@ fn turned(op: BinOp, a: RSrc, b: RSrc) -> (RSrc, RSrc) {
     }
 }
 
+/// One step of a run of ops as a chain would run it, in program order (a
+/// fused pair is two), with its operands as the generic op carries them.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Step {
+    Bin {
+        op: BinOp,
+        a: RSrc,
+        b: RSrc,
+        dst: u16,
+    },
+    Cvt {
+        op: CvtOp,
+        a: RSrc,
+        dst: u16,
+    },
+    /// The indexed load, by the first kind of its `load_idx` row.
+    LoadIdx {
+        kind: LoadKind,
+        a: RSrc,
+        b: RSrc,
+        offset: u32,
+        dst: u16,
+    },
+    /// A compare-and-branch that moves no register.
+    Br {
+        rel: RelOp,
+        a: RSrc,
+        b: RSrc,
+        if_true: bool,
+        target: u32,
+        poll: bool,
+    },
+}
+
+#[cfg(test)]
+impl Step {
+    fn dst(&self) -> Option<u16> {
+        match *self {
+            Step::Bin { dst, .. } | Step::Cvt { dst, .. } | Step::LoadIdx { dst, .. } => Some(dst),
+            Step::Br { .. } => None,
+        }
+    }
+}
+
+/// The steps of `op`, appended to `out`; `false`, and nothing appended,
+/// for an op no chain holds (a call, a store, a move, a branch that moves
+/// registers, …).
+fn steps_of(op: &ROp, out: &mut Vec<Step>) -> bool {
+    let (first, second) = match *op {
+        ROp::Bin { dst, op, a, b } => (Step::Bin { op, a, b, dst }, None),
+        ROp::Cvt { dst, op, a } => (Step::Cvt { op, a, dst }, None),
+        ROp::RelBr {
+            op: rel,
+            a,
+            b,
+            if_true,
+            dest,
+        } if dest.keep == 0 => {
+            let (target, poll) = (dest.target, dest.poll);
+            let br = Step::Br {
+                rel,
+                a,
+                b,
+                if_true,
+                target,
+                poll,
+            };
+            (br, None)
+        }
+        ROp::Bin2 {
+            op1,
+            a,
+            b,
+            dst1,
+            op2,
+            a2,
+            b2,
+            dst2,
+        } => (
+            Step::Bin {
+                op: op1,
+                a,
+                b,
+                dst: dst1,
+            },
+            Some(Step::Bin {
+                op: op2,
+                a: a2,
+                b: b2,
+                dst: dst2,
+            }),
+        ),
+        ROp::CvtBin {
+            cvt,
+            a,
+            dst1,
+            op,
+            a2,
+            b2,
+            dst2,
+        } => (
+            Step::Cvt {
+                op: cvt,
+                a,
+                dst: dst1,
+            },
+            Some(Step::Bin {
+                op,
+                a: a2,
+                b: b2,
+                dst: dst2,
+            }),
+        ),
+        ROp::BinRelBr {
+            op,
+            a,
+            b,
+            dst,
+            rel,
+            c,
+            if_true,
+            target,
+            poll,
+        } => (
+            Step::Bin { op, a, b, dst },
+            Some(Step::Br {
+                rel,
+                a: RSrc::Reg(dst),
+                b: c,
+                if_true,
+                target,
+                poll,
+            }),
+        ),
+        _ => match load_idx_step(op) {
+            Some(load) => (load, None),
+            None => return false,
+        },
+    };
+    out.push(first);
+    out.extend(second);
+    true
+}
+
+/// A chain row matched step by step against a run ([`chained`]): the
+/// steps it has not matched yet and the register each matched one wrote.
+struct Cursor<'a> {
+    rest: &'a [Step],
+    wrote: Vec<u16>,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(steps: &'a [Step]) -> Self {
+        Cursor {
+            rest: steps,
+            wrote: Vec::with_capacity(MAX_CHAIN),
+        }
+    }
+
+    fn next(&mut self) -> Option<Step> {
+        let (step, rest) = self.rest.split_first()?;
+        self.rest = rest;
+        Some(*step)
+    }
+
+    /// A binary operator that cannot trap, its operands turned as `bin`
+    /// turns them.
+    fn bin(&mut self, want: BinOp) -> Option<(RSrc, RSrc, u16)> {
+        use BinOp::*;
+        let traps = matches!(
+            want,
+            I32DivS | I32DivU | I32RemS | I32RemU | I64DivS | I64DivU | I64RemS | I64RemU
+        );
+        match self.next()? {
+            Step::Bin { op, a, b, dst } if op == want && !traps => {
+                let (a, b) = turned(op, a, b);
+                Some((a, b, dst))
+            }
+            _ => None,
+        }
+    }
+
+    /// A conversion that cannot trap.
+    fn cvt(&mut self, want: CvtOp) -> Option<(RSrc, u16)> {
+        use CvtOp::*;
+        let traps = matches!(
+            want,
+            I32TruncF32S
+                | I32TruncF32U
+                | I32TruncF64S
+                | I32TruncF64U
+                | I64TruncF32S
+                | I64TruncF32U
+                | I64TruncF64S
+                | I64TruncF64U
+        );
+        match self.next()? {
+            Step::Cvt { op, a, dst } if op == want && !traps => Some((a, dst)),
+            _ => None,
+        }
+    }
+
+    /// The indexed load, which may trap, so only as the first step: a
+    /// trap then leaves every destination of the chain unwritten, as it
+    /// would the run.
+    fn load_idx(&mut self, want: LoadKind) -> Option<(RSrc, RSrc, u32, u16)> {
+        if !self.wrote.is_empty() {
+            return None;
+        }
+        match self.next()? {
+            Step::LoadIdx {
+                kind,
+                a,
+                b,
+                offset,
+                dst,
+            } if kind == want => Some((a, b, offset, dst)),
+            _ => None,
+        }
+    }
+
+    /// The closing compare-and-branch.
+    fn br(&mut self, want: RelOp) -> Option<(RSrc, RSrc, bool, u32, bool)> {
+        match self.next()? {
+            Step::Br {
+                rel,
+                a,
+                b,
+                if_true,
+                target,
+                poll,
+            } if rel == want => Some((a, b, if_true, target, poll)),
+            _ => None,
+        }
+    }
+
+    /// Records the register the step just matched writes.
+    fn wrote(&mut self, dst: u16) -> u16 {
+        self.wrote.push(dst);
+        dst
+    }
+
+    fn reg(s: RSrc) -> Option<u16> {
+        match s {
+            RSrc::Reg(r) => Some(r),
+            RSrc::Const(_) => None,
+        }
+    }
+
+    fn konst(s: RSrc) -> Option<u16> {
+        match s {
+            RSrc::Const(i) => Some(i),
+            RSrc::Reg(_) => None,
+        }
+    }
+
+    /// Operand `s` is step `i`'s result: it reads the register step `i`
+    /// wrote, and no step since has written that register.
+    fn link(&self, s: RSrc, i: usize) -> Option<()> {
+        let r = *self.wrote.get(i)?;
+        (s == RSrc::Reg(r) && !self.wrote[i + 1..].contains(&r)).then_some(())
+    }
+
+    /// The row took the whole run.
+    fn done(&self) -> Option<()> {
+        self.rest.is_empty().then_some(())
+    }
+}
+
+/// Matches one step of a chain row in `chained`: binds the row's fields to
+/// the step's registers, pool indices and offset, and checks its links.
+macro_rules! match_step {
+    ($c:ident, bin $op:ident ($am:ident $av:tt, $bm:ident $bv:tt) [] -> $d:ident) => {
+        let (a, b, dst) = $c.bin(BinOp::$op)?;
+        match_operand!($c, $am $av, a);
+        match_operand!($c, $bm $bv, b);
+        let $d = $c.wrote(dst);
+    };
+    ($c:ident, cvt $op:ident ($am:ident $av:tt) [] -> $d:ident) => {
+        let (a, dst) = $c.cvt(CvtOp::$op)?;
+        match_operand!($c, $am $av, a);
+        let $d = $c.wrote(dst);
+    };
+    ($c:ident, load_idx $kind:ident ($am:ident $av:tt, $bm:ident $bv:tt) [$off:ident] -> $d:ident) => {
+        let (a, b, offset, dst) = $c.load_idx(LoadKind::$kind)?;
+        match_operand!($c, $am $av, a);
+        match_operand!($c, $bm $bv, b);
+        let $off = offset;
+        let $d = $c.wrote(dst);
+    };
+}
+
+/// Matches one operand of a chain step: `r f` a register, `k f` a pool
+/// index, each bound to field `f`; `l i` a link to step `i`.
+macro_rules! match_operand {
+    ($c:ident, r $f:ident, $s:expr) => {
+        let $f = Cursor::reg($s)?;
+    };
+    ($c:ident, k $f:ident, $s:expr) => {
+        let $f = Cursor::konst($s)?;
+    };
+    ($c:ident, l $i:tt, $s:expr) => {
+        $c.link($s, $i)?;
+    };
+}
+
+/// A chain operand within `bounds` (`variant_in_bounds`).
+macro_rules! in_bounds {
+    ($b:ident; r $f:ident) => {
+        $b.reg($f)
+    };
+    ($b:ident; k $f:ident) => {
+        $b.pool($f)
+    };
+    ($b:ident; l $i:tt) => {
+        Some(())
+    };
+}
+
+/// A chain operand as the step it came from read it, with the step it
+/// links to (`chain_parts`).
+#[cfg(test)]
+macro_rules! part_src {
+    ($p:ident; r $f:ident) => {
+        (RSrc::Reg($f), None)
+    };
+    ($p:ident; k $f:ident) => {
+        (RSrc::Const($f), None)
+    };
+    ($p:ident; l $i:tt) => {
+        (RSrc::Reg($p[$i].0.dst().expect("a value step")), Some($i))
+    };
+}
+
+/// A chain step as a [`Step`] and its links (`chain_parts`).
+#[cfg(test)]
+macro_rules! part_of {
+    ($p:ident; bin $op:ident ($am:ident $av:tt, $bm:ident $bv:tt) [] -> $d:ident) => {{
+        let ((a, la), (b, lb)) = (part_src!($p; $am $av), part_src!($p; $bm $bv));
+        (Step::Bin { op: BinOp::$op, a, b, dst: $d }, [la, lb])
+    }};
+    ($p:ident; cvt $op:ident ($am:ident $av:tt) [] -> $d:ident) => {{
+        let (a, la) = part_src!($p; $am $av);
+        (Step::Cvt { op: CvtOp::$op, a, dst: $d }, [la, None])
+    }};
+    ($p:ident; load_idx $kind:ident ($am:ident $av:tt, $bm:ident $bv:tt) [$off:ident] -> $d:ident) => {{
+        let ((a, la), (b, lb)) = (part_src!($p; $am $av), part_src!($p; $bm $bv));
+        let (kind, offset, dst) = (LoadKind::$kind, $off, $d);
+        (Step::LoadIdx { kind, a, b, offset, dst }, [la, lb])
+    }};
+}
+
+/// A chain operand's field with its kind, if it has one (`chain_slots_mut`).
+#[cfg(test)]
+macro_rules! slot_of {
+    ($s:ident; r $f:ident) => {
+        $s.push((stringify!($f), true, $f))
+    };
+    ($s:ident; k $f:ident) => {
+        $s.push((stringify!($f), false, $f))
+    };
+    ($s:ident; l $i:tt) => {};
+}
+
 /// Defines, from [`spec_table!`]: the specialising rewrite `specialised`
 /// (generic → named variant, `None` when the table has none for these
 /// operators and operand kinds); `load_idx`, which builds the indexed
@@ -926,6 +1364,19 @@ macro_rules! define_rewrites {
             bin_rel_br {
                 $($qop:ident; $qrel:ident => $qrrr:ident $qrrc:ident $qrcr:ident $qrcc:ident;)*
             }
+        }
+        chain {
+            $(
+                $chn:ident { $($cf:ident: $cty:ty),* } =
+                $($ci:literal: $ck:ident $cop:ident ($($cm:ident $cv:tt),*) $(+ $coff:ident)? -> $cd:ident;)*
+            )*
+        }
+        chain_br {
+            $(
+                $bn:ident { $($bf:ident: $bty:ty),* } =
+                $($bi:literal: $bk:ident $bo:ident ($($bm:ident $bv:tt),*) $(+ $boff:ident)? -> $bd:ident;)*
+                => $brel:ident ($xm:ident $xv:tt, $ym:ident $yv:tt);
+            )*
         }
     ) => {
         fn specialised(op: &ROp) -> Option<ROp> {
@@ -1021,10 +1472,122 @@ macro_rules! define_rewrites {
             })
         }
 
+        /// The indexed load as a chain step, its kind the first of its
+        /// row's kinds.
+        fn load_idx_step(op: &ROp) -> Option<Step> {
+            use RSrc::{Const as C, Reg as R};
+            let (kind, a, b, offset, dst) = match *op {
+                $(
+                    ROp::$xrr { dst, a, b, offset } => (LoadKind::$lk, R(a), R(b), offset, dst),
+                    ROp::$xrc { dst, a, b, offset } => (LoadKind::$lk, R(a), C(b), offset, dst),
+                )*
+                _ => return None,
+            };
+            Some(Step::LoadIdx { kind, a, b, offset, dst })
+        }
+
+        /// The chain row that `steps` — a whole run of ops — is, if any:
+        /// every step as the row names it, every link an operand that
+        /// reads its step's register with no write to it in between.
+        fn chained(steps: &[Step]) -> Option<ROp> {
+            $(
+                let row = |c: &mut Cursor| -> Option<ROp> {
+                    $(match_step!(c, $ck $cop ($($cm $cv),*) [$($coff)?] -> $cd);)*
+                    c.done()?;
+                    Some(ROp::$chn { $($cf),* })
+                };
+                if let Some(op) = row(&mut Cursor::new(steps)) {
+                    return Some(op);
+                }
+            )*
+            $(
+                let row = |c: &mut Cursor| -> Option<ROp> {
+                    $(match_step!(c, $bk $bo ($($bm $bv),*) [$($boff)?] -> $bd);)*
+                    let (x, y, if_true, target, poll) = c.br(RelOp::$brel)?;
+                    match_operand!(c, $xm $xv, x);
+                    match_operand!(c, $ym $yv, y);
+                    c.done()?;
+                    Some(ROp::$bn { $($bf,)* if_true, target, poll })
+                };
+                if let Some(op) = row(&mut Cursor::new(steps)) {
+                    return Some(op);
+                }
+            )*
+            None
+        }
+
+        /// The branch destination of a chain that ends in one.
+        fn chain_dest(op: &mut ROp) -> Option<(&mut u32, &mut bool)> {
+            match op {
+                $(ROp::$bn { target, poll, .. } => Some((target, poll)),)*
+                _ => None,
+            }
+        }
+
+        /// A chain's steps in program order, each link an operand that
+        /// reads its step's register, with the step each operand links to.
+        #[cfg(test)]
+        fn chain_parts(op: &ROp) -> Option<Vec<(Step, [Option<usize>; 2])>> {
+            let mut parts: Vec<(Step, [Option<usize>; 2])> = Vec::new();
+            match *op {
+                $(
+                    #[allow(unused_variables)]
+                    ROp::$chn { $($cf),* } => {
+                        $(parts.push(part_of!(parts; $ck $cop ($($cm $cv),*) [$($coff)?] -> $cd));)*
+                    }
+                )*
+                $(
+                    #[allow(unused_variables)]
+                    ROp::$bn { $($bf,)* if_true, target, poll } => {
+                        $(parts.push(part_of!(parts; $bk $bo ($($bm $bv),*) [$($boff)?] -> $bd));)*
+                        let ((a, la), (b, lb)) = (part_src!(parts; $xm $xv), part_src!(parts; $ym $yv));
+                        let rel = RelOp::$brel;
+                        parts.push((Step::Br { rel, a, b, if_true, target, poll }, [la, lb]));
+                    }
+                )*
+                _ => return None,
+            }
+            Some(parts)
+        }
+
+        /// A chain's register (`true`) and pool (`false`) fields, by name.
+        #[cfg(test)]
+        fn chain_slots_mut(op: &mut ROp) -> Vec<(&'static str, bool, &mut u16)> {
+            let mut slots = Vec::new();
+            match op {
+                $(
+                    #[allow(unused_variables)]
+                    ROp::$chn { $($cf),* } => {
+                        $($(slot_of!(slots; $cm $cv);)* slots.push((stringify!($cd), true, $cd));)*
+                    }
+                )*
+                $(
+                    #[allow(unused_variables)]
+                    ROp::$bn { $($bf,)* .. } => {
+                        $($(slot_of!(slots; $bm $bv);)* slots.push((stringify!($bd), true, $bd));)*
+                        slot_of!(slots; $xm $xv);
+                        slot_of!(slots; $ym $yv);
+                    }
+                )*
+                _ => {}
+            }
+            slots
+        }
+
+        /// One instance of every chain row, every field zero.
+        #[cfg(test)]
+        fn chain_rows() -> Vec<ROp> {
+            vec![
+                $(ROp::$chn { $($cf: 0u16.into()),* },)*
+                $(ROp::$bn { $($bf: 0u16.into(),)* if_true: true, target: 0, poll: false },)*
+            ]
+        }
+
         /// Whether a specialised variant keeps within `bounds`: the rules
         /// [`validated`] holds the generic instructions to, spelled per
-        /// family — an `R` operand is a register, a `C` operand a pool
-        /// index. `None` when `op` is a generic instruction.
+        /// family — an `R` operand (a chain's `r` field, every `dst`) is a
+        /// register, a `C` operand (`k` field) a pool index; a link is no
+        /// field. `None` when `op` is a generic instruction.
         fn variant_in_bounds(op: &ROp, bounds: &Bounds) -> Option<Option<()>> {
             let (reg, pool) = (|r: u16| bounds.reg(r), |i: u16| bounds.pool(i));
             Some(match *op {
@@ -1080,6 +1643,19 @@ macro_rules! define_rewrites {
                         reg(a).and(pool(b)).and(reg(dst)).and(pool(c)).and(bounds.target(target))
                     }
                 )*
+                $(
+                    #[allow(unused_variables)]
+                    ROp::$chn { $($cf),* } => Some(())
+                        $($(.and(in_bounds!(bounds; $cm $cv)))*.and(reg($cd)))*,
+                )*
+                $(
+                    #[allow(unused_variables)]
+                    ROp::$bn { $($bf,)* target, .. } => Some(())
+                        $($(.and(in_bounds!(bounds; $bm $bv)))*.and(reg($bd)))*
+                        .and(in_bounds!(bounds; $xm $xv))
+                        .and(in_bounds!(bounds; $ym $yv))
+                        .and(bounds.target(target)),
+                )*
                 _ => return None,
             })
         }
@@ -1116,7 +1692,11 @@ fn for_each_dest(op: &mut ROp, f: &mut impl FnMut(&mut u32, &mut bool)) {
             f(&mut table.default.target, &mut table.default.poll);
         }
         ROp::BinRelBr { target, poll, .. } => f(target, poll),
-        _ => {}
+        _ => {
+            if let Some((target, poll)) = chain_dest(op) {
+                f(target, poll);
+            }
+        }
     }
 }
 
@@ -1216,33 +1796,22 @@ fn fuse_pair(first: &ROp, second: &ROp) -> Option<ROp> {
     }
 }
 
-/// Pairwise superinstruction pass over the retargeted code. A pair
-/// `(i, i+1)` may merge only when `i + 1` is not a branch target
-/// (execution can never enter mid-superinstruction: the only other
-/// entry points are frame-resume pcs, which always follow
-/// `Call`/`CallIndirect`/`Safepoint`/host ops — never the
-/// `Bin`/`Cvt`/`Load` ops fused here). Branch targets are then remapped
-/// through the compaction.
-fn peephole(ops: Vec<ROp>) -> Vec<ROp> {
+/// Rewrites `ops` front to back: where `fuse(&ops[i..], &targets[i..])`
+/// names one op for the `n` ops from `i` on, that op replaces them.
+/// `targets[k]` says whether op `i + k` is a branch target; `fuse` never
+/// covers one past its first op (execution can never enter a fused op in
+/// the middle: the only other entry points are frame-resume pcs, which
+/// always follow `Call`/`CallIndirect`/`Safepoint`/host ops — never the
+/// value ops fused here). Branch targets are then remapped through the
+/// compaction.
+fn compact(mut ops: Vec<ROp>, fuse: impl Fn(&[ROp], &[bool]) -> Option<(ROp, usize)>) -> Vec<ROp> {
     let mut is_target = vec![false; ops.len() + 1];
-    let mut mark = |t: u32| {
-        if let Some(slot) = is_target.get_mut(t as usize) {
-            *slot = true;
-        }
-    };
-    for op in &ops {
-        match op {
-            ROp::Br(d)
-            | ROp::BrIf { dest: d, .. }
-            | ROp::BrIfZero { dest: d, .. }
-            | ROp::RelBr { dest: d, .. } => mark(d.target),
-            ROp::BrTable { table, .. } => {
-                table.dests.iter().for_each(|d| mark(d.target));
-                mark(table.default.target);
+    for op in &mut ops {
+        for_each_dest(op, &mut |t, _| {
+            if let Some(slot) = is_target.get_mut(*t as usize) {
+                *slot = true;
             }
-            ROp::BinRelBr { target, .. } => mark(*target),
-            _ => {}
-        }
+        });
     }
 
     let mut out: Vec<ROp> = Vec::with_capacity(ops.len());
@@ -1250,13 +1819,13 @@ fn peephole(ops: Vec<ROp>) -> Vec<ROp> {
     let mut i = 0;
     while i < ops.len() {
         new_pc[i] = out.len() as u32;
-        if i + 1 < ops.len() && !is_target[i + 1] {
-            if let Some(fused) = fuse_pair(&ops[i], &ops[i + 1]) {
-                new_pc[i + 1] = out.len() as u32; // unreachable: not a target
-                out.push(fused);
-                i += 2;
-                continue;
-            }
+        if let Some((fused, n)) = fuse(&ops[i..], &is_target[i..]) {
+            debug_assert!(n >= 2 && !is_target[i + 1..i + n].contains(&true));
+            // Unreachable as targets: only the first op of a fused run is.
+            new_pc[i + 1..i + n].fill(out.len() as u32);
+            out.push(fused);
+            i += n;
+            continue;
         }
         out.push(ops[i].clone());
         i += 1;
@@ -1267,6 +1836,39 @@ fn peephole(ops: Vec<ROp>) -> Vec<ROp> {
         for_each_dest(op, &mut |t, _| *t = new_pc[*t as usize]);
     }
     out
+}
+
+/// Pairwise superinstruction pass over the retargeted code: a pair
+/// `(i, i+1)` merges when it matches a `fuse_pair` pattern and `i + 1` is
+/// not a branch target.
+fn peephole(ops: Vec<ROp>) -> Vec<ROp> {
+    compact(ops, |ops, targets| match (ops, targets) {
+        ([first, second, ..], [_, false, ..]) => Some((fuse_pair(first, second)?, 2)),
+        _ => None,
+    })
+}
+
+/// The chain round: the longest run of 2 or more ops from each point on
+/// that is a `chain` or `chain_br` row of [`spec_table!`] becomes that one
+/// op (`chained`). A run may start at a branch target but holds no other;
+/// its steps — a pair is two — number at most [`MAX_CHAIN`]. This is the
+/// one pass that changes op counts on purpose: a chain is one dispatch,
+/// one step of fuel.
+fn chain(ops: Vec<ROp>) -> Vec<ROp> {
+    compact(ops, |ops, targets| {
+        let mut steps = Vec::with_capacity(MAX_CHAIN + 1);
+        // `ends[n - 1]`: the steps of the run's first `n` ops.
+        let mut ends = Vec::new();
+        for (n, op) in ops.iter().enumerate() {
+            if (n > 0 && targets[n]) || !steps_of(op, &mut steps) || steps.len() > MAX_CHAIN {
+                break;
+            }
+            ends.push(steps.len());
+        }
+        (2..=ends.len())
+            .rev()
+            .find_map(|n| Some((chained(&steps[..ends[n - 1]])?, n)))
+    })
 }
 
 /// Folds loop-header safepoints into the branches that enter them: a
@@ -1334,8 +1936,9 @@ impl Bounds {
 ///   `BrTable`, so the code is not empty and the pc cannot step past it.
 ///
 /// The generic instructions are checked here, the specialised variants by
-/// `variant_in_bounds` (generated from the table, an `R` operand held to
-/// *registers*, a `C` operand to *pool*); a variant neither knows is
+/// `variant_in_bounds` (generated from the table, an `R` operand or a
+/// chain's `r` field held to *registers*, a `C` operand or `k` field to
+/// *pool*, a chain's branch to *targets*); a variant neither knows is
 /// rejected. The dispatch loop relies on all five to elide per-access
 /// bounds checks on the register file, the pool *and* the op fetch.
 /// `lower` never emits code violating them, so a failure is a lowering
@@ -2406,6 +3009,33 @@ mod tests {
     /// `op; return` — or, if `op` branches, to op 2: `r0 = pool[8];
     /// return`. The pool holds `pool`.
     fn run_alone(op: ROp, pool: &[u64], args: &[u64]) -> Vec<u64> {
+        let (all, marker) = return_all();
+        run_body(vec![op, all.clone(), marker, all], NREGS as u32, pool, args)
+            .unwrap_or_else(|trap| panic!("{trap}"))
+    }
+
+    /// `return` of the whole register file, and the branch marker `r0 =
+    /// pool[8]`.
+    fn return_all() -> (ROp, ROp) {
+        let all = ROp::Return { src: 0, n: NREGS };
+        let marker = ROp::Mov {
+            dst: 0,
+            src: RSrc::Const(8),
+        };
+        (all, marker)
+    }
+
+    /// Runs `body` on the register loop as a function of [`NREGS`]
+    /// parameters and a frame of `nregs`, over one page of memory that
+    /// reads zero (and that no page is made for, so the process-wide
+    /// resident count `mem`'s tests watch does not move): what it
+    /// returns, or its trap.
+    fn run_body(
+        body: Vec<ROp>,
+        nregs: u32,
+        pool: &[u64],
+        args: &[u64],
+    ) -> Result<Vec<u64>, String> {
         use crate::build::ModuleBuilder;
         use crate::interp::{Instance, RunResult, Thread, Value};
         use crate::prep::{FuncDef, Prepared, Program};
@@ -2415,6 +3045,7 @@ mod tests {
 
         let regs = [ValType::I64; NREGS as usize];
         let mut mb = ModuleBuilder::new();
+        mb.memory(1, Some(1));
         let sig = mb.sig(regs, regs);
         let f = mb.func(sig, |b| {
             for r in 0..NREGS {
@@ -2424,16 +3055,11 @@ mod tests {
         mb.export("main", f);
         let module = mb.build();
         let mut image = Prepared::build(&module, SafepointScheme::None, true).expect("valid");
-        let all = ROp::Return { src: 0, n: NREGS };
-        let marker = ROp::Mov {
-            dst: 0,
-            src: RSrc::Const(8),
-        };
-        let body = Arc::get_mut(&mut image.bodies[0]).expect("a fresh image");
-        body.reg = Some(
+        let code = Arc::get_mut(&mut image.bodies[0]).expect("a fresh image");
+        code.reg = Some(
             validated(RegFunc {
-                nregs: NREGS as u32,
-                ops: vec![op, all.clone(), marker, all].into_boxed_slice(),
+                nregs,
+                ops: body.into_boxed_slice(),
                 consts: pool.into(),
             })
             .expect("in bounds"),
@@ -2444,7 +3070,8 @@ mod tests {
         let main = inst.export_func("main").expect("main");
         let args: Vec<Value> = args.iter().map(|v| Value::I64(*v as i64)).collect();
         match Thread::new().call(&mut inst, &mut (), main, &args) {
-            RunResult::Done(values) => values.iter().map(Value::raw).collect(),
+            RunResult::Done(values) => Ok(values.iter().map(Value::raw).collect()),
+            RunResult::Trapped(t) => Err(format!("{t:?}")),
             other => panic!("{other:?}"),
         }
     }
@@ -2561,5 +3188,328 @@ mod tests {
             named.ops
         );
         assert!(matches!(named.ops[2], ROp::Bin { .. }), "{:?}", named.ops);
+    }
+
+    // ---- the chains ----------------------------------------------------
+
+    /// Every chain row with its fields made distinct: registers from 0 up,
+    /// pool indices from 9 up (so an `R`/`C` confusion fails `checked`),
+    /// offsets 0, a branch to op 0.
+    fn chain_instances() -> Vec<ROp> {
+        let mut rows = chain_rows();
+        for row in &mut rows {
+            let (mut reg, mut pool) = (0, 9);
+            for (_, is_reg, slot) in chain_slots_mut(row) {
+                let next = if is_reg { &mut reg } else { &mut pool };
+                *slot = *next;
+                *next += 1;
+            }
+        }
+        rows
+    }
+
+    /// `op` as built, then with each register field in turn set to each
+    /// other one's register: results over operands and over each other,
+    /// operands on results — aliasings valid code gives a chain and ones
+    /// it does not.
+    fn aliasings(op: &ROp) -> Vec<ROp> {
+        let mut out = vec![op.clone()];
+        let regs: Vec<u16> = chain_slots_mut(&mut op.clone())
+            .into_iter()
+            .filter(|(_, is_reg, _)| *is_reg)
+            .map(|(_, _, r)| *r)
+            .collect();
+        for i in 0..regs.len() {
+            for (j, &r) in regs.iter().enumerate() {
+                if i != j && regs[i] != r {
+                    let mut v = op.clone();
+                    let mut slots = chain_slots_mut(&mut v);
+                    slots.retain(|(_, is_reg, _)| *is_reg);
+                    *slots.swap_remove(i).2 = r;
+                    out.push(v);
+                }
+            }
+        }
+        out
+    }
+
+    /// Two pools: indices 9 up are the chains' constants — an address base
+    /// that keeps the load in memory for small registers, a mask or
+    /// factor, and a comparand (or addend) the loaded zero equals in one
+    /// pool and not in the other. Index 8 is the branch marker.
+    fn chain_pools() -> [Vec<u64>; 2] {
+        let pool = |c: u64| {
+            let mut pool: Vec<u64> = (0..8).map(|i| 0x5bd1_e995u64 << i).collect();
+            pool.extend([0xdead, 40, 7 | 5 << 33, c]);
+            pool
+        };
+        [pool(4), pool(0)]
+    }
+
+    /// Register files to run a chain on: the load in memory twice, then
+    /// past it.
+    const CHAIN_ARGS: [[u64; NREGS as usize]; 3] = [
+        [3, 1, 2, 3, 4, 5, 6, 7],
+        [200, u64::MAX, 0x8000_0000, 9, 0xffff_ffff, 1 << 63, 3, 12],
+        [
+            70_000,
+            0xffff_ffff_0000_0004,
+            7,
+            u64::MAX,
+            9,
+            31,
+            0x7fff_ffff,
+            5,
+        ],
+    ];
+
+    /// A step as the generic op that runs it.
+    fn step_op(step: Step) -> ROp {
+        match step {
+            Step::Bin { op, a, b, dst } => ROp::Bin { dst, op, a, b },
+            Step::Cvt { op, a, dst } => ROp::Cvt { dst, op, a },
+            Step::LoadIdx {
+                kind,
+                a,
+                b,
+                offset,
+                dst,
+            } => load_idx(dst, kind, a, b, offset).expect("a load_idx row"),
+            Step::Br {
+                rel,
+                a,
+                b,
+                if_true,
+                target,
+                poll,
+            } => ROp::RelBr {
+                op: rel,
+                a,
+                b,
+                if_true,
+                dest: RBr {
+                    target,
+                    src: 0,
+                    dst: 0,
+                    keep: 0,
+                    poll,
+                },
+            },
+        }
+    }
+
+    /// Runs `body` then returns the register file; a branch in it skips
+    /// to the marker. The frame has [`MAX_CHAIN`] registers past the
+    /// [`NREGS`] it returns.
+    fn run_chain_code(mut body: Vec<ROp>, pool: &[u64], args: &[u64]) -> Result<Vec<u64>, String> {
+        let marker_at = body.len() as u32 + 1;
+        for op in &mut body {
+            for_each_dest(op, &mut |t, _| *t = marker_at);
+        }
+        let (all, marker) = return_all();
+        body.extend([all.clone(), marker, all]);
+        let nregs = NREGS as u32 + MAX_CHAIN as u32;
+        run_body(body, nregs, pool, args)
+    }
+
+    /// The run a chain stands for with every link carried in a register no
+    /// step writes (step `i`'s result is copied to `NREGS + i`): what the
+    /// chain computes whatever its fields alias.
+    fn linked_run(op: &ROp) -> Vec<ROp> {
+        let mut out = Vec::new();
+        for (i, (mut step, links)) in chain_parts(op).expect("a chain").into_iter().enumerate() {
+            let via = |l: Option<usize>, s: &mut RSrc| {
+                if let Some(l) = l {
+                    *s = RSrc::Reg(NREGS + l as u16);
+                }
+            };
+            match &mut step {
+                Step::Bin { a, b, .. } | Step::LoadIdx { a, b, .. } | Step::Br { a, b, .. } => {
+                    via(links[0], a);
+                    via(links[1], b);
+                }
+                Step::Cvt { a, .. } => via(links[0], a),
+            }
+            out.push(step_op(step));
+            if let Some(dst) = step.dst() {
+                out.push(ROp::Mov {
+                    dst: NREGS + i as u16,
+                    src: RSrc::Reg(dst),
+                });
+            }
+        }
+        out
+    }
+
+    /// Whether every link of a chain reads a register no step between
+    /// wrote: the one condition under which the plain run computes what
+    /// the chain does.
+    fn links_hold(parts: &[(Step, [Option<usize>; 2])]) -> bool {
+        parts.iter().enumerate().all(|(j, (_, links))| {
+            links.iter().flatten().all(|&i| {
+                let r = parts[i].0.dst();
+                parts[i + 1..j].iter().all(|(s, _)| s.dst() != r)
+            })
+        })
+    }
+
+    #[test]
+    fn every_chain_row_is_the_run_of_its_steps() {
+        let rows = chain_instances();
+        assert_eq!(rows.len(), 2);
+        for op in rows {
+            let steps: Vec<Step> = chain_parts(&op).unwrap().into_iter().map(|p| p.0).collect();
+            assert!((2..=MAX_CHAIN).contains(&steps.len()), "{op:?}");
+            assert_eq!(chained(&steps), Some(op.clone()));
+            assert_eq!(chained(&steps[..steps.len() - 1]), None);
+            // Trap order: only a leading load may fail.
+            assert!(!steps[1..].iter().any(|s| matches!(s, Step::LoadIdx { .. })));
+            assert!(checked(op.clone()).is_some(), "{op:?}");
+            assert_eq!(specialised(&op), None);
+        }
+    }
+
+    #[test]
+    fn out_of_range_chain_variants_are_rejected() {
+        for op in chain_instances() {
+            let n = chain_slots_mut(&mut op.clone()).len();
+            for i in 0..n {
+                let mut bad = op.clone();
+                let (name, is_reg, slot) = chain_slots_mut(&mut bad).swap_remove(i);
+                *slot = if is_reg { NREGS } else { NPOOL };
+                assert!(checked(bad).is_none(), "{name} of {op:?}");
+            }
+            let mut bad = op.clone();
+            if let Some((target, _)) = chain_dest(&mut bad) {
+                *target = 2;
+                assert!(checked(bad).is_none(), "branch target of {op:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_chain_forms_only_where_its_links_hold_and_computes_what_its_run_computes() {
+        // Each row's run of generic steps, its fields as built and under
+        // every aliasing: where the run's registers carry every link, the
+        // round makes the row, and the one op leaves the register file —
+        // or the trap — the run leaves; where a step between overwrote a
+        // link's register, it leaves the run alone.
+        let (mut formed, mut refused) = (0, 0);
+        for row in chain_instances() {
+            for op in aliasings(&row) {
+                let parts = chain_parts(&op).unwrap();
+                let steps: Vec<Step> = parts.iter().map(|p| p.0).collect();
+                let Some(chain) = chained(&steps) else {
+                    assert!(!links_hold(&parts), "a run it could fuse: {op:?}");
+                    refused += 1;
+                    continue;
+                };
+                assert!(links_hold(&parts), "a broken link fused: {op:?}");
+                assert_eq!(chain, op);
+                for (pool, args) in chain_pools()
+                    .iter()
+                    .flat_map(|p| CHAIN_ARGS.map(|a| (p, a)))
+                {
+                    let run: Vec<ROp> = steps.iter().map(|s| step_op(*s)).collect();
+                    let want = run_chain_code(run, pool, &args);
+                    assert_eq!(
+                        run_chain_code(vec![chain.clone()], pool, &args),
+                        want,
+                        "{chain:?}"
+                    );
+                }
+                formed += 1;
+            }
+        }
+        assert!(formed > 20 && refused > 0, "{formed} {refused}");
+    }
+
+    #[test]
+    fn a_chain_keeps_its_links_in_host_registers_under_any_aliasing() {
+        // A chain's arm against its run with every link carried in a
+        // register of its own, under every aliasing of its fields — those
+        // no module produces included (a result written over a link's
+        // register before the link is read): an arm that re-reads a link
+        // from the frame, or skips a write, disagrees here.
+        let mut runs = 0;
+        for row in chain_instances() {
+            for op in aliasings(&row) {
+                for (pool, args) in chain_pools()
+                    .iter()
+                    .flat_map(|p| CHAIN_ARGS.map(|a| (p, a)))
+                {
+                    let want = run_chain_code(linked_run(&op), pool, &args);
+                    assert_eq!(
+                        run_chain_code(vec![op.clone()], pool, &args),
+                        want,
+                        "{op:?}"
+                    );
+                    runs += 1;
+                }
+            }
+        }
+        assert!(runs > 100, "{runs}");
+    }
+
+    #[test]
+    fn the_chain_round_fuses_a_whole_run_and_never_across_a_branch_target() {
+        use RSrc::{Const as C, Reg as R};
+        // The lua loop's accumulator as the pair pass leaves it, then a
+        // branch back to its first op (a run may start at a target) or to
+        // its second (it may not hold one).
+        let run = vec![
+            ROp::Bin {
+                dst: 6,
+                op: BinOp::I64Add,
+                a: R(1),
+                b: C(9),
+            },
+            ROp::CvtBin {
+                cvt: CvtOp::I64ExtendI32U,
+                a: R(2),
+                dst1: 7,
+                op: BinOp::I64Add,
+                a2: R(6),
+                b2: R(7),
+                dst2: 6,
+            },
+            ROp::Bin2 {
+                op1: BinOp::I64Mul,
+                a: R(6),
+                b: C(10),
+                dst1: 1,
+                op2: BinOp::I32Add,
+                a2: R(3),
+                b2: C(11),
+                dst2: 3,
+            },
+        ];
+        let back = |target| {
+            ROp::Br(RBr {
+                target,
+                src: 0,
+                dst: 0,
+                keep: 0,
+                poll: true,
+            })
+        };
+        let fused = chain([run.clone(), vec![back(0)]].concat());
+        assert_eq!(fused.len(), 2, "{fused:?}");
+        assert!(matches!(
+            fused[0],
+            ROp::I64AddExtendAddMulI32AddRCRCRC { .. }
+        ));
+        assert_eq!(fused[1], back(0));
+        let into_the_run = [run.clone(), vec![back(1)]].concat();
+        assert_eq!(chain(into_the_run.clone()), into_the_run);
+        // Without the independent `i32.add` the run is no row.
+        let mut short = run;
+        short[2] = ROp::Bin {
+            dst: 1,
+            op: BinOp::I64Mul,
+            a: R(6),
+            b: C(10),
+        };
+        assert_eq!(chain(short.clone()), short);
     }
 }

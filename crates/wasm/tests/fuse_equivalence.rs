@@ -1368,3 +1368,276 @@ fn every_named_pair_agrees_on_edge_operands_in_every_operand_form_and_aliasing()
             .collect(),
     );
 }
+
+// ---- the chains --------------------------------------------------------
+//
+// A chain row is a run of ops in one arm, each result handed to the steps
+// that read it without a trip through the frame. Each row runs below in
+// the operand form it takes and in every form one operand away (which
+// must fall back to what the parts run), on edge values, and in each
+// aliasing valid code gives it: results written over operands, a result
+// over a dead link's register, one register read by two steps.
+// `regir`'s `a_chain_keeps_its_links_in_host_registers_under_any_aliasing`
+// runs the aliasings no module produces.
+
+/// The operands of a generated program as a chain body sees them.
+struct Ops<'a>(&'a [(ValType, From)]);
+
+impl Ops<'_> {
+    /// Emits operand `i`.
+    fn push(&self, b: &mut Builder, i: usize) {
+        match self.0[i] {
+            (_, From::Param(p)) => b.local_get(p),
+            (ty, From::Const(raw)) => b.emit(konst(ty, raw)),
+        };
+    }
+
+    /// The parameter operand `i` is, if it is one.
+    fn param(&self, i: usize) -> Option<u32> {
+        match self.0[i].1 {
+            From::Param(p) => Some(p),
+            From::Const(_) => None,
+        }
+    }
+}
+
+/// `(result, operands)`: in the chain, the register field `result` is one
+/// of the register fields `operands`.
+type Alias = Option<(&'static str, &'static [&'static str])>;
+
+/// One way to run a chain row: the row, and which operands it takes as
+/// constants (bit `i` for operand `i`).
+struct ChainShape {
+    name: String,
+    operands: Vec<ValType>,
+    results: Vec<ValType>,
+    alias: Alias,
+    row: &'static str,
+    consts: u32,
+    body: ChainBody,
+}
+
+/// A chain body: emits the run from its operands.
+type ChainBody = Box<dyn Fn(&mut Builder, &Ops)>;
+
+fn chain_shapes() -> Vec<ChainShape> {
+    use ValType::{I32, I64};
+    let mut out = Vec::new();
+    // `Load8UAndEqBrRCCC`: `x = load8_u(a + #b + off) & #m; x == #c`,
+    // branching when true (`br_if` out of a block) and when false (`if`);
+    // `x` and where the branch went are the results.
+    let decode: [(&str, Alias); 4] = [
+        ("", None),
+        ("/d0=a0", Some(("d0", &["a0"]))),
+        ("/d1=d0", Some(("d1", &["d0"]))),
+        ("/d1=a0", Some(("d1", &["a0"]))),
+    ];
+    for via_if in [false, true] {
+        for off in [0, 5] {
+            for (tag, alias) in decode {
+                let body = move |b: &mut Builder, ops: &Ops| {
+                    let x = b.local(I32);
+                    let run = |b: &mut Builder| {
+                        ops.push(b, 0);
+                        if tag == "/d0=a0" {
+                            b.global_set(G32).global_get(G32);
+                        }
+                        ops.push(b, 1);
+                        b.add32().load8u(off);
+                        ops.push(b, 2);
+                        b.and32();
+                        match (tag, ops.param(0)) {
+                            ("/d1=d0", _) => {}
+                            ("/d1=a0", Some(p)) => {
+                                b.local_tee(p);
+                            }
+                            _ => {
+                                b.local_tee(x);
+                            }
+                        }
+                        ops.push(b, 3);
+                        b.emit(Instr::Rel(RelOp::I32Eq));
+                    };
+                    if via_if {
+                        run(b);
+                        b.if_(BlockType::Empty, |b| {
+                            b.local_get(x).i32(30).ret();
+                        });
+                        b.local_get(x).i32(40);
+                    } else {
+                        b.block(BlockType::Empty, |b| {
+                            run(b);
+                            b.br_if(0).local_get(x).i32(10).ret();
+                        });
+                        b.local_get(x).i32(20);
+                    }
+                };
+                out.push(ChainShape {
+                    name: format!("load8u_and_eq_br{tag}/off={off}/via_if={via_if}"),
+                    operands: vec![I32, I32, I32, I32],
+                    results: vec![I32, I32],
+                    alias,
+                    row: "Load8UAndEqBrRCCC",
+                    consts: 0b1110,
+                    body: Box::new(body),
+                });
+            }
+        }
+    }
+    // `I64AddExtendAddMulI32AddRCRCRC`: `y = (acc + #k0 + extend_u x) * #k3;
+    // z = i + #k4`, `y` and `z` the results — kept in locals, or written
+    // over the accumulator's, `i`'s or `x`'s parameter, or left on the
+    // stack (the sum then lands in the slot of the dead `extend_u x`); or
+    // `x` read as `i` too.
+    let acc: [(&str, Alias); 6] = [
+        ("", None),
+        ("/d3=a0", Some(("d3", &["a0"]))),
+        ("/d4=a4", Some(("d4", &["a4"]))),
+        ("/d4=a1", Some(("d4", &["a1"]))),
+        ("/stack", Some(("d4", &["d1"]))),
+        ("/a4=a1", Some(("a4", &["a1"]))),
+    ];
+    for (tag, alias) in acc {
+        // Operand `i` is read as operand `x` in "/a4=a1".
+        let (operands, consts, i, k4) = match tag {
+            "/a4=a1" => (vec![I64, I64, I32, I64, I32], 0b11010, 2, 4),
+            _ => (vec![I64, I64, I32, I64, I32, I32], 0b101010, 4, 5),
+        };
+        let body = move |b: &mut Builder, ops: &Ops| {
+            let (y, z) = (b.local(I64), b.local(I32));
+            ops.push(b, 0);
+            ops.push(b, 1);
+            b.emit(Instr::Bin(BinOp::I64Add));
+            ops.push(b, 2);
+            b.emit(Instr::Cvt(CvtOp::I64ExtendI32U));
+            b.emit(Instr::Bin(BinOp::I64Add));
+            ops.push(b, 3);
+            b.emit(Instr::Bin(BinOp::I64Mul));
+            let y = match (tag, ops.param(0)) {
+                ("/stack", _) => None,
+                ("/d3=a0", Some(p)) => Some(p),
+                _ => Some(y),
+            };
+            if let Some(y) = y {
+                b.local_set(y);
+            }
+            ops.push(b, i);
+            ops.push(b, k4);
+            b.add32();
+            let z = match (tag, ops.param(4), ops.param(2)) {
+                ("/stack", ..) => return,
+                ("/d4=a4", Some(p), _) | ("/d4=a1", _, Some(p)) => p,
+                _ => z,
+            };
+            b.local_set(z);
+            b.local_get(y.expect("a local")).local_get(z);
+        };
+        out.push(ChainShape {
+            name: format!("acc{tag}"),
+            operands,
+            results: vec![I64, I32],
+            alias,
+            row: "I64AddExtendAddMulI32AddRCRCRC",
+            consts,
+            body: Box::new(body),
+        });
+    }
+    out
+}
+
+/// Each chain shape in the operand form its row takes and every form one
+/// operand away, over memory with the pattern at the end of the first
+/// page; with whether the case is the row's form.
+fn chain_cases(shapes: &[ChainShape]) -> Vec<(Case, &ChainShape, bool)> {
+    let mut out = Vec::new();
+    for cs in shapes {
+        for (n, (operands, params)) in operand_forms(&cs.operands).into_iter().enumerate() {
+            let mask = operands
+                .iter()
+                .enumerate()
+                .map(|(i, (_, from))| u32::from(matches!(from, From::Const(_))) << i)
+                .sum::<u32>();
+            if (mask ^ cs.consts).count_ones() > 1 {
+                continue;
+            }
+            let mut mb = ModuleBuilder::new();
+            mb.global(ValType::I64, true, ConstExpr::I64(0));
+            mb.global(ValType::I32, true, ConstExpr::I32(0));
+            mb.memory(PAGES, Some(PAGES));
+            mb.data_at(PAGE - 8, &PATTERN);
+            let sig = mb.sig(params.clone(), cs.results.clone());
+            let f = mb.func(sig, |b| (cs.body)(b, &Ops(&operands)));
+            mb.export("main", f);
+            let case = Case {
+                name: format!("{}/{n}", cs.name),
+                module: mb.build(),
+                calls: diagonal_calls(&params),
+            };
+            out.push((case, cs, mask == cs.consts));
+        }
+    }
+    out
+}
+
+/// Every `field: value` of an op's `Debug` form.
+fn fields(op: &str) -> Vec<(String, String)> {
+    let (_, fields) = op.split_once(" { ").expect("a struct variant");
+    fields
+        .trim_end_matches(" }")
+        .split(", ")
+        .filter_map(|f| f.split_once(": "))
+        .map(|(f, v)| (f.to_string(), v.to_string()))
+        .collect()
+}
+
+#[test]
+fn every_chain_row_lowers_from_its_run_in_each_aliasing() {
+    let shapes = chain_shapes();
+    let mut aliased = std::collections::BTreeSet::new();
+    for (case, cs, row_form) in chain_cases(&shapes) {
+        if !row_form {
+            continue;
+        }
+        for scheme in [SafepointScheme::None, SafepointScheme::LoopHeaders] {
+            let linker: Linker<()> = Linker::new();
+            let program = Program::link_tiered(&case.module, &linker, scheme, true).expect("link");
+            let main = program.image.bodies[0].lowered().expect("lowered");
+            let ops: Vec<String> = main.ops().iter().map(|op| format!("{op:?}")).collect();
+            let Some(op) = ops
+                .iter()
+                .find(|op| op.starts_with(&format!("{} ", cs.row)))
+            else {
+                panic!("{}: no {} in {ops:#?}", case.name, cs.row);
+            };
+            let Some((result, operands)) = cs.alias else {
+                continue;
+            };
+            let fields = fields(op);
+            let value = |field: &str| fields.iter().find(|(f, _)| f == field).map(|(_, v)| v);
+            assert!(
+                operands
+                    .iter()
+                    .any(|o| value(o).is_some() && value(o) == value(result)),
+                "{}: {op} has no {result} = {operands:?}",
+                case.name
+            );
+            aliased.insert(cs.name.clone());
+        }
+    }
+    let mut with_alias = shapes.iter().filter(|cs| cs.alias.is_some());
+    assert!(
+        with_alias.all(|cs| aliased.contains(&cs.name)),
+        "{aliased:?}"
+    );
+}
+
+#[test]
+fn every_chain_row_agrees_on_edge_operands_in_its_forms_and_aliasings() {
+    let shapes = chain_shapes();
+    let cases: Vec<Case> = chain_cases(&shapes)
+        .into_iter()
+        .map(|(case, _, _)| case)
+        .collect();
+    assert!(cases.len() > 100, "{}", cases.len());
+    assert_tiers_agree(cases);
+}
